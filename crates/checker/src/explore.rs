@@ -747,8 +747,8 @@ struct RunResult {
 /// `catch_unwind`, so a panicking harness hook becomes an
 /// [`ExecOutcome::HarnessPanic`] outcome instead of killing the worker,
 /// and any virtual threads a failed or panicked execution left parked
-/// are unwound and joined before returning (no OS-thread leaks across a
-/// long keep-going campaign).
+/// are unwound before returning, which frees their carriers (nothing
+/// stays parked across a long keep-going campaign).
 #[allow(clippy::too_many_arguments)]
 fn run_one<S: SpecTS, H: Harness<S>>(
     harness: &H,
@@ -781,13 +781,11 @@ fn run_one<S: SpecTS, H: Harness<S>>(
                 // Deadlocked, wedged, or panicked executions leave
                 // virtual threads parked; reap them.
                 rt.crash_all();
-                rt.join_all();
             }
             r
         }
         Err(payload) => {
             rt.crash_all();
-            rt.join_all();
             let stats = rt.sched_stats();
             RunResult {
                 outcome: ExecOutcome::HarnessPanic(panic_message(payload)),
@@ -1059,7 +1057,6 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
             }
         }
     }
-    rt.join_all();
 
     // A crash point scheduled exactly at the end of all work: treat as
     // unused (nothing was in flight; the sweep's earlier points covered
@@ -1224,7 +1221,9 @@ struct JobOutcome {
     decisions: Vec<(usize, usize)>,
     /// Dependency observations (DPOR-tracked jobs only).
     deps: Option<DepTrace>,
-    cx: Option<Counterexample>,
+    /// Boxed: failures are rare, and an inline counterexample more than
+    /// doubles every outcome the campaign keeps until aggregation.
+    cx: Option<Box<Counterexample>>,
     /// Whether this shard owns the job key. Spine executions (schedule
     /// phase, probes) run everywhere but count toward statistics and
     /// counterexample selection only in the owning shard, which is what
@@ -1562,7 +1561,7 @@ fn execute_job<S: SpecTS, H: Harness<S>>(
                 job.faults.clone(),
             );
             telem.emit(&telemetry::ev_counterexample(&cx));
-            out.cx = Some(cx);
+            out.cx = Some(Box::new(cx));
             cancel.offer(job.key);
         }
         out
@@ -1631,7 +1630,7 @@ fn execute_job<S: SpecTS, H: Harness<S>>(
                     job.faults.clone(),
                 );
                 telem.emit(&telemetry::ev_counterexample(&cx));
-                out2.cx = Some(cx);
+                out2.cx = Some(Box::new(cx));
                 cancel.offer(crash_key);
             }
             vec![out, out2]
@@ -2206,7 +2205,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
     let mut counterexamples: Vec<Counterexample> = outcomes
         .iter()
         .filter(|o| o.counted)
-        .filter_map(|o| o.cx.clone())
+        .filter_map(|o| o.cx.as_deref().cloned())
         .collect();
     counterexamples.sort_by_key(|cx| cx.key());
     let cutoff = if keep_going {

@@ -10,19 +10,39 @@
 //! exactly modelling "the process died here".
 //!
 //! The design is stateless-model-checking style: each explored execution
-//! spawns fresh OS threads and replays a recorded schedule prefix. Threads
-//! are cheap enough (~10µs spawn) for the bounded configurations the
-//! checker explores.
+//! builds a fresh [`ModelRt`] and replays a recorded schedule prefix. What
+//! it does *not* build afresh is OS threads. Virtual threads run on
+//! **carriers**: detached OS threads, parked while idle and reused across
+//! executions. Each spawning thread (each checker worker's controller)
+//! keeps its own LIFO pool of them, which settles at the most virtual
+//! threads that controller ever had live at once and is retired when the
+//! controller exits, so an execution costs no `clone`/`exit`.
+//! [`ModelRt::spawn`] only stores the body in an idle carrier's slot; the
+//! carrier first wakes when the thread is granted (or crashed).
+//!
+//! Exactly one side runs at a time, and the right to run is a **baton**
+//! passed by `std::thread::park`/`unpark`: [`ModelRt::grant`] wakes the
+//! granted thread's carrier and nobody else, and a thread that yields,
+//! blocks or finishes wakes the waiting controller and nobody else. The
+//! wake is always issued *after* the state lock is released, so the woken
+//! side never blocks on it. [`ModelRt::crash_all`] and
+//! [`ModelRt::join_all`] wait for the count of live virtual threads to
+//! reach zero, not for OS threads to exit; a carrier is back in the pool
+//! before its thread is published as terminated.
+//!
+//! A panic in a thread body is caught on the carrier and attributed to the
+//! virtual thread's own name ([`ModelRt::failures`]), whatever the OS
+//! thread running it is called.
 
 use crate::fault::{FaultPlan, NetFault, TornMode};
 use crate::trace::{ExecTrace, TraceBuf, TraceKind};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use perennial::GhostPanic;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{LocalKey, Thread};
 
 /// Virtual thread id (index into the runtime's thread table).
 pub type Tid = usize;
@@ -98,6 +118,8 @@ enum TState {
 struct ThreadMeta {
     state: TState,
     name: String,
+    /// Unpark handle of the carrier running this thread.
+    carrier: Thread,
 }
 
 struct LockSlot {
@@ -109,6 +131,11 @@ struct LockSlot {
 
 struct RtState {
     threads: Vec<ThreadMeta>,
+    /// Virtual threads not yet `Done`/`Panicked`.
+    live: usize,
+    /// The OS thread driving this runtime: whoever last called `grant`,
+    /// `crash_all` or `join_all`, and so whom a hand-back must wake.
+    controller: Option<Thread>,
     locks: Vec<LockSlot>,
     poisoned: bool,
     steps: u64,
@@ -167,6 +194,128 @@ pub struct SchedStats {
 
 thread_local! {
     static CURRENT_TID: Cell<Option<Tid>> = const { Cell::new(None) };
+}
+
+/// A thread-local cell set for a scope: the previous value comes back
+/// when the guard drops, unwinding included.
+struct Scoped<T: Copy + 'static> {
+    key: &'static LocalKey<Cell<T>>,
+    prev: T,
+}
+
+fn scoped<T: Copy>(key: &'static LocalKey<Cell<T>>, value: T) -> Scoped<T> {
+    Scoped {
+        key,
+        prev: key.with(|c| c.replace(value)),
+    }
+}
+
+impl<T: Copy> Drop for Scoped<T> {
+    fn drop(&mut self) {
+        self.key.with(|c| c.set(self.prev));
+    }
+}
+
+/// One virtual thread's body, bound for a carrier.
+struct Job {
+    rt: Arc<ModelRt>,
+    tid: Tid,
+    body: Box<dyn FnOnce() + Send>,
+}
+
+/// A pooled OS thread that runs virtual-thread bodies, one at a time.
+#[derive(Clone)]
+struct Carrier {
+    thread: Thread,
+    /// Filled by [`ModelRt::spawn`] while the carrier is parked; the
+    /// carrier looks here whenever it wakes.
+    slot: Arc<Mutex<Option<Job>>>,
+}
+
+/// A pool's idle carriers, most recently used last; `None` once the
+/// pool's thread has exited.
+type IdleList = Mutex<Option<Vec<Carrier>>>;
+
+/// Each spawning thread (in the checker: each worker's controller) keeps
+/// its own carriers. Carriers passed from worker to worker drag every
+/// hand-off across CPUs: with two workers on two CPUs one shared LIFO
+/// pool ran `scan` 3x slower than this, and slower than fresh threads per
+/// execution.
+struct Pool(Arc<IdleList>);
+
+thread_local! {
+    static POOL: Pool = Pool(Arc::new(Mutex::new(Some(Vec::new()))));
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        let idle = self.0.lock().take();
+        for carrier in idle.into_iter().flatten() {
+            carrier.thread.unpark();
+        }
+    }
+}
+
+impl Carrier {
+    /// Takes the carrier the calling thread's pool idled last, or starts
+    /// one. Carriers are detached: they end when their pool's thread
+    /// does, or with the process.
+    fn acquire() -> Carrier {
+        let home = POOL.with(|p| Arc::clone(&p.0));
+        if let Some(c) = home.lock().as_mut().and_then(Vec::pop) {
+            return c;
+        }
+        let slot = Arc::new(Mutex::new(None));
+        let theirs = Arc::clone(&slot);
+        let handle = std::thread::Builder::new()
+            .name("goose-carrier".into())
+            .spawn(move || {
+                let me = Carrier {
+                    thread: std::thread::current(),
+                    slot: theirs,
+                };
+                loop {
+                    let job = me.slot.lock().take();
+                    match job {
+                        Some(job) => me.run(job, &home),
+                        None if home.lock().is_none() => return,
+                        None => std::thread::park(),
+                    }
+                }
+            })
+            .expect("spawning a carrier thread");
+        Carrier {
+            thread: handle.thread().clone(),
+            slot,
+        }
+    }
+
+    /// Runs one virtual thread from its first grant to its end, then
+    /// returns this carrier to `home` and the baton to the controller.
+    fn run(&self, job: Job, home: &IdleList) {
+        let Job { rt, tid, body } = job;
+        let kind = {
+            let _tid = scoped(&CURRENT_TID, Some(tid));
+            let started = rt.wait_for_grant(tid);
+            // A thread crashed before its first grant has nothing to
+            // unwind: its body is dropped unrun.
+            match catch_unwind(AssertUnwindSafe(move || {
+                if started {
+                    body()
+                }
+            })) {
+                Ok(()) if started => None,
+                Ok(()) => Some(PanicKind::CrashUnwind),
+                Err(payload) => Some(classify_panic(payload)),
+            }
+        };
+        // Idle before terminated: once the controller sees no live
+        // thread, every carrier it used is back for the next execution.
+        if let Some(idle) = home.lock().as_mut() {
+            idle.push(self.clone());
+        }
+        rt.thread_done(tid, kind);
+    }
 }
 
 /// One shared-state access performed during a granted step, as recorded
@@ -261,8 +410,8 @@ pub mod res {
 /// call.
 pub struct ModelRt {
     state: Mutex<RtState>,
-    cv: Condvar,
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
+    /// Unparks issued by the hand-off (see [`ModelRt::wakeups`]).
+    wakeups: AtomicU64,
     seed: u64,
     max_steps: u64,
     /// This execution's fault schedule (empty = inject nothing). Fixed
@@ -315,7 +464,7 @@ thread_local! {
     /// Set while a checker worker runs a harness under `catch_unwind`:
     /// any panic on this thread is an *isolated* execution outcome, not
     /// a process failure, so the default backtrace spew is suppressed.
-    static QUIET_PANICS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Runs `f` with panics on the *current* thread silenced in the quiet
@@ -323,10 +472,8 @@ thread_local! {
 /// panicking harness is recorded as an outcome without flooding stderr;
 /// panics on other (virtual) threads are unaffected.
 pub fn quiet_worker_panics<R>(f: impl FnOnce() -> R) -> R {
-    QUIET_PANICS.with(|q| q.set(true));
-    let out = f();
-    QUIET_PANICS.with(|q| q.set(false));
-    out
+    let _quiet = scoped(&QUIET_PANICS, true);
+    f()
 }
 
 impl ModelRt {
@@ -344,6 +491,8 @@ impl ModelRt {
         Arc::new(ModelRt {
             state: Mutex::new(RtState {
                 threads: Vec::new(),
+                live: 0,
+                controller: None,
                 locks: Vec::new(),
                 poisoned: false,
                 steps: 0,
@@ -358,8 +507,7 @@ impl ModelRt {
                 net_sends: 0,
                 net_recvs: 0,
             }),
-            cv: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
+            wakeups: AtomicU64::new(0),
             seed,
             max_steps,
             faults,
@@ -597,30 +745,28 @@ impl ModelRt {
         // Spawn order determines thread ids (and hence the schedule's
         // choice indices), so spawns from within a step never commute.
         self.note_access(res::ALLOC, true);
+        let traced_name = self.tracing_enabled().then(|| name.clone());
+        let carrier = Carrier::acquire();
         let tid = {
             let mut s = self.state.lock();
             s.threads.push(ThreadMeta {
                 state: TState::Registered,
-                name: name.clone(),
+                name,
+                carrier: carrier.thread,
             });
+            s.live += 1;
             s.threads.len() - 1
         };
-        self.trace_event_for(Some(tid), TraceKind::Spawn { name: name.clone() });
-        let rt = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    CURRENT_TID.with(|c| c.set(Some(tid)));
-                    rt.wait_for_grant(tid);
-                    f();
-                }));
-                rt.thread_done(tid, result);
-            })
-            .expect("spawning a virtual thread");
-        let mut handles = self.handles.lock();
-        debug_assert_eq!(handles.len(), tid);
-        handles.push(Some(handle));
+        if let Some(name) = traced_name {
+            self.trace_event_for(Some(tid), TraceKind::Spawn { name });
+        }
+        // Not woken: the carrier first looks at its slot when granted
+        // (or crashed), and no grant can come before `tid` is returned.
+        *carrier.slot.lock() = Some(Job {
+            rt: Arc::clone(self),
+            tid,
+            body: Box::new(f),
+        });
         tid
     }
 
@@ -629,31 +775,74 @@ impl ModelRt {
         CURRENT_TID.with(|c| c.get())
     }
 
-    fn wait_for_grant(&self, tid: Tid) {
-        let mut s = self.state.lock();
+    /// Unparks issued by this runtime's hand-off so far: two per grant
+    /// (one to the granted thread, one back to the controller when the
+    /// step yields, blocks or finishes) and, on a crash, one per live
+    /// thread plus the one back from the last to unwind. A deterministic
+    /// proxy for the OS cost of a schedule, kept out of [`SchedStats`],
+    /// reports and fingerprints.
+    pub fn wakeups(&self) -> u64 {
+        self.wakeups.load(Ordering::Relaxed)
+    }
+
+    /// Passes the baton to `thread`. Callers release the state lock
+    /// first: a thread woken under it would block on it at once.
+    fn wake(&self, thread: &Thread) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        thread.unpark();
+    }
+
+    /// Parks the calling carrier until `tid` holds the grant; `false` if
+    /// a crash came instead.
+    fn wait_for_grant(&self, tid: Tid) -> bool {
         loop {
-            if s.poisoned {
-                drop(s);
-                std::panic::panic_any(CrashSignal);
+            {
+                let s = self.state.lock();
+                if s.poisoned {
+                    return false;
+                }
+                if s.threads[tid].state == TState::Granted {
+                    return true;
+                }
             }
-            if s.threads[tid].state == TState::Granted {
-                return;
-            }
-            self.cv.wait(&mut s);
+            std::thread::park();
         }
     }
 
-    fn thread_done(&self, tid: Tid, result: Result<(), Box<dyn std::any::Any + Send>>) {
-        let kind = match result {
-            Ok(()) => None,
-            Err(payload) => Some(classify_panic(payload)),
-        };
+    /// Ends a granted step: publishes `state`, hands the baton back to
+    /// the controller and parks until the next grant, or unwinds with a
+    /// [`CrashSignal`].
+    fn hand_back(&self, mut s: MutexGuard<'_, RtState>, tid: Tid, state: TState) {
+        s.threads[tid].state = state;
+        let controller = s.controller.clone();
+        drop(s);
+        if let Some(c) = controller {
+            self.wake(&c);
+        }
+        if !self.wait_for_grant(tid) {
+            std::panic::panic_any(CrashSignal);
+        }
+    }
+
+    /// Publishes `tid` as terminated and wakes the controller if it is
+    /// waiting on this: for the granted step to end, or for the last
+    /// live thread to go.
+    fn thread_done(&self, tid: Tid, kind: Option<PanicKind>) {
         let mut s = self.state.lock();
+        let was_granted = s.threads[tid].state == TState::Granted;
         s.threads[tid].state = match kind {
             None => TState::Done,
             Some(k) => TState::Panicked(k),
         };
-        self.cv.notify_all();
+        s.live -= 1;
+        if !was_granted && s.live > 0 {
+            return;
+        }
+        let controller = s.controller.clone();
+        drop(s);
+        if let Some(c) = controller {
+            self.wake(&c);
+        }
     }
 
     /// One atomic step boundary: park until the controller grants the
@@ -673,18 +862,7 @@ impl ModelRt {
             // wedged execution rather than a generic bug.
             std::panic::panic_any(StepBudgetSignal(self.max_steps));
         }
-        s.threads[tid].state = TState::Paused;
-        self.cv.notify_all();
-        loop {
-            if s.poisoned {
-                drop(s);
-                std::panic::panic_any(CrashSignal);
-            }
-            if s.threads[tid].state == TState::Granted {
-                return;
-            }
-            self.cv.wait(&mut s);
-        }
+        self.hand_back(s, tid, TState::Paused);
     }
 
     /// Deterministic randomness: depends only on the seed and how many
@@ -752,21 +930,10 @@ impl ModelRt {
                 Some(tid),
                 "model lock is not reentrant"
             );
-            s.threads[tid].state = TState::Blocked(lock);
             s.lock_blocks += 1;
             s.locks[lock].blocks += 1;
             self.trace_event_for(Some(tid), TraceKind::LockBlock { lock });
-            self.cv.notify_all();
-            loop {
-                if s.poisoned {
-                    drop(s);
-                    std::panic::panic_any(CrashSignal);
-                }
-                if s.threads[tid].state == TState::Granted {
-                    break;
-                }
-                self.cv.wait(&mut s);
-            }
+            self.hand_back(s, tid, TState::Blocked(lock));
             // Granted after a release: retry the acquire.
         }
     }
@@ -801,7 +968,6 @@ impl ModelRt {
             }
         }
         self.trace_event_for(Some(tid), TraceKind::LockRelease { lock });
-        self.cv.notify_all();
     }
 
     /// Whether `lock` is currently held (controller-side inspection).
@@ -826,10 +992,7 @@ impl ModelRt {
 
     /// Whether every virtual thread has terminated (done or panicked).
     pub fn all_done(&self) -> bool {
-        let s = self.state.lock();
-        s.threads
-            .iter()
-            .all(|m| matches!(m.state, TState::Done | TState::Panicked(_)))
+        self.state.lock().live == 0
     }
 
     /// Whether some thread is blocked (used for deadlock detection:
@@ -844,22 +1007,25 @@ impl ModelRt {
     /// Grants one step to `tid` and waits until the thread parks again,
     /// blocks, finishes, or panics.
     pub fn grant(&self, tid: Tid) -> StepResult {
-        let mut s = self.state.lock();
-        match s.threads[tid].state {
-            TState::Registered | TState::Paused => {}
-            ref other => panic!(
-                "grant to non-runnable thread {tid} ({}) in state {:?}",
-                s.threads[tid].name, other
-            ),
-        }
-        self.trace_event_for(Some(tid), TraceKind::Grant { step: s.steps });
-        s.threads[tid].state = TState::Granted;
-        self.cv.notify_all();
+        let carrier = {
+            let mut s = self.state.lock();
+            match s.threads[tid].state {
+                TState::Registered | TState::Paused => {}
+                ref other => panic!(
+                    "grant to non-runnable thread {tid} ({}) in state {:?}",
+                    s.threads[tid].name, other
+                ),
+            }
+            self.trace_event_for(Some(tid), TraceKind::Grant { step: s.steps });
+            s.threads[tid].state = TState::Granted;
+            s.controller = Some(std::thread::current());
+            s.threads[tid].carrier.clone()
+        };
+        self.wake(&carrier);
         loop {
-            match &s.threads[tid].state {
-                TState::Granted => {
-                    self.cv.wait(&mut s);
-                }
+            std::thread::park();
+            match &self.state.lock().threads[tid].state {
+                TState::Granted => {}
                 TState::Paused => return StepResult::Yielded,
                 TState::Blocked(_) => return StepResult::Blocked,
                 TState::Done => return StepResult::Finished,
@@ -872,46 +1038,51 @@ impl ModelRt {
     /// Injects a crash: every live virtual thread unwinds with a
     /// [`CrashSignal`], lock state is wiped (in-memory locks do not
     /// survive a reboot), and the runtime is ready to schedule recovery
-    /// threads.
+    /// threads. Returns once no virtual thread is live.
     ///
     /// Must only be called from the controller between grants (no thread
     /// is running user code at that point).
     pub fn crash_all(&self) {
-        {
+        let live: Vec<Thread> = {
             let mut s = self.state.lock();
             let step = s.steps;
             s.poisoned = true;
             self.trace_event_for(None, TraceKind::Crash { step });
-            self.cv.notify_all();
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut h = self.handles.lock();
-            h.iter_mut().filter_map(|slot| slot.take()).collect()
+            s.threads
+                .iter()
+                .filter(|m| !matches!(m.state, TState::Done | TState::Panicked(_)))
+                .map(|m| m.carrier.clone())
+                .collect()
         };
-        for h in handles {
-            let _ = h.join();
+        for carrier in &live {
+            self.wake(carrier);
         }
-        let mut s = self.state.lock();
+        let mut s = self.wait_until_none_live();
         s.poisoned = false;
         for slot in s.locks.iter_mut() {
             slot.held_by = None;
         }
-        for meta in s.threads.iter_mut() {
-            if !matches!(meta.state, TState::Done | TState::Panicked(_)) {
-                meta.state = TState::Panicked(PanicKind::CrashUnwind);
-            }
-        }
     }
 
-    /// Joins all finished threads (end of a crash-free execution).
+    /// Waits until every virtual thread has terminated (end of a
+    /// crash-free execution). Threads still parked at a yield point or on
+    /// a lock never will: reap those with [`ModelRt::crash_all`].
     pub fn join_all(&self) {
-        let handles: Vec<JoinHandle<()>> = {
-            let mut h = self.handles.lock();
-            h.iter_mut().filter_map(|slot| slot.take()).collect()
-        };
-        for h in handles {
-            let _ = h.join();
+        drop(self.wait_until_none_live());
+    }
+
+    fn wait_until_none_live(&self) -> MutexGuard<'_, RtState> {
+        let mut s = self.state.lock();
+        // Registered under the same lock hold as the first check: a
+        // thread that terminates around it is either counted here or
+        // finds the controller to wake.
+        s.controller = Some(std::thread::current());
+        while s.live > 0 {
+            drop(s);
+            std::thread::park();
+            s = self.state.lock();
         }
+        s
     }
 
     /// Total steps scheduled so far.
@@ -1388,5 +1559,84 @@ mod tests {
         };
         assert_eq!(draws(7), draws(7));
         assert_ne!(draws(7), draws(8));
+    }
+
+    #[test]
+    fn a_grant_costs_two_wakeups_whoever_else_is_parked() {
+        for bystanders in [1usize, 8] {
+            let rt = ModelRt::new(0, 10_000);
+            for t in 0..=bystanders {
+                let rt2 = Arc::clone(&rt);
+                rt.spawn(format!("t{t}"), move || loop {
+                    rt2.yield_point();
+                });
+            }
+            // Park every bystander at a yield point; a first grant (which
+            // starts the body on its carrier) costs the same two.
+            for tid in 1..=bystanders {
+                let before = rt.wakeups();
+                assert_eq!(rt.grant(tid), StepResult::Yielded);
+                assert_eq!(rt.wakeups() - before, 2);
+            }
+            const GRANTS: u64 = 100;
+            let before = rt.wakeups();
+            for _ in 0..GRANTS {
+                assert_eq!(rt.grant(0), StepResult::Yielded);
+            }
+            assert_eq!(
+                rt.wakeups() - before,
+                2 * GRANTS,
+                "one to the granted thread, one back, with {bystanders} parked"
+            );
+            // A crash wakes each live thread once; the last one to unwind
+            // hands the baton back.
+            let before = rt.wakeups();
+            rt.crash_all();
+            assert_eq!(rt.wakeups() - before, (bystanders as u64 + 1) + 1);
+            assert!(rt.all_done());
+        }
+    }
+
+    #[test]
+    fn blocking_on_a_lock_hands_back_once_and_release_wakes_nobody() {
+        let rt = ModelRt::new(0, 10_000);
+        let lock = rt.new_lock();
+        for label in ["holder", "waiter"] {
+            let rt2 = Arc::clone(&rt);
+            rt.spawn(label, move || {
+                rt2.lock_acquire(lock);
+                rt2.yield_point();
+                rt2.lock_release(lock);
+            });
+        }
+        assert_eq!(rt.grant(0), StepResult::Yielded); // acquire point
+        assert_eq!(rt.grant(0), StepResult::Yielded); // holds the lock
+        assert_eq!(rt.grant(1), StepResult::Yielded); // acquire point
+        let before = rt.wakeups();
+        assert_eq!(rt.grant(1), StepResult::Blocked);
+        assert_eq!(rt.wakeups() - before, 2);
+        // The release step makes the waiter runnable without waking it.
+        let before = rt.wakeups();
+        assert_eq!(rt.grant(0), StepResult::Yielded); // release point
+        assert_eq!(rt.grant(0), StepResult::Finished); // releases, returns
+        assert_eq!(rt.wakeups() - before, 4);
+        assert_eq!(rt.runnable(), vec![1]);
+        run_round_robin(&rt);
+    }
+
+    #[test]
+    fn quiet_worker_panics_is_scoped_even_when_the_closure_unwinds() {
+        install_quiet_hook();
+        let unwound = catch_unwind(|| {
+            quiet_worker_panics(|| {
+                assert!(QUIET_PANICS.with(|q| q.get()));
+                std::panic::panic_any(CrashSignal);
+            })
+        });
+        assert!(unwound.is_err());
+        assert!(
+            !QUIET_PANICS.with(|q| q.get()),
+            "a worker that unwound once must not silence later panics"
+        );
     }
 }

@@ -1,0 +1,166 @@
+//! Carriers are reused: a long campaign's OS-thread count is bounded by
+//! the most virtual threads any one execution had live at once, however
+//! the executions end, and a controller thread that exits takes its
+//! carriers with it. Alone in this file (one test, one process) so that
+//! `/proc/self/status` counts nobody else's threads.
+#![cfg(target_os = "linux")]
+
+use goose_rt::{ModelRt, PanicKind, StepResult};
+use std::sync::Arc;
+
+/// The most virtual threads live at once in any execution below.
+const HIGH_WATER: usize = 3;
+
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("reading /proc/self/status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+/// Grants round-robin until nothing is runnable.
+fn drain(rt: &ModelRt) {
+    loop {
+        let runnable = rt.runnable();
+        if runnable.is_empty() {
+            return;
+        }
+        for tid in runnable {
+            let _ = rt.grant(tid);
+        }
+    }
+}
+
+fn spawn_lockers(rt: &Arc<ModelRt>, n: usize) {
+    let lock = rt.new_lock();
+    for t in 0..n {
+        let rt2 = Arc::clone(rt);
+        rt.spawn(format!("t{t}"), move || {
+            rt2.lock_acquire(lock);
+            rt2.yield_point();
+            rt2.lock_release(lock);
+        });
+    }
+}
+
+fn clean_finish() {
+    let rt = ModelRt::new(1, 10_000);
+    spawn_lockers(&rt, HIGH_WATER);
+    drain(&rt);
+    rt.join_all();
+    assert!(rt.all_done() && rt.failures().is_empty());
+}
+
+/// Crash mid-flight (one thread never granted), crash again inside
+/// recovery, then recover and run the post-recovery threads.
+fn crash_with_nested_recovery() {
+    let rt = ModelRt::new(2, 10_000);
+    spawn_lockers(&rt, HIGH_WATER);
+    for tid in [0, 1, 0] {
+        let _ = rt.grant(tid);
+    }
+    rt.crash_all();
+    for attempt in 0..2 {
+        let rt2 = Arc::clone(&rt);
+        let recovery = rt.spawn("recovery", move || {
+            rt2.yield_point();
+            rt2.yield_point();
+        });
+        assert_eq!(rt.grant(recovery), StepResult::Yielded);
+        if attempt == 0 {
+            rt.crash_all();
+        }
+    }
+    spawn_lockers(&rt, HIGH_WATER - 1);
+    drain(&rt);
+    rt.join_all();
+    assert!(rt.all_done() && rt.failures().is_empty());
+}
+
+fn deadlock() {
+    let rt = ModelRt::new(3, 10_000);
+    let (a, b) = (rt.new_lock(), rt.new_lock());
+    for (first, second) in [(a, b), (b, a)] {
+        let rt2 = Arc::clone(&rt);
+        rt.spawn("philosopher", move || {
+            rt2.lock_acquire(first);
+            rt2.lock_acquire(second);
+        });
+    }
+    drain(&rt);
+    assert!(!rt.all_done() && rt.any_blocked());
+    rt.crash_all();
+    assert!(rt.all_done());
+}
+
+fn step_budget_wedge() {
+    let rt = ModelRt::new(4, 16);
+    for name in ["spin", "bystander"] {
+        let rt2 = Arc::clone(&rt);
+        rt.spawn(name, move || loop {
+            rt2.yield_point();
+        });
+    }
+    assert_eq!(rt.grant(1), StepResult::Yielded);
+    let wedged = (0..64).any(|_| rt.grant(0) == StepResult::Panicked(PanicKind::StepBudget(16)));
+    assert!(wedged);
+    rt.crash_all();
+    assert!(rt.all_done());
+}
+
+fn panicking_body() {
+    let rt = ModelRt::new(5, 10_000);
+    let rt2 = Arc::clone(&rt);
+    rt.spawn("bystander", move || loop {
+        rt2.yield_point();
+    });
+    rt.spawn("bug", || panic!("boom"));
+    assert_eq!(rt.grant(0), StepResult::Yielded);
+    assert!(matches!(
+        rt.grant(1),
+        StepResult::Panicked(PanicKind::Other(_))
+    ));
+    // Reported under the virtual thread's name, not the carrier's.
+    assert_eq!(rt.failures()[0].0, "bug");
+    rt.crash_all();
+}
+
+#[test]
+fn os_thread_count_is_bounded_by_the_high_water_mark() {
+    let before = os_threads();
+    // A controller of its own, as each checker worker is.
+    let controller = std::thread::spawn(move || {
+        let before = before + 1;
+        let shapes = [
+            clean_finish,
+            crash_with_nested_recovery,
+            deadlock,
+            step_budget_wedge,
+            panicking_body,
+        ];
+        for i in 0..2_000 {
+            shapes[i % shapes.len()]();
+            assert_eq!(ModelRt::current_tid(), None);
+            let now = os_threads();
+            assert!(
+                now <= before + HIGH_WATER,
+                "execution {i}: {now} OS threads, {before} before the first"
+            );
+        }
+        // And they are carriers, not leftovers about to exit.
+        assert_eq!(os_threads(), before + HIGH_WATER);
+    });
+    controller.join().expect("the controller thread");
+    // Its carriers were told to retire; give them until the deadline.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while os_threads() > before {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} OS threads left of a controller that exited, {before} before it",
+            os_threads()
+        );
+        std::thread::yield_now();
+    }
+}
