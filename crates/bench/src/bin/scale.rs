@@ -53,6 +53,8 @@ fn rows_json(rows: &[ScaleRow]) -> serde_json::Value {
                 serde_json::json!({
                     "workers": r.workers,
                     "executions": r.executions,
+                    "steps": r.steps,
+                    "wakeups": r.wakeups,
                     "fault_plans": r.fault_plans,
                     "wall_time_s": r.wall_time.as_secs_f64(),
                     "execs_per_sec": r.execs_per_sec,
@@ -96,6 +98,7 @@ fn reduction_json(rows: &[ReductionRow]) -> serde_json::Value {
 }
 
 fn resume_json(row: &ResumeRow) -> serde_json::Value {
+    let (q1, q3) = row.overhead_quartiles();
     serde_json::json!({
         "executions": row.executions,
         "cold_wall_time_s": row.cold.as_secs_f64(),
@@ -103,6 +106,9 @@ fn resume_json(row: &ResumeRow) -> serde_json::Value {
         "resumed_wall_time_s": row.resumed.as_secs_f64(),
         "replayed": row.replayed,
         "wal_overhead": row.overhead(),
+        "wal_overhead_q1": q1,
+        "wal_overhead_q3": q3,
+        "wal_overhead_pairs": row.overheads.len(),
         "resume_speedup": row.resume_speedup(),
         "fingerprints_match": row.fingerprints_match,
     })
@@ -219,7 +225,7 @@ fn main() {
             std::process::id()
         ))
     });
-    let resume = run_resume(scenario, &fault_cfg, &wal, 3);
+    let resume = run_resume(scenario, &fault_cfg, &wal, 5);
     println!();
     print!("{}", render_resume(scenario.name(), &resume));
 
@@ -233,6 +239,9 @@ fn main() {
         "schema_version": SCALE_SCHEMA_VERSION,
         "scenario": scenario.name(),
         "env": env.to_json(),
+        // Deterministic, and the same in every row: the first speaks
+        // for all (the differ checks each row's count).
+        "wakeups_per_step": rows[0].wakeups_per_step(),
         "schedule_exploration": rows_json(&rows),
         "fault_exploration": rows_json(&fault_rows),
         "strategy_reduction": reduction_json(&reduction),

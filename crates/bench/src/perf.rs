@@ -3,8 +3,9 @@
 //!
 //! The record has two kinds of metric, diffed differently:
 //!
-//! - **Deterministic counts** (executions, executions-to-counterexample
-//!   per mutant × strategy): the determinism contract says these are
+//! - **Deterministic counts** (executions, the scheduler's hand-off
+//!   wake-ups and their ratio to steps, executions-to-counterexample per
+//!   mutant × strategy): the determinism contract says these are
 //!   pure functions of the configuration. Any change is *drift* — a
 //!   behaviour change, not noise — and is always flagged, with a note to
 //!   refresh the baseline if the change was intentional.
@@ -176,6 +177,15 @@ fn diff_scaling_series(
                 ce,
             ));
         }
+        // A baseline from before the field existed has nothing to drift
+        // from.
+        if let (Some(bw), Some(cw)) = (num(b, "wakeups"), num(c, "wakeups")) {
+            out.deltas.push(drift_delta(
+                &format!("{section}[workers={w}].wakeups"),
+                bw,
+                cw,
+            ));
+        }
         if let (Some(br), Some(cr)) = (num(b, "execs_per_sec"), num(c, "execs_per_sec")) {
             out.deltas.push(rate_delta(
                 &format!("{section}[workers={w}].execs_per_sec"),
@@ -312,6 +322,9 @@ pub fn diff_scale(baseline: &Value, current: &Value, t: &Thresholds) -> Result<D
             .push("env stamp missing from baseline or current record".to_string()),
     }
 
+    if let (Some(bw), Some(cw)) = (num(b, "wakeups_per_step"), num(c, "wakeups_per_step")) {
+        out.deltas.push(drift_delta("wakeups_per_step", bw, cw));
+    }
     for section in ["schedule_exploration", "fault_exploration"] {
         match (b.get(section), c.get(section)) {
             (Some(bs), Some(cs)) => diff_scaling_series(section, bs, cs, t, &mut out)?,
@@ -455,6 +468,28 @@ mod tests {
         let d = diff_scale(&base, &cur, &Thresholds::default()).unwrap();
         assert!(d.regressed());
         assert!(render_diff(&d).contains("refresh the baseline"));
+    }
+
+    #[test]
+    fn a_changed_hand_off_count_is_drift() {
+        let with_wakeups = |per_step: f64| {
+            let mut r = record(500, 1000.0, 0.02, 40);
+            if let Value::Object(m) = &mut r {
+                m.insert("wakeups_per_step".into(), json!(per_step));
+            }
+            r
+        };
+        let base = with_wakeups(0.4375);
+        let same = diff_scale(&base, &with_wakeups(0.4375), &Thresholds::default()).unwrap();
+        assert!(!same.regressed(), "{}", render_diff(&same));
+        // Every step going back through the controller again.
+        let d = diff_scale(&base, &with_wakeups(2.0), &Thresholds::default()).unwrap();
+        assert!(d.regressed());
+        assert!(render_diff(&d).contains("wakeups_per_step"));
+        // A baseline from before the field: nothing to compare.
+        let old = record(500, 1000.0, 0.02, 40);
+        let d = diff_scale(&old, &with_wakeups(0.4375), &Thresholds::default()).unwrap();
+        assert!(!d.regressed(), "{}", render_diff(&d));
     }
 
     #[test]

@@ -18,6 +18,12 @@ use std::time::Duration;
 pub struct ScaleRow {
     pub workers: usize,
     pub executions: usize,
+    /// Scheduler steps over those executions (deterministic).
+    pub steps: u64,
+    /// OS-thread wake-ups the scheduler's hand-off issued for them
+    /// (`ModelRt::wakeups`): the deterministic companion of
+    /// `execs_per_sec`, identical across rows.
+    pub wakeups: u64,
     /// How many of those executions carried a non-empty fault plan
     /// (non-zero only when the config enables the fault sweeps).
     pub fault_plans: usize,
@@ -29,6 +35,14 @@ pub struct ScaleRow {
     pub outcomes: OutcomeCounts,
     /// Coverage accounting (deterministic: identical across rows).
     pub coverage: Coverage,
+}
+
+impl ScaleRow {
+    /// Hand-off wake-ups per scheduler step (2 when every step returns
+    /// to the controller; below 1 with run-on grants).
+    pub fn wakeups_per_step(&self) -> f64 {
+        self.wakeups as f64 / self.steps.max(1) as f64
+    }
 }
 
 /// Runs `scenario` once per pool size in `worker_counts` (the base
@@ -43,12 +57,22 @@ pub fn run_scale(
     for &workers in worker_counts {
         let mut cfg = base.clone();
         cfg.workers = workers.max(1);
+        // The profiler is where the hand-off count surfaces.
+        cfg.profile = true;
         let report = scenario.run(&cfg);
+        let wakeups = report
+            .profile
+            .iter()
+            .flat_map(|p| &p.passes)
+            .map(|pass| pass.wakeups)
+            .sum();
         let per_sec = report.execs_per_sec;
         let base_rate = *baseline.get_or_insert(per_sec);
         rows.push(ScaleRow {
             workers: cfg.workers,
             executions: report.executions,
+            steps: report.total_steps,
+            wakeups,
             fault_plans: report.fault_plans,
             wall_time: report.wall_time,
             execs_per_sec: per_sec,
@@ -66,19 +90,20 @@ pub fn render_scale(name: &str, rows: &[ScaleRow]) -> String {
     let _ = writeln!(out, "Explorer scaling: {name}");
     let _ = writeln!(
         out,
-        "{:>8} {:>12} {:>12} {:>12} {:>14} {:>9}",
-        "workers", "executions", "fault plans", "wall time", "execs/sec", "speedup"
+        "{:>8} {:>12} {:>12} {:>12} {:>14} {:>9} {:>13}",
+        "workers", "executions", "fault plans", "wall time", "execs/sec", "speedup", "wakeups/step"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:>8} {:>12} {:>12} {:>11.2}s {:>14.0} {:>8.2}x",
+            "{:>8} {:>12} {:>12} {:>11.2}s {:>14.0} {:>8.2}x {:>13.3}",
             r.workers,
             r.executions,
             r.fault_plans,
             r.wall_time.as_secs_f64(),
             r.execs_per_sec,
-            r.speedup
+            r.speedup,
+            r.wakeups_per_step(),
         );
     }
     out
@@ -90,28 +115,50 @@ pub fn render_scale(name: &str, rows: &[ScaleRow]) -> String {
 
 /// Cost accounting for the checkpoint/resume machinery on one scenario.
 ///
-/// Three runs: *cold* (no WAL), *walled* (same run writing its JSONL
-/// write-ahead log), and *resumed* (re-run against the completed WAL,
-/// replaying finished executions instead of re-executing them). The
-/// acceptance target is `overhead() < 0.05`: writing the WAL costs
-/// less than 5% of the cold wall time, so campaigns can always afford
-/// to be resumable.
+/// Alternating pairs of a *cold* run (no WAL) and a *walled* one (same
+/// run writing its JSONL write-ahead log), then one *resumed* run
+/// (re-run against the completed WAL, replaying finished executions
+/// instead of re-executing them). One pair is two ≈40 ms runs and reads
+/// anywhere from −8 % to +34 %, so the recorded overhead is the median
+/// over the pairs, with its quartiles beside it. The acceptance target
+/// is `overhead() < 0.05`: writing the WAL costs less than 5% of the
+/// cold wall time, so campaigns can always afford to be resumable.
 #[derive(Debug, Clone)]
 pub struct ResumeRow {
     pub executions: usize,
+    /// Median cold and walled wall times over the pairs.
     pub cold: Duration,
     pub walled: Duration,
     pub resumed: Duration,
+    /// Per-pair `walled / cold - 1`, ascending.
+    pub overheads: Vec<f64>,
     /// Executions the resumed run satisfied from the WAL.
     pub replayed: u64,
-    /// All three runs produced the same report fingerprint.
+    /// Every run produced the same report fingerprint.
     pub fingerprints_match: bool,
 }
 
+/// The value `q` of the way through an ascending, non-empty sample
+/// (linear interpolation between neighbours).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let at = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+}
+
 impl ResumeRow {
-    /// Fractional wall-time cost of writing the WAL (0.03 = 3%).
+    /// Fractional wall-time cost of writing the WAL (0.03 = 3%): the
+    /// median over the pairs.
     pub fn overhead(&self) -> f64 {
-        self.walled.as_secs_f64() / self.cold.as_secs_f64().max(1e-9) - 1.0
+        quantile(&self.overheads, 0.5)
+    }
+
+    /// First and third quartile of the per-pair overheads.
+    pub fn overhead_quartiles(&self) -> (f64, f64) {
+        (
+            quantile(&self.overheads, 0.25),
+            quantile(&self.overheads, 0.75),
+        )
     }
 
     /// How much faster a fully-replayed resume is than a cold run.
@@ -121,52 +168,60 @@ impl ResumeRow {
 }
 
 /// Measures checkpoint/resume cost for `scenario` using `wal` as the
-/// log path (best wall time of `reps` runs per variant, to shave
-/// scheduler noise). Sharded configs force keep-going semantics, so
-/// the comparison uses `keep_going` on all three variants.
+/// log path, over `pairs` cold/walled pairs that alternate which side
+/// runs first. Sharded configs force keep-going semantics, so the
+/// comparison uses `keep_going` on every variant.
 pub fn run_resume(
     scenario: &Scenario,
     base: &CheckConfig,
     wal: &std::path::Path,
-    reps: usize,
+    pairs: usize,
 ) -> ResumeRow {
     use perennial_checker::report_fingerprint;
-    let reps = reps.max(1);
     let mut cfg = base.clone();
     cfg.keep_going = true;
+    let mut walled_cfg = cfg.clone();
+    walled_cfg.telemetry_path = Some(wal.to_path_buf());
 
-    let best = |f: &dyn Fn() -> perennial_checker::CheckReport| {
-        let mut best: Option<perennial_checker::CheckReport> = None;
-        for _ in 0..reps {
-            let r = f();
-            if best.as_ref().is_none_or(|b| r.wall_time < b.wall_time) {
-                best = Some(r);
-            }
-        }
-        best.expect("reps >= 1")
-    };
-
-    let cold = best(&|| scenario.run(&cfg));
-    let walled = best(&|| {
-        let mut c = cfg.clone();
-        c.telemetry_path = Some(wal.to_path_buf());
-        scenario.run(&c)
-    });
+    let mut fingerprints = Vec::new();
+    let (mut colds, mut walleds, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
+    let mut executions = 0;
+    for pair in 0..pairs.max(1) {
+        let mut time = |c: &CheckConfig| {
+            let report = scenario.run(c);
+            fingerprints.push(report_fingerprint(&report));
+            executions = report.executions;
+            report.wall_time.as_secs_f64()
+        };
+        let (cold, walled) = if pair % 2 == 0 {
+            let cold = time(&cfg);
+            (cold, time(&walled_cfg))
+        } else {
+            let walled = time(&walled_cfg);
+            (time(&cfg), walled)
+        };
+        colds.push(cold);
+        walleds.push(walled);
+        overheads.push(walled / cold.max(1e-9) - 1.0);
+    }
+    for sample in [&mut colds, &mut walleds, &mut overheads] {
+        sample.sort_by(f64::total_cmp);
+    }
     // One resumed run against the *complete* WAL: everything replayable
     // is replayed, which is the steady-state cost of the machinery.
-    let mut rcfg = cfg.clone();
-    rcfg.telemetry_path = Some(wal.to_path_buf());
+    let mut rcfg = walled_cfg.clone();
     rcfg.resume_from = Some(wal.to_path_buf());
     let resumed = scenario.run(&rcfg);
+    fingerprints.push(report_fingerprint(&resumed));
 
-    let fp = report_fingerprint(&cold);
     ResumeRow {
-        executions: cold.executions,
-        cold: cold.wall_time,
-        walled: walled.wall_time,
+        executions,
+        cold: Duration::from_secs_f64(quantile(&colds, 0.5)),
+        walled: Duration::from_secs_f64(quantile(&walleds, 0.5)),
         resumed: resumed.wall_time,
+        overheads,
         replayed: resumed.replayed,
-        fingerprints_match: report_fingerprint(&walled) == fp && report_fingerprint(&resumed) == fp,
+        fingerprints_match: fingerprints.windows(2).all(|w| w[0] == w[1]),
     }
 }
 
@@ -190,7 +245,16 @@ pub fn render_resume(name: &str, row: &ResumeRow) -> String {
         row.resume_speedup(),
         if row.fingerprints_match { "yes" } else { "NO" },
     );
-    let _ = writeln!(out, "({} executions replayed from the WAL)", row.replayed);
+    let (q1, q3) = row.overhead_quartiles();
+    let _ = writeln!(
+        out,
+        "(overhead: median of {} alternating pairs, quartiles {:.1}% .. {:.1}%; \
+         {} executions replayed from the WAL)",
+        row.overheads.len(),
+        q1 * 100.0,
+        q3 * 100.0,
+        row.replayed
+    );
     out
 }
 
@@ -362,8 +426,53 @@ mod tests {
         assert_eq!(rows[0].outcomes.total(), rows[0].executions as u64);
         assert!(rows[0].coverage.distinct_traces > 0);
         assert!((rows[0].speedup - 1.0).abs() < 1e-9);
+        // The hand-off count is as deterministic as the rest.
+        assert_eq!(
+            (rows[0].steps, rows[0].wakeups),
+            (rows[1].steps, rows[1].wakeups)
+        );
+        assert!(rows[0].wakeups > 0 && rows[0].wakeups_per_step() < 1.0);
         let table = render_scale("patterns/wal", &rows);
         assert!(table.contains("workers"));
         assert!(table.contains("speedup"));
+    }
+
+    #[test]
+    fn wal_overhead_is_the_median_of_its_pairs() {
+        let row = ResumeRow {
+            executions: 1,
+            cold: Duration::from_millis(40),
+            walled: Duration::from_millis(42),
+            resumed: Duration::from_millis(10),
+            overheads: vec![-0.08, 0.02, 0.05, 0.11, 0.34],
+            replayed: 0,
+            fingerprints_match: true,
+        };
+        assert_eq!(row.overhead(), 0.05);
+        assert_eq!(row.overhead_quartiles(), (0.02, 0.11));
+        assert_eq!(quantile(&[0.0, 1.0], 0.25), 0.25);
+        assert_eq!(quantile(&[0.3], 0.75), 0.3);
+    }
+
+    #[test]
+    fn resume_measurement_alternates_pairs_and_keeps_one_fingerprint() {
+        let registry = crash_patterns::scenarios();
+        let scenario = registry.get("patterns/wal").expect("registered");
+        let cfg = CheckConfig::builder()
+            .dfs_max_executions(20)
+            .random_samples(2)
+            .random_crash_samples(2)
+            .without_passes([perennial_checker::Pass::NestedCrash])
+            .build();
+        let wal = std::env::temp_dir().join(format!(
+            "perennial-scale-test-resume-{}.jsonl",
+            std::process::id()
+        ));
+        let row = run_resume(scenario, &cfg, &wal, 3);
+        let _ = std::fs::remove_file(&wal);
+        assert_eq!(row.overheads.len(), 3);
+        assert!(row.overheads.windows(2).all(|w| w[0] <= w[1]));
+        assert!(row.fingerprints_match);
+        assert!(row.replayed > 0 && row.executions > 0);
     }
 }

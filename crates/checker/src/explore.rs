@@ -46,7 +46,9 @@ use crate::pass::{Pass, PassSet};
 use crate::strategy::{DepTrace, Exhaustive, ObservedExec, ScheduleSpec, Strategy};
 use crate::telemetry::{self, RunTelemetry, TelemetrySink};
 use goose_rt::fault::{FaultPlan, NetFault, TornMode};
-use goose_rt::sched::{quiet_worker_panics, res, ModelRt, PanicKind, StepAccess, StepResult, Tid};
+use goose_rt::sched::{
+    quiet_worker_panics, res, ModelRt, PanicKind, Pilot, SharedPilot, StepAccess, StepResult, Tid,
+};
 use goose_rt::trace::{ExecTrace, TraceKind};
 use parking_lot::Mutex;
 use perennial::{Ghost, GhostError};
@@ -726,11 +728,15 @@ struct RunResult {
     disk_flushes: u64,
     net_sends: u64,
     net_recvs: u64,
+    /// OS-thread wake-ups the hand-off issued (`ModelRt::wakeups`): the
+    /// profiler's deterministic proxy for scheduling cost, in no report.
+    wakeups: u64,
     /// Wall time of this single execution (telemetry only).
     duration: Duration,
     trace: String,
     /// Per-grant dependency observations (schedule-phase DPOR runs).
-    deps: Option<DepTrace>,
+    /// Boxed here and in [`JobOutcome`], where most executions have none.
+    deps: Option<Box<DepTrace>>,
     /// Causal execution trace (capture-trace runs only).
     exec_trace: Option<ExecTrace>,
 }
@@ -804,6 +810,7 @@ fn run_one<S: SpecTS, H: Harness<S>>(
                 disk_flushes: stats.disk_flushes,
                 net_sends: stats.net_sends,
                 net_recvs: stats.net_recvs,
+                wakeups: rt.wakeups(),
                 duration: run_started.elapsed(),
                 trace: String::new(),
                 deps: None,
@@ -821,6 +828,98 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// What the explorer decides and records at every step boundary,
+/// packaged as the runtime's [`Pilot`] so the thread holding the baton
+/// can do it without waking the controller: the schedule choice and its
+/// decision log, the step clock crash points and disk failures are
+/// scheduled on, and, when on, the per-grant dependency footprint and
+/// the ghost-trace watermark of the causal trace.
+struct ExecPilot<S: SpecTS> {
+    sched: ScheduleState,
+    /// Grants plus injected crashes so far.
+    steps: u64,
+    /// Pending crash points, reversed: the next one is last.
+    crash_points: Vec<u64>,
+    disk_fail: Option<(u8, u64)>,
+    ghost: Arc<Ghost<S>>,
+    /// Per-grant dependency observations (`track_deps` executions).
+    dep: Option<DepTrace>,
+    /// Ghost-engine calls made before the current grant.
+    ghost_ops: u64,
+    /// How many ghost events have been copied into the causal trace
+    /// (`capture_trace` executions).
+    spec_mark: Option<usize>,
+}
+
+impl<S: SpecTS> ExecPilot<S> {
+    /// Whether the plan fails a disk at this step boundary.
+    fn disk_fail_due(&self) -> bool {
+        self.disk_fail.is_some_and(|(_, g)| g == self.steps)
+    }
+
+    /// Whether a crash is to be injected at this step boundary.
+    fn crash_due(&self) -> bool {
+        self.crash_points.last() == Some(&self.steps)
+    }
+
+    /// Copies the ghost events that appeared since the last call into the
+    /// causal trace, attributed to `tid` (`None`: the controller).
+    fn drain_spec(&mut self, rt: &ModelRt, tid: Option<Tid>) {
+        let Some(mark) = self.spec_mark.as_mut() else {
+            return;
+        };
+        let snapshot = self.ghost.trace();
+        let events = snapshot.events();
+        for ev in &events[*mark..] {
+            rt.trace_event_for(
+                tid,
+                TraceKind::Spec {
+                    event: format!("{ev:?}"),
+                },
+            );
+        }
+        *mark = events.len();
+    }
+}
+
+impl<S: SpecTS> Pilot for ExecPilot<S> {
+    fn step_done(&mut self, rt: &ModelRt, tid: Tid) {
+        self.steps += 1;
+        if let Some(dep) = self.dep.as_mut() {
+            let mut acc = rt.take_step_accesses();
+            if self.ghost.op_count() != self.ghost_ops {
+                // Ghost activity is tagged per thread: a thread's spec
+                // events are ordered by its own program order, and any
+                // cross-thread spec coupling (helping, linearization
+                // against a shared object) is mediated by a physical
+                // primitive whose resource tag is already in the
+                // footprint. Untagged cross-thread ghost coupling would
+                // be unsound to commute — see DESIGN.md §12.
+                acc.push(StepAccess::write(res::GHOST | tid as u64));
+            }
+            dep.accesses.push(acc);
+        }
+        self.drain_spec(rt, Some(tid));
+    }
+
+    fn pick(&mut self, _rt: &ModelRt, runnable: &[Tid]) -> Option<Tid> {
+        // A disk failure or a crash due here is the controller's to
+        // inject.
+        if self.disk_fail_due() || self.crash_due() {
+            return None;
+        }
+        let tid = self.sched.choose(runnable);
+        if let Some(dep) = self.dep.as_mut() {
+            dep.runnables.push(runnable.to_vec());
+            // Snapshot immediately before the grant so controller-side
+            // ghost calls (crash(), validate()) between grants never
+            // pollute the per-grant delta.
+            self.ghost_ops = self.ghost.op_count();
+        }
+        Some(tid)
     }
 }
 
@@ -847,61 +946,43 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
         rt.spawn(name, body);
     }
 
-    let mut sched = ScheduleState::new(policy);
-    let mut steps: u64 = 0;
+    let pilot = Arc::new(Mutex::new(ExecPilot {
+        sched: ScheduleState::new(policy),
+        steps: 0,
+        crash_points: crash_points.iter().rev().copied().collect(),
+        disk_fail: faults.disk_fail,
+        ghost: Arc::clone(&ghost),
+        dep: track_deps.then(DepTrace::default),
+        ghost_ops: 0,
+        spec_mark: capture_trace.then_some(0),
+    }));
+    let shared: SharedPilot = pilot.clone();
     let mut crashes = 0usize;
-    let mut crash_iter = crash_points.iter().copied().peekable();
-    let mut disk_fail = faults.disk_fail;
     let mut phase = Phase::Main;
     let mut recovery_tid: Option<Tid> = None;
     let mut after_spawned = false;
-    let mut dep: Option<DepTrace> = track_deps.then(DepTrace::default);
     if track_deps {
         // Discard anything noted during boot/spawn: footprints belong to
         // granted steps, not setup.
         rt.take_step_accesses();
     }
-
     // Spec-visible ghost events stream into the causal trace as they
-    // appear: a watermark over the ghost trace is drained after every
-    // grant (attributed to the granted thread) and around controller
-    // transitions (attributed to the controller).
-    let spec_mark = std::cell::Cell::new(0usize);
-    let drain_spec = |tid: Option<Tid>| {
-        if !capture_trace {
-            return;
-        }
-        let snapshot = ghost.trace();
-        let events = snapshot.events();
-        for ev in &events[spec_mark.get()..] {
-            rt.trace_event_for(
-                tid,
-                TraceKind::Spec {
-                    event: format!("{ev:?}"),
-                },
-            );
-        }
-        spec_mark.set(events.len());
-    };
-    drain_spec(None);
+    // appear: the pilot drains them after every grant (attributed to the
+    // granted thread), the controller around its own transitions.
+    pilot.lock().drain_spec(&rt, None);
 
     let run_started = Instant::now();
-    let finish = |outcome: ExecOutcome,
-                  sched: &ScheduleState,
-                  steps: u64,
-                  crashes: usize,
-                  rt: &Arc<ModelRt>,
-                  ghost: &Arc<Ghost<S>>,
-                  deps: Option<DepTrace>| {
+    let finish = |outcome: ExecOutcome, crashes: usize, helped: u64| {
+        let mut pilot = pilot.lock();
         let stats = rt.sched_stats();
         let trace = ghost.trace().render();
         RunResult {
             outcome,
-            decisions: sched.decisions.clone(),
-            clamped: sched.clamped.clone(),
-            steps,
+            decisions: std::mem::take(&mut pilot.sched.decisions),
+            clamped: std::mem::take(&mut pilot.sched.clamped),
+            steps: pilot.steps,
             crashes,
-            helped: 0,
+            helped,
             disk_ops: stats.disk_ops,
             net_msgs: stats.net_msgs,
             lock_blocks: stats.lock_blocks,
@@ -912,89 +993,70 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
             disk_flushes: stats.disk_flushes,
             net_sends: stats.net_sends,
             net_recvs: stats.net_recvs,
+            wakeups: rt.wakeups(),
             duration: run_started.elapsed(),
             trace,
-            deps,
+            deps: pilot.dep.take().map(Box::new),
             exec_trace: capture_trace.then(|| rt.take_trace()),
         }
     };
 
+    // One iteration per event only the controller can handle: the pilot
+    // schedules every step in between on the carriers.
     loop {
-        // Plan-scheduled permanent disk failure at this grant boundary?
-        // (Fires before a same-count crash and does not consume a step —
-        // it models the device dying, not the process.)
-        if let Some((d, g)) = disk_fail {
-            if g == steps {
-                disk_fail = None;
+        let first = {
+            let mut p = pilot.lock();
+            // Plan-scheduled permanent disk failure at this grant
+            // boundary? (Fires before a same-count crash and does not
+            // consume a step — it models the device dying, not the
+            // process.)
+            if p.disk_fail_due() {
+                let (d, _) = p.disk_fail.take().expect("a due failure is pending");
                 exec.inject_disk_failure(&w, d);
             }
-        }
 
-        // Crash injection at this step boundary?
-        if crash_iter.peek() == Some(&steps) {
-            crash_iter.next();
-            crashes += 1;
-            rt.crash_all();
-            ghost.crash();
-            exec.crash_reset(&w);
-            exec.boot(&w);
-            let body = exec.recovery(&w);
-            recovery_tid = Some(rt.spawn("recovery", body));
-            phase = Phase::Recovering;
-            drain_spec(None);
-            if track_deps {
-                // Crash unwinding and re-boot are controller transitions,
-                // not granted steps; drop any footprint they left behind.
-                rt.take_step_accesses();
+            // Crash injection at this step boundary?
+            if p.crash_due() {
+                p.crash_points.pop();
+                crashes += 1;
+                rt.crash_all();
+                ghost.crash();
+                exec.crash_reset(&w);
+                exec.boot(&w);
+                let body = exec.recovery(&w);
+                recovery_tid = Some(rt.spawn("recovery", body));
+                phase = Phase::Recovering;
+                p.drain_spec(&rt, None);
+                if track_deps {
+                    // Crash unwinding and re-boot are controller
+                    // transitions, not granted steps; drop any footprint
+                    // they left behind.
+                    rt.take_step_accesses();
+                }
+                // A crash consumes a "step" so nested sweeps can target
+                // positions inside recovery distinctly.
+                p.steps += 1;
+                continue;
             }
-            // A crash consumes a "step" so nested sweeps can target
-            // positions inside recovery distinctly.
-            steps += 1;
-            continue;
-        }
 
-        let runnable = rt.runnable();
-        if runnable.is_empty() {
-            if rt.all_done() {
-                // Pending crash points beyond the end are simply unused.
-                break;
+            let runnable = rt.runnable();
+            if runnable.is_empty() {
+                if rt.all_done() {
+                    // Pending crash points beyond the end are simply
+                    // unused.
+                    break;
+                }
+                drop(p);
+                return finish(ExecOutcome::Deadlock, crashes, 0);
             }
-            return finish(
-                ExecOutcome::Deadlock,
-                &sched,
-                steps,
-                crashes,
-                &rt,
-                &ghost,
-                dep.take(),
-            );
-        }
-        let tid = sched.choose(&runnable);
-        // Snapshot immediately before the grant so controller-side ghost
-        // calls (crash(), validate()) between grants never pollute the
-        // per-grant delta.
-        let ghost_ops = if track_deps { ghost.op_count() } else { 0 };
-        let step = rt.grant(tid);
-        steps += 1;
-        drain_spec(Some(tid));
-        if let Some(dep) = dep.as_mut() {
-            let mut acc = rt.take_step_accesses();
-            if ghost.op_count() != ghost_ops {
-                // Ghost activity is tagged per thread: a thread's spec
-                // events are ordered by its own program order, and any
-                // cross-thread spec coupling (helping, linearization
-                // against a shared object) is mediated by a physical
-                // primitive whose resource tag is already in the
-                // footprint. Untagged cross-thread ghost coupling would
-                // be unsound to commute — see DESIGN.md §12.
-                acc.push(StepAccess::write(res::GHOST | tid as u64));
-            }
-            dep.runnables.push(runnable.clone());
-            dep.accesses.push(acc);
-        }
-        match step {
-            StepResult::Yielded | StepResult::Blocked => {}
-            StepResult::Finished => {
+            p.pick(&rt, &runnable)
+                .expect("nothing is due, so the pilot picks")
+        };
+        let outcome = match rt.run(&shared, first) {
+            // The pilot declined or nothing is runnable: the top of the
+            // loop finds out which.
+            (_, StepResult::Yielded | StepResult::Blocked) => continue,
+            (tid, StepResult::Finished) => {
                 if phase == Phase::Recovering && recovery_tid == Some(tid) {
                     phase = Phase::After;
                     if !after_spawned {
@@ -1004,58 +1066,20 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
                         }
                     }
                 }
+                continue;
             }
-            StepResult::Panicked(PanicKind::Ghost(e)) => {
-                return finish(
-                    ExecOutcome::Violation(e),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
-            }
-            StepResult::Panicked(PanicKind::Ub(msg)) => {
-                return finish(
-                    ExecOutcome::Ub(msg),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
-            }
-            StepResult::Panicked(PanicKind::Other(msg)) => {
-                return finish(
-                    ExecOutcome::Bug(msg),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
-            }
-            StepResult::Panicked(PanicKind::StepBudget(budget)) => {
-                // Deterministic stall watchdog: the execution burned its
-                // whole step budget without finishing.
-                return finish(
-                    ExecOutcome::Wedged(budget),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
-            }
-            StepResult::Panicked(PanicKind::CrashUnwind) => {
+            (_, StepResult::Panicked(PanicKind::Ghost(e))) => ExecOutcome::Violation(e),
+            (_, StepResult::Panicked(PanicKind::Ub(msg))) => ExecOutcome::Ub(msg),
+            (_, StepResult::Panicked(PanicKind::Other(msg))) => ExecOutcome::Bug(msg),
+            // Deterministic stall watchdog: the execution burned its
+            // whole step budget without finishing.
+            (_, StepResult::Panicked(PanicKind::StepBudget(budget))) => ExecOutcome::Wedged(budget),
+            (_, StepResult::Panicked(PanicKind::CrashUnwind)) => {
                 // Only reachable via crash_all, which we drive ourselves.
                 unreachable!("crash unwind surfaced outside crash injection");
             }
-        }
+        };
+        return finish(outcome, crashes, 0);
     }
 
     // A crash point scheduled exactly at the end of all work: treat as
@@ -1072,10 +1096,8 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
         }
         Err(e) => (ExecOutcome::Violation(e), 0),
     };
-    drain_spec(None);
-    let mut r = finish(outcome, &sched, steps, crashes, &rt, &ghost, dep.take());
-    r.helped = helped;
-    r
+    pilot.lock().drain_spec(&rt, None);
+    finish(outcome, crashes, helped)
 }
 
 // ---------------------------------------------------------------------
@@ -1187,9 +1209,8 @@ struct JobOutcome {
     crashes: usize,
     helped: u64,
     swept: usize,
-    /// Fault plans this job swept (1 for fault-injection jobs).
-    plans: usize,
-    /// Which surface the job's plan exercised (coverage accounting).
+    /// Which surface the job's fault plan exercised; `None` for an
+    /// empty plan (fault-plan and coverage accounting).
     family: FaultFamily,
     /// Disk ops / net messages of the execution (probe horizons).
     disk_ops: u64,
@@ -1205,6 +1226,8 @@ struct JobOutcome {
     disk_flushes: u64,
     net_sends: u64,
     net_recvs: u64,
+    /// Hand-off wake-ups (profiler feed; 0 for WAL-replayed outcomes).
+    wakeups: u64,
     /// How the execution ended (outcome histogram feed).
     kind: OutcomeKind,
     /// Schedule decisions taken (depth histogram feed).
@@ -1219,8 +1242,11 @@ struct JobOutcome {
     /// Full decision path — kept for schedule-phase jobs (strategy
     /// feedback: tree expansion, coverage corpora).
     decisions: Vec<(usize, usize)>,
-    /// Dependency observations (DPOR-tracked jobs only).
-    deps: Option<DepTrace>,
+    /// Dependency observations (DPOR-tracked jobs only), until the
+    /// wave's strategy feedback takes them.
+    deps: Option<Box<DepTrace>>,
+    /// What the profiler keeps of `deps` (`profile::collisions`).
+    collisions: Vec<(u64, u64)>,
     /// Boxed: failures are rare, and an inline counterexample more than
     /// doubles every outcome the campaign keeps until aggregation.
     cx: Option<Box<Counterexample>>,
@@ -1383,7 +1409,6 @@ fn finish_execution(
         crashes: r.crashes,
         helped: r.helped,
         swept,
-        plans: usize::from(!faults.is_empty()),
         family: FaultFamily::of(faults),
         disk_ops: r.disk_ops,
         net_msgs: r.net_msgs,
@@ -1394,6 +1419,7 @@ fn finish_execution(
         disk_flushes: r.disk_flushes,
         net_sends: r.net_sends,
         net_recvs: r.net_recvs,
+        wakeups: r.wakeups,
         kind,
         depth: r.decisions.len() as u64,
         crash_points,
@@ -1404,7 +1430,10 @@ fn finish_execution(
         } else {
             Vec::new()
         },
+        // The clone is exact-sized; the original carries the slack of
+        // having been pushed to grant by grant.
         deps: r.deps.clone(),
+        collisions: Vec::new(),
         cx: None,
         counted,
     }
@@ -1432,7 +1461,6 @@ fn replayed_outcome(
         crashes: w.crashes as usize,
         helped: w.helped,
         swept,
-        plans: usize::from(!faults.is_empty()),
         family: FaultFamily::of(faults),
         disk_ops: w.disk_ops,
         net_msgs: w.net_msgs,
@@ -1443,6 +1471,7 @@ fn replayed_outcome(
         disk_flushes: w.disk_flushes,
         net_sends: w.net_sends,
         net_recvs: w.net_recvs,
+        wakeups: 0,
         kind: OutcomeKind::Ok,
         depth: w.depth,
         crash_points,
@@ -1450,6 +1479,7 @@ fn replayed_outcome(
         duration: Duration::ZERO,
         decisions: Vec::new(),
         deps: None,
+        collisions: Vec::new(),
         cx: None,
         counted,
     }
@@ -1651,10 +1681,13 @@ fn run_wave<S: SpecTS, H: Harness<S>>(
 ) -> Vec<JobOutcome> {
     let workers = workers.min(jobs.len()).max(1);
     if workers == 1 {
-        return jobs
-            .iter()
-            .flat_map(|job| execute_job(harness, config, cancel, telem, ctx, job))
-            .collect();
+        // Sized up front: almost every job yields one outcome, and a
+        // wave grown by doubling would hold twice its size at the end.
+        let mut outs = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            outs.extend(execute_job(harness, config, cancel, telem, ctx, job));
+        }
+        return outs;
     }
 
     let next = AtomicUsize::new(0);
@@ -1819,7 +1852,9 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
     // statistics must be exactly summable by `merge_reports`.
     let keep_going = config.keep_going || config.shard.is_some();
     let cancel = Cancel::new(keep_going);
-    let mut outcomes: Vec<JobOutcome> = Vec::new();
+    // One entry per wave, as `run_wave` returned it: a single list would
+    // copy every outcome again each time it grew.
+    let mut outcomes: Vec<Vec<JobOutcome>> = Vec::new();
     // Enumerable sweep spaces, recorded as each pass derives its job
     // list (deterministic: job derivation is probe-driven, not timed).
     let mut coverage = Coverage::default();
@@ -1877,18 +1912,28 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
             .collect();
         let jobs = budget.admit(jobs);
         next_index.insert(pass.rank(), first + jobs.len() as u64);
-        let outs = run_wave(harness, config, &cancel, &telem, &ctx, workers, &jobs);
+        let mut outs = run_wave(harness, config, &cancel, &telem, &ctx, workers, &jobs);
         let observed: Vec<ObservedExec> = outs
-            .iter()
-            .map(|o| ObservedExec {
-                slot: (o.key.1 - first) as usize,
-                decisions: o.decisions.clone(),
-                trace_fp: o.trace_fp,
-                failed: o.kind != OutcomeKind::Ok,
-                deps: o.deps.clone(),
+            .iter_mut()
+            .map(|o| {
+                // Footprints are the bulk of a tracked outcome: they
+                // live for this wave, not the whole check.
+                let deps = o.deps.take().map(|deps| *deps);
+                if config.profile {
+                    if let Some(deps) = &deps {
+                        o.collisions = crate::profile::collisions(&o.decisions, deps);
+                    }
+                }
+                ObservedExec {
+                    slot: (o.key.1 - first) as usize,
+                    decisions: o.decisions.clone(),
+                    trace_fp: o.trace_fp,
+                    failed: o.kind != OutcomeKind::Ok,
+                    deps,
+                }
             })
             .collect();
-        outcomes.extend(outs);
+        outcomes.push(outs);
         if !keep_going && cancel.any_failure() {
             // Break *before* observing: the failing wave may be partial
             // (later jobs skipped), and partial feedback would make
@@ -1921,7 +1966,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         }]);
         let base = run_wave(harness, config, &cancel, &telem, &ctx, workers, &base_jobs);
         let horizon = base.first().map_or(0, |o| o.steps);
-        outcomes.extend(base);
+        outcomes.push(base);
 
         // Rank 3: one crash at every grant count up to the horizon.
         if !cancel.cancelled() && budget.open() {
@@ -1964,12 +2009,12 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
                     }
                 }
                 let nested = budget.admit(nested);
-                outcomes.extend(sweep);
-                outcomes.extend(run_wave(
+                outcomes.push(sweep);
+                outcomes.push(run_wave(
                     harness, config, &cancel, &telem, &ctx, workers, &nested,
                 ));
             } else {
-                outcomes.extend(sweep);
+                outcomes.push(sweep);
             }
         }
     }
@@ -1989,7 +2034,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
             })
             .collect();
         let jobs = budget.admit(jobs);
-        outcomes.extend(run_wave(
+        outcomes.push(run_wave(
             harness, config, &cancel, &telem, &ctx, workers, &jobs,
         ));
     }
@@ -2019,7 +2064,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         let probe = run_wave(harness, config, &cancel, &telem, &ctx, workers, &probe_jobs);
         let horizon = probe.first().map_or(0, |o| o.steps);
         let disk_ops = probe.first().map_or(0, |o| o.disk_ops);
-        outcomes.extend(probe);
+        outcomes.push(probe);
 
         if !cancel.cancelled() && budget.open() {
             let mut jobs: Vec<Job> = Vec::new();
@@ -2052,7 +2097,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
             }
             coverage.disk_fault_plans_enumerable += jobs.len() as u64;
             let jobs = budget.admit(jobs);
-            outcomes.extend(run_wave(
+            outcomes.push(run_wave(
                 harness, config, &cancel, &telem, &ctx, workers, &jobs,
             ));
 
@@ -2078,7 +2123,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
                     &probe2_jobs,
                 );
                 let h2 = probe2.first().map_or(0, |o| o.steps);
-                outcomes.extend(probe2);
+                outcomes.push(probe2);
                 if !cancel.cancelled() && budget.open() {
                     let mut jobs: Vec<Job> = Vec::new();
                     for g in k + 1..h2 {
@@ -2098,7 +2143,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
                     }
                     coverage.disk_fault_plans_enumerable += jobs.len() as u64;
                     let jobs = budget.admit(jobs);
-                    outcomes.extend(run_wave(
+                    outcomes.push(run_wave(
                         harness, config, &cancel, &telem, &ctx, workers, &jobs,
                     ));
                 }
@@ -2123,7 +2168,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         }]);
         let probe = run_wave(harness, config, &cancel, &telem, &ctx, workers, &probe_jobs);
         let horizon = probe.first().map_or(0, |o| o.steps);
-        outcomes.extend(probe);
+        outcomes.push(probe);
 
         if !cancel.cancelled() && budget.open() {
             const MODES: [TornMode; 3] =
@@ -2150,7 +2195,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
                 .collect();
             coverage.torn_plans_enumerable += jobs.len() as u64;
             let jobs = budget.admit(jobs);
-            outcomes.extend(run_wave(
+            outcomes.push(run_wave(
                 harness, config, &cancel, &telem, &ctx, workers, &jobs,
             ));
         }
@@ -2168,7 +2213,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         }]);
         let probe = run_wave(harness, config, &cancel, &telem, &ctx, workers, &probe_jobs);
         let net_msgs = probe.first().map_or(0, |o| o.net_msgs);
-        outcomes.extend(probe);
+        outcomes.push(probe);
 
         if !cancel.cancelled() && budget.open() {
             const FAULTS: [NetFault; 3] = [NetFault::Drop, NetFault::Duplicate, NetFault::Delay];
@@ -2190,7 +2235,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
                 .collect();
             coverage.net_plans_enumerable += jobs.len() as u64;
             let jobs = budget.admit(jobs);
-            outcomes.extend(run_wave(
+            outcomes.push(run_wave(
                 harness, config, &cancel, &telem, &ctx, workers, &jobs,
             ));
         }
@@ -2204,6 +2249,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
     // so summing shard reports reproduces the unsharded totals.
     let mut counterexamples: Vec<Counterexample> = outcomes
         .iter()
+        .flatten()
         .filter(|o| o.counted)
         .filter_map(|o| o.cx.as_deref().cloned())
         .collect();
@@ -2267,7 +2313,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
     // statistics come from, so its counts inherit the worker-count
     // independence argument instead of needing their own.
     let mut prof = config.profile.then(crate::profile::ProfileBuilder::default);
-    for out in &outcomes {
+    for out in outcomes.iter().flatten() {
         if !out.counted || cutoff.is_some_and(|cut| out.key > cut) {
             continue;
         }
@@ -2276,7 +2322,8 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         report.crashes_injected += out.crashes;
         report.helped_ops += out.helped;
         report.crash_points += out.swept;
-        report.fault_plans += out.plans;
+        let plans = usize::from(out.family != FaultFamily::None);
+        report.fault_plans += plans;
         report.disk_reads += out.disk_reads;
         report.disk_writes += out.disk_writes;
         report.disk_flushes += out.disk_flushes;
@@ -2288,13 +2335,11 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         report.depth_hist.record(out.depth);
         trace_set.insert(out.trace_fp);
         crash_point_set.extend(out.crash_points.iter().copied());
-        if out.plans > 0 {
-            match out.family {
-                FaultFamily::Disk => coverage.disk_fault_plans_exercised += 1,
-                FaultFamily::Torn => coverage.torn_plans_exercised += 1,
-                FaultFamily::Net => coverage.net_plans_exercised += 1,
-                FaultFamily::None => {}
-            }
+        match out.family {
+            FaultFamily::Disk => coverage.disk_fault_plans_exercised += 1,
+            FaultFamily::Torn => coverage.torn_plans_exercised += 1,
+            FaultFamily::Net => coverage.net_plans_exercised += 1,
+            FaultFamily::None => {}
         }
         let pm = per_pass.entry(out.pass).or_insert(PassMetrics {
             pass: out.pass,
@@ -2304,7 +2349,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         pm.executions += 1;
         pm.steps += out.steps;
         pm.crashes += out.crashes as u64;
-        pm.fault_plans += out.plans as u64;
+        pm.fault_plans += plans as u64;
         pm.failures += u64::from(out.kind != OutcomeKind::Ok);
         pm.busy_time += out.duration;
         if let Some(p) = prof.as_mut() {
@@ -2321,12 +2366,11 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
                     + out.disk_flushes
                     + out.net_sends
                     + out.net_recvs,
+                wakeups: out.wakeups,
                 duration_us: out.duration.as_micros() as u64,
             });
             p.record_lock_profile(&out.lock_profile);
-            if let Some(deps) = &out.deps {
-                p.record_deps(&out.decisions, deps);
-            }
+            p.record_collisions(&out.collisions);
         }
     }
     coverage.crash_points_exercised = crash_point_set.len() as u64;

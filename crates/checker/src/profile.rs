@@ -85,6 +85,10 @@ pub struct PassCost {
     /// Block reads + writes + flushes + net sends + net receives (the
     /// `SchedStats` model-op accounting, folded).
     pub model_ops: u64,
+    /// OS-thread wake-ups the scheduler hand-off issued
+    /// (`ModelRt::wakeups`): the deterministic proxy for what scheduling
+    /// the pass's steps cost. Executions replayed from a WAL add none.
+    pub wakeups: u64,
     /// Summed wall time of the pass's executions, µs (timing-only).
     pub busy_us: u64,
 }
@@ -194,8 +198,41 @@ pub struct ExecCost {
     pub net_msgs: u64,
     /// Folded model-op count (reads + writes + flushes + sends + recvs).
     pub model_ops: u64,
+    /// Hand-off wake-ups (`ModelRt::wakeups`).
+    pub wakeups: u64,
     /// Wall time of the execution, µs (timing-only).
     pub duration_us: u64,
+}
+
+/// One DPOR-tracked execution's footprint collisions, as `(resource,
+/// touches)` in resource order: a resource collides when at least two
+/// threads touched it with a write on some side — exactly the
+/// non-commutable overlaps the sleep sets reason about — and every
+/// granted step touching such a resource counts as one collision. This
+/// is all the profiler keeps of an execution's footprints.
+pub fn collisions(decisions: &[(usize, usize)], deps: &DepTrace) -> Vec<(u64, u64)> {
+    let mut acc: BTreeMap<u64, (BTreeSet<Tid>, u64, bool)> = BTreeMap::new();
+    for (d, accesses) in deps.accesses.iter().enumerate() {
+        let granted = deps
+            .runnables
+            .get(d)
+            .zip(decisions.get(d))
+            .and_then(|(runnable, (choice, _))| runnable.get(*choice))
+            .copied();
+        let Some(tid) = granted else { continue };
+        for a in accesses {
+            let e = acc
+                .entry(a.resource)
+                .or_insert_with(|| (BTreeSet::new(), 0, false));
+            e.0.insert(tid);
+            e.1 += 1;
+            e.2 |= a.write;
+        }
+    }
+    acc.into_iter()
+        .filter(|(_, (tids, _, wrote))| tids.len() >= 2 && *wrote)
+        .map(|(id, (_, touches, _))| (id, touches))
+        .collect()
 }
 
 /// Accumulates a [`Profile`] from canonical job outcomes. Driven by
@@ -227,6 +264,7 @@ impl ProfileBuilder {
         row.disk_ops += c.disk_ops;
         row.net_msgs += c.net_msgs;
         row.model_ops += c.model_ops;
+        row.wakeups += c.wakeups;
         row.busy_us += c.duration_us;
         self.busy_us += c.duration_us;
     }
@@ -247,34 +285,10 @@ impl ProfileBuilder {
         }
     }
 
-    /// Folds one DPOR-tracked execution's dependency footprints into
-    /// the collision table: a resource collides when at least two
-    /// threads touched it with a write on some side — exactly the
-    /// non-commutable overlaps the sleep sets reason about — and every
-    /// granted step touching such a resource counts as one collision.
-    pub fn record_deps(&mut self, decisions: &[(usize, usize)], deps: &DepTrace) {
-        let mut acc: BTreeMap<u64, (BTreeSet<Tid>, u64, bool)> = BTreeMap::new();
-        for (d, accesses) in deps.accesses.iter().enumerate() {
-            let granted = deps
-                .runnables
-                .get(d)
-                .zip(decisions.get(d))
-                .and_then(|(runnable, (choice, _))| runnable.get(*choice))
-                .copied();
-            let Some(tid) = granted else { continue };
-            for a in accesses {
-                let e = acc
-                    .entry(a.resource)
-                    .or_insert_with(|| (BTreeSet::new(), 0, false));
-                e.0.insert(tid);
-                e.1 += 1;
-                e.2 |= a.write;
-            }
-        }
-        for (id, (tids, touches, wrote)) in acc {
-            if tids.len() >= 2 && wrote {
-                self.resource(id).collisions += touches;
-            }
+    /// Folds one execution's [`collisions`] into the collision table.
+    pub fn record_collisions(&mut self, collisions: &[(u64, u64)]) {
+        for (id, touches) in collisions {
+            self.resource(*id).collisions += touches;
         }
     }
 
@@ -335,6 +349,7 @@ pub fn profile_to_json(p: &Profile) -> Value {
                     "disk_ops": pc.disk_ops,
                     "net_msgs": pc.net_msgs,
                     "model_ops": pc.model_ops,
+                    "wakeups": pc.wakeups,
                     "busy_time_us": pc.busy_us,
                 })
             })
@@ -411,12 +426,13 @@ pub fn render_profile(p: &Profile) -> String {
     for pc in &p.passes {
         writeln!(
             out,
-            "    {:<18} {:>7} execs {:>10} steps  {} {}  ({} blocks, {} disk ops, {} net msgs, {} model ops, {:.3}s busy)",
+            "    {:<18} {:>7} execs {:>10} steps  {} {}  ({} wake-ups, {} blocks, {} disk ops, {} net msgs, {} model ops, {:.3}s busy)",
             pc.pass,
             pc.executions,
             pc.steps,
             pct(pc.steps, total_steps),
             bar(pc.steps, total_steps, 24),
+            pc.wakeups,
             pc.lock_blocks,
             pc.disk_ops,
             pc.net_msgs,
@@ -425,6 +441,16 @@ pub fn render_profile(p: &Profile) -> String {
         )
         .unwrap();
     }
+
+    let total_wakeups: u64 = p.passes.iter().map(|pc| pc.wakeups).sum();
+    writeln!(
+        out,
+        "  hand-offs: {} OS wake-ups over {} steps ({:.2} per step)",
+        total_wakeups,
+        total_steps,
+        total_wakeups as f64 / total_steps.max(1) as f64
+    )
+    .unwrap();
 
     if !p.resources.is_empty() {
         writeln!(out, "  contended resources (top {}):", p.resources.len()).unwrap();
@@ -487,6 +513,7 @@ mod tests {
             disk_ops: 0,
             net_msgs: 0,
             model_ops: 0,
+            wakeups: 2 * steps,
             duration_us: 10,
         }
     }
@@ -529,7 +556,7 @@ mod tests {
         // Grants: thread 0, thread 1, thread 0.
         let decisions = vec![(0, 2), (1, 2), (0, 2)];
         let mut b = ProfileBuilder::default();
-        b.record_deps(&decisions, &deps);
+        b.record_collisions(&collisions(&decisions, &deps));
         let p = b.finish("s", StrategyProfile::default(), 1, Duration::ZERO);
         assert_eq!(p.resources.len(), 1, "{:?}", p.resources);
         assert_eq!(p.resources[0].resource, shared);

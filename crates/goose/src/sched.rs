@@ -2,12 +2,12 @@
 //!
 //! Goose models Go code as a sequence of atomic primitive operations
 //! (§6.1): heap accesses, file-system calls, lock operations. In model
-//! mode every primitive calls [`ModelRt::yield_point`], which parks the
-//! calling OS thread until the *controller* (the checker's explorer)
-//! grants it the next step. The controller therefore fully determines the
-//! interleaving, and can inject a crash at any step boundary by poisoning
-//! the runtime: all parked threads unwind with a [`CrashSignal`] payload,
-//! exactly modelling "the process died here".
+//! mode every primitive calls [`ModelRt::yield_point`], which ends the
+//! calling thread's step: it runs on only if it is granted the next one.
+//! The *controller* (the checker's explorer) therefore fully determines
+//! the interleaving, and can inject a crash at any step boundary by
+//! poisoning the runtime: all parked threads unwind with a
+//! [`CrashSignal`] payload, exactly modelling "the process died here".
 //!
 //! The design is stateless-model-checking style: each explored execution
 //! builds a fresh [`ModelRt`] and replays a recorded schedule prefix. What
@@ -20,15 +20,32 @@
 //! [`ModelRt::spawn`] only stores the body in an idle carrier's slot; the
 //! carrier first wakes when the thread is granted (or crashed).
 //!
-//! Exactly one side runs at a time, and the right to run is a **baton**
-//! passed by `std::thread::park`/`unpark`: [`ModelRt::grant`] wakes the
-//! granted thread's carrier and nobody else, and a thread that yields,
-//! blocks or finishes wakes the waiting controller and nobody else. The
-//! wake is always issued *after* the state lock is released, so the woken
-//! side never blocks on it. [`ModelRt::crash_all`] and
-//! [`ModelRt::join_all`] wait for the count of live virtual threads to
-//! reach zero, not for OS threads to exit; a carrier is back in the pool
-//! before its thread is published as terminated.
+//! Exactly one OS thread runs at a time, and the right to run is a
+//! **baton** passed by `std::thread::park`/`unpark`: whoever passes it
+//! wakes the one thread it goes to and nobody else, always *after* the
+//! state lock is released, so the woken side never blocks on it.
+//!
+//! The scheduling decision is taken where the step ends. The controller
+//! packages it as a [`Pilot`] — "this step is over; who is next?" — and
+//! starts a [`ModelRt::run`]; from then on the baton is held by a virtual
+//! thread's carrier, and at every yield or block that carrier asks the
+//! pilot itself. Picked again, it simply keeps running: no wake-up at
+//! all. Another thread picked, it wakes that thread's carrier directly
+//! and parks: one wake-up. The controller holds the baton only between
+//! runs, and is woken only when the baton *comes home*: the pilot
+//! declines to pick (the explorer's does at a crash point or a
+//! disk-failure grant count), nothing is runnable, or the running thread
+//! finished or panicked (a blown step budget is a panic). What only the
+//! controller can do — inject the crash, spawn recovery, classify the
+//! verdict — therefore stays with it. The pilot is called with no
+//! runtime lock held and by the one thread that is running, so it may
+//! read the runtime freely. [`ModelRt::grant`] is the same path with no
+//! pilot: the first step boundary comes home.
+//!
+//! [`ModelRt::crash_all`] and [`ModelRt::join_all`] wait for the count of
+//! live virtual threads to reach zero, not for OS threads to exit; a
+//! carrier is back in the pool before its thread is published as
+//! terminated.
 //!
 //! A panic in a thread body is caught on the carrier and attributed to the
 //! virtual thread's own name ([`ModelRt::failures`]), whatever the OS
@@ -101,6 +118,28 @@ pub enum PanicKind {
     StepBudget(u64),
 }
 
+/// The scheduling decision taken at every step boundary, packaged so that
+/// whichever OS thread holds the baton can take it (see
+/// [`ModelRt::run`]). Both methods are called with no runtime lock held,
+/// by the one thread that is running, so they may use any `ModelRt`
+/// method except `run`, `grant`, `crash_all` and `join_all`. A pilot must
+/// not panic: on a carrier there is no controller frame to catch it.
+pub trait Pilot: Send {
+    /// The step granted to `tid` has ended — it yielded, blocked, finished
+    /// or panicked. Called once per granted step, before the next
+    /// [`Pilot::pick`].
+    fn step_done(&mut self, rt: &ModelRt, tid: Tid);
+
+    /// Picks the next thread to run from `runnable` (never empty), or
+    /// `None` to send the baton home to the controller.
+    fn pick(&mut self, rt: &ModelRt, runnable: &[Tid]) -> Option<Tid>;
+}
+
+/// A pilot as [`ModelRt::run`] takes it: shared between the controller,
+/// which reads it between runs, and the runtime, which holds a clone for
+/// the length of one run.
+pub type SharedPilot = Arc<Mutex<dyn Pilot>>;
+
 #[derive(Debug, Clone, PartialEq)]
 enum TState {
     /// Spawned; waiting for its first grant.
@@ -133,9 +172,19 @@ struct RtState {
     threads: Vec<ThreadMeta>,
     /// Virtual threads not yet `Done`/`Panicked`.
     live: usize,
-    /// The OS thread driving this runtime: whoever last called `grant`,
-    /// `crash_all` or `join_all`, and so whom a hand-back must wake.
+    /// The OS thread driving this runtime: whoever last called `run`,
+    /// `grant`, `crash_all` or `join_all`, and so whom a baton coming
+    /// home must wake.
     controller: Option<Thread>,
+    /// The pilot steering the current [`ModelRt::run`]; `None` between
+    /// runs and under [`ModelRt::grant`].
+    pilot: Option<SharedPilot>,
+    /// Set by the thread that ends a run — the one whose step the pilot
+    /// did not follow with another grant — and taken by the controller.
+    came_home: Option<Tid>,
+    /// Scratch for the runnable set shown to the pilot, kept so a step
+    /// boundary allocates nothing.
+    runnable_buf: Vec<Tid>,
     locks: Vec<LockSlot>,
     poisoned: bool,
     steps: u64,
@@ -158,6 +207,17 @@ struct RtState {
     net_sends: u64,
     /// Network receives that dequeued a message.
     net_recvs: u64,
+}
+
+impl RtState {
+    /// Runnable thread ids, ascending: registered or paused.
+    fn runnable(&self) -> impl Iterator<Item = Tid> + '_ {
+        self.threads
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| matches!(m.state, TState::Registered | TState::Paused))
+            .map(|(i, _)| i)
+    }
 }
 
 /// Snapshot of the runtime's step counters, the scheduler-level raw
@@ -423,8 +483,8 @@ pub struct ModelRt {
     /// reduction). Checked lock-free so disabled runs pay one relaxed
     /// load per primitive.
     track_deps: AtomicBool,
-    /// Accesses of the currently granted step; the controller drains
-    /// them after each grant via [`ModelRt::take_step_accesses`].
+    /// Accesses of the currently granted step, drained when it ends
+    /// via [`ModelRt::take_step_accesses`].
     cur_accesses: Mutex<Vec<StepAccess>>,
     /// Next instance tag for [`ModelRt::alloc_resource_tag`].
     next_tag: AtomicU64,
@@ -493,6 +553,9 @@ impl ModelRt {
                 threads: Vec::new(),
                 live: 0,
                 controller: None,
+                pilot: None,
+                came_home: None,
+                runnable_buf: Vec::new(),
                 locks: Vec::new(),
                 poisoned: false,
                 steps: 0,
@@ -584,7 +647,7 @@ impl ModelRt {
     }
 
     /// Drains the accesses recorded since the last drain — the footprint
-    /// of the step the controller just granted. Reads subsumed by a
+    /// of the granted step that just ended. Reads subsumed by a
     /// write to the same resource are deduplicated.
     pub fn take_step_accesses(&self) -> Vec<StepAccess> {
         let mut raw = std::mem::take(&mut *self.cur_accesses.lock());
@@ -775,12 +838,16 @@ impl ModelRt {
         CURRENT_TID.with(|c| c.get())
     }
 
-    /// Unparks issued by this runtime's hand-off so far: two per grant
-    /// (one to the granted thread, one back to the controller when the
-    /// step yields, blocks or finishes) and, on a crash, one per live
-    /// thread plus the one back from the last to unwind. A deterministic
-    /// proxy for the OS cost of a schedule, kept out of [`SchedStats`],
-    /// reports and fingerprints.
+    /// Unparks issued by this runtime's hand-off so far. A [`run`] costs
+    /// one to its first thread and one back to the controller when the
+    /// baton comes home; inside it a step that runs on costs none and a
+    /// switch to another thread one. [`grant`] is a run of one step, so
+    /// two. A crash costs one per live thread plus the one back from the
+    /// last to unwind. A deterministic proxy for the OS cost of a
+    /// schedule, kept out of [`SchedStats`], reports and fingerprints.
+    ///
+    /// [`run`]: ModelRt::run
+    /// [`grant`]: ModelRt::grant
     pub fn wakeups(&self) -> u64 {
         self.wakeups.load(Ordering::Relaxed)
     }
@@ -809,24 +876,87 @@ impl ModelRt {
         }
     }
 
-    /// Ends a granted step: publishes `state`, hands the baton back to
-    /// the controller and parks until the next grant, or unwinds with a
-    /// [`CrashSignal`].
+    /// Marks `tid` as holding the grant and returns its carrier, for the
+    /// caller to wake once the state lock is released.
+    fn mark_granted(&self, s: &mut RtState, tid: Tid) -> Thread {
+        match s.threads[tid].state {
+            TState::Registered | TState::Paused => {}
+            ref other => panic!(
+                "grant to non-runnable thread {tid} ({}) in state {:?}",
+                s.threads[tid].name, other
+            ),
+        }
+        self.trace_event_for(Some(tid), TraceKind::Grant { step: s.steps });
+        s.threads[tid].state = TState::Granted;
+        s.threads[tid].carrier.clone()
+    }
+
+    /// The step boundary, on the thread that holds the baton: `tid`'s
+    /// granted step has ended and its state is published. Reports the
+    /// step to the pilot and, unless the thread `terminated`, asks it who
+    /// runs next and passes the baton there; with no pilot, or when it
+    /// declines or nothing is runnable, the baton goes home. Returns
+    /// whether `tid` itself was picked, and so keeps the baton.
+    fn pass_baton<'a>(
+        &'a self,
+        mut s: MutexGuard<'a, RtState>,
+        tid: Tid,
+        terminated: bool,
+    ) -> bool {
+        let mut next = None;
+        if let Some(pilot) = s.pilot.clone() {
+            let mut runnable = std::mem::take(&mut s.runnable_buf);
+            runnable.clear();
+            runnable.extend(s.runnable());
+            // The pilot reads the runtime through its public methods, so
+            // it is never called under the state lock.
+            drop(s);
+            {
+                let mut pilot = pilot.lock();
+                pilot.step_done(self, tid);
+                if !terminated && !runnable.is_empty() {
+                    next = pilot.pick(self, &runnable);
+                }
+            }
+            s = self.state.lock();
+            s.runnable_buf = runnable;
+        }
+        let wakee = match next {
+            Some(next) => {
+                let carrier = self.mark_granted(&mut s, next);
+                if next == tid {
+                    return true;
+                }
+                carrier
+            }
+            None => {
+                s.came_home = Some(tid);
+                s.controller
+                    .clone()
+                    .expect("a granted step has a controller waiting on it")
+            }
+        };
+        drop(s);
+        self.wake(&wakee);
+        false
+    }
+
+    /// Ends a granted step at a yield or a block: publishes `state`,
+    /// passes the baton on and, unless it came straight back, parks until
+    /// the next grant or unwinds with a [`CrashSignal`].
     fn hand_back(&self, mut s: MutexGuard<'_, RtState>, tid: Tid, state: TState) {
         s.threads[tid].state = state;
-        let controller = s.controller.clone();
-        drop(s);
-        if let Some(c) = controller {
-            self.wake(&c);
+        if self.pass_baton(s, tid, false) {
+            return;
         }
         if !self.wait_for_grant(tid) {
             std::panic::panic_any(CrashSignal);
         }
     }
 
-    /// Publishes `tid` as terminated and wakes the controller if it is
-    /// waiting on this: for the granted step to end, or for the last
-    /// live thread to go.
+    /// Publishes `tid` as terminated. A thread that ends its granted step
+    /// this way sends the baton home; one unwound by a crash wakes the
+    /// controller only if it is the last live thread.
     fn thread_done(&self, tid: Tid, kind: Option<PanicKind>) {
         let mut s = self.state.lock();
         let was_granted = s.threads[tid].state == TState::Granted;
@@ -835,18 +965,20 @@ impl ModelRt {
             Some(k) => TState::Panicked(k),
         };
         s.live -= 1;
-        if !was_granted && s.live > 0 {
-            return;
-        }
-        let controller = s.controller.clone();
-        drop(s);
-        if let Some(c) = controller {
-            self.wake(&c);
+        if was_granted {
+            self.pass_baton(s, tid, true);
+        } else if s.live == 0 {
+            let controller = s.controller.clone();
+            drop(s);
+            if let Some(c) = controller {
+                self.wake(&c);
+            }
         }
     }
 
-    /// One atomic step boundary: park until the controller grants the
-    /// next step (or unwinds us with a crash).
+    /// One atomic step boundary: the calling thread's step ends here,
+    /// and it returns when the thread is granted its next one (or
+    /// unwinds with a crash).
     pub fn yield_point(&self) {
         let tid = match Self::current_tid() {
             Some(t) => t,
@@ -981,13 +1113,7 @@ impl ModelRt {
 
     /// Runnable thread ids: registered or paused (not blocked/done).
     pub fn runnable(&self) -> Vec<Tid> {
-        let s = self.state.lock();
-        s.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| matches!(m.state, TState::Registered | TState::Paused))
-            .map(|(i, _)| i)
-            .collect()
+        self.state.lock().runnable().collect()
     }
 
     /// Whether every virtual thread has terminated (done or panicked).
@@ -1005,33 +1131,54 @@ impl ModelRt {
     }
 
     /// Grants one step to `tid` and waits until the thread parks again,
-    /// blocks, finishes, or panics.
+    /// blocks, finishes, or panics: a [`run`](ModelRt::run) with no
+    /// pilot, so the first step boundary brings the baton home.
     pub fn grant(&self, tid: Tid) -> StepResult {
+        self.drive(None, tid).1
+    }
+
+    /// Grants a step to `first` and lets `pilot` schedule from there on
+    /// the virtual threads' own carriers: at every step boundary the
+    /// thread holding the baton reports its step ([`Pilot::step_done`])
+    /// and asks who is next ([`Pilot::pick`]). Picked itself, it just
+    /// keeps running; picking another thread wakes that carrier directly.
+    /// The controller sleeps until the baton comes home, which is when
+    /// the pilot declines, nothing is runnable, or the running thread
+    /// finishes or panicks. Returns the thread that took the last step
+    /// and how that step ended; `step_done` has been called for it.
+    ///
+    /// Stepping the same pilot from the controller — `pick`, [`grant`],
+    /// `step_done` — makes the same calls in the same order.
+    ///
+    /// [`grant`]: ModelRt::grant
+    pub fn run(&self, pilot: &SharedPilot, first: Tid) -> (Tid, StepResult) {
+        self.drive(Some(Arc::clone(pilot)), first)
+    }
+
+    fn drive(&self, pilot: Option<SharedPilot>, first: Tid) -> (Tid, StepResult) {
         let carrier = {
             let mut s = self.state.lock();
-            match s.threads[tid].state {
-                TState::Registered | TState::Paused => {}
-                ref other => panic!(
-                    "grant to non-runnable thread {tid} ({}) in state {:?}",
-                    s.threads[tid].name, other
-                ),
-            }
-            self.trace_event_for(Some(tid), TraceKind::Grant { step: s.steps });
-            s.threads[tid].state = TState::Granted;
+            let carrier = self.mark_granted(&mut s, first);
             s.controller = Some(std::thread::current());
-            s.threads[tid].carrier.clone()
+            s.pilot = pilot;
+            carrier
         };
         self.wake(&carrier);
         loop {
             std::thread::park();
-            match &self.state.lock().threads[tid].state {
-                TState::Granted => {}
-                TState::Paused => return StepResult::Yielded,
-                TState::Blocked(_) => return StepResult::Blocked,
-                TState::Done => return StepResult::Finished,
-                TState::Panicked(k) => return StepResult::Panicked(k.clone()),
-                TState::Registered => unreachable!("granted thread regressed to Registered"),
-            }
+            let mut s = self.state.lock();
+            let Some(tid) = s.came_home.take() else {
+                continue;
+            };
+            s.pilot = None;
+            let step = match &s.threads[tid].state {
+                TState::Paused => StepResult::Yielded,
+                TState::Blocked(_) => StepResult::Blocked,
+                TState::Done => StepResult::Finished,
+                TState::Panicked(k) => StepResult::Panicked(k.clone()),
+                other => unreachable!("baton came home from a thread in state {other:?}"),
+            };
+            return (tid, step);
         }
     }
 
@@ -1047,6 +1194,10 @@ impl ModelRt {
             let mut s = self.state.lock();
             let step = s.steps;
             s.poisoned = true;
+            // Before any thread is woken, so the last one to unwind
+            // always finds whom to wake: a crash ahead of the first grant
+            // then costs the same wake-ups whoever gets there first.
+            s.controller = Some(std::thread::current());
             self.trace_event_for(None, TraceKind::Crash { step });
             s.threads
                 .iter()
@@ -1622,6 +1773,234 @@ mod tests {
         assert_eq!(rt.wakeups() - before, 4);
         assert_eq!(rt.runnable(), vec![1]);
         run_round_robin(&rt);
+    }
+
+    /// A pilot that follows a script of picks and sends the baton home
+    /// when the script runs out, or — with `stop_at` — before granting
+    /// its `stop_at`-th step, as the explorer does at a crash point or a
+    /// disk-failure grant count. Logs every step it is told about.
+    #[derive(Default)]
+    struct Script {
+        picks: std::collections::VecDeque<Tid>,
+        stop_at: Option<u64>,
+        steps: u64,
+        done: Vec<Tid>,
+    }
+
+    impl Script {
+        fn shared(picks: &[Tid], stop_at: Option<u64>) -> Arc<Mutex<Script>> {
+            Arc::new(Mutex::new(Script {
+                picks: picks.iter().copied().collect(),
+                stop_at,
+                ..Script::default()
+            }))
+        }
+    }
+
+    impl Pilot for Script {
+        fn step_done(&mut self, _rt: &ModelRt, tid: Tid) {
+            self.steps += 1;
+            self.done.push(tid);
+        }
+
+        fn pick(&mut self, _rt: &ModelRt, runnable: &[Tid]) -> Option<Tid> {
+            if self.stop_at == Some(self.steps) {
+                return None;
+            }
+            let tid = self.picks.pop_front()?;
+            assert!(runnable.contains(&tid), "script picks parked thread {tid}");
+            Some(tid)
+        }
+    }
+
+    /// `n` threads that log `(thread, iteration)` after every yield.
+    fn spawn_loggers(rt: &Arc<ModelRt>, n: usize) -> Arc<Mutex<Vec<(usize, u64)>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for t in 0..n {
+            let (rt2, log2) = (Arc::clone(rt), Arc::clone(&log));
+            rt.spawn(format!("t{t}"), move || {
+                for i in 0.. {
+                    rt2.yield_point();
+                    log2.lock().push((t, i));
+                }
+            });
+        }
+        log
+    }
+
+    #[test]
+    fn a_run_of_same_thread_steps_costs_two_wakeups_in_total() {
+        for k in [1usize, 2, 50] {
+            let rt = ModelRt::new(0, 10_000);
+            spawn_loggers(&rt, 3);
+            let script = Script::shared(&vec![1; k - 1], None);
+            let pilot: SharedPilot = script.clone();
+            assert_eq!(rt.run(&pilot, 1), (1, StepResult::Yielded));
+            assert_eq!(rt.wakeups(), 2, "{k} steps: one out, one home");
+            assert_eq!(rt.steps(), k as u64);
+            assert_eq!(script.lock().done, vec![1; k]);
+            rt.crash_all();
+        }
+    }
+
+    #[test]
+    fn a_switch_inside_a_run_costs_one_wakeup() {
+        let rt = ModelRt::new(0, 10_000);
+        let log = spawn_loggers(&rt, 2);
+        // 0 0 | 1 1 1 | 0 | 1: three switches.
+        let script = Script::shared(&[0, 1, 1, 1, 0, 1], None);
+        let pilot: SharedPilot = script.clone();
+        assert_eq!(rt.run(&pilot, 0), (1, StepResult::Yielded));
+        assert_eq!(rt.wakeups(), 2 + 3);
+        assert_eq!(script.lock().done, vec![0, 0, 1, 1, 1, 0, 1]);
+        // A thread's first step only reaches its first yield; each later
+        // one logs.
+        assert_eq!(*log.lock(), vec![(0, 0), (1, 0), (1, 1), (0, 1), (1, 2)]);
+        rt.crash_all();
+    }
+
+    #[test]
+    fn a_blocked_step_passes_the_baton_straight_to_the_next_pick() {
+        let rt = ModelRt::new(0, 10_000);
+        let lock = rt.new_lock();
+        for label in ["holder", "waiter"] {
+            let rt2 = Arc::clone(&rt);
+            rt.spawn(label, move || {
+                rt2.lock_acquire(lock);
+                rt2.yield_point();
+                rt2.lock_release(lock);
+            });
+        }
+        // Holder takes the lock (2 steps); waiter reaches its acquire and
+        // blocks (2 steps); holder releases and returns (2 steps).
+        let script = Script::shared(&[0, 1, 1, 0, 0], None);
+        let pilot: SharedPilot = script.clone();
+        assert_eq!(rt.run(&pilot, 0), (0, StepResult::Finished));
+        // Out, holder→waiter, waiter (blocked)→holder, home.
+        assert_eq!(rt.wakeups(), 4);
+        assert_eq!(rt.sched_stats().lock_blocks, 1);
+        assert_eq!(
+            rt.runnable(),
+            vec![1],
+            "the release made the waiter runnable"
+        );
+        // A run whose only runnable thread blocks comes home by itself.
+        let rt = ModelRt::new(0, 10_000);
+        let lock = rt.new_lock();
+        rt.lock_acquire(lock); // held by the controller: never released
+        let rt2 = Arc::clone(&rt);
+        rt.spawn("stuck", move || rt2.lock_acquire(lock));
+        let pilot: SharedPilot = Script::shared(&[0, 0, 0], None);
+        assert_eq!(rt.run(&pilot, 0), (0, StepResult::Blocked));
+        assert!(rt.runnable().is_empty() && rt.any_blocked());
+        rt.crash_all();
+    }
+
+    /// Drives `script` to its first refusal: on the carriers (`run`), or
+    /// from the controller one `grant` at a time.
+    fn drive(rt: &ModelRt, script: &Arc<Mutex<Script>>, on_carriers: bool) -> (Tid, StepResult) {
+        let first = script
+            .lock()
+            .pick(rt, &rt.runnable())
+            .expect("a first pick");
+        if on_carriers {
+            let pilot: SharedPilot = script.clone();
+            return rt.run(&pilot, first);
+        }
+        let mut tid = first;
+        loop {
+            let step = rt.grant(tid);
+            let mut script = script.lock();
+            script.step_done(rt, tid);
+            let runnable = rt.runnable();
+            let next = match step {
+                StepResult::Yielded | StepResult::Blocked if !runnable.is_empty() => {
+                    script.pick(rt, &runnable)
+                }
+                _ => None,
+            };
+            match next {
+                Some(next) => tid = next,
+                None => return (tid, step),
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_stops_exactly_where_the_pilot_declines() {
+        let picks: Vec<Tid> = (0..40).map(|i| [0, 0, 1, 2, 2, 2, 1][i % 7]).collect();
+        for stop_at in 1..30u64 {
+            let observe = |on_carriers: bool| {
+                let rt = ModelRt::new(0, 10_000);
+                let log = spawn_loggers(&rt, 3);
+                let script = Script::shared(&picks, Some(stop_at));
+                let home = drive(&rt, &script, on_carriers);
+                // The boundary a crash or a disk failure is injected at.
+                let at_stop = (
+                    home,
+                    rt.sched_stats(),
+                    rt.runnable(),
+                    log.lock().clone(),
+                    script.lock().done.clone(),
+                );
+                rt.crash_all();
+                assert!(rt.all_done() && rt.failures().is_empty());
+                let logged_after_crash = log.lock().len();
+                (at_stop, logged_after_crash)
+            };
+            let (stepwise, on_carriers) = (observe(false), observe(true));
+            assert_eq!(stepwise, on_carriers, "stop at {stop_at}");
+            assert_eq!(stepwise.0 .1.steps, stop_at);
+            assert_eq!(stepwise.1, stepwise.0 .3.len(), "the crash ran no step");
+        }
+    }
+
+    #[test]
+    fn a_wedge_or_a_panic_inside_a_run_comes_home_from_its_thread() {
+        // Step budget: the 17th yield of the run, whoever takes it.
+        let rt = ModelRt::new(0, 16);
+        spawn_loggers(&rt, 2);
+        let picks: Vec<Tid> = (0..40).map(|i| i % 3 % 2).collect();
+        let pilot: SharedPilot = Script::shared(&picks, None);
+        let wedged = picks[15]; // the first grant is not a pick
+        assert_eq!(
+            rt.run(&pilot, 0),
+            (wedged, StepResult::Panicked(PanicKind::StepBudget(16)))
+        );
+        rt.crash_all();
+
+        // A plain panic, three steps into another thread's company.
+        let rt = ModelRt::new(0, 10_000);
+        spawn_loggers(&rt, 1);
+        let rt2 = Arc::clone(&rt);
+        rt.spawn("bug", move || {
+            rt2.yield_point();
+            rt2.yield_point();
+            panic!("boom");
+        });
+        let script = Script::shared(&[1, 0, 0, 1, 1, 0, 0], None);
+        let pilot: SharedPilot = script.clone();
+        let before = rt.wakeups();
+        match rt.run(&pilot, 0) {
+            (1, StepResult::Panicked(PanicKind::Other(msg))) => assert!(msg.contains("boom")),
+            other => panic!("unexpected {other:?}"),
+        }
+        // Out, 0→1, 1→0, 0→1, home; the panicking step was reported.
+        assert_eq!(rt.wakeups() - before, 5);
+        assert_eq!(script.lock().done, vec![0, 1, 0, 0, 1, 1]);
+        assert_eq!(rt.failures()[0].0, "bug");
+        assert_eq!(rt.runnable(), vec![0], "the rest of the script never ran");
+        rt.crash_all();
+    }
+
+    #[test]
+    fn a_crash_ahead_of_the_first_grant_costs_the_same_every_time() {
+        for _ in 0..200 {
+            let rt = ModelRt::new(0, 10_000);
+            spawn_loggers(&rt, 3);
+            rt.crash_all();
+            assert_eq!(rt.wakeups(), 3 + 1);
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Carriers are reused: a long campaign's OS-thread count is bounded by
 //! the most virtual threads any one execution had live at once, however
-//! the executions end, and a controller thread that exits takes its
-//! carriers with it. Alone in this file (one test, one process) so that
+//! the executions end and whether the controller grants every step or a
+//! pilot schedules on the carriers, and a controller thread that exits
+//! takes its carriers with it. Alone in this file (one test, one process) so that
 //! `/proc/self/status` counts nobody else's threads.
 #![cfg(target_os = "linux")]
 
-use goose_rt::{ModelRt, PanicKind, StepResult};
+use goose_rt::{ModelRt, PanicKind, Pilot, SharedPilot, StepResult, Tid};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The most virtual threads live at once in any execution below.
@@ -20,15 +22,37 @@ fn os_threads() -> usize {
         .expect("a Threads: line")
 }
 
-/// Grants round-robin until nothing is runnable.
-fn drain(rt: &ModelRt) {
+/// Round-robin over whatever is runnable, never declining.
+struct RoundRobin(usize);
+
+impl Pilot for RoundRobin {
+    fn step_done(&mut self, _rt: &ModelRt, _tid: Tid) {}
+
+    fn pick(&mut self, _rt: &ModelRt, runnable: &[Tid]) -> Option<Tid> {
+        self.0 += 1;
+        Some(runnable[self.0 % runnable.len()])
+    }
+}
+
+/// Schedules round-robin until nothing is runnable or a thread panics
+/// (returned): one `grant` per step, or `piloted`, in runs on the
+/// carriers.
+fn drain(rt: &ModelRt, piloted: bool) -> Option<(Tid, PanicKind)> {
+    let pilot: SharedPilot = Arc::new(Mutex::new(RoundRobin(0)));
     loop {
         let runnable = rt.runnable();
         if runnable.is_empty() {
-            return;
+            return None;
         }
-        for tid in runnable {
-            let _ = rt.grant(tid);
+        let ended = if piloted {
+            vec![rt.run(&pilot, runnable[0])]
+        } else {
+            runnable.iter().map(|&tid| (tid, rt.grant(tid))).collect()
+        };
+        for (tid, step) in ended {
+            if let StepResult::Panicked(kind) = step {
+                return Some((tid, kind));
+            }
         }
     }
 }
@@ -45,17 +69,17 @@ fn spawn_lockers(rt: &Arc<ModelRt>, n: usize) {
     }
 }
 
-fn clean_finish() {
+fn clean_finish(piloted: bool) {
     let rt = ModelRt::new(1, 10_000);
     spawn_lockers(&rt, HIGH_WATER);
-    drain(&rt);
+    assert_eq!(drain(&rt, piloted), None);
     rt.join_all();
     assert!(rt.all_done() && rt.failures().is_empty());
 }
 
 /// Crash mid-flight (one thread never granted), crash again inside
 /// recovery, then recover and run the post-recovery threads.
-fn crash_with_nested_recovery() {
+fn crash_with_nested_recovery(piloted: bool) {
     let rt = ModelRt::new(2, 10_000);
     spawn_lockers(&rt, HIGH_WATER);
     for tid in [0, 1, 0] {
@@ -74,12 +98,12 @@ fn crash_with_nested_recovery() {
         }
     }
     spawn_lockers(&rt, HIGH_WATER - 1);
-    drain(&rt);
+    assert_eq!(drain(&rt, piloted), None);
     rt.join_all();
     assert!(rt.all_done() && rt.failures().is_empty());
 }
 
-fn deadlock() {
+fn deadlock(piloted: bool) {
     let rt = ModelRt::new(3, 10_000);
     let (a, b) = (rt.new_lock(), rt.new_lock());
     for (first, second) in [(a, b), (b, a)] {
@@ -89,13 +113,13 @@ fn deadlock() {
             rt2.lock_acquire(second);
         });
     }
-    drain(&rt);
+    assert_eq!(drain(&rt, piloted), None);
     assert!(!rt.all_done() && rt.any_blocked());
     rt.crash_all();
     assert!(rt.all_done());
 }
 
-fn step_budget_wedge() {
+fn step_budget_wedge(piloted: bool) {
     let rt = ModelRt::new(4, 16);
     for name in ["spin", "bystander"] {
         let rt2 = Arc::clone(&rt);
@@ -103,24 +127,22 @@ fn step_budget_wedge() {
             rt2.yield_point();
         });
     }
-    assert_eq!(rt.grant(1), StepResult::Yielded);
-    let wedged = (0..64).any(|_| rt.grant(0) == StepResult::Panicked(PanicKind::StepBudget(16)));
-    assert!(wedged);
+    // Round-robin, the seventeenth yield is thread 0's.
+    assert_eq!(drain(&rt, piloted), Some((0, PanicKind::StepBudget(16))));
     rt.crash_all();
     assert!(rt.all_done());
 }
 
-fn panicking_body() {
+fn panicking_body(piloted: bool) {
     let rt = ModelRt::new(5, 10_000);
     let rt2 = Arc::clone(&rt);
     rt.spawn("bystander", move || loop {
         rt2.yield_point();
     });
     rt.spawn("bug", || panic!("boom"));
-    assert_eq!(rt.grant(0), StepResult::Yielded);
     assert!(matches!(
-        rt.grant(1),
-        StepResult::Panicked(PanicKind::Other(_))
+        drain(&rt, piloted),
+        Some((1, PanicKind::Other(_)))
     ));
     // Reported under the virtual thread's name, not the carrier's.
     assert_eq!(rt.failures()[0].0, "bug");
@@ -141,7 +163,7 @@ fn os_thread_count_is_bounded_by_the_high_water_mark() {
             panicking_body,
         ];
         for i in 0..2_000 {
-            shapes[i % shapes.len()]();
+            shapes[i % shapes.len()](i / shapes.len() % 2 == 1);
             assert_eq!(ModelRt::current_tid(), None);
             let now = os_threads();
             assert!(
