@@ -7,6 +7,8 @@
 //! cargo run -p perennial-bench --release --bin harness -- [all|table1|table2|table3|table4|fig11] [--json FILE]
 //! ```
 
+#![deny(unsafe_code)]
+
 use perennial_bench::ablation::{render_ablation, run_ablation};
 use perennial_bench::fig11::{run_fig11, Fig11Config};
 use perennial_bench::loc::{table2_rows, table3_rows, table4_rows};

@@ -20,6 +20,8 @@
 //! acceptance targets on an 8-core machine: ≥3x execs/sec at 8 workers
 //! vs 1, and WAL overhead < 5% of a cold run.
 
+#![deny(unsafe_code)]
+
 use perennial_bench::args::{flag, parse_args, value};
 use perennial_bench::perf::{diff_scale, render_diff, Thresholds, SCALE_SCHEMA_VERSION};
 use perennial_bench::scale::{

@@ -55,6 +55,8 @@
 //! expected findings, not campaign errors), 1 when a run degraded to an
 //! INCOMPLETE partial report, 2 on usage errors.
 
+#![deny(unsafe_code)]
+
 use perennial_bench::args::{apply_strategy, flag, parse_args, rest, value};
 use perennial_checker::{
     chrome_trace_json, emit_test, merge_reports, parse_shard, profile_to_json, render_dashboard,

@@ -18,6 +18,8 @@
 //! The `harness` binary regenerates every table and figure:
 //! `cargo run -p perennial-bench --release --bin harness -- all`.
 
+#![deny(unsafe_code)]
+
 pub mod ablation;
 pub mod args;
 pub mod fig11;

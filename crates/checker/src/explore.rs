@@ -752,9 +752,9 @@ struct RunResult {
 /// The execution is **isolated**: the harness body runs under
 /// `catch_unwind`, so a panicking harness hook becomes an
 /// [`ExecOutcome::HarnessPanic`] outcome instead of killing the worker,
-/// and any virtual threads a failed or panicked execution left parked
-/// are unwound before returning, which frees their carriers (nothing
-/// stays parked across a long keep-going campaign).
+/// and any virtual threads a failed or panicked execution left suspended
+/// are unwound before returning, which frees their stacks (nothing
+/// stays suspended across a long keep-going campaign).
 #[allow(clippy::too_many_arguments)]
 fn run_one<S: SpecTS, H: Harness<S>>(
     harness: &H,
@@ -1002,7 +1002,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
     };
 
     // One iteration per event only the controller can handle: the pilot
-    // schedules every step in between on the carriers.
+    // schedules every step in between on the virtual threads' own stacks.
     loop {
         let first = {
             let mut p = pilot.lock();

@@ -25,6 +25,7 @@
 //! to a minimal reproducer and [`playback`] compiles it into a
 //! standalone replay test (DESIGN.md §16).
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

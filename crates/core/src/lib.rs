@@ -58,6 +58,8 @@
 //! assert!(g.validate().is_err());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod engine;
 pub mod error;
 pub mod lockinv;

@@ -12,6 +12,8 @@
 //! silently dropped — this is what makes the replicated disk's failover
 //! path reachable.
 
+#![deny(unsafe_code)]
+
 pub mod buffered;
 pub mod single;
 pub mod two;

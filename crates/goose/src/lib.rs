@@ -20,6 +20,11 @@
 //! reproduction's analog of "the same Go source is both translated to Coq
 //! and compiled by the Go toolchain".
 
+#![deny(unsafe_code)]
+
+// The one module allowed `unsafe`: stacks and the context switch.
+#[allow(unsafe_code)]
+mod coro;
 pub mod fault;
 pub mod fs;
 pub mod heap;

@@ -10,56 +10,72 @@
 //! [`CrashSignal`] payload, exactly modelling "the process died here".
 //!
 //! The design is stateless-model-checking style: each explored execution
-//! builds a fresh [`ModelRt`] and replays a recorded schedule prefix. What
-//! it does *not* build afresh is OS threads. Virtual threads run on
-//! **carriers**: detached OS threads, parked while idle and reused across
-//! executions. Each spawning thread (each checker worker's controller)
-//! keeps its own LIFO pool of them, which settles at the most virtual
-//! threads that controller ever had live at once and is retired when the
-//! controller exits, so an execution costs no `clone`/`exit`.
-//! [`ModelRt::spawn`] only stores the body in an idle carrier's slot; the
-//! carrier first wakes when the thread is granted (or crashed).
+//! builds a fresh [`ModelRt`] and replays a recorded schedule prefix.
+//! Virtual threads are **stackful contexts** (`crate::coro`) on the OS
+//! thread that spawns them — in the checker, the worker that runs the
+//! execution, which is also its controller. [`ModelRt::spawn`] takes a
+//! stack from that OS thread's free list and primes it; the body first
+//! runs when the thread is granted. No OS thread is created, parked or
+//! woken anywhere in this module, so a runtime must be driven (`run`,
+//! `grant`, `crash_all`) from the OS thread its threads were spawned on;
+//! anything else panics in the caller before a stack is touched.
 //!
-//! Exactly one OS thread runs at a time, and the right to run is a
-//! **baton** passed by `std::thread::park`/`unpark`: whoever passes it
-//! wakes the one thread it goes to and nobody else, always *after* the
-//! state lock is released, so the woken side never blocks on it.
+//! Exactly one context runs at a time, and the right to run is a
+//! **baton** passed by switching contexts in user space.
 //!
 //! The scheduling decision is taken where the step ends. The controller
 //! packages it as a [`Pilot`] — "this step is over; who is next?" — and
 //! starts a [`ModelRt::run`]; from then on the baton is held by a virtual
-//! thread's carrier, and at every yield or block that carrier asks the
-//! pilot itself. Picked again, it simply keeps running: no wake-up at
-//! all. Another thread picked, it wakes that thread's carrier directly
-//! and parks: one wake-up. The controller holds the baton only between
-//! runs, and is woken only when the baton *comes home*: the pilot
-//! declines to pick (the explorer's does at a crash point or a
-//! disk-failure grant count), nothing is runnable, or the running thread
-//! finished or panicked (a blown step budget is a panic). What only the
-//! controller can do — inject the crash, spawn recovery, classify the
-//! verdict — therefore stays with it. The pilot is called with no
-//! runtime lock held and by the one thread that is running, so it may
-//! read the runtime freely. [`ModelRt::grant`] is the same path with no
-//! pilot: the first step boundary comes home.
+//! thread, and at every yield or block that thread asks the pilot itself.
+//! Picked again, it simply keeps running: no switch at all. Another
+//! thread picked, it switches straight to it: one baton pass. The
+//! controller holds the baton only between runs, and gets it back only
+//! when the baton *comes home*: the pilot declines to pick (the
+//! explorer's does at a crash point or a disk-failure grant count),
+//! nothing is runnable, or the running thread finished or panicked (a
+//! blown step budget is a panic). What only the controller can do —
+//! inject the crash, spawn recovery, classify the verdict — therefore
+//! stays with it. The pilot is called with no runtime lock held and by
+//! the one thread that is running, so it may read the runtime freely.
+//! [`ModelRt::grant`] is the same path with no pilot: the first step
+//! boundary comes home.
 //!
-//! [`ModelRt::crash_all`] and [`ModelRt::join_all`] wait for the count of
-//! live virtual threads to reach zero, not for OS threads to exit; a
-//! carrier is back in the pool before its thread is published as
-//! terminated.
+//! **Who may switch to whom.** The controller switches to the thread it
+//! grants, or to the first thread a crash unwinds. A virtual thread
+//! switches to the thread the pilot picked, home to the controller, or —
+//! unwinding from a crash — to the next thread to unwind. Nobody else
+//! switches, and every switch is `ModelRt::pass_to`, except a thread's
+//! last: `thread_done` says where the baton goes and the base of the
+//! thread's stack makes the switch, once nothing is left on it.
 //!
-//! A panic in a thread body is caught on the carrier and attributed to the
-//! virtual thread's own name ([`ModelRt::failures`]), whatever the OS
-//! thread running it is called.
+//! **No runtime lock is held across a switch.** The context switched to
+//! runs on the same OS thread, so a lock the switcher still held would
+//! not block a peer until it is released: it would deadlock the OS thread
+//! against itself. The state lock, the pilot's lock and the trace and
+//! footprint buffers are all released before `pass_to`. The same goes for
+//! a body that holds a real mutex across a model primitive — as it did
+//! when threads were OS threads, where the peer blocked for good.
+//!
+//! [`ModelRt::current_tid`] and the quiet-panic scope
+//! ([`quiet_worker_panics`]) are thread-locals of the one OS thread, so
+//! each context saves its own around every switch it makes and gets them
+//! back when it resumes, unwinding included; a new thread starts with its
+//! own tid and its spawner's quiet scope.
+//!
+//! A panic in a thread body is caught on the thread's own stack and
+//! attributed to the virtual thread's name ([`ModelRt::failures`]); the
+//! OS thread it happened on is the worker's.
 
+use crate::coro::{self, Ctx};
 use crate::fault::{FaultPlan, NetFault, TornMode};
 use crate::trace::{ExecTrace, TraceBuf, TraceKind};
 use parking_lot::{Mutex, MutexGuard};
 use perennial::GhostPanic;
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{LocalKey, Thread};
+use std::thread::LocalKey;
 
 /// Virtual thread id (index into the runtime's thread table).
 pub type Tid = usize;
@@ -119,11 +135,11 @@ pub enum PanicKind {
 }
 
 /// The scheduling decision taken at every step boundary, packaged so that
-/// whichever OS thread holds the baton can take it (see
-/// [`ModelRt::run`]). Both methods are called with no runtime lock held,
-/// by the one thread that is running, so they may use any `ModelRt`
-/// method except `run`, `grant`, `crash_all` and `join_all`. A pilot must
-/// not panic: on a carrier there is no controller frame to catch it.
+/// whichever thread holds the baton can take it (see [`ModelRt::run`]).
+/// Both methods are called with no runtime lock held, by the one thread
+/// that is running, so they may use any `ModelRt` method except `run`,
+/// `grant`, `crash_all` and `join_all`. A pilot must not panic: on a
+/// virtual thread's stack there is no controller frame to catch it.
 pub trait Pilot: Send {
     /// The step granted to `tid` has ended — it yielded, blocked, finished
     /// or panicked. Called once per granted step, before the next
@@ -157,8 +173,8 @@ enum TState {
 struct ThreadMeta {
     state: TState,
     name: String,
-    /// Unpark handle of the carrier running this thread.
-    carrier: Thread,
+    /// The context the thread's body runs on.
+    ctx: Ctx,
 }
 
 struct LockSlot {
@@ -172,10 +188,9 @@ struct RtState {
     threads: Vec<ThreadMeta>,
     /// Virtual threads not yet `Done`/`Panicked`.
     live: usize,
-    /// The OS thread driving this runtime: whoever last called `run`,
-    /// `grant`, `crash_all` or `join_all`, and so whom a baton coming
-    /// home must wake.
-    controller: Option<Thread>,
+    /// The context driving this runtime: whoever last called `run`,
+    /// `grant` or `crash_all`, and so where a baton coming home goes.
+    controller: Option<Ctx>,
     /// The pilot steering the current [`ModelRt::run`]; `None` between
     /// runs and under [`ModelRt::grant`].
     pilot: Option<SharedPilot>,
@@ -217,6 +232,17 @@ impl RtState {
             .enumerate()
             .filter(|(_, m)| matches!(m.state, TState::Registered | TState::Paused))
             .map(|(i, _)| i)
+    }
+
+    /// During a crash: the live thread that unwinds next, or the
+    /// controller once there is none.
+    fn next_to_unwind(&self) -> Ctx {
+        self.threads
+            .iter()
+            .find(|m| !matches!(m.state, TState::Done | TState::Panicked(_)))
+            .map(|m| m.ctx)
+            .or(self.controller)
+            .expect("a crash has a controller waiting on it")
     }
 }
 
@@ -273,108 +299,6 @@ fn scoped<T: Copy>(key: &'static LocalKey<Cell<T>>, value: T) -> Scoped<T> {
 impl<T: Copy> Drop for Scoped<T> {
     fn drop(&mut self) {
         self.key.with(|c| c.set(self.prev));
-    }
-}
-
-/// One virtual thread's body, bound for a carrier.
-struct Job {
-    rt: Arc<ModelRt>,
-    tid: Tid,
-    body: Box<dyn FnOnce() + Send>,
-}
-
-/// A pooled OS thread that runs virtual-thread bodies, one at a time.
-#[derive(Clone)]
-struct Carrier {
-    thread: Thread,
-    /// Filled by [`ModelRt::spawn`] while the carrier is parked; the
-    /// carrier looks here whenever it wakes.
-    slot: Arc<Mutex<Option<Job>>>,
-}
-
-/// A pool's idle carriers, most recently used last; `None` once the
-/// pool's thread has exited.
-type IdleList = Mutex<Option<Vec<Carrier>>>;
-
-/// Each spawning thread (in the checker: each worker's controller) keeps
-/// its own carriers. Carriers passed from worker to worker drag every
-/// hand-off across CPUs: with two workers on two CPUs one shared LIFO
-/// pool ran `scan` 3x slower than this, and slower than fresh threads per
-/// execution.
-struct Pool(Arc<IdleList>);
-
-thread_local! {
-    static POOL: Pool = Pool(Arc::new(Mutex::new(Some(Vec::new()))));
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        let idle = self.0.lock().take();
-        for carrier in idle.into_iter().flatten() {
-            carrier.thread.unpark();
-        }
-    }
-}
-
-impl Carrier {
-    /// Takes the carrier the calling thread's pool idled last, or starts
-    /// one. Carriers are detached: they end when their pool's thread
-    /// does, or with the process.
-    fn acquire() -> Carrier {
-        let home = POOL.with(|p| Arc::clone(&p.0));
-        if let Some(c) = home.lock().as_mut().and_then(Vec::pop) {
-            return c;
-        }
-        let slot = Arc::new(Mutex::new(None));
-        let theirs = Arc::clone(&slot);
-        let handle = std::thread::Builder::new()
-            .name("goose-carrier".into())
-            .spawn(move || {
-                let me = Carrier {
-                    thread: std::thread::current(),
-                    slot: theirs,
-                };
-                loop {
-                    let job = me.slot.lock().take();
-                    match job {
-                        Some(job) => me.run(job, &home),
-                        None if home.lock().is_none() => return,
-                        None => std::thread::park(),
-                    }
-                }
-            })
-            .expect("spawning a carrier thread");
-        Carrier {
-            thread: handle.thread().clone(),
-            slot,
-        }
-    }
-
-    /// Runs one virtual thread from its first grant to its end, then
-    /// returns this carrier to `home` and the baton to the controller.
-    fn run(&self, job: Job, home: &IdleList) {
-        let Job { rt, tid, body } = job;
-        let kind = {
-            let _tid = scoped(&CURRENT_TID, Some(tid));
-            let started = rt.wait_for_grant(tid);
-            // A thread crashed before its first grant has nothing to
-            // unwind: its body is dropped unrun.
-            match catch_unwind(AssertUnwindSafe(move || {
-                if started {
-                    body()
-                }
-            })) {
-                Ok(()) if started => None,
-                Ok(()) => Some(PanicKind::CrashUnwind),
-                Err(payload) => Some(classify_panic(payload)),
-            }
-        };
-        // Idle before terminated: once the controller sees no live
-        // thread, every carrier it used is back for the next execution.
-        if let Some(idle) = home.lock().as_mut() {
-            idle.push(self.clone());
-        }
-        rt.thread_done(tid, kind);
     }
 }
 
@@ -470,7 +394,7 @@ pub mod res {
 /// call.
 pub struct ModelRt {
     state: Mutex<RtState>,
-    /// Unparks issued by the hand-off (see [`ModelRt::wakeups`]).
+    /// Baton passes made so far (see [`ModelRt::wakeups`]).
     wakeups: AtomicU64,
     seed: u64,
     max_steps: u64,
@@ -809,42 +733,71 @@ impl ModelRt {
         // choice indices), so spawns from within a step never commute.
         self.note_access(res::ALLOC, true);
         let traced_name = self.tracing_enabled().then(|| name.clone());
-        let carrier = Carrier::acquire();
+        let (rt, quiet) = (Arc::clone(self), QUIET_PANICS.with(Cell::get));
         let tid = {
             let mut s = self.state.lock();
+            let tid = s.threads.len();
+            // Only primes a stack: the body first runs when granted (or
+            // is dropped unrun by a crash).
+            let ctx = coro::spawn(move || rt.thread_main(tid, quiet, f));
             s.threads.push(ThreadMeta {
                 state: TState::Registered,
                 name,
-                carrier: carrier.thread,
+                ctx,
             });
             s.live += 1;
-            s.threads.len() - 1
+            tid
         };
         if let Some(name) = traced_name {
             self.trace_event_for(Some(tid), TraceKind::Spawn { name });
         }
-        // Not woken: the carrier first looks at its slot when granted
-        // (or crashed), and no grant can come before `tid` is returned.
-        *carrier.slot.lock() = Some(Job {
-            rt: Arc::clone(self),
-            tid,
-            body: Box::new(f),
-        });
         tid
     }
 
-    /// The virtual thread id of the calling OS thread, if it is one.
+    /// A virtual thread from its first switch-in to its end, on its own
+    /// stack. Returns where the baton goes from here.
+    fn thread_main(&self, tid: Tid, quiet: bool, body: impl FnOnce()) -> Ctx {
+        CURRENT_TID.with(|c| c.set(Some(tid)));
+        QUIET_PANICS.with(|q| q.set(quiet));
+        // First switched to by a grant or by a crash. A thread crashed
+        // before its first grant has nothing to unwind: its body is
+        // dropped unrun.
+        let started = !self.state.lock().poisoned;
+        let ended = catch_unwind(AssertUnwindSafe(move || {
+            if started {
+                body()
+            }
+        }));
+        // Whoever resumes next restores its own; a root that never saved
+        // any (an OS thread retiring its contexts) finds the defaults.
+        CURRENT_TID.with(|c| c.set(None));
+        QUIET_PANICS.with(|q| q.set(false));
+        let kind = match ended {
+            Ok(()) if started => None,
+            Ok(()) => Some(PanicKind::CrashUnwind),
+            // The OS thread is ending under a thread nobody reaped: not
+            // an outcome of the execution.
+            Err(payload) if payload.is::<coro::Retired>() => resume_unwind(payload),
+            Err(payload) => Some(classify_panic(payload)),
+        };
+        self.thread_done(tid, kind)
+    }
+
+    /// The virtual thread id of the caller, if it is a virtual thread.
     pub fn current_tid() -> Option<Tid> {
         CURRENT_TID.with(|c| c.get())
     }
 
-    /// Unparks issued by this runtime's hand-off so far. A [`run`] costs
-    /// one to its first thread and one back to the controller when the
-    /// baton comes home; inside it a step that runs on costs none and a
-    /// switch to another thread one. [`grant`] is a run of one step, so
-    /// two. A crash costs one per live thread plus the one back from the
-    /// last to unwind. A deterministic proxy for the OS cost of a
-    /// schedule, kept out of [`SchedStats`], reports and fingerprints.
+    /// Baton passes made by this runtime so far: context switches, each
+    /// of which was an OS-thread wake-up before virtual threads became
+    /// contexts (hence the name; the numbers are the same). A [`run`]
+    /// costs one to its first thread and one back to the controller when
+    /// the baton comes home; inside it a step that runs on costs none and
+    /// a switch to another thread one. [`grant`] is a run of one step, so
+    /// two. A crash costs one per live thread — each unwinds and passes
+    /// straight to the next — plus the one back from the last. A
+    /// deterministic proxy for the hand-off cost of a schedule, kept out
+    /// of [`SchedStats`], reports and fingerprints.
     ///
     /// [`run`]: ModelRt::run
     /// [`grant`]: ModelRt::grant
@@ -852,33 +805,22 @@ impl ModelRt {
         self.wakeups.load(Ordering::Relaxed)
     }
 
-    /// Passes the baton to `thread`. Callers release the state lock
-    /// first: a thread woken under it would block on it at once.
-    fn wake(&self, thread: &Thread) {
+    /// Passes the baton to `to`: the one place a context switch is made.
+    /// Returns when the baton is passed back to the caller. Callers
+    /// release every runtime lock first: `to` runs on this OS thread and
+    /// would deadlock on it.
+    fn pass_to(&self, to: Ctx) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
-        thread.unpark();
+        // The thread-locals belong to whoever is running: put the
+        // caller's back when it resumes, or unwinds from here.
+        let _tid = scoped(&CURRENT_TID, CURRENT_TID.with(Cell::get));
+        let _quiet = scoped(&QUIET_PANICS, QUIET_PANICS.with(Cell::get));
+        coro::switch(to);
     }
 
-    /// Parks the calling carrier until `tid` holds the grant; `false` if
-    /// a crash came instead.
-    fn wait_for_grant(&self, tid: Tid) -> bool {
-        loop {
-            {
-                let s = self.state.lock();
-                if s.poisoned {
-                    return false;
-                }
-                if s.threads[tid].state == TState::Granted {
-                    return true;
-                }
-            }
-            std::thread::park();
-        }
-    }
-
-    /// Marks `tid` as holding the grant and returns its carrier, for the
-    /// caller to wake once the state lock is released.
-    fn mark_granted(&self, s: &mut RtState, tid: Tid) -> Thread {
+    /// Marks `tid` as holding the grant and returns its context, for the
+    /// caller to switch to once the state lock is released.
+    fn mark_granted(&self, s: &mut RtState, tid: Tid) -> Ctx {
         match s.threads[tid].state {
             TState::Registered | TState::Paused => {}
             ref other => panic!(
@@ -888,21 +830,21 @@ impl ModelRt {
         }
         self.trace_event_for(Some(tid), TraceKind::Grant { step: s.steps });
         s.threads[tid].state = TState::Granted;
-        s.threads[tid].carrier.clone()
+        s.threads[tid].ctx
     }
 
     /// The step boundary, on the thread that holds the baton: `tid`'s
     /// granted step has ended and its state is published. Reports the
     /// step to the pilot and, unless the thread `terminated`, asks it who
-    /// runs next and passes the baton there; with no pilot, or when it
-    /// declines or nothing is runnable, the baton goes home. Returns
-    /// whether `tid` itself was picked, and so keeps the baton.
-    fn pass_baton<'a>(
+    /// runs next. Returns where the baton goes: the picked thread, or
+    /// home with no pilot, when it declines, or when nothing is runnable
+    /// — and `None` if `tid` itself was picked, and so keeps the baton.
+    fn next_holder<'a>(
         &'a self,
         mut s: MutexGuard<'a, RtState>,
         tid: Tid,
         terminated: bool,
-    ) -> bool {
+    ) -> Option<Ctx> {
         let mut next = None;
         if let Some(pilot) = s.pilot.clone() {
             let mut runnable = std::mem::take(&mut s.runnable_buf);
@@ -921,43 +863,43 @@ impl ModelRt {
             s = self.state.lock();
             s.runnable_buf = runnable;
         }
-        let wakee = match next {
+        match next {
             Some(next) => {
-                let carrier = self.mark_granted(&mut s, next);
-                if next == tid {
-                    return true;
-                }
-                carrier
+                let ctx = self.mark_granted(&mut s, next);
+                (next != tid).then_some(ctx)
             }
             None => {
                 s.came_home = Some(tid);
-                s.controller
-                    .clone()
-                    .expect("a granted step has a controller waiting on it")
+                Some(
+                    s.controller
+                        .expect("a granted step has a controller waiting on it"),
+                )
             }
-        };
-        drop(s);
-        self.wake(&wakee);
-        false
+        }
     }
 
     /// Ends a granted step at a yield or a block: publishes `state`,
-    /// passes the baton on and, unless it came straight back, parks until
-    /// the next grant or unwinds with a [`CrashSignal`].
+    /// passes the baton on and, unless the thread keeps it, is suspended
+    /// until the next grant or unwinds with a [`CrashSignal`].
     fn hand_back(&self, mut s: MutexGuard<'_, RtState>, tid: Tid, state: TState) {
         s.threads[tid].state = state;
-        if self.pass_baton(s, tid, false) {
+        let Some(next) = self.next_holder(s, tid, false) else {
             return;
-        }
-        if !self.wait_for_grant(tid) {
+        };
+        self.pass_to(next);
+        let s = self.state.lock();
+        if s.poisoned {
+            drop(s);
             std::panic::panic_any(CrashSignal);
         }
+        debug_assert_eq!(s.threads[tid].state, TState::Granted);
     }
 
-    /// Publishes `tid` as terminated. A thread that ends its granted step
-    /// this way sends the baton home; one unwound by a crash wakes the
-    /// controller only if it is the last live thread.
-    fn thread_done(&self, tid: Tid, kind: Option<PanicKind>) {
+    /// Publishes `tid` as terminated, from the end of its own stack, and
+    /// returns where the baton goes. A thread that ends its granted step
+    /// this way sends it home; one unwound by a crash passes it to the
+    /// next thread to unwind, lowest id first, and the last one home.
+    fn thread_done(&self, tid: Tid, kind: Option<PanicKind>) -> Ctx {
         let mut s = self.state.lock();
         let was_granted = s.threads[tid].state == TState::Granted;
         s.threads[tid].state = match kind {
@@ -965,15 +907,17 @@ impl ModelRt {
             Some(k) => TState::Panicked(k),
         };
         s.live -= 1;
-        if was_granted {
-            self.pass_baton(s, tid, true);
-        } else if s.live == 0 {
-            let controller = s.controller.clone();
-            drop(s);
-            if let Some(c) = controller {
-                self.wake(&c);
-            }
-        }
+        let next = if was_granted {
+            self.next_holder(s, tid, true)
+                .expect("a terminated thread is not picked again")
+        } else {
+            debug_assert!(s.poisoned, "only a crash ends a thread between grants");
+            s.next_to_unwind()
+        };
+        // The switch itself is made by the context's base, once this
+        // stack has nothing left on it.
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        next
     }
 
     /// One atomic step boundary: the calling thread's step ends here,
@@ -1130,19 +1074,19 @@ impl ModelRt {
             .any(|m| matches!(m.state, TState::Blocked(_)))
     }
 
-    /// Grants one step to `tid` and waits until the thread parks again,
-    /// blocks, finishes, or panics: a [`run`](ModelRt::run) with no
+    /// Grants one step to `tid` and returns when the thread has yielded,
+    /// blocked, finished, or panicked: a [`run`](ModelRt::run) with no
     /// pilot, so the first step boundary brings the baton home.
     pub fn grant(&self, tid: Tid) -> StepResult {
         self.drive(None, tid).1
     }
 
     /// Grants a step to `first` and lets `pilot` schedule from there on
-    /// the virtual threads' own carriers: at every step boundary the
-    /// thread holding the baton reports its step ([`Pilot::step_done`])
-    /// and asks who is next ([`Pilot::pick`]). Picked itself, it just
-    /// keeps running; picking another thread wakes that carrier directly.
-    /// The controller sleeps until the baton comes home, which is when
+    /// the virtual threads' own stacks: at every step boundary the thread
+    /// holding the baton reports its step ([`Pilot::step_done`]) and asks
+    /// who is next ([`Pilot::pick`]). Picked itself, it just keeps
+    /// running; picking another thread switches to it directly. The
+    /// controller is suspended until the baton comes home, which is when
     /// the pilot declines, nothing is runnable, or the running thread
     /// finishes or panicks. Returns the thread that took the last step
     /// and how that step ended; `step_done` has been called for it.
@@ -1156,84 +1100,74 @@ impl ModelRt {
     }
 
     fn drive(&self, pilot: Option<SharedPilot>, first: Tid) -> (Tid, StepResult) {
-        let carrier = {
+        let ctx = {
             let mut s = self.state.lock();
-            let carrier = self.mark_granted(&mut s, first);
-            s.controller = Some(std::thread::current());
+            let ctx = self.mark_granted(&mut s, first);
+            s.controller = Some(coro::current());
             s.pilot = pilot;
-            carrier
+            ctx
         };
-        self.wake(&carrier);
-        loop {
-            std::thread::park();
-            let mut s = self.state.lock();
-            let Some(tid) = s.came_home.take() else {
-                continue;
-            };
-            s.pilot = None;
-            let step = match &s.threads[tid].state {
-                TState::Paused => StepResult::Yielded,
-                TState::Blocked(_) => StepResult::Blocked,
-                TState::Done => StepResult::Finished,
-                TState::Panicked(k) => StepResult::Panicked(k.clone()),
-                other => unreachable!("baton came home from a thread in state {other:?}"),
-            };
-            return (tid, step);
-        }
+        self.pass_to(ctx);
+        let mut s = self.state.lock();
+        let tid = s
+            .came_home
+            .take()
+            .expect("the baton comes home from the thread that took the last step");
+        s.pilot = None;
+        let step = match &s.threads[tid].state {
+            TState::Paused => StepResult::Yielded,
+            TState::Blocked(_) => StepResult::Blocked,
+            TState::Done => StepResult::Finished,
+            TState::Panicked(k) => StepResult::Panicked(k.clone()),
+            other => unreachable!("baton came home from a thread in state {other:?}"),
+        };
+        (tid, step)
     }
 
     /// Injects a crash: every live virtual thread unwinds with a
-    /// [`CrashSignal`], lock state is wiped (in-memory locks do not
+    /// [`CrashSignal`] on its own stack (one that never started has its
+    /// body dropped unrun), lock state is wiped (in-memory locks do not
     /// survive a reboot), and the runtime is ready to schedule recovery
     /// threads. Returns once no virtual thread is live.
     ///
     /// Must only be called from the controller between grants (no thread
     /// is running user code at that point).
     pub fn crash_all(&self) {
-        let live: Vec<Thread> = {
+        let first = {
             let mut s = self.state.lock();
             let step = s.steps;
-            s.poisoned = true;
-            // Before any thread is woken, so the last one to unwind
-            // always finds whom to wake: a crash ahead of the first grant
-            // then costs the same wake-ups whoever gets there first.
-            s.controller = Some(std::thread::current());
             self.trace_event_for(None, TraceKind::Crash { step });
-            s.threads
-                .iter()
-                .filter(|m| !matches!(m.state, TState::Done | TState::Panicked(_)))
-                .map(|m| m.carrier.clone())
-                .collect()
+            if s.live == 0 {
+                None
+            } else {
+                s.poisoned = true;
+                s.controller = Some(coro::current());
+                Some(s.next_to_unwind())
+            }
         };
-        for carrier in &live {
-            self.wake(carrier);
+        if let Some(first) = first {
+            // Comes back from the last thread to unwind.
+            self.pass_to(first);
         }
-        let mut s = self.wait_until_none_live();
+        let mut s = self.state.lock();
+        assert_eq!(s.live, 0, "a crash leaves no thread live");
         s.poisoned = false;
         for slot in s.locks.iter_mut() {
             slot.held_by = None;
         }
     }
 
-    /// Waits until every virtual thread has terminated (end of a
-    /// crash-free execution). Threads still parked at a yield point or on
-    /// a lock never will: reap those with [`ModelRt::crash_all`].
+    /// Checks that every virtual thread has terminated (end of a
+    /// crash-free execution). Nothing runs while the controller does, so
+    /// there is nothing to wait for: threads still suspended at a yield
+    /// point or on a lock are a caller bug, to be reaped with
+    /// [`ModelRt::crash_all`].
     pub fn join_all(&self) {
-        drop(self.wait_until_none_live());
-    }
-
-    fn wait_until_none_live(&self) -> MutexGuard<'_, RtState> {
-        let mut s = self.state.lock();
-        // Registered under the same lock hold as the first check: a
-        // thread that terminates around it is either counted here or
-        // finds the controller to wake.
-        s.controller = Some(std::thread::current());
-        while s.live > 0 {
-            drop(s);
-            std::thread::park();
-            s = self.state.lock();
-        }
-        s
+        let live = self.state.lock().live;
+        assert_eq!(
+            live, 0,
+            "join_all with {live} virtual thread(s) still suspended: reap them with crash_all"
+        );
     }
 
     /// Total steps scheduled so far.
@@ -2001,6 +1935,34 @@ mod tests {
             rt.crash_all();
             assert_eq!(rt.wakeups(), 3 + 1);
         }
+    }
+
+    #[test]
+    fn a_crash_drops_a_body_that_never_started_without_running_it() {
+        let rt = ModelRt::new(0, 10_000);
+        let owned = Arc::new(());
+        let ran = Arc::new(AtomicBool::new(false));
+        let (owned2, ran2) = (Arc::clone(&owned), Arc::clone(&ran));
+        rt.spawn("never granted", move || {
+            let _owned = owned2;
+            ran2.store(true, Ordering::SeqCst);
+        });
+        rt.crash_all();
+        assert!(rt.all_done() && rt.failures().is_empty());
+        assert!(!ran.load(Ordering::SeqCst));
+        assert_eq!(Arc::strong_count(&owned), 1, "the body was dropped");
+    }
+
+    #[test]
+    fn a_runtime_is_driven_from_the_os_thread_its_threads_were_spawned_on() {
+        let rt = ModelRt::new(0, 10_000);
+        spawn_loggers(&rt, 1);
+        let rt2 = Arc::clone(&rt);
+        let refused = std::thread::spawn(move || rt2.grant(0))
+            .join()
+            .expect_err("a grant from another OS thread");
+        let msg = refused.downcast_ref::<String>().expect("a message");
+        assert!(msg.contains("another OS thread"), "{msg}");
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Carriers are reused: a long campaign's OS-thread count is bounded by
-//! the most virtual threads any one execution had live at once, however
-//! the executions end and whether the controller grants every step or a
-//! pilot schedules on the carriers, and a controller thread that exits
-//! takes its carriers with it. Alone in this file (one test, one process) so that
-//! `/proc/self/status` counts nobody else's threads.
+//! Virtual threads are contexts on their controller's own OS thread: a
+//! long campaign adds no OS thread at all, however the executions end and
+//! whether the controller grants every step or a pilot schedules on the
+//! virtual threads' stacks, `current_tid` is the controller's own again
+//! between runs, and two controllers at work at once never meet. Alone in
+//! this file (one test, one process) so that `/proc/self/status` counts
+//! nobody else's threads.
 #![cfg(target_os = "linux")]
 
 use goose_rt::{ModelRt, PanicKind, Pilot, SharedPilot, StepResult, Tid};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// The most virtual threads live at once in any execution below.
 const HIGH_WATER: usize = 3;
@@ -36,7 +37,7 @@ impl Pilot for RoundRobin {
 
 /// Schedules round-robin until nothing is runnable or a thread panics
 /// (returned): one `grant` per step, or `piloted`, in runs on the
-/// carriers.
+/// virtual threads' own stacks.
 fn drain(rt: &ModelRt, piloted: bool) -> Option<(Tid, PanicKind)> {
     let pilot: SharedPilot = Arc::new(Mutex::new(RoundRobin(0)));
     loop {
@@ -144,45 +145,49 @@ fn panicking_body(piloted: bool) {
         drain(&rt, piloted),
         Some((1, PanicKind::Other(_)))
     ));
-    // Reported under the virtual thread's name, not the carrier's.
+    // Reported under the virtual thread's name, not the OS thread's.
     assert_eq!(rt.failures()[0].0, "bug");
     rt.crash_all();
 }
 
 #[test]
-fn os_thread_count_is_bounded_by_the_high_water_mark() {
+fn executions_add_no_os_threads_and_controllers_do_not_meet() {
+    const CONTROLLERS: usize = 2;
+    const EXECUTIONS: usize = 2_000;
+    const BATCH: usize = 250;
     let before = os_threads();
-    // A controller of its own, as each checker worker is.
-    let controller = std::thread::spawn(move || {
-        let before = before + 1;
-        let shapes = [
-            clean_finish,
-            crash_with_nested_recovery,
-            deadlock,
-            step_budget_wedge,
-            panicking_body,
-        ];
-        for i in 0..2_000 {
-            shapes[i % shapes.len()](i / shapes.len() % 2 == 1);
-            assert_eq!(ModelRt::current_tid(), None);
-            let now = os_threads();
-            assert!(
-                now <= before + HIGH_WATER,
-                "execution {i}: {now} OS threads, {before} before the first"
-            );
-        }
-        // And they are carriers, not leftovers about to exit.
-        assert_eq!(os_threads(), before + HIGH_WATER);
-    });
-    controller.join().expect("the controller thread");
-    // Its carriers were told to retire; give them until the deadline.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while os_threads() > before {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "{} OS threads left of a controller that exited, {before} before it",
-            os_threads()
-        );
-        std::thread::yield_now();
+    // Both controllers are mid-campaign at every batch boundary, so each
+    // runs its contexts while the other does.
+    let in_step = Arc::new(Barrier::new(CONTROLLERS));
+    let controllers: Vec<_> = (0..CONTROLLERS)
+        .map(|_| {
+            let in_step = Arc::clone(&in_step);
+            // A controller of its own, as each checker worker is.
+            std::thread::spawn(move || {
+                let shapes = [
+                    clean_finish,
+                    crash_with_nested_recovery,
+                    deadlock,
+                    step_budget_wedge,
+                    panicking_body,
+                ];
+                for i in 0..EXECUTIONS {
+                    if i % BATCH == 0 {
+                        in_step.wait();
+                    }
+                    shapes[i % shapes.len()](i / shapes.len() % 2 == 1);
+                    assert_eq!(ModelRt::current_tid(), None);
+                    let now = os_threads();
+                    assert!(
+                        now <= before + CONTROLLERS,
+                        "execution {i}: {now} OS threads, {before} before the controllers"
+                    );
+                }
+            })
+        })
+        .collect();
+    for controller in controllers {
+        controller.join().expect("a controller thread");
     }
+    assert_eq!(os_threads(), before);
 }

@@ -20,6 +20,8 @@
 //! instrumented implementation and its mutants), [`harness`] (checker
 //! plumbing and workloads).
 
+#![deny(unsafe_code)]
+
 pub mod harness;
 pub mod spec;
 pub mod store;

@@ -16,6 +16,8 @@
 //! - [`smtp`] — unverified SMTP/POP3 session state machines;
 //! - [`net`] — TCP listeners serving those sessions over real sockets.
 
+#![deny(unsafe_code)]
+
 pub mod gomail;
 pub mod harness;
 pub mod net;

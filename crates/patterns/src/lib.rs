@@ -8,6 +8,8 @@
 //! runtime analog of the paper's per-pattern proof), its checker harness,
 //! and mutants for the mutation tests in `tests/check.rs`.
 
+#![deny(unsafe_code)]
+
 pub mod group_commit;
 pub mod pair_spec;
 pub mod shadow;

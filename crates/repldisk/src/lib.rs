@@ -11,6 +11,8 @@
 //!   the Perennial proof), including the recovery-helping argument of
 //!   §5.4, with [`harness`] plugging it into the checker.
 
+#![deny(unsafe_code)]
+
 pub mod harness;
 pub mod proof;
 pub mod spec;

@@ -44,6 +44,8 @@
 //! assert_eq!(rd_read(9).run(&s), Outcome::Undefined);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod fixtures;
 pub mod history;
 pub mod system;

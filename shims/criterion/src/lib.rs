@@ -3,6 +3,8 @@
 //! sampling. Good enough to compare configurations (the workspace's
 //! benches report relative numbers, not publishable absolutes).
 
+#![deny(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Opaque black box: defeats trivial constant folding.

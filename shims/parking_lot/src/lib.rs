@@ -10,6 +10,8 @@
 //! - `lock()`/`read()`/`write()` return guards directly, not `Result`s;
 //! - `Condvar::wait` takes `&mut MutexGuard`.
 
+#![deny(unsafe_code)]
+
 use std::sync;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

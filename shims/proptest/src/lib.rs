@@ -8,6 +8,8 @@
 //! panics with the generated inputs' debug output instead of a minimal
 //! counterexample.
 
+#![deny(unsafe_code)]
+
 pub mod strategy {
     use super::test_runner::TestRng;
 

@@ -3,6 +3,8 @@
 //! uses. Not cryptographic; deterministic for a given seed, which is all
 //! the model runtime and workload generators need.
 
+#![deny(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core RNG interface (the subset of `rand::RngCore` used here).

@@ -5,6 +5,8 @@
 //! harness's `--json`, the checker's telemetry JSONL) and parses them
 //! back only for validation and field-stripping in tests.
 
+#![deny(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

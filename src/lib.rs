@@ -18,6 +18,8 @@
 //! - [`mailboat`] — the mail server, its proof harness, and the
 //!   GoMail/CMAIL baselines.
 
+#![deny(unsafe_code)]
+
 pub use crash_patterns;
 pub use goose_rt;
 pub use mailboat;
