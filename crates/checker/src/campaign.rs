@@ -25,6 +25,10 @@
 //! runs produce the same fingerprint as one uninterrupted run.
 
 use crate::explore::{CheckReport, Counterexample, ExecOutcome};
+use crate::json::{
+    as_u64, get, get_arr, get_f64, get_hex, get_obj, get_str, get_u64, get_u64s, hex64,
+    parse_hex64, u64s,
+};
 use crate::metrics::{trace_fingerprint, Histogram, OutcomeKind, PassMetrics};
 use crate::pass::Pass;
 use goose_rt::fault::{FaultPlan, NetFault, TornMode};
@@ -44,13 +48,6 @@ pub fn parse_shard(s: &str) -> Result<(u32, u32), String> {
         return Err(format!("shard {i}/{n}: index must satisfy i < n, n > 0"));
     }
     Ok((i, n))
-}
-
-/// 64-bit values go through JSON as hex strings (the shim's numbers are
-/// f64; see `telemetry::hex64`). Zero-padded to a fixed 16 hex digits,
-/// same invariant as the telemetry stream.
-fn hex64(v: u64) -> String {
-    format!("{v:#018x}")
 }
 
 fn faults_to_json(f: &FaultPlan) -> Value {
@@ -190,58 +187,10 @@ pub fn report_to_json(r: &CheckReport) -> Value {
     })
 }
 
-fn get<'a>(m: &'a Map, k: &str) -> Result<&'a Value, String> {
-    m.get(k).ok_or_else(|| format!("missing field {k:?}"))
-}
-
-fn get_u64(m: &Map, k: &str) -> Result<u64, String> {
-    match get(m, k)? {
-        Value::Number(n) if *n >= 0.0 => Ok(*n as u64),
-        v => Err(format!("field {k:?}: expected number, got {v:?}")),
-    }
-}
-
-fn get_str(m: &Map, k: &str) -> Result<String, String> {
-    match get(m, k)? {
-        Value::String(s) => Ok(s.clone()),
-        v => Err(format!("field {k:?}: expected string, got {v:?}")),
-    }
-}
-
-fn get_hex(m: &Map, k: &str) -> Result<u64, String> {
-    let s = get_str(m, k)?;
-    u64::from_str_radix(s.trim_start_matches("0x"), 16)
-        .map_err(|e| format!("field {k:?}: bad hex {s:?}: {e}"))
-}
-
-fn get_arr<'a>(m: &'a Map, k: &str) -> Result<&'a [Value], String> {
-    match get(m, k)? {
-        Value::Array(items) => Ok(items),
-        v => Err(format!("field {k:?}: expected array, got {v:?}")),
-    }
-}
-
-fn get_obj<'a>(m: &'a Map, k: &str) -> Result<&'a Map, String> {
-    match get(m, k)? {
-        Value::Object(o) => Ok(o),
-        v => Err(format!("field {k:?}: expected object, got {v:?}")),
-    }
-}
-
-fn num_array(items: &[Value], what: &str) -> Result<Vec<u64>, String> {
-    items
-        .iter()
-        .map(|v| match v {
-            Value::Number(n) if *n >= 0.0 => Ok(*n as u64),
-            other => Err(format!("{what}: expected number, got {other:?}")),
-        })
-        .collect()
-}
-
 fn outcome_from_json(m: &Map) -> Result<ExecOutcome, String> {
     let kind = get_str(m, "kind")?;
-    let msg = get_str(m, "msg")?;
-    Ok(match kind.as_str() {
+    let msg = get_str(m, "msg")?.to_string();
+    Ok(match kind {
         "ok" => ExecOutcome::Ok,
         "violation" => ExecOutcome::Violation(GhostError::Imported { msg }),
         "ub" => ExecOutcome::Ub(msg),
@@ -260,9 +209,7 @@ fn outcome_from_json(m: &Map) -> Result<ExecOutcome, String> {
 #[allow(clippy::field_reassign_with_default)] // each field's parse can fail; a struct literal can't `?` per field readably
 fn faults_from_json(m: &Map) -> Result<FaultPlan, String> {
     let mut f = FaultPlan::default();
-    f.transient_io = num_array(get_arr(m, "transient_io")?, "transient_io")?
-        .into_iter()
-        .collect();
+    f.transient_io = get_u64s(m, "transient_io")?.into_iter().collect();
     f.torn = match get(m, "torn")? {
         Value::Null => None,
         Value::String(s) => Some(match s.as_str() {
@@ -277,20 +224,17 @@ fn faults_from_json(m: &Map) -> Result<FaultPlan, String> {
     };
     f.disk_fail = match get(m, "disk_fail")? {
         Value::Null => None,
-        Value::Array(pair) => {
-            let pair = num_array(pair, "disk_fail")?;
-            match pair.as_slice() {
-                [d, g] => Some((*d as u8, *g)),
-                _ => return Err("disk_fail: expected [disk, grant]".to_string()),
-            }
-        }
+        Value::Array(pair) => match u64s(pair, "disk_fail")?.as_slice() {
+            [d @ 0..=255, g] => Some((*d as u8, *g)),
+            _ => return Err("disk_fail: expected [disk, grant]".to_string()),
+        },
         v => return Err(format!("disk_fail: expected array or null, got {v:?}")),
     };
     for entry in get_arr(m, "net")? {
         let Value::Array(pair) = entry else {
             return Err(format!("net: expected [index, fault], got {entry:?}"));
         };
-        let (Some(Value::Number(i)), Some(Value::String(name))) = (pair.first(), pair.get(1))
+        let (Some(i), Some(Value::String(name))) = (pair.first().and_then(as_u64), pair.get(1))
         else {
             return Err(format!("net: expected [index, fault], got {entry:?}"));
         };
@@ -300,7 +244,7 @@ fn faults_from_json(m: &Map) -> Result<FaultPlan, String> {
             "delay" => NetFault::Delay,
             other => return Err(format!("unknown net fault {other:?}")),
         };
-        f.net.insert(*i as u64, nf);
+        f.net.insert(i, nf);
     }
     Ok(f)
 }
@@ -311,29 +255,27 @@ fn cx_from_json(v: &Value) -> Result<Counterexample, String> {
     };
     Ok(Counterexample {
         outcome: outcome_from_json(get_obj(m, "outcome")?)?,
-        pass: get_str(m, "pass")?
-            .parse::<Pass>()
-            .map_err(|e| e.to_string())?,
+        pass: get_str(m, "pass")?.parse::<Pass>()?,
         index: get_u64(m, "index")?,
         seed: get_hex(m, "seed")?,
-        schedule_prefix: num_array(get_arr(m, "schedule_prefix")?, "schedule_prefix")?
+        schedule_prefix: get_u64s(m, "schedule_prefix")?
             .into_iter()
             .map(|v| v as usize)
             .collect(),
-        crash_points: num_array(get_arr(m, "crash_points")?, "crash_points")?,
-        clamped: num_array(get_arr(m, "clamped")?, "clamped")?
+        crash_points: get_u64s(m, "crash_points")?,
+        clamped: get_u64s(m, "clamped")?
             .into_iter()
             .map(|v| v as usize)
             .collect(),
         faults: faults_from_json(get_obj(m, "faults")?)?,
-        trace: get_str(m, "trace")?,
+        trace: get_str(m, "trace")?.to_string(),
         timeline: None,
     })
 }
 
 fn hist_from_json(m: &Map) -> Result<Histogram, String> {
     Ok(Histogram::from_parts(
-        num_array(get_arr(m, "buckets")?, "buckets")?,
+        get_u64s(m, "buckets")?,
         get_u64(m, "count")?,
         get_u64(m, "sum")?,
         get_u64(m, "max")?,
@@ -346,7 +288,7 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         return Err("report: expected a JSON object".to_string());
     };
     let mut r = CheckReport {
-        name: get_str(m, "name")?,
+        name: get_str(m, "name")?.to_string(),
         executions: get_u64(m, "executions")? as usize,
         total_steps: get_u64(m, "total_steps")?,
         crashes_injected: get_u64(m, "crashes_injected")? as usize,
@@ -358,7 +300,7 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         disk_flushes: get_u64(m, "disk_flushes")?,
         net_sends: get_u64(m, "net_sends")?,
         net_recvs: get_u64(m, "net_recvs")?,
-        strategy: get_str(m, "strategy")?,
+        strategy: get_str(m, "strategy")?.to_string(),
         pruned: get_u64(m, "pruned")?,
         coverage_guided: get_u64(m, "coverage_guided")?,
         replayed: get_u64(m, "replayed")?,
@@ -382,9 +324,7 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         let Value::Object(p) = pm else {
             return Err(format!("per_pass: expected object, got {pm:?}"));
         };
-        let pass = get_str(p, "pass")?
-            .parse::<Pass>()
-            .map_err(|e| e.to_string())?;
+        let pass = get_str(p, "pass")?.parse::<Pass>()?;
         r.per_pass.push(PassMetrics {
             pass,
             rank: pass.rank(),
@@ -408,16 +348,13 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
     r.coverage.torn_plans_enumerable = get_u64(cov, "torn_plans_enumerable")?;
     r.coverage.net_plans_exercised = get_u64(cov, "net_plans_exercised")?;
     r.coverage.net_plans_enumerable = get_u64(cov, "net_plans_enumerable")?;
-    r.crash_point_set = num_array(get_arr(m, "crash_point_set")?, "crash_point_set")?
-        .into_iter()
-        .collect();
+    r.crash_point_set = get_u64s(m, "crash_point_set")?.into_iter().collect();
     for fp in get_arr(m, "trace_fps")? {
         let Value::String(s) = fp else {
             return Err(format!("trace_fps: expected hex string, got {fp:?}"));
         };
-        let fp = u64::from_str_radix(s.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("trace_fps {s:?}: {e}"))?;
-        r.trace_fps.insert(fp);
+        r.trace_fps
+            .insert(parse_hex64(s).ok_or_else(|| format!("trace_fps: bad hex {s:?}"))?);
     }
     r.coverage.crash_points_exercised = r.crash_point_set.len() as u64;
     r.coverage.distinct_traces = r.trace_fps.len() as u64;
@@ -432,14 +369,9 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         };
         r.incomplete.push(s.clone());
     }
-    r.wall_time = match get(m, "wall_time_s")? {
-        Value::Number(n) if *n >= 0.0 => Duration::from_secs_f64(*n),
-        v => return Err(format!("wall_time_s: expected number, got {v:?}")),
-    };
-    r.execs_per_sec = match get(m, "execs_per_sec")? {
-        Value::Number(n) => *n,
-        v => return Err(format!("execs_per_sec: expected number, got {v:?}")),
-    };
+    r.wall_time = Duration::try_from_secs_f64(get_f64(m, "wall_time_s")?)
+        .map_err(|e| format!("wall_time_s: {e}"))?;
+    r.execs_per_sec = get_f64(m, "execs_per_sec")?;
     // Lenient: reports serialized before the env stamp existed (or
     // hand-stripped ones) deserialize with an empty stamp.
     r.env = m
@@ -714,6 +646,81 @@ mod tests {
             back.counterexample.unwrap().faults.compact(),
             r.counterexample.unwrap().faults.compact()
         );
+    }
+
+    /// Replaces the value at `path` (object keys and array indices) of
+    /// the sample report's JSON and parses the result.
+    fn report_with(path: &[&str], value: Value) -> Result<CheckReport, String> {
+        let mut root = report_to_json(&sample_report());
+        let mut at = &mut root;
+        for step in path {
+            at = match at {
+                Value::Object(m) => m.get_mut(step),
+                Value::Array(items) => items.get_mut(step.parse::<usize>().unwrap()),
+                _ => None,
+            }
+            .unwrap_or_else(|| panic!("no {step} on the way to {path:?}"));
+        }
+        *at = value;
+        report_from_json(&root)
+    }
+
+    #[test]
+    fn report_parser_refuses_hostile_numbers_and_hex() {
+        assert!(report_with(&["executions"], json!(10)).is_ok());
+        let counts: [&[&str]; 14] = [
+            &["executions"],
+            &["total_steps"],
+            &["helped_ops"],
+            &["disk_flushes"],
+            &["workers"],
+            &["outcomes", "ok"],
+            &["per_pass", "0", "steps"],
+            &["per_pass", "0", "busy_time_us"],
+            &["steps_hist", "count"],
+            &["steps_hist", "buckets", "0"],
+            &["coverage", "crash_points_enumerable"],
+            &["crash_point_set", "0"],
+            &["counterexamples", "0", "index"],
+            &["counterexamples", "0", "schedule_prefix", "1"],
+        ];
+        let numbers = [
+            1.5,
+            -1.0,
+            1e17,
+            9_007_199_254_740_992.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for path in counts {
+            for n in numbers {
+                let got = report_with(path, Value::Number(n));
+                assert!(got.is_err(), "{path:?} = {n} was accepted");
+            }
+            assert!(report_with(path, json!("7")).is_err(), "{path:?} = \"7\"");
+        }
+        for path in [&["counterexamples", "0", "seed"][..], &["trace_fps", "0"]] {
+            for hex in ["0x0x1f", "+1f", "0x+1f", "1f", "0x", "0x10000000000000000"] {
+                assert!(report_with(path, json!(hex)).is_err(), "{path:?} = {hex:?}");
+            }
+            assert!(report_with(path, json!("0x1f")).is_ok(), "{path:?}");
+        }
+        // Timing is not exact, but it is finite and a duration.
+        for n in [-1.0, f64::INFINITY, f64::NAN, 1e300] {
+            assert!(
+                report_with(&["wall_time_s"], Value::Number(n)).is_err(),
+                "{n}"
+            );
+        }
+        assert!(report_with(&["execs_per_sec"], Value::Number(f64::NAN)).is_err());
+        // Fault plans: a disk is a small number, a net index a count.
+        let faults = ["counterexamples", "0", "faults"];
+        let disk_fail = [&faults[..], &["disk_fail"]].concat();
+        assert!(report_with(&disk_fail, json!([256, 9])).is_err());
+        assert!(report_with(&disk_fail, json!([2, 9.5])).is_err());
+        let net = [&faults[..], &["net", "0"]].concat();
+        assert!(report_with(&net, json!([2.5, "delay"])).is_err());
+        assert!(report_with(&net, json!([2, "delay"])).is_ok());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! replayed prefix included), while pass wall times accumulate across
 //! resumes (wall-clock actually spent).
 
+use crate::json::{get_f64, get_str, get_u64};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -167,27 +168,6 @@ pub struct Dashboard {
     pub torn_lines: u64,
 }
 
-fn f_u64(m: &serde_json::Map, k: &str) -> u64 {
-    match m.get(k) {
-        Some(Value::Number(n)) if *n >= 0.0 => *n as u64,
-        _ => 0,
-    }
-}
-
-fn f_f64(m: &serde_json::Map, k: &str) -> f64 {
-    match m.get(k) {
-        Some(Value::Number(n)) => *n,
-        _ => 0.0,
-    }
-}
-
-fn f_str(m: &serde_json::Map, k: &str) -> Option<String> {
-    match m.get(k) {
-        Some(Value::String(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
 impl Dashboard {
     /// Folds one JSONL telemetry stream into the dashboard.
     ///
@@ -206,37 +186,38 @@ impl Dashboard {
                 self.torn_lines += 1;
                 continue;
             };
-            let Some(ty) = f_str(&map, "type") else {
+            let Ok(ty) = get_str(&map, "type") else {
                 self.torn_lines += 1;
                 continue;
             };
-            let Some(scenario) = scenario_hint
-                .map(str::to_string)
-                .or_else(|| f_str(&map, "scenario"))
-            else {
+            let Some(scenario) = scenario_hint.or_else(|| get_str(&map, "scenario").ok()) else {
                 continue;
             };
-            match ty.as_str() {
+            let scenario = scenario.to_string();
+            // A dashboard shows what it can: an absent or refused field
+            // reads as zero.
+            let n = |k: &str| get_u64(&map, k).unwrap_or(0);
+            match ty {
                 "run_end" => {
-                    let shard = f_str(&map, "shard").unwrap_or_else(|| "-".to_string());
+                    let shard = get_str(&map, "shard").unwrap_or("-").to_string();
                     let run = ShardRun {
                         passed: matches!(map.get("passed"), Some(Value::Bool(true))),
                         incomplete: matches!(
                             map.get("incomplete"),
                             Some(Value::Array(v)) if !v.is_empty()
                         ),
-                        executions: f_u64(&map, "executions"),
-                        total_steps: f_u64(&map, "total_steps"),
-                        crashes_injected: f_u64(&map, "crashes_injected"),
-                        fault_plans: f_u64(&map, "fault_plans"),
-                        counterexamples: f_u64(&map, "counterexamples"),
-                        crash_points_exercised: f_u64(&map, "crash_points_exercised"),
-                        crash_points_enumerable: f_u64(&map, "crash_points_enumerable"),
-                        fault_plans_exercised: f_u64(&map, "fault_plans_exercised"),
-                        fault_plans_enumerable: f_u64(&map, "fault_plans_enumerable"),
-                        pruned: f_u64(&map, "pruned"),
-                        replayed: f_u64(&map, "replayed"),
-                        wall_time_s: f_f64(&map, "wall_time_s"),
+                        executions: n("executions"),
+                        total_steps: n("total_steps"),
+                        crashes_injected: n("crashes_injected"),
+                        fault_plans: n("fault_plans"),
+                        counterexamples: n("counterexamples"),
+                        crash_points_exercised: n("crash_points_exercised"),
+                        crash_points_enumerable: n("crash_points_enumerable"),
+                        fault_plans_exercised: n("fault_plans_exercised"),
+                        fault_plans_enumerable: n("fault_plans_enumerable"),
+                        pruned: n("pruned"),
+                        replayed: n("replayed"),
+                        wall_time_s: get_f64(&map, "wall_time_s").unwrap_or(0.0),
                     };
                     // Last run_end per shard wins (resume appends runs).
                     self.scenarios
@@ -246,26 +227,26 @@ impl Dashboard {
                         .insert(shard, run);
                 }
                 "pass_end" => {
-                    let Some(pass) = f_str(&map, "pass") else {
+                    let Ok(pass) = get_str(&map, "pass") else {
                         continue;
                     };
-                    let rank = f_u64(&map, "rank");
+                    let rank = n("rank");
                     *self
                         .scenarios
                         .entry(scenario)
                         .or_default()
                         .pass_wall_us
-                        .entry((rank, pass))
-                        .or_insert(0) += f_u64(&map, "duration_us");
+                        .entry((rank, pass.to_string()))
+                        .or_insert(0) += n("duration_us");
                 }
                 "exec_done" => {
-                    let Some(pass) = f_str(&map, "pass") else {
+                    let Ok(pass) = get_str(&map, "pass") else {
                         continue;
                     };
                     let Ok(p) = pass.parse::<crate::Pass>() else {
                         continue;
                     };
-                    let key = (p.rank() as u64, f_u64(&map, "index"));
+                    let key = (p.rank() as u64, n("index"));
                     self.scenarios
                         .entry(scenario)
                         .or_default()
@@ -273,12 +254,12 @@ impl Dashboard {
                         .insert(
                             key,
                             ExecCostRow {
-                                pass,
-                                steps: f_u64(&map, "steps"),
-                                crashes: f_u64(&map, "crashes"),
-                                lock_blocks: f_u64(&map, "lock_blocks"),
-                                disk_ops: f_u64(&map, "disk_ops"),
-                                net_msgs: f_u64(&map, "net_msgs"),
+                                pass: pass.to_string(),
+                                steps: n("steps"),
+                                crashes: n("crashes"),
+                                lock_blocks: n("lock_blocks"),
+                                disk_ops: n("disk_ops"),
+                                net_msgs: n("net_msgs"),
                             },
                         );
                 }

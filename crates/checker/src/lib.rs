@@ -27,11 +27,16 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod campaign;
+pub mod config;
 pub mod dashboard;
+mod exec;
 pub mod explore;
 pub mod harness;
+mod jobs;
+mod json;
 pub mod linearize;
 pub mod metrics;
 pub mod pass;

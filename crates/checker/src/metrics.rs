@@ -335,6 +335,18 @@ pub struct Coverage {
 }
 
 impl Coverage {
+    /// Records that `pass` enumerated `n` more points of its sweep space
+    /// (a no-op for passes that sweep no space).
+    pub(crate) fn enumerated(&mut self, pass: Pass, n: u64) {
+        match pass {
+            Pass::CrashSweep => self.crash_points_enumerable += n,
+            Pass::DiskFault => self.disk_fault_plans_enumerable += n,
+            Pass::TornWrite => self.torn_plans_enumerable += n,
+            Pass::NetFault => self.net_plans_enumerable += n,
+            _ => {}
+        }
+    }
+
     fn ratio(done: u64, total: u64) -> f64 {
         if total == 0 {
             // Nothing enumerable (sweep disabled or no surface): treat

@@ -6,7 +6,7 @@
 //! schedules fought over, what the *strategy* did with its feedback,
 //! and whether the *workers* were actually busy. It is aggregated from
 //! the same canonical job outcomes the report statistics come from —
-//! inside the cutoff-filtered loop of `explore::check` — so every count
+//! inside the cutoff-filtered loop of `explore::aggregate` — so every count
 //! obeys the PR-1 determinism contract: identical at every worker
 //! count, and unchanged by enabling the profiler itself
 //! (DESIGN.md §15).
@@ -25,8 +25,10 @@
 //! building it reads counters the explorer already collected — it
 //! schedules no execution and emits no telemetry.
 
+use crate::json::hex64;
 use crate::pass::Pass;
 use crate::strategy::{CoverageIntrospection, DepTrace};
+use crate::telemetry::ExecStats;
 use goose_rt::sched::{res, Tid};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,12 +38,6 @@ use std::time::Duration;
 /// Contended-resource rows kept after ranking (the hotspot table stays
 /// readable; the dropped tail is noted in the render).
 const RESOURCE_TOP: usize = 12;
-
-/// See `telemetry::hex64`: 64-bit ids go into JSON as fixed-width hex
-/// strings so they survive the shim's f64 numbers.
-fn hex64(v: u64) -> String {
-    format!("{v:#018x}")
-}
 
 /// Human name of a resource id's class (the high byte of the
 /// `goose_rt::sched::res` naming scheme).
@@ -179,31 +175,6 @@ pub struct Profile {
     pub workers: WorkerUtilization,
 }
 
-/// One counted execution's contribution to the profile.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecCost {
-    /// Pass the execution ran under.
-    pub pass: Pass,
-    /// The pass's rank.
-    pub rank: u8,
-    /// Scheduler grants consumed.
-    pub steps: u64,
-    /// Crashes injected.
-    pub crashes: u64,
-    /// Times a thread parked on a held model lock.
-    pub lock_blocks: u64,
-    /// Disk operations consulted against the fault plan.
-    pub disk_ops: u64,
-    /// Network sends consulted against the fault plan.
-    pub net_msgs: u64,
-    /// Folded model-op count (reads + writes + flushes + sends + recvs).
-    pub model_ops: u64,
-    /// Hand-off wake-ups (`ModelRt::wakeups`).
-    pub wakeups: u64,
-    /// Wall time of the execution, µs (timing-only).
-    pub duration_us: u64,
-}
-
 /// One DPOR-tracked execution's footprint collisions, as `(resource,
 /// touches)` in resource order: a resource collides when at least two
 /// threads touched it with a write on some side — exactly the
@@ -236,7 +207,7 @@ pub fn collisions(decisions: &[(usize, usize)], deps: &DepTrace) -> Vec<(u64, u6
 }
 
 /// Accumulates a [`Profile`] from canonical job outcomes. Driven by
-/// `explore::check` inside the same cutoff-filtered aggregation loop
+/// `explore::aggregate` inside the same cutoff-filtered loop
 /// that builds the report statistics, so worker-count independence is
 /// inherited rather than re-proved.
 #[derive(Debug, Default)]
@@ -247,26 +218,29 @@ pub struct ProfileBuilder {
 }
 
 impl ProfileBuilder {
-    /// Folds one counted execution into the per-pass table.
-    pub fn record_exec(&mut self, c: &ExecCost) {
+    /// Folds one counted execution into the per-pass table: what it
+    /// measured, the hand-off wake-ups it cost (`ModelRt::wakeups`), and
+    /// its wall time (timing-only).
+    pub fn record_exec(&mut self, pass: Pass, stats: &ExecStats, wakeups: u64, duration: Duration) {
         let row = self
             .per_pass
-            .entry((c.rank, c.pass))
+            .entry((pass.rank(), pass))
             .or_insert_with(|| PassCost {
-                pass: c.pass.name().to_string(),
-                rank: c.rank,
+                pass: pass.name().to_string(),
+                rank: pass.rank(),
                 ..PassCost::default()
             });
+        let duration_us = duration.as_micros() as u64;
         row.executions += 1;
-        row.steps += c.steps;
-        row.crashes += c.crashes;
-        row.lock_blocks += c.lock_blocks;
-        row.disk_ops += c.disk_ops;
-        row.net_msgs += c.net_msgs;
-        row.model_ops += c.model_ops;
-        row.wakeups += c.wakeups;
-        row.busy_us += c.duration_us;
-        self.busy_us += c.duration_us;
+        row.steps += stats.steps;
+        row.crashes += stats.crashes;
+        row.lock_blocks += stats.lock_blocks;
+        row.disk_ops += stats.disk_ops;
+        row.net_msgs += stats.net_msgs;
+        row.model_ops += stats.model_ops();
+        row.wakeups += wakeups;
+        row.busy_us += duration_us;
+        self.busy_us += duration_us;
     }
 
     fn resource(&mut self, id: u64) -> &mut ResourceRow {
@@ -503,27 +477,21 @@ mod tests {
     use super::*;
     use goose_rt::sched::StepAccess;
 
-    fn cost(pass: Pass, steps: u64, blocks: u64) -> ExecCost {
-        ExecCost {
-            pass,
-            rank: pass.rank(),
+    fn record(b: &mut ProfileBuilder, pass: Pass, steps: u64, lock_blocks: u64) {
+        let stats = ExecStats {
             steps,
-            crashes: 0,
-            lock_blocks: blocks,
-            disk_ops: 0,
-            net_msgs: 0,
-            model_ops: 0,
-            wakeups: 2 * steps,
-            duration_us: 10,
-        }
+            lock_blocks,
+            ..ExecStats::default()
+        };
+        b.record_exec(pass, &stats, 2 * steps, Duration::from_micros(10));
     }
 
     #[test]
     fn builder_attributes_costs_per_pass_in_rank_order() {
         let mut b = ProfileBuilder::default();
-        b.record_exec(&cost(Pass::Random, 5, 1));
-        b.record_exec(&cost(Pass::Dfs, 10, 2));
-        b.record_exec(&cost(Pass::Dfs, 10, 0));
+        record(&mut b, Pass::Random, 5, 1);
+        record(&mut b, Pass::Dfs, 10, 2);
+        record(&mut b, Pass::Dfs, 10, 0);
         let p = b.finish(
             "s",
             StrategyProfile::default(),
@@ -580,7 +548,7 @@ mod tests {
     #[test]
     fn profile_json_hides_all_timing_under_timing_keys() {
         let mut b = ProfileBuilder::default();
-        b.record_exec(&cost(Pass::Dfs, 10, 1));
+        record(&mut b, Pass::Dfs, 10, 1);
         let p = b.finish(
             "s",
             StrategyProfile {

@@ -48,7 +48,7 @@
 //! `workers = 1` and `workers = 8` — pinned by
 //! `tests/shrink_playback.rs`.
 
-use crate::explore::{rerun_candidate, Counterexample, ExecOutcome};
+use crate::exec::{rerun, Counterexample, ExecOutcome};
 use crate::harness::Harness;
 use crate::metrics::{trace_fingerprint, OutcomeKind};
 use goose_rt::fault::FaultPlan;
@@ -135,7 +135,7 @@ pub fn shrink_counterexample<S: SpecTS, H: Harness<S>>(
     // Baseline: the unmodified counterexample must reproduce before any
     // edit is trusted.
     stats.re_runs += 1;
-    let (outcome, _, _) = rerun_candidate(harness, cx, max_steps);
+    let outcome = rerun(harness, cx, max_steps, false).outcome;
     if !outcome.is_failure() || failure_fingerprint(&outcome) != target {
         return stats;
     }
@@ -150,13 +150,13 @@ pub fn shrink_counterexample<S: SpecTS, H: Harness<S>>(
             return false;
         }
         stats.re_runs += 1;
-        let (outcome, clamped, trace) = rerun_candidate(harness, candidate, max_steps);
-        if !outcome.is_failure() || failure_fingerprint(&outcome) != target {
+        let r = rerun(harness, candidate, max_steps, false);
+        if !r.outcome.is_failure() || failure_fingerprint(&r.outcome) != target {
             return false;
         }
-        candidate.outcome = outcome;
-        candidate.clamped = clamped;
-        candidate.trace = trace;
+        candidate.outcome = r.outcome;
+        candidate.clamped = r.clamped;
+        candidate.trace = r.trace;
         *cx = candidate.clone();
         true
     };

@@ -21,10 +21,12 @@
 //!   `explore.rs` from canonical job outcomes (see [`crate::metrics`]).
 
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
+use crate::json::{get_hex, get_str, get_u64, hex64};
 use crate::metrics::OutcomeKind;
 use crate::pass::Pass;
+use goose_rt::sched::SchedStats;
 use parking_lot::Mutex;
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,15 +259,6 @@ impl RunTelemetry {
     }
 }
 
-/// 64-bit values (seeds, fingerprints) go into JSON as hex strings: the
-/// shim's numbers are f64 and would silently round above 2^53. Always
-/// zero-padded to 16 hex digits (18 chars with the `0x` prefix) so hex
-/// fields are fixed-width, lexicographically ordered, and trivially
-/// greppable across a campaign's worth of streams.
-fn hex64(v: u64) -> String {
-    format!("{v:#018x}")
-}
-
 /// Where a record was produced: toolchain, crate version, worker count,
 /// and strategy. Stamped on every `run_start` record and on campaign
 /// report JSON / perf baselines, so streams and baselines from
@@ -309,18 +302,11 @@ impl EnvStamp {
     /// field is missing or mistyped.
     pub fn from_json(v: &Value) -> Option<EnvStamp> {
         let Value::Object(m) = v else { return None };
-        let s = |key: &str| match m.get(key) {
-            Some(Value::String(s)) => Some(s.clone()),
-            _ => None,
-        };
         Some(EnvStamp {
-            rustc: s("rustc")?,
-            crate_version: s("crate_version")?,
-            workers: match m.get("workers") {
-                Some(Value::Number(n)) if *n >= 0.0 => *n as u64,
-                _ => return None,
-            },
-            strategy: s("strategy")?,
+            rustc: get_str(m, "rustc").ok()?.to_string(),
+            crate_version: get_str(m, "crate_version").ok()?.to_string(),
+            workers: get_u64(m, "workers").ok()?,
+            strategy: get_str(m, "strategy").ok()?.to_string(),
         })
     }
 }
@@ -414,6 +400,42 @@ pub struct ExecEvent<'a> {
     pub duration: Duration,
 }
 
+impl<'a> ExecEvent<'a> {
+    /// The event for one finished execution: its job identity and ending
+    /// around what it measured.
+    pub fn new(
+        pass: Pass,
+        index: u64,
+        seed: u64,
+        outcome: OutcomeKind,
+        stats: &ExecStats,
+        faults: &'a str,
+        duration: Duration,
+    ) -> Self {
+        ExecEvent {
+            pass,
+            index,
+            seed,
+            outcome,
+            steps: stats.steps,
+            depth: stats.depth,
+            crashes: stats.crashes,
+            helped: stats.helped,
+            lock_blocks: stats.lock_blocks,
+            disk_ops: stats.disk_ops,
+            net_msgs: stats.net_msgs,
+            disk_reads: stats.disk_reads,
+            disk_writes: stats.disk_writes,
+            disk_flushes: stats.disk_flushes,
+            net_sends: stats.net_sends,
+            net_recvs: stats.net_recvs,
+            trace_fp: stats.trace_fp,
+            faults,
+            duration,
+        }
+    }
+}
+
 /// The `exec_done` record (also the campaign WAL entry) for one
 /// finished execution.
 pub fn ev_exec_done(e: &ExecEvent<'_>) -> Value {
@@ -460,7 +482,7 @@ pub fn ev_counterexample(cx: &Counterexample) -> Value {
 /// Shrink statistics are appended only when shrinking ran, so
 /// shrink-off streams stay byte-identical to pre-shrink ones.
 pub fn ev_run_end(report: &CheckReport) -> Value {
-    let mut outcomes = serde_json::Map::new();
+    let mut outcomes = Map::new();
     for (name, n) in report.outcomes.entries() {
         outcomes.insert(name.to_string(), serde_json::to_value(&n));
     }
@@ -539,39 +561,99 @@ pub fn validate_json_line(line: &str) -> Result<String, String> {
     }
 }
 
-/// Deterministic statistics of one completed execution, recovered from
-/// an `exec_done` WAL record. Everything a resumed run needs to
-/// synthesize the execution's outcome without re-running it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalExec {
-    /// Scheduler grants the execution consumed.
+/// What one execution measured: every deterministic per-execution
+/// counter, built once when the execution ends, carried by value to
+/// aggregation, and written into its `exec_done` record — from which a
+/// resumed run reads it back instead of re-running the execution, so a
+/// resumed report aggregates exactly like a cold one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Scheduler grants consumed, plus one per injected crash.
     pub steps: u64,
+    /// Schedule decisions taken.
+    pub depth: u64,
     /// Crashes injected during the execution.
     pub crashes: u64,
-    /// Helping steps granted to blocked threads.
+    /// Operations helped by recovery.
     pub helped: u64,
-    /// Deepest schedule depth reached.
-    pub depth: u64,
-    /// Total disk operations.
-    pub disk_ops: u64,
-    /// Total network messages.
-    pub net_msgs: u64,
-    /// Disk reads performed.
-    pub disk_reads: u64,
-    /// Disk writes performed.
-    pub disk_writes: u64,
-    /// Disk flushes performed.
-    pub disk_flushes: u64,
-    /// Network sends performed.
-    pub net_sends: u64,
-    /// Network receives performed.
-    pub net_recvs: u64,
-    /// Lock-contention count, preserved across resume so profiles built
-    /// from replayed outcomes keep their per-pass totals (per-lock
-    /// attribution is not in the WAL and resets to empty on replay).
+    /// Times a thread parked on a held lock. Per-lock attribution is
+    /// not part of the record and is empty on replay.
     pub lock_blocks: u64,
-    /// FNV fingerprint of the execution's ghost trace.
+    /// Disk operations attempted (the transient-error sweep's horizon).
+    pub disk_ops: u64,
+    /// Network messages sent (the net-fault sweep's horizon).
+    pub net_msgs: u64,
+    /// Disk block reads.
+    pub disk_reads: u64,
+    /// Disk block writes, buffered or write-through.
+    pub disk_writes: u64,
+    /// Disk flush barriers.
+    pub disk_flushes: u64,
+    /// Network sends that reached a channel.
+    pub net_sends: u64,
+    /// Network receives that dequeued a message.
+    pub net_recvs: u64,
+    /// FNV-1a fingerprint of the rendered ghost trace.
     pub trace_fp: u64,
+}
+
+/// The WAL's replay payload is the execution record itself.
+pub type WalExec = ExecStats;
+
+impl ExecStats {
+    /// The record of an execution that just ended: the runtime's
+    /// counters plus what only the explorer's pilot and the ghost state
+    /// know.
+    pub fn new(
+        sched: &SchedStats,
+        steps: u64,
+        depth: u64,
+        crashes: u64,
+        helped: u64,
+        trace_fp: u64,
+    ) -> Self {
+        ExecStats {
+            steps,
+            depth,
+            crashes,
+            helped,
+            lock_blocks: sched.lock_blocks,
+            disk_ops: sched.disk_ops,
+            net_msgs: sched.net_msgs,
+            disk_reads: sched.disk_reads,
+            disk_writes: sched.disk_writes,
+            disk_flushes: sched.disk_flushes,
+            net_sends: sched.net_sends,
+            net_recvs: sched.net_recvs,
+            trace_fp,
+        }
+    }
+
+    /// Reads the record back out of an `exec_done` object. All or
+    /// nothing: a record missing a counter (truncated, or written by
+    /// something else) is an error, never a record with zeros in it.
+    pub fn from_json(m: &Map) -> Result<Self, String> {
+        Ok(ExecStats {
+            steps: get_u64(m, "steps")?,
+            depth: get_u64(m, "depth")?,
+            crashes: get_u64(m, "crashes")?,
+            helped: get_u64(m, "helped")?,
+            lock_blocks: get_u64(m, "lock_blocks")?,
+            disk_ops: get_u64(m, "disk_ops")?,
+            net_msgs: get_u64(m, "net_msgs")?,
+            disk_reads: get_u64(m, "disk_reads")?,
+            disk_writes: get_u64(m, "disk_writes")?,
+            disk_flushes: get_u64(m, "disk_flushes")?,
+            net_sends: get_u64(m, "net_sends")?,
+            net_recvs: get_u64(m, "net_recvs")?,
+            trace_fp: get_hex(m, "trace_fp")?,
+        })
+    }
+
+    /// Model operations of every kind (the profiler's folded count).
+    pub fn model_ops(&self) -> u64 {
+        self.disk_reads + self.disk_writes + self.disk_flushes + self.net_sends + self.net_recvs
+    }
 }
 
 /// The recovered state of an interrupted (or completed) run: which
@@ -582,7 +664,7 @@ pub struct WalReplay {
     /// Successfully completed executions by job key `(pass rank, index)`.
     /// Only `ok` outcomes are recorded: failures are cheap to re-run and
     /// must be, to regenerate their counterexample payloads.
-    pub completed: std::collections::BTreeMap<(u8, u64), WalExec>,
+    pub completed: std::collections::BTreeMap<(u8, u64), ExecStats>,
     /// Number of `run_start` records seen (1 = first resume of a clean
     /// run; more = the WAL has been resumed into before).
     pub runs_started: u64,
@@ -593,26 +675,13 @@ pub struct WalReplay {
     pub run_start: Option<Value>,
 }
 
-fn field_u64(map: &serde_json::Map, key: &str) -> Option<u64> {
-    match map.get(key) {
-        Some(Value::Number(n)) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn field_hex(map: &serde_json::Map, key: &str) -> Option<u64> {
-    match map.get(key) {
-        Some(Value::String(s)) => u64::from_str_radix(s.trim_start_matches("0x"), 16).ok(),
-        _ => None,
-    }
-}
-
 /// Parses a JSONL telemetry stream as a write-ahead log for `scenario`.
 ///
 /// Tolerant by construction: unparseable lines (torn tails from a
 /// mid-write kill) are counted and dropped, records for other scenarios
-/// are skipped, and `exec_done` records missing required fields are
-/// ignored rather than trusted.
+/// are skipped, and an `exec_done` record missing any field, or
+/// carrying one the strict field reader refuses, is ignored whole
+/// rather than trusted in part.
 pub fn parse_wal(text: &str, scenario: &str) -> WalReplay {
     let mut wal = WalReplay::default();
     for line in text.lines() {
@@ -642,40 +711,18 @@ pub fn parse_wal(text: &str, scenario: &str) -> WalReplay {
                 wal.run_start = Some(Value::Object(map));
             }
             "exec_done" => {
-                let Some(Value::String(pass)) = map.get("pass") else {
-                    continue;
-                };
-                let Ok(pass) = pass.parse::<Pass>() else {
-                    continue;
-                };
-                if !matches!(map.get("outcome"), Some(Value::String(o)) if o == "ok") {
+                if get_str(&map, "outcome") != Ok("ok") {
                     continue;
                 }
-                let (Some(index), Some(steps), Some(trace_fp)) = (
-                    field_u64(&map, "index"),
-                    field_u64(&map, "steps"),
-                    field_hex(&map, "trace_fp"),
+                // All or nothing: a record short of a field re-runs.
+                let (Ok(pass), Ok(index), Ok(stats)) = (
+                    get_str(&map, "pass").and_then(str::parse::<Pass>),
+                    get_u64(&map, "index"),
+                    ExecStats::from_json(&map),
                 ) else {
                     continue;
                 };
-                wal.completed.insert(
-                    (pass.rank(), index),
-                    WalExec {
-                        steps,
-                        crashes: field_u64(&map, "crashes").unwrap_or(0),
-                        helped: field_u64(&map, "helped").unwrap_or(0),
-                        depth: field_u64(&map, "depth").unwrap_or(0),
-                        disk_ops: field_u64(&map, "disk_ops").unwrap_or(0),
-                        net_msgs: field_u64(&map, "net_msgs").unwrap_or(0),
-                        disk_reads: field_u64(&map, "disk_reads").unwrap_or(0),
-                        disk_writes: field_u64(&map, "disk_writes").unwrap_or(0),
-                        disk_flushes: field_u64(&map, "disk_flushes").unwrap_or(0),
-                        net_sends: field_u64(&map, "net_sends").unwrap_or(0),
-                        net_recvs: field_u64(&map, "net_recvs").unwrap_or(0),
-                        lock_blocks: field_u64(&map, "lock_blocks").unwrap_or(0),
-                        trace_fp,
-                    },
-                );
+                wal.completed.insert((pass.rank(), index), stats);
             }
             _ => {}
         }
@@ -695,7 +742,7 @@ pub fn read_wal(path: impl AsRef<Path>, scenario: &str) -> std::io::Result<WalRe
 pub fn strip_timing(v: &Value) -> Value {
     match v {
         Value::Object(map) => {
-            let mut out = serde_json::Map::new();
+            let mut out = Map::new();
             for (k, val) in map.iter() {
                 if !TIMING_KEYS.contains(&k.as_str()) {
                     out.insert(k.clone(), strip_timing(val));
@@ -919,6 +966,107 @@ mod tests {
             }
         );
         assert_eq!(wal.torn_lines, 0);
+    }
+
+    /// The record [`exec_event`] writes, with `key` removed and, when
+    /// `literal` is given, put back as that raw JSON text.
+    fn wal_line_with(key: &str, literal: Option<&str>) -> String {
+        let Value::Object(mut m) = exec_event(42, OutcomeKind::Ok) else {
+            unreachable!()
+        };
+        assert!(m.remove(key).is_some(), "{key} is not an exec_done field");
+        let text = serde_json::to_string(&Value::Object(m)).unwrap();
+        match literal {
+            Some(literal) => format!("{{\"{key}\": {literal}, {}\n", &text[1..]),
+            None => text + "\n",
+        }
+    }
+
+    const COUNTERS: [&str; 12] = [
+        "steps",
+        "depth",
+        "crashes",
+        "helped",
+        "lock_blocks",
+        "disk_ops",
+        "net_msgs",
+        "disk_reads",
+        "disk_writes",
+        "disk_flushes",
+        "net_sends",
+        "net_recvs",
+    ];
+
+    #[test]
+    fn wal_records_are_all_or_nothing() {
+        // The spliced form parses when nothing is wrong with it.
+        assert_eq!(
+            parse_wal(&wal_line_with("steps", Some("7")), "s")
+                .completed
+                .len(),
+            1
+        );
+        for key in COUNTERS
+            .into_iter()
+            .chain(["index", "trace_fp", "pass", "outcome"])
+        {
+            let wal = parse_wal(&wal_line_with(key, None), "s");
+            assert!(
+                wal.completed.is_empty(),
+                "a record without {key} was replayed"
+            );
+            assert_eq!(wal.torn_lines, 0, "a short record is skipped, not torn");
+        }
+    }
+
+    #[test]
+    fn wal_refuses_hostile_field_values() {
+        let numbers = [
+            "1.5",
+            "-1",
+            "1e400",
+            "9007199254740993",
+            "1e17",
+            "\"7\"",
+            "null",
+            "[7]",
+        ];
+        for key in COUNTERS.into_iter().chain(["index"]) {
+            for literal in numbers {
+                let wal = parse_wal(&wal_line_with(key, Some(literal)), "s");
+                assert!(wal.completed.is_empty(), "{key}: {literal} was replayed");
+                assert_eq!(wal.torn_lines, 0, "{key}: {literal} still parses as JSON");
+            }
+        }
+        let hexes = [
+            "0x0x1f",
+            "+1f",
+            "0x+1f",
+            "1f",
+            "0x",
+            "0x1f ",
+            "0x10000000000000000",
+        ];
+        for hex in hexes {
+            let wal = parse_wal(&wal_line_with("trace_fp", Some(&format!("\"{hex}\""))), "s");
+            assert!(wal.completed.is_empty(), "trace_fp {hex:?} was replayed");
+        }
+        // An unpadded fingerprint is still one prefix and 1-16 digits.
+        let wal = parse_wal(&wal_line_with("trace_fp", Some("\"0x1f\"")), "s");
+        assert_eq!(wal.completed[&(Pass::Dfs.rank(), 0)].trace_fp, 0x1f);
+    }
+
+    #[test]
+    fn env_stamp_refuses_an_inexact_worker_count() {
+        let stamp = EnvStamp::current(4, "exhaustive");
+        assert_eq!(EnvStamp::from_json(&stamp.to_json()), Some(stamp.clone()));
+        for workers in [1.5, -1.0, 1e17, f64::INFINITY] {
+            let Value::Object(mut m) = stamp.to_json() else {
+                unreachable!()
+            };
+            m.insert("workers".into(), Value::Number(workers));
+            assert_eq!(EnvStamp::from_json(&Value::Object(m)), None, "{workers}");
+        }
     }
 
     #[test]

@@ -1251,7 +1251,7 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> PanicKind {
 }
 
 /// SplitMix64, the standard seed-expansion mix.
-fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -5,12 +5,26 @@
 //! moves any of them changed behaviour, not just speed.
 
 use perennial_checker::{
-    failure_fingerprint, report_fingerprint, trace_fingerprint, CheckConfig, Pass, SleepSetDpor,
+    failure_fingerprint, merge_reports, report_fingerprint, trace_fingerprint, CheckConfig,
+    CheckConfigBuilder, CheckReport, Pass, SleepSetDpor,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 
 /// `scan --filter patterns` prints this at every worker count.
 const PATTERNS_CAMPAIGN: u64 = 0xe474_5a87_2f73_2b5c;
+
+/// The fault-sweep campaign below, whole: at one and two workers, and
+/// again as two shards merged.
+const FAULT_CAMPAIGN: u64 = 0x8db7_14bd_11d5_0978;
+
+/// The same campaign cut short by [`FAULT_BUDGET`], cold and resumed from
+/// its own write-ahead log.
+const FAULT_CAMPAIGN_BUDGETED: u64 = 0x9c1d_04cb_8160_9d0d;
+
+/// Lands inside the disk-fault sweep for two scenarios, the torn-write
+/// sweep for seven, the net-fault sweep for one, and past the end of the
+/// rest.
+const FAULT_BUDGET: u64 = 110;
 
 #[test]
 fn patterns_campaign_fingerprint_is_pinned_at_one_and_two_workers() {
@@ -45,6 +59,133 @@ fn patterns_campaign_fingerprint_is_pinned_at_one_and_two_workers() {
             "campaign fingerprint moved at {workers} worker(s)"
         );
     }
+}
+
+/// Torn writes on the patterns, a second disk to fail (also during
+/// recovery) on the replicated disk, a network to disturb under
+/// `mailboat/net-deliver`: every fault sweep derives jobs here.
+fn in_fault_campaign(name: &str) -> bool {
+    name.contains("patterns") || name.contains("repldisk") || name == "mailboat/net-deliver"
+}
+
+/// A short schedule phase, so most of each run is sweeps.
+fn fault_cfg() -> CheckConfigBuilder {
+    CheckConfig::builder()
+        .seed(7)
+        .dfs_max_executions(40)
+        .random_samples(5)
+        .random_crash_samples(10)
+        .without_passes([Pass::NestedCrash])
+        .with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault])
+        .max_steps(200_000)
+        .keep_going(true)
+}
+
+/// The fault campaign's reports and `scan`'s fold over their
+/// fingerprints, each scenario run under `config(scenario name)`.
+fn fault_campaign(config: impl Fn(&str) -> CheckConfig) -> (u64, Vec<CheckReport>) {
+    let reports: Vec<CheckReport> = all_scenarios()
+        .iter()
+        .chain(all_mutant_scenarios().iter())
+        .filter(|s| in_fault_campaign(s.name()))
+        .map(|scenario| {
+            let mut report = scenario.run(&config(scenario.name()));
+            // Mutants share their base scenario's harness name; the
+            // campaign keys on the registry's.
+            report.name = scenario.name().to_string();
+            report
+        })
+        .collect();
+    (campaign_fingerprint(&reports), reports)
+}
+
+fn campaign_fingerprint(reports: &[CheckReport]) -> u64 {
+    let mut lines: Vec<String> = reports
+        .iter()
+        .map(|r| format!("{}={:#018x}", r.name, report_fingerprint(r)))
+        .collect();
+    lines.sort();
+    trace_fingerprint(&lines.join("\n"))
+}
+
+#[test]
+fn fault_campaign_fingerprint_is_pinned_whole_and_sharded() {
+    for workers in [1, 2] {
+        let (fingerprint, reports) = fault_campaign(|_| fault_cfg().workers(workers).build());
+        assert_eq!(
+            fingerprint, FAULT_CAMPAIGN,
+            "fault campaign fingerprint moved at {workers} worker(s)"
+        );
+        let swept = |pass: Pass| {
+            reports
+                .iter()
+                .flat_map(|r| &r.per_pass)
+                .filter(|pm| pm.pass == pass && pm.executions > 1)
+                .count()
+        };
+        for pass in [Pass::DiskFault, Pass::TornWrite, Pass::NetFault] {
+            assert!(swept(pass) > 0, "no scenario swept {pass:?}");
+        }
+    }
+    let (_, shard0) = fault_campaign(|_| fault_cfg().shard(0, 2).workers(1).build());
+    let (_, shard1) = fault_campaign(|_| fault_cfg().shard(1, 2).workers(2).build());
+    let merged: Vec<CheckReport> = shard0
+        .into_iter()
+        .zip(shard1)
+        .map(|(a, b)| {
+            let name = a.name.clone();
+            merge_reports(vec![a, b]).unwrap_or_else(|e| panic!("{name}: {e}"))
+        })
+        .collect();
+    assert_eq!(
+        campaign_fingerprint(&merged),
+        FAULT_CAMPAIGN,
+        "two shards no longer merge into the whole campaign"
+    );
+}
+
+#[test]
+fn budgeted_fault_campaign_is_pinned_cold_and_resumed() {
+    let dir = std::env::temp_dir().join(format!("perennial-fault-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let wal = |name: &str| dir.join(format!("{}.jsonl", name.replace('/', "__")));
+    let (cold, reports) = fault_campaign(|name| {
+        fault_cfg()
+            .exec_budget(FAULT_BUDGET)
+            .workers(1)
+            .telemetry_path(wal(name))
+            .build()
+    });
+    assert_eq!(cold, FAULT_CAMPAIGN_BUDGETED, "budgeted campaign moved");
+    let truncated = reports.iter().filter(|r| r.is_incomplete()).count();
+    assert!(
+        truncated > 0 && truncated < reports.len(),
+        "the budget should cut some runs short, not {truncated} of {}",
+        reports.len()
+    );
+    let (resumed, reports) = fault_campaign(|name| {
+        fault_cfg()
+            .exec_budget(FAULT_BUDGET)
+            .workers(2)
+            .resume_from(wal(name))
+            .build()
+    });
+    assert_eq!(
+        resumed, FAULT_CAMPAIGN_BUDGETED,
+        "resuming from the write-ahead log moved the budgeted campaign"
+    );
+    for r in &reports {
+        // Everything past the schedule phase that passed is in the log.
+        let replayable: u64 = r
+            .per_pass
+            .iter()
+            .filter(|pm| pm.pass >= Pass::CrashSweepBase)
+            .map(|pm| pm.executions - pm.failures)
+            .sum();
+        assert_eq!(r.replayed, replayable, "{}: replayed executions", r.name);
+    }
+    assert!(reports.iter().any(|r| r.replayed > 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One DPOR run's deterministic outline: sleep-set prunes, executions and

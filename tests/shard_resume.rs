@@ -180,6 +180,71 @@ fn truncated_wal_resumes_to_identical_fingerprint() {
     let _ = std::fs::remove_file(&full);
 }
 
+/// A record short of a counter is no record: the job re-runs. Zero-filling
+/// the missing counter instead would replay the execution with, say, no
+/// disk writes, and the resumed report would silently differ from a cold
+/// run's.
+#[test]
+fn wal_records_short_of_a_counter_are_rerun_not_zero_filled() {
+    use perennial_checker::telemetry::parse_wal;
+    use serde_json::Value;
+
+    let s = scenario("patterns/wal");
+    let cfg = || base_cfg().keep_going(true).workers(1);
+    let full = tmp_path("short-full.jsonl");
+    let cold = s.run(&cfg().telemetry_path(&full).build());
+    let want = report_fingerprint(&cold);
+    let text = std::fs::read_to_string(&full).expect("WAL was written");
+    let whole = parse_wal(&text, &cold.name).completed.len();
+    assert!(whole > 50, "only {whole} replayable records");
+
+    for key in [
+        "steps",
+        "depth",
+        "crashes",
+        "helped",
+        "lock_blocks",
+        "disk_ops",
+        "net_msgs",
+        "disk_reads",
+        "disk_writes",
+        "disk_flushes",
+        "net_sends",
+        "net_recvs",
+        "trace_fp",
+    ] {
+        // The same log, every `exec_done` record missing `key`.
+        let short: String = text
+            .lines()
+            .map(|line| {
+                let Ok(Value::Object(mut m)) = serde_json::from_str(line) else {
+                    panic!("unparseable WAL line {line}");
+                };
+                if m.get("type") == Some(&Value::String("exec_done".into())) {
+                    assert!(m.remove(key).is_some(), "exec_done has no {key}");
+                }
+                serde_json::to_string(&Value::Object(m)).unwrap() + "\n"
+            })
+            .collect();
+        let wal = parse_wal(&short, &cold.name);
+        assert!(wal.completed.is_empty(), "records without {key} replayed");
+        assert_eq!(wal.runs_started, 1, "the rest of the log still reads");
+
+        let path = tmp_path(&format!("short-{key}.jsonl"));
+        std::fs::write(&path, short).unwrap();
+        let resumed = s.run(&cfg().resume_from(&path).build());
+        assert_eq!(resumed.replayed, 0, "without {key}");
+        assert_eq!(
+            report_fingerprint(&resumed),
+            want,
+            "resuming over records without {key} diverged: {}",
+            resumed.summary()
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+    let _ = std::fs::remove_file(&full);
+}
+
 /// A WAL written by a different configuration is rejected (cold start),
 /// never trusted.
 #[test]
