@@ -4,7 +4,7 @@
 //! hand-rolled flag loop; this module is the one copy. A binary
 //! declares its flags as an [`ArgSpec`] slice and gets back a
 //! [`ParsedArgs`] with typed accessors — so a new flag (`--profile`,
-//! `--baseline`, `--diff`) is defined once and unknown-flag errors are
+//! `--baseline`) is defined once and unknown-flag errors are
 //! uniform. Deliberately tiny: no external dependency, no derive magic,
 //! just the three shapes the suite's CLIs actually use (boolean flags,
 //! `--flag VALUE` pairs, and greedy `--flag A B C…` tails).

@@ -1,5 +1,7 @@
-//! Benchmark and experiment-regeneration support for the Perennial
-//! reproduction (DESIGN.md §3's per-experiment index).
+//! Experiment-regeneration support and the deterministic-counts gate
+//! for the Perennial reproduction (DESIGN.md §3's per-experiment index).
+//! Wall-clock benchmarking lives in the stand-alone `benchmark/`
+//! package (`BENCHMARK.json`), not here.
 //!
 //! - [`loc`] — LoC accounting for Tables 2–4;
 //! - [`sim`] — the discrete-event multicore contention simulator
@@ -11,9 +13,9 @@
 //! [`ablation`] additionally re-checks every mutant under each
 //! exploration pass in isolation, demonstrating which passes are
 //! load-bearing. [`args`] is the shared CLI flag parser for the bench
-//! binaries and examples, and [`perf`] diffs a fresh `scale` record
-//! against the committed `BENCH_scale.json` baseline to flag
-//! performance regressions.
+//! binaries and examples. [`scale`] produces the deterministic counts
+//! recorded in `BENCH_scale.json` and [`perf`] compares a fresh record
+//! with the committed one, leaf for leaf.
 //!
 //! The `harness` binary regenerates every table and figure:
 //! `cargo run -p perennial-bench --release --bin harness -- all`.

@@ -1,549 +1,299 @@
-//! Perf trajectory: diff a fresh `scale` run against a committed
-//! baseline (`BENCH_scale.json`) and flag regressions.
+//! The counts gate: an exact, whole-tree comparison of a fresh `scale`
+//! record against the committed `BENCH_scale.json`.
 //!
-//! The record has two kinds of metric, diffed differently:
-//!
-//! - **Deterministic counts** (executions, the scheduler's hand-off
-//!   wake-ups and their ratio to steps, executions-to-counterexample per
-//!   mutant × strategy): the determinism contract says these are
-//!   pure functions of the configuration. Any change is *drift* — a
-//!   behaviour change, not noise — and is always flagged, with a note to
-//!   refresh the baseline if the change was intentional.
-//! - **Wall-clock rates** (execs/sec, WAL overhead): machine- and
-//!   load-dependent, compared against [`Thresholds`] generous enough to
-//!   hold on a noisy 1-CPU CI runner.
-//!
-//! Rows are matched by worker count, so CI can run a subset of the
-//! baseline's pool sizes (`scale patterns/wal 1 2 --baseline … --diff`)
-//! against a full committed record. The baseline's [`EnvStamp`] is
-//! compared and mismatches (different rustc, strategy) are reported as
-//! warnings, never silently ignored.
+//! Every leaf of the record is a pure function of the configuration
+//! (see [`crate::scale`]), so there is nothing to tolerate: a changed,
+//! missing or extra leaf, array element or section is a difference, and
+//! any difference fails the gate. Nothing is matched up, skipped or
+//! defaulted — a baseline with a section deleted differs at that
+//! section's path. If the change was intended, regenerate the baseline.
 
-use perennial_checker::EnvStamp;
-use serde_json::{Map, Value};
+use serde_json::Value;
 use std::fmt::Write as _;
 
-/// Version of the `BENCH_scale.json` record layout. Bump when the
-/// record's shape changes incompatibly; the differ warns on mismatch.
-pub const SCALE_SCHEMA_VERSION: u64 = 1;
-
-/// Noise tolerances for the wall-clock metrics. Defaults are generous
-/// (CI shares cores): an execs/sec *drop* beyond `execs_per_sec_drop`
-/// (0.6 = 60%) or a WAL overhead *increase* beyond `overhead_slack`
-/// (absolute, 0.25 = 25 points) is a regression. Deterministic-count
-/// drift ignores thresholds entirely.
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    pub execs_per_sec_drop: f64,
-    pub overhead_slack: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            execs_per_sec_drop: 0.6,
-            overhead_slack: 0.25,
-        }
-    }
-}
-
-/// One metric's baseline-vs-current comparison.
-#[derive(Debug, Clone)]
-pub struct Delta {
-    /// Metric path, e.g. `schedule_exploration[workers=2].execs_per_sec`.
-    pub metric: String,
-    pub baseline: f64,
-    pub current: f64,
-    /// Relative change `(current - baseline) / baseline` (0 when the
-    /// baseline is 0 and the values agree).
-    pub rel: f64,
-    pub regression: bool,
-    /// Why this is (or is not) a regression.
-    pub note: String,
-}
-
-/// The full diff: per-metric deltas plus environment warnings.
+/// The outcome of comparing two JSON trees.
 #[derive(Debug, Clone, Default)]
-pub struct DiffReport {
-    pub deltas: Vec<Delta>,
-    /// Baseline/current environment or schema mismatches (informative).
-    pub warnings: Vec<String>,
+pub struct TreeDiff {
+    /// Leaves present at the same path in both trees (equal or not).
+    pub compared: usize,
+    /// One line per difference, each starting with its JSON path.
+    pub differences: Vec<String>,
 }
 
-impl DiffReport {
-    pub fn regressed(&self) -> bool {
-        self.deltas.iter().any(|d| d.regression)
-    }
-}
-
-fn obj<'a>(v: &'a Value, what: &str) -> Result<&'a Map, String> {
+/// Number of leaves (non-container values) under `v`.
+pub fn leaf_count(v: &Value) -> usize {
     match v {
-        Value::Object(m) => Ok(m),
-        _ => Err(format!("{what}: expected a JSON object")),
+        Value::Object(m) => m.iter().map(|(_, v)| leaf_count(v)).sum(),
+        Value::Array(a) => a.iter().map(leaf_count).sum(),
+        _ => 1,
     }
 }
 
-fn num(m: &Map, k: &str) -> Option<f64> {
-    match m.get(k) {
-        Some(Value::Number(n)) => Some(*n),
-        _ => None,
-    }
+fn is_leaf(v: &Value) -> bool {
+    !matches!(v, Value::Object(_) | Value::Array(_))
 }
 
-fn rel_change(base: f64, cur: f64) -> f64 {
-    if base == 0.0 {
-        if cur == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
+/// A leaf's JSON text; a subtree's size (a deleted section should not
+/// print its whole contents).
+fn show(v: &Value) -> String {
+    if is_leaf(v) {
+        serde_json::to_string(v).expect("serializing a Value cannot fail")
     } else {
-        (cur - base) / base
+        format!("a subtree of {} leaves", leaf_count(v))
     }
 }
 
-/// A deterministic count: any difference is drift and always flags.
-fn drift_delta(metric: &str, base: f64, cur: f64) -> Delta {
-    let changed = base != cur;
-    Delta {
-        metric: metric.to_string(),
-        baseline: base,
-        current: cur,
-        rel: rel_change(base, cur),
-        regression: changed,
-        note: if changed {
-            "deterministic count changed — behaviour drift; refresh the baseline if intentional"
-                .to_string()
-        } else {
-            "deterministic count unchanged".to_string()
-        },
-    }
-}
-
-/// A wall-clock rate where *lower* current is the regression direction.
-fn rate_delta(metric: &str, base: f64, cur: f64, max_drop: f64) -> Delta {
-    let rel = rel_change(base, cur);
-    let regression = rel < -max_drop;
-    Delta {
-        metric: metric.to_string(),
-        baseline: base,
-        current: cur,
-        rel,
-        regression,
-        note: format!(
-            "allowed drop {:.0}%{}",
-            max_drop * 100.0,
-            if regression { " EXCEEDED" } else { "" }
-        ),
-    }
-}
-
-/// Indexes a `schedule_exploration`-style row array by worker count.
-fn rows_by_workers(v: &Value, what: &str) -> Result<Vec<(u64, Map)>, String> {
-    let Value::Array(rows) = v else {
-        return Err(format!("{what}: expected an array of rows"));
-    };
-    let mut out = Vec::new();
-    for row in rows {
-        let m = obj(row, what)?;
-        let Some(w) = num(m, "workers") else {
-            return Err(format!("{what}: row without a workers field"));
-        };
-        out.push((w as u64, m.clone()));
-    }
-    Ok(out)
-}
-
-fn diff_scaling_series(
-    section: &str,
-    base: &Value,
-    cur: &Value,
-    t: &Thresholds,
-    out: &mut DiffReport,
-) -> Result<(), String> {
-    let base_rows = rows_by_workers(base, section)?;
-    let cur_rows = rows_by_workers(cur, section)?;
-    for (w, c) in &cur_rows {
-        let Some((_, b)) = base_rows.iter().find(|(bw, _)| bw == w) else {
-            out.warnings.push(format!(
-                "{section}: baseline has no workers={w} row; skipped"
-            ));
-            continue;
-        };
-        if let (Some(be), Some(ce)) = (num(b, "executions"), num(c, "executions")) {
-            out.deltas.push(drift_delta(
-                &format!("{section}[workers={w}].executions"),
-                be,
-                ce,
-            ));
+fn walk(path: &str, baseline: &Value, current: &Value, out: &mut TreeDiff) {
+    let only =
+        |side: &str, at: String, v: &Value| format!("{at}: only in the {side} ({})", show(v));
+    match (baseline, current) {
+        (Value::Object(b), Value::Object(c)) => {
+            for (k, bv) in b.iter() {
+                let at = format!("{path}.{k}");
+                match c.get(k) {
+                    Some(cv) => walk(&at, bv, cv, out),
+                    None => out.differences.push(only("baseline", at, bv)),
+                }
+            }
+            for (k, cv) in c.iter().filter(|(k, _)| b.get(k).is_none()) {
+                out.differences
+                    .push(only("current run", format!("{path}.{k}"), cv));
+            }
         }
-        // A baseline from before the field existed has nothing to drift
-        // from.
-        if let (Some(bw), Some(cw)) = (num(b, "wakeups"), num(c, "wakeups")) {
-            out.deltas.push(drift_delta(
-                &format!("{section}[workers={w}].wakeups"),
-                bw,
-                cw,
-            ));
+        (Value::Array(b), Value::Array(c)) => {
+            for i in 0..b.len().max(c.len()) {
+                let at = format!("{path}[{i}]");
+                match (b.get(i), c.get(i)) {
+                    (Some(bv), Some(cv)) => walk(&at, bv, cv, out),
+                    (Some(bv), None) => out.differences.push(only("baseline", at, bv)),
+                    (None, Some(cv)) => out.differences.push(only("current run", at, cv)),
+                    (None, None) => unreachable!("i is below the longer length"),
+                }
+            }
         }
-        if let (Some(br), Some(cr)) = (num(b, "execs_per_sec"), num(c, "execs_per_sec")) {
-            out.deltas.push(rate_delta(
-                &format!("{section}[workers={w}].execs_per_sec"),
-                br,
-                cr,
-                t.execs_per_sec_drop,
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn diff_reduction(base: &Value, cur: &Value, out: &mut DiffReport) -> Result<(), String> {
-    let b = obj(base, "strategy_reduction")?;
-    let c = obj(cur, "strategy_reduction")?;
-    let (Some(Value::Array(b_mut)), Some(Value::Array(c_mut))) =
-        (b.get("mutants"), c.get("mutants"))
-    else {
-        return Err("strategy_reduction: missing mutants array".to_string());
-    };
-    for cm in c_mut {
-        let cm = obj(cm, "mutant")?;
-        let Some(Value::String(name)) = cm.get("scenario") else {
-            continue;
-        };
-        let Some(bm) = b_mut.iter().find_map(|v| match v {
-            Value::Object(m) if m.get("scenario") == Some(&Value::String(name.clone())) => Some(m),
-            _ => None,
-        }) else {
-            out.warnings.push(format!(
-                "strategy_reduction: baseline lacks mutant {name:?}; skipped"
-            ));
-            continue;
-        };
-        // Executions-to-counterexample is deterministic per strategy.
-        for strat in ["exhaustive", "sleep_set_dpor", "coverage_guided"] {
-            let (Some(Value::Object(bc)), Some(Value::Object(cc))) = (bm.get(strat), cm.get(strat))
-            else {
-                continue;
-            };
-            if let (Some(be), Some(ce)) = (num(bc, "executions"), num(cc, "executions")) {
-                out.deltas.push(drift_delta(
-                    &format!("strategy_reduction[{name}].{strat}.executions"),
-                    be,
-                    ce,
+        _ => {
+            if is_leaf(baseline) && is_leaf(current) {
+                out.compared += 1;
+            }
+            if baseline != current {
+                out.differences.push(format!(
+                    "{path}: baseline {}, current {}",
+                    show(baseline),
+                    show(current)
                 ));
             }
         }
     }
-    Ok(())
 }
 
-fn diff_resume(
-    base: &Value,
-    cur: &Value,
-    t: &Thresholds,
-    out: &mut DiffReport,
-) -> Result<(), String> {
-    let b = obj(base, "resume_overhead")?;
-    let c = obj(cur, "resume_overhead")?;
-    if let (Some(be), Some(ce)) = (num(b, "executions"), num(c, "executions")) {
-        out.deltas
-            .push(drift_delta("resume_overhead.executions", be, ce));
-    }
-    if let (Some(bo), Some(co)) = (num(b, "wal_overhead"), num(c, "wal_overhead")) {
-        let regression = co > bo + t.overhead_slack;
-        out.deltas.push(Delta {
-            metric: "resume_overhead.wal_overhead".to_string(),
-            baseline: bo,
-            current: co,
-            rel: rel_change(bo, co),
-            regression,
-            note: format!(
-                "allowed absolute increase {:.2}{}",
-                t.overhead_slack,
-                if regression { " EXCEEDED" } else { "" }
-            ),
-        });
-    }
-    if matches!(c.get("fingerprints_match"), Some(Value::Bool(false))) {
-        out.deltas.push(Delta {
-            metric: "resume_overhead.fingerprints_match".to_string(),
-            baseline: 1.0,
-            current: 0.0,
-            rel: -1.0,
-            regression: true,
-            note: "cold/walled/resumed fingerprints diverged".to_string(),
-        });
-    }
-    Ok(())
+/// Compares two JSON trees exactly: objects by key, arrays by index,
+/// leaves by value. Paths are written `$.section.rows[3].field`.
+pub fn diff_trees(baseline: &Value, current: &Value) -> TreeDiff {
+    let mut out = TreeDiff::default();
+    walk("$", baseline, current, &mut out);
+    out
 }
 
-/// Diffs a fresh `scale --json` record against a baseline. Errors mean
-/// the records are structurally incomparable (different scenario,
-/// missing sections); regressions live in the returned report.
-pub fn diff_scale(baseline: &Value, current: &Value, t: &Thresholds) -> Result<DiffReport, String> {
-    let b = obj(baseline, "baseline")?;
-    let c = obj(current, "current")?;
-    let mut out = DiffReport::default();
-
-    match (b.get("scenario"), c.get("scenario")) {
-        (Some(Value::String(bs)), Some(Value::String(cs))) if bs != cs => {
-            return Err(format!(
-                "scenario mismatch: baseline {bs:?} vs current {cs:?}"
-            ));
-        }
-        _ => {}
+/// Renders the differences and the summary line.
+pub fn render_diff(d: &TreeDiff) -> String {
+    let mut out = String::from("COUNTS vs baseline\n");
+    for line in &d.differences {
+        let _ = writeln!(out, "  DIFFERENT {line}");
     }
-    let bv = num(b, "schema_version").unwrap_or(0.0) as u64;
-    let cv = num(c, "schema_version").unwrap_or(0.0) as u64;
-    if bv != cv {
-        out.warnings.push(format!(
-            "schema_version mismatch: baseline {bv} vs current {cv}"
-        ));
-    }
-    match (
-        b.get("env").and_then(EnvStamp::from_json),
-        c.get("env").and_then(EnvStamp::from_json),
-    ) {
-        (Some(be), Some(ce)) => {
-            if be.rustc != ce.rustc {
-                out.warnings
-                    .push(format!("rustc differs: {:?} vs {:?}", be.rustc, ce.rustc));
-            }
-            if be.strategy != ce.strategy {
-                out.warnings.push(format!(
-                    "strategy differs: {:?} vs {:?}",
-                    be.strategy, ce.strategy
-                ));
-            }
-        }
-        _ => out
-            .warnings
-            .push("env stamp missing from baseline or current record".to_string()),
-    }
-
-    if let (Some(bw), Some(cw)) = (num(b, "wakeups_per_step"), num(c, "wakeups_per_step")) {
-        out.deltas.push(drift_delta("wakeups_per_step", bw, cw));
-    }
-    for section in ["schedule_exploration", "fault_exploration"] {
-        match (b.get(section), c.get(section)) {
-            (Some(bs), Some(cs)) => diff_scaling_series(section, bs, cs, t, &mut out)?,
-            _ => out.warnings.push(format!("{section}: missing; skipped")),
-        }
-    }
-    if let (Some(bs), Some(cs)) = (b.get("strategy_reduction"), c.get("strategy_reduction")) {
-        diff_reduction(bs, cs, &mut out)?;
-    } else {
-        out.warnings
-            .push("strategy_reduction: missing; skipped".to_string());
-    }
-    if let (Some(bs), Some(cs)) = (b.get("resume_overhead"), c.get("resume_overhead")) {
-        diff_resume(bs, cs, t, &mut out)?;
-    } else {
-        out.warnings
-            .push("resume_overhead: missing; skipped".to_string());
-    }
-    Ok(out)
-}
-
-/// Renders the diff as a table, regressions marked.
-pub fn render_diff(d: &DiffReport) -> String {
-    let mut out = String::new();
-    writeln!(out, "PERF DIFF vs baseline").unwrap();
-    for w in &d.warnings {
-        writeln!(out, "  warning: {w}").unwrap();
-    }
-    for delta in &d.deltas {
-        let rel = if delta.rel.is_infinite() {
-            "   inf".to_string()
-        } else {
-            format!("{:>+5.1}%", delta.rel * 100.0)
-        };
-        writeln!(
-            out,
-            "  {} {:<56} {:>12.2} -> {:>12.2}  {rel}  ({})",
-            if delta.regression {
-                "REGRESSION"
-            } else {
-                "        ok"
-            },
-            delta.metric,
-            delta.baseline,
-            delta.current,
-            delta.note,
-        )
-        .unwrap();
-    }
-    writeln!(
+    let _ = writeln!(
         out,
-        "  {} metric(s) compared, {} regression(s)",
-        d.deltas.len(),
-        d.deltas.iter().filter(|d| d.regression).count()
-    )
-    .unwrap();
+        "  {} leaves compared, {} difference(s)",
+        d.compared,
+        d.differences.len()
+    );
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::{record, run_counts, run_reduction, run_resume};
+    use perennial_checker::{campaign::VOLATILE_KEYS, CheckConfig, Pass, TIMING_KEYS};
     use serde_json::json;
 
-    /// A minimal but complete record, as `scale --json` writes it.
-    /// (Built through the parser — the shim's `json!` macro does not
-    /// take object literals inside arrays.)
-    fn record(execs: u64, rate: f64, overhead: f64, dpor_execs: u64) -> Value {
-        serde_json::from_str(&format!(
-            r#"{{
-                "schema_version": {SCALE_SCHEMA_VERSION},
-                "scenario": "patterns/wal",
-                "env": {{
-                    "rustc": "rustc 1.99.0",
-                    "crate_version": "0.1.0",
-                    "workers": 2,
-                    "strategy": "exhaustive"
-                }},
-                "schedule_exploration": [
-                    {{ "workers": 1, "executions": {execs}, "execs_per_sec": {rate} }},
-                    {{ "workers": 2, "executions": {execs}, "execs_per_sec": {double_rate} }}
-                ],
-                "fault_exploration": [
-                    {{ "workers": 1, "executions": {fault_execs}, "execs_per_sec": {rate} }}
-                ],
-                "strategy_reduction": {{
-                    "mutants": [
-                        {{
-                            "scenario": "kv/mutant",
-                            "exhaustive": {{ "executions": 100 }},
-                            "sleep_set_dpor": {{ "executions": {dpor_execs} }},
-                            "coverage_guided": {{ "executions": 30 }}
-                        }}
-                    ]
-                }},
-                "resume_overhead": {{
-                    "executions": {execs},
-                    "wal_overhead": {overhead},
-                    "fingerprints_match": true
-                }}
-            }}"#,
-            double_rate = rate * 1.8,
-            fault_execs = execs * 2,
-        ))
-        .unwrap()
+    fn committed() -> Value {
+        serde_json::from_str(include_str!("../../../BENCH_scale.json")).expect("valid JSON")
     }
 
-    #[test]
-    fn identical_records_do_not_regress() {
-        let r = record(500, 1000.0, 0.02, 40);
-        let d = diff_scale(&r, &r, &Thresholds::default()).unwrap();
-        assert!(!d.regressed(), "{:?}", d.deltas);
-        assert!(d.warnings.is_empty(), "{:?}", d.warnings);
-        assert!(!d.deltas.is_empty());
-    }
-
-    #[test]
-    fn throughput_noise_inside_the_threshold_passes() {
-        let base = record(500, 1000.0, 0.02, 40);
-        let cur = record(500, 600.0, 0.02, 40); // 40% drop < 60% allowed
-        let d = diff_scale(&base, &cur, &Thresholds::default()).unwrap();
-        assert!(!d.regressed(), "{}", render_diff(&d));
-    }
-
-    #[test]
-    fn doctored_baseline_throughput_flags_a_regression() {
-        // The baseline claims 10x the throughput the current run gets.
-        let base = record(500, 10_000.0, 0.02, 40);
-        let cur = record(500, 500.0, 0.02, 40);
-        let d = diff_scale(&base, &cur, &Thresholds::default()).unwrap();
-        assert!(d.regressed());
-        let text = render_diff(&d);
-        assert!(text.contains("REGRESSION"), "{text}");
-        assert!(text.contains("execs_per_sec"), "{text}");
-    }
-
-    #[test]
-    fn deterministic_drift_always_flags() {
-        let base = record(500, 1000.0, 0.02, 40);
-        let cur = record(501, 1000.0, 0.02, 40); // one extra execution
-        let d = diff_scale(&base, &cur, &Thresholds::default()).unwrap();
-        assert!(d.regressed());
-        assert!(render_diff(&d).contains("refresh the baseline"));
-    }
-
-    #[test]
-    fn a_changed_hand_off_count_is_drift() {
-        let with_wakeups = |per_step: f64| {
-            let mut r = record(500, 1000.0, 0.02, 40);
-            if let Value::Object(m) = &mut r {
-                m.insert("wakeups_per_step".into(), json!(per_step));
-            }
-            r
-        };
-        let base = with_wakeups(0.4375);
-        let same = diff_scale(&base, &with_wakeups(0.4375), &Thresholds::default()).unwrap();
-        assert!(!same.regressed(), "{}", render_diff(&same));
-        // Every step going back through the controller again.
-        let d = diff_scale(&base, &with_wakeups(2.0), &Thresholds::default()).unwrap();
-        assert!(d.regressed());
-        assert!(render_diff(&d).contains("wakeups_per_step"));
-        // A baseline from before the field: nothing to compare.
-        let old = record(500, 1000.0, 0.02, 40);
-        let d = diff_scale(&old, &with_wakeups(0.4375), &Thresholds::default()).unwrap();
-        assert!(!d.regressed(), "{}", render_diff(&d));
-    }
-
-    #[test]
-    fn executions_to_counterexample_growth_flags() {
-        let base = record(500, 1000.0, 0.02, 40);
-        let cur = record(500, 1000.0, 0.02, 80); // DPOR got twice as slow
-        let d = diff_scale(&base, &cur, &Thresholds::default()).unwrap();
-        assert!(d.regressed());
-        assert!(render_diff(&d).contains("sleep_set_dpor"));
-    }
-
-    #[test]
-    fn wal_overhead_blowup_flags() {
-        let base = record(500, 1000.0, 0.02, 40);
-        let cur = record(500, 1000.0, 0.40, 40); // 2% -> 40% overhead
-        let d = diff_scale(&base, &cur, &Thresholds::default()).unwrap();
-        assert!(d.regressed());
-        assert!(render_diff(&d).contains("wal_overhead"));
-    }
-
-    #[test]
-    fn subset_of_worker_counts_diffs_against_a_full_baseline() {
-        let base = record(500, 1000.0, 0.02, 40);
-        let mut cur = record(500, 1000.0, 0.02, 40);
-        // Current run only measured workers=1.
-        if let Value::Object(m) = &mut cur {
-            if let Some(Value::Array(rows)) = m.get_mut("schedule_exploration") {
-                rows.truncate(1);
-            }
+    /// The object at `keys` below `v`, for editing.
+    fn object<'a>(v: &'a mut Value, keys: &[&str]) -> &'a mut serde_json::Map {
+        let mut v = v;
+        for k in keys {
+            let Value::Object(m) = v else {
+                panic!("not an object above {k}")
+            };
+            v = m.get_mut(k).unwrap_or_else(|| panic!("no key {k}"));
         }
-        let d = diff_scale(&base, &cur, &Thresholds::default()).unwrap();
-        assert!(!d.regressed(), "{}", render_diff(&d));
+        match v {
+            Value::Object(m) => m,
+            _ => panic!("{keys:?} is not an object"),
+        }
+    }
+
+    fn mutants(v: &mut Value) -> &mut Vec<Value> {
+        match object(v, &["strategy_reduction"]).get_mut("mutants") {
+            Some(Value::Array(rows)) => rows,
+            _ => panic!("no mutants array"),
+        }
+    }
+
+    /// The one difference between the committed record and an edited
+    /// copy of it.
+    fn the_difference(edit: impl FnOnce(&mut Value)) -> String {
+        let (base, mut cur) = (committed(), committed());
+        edit(&mut cur);
+        let d = diff_trees(&base, &cur);
+        assert_eq!(d.differences.len(), 1, "{}", render_diff(&d));
+        assert!(render_diff(&d).contains("1 difference(s)"));
+        d.differences[0].clone()
     }
 
     #[test]
-    fn scenario_mismatch_is_an_error_and_env_mismatch_a_warning() {
-        let base = record(500, 1000.0, 0.02, 40);
-        let mut other = record(500, 1000.0, 0.02, 40);
-        if let Value::Object(m) = &mut other {
-            m.insert("scenario".into(), json!("kv/other"));
-        }
-        assert!(diff_scale(&base, &other, &Thresholds::default()).is_err());
-
-        let mut newer = record(500, 1000.0, 0.02, 40);
-        if let Value::Object(m) = &mut newer {
-            if let Some(Value::Object(env)) = m.get_mut("env") {
-                env.insert("rustc".into(), json!("rustc 2.0.0"));
-            }
-        }
-        let d = diff_scale(&base, &newer, &Thresholds::default()).unwrap();
+    fn identical_trees_compare_every_leaf_and_pass() {
+        let r = committed();
+        let d = diff_trees(&r, &r);
+        assert!(d.differences.is_empty(), "{}", render_diff(&d));
+        assert_eq!(d.compared, leaf_count(&r));
         assert!(
-            d.warnings.iter().any(|w| w.contains("rustc")),
-            "{:?}",
-            d.warnings
+            d.compared > 500,
+            "28 mutants x 19 leaves and the counts rows"
         );
+    }
+
+    #[test]
+    fn a_changed_removed_or_added_leaf_fails_and_names_its_path() {
+        let changed = the_difference(|r| {
+            object(r, &["schedule_exploration"]).insert("steps".into(), json!(1));
+        });
+        assert!(
+            changed.starts_with("$.schedule_exploration.steps: baseline 23919, current 1"),
+            "{changed}"
+        );
+        let removed = the_difference(|r| {
+            object(r, &["fault_exploration"]).remove("distinct_traces");
+        });
+        assert!(
+            removed.starts_with("$.fault_exploration.distinct_traces: only in the baseline"),
+            "{removed}"
+        );
+        let added = the_difference(|r| {
+            object(r, &["resume_overhead"]).insert("wal_overhead".into(), json!(0.5));
+        });
+        assert!(
+            added.starts_with("$.resume_overhead.wal_overhead: only in the current run"),
+            "{added}"
+        );
+    }
+
+    #[test]
+    fn a_removed_section_fails_whichever_side_lacks_it() {
+        let gone = the_difference(|r| {
+            object(r, &[]).remove("strategy_reduction");
+        });
+        assert!(
+            gone.starts_with("$.strategy_reduction: only in the baseline (a subtree of"),
+            "{gone}"
+        );
+        // The holed baseline: the section is missing from the committed
+        // side, so nothing in it could be compared.
+        let mut holed = committed();
+        object(&mut holed, &[]).remove("strategy_reduction");
+        let d = diff_trees(&holed, &committed());
+        assert_eq!(d.differences.len(), 1, "{}", render_diff(&d));
+        assert!(d.differences[0].starts_with("$.strategy_reduction: only in the current run"));
+    }
+
+    #[test]
+    fn a_reordered_renamed_or_dropped_mutant_row_fails() {
+        let (base, mut swapped) = (committed(), committed());
+        mutants(&mut swapped).swap(0, 1);
+        let d = diff_trees(&base, &swapped);
+        assert!(
+            d.differences
+                .iter()
+                .any(|l| l.starts_with("$.strategy_reduction.mutants[0].scenario: ")),
+            "{}",
+            render_diff(&d)
+        );
+        assert!(d
+            .differences
+            .iter()
+            .any(|l| l.starts_with("$.strategy_reduction.mutants[1].scenario: ")));
+
+        let renamed = the_difference(|r| {
+            let Value::Object(row) = &mut mutants(r)[3] else {
+                panic!("mutant rows are objects")
+            };
+            row.insert("scenario".into(), json!("kv/mutant/renamed"));
+        });
+        assert!(
+            renamed.starts_with("$.strategy_reduction.mutants[3].scenario: "),
+            "{renamed}"
+        );
+        let dropped = the_difference(|r| {
+            mutants(r).pop();
+        });
+        assert!(
+            dropped.starts_with("$.strategy_reduction.mutants[27]: only in the baseline"),
+            "{dropped}"
+        );
+    }
+
+    /// Every object key in the tree.
+    fn keys(v: &Value, out: &mut Vec<String>) {
+        match v {
+            Value::Object(m) => {
+                for (k, v) in m.iter() {
+                    out.push(k.clone());
+                    keys(v, out);
+                }
+            }
+            Value::Array(a) => a.iter().for_each(|v| keys(v, out)),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn the_record_holds_no_wall_clock_leaf() {
+        let cfg = CheckConfig::builder()
+            .dfs_max_executions(20)
+            .random_samples(2)
+            .random_crash_samples(2)
+            .without_passes([Pass::NestedCrash])
+            .build();
+        let registry = crash_patterns::scenarios();
+        let scenario = registry.get("patterns/wal").expect("registered");
+        let counts = run_counts(scenario, &cfg, &[1, 2]).expect("deterministic");
+        let wal = std::env::temp_dir().join(format!(
+            "perennial-perf-test-resume-{}.jsonl",
+            std::process::id()
+        ));
+        let resume = run_resume(scenario, &cfg, &wal);
+        let _ = std::fs::remove_file(&wal);
+        let reduction = run_reduction(&crash_patterns::mutant_scenarios(), &cfg);
+        let fresh = record(scenario.name(), &counts, &counts, &reduction, &resume);
+
+        for (what, tree) in [("a fresh record", fresh), ("BENCH_scale.json", committed())] {
+            let mut found = Vec::new();
+            keys(&tree, &mut found);
+            assert!(found.iter().any(|k| k == "executions"), "{what} is empty");
+            for k in &found {
+                // `replayed` is volatile across a *campaign's* cold and
+                // resumed reports; here it is the count from one resume
+                // against a complete WAL, fixed by the configuration.
+                let timing = TIMING_KEYS.contains(&k.as_str())
+                    || (VOLATILE_KEYS.contains(&k.as_str()) && k != "replayed")
+                    || k == "speedup"
+                    || k == "resume_speedup"
+                    || k.ends_with("_wall_time_s")
+                    || k.starts_with("wal_overhead");
+                assert!(!timing, "{what} has the wall-clock or per-run key {k:?}");
+            }
+        }
     }
 }

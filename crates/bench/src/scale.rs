@@ -1,261 +1,198 @@
-//! Parallel-explorer scaling measurement: run the same scenario at
-//! several pool sizes and report throughput and speedup over one worker.
+//! The deterministic counts behind `BENCH_scale.json`: what one
+//! scenario's exploration does, in numbers that are pure functions of
+//! the configuration (executions, scheduler steps, hand-off wake-ups,
+//! outcome and coverage counts, executions-to-counterexample per mutant
+//! and strategy, executions replayed from a complete WAL).
 //!
-//! The determinism contract means every row explores the *same* set of
-//! executions, so the comparison is pure wall-clock — see
+//! Nothing here reads a clock: wall-clock numbers are `BENCHMARK.json`'s
+//! (`benchmark/`), measured on workloads long enough to time. See
 //! `cargo run --release -p perennial-bench --bin scale`.
 
 use perennial_checker::{
-    trace_fingerprint, CheckConfig, Coverage, CoverageGuided, Exhaustive, OutcomeCounts, Scenario,
-    ScenarioSet, SleepSetDpor, Strategy,
+    report_fingerprint, trace_fingerprint, CheckConfig, Coverage, CoverageGuided, Exhaustive,
+    OutcomeCounts, Scenario, ScenarioSet, SleepSetDpor, Strategy,
 };
+use serde_json::{json, Value};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// One pool size's measurement.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    pub workers: usize,
+/// Version of the `BENCH_scale.json` record layout (2: counts only, one
+/// row per section). A record of another version differs from this one
+/// at `schema_version`, like at any other leaf.
+pub const SCALE_SCHEMA_VERSION: u64 = 2;
+
+/// One configuration's counts. The determinism contract makes them the
+/// same at every pool size, which [`run_counts`] checks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Counts {
     pub executions: usize,
-    /// Scheduler steps over those executions (deterministic).
+    /// Scheduler steps over those executions.
     pub steps: u64,
-    /// OS-thread wake-ups the scheduler's hand-off issued for them
-    /// (`ModelRt::wakeups`): the deterministic companion of
-    /// `execs_per_sec`, identical across rows.
+    /// Baton passes the scheduler's hand-off issued for them
+    /// (`ModelRt::wakeups`).
     pub wakeups: u64,
     /// How many of those executions carried a non-empty fault plan
     /// (non-zero only when the config enables the fault sweeps).
     pub fault_plans: usize,
-    pub wall_time: Duration,
-    pub execs_per_sec: f64,
-    /// Throughput relative to the 1-worker row.
-    pub speedup: f64,
-    /// Outcome histogram (deterministic: identical across rows).
     pub outcomes: OutcomeCounts,
-    /// Coverage accounting (deterministic: identical across rows).
     pub coverage: Coverage,
 }
 
-impl ScaleRow {
+impl Counts {
     /// Hand-off wake-ups per scheduler step (2 when every step returns
     /// to the controller; below 1 with run-on grants).
     pub fn wakeups_per_step(&self) -> f64 {
         self.wakeups as f64 / self.steps.max(1) as f64
     }
+
+    fn to_json(&self) -> Value {
+        json!({
+            "executions": self.executions,
+            "steps": self.steps,
+            "wakeups": self.wakeups,
+            "fault_plans": self.fault_plans,
+            "ok": self.outcomes.ok,
+            "failures": self.outcomes.failures(),
+            "crash_points_exercised": self.coverage.crash_points_exercised,
+            "crash_points_enumerable": self.coverage.crash_points_enumerable,
+            "fault_plans_exercised": self.coverage.fault_plans_exercised(),
+            "fault_plans_enumerable": self.coverage.fault_plans_enumerable(),
+            "distinct_traces": self.coverage.distinct_traces,
+        })
+    }
 }
 
-/// Runs `scenario` once per pool size in `worker_counts` (the base
-/// config's own `workers` field is overridden per row).
-pub fn run_scale(
-    scenario: &Scenario,
-    base: &CheckConfig,
-    worker_counts: &[usize],
-) -> Vec<ScaleRow> {
-    let mut rows: Vec<ScaleRow> = Vec::new();
-    let mut baseline: Option<f64> = None;
-    for &workers in worker_counts {
-        let mut cfg = base.clone();
-        cfg.workers = workers.max(1);
-        // The profiler is where the hand-off count surfaces.
-        cfg.profile = true;
-        let report = scenario.run(&cfg);
-        let wakeups = report
+fn counts_at(scenario: &Scenario, base: &CheckConfig, workers: usize) -> Counts {
+    let mut cfg = base.clone();
+    cfg.workers = workers;
+    // The profiler is where the hand-off count surfaces.
+    cfg.profile = true;
+    let report = scenario.run(&cfg);
+    Counts {
+        executions: report.executions,
+        steps: report.total_steps,
+        wakeups: report
             .profile
             .iter()
             .flat_map(|p| &p.passes)
             .map(|pass| pass.wakeups)
-            .sum();
-        let per_sec = report.execs_per_sec;
-        let base_rate = *baseline.get_or_insert(per_sec);
-        rows.push(ScaleRow {
-            workers: cfg.workers,
-            executions: report.executions,
-            steps: report.total_steps,
-            wakeups,
-            fault_plans: report.fault_plans,
-            wall_time: report.wall_time,
-            execs_per_sec: per_sec,
-            speedup: per_sec / base_rate.max(1e-9),
-            outcomes: report.outcomes,
-            coverage: report.coverage,
-        });
+            .sum(),
+        fault_plans: report.fault_plans,
+        outcomes: report.outcomes,
+        coverage: report.coverage,
     }
-    rows
 }
 
-/// Renders the scaling table.
-pub fn render_scale(name: &str, rows: &[ScaleRow]) -> String {
+/// Runs `scenario` once per pool size in `worker_counts` (the base
+/// config's own `workers` field is overridden) and returns the counts
+/// they all share, or an error naming the first pool size whose counts
+/// differ from the first one's.
+pub fn run_counts(
+    scenario: &Scenario,
+    base: &CheckConfig,
+    worker_counts: &[usize],
+) -> Result<Counts, String> {
+    let (&w0, rest) = worker_counts
+        .split_first()
+        .ok_or("no worker counts given")?;
+    let agreed = counts_at(scenario, base, w0);
+    for &w in rest {
+        let counts = counts_at(scenario, base, w);
+        if counts != agreed {
+            return Err(format!(
+                "{}: counts differ between pool sizes\n  workers={w0}: {agreed:?}\n  workers={w}: {counts:?}",
+                scenario.name()
+            ));
+        }
+    }
+    Ok(agreed)
+}
+
+/// Renders one counts row.
+pub fn render_counts(name: &str, worker_counts: &[usize], c: &Counts) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Explorer scaling: {name}");
     let _ = writeln!(
         out,
-        "{:>8} {:>12} {:>12} {:>12} {:>14} {:>9} {:>13}",
-        "workers", "executions", "fault plans", "wall time", "execs/sec", "speedup", "wakeups/step"
+        "Exploration counts: {name} (identical at workers {worker_counts:?})"
     );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>8} {:>12} {:>12} {:>11.2}s {:>14.0} {:>8.2}x {:>13.3}",
-            r.workers,
-            r.executions,
-            r.fault_plans,
-            r.wall_time.as_secs_f64(),
-            r.execs_per_sec,
-            r.speedup,
-            r.wakeups_per_step(),
-        );
-    }
+    let _ = writeln!(
+        out,
+        "{:>12} {:>10} {:>10} {:>13} {:>12} {:>8} {:>9} {:>16}",
+        "executions",
+        "steps",
+        "wakeups",
+        "wakeups/step",
+        "fault plans",
+        "ok",
+        "failures",
+        "distinct traces"
+    );
+    let _ = writeln!(
+        out,
+        "{:>12} {:>10} {:>10} {:>13.3} {:>12} {:>8} {:>9} {:>16}",
+        c.executions,
+        c.steps,
+        c.wakeups,
+        c.wakeups_per_step(),
+        c.fault_plans,
+        c.outcomes.ok,
+        c.outcomes.failures(),
+        c.coverage.distinct_traces,
+    );
     out
 }
 
 // ---------------------------------------------------------------------
-// Resume overhead: what does making a run resumable cost?
+// Resume: a complete WAL replays, and changes no fingerprint
 // ---------------------------------------------------------------------
 
-/// Cost accounting for the checkpoint/resume machinery on one scenario.
-///
-/// Alternating pairs of a *cold* run (no WAL) and a *walled* one (same
-/// run writing its JSONL write-ahead log), then one *resumed* run
-/// (re-run against the completed WAL, replaying finished executions
-/// instead of re-executing them). One pair is two ≈40 ms runs and reads
-/// anywhere from −8 % to +34 %, so the recorded overhead is the median
-/// over the pairs, with its quartiles beside it. The acceptance target
-/// is `overhead() < 0.05`: writing the WAL costs less than 5% of the
-/// cold wall time, so campaigns can always afford to be resumable.
+/// What the checkpoint/resume machinery did on one scenario: a run
+/// without a WAL, the same run writing its JSONL write-ahead log, and a
+/// run resumed from that complete log.
 #[derive(Debug, Clone)]
 pub struct ResumeRow {
     pub executions: usize,
-    /// Median cold and walled wall times over the pairs.
-    pub cold: Duration,
-    pub walled: Duration,
-    pub resumed: Duration,
-    /// Per-pair `walled / cold - 1`, ascending.
-    pub overheads: Vec<f64>,
     /// Executions the resumed run satisfied from the WAL.
     pub replayed: u64,
-    /// Every run produced the same report fingerprint.
+    /// All three runs produced the same report fingerprint.
     pub fingerprints_match: bool,
 }
 
-/// The value `q` of the way through an ascending, non-empty sample
-/// (linear interpolation between neighbours).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let at = q * (sorted.len() - 1) as f64;
-    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
-    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
-}
+/// Runs `scenario` cold, writing `wal`, and resumed from `wal`. Sharded
+/// configs force keep-going semantics, so every variant uses
+/// `keep_going`.
+pub fn run_resume(scenario: &Scenario, base: &CheckConfig, wal: &std::path::Path) -> ResumeRow {
+    let mut cold = base.clone();
+    cold.keep_going = true;
+    let mut walled = cold.clone();
+    walled.telemetry_path = Some(wal.to_path_buf());
+    // Resumed against the *complete* WAL: everything replayable is
+    // replayed.
+    let mut resumed = walled.clone();
+    resumed.resume_from = Some(wal.to_path_buf());
 
-impl ResumeRow {
-    /// Fractional wall-time cost of writing the WAL (0.03 = 3%): the
-    /// median over the pairs.
-    pub fn overhead(&self) -> f64 {
-        quantile(&self.overheads, 0.5)
-    }
-
-    /// First and third quartile of the per-pair overheads.
-    pub fn overhead_quartiles(&self) -> (f64, f64) {
-        (
-            quantile(&self.overheads, 0.25),
-            quantile(&self.overheads, 0.75),
-        )
-    }
-
-    /// How much faster a fully-replayed resume is than a cold run.
-    pub fn resume_speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.resumed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Measures checkpoint/resume cost for `scenario` using `wal` as the
-/// log path, over `pairs` cold/walled pairs that alternate which side
-/// runs first. Sharded configs force keep-going semantics, so the
-/// comparison uses `keep_going` on every variant.
-pub fn run_resume(
-    scenario: &Scenario,
-    base: &CheckConfig,
-    wal: &std::path::Path,
-    pairs: usize,
-) -> ResumeRow {
-    use perennial_checker::report_fingerprint;
-    let mut cfg = base.clone();
-    cfg.keep_going = true;
-    let mut walled_cfg = cfg.clone();
-    walled_cfg.telemetry_path = Some(wal.to_path_buf());
-
-    let mut fingerprints = Vec::new();
-    let (mut colds, mut walleds, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
-    let mut executions = 0;
-    for pair in 0..pairs.max(1) {
-        let mut time = |c: &CheckConfig| {
-            let report = scenario.run(c);
-            fingerprints.push(report_fingerprint(&report));
-            executions = report.executions;
-            report.wall_time.as_secs_f64()
-        };
-        let (cold, walled) = if pair % 2 == 0 {
-            let cold = time(&cfg);
-            (cold, time(&walled_cfg))
-        } else {
-            let walled = time(&walled_cfg);
-            (time(&cfg), walled)
-        };
-        colds.push(cold);
-        walleds.push(walled);
-        overheads.push(walled / cold.max(1e-9) - 1.0);
-    }
-    for sample in [&mut colds, &mut walleds, &mut overheads] {
-        sample.sort_by(f64::total_cmp);
-    }
-    // One resumed run against the *complete* WAL: everything replayable
-    // is replayed, which is the steady-state cost of the machinery.
-    let mut rcfg = walled_cfg.clone();
-    rcfg.resume_from = Some(wal.to_path_buf());
-    let resumed = scenario.run(&rcfg);
-    fingerprints.push(report_fingerprint(&resumed));
-
+    let reports = [cold, walled, resumed].map(|cfg| scenario.run(&cfg));
+    let fingerprints = reports.each_ref().map(report_fingerprint);
     ResumeRow {
-        executions,
-        cold: Duration::from_secs_f64(quantile(&colds, 0.5)),
-        walled: Duration::from_secs_f64(quantile(&walleds, 0.5)),
-        resumed: resumed.wall_time,
-        overheads,
-        replayed: resumed.replayed,
-        fingerprints_match: fingerprints.windows(2).all(|w| w[0] == w[1]),
+        executions: reports[0].executions,
+        replayed: reports[2].replayed,
+        fingerprints_match: fingerprints.iter().all(|fp| *fp == fingerprints[0]),
     }
 }
 
-/// Renders the resume-overhead measurement.
+/// Renders the resume row.
 pub fn render_resume(name: &str, row: &ResumeRow) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Checkpoint/resume cost: {name}");
-    let _ = writeln!(
-        out,
-        "{:>12} {:>12} {:>12} {:>12} {:>10} {:>10} {:>4}",
-        "executions", "cold", "with WAL", "resumed", "overhead", "speedup", "fp="
-    );
-    let _ = writeln!(
-        out,
-        "{:>12} {:>11.3}s {:>11.3}s {:>11.3}s {:>9.1}% {:>9.1}x {:>4}",
+    format!(
+        "Checkpoint/resume: {name}\n{} executions, {} replayed from the complete WAL; \
+         cold, with-WAL and resumed fingerprints {}\n",
         row.executions,
-        row.cold.as_secs_f64(),
-        row.walled.as_secs_f64(),
-        row.resumed.as_secs_f64(),
-        row.overhead() * 100.0,
-        row.resume_speedup(),
-        if row.fingerprints_match { "yes" } else { "NO" },
-    );
-    let (q1, q3) = row.overhead_quartiles();
-    let _ = writeln!(
-        out,
-        "(overhead: median of {} alternating pairs, quartiles {:.1}% .. {:.1}%; \
-         {} executions replayed from the WAL)",
-        row.overheads.len(),
-        q1 * 100.0,
-        q3 * 100.0,
-        row.replayed
-    );
-    out
+        row.replayed,
+        if row.fingerprints_match {
+            "match"
+        } else {
+            "DIFFER"
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -401,77 +338,101 @@ pub fn render_reduction(rows: &[ReductionRow]) -> String {
     out
 }
 
+// ---------------------------------------------------------------------
+// The record
+// ---------------------------------------------------------------------
+
+impl StrategyCell {
+    fn to_json(&self) -> Value {
+        json!({
+            "executions": self.executions,
+            "pruned": self.pruned,
+            "coverage_guided": self.guided,
+            "counterexample_pass": self.fingerprint.as_ref().map(|(p, _)| p.clone()),
+            "trace_fingerprint": self.fingerprint.as_ref().map(|(_, fp)| *fp),
+        })
+    }
+}
+
+impl ReductionRow {
+    fn to_json(&self) -> Value {
+        json!({
+            "scenario": self.scenario,
+            "exhaustive": self.exhaustive.to_json(),
+            "sleep_set_dpor": self.dpor.to_json(),
+            "coverage_guided": self.coverage.to_json(),
+            "dpor_ratio": self.dpor_ratio(),
+            "coverage_ratio": self.coverage_ratio(),
+            "fingerprints_agree": self.fingerprints_agree(),
+        })
+    }
+}
+
+/// The `BENCH_scale.json` record: every leaf a deterministic function
+/// of the configuration, so [`crate::perf::diff_trees`] can compare two
+/// of them exactly.
+pub fn record(
+    scenario: &str,
+    schedule: &Counts,
+    fault: &Counts,
+    reduction: &[ReductionRow],
+    resume: &ResumeRow,
+) -> Value {
+    json!({
+        "schema_version": SCALE_SCHEMA_VERSION,
+        "scenario": scenario,
+        "wakeups_per_step": schedule.wakeups_per_step(),
+        "schedule_exploration": schedule.to_json(),
+        "fault_exploration": fault.to_json(),
+        "strategy_reduction": {
+            "mutants": reduction.iter().map(ReductionRow::to_json).collect::<Vec<_>>(),
+            "median_dpor_ratio": median_ratio(reduction, ReductionRow::dpor_ratio),
+            "median_coverage_ratio": median_ratio(reduction, ReductionRow::coverage_ratio),
+        },
+        "resume_overhead": {
+            "executions": resume.executions,
+            "replayed": resume.replayed,
+            "fingerprints_match": resume.fingerprints_match,
+        },
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perennial_checker::CheckConfig;
+    use perennial_checker::Pass;
 
-    #[test]
-    fn scale_rows_share_the_execution_count() {
-        let registry = crash_patterns::scenarios();
-        let scenario = registry.get("patterns/wal").expect("registered");
-        let cfg = CheckConfig::builder()
+    fn quick() -> CheckConfig {
+        CheckConfig::builder()
             .dfs_max_executions(50)
             .random_samples(5)
             .random_crash_samples(5)
-            .without_passes([perennial_checker::Pass::NestedCrash])
-            .build();
-        let rows = run_scale(scenario, &cfg, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        // Determinism contract: both pool sizes explore the same set,
-        // with identical outcome histograms and coverage.
-        assert_eq!(rows[0].executions, rows[1].executions);
-        assert_eq!(rows[0].outcomes, rows[1].outcomes);
-        assert_eq!(rows[0].coverage, rows[1].coverage);
-        assert_eq!(rows[0].outcomes.total(), rows[0].executions as u64);
-        assert!(rows[0].coverage.distinct_traces > 0);
-        assert!((rows[0].speedup - 1.0).abs() < 1e-9);
-        // The hand-off count is as deterministic as the rest.
-        assert_eq!(
-            (rows[0].steps, rows[0].wakeups),
-            (rows[1].steps, rows[1].wakeups)
-        );
-        assert!(rows[0].wakeups > 0 && rows[0].wakeups_per_step() < 1.0);
-        let table = render_scale("patterns/wal", &rows);
-        assert!(table.contains("workers"));
-        assert!(table.contains("speedup"));
+            .without_passes([Pass::NestedCrash])
+            .build()
     }
 
     #[test]
-    fn wal_overhead_is_the_median_of_its_pairs() {
-        let row = ResumeRow {
-            executions: 1,
-            cold: Duration::from_millis(40),
-            walled: Duration::from_millis(42),
-            resumed: Duration::from_millis(10),
-            overheads: vec![-0.08, 0.02, 0.05, 0.11, 0.34],
-            replayed: 0,
-            fingerprints_match: true,
-        };
-        assert_eq!(row.overhead(), 0.05);
-        assert_eq!(row.overhead_quartiles(), (0.02, 0.11));
-        assert_eq!(quantile(&[0.0, 1.0], 0.25), 0.25);
-        assert_eq!(quantile(&[0.3], 0.75), 0.3);
-    }
-
-    #[test]
-    fn resume_measurement_alternates_pairs_and_keeps_one_fingerprint() {
+    fn pool_sizes_share_one_row_of_counts() {
         let registry = crash_patterns::scenarios();
         let scenario = registry.get("patterns/wal").expect("registered");
-        let cfg = CheckConfig::builder()
-            .dfs_max_executions(20)
-            .random_samples(2)
-            .random_crash_samples(2)
-            .without_passes([perennial_checker::Pass::NestedCrash])
-            .build();
+        let c = run_counts(scenario, &quick(), &[1, 2]).expect("deterministic");
+        assert_eq!(c.outcomes.total(), c.executions as u64);
+        assert!(c.coverage.distinct_traces > 0);
+        assert!(c.wakeups > 0 && c.wakeups_per_step() < 1.0);
+        assert_eq!(run_counts(scenario, &quick(), &[2]).as_ref(), Ok(&c));
+        assert!(render_counts("patterns/wal", &[1, 2], &c).contains("wakeups/step"));
+    }
+
+    #[test]
+    fn a_complete_wal_replays_and_keeps_the_fingerprint() {
+        let registry = crash_patterns::scenarios();
+        let scenario = registry.get("patterns/wal").expect("registered");
         let wal = std::env::temp_dir().join(format!(
             "perennial-scale-test-resume-{}.jsonl",
             std::process::id()
         ));
-        let row = run_resume(scenario, &cfg, &wal, 3);
+        let row = run_resume(scenario, &quick(), &wal);
         let _ = std::fs::remove_file(&wal);
-        assert_eq!(row.overheads.len(), 3);
-        assert!(row.overheads.windows(2).all(|w| w[0] <= w[1]));
         assert!(row.fingerprints_match);
         assert!(row.replayed > 0 && row.executions > 0);
     }

@@ -262,11 +262,6 @@ impl CheckConfigBuilder {
         self
     }
 
-    /// Streams JSONL telemetry into any writer.
-    pub fn telemetry_writer(self, w: impl std::io::Write + Send + 'static) -> Self {
-        self.telemetry(TelemetrySink::to_writer(w))
-    }
-
     /// Streams JSONL telemetry into a file created at check start.
     pub fn telemetry_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.config.telemetry_path = Some(path.into());

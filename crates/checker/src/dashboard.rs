@@ -19,6 +19,7 @@
 //! resumes (wall-clock actually spent).
 
 use crate::json::{get_f64, get_str, get_u64};
+use crate::profile::{bar, pct};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -313,22 +314,6 @@ impl Dashboard {
             .map(|((_, p), (e, st, cr, lb, d, n))| (p, e, st, cr, lb, d, n))
             .collect()
     }
-}
-
-fn pct(part: u64, whole: u64) -> String {
-    if whole == 0 {
-        "  -".to_string()
-    } else {
-        format!("{:>3.0}%", 100.0 * part as f64 / whole as f64)
-    }
-}
-
-fn bar(part: u64, whole: u64, width: usize) -> String {
-    if whole == 0 {
-        return String::new();
-    }
-    let n = ((part as f64 / whole as f64) * width as f64).round() as usize;
-    "#".repeat(n.min(width))
 }
 
 /// Renders the merged campaign dashboard as text.

@@ -369,7 +369,7 @@ pub fn profile_to_json(p: &Profile) -> Value {
     })
 }
 
-fn pct(part: u64, whole: u64) -> String {
+pub(crate) fn pct(part: u64, whole: u64) -> String {
     if whole == 0 {
         "  -".to_string()
     } else {
@@ -377,7 +377,7 @@ fn pct(part: u64, whole: u64) -> String {
     }
 }
 
-fn bar(part: u64, whole: u64, width: usize) -> String {
+pub(crate) fn bar(part: u64, whole: u64, width: usize) -> String {
     if whole == 0 {
         return String::new();
     }

@@ -586,8 +586,9 @@ impl StrategySession for DporSession {
 /// truncated prefixes of corpus schedules (then diverge randomly),
 /// concentrating samples near behaviour that was novel. The phase stops
 /// as soon as a wave yields no new fingerprint — on scenarios whose
-/// behaviour space saturates quickly this is the 5-10x
-/// executions-to-counterexample win measured in BENCH_scale.json.
+/// behaviour space saturates quickly this is the
+/// executions-to-counterexample win counted per mutant in
+/// `BENCH_scale.json` (`strategy_reduction.median_coverage_ratio`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoverageGuided;
 
