@@ -24,28 +24,11 @@
 
 use perennial_bench::args::{parse_args, value};
 use perennial_bench::perf::{diff_trees, render_diff};
+use perennial_bench::registry::{all_mutant_scenarios, all_scenarios};
 use perennial_bench::scale::{
     record, render_counts, render_reduction, render_resume, run_counts, run_reduction, run_resume,
 };
-use perennial_checker::{parse_shard, CheckConfig, Pass, ScenarioSet};
-
-fn registry() -> ScenarioSet {
-    let mut set = ScenarioSet::new();
-    set.extend(perennial_kv::scenarios());
-    set.extend(repldisk::harness::scenarios());
-    set.extend(mailboat::scenarios());
-    set.extend(crash_patterns::scenarios());
-    set
-}
-
-fn mutant_registry() -> ScenarioSet {
-    let mut set = ScenarioSet::new();
-    set.extend(perennial_kv::mutant_scenarios());
-    set.extend(repldisk::harness::mutant_scenarios());
-    set.extend(mailboat::mutant_scenarios());
-    set.extend(crash_patterns::mutant_scenarios());
-    set
-}
+use perennial_checker::{parse_shard, CheckConfig, Pass};
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -80,7 +63,7 @@ fn main() {
         counts = vec![1, 2, 4, 8];
     }
 
-    let registry = registry();
+    let registry = all_scenarios();
     let Some(scenario) = registry.get(&name) else {
         eprintln!("unknown scenario {name:?}; registered names:");
         for n in registry.names() {
@@ -139,7 +122,7 @@ fn main() {
         .max_steps(200_000)
         .workers(1)
         .build();
-    let reduction = run_reduction(&mutant_registry(), &reduction_cfg);
+    let reduction = run_reduction(&all_mutant_scenarios(), &reduction_cfg);
     println!();
     print!("{}", render_reduction(&reduction));
 

@@ -58,41 +58,14 @@
 #![deny(unsafe_code)]
 
 use perennial_bench::args::{apply_strategy, flag, parse_args, rest, value};
+use perennial_bench::registry::{all_mutant_scenarios, all_scenarios};
+use perennial_checker::campaign::{scenario_of_file, trace_file, wal_file};
 use perennial_checker::{
-    chrome_trace_json, emit_test, merge_reports, parse_shard, profile_to_json, render_dashboard,
-    render_explain, render_profile, report_fingerprint, report_from_json, report_to_json,
-    test_file_name, trace_fingerprint, CheckConfig, CheckReport, Dashboard, Pass, ScenarioSet,
+    campaign_fingerprint, chrome_trace_json, emit_test, merge_reports, parse_shard,
+    profile_to_json, render_dashboard, render_explain, render_profile, report_from_json,
+    report_to_json, test_file_name, CheckConfig, CheckReport, Dashboard, Pass,
 };
-use std::path::{Path, PathBuf};
-
-fn registry() -> ScenarioSet {
-    let mut set = ScenarioSet::new();
-    set.extend(perennial_kv::scenarios());
-    set.extend(repldisk::harness::scenarios());
-    set.extend(mailboat::scenarios());
-    set.extend(crash_patterns::scenarios());
-    set.extend(perennial_kv::mutant_scenarios());
-    set.extend(repldisk::harness::mutant_scenarios());
-    set.extend(mailboat::mutant_scenarios());
-    set.extend(crash_patterns::mutant_scenarios());
-    set
-}
-
-/// One WAL file per scenario: `"kv/cross-bucket"` → `kv__cross-bucket.jsonl`.
-fn wal_path(dir: &Path, scenario: &str) -> PathBuf {
-    dir.join(format!("{}.jsonl", scenario.replace('/', "__")))
-}
-
-/// The campaign-level equality oracle: fold the per-scenario report
-/// fingerprints (already timing/worker/shard-insensitive) in name order.
-fn campaign_fingerprint(reports: &[CheckReport]) -> u64 {
-    let mut lines: Vec<String> = reports
-        .iter()
-        .map(|r| format!("{}={:#018x}", r.name, report_fingerprint(r)))
-        .collect();
-    lines.sort();
-    trace_fingerprint(&lines.join("\n"))
-}
+use std::path::PathBuf;
 
 fn write_out(path: &str, shard: Option<(u32, u32)>, reports: &[CheckReport]) {
     let mut root = serde_json::Map::new();
@@ -166,9 +139,9 @@ fn merge_mode(files: &[String], out: Option<&str>) -> i32 {
 
 /// Dashboard mode: fold telemetry/WAL JSONL streams into one merged
 /// campaign dashboard. Each path is a `.jsonl` file or a directory
-/// scanned for them; the scenario key is the file stem with the
-/// `wal_path` mangling undone, so mutant WALs (whose `run_end` records
-/// carry the shared human name) stay distinct.
+/// scanned for them; the scenario key is the registry name the file is
+/// named for, so mutant WALs (whose `run_end` records carry the shared
+/// human name) stay distinct.
 fn dashboard_mode(paths: &[String]) -> i32 {
     let mut files: Vec<PathBuf> = Vec::new();
     for p in paths {
@@ -196,11 +169,7 @@ fn dashboard_mode(paths: &[String]) -> i32 {
     for file in &files {
         let text = std::fs::read_to_string(file)
             .unwrap_or_else(|e| die(&format!("reading {file:?}: {e}")));
-        let scenario = file
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .map(|s| s.replace("__", "/"));
-        dash.ingest(scenario.as_deref(), &text);
+        dash.ingest(scenario_of_file(file).as_deref(), &text);
     }
     if dash.scenarios.is_empty() {
         println!("no campaign data: the streams held no campaign records");
@@ -208,11 +177,6 @@ fn dashboard_mode(paths: &[String]) -> i32 {
     }
     print!("{}", render_dashboard(&dash));
     0
-}
-
-/// `"kv/cross-bucket"` → `DIR/kv__cross-bucket.trace.json`.
-fn trace_path(dir: &Path, scenario: &str) -> PathBuf {
-    dir.join(format!("{}.trace.json", scenario.replace('/', "__")))
 }
 
 fn die(msg: &str) -> ! {
@@ -292,7 +256,8 @@ fn main() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("creating {dir:?}: {e}")));
     }
 
-    let registry = registry();
+    let mut registry = all_scenarios();
+    registry.extend(all_mutant_scenarios());
     let selected: Vec<_> = registry
         .iter()
         .filter(|s| filter.is_none_or(|f| s.name().contains(f)))
@@ -325,7 +290,7 @@ fn main() {
             cfg = cfg.exec_budget(budget);
         }
         if let Some(dir) = &wal_dir {
-            let wal = wal_path(dir, scenario.name());
+            let wal = dir.join(wal_file(scenario.name()));
             cfg = cfg.telemetry_path(&wal);
             if resume {
                 cfg = cfg.resume_from(&wal);
@@ -362,7 +327,7 @@ fn main() {
             .and_then(|cx| cx.timeline.as_ref())
         {
             if let Some(dir) = &trace_out {
-                let path = trace_path(dir, &report.name);
+                let path = dir.join(trace_file(&report.name));
                 let json = chrome_trace_json(timeline, &report.name);
                 let text = serde_json::to_string_pretty(&json).unwrap();
                 std::fs::write(&path, text)

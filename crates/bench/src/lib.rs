@@ -15,7 +15,8 @@
 //! load-bearing. [`args`] is the shared CLI flag parser for the bench
 //! binaries and examples. [`scale`] produces the deterministic counts
 //! recorded in `BENCH_scale.json` and [`perf`] compares a fresh record
-//! with the committed one, leaf for leaf.
+//! with the committed one, leaf for leaf. [`registry`] is the one list of
+//! the workspace's scenarios.
 //!
 //! The `harness` binary regenerates every table and figure:
 //! `cargo run -p perennial-bench --release --bin harness -- all`.
@@ -27,6 +28,7 @@ pub mod args;
 pub mod fig11;
 pub mod loc;
 pub mod perf;
+pub mod registry;
 pub mod scale;
 pub mod sim;
 pub mod tables;

@@ -10,7 +10,7 @@
 
 use perennial_checker::{
     report_fingerprint, trace_fingerprint, CheckConfig, Coverage, CoverageGuided, Exhaustive,
-    OutcomeCounts, Scenario, ScenarioSet, SleepSetDpor, Strategy,
+    OutcomeCounts, OutcomeKind, Scenario, ScenarioSet, SleepSetDpor, Strategy,
 };
 use serde_json::{json, Value};
 use std::fmt::Write as _;
@@ -51,7 +51,7 @@ impl Counts {
             "steps": self.steps,
             "wakeups": self.wakeups,
             "fault_plans": self.fault_plans,
-            "ok": self.outcomes.ok,
+            "ok": self.outcomes.get(OutcomeKind::Ok),
             "failures": self.outcomes.failures(),
             "crash_points_exercised": self.coverage.crash_points_exercised,
             "crash_points_enumerable": self.coverage.crash_points_enumerable,
@@ -135,7 +135,7 @@ pub fn render_counts(name: &str, worker_counts: &[usize], c: &Counts) -> String 
         c.wakeups,
         c.wakeups_per_step(),
         c.fault_plans,
-        c.outcomes.ok,
+        c.outcomes.get(OutcomeKind::Ok),
         c.outcomes.failures(),
         c.coverage.distinct_traces,
     );

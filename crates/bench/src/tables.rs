@@ -74,11 +74,7 @@ pub fn render_table1() -> String {
 /// The scenarios Table 3's dynamic half runs: the default workload of
 /// each system, pulled from the per-crate registries.
 pub fn pattern_scenarios() -> ScenarioSet {
-    let mut all = ScenarioSet::new();
-    all.extend(repldisk::harness::scenarios());
-    all.extend(crash_patterns::scenarios());
-    all.extend(mailboat::scenarios());
-    all.extend(perennial_kv::scenarios());
+    let all = crate::registry::all_scenarios();
     let mut set = ScenarioSet::new();
     for name in [
         "repldisk/mixed",

@@ -1,11 +1,16 @@
 //! Campaign tooling: sharding, report serialization, and shard-merge.
 //!
 //! A *campaign* runs a set of scenarios (optionally × mutants × fault
-//! passes) as one deterministically partitioned workload. Three pieces
+//! passes) as one deterministically partitioned workload. Four pieces
 //! live here:
 //!
 //! - [`parse_shard`] — the `i/n` command-line shard syntax shared by
 //!   the drivers (`scan`, `scale`, `scenario_smoke`).
+//! - [`campaign_fingerprint`], [`wal_file`], [`trace_file`],
+//!   [`scenario_of_file`] — a campaign's conventions, which its drivers
+//!   and tests must agree on: the fold over per-scenario fingerprints
+//!   that `scan` prints last, and how a registry name becomes a file
+//!   name and back.
 //! - [`report_to_json`] / [`report_from_json`] — a lossless-enough
 //!   [`CheckReport`] serialization for cross-process merging. One thing
 //!   does not survive: a counterexample's [`ExecOutcome`] payload comes
@@ -27,14 +32,17 @@
 use crate::explore::{CheckReport, Counterexample, ExecOutcome};
 use crate::json::{
     as_u64, get, get_arr, get_f64, get_hex, get_obj, get_str, get_u64, get_u64s, hex64,
-    parse_hex64, u64s,
+    parse_hex64, u64s, without_keys,
 };
-use crate::metrics::{trace_fingerprint, Histogram, OutcomeKind, PassMetrics};
+use crate::metrics::{
+    trace_fingerprint, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
+};
 use crate::pass::Pass;
 use goose_rt::fault::{FaultPlan, NetFault, TornMode};
 use perennial::GhostError;
 use serde_json::{json, Map, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::time::Duration;
 
 /// Parses the `i/n` shard syntax: `0/4` is the first of four shards.
@@ -106,6 +114,15 @@ fn cx_to_json(cx: &Counterexample) -> Value {
     })
 }
 
+/// The outcome tally as an object, one key per kind, zeros included.
+pub(crate) fn outcomes_to_json(outcomes: &OutcomeCounts) -> Value {
+    let mut map = Map::new();
+    for (name, n) in outcomes.entries() {
+        map.insert(name.to_string(), serde_json::to_value(&n));
+    }
+    Value::Object(map)
+}
+
 fn hist_to_json(h: &Histogram) -> Value {
     json!({
         "buckets": h.raw_buckets().to_vec(),
@@ -118,9 +135,16 @@ fn hist_to_json(h: &Histogram) -> Value {
 /// Serializes a [`CheckReport`] for cross-process merging and the
 /// campaign fingerprint. The inverse is [`report_from_json`].
 pub fn report_to_json(r: &CheckReport) -> Value {
-    let mut outcomes = Map::new();
-    for (name, n) in r.outcomes.entries() {
-        outcomes.insert(name.to_string(), serde_json::to_value(&n));
+    let mut coverage = Map::new();
+    let mut put = |key: String, n: u64| coverage.insert(key, serde_json::to_value(&n));
+    put(
+        "crash_points_enumerable".to_string(),
+        r.coverage.crash_points_enumerable,
+    );
+    for family in FaultFamily::ALL {
+        let (i, stem) = (family as usize, family.wire_name());
+        put(format!("{stem}_exercised"), r.coverage.plans_exercised[i]);
+        put(format!("{stem}_enumerable"), r.coverage.plans_enumerable[i]);
     }
     json!({
         "name": r.name.clone(),
@@ -138,7 +162,7 @@ pub fn report_to_json(r: &CheckReport) -> Value {
         "strategy": r.strategy.clone(),
         "pruned": r.pruned,
         "coverage_guided": r.coverage_guided,
-        "outcomes": Value::Object(outcomes),
+        "outcomes": outcomes_to_json(&r.outcomes),
         "counterexamples": r.counterexamples.iter().map(cx_to_json).collect::<Vec<Value>>(),
         "per_pass": r
             .per_pass
@@ -159,15 +183,7 @@ pub fn report_to_json(r: &CheckReport) -> Value {
             .collect::<Vec<Value>>(),
         "steps_hist": hist_to_json(&r.steps_hist),
         "depth_hist": hist_to_json(&r.depth_hist),
-        "coverage": {
-            "crash_points_enumerable": r.coverage.crash_points_enumerable,
-            "disk_fault_plans_exercised": r.coverage.disk_fault_plans_exercised,
-            "disk_fault_plans_enumerable": r.coverage.disk_fault_plans_enumerable,
-            "torn_plans_exercised": r.coverage.torn_plans_exercised,
-            "torn_plans_enumerable": r.coverage.torn_plans_enumerable,
-            "net_plans_exercised": r.coverage.net_plans_exercised,
-            "net_plans_enumerable": r.coverage.net_plans_enumerable,
-        },
+        "coverage": Value::Object(coverage),
         "crash_point_set": r.crash_point_set.iter().copied().collect::<Vec<u64>>(),
         "trace_fps": r.trace_fps.iter().map(|fp| hex64(*fp)).collect::<Vec<String>>(),
         "shard": r.shard.map(|(i, n)| format!("{i}/{n}")),
@@ -308,14 +324,9 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         ..CheckReport::default()
     };
     let outcomes = get_obj(m, "outcomes")?;
-    r.outcomes.ok = get_u64(outcomes, "ok")?;
-    r.outcomes.violation = get_u64(outcomes, "violation")?;
-    r.outcomes.ub = get_u64(outcomes, "ub")?;
-    r.outcomes.bug = get_u64(outcomes, "bug")?;
-    r.outcomes.deadlock = get_u64(outcomes, "deadlock")?;
-    r.outcomes.final_check_failed = get_u64(outcomes, "final_check_failed")?;
-    r.outcomes.wedged = get_u64(outcomes, "wedged")?;
-    r.outcomes.harness_panic = get_u64(outcomes, "harness_panic")?;
+    for kind in OutcomeKind::ALL {
+        r.outcomes.set(kind, get_u64(outcomes, kind.name())?);
+    }
     for cx in get_arr(m, "counterexamples")? {
         r.counterexamples.push(cx_from_json(cx)?);
     }
@@ -342,12 +353,11 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
     r.depth_hist = hist_from_json(get_obj(m, "depth_hist")?)?;
     let cov = get_obj(m, "coverage")?;
     r.coverage.crash_points_enumerable = get_u64(cov, "crash_points_enumerable")?;
-    r.coverage.disk_fault_plans_exercised = get_u64(cov, "disk_fault_plans_exercised")?;
-    r.coverage.disk_fault_plans_enumerable = get_u64(cov, "disk_fault_plans_enumerable")?;
-    r.coverage.torn_plans_exercised = get_u64(cov, "torn_plans_exercised")?;
-    r.coverage.torn_plans_enumerable = get_u64(cov, "torn_plans_enumerable")?;
-    r.coverage.net_plans_exercised = get_u64(cov, "net_plans_exercised")?;
-    r.coverage.net_plans_enumerable = get_u64(cov, "net_plans_enumerable")?;
+    for family in FaultFamily::ALL {
+        let (i, stem) = (family as usize, family.wire_name());
+        r.coverage.plans_exercised[i] = get_u64(cov, &format!("{stem}_exercised"))?;
+        r.coverage.plans_enumerable[i] = get_u64(cov, &format!("{stem}_enumerable"))?;
+    }
     r.crash_point_set = get_u64s(m, "crash_point_set")?.into_iter().collect();
     for fp in get_arr(m, "trace_fps")? {
         let Value::String(s) = fp else {
@@ -395,28 +405,43 @@ pub const VOLATILE_KEYS: [&str; 8] = [
     "env",
 ];
 
-fn strip_volatile(v: &Value) -> Value {
-    match v {
-        Value::Object(map) => {
-            let mut out = Map::new();
-            for (k, val) in map.iter() {
-                if !VOLATILE_KEYS.contains(&k.as_str()) {
-                    out.insert(k.clone(), strip_volatile(val));
-                }
-            }
-            Value::Object(out)
-        }
-        Value::Array(items) => Value::Array(items.iter().map(strip_volatile).collect()),
-        other => other.clone(),
-    }
-}
-
 /// A hash of the report's deterministic content. Two runs of the same
 /// configuration — whatever their worker count, shard split, or
 /// kill/resume history — must agree on this value.
 pub fn report_fingerprint(r: &CheckReport) -> u64 {
-    let canon = strip_volatile(&report_to_json(r));
+    let canon = without_keys(&report_to_json(r), &VOLATILE_KEYS);
     trace_fingerprint(&serde_json::to_string(&canon).expect("shim serialization is infallible"))
+}
+
+/// The campaign-level equality oracle: the per-scenario report
+/// fingerprints (already timing-, worker- and shard-insensitive) folded in
+/// name order. `scan` prints it last; a campaign keys its reports on the
+/// registry name, so set [`CheckReport::name`] to it first (mutants share
+/// their base scenario's harness name).
+pub fn campaign_fingerprint(reports: &[CheckReport]) -> u64 {
+    let mut lines: Vec<String> = reports
+        .iter()
+        .map(|r| format!("{}={:#018x}", r.name, report_fingerprint(r)))
+        .collect();
+    lines.sort();
+    trace_fingerprint(&lines.join("\n"))
+}
+
+/// A campaign's per-scenario WAL file: `"kv/cross-bucket"` →
+/// `kv__cross-bucket.jsonl` (a registry name is not a path).
+pub fn wal_file(scenario: &str) -> String {
+    format!("{}.jsonl", scenario.replace('/', "__"))
+}
+
+/// A failing scenario's Chrome trace file: `kv__cross-bucket.trace.json`.
+pub fn trace_file(scenario: &str) -> String {
+    format!("{}.trace.json", scenario.replace('/', "__"))
+}
+
+/// The inverse of [`wal_file`]: the registry name a campaign file was
+/// written for, from its stem.
+pub fn scenario_of_file(path: &Path) -> Option<String> {
+    Some(path.file_stem()?.to_str()?.replace("__", "/"))
 }
 
 /// Merges one [`CheckReport`] per shard (a complete `0..n` cover, all
@@ -502,28 +527,7 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
                 out.incomplete.push(msg.clone());
             }
         }
-        // Exercised counts are per-owned-execution (disjoint across
-        // shards): sum. Enumerable horizons are probe-derived and agree
-        // across shards: max = any.
-        out.coverage.disk_fault_plans_exercised += r.coverage.disk_fault_plans_exercised;
-        out.coverage.torn_plans_exercised += r.coverage.torn_plans_exercised;
-        out.coverage.net_plans_exercised += r.coverage.net_plans_exercised;
-        out.coverage.crash_points_enumerable = out
-            .coverage
-            .crash_points_enumerable
-            .max(r.coverage.crash_points_enumerable);
-        out.coverage.disk_fault_plans_enumerable = out
-            .coverage
-            .disk_fault_plans_enumerable
-            .max(r.coverage.disk_fault_plans_enumerable);
-        out.coverage.torn_plans_enumerable = out
-            .coverage
-            .torn_plans_enumerable
-            .max(r.coverage.torn_plans_enumerable);
-        out.coverage.net_plans_enumerable = out
-            .coverage
-            .net_plans_enumerable
-            .max(r.coverage.net_plans_enumerable);
+        out.coverage.merge(&r.coverage);
         for pm in &r.per_pass {
             let slot = per_pass.entry(pm.rank).or_insert(PassMetrics {
                 pass: pm.pass,
@@ -555,6 +559,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn campaign_file_names_round_trip() {
+        let name = "patterns/mutant/wal-skip-helping";
+        assert_eq!(wal_file(name), "patterns__mutant__wal-skip-helping.jsonl");
+        assert_eq!(trace_file("kv/cross-bucket"), "kv__cross-bucket.trace.json");
+        let path = Path::new("/tmp/wals").join(wal_file(name));
+        assert_eq!(scenario_of_file(&path).as_deref(), Some(name));
+    }
+
+    #[test]
     fn shard_syntax_parses_and_rejects() {
         assert_eq!(parse_shard("0/4").unwrap(), (0, 4));
         assert_eq!(parse_shard("3/4").unwrap(), (3, 4));
@@ -581,8 +594,8 @@ mod tests {
             incomplete: vec!["execution budget of 10 exhausted".into()],
             ..CheckReport::default()
         };
-        r.outcomes.ok = 9;
-        r.outcomes.violation = 1;
+        r.outcomes.set(OutcomeKind::Ok, 9);
+        r.outcomes.set(OutcomeKind::Violation, 1);
         r.steps_hist.record(50);
         r.depth_hist.record(12);
         r.crash_point_set.extend([1, 2, 5]);
@@ -765,15 +778,15 @@ mod tests {
         b.shard = Some((1, 2));
         b.counterexamples.clear();
         b.counterexample = None;
-        b.outcomes.violation = 0;
-        b.outcomes.ok = 10;
+        b.outcomes.set(OutcomeKind::Violation, 0);
+        b.outcomes.set(OutcomeKind::Ok, 10);
         b.crash_point_set = [5, 9].into_iter().collect();
         b.trace_fps = [0xdef, 0x123].into_iter().collect();
         let merged = merge_reports(vec![b, a]).unwrap();
         assert_eq!(merged.executions, 20);
         assert_eq!(merged.total_steps, 1000);
-        assert_eq!(merged.outcomes.ok, 19);
-        assert_eq!(merged.outcomes.violation, 1);
+        assert_eq!(merged.outcomes.get(OutcomeKind::Ok), 19);
+        assert_eq!(merged.outcomes.get(OutcomeKind::Violation), 1);
         // Sets union: {1,2,5} ∪ {5,9} and {abc,def} ∪ {def,123}.
         assert_eq!(merged.coverage.crash_points_exercised, 4);
         assert_eq!(merged.coverage.distinct_traces, 3);

@@ -7,6 +7,8 @@
 //! shards, coverage ratios, a per-pass wall-time profile (from the
 //! `pass_start`/`pass_end` timing records), the slowest scenarios, and
 //! pruning effectiveness — and renders it as text (`scan --dashboard`).
+//! The streams are read by [`read_stream`], the reader the WAL loader
+//! uses: this module knows the records' typed form, not their keys.
 //!
 //! Totals come from `run_end` records only. Summing `exec_done` lines
 //! would double-count derivation-spine executions, which run in every
@@ -18,74 +20,25 @@
 //! replayed prefix included), while pass wall times accumulate across
 //! resumes (wall-clock actually spent).
 
-use crate::json::{get_f64, get_str, get_u64};
-use crate::profile::{bar, pct};
-use serde_json::Value;
+use crate::pass::Pass;
+use crate::profile::{bar, pct, PassCost, ProfileBuilder};
+use crate::telemetry::{read_stream, ExecStats, Record, RunEnd};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// The last `run_end` record of one scenario shard stream.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardRun {
-    /// Whether the shard's verdict was a pass.
-    pub passed: bool,
-    /// Whether the run was marked incomplete (budget hit, stream error).
-    pub incomplete: bool,
-    /// Executions the shard finished.
-    pub executions: u64,
-    /// Scheduler grants summed over the shard's executions.
-    pub total_steps: u64,
-    /// Crashes the shard injected.
-    pub crashes_injected: u64,
-    /// Fault plans the shard exercised.
-    pub fault_plans: u64,
-    /// Counterexamples the shard recorded.
-    pub counterexamples: u64,
-    /// Distinct absolute-grant-count crash points exercised.
-    pub crash_points_exercised: u64,
-    /// Crash points the probe pass enumerated as reachable.
-    pub crash_points_enumerable: u64,
-    /// Fault plans exercised across all fault surfaces.
-    pub fault_plans_exercised: u64,
-    /// Fault plans enumerable across all fault surfaces.
-    pub fault_plans_enumerable: u64,
-    /// Executions pruned by the strategy (DPOR sleep sets).
-    pub pruned: u64,
-    /// Executions replayed from a WAL instead of re-run.
-    pub replayed: u64,
-    /// Wall-clock seconds, accumulated across resumes.
-    pub wall_time_s: f64,
-}
-
-/// One `exec_done` record's deterministic cost (dashboard profile feed).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExecCostRow {
-    /// Pass name the execution ran under.
-    pub pass: String,
-    /// Scheduler grants the execution consumed.
-    pub steps: u64,
-    /// Crashes injected during the execution.
-    pub crashes: u64,
-    /// Times a thread blocked on a contended lock.
-    pub lock_blocks: u64,
-    /// Total disk operations.
-    pub disk_ops: u64,
-    /// Total network messages.
-    pub net_msgs: u64,
-}
+use std::time::Duration;
 
 /// One scenario's view across every ingested stream.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioDash {
     /// Last `run_end` per shard label (`"-"` for unsharded runs).
-    pub shards: BTreeMap<String, ShardRun>,
+    pub shards: BTreeMap<String, RunEnd>,
     /// Summed `pass_end` wall time per `(rank, pass name)`.
     pub pass_wall_us: BTreeMap<(u64, String), u64>,
-    /// `exec_done` costs keyed by canonical job key `(rank, index)`.
-    /// Keying dedupes derivation-spine executions, which appear in every
-    /// shard's stream with identical deterministic statistics — so the
-    /// per-pass cost profile matches what an unsharded run would report.
-    pub exec_costs: BTreeMap<(u64, u64), ExecCostRow>,
+    /// What each `exec_done` measured, by canonical job key. Keying
+    /// dedupes derivation-spine executions, which appear in every shard's
+    /// stream with identical deterministic statistics — so the per-pass
+    /// cost profile matches what an unsharded run would report.
+    pub exec_costs: BTreeMap<(Pass, u64), ExecStats>,
 }
 
 impl ScenarioDash {
@@ -94,11 +47,11 @@ impl ScenarioDash {
         self.shards.values().all(|s| s.passed)
     }
 
-    fn sum(&self, f: impl Fn(&ShardRun) -> u64) -> u64 {
+    fn sum(&self, f: impl Fn(&RunEnd) -> u64) -> u64 {
         self.shards.values().map(f).sum()
     }
 
-    fn max(&self, f: impl Fn(&ShardRun) -> u64) -> u64 {
+    fn max(&self, f: impl Fn(&RunEnd) -> u64) -> u64 {
         self.shards.values().map(f).max().unwrap_or(0)
     }
 
@@ -120,10 +73,6 @@ impl ScenarioDash {
     /// Summed injected crashes across shards.
     pub fn crashes_injected(&self) -> u64 {
         self.sum(|s| s.crashes_injected)
-    }
-    /// Summed fault plans exercised across shards.
-    pub fn fault_plans(&self) -> u64 {
-        self.sum(|s| s.fault_plans)
     }
     /// Summed counterexamples across shards.
     pub fn counterexamples(&self) -> u64 {
@@ -165,7 +114,8 @@ pub struct Dashboard {
     pub scenarios: BTreeMap<String, ScenarioDash>,
     /// Streams ingested.
     pub streams: u64,
-    /// Unparseable lines skipped across all streams (torn WAL tails).
+    /// Lines skipped across all streams because they were not one whole
+    /// record (torn WAL tails, records short of a field).
     pub torn_lines: u64,
 }
 
@@ -176,97 +126,35 @@ impl Dashboard {
     /// grouping key — pass the registry name when ingesting a per-
     /// scenario WAL file (mutant variants share their base harness's
     /// human name, and the file name is what disambiguates them).
-    /// Tolerant like the WAL parser: torn lines are counted, not fatal.
+    /// Reads through [`read_stream`], like the WAL loader: a line that is
+    /// not one whole record is counted, never shown in part.
     pub fn ingest(&mut self, scenario_hint: Option<&str>, text: &str) {
         self.streams += 1;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
+        let torn_lines = read_stream(text, None, |stamp, record| {
+            let name = scenario_hint.unwrap_or(stamp);
+            match record {
+                // Last run_end per shard wins (resume appends runs).
+                Record::RunEnd(run) => {
+                    self.scenario(name).shards.insert(run.shard.clone(), run);
+                }
+                Record::PassEnd { pass, duration } => {
+                    let key = (u64::from(pass.rank()), pass.name().to_string());
+                    let wall_us = &mut self.scenario(name).pass_wall_us;
+                    *wall_us.entry(key).or_insert(0) += duration.as_micros() as u64;
+                }
+                Record::ExecDone {
+                    pass, index, stats, ..
+                } => {
+                    self.scenario(name).exec_costs.insert((pass, index), stats);
+                }
+                Record::RunStart(_) | Record::Other => {}
             }
-            let Ok(Value::Object(map)) = serde_json::from_str(line) else {
-                self.torn_lines += 1;
-                continue;
-            };
-            let Ok(ty) = get_str(&map, "type") else {
-                self.torn_lines += 1;
-                continue;
-            };
-            let Some(scenario) = scenario_hint.or_else(|| get_str(&map, "scenario").ok()) else {
-                continue;
-            };
-            let scenario = scenario.to_string();
-            // A dashboard shows what it can: an absent or refused field
-            // reads as zero.
-            let n = |k: &str| get_u64(&map, k).unwrap_or(0);
-            match ty {
-                "run_end" => {
-                    let shard = get_str(&map, "shard").unwrap_or("-").to_string();
-                    let run = ShardRun {
-                        passed: matches!(map.get("passed"), Some(Value::Bool(true))),
-                        incomplete: matches!(
-                            map.get("incomplete"),
-                            Some(Value::Array(v)) if !v.is_empty()
-                        ),
-                        executions: n("executions"),
-                        total_steps: n("total_steps"),
-                        crashes_injected: n("crashes_injected"),
-                        fault_plans: n("fault_plans"),
-                        counterexamples: n("counterexamples"),
-                        crash_points_exercised: n("crash_points_exercised"),
-                        crash_points_enumerable: n("crash_points_enumerable"),
-                        fault_plans_exercised: n("fault_plans_exercised"),
-                        fault_plans_enumerable: n("fault_plans_enumerable"),
-                        pruned: n("pruned"),
-                        replayed: n("replayed"),
-                        wall_time_s: get_f64(&map, "wall_time_s").unwrap_or(0.0),
-                    };
-                    // Last run_end per shard wins (resume appends runs).
-                    self.scenarios
-                        .entry(scenario)
-                        .or_default()
-                        .shards
-                        .insert(shard, run);
-                }
-                "pass_end" => {
-                    let Ok(pass) = get_str(&map, "pass") else {
-                        continue;
-                    };
-                    let rank = n("rank");
-                    *self
-                        .scenarios
-                        .entry(scenario)
-                        .or_default()
-                        .pass_wall_us
-                        .entry((rank, pass.to_string()))
-                        .or_insert(0) += n("duration_us");
-                }
-                "exec_done" => {
-                    let Ok(pass) = get_str(&map, "pass") else {
-                        continue;
-                    };
-                    let Ok(p) = pass.parse::<crate::Pass>() else {
-                        continue;
-                    };
-                    let key = (p.rank() as u64, n("index"));
-                    self.scenarios
-                        .entry(scenario)
-                        .or_default()
-                        .exec_costs
-                        .insert(
-                            key,
-                            ExecCostRow {
-                                pass: pass.to_string(),
-                                steps: n("steps"),
-                                crashes: n("crashes"),
-                                lock_blocks: n("lock_blocks"),
-                                disk_ops: n("disk_ops"),
-                                net_msgs: n("net_msgs"),
-                            },
-                        );
-                }
-                _ => {}
-            }
-        }
+        });
+        self.torn_lines += torn_lines;
+    }
+
+    fn scenario(&mut self, name: &str) -> &mut ScenarioDash {
+        self.scenarios.entry(name.to_string()).or_default()
     }
 
     /// Campaign-wide totals (executions, steps, counterexamples).
@@ -294,25 +182,15 @@ impl Dashboard {
     }
 
     /// Per-pass deterministic cost profile summed over every scenario's
-    /// deduplicated `exec_done` records, rank order:
-    /// `(pass, executions, steps, crashes, lock_blocks, disk_ops, net_msgs)`.
-    #[allow(clippy::type_complexity)]
-    pub fn cost_profile(&self) -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
-        let mut acc: BTreeMap<(u64, String), (u64, u64, u64, u64, u64, u64)> = BTreeMap::new();
+    /// deduplicated `exec_done` records, rank order.
+    pub fn cost_profile(&self) -> Vec<PassCost> {
+        let mut costs = ProfileBuilder::default();
         for s in self.scenarios.values() {
-            for ((rank, _), c) in &s.exec_costs {
-                let e = acc.entry((*rank, c.pass.clone())).or_default();
-                e.0 += 1;
-                e.1 += c.steps;
-                e.2 += c.crashes;
-                e.3 += c.lock_blocks;
-                e.4 += c.disk_ops;
-                e.5 += c.net_msgs;
+            for ((pass, _), stats) in &s.exec_costs {
+                costs.record_exec(*pass, stats, 0, Duration::ZERO);
             }
         }
-        acc.into_iter()
-            .map(|((_, p), (e, st, cr, lb, d, n))| (p, e, st, cr, lb, d, n))
-            .collect()
+        costs.into_passes()
     }
 }
 
@@ -402,15 +280,22 @@ pub fn render_dashboard(d: &Dashboard) -> String {
     }
 
     let costs = d.cost_profile();
-    let cost_steps: u64 = costs.iter().map(|r| r.2).sum();
+    let cost_steps: u64 = costs.iter().map(|c| c.steps).sum();
     if cost_steps > 0 {
         writeln!(out, "  profile (deterministic cost per pass):").unwrap();
-        for (pass, execs, steps, crashes, lock_blocks, disk_ops, net_msgs) in &costs {
+        for c in &costs {
             writeln!(
                 out,
-                "    {pass:<18} {execs:>7} execs {steps:>10} steps  {} {}  ({crashes} crashes, {lock_blocks} blocks, {disk_ops} disk ops, {net_msgs} net msgs)",
-                pct(*steps, cost_steps),
-                bar(*steps, cost_steps, 24),
+                "    {:<18} {:>7} execs {:>10} steps  {} {}  ({} crashes, {} blocks, {} disk ops, {} net msgs)",
+                c.pass,
+                c.executions,
+                c.steps,
+                pct(c.steps, cost_steps),
+                bar(c.steps, cost_steps, 24),
+                c.crashes,
+                c.lock_blocks,
+                c.disk_ops,
+                c.net_msgs,
             )
             .unwrap();
         }
@@ -442,24 +327,59 @@ pub fn render_dashboard(d: &Dashboard) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{ev_exec_done, pass_end_record, run_end_record, stamped, ExecEvent};
+    use crate::{CheckReport, Counterexample, ExecOutcome, FaultPlan, OutcomeKind};
+    use serde_json::Value;
 
+    /// One stream line, as the writer puts `record` there for `scenario`.
+    fn line(record: Value, scenario: &str) -> String {
+        serde_json::to_string(&stamped(record, scenario)).unwrap()
+    }
+
+    /// `line` without `key`.
+    fn without(line: &str, key: &str) -> String {
+        let Ok(Value::Object(mut m)) = serde_json::from_str(line) else {
+            panic!("{line} is not a record")
+        };
+        assert!(m.remove(key).is_some(), "{line} has no {key}");
+        serde_json::to_string(&Value::Object(m)).unwrap()
+    }
+
+    /// The `run_end` record of a run that ended like this.
     fn run_end_line(scenario: &str, shard: &str, execs: u64, passed: bool) -> String {
-        format!(
-            concat!(
-                "{{\"type\": \"run_end\", \"scenario\": {s:?}, \"shard\": {sh:?}, ",
-                "\"passed\": {p}, \"executions\": {e}, \"total_steps\": {st}, ",
-                "\"counterexamples\": {cx}, \"crashes_injected\": 3, ",
-                "\"crash_points_exercised\": 4, \"crash_points_enumerable\": 8, ",
-                "\"pruned\": 7, \"replayed\": 2, \"wall_time_s\": 0.25, ",
-                "\"incomplete\": []}}"
-            ),
-            s = scenario,
-            sh = shard,
-            p = passed,
-            e = execs,
-            st = execs * 10,
-            cx = u64::from(!passed),
-        )
+        let mut report = CheckReport {
+            executions: execs as usize,
+            total_steps: execs * 10,
+            crashes_injected: 3,
+            pruned: 7,
+            replayed: 2,
+            wall_time: Duration::from_millis(250),
+            shard: Some(crate::parse_shard(shard).unwrap()),
+            ..CheckReport::default()
+        };
+        report.coverage.crash_points_exercised = 4;
+        report.coverage.crash_points_enumerable = 8;
+        if !passed {
+            let cx = Counterexample {
+                outcome: ExecOutcome::Deadlock,
+                pass: Pass::Dfs,
+                index: 0,
+                seed: 0,
+                schedule_prefix: vec![],
+                crash_points: vec![],
+                clamped: vec![],
+                faults: FaultPlan::default(),
+                trace: String::new(),
+                timeline: None,
+            };
+            report.counterexample = Some(cx.clone());
+            report.counterexamples = vec![cx];
+        }
+        line(run_end_record(&report), scenario)
+    }
+
+    fn pass_end_line(scenario: &str, pass: Pass, us: u64) -> String {
+        line(pass_end_record(pass, Duration::from_micros(us)), scenario)
     }
 
     #[test]
@@ -494,30 +414,44 @@ mod tests {
     #[test]
     fn pass_wall_profile_accumulates_and_hint_overrides_stamp() {
         let mut d = Dashboard::default();
-        let text = concat!(
-            "{\"type\": \"pass_end\", \"scenario\": \"base\", \"pass\": \"dfs\", \"rank\": 0, \"duration_us\": 100}\n",
-            "{\"type\": \"pass_end\", \"scenario\": \"base\", \"pass\": \"dfs\", \"rank\": 0, \"duration_us\": 50}\n",
-            "not json at all\n",
+        let text = format!(
+            "{}\n{}\nnot json at all\n",
+            pass_end_line("base", Pass::Dfs, 100),
+            pass_end_line("base", Pass::Dfs, 50),
         );
-        d.ingest(Some("mutant/skip-flush"), text);
+        d.ingest(Some("mutant/skip-flush"), &text);
         assert_eq!(d.torn_lines, 1);
         let s = &d.scenarios["mutant/skip-flush"];
         assert_eq!(s.pass_wall_us[&(0, "dfs".to_string())], 150);
         assert_eq!(d.pass_profile(), vec![("dfs".to_string(), 150)]);
     }
 
+    /// A pass's wall time files under the pass's own rank, whatever
+    /// `rank` the line claims.
+    #[test]
+    fn pass_end_is_keyed_by_the_rank_of_its_pass() {
+        let honest = pass_end_line("s", Pass::CrashSweep, 40);
+        let lying = honest.replace("\"rank\": 3", "\"rank\": 0");
+        assert_ne!(honest, lying);
+        let mut d = Dashboard::default();
+        d.ingest(None, &format!("{honest}\n{lying}\n"));
+        let wall = &d.scenarios["s"].pass_wall_us;
+        assert_eq!(wall.len(), 1, "{wall:?}");
+        assert_eq!(wall[&(3, "crash-sweep".to_string())], 80);
+    }
+
     fn exec_done_line(scenario: &str, pass: &str, index: u64, steps: u64) -> String {
-        format!(
-            concat!(
-                "{{\"type\": \"exec_done\", \"scenario\": {s:?}, \"pass\": {p:?}, ",
-                "\"index\": {i}, \"outcome\": \"ok\", \"steps\": {st}, \"crashes\": 1, ",
-                "\"lock_blocks\": 2, \"disk_ops\": 3, \"net_msgs\": 4}}"
-            ),
-            s = scenario,
-            p = pass,
-            i = index,
-            st = steps,
-        )
+        let stats = ExecStats {
+            steps,
+            crashes: 1,
+            lock_blocks: 2,
+            disk_ops: 3,
+            net_msgs: 4,
+            ..ExecStats::default()
+        };
+        let (pass, ok) = (pass.parse().unwrap(), OutcomeKind::Ok);
+        let event = ExecEvent::new(pass, index, 0, ok, &stats, "-", Duration::ZERO);
+        line(ev_exec_done(&event), scenario)
     }
 
     #[test]
@@ -534,11 +468,14 @@ mod tests {
         d.ingest(None, &text);
         let costs = d.cost_profile();
         assert_eq!(costs.len(), 1);
-        let (ref pass, execs, steps, crashes, lock_blocks, disk_ops, net_msgs) = costs[0];
-        assert_eq!(pass, "dfs");
-        assert_eq!(execs, 2, "duplicate (rank, index) must collapse");
-        assert_eq!(steps, 30);
-        assert_eq!((crashes, lock_blocks, disk_ops, net_msgs), (2, 4, 6, 8));
+        let c = &costs[0];
+        assert_eq!(c.pass, "dfs");
+        assert_eq!(c.executions, 2, "duplicate (rank, index) must collapse");
+        assert_eq!(c.steps, 30);
+        assert_eq!(
+            (c.crashes, c.lock_blocks, c.disk_ops, c.net_msgs),
+            (2, 4, 6, 8)
+        );
         let text = render_dashboard(&d);
         assert!(
             text.contains("profile (deterministic cost per pass)"),
@@ -546,17 +483,45 @@ mod tests {
         );
     }
 
+    /// A record short of a field is counted and dropped, not read as
+    /// zeros: without its `index` an execution used to be filed as job 0,
+    /// over the real execution 0's row.
+    #[test]
+    fn an_exec_done_without_index_does_not_replace_execution_zero() {
+        let mut d = Dashboard::default();
+        let text = format!(
+            "{}\n{}\n",
+            exec_done_line("s", "dfs", 0, 10),
+            without(&exec_done_line("s", "dfs", 5, 99), "index"),
+        );
+        d.ingest(None, &text);
+        assert_eq!(d.torn_lines, 1);
+        let costs = d.cost_profile();
+        assert_eq!((costs[0].executions, costs[0].steps), (1, 10));
+    }
+
+    /// Nor is a `run_end` without its verdict a failed shard.
+    #[test]
+    fn a_run_end_without_passed_draws_no_failed_shard() {
+        let mut d = Dashboard::default();
+        d.ingest(None, &run_end_line("s", "0/2", 100, true));
+        d.ingest(
+            None,
+            &without(&run_end_line("s", "1/2", 50, true), "passed"),
+        );
+        assert_eq!(d.torn_lines, 1);
+        assert_eq!(d.scenarios["s"].shards.len(), 1);
+        assert!(d.scenarios["s"].passed());
+        let text = render_dashboard(&d);
+        assert!(text.contains("[.   ]"), "{text}");
+        assert!(text.contains("(1 torn lines skipped)"), "{text}");
+    }
+
     #[test]
     fn render_mentions_every_scenario_and_the_profile() {
         let mut d = Dashboard::default();
         d.ingest(None, &run_end_line("alpha", "0/1", 10, true));
-        d.ingest(
-            None,
-            concat!(
-                "{\"type\": \"pass_end\", \"scenario\": \"alpha\", ",
-                "\"pass\": \"crash-sweep\", \"rank\": 3, \"duration_us\": 2000}\n"
-            ),
-        );
+        d.ingest(None, &pass_end_line("alpha", Pass::CrashSweep, 2000));
         let text = render_dashboard(&d);
         assert!(text.contains("CAMPAIGN DASHBOARD"), "{text}");
         assert!(text.contains("alpha"), "{text}");

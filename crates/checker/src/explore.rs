@@ -61,15 +61,14 @@ use crate::exec::{rerun, run_one, ExecSpec, Policy};
 use crate::harness::Harness;
 use crate::jobs::{
     crash_sweep_jobs, disk_fault_jobs, disk_fault_recovery_jobs, nested_crash_jobs, net_fault_jobs,
-    random_crash_jobs, schedule_jobs, torn_write_jobs, Driver, FaultFamily, Job, JobKey,
-    JobOutcome,
+    random_crash_jobs, schedule_jobs, torn_write_jobs, Driver, Job, JobKey, JobOutcome,
 };
 use crate::metrics::{Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics};
 use crate::pass::Pass;
 use crate::profile::{collisions, ProfileBuilder, StrategyProfile};
 use crate::shrink::shrink_counterexample;
 use crate::strategy::{ObservedExec, StrategySession};
-use crate::telemetry::{self, EnvStamp};
+use crate::telemetry::EnvStamp;
 use goose_rt::fault::{FaultPlan, FaultSurface};
 use perennial_spec::SpecTS;
 use std::collections::{BTreeMap, BTreeSet};
@@ -293,7 +292,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
     report.shard = config.shard;
     report.replayed = driver.shared.replayed.load(Ordering::Relaxed);
     let telem = &driver.shared.telem;
-    if let Some(e) = &telem.open_error {
+    if let Some(e) = telem.open_error() {
         report.incomplete.push(format!("telemetry degraded: {e}"));
     }
     if !driver.budget_open() {
@@ -321,8 +320,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
         let workers = driver.workers as u64;
         report.profile = Some(p.finish(harness.name(), strategy, workers, report.wall_time));
     }
-    driver.close_pass();
-    driver.shared.telem.emit(&telemetry::ev_run_end(&report));
+    driver.shared.telem.close(&report);
     report
 }
 
@@ -470,7 +468,7 @@ fn aggregate(
         }
         let stats = &out.stats;
         let failed = out.kind != OutcomeKind::Ok;
-        let plans = usize::from(out.family != FaultFamily::None);
+        let plans = usize::from(out.family.is_some());
         report.executions += 1;
         report.total_steps += stats.steps;
         report.crashes_injected += stats.crashes as usize;
@@ -488,11 +486,8 @@ fn aggregate(
         report.depth_hist.record(stats.depth);
         report.trace_fps.insert(stats.trace_fp);
         report.crash_point_set.extend(&out.crash_points);
-        match out.family {
-            FaultFamily::Disk => coverage.disk_fault_plans_exercised += 1,
-            FaultFamily::Torn => coverage.torn_plans_exercised += 1,
-            FaultFamily::Net => coverage.net_plans_exercised += 1,
-            FaultFamily::None => {}
+        if let Some(family) = out.family {
+            coverage.plans_exercised[family as usize] += 1;
         }
         let pm = per_pass.entry(out.pass).or_insert(PassMetrics {
             pass: out.pass,

@@ -12,18 +12,17 @@
 use crate::config::CheckConfig;
 use crate::exec::{run_one, Counterexample, ExecSpec, Policy};
 use crate::harness::Harness;
-use crate::metrics::{Coverage, OutcomeKind};
-use crate::pass::{Pass, PassSet};
+use crate::metrics::{Coverage, FaultFamily, OutcomeKind};
+use crate::pass::Pass;
 use crate::strategy::{DepTrace, ScheduleSpec};
-use crate::telemetry::{self, ExecEvent, ExecStats, RunTelemetry};
+use crate::telemetry::{self, ExecStats, RunTelemetry};
 use goose_rt::fault::{FaultPlan, FaultSurface, NetFault, TornMode};
 use goose_rt::splitmix64;
 use parking_lot::Mutex;
 use perennial_spec::SpecTS;
-use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Canonical job key: (pass rank, index within the pass).
 pub(crate) type JobKey = (u8, u64);
@@ -267,29 +266,6 @@ pub(crate) fn net_fault_jobs(net_msgs: u64) -> Vec<Job> {
 // Outcomes
 // ---------------------------------------------------------------------
 
-/// Which fault surface a plan exercises (coverage accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FaultFamily {
-    None,
-    Disk,
-    Torn,
-    Net,
-}
-
-impl FaultFamily {
-    fn of(plan: &FaultPlan) -> Self {
-        if !plan.transient_io.is_empty() || plan.disk_fail.is_some() {
-            FaultFamily::Disk
-        } else if plan.torn.is_some() {
-            FaultFamily::Torn
-        } else if !plan.net.is_empty() {
-            FaultFamily::Net
-        } else {
-            FaultFamily::None
-        }
-    }
-}
-
 /// What the check keeps of one execution until aggregation.
 pub(crate) struct JobOutcome {
     pub key: JobKey,
@@ -297,7 +273,7 @@ pub(crate) struct JobOutcome {
     pub swept: usize,
     /// Which surface the job's fault plan exercised; `None` for an
     /// empty plan (fault-plan and coverage accounting).
-    pub family: FaultFamily,
+    pub family: Option<FaultFamily>,
     /// What the execution measured, live or read back from the WAL.
     pub stats: ExecStats,
     /// How the execution ended (outcome histogram feed).
@@ -504,12 +480,15 @@ fn run_or_replay<S: SpecTS, H: Harness<S>>(
     };
     let r = run_one(harness, spec);
     let kind = OutcomeKind::of(&r.outcome);
-    let (index, faults) = (job.key.1, job.faults.compact());
-    let event = ExecEvent::new(job.pass, index, seed, kind, &r.stats, &faults, r.duration);
-    shared.telem.emit(&telemetry::ev_exec_done(&event));
-    shared
-        .telem
-        .exec_finished(r.stats.steps, r.outcome.is_failure());
+    let (telem, index) = (&shared.telem, job.key.1);
+    telem.exec_done(
+        (job.pass, index),
+        seed,
+        kind,
+        &r.stats,
+        &job.faults,
+        r.duration,
+    );
     let mut cx = None;
     if r.outcome.is_failure() {
         let found = Counterexample {
@@ -524,7 +503,7 @@ fn run_or_replay<S: SpecTS, H: Harness<S>>(
             trace: r.trace,
             timeline: None,
         };
-        shared.telem.emit(&telemetry::ev_counterexample(&found));
+        telem.counterexample(&found);
         shared.cancel.offer(job.key);
         cx = Some(Box::new(found));
     }
@@ -630,25 +609,6 @@ impl BudgetGate {
     }
 }
 
-/// Whether a WAL's `run_start` record matches the resuming
-/// configuration. Workers are excluded (reports are worker-count
-/// independent); everything else — seed, budgets, passes, strategy,
-/// shard — must agree, or replayed statistics would be lies.
-fn wal_matches_config(stored: &Value, name: &str, config: &CheckConfig) -> bool {
-    let mut want = telemetry::ev_run_start(name, config, 0);
-    let mut got = stored.clone();
-    for v in [&mut want, &mut got] {
-        if let Value::Object(m) = v {
-            m.remove("workers");
-            // The env stamp carries the worker count and toolchain; a
-            // WAL from a different machine is still replayable because
-            // every replayed statistic is deterministic.
-            m.remove("env");
-        }
-    }
-    want == got
-}
-
 /// Loads the resume WAL, if configured. Any problem — unreadable file,
 /// config mismatch — degrades to a cold start with a warning rather
 /// than failing the run: a campaign must make progress even when its
@@ -668,7 +628,7 @@ fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, ExecStats> {
         }
     };
     let why = match &wal.run_start {
-        Some(rs) if wal_matches_config(rs, name, config) => {
+        Some(run_start) if run_start.same_run(name, config) => {
             if wal.torn_lines > 0 {
                 eprintln!(
                     "[checker] {name}: WAL {}: dropped {} torn line(s)",
@@ -694,7 +654,8 @@ fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, ExecStats> {
 
 /// The one job driver: every pass's jobs go through [`Driver::run_pass`],
 /// which gates, announces, admits, runs and keeps them. Coordinator-only
-/// state lives here; what the workers see is [`Shared`].
+/// state lives here (and, for the stream's pass bookkeeping, behind
+/// `&mut` [`RunTelemetry`]); what the workers see is [`Shared`].
 pub(crate) struct Driver<'a, H> {
     pub harness: &'a H,
     pub shared: Shared<'a>,
@@ -706,12 +667,6 @@ pub(crate) struct Driver<'a, H> {
     /// Enumerable sweep spaces, recorded as each sweep's job list arrives
     /// (deterministic: job derivation is probe-driven, not timed).
     pub coverage: Coverage,
-    announced: PassSet,
-    /// The pass whose timed `pass_end` record is still owed: each
-    /// `pass_start` closes the previous pass, the run tail the last one.
-    /// Emitted from the coordinating thread only, so the event order is
-    /// deterministic for a fixed config.
-    open_pass: Option<(Pass, Instant)>,
 }
 
 impl<'a, H> Driver<'a, H> {
@@ -725,8 +680,7 @@ impl<'a, H> Driver<'a, H> {
         let name = harness.name();
         let workers = config.effective_workers();
         let replay = load_wal(name, config);
-        let telem = RunTelemetry::new(name, config);
-        telem.emit(&telemetry::ev_run_start(name, config, workers));
+        let telem = RunTelemetry::open(name, config, workers);
         Driver {
             harness,
             shared: Shared {
@@ -744,8 +698,6 @@ impl<'a, H> Driver<'a, H> {
             budget: BudgetGate::new(config.exec_budget),
             outcomes: Vec::new(),
             coverage: Coverage::default(),
-            announced: PassSet::empty(),
-            open_pass: None,
         }
     }
 
@@ -774,12 +726,7 @@ impl<'a, H> Driver<'a, H> {
         if !self.live() {
             return None;
         }
-        if !self.announced.contains(pass) {
-            self.announced.insert(pass);
-            self.close_pass();
-            self.open_pass = Some((pass, Instant::now()));
-            self.shared.telem.emit(&telemetry::ev_pass_start(pass));
-        }
+        self.shared.telem.pass(pass);
         // The space is recorded whole, before the budget cuts it; probes
         // are not part of it.
         let enumerable = jobs.iter().filter(|job| !job.probe).count();
@@ -798,14 +745,6 @@ impl<'a, H> Driver<'a, H> {
     {
         let outs = self.run_pass(job.pass, vec![job])?;
         Some(outs.first().map(|o| o.stats).unwrap_or_default())
-    }
-
-    /// Emits the `pass_end` record the open pass is owed, if any.
-    pub(crate) fn close_pass(&mut self) {
-        if let Some((pass, started)) = self.open_pass.take() {
-            let end = telemetry::ev_pass_end(pass, started.elapsed());
-            self.shared.telem.emit(&end);
-        }
     }
 }
 

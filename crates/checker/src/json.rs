@@ -96,6 +96,25 @@ pub(crate) fn u64s(items: &[Value], what: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+/// `v` rebuilt without any object key named in `keys`, at every depth:
+/// how a record is put into the form two runs must agree on
+/// ([`crate::telemetry::TIMING_KEYS`], [`crate::campaign::VOLATILE_KEYS`]).
+pub(crate) fn without_keys(v: &Value, keys: &[&str]) -> Value {
+    match v {
+        Value::Object(map) => {
+            let mut out = Map::new();
+            for (k, val) in map.iter() {
+                if !keys.contains(&k.as_str()) {
+                    out.insert(k.clone(), without_keys(val, keys));
+                }
+            }
+            Value::Object(out)
+        }
+        Value::Array(items) => Value::Array(items.iter().map(|v| without_keys(v, keys)).collect()),
+        other => other.clone(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

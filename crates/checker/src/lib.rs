@@ -51,9 +51,10 @@ pub mod telemetry;
 pub mod timeline;
 
 pub use campaign::{
-    merge_reports, parse_shard, report_fingerprint, report_from_json, report_to_json,
+    campaign_fingerprint, merge_reports, parse_shard, report_fingerprint, report_from_json,
+    report_to_json,
 };
-pub use dashboard::{render_dashboard, Dashboard, ScenarioDash, ShardRun};
+pub use dashboard::{render_dashboard, Dashboard, ScenarioDash};
 pub use explore::{
     check, replay, run_scenario, shard_of, CheckConfig, CheckConfigBuilder, CheckReport,
     Counterexample, ExecOutcome,
@@ -62,7 +63,7 @@ pub use goose_rt::fault::{FaultPlan, FaultSurface, IoError, IoResult, NetFault, 
 pub use harness::{Execution, Harness, PanicOnReset, SpinForever, ThreadBody, World};
 pub use linearize::{check_linearizable, HistOp, Verdict};
 pub use metrics::{
-    trace_fingerprint, Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
+    trace_fingerprint, Coverage, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
 };
 pub use pass::{Pass, PassSet};
 pub use playback::{emit_test, test_file_name};

@@ -11,6 +11,7 @@
 
 use crate::explore::ExecOutcome;
 use crate::pass::Pass;
+use goose_rt::fault::FaultPlan;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -37,6 +38,18 @@ pub enum OutcomeKind {
 }
 
 impl OutcomeKind {
+    /// Every kind, in declaration (= canonical report) order.
+    pub const ALL: [OutcomeKind; 8] = [
+        OutcomeKind::Ok,
+        OutcomeKind::Violation,
+        OutcomeKind::Ub,
+        OutcomeKind::Bug,
+        OutcomeKind::Deadlock,
+        OutcomeKind::FinalCheckFailed,
+        OutcomeKind::Wedged,
+        OutcomeKind::HarnessPanic,
+    ];
+
     /// Classifies a full outcome into its histogram tag.
     pub fn of(outcome: &ExecOutcome) -> Self {
         match outcome {
@@ -66,82 +79,47 @@ impl OutcomeKind {
     }
 }
 
-/// Counts of executions by [`OutcomeKind`].
+/// Counts of executions by [`OutcomeKind`], one bucket per kind in
+/// [`OutcomeKind::ALL`] order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeCounts {
-    /// Executions with [`OutcomeKind::Ok`].
-    pub ok: u64,
-    /// Executions with [`OutcomeKind::Violation`].
-    pub violation: u64,
-    /// Executions with [`OutcomeKind::Ub`].
-    pub ub: u64,
-    /// Executions with [`OutcomeKind::Bug`].
-    pub bug: u64,
-    /// Executions with [`OutcomeKind::Deadlock`].
-    pub deadlock: u64,
-    /// Executions with [`OutcomeKind::FinalCheckFailed`].
-    pub final_check_failed: u64,
-    /// Executions with [`OutcomeKind::Wedged`].
-    pub wedged: u64,
-    /// Executions with [`OutcomeKind::HarnessPanic`].
-    pub harness_panic: u64,
-}
+pub struct OutcomeCounts([u64; OutcomeKind::ALL.len()]);
 
 impl OutcomeCounts {
     /// Bumps the bucket for one outcome.
     pub fn record(&mut self, kind: OutcomeKind) {
-        match kind {
-            OutcomeKind::Ok => self.ok += 1,
-            OutcomeKind::Violation => self.violation += 1,
-            OutcomeKind::Ub => self.ub += 1,
-            OutcomeKind::Bug => self.bug += 1,
-            OutcomeKind::Deadlock => self.deadlock += 1,
-            OutcomeKind::FinalCheckFailed => self.final_check_failed += 1,
-            OutcomeKind::Wedged => self.wedged += 1,
-            OutcomeKind::HarnessPanic => self.harness_panic += 1,
-        }
+        self.0[kind as usize] += 1;
+    }
+
+    /// Executions that ended as `kind`.
+    pub fn get(&self, kind: OutcomeKind) -> u64 {
+        self.0[kind as usize]
+    }
+
+    /// Overwrites one bucket (deserialization).
+    pub fn set(&mut self, kind: OutcomeKind, n: u64) {
+        self.0[kind as usize] = n;
     }
 
     /// Adds another tally into this one (shard-report merging).
     pub fn merge(&mut self, other: &OutcomeCounts) {
-        self.ok += other.ok;
-        self.violation += other.violation;
-        self.ub += other.ub;
-        self.bug += other.bug;
-        self.deadlock += other.deadlock;
-        self.final_check_failed += other.final_check_failed;
-        self.wedged += other.wedged;
-        self.harness_panic += other.harness_panic;
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
     }
 
     /// Total executions recorded.
     pub fn total(&self) -> u64 {
-        self.ok + self.failures()
+        self.0.iter().sum()
     }
 
     /// Executions that ended in any non-Ok outcome.
     pub fn failures(&self) -> u64 {
-        self.violation
-            + self.ub
-            + self.bug
-            + self.deadlock
-            + self.final_check_failed
-            + self.wedged
-            + self.harness_panic
+        self.total() - self.get(OutcomeKind::Ok)
     }
 
     /// `(name, count)` pairs in canonical order, zeros included.
     pub fn entries(&self) -> [(&'static str, u64); 8] {
-        [
-            ("ok", self.ok),
-            ("violation", self.violation),
-            ("ub", self.ub),
-            ("bug", self.bug),
-            ("deadlock", self.deadlock),
-            ("final_check_failed", self.final_check_failed),
-            ("wedged", self.wedged),
-            ("harness_panic", self.harness_panic),
-        ]
+        OutcomeKind::ALL.map(|kind| (kind.name(), self.get(kind)))
     }
 
     /// One-line rendering, omitting zero buckets: `ok=120 deadlock=2`.
@@ -304,6 +282,61 @@ pub struct PassMetrics {
     pub busy_time: Duration,
 }
 
+/// Which fault surface a non-empty plan exercises: the index of the
+/// per-surface tallies in [`Coverage`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultFamily {
+    /// Transient I/O errors and permanent disk failures.
+    Disk,
+    /// Torn (partially persisted) write buffers at a crash.
+    Torn,
+    /// Dropped, duplicated or delayed messages.
+    Net,
+}
+
+impl FaultFamily {
+    /// Every family, in declaration order.
+    pub const ALL: [FaultFamily; 3] = [FaultFamily::Disk, FaultFamily::Torn, FaultFamily::Net];
+
+    /// The family `plan` exercises; `None` for the empty plan.
+    pub fn of(plan: &FaultPlan) -> Option<Self> {
+        if !plan.transient_io.is_empty() || plan.disk_fail.is_some() {
+            Some(FaultFamily::Disk)
+        } else if plan.torn.is_some() {
+            Some(FaultFamily::Torn)
+        } else if !plan.net.is_empty() {
+            Some(FaultFamily::Net)
+        } else {
+            None
+        }
+    }
+
+    /// Per family: the pass that sweeps it, its short name in summaries,
+    /// and the stem of its two keys in report JSON (`<stem>_exercised`,
+    /// `<stem>_enumerable`).
+    const TABLE: [(Pass, &'static str, &'static str); 3] = [
+        (Pass::DiskFault, "disk", "disk_fault_plans"),
+        (Pass::TornWrite, "torn", "torn_plans"),
+        (Pass::NetFault, "net", "net_plans"),
+    ];
+
+    /// The family `pass` sweeps, if it sweeps fault plans at all.
+    pub fn swept_by(pass: Pass) -> Option<Self> {
+        let swept = |family: &FaultFamily| Self::TABLE[*family as usize].0 == pass;
+        FaultFamily::ALL.into_iter().find(swept)
+    }
+
+    /// Short name, as summaries print it.
+    pub fn name(self) -> &'static str {
+        Self::TABLE[self as usize].1
+    }
+
+    /// Stem of the family's keys in report JSON.
+    pub fn wire_name(self) -> &'static str {
+        Self::TABLE[self as usize].2
+    }
+}
+
 /// Coverage accounting: how much of each enumerable sweep space the run
 /// actually exercised. Ratios stay below 1.0 when a counterexample cut
 /// the run short (statistics stop at the winning key) or when a bound
@@ -316,18 +349,11 @@ pub struct Coverage {
     /// Crash points the systematic sweep enumerates: the baseline
     /// schedule's horizon (0 when the crash sweep is disabled).
     pub crash_points_enumerable: u64,
-    /// Distinct non-empty disk-fault plans executed.
-    pub disk_fault_plans_exercised: u64,
-    /// Disk-fault plans the sweep enumerates.
-    pub disk_fault_plans_enumerable: u64,
-    /// Distinct torn-write plans executed.
-    pub torn_plans_exercised: u64,
-    /// Torn-write plans the sweep enumerates.
-    pub torn_plans_enumerable: u64,
-    /// Distinct network-fault plans executed.
-    pub net_plans_exercised: u64,
-    /// Network-fault plans the sweep enumerates.
-    pub net_plans_enumerable: u64,
+    /// Distinct non-empty fault plans executed, indexed by
+    /// [`FaultFamily`] (`family as usize`).
+    pub plans_exercised: [u64; FaultFamily::ALL.len()],
+    /// Fault plans the sweeps enumerate, indexed the same way.
+    pub plans_enumerable: [u64; FaultFamily::ALL.len()],
     /// Distinct ghost-trace fingerprints observed across executions — a
     /// proxy for behavioural coverage (two executions with the same
     /// fingerprint drove the spec through the same event sequence).
@@ -338,12 +364,25 @@ impl Coverage {
     /// Records that `pass` enumerated `n` more points of its sweep space
     /// (a no-op for passes that sweep no space).
     pub(crate) fn enumerated(&mut self, pass: Pass, n: u64) {
-        match pass {
-            Pass::CrashSweep => self.crash_points_enumerable += n,
-            Pass::DiskFault => self.disk_fault_plans_enumerable += n,
-            Pass::TornWrite => self.torn_plans_enumerable += n,
-            Pass::NetFault => self.net_plans_enumerable += n,
-            _ => {}
+        match FaultFamily::swept_by(pass) {
+            Some(family) => self.plans_enumerable[family as usize] += n,
+            None if pass == Pass::CrashSweep => self.crash_points_enumerable += n,
+            None => {}
+        }
+    }
+
+    /// Folds another shard's sweep spaces in. Exercised plans are counted
+    /// per owned execution (disjoint across shards): sum. Enumerable
+    /// horizons are probe-derived and agree across shards: max = any. The
+    /// two set-backed counts (`crash_points_exercised`, `distinct_traces`)
+    /// are the merger's, from the merged sets.
+    pub(crate) fn merge(&mut self, other: &Coverage) {
+        self.crash_points_enumerable = self
+            .crash_points_enumerable
+            .max(other.crash_points_enumerable);
+        for i in 0..FaultFamily::ALL.len() {
+            self.plans_exercised[i] += other.plans_exercised[i];
+            self.plans_enumerable[i] = self.plans_enumerable[i].max(other.plans_enumerable[i]);
         }
     }
 
@@ -370,12 +409,12 @@ impl Coverage {
 
     /// Non-empty fault plans executed, summed over every surface.
     pub fn fault_plans_exercised(&self) -> u64 {
-        self.disk_fault_plans_exercised + self.torn_plans_exercised + self.net_plans_exercised
+        self.plans_exercised.iter().sum()
     }
 
     /// Enumerable fault plans, summed over every surface.
     pub fn fault_plans_enumerable(&self) -> u64 {
-        self.disk_fault_plans_enumerable + self.torn_plans_enumerable + self.net_plans_enumerable
+        self.plans_enumerable.iter().sum()
     }
 
     /// Multi-line rendering for [`crate::report::render_summary`].
@@ -388,23 +427,11 @@ impl Coverage {
             self.crash_points_enumerable,
             100.0 * self.crash_point_ratio()
         );
-        let per_surface = [
-            (
-                "disk",
-                self.disk_fault_plans_exercised,
-                self.disk_fault_plans_enumerable,
-            ),
-            (
-                "torn",
-                self.torn_plans_exercised,
-                self.torn_plans_enumerable,
-            ),
-            ("net", self.net_plans_exercised, self.net_plans_enumerable),
-        ];
-        let surfaces: Vec<String> = per_surface
-            .iter()
-            .filter(|(_, _, total)| *total > 0)
-            .map(|(name, done, total)| format!("{name} {done}/{total}"))
+        let surfaces: Vec<String> = FaultFamily::ALL
+            .into_iter()
+            .zip(self.plans_exercised.into_iter().zip(self.plans_enumerable))
+            .filter(|(_, (_, total))| *total > 0)
+            .map(|(family, (done, total))| format!("{} {done}/{total}", family.name()))
             .collect();
         let _ = writeln!(
             out,
@@ -449,11 +476,29 @@ mod tests {
         c.record(OutcomeKind::of(&ExecOutcome::Ok));
         c.record(OutcomeKind::of(&ExecOutcome::Deadlock));
         c.record(OutcomeKind::of(&ExecOutcome::Bug("b".into())));
-        assert_eq!(c.ok, 2);
+        assert_eq!(c.get(OutcomeKind::Ok), 2);
         assert_eq!(c.total(), 4);
         assert_eq!(c.failures(), 2);
         assert_eq!(c.render(), "ok=2 bug=1 deadlock=1");
         assert_eq!(OutcomeCounts::default().render(), "(none)");
+    }
+
+    /// `kind as usize` indexes the buckets, so the table must list the
+    /// variants in declaration order, each once.
+    #[test]
+    fn kind_and_family_tables_are_in_declaration_order() {
+        for (i, kind) in OutcomeKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+        for (i, family) in FaultFamily::ALL.into_iter().enumerate() {
+            assert_eq!(family as usize, i, "{family:?}");
+        }
+        // One sweep per family, in the same order.
+        let swept: Vec<FaultFamily> = Pass::ALL
+            .into_iter()
+            .filter_map(FaultFamily::swept_by)
+            .collect();
+        assert_eq!(swept, FaultFamily::ALL);
     }
 
     #[test]
@@ -486,13 +531,13 @@ mod tests {
         let c = Coverage::default();
         assert_eq!(c.crash_point_ratio(), 1.0);
         assert_eq!(c.fault_plan_ratio(), 1.0);
-        let c = Coverage {
+        let mut c = Coverage {
             crash_points_exercised: 3,
             crash_points_enumerable: 12,
-            torn_plans_exercised: 6,
-            torn_plans_enumerable: 36,
             ..Coverage::default()
         };
+        c.plans_exercised[FaultFamily::Torn as usize] = 6;
+        c.plans_enumerable[FaultFamily::Torn as usize] = 36;
         assert!((c.crash_point_ratio() - 0.25).abs() < 1e-12);
         assert!((c.fault_plan_ratio() - 6.0 / 36.0).abs() < 1e-12);
         let text = c.render();

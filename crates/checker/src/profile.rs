@@ -266,6 +266,11 @@ impl ProfileBuilder {
         }
     }
 
+    /// The per-pass table alone, in canonical rank order.
+    pub fn into_passes(self) -> Vec<PassCost> {
+        self.per_pass.into_values().collect()
+    }
+
     /// Finishes the profile: merges the strategy's per-resource prune
     /// attribution into the contention table, ranks it, and attaches
     /// the worker-utilization summary.

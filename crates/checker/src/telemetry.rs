@@ -1,32 +1,47 @@
-//! Telemetry: the explorer's structured JSONL event stream, live
-//! counters, and the periodic progress line.
+//! Telemetry: the run's one JSONL event stream — its writer, its reader,
+//! and the periodic progress line.
 //!
-//! Everything here is a **side channel**: sinks observe the exploration
-//! but feed nothing back into scheduling, seeding, or counterexample
-//! selection, so a run with telemetry enabled reports byte-for-byte the
-//! same [`crate::Counterexample`] as one without (pinned by
-//! `tests/telemetry.rs`). Two kinds of state live here:
+//! Everything here is a **side channel**: the stream observes the
+//! exploration but feeds nothing back into scheduling, seeding, or
+//! counterexample selection, so a run with telemetry enabled reports
+//! byte-for-byte the same [`crate::Counterexample`] as one without (pinned
+//! by `tests/telemetry.rs`). The stream is at once telemetry, the resume
+//! write-ahead log and the dashboard's input, and this module is the only
+//! one that knows its format (DESIGN.md §11 is its schema):
 //!
-//! - [`TelemetrySink`] — a shared JSONL writer. One JSON object per
-//!   line, schema documented in DESIGN.md §11: `run_start`,
-//!   `pass_start`, `exec_done`, `counterexample`, `run_end`. Event
-//!   *content* is deterministic (timing fields excepted); event *order*
-//!   is completion order, so it is canonical at `workers = 1` and
+//! - **In.** The executor's whole contact with the stream is five calls on
+//!   [`RunTelemetry`]: [`open`](RunTelemetry::open) (`run_start`),
+//!   [`pass`](RunTelemetry::pass) (`pass_end` of the previous pass,
+//!   `pass_start`), [`exec_done`](RunTelemetry::exec_done),
+//!   [`counterexample`](RunTelemetry::counterexample) and
+//!   [`close`](RunTelemetry::close) (`pass_end`, `run_end`). With no stream
+//!   open each returns before it formats anything. Event *content* is
+//!   deterministic (timing fields excepted); event *order* is completion
+//!   order, so it is canonical at `workers = 1` and
 //!   interleaved-but-complete at higher pool sizes.
-//! - [`MetricsSink`] — lock-free live counters the worker pool bumps as
-//!   executions finish, feeding the opt-in progress line
-//!   ([`CheckConfig::progress_every`](crate::CheckConfig)). These are
-//!   wall-clock-ordered and therefore *not* the numbers reported in
-//!   [`crate::CheckReport`]; the deterministic ones are computed in
-//!   `explore.rs` from canonical job outcomes (see [`crate::metrics`]).
+//! - **Out.** [`read_stream`] turns stream text back into typed
+//!   [`Record`]s. It owns the line loop, the scenario filter and the
+//!   all-or-nothing rule: a line that is not one whole record — torn by a
+//!   kill, short of a field, or carrying a value the strict field readers
+//!   of `json.rs` refuse — is counted and dropped, never read in part.
+//!   [`parse_wal`] and [`crate::dashboard::Dashboard::ingest`] are two
+//!   `match`es over it.
+//!
+//! [`TelemetrySink`] is the shared line writer underneath. The progress
+//! line ([`CheckConfig::progress_every`]) is fed by live, wall-clock-ordered
+//! counters that are *not* the numbers reported in [`crate::CheckReport`];
+//! those are computed from canonical job outcomes (see [`crate::metrics`]).
 
+use crate::campaign::outcomes_to_json;
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
-use crate::json::{get_hex, get_str, get_u64, hex64};
+use crate::json::{get, get_arr, get_f64, get_hex, get_str, get_u64, hex64, without_keys};
 use crate::metrics::OutcomeKind;
-use crate::pass::Pass;
+use crate::pass::{Pass, PassSet};
+use goose_rt::fault::FaultPlan;
 use goose_rt::sched::SchedStats;
 use parking_lot::Mutex;
 use serde_json::{json, Map, Value};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,84 +134,39 @@ impl Write for SharedBuf {
     }
 }
 
-/// Live, lock-free counters the worker pool bumps per finished
-/// execution. Wall-clock ordered — the progress line's feed, not the
-/// report's.
-#[derive(Debug, Default)]
-pub struct MetricsSink {
-    executions: AtomicU64,
-    steps: AtomicU64,
-    failures: AtomicU64,
-}
-
-impl MetricsSink {
-    /// Records one finished execution; returns the new execution count
-    /// (the progress-line trigger).
-    pub fn record_exec(&self, steps: u64, failed: bool) -> u64 {
-        self.steps.fetch_add(steps, Ordering::Relaxed);
-        if failed {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-        }
-        self.executions.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Executions finished so far.
-    pub fn executions(&self) -> u64 {
-        self.executions.load(Ordering::Relaxed)
-    }
-
-    /// Scheduler steps granted so far, summed over all executions.
-    pub fn steps(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
-    }
-
-    /// Executions that ended in a failure outcome so far.
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-
-    /// The progress line printed every N executions (stderr, so it
-    /// never pollutes piped report output).
-    pub fn progress_line(&self, name: &str, since_start: Duration) -> String {
-        let execs = self.executions();
-        let rate = execs as f64 / since_start.as_secs_f64().max(1e-9);
-        format!(
-            "[checker] {name}: {execs} execs, {} steps, {} failures, {rate:.0} execs/s",
-            self.steps(),
-            self.failures()
-        )
-    }
-}
-
-/// Per-run telemetry context threaded through the explorer: the
-/// optional event stream, the live counters, and the progress cadence.
+/// The owner of one run's event stream: the executor's whole contact
+/// with telemetry is [`open`](Self::open), [`pass`](Self::pass),
+/// [`exec_done`](Self::exec_done), [`counterexample`](Self::counterexample)
+/// and [`close`](Self::close). `pass` and `close` take `&mut self`: pass
+/// bookkeeping belongs to the coordinating thread, so the order of
+/// `pass_start`/`pass_end` records is deterministic for a fixed config.
 pub struct RunTelemetry {
-    /// The JSONL event stream, when one was configured and opened.
-    pub stream: Option<TelemetrySink>,
-    /// Live in-memory counters backing the progress line.
-    pub live: MetricsSink,
+    stream: Option<TelemetrySink>,
+    /// Scenario name, stamped onto every record.
+    name: String,
+    open_error: Option<String>,
+    announced: PassSet,
+    /// The pass whose timed `pass_end` record is still owed: each
+    /// `pass_start` closes the previous pass, `close` the last one.
+    open_pass: Option<(Pass, Instant)>,
     /// Print the progress line every this many executions (0 = never).
-    pub progress_every: u64,
-    /// When the run started, for the execs/s rate in the progress line.
-    pub start: Instant,
-    /// Scenario name, stamped onto every emitted record.
-    pub name: String,
-    /// Set when the configured telemetry file could not be opened: the
-    /// run degrades to in-memory metrics instead of aborting, and the
-    /// report is marked incomplete (no checkpoint was written).
-    pub open_error: Option<String>,
+    progress_every: u64,
+    start: Instant,
+    /// Executions, steps and failures so far, in completion order: the
+    /// progress line's feed, untouched while it is off.
+    live: [AtomicU64; 3],
 }
 
 impl RunTelemetry {
-    /// Builds the telemetry context for one run, opening the configured
-    /// stream (shared sink, or file path — appending when resuming into
-    /// the same file the WAL was replayed from).
-    pub fn new(name: &str, config: &CheckConfig) -> Self {
+    /// Opens the run's stream — the configured shared sink, or the file
+    /// path (appending when it is also the file the WAL was replayed from,
+    /// truncating otherwise) — and writes its `run_start` record. A file
+    /// that cannot be opened degrades the run to no stream, reported by
+    /// [`open_error`](Self::open_error), instead of aborting it.
+    pub fn open(name: &str, config: &CheckConfig, workers: usize) -> Self {
         let mut open_error = None;
         let stream = config.telemetry.clone().or_else(|| {
             config.telemetry_path.as_ref().and_then(|p| {
-                // Resuming into the same file the WAL was replayed from
-                // must append; every other open truncates as before.
                 let same = config.resume_from.as_deref() == Some(p.as_path());
                 let opened = if same {
                     TelemetrySink::append_file(p)
@@ -214,14 +184,24 @@ impl RunTelemetry {
                 }
             })
         });
-        RunTelemetry {
+        let telem = RunTelemetry {
             stream,
-            live: MetricsSink::default(),
-            progress_every: config.progress_every,
-            start: Instant::now(),
             name: name.to_string(),
             open_error,
-        }
+            announced: PassSet::empty(),
+            open_pass: None,
+            progress_every: config.progress_every,
+            start: Instant::now(),
+            live: Default::default(),
+        };
+        telem.emit(|| run_start_record(config, workers));
+        telem
+    }
+
+    /// Why the configured telemetry file could not be opened, if it could
+    /// not (no checkpoint is being written).
+    pub fn open_error(&self) -> Option<&str> {
+        self.open_error.as_deref()
     }
 
     /// The first write error the stream hit, if any.
@@ -229,34 +209,103 @@ impl RunTelemetry {
         self.stream.as_ref().and_then(|s| s.last_error())
     }
 
-    /// Writes one event to the stream (no-op when no stream is open),
-    /// stamping the scenario name onto records that lack one.
-    pub fn emit(&self, event: &Value) {
+    /// Writes the record `build` makes, stamped with the scenario so that
+    /// streams holding several runs (`scenario_smoke --telemetry`) stay
+    /// attributable line by line. With no stream open `build` never runs.
+    fn emit(&self, build: impl FnOnce() -> Value) {
         if let Some(stream) = &self.stream {
-            // Stamp every record with its scenario, so streams holding
-            // several runs (scenario_smoke --telemetry appends all
-            // scenarios to one file) stay attributable line-by-line.
-            let mut v = event.clone();
-            if let Value::Object(map) = &mut v {
-                if map.get("scenario").is_none() {
-                    map.insert("scenario".to_string(), Value::String(self.name.clone()));
-                }
-            }
-            stream.emit(&v);
+            stream.emit(&stamped(build(), &self.name));
         }
     }
 
-    /// Bumps the live counters and prints the progress line when the
-    /// cadence says so.
-    pub fn exec_finished(&self, steps: u64, failed: bool) {
-        let n = self.live.record_exec(steps, failed);
-        if self.progress_every > 0 && n.is_multiple_of(self.progress_every) {
-            eprintln!(
-                "{}",
-                self.live.progress_line(&self.name, self.start.elapsed())
-            );
+    /// A wave of `pass` is about to run: the first time, closes the
+    /// previous pass with its timed `pass_end` and announces this one.
+    pub fn pass(&mut self, pass: Pass) {
+        if self.announced.contains(pass) {
+            return;
+        }
+        self.announced.insert(pass);
+        self.end_pass();
+        self.open_pass = Some((pass, Instant::now()));
+        self.emit(|| json!({ "type": "pass_start", "pass": pass.name(), "rank": pass.rank() }));
+    }
+
+    fn end_pass(&mut self) {
+        if let Some((pass, started)) = self.open_pass.take() {
+            self.emit(|| pass_end_record(pass, started.elapsed()));
         }
     }
+
+    /// One execution of `job` (its pass and index within the pass) ended:
+    /// the `exec_done` record, which doubles as the WAL entry, and the
+    /// progress line when its cadence says so.
+    pub fn exec_done(
+        &self,
+        job: (Pass, u64),
+        seed: u64,
+        outcome: OutcomeKind,
+        stats: &ExecStats,
+        faults: &FaultPlan,
+        duration: Duration,
+    ) {
+        self.emit(|| {
+            let faults = faults.compact();
+            ev_exec_done(&ExecEvent::new(
+                job.0, job.1, seed, outcome, stats, &faults, duration,
+            ))
+        });
+        if self.progress_every > 0 {
+            let [executions, steps, failures] = &self.live;
+            steps.fetch_add(stats.steps, Ordering::Relaxed);
+            failures.fetch_add(u64::from(outcome != OutcomeKind::Ok), Ordering::Relaxed);
+            let n = executions.fetch_add(1, Ordering::Relaxed) + 1;
+            if n.is_multiple_of(self.progress_every) {
+                eprintln!("{}", self.progress_line());
+            }
+        }
+    }
+
+    /// The progress line (stderr, so it never pollutes piped output).
+    fn progress_line(&self) -> String {
+        let [executions, steps, failures] = self.live.each_ref().map(|n| n.load(Ordering::Relaxed));
+        let rate = executions as f64 / self.start.elapsed().as_secs_f64().max(1e-9);
+        format!(
+            "[checker] {}: {executions} execs, {steps} steps, {failures} failures, {rate:.0} execs/s",
+            self.name
+        )
+    }
+
+    /// A failure was found: its replay coordinates (pass, index, seed,
+    /// schedule prefix, crash points, fault plan).
+    pub fn counterexample(&self, cx: &Counterexample) {
+        self.emit(|| {
+            json!({
+                "type": "counterexample",
+                "pass": cx.pass.name(),
+                "index": cx.index,
+                "seed": hex64(cx.seed),
+                "outcome": OutcomeKind::of(&cx.outcome).name(),
+                "crash_points": cx.crash_points,
+                "schedule_prefix": cx.schedule_prefix,
+                "faults": cx.faults.compact(),
+            })
+        });
+    }
+
+    /// The run is over: the last pass's `pass_end`, then `run_end` with
+    /// the report's totals and verdict.
+    pub fn close(&mut self, report: &CheckReport) {
+        self.end_pass();
+        self.emit(|| run_end_record(report));
+    }
+}
+
+/// `record` with its `scenario` stamp.
+pub(crate) fn stamped(mut record: Value, scenario: &str) -> Value {
+    if let Value::Object(map) = &mut record {
+        map.insert("scenario".to_string(), Value::String(scenario.to_string()));
+    }
+    record
 }
 
 /// Where a record was produced: toolchain, crate version, worker count,
@@ -314,10 +363,9 @@ impl EnvStamp {
 /// The `run_start` record: the full deterministic configuration of the
 /// run. Deliberately excludes observer-only knobs (trace capture,
 /// profiling, shrinking) so enabling them never invalidates a WAL.
-pub fn ev_run_start(name: &str, config: &CheckConfig, workers: usize) -> Value {
+fn run_start_record(config: &CheckConfig, workers: usize) -> Value {
     json!({
         "type": "run_start",
-        "scenario": name,
         "seed": hex64(config.seed),
         "workers": workers,
         "env": EnvStamp::current(workers as u64, config.strategy.name()).to_json(),
@@ -333,19 +381,30 @@ pub fn ev_run_start(name: &str, config: &CheckConfig, workers: usize) -> Value {
     })
 }
 
-/// The `pass_start` record: a pass began enumerating jobs.
-pub fn ev_pass_start(pass: Pass) -> Value {
-    json!({
-        "type": "pass_start",
-        "pass": pass.name(),
-        "rank": pass.rank(),
-    })
+/// The keys of a `run_start` record that say where the run happened, not
+/// what it explored.
+const POOL_KEYS: [&str; 2] = ["workers", "env"];
+
+/// A `run_start` record read back: what the run it opened explored.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunStart(Value);
+
+impl RunStart {
+    /// Whether this record opened a run of `name` under `config`. The pool
+    /// size and the environment stamp are left out of the comparison — a
+    /// WAL from another machine replays, because every replayed statistic
+    /// is deterministic; everything else (seed, budgets, passes, strategy,
+    /// shard) must agree, or replayed statistics would be lies.
+    pub fn same_run(&self, name: &str, config: &CheckConfig) -> bool {
+        let want = stamped(run_start_record(config, 0), name);
+        self.0 == without_keys(&want, &POOL_KEYS)
+    }
 }
 
 /// Closes a pass with its wall-time profile. `duration_us` is a
 /// [`TIMING_KEYS`] member, so byte-stability comparisons see a stable
 /// record while dashboards get a per-pass wall profile.
-pub fn ev_pass_end(pass: Pass, duration: Duration) -> Value {
+pub(crate) fn pass_end_record(pass: Pass, duration: Duration) -> Value {
     json!({
         "type": "pass_end",
         "pass": pass.name(),
@@ -463,32 +522,10 @@ pub fn ev_exec_done(e: &ExecEvent<'_>) -> Value {
     })
 }
 
-/// The `counterexample` record: the replay coordinates of one failure
-/// (pass, index, seed, schedule prefix, crash points, fault plan).
-pub fn ev_counterexample(cx: &Counterexample) -> Value {
-    json!({
-        "type": "counterexample",
-        "pass": cx.pass.name(),
-        "index": cx.index,
-        "seed": hex64(cx.seed),
-        "outcome": OutcomeKind::of(&cx.outcome).name(),
-        "crash_points": cx.crash_points,
-        "schedule_prefix": cx.schedule_prefix,
-        "faults": cx.faults.compact(),
-    })
-}
-
 /// The `run_end` record: the report's deterministic totals and verdict.
-/// Shrink statistics are appended only when shrinking ran, so
-/// shrink-off streams stay byte-identical to pre-shrink ones.
-pub fn ev_run_end(report: &CheckReport) -> Value {
-    let mut outcomes = Map::new();
-    for (name, n) in report.outcomes.entries() {
-        outcomes.insert(name.to_string(), serde_json::to_value(&n));
-    }
+pub(crate) fn run_end_record(report: &CheckReport) -> Value {
     let mut ev = json!({
         "type": "run_end",
-        "scenario": report.name,
         "passed": report.passed(),
         "executions": report.executions,
         "total_steps": report.total_steps,
@@ -501,7 +538,7 @@ pub fn ev_run_end(report: &CheckReport) -> Value {
         "net_sends": report.net_sends,
         "net_recvs": report.net_recvs,
         "counterexamples": report.counterexamples.len(),
-        "outcomes": Value::Object(outcomes),
+        "outcomes": outcomes_to_json(&report.outcomes),
         "crash_points_exercised": report.coverage.crash_points_exercised,
         "crash_points_enumerable": report.coverage.crash_points_enumerable,
         "fault_plans_exercised": report.coverage.fault_plans_exercised(),
@@ -519,20 +556,78 @@ pub fn ev_run_end(report: &CheckReport) -> Value {
     });
     // Shrink bookkeeping rides along only when shrinking actually ran,
     // so shrink-off streams stay byte-identical to pre-shrink ones.
-    if let Some(s) = &report.shrink {
-        if let Value::Object(map) = &mut ev {
-            map.insert(
-                "shrink_steps_removed".to_string(),
-                serde_json::to_value(&s.steps_removed),
-            );
-            map.insert("shrink_rounds".to_string(), serde_json::to_value(&s.rounds));
-            map.insert(
-                "shrink_re_runs".to_string(),
-                serde_json::to_value(&s.re_runs),
-            );
+    if let (Some(s), Value::Object(map)) = (&report.shrink, &mut ev) {
+        for (key, n) in [
+            ("shrink_steps_removed", s.steps_removed),
+            ("shrink_rounds", s.rounds),
+            ("shrink_re_runs", s.re_runs),
+        ] {
+            map.insert(key.to_string(), serde_json::to_value(&n));
         }
     }
     ev
+}
+
+/// A `run_end` record read back: one run's totals and verdict, as the
+/// dashboard shows them per shard.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunEnd {
+    /// The shard the run covered, `i/n`; `-` for an unsharded run.
+    pub shard: String,
+    /// Whether the verdict was a pass.
+    pub passed: bool,
+    /// Whether the run was marked incomplete (budget hit, stream error).
+    pub incomplete: bool,
+    /// Executions the run finished.
+    pub executions: u64,
+    /// Scheduler grants summed over them.
+    pub total_steps: u64,
+    /// Crashes the run injected.
+    pub crashes_injected: u64,
+    /// Counterexamples the run recorded.
+    pub counterexamples: u64,
+    /// Distinct absolute-grant-count crash points exercised.
+    pub crash_points_exercised: u64,
+    /// Crash points the probe pass enumerated as reachable.
+    pub crash_points_enumerable: u64,
+    /// Fault plans exercised across all fault surfaces.
+    pub fault_plans_exercised: u64,
+    /// Fault plans enumerable across all fault surfaces.
+    pub fault_plans_enumerable: u64,
+    /// Executions pruned by the strategy (DPOR sleep sets).
+    pub pruned: u64,
+    /// Executions replayed from a WAL instead of re-run.
+    pub replayed: u64,
+    /// Wall-clock seconds the run took.
+    pub wall_time_s: f64,
+}
+
+impl RunEnd {
+    fn from_json(m: &Map) -> Result<Self, String> {
+        Ok(RunEnd {
+            shard: match get(m, "shard")? {
+                Value::Null => "-".to_string(),
+                Value::String(s) => s.clone(),
+                v => return Err(format!("shard: expected string or null, got {v:?}")),
+            },
+            passed: match get(m, "passed")? {
+                Value::Bool(b) => *b,
+                v => return Err(format!("passed: expected a boolean, got {v:?}")),
+            },
+            incomplete: !get_arr(m, "incomplete")?.is_empty(),
+            executions: get_u64(m, "executions")?,
+            total_steps: get_u64(m, "total_steps")?,
+            crashes_injected: get_u64(m, "crashes_injected")?,
+            counterexamples: get_u64(m, "counterexamples")?,
+            crash_points_exercised: get_u64(m, "crash_points_exercised")?,
+            crash_points_enumerable: get_u64(m, "crash_points_enumerable")?,
+            fault_plans_exercised: get_u64(m, "fault_plans_exercised")?,
+            fault_plans_enumerable: get_u64(m, "fault_plans_enumerable")?,
+            pruned: get_u64(m, "pruned")?,
+            replayed: get_u64(m, "replayed")?,
+            wall_time_s: get_f64(m, "wall_time_s")?,
+        })
+    }
 }
 
 /// Keys whose values are wall-clock dependent. Strip these before
@@ -551,13 +646,9 @@ pub const TIMING_KEYS: [&str; 5] = [
 /// Validates one JSONL line: parseable, an object, with a string
 /// `type`. Returns the event type.
 pub fn validate_json_line(line: &str) -> Result<String, String> {
-    let v = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    let Value::Object(map) = &v else {
-        return Err("telemetry line is not a JSON object".to_string());
-    };
-    match map.get("type") {
-        Some(Value::String(t)) => Ok(t.clone()),
-        _ => Err("telemetry line has no string \"type\" field".to_string()),
+    match serde_json::from_str(line).map_err(|e| e.to_string())? {
+        Value::Object(map) => Ok(get_str(&map, "type")?.to_string()),
+        _ => Err("telemetry line is not a JSON object".to_string()),
     }
 }
 
@@ -597,9 +688,6 @@ pub struct ExecStats {
     pub trace_fp: u64,
 }
 
-/// The WAL's replay payload is the execution record itself.
-pub type WalExec = ExecStats;
-
 impl ExecStats {
     /// The record of an execution that just ended: the runtime's
     /// counters plus what only the explorer's pilot and the ghost state
@@ -632,7 +720,7 @@ impl ExecStats {
     /// Reads the record back out of an `exec_done` object. All or
     /// nothing: a record missing a counter (truncated, or written by
     /// something else) is an error, never a record with zeros in it.
-    pub fn from_json(m: &Map) -> Result<Self, String> {
+    fn from_json(m: &Map) -> Result<Self, String> {
         Ok(ExecStats {
             steps: get_u64(m, "steps")?,
             depth: get_u64(m, "depth")?,
@@ -656,6 +744,97 @@ impl ExecStats {
     }
 }
 
+/// One whole record of a stream, typed. A variant exists for what some
+/// reader consumes; every other well-formed record is [`Record::Other`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Record {
+    /// `run_start`: a run opened (the WAL loader's config guard).
+    RunStart(RunStart),
+    /// `exec_done`: one execution finished.
+    ExecDone {
+        /// The pass it ran under; `(pass.rank(), index)` is its job key.
+        pass: Pass,
+        /// Its index within the pass.
+        index: u64,
+        /// Whether its outcome was `ok` (only those are replayable).
+        ok: bool,
+        /// What it measured.
+        stats: ExecStats,
+    },
+    /// `pass_end`: a pass closed after `duration` on the wall clock.
+    PassEnd {
+        /// The pass.
+        pass: Pass,
+        /// Wall time from its `pass_start` to the next pass's.
+        duration: Duration,
+    },
+    /// `run_end`: a run finished with these totals.
+    RunEnd(RunEnd),
+    /// A well-formed record of a type no reader consumes (`pass_start`,
+    /// `counterexample`, or one a later writer added).
+    Other,
+}
+
+impl Record {
+    /// The one place that decides whether a record is whole: an object
+    /// with a string `type` and `scenario` and, when typed, every field of
+    /// its variant, each passing its strict reader. Returns the scenario
+    /// stamp with the record.
+    fn from_json(v: &Value) -> Result<(&str, Record), String> {
+        let Value::Object(m) = v else {
+            return Err("not an object".to_string());
+        };
+        let pass = || get_str(m, "pass")?.parse::<Pass>();
+        let record = match get_str(m, "type")? {
+            "run_start" => Record::RunStart(RunStart(without_keys(v, &POOL_KEYS))),
+            "exec_done" => {
+                let outcome = get_str(m, "outcome")?;
+                if !OutcomeKind::ALL.iter().any(|kind| kind.name() == outcome) {
+                    return Err(format!("unknown outcome {outcome:?}"));
+                }
+                Record::ExecDone {
+                    pass: pass()?,
+                    index: get_u64(m, "index")?,
+                    ok: outcome == OutcomeKind::Ok.name(),
+                    stats: ExecStats::from_json(m)?,
+                }
+            }
+            "pass_end" => Record::PassEnd {
+                pass: pass()?,
+                duration: Duration::from_micros(get_u64(m, "duration_us")?),
+            },
+            "run_end" => Record::RunEnd(RunEnd::from_json(m)?),
+            _ => Record::Other,
+        };
+        Ok((get_str(m, "scenario")?, record))
+    }
+}
+
+/// Reads a JSONL stream: calls `each` with the scenario stamp and the
+/// typed form of every whole record, and returns how many non-empty lines
+/// were not one — unparseable (a SIGKILL mid-write leaves at most one torn
+/// final line), not an object, or failing [`Record`]'s all-or-nothing
+/// rule. With `only`, records stamped with another scenario are passed
+/// over (streams can hold several scenarios: `scenario_smoke` appends all
+/// of them to one file).
+pub fn read_stream(text: &str, only: Option<&str>, mut each: impl FnMut(&str, Record)) -> u64 {
+    let mut torn_lines = 0;
+    for line in text.lines().filter(|line| !line.trim().is_empty()) {
+        let Ok(v) = serde_json::from_str(line) else {
+            torn_lines += 1;
+            continue;
+        };
+        match Record::from_json(&v) {
+            Ok((scenario, record)) if only.is_none_or(|wanted| wanted == scenario) => {
+                each(scenario, record)
+            }
+            Ok(_) => {}
+            Err(_) => torn_lines += 1,
+        }
+    }
+    torn_lines
+}
+
 /// The recovered state of an interrupted (or completed) run: which
 /// executions finished, plus enough metadata to sanity-check that the
 /// WAL belongs to the configuration about to resume.
@@ -664,69 +843,36 @@ pub struct WalReplay {
     /// Successfully completed executions by job key `(pass rank, index)`.
     /// Only `ok` outcomes are recorded: failures are cheap to re-run and
     /// must be, to regenerate their counterexample payloads.
-    pub completed: std::collections::BTreeMap<(u8, u64), ExecStats>,
+    pub completed: BTreeMap<(u8, u64), ExecStats>,
     /// Number of `run_start` records seen (1 = first resume of a clean
     /// run; more = the WAL has been resumed into before).
     pub runs_started: u64,
-    /// Lines that failed to parse — a SIGKILL mid-write leaves at most
-    /// one torn final line, which replay tolerates and drops.
+    /// Lines that were not one whole record (see [`read_stream`]); their
+    /// executions, if any, re-run.
     pub torn_lines: u64,
     /// The last `run_start` record, for the config guard.
-    pub run_start: Option<Value>,
+    pub run_start: Option<RunStart>,
 }
 
-/// Parses a JSONL telemetry stream as a write-ahead log for `scenario`.
-///
-/// Tolerant by construction: unparseable lines (torn tails from a
-/// mid-write kill) are counted and dropped, records for other scenarios
-/// are skipped, and an `exec_done` record missing any field, or
-/// carrying one the strict field reader refuses, is ignored whole
-/// rather than trusted in part.
+/// Parses a JSONL telemetry stream as a write-ahead log for `scenario`:
+/// its `ok` executions by job key and its last `run_start`.
 pub fn parse_wal(text: &str, scenario: &str) -> WalReplay {
     let mut wal = WalReplay::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
+    wal.torn_lines = read_stream(text, Some(scenario), |_, record| match record {
+        Record::RunStart(run_start) => {
+            wal.runs_started += 1;
+            wal.run_start = Some(run_start);
         }
-        let Ok(Value::Object(map)) = serde_json::from_str(line) else {
-            wal.torn_lines += 1;
-            continue;
-        };
-        let ty = match map.get("type") {
-            Some(Value::String(t)) => t.clone(),
-            _ => {
-                wal.torn_lines += 1;
-                continue;
-            }
-        };
-        // Streams can hold several scenarios (scenario_smoke appends
-        // all of them to one file); replay only this scenario's lines.
-        match map.get("scenario") {
-            Some(Value::String(s)) if s != scenario => continue,
-            _ => {}
+        Record::ExecDone {
+            pass,
+            index,
+            ok: true,
+            stats,
+        } => {
+            wal.completed.insert((pass.rank(), index), stats);
         }
-        match ty.as_str() {
-            "run_start" => {
-                wal.runs_started += 1;
-                wal.run_start = Some(Value::Object(map));
-            }
-            "exec_done" => {
-                if get_str(&map, "outcome") != Ok("ok") {
-                    continue;
-                }
-                // All or nothing: a record short of a field re-runs.
-                let (Ok(pass), Ok(index), Ok(stats)) = (
-                    get_str(&map, "pass").and_then(str::parse::<Pass>),
-                    get_u64(&map, "index"),
-                    ExecStats::from_json(&map),
-                ) else {
-                    continue;
-                };
-                wal.completed.insert((pass.rank(), index), stats);
-            }
-            _ => {}
-        }
-    }
+        _ => {}
+    });
     wal
 }
 
@@ -740,24 +886,13 @@ pub fn read_wal(path: impl AsRef<Path>, scenario: &str) -> std::io::Result<WalRe
 /// Rebuilds a parsed event without its [`TIMING_KEYS`] (recursively) —
 /// the canonical form for byte-stability comparisons.
 pub fn strip_timing(v: &Value) -> Value {
-    match v {
-        Value::Object(map) => {
-            let mut out = Map::new();
-            for (k, val) in map.iter() {
-                if !TIMING_KEYS.contains(&k.as_str()) {
-                    out.insert(k.clone(), strip_timing(val));
-                }
-            }
-            Value::Object(out)
-        }
-        Value::Array(items) => Value::Array(items.iter().map(strip_timing).collect()),
-        other => other.clone(),
-    }
+    without_keys(v, &TIMING_KEYS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn sink_emits_one_line_per_event() {
@@ -781,17 +916,182 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
     }
 
+    const STATS: ExecStats = ExecStats {
+        steps: 7,
+        depth: 3,
+        crashes: 1,
+        helped: 2,
+        lock_blocks: 6,
+        disk_ops: 4,
+        net_msgs: 5,
+        disk_reads: 11,
+        disk_writes: 12,
+        disk_flushes: 13,
+        net_sends: 14,
+        net_recvs: 15,
+        trace_fp: 0xdead_beef,
+    };
+
+    fn sample_cx() -> Counterexample {
+        Counterexample {
+            outcome: crate::ExecOutcome::Deadlock,
+            pass: Pass::CrashSweep,
+            index: 3,
+            seed: 0xbeef,
+            schedule_prefix: vec![],
+            crash_points: vec![2],
+            clamped: vec![],
+            faults: FaultPlan::default(),
+            trace: String::new(),
+            timeline: None,
+        }
+    }
+
+    /// The parsed records of the stream the five calls write for a small
+    /// made-up run of scenario `s` under `config`: a DFS execution, a
+    /// failing crash-sweep one with its counterexample, and `report`.
+    fn sample_stream(config: CheckConfig, report: &CheckReport) -> Vec<Map> {
+        let (sink, buf) = TelemetrySink::shared_buffer();
+        let config = CheckConfig {
+            telemetry: Some(sink),
+            ..config
+        };
+        let mut telem = RunTelemetry::open("s", &config, 1);
+        let none = FaultPlan::default();
+        telem.pass(Pass::Dfs);
+        telem.pass(Pass::Dfs);
+        telem.exec_done(
+            (Pass::Dfs, 0),
+            7,
+            OutcomeKind::Ok,
+            &STATS,
+            &none,
+            Duration::ZERO,
+        );
+        telem.pass(Pass::CrashSweep);
+        let failed = (Pass::CrashSweep, 3);
+        telem.exec_done(
+            failed,
+            8,
+            OutcomeKind::Deadlock,
+            &STATS,
+            &none,
+            Duration::ZERO,
+        );
+        telem.counterexample(&sample_cx());
+        telem.close(report);
+        assert_eq!(telem.stream_error(), None);
+        let text = String::from_utf8(buf.lock().clone()).unwrap();
+        text.lines()
+            .map(|line| match serde_json::from_str(line) {
+                Ok(Value::Object(m)) => m,
+                other => panic!("{line}: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The stream's schema (DESIGN.md §11), key for key: a key added to
+    /// or dropped from a record moves this test and that table together.
     #[test]
-    fn metrics_sink_counts_and_renders_progress() {
-        let sink = MetricsSink::default();
-        assert_eq!(sink.record_exec(10, false), 1);
-        assert_eq!(sink.record_exec(5, true), 2);
-        assert_eq!(sink.executions(), 2);
-        assert_eq!(sink.steps(), 15);
-        assert_eq!(sink.failures(), 1);
-        let line = sink.progress_line("demo", Duration::from_secs(1));
-        assert!(line.contains("demo: 2 execs"), "{line}");
-        assert!(line.contains("1 failures"), "{line}");
+    fn each_record_type_has_exactly_its_documented_keys() {
+        const EXEC_DONE: &str = "crashes depth disk_flushes disk_ops disk_reads disk_writes \
+            duration_us faults helped index lock_blocks net_msgs net_recvs net_sends outcome \
+            pass scenario seed steps trace_fp type";
+        const RUN_END: &str = "counterexamples coverage_guided crash_points \
+            crash_points_enumerable crash_points_exercised crashes_injected disk_flushes \
+            disk_reads disk_writes distinct_traces execs_per_sec executions fault_plans \
+            fault_plans_enumerable fault_plans_exercised incomplete net_recvs net_sends \
+            outcomes passed pruned replayed scenario shard strategy total_steps type \
+            wall_time_s workers";
+        let schema = [
+            (
+                "run_start",
+                "dfs_max_executions env exec_budget keep_going max_steps passes \
+                 random_crash_samples random_samples scenario seed shard strategy type workers",
+            ),
+            ("pass_start", "pass rank scenario type"),
+            ("pass_end", "duration_us pass rank scenario type"),
+            ("exec_done", EXEC_DONE),
+            (
+                "counterexample",
+                "crash_points faults index outcome pass scenario schedule_prefix seed type",
+            ),
+            ("run_end", RUN_END),
+        ];
+        let stream = sample_stream(CheckConfig::default(), &CheckReport::default());
+        let types: Vec<&str> = stream.iter().map(|m| get_str(m, "type").unwrap()).collect();
+        assert_eq!(
+            types,
+            [
+                "run_start",
+                "pass_start",
+                "exec_done",
+                "pass_end",
+                "pass_start",
+                "exec_done",
+                "counterexample",
+                "pass_end",
+                "run_end"
+            ],
+            "a pass is announced once, and closed by the next pass or the run's end"
+        );
+        for record in &stream {
+            let ty = get_str(record, "type").unwrap();
+            let keys: Vec<&str> = record.iter().map(|(k, _)| k.as_str()).collect();
+            let (_, want) = schema.iter().find(|(name, _)| *name == ty).unwrap();
+            assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>(), "{ty}");
+            assert_eq!(get_str(record, "scenario"), Ok("s"), "{ty}");
+        }
+        // Shrink bookkeeping rides along only when shrinking ran.
+        let shrunk = CheckReport {
+            shrink: Some(crate::ShrinkStats::default()),
+            ..CheckReport::default()
+        };
+        let stream = sample_stream(CheckConfig::default(), &shrunk);
+        let have: BTreeSet<&str> = stream.last().unwrap().iter().map(|(k, _)| &**k).collect();
+        let mut want: BTreeSet<&str> = RUN_END.split_whitespace().collect();
+        want.extend(["shrink_steps_removed", "shrink_rounds", "shrink_re_runs"]);
+        assert_eq!(have, want);
+    }
+
+    #[test]
+    fn the_progress_counters_move_only_while_the_line_is_on() {
+        for every in [0, 2] {
+            let config = CheckConfig {
+                progress_every: every,
+                ..CheckConfig::default()
+            };
+            let telem = RunTelemetry::open("demo", &config, 1);
+            let none = FaultPlan::default();
+            telem.exec_done(
+                (Pass::Dfs, 0),
+                7,
+                OutcomeKind::Ok,
+                &STATS,
+                &none,
+                Duration::ZERO,
+            );
+            telem.exec_done(
+                (Pass::Dfs, 1),
+                8,
+                OutcomeKind::Bug,
+                &STATS,
+                &none,
+                Duration::ZERO,
+            );
+            let line = telem.progress_line();
+            if every == 0 {
+                assert!(
+                    line.contains("demo: 0 execs, 0 steps, 0 failures"),
+                    "{line}"
+                );
+            } else {
+                assert!(
+                    line.contains("demo: 2 execs, 14 steps, 1 failures"),
+                    "{line}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -817,28 +1117,10 @@ mod tests {
         assert!(validate_json_line("{\"no_type\": 1}").is_err());
     }
 
+    /// The `exec_done` record of scenario `s`, as the writer stamps it.
     fn exec_event(seed: u64, outcome: OutcomeKind) -> Value {
-        ev_exec_done(&ExecEvent {
-            pass: Pass::Dfs,
-            index: 0,
-            seed,
-            outcome,
-            steps: 7,
-            depth: 3,
-            crashes: 1,
-            helped: 2,
-            lock_blocks: 6,
-            disk_ops: 4,
-            net_msgs: 5,
-            disk_reads: 11,
-            disk_writes: 12,
-            disk_flushes: 13,
-            net_sends: 14,
-            net_recvs: 15,
-            trace_fp: 0xdead_beef,
-            faults: "-",
-            duration: Duration::ZERO,
-        })
+        let event = ExecEvent::new(Pass::Dfs, 0, seed, outcome, &STATS, "-", Duration::ZERO);
+        stamped(ev_exec_done(&event), "s")
     }
 
     #[test]
@@ -855,13 +1137,15 @@ mod tests {
     /// campaign's worth of streams.
     #[test]
     fn hex_fields_are_zero_padded_to_16_digits_in_every_event() {
-        fn assert_hex_fields(v: &Value, keys: &[&str]) {
-            let Value::Object(m) = v else {
-                panic!("event is not an object");
-            };
-            for key in keys {
-                let Some(Value::String(s)) = m.get(key) else {
-                    panic!("missing hex field {key} in {v:?}");
+        let config = CheckConfig {
+            seed: 0x1,
+            ..CheckConfig::default()
+        };
+        let mut checked = 0;
+        for record in sample_stream(config, &CheckReport::default()) {
+            for key in ["seed", "trace_fp"] {
+                let Some(Value::String(s)) = record.get(key) else {
+                    continue;
                 };
                 assert_eq!(s.len(), 18, "{key}={s} is not 18 chars");
                 assert!(s.starts_with("0x"), "{key}={s}");
@@ -871,27 +1155,12 @@ mod tests {
                 );
                 // Round-trips through the WAL parser's decoding.
                 assert!(u64::from_str_radix(&s[2..], 16).is_ok(), "{key}={s}");
+                checked += 1;
             }
         }
-        let config = CheckConfig {
-            seed: 0x1,
-            ..CheckConfig::default()
-        };
-        assert_hex_fields(&ev_run_start("s", &config, 1), &["seed"]);
-        assert_hex_fields(&exec_event(7, OutcomeKind::Ok), &["seed", "trace_fp"]);
-        let cx = crate::Counterexample {
-            outcome: crate::ExecOutcome::Deadlock,
-            pass: Pass::CrashSweep,
-            index: 3,
-            seed: 0xbeef,
-            schedule_prefix: vec![],
-            crash_points: vec![2],
-            clamped: vec![],
-            faults: goose_rt::fault::FaultPlan::default(),
-            trace: String::new(),
-            timeline: None,
-        };
-        assert_hex_fields(&ev_counterexample(&cx), &["seed"]);
+        // run_start's seed, two exec_done seeds and fingerprints, and
+        // the counterexample's seed.
+        assert_eq!(checked, 6);
     }
 
     /// `strip_timing` is shape-preserving: an event with no timing keys
@@ -913,7 +1182,7 @@ mod tests {
 
     #[test]
     fn pass_end_carries_its_duration_as_a_timing_key() {
-        let v = ev_pass_end(Pass::CrashSweep, Duration::from_micros(250));
+        let v = pass_end_record(Pass::CrashSweep, Duration::from_micros(250));
         let Value::Object(m) = &v else {
             panic!("not an object")
         };
@@ -930,41 +1199,16 @@ mod tests {
 
     #[test]
     fn wal_round_trips_ok_executions_and_skips_failures() {
-        let mut text = String::new();
-        let mut ok = exec_event(42, OutcomeKind::Ok);
-        if let Value::Object(m) = &mut ok {
-            m.insert("scenario".into(), Value::String("s".into()));
-        }
-        text.push_str(&serde_json::to_string(&ok).unwrap());
-        text.push('\n');
+        let mut text = serde_json::to_string(&exec_event(42, OutcomeKind::Ok)).unwrap() + "\n";
         let mut bad = exec_event(43, OutcomeKind::Violation);
         if let Value::Object(m) = &mut bad {
             m.insert("index".into(), Value::Number(9.0));
-            m.insert("scenario".into(), Value::String("s".into()));
         }
         text.push_str(&serde_json::to_string(&bad).unwrap());
         text.push('\n');
         let wal = parse_wal(&text, "s");
         assert_eq!(wal.completed.len(), 1, "violations must not be replayed");
-        let w = &wal.completed[&(Pass::Dfs.rank(), 0)];
-        assert_eq!(
-            *w,
-            WalExec {
-                steps: 7,
-                crashes: 1,
-                helped: 2,
-                depth: 3,
-                disk_ops: 4,
-                net_msgs: 5,
-                disk_reads: 11,
-                disk_writes: 12,
-                disk_flushes: 13,
-                net_sends: 14,
-                net_recvs: 15,
-                lock_blocks: 6,
-                trace_fp: 0xdead_beef,
-            }
-        );
+        assert_eq!(wal.completed[&(Pass::Dfs.rank(), 0)], STATS);
         assert_eq!(wal.torn_lines, 0);
     }
 
@@ -1008,14 +1252,14 @@ mod tests {
         );
         for key in COUNTERS
             .into_iter()
-            .chain(["index", "trace_fp", "pass", "outcome"])
+            .chain(["index", "trace_fp", "pass", "outcome", "scenario", "type"])
         {
             let wal = parse_wal(&wal_line_with(key, None), "s");
             assert!(
                 wal.completed.is_empty(),
                 "a record without {key} was replayed"
             );
-            assert_eq!(wal.torn_lines, 0, "a short record is skipped, not torn");
+            assert_eq!(wal.torn_lines, 1, "a record without {key} is counted");
         }
     }
 
@@ -1035,7 +1279,7 @@ mod tests {
             for literal in numbers {
                 let wal = parse_wal(&wal_line_with(key, Some(literal)), "s");
                 assert!(wal.completed.is_empty(), "{key}: {literal} was replayed");
-                assert_eq!(wal.torn_lines, 0, "{key}: {literal} still parses as JSON");
+                assert_eq!(wal.torn_lines, 1, "{key}: {literal} is counted");
             }
         }
         let hexes = [
@@ -1054,6 +1298,58 @@ mod tests {
         // An unpadded fingerprint is still one prefix and 1-16 digits.
         let wal = parse_wal(&wal_line_with("trace_fp", Some("\"0x1f\"")), "s");
         assert_eq!(wal.completed[&(Pass::Dfs.rank(), 0)].trace_fp, 0x1f);
+        // An outcome is one of the eight, a pass one of the ten.
+        for (key, literal) in [("outcome", "\"fine\""), ("pass", "\"dfs2\"")] {
+            let wal = parse_wal(&wal_line_with(key, Some(literal)), "s");
+            assert_eq!((wal.completed.len(), wal.torn_lines), (0, 1), "{key}");
+        }
+    }
+
+    /// Every typed record is all or nothing, not only `exec_done`: each
+    /// line of a real stream, short of any one key its reader takes, is
+    /// counted as torn; short of any other key it still reads.
+    #[test]
+    fn every_record_type_is_all_or_nothing() {
+        let read: [(&str, &[&str]); 3] = [
+            ("pass_end", &["pass", "duration_us"]),
+            (
+                "run_end",
+                &[
+                    "shard",
+                    "passed",
+                    "incomplete",
+                    "executions",
+                    "total_steps",
+                    "crashes_injected",
+                    "counterexamples",
+                    "crash_points_exercised",
+                    "crash_points_enumerable",
+                    "fault_plans_exercised",
+                    "fault_plans_enumerable",
+                    "pruned",
+                    "replayed",
+                    "wall_time_s",
+                ],
+            ),
+            ("pass_start", &[]),
+        ];
+        for record in sample_stream(CheckConfig::default(), &CheckReport::default()) {
+            let ty = get_str(&record, "type").unwrap().to_string();
+            let Some((_, taken)) = read.iter().find(|(name, _)| *name == ty) else {
+                continue;
+            };
+            for (key, _) in record.iter() {
+                let mut short = record.clone();
+                short.remove(key);
+                let line = serde_json::to_string(&Value::Object(short)).unwrap();
+                let mut seen = 0;
+                let torn = read_stream(&line, None, |_, _| seen += 1);
+                // Every record needs its type and its scenario stamp.
+                let needed = taken.contains(&key.as_str()) || key == "type" || key == "scenario";
+                assert_eq!(torn, u64::from(needed), "{ty} without {key}");
+                assert_eq!(seen, u64::from(!needed), "{ty} without {key}");
+            }
+        }
     }
 
     #[test]
@@ -1071,16 +1367,31 @@ mod tests {
 
     #[test]
     fn wal_filters_by_scenario_and_tracks_run_starts() {
-        let text = concat!(
-            "{\"type\": \"run_start\", \"scenario\": \"a\", \"seed\": \"0x7\"}\n",
-            "{\"type\": \"run_start\", \"scenario\": \"b\", \"seed\": \"0x8\"}\n",
-        );
-        let wal = parse_wal(text, "a");
-        assert_eq!(wal.runs_started, 1);
-        let Some(Value::Object(m)) = &wal.run_start else {
-            panic!("missing run_start");
+        let config = |seed| CheckConfig {
+            seed,
+            ..CheckConfig::default()
         };
-        assert_eq!(m.get("seed"), Some(&Value::String("0x7".into())));
+        let line = |name: &str, seed, workers| {
+            let record = stamped(run_start_record(&config(seed), workers), name);
+            serde_json::to_string(&record).unwrap() + "\n"
+        };
+        let text = line("a", 7, 1) + &line("b", 8, 1) + &line("a", 9, 4);
+        let wal = parse_wal(&text, "a");
+        assert_eq!((wal.runs_started, wal.torn_lines), (2, 0));
+        // The last run_start of scenario `a`, whatever pool it ran on.
+        let last = wal.run_start.expect("a run_start");
+        assert!(last.same_run("a", &config(9)));
+        assert!(!last.same_run("a", &config(7)), "another seed");
+        assert!(!last.same_run("b", &config(9)), "another scenario");
+        let sharded = CheckConfig {
+            shard: Some((0, 2)),
+            ..config(9)
+        };
+        assert!(!last.same_run("a", &sharded), "another shard");
+        // A record short of a key is no run of any configuration.
+        let short = line("a", 9, 4).replace("\"keep_going\": false,", "");
+        let short = parse_wal(&short, "a").run_start.expect("still a record");
+        assert!(!short.same_run("a", &config(9)));
     }
 
     #[test]

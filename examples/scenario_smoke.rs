@@ -22,6 +22,7 @@
 //! extend it, making the run resumable in turn).
 
 use perennial_bench::args::{apply_strategy, flag, parse_args, value};
+use perennial_checker::campaign::trace_file;
 use perennial_checker::{
     chrome_trace_json, parse_shard, render_summary, verdict_line, CheckConfig, Pass, TelemetrySink,
 };
@@ -115,7 +116,7 @@ fn main() {
                     .as_ref()
                     .and_then(|cx| cx.timeline.as_ref()),
             ) {
-                let path = dir.join(format!("{}.trace.json", scenario.name().replace('/', "__")));
+                let path = dir.join(trace_file(scenario.name()));
                 let json = chrome_trace_json(timeline, scenario.name());
                 std::fs::write(&path, serde_json::to_string_pretty(&json).unwrap())
                     .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));

@@ -30,26 +30,7 @@ pub use perennial_kv;
 pub use perennial_spec;
 pub use repldisk;
 
-use perennial_checker::ScenarioSet;
-
-/// Every expected-pass scenario registered across the workspace
-/// (`kv/...`, `repldisk/...`, `mailboat/...`, `patterns/...`).
-pub fn all_scenarios() -> ScenarioSet {
-    let mut set = ScenarioSet::new();
-    set.extend(perennial_kv::scenarios());
-    set.extend(repldisk::harness::scenarios());
-    set.extend(mailboat::scenarios());
-    set.extend(crash_patterns::scenarios());
-    set
-}
-
-/// Every expected-fail scenario (mutants and the §8.3 slice race) across
-/// the workspace — the checker must report a counterexample for each.
-pub fn all_mutant_scenarios() -> ScenarioSet {
-    let mut set = ScenarioSet::new();
-    set.extend(perennial_kv::mutant_scenarios());
-    set.extend(repldisk::harness::mutant_scenarios());
-    set.extend(mailboat::mutant_scenarios());
-    set.extend(crash_patterns::mutant_scenarios());
-    set
-}
+/// The scenario registry (`kv/...`, `repldisk/...`, `mailboat/...`,
+/// `patterns/...`): every expected-pass scenario, and every expected-fail
+/// one (mutants and the §8.3 slice race).
+pub use perennial_bench::registry::{all_mutant_scenarios, all_scenarios};

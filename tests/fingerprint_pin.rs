@@ -4,11 +4,13 @@
 //! the controller still granted every step itself; a hand-off change that
 //! moves any of them changed behaviour, not just speed.
 
+use perennial_checker::campaign::wal_file;
 use perennial_checker::{
-    failure_fingerprint, merge_reports, report_fingerprint, trace_fingerprint, CheckConfig,
-    CheckConfigBuilder, CheckReport, Pass, SleepSetDpor,
+    campaign_fingerprint, failure_fingerprint, merge_reports, strip_timing, trace_fingerprint,
+    CheckConfig, CheckConfigBuilder, CheckReport, Pass, SleepSetDpor, TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
+use serde_json::Value;
 
 /// `scan --filter patterns` prints this at every worker count.
 const PATTERNS_CAMPAIGN: u64 = 0xe474_5a87_2f73_2b5c;
@@ -30,32 +32,18 @@ const FAULT_BUDGET: u64 = 110;
 fn patterns_campaign_fingerprint_is_pinned_at_one_and_two_workers() {
     for workers in [1, 2] {
         // `scan`'s configuration and its fold over report fingerprints.
-        let mut lines: Vec<String> = all_scenarios()
-            .iter()
-            .chain(all_mutant_scenarios().iter())
-            .filter(|s| s.name().contains("patterns"))
-            .map(|scenario| {
-                let mut report = scenario.run(
-                    &CheckConfig::builder()
-                        .seed(7)
-                        .dfs_max_executions(300)
-                        .random_samples(10)
-                        .random_crash_samples(25)
-                        .max_steps(200_000)
-                        .keep_going(true)
-                        .workers(workers)
-                        .build(),
-                );
-                // Mutants share their base scenario's harness name; the
-                // campaign keys on the registry's.
-                report.name = scenario.name().to_string();
-                format!("{}={:#018x}", report.name, report_fingerprint(&report))
-            })
-            .collect();
-        lines.sort();
+        let scan_cfg = CheckConfig::builder()
+            .seed(7)
+            .dfs_max_executions(300)
+            .random_samples(10)
+            .random_crash_samples(25)
+            .max_steps(200_000)
+            .keep_going(true)
+            .workers(workers)
+            .build();
+        let (fingerprint, _) = campaign(|name| name.contains("patterns"), |_| scan_cfg.clone());
         assert_eq!(
-            trace_fingerprint(&lines.join("\n")),
-            PATTERNS_CAMPAIGN,
+            fingerprint, PATTERNS_CAMPAIGN,
             "campaign fingerprint moved at {workers} worker(s)"
         );
     }
@@ -81,13 +69,17 @@ fn fault_cfg() -> CheckConfigBuilder {
         .keep_going(true)
 }
 
-/// The fault campaign's reports and `scan`'s fold over their
-/// fingerprints, each scenario run under `config(scenario name)`.
-fn fault_campaign(config: impl Fn(&str) -> CheckConfig) -> (u64, Vec<CheckReport>) {
+/// The reports of the registered scenarios `selected` picks, each run
+/// under `config(scenario name)`, and `scan`'s fold over their
+/// fingerprints.
+fn campaign(
+    selected: impl Fn(&str) -> bool,
+    config: impl Fn(&str) -> CheckConfig,
+) -> (u64, Vec<CheckReport>) {
     let reports: Vec<CheckReport> = all_scenarios()
         .iter()
         .chain(all_mutant_scenarios().iter())
-        .filter(|s| in_fault_campaign(s.name()))
+        .filter(|s| selected(s.name()))
         .map(|scenario| {
             let mut report = scenario.run(&config(scenario.name()));
             // Mutants share their base scenario's harness name; the
@@ -99,13 +91,8 @@ fn fault_campaign(config: impl Fn(&str) -> CheckConfig) -> (u64, Vec<CheckReport
     (campaign_fingerprint(&reports), reports)
 }
 
-fn campaign_fingerprint(reports: &[CheckReport]) -> u64 {
-    let mut lines: Vec<String> = reports
-        .iter()
-        .map(|r| format!("{}={:#018x}", r.name, report_fingerprint(r)))
-        .collect();
-    lines.sort();
-    trace_fingerprint(&lines.join("\n"))
+fn fault_campaign(config: impl Fn(&str) -> CheckConfig) -> (u64, Vec<CheckReport>) {
+    campaign(in_fault_campaign, config)
 }
 
 #[test]
@@ -148,7 +135,7 @@ fn fault_campaign_fingerprint_is_pinned_whole_and_sharded() {
 fn budgeted_fault_campaign_is_pinned_cold_and_resumed() {
     let dir = std::env::temp_dir().join(format!("perennial-fault-pin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let wal = |name: &str| dir.join(format!("{}.jsonl", name.replace('/', "__")));
+    let wal = |name: &str| dir.join(wal_file(name));
     let (cold, reports) = fault_campaign(|name| {
         fault_cfg()
             .exec_budget(FAULT_BUDGET)
@@ -269,5 +256,58 @@ fn dpor_runs_are_pinned_on_three_mutants() {
             failure_fingerprint(&cx.outcome),
         );
         assert_eq!(seen, pin, "{name}");
+    }
+}
+
+/// The JSONL stream of one single-worker run, byte for byte once the
+/// timing keys are dropped. Recorded before `telemetry.rs` got its one
+/// writer (PR 17), so the format is pinned against constants and not only
+/// against another run of the same build.
+const STREAM_PINS: [(&str, u64); 3] = [
+    ("patterns/wal", 0xe573_5080_d32c_ed74),
+    // Fault passes on: `counterexample` records and fault-plan tags.
+    (
+        "patterns/mutant/wal-skip-commit-flush",
+        0x7f12_a581_b04e_6699,
+    ),
+    // As shard 0 of 2: a shard label, and spine executions it does not count.
+    ("repldisk/single-write", 0x72ef_9d80_7923_4710),
+];
+
+#[test]
+fn telemetry_stream_bytes_are_pinned() {
+    let nested = || fault_cfg().with_passes([Pass::NestedCrash]);
+    let configs = [
+        nested().without_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault]),
+        fault_cfg(),
+        nested().shard(0, 2),
+    ];
+    for ((name, pin), cfg) in STREAM_PINS.into_iter().zip(configs) {
+        let scenario = all_scenarios()
+            .iter()
+            .chain(all_mutant_scenarios().iter())
+            .find(|s| s.name() == name)
+            .expect("registered scenario")
+            .clone();
+        let (sink, buf) = TelemetrySink::shared_buffer();
+        scenario.run(&cfg.workers(1).telemetry(sink).build());
+        let text = String::from_utf8(buf.lock().clone()).expect("stream is UTF-8");
+        let lines: Vec<String> = text
+            .lines()
+            .map(|line| {
+                let mut v = strip_timing(&serde_json::from_str(line).expect("a line parses"));
+                // `run_start`'s stamp names the toolchain that built the checker.
+                if let Value::Object(m) = &mut v {
+                    m.remove("env");
+                }
+                serde_json::to_string(&v).expect("shim serialization is infallible")
+            })
+            .collect();
+        assert!(lines.len() > 50, "{name}: only {} records", lines.len());
+        let seen = trace_fingerprint(&lines.join("\n"));
+        assert_eq!(
+            seen, pin,
+            "{name}: the telemetry stream's bytes moved to {seen:#018x}"
+        );
     }
 }

@@ -1,0 +1,145 @@
+//! Metamorphic toggles (ROADMAP item 4 (b)): how a run is carried out must
+//! not show in what it reports. Generated tuples over pool size × event
+//! stream × profiler × trace capture × cold/resumed × whole/sharded all
+//! land on the fingerprint of the plainest run of the same scenario —
+//! one worker, no stream, every side channel off.
+
+use perennial_checker::{
+    merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, CheckReport, Pass,
+    Scenario, TelemetrySink,
+};
+use perennial_suite::{all_mutant_scenarios, all_scenarios};
+use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+const SCENARIOS: [&str; 3] = [
+    "patterns/shadow",
+    "repldisk/single-write",
+    "patterns/mutant/shadow-flip-first",
+];
+
+/// Small budgets, every sweep on. Sharded runs keep going past a failure
+/// (their statistics must sum), so every run here does.
+fn base_cfg() -> CheckConfigBuilder {
+    CheckConfig::builder()
+        .seed(7)
+        .dfs_max_executions(30)
+        .random_samples(4)
+        .random_crash_samples(6)
+        .with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault])
+        .max_steps(200_000)
+        .keep_going(true)
+        .trace_capture(false)
+}
+
+/// Each scenario with the fingerprint of its everything-off run.
+fn baselines() -> &'static [(Scenario, u64)] {
+    static BASELINES: OnceLock<Vec<(Scenario, u64)>> = OnceLock::new();
+    BASELINES.get_or_init(|| {
+        let (good, bad) = (all_scenarios(), all_mutant_scenarios());
+        SCENARIOS
+            .iter()
+            .map(|name| {
+                let scenario = good
+                    .get(name)
+                    .or_else(|| bad.get(name))
+                    .expect("registered");
+                let report = scenario.run(&base_cfg().workers(1).build());
+                assert!(report.executions > 100, "{name}: {}", report.summary());
+                assert_eq!(report.passed(), !name.contains("mutant"), "{name}");
+                (scenario.clone(), report_fingerprint(&report))
+            })
+            .collect()
+    })
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    None,
+    SharedSink,
+    File,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Toggles {
+    workers: usize,
+    stream: Stream,
+    profile: bool,
+    trace_capture: bool,
+    resumed: bool,
+    sharded: bool,
+}
+
+fn wal_path(case: &str, shard: Option<(u32, u32)>) -> PathBuf {
+    let shard = shard.map_or(String::new(), |(i, n)| format!("-{i}of{n}"));
+    std::env::temp_dir().join(format!(
+        "perennial-metamorphic-{}-{case}{shard}.jsonl",
+        std::process::id()
+    ))
+}
+
+/// One run (of the whole space, or of one shard) under the toggles.
+fn run(scenario: &Scenario, t: Toggles, shard: Option<(u32, u32)>, case: &str) -> CheckReport {
+    let cfg = || base_cfg().workers(t.workers).shard_opt(shard);
+    let wal = wal_path(case, shard);
+    if t.resumed {
+        // The log this run resumes from: the same run's, complete.
+        scenario.run(&cfg().telemetry_path(&wal).build());
+    }
+    let mut measured = cfg().profile(t.profile).trace_capture(t.trace_capture);
+    if t.resumed {
+        measured = measured.resume_from(&wal);
+    }
+    measured = match t.stream {
+        Stream::None => measured,
+        Stream::SharedSink => measured.telemetry(TelemetrySink::shared_buffer().0),
+        // Resuming, this is the file being replayed: appended to.
+        Stream::File => measured.telemetry_path(&wal),
+    };
+    let report = scenario.run(&measured.build());
+    let _ = std::fs::remove_file(&wal);
+    assert_eq!(report.profile.is_some(), t.profile);
+    assert!(!report.is_incomplete(), "{:?}", report.incomplete);
+    if t.resumed {
+        assert!(report.replayed > 0, "{t:?}: nothing replayed");
+    }
+    report
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn how_a_run_is_carried_out_does_not_show_in_its_fingerprint(
+        scenario in 0usize..3,
+        workers in 1usize..4,
+        stream in 0usize..3,
+        profile in any::<bool>(),
+        trace_capture in any::<bool>(),
+        resumed in any::<bool>(),
+        sharded in any::<bool>(),
+    ) {
+        let (scenario, want) = &baselines()[scenario];
+        let stream = [Stream::None, Stream::SharedSink, Stream::File][stream];
+        let t = Toggles { workers, stream, profile, trace_capture, resumed, sharded };
+        let case = format!("{}-{t:?}", scenario.name()).replace(|c: char| !c.is_alphanumeric(), "");
+        let report = if t.sharded {
+            let shards = vec![
+                run(scenario, t, Some((0, 2)), &case),
+                run(scenario, t, Some((1, 2)), &case),
+            ];
+            merge_reports(shards)?
+        } else {
+            run(scenario, t, None, &case)
+        };
+        prop_assert_eq!(
+            report_fingerprint(&report),
+            *want,
+            "{}: {:?} reports {}",
+            scenario.name(),
+            t,
+            report.summary()
+        );
+    }
+}

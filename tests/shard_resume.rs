@@ -9,8 +9,8 @@
 //! the replayed-execution diagnostic excluded).
 
 use perennial_checker::{
-    check, merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, ExecOutcome, Pass,
-    Scenario, SleepSetDpor, SpinForever,
+    check, merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, ExecOutcome,
+    OutcomeKind, Pass, Scenario, SleepSetDpor, SpinForever,
 };
 use std::path::PathBuf;
 
@@ -280,12 +280,12 @@ fn panicking_harness_completes_the_campaign() {
     let s = scenario("patterns/mutant/panic-reset");
     let report = s.run(&base_cfg().keep_going(true).workers(4).build());
     assert!(
-        report.outcomes.harness_panic > 0,
+        report.outcomes.get(OutcomeKind::HarnessPanic) > 0,
         "no harness_panic outcomes recorded: {}",
         report.summary()
     );
     assert!(
-        report.outcomes.ok > 0,
+        report.outcomes.get(OutcomeKind::Ok) > 0,
         "campaign did not keep running crash-free executions"
     );
     let cx = report.counterexample.as_ref().expect("panics are failures");
@@ -322,7 +322,7 @@ fn livelocked_scenario_is_wedged_not_hung() {
         "expected Wedged(500), got {:?}",
         cx.outcome
     );
-    assert!(report.outcomes.wedged > 0);
+    assert!(report.outcomes.get(OutcomeKind::Wedged) > 0);
 }
 
 /// Degradation contract: an execution budget cuts the run short but
