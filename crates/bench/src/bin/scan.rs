@@ -59,7 +59,7 @@
 
 use perennial_bench::args::{apply_strategy, flag, parse_args, rest, value};
 use perennial_bench::registry::{all_mutant_scenarios, all_scenarios};
-use perennial_checker::campaign::{scenario_of_file, trace_file, wal_file};
+use perennial_checker::campaign::{trace_file, wal_file};
 use perennial_checker::{
     campaign_fingerprint, chrome_trace_json, emit_test, merge_reports, parse_shard,
     profile_to_json, render_dashboard, render_explain, render_profile, report_from_json,
@@ -139,9 +139,8 @@ fn merge_mode(files: &[String], out: Option<&str>) -> i32 {
 
 /// Dashboard mode: fold telemetry/WAL JSONL streams into one merged
 /// campaign dashboard. Each path is a `.jsonl` file or a directory
-/// scanned for them; the scenario key is the registry name the file is
-/// named for, so mutant WALs (whose `run_end` records carry the shared
-/// human name) stay distinct.
+/// scanned for them; the scenario key is each record's stamp, the
+/// registry name its run went by.
 fn dashboard_mode(paths: &[String]) -> i32 {
     let mut files: Vec<PathBuf> = Vec::new();
     for p in paths {
@@ -169,7 +168,7 @@ fn dashboard_mode(paths: &[String]) -> i32 {
     for file in &files {
         let text = std::fs::read_to_string(file)
             .unwrap_or_else(|e| die(&format!("reading {file:?}: {e}")));
-        dash.ingest(scenario_of_file(file).as_deref(), &text);
+        dash.ingest(&text);
     }
     if dash.scenarios.is_empty() {
         println!("no campaign data: the streams held no campaign records");
@@ -297,10 +296,6 @@ fn main() {
             }
         }
         let mut report = scenario.run(&cfg.build());
-        // Reports carry the harness's human name, which mutants share
-        // with their base scenario; campaign files key on the unique
-        // registry name so shard merging can group correctly.
-        report.name = scenario.name().to_string();
         println!("{}", report.summary());
         if let (Some(s), Some(cx)) = (&report.shrink, &report.counterexample) {
             println!(

@@ -99,12 +99,12 @@ pub fn run_pattern_checks(config: &CheckConfig) -> Vec<CheckReport> {
 pub fn render_check_reports(reports: &[CheckReport]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<18} {:>10} {:>12} {:>9} {:>13} {:>8}  {}\n",
+        "{:<28} {:>10} {:>12} {:>9} {:>13} {:>8}  {}\n",
         "Scenario", "executions", "steps", "crashes", "crash points", "helped", "verdict"
     ));
     for r in reports {
         out.push_str(&format!(
-            "{:<18} {:>10} {:>12} {:>9} {:>13} {:>8}  {}\n",
+            "{:<28} {:>10} {:>12} {:>9} {:>13} {:>8}  {}\n",
             r.name,
             r.executions,
             r.total_steps,

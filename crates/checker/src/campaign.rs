@@ -6,11 +6,10 @@
 //!
 //! - [`parse_shard`] — the `i/n` command-line shard syntax shared by
 //!   the drivers (`scan`, `scale`, `scenario_smoke`).
-//! - [`campaign_fingerprint`], [`wal_file`], [`trace_file`],
-//!   [`scenario_of_file`] — a campaign's conventions, which its drivers
-//!   and tests must agree on: the fold over per-scenario fingerprints
-//!   that `scan` prints last, and how a registry name becomes a file
-//!   name and back.
+//! - [`campaign_fingerprint`], [`wal_file`], [`trace_file`] — a
+//!   campaign's conventions, which its drivers and tests must agree on:
+//!   the fold over per-scenario fingerprints that `scan` prints last,
+//!   and how a registry name becomes a file name.
 //! - [`report_to_json`] / [`report_from_json`] — a lossless-enough
 //!   [`CheckReport`] serialization for cross-process merging. One thing
 //!   does not survive: a counterexample's [`ExecOutcome`] payload comes
@@ -42,7 +41,6 @@ use goose_rt::fault::{FaultPlan, NetFault, TornMode};
 use perennial::GhostError;
 use serde_json::{json, Map, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 use std::time::Duration;
 
 /// Parses the `i/n` shard syntax: `0/4` is the first of four shards.
@@ -416,8 +414,8 @@ pub fn report_fingerprint(r: &CheckReport) -> u64 {
 /// The campaign-level equality oracle: the per-scenario report
 /// fingerprints (already timing-, worker- and shard-insensitive) folded in
 /// name order. `scan` prints it last; a campaign keys its reports on the
-/// registry name, so set [`CheckReport::name`] to it first (mutants share
-/// their base scenario's harness name).
+/// registry name, which is what [`Scenario::run`](crate::Scenario::run)
+/// puts in [`CheckReport::name`].
 pub fn campaign_fingerprint(reports: &[CheckReport]) -> u64 {
     let mut lines: Vec<String> = reports
         .iter()
@@ -436,12 +434,6 @@ pub fn wal_file(scenario: &str) -> String {
 /// A failing scenario's Chrome trace file: `kv__cross-bucket.trace.json`.
 pub fn trace_file(scenario: &str) -> String {
     format!("{}.trace.json", scenario.replace('/', "__"))
-}
-
-/// The inverse of [`wal_file`]: the registry name a campaign file was
-/// written for, from its stem.
-pub fn scenario_of_file(path: &Path) -> Option<String> {
-    Some(path.file_stem()?.to_str()?.replace("__", "/"))
 }
 
 /// Merges one [`CheckReport`] per shard (a complete `0..n` cover, all
@@ -559,12 +551,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn campaign_file_names_round_trip() {
+    fn campaign_file_names_are_the_registry_name_made_a_path() {
         let name = "patterns/mutant/wal-skip-helping";
         assert_eq!(wal_file(name), "patterns__mutant__wal-skip-helping.jsonl");
         assert_eq!(trace_file("kv/cross-bucket"), "kv__cross-bucket.trace.json");
-        let path = Path::new("/tmp/wals").join(wal_file(name));
-        assert_eq!(scenario_of_file(&path).as_deref(), Some(name));
     }
 
     #[test]

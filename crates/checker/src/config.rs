@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// Explorer configuration.
 ///
 /// Construct with [`CheckConfig::builder`] (preferred), or start from
-/// [`CheckConfig::default`] / [`CheckConfig::quick`] and override fields.
+/// [`CheckConfig::default`] and override fields.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
     /// Base seed for deterministic randomness. Per-execution seeds are
@@ -131,19 +131,6 @@ impl Default for CheckConfig {
 }
 
 impl CheckConfig {
-    /// A quick configuration for unit tests (small bounds).
-    pub fn quick() -> Self {
-        let mut passes = PassSet::defaults();
-        passes.remove(Pass::NestedCrash);
-        CheckConfig {
-            dfs_max_executions: 200,
-            random_samples: 10,
-            random_crash_samples: 20,
-            passes,
-            ..CheckConfig::default()
-        }
-    }
-
     /// Starts a builder preloaded with the defaults.
     pub fn builder() -> CheckConfigBuilder {
         CheckConfigBuilder {

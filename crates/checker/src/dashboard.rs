@@ -120,18 +120,13 @@ pub struct Dashboard {
 }
 
 impl Dashboard {
-    /// Folds one JSONL telemetry stream into the dashboard.
-    ///
-    /// `scenario_hint` overrides the per-record scenario stamp as the
-    /// grouping key — pass the registry name when ingesting a per-
-    /// scenario WAL file (mutant variants share their base harness's
-    /// human name, and the file name is what disambiguates them).
+    /// Folds one JSONL telemetry stream into the dashboard, grouped by
+    /// each record's scenario stamp (the registry name the run went by).
     /// Reads through [`read_stream`], like the WAL loader: a line that is
     /// not one whole record is counted, never shown in part.
-    pub fn ingest(&mut self, scenario_hint: Option<&str>, text: &str) {
+    pub fn ingest(&mut self, text: &str) {
         self.streams += 1;
-        let torn_lines = read_stream(text, None, |stamp, record| {
-            let name = scenario_hint.unwrap_or(stamp);
+        let torn_lines = read_stream(text, None, |name, record| {
             match record {
                 // Last run_end per shard wins (resume appends runs).
                 Record::RunEnd(run) => {
@@ -385,8 +380,8 @@ mod tests {
     #[test]
     fn shard_totals_sum_and_enumerables_max() {
         let mut d = Dashboard::default();
-        d.ingest(None, &run_end_line("s", "0/2", 100, true));
-        d.ingest(None, &run_end_line("s", "1/2", 50, false));
+        d.ingest(&run_end_line("s", "0/2", 100, true));
+        d.ingest(&run_end_line("s", "1/2", 50, false));
         let s = &d.scenarios["s"];
         assert_eq!(s.executions(), 150);
         assert_eq!(s.total_steps(), 1500);
@@ -406,20 +401,20 @@ mod tests {
             run_end_line("s", "0/2", 10, false),
             run_end_line("s", "0/2", 100, true),
         );
-        d.ingest(None, &text);
+        d.ingest(&text);
         assert_eq!(d.scenarios["s"].executions(), 100);
         assert!(d.scenarios["s"].passed());
     }
 
     #[test]
-    fn pass_wall_profile_accumulates_and_hint_overrides_stamp() {
+    fn pass_wall_profile_accumulates_under_the_stamp() {
         let mut d = Dashboard::default();
         let text = format!(
             "{}\n{}\nnot json at all\n",
-            pass_end_line("base", Pass::Dfs, 100),
-            pass_end_line("base", Pass::Dfs, 50),
+            pass_end_line("mutant/skip-flush", Pass::Dfs, 100),
+            pass_end_line("mutant/skip-flush", Pass::Dfs, 50),
         );
-        d.ingest(Some("mutant/skip-flush"), &text);
+        d.ingest(&text);
         assert_eq!(d.torn_lines, 1);
         let s = &d.scenarios["mutant/skip-flush"];
         assert_eq!(s.pass_wall_us[&(0, "dfs".to_string())], 150);
@@ -434,7 +429,7 @@ mod tests {
         let lying = honest.replace("\"rank\": 3", "\"rank\": 0");
         assert_ne!(honest, lying);
         let mut d = Dashboard::default();
-        d.ingest(None, &format!("{honest}\n{lying}\n"));
+        d.ingest(&format!("{honest}\n{lying}\n"));
         let wall = &d.scenarios["s"].pass_wall_us;
         assert_eq!(wall.len(), 1, "{wall:?}");
         assert_eq!(wall[&(3, "crash-sweep".to_string())], 80);
@@ -465,7 +460,7 @@ mod tests {
             exec_done_line("s", "dfs", 0, 10),
             exec_done_line("s", "dfs", 1, 20),
         );
-        d.ingest(None, &text);
+        d.ingest(&text);
         let costs = d.cost_profile();
         assert_eq!(costs.len(), 1);
         let c = &costs[0];
@@ -494,7 +489,7 @@ mod tests {
             exec_done_line("s", "dfs", 0, 10),
             without(&exec_done_line("s", "dfs", 5, 99), "index"),
         );
-        d.ingest(None, &text);
+        d.ingest(&text);
         assert_eq!(d.torn_lines, 1);
         let costs = d.cost_profile();
         assert_eq!((costs[0].executions, costs[0].steps), (1, 10));
@@ -504,11 +499,8 @@ mod tests {
     #[test]
     fn a_run_end_without_passed_draws_no_failed_shard() {
         let mut d = Dashboard::default();
-        d.ingest(None, &run_end_line("s", "0/2", 100, true));
-        d.ingest(
-            None,
-            &without(&run_end_line("s", "1/2", 50, true), "passed"),
-        );
+        d.ingest(&run_end_line("s", "0/2", 100, true));
+        d.ingest(&without(&run_end_line("s", "1/2", 50, true), "passed"));
         assert_eq!(d.torn_lines, 1);
         assert_eq!(d.scenarios["s"].shards.len(), 1);
         assert!(d.scenarios["s"].passed());
@@ -520,8 +512,8 @@ mod tests {
     #[test]
     fn render_mentions_every_scenario_and_the_profile() {
         let mut d = Dashboard::default();
-        d.ingest(None, &run_end_line("alpha", "0/1", 10, true));
-        d.ingest(None, &pass_end_line("alpha", Pass::CrashSweep, 2000));
+        d.ingest(&run_end_line("alpha", "0/1", 10, true));
+        d.ingest(&pass_end_line("alpha", Pass::CrashSweep, 2000));
         let text = render_dashboard(&d);
         assert!(text.contains("CAMPAIGN DASHBOARD"), "{text}");
         assert!(text.contains("alpha"), "{text}");

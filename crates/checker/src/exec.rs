@@ -3,7 +3,7 @@
 //! runs a harness once under an [`ExecSpec`] and reports how it ended
 //! ([`ExecOutcome`]) and what it measured ([`ExecStats`]).
 
-use crate::harness::{Harness, World};
+use crate::harness::{Harness, Op, Script, System, World};
 use crate::metrics::trace_fingerprint;
 use crate::pass::Pass;
 use crate::strategy::DepTrace;
@@ -40,10 +40,9 @@ pub enum ExecOutcome {
     /// watchdog is deterministic (step counts, not wall clock), so a
     /// wedged execution wedges identically on replay.
     Wedged(u64),
-    /// The harness itself (a controller-side hook: boot, crash_reset,
-    /// recovery construction, final_check) panicked. Isolated by
-    /// `catch_unwind` and recorded as an outcome so one broken scenario
-    /// cannot poison a campaign.
+    /// The harness itself (a controller-side hook: make, boot, crash,
+    /// abs_check) panicked. Isolated by `catch_unwind` and recorded as an
+    /// outcome so one broken scenario cannot poison a campaign.
     HarnessPanic(String),
 }
 
@@ -455,6 +454,70 @@ impl<S: SpecTS> Pilot for ExecPilot<S> {
     }
 }
 
+/// The system under test across one execution, and the one statement of
+/// its lifecycle (DESIGN.md §9): boot and the main round, then at every
+/// injected crash the substrate's crash transition, a re-boot and the
+/// recovery thread, and after the first completed recovery the
+/// post-recovery round.
+struct Lifecycle<Sys, S: SpecTS> {
+    w: World<S>,
+    sys: Arc<Sys>,
+    crash: fn(&Sys),
+    /// The post-recovery round, until it is spawned.
+    after: Vec<Op<Sys, S>>,
+    /// The recovery thread still running, if the last crash's is.
+    recovering: Option<Tid>,
+}
+
+impl<Sys: System<S>, S: SpecTS> Lifecycle<Sys, S> {
+    /// Boots the script's system and spawns its main round.
+    fn start(script: Script<Sys, S>, w: World<S>) -> Self {
+        let life = Lifecycle {
+            w,
+            sys: Arc::new(script.sys),
+            crash: script.crash,
+            after: script.after,
+            recovering: None,
+        };
+        life.sys.boot(&life.w);
+        life.spawn_all(script.main);
+        life
+    }
+
+    /// Spawns `op` as a virtual thread over the system.
+    fn spawn(&self, name: &str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) -> Tid {
+        let (sys, w) = (Arc::clone(&self.sys), self.w.clone());
+        self.w.rt.spawn(name, move || op(&sys, &w))
+    }
+
+    fn spawn_all(&self, ops: Vec<Op<Sys, S>>) {
+        for (name, op) in ops {
+            self.spawn(name, op);
+        }
+    }
+
+    /// An injected crash: every thread is unwound, the ghost state and
+    /// the substrate take their crash transitions, and the process
+    /// restarts into recovery.
+    fn crash(&mut self) {
+        self.w.rt.crash_all();
+        self.w.ghost.crash();
+        (self.crash)(&self.sys);
+        self.sys.boot(&self.w);
+        self.recovering = Some(self.spawn("recovery", Sys::recover));
+    }
+
+    /// Thread `tid` ran to its end: if it was the recovery thread, the
+    /// post-recovery round starts (once per execution).
+    fn finished(&mut self, tid: Tid) {
+        if self.recovering == Some(tid) {
+            self.recovering = None;
+            let after = std::mem::take(&mut self.after);
+            self.spawn_all(after);
+        }
+    }
+}
+
 fn run_one_inner<S: SpecTS, H: Harness<S>>(
     harness: &H,
     rt: &Arc<ModelRt>,
@@ -477,11 +540,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
         rt: Arc::clone(&rt),
         ghost: Arc::clone(&ghost),
     };
-    let mut exec = harness.make(&w);
-    exec.boot(&w);
-    for (name, body) in exec.threads(&w) {
-        rt.spawn(name, body);
-    }
+    let mut life = Lifecycle::start(harness.make(&w), w);
 
     let pilot = Arc::new(Mutex::new(ExecPilot {
         sched: ScheduleState::new(policy, seed),
@@ -495,9 +554,6 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
     }));
     let shared: SharedPilot = pilot.clone();
     let mut crashes = 0u64;
-    // The recovery thread still running, if the last crash's is.
-    let mut recovering: Option<Tid> = None;
-    let mut after_spawned = false;
     if track_deps {
         // Discard anything noted during boot/spawn: footprints belong to
         // granted steps, not setup.
@@ -534,19 +590,14 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
             // process.)
             if p.disk_fail_due() {
                 let (d, _) = p.disk_fail.take().expect("a due failure is pending");
-                exec.inject_disk_failure(&w, d);
+                life.sys.fail_disk(d);
             }
 
             // Crash injection at this step boundary?
             if p.crash_due() {
                 p.crash_points.pop();
                 crashes += 1;
-                rt.crash_all();
-                ghost.crash();
-                exec.crash_reset(&w);
-                exec.boot(&w);
-                let body = exec.recovery(&w);
-                recovering = Some(rt.spawn("recovery", body));
+                life.crash();
                 p.drain_spec(&rt, None);
                 if track_deps {
                     // Crash unwinding and re-boot are controller
@@ -578,15 +629,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
             // loop finds out which.
             (_, StepResult::Yielded | StepResult::Blocked) => continue,
             (tid, StepResult::Finished) => {
-                if recovering == Some(tid) {
-                    recovering = None;
-                    if !after_spawned {
-                        after_spawned = true;
-                        for (name, body) in exec.after_recovery(&w) {
-                            rt.spawn(name, body);
-                        }
-                    }
-                }
+                life.finished(tid);
                 continue;
             }
             (_, StepResult::Panicked(PanicKind::Ghost(e))) => ExecOutcome::Violation(e),
@@ -610,7 +653,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
     let (outcome, helped) = match ghost.validate() {
         Ok(report) => {
             let helped = report.helped as u64;
-            match exec.final_check(&w) {
+            match life.sys.abs_check(&life.w) {
                 Ok(()) => (ExecOutcome::Ok, helped),
                 Err(msg) => (ExecOutcome::FinalCheckFailed(msg), helped),
             }

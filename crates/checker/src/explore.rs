@@ -217,10 +217,23 @@ impl CheckReport {
 
 /// Runs all configured exploration passes over a scenario, dispatching
 /// executions across [`CheckConfig::workers`] threads. See the module
-/// docs for the pipeline and the determinism contract.
+/// docs for the pipeline and the determinism contract. The run goes by
+/// the harness's own label; a registered [`Scenario`](crate::Scenario)
+/// runs under its registry name.
 pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> CheckReport {
+    check_as(harness.name(), harness, config)
+}
+
+/// [`check`] under `name`: the one identity of the run, carried by the
+/// report, every stream record's stamp, the resume WAL's guard and the
+/// profile.
+pub(crate) fn check_as<S: SpecTS, H: Harness<S>>(
+    name: &str,
+    harness: &H,
+    config: &CheckConfig,
+) -> CheckReport {
     let start = Instant::now();
-    let mut driver = Driver::new(harness, config);
+    let mut driver = Driver::new(name, harness, config);
     let mut session = config.strategy.session(config);
     schedule_phase(&mut driver, session.as_mut());
     crash_sweeps(&mut driver);
@@ -273,7 +286,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
     // independence argument instead of needing their own.
     let mut profile = config.profile.then(ProfileBuilder::default);
     let mut report = aggregate(&driver.outcomes, cutoff, driver.coverage, profile.as_mut());
-    report.name = harness.name().to_string();
+    report.name = name.to_string();
     report.workers = driver.workers;
     report.strategy = config.strategy.name().to_string();
     report.pruned = session.pruned();
@@ -318,7 +331,7 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
             coverage: session.coverage_introspection(),
         };
         let workers = driver.workers as u64;
-        report.profile = Some(p.finish(harness.name(), strategy, workers, report.wall_time));
+        report.profile = Some(p.finish(name, strategy, workers, report.wall_time));
     }
     driver.shared.telem.close(&report);
     report

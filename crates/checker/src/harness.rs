@@ -1,26 +1,30 @@
 //! The harness interface: how a system under test plugs into the
 //! explorer.
 //!
-//! One [`Harness`] describes a *scenario*: the spec, how to build fresh
-//! durable state, the workload threads, and the recovery procedure. The
-//! explorer instantiates it once per explored execution (stateless model
-//! checking), drives the schedule, injects crashes, and validates the
-//! ghost trace at the end.
+//! A system contributes what Perennial asks of a proof author — its
+//! operations, its recovery procedure and its abstraction relation — as
+//! one [`System`] impl. A [`Harness`] describes a *scenario* over it: the
+//! spec, how to build fresh durable state, and the workload, returned as
+//! data in a [`Script`]. The crash → recovery lifecycle is the checker's,
+//! stated once (`exec.rs`): it instantiates the script once per explored
+//! execution (stateless model checking), drives the schedule, injects
+//! crashes, and validates the ghost trace at the end.
 //!
 //! The lifecycle of one execution:
 //!
 //! ```text
-//! make() ──► boot() ──► threads() run under the explorer's schedule
-//!                │
+//! make() ──► boot() ──► the script's main round runs under the
+//!                │      explorer's schedule
 //!                │  (injected crash: rt.crash_all, ghost.crash,
-//!                ▼   crash_reset, boot again)
-//!           recovery() runs as a scheduled thread (crashes here are
+//!                ▼   crash(), boot() again)
+//!           recover() runs as a scheduled thread (crashes here are
 //!                │      explored too — "crash during recovery")
 //!                ▼
-//!          after_recovery() threads (optional) ──► final_check()
+//!          the script's post-recovery round ──► abs_check()
 //! ```
 
 use goose_rt::fault::FaultSurface;
+use goose_rt::runtime::ModelRtExt;
 use goose_rt::sched::ModelRt;
 use perennial::Ghost;
 use perennial_spec::SpecTS;
@@ -43,57 +47,100 @@ impl<S: SpecTS> Clone for World<S> {
     }
 }
 
-/// A workload thread body.
-pub type ThreadBody = Box<dyn FnOnce() + Send + 'static>;
-
-/// One execution of the system under test.
-pub trait Execution<S: SpecTS>: Send {
+/// A system under test: what it does at the points of the crash →
+/// recovery lifecycle the checker drives. Its operations are inherent
+/// methods, called from a [`Script`]'s threads.
+pub trait System<S: SpecTS>: Send + Sync + 'static {
     /// (Re)builds in-memory structures — locks, caches, handles — called
     /// after [`Harness::make`] and again after every crash, modelling the
     /// process restart.
-    fn boot(&mut self, w: &World<S>);
+    fn boot(&self, w: &World<S>);
 
-    /// The main workload threads (called once, after the first boot).
-    fn threads(&mut self, w: &World<S>) -> Vec<(String, ThreadBody)>;
-
-    /// Clears volatile *substrate* state on crash (heap contents, file
-    /// descriptors). The explorer has already unwound the threads and
-    /// called `ghost.crash()`.
-    fn crash_reset(&mut self, w: &World<S>);
+    /// The crash transition of the *substrate*: drops (or tears) volatile
+    /// state such as write buffers, heap contents and file descriptors.
+    /// The explorer has already unwound the threads and called
+    /// `ghost.crash()`.
+    fn crash(&self);
 
     /// The recovery procedure, run as a scheduled virtual thread so
     /// crashes *during recovery* are explored like any other step. Must
     /// finish by spending the crash token (`ghost.recovery_done()`).
-    fn recovery(&mut self, w: &World<S>) -> ThreadBody;
+    fn recover(&self, w: &World<S>);
 
-    /// Optional workload to run after a completed recovery (checks the
-    /// system still serves requests correctly post-crash).
-    fn after_recovery(&mut self, _w: &World<S>) -> Vec<(String, ThreadBody)> {
-        Vec::new()
+    /// The abstraction relation at quiescence, over the real (non-ghost)
+    /// state, e.g. "the two disk platters agree with σ".
+    fn abs_check(&self, w: &World<S>) -> Result<(), String>;
+
+    /// A plan-scheduled permanent disk failure (`disk` is 1 or 2),
+    /// injected between grants at the plan's grant count; systems over a
+    /// two-disk substrate forward it to `ModelTwoDisks::fail`. Default:
+    /// no failable disks, ignore.
+    fn fail_disk(&self, _disk: u8) {}
+}
+
+/// One named workload thread: an operation sequence over the system.
+pub(crate) type Op<Sys, S> = (
+    &'static str,
+    Box<dyn FnOnce(&Sys, &World<S>) + Send + 'static>,
+);
+
+/// One execution's system and workload, as data: the checker boots the
+/// system, spawns the main round, and — after the first completed
+/// recovery — the post-recovery round.
+pub struct Script<Sys, S: SpecTS> {
+    /// The system under test, over fresh durable state.
+    pub sys: Sys,
+    /// The main workload threads, spawned after the first boot.
+    pub(crate) main: Vec<Op<Sys, S>>,
+    /// The workload run after a completed recovery (checks the system
+    /// still serves requests correctly post-crash).
+    pub(crate) after: Vec<Op<Sys, S>>,
+    /// The crash hook: [`System::crash`], unless a harness-fault mutant
+    /// overrides it.
+    pub(crate) crash: fn(&Sys),
+}
+
+impl<Sys: System<S>, S: SpecTS> Script<Sys, S> {
+    /// A script over `sys` with no workload yet.
+    pub fn new(sys: Sys) -> Self {
+        Script {
+            sys,
+            main: Vec::new(),
+            after: Vec::new(),
+            crash: Sys::crash,
+        }
     }
 
-    /// Extra end-of-execution predicate over the real (non-ghost) state,
-    /// e.g. "the two disk platters agree".
-    fn final_check(&self, _w: &World<S>) -> Result<(), String> {
-        Ok(())
+    /// Adds a main-round thread.
+    pub fn thread(
+        &mut self,
+        name: &'static str,
+        op: impl FnOnce(&Sys, &World<S>) + Send + 'static,
+    ) {
+        self.main.push((name, Box::new(op)));
     }
 
-    /// Controller-side hook for plan-scheduled permanent disk failures
-    /// (`disk` is 1 or 2). Called between grants at the plan's grant
-    /// count; harnesses over a two-disk substrate forward it to
-    /// `ModelTwoDisks::fail`. Default: no failable disks, ignore.
-    fn inject_disk_failure(&mut self, _w: &World<S>, _disk: u8) {}
+    /// Adds a post-recovery thread.
+    pub fn after(&mut self, name: &'static str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) {
+        self.after.push((name, Box::new(op)));
+    }
 }
 
 /// A checkable scenario.
 pub trait Harness<S: SpecTS>: Sync {
+    /// The system this scenario exercises.
+    type Sys: System<S>;
+
     /// A fresh spec instance (defines the initial abstract state).
     fn spec(&self) -> S;
 
-    /// Builds fresh durable state and ghost resources for one execution.
-    fn make(&self, w: &World<S>) -> Box<dyn Execution<S>>;
+    /// Builds fresh durable state and ghost resources for one execution,
+    /// and the workload to run over them.
+    fn make(&self, w: &World<S>) -> Script<Self::Sys, S>;
 
-    /// Human-readable scenario name (reports and statistics).
+    /// The label of a direct [`check`](crate::check) of this harness. A
+    /// registered [`Scenario`](crate::Scenario) runs under its registry
+    /// name instead.
     fn name(&self) -> &str {
         "unnamed scenario"
     }
@@ -107,163 +154,65 @@ pub trait Harness<S: SpecTS>: Sync {
     }
 }
 
-/// Harness-fault mutant: wraps any scenario so that `crash_reset`
-/// panics. Scenario code — not the code under test — failing this way
-/// must not abort a campaign: the explorer isolates the panic and
+/// Harness-fault mutant: the wrapped scenario's script with a crash hook
+/// that panics. Scenario code — not the code under test — failing this
+/// way must not abort a campaign: the explorer isolates the panic and
 /// records the execution as [`crate::ExecOutcome::HarnessPanic`].
-pub struct PanicOnReset<H> {
-    /// The wrapped harness.
-    pub inner: H,
-    /// The mutant's scenario name.
-    pub name: String,
-}
-
-impl<H> PanicOnReset<H> {
-    /// Wraps `inner` under the mutant name `name`.
-    pub fn new(name: impl Into<String>, inner: H) -> Self {
-        PanicOnReset {
-            inner,
-            name: name.into(),
-        }
-    }
-}
-
-struct PanicOnResetExec<S: SpecTS> {
-    inner: Box<dyn Execution<S>>,
-}
-
-impl<S: SpecTS> Execution<S> for PanicOnResetExec<S> {
-    fn boot(&mut self, w: &World<S>) {
-        self.inner.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<S>) -> Vec<(String, ThreadBody)> {
-        self.inner.threads(w)
-    }
-
-    fn crash_reset(&mut self, _w: &World<S>) {
-        panic!("injected harness fault: crash_reset panics");
-    }
-
-    fn recovery(&mut self, w: &World<S>) -> ThreadBody {
-        self.inner.recovery(w)
-    }
-
-    fn after_recovery(&mut self, w: &World<S>) -> Vec<(String, ThreadBody)> {
-        self.inner.after_recovery(w)
-    }
-
-    fn final_check(&self, w: &World<S>) -> Result<(), String> {
-        self.inner.final_check(w)
-    }
-
-    fn inject_disk_failure(&mut self, w: &World<S>, disk: u8) {
-        self.inner.inject_disk_failure(w, disk);
-    }
-}
+pub struct PanicOnReset<H>(pub H);
 
 impl<S: SpecTS, H: Harness<S>> Harness<S> for PanicOnReset<H> {
+    type Sys = H::Sys;
+
     fn spec(&self) -> S {
-        self.inner.spec()
+        self.0.spec()
     }
 
-    fn make(&self, w: &World<S>) -> Box<dyn Execution<S>> {
-        Box::new(PanicOnResetExec {
-            inner: self.inner.make(w),
-        })
+    fn make(&self, w: &World<S>) -> Script<H::Sys, S> {
+        let mut script = self.0.make(w);
+        script.crash = |_| panic!("injected harness fault: crash_reset panics");
+        script
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.0.name()
     }
 
     fn fault_surface(&self) -> FaultSurface {
-        self.inner.fault_surface()
+        self.0.fault_surface()
     }
 }
 
-/// Liveness mutant: wraps any scenario and adds one workload thread
-/// that spins on a lock forever. Every explored execution exhausts
+/// Liveness mutant: the wrapped scenario's script plus one workload
+/// thread that spins on a lock forever. Every explored execution exhausts
 /// [`crate::CheckConfig::max_steps`] and is classified
 /// [`crate::ExecOutcome::Wedged`] — never a checker hang. Use with a
 /// small step budget: each wedged execution costs the full budget.
-pub struct SpinForever<H> {
-    /// The wrapped harness.
-    pub inner: H,
-    /// The mutant's scenario name.
-    pub name: String,
-}
-
-impl<H> SpinForever<H> {
-    /// Wraps `inner` under the mutant name `name`.
-    pub fn new(name: impl Into<String>, inner: H) -> Self {
-        SpinForever {
-            inner,
-            name: name.into(),
-        }
-    }
-}
-
-struct SpinForeverExec<S: SpecTS> {
-    inner: Box<dyn Execution<S>>,
-}
-
-impl<S: SpecTS> Execution<S> for SpinForeverExec<S> {
-    fn boot(&mut self, w: &World<S>) {
-        self.inner.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<S>) -> Vec<(String, ThreadBody)> {
-        use goose_rt::runtime::ModelRtExt;
-        let mut out = self.inner.threads(w);
-        let lock = w.rt.new_glock();
-        out.push((
-            "spinner".into(),
-            Box::new(move || loop {
-                lock.acquire();
-                lock.release();
-            }),
-        ));
-        out
-    }
-
-    fn crash_reset(&mut self, w: &World<S>) {
-        self.inner.crash_reset(w);
-    }
-
-    fn recovery(&mut self, w: &World<S>) -> ThreadBody {
-        self.inner.recovery(w)
-    }
-
-    fn after_recovery(&mut self, w: &World<S>) -> Vec<(String, ThreadBody)> {
-        self.inner.after_recovery(w)
-    }
-
-    fn final_check(&self, w: &World<S>) -> Result<(), String> {
-        self.inner.final_check(w)
-    }
-
-    fn inject_disk_failure(&mut self, w: &World<S>, disk: u8) {
-        self.inner.inject_disk_failure(w, disk);
-    }
-}
+pub struct SpinForever<H>(pub H);
 
 impl<S: SpecTS, H: Harness<S>> Harness<S> for SpinForever<H> {
+    type Sys = H::Sys;
+
     fn spec(&self) -> S {
-        self.inner.spec()
+        self.0.spec()
     }
 
-    fn make(&self, w: &World<S>) -> Box<dyn Execution<S>> {
-        Box::new(SpinForeverExec {
-            inner: self.inner.make(w),
-        })
+    fn make(&self, w: &World<S>) -> Script<H::Sys, S> {
+        let mut script = self.0.make(w);
+        script.thread("spinner", |_, w| {
+            let lock = w.rt.new_glock();
+            loop {
+                lock.acquire();
+                lock.release();
+            }
+        });
+        script
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.0.name()
     }
 
     fn fault_surface(&self) -> FaultSurface {
-        self.inner.fault_surface()
+        self.0.fault_surface()
     }
 }

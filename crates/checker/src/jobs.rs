@@ -673,11 +673,10 @@ impl<'a, H> Driver<'a, H> {
     /// Opens a run: resume WAL first (the telemetry file may be the same
     /// file, about to be appended to), then the stream and its
     /// `run_start` record.
-    pub(crate) fn new<S: SpecTS>(harness: &'a H, config: &'a CheckConfig) -> Self
+    pub(crate) fn new<S: SpecTS>(name: &str, harness: &'a H, config: &'a CheckConfig) -> Self
     where
         H: Harness<S>,
     {
-        let name = harness.name();
         let workers = config.effective_workers();
         let replay = load_wal(name, config);
         let telem = RunTelemetry::open(name, config, workers);

@@ -3,8 +3,8 @@
 //! validation.
 //!
 //! This crate is the substitute for the paper's "for all executions" Coq
-//! theorem (DESIGN.md §1). A system plugs in as a [`Harness`]; the
-//! [`check`] entry point then:
+//! theorem (DESIGN.md §1). A system plugs in as a [`System`] and a
+//! [`Harness`] over it; the [`check`] entry point then:
 //!
 //! 1. enumerates crash-free schedules by DFS (exhaustive for small
 //!    configurations) and random sampling;
@@ -60,7 +60,7 @@ pub use explore::{
     Counterexample, ExecOutcome,
 };
 pub use goose_rt::fault::{FaultPlan, FaultSurface, IoError, IoResult, NetFault, TornMode};
-pub use harness::{Execution, Harness, PanicOnReset, SpinForever, ThreadBody, World};
+pub use harness::{Harness, PanicOnReset, Script, SpinForever, System, World};
 pub use linearize::{check_linearizable, HistOp, Verdict};
 pub use metrics::{
     trace_fingerprint, Coverage, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
@@ -72,7 +72,7 @@ pub use recorder::{Recorder, DROPPED};
 pub use report::{describe_outcome, render_failure, render_summary, verdict_line};
 pub use scenario::{Scenario, ScenarioSet};
 pub use shrink::{failure_fingerprint, shrink_counterexample, ShrinkStats};
-pub use strategy::{CoverageGuided, Exhaustive, Random, SleepSetDpor, Strategy, StrategySession};
+pub use strategy::{CoverageGuided, Exhaustive, SleepSetDpor, Strategy, StrategySession};
 pub use telemetry::{strip_timing, validate_json_line, EnvStamp, TelemetrySink, TIMING_KEYS};
 pub use timeline::{chrome_trace_json, render_explain};
 
@@ -83,7 +83,7 @@ pub mod prelude {
         check, replay, run_scenario, CheckConfig, CheckConfigBuilder, CheckReport, Counterexample,
         ExecOutcome,
     };
-    pub use crate::harness::{Execution, Harness, ThreadBody, World};
+    pub use crate::harness::{Harness, Script, System, World};
     pub use crate::pass::{Pass, PassSet};
     pub use crate::scenario::{Scenario, ScenarioSet};
     pub use crate::shrink::{failure_fingerprint, ShrinkStats};

@@ -10,7 +10,7 @@
 //! Names are conventionally `"<system>/<scenario>"`, e.g.
 //! `"kv/cross-bucket"` or `"repldisk/write-race"`.
 
-use crate::explore::{check, replay, CheckConfig, CheckReport, Counterexample, ExecOutcome};
+use crate::explore::{check_as, replay, CheckConfig, CheckReport, Counterexample, ExecOutcome};
 use crate::harness::Harness;
 use perennial_spec::SpecTS;
 use std::fmt;
@@ -35,12 +35,13 @@ impl Scenario {
         S: SpecTS,
         H: Harness<S> + Send + 'static,
     {
+        let name = name.into();
         let harness = Arc::new(harness);
-        let run_harness = Arc::clone(&harness);
+        let (run_name, run_harness) = (name.clone(), Arc::clone(&harness));
         Scenario {
-            name: name.into(),
+            name,
             description: description.into(),
-            runner: Arc::new(move |config| check(&*run_harness, config)),
+            runner: Arc::new(move |config| check_as(&run_name, &*run_harness, config)),
             replayer: Arc::new(move |cx, config| replay(&*harness, cx, config)),
         }
     }
@@ -55,7 +56,9 @@ impl Scenario {
         &self.description
     }
 
-    /// Runs the full exploration over this scenario's harness.
+    /// Runs the full exploration over this scenario's harness, under the
+    /// registry name: the report, every record of the run's stream and
+    /// the resume WAL's guard all carry it.
     pub fn run(&self, config: &CheckConfig) -> CheckReport {
         (self.runner)(config)
     }

@@ -13,11 +13,11 @@
 //! *complete* waves in canonical job order, never on wall-clock arrival
 //! — that is how the PR-1 determinism contract survives pruning.
 //!
-//! Four implementations:
+//! Three implementations:
 //!
 //! - [`Exhaustive`] — bounded DFS frontier + uniform random sampling
-//!   (the historical behaviour, bit-for-bit).
-//! - [`Random`] — random sampling only.
+//!   (the historical behaviour, bit-for-bit; without [`Pass::Dfs`] it is
+//!   random sampling only).
 //! - [`SleepSetDpor`] — DFS with sleep-set partial-order reduction over
 //!   the per-grant dependency footprints recorded by `goose::sched`.
 //! - [`CoverageGuided`] — wave-based novelty search that re-seeds random
@@ -291,51 +291,6 @@ impl StrategySession for ExhaustiveSession {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Random
-// ---------------------------------------------------------------------
-
-/// Random sampling only — no DFS phase at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Random;
-
-impl Strategy for Random {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn session(&self, config: &CheckConfig) -> Box<dyn StrategySession> {
-        Box::new(RandomSession {
-            random_samples: config.random_samples,
-            random_enabled: config.passes.contains(Pass::Random),
-            done: false,
-        })
-    }
-}
-
-struct RandomSession {
-    random_samples: usize,
-    random_enabled: bool,
-    done: bool,
-}
-
-impl StrategySession for RandomSession {
-    fn next_wave(&mut self) -> Option<Wave> {
-        if self.done || !self.random_enabled {
-            return None;
-        }
-        self.done = true;
-        Some(Wave {
-            pass: Pass::Random,
-            specs: (0..self.random_samples)
-                .map(|_| ScheduleSpec::Random { prefix: Vec::new() })
-                .collect(),
-        })
-    }
-
-    fn observe(&mut self, _pass: Pass, _execs: &[ObservedExec]) {}
 }
 
 // ---------------------------------------------------------------------
@@ -719,7 +674,10 @@ mod tests {
     }
 
     fn quick_cfg() -> CheckConfig {
-        CheckConfig::quick()
+        CheckConfig::builder()
+            .dfs_max_executions(200)
+            .random_samples(10)
+            .build()
     }
 
     #[test]

@@ -142,7 +142,8 @@ impl Write for SharedBuf {
 /// `pass_start`/`pass_end` records is deterministic for a fixed config.
 pub struct RunTelemetry {
     stream: Option<TelemetrySink>,
-    /// Scenario name, stamped onto every record.
+    /// The name the run goes by — a registered scenario's registry name
+    /// — stamped onto every record.
     name: String,
     open_error: Option<String>,
     announced: PassSet,
@@ -210,8 +211,11 @@ impl RunTelemetry {
     }
 
     /// Writes the record `build` makes, stamped with the scenario so that
-    /// streams holding several runs (`scenario_smoke --telemetry`) stay
-    /// attributable line by line. With no stream open `build` never runs.
+    /// streams holding several scenarios' runs (`scenario_smoke
+    /// --telemetry`) stay attributable line by line — and resumable: the
+    /// stamp is the key [`parse_wal`] filters by, so it must be unique to
+    /// the scenario, which the registry name is and a harness's label is
+    /// not. With no stream open `build` never runs.
     fn emit(&self, build: impl FnOnce() -> Value) {
         if let Some(stream) = &self.stream {
             stream.emit(&stamped(build(), &self.name));

@@ -2,64 +2,68 @@
 //! lock-order deadlocks surface as `ExecOutcome::Deadlock` (no runnable
 //! thread, unfinished work) rather than hanging the explorer.
 
-use goose_rt::runtime::ModelRtExt;
+use goose_rt::runtime::{GLock, ModelRtExt};
+use parking_lot::RwLock;
 use perennial::GhostUnwrap;
-use perennial_checker::{
-    check, CheckConfig, ExecOutcome, Execution, Harness, Pass, ThreadBody, World,
-};
+use perennial_checker::{check, CheckConfig, ExecOutcome, Harness, Pass, Script, System, World};
 use perennial_spec::fixtures::{RegOp, RegSpec};
 use std::sync::Arc;
+
+/// Two in-memory locks and nothing durable.
+#[derive(Default)]
+struct TwoLocks {
+    locks: RwLock<Vec<Arc<dyn GLock>>>,
+}
+
+impl TwoLocks {
+    /// One register read under lock `first`, then lock `second`.
+    fn read_under(&self, w: &World<RegSpec>, first: usize, second: usize) {
+        let (l1, l2) = {
+            let locks = self.locks.read();
+            (Arc::clone(&locks[first]), Arc::clone(&locks[second]))
+        };
+        let tok = w.ghost.begin_op(RegOp::Read(0)).ghost_unwrap();
+        l1.acquire();
+        l2.acquire();
+        let ret = w.ghost.commit_op(&tok).ghost_unwrap();
+        l2.release();
+        l1.release();
+        w.ghost.finish_op(tok, &ret).ghost_unwrap();
+    }
+}
+
+impl System<RegSpec> for TwoLocks {
+    fn boot(&self, w: &World<RegSpec>) {
+        *self.locks.write() = vec![w.rt.new_glock(), w.rt.new_glock()];
+    }
+
+    fn crash(&self) {}
+
+    fn recover(&self, w: &World<RegSpec>) {
+        w.ghost.recovery_done().ghost_unwrap();
+    }
+
+    fn abs_check(&self, _w: &World<RegSpec>) -> Result<(), String> {
+        Ok(())
+    }
+}
 
 /// A two-lock system where thread A takes (L0, L1) and thread B takes
 /// (L1, L0) — the classic ABBA deadlock, reachable under some schedules.
 struct AbbaHarness;
 
-struct AbbaExec {
-    locks: Vec<Arc<dyn goose_rt::runtime::GLock>>,
-}
-
-impl Execution<RegSpec> for AbbaExec {
-    fn boot(&mut self, w: &World<RegSpec>) {
-        self.locks = vec![w.rt.new_glock(), w.rt.new_glock()];
-    }
-
-    fn threads(&mut self, w: &World<RegSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        for (name, first, second) in [("ab", 0usize, 1usize), ("ba", 1, 0)] {
-            let l1 = Arc::clone(&self.locks[first]);
-            let l2 = Arc::clone(&self.locks[second]);
-            let w2 = w.clone();
-            out.push((
-                name.into(),
-                Box::new(move || {
-                    let tok = w2.ghost.begin_op(RegOp::Read(0)).ghost_unwrap();
-                    l1.acquire();
-                    l2.acquire();
-                    let ret = w2.ghost.commit_op(&tok).ghost_unwrap();
-                    l2.release();
-                    l1.release();
-                    w2.ghost.finish_op(tok, &ret).ghost_unwrap();
-                }),
-            ));
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<RegSpec>) {}
-
-    fn recovery(&mut self, w: &World<RegSpec>) -> ThreadBody {
-        let w2 = w.clone();
-        Box::new(move || w2.ghost.recovery_done().ghost_unwrap())
-    }
-}
-
 impl Harness<RegSpec> for AbbaHarness {
+    type Sys = TwoLocks;
+
     fn spec(&self) -> RegSpec {
         RegSpec { size: 1 }
     }
 
-    fn make(&self, _w: &World<RegSpec>) -> Box<dyn Execution<RegSpec>> {
-        Box::new(AbbaExec { locks: Vec::new() })
+    fn make(&self, _w: &World<RegSpec>) -> Script<TwoLocks, RegSpec> {
+        let mut script = Script::new(TwoLocks::default());
+        script.thread("ab", |sys, w| sys.read_under(w, 0, 1));
+        script.thread("ba", |sys, w| sys.read_under(w, 1, 0));
+        script
     }
 
     fn name(&self) -> &str {
@@ -95,52 +99,19 @@ fn abba_deadlock_is_found_and_classified() {
 /// The same structure with a consistent lock order never deadlocks.
 struct OrderedHarness;
 
-struct OrderedExec {
-    locks: Vec<Arc<dyn goose_rt::runtime::GLock>>,
-}
-
-impl Execution<RegSpec> for OrderedExec {
-    fn boot(&mut self, w: &World<RegSpec>) {
-        self.locks = vec![w.rt.new_glock(), w.rt.new_glock()];
-    }
-
-    fn threads(&mut self, w: &World<RegSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        for name in ["t1", "t2"] {
-            let l0 = Arc::clone(&self.locks[0]);
-            let l1 = Arc::clone(&self.locks[1]);
-            let w2 = w.clone();
-            out.push((
-                name.into(),
-                Box::new(move || {
-                    let tok = w2.ghost.begin_op(RegOp::Read(0)).ghost_unwrap();
-                    l0.acquire();
-                    l1.acquire();
-                    let ret = w2.ghost.commit_op(&tok).ghost_unwrap();
-                    l1.release();
-                    l0.release();
-                    w2.ghost.finish_op(tok, &ret).ghost_unwrap();
-                }),
-            ));
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<RegSpec>) {}
-
-    fn recovery(&mut self, w: &World<RegSpec>) -> ThreadBody {
-        let w2 = w.clone();
-        Box::new(move || w2.ghost.recovery_done().ghost_unwrap())
-    }
-}
-
 impl Harness<RegSpec> for OrderedHarness {
+    type Sys = TwoLocks;
+
     fn spec(&self) -> RegSpec {
         RegSpec { size: 1 }
     }
 
-    fn make(&self, _w: &World<RegSpec>) -> Box<dyn Execution<RegSpec>> {
-        Box::new(OrderedExec { locks: Vec::new() })
+    fn make(&self, _w: &World<RegSpec>) -> Script<TwoLocks, RegSpec> {
+        let mut script = Script::new(TwoLocks::default());
+        for name in ["t1", "t2"] {
+            script.thread(name, |sys, w| sys.read_under(w, 0, 1));
+        }
+        script
     }
 
     fn name(&self) -> &str {

@@ -5,8 +5,9 @@
 //! reject. A verifier that cannot fail is not evidence (DESIGN.md §8).
 
 use goose_rt::runtime::{GLock, ModelRtExt};
+use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{check, CheckConfig, ExecOutcome, Execution, Harness, ThreadBody, World};
+use perennial_checker::{check, CheckConfig, ExecOutcome, Harness, Script, System, World};
 use perennial_disk::{ModelDisk, SingleDisk};
 use perennial_spec::fixtures::{RegOp, RegSpec};
 use std::sync::Arc;
@@ -42,27 +43,24 @@ struct RegHarness {
     bug: Bug,
 }
 
-struct RegExec {
-    bug: Bug,
-    disk: Arc<ModelDisk>,
-    cells: Vec<DurId<u64>>,
-    lockinvs: Vec<Arc<LockInv<Lease<u64>>>>,
-    locks: Vec<Arc<dyn GLock>>,
-}
-
 struct RegSys {
     bug: Bug,
     disk: Arc<ModelDisk>,
     cells: Vec<DurId<u64>>,
     lockinvs: Vec<Arc<LockInv<Lease<u64>>>>,
-    locks: Vec<Arc<dyn GLock>>,
+    /// In-memory locks, rebuilt on every boot.
+    locks: RwLock<Vec<Arc<dyn GLock>>>,
 }
 
 impl RegSys {
+    fn lock(&self, a: u64) -> Arc<dyn GLock> {
+        Arc::clone(&self.locks.read()[a as usize])
+    }
+
     fn write(&self, w: &World<RegSpec>, a: u64, v: u64) {
         let tok = w.ghost.begin_op(RegOp::Write(a, v)).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.locks[a as usize].acquire();
+            self.lock(a).acquire();
         }
         let mut lease = self.lockinvs[a as usize].take().ghost_unwrap();
         let disk_value = if self.bug == Bug::WrongValue {
@@ -84,7 +82,7 @@ impl RegSys {
         };
         self.lockinvs[a as usize].put(lease).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.locks[a as usize].release();
+            self.lock(a).release();
         }
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
@@ -92,7 +90,7 @@ impl RegSys {
     fn read(&self, w: &World<RegSpec>, a: u64) -> u64 {
         let tok = w.ghost.begin_op(RegOp::Read(a)).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.locks[a as usize].acquire();
+            self.lock(a).acquire();
         }
         let lease = self.lockinvs[a as usize].take().ghost_unwrap();
         let v = dec(&self.disk.read(a));
@@ -104,7 +102,7 @@ impl RegSys {
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
         self.lockinvs[a as usize].put(lease).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.locks[a as usize].release();
+            self.lock(a).release();
         }
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
         match ret {
@@ -114,99 +112,34 @@ impl RegSys {
     }
 }
 
-impl RegExec {
-    fn sys(&self) -> Arc<RegSys> {
-        Arc::new(RegSys {
-            bug: self.bug,
-            disk: Arc::clone(&self.disk),
-            cells: self.cells.clone(),
-            lockinvs: self.lockinvs.clone(),
-            locks: self.locks.clone(),
-        })
-    }
-}
-
-impl Execution<RegSpec> for RegExec {
-    fn boot(&mut self, w: &World<RegSpec>) {
-        // In-memory locks are rebuilt on every boot.
-        self.locks = (0..self.cells.len()).map(|_| w.rt.new_glock()).collect();
+impl System<RegSpec> for RegSys {
+    fn boot(&self, w: &World<RegSpec>) {
+        *self.locks.write() = (0..self.cells.len()).map(|_| w.rt.new_glock()).collect();
     }
 
-    fn threads(&mut self, w: &World<RegSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        let sys = self.sys();
-        let w2 = w.clone();
-        out.push((
-            "writer-a".into(),
-            Box::new(move || {
-                sys.write(&w2, 0, 10);
-                sys.write(&w2, 1, 11);
-            }),
-        ));
-        let sys = self.sys();
-        let w2 = w.clone();
-        out.push((
-            "writer-b".into(),
-            Box::new(move || {
-                sys.write(&w2, 0, 20);
-            }),
-        ));
-        let sys = self.sys();
-        let w2 = w.clone();
-        out.push((
-            "reader".into(),
-            Box::new(move || {
-                let v0 = sys.read(&w2, 0);
-                assert!(v0 == 0 || v0 == 10 || v0 == 20, "impossible read {v0}");
-            }),
-        ));
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<RegSpec>) {
+    fn crash(&self) {
         // Disk contents are durable; nothing volatile to clear besides
         // the locks boot() rebuilds.
     }
 
-    fn recovery(&mut self, w: &World<RegSpec>) -> ThreadBody {
-        let w2 = w.clone();
-        let cells = self.cells.clone();
-        let lockinvs = self.lockinvs.clone();
-        let disk = Arc::clone(&self.disk);
-        let bug = self.bug;
-        Box::new(move || {
-            if bug == Bug::ZeroingRecovery {
-                for a in 0..cells.len() as u64 {
-                    disk.write(a, &enc(0));
-                }
+    fn recover(&self, w: &World<RegSpec>) {
+        if self.bug == Bug::ZeroingRecovery {
+            for a in 0..self.cells.len() as u64 {
+                self.disk.write(a, &enc(0));
             }
-            for (a, cell) in cells.iter().enumerate() {
-                if bug == Bug::StaleLeaseAfterRecovery {
-                    // Forgot recover_lease: leave the stale bundle in
-                    // place. Post-crash ops will trip the version check.
-                    let _ = a;
-                } else {
-                    let lease = w2.ghost.recover_lease(*cell).ghost_unwrap();
-                    lockinvs[a].reset(lease);
-                }
+        }
+        for (a, cell) in self.cells.iter().enumerate() {
+            // The stale-lease bug forgets recover_lease: the stale bundle
+            // stays in place and post-crash ops trip the version check.
+            if self.bug != Bug::StaleLeaseAfterRecovery {
+                let lease = w.ghost.recover_lease(*cell).ghost_unwrap();
+                self.lockinvs[a].reset(lease);
             }
-            w2.ghost.recovery_done().ghost_unwrap();
-        })
+        }
+        w.ghost.recovery_done().ghost_unwrap();
     }
 
-    fn after_recovery(&mut self, w: &World<RegSpec>) -> Vec<(String, ThreadBody)> {
-        let sys = self.sys();
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                sys.write(&w2, 2, 33);
-                assert_eq!(sys.read(&w2, 2), 33);
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<RegSpec>) -> Result<(), String> {
+    fn abs_check(&self, w: &World<RegSpec>) -> Result<(), String> {
         // The abstraction relation at quiescence: every disk block equals
         // the spec state.
         let sigma = w.ghost.spec_state();
@@ -224,11 +157,13 @@ impl Execution<RegSpec> for RegExec {
 }
 
 impl Harness<RegSpec> for RegHarness {
+    type Sys = RegSys;
+
     fn spec(&self) -> RegSpec {
         RegSpec { size: self.nregs }
     }
 
-    fn make(&self, w: &World<RegSpec>) -> Box<dyn Execution<RegSpec>> {
+    fn make(&self, w: &World<RegSpec>) -> Script<RegSys, RegSpec> {
         let disk = ModelDisk::new(Arc::clone(&w.rt), self.nregs, 8);
         let mut cells = Vec::new();
         let mut lockinvs = Vec::new();
@@ -237,13 +172,27 @@ impl Harness<RegSpec> for RegHarness {
             cells.push(cell);
             lockinvs.push(Arc::new(LockInv::new(lease)));
         }
-        Box::new(RegExec {
+        let mut script = Script::new(RegSys {
             bug: self.bug,
             disk,
             cells,
             lockinvs,
-            locks: Vec::new(),
-        })
+            locks: RwLock::new(Vec::new()),
+        });
+        script.thread("writer-a", |sys, w| {
+            sys.write(w, 0, 10);
+            sys.write(w, 1, 11);
+        });
+        script.thread("writer-b", |sys, w| sys.write(w, 0, 20));
+        script.thread("reader", |sys, w| {
+            let v0 = sys.read(w, 0);
+            assert!(v0 == 0 || v0 == 10 || v0 == 20, "impossible read {v0}");
+        });
+        script.after("post-crash", |sys, w| {
+            sys.write(w, 2, 33);
+            assert_eq!(sys.read(w, 2), 33);
+        });
+        script
     }
 
     fn name(&self) -> &str {

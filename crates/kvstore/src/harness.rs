@@ -3,7 +3,7 @@
 use crate::spec::{bucket_of, KvSpec};
 use crate::store::{KvMutant, NodeKv};
 use goose_rt::fault::FaultSurface;
-use perennial_checker::{Execution, Harness, ScenarioSet, ThreadBody, World};
+use perennial_checker::{Harness, ScenarioSet, Script, World};
 use perennial_disk::buffered::BufferedDisk;
 use std::sync::Arc;
 
@@ -116,12 +116,6 @@ pub fn mutant_scenarios() -> ScenarioSet {
     set
 }
 
-struct KvExec {
-    sys: Arc<NodeKv>,
-    workload: KvWorkload,
-    after_round: bool,
-}
-
 /// Two keys guaranteed to share a bucket, and one in a different bucket.
 fn sample_keys() -> (u64, u64, u64) {
     let k0 = 0u64;
@@ -135,130 +129,61 @@ fn sample_keys() -> (u64, u64, u64) {
     (k0, same, other)
 }
 
-impl Execution<KvSpec> for KvExec {
-    fn boot(&mut self, w: &World<KvSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<KvSpec>) -> Vec<(String, ThreadBody)> {
-        let (k0, same, other) = sample_keys();
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        match self.workload {
-            KvWorkload::SinglePut => {
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push(("put".into(), Box::new(move || sys.put(&w2, k0, 100))));
-            }
-            KvWorkload::CrossBucket => {
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push(("put-a".into(), Box::new(move || sys.put(&w2, k0, 1))));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push(("put-b".into(), Box::new(move || sys.put(&w2, other, 2))));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "get".into(),
-                    Box::new(move || {
-                        let v = sys.get(&w2, k0);
-                        assert!(v.is_none() || v == Some(1));
-                    }),
-                ));
-            }
-            KvWorkload::SameBucket => {
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push(("put-x".into(), Box::new(move || sys.put(&w2, k0, 1))));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push(("put-y".into(), Box::new(move || sys.put(&w2, same, 2))));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "get".into(),
-                    Box::new(move || {
-                        let v = sys.get(&w2, same);
-                        assert!(v.is_none() || v == Some(2));
-                    }),
-                ));
-            }
-            KvWorkload::PutDeleteGet => {
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push(("put".into(), Box::new(move || sys.put(&w2, k0, 9))));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "delete".into(),
-                    Box::new(move || {
-                        let old = sys.delete(&w2, k0);
-                        assert!(old.is_none() || old == Some(9));
-                    }),
-                ));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "get".into(),
-                    Box::new(move || {
-                        let v = sys.get(&w2, k0);
-                        assert!(v.is_none() || v == Some(9));
-                    }),
-                ));
-            }
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<KvSpec>) {
-        self.sys.crash();
-    }
-
-    fn recovery(&mut self, w: &World<KvSpec>) -> ThreadBody {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        Box::new(move || sys.recover(&w2))
-    }
-
-    fn after_recovery(&mut self, w: &World<KvSpec>) -> Vec<(String, ThreadBody)> {
-        if !self.after_round {
-            return Vec::new();
-        }
-        let (k0, _same, other) = sample_keys();
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                // Reads first: whatever committed must be visible (their
-                // finish_op checks values against σ).
-                let _ = sys.get(&w2, k0);
-                let _ = sys.get(&w2, other);
-                sys.put(&w2, other, 77);
-                assert_eq!(sys.get(&w2, other), Some(77));
-                assert_eq!(sys.delete(&w2, other), Some(77));
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<KvSpec>) -> Result<(), String> {
-        self.sys.abs_check(w)
-    }
-}
-
 impl Harness<KvSpec> for KvHarness {
+    type Sys = NodeKv;
+
     fn spec(&self) -> KvSpec {
         KvSpec
     }
 
-    fn make(&self, w: &World<KvSpec>) -> Box<dyn Execution<KvSpec>> {
+    fn make(&self, w: &World<KvSpec>) -> Script<NodeKv, KvSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), NodeKv::NBLOCKS, NodeKv::BLOCK_SIZE);
-        let sys = NodeKv::new(w, disk, self.mutant);
-        Box::new(KvExec {
-            sys: Arc::new(sys),
-            workload: self.workload,
-            after_round: self.after_round,
-        })
+        let mut script = Script::new(NodeKv::new(w, disk, self.mutant));
+        let (k0, same, other) = sample_keys();
+        match self.workload {
+            KvWorkload::SinglePut => {
+                script.thread("put", move |sys, w| sys.put(w, k0, 100));
+            }
+            KvWorkload::CrossBucket => {
+                script.thread("put-a", move |sys, w| sys.put(w, k0, 1));
+                script.thread("put-b", move |sys, w| sys.put(w, other, 2));
+                script.thread("get", move |sys, w| {
+                    let v = sys.get(w, k0);
+                    assert!(v.is_none() || v == Some(1));
+                });
+            }
+            KvWorkload::SameBucket => {
+                script.thread("put-x", move |sys, w| sys.put(w, k0, 1));
+                script.thread("put-y", move |sys, w| sys.put(w, same, 2));
+                script.thread("get", move |sys, w| {
+                    let v = sys.get(w, same);
+                    assert!(v.is_none() || v == Some(2));
+                });
+            }
+            KvWorkload::PutDeleteGet => {
+                script.thread("put", move |sys, w| sys.put(w, k0, 9));
+                script.thread("delete", move |sys, w| {
+                    let old = sys.delete(w, k0);
+                    assert!(old.is_none() || old == Some(9));
+                });
+                script.thread("get", move |sys, w| {
+                    let v = sys.get(w, k0);
+                    assert!(v.is_none() || v == Some(9));
+                });
+            }
+        }
+        if self.after_round {
+            script.after("post-crash", move |sys, w| {
+                // Reads first: whatever committed must be visible (their
+                // finish_op checks values against σ).
+                let _ = sys.get(w, k0);
+                let _ = sys.get(w, other);
+                sys.put(w, other, 77);
+                assert_eq!(sys.get(w, other), Some(77));
+                assert_eq!(sys.delete(w, other), Some(77));
+            });
+        }
+        script
     }
 
     fn name(&self) -> &str {

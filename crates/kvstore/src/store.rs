@@ -21,7 +21,7 @@ use crate::spec::{bucket_of, KvOp, KvRet, KvSpec, Val, BUCKETS, BUCKET_CAP};
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::World;
+use perennial_checker::{System, World};
 use perennial_disk::buffered::BufferedDisk;
 use perennial_disk::single::SingleDisk;
 use std::sync::Arc;
@@ -90,11 +90,6 @@ impl NodeKv {
             lockinvs,
             locks: RwLock::new(Vec::new()),
         }
-    }
-
-    /// Rebuilds the per-bucket in-memory locks at boot.
-    pub fn boot(&self, w: &World<KvSpec>) {
-        *self.locks.write() = (0..BUCKETS).map(|_| w.rt.new_glock()).collect();
     }
 
     fn lock(&self, b: u64) -> Arc<dyn GLock> {
@@ -293,16 +288,23 @@ impl NodeKv {
             KvRet::Done => unreachable!("delete committed a put transition"),
         }
     }
+}
+
+impl System<KvSpec> for NodeKv {
+    /// Rebuilds the per-bucket in-memory locks at boot.
+    fn boot(&self, w: &World<KvSpec>) {
+        *self.locks.write() = (0..BUCKETS).map(|_| w.rt.new_glock()).collect();
+    }
 
     /// Crash transition for the disk: drop (or tear) the volatile write
     /// buffer per the execution's fault plan.
-    pub fn crash(&self) {
+    fn crash(&self) {
         self.disk.crash_torn();
     }
 
     /// Recovery: an uninstalled shadow slot is invisible — re-establish
     /// the leases and spend the crash token.
-    pub fn recover(&self, w: &World<KvSpec>) {
+    fn recover(&self, w: &World<KvSpec>) {
         for b in 0..BUCKETS as usize {
             let leases = [
                 w.ghost.recover_lease(self.cells[3 * b]).ghost_unwrap(),
@@ -315,7 +317,7 @@ impl NodeKv {
     }
 
     /// AbsR at quiescence: the union of all live bucket slots equals σ.
-    pub fn abs_check(&self, w: &World<KvSpec>) -> Result<(), String> {
+    fn abs_check(&self, w: &World<KvSpec>) -> Result<(), String> {
         let sigma = w.ghost.spec_state();
         let mut physical = std::collections::BTreeMap::new();
         for b in 0..BUCKETS {

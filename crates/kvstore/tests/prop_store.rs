@@ -5,7 +5,7 @@
 
 use goose_rt::sched::ModelRt;
 use perennial::Ghost;
-use perennial_checker::World;
+use perennial_checker::{System, World};
 use perennial_disk::buffered::BufferedDisk;
 use perennial_kv::spec::{bucket_of, KvSpec, BUCKET_CAP};
 use perennial_kv::store::{KvMutant, NodeKv};

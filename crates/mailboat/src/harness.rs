@@ -6,9 +6,7 @@ use crate::server::mail_dirs;
 use crate::spec::MailSpec;
 use goose_rt::fault::FaultSurface;
 use goose_rt::fs::ModelFs;
-use goose_rt::heap::Heap;
-use goose_rt::net::ModelNet;
-use perennial_checker::{Execution, Harness, ScenarioSet, ThreadBody, World};
+use perennial_checker::{Harness, ScenarioSet, Script, World};
 use std::sync::Arc;
 
 /// Scenario shape.
@@ -154,226 +152,115 @@ pub fn mutant_scenarios() -> ScenarioSet {
     set
 }
 
-struct MbExec {
-    sys: Arc<VerifiedMailboat>,
-    heap: Arc<Heap>,
-    net: Arc<ModelNet>,
-    mutant: MbMutant,
-    workload: MbWorkload,
-    after_round: bool,
-}
-
-impl Execution<MailSpec> for MbExec {
-    fn boot(&mut self, w: &World<MailSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<MailSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        match self.workload {
-            MbWorkload::SingleDeliver => {
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "deliver".into(),
-                    Box::new(move || sys.deliver(&w2, 0, "alpha-msg")),
-                ));
-            }
-            MbWorkload::DeliverVsPickup => {
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "deliver".into(),
-                    Box::new(move || sys.deliver(&w2, 0, "alpha")),
-                ));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "pickup".into(),
-                    Box::new(move || {
-                        let msgs = sys.pickup(&w2, 0);
-                        for (id, contents) in &msgs {
-                            // Only complete messages are ever observable.
-                            assert_eq!(contents, "alpha", "partial message read");
-                            sys.delete(&w2, 0, id);
-                        }
-                        sys.unlock(&w2, 0);
-                    }),
-                ));
-            }
-            MbWorkload::TwoDelivers => {
-                for (name, msg) in [("deliver-a", "alpha"), ("deliver-b", "bravo")] {
-                    let sys = Arc::clone(&self.sys);
-                    let w2 = w.clone();
-                    out.push((name.into(), Box::new(move || sys.deliver(&w2, 0, msg))));
-                }
-            }
-            MbWorkload::TwoUsers => {
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "deliver-u0".into(),
-                    Box::new(move || sys.deliver(&w2, 0, "for-zero")),
-                ));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "deliver-u1".into(),
-                    Box::new(move || sys.deliver(&w2, 1, "for-one")),
-                ));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                out.push((
-                    "pickup-u0".into(),
-                    Box::new(move || {
-                        let _ = sys.pickup(&w2, 0);
-                        sys.unlock(&w2, 0);
-                    }),
-                ));
-            }
-            MbWorkload::NetDeliver => {
-                let net = Arc::clone(&self.net);
-                out.push((
-                    "net-client".into(),
-                    Box::new(move || {
-                        net.send(b"0:net-alpha");
-                        net.send(b"1:net-bravo");
-                        net.close();
-                    }),
-                ));
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                let net = Arc::clone(&self.net);
-                let dedup = self.mutant != MbMutant::NetNoDedup;
-                out.push((
-                    "courier".into(),
-                    Box::new(move || {
-                        let mut seen = std::collections::BTreeSet::new();
-                        // Bounded poll loop: finite under every schedule
-                        // (a starved courier gives up, losing coverage
-                        // but never correctness).
-                        for _ in 0..64 {
-                            match net.recv() {
-                                Some(raw) => {
-                                    let text = String::from_utf8(raw).expect("utf8 request");
-                                    let (id, msg) = text.split_once(':').expect("framed request");
-                                    if !dedup || seen.insert(id.to_string()) {
-                                        sys.deliver(&w2, 0, msg);
-                                    }
-                                }
-                                None => {
-                                    if net.finished() {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        // At-most-once: whatever the channel did, no
-                        // request may have been delivered twice.
-                        let msgs = sys.pickup(&w2, 0);
-                        let mut contents: Vec<_> = msgs.iter().map(|(_, c)| c.clone()).collect();
-                        contents.sort();
-                        contents.dedup();
-                        assert_eq!(contents.len(), msgs.len(), "duplicate delivery: {msgs:?}");
-                        sys.unlock(&w2, 0);
-                    }),
-                ));
-            }
-            MbWorkload::SliceRace => {
-                let msg = "abcdefgh";
-                let slice = self.heap.new_byte_slice(msg.as_bytes());
-                let sys = Arc::clone(&self.sys);
-                let w2 = w.clone();
-                let heap = Arc::clone(&self.heap);
-                out.push((
-                    "deliver-slice".into(),
-                    Box::new(move || sys.deliver_slice(&w2, 0, &heap, slice, msg)),
-                ));
-                let heap = Arc::clone(&self.heap);
-                out.push((
-                    "slice-mutator".into(),
-                    Box::new(move || {
-                        heap.slice_write(slice, 0, b"ZZ");
-                    }),
-                ));
-            }
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<MailSpec>) {
-        self.sys_fs_crash();
-        self.heap.crash();
-        self.net.crash();
-    }
-
-    fn recovery(&mut self, w: &World<MailSpec>) -> ThreadBody {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        Box::new(move || sys.recover(&w2))
-    }
-
-    fn after_recovery(&mut self, w: &World<MailSpec>) -> Vec<(String, ThreadBody)> {
-        if !self.after_round {
-            return Vec::new();
-        }
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                // Everything delivered before the crash must be readable
-                // (the pickup's ghost machinery checks the values).
-                let msgs = sys.pickup(&w2, 0);
-                for (id, _) in &msgs {
-                    sys.delete(&w2, 0, id);
-                }
-                sys.unlock(&w2, 0);
-                // And the system still works.
-                sys.deliver(&w2, 0, "post-crash-msg");
-                let msgs = sys.pickup(&w2, 0);
-                assert!(msgs.iter().any(|(_, c)| c == "post-crash-msg"));
-                sys.unlock(&w2, 0);
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<MailSpec>) -> Result<(), String> {
-        self.sys.abs_check(w, true)
-    }
-}
-
-impl MbExec {
-    fn sys_fs_crash(&self) {
-        use goose_rt::fs::FileSys;
-        // Drop all open descriptors; file data is durable.
-        self.sys_fs().crash();
-    }
-
-    fn sys_fs(&self) -> &ModelFs {
-        self.sys.fs()
-    }
-}
-
 impl Harness<MailSpec> for MbHarness {
+    type Sys = VerifiedMailboat;
+
     fn spec(&self) -> MailSpec {
         MailSpec { users: self.users }
     }
 
-    fn make(&self, w: &World<MailSpec>) -> Box<dyn Execution<MailSpec>> {
+    fn make(&self, w: &World<MailSpec>) -> Script<VerifiedMailboat, MailSpec> {
         let dirs = mail_dirs(self.users);
         let dir_refs: Vec<&str> = dirs.iter().map(String::as_str).collect();
         let fs = ModelFs::new(Arc::clone(&w.rt), &dir_refs);
-        let heap = Heap::new(Arc::clone(&w.rt));
-        let sys = VerifiedMailboat::new(w, fs, self.users, self.mutant);
-        Box::new(MbExec {
-            sys: Arc::new(sys),
-            heap,
-            net: ModelNet::new(Arc::clone(&w.rt)),
-            mutant: self.mutant,
-            workload: self.workload,
-            after_round: self.after_round,
-        })
+        let mut script = Script::new(VerifiedMailboat::new(w, fs, self.users, self.mutant));
+        match self.workload {
+            MbWorkload::SingleDeliver => {
+                script.thread("deliver", |sys, w| sys.deliver(w, 0, "alpha-msg"));
+            }
+            MbWorkload::DeliverVsPickup => {
+                script.thread("deliver", |sys, w| sys.deliver(w, 0, "alpha"));
+                script.thread("pickup", |sys, w| {
+                    let msgs = sys.pickup(w, 0);
+                    for (id, contents) in &msgs {
+                        // Only complete messages are ever observable.
+                        assert_eq!(contents, "alpha", "partial message read");
+                        sys.delete(w, 0, id);
+                    }
+                    sys.unlock(w, 0);
+                });
+            }
+            MbWorkload::TwoDelivers => {
+                for (name, msg) in [("deliver-a", "alpha"), ("deliver-b", "bravo")] {
+                    script.thread(name, move |sys, w| sys.deliver(w, 0, msg));
+                }
+            }
+            MbWorkload::TwoUsers => {
+                script.thread("deliver-u0", |sys, w| sys.deliver(w, 0, "for-zero"));
+                script.thread("deliver-u1", |sys, w| sys.deliver(w, 1, "for-one"));
+                script.thread("pickup-u0", |sys, w| {
+                    let _ = sys.pickup(w, 0);
+                    sys.unlock(w, 0);
+                });
+            }
+            MbWorkload::NetDeliver => {
+                script.thread("net-client", |sys, _| {
+                    let net = sys.net();
+                    net.send(b"0:net-alpha");
+                    net.send(b"1:net-bravo");
+                    net.close();
+                });
+                let dedup = self.mutant != MbMutant::NetNoDedup;
+                script.thread("courier", move |sys, w| {
+                    let net = sys.net();
+                    let mut seen = std::collections::BTreeSet::new();
+                    // Bounded poll loop: finite under every schedule (a
+                    // starved courier gives up, losing coverage but never
+                    // correctness).
+                    for _ in 0..64 {
+                        match net.recv() {
+                            Some(raw) => {
+                                let text = String::from_utf8(raw).expect("utf8 request");
+                                let (id, msg) = text.split_once(':').expect("framed request");
+                                if !dedup || seen.insert(id.to_string()) {
+                                    sys.deliver(w, 0, msg);
+                                }
+                            }
+                            None => {
+                                if net.finished() {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    // At-most-once: whatever the channel did, no request
+                    // may have been delivered twice.
+                    let msgs = sys.pickup(w, 0);
+                    let mut contents: Vec<_> = msgs.iter().map(|(_, c)| c.clone()).collect();
+                    contents.sort();
+                    contents.dedup();
+                    assert_eq!(contents.len(), msgs.len(), "duplicate delivery: {msgs:?}");
+                    sys.unlock(w, 0);
+                });
+            }
+            MbWorkload::SliceRace => {
+                let msg = "abcdefgh";
+                let slice = script.sys.heap().new_byte_slice(msg.as_bytes());
+                script.thread("deliver-slice", move |sys, w| {
+                    sys.deliver_slice(w, 0, slice, msg)
+                });
+                script.thread("slice-mutator", move |sys, _| {
+                    sys.heap().slice_write(slice, 0, b"ZZ");
+                });
+            }
+        }
+        if self.after_round {
+            script.after("post-crash", |sys, w| {
+                // Everything delivered before the crash must be readable
+                // (the pickup's ghost machinery checks the values).
+                let msgs = sys.pickup(w, 0);
+                for (id, _) in &msgs {
+                    sys.delete(w, 0, id);
+                }
+                sys.unlock(w, 0);
+                // And the system still works.
+                sys.deliver(w, 0, "post-crash-msg");
+                let msgs = sys.pickup(w, 0);
+                assert!(msgs.iter().any(|(_, c)| c == "post-crash-msg"));
+                sys.unlock(w, 0);
+            });
+        }
+        script
     }
 
     fn name(&self) -> &str {

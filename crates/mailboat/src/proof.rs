@@ -22,10 +22,11 @@
 use crate::spec::{MailOp, MailRet, MailSpec, MailState};
 use goose_rt::fs::{DirH, FileSys, ModelFs};
 use goose_rt::heap::{Heap, Slice};
+use goose_rt::net::ModelNet;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::{Mutex, RwLock};
 use perennial::{GhostUnwrap, LockInv, SetId, SetLease};
-use perennial_checker::World;
+use perennial_checker::{System, World};
 use std::sync::Arc;
 
 /// Deliberate bugs for mutation tests.
@@ -59,6 +60,11 @@ const MODEL_READ_CHUNK: u64 = 3;
 pub struct VerifiedMailboat {
     mutant: MbMutant,
     fs: Arc<ModelFs>,
+    /// The process's Goose heap (the §8.3 slice-race workload reads a
+    /// message out of it) and its network endpoint (the courier
+    /// workload's request channel): volatile, lost with the process.
+    heap: Arc<Heap>,
+    net: Arc<ModelNet>,
     spool: DirH,
     users: Vec<DirH>,
     sets: Vec<SetId<String>>,
@@ -88,6 +94,8 @@ impl VerifiedMailboat {
         VerifiedMailboat {
             mutant,
             fs,
+            heap: Heap::new(Arc::clone(&w.rt)),
+            net: ModelNet::new(Arc::clone(&w.rt)),
             spool,
             users: user_dirs,
             sets,
@@ -97,18 +105,14 @@ impl VerifiedMailboat {
         }
     }
 
-    /// The underlying model file system (harness inspection and crash
-    /// resets).
-    pub fn fs(&self) -> &ModelFs {
-        &self.fs
+    /// The process's heap (workloads allocate message slices in it).
+    pub fn heap(&self) -> &Heap {
+        &self.heap
     }
 
-    /// Rebuilds volatile state at boot: fresh locks, empty sessions.
-    pub fn boot(&self, w: &World<MailSpec>) {
-        *self.locks.write() = (0..self.users.len()).map(|_| w.rt.new_glock()).collect();
-        for s in &self.sessions {
-            *s.lock() = None;
-        }
+    /// The process's network endpoint.
+    pub fn net(&self) -> &ModelNet {
+        &self.net
     }
 
     fn lock(&self, user: u64) -> Arc<dyn GLock> {
@@ -129,22 +133,15 @@ impl VerifiedMailboat {
         w.ghost.finish_op(tok, &MailRet::Unit).ghost_unwrap();
     }
 
-    /// `Deliver` reading the message out of a Goose heap slice chunk by
-    /// chunk — the §8.3 configuration where a caller racing on the slice
-    /// is undefined behaviour.
-    pub fn deliver_slice(
-        &self,
-        w: &World<MailSpec>,
-        user: u64,
-        heap: &Heap,
-        slice: Slice,
-        expected: &str,
-    ) {
+    /// `Deliver` reading the message out of a slice of the process's
+    /// Goose heap chunk by chunk — the §8.3 configuration where a caller
+    /// racing on the slice is undefined behaviour.
+    pub fn deliver_slice(&self, w: &World<MailSpec>, user: u64, slice: Slice, expected: &str) {
         let tok = w
             .ghost
             .begin_op(MailOp::Deliver(user, expected.to_string()))
             .ghost_unwrap();
-        self.deliver_body(w, user, expected, Some((heap, slice)), &tok);
+        self.deliver_body(w, user, expected, Some(slice), &tok);
         w.ghost.finish_op(tok, &MailRet::Unit).ghost_unwrap();
     }
 
@@ -153,7 +150,7 @@ impl VerifiedMailboat {
         w: &World<MailSpec>,
         user: u64,
         msg: &str,
-        heap_src: Option<(&Heap, Slice)>,
+        heap_src: Option<Slice>,
         tok: &perennial::OpToken,
     ) {
         let udir = self.users[user as usize];
@@ -234,7 +231,7 @@ impl VerifiedMailboat {
         _w: &World<MailSpec>,
         fd: goose_rt::fs::Fd,
         msg: &str,
-        heap_src: Option<(&Heap, Slice)>,
+        heap_src: Option<Slice>,
     ) {
         match heap_src {
             None => {
@@ -242,14 +239,14 @@ impl VerifiedMailboat {
                     self.fs.append(fd, chunk).expect("append");
                 }
             }
-            Some((heap, slice)) => {
+            Some(slice) => {
                 // Read the caller's slice chunk by chunk (each read is an
                 // atomic heap step; racy mutation by the caller is UB).
-                let len = heap.slice_len(slice);
+                let len = self.heap.slice_len(slice);
                 let mut off = 0u64;
                 while off < len {
                     let n = (MODEL_WRITE_CHUNK as u64).min(len - off);
-                    let chunk = heap.slice_read(slice, off, n);
+                    let chunk = self.heap.slice_read(slice, off, n);
                     self.fs.append(fd, &chunk).expect("append");
                     off += n;
                 }
@@ -337,11 +334,29 @@ impl VerifiedMailboat {
         self.lock(user).release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
+}
+
+impl System<MailSpec> for VerifiedMailboat {
+    /// Rebuilds volatile state at boot: fresh locks, empty sessions.
+    fn boot(&self, w: &World<MailSpec>) {
+        *self.locks.write() = (0..self.users.len()).map(|_| w.rt.new_glock()).collect();
+        for s in &self.sessions {
+            *s.lock() = None;
+        }
+    }
+
+    /// Crash: open descriptors, heap contents and in-flight messages are
+    /// lost; file data is durable.
+    fn crash(&self) {
+        self.fs.crash();
+        self.heap.crash();
+        self.net.crash();
+    }
 
     /// `Recover` (§8.2/§8.3): delete spool temporaries (TmpInv gives
     /// recovery the right), re-establish the per-user lock invariants
     /// with fresh lower-bound leases, and spend the crash token.
-    pub fn recover(&self, w: &World<MailSpec>) {
+    fn recover(&self, w: &World<MailSpec>) {
         if self.mutant != MbMutant::SkipRecoveryCleanup {
             let names = self.fs.list(self.spool).expect("spool list");
             for name in names {
@@ -356,9 +371,8 @@ impl VerifiedMailboat {
     }
 
     /// AbsR at quiescence: every mailbox directory matches σ (names and
-    /// contents), and — when at least one crash/recovery happened — the
-    /// spool is empty.
-    pub fn abs_check(&self, w: &World<MailSpec>, expect_clean_spool: bool) -> Result<(), String> {
+    /// contents), and the spool is empty (TmpInv).
+    fn abs_check(&self, w: &World<MailSpec>) -> Result<(), String> {
         let sigma: MailState = w.ghost.spec_state();
         for (u, _) in self.users.iter().enumerate() {
             let dir = format!("user{u}");
@@ -383,11 +397,9 @@ impl VerifiedMailboat {
                 }
             }
         }
-        if expect_clean_spool {
-            let spool = self.fs.peek_list("spool").unwrap_or_default();
-            if !spool.is_empty() {
-                return Err(format!("TmpInv violated: spool not cleaned: {spool:?}"));
-            }
+        let spool = self.fs.peek_list("spool").unwrap_or_default();
+        if !spool.is_empty() {
+            return Err(format!("TmpInv violated: spool not cleaned: {spool:?}"));
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::{Mutex, RwLock};
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Execution, Harness, ThreadBody, World};
+use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::BufferedDisk;
 use perennial_disk::single::SingleDisk;
 use perennial_spec::{SpecTS, Transition};
@@ -175,13 +175,6 @@ impl GroupCommitLog {
         }
     }
 
-    /// Rebuilds volatile state at boot: a fresh lock and an empty buffer
-    /// (buffered transactions are lost — that is the point).
-    pub fn boot(&self, w: &World<GcSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
-        self.buffer.lock().clear();
-    }
-
     fn lock(&self) -> Arc<dyn GLock> {
         Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
@@ -292,17 +285,26 @@ impl GroupCommitLog {
             GcRet::Done => unreachable!("read committed an append transition"),
         }
     }
+}
+
+impl System<GcSpec> for GroupCommitLog {
+    /// Rebuilds volatile state at boot: a fresh lock and an empty buffer
+    /// (buffered transactions are lost — that is the point).
+    fn boot(&self, w: &World<GcSpec>) {
+        *self.lock.write() = Some(w.rt.new_glock());
+        self.buffer.lock().clear();
+    }
 
     /// Crash transition for the disk: drop (or tear) the volatile write
     /// buffer per the execution's fault plan.
-    pub fn crash(&self) {
+    fn crash(&self) {
         self.disk.crash_torn();
     }
 
     /// Recovery: the durable prefix is already consistent; re-establish
     /// leases and spend the crash token (whose spec transition truncates
     /// the buffered suffix).
-    pub fn recover(&self, w: &World<GcSpec>) {
+    fn recover(&self, w: &World<GcSpec>) {
         let mut leases = Vec::new();
         for c in &self.cells {
             leases.push(w.ghost.recover_lease(*c).ghost_unwrap());
@@ -313,7 +315,7 @@ impl GroupCommitLog {
 
     /// AbsR at quiescence: disk prefix + buffer equals σ's entries, and
     /// the persisted watermark matches the count block.
-    pub fn abs_check(&self, w: &World<GcSpec>) -> Result<(), String> {
+    fn abs_check(&self, w: &World<GcSpec>) -> Result<(), String> {
         let sigma = w.ghost.spec_state();
         let persisted = dec(&self.disk.peek(0)) as usize;
         let mut log = Vec::new();
@@ -351,89 +353,39 @@ impl Default for GcHarness {
     }
 }
 
-struct GcExec {
-    sys: Arc<GroupCommitLog>,
-}
-
-impl Execution<GcSpec> for GcExec {
-    fn boot(&mut self, w: &World<GcSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<GcSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push((
-            "appender-a".into(),
-            Box::new(move || {
-                sys.append(&w2, 1);
-                sys.append(&w2, 2);
-            }),
-        ));
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push((
-            "flusher".into(),
-            Box::new(move || {
-                sys.flush(&w2);
-                sys.append(&w2, 3);
-                sys.flush(&w2);
-            }),
-        ));
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push((
-            "reader".into(),
-            Box::new(move || {
-                let _ = sys.read_all(&w2);
-            }),
-        ));
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<GcSpec>) {
-        self.sys.crash();
-    }
-
-    fn recovery(&mut self, w: &World<GcSpec>) -> ThreadBody {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        Box::new(move || sys.recover(&w2))
-    }
-
-    fn after_recovery(&mut self, w: &World<GcSpec>) -> Vec<(String, ThreadBody)> {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                // Whatever survived, appending and flushing still works
-                // and reads reflect the spec.
-                let before = sys.read_all(&w2);
-                sys.append(&w2, 9);
-                sys.flush(&w2);
-                let after = sys.read_all(&w2);
-                assert_eq!(after.len(), before.len() + 1);
-                assert_eq!(*after.last().unwrap(), 9);
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<GcSpec>) -> Result<(), String> {
-        self.sys.abs_check(w)
-    }
-}
-
 impl Harness<GcSpec> for GcHarness {
+    type Sys = GroupCommitLog;
+
     fn spec(&self) -> GcSpec {
         GcSpec
     }
 
-    fn make(&self, w: &World<GcSpec>) -> Box<dyn Execution<GcSpec>> {
+    fn make(&self, w: &World<GcSpec>) -> Script<GroupCommitLog, GcSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), GroupCommitLog::NBLOCKS, 8);
-        let sys = GroupCommitLog::new(w, disk, self.mutant);
-        Box::new(GcExec { sys: Arc::new(sys) })
+        let mut script = Script::new(GroupCommitLog::new(w, disk, self.mutant));
+        script.thread("appender-a", |sys, w| {
+            sys.append(w, 1);
+            sys.append(w, 2);
+        });
+        script.thread("flusher", |sys, w| {
+            sys.flush(w);
+            sys.append(w, 3);
+            sys.flush(w);
+        });
+        script.thread("reader", |sys, w| {
+            let _ = sys.read_all(w);
+        });
+        script.after("post-crash", |sys, w| {
+            // Whatever survived, appending and flushing still works and
+            // reads reflect the spec.
+            let before = sys.read_all(w);
+            sys.append(w, 9);
+            sys.flush(w);
+            let after = sys.read_all(w);
+            assert_eq!(after.len(), before.len() + 1);
+            assert_eq!(*after.last().unwrap(), 9);
+        });
+        script
     }
 
     fn name(&self) -> &str {

@@ -169,16 +169,13 @@ pub fn mutant_scenarios() -> ScenarioSet {
     ] {
         set.add(name, desc, SlHarness { mutant });
     }
-    // Not a bug in the code under test but in the *scenario*: crash_reset
-    // panics. Campaigns must isolate it (ExecOutcome::HarnessPanic) and
+    // Not a bug in the code under test but in the *scenario*: the crash
+    // hook panics. Campaigns must isolate it (ExecOutcome::HarnessPanic) and
     // keep going — pinned by tests/shard_resume.rs and tests/reduction.rs.
     set.add(
         "patterns/mutant/panic-reset",
-        "harness crash_reset panics (campaign isolation)",
-        perennial_checker::PanicOnReset::new(
-            "patterns/mutant/panic-reset",
-            ShadowHarness::default(),
-        ),
+        "harness crash hook panics (campaign isolation)",
+        perennial_checker::PanicOnReset(ShadowHarness::default()),
     );
     set
 }

@@ -21,7 +21,7 @@ use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Execution, Harness, ThreadBody, World};
+use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::BufferedDisk;
 use perennial_disk::single::SingleDisk;
 use std::sync::Arc;
@@ -73,11 +73,6 @@ impl ShadowPair {
             lockinv: Arc::new(LockInv::new(ShadowBundle { leases })),
             lock: RwLock::new(None),
         }
-    }
-
-    /// Rebuilds the in-memory lock at boot.
-    pub fn boot(&self, w: &World<PairSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
     }
 
     fn lock(&self) -> Arc<dyn GLock> {
@@ -169,16 +164,23 @@ impl ShadowPair {
             PairRet::Unit => unreachable!("get committed a put transition"),
         }
     }
+}
+
+impl System<PairSpec> for ShadowPair {
+    /// Rebuilds the in-memory lock at boot.
+    fn boot(&self, w: &World<PairSpec>) {
+        *self.lock.write() = Some(w.rt.new_glock());
+    }
 
     /// Crash transition for the disk: drop (or tear) the volatile write
     /// buffer per the execution's fault plan.
-    pub fn crash(&self) {
+    fn crash(&self) {
         self.disk.crash_torn();
     }
 
     /// Recovery: nothing to repair — an uninstalled shadow is invisible.
     /// Re-establishes leases and spends the crash token.
-    pub fn recover(&self, w: &World<PairSpec>) {
+    fn recover(&self, w: &World<PairSpec>) {
         let mut leases = Vec::new();
         for c in &self.cells {
             leases.push(w.ghost.recover_lease(*c).ghost_unwrap());
@@ -188,7 +190,7 @@ impl ShadowPair {
     }
 
     /// AbsR at quiescence: the live copy equals σ.
-    pub fn abs_check(&self, w: &World<PairSpec>) -> Result<(), String> {
+    fn abs_check(&self, w: &World<PairSpec>) -> Result<(), String> {
         let sigma = w.ghost.spec_state();
         let live = dec(&self.disk.peek(0));
         let (s1, s2) = if live == 0 { (1, 2) } else { (3, 4) };
@@ -217,79 +219,33 @@ impl Default for ShadowHarness {
     }
 }
 
-struct ShadowExec {
-    sys: Arc<ShadowPair>,
-    with_reader: bool,
-}
-
-impl Execution<PairSpec> for ShadowExec {
-    fn boot(&mut self, w: &World<PairSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<PairSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push(("putter".into(), Box::new(move || sys.put(&w2, 7, 8))));
-        if self.with_reader {
-            let sys = Arc::clone(&self.sys);
-            let w2 = w.clone();
-            out.push((
-                "getter".into(),
-                Box::new(move || {
-                    let (a, b) = sys.get(&w2);
-                    // Atomicity: never a torn pair.
-                    assert!((a, b) == (0, 0) || (a, b) == (7, 8), "torn pair ({a},{b})");
-                }),
-            ));
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<PairSpec>) {
-        self.sys.crash();
-    }
-
-    fn recovery(&mut self, w: &World<PairSpec>) -> ThreadBody {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        Box::new(move || sys.recover(&w2))
-    }
-
-    fn after_recovery(&mut self, w: &World<PairSpec>) -> Vec<(String, ThreadBody)> {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                // Read first: whatever committed before the crash must be
-                // visible now (the get's finish_op checks the value
-                // against the spec state).
-                let _ = sys.get(&w2);
-                sys.put(&w2, 10, 11);
-                assert_eq!(sys.get(&w2), (10, 11));
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<PairSpec>) -> Result<(), String> {
-        self.sys.abs_check(w)
-    }
-}
-
 impl Harness<PairSpec> for ShadowHarness {
+    type Sys = ShadowPair;
+
     fn spec(&self) -> PairSpec {
         PairSpec
     }
 
-    fn make(&self, w: &World<PairSpec>) -> Box<dyn Execution<PairSpec>> {
+    fn make(&self, w: &World<PairSpec>) -> Script<ShadowPair, PairSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), ShadowPair::NBLOCKS, 8);
-        let sys = ShadowPair::new(w, disk, self.mutant);
-        Box::new(ShadowExec {
-            sys: Arc::new(sys),
-            with_reader: self.with_reader,
-        })
+        let mut script = Script::new(ShadowPair::new(w, disk, self.mutant));
+        script.thread("putter", |sys, w| sys.put(w, 7, 8));
+        if self.with_reader {
+            script.thread("getter", |sys, w| {
+                let (a, b) = sys.get(w);
+                // Atomicity: never a torn pair.
+                assert!((a, b) == (0, 0) || (a, b) == (7, 8), "torn pair ({a},{b})");
+            });
+        }
+        script.after("post-crash", |sys, w| {
+            // Read first: whatever committed before the crash must be
+            // visible now (the get's finish_op checks the value against
+            // the spec state).
+            let _ = sys.get(w);
+            sys.put(w, 10, 11);
+            assert_eq!(sys.get(w), (10, 11));
+        });
+        script
     }
 
     fn name(&self) -> &str {

@@ -19,7 +19,7 @@ use goose_rt::fs::{BufferedFs, DirH, Fd, FileSys};
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::{Mutex, RwLock};
 use perennial::GhostUnwrap;
-use perennial_checker::{Execution, Harness, ThreadBody, World};
+use perennial_checker::{Harness, Script, System, World};
 use perennial_spec::{SpecTS, Transition};
 use std::sync::Arc;
 
@@ -165,48 +165,6 @@ impl SyncedLog {
         }
     }
 
-    /// Rebuilds volatile state at boot: a fresh lock and append fd.
-    ///
-    /// The Goose file subset has no `open(O_APPEND)` (§6.2's "a selection
-    /// of system calls"), so reopening an existing log recreates the
-    /// inode with identical bytes and **re-anchors it durably** —
-    /// without the re-anchor, the durable directory entry would keep
-    /// pointing at the *old* inode and every later `fsync` would persist
-    /// bytes no entry names (the orphan-inode hazard the `SkipDirSync`
-    /// mutant demonstrates).
-    pub fn boot(&self, w: &World<SlSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
-        let fd = match self.fs.create(self.dir, LOG_FILE).expect("create") {
-            Some(fd) => fd, // first boot: fresh file
-            None => {
-                // Reopen: read, unlink, recreate, replay. At boot the
-                // volatile image equals the durable one, so replaying
-                // and re-anchoring changes no observable state.
-                let data = self
-                    .fs
-                    .read_file(self.dir, LOG_FILE, 1 << 16)
-                    .expect("read existing log");
-                self.fs
-                    .delete(self.dir, LOG_FILE)
-                    .expect("unlink for reopen");
-                let fd = self
-                    .fs
-                    .create(self.dir, LOG_FILE)
-                    .expect("recreate")
-                    .expect("fresh after unlink");
-                if !data.is_empty() {
-                    self.fs.append(fd, &data).expect("replay bytes");
-                }
-                fd
-            }
-        };
-        if self.mutant != SlMutant::SkipDirSync {
-            self.fs.fsync(fd).expect("anchor fsync");
-            self.fs.dir_sync(self.dir).expect("anchor dir sync");
-        }
-        *self.fd.lock() = Some(fd);
-    }
-
     fn lock(&self) -> Arc<dyn GLock> {
         Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
@@ -279,17 +237,67 @@ impl SyncedLog {
             SlRet::Done => unreachable!("read committed an append transition"),
         }
     }
+}
+
+impl System<SlSpec> for SyncedLog {
+    /// Rebuilds volatile state at boot: a fresh lock and append fd.
+    ///
+    /// The Goose file subset has no `open(O_APPEND)` (§6.2's "a selection
+    /// of system calls"), so reopening an existing log recreates the
+    /// inode with identical bytes and **re-anchors it durably** —
+    /// without the re-anchor, the durable directory entry would keep
+    /// pointing at the *old* inode and every later `fsync` would persist
+    /// bytes no entry names (the orphan-inode hazard the `SkipDirSync`
+    /// mutant demonstrates).
+    fn boot(&self, w: &World<SlSpec>) {
+        *self.lock.write() = Some(w.rt.new_glock());
+        let fd = match self.fs.create(self.dir, LOG_FILE).expect("create") {
+            Some(fd) => fd, // first boot: fresh file
+            None => {
+                // Reopen: read, unlink, recreate, replay. At boot the
+                // volatile image equals the durable one, so replaying
+                // and re-anchoring changes no observable state.
+                let data = self
+                    .fs
+                    .read_file(self.dir, LOG_FILE, 1 << 16)
+                    .expect("read existing log");
+                self.fs
+                    .delete(self.dir, LOG_FILE)
+                    .expect("unlink for reopen");
+                let fd = self
+                    .fs
+                    .create(self.dir, LOG_FILE)
+                    .expect("recreate")
+                    .expect("fresh after unlink");
+                if !data.is_empty() {
+                    self.fs.append(fd, &data).expect("replay bytes");
+                }
+                fd
+            }
+        };
+        if self.mutant != SlMutant::SkipDirSync {
+            self.fs.fsync(fd).expect("anchor fsync");
+            self.fs.dir_sync(self.dir).expect("anchor dir sync");
+        }
+        *self.fd.lock() = Some(fd);
+    }
+
+    /// Crash transition for the file system: revert the volatile image
+    /// to the durable one.
+    fn crash(&self) {
+        self.fs.crash();
+    }
 
     /// Recovery: nothing to repair (the durable image *is* the state);
     /// spend the crash token, whose transition truncates σ to the
     /// watermark.
-    pub fn recover(&self, w: &World<SlSpec>) {
+    fn recover(&self, w: &World<SlSpec>) {
         w.ghost.recovery_done().ghost_unwrap();
     }
 
     /// AbsR at quiescence: the volatile file decodes to σ's records and
     /// the durable image decodes to a prefix of at least `persisted`.
-    pub fn abs_check(&self, w: &World<SlSpec>) -> Result<(), String> {
+    fn abs_check(&self, w: &World<SlSpec>) -> Result<(), String> {
         let sigma = w.ghost.spec_state();
         let vol = self
             .fs
@@ -339,87 +347,32 @@ impl Default for SlHarness {
     }
 }
 
-struct SlExec {
-    sys: Arc<SyncedLog>,
-}
-
-impl Execution<SlSpec> for SlExec {
-    fn boot(&mut self, w: &World<SlSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<SlSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push((
-            "writer".into(),
-            Box::new(move || {
-                sys.append(&w2, b"v1");
-                sys.append_synced(&w2, b"d1");
-                sys.append(&w2, b"v2");
-            }),
-        ));
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push((
-            "reader".into(),
-            Box::new(move || {
-                let _ = sys.read_all(&w2);
-            }),
-        ));
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<SlSpec>) {
-        // BufferedFs::crash is invoked by the explorer? No — the harness
-        // owns the substrate: revert the volatile image here.
-        use goose_rt::fs::FileSys;
-        self.sys.fs_handle().crash();
-    }
-
-    fn recovery(&mut self, w: &World<SlSpec>) -> ThreadBody {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        Box::new(move || sys.recover(&w2))
-    }
-
-    fn after_recovery(&mut self, w: &World<SlSpec>) -> Vec<(String, ThreadBody)> {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                // Everything the spec says survived must be readable.
-                let _ = sys.read_all(&w2);
-                sys.append_synced(&w2, b"post");
-                let recs = sys.read_all(&w2);
-                assert_eq!(recs.last().map(|r| r.as_slice()), Some(&b"post"[..]));
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<SlSpec>) -> Result<(), String> {
-        self.sys.abs_check(w)
-    }
-}
-
-impl SyncedLog {
-    /// The underlying buffered FS (harness access).
-    pub fn fs_handle(&self) -> &BufferedFs {
-        &self.fs
-    }
-}
-
 impl Harness<SlSpec> for SlHarness {
+    type Sys = SyncedLog;
+
     fn spec(&self) -> SlSpec {
         SlSpec
     }
 
-    fn make(&self, w: &World<SlSpec>) -> Box<dyn Execution<SlSpec>> {
+    fn make(&self, w: &World<SlSpec>) -> Script<SyncedLog, SlSpec> {
         let fs = BufferedFs::new(Arc::clone(&w.rt), &["d"]);
-        let sys = SyncedLog::new(w, fs, self.mutant);
-        Box::new(SlExec { sys: Arc::new(sys) })
+        let mut script = Script::new(SyncedLog::new(w, fs, self.mutant));
+        script.thread("writer", |sys, w| {
+            sys.append(w, b"v1");
+            sys.append_synced(w, b"d1");
+            sys.append(w, b"v2");
+        });
+        script.thread("reader", |sys, w| {
+            let _ = sys.read_all(w);
+        });
+        script.after("post-crash", |sys, w| {
+            // Everything the spec says survived must be readable.
+            let _ = sys.read_all(w);
+            sys.append_synced(w, b"post");
+            let recs = sys.read_all(w);
+            assert_eq!(recs.last().map(|r| r.as_slice()), Some(&b"post"[..]));
+        });
+        script
     }
 
     fn name(&self) -> &str {

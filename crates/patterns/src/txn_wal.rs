@@ -25,7 +25,7 @@ use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Execution, Harness, ThreadBody, World};
+use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::BufferedDisk;
 use perennial_disk::single::SingleDisk;
 use perennial_spec::{SpecTS, Transition};
@@ -170,11 +170,6 @@ impl TxnWal {
         }
     }
 
-    /// Rebuilds the in-memory lock at boot.
-    pub fn boot(&self, w: &World<TxnSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
-    }
-
     fn lock(&self) -> Arc<dyn GLock> {
         Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
@@ -264,10 +259,23 @@ impl TxnWal {
             TxnRet::Done => unreachable!("read committed a txn transition"),
         }
     }
+}
+
+impl System<TxnSpec> for TxnWal {
+    /// Rebuilds the in-memory lock at boot.
+    fn boot(&self, w: &World<TxnSpec>) {
+        *self.lock.write() = Some(w.rt.new_glock());
+    }
+
+    /// Crash transition for the disk: drop (or tear) the volatile write
+    /// buffer per the execution's fault plan.
+    fn crash(&self) {
+        self.disk.crash_torn();
+    }
 
     /// Recovery: replay a committed transaction from the log (helping),
     /// or discard an incomplete one.
-    pub fn recover(&self, w: &World<TxnSpec>) {
+    fn recover(&self, w: &World<TxnSpec>) {
         let mut leases = Vec::new();
         for c in &self.cells {
             leases.push(w.ghost.recover_lease(*c).ghost_unwrap());
@@ -301,14 +309,8 @@ impl TxnWal {
         w.ghost.recovery_done().ghost_unwrap();
     }
 
-    /// Crash transition for the disk: drop (or tear) the volatile write
-    /// buffer per the execution's fault plan.
-    pub fn crash(&self) {
-        self.disk.crash_torn();
-    }
-
     /// AbsR at quiescence: data region equals σ and the log is clear.
-    pub fn abs_check(&self, w: &World<TxnSpec>) -> Result<(), String> {
+    fn abs_check(&self, w: &World<TxnSpec>) -> Result<(), String> {
         let sigma = w.ghost.spec_state();
         for a in 0..DATA_BLOCKS {
             let disk_v = dec(&self.disk.peek(LOG_END + a));
@@ -343,91 +345,44 @@ impl Default for TxnHarness {
     }
 }
 
-struct TxnExec {
-    sys: Arc<TxnWal>,
-    with_reader: bool,
-}
-
-impl Execution<TxnSpec> for TxnExec {
-    fn boot(&mut self, w: &World<TxnSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<TxnSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push((
-            "txn-writer".into(),
-            Box::new(move || sys.commit_txn(&w2, &[(0, 10), (2, 20), (4, 40)])),
-        ));
-        if self.with_reader {
-            let sys = Arc::clone(&self.sys);
-            let w2 = w.clone();
-            out.push((
-                "reader".into(),
-                Box::new(move || {
-                    // Two separate reads: the txn may commit in between
-                    // (0 then 20 is legal), but the reverse order would
-                    // mean the committed transaction was torn back out.
-                    let v0 = sys.read(&w2, 0);
-                    let v2 = sys.read(&w2, 2);
-                    assert!(v0 == 0 || v0 == 10, "impossible data[0] = {v0}");
-                    assert!(v2 == 0 || v2 == 20, "impossible data[2] = {v2}");
-                    assert!(
-                        !(v0 == 10 && v2 == 0),
-                        "transaction unwound between reads: ({v0},{v2})"
-                    );
-                }),
-            ));
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<TxnSpec>) {
-        self.sys.crash();
-    }
-
-    fn recovery(&mut self, w: &World<TxnSpec>) -> ThreadBody {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        Box::new(move || sys.recover(&w2))
-    }
-
-    fn after_recovery(&mut self, w: &World<TxnSpec>) -> Vec<(String, ThreadBody)> {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                // Read first (validates committed state survived), then
-                // run another transaction.
-                let _ = sys.read(&w2, 0);
-                let _ = sys.read(&w2, 4);
-                sys.commit_txn(&w2, &[(1, 11), (5, 55)]);
-                assert_eq!(sys.read(&w2, 1), 11);
-                assert_eq!(sys.read(&w2, 5), 55);
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<TxnSpec>) -> Result<(), String> {
-        self.sys.abs_check(w)
-    }
-}
-
 impl Harness<TxnSpec> for TxnHarness {
+    type Sys = TxnWal;
+
     fn spec(&self) -> TxnSpec {
         TxnSpec
     }
 
-    fn make(&self, w: &World<TxnSpec>) -> Box<dyn Execution<TxnSpec>> {
+    fn make(&self, w: &World<TxnSpec>) -> Script<TxnWal, TxnSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), TxnWal::NBLOCKS, 8);
-        let sys = TxnWal::new(w, disk, self.mutant);
-        Box::new(TxnExec {
-            sys: Arc::new(sys),
-            with_reader: self.with_reader,
-        })
+        let mut script = Script::new(TxnWal::new(w, disk, self.mutant));
+        script.thread("txn-writer", |sys, w| {
+            sys.commit_txn(w, &[(0, 10), (2, 20), (4, 40)])
+        });
+        if self.with_reader {
+            script.thread("reader", |sys, w| {
+                // Two separate reads: the txn may commit in between (0
+                // then 20 is legal), but the reverse order would mean the
+                // committed transaction was torn back out.
+                let v0 = sys.read(w, 0);
+                let v2 = sys.read(w, 2);
+                assert!(v0 == 0 || v0 == 10, "impossible data[0] = {v0}");
+                assert!(v2 == 0 || v2 == 20, "impossible data[2] = {v2}");
+                assert!(
+                    !(v0 == 10 && v2 == 0),
+                    "transaction unwound between reads: ({v0},{v2})"
+                );
+            });
+        }
+        script.after("post-crash", |sys, w| {
+            // Read first (validates committed state survived), then run
+            // another transaction.
+            let _ = sys.read(w, 0);
+            let _ = sys.read(w, 4);
+            sys.commit_txn(w, &[(1, 11), (5, 55)]);
+            assert_eq!(sys.read(w, 1), 11);
+            assert_eq!(sys.read(w, 5), 55);
+        });
+        script
     }
 
     fn name(&self) -> &str {

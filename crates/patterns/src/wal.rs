@@ -34,7 +34,7 @@ use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Execution, Harness, ThreadBody, World};
+use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::BufferedDisk;
 use perennial_disk::single::SingleDisk;
 use std::sync::Arc;
@@ -97,11 +97,6 @@ impl WalPair {
             lockinv: Arc::new(LockInv::new(WalBundle { leases })),
             lock: RwLock::new(None),
         }
-    }
-
-    /// Rebuilds the in-memory lock at boot.
-    pub fn boot(&self, w: &World<PairSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
     }
 
     fn lock(&self) -> Arc<dyn GLock> {
@@ -200,11 +195,24 @@ impl WalPair {
             PairRet::Unit => unreachable!("get committed a put transition"),
         }
     }
+}
+
+impl System<PairSpec> for WalPair {
+    /// Rebuilds the in-memory lock at boot.
+    fn boot(&self, w: &World<PairSpec>) {
+        *self.lock.write() = Some(w.rt.new_glock());
+    }
+
+    /// Crash transition for the disk: drop (or tear) the volatile write
+    /// buffer per the execution's fault plan.
+    fn crash(&self) {
+        self.disk.crash_torn();
+    }
 
     /// Recovery (§9.1): delete incomplete transactions (header empty —
     /// nothing to do, the log is garbage) and finish applying committed
     /// ones, justifying the completion by redeeming the helping token.
-    pub fn recover(&self, w: &World<PairSpec>) {
+    fn recover(&self, w: &World<PairSpec>) {
         let mut leases = Vec::new();
         for c in &self.cells {
             leases.push(w.ghost.recover_lease(*c).ghost_unwrap());
@@ -235,15 +243,9 @@ impl WalPair {
         w.ghost.recovery_done().ghost_unwrap();
     }
 
-    /// Crash transition for the disk: drop (or tear) the volatile write
-    /// buffer per the execution's fault plan.
-    pub fn crash(&self) {
-        self.disk.crash_torn();
-    }
-
     /// AbsR at quiescence: the main region equals σ and no transaction is
     /// left committed-but-unapplied.
-    pub fn abs_check(&self, w: &World<PairSpec>) -> Result<(), String> {
+    fn abs_check(&self, w: &World<PairSpec>) -> Result<(), String> {
         let sigma = w.ghost.spec_state();
         let pair = (dec(&self.disk.peek(3)), dec(&self.disk.peek(4)));
         if pair != sigma {
@@ -275,77 +277,31 @@ impl Default for WalHarness {
     }
 }
 
-struct WalExec {
-    sys: Arc<WalPair>,
-    with_reader: bool,
-}
-
-impl Execution<PairSpec> for WalExec {
-    fn boot(&mut self, w: &World<PairSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<PairSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        out.push(("putter".into(), Box::new(move || sys.put(&w2, 5, 6))));
-        if self.with_reader {
-            let sys = Arc::clone(&self.sys);
-            let w2 = w.clone();
-            out.push((
-                "getter".into(),
-                Box::new(move || {
-                    let (a, b) = sys.get(&w2);
-                    assert!((a, b) == (0, 0) || (a, b) == (5, 6), "torn pair ({a},{b})");
-                }),
-            ));
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<PairSpec>) {
-        self.sys.crash();
-    }
-
-    fn recovery(&mut self, w: &World<PairSpec>) -> ThreadBody {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        Box::new(move || sys.recover(&w2))
-    }
-
-    fn after_recovery(&mut self, w: &World<PairSpec>) -> Vec<(String, ThreadBody)> {
-        let sys = Arc::clone(&self.sys);
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                // Read first: a committed-but-unapplied transaction must
-                // have been completed by recovery and be visible here.
-                let _ = sys.get(&w2);
-                sys.put(&w2, 20, 21);
-                assert_eq!(sys.get(&w2), (20, 21));
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<PairSpec>) -> Result<(), String> {
-        self.sys.abs_check(w)
-    }
-}
-
 impl Harness<PairSpec> for WalHarness {
+    type Sys = WalPair;
+
     fn spec(&self) -> PairSpec {
         PairSpec
     }
 
-    fn make(&self, w: &World<PairSpec>) -> Box<dyn Execution<PairSpec>> {
+    fn make(&self, w: &World<PairSpec>) -> Script<WalPair, PairSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), WalPair::NBLOCKS, 8);
-        let sys = WalPair::new(w, disk, self.mutant);
-        Box::new(WalExec {
-            sys: Arc::new(sys),
-            with_reader: self.with_reader,
-        })
+        let mut script = Script::new(WalPair::new(w, disk, self.mutant));
+        script.thread("putter", |sys, w| sys.put(w, 5, 6));
+        if self.with_reader {
+            script.thread("getter", |sys, w| {
+                let (a, b) = sys.get(w);
+                assert!((a, b) == (0, 0) || (a, b) == (5, 6), "torn pair ({a},{b})");
+            });
+        }
+        script.after("post-crash", |sys, w| {
+            // Read first: a committed-but-unapplied transaction must have
+            // been completed by recovery and be visible here.
+            let _ = sys.get(w);
+            sys.put(w, 20, 21);
+            assert_eq!(sys.get(w), (20, 21));
+        });
+        script
     }
 
     fn name(&self) -> &str {

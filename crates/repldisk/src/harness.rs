@@ -2,10 +2,10 @@
 //! optional disk-failure injection, and mutants.
 
 use crate::proof::{RdMutant, VerifiedReplDisk};
-use crate::spec::{RdSpec, RdState};
+use crate::spec::RdSpec;
 use goose_rt::fault::FaultSurface;
-use perennial_checker::{Execution, Harness, ScenarioSet, ThreadBody, World};
-use perennial_disk::two::{DiskId, ModelTwoDisks, TwoDisks};
+use perennial_checker::{Harness, ScenarioSet, Script, World};
+use perennial_disk::two::{DiskId, ModelTwoDisks};
 use std::sync::Arc;
 
 /// Scenario shape: which workload threads to run.
@@ -137,163 +137,9 @@ pub fn mutant_scenarios() -> ScenarioSet {
     set
 }
 
-struct RdExec {
-    sys: Arc<VerifiedReplDisk>,
-    disks: Arc<ModelTwoDisks>,
-    workload: RdWorkload,
-    after_round: bool,
-}
-
-impl RdExec {
-    fn shared(&self) -> Arc<VerifiedReplDisk> {
-        Arc::clone(&self.sys)
-    }
-}
-
-impl Execution<RdSpec> for RdExec {
-    fn boot(&mut self, w: &World<RdSpec>) {
-        self.sys.boot(w);
-    }
-
-    fn threads(&mut self, w: &World<RdSpec>) -> Vec<(String, ThreadBody)> {
-        let mut out: Vec<(String, ThreadBody)> = Vec::new();
-        let bs = self.disks.block_size();
-        match self.workload {
-            RdWorkload::SingleWrite => {
-                let sys = self.shared();
-                let w2 = w.clone();
-                out.push((
-                    "writer".into(),
-                    Box::new(move || sys.rd_write(&w2, 0, &vec![7u8; bs])),
-                ));
-            }
-            RdWorkload::Mixed => {
-                let sys = self.shared();
-                let w2 = w.clone();
-                out.push((
-                    "writer-0".into(),
-                    Box::new(move || sys.rd_write(&w2, 0, &vec![1u8; bs])),
-                ));
-                let sys = self.shared();
-                let w2 = w.clone();
-                out.push((
-                    "reader-0".into(),
-                    Box::new(move || {
-                        let v = sys.rd_read(&w2, 0);
-                        assert!(v == vec![0u8; bs] || v == vec![1u8; bs]);
-                    }),
-                ));
-                let sys = self.shared();
-                let w2 = w.clone();
-                out.push((
-                    "writer-1".into(),
-                    Box::new(move || sys.rd_write(&w2, 1, &vec![2u8; bs])),
-                ));
-            }
-            RdWorkload::WriteWrite => {
-                for (name, val) in [("writer-a", 3u8), ("writer-b", 4u8)] {
-                    let sys = self.shared();
-                    let w2 = w.clone();
-                    out.push((
-                        name.into(),
-                        Box::new(move || sys.rd_write(&w2, 0, &vec![val; bs])),
-                    ));
-                }
-            }
-            RdWorkload::Failover => {
-                let sys = self.shared();
-                let w2 = w.clone();
-                out.push((
-                    "writer".into(),
-                    Box::new(move || sys.rd_write(&w2, 0, &vec![9u8; bs])),
-                ));
-                let disks = Arc::clone(&self.disks);
-                let rt = Arc::clone(&w.rt);
-                out.push((
-                    "disk-failer".into(),
-                    Box::new(move || {
-                        rt.yield_point();
-                        disks.fail(DiskId::D1);
-                    }),
-                ));
-                let sys = self.shared();
-                let w2 = w.clone();
-                out.push((
-                    "reader".into(),
-                    Box::new(move || {
-                        let v = sys.rd_read(&w2, 0);
-                        assert!(v == vec![0u8; bs] || v == vec![9u8; bs]);
-                    }),
-                ));
-            }
-        }
-        out
-    }
-
-    fn crash_reset(&mut self, _w: &World<RdSpec>) {
-        // Disk platters are durable; locks are rebuilt by boot().
-    }
-
-    fn recovery(&mut self, w: &World<RdSpec>) -> ThreadBody {
-        let sys = self.shared();
-        let w2 = w.clone();
-        Box::new(move || sys.rd_recover(&w2))
-    }
-
-    fn inject_disk_failure(&mut self, _w: &World<RdSpec>, disk: u8) {
-        self.disks
-            .fail(if disk == 1 { DiskId::D1 } else { DiskId::D2 });
-    }
-
-    fn after_recovery(&mut self, w: &World<RdSpec>) -> Vec<(String, ThreadBody)> {
-        if !self.after_round {
-            return Vec::new();
-        }
-        let bs = self.disks.block_size();
-        let sys = self.shared();
-        let w2 = w.clone();
-        vec![(
-            "post-crash".into(),
-            Box::new(move || {
-                sys.rd_write(&w2, 2, &vec![5u8; bs]);
-                let v = sys.rd_read(&w2, 2);
-                assert_eq!(v, vec![5u8; bs]);
-            }),
-        )]
-    }
-
-    fn final_check(&self, w: &World<RdSpec>) -> Result<(), String> {
-        // AbsR at quiescence: every *working* disk equals σ (the lock
-        // invariant's "values agree when the lock is free" holds at
-        // quiescence). A failed disk's platter is frozen and excused —
-        // the plan-scheduled failure sweeps fail either disk.
-        let sigma: RdState = w.ghost.spec_state();
-        let d1_failed = self.disks.is_failed(DiskId::D1);
-        let d2_failed = self.disks.is_failed(DiskId::D2);
-        for a in 0..self.disks.size() {
-            let expect = sigma.get(&a).cloned().unwrap();
-            if !d2_failed {
-                let d2 = self.disks.peek(DiskId::D2, a);
-                if d2 != expect {
-                    return Err(format!(
-                        "AbsR violated: disk2[{a}] = {d2:?}, spec has {expect:?}"
-                    ));
-                }
-            }
-            if !d1_failed {
-                let d1 = self.disks.peek(DiskId::D1, a);
-                if d1 != expect {
-                    return Err(format!(
-                        "AbsR violated: disk1[{a}] = {d1:?}, spec has {expect:?}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 impl Harness<RdSpec> for RdHarness {
+    type Sys = VerifiedReplDisk;
+
     fn spec(&self) -> RdSpec {
         RdSpec {
             size: self.size,
@@ -301,15 +147,47 @@ impl Harness<RdSpec> for RdHarness {
         }
     }
 
-    fn make(&self, w: &World<RdSpec>) -> Box<dyn Execution<RdSpec>> {
+    fn make(&self, w: &World<RdSpec>) -> Script<VerifiedReplDisk, RdSpec> {
         let disks = ModelTwoDisks::new(Arc::clone(&w.rt), self.size, self.block_size);
-        let sys = VerifiedReplDisk::new(w, Arc::clone(&disks), self.mutant);
-        Box::new(RdExec {
-            sys: Arc::new(sys),
-            disks,
-            workload: self.workload,
-            after_round: self.after_round,
-        })
+        let mut script = Script::new(VerifiedReplDisk::new(w, disks, self.mutant));
+        let bs = self.block_size;
+        match self.workload {
+            RdWorkload::SingleWrite => {
+                script.thread("writer", move |sys, w| sys.rd_write(w, 0, &vec![7u8; bs]));
+            }
+            RdWorkload::Mixed => {
+                script.thread("writer-0", move |sys, w| sys.rd_write(w, 0, &vec![1u8; bs]));
+                script.thread("reader-0", move |sys, w| {
+                    let v = sys.rd_read(w, 0);
+                    assert!(v == vec![0u8; bs] || v == vec![1u8; bs]);
+                });
+                script.thread("writer-1", move |sys, w| sys.rd_write(w, 1, &vec![2u8; bs]));
+            }
+            RdWorkload::WriteWrite => {
+                for (name, val) in [("writer-a", 3u8), ("writer-b", 4u8)] {
+                    script.thread(name, move |sys, w| sys.rd_write(w, 0, &vec![val; bs]));
+                }
+            }
+            RdWorkload::Failover => {
+                script.thread("writer", move |sys, w| sys.rd_write(w, 0, &vec![9u8; bs]));
+                script.thread("disk-failer", |sys, w| {
+                    w.rt.yield_point();
+                    sys.disks().fail(DiskId::D1);
+                });
+                script.thread("reader", move |sys, w| {
+                    let v = sys.rd_read(w, 0);
+                    assert!(v == vec![0u8; bs] || v == vec![9u8; bs]);
+                });
+            }
+        }
+        if self.after_round {
+            script.after("post-crash", move |sys, w| {
+                sys.rd_write(w, 2, &vec![5u8; bs]);
+                let v = sys.rd_read(w, 2);
+                assert_eq!(v, vec![5u8; bs]);
+            });
+        }
+        script
     }
 
     fn name(&self) -> &str {

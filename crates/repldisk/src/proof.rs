@@ -21,11 +21,11 @@
 //! Mutants for the checker's benefit are parameterized by [`RdMutant`];
 //! `RdMutant::None` is the correct system.
 
-use crate::spec::{Block, RdOp, RdRet, RdSpec};
+use crate::spec::{Block, RdOp, RdRet, RdSpec, RdState};
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::World;
+use perennial_checker::{System, World};
 use perennial_disk::two::{DiskId, ModelTwoDisks, TwoDisks};
 use std::sync::Arc;
 
@@ -73,8 +73,8 @@ pub struct VerifiedReplDisk {
 
 impl VerifiedReplDisk {
     /// Sets up durable ghost resources over a fresh two-disk device.
-    /// Call once per execution; [`VerifiedReplDisk::boot`] rebuilds the
-    /// volatile parts after each (simulated) reboot.
+    /// Call once per execution; [`System::boot`] rebuilds the volatile
+    /// parts after each (simulated) reboot.
     pub fn new(w: &World<RdSpec>, disks: Arc<ModelTwoDisks>, mutant: RdMutant) -> Self {
         let size = disks.size();
         let block_size = disks.block_size();
@@ -100,11 +100,6 @@ impl VerifiedReplDisk {
             locks: RwLock::new(Vec::new()),
             size,
         }
-    }
-
-    /// Rebuilds in-memory locks (called at every boot).
-    pub fn boot(&self, w: &World<RdSpec>) {
-        *self.locks.write() = (0..self.size).map(|_| w.rt.new_glock()).collect();
     }
 
     fn lock(&self, a: u64) -> Arc<dyn GLock> {
@@ -233,6 +228,16 @@ impl VerifiedReplDisk {
         lock.release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
+}
+
+impl System<RdSpec> for VerifiedReplDisk {
+    /// Rebuilds in-memory locks (called at every boot).
+    fn boot(&self, w: &World<RdSpec>) {
+        *self.locks.write() = (0..self.size).map(|_| w.rt.new_glock()).collect();
+    }
+
+    /// Disk platters are durable; locks are rebuilt by `boot`.
+    fn crash(&self) {}
 
     /// Instrumented `rd_recover` (Figure 5 plus the §5.4 helping proof).
     ///
@@ -241,7 +246,7 @@ impl VerifiedReplDisk {
     /// justified by redeeming the helping token the crashed writer left
     /// in the crash invariant. Finally it re-establishes every lock
     /// invariant with fresh leases and spends the crash token.
-    pub fn rd_recover(&self, w: &World<RdSpec>) {
+    fn recover(&self, w: &World<RdSpec>) {
         for a in 0..self.size {
             let mut lease1 = w.ghost.recover_lease(self.d1[a as usize]).ghost_unwrap();
             let mut lease2 = w.ghost.recover_lease(self.d2[a as usize]).ghost_unwrap();
@@ -291,5 +296,40 @@ impl VerifiedReplDisk {
             self.lockinvs[a as usize].reset(AddrBundle { lease1, lease2 });
         }
         w.ghost.recovery_done().ghost_unwrap();
+    }
+
+    /// AbsR at quiescence: every *working* disk equals σ (the lock
+    /// invariant's "values agree when the lock is free" holds at
+    /// quiescence). A failed disk's platter is frozen and excused — the
+    /// plan-scheduled failure sweeps fail either disk.
+    fn abs_check(&self, w: &World<RdSpec>) -> Result<(), String> {
+        let sigma: RdState = w.ghost.spec_state();
+        let d1_failed = self.disks.is_failed(DiskId::D1);
+        let d2_failed = self.disks.is_failed(DiskId::D2);
+        for a in 0..self.size {
+            let expect = sigma.get(&a).cloned().unwrap();
+            if !d2_failed {
+                let d2 = self.disks.peek(DiskId::D2, a);
+                if d2 != expect {
+                    return Err(format!(
+                        "AbsR violated: disk2[{a}] = {d2:?}, spec has {expect:?}"
+                    ));
+                }
+            }
+            if !d1_failed {
+                let d1 = self.disks.peek(DiskId::D1, a);
+                if d1 != expect {
+                    return Err(format!(
+                        "AbsR violated: disk1[{a}] = {d1:?}, spec has {expect:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn fail_disk(&self, disk: u8) {
+        self.disks
+            .fail(if disk == 1 { DiskId::D1 } else { DiskId::D2 });
     }
 }

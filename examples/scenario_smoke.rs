@@ -19,7 +19,9 @@
 //! this process's deterministic slice of every scenario's job space;
 //! `--resume PATH` replays completed executions from a previous run's
 //! telemetry stream (pass the same file to `--telemetry` to also
-//! extend it, making the run resumable in turn).
+//! extend it, making the run resumable in turn). The stream holds every
+//! scenario's run; each scenario replays only the records stamped with
+//! its own registry name.
 
 use perennial_bench::args::{apply_strategy, flag, parse_args, value};
 use perennial_checker::campaign::trace_file;
@@ -70,7 +72,8 @@ fn main() {
     }
     if let Some(path) = telemetry_path {
         // One shared sink: every scenario appends to the same JSONL
-        // stream, distinguished by the `scenario` field on each record.
+        // stream, distinguished by the `scenario` field on each record
+        // (its registry name, also the key a resumed run replays by).
         // When resuming from this same file, append instead of
         // truncating — the existing records are the WAL being replayed.
         let sink = if resume == Some(path) {

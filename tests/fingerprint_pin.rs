@@ -80,13 +80,7 @@ fn campaign(
         .iter()
         .chain(all_mutant_scenarios().iter())
         .filter(|s| selected(s.name()))
-        .map(|scenario| {
-            let mut report = scenario.run(&config(scenario.name()));
-            // Mutants share their base scenario's harness name; the
-            // campaign keys on the registry's.
-            report.name = scenario.name().to_string();
-            report
-        })
+        .map(|scenario| scenario.run(&config(scenario.name())))
         .collect();
     (campaign_fingerprint(&reports), reports)
 }
@@ -260,18 +254,32 @@ fn dpor_runs_are_pinned_on_three_mutants() {
 }
 
 /// The JSONL stream of one single-worker run, byte for byte once the
-/// timing keys are dropped. Recorded before `telemetry.rs` got its one
-/// writer (PR 17), so the format is pinned against constants and not only
-/// against another run of the same build.
-const STREAM_PINS: [(&str, u64); 3] = [
-    ("patterns/wal", 0xe573_5080_d32c_ed74),
+/// timing keys are dropped: as written, and as it read before PR 19, when
+/// every record was stamped with the harness's label rather than the
+/// registry name. The second constant was recorded before `telemetry.rs`
+/// got its one writer (PR 17): substituting the old label back and
+/// meeting it shows the stamp is the only byte that moved.
+const STREAM_PINS: [(&str, u64, &str, u64); 3] = [
+    (
+        "patterns/wal",
+        0xd950_8432_b592_8df0,
+        "write-ahead log",
+        0xe573_5080_d32c_ed74,
+    ),
     // Fault passes on: `counterexample` records and fault-plan tags.
     (
         "patterns/mutant/wal-skip-commit-flush",
+        0x01fc_700e_5e19_1835,
+        "write-ahead log",
         0x7f12_a581_b04e_6699,
     ),
     // As shard 0 of 2: a shard label, and spine executions it does not count.
-    ("repldisk/single-write", 0x72ef_9d80_7923_4710),
+    (
+        "repldisk/single-write",
+        0x57b1_d67f_168c_66a7,
+        "replicated disk",
+        0x72ef_9d80_7923_4710,
+    ),
 ];
 
 #[test]
@@ -282,7 +290,7 @@ fn telemetry_stream_bytes_are_pinned() {
         fault_cfg(),
         nested().shard(0, 2),
     ];
-    for ((name, pin), cfg) in STREAM_PINS.into_iter().zip(configs) {
+    for ((name, pin, old_label, old_pin), cfg) in STREAM_PINS.into_iter().zip(configs) {
         let scenario = all_scenarios()
             .iter()
             .chain(all_mutant_scenarios().iter())
@@ -292,7 +300,7 @@ fn telemetry_stream_bytes_are_pinned() {
         let (sink, buf) = TelemetrySink::shared_buffer();
         scenario.run(&cfg.workers(1).telemetry(sink).build());
         let text = String::from_utf8(buf.lock().clone()).expect("stream is UTF-8");
-        let lines: Vec<String> = text
+        let records: Vec<Value> = text
             .lines()
             .map(|line| {
                 let mut v = strip_timing(&serde_json::from_str(line).expect("a line parses"));
@@ -300,14 +308,36 @@ fn telemetry_stream_bytes_are_pinned() {
                 if let Value::Object(m) = &mut v {
                     m.remove("env");
                 }
-                serde_json::to_string(&v).expect("shim serialization is infallible")
+                v
             })
             .collect();
-        assert!(lines.len() > 50, "{name}: only {} records", lines.len());
-        let seen = trace_fingerprint(&lines.join("\n"));
+        assert!(records.len() > 50, "{name}: only {} records", records.len());
+        let fingerprint = |records: &[Value]| {
+            let lines: Vec<String> = records
+                .iter()
+                .map(|v| serde_json::to_string(v).expect("shim serialization is infallible"))
+                .collect();
+            trace_fingerprint(&lines.join("\n"))
+        };
+        let seen = fingerprint(&records);
         assert_eq!(
             seen, pin,
             "{name}: the telemetry stream's bytes moved to {seen:#018x}"
+        );
+        let relabelled: Vec<Value> = records
+            .into_iter()
+            .map(|mut v| {
+                if let Value::Object(m) = &mut v {
+                    let stamp = m.insert("scenario".into(), Value::String(old_label.into()));
+                    assert_eq!(stamp, Some(Value::String(name.into())), "{name}: stamp");
+                }
+                v
+            })
+            .collect();
+        assert_eq!(
+            fingerprint(&relabelled),
+            old_pin,
+            "{name}: more than the scenario stamp moved"
         );
     }
 }

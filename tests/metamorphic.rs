@@ -1,8 +1,9 @@
 //! Metamorphic toggles (ROADMAP item 4 (b)): how a run is carried out must
 //! not show in what it reports. Generated tuples over pool size × event
-//! stream × profiler × trace capture × cold/resumed × whole/sharded all
-//! land on the fingerprint of the plainest run of the same scenario —
-//! one worker, no stream, every side channel off.
+//! stream × profiler × trace capture × cold/resumed × whole/sharded ×
+//! whose runs the resumed stream holds all land on the fingerprint of the
+//! plainest run of the same scenario — one worker, no stream, every side
+//! channel off.
 
 use perennial_checker::{
     merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, CheckReport, Pass,
@@ -18,6 +19,10 @@ const SCENARIOS: [&str; 3] = [
     "repldisk/single-write",
     "patterns/mutant/shadow-flip-first",
 ];
+
+/// For each scenario, the one whose run may share its stream: the shadow
+/// copy and its mutant run the same harness, so their job keys coincide.
+const SIBLING: [usize; 3] = [2, 0, 0];
 
 /// Small budgets, every sweep on. Sharded runs keep going past a failure
 /// (their statistics must sum), so every run here does.
@@ -61,6 +66,15 @@ enum Stream {
     File,
 }
 
+/// Whether the stream resumed from also holds a sibling scenario's run
+/// (same configuration, same file), and on which side of the own run.
+#[derive(Debug, Clone, Copy)]
+enum Sibling {
+    None,
+    Before,
+    After,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Toggles {
     workers: usize,
@@ -69,6 +83,7 @@ struct Toggles {
     trace_capture: bool,
     resumed: bool,
     sharded: bool,
+    sibling: Sibling,
 }
 
 fn wal_path(case: &str, shard: Option<(u32, u32)>) -> PathBuf {
@@ -79,13 +94,25 @@ fn wal_path(case: &str, shard: Option<(u32, u32)>) -> PathBuf {
     ))
 }
 
-/// One run (of the whole space, or of one shard) under the toggles.
-fn run(scenario: &Scenario, t: Toggles, shard: Option<(u32, u32)>, case: &str) -> CheckReport {
+/// One run (of the whole space, or of one shard) of `baselines()[index]`
+/// under the toggles.
+fn run(index: usize, t: Toggles, shard: Option<(u32, u32)>, case: &str) -> CheckReport {
+    let scenario = &baselines()[index].0;
     let cfg = || base_cfg().workers(t.workers).shard_opt(shard);
     let wal = wal_path(case, shard);
     if t.resumed {
-        // The log this run resumes from: the same run's, complete.
-        scenario.run(&cfg().telemetry_path(&wal).build());
+        // The log this run resumes from: the same run's, complete, and
+        // maybe a sibling's in the same stream.
+        let sink = TelemetrySink::to_file(&wal).expect("temp file");
+        let sibling = &baselines()[SIBLING[index]].0;
+        let runs: &[&Scenario] = match t.sibling {
+            Sibling::None => &[scenario],
+            Sibling::Before => &[sibling, scenario],
+            Sibling::After => &[scenario, sibling],
+        };
+        for s in runs {
+            s.run(&cfg().telemetry(sink.clone()).build());
+        }
     }
     let mut measured = cfg().profile(t.profile).trace_capture(t.trace_capture);
     if t.resumed {
@@ -119,19 +146,22 @@ proptest! {
         trace_capture in any::<bool>(),
         resumed in any::<bool>(),
         sharded in any::<bool>(),
+        sibling in 0usize..3,
     ) {
-        let (scenario, want) = &baselines()[scenario];
+        let index = scenario;
+        let (scenario, want) = &baselines()[index];
         let stream = [Stream::None, Stream::SharedSink, Stream::File][stream];
-        let t = Toggles { workers, stream, profile, trace_capture, resumed, sharded };
+        let sibling = [Sibling::None, Sibling::Before, Sibling::After][sibling];
+        let t = Toggles { workers, stream, profile, trace_capture, resumed, sharded, sibling };
         let case = format!("{}-{t:?}", scenario.name()).replace(|c: char| !c.is_alphanumeric(), "");
         let report = if t.sharded {
             let shards = vec![
-                run(scenario, t, Some((0, 2)), &case),
-                run(scenario, t, Some((1, 2)), &case),
+                run(index, t, Some((0, 2)), &case),
+                run(index, t, Some((1, 2)), &case),
             ];
             merge_reports(shards)?
         } else {
-            run(scenario, t, None, &case)
+            run(index, t, None, &case)
         };
         prop_assert_eq!(
             report_fingerprint(&report),

@@ -8,10 +8,12 @@
 //! deterministic content (timing, worker count, shard assignment, and
 //! the replayed-execution diagnostic excluded).
 
+use perennial_checker::telemetry::read_stream;
 use perennial_checker::{
     check, merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, ExecOutcome,
-    OutcomeKind, Pass, Scenario, SleepSetDpor, SpinForever,
+    OutcomeKind, Pass, Scenario, SleepSetDpor, SpinForever, TelemetrySink,
 };
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn base_cfg() -> CheckConfigBuilder {
@@ -272,7 +274,59 @@ fn wal_from_different_config_is_ignored() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Isolation contract: a scenario whose harness panics in `crash_reset`
+/// One stream may hold several scenarios' runs (`scenario_smoke
+/// --telemetry f`, then `--telemetry f --resume f`): each run goes by its
+/// registry name, so a scenario resumed from the shared stream replays
+/// its own executions and none of a sibling's. Until PR 19 the stamp was
+/// the harness's label, which these two share: `kv/single-put` came back
+/// with 76 executions where the cold run has 60, verdict PASS.
+#[test]
+fn a_stream_shared_with_a_sibling_resumes_each_scenario_to_its_cold_report() {
+    let registry = perennial_suite::all_scenarios();
+    // `scenario_smoke`'s configuration.
+    let cfg = || {
+        CheckConfig::builder()
+            .seed(0)
+            .dfs_max_executions(200)
+            .random_samples(10)
+            .random_crash_samples(20)
+            .without_passes([Pass::NestedCrash])
+            .workers(1)
+    };
+    let siblings = ["kv/single-put", "kv/put-delete-get"].map(|name| {
+        let s = registry.get(name).expect("registered").clone();
+        let cold = s.run(&cfg().build());
+        (s, cold)
+    });
+    let path = tmp_path("shared-stream.jsonl");
+    let sink = TelemetrySink::to_file(&path).expect("temp file");
+    for (s, _) in &siblings {
+        s.run(&cfg().telemetry(sink.clone()).build());
+    }
+    for (s, cold) in &siblings {
+        let resumed = s.run(&cfg().resume_from(&path).build());
+        assert!(resumed.replayed > 0, "{}: nothing replayed", s.name());
+        assert_eq!(
+            (resumed.executions, resumed.total_steps),
+            (cold.executions, cold.total_steps),
+            "{}: resumed from the shared stream to another run",
+            s.name()
+        );
+        assert_eq!(report_fingerprint(&resumed), report_fingerprint(cold));
+    }
+    // Every record of the stream carries one of the two registry names.
+    let text = std::fs::read_to_string(&path).expect("the shared stream");
+    let mut stamps: BTreeMap<String, usize> = BTreeMap::new();
+    let torn = read_stream(&text, None, |stamp, _| {
+        *stamps.entry(stamp.to_string()).or_default() += 1;
+    });
+    assert_eq!(torn, 0);
+    let stamped: usize = siblings.iter().map(|(s, _)| stamps[s.name()]).sum();
+    assert_eq!(stamped, text.lines().count(), "{stamps:?}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Isolation contract: a scenario whose harness panics in its crash hook
 /// yields recorded `harness_panic` outcomes and a finished report — the
 /// campaign survives and other executions still run.
 #[test]
@@ -304,7 +358,7 @@ fn panicking_harness_completes_the_campaign() {
 /// step budget and is classified `Wedged` — the checker never hangs.
 #[test]
 fn livelocked_scenario_is_wedged_not_hung() {
-    let spin = SpinForever::new("spin-forever", crash_patterns::ShadowHarness::default());
+    let spin = SpinForever(crash_patterns::ShadowHarness::default());
     let report = check(
         &spin,
         &CheckConfig::builder()

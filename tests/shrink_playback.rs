@@ -127,12 +127,15 @@ fn shrinking_is_deterministic_across_worker_counts() {
     }
 }
 
+/// The replay round trip, for every registered mutant (ROADMAP 4 (e)):
+/// each harness's recovery and post-recovery round is driven from pinned
+/// coordinates through the checker's one lifecycle.
 #[test]
 fn emitted_playback_test_pins_the_mutant_and_clears_the_fix() {
-    let mutants = all_mutant_scenarios();
     let fixed_registry = all_scenarios();
-    for (mutant, fixed) in REPRESENTATIVES {
-        let scenario = mutants.get(mutant).expect("registered mutant");
+    let replay_cfg = CheckConfig::builder().max_steps(200_000).build();
+    for scenario in &all_mutant_scenarios() {
+        let mutant = scenario.name();
         let report = scenario.run(&cfg().shrink(true).build());
         let cx = &report.counterexamples[0];
         let fp = failure_fingerprint(&cx.outcome);
@@ -163,14 +166,17 @@ fn emitted_playback_test_pins_the_mutant_and_clears_the_fix() {
 
         // The exact assertion the emitted test makes: the mutant
         // reproduces the pinned fingerprint ...
-        let replay_cfg = CheckConfig::builder().max_steps(200_000).build();
         let (outcome, _) = scenario.replay(cx, &replay_cfg);
         assert!(outcome.is_failure(), "{mutant}: replay must fail");
         assert_eq!(failure_fingerprint(&outcome), fp, "{mutant}: replay fp");
 
-        // ... and the fixed implementation, driven through the very
-        // same coordinates, does not fail at all — once a bug is
-        // fixed, the stale certificate trips and gets deleted.
+        // ... and, where a fixed twin runs the same workload, the fixed
+        // implementation driven through the very same coordinates does
+        // not fail at all — once a bug is fixed, the stale certificate
+        // trips and gets deleted.
+        let Some((_, fixed)) = REPRESENTATIVES.iter().find(|(m, _)| *m == mutant) else {
+            continue;
+        };
         let fixed_scenario = fixed_registry.get(fixed).expect("registered fixed");
         let (fixed_outcome, trace) = fixed_scenario.replay(cx, &replay_cfg);
         assert!(

@@ -119,7 +119,7 @@ fn check(hostile: &[u8]) -> Result<(), String> {
     }
 
     let mut dash = Dashboard::default();
-    dash.ingest(None, &text);
+    dash.ingest(&text);
     if dash.torn_lines != torn {
         return fail("the dashboard counts torn lines differently");
     }

@@ -170,7 +170,7 @@ fn dashboard_totals_match_merge_reports_over_shards() {
         let (sink, buf) = TelemetrySink::shared_buffer();
         let report = scenario.run(&base_cfg().shard(i, 2).telemetry(sink).build());
         let text = String::from_utf8(buf.lock().clone()).expect("stream is UTF-8");
-        dash.ingest(None, &text);
+        dash.ingest(&text);
         reports.push(report);
     }
     let merged = merge_reports(reports).expect("shards merge");
