@@ -14,18 +14,8 @@
 //! - a few bugs are caught statically-ish by the end-of-execution
 //!   abstraction check in any pass.
 
-use crash_patterns::group_commit::{GcHarness, GcMutant};
-use crash_patterns::shadow::{ShadowHarness, ShadowMutant};
-use crash_patterns::synced_log::{SlHarness, SlMutant};
-use crash_patterns::txn_wal::{TxnHarness, TxnMutant};
-use crash_patterns::wal::{WalHarness, WalMutant};
-use mailboat::harness::{MbHarness, MbWorkload};
-use mailboat::proof::MbMutant;
-use perennial_checker::{check, CheckConfig};
-use perennial_kv::{KvHarness, KvMutant, KvWorkload};
-use perennial_spec::SpecTS;
-use repldisk::harness::{RdHarness, RdWorkload};
-use repldisk::proof::RdMutant;
+use crate::registry::all_mutant_scenarios;
+use perennial_checker::CheckConfig;
 
 /// The exploration passes ablated over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,170 +86,32 @@ pub struct AblationRow {
     pub caught: Vec<bool>,
 }
 
-fn run_row<S: SpecTS, H: perennial_checker::Harness<S>>(name: &str, h: &H) -> AblationRow {
-    let caught = Pass::all()
-        .iter()
-        .map(|p| !check(h, &p.config()).passed())
-        .collect();
-    AblationRow {
-        name: name.to_string(),
-        caught,
-    }
-}
-
-/// Runs the full ablation matrix over every mutant in the repository.
+/// Runs the full ablation matrix over every registered mutant.
 pub fn run_ablation() -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-
-    for (name, mutant, workload) in [
-        (
-            "rd/skip-second-write",
-            RdMutant::SkipSecondWrite,
-            RdWorkload::Failover,
-        ),
-        (
-            "rd/zeroing-recovery",
-            RdMutant::ZeroingRecovery,
-            RdWorkload::SingleWrite,
-        ),
-        (
-            "rd/skip-helping",
-            RdMutant::SkipHelping,
-            RdWorkload::SingleWrite,
-        ),
-        (
-            "rd/commit-early",
-            RdMutant::CommitEarly,
-            RdWorkload::SingleWrite,
-        ),
-    ] {
-        rows.push(run_row(
-            name,
-            &RdHarness {
-                mutant,
-                workload,
-                ..RdHarness::default()
-            },
-        ));
-    }
-
-    for (name, mutant) in [
-        ("shadow/flip-first", ShadowMutant::FlipFirst),
-        ("shadow/in-place", ShadowMutant::InPlace),
-    ] {
-        rows.push(run_row(
-            name,
-            &ShadowHarness {
-                mutant,
-                with_reader: false,
-            },
-        ));
-    }
-
-    for (name, mutant) in [
-        ("wal/skip-recovery-apply", WalMutant::SkipRecoveryApply),
-        ("wal/header-first", WalMutant::HeaderFirst),
-        ("wal/skip-helping", WalMutant::SkipHelping),
-    ] {
-        rows.push(run_row(
-            name,
-            &WalHarness {
-                mutant,
-                with_reader: false,
-            },
-        ));
-    }
-
-    for (name, mutant) in [
-        ("gc/count-first", GcMutant::CountFirst),
-        ("gc/fake-durability", GcMutant::FakeDurability),
-    ] {
-        rows.push(run_row(name, &GcHarness { mutant }));
-    }
-
-    for (name, mutant) in [
-        ("txn/no-log", TxnMutant::NoLog),
-        ("txn/header-first", TxnMutant::HeaderFirst),
-        ("txn/partial-recovery", TxnMutant::PartialRecoveryApply),
-    ] {
-        rows.push(run_row(
-            name,
-            &TxnHarness {
-                mutant,
-                with_reader: false,
-            },
-        ));
-    }
-
-    for (name, mutant) in [
-        ("slog/skip-fsync", SlMutant::SkipFsync),
-        ("slog/skip-dir-sync", SlMutant::SkipDirSync),
-    ] {
-        rows.push(run_row(name, &SlHarness { mutant }));
-    }
-
-    for (name, mutant, workload) in [
-        ("kv/in-place", KvMutant::InPlace, KvWorkload::SinglePut),
-        ("kv/flip-first", KvMutant::FlipFirst, KvWorkload::SinglePut),
-        ("kv/no-lock", KvMutant::NoLock, KvWorkload::SameBucket),
-    ] {
-        rows.push(run_row(
-            name,
-            &KvHarness {
-                mutant,
-                workload,
-                ..KvHarness::default()
-            },
-        ));
-    }
-
-    for (name, mutant, workload) in [
-        (
-            "mb/no-spool",
-            MbMutant::NoSpool,
-            MbWorkload::DeliverVsPickup,
-        ),
-        (
-            "mb/commit-at-spool",
-            MbMutant::CommitAtSpool,
-            MbWorkload::SingleDeliver,
-        ),
-        (
-            "mb/skip-cleanup",
-            MbMutant::SkipRecoveryCleanup,
-            MbWorkload::SingleDeliver,
-        ),
-        (
-            "mb/delete-no-lock",
-            MbMutant::DeleteWithoutLock,
-            MbWorkload::DeliverVsPickup,
-        ),
-    ] {
-        rows.push(run_row(
-            name,
-            &MbHarness {
-                mutant,
-                workload,
-                ..MbHarness::default()
-            },
-        ));
-    }
-
-    rows
+    let row = |scenario: &perennial_checker::Scenario| AblationRow {
+        name: scenario.name().to_string(),
+        caught: Pass::all()
+            .iter()
+            .map(|p| !scenario.run(&p.config()).passed())
+            .collect(),
+    };
+    all_mutant_scenarios().iter().map(row).collect()
 }
 
-/// Renders the ablation matrix.
+/// Renders the ablation matrix. A mutant no column catches needs a
+/// fault sweep (a disk failure, a torn write or a lost packet), which no
+/// ablated configuration runs; those rows are counted apart.
 pub fn render_ablation(rows: &[AblationRow]) -> String {
     let mut out = String::new();
     out.push_str("== Ablation: mutant x exploration pass (DESIGN.md §8) ==\n\n");
-    out.push_str(&format!("{:<26}", "mutant"));
+    out.push_str(&format!("{:<42}", "mutant"));
     for p in Pass::all() {
         out.push_str(&format!("{:>8}", p.label()));
     }
     out.push('\n');
-    let mut sweep_only = 0;
+    let (mut sweep_only, mut fault_only) = (0, 0);
     for row in rows {
-        out.push_str(&format!("{:<26}", row.name));
+        out.push_str(&format!("{:<42}", row.name));
         for c in &row.caught {
             out.push_str(&format!("{:>8}", if *c { "CAUGHT" } else { "-" }));
         }
@@ -269,11 +121,15 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
         if !row.caught[0] && !row.caught[1] && row.caught[2] {
             sweep_only += 1;
         }
+        if !row.caught.contains(&true) {
+            fault_only += 1;
+        }
     }
     out.push_str(&format!(
-        "\n{} of {} mutants are invisible to crash-free exploration and need\nthe crash sweep — the sweep is load-bearing, not redundant.\n",
+        "\n{} of {} mutants are invisible to crash-free exploration and need\nthe crash sweep — the sweep is load-bearing, not redundant.\n{} more are caught by no column: only a fault sweep (`scan --faults`) reaches them.\n",
         sweep_only,
-        rows.len()
+        rows.len(),
+        fault_only
     ));
     out
 }

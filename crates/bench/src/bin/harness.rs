@@ -30,20 +30,21 @@ fn pattern_check_config() -> CheckConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut what: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    if what.is_empty() || what.contains(&"all") {
-        what = vec!["table1", "table2", "table3", "table4", "fig11", "ablation"];
-    }
     let json_path = args
         .iter()
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .cloned();
+    let mut what: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--") && Some(*a) != json_path.as_deref())
+        .collect();
+    if what.is_empty() || what.contains(&"all") {
+        what = vec!["table1", "table2", "table3", "table4", "fig11", "ablation"];
+    }
     let mut json = serde_json::Map::new();
+    let mut failed = false;
 
     for item in what {
         match item {
@@ -112,6 +113,10 @@ fn main() {
                 let report = run_fig11(&cfg);
                 println!("{}", render_fig11(&report));
                 println!("{}", render_costs(&report));
+                if !report.measured_order_holds() {
+                    eprintln!("fig11: measured single-core order is not Mailboat > GoMail > CMAIL");
+                    failed = true;
+                }
                 let series: Vec<serde_json::Value> = report
                     .series
                     .iter()
@@ -145,6 +150,9 @@ fn main() {
         std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("(machine-readable record written to {path})");
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 

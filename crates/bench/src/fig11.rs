@@ -236,8 +236,9 @@ pub fn measure_costs(cfg: &Fig11Config) -> CostModel {
     m
 }
 
-/// Calibrates the CMAIL overhead from the cost model alone (used by
-/// tests; `run_fig11` re-derives it from the live GoMail anchor).
+/// Calibrates the CMAIL overhead from the cost model alone (the unit
+/// test's fixed costs; `run_fig11` re-derives it from the live GoMail
+/// anchor).
 pub fn calibrate_cmail(m: &CostModel) -> u64 {
     // Average GoMail request cost (50/50 mix), spread over the average
     // burn invocations per request.
@@ -401,28 +402,43 @@ pub fn run_fig11(cfg: &Fig11Config) -> Fig11Report {
     cm.overhead_iters = cmail_iters;
     let cm_1 = measure_1core(Arc::new(cm), cfg);
 
-    // Simulated curves. CMAIL = GoMail profile + a parallel burn segment.
-    let burn_ns = cmail_iters * m.burn_per_kiter / 1000;
-    let m2 = m.clone();
-    let users = cfg.users;
-    let mailboat = simulate_series("Mailboat", mb_1, cfg, {
-        let m = m.clone();
-        move |u, d| mb_profile(&m, users, u, d)
-    });
-    let gomail = simulate_series("GoMail", gm_1, cfg, {
-        let m = m.clone();
-        move |u, d| gm_profile(&m, users, u, d)
-    });
-    let cmail = simulate_series("CMAIL", cm_1, cfg, move |u, d| {
-        let mut p = gm_profile(&m2, users, u, d);
-        p.segments.push(Segment::parallel(burn_ns));
-        p
-    });
-
     Fig11Report {
-        series: vec![mailboat, gomail, cmail],
+        series: simulate_curves(cfg, &m, cmail_iters, [mb_1, gm_1, cm_1]),
         cmail_overhead_iters: cmail_iters,
         costs_ns: m,
+    }
+}
+
+/// The three simulated curves, in paper order: a pure function of the
+/// per-operation costs (`measured_1core` only labels each series).
+/// CMAIL = GoMail profile + a parallel burn segment.
+fn simulate_curves(
+    cfg: &Fig11Config,
+    m: &CostModel,
+    cmail_iters: u64,
+    measured_1core: [f64; 3],
+) -> Vec<Series> {
+    let burn_ns = cmail_iters * m.burn_per_kiter / 1000;
+    let users = cfg.users;
+    let [mb_1, gm_1, cm_1] = measured_1core;
+    vec![
+        simulate_series("Mailboat", mb_1, cfg, |u, d| mb_profile(m, users, u, d)),
+        simulate_series("GoMail", gm_1, cfg, |u, d| gm_profile(m, users, u, d)),
+        simulate_series("CMAIL", cm_1, cfg, |u, d| {
+            let mut p = gm_profile(m, users, u, d);
+            p.segments.push(Segment::parallel(burn_ns));
+            p
+        }),
+    ]
+}
+
+impl Fig11Report {
+    /// The measured single-core ordering of §9.3: Mailboat > GoMail >
+    /// CMAIL. A stopwatch result: `harness fig11` checks it on the run
+    /// it measured; no unit test asserts it.
+    pub fn measured_order_holds(&self) -> bool {
+        let faster = |pair: &[Series]| pair[0].measured_1core > pair[1].measured_1core;
+        self.series.windows(2).all(faster)
     }
 }
 
@@ -430,27 +446,26 @@ pub fn run_fig11(cfg: &Fig11Config) -> Fig11Report {
 mod tests {
     use super::*;
 
+    /// The scaling shape on fixed per-operation costs: no stopwatch, so
+    /// the same numbers on any host under any load.
     #[test]
     fn fig11_quick_has_paper_shape() {
-        let report = run_fig11(&Fig11Config::quick());
-        let [mb, gm, cm] = &report.series[..] else {
-            panic!("expected three series");
+        let costs = CostModel {
+            mb_deliver: 9_000,
+            mb_pickup: 12_000,
+            gm_deliver: 11_000,
+            gm_pickup: 22_000,
+            fs_create: 2_500,
+            fs_link: 1_500,
+            fs_delete: 1_200,
+            burn_per_kiter: 300,
         };
-        // Ordering at one core, measured: Mailboat > GoMail > CMAIL.
-        assert!(
-            mb.measured_1core > gm.measured_1core,
-            "Mailboat {} !> GoMail {}",
-            mb.measured_1core,
-            gm.measured_1core
-        );
-        assert!(
-            gm.measured_1core > cm.measured_1core,
-            "GoMail {} !> CMAIL {}",
-            gm.measured_1core,
-            cm.measured_1core
-        );
-        // Simulated curves increase with cores but sublinearly.
-        for s in &report.series {
+        let cfg = Fig11Config::quick();
+        let series = simulate_curves(&cfg, &costs, calibrate_cmail(&costs), [0.0; 3]);
+        assert_eq!(series.len(), 3);
+        // Simulated curves increase with cores but sublinearly, and keep
+        // the paper's order at every core count.
+        for s in &series {
             let t1 = s.points.first().unwrap().1;
             let (n_last, t_last) = *s.points.last().unwrap();
             assert!(t_last > t1, "{} did not scale at all", s.name);
@@ -458,6 +473,13 @@ mod tests {
                 t_last < t1 * n_last as f64,
                 "{} scaled superlinearly?",
                 s.name
+            );
+        }
+        for (i, &cores) in cfg.cores.iter().enumerate() {
+            let at = |s: &Series| s.points[i].1;
+            assert!(
+                at(&series[0]) > at(&series[1]) && at(&series[1]) > at(&series[2]),
+                "order broken at {cores} cores"
             );
         }
     }

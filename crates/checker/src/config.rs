@@ -201,12 +201,6 @@ impl CheckConfigBuilder {
         self
     }
 
-    /// Replaces the pass set wholesale.
-    pub fn passes(mut self, passes: impl IntoIterator<Item = Pass>) -> Self {
-        self.config.passes = passes.into_iter().collect();
-        self
-    }
-
     /// Adds passes to the current set.
     pub fn with_passes(mut self, passes: impl IntoIterator<Item = Pass>) -> Self {
         for p in passes {

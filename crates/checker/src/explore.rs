@@ -57,7 +57,7 @@ pub use crate::config::{CheckConfig, CheckConfigBuilder};
 pub use crate::exec::{Counterexample, ExecOutcome};
 pub use crate::jobs::shard_of;
 
-use crate::exec::{rerun, run_one, ExecSpec, Policy};
+use crate::exec::rerun;
 use crate::harness::Harness;
 use crate::jobs::{
     crash_sweep_jobs, disk_fault_jobs, disk_fault_recovery_jobs, nested_crash_jobs, net_fault_jobs,
@@ -69,7 +69,7 @@ use crate::profile::{collisions, ProfileBuilder, StrategyProfile};
 use crate::shrink::shrink_counterexample;
 use crate::strategy::{ObservedExec, StrategySession};
 use crate::telemetry::EnvStamp;
-use goose_rt::fault::{FaultPlan, FaultSurface};
+use goose_rt::fault::FaultSurface;
 use perennial_spec::SpecTS;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -90,7 +90,7 @@ pub struct CheckReport {
     /// Distinct crash points swept.
     pub crash_points: usize,
     /// Distinct fault plans swept (executions run with a non-empty
-    /// [`FaultPlan`]).
+    /// [`goose_rt::fault::FaultPlan`]).
     pub fault_plans: usize,
     /// Operations helped by recovery across executions.
     pub helped_ops: u64,
@@ -524,27 +524,6 @@ fn aggregate(
     report.coverage = coverage;
     report.per_pass = per_pass.into_values().collect();
     report
-}
-
-/// Reruns a single execution (round-robin schedule) with explicit crash
-/// points — used by tests that target one specific interleaving, like the
-/// paper's Figure 6 scenario.
-pub fn run_scenario<S: SpecTS, H: Harness<S>>(
-    harness: &H,
-    crash_points: &[u64],
-    config: &CheckConfig,
-) -> (ExecOutcome, String) {
-    let spec = ExecSpec {
-        policy: Policy::RoundRobin,
-        crash_points,
-        faults: &FaultPlan::default(),
-        seed: config.seed,
-        max_steps: config.max_steps,
-        track_deps: false,
-        capture_trace: false,
-    };
-    let r = run_one(harness, spec);
-    (r.outcome, r.trace)
 }
 
 /// Replays a counterexample: reruns the execution with the recorded

@@ -56,8 +56,8 @@ pub use campaign::{
 };
 pub use dashboard::{render_dashboard, Dashboard, ScenarioDash};
 pub use explore::{
-    check, replay, run_scenario, shard_of, CheckConfig, CheckConfigBuilder, CheckReport,
-    Counterexample, ExecOutcome,
+    check, replay, shard_of, CheckConfig, CheckConfigBuilder, CheckReport, Counterexample,
+    ExecOutcome,
 };
 pub use goose_rt::fault::{FaultPlan, FaultSurface, IoError, IoResult, NetFault, TornMode};
 pub use harness::{Harness, PanicOnReset, Script, SpinForever, System, World};
@@ -80,8 +80,7 @@ pub use timeline::{chrome_trace_json, render_explain};
 /// `use perennial_checker::prelude::*;`.
 pub mod prelude {
     pub use crate::explore::{
-        check, replay, run_scenario, CheckConfig, CheckConfigBuilder, CheckReport, Counterexample,
-        ExecOutcome,
+        check, replay, CheckConfig, CheckConfigBuilder, CheckReport, Counterexample, ExecOutcome,
     };
     pub use crate::harness::{Harness, Script, System, World};
     pub use crate::pass::{Pass, PassSet};

@@ -18,13 +18,12 @@
 //!    the `⇛Crashing` token that recovery must spend (§5.5).
 
 use crate::error::{GhostError, GhostResult};
-use crate::resource::{
-    check_version, DurCell, DurId, Lease, PointsTo, SetCell, SetId, SetItem, SetLease, VolCell,
-};
+use crate::resource::{check_version, DurId, Lease, Leased, PointsTo, SetId, SetItem, SetLease};
 use crate::trace::{Trace, TraceEvent};
-use parking_lot::Mutex;
-use perennial_spec::transition::Outcome;
+use crate::validate::Report;
+use parking_lot::{Mutex, MutexGuard};
 use perennial_spec::{Jid, SpecTS, Transition};
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -71,6 +70,9 @@ struct OpRecord<S: SpecTS> {
     phase: OpPhase<S::Ret>,
 }
 
+/// A type-erased cell value.
+type Value = Box<dyn Any + Send>;
+
 struct Inner<S: SpecTS> {
     version: u64,
     state: S::State,
@@ -80,9 +82,12 @@ struct Inner<S: SpecTS> {
     crash_token: CrashToken,
     next_jid: u64,
     next_res: u64,
-    vol: HashMap<u64, VolCell>,
-    dur: HashMap<u64, DurCell>,
-    sets: HashMap<u64, SetCell>,
+    /// Volatile cells. No version per cell: a crash clears the table, so
+    /// existence implies currency; the capability carries the version.
+    vol: HashMap<u64, Value>,
+    dur: HashMap<u64, Leased<Value>>,
+    /// Durable sets, members kept as their [`SetItem::encode`] bytes.
+    sets: HashMap<u64, Leased<BTreeSet<Vec<u8>>>>,
     trace: Trace<S::Op, S::Ret>,
     first_error: Option<GhostError>,
     /// Ghost-engine calls made so far. The explorer diffs this around
@@ -90,6 +95,131 @@ struct Inner<S: SpecTS> {
     /// state (many mutators push no trace event, so trace length is not
     /// a usable signal).
     op_count: u64,
+}
+
+// ----------------------------------------------------------------------
+// The guards: each rule of the discipline is stated once, here (or in
+// `resource.rs` for the two a capability can check by itself), and each
+// names the one `GhostError` it reports. The public methods below are
+// their rule plus calls into these, in the order the guards are tried.
+// DESIGN.md §4 has the rule → guard → error → test table.
+// ----------------------------------------------------------------------
+
+/// This id names a cell of `table`.
+fn cell<C>(table: &mut HashMap<u64, C>, id: u64) -> GhostResult<&mut C> {
+    table.get_mut(&id).ok_or(GhostError::UnknownResource { id })
+}
+
+/// The cell under `id` holds a `T`.
+fn typed<T: Clone + 'static>(value: &Value, id: u64) -> GhostResult<T> {
+    let held = value.downcast_ref::<T>();
+    held.cloned().ok_or(GhostError::TypeMismatch { id })
+}
+
+impl<S: SpecTS> Inner<S> {
+    /// `j`'s record; a `j` this engine never minted is reported as `msg`.
+    fn op(&mut self, jid: Jid, msg: &'static str) -> GhostResult<&mut OpRecord<S>> {
+        let unknown = GhostError::OpState { jid, msg };
+        self.ops.get_mut(&jid).ok_or(unknown)
+    }
+
+    /// `j`'s record, which must still hold `j ⇛ op` unspent and with its
+    /// thread (neither stashed nor committed), or `spent` is reported.
+    fn pending_op(
+        &mut self,
+        jid: Jid,
+        unknown: &'static str,
+        spent: &'static str,
+    ) -> GhostResult<&mut OpRecord<S>> {
+        let rec = self.op(jid, unknown)?;
+        if rec.phase != OpPhase::Pending {
+            return Err(GhostError::OpState { jid, msg: spent });
+        }
+        Ok(rec)
+    }
+
+    /// Table 1, *refinement* and *crash refinement*: simulates `t` as
+    /// one spec step against `source(σ)` on `jid`'s behalf (`None` for
+    /// the crash step and internal steps). `σ` moves only if it is one.
+    fn simulate<R: 'static>(
+        &mut self,
+        jid: Option<Jid>,
+        t: &Transition<S::State, R>,
+    ) -> GhostResult<R> {
+        let not_a_step = |err| GhostError::SpecStep { jid, err };
+        let (state, ret) = t.step(&self.state).map_err(not_a_step)?;
+        self.state = state;
+        Ok(ret)
+    }
+
+    /// `⇛Crashing` must be armed: only recovery may do this.
+    fn in_recovery(&self, msg: &'static str) -> GhostResult<()> {
+        if self.crash_token != CrashToken::Crashing {
+            return Err(GhostError::CrashToken { msg });
+        }
+        Ok(())
+    }
+
+    /// The `j` whose token is stashed under `key` (and is `owner`, when
+    /// a thread claims the token as its own).
+    fn stashed(&self, key: u64, owner: Option<Jid>) -> GhostResult<Jid> {
+        match self.help.get(&key) {
+            Some(&jid) if owner.is_none_or(|o| o == jid) => Ok(jid),
+            _ => Err(GhostError::HelpTokenMissing { key }),
+        }
+    }
+
+    /// Table 1's lease rule: the lease presented governs resource `id`,
+    /// and was minted for the current version.
+    fn governs(&self, what: &'static str, id: u64, lease_id: u64, minted: u64) -> GhostResult<()> {
+        if lease_id != id {
+            return Err(GhostError::WrongLease { id, lease_id });
+        }
+        check_version(what, minted, self.version)
+    }
+
+    /// Moves `j`'s token to `phase`, once the call's guards have passed.
+    fn set_phase(&mut self, jid: Jid, phase: OpPhase<S::Ret>) {
+        if let Some(rec) = self.ops.get_mut(&jid) {
+            rec.phase = phase;
+        }
+    }
+
+    /// The next resource id, and the version a capability for it gets.
+    fn fresh(&mut self) -> (u64, u64) {
+        let id = self.next_res;
+        self.next_res += 1;
+        (id, self.version)
+    }
+
+    /// `commit_op` (`refined` absent: commit as invoked) and
+    /// `commit_op_as`.
+    fn commit(&mut self, spec: &S, jid: Jid, refined: Option<S::Op>) -> GhostResult<S::Ret> {
+        let invoked = &self
+            .pending_op(
+                jid,
+                "commit of unknown op",
+                "commit requires the op to be pending (not stashed/committed)",
+            )?
+            .op;
+        let op = refined.unwrap_or_else(|| invoked.clone());
+        if !spec.op_refines(invoked, &op) {
+            let msg = "committed op is not a refinement of the invoked op";
+            return Err(GhostError::OpState { jid, msg });
+        }
+        let ret = self.simulate(Some(jid), &spec.op_transition(&op))?;
+        let committed = OpRecord {
+            op: op.clone(),
+            phase: OpPhase::Committed { ret: ret.clone() },
+        };
+        self.ops.insert(jid, committed);
+        self.trace.push(TraceEvent::Commit {
+            jid,
+            op,
+            ret: ret.clone(),
+        });
+        Ok(ret)
+    }
 }
 
 /// The ghost engine for one checked execution.
@@ -127,13 +257,34 @@ impl<S: SpecTS> Ghost<S> {
         &self.spec
     }
 
-    /// Locks the engine, counting the call: every public method goes
-    /// through here, so `op_count` over-approximates ghost activity
+    /// Locks the engine, counting the call. The contract: every public
+    /// method counts at least once and [`Ghost::op_count`] itself never
+    /// does, so the counter over-approximates ghost activity
     /// (conservative for dependency tracking).
-    fn step_lock(&self) -> parking_lot::MutexGuard<'_, Inner<S>> {
+    ///
+    /// Who depends on it: the checker's `ExecPilot::step_done` reads the
+    /// counter around each scheduler grant and asks only whether it
+    /// *moved*; that bit puts the thread's ghost tag into the step's
+    /// footprint. A method that stopped counting, or `op_count` starting
+    /// to, would change DPOR's footprints — and with them the `hunt`
+    /// workload's execution counts and the DPOR pins in
+    /// `tests/fingerprint_pin.rs`. The unit test below holds each method
+    /// to it.
+    fn step_lock(&self) -> MutexGuard<'_, Inner<S>> {
         let mut g = self.inner.lock();
         g.op_count += 1;
         g
+    }
+
+    /// One atomic ghost step that can break the discipline: runs `rule`
+    /// under the lock, and makes its error sticky if it is the first.
+    fn step<T>(&self, rule: impl FnOnce(&mut Inner<S>) -> GhostResult<T>) -> GhostResult<T> {
+        let mut g = self.step_lock();
+        let result = rule(&mut g);
+        if let (Err(err), None) = (&result, &g.first_error) {
+            g.first_error = Some(err.clone());
+        }
+        result
     }
 
     /// Ghost-engine calls made so far (dependency tracking; see
@@ -162,203 +313,71 @@ impl<S: SpecTS> Ghost<S> {
         self.step_lock().first_error.clone()
     }
 
-    fn fail<T>(inner: &mut Inner<S>, err: GhostError) -> GhostResult<T> {
-        if inner.first_error.is_none() {
-            inner.first_error = Some(err.clone());
-        }
-        Err(err)
-    }
-
     // ------------------------------------------------------------------
     // Refinement resources (§4): j ⇛ op, source(σ).
     // ------------------------------------------------------------------
 
     /// Mints `j ⇛ op` for a newly invoked operation.
     pub fn begin_op(&self, op: S::Op) -> GhostResult<OpToken> {
-        let mut g = self.step_lock();
-        if g.crash_token == CrashToken::Crashing {
-            return Self::fail(
-                &mut g,
-                GhostError::CrashToken {
-                    msg: "begin_op while recovery has not spent ⇛Crashing",
-                },
-            );
-        }
-        let jid = Jid(g.next_jid);
-        g.next_jid += 1;
-        g.ops.insert(
-            jid,
-            OpRecord {
+        self.step(|g| {
+            if g.crash_token == CrashToken::Crashing {
+                let msg = "begin_op while recovery has not spent ⇛Crashing";
+                return Err(GhostError::CrashToken { msg });
+            }
+            let jid = Jid(g.next_jid);
+            g.next_jid += 1;
+            let invoked = OpRecord {
                 op: op.clone(),
                 phase: OpPhase::Pending,
-            },
-        );
-        g.trace.push(TraceEvent::Invoke { jid, op });
-        Ok(OpToken { jid })
+            };
+            g.ops.insert(jid, invoked);
+            g.trace.push(TraceEvent::Invoke { jid, op });
+            Ok(OpToken { jid })
+        })
     }
 
     /// Simulates the spec step for `tok`'s operation at its linearization
     /// point, replacing `j ⇛ op` with `j ⇛ ret v` (Table 1, *refinement*).
     pub fn commit_op(&self, tok: &OpToken) -> GhostResult<S::Ret> {
-        let op = {
-            let g = self.step_lock();
-            match g.ops.get(&tok.jid) {
-                Some(rec) => rec.op.clone(),
-                None => {
-                    drop(g);
-                    let mut g = self.step_lock();
-                    return Self::fail(
-                        &mut g,
-                        GhostError::OpState {
-                            jid: tok.jid,
-                            msg: "commit of unknown op",
-                        },
-                    );
-                }
-            }
-        };
-        self.commit_op_as(tok, op)
+        self.step(|g| g.commit(&self.spec, tok.jid, None))
     }
 
     /// Like [`Ghost::commit_op`] but commits a *refined* operation that
     /// resolves implementation-chosen nondeterminism (checked against
     /// [`SpecTS::op_refines`]).
     pub fn commit_op_as(&self, tok: &OpToken, refined: S::Op) -> GhostResult<S::Ret> {
-        let mut g = self.step_lock();
-        let rec = match g.ops.get(&tok.jid) {
-            Some(r) => r,
-            None => {
-                return Self::fail(
-                    &mut g,
-                    GhostError::OpState {
-                        jid: tok.jid,
-                        msg: "commit of unknown op",
-                    },
-                )
-            }
-        };
-        if rec.phase != OpPhase::Pending {
-            return Self::fail(
-                &mut g,
-                GhostError::OpState {
-                    jid: tok.jid,
-                    msg: "commit requires the op to be pending (not stashed/committed)",
-                },
-            );
-        }
-        if !self.spec.op_refines(&rec.op, &refined) {
-            return Self::fail(
-                &mut g,
-                GhostError::OpState {
-                    jid: tok.jid,
-                    msg: "committed op is not a refinement of the invoked op",
-                },
-            );
-        }
-        match self.spec.op_transition(&refined).run(&g.state) {
-            Outcome::Ok(s2, ret) => {
-                g.state = s2;
-                let jid = tok.jid;
-                if let Some(rec) = g.ops.get_mut(&jid) {
-                    rec.op = refined.clone();
-                    rec.phase = OpPhase::Committed { ret: ret.clone() };
-                }
-                g.trace.push(TraceEvent::Commit {
-                    jid,
-                    op: refined,
-                    ret: ret.clone(),
-                });
-                Ok(ret)
-            }
-            Outcome::Undefined => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: Some(tok.jid),
-                    err: perennial_spec::system::ReplayError::Undefined,
-                },
-            ),
-            Outcome::Blocked => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: Some(tok.jid),
-                    err: perennial_spec::system::ReplayError::Blocked,
-                },
-            ),
-        }
+        self.step(|g| g.commit(&self.spec, tok.jid, Some(refined)))
     }
 
     /// Consumes `j ⇛ ret v` when the implementation returns, checking the
     /// returned value matches the committed spec value.
     pub fn finish_op(&self, tok: OpToken, actual: &S::Ret) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        let rec = match g.ops.get(&tok.jid) {
-            Some(r) => r,
-            None => {
-                return Self::fail(
-                    &mut g,
-                    GhostError::OpState {
-                        jid: tok.jid,
-                        msg: "finish of unknown op",
-                    },
-                )
-            }
-        };
-        let ret = match &rec.phase {
-            OpPhase::Committed { ret } => ret.clone(),
-            _ => {
-                return Self::fail(
-                    &mut g,
-                    GhostError::OpState {
-                        jid: tok.jid,
-                        msg: "finish requires a committed op (missing linearization point?)",
-                    },
-                )
-            }
-        };
-        if &ret != actual {
-            let err = GhostError::RetMismatch {
-                jid: tok.jid,
-                spec: format!("{ret:?}"),
-                actual: format!("{actual:?}"),
-            };
-            return Self::fail(&mut g, err);
-        }
         let jid = tok.jid;
-        if let Some(rec) = g.ops.get_mut(&jid) {
+        self.step(|g| {
+            let rec = g.op(jid, "finish of unknown op")?;
+            let OpPhase::Committed { ret } = &rec.phase else {
+                let msg = "finish requires a committed op (missing linearization point?)";
+                return Err(GhostError::OpState { jid, msg });
+            };
+            if ret != actual {
+                return Err(GhostError::RetMismatch {
+                    jid,
+                    spec: format!("{ret:?}"),
+                    actual: format!("{actual:?}"),
+                });
+            }
+            let ret = ret.clone();
             rec.phase = OpPhase::Finished;
-        }
-        g.trace.push(TraceEvent::Return {
-            jid,
-            ret: ret.clone(),
-        });
-        Ok(())
+            g.trace.push(TraceEvent::Return { jid, ret });
+            Ok(())
+        })
     }
 
     /// Simulates an *internal* spec transition (no external I/O), e.g.
     /// group commit's background flush moving buffered transactions to the
     /// persisted prefix.
     pub fn internal_step(&self, t: &Transition<S::State, ()>) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        match t.run(&g.state) {
-            Outcome::Ok(s2, ()) => {
-                g.state = s2;
-                Ok(())
-            }
-            Outcome::Undefined => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: None,
-                    err: perennial_spec::system::ReplayError::Undefined,
-                },
-            ),
-            Outcome::Blocked => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: None,
-                    err: perennial_spec::system::ReplayError::Blocked,
-                },
-            ),
-        }
+        self.step(|g| g.simulate(None, t))
     }
 
     // ------------------------------------------------------------------
@@ -368,55 +387,33 @@ impl<S: SpecTS> Ghost<S> {
     /// Stores `j ⇛ op` in the crash invariant under `key`, so recovery may
     /// complete the operation if a crash intervenes.
     pub fn stash_op(&self, tok: &OpToken, key: u64) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        if g.help.contains_key(&key) {
-            return Self::fail(&mut g, GhostError::HelpKeyBusy { key });
-        }
-        let rec = match g.ops.get(&tok.jid) {
-            Some(r) => r,
-            None => {
-                return Self::fail(
-                    &mut g,
-                    GhostError::OpState {
-                        jid: tok.jid,
-                        msg: "stash of unknown op",
-                    },
-                )
-            }
-        };
-        if rec.phase != OpPhase::Pending {
-            return Self::fail(
-                &mut g,
-                GhostError::OpState {
-                    jid: tok.jid,
-                    msg: "only pending ops can be stashed for helping",
-                },
-            );
-        }
         let jid = tok.jid;
-        if let Some(rec) = g.ops.get_mut(&jid) {
+        self.step(|g| {
+            if g.help.contains_key(&key) {
+                return Err(GhostError::HelpKeyBusy { key });
+            }
+            let rec = g.pending_op(
+                jid,
+                "stash of unknown op",
+                "only pending ops can be stashed for helping",
+            )?;
             rec.phase = OpPhase::Stashed { key };
-        }
-        g.help.insert(key, jid);
-        g.trace.push(TraceEvent::Stash { jid, key });
-        Ok(())
+            g.help.insert(key, jid);
+            g.trace.push(TraceEvent::Stash { jid, key });
+            Ok(())
+        })
     }
 
     /// Takes `j ⇛ op` back out of the crash invariant (the no-crash path:
     /// the thread finishes its own operation).
     pub fn unstash_op(&self, tok: &OpToken, key: u64) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        match g.help.get(&key) {
-            Some(j) if *j == tok.jid => {}
-            _ => return Self::fail(&mut g, GhostError::HelpTokenMissing { key }),
-        }
-        g.help.remove(&key);
-        let jid = tok.jid;
-        if let Some(rec) = g.ops.get_mut(&jid) {
-            rec.phase = OpPhase::Pending;
-        }
-        g.trace.push(TraceEvent::Unstash { jid, key });
-        Ok(())
+        self.step(|g| {
+            let jid = g.stashed(key, Some(tok.jid))?;
+            g.help.remove(&key);
+            g.set_phase(jid, OpPhase::Pending);
+            g.trace.push(TraceEvent::Unstash { jid, key });
+            Ok(())
+        })
     }
 
     /// Whether a helping token is stashed under `key`.
@@ -430,83 +427,33 @@ impl<S: SpecTS> Ghost<S> {
     /// Only legal while `⇛Crashing` is armed: helping is how recovery
     /// justifies its repairs.
     pub fn help_commit(&self, key: u64) -> GhostResult<(Jid, S::Ret)> {
-        let mut g = self.step_lock();
-        if g.crash_token != CrashToken::Crashing {
-            return Self::fail(
-                &mut g,
-                GhostError::CrashToken {
-                    msg: "help_commit outside recovery (⇛Crashing not armed)",
-                },
-            );
-        }
-        let jid = match g.help.get(&key) {
-            Some(j) => *j,
-            None => return Self::fail(&mut g, GhostError::HelpTokenMissing { key }),
-        };
-        let op = match g.ops.get(&jid) {
-            Some(rec) => rec.op.clone(),
-            None => {
-                return Self::fail(
-                    &mut g,
-                    GhostError::OpState {
-                        jid,
-                        msg: "helping token names an unknown op",
-                    },
-                )
-            }
-        };
-        match self.spec.op_transition(&op).run(&g.state) {
-            Outcome::Ok(s2, ret) => {
-                g.state = s2;
-                g.help.remove(&key);
-                if let Some(rec) = g.ops.get_mut(&jid) {
-                    rec.phase = OpPhase::Helped { ret: ret.clone() };
-                }
-                g.trace.push(TraceEvent::HelpCommit {
-                    jid,
-                    op,
-                    ret: ret.clone(),
-                });
-                Ok((jid, ret))
-            }
-            Outcome::Undefined => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: Some(jid),
-                    err: perennial_spec::system::ReplayError::Undefined,
-                },
-            ),
-            Outcome::Blocked => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: Some(jid),
-                    err: perennial_spec::system::ReplayError::Blocked,
-                },
-            ),
-        }
+        self.step(|g| {
+            g.in_recovery("help_commit outside recovery (⇛Crashing not armed)")?;
+            let jid = g.stashed(key, None)?;
+            let op = g.op(jid, "helping token names an unknown op")?.op.clone();
+            let ret = g.simulate(Some(jid), &self.spec.op_transition(&op))?;
+            g.help.remove(&key);
+            g.set_phase(jid, OpPhase::Helped { ret: ret.clone() });
+            g.trace.push(TraceEvent::HelpCommit {
+                jid,
+                op,
+                ret: ret.clone(),
+            });
+            Ok((jid, ret))
+        })
     }
 
     /// Drops the helping token under `key` without committing: recovery
     /// decided the crashed operation never took effect (legal — the caller
     /// never observed a return).
     pub fn drop_help(&self, key: u64) -> GhostResult<Jid> {
-        let mut g = self.step_lock();
-        if g.crash_token != CrashToken::Crashing {
-            return Self::fail(
-                &mut g,
-                GhostError::CrashToken {
-                    msg: "drop_help outside recovery (⇛Crashing not armed)",
-                },
-            );
-        }
-        let jid = match g.help.remove(&key) {
-            Some(j) => j,
-            None => return Self::fail(&mut g, GhostError::HelpTokenMissing { key }),
-        };
-        if let Some(rec) = g.ops.get_mut(&jid) {
-            rec.phase = OpPhase::Aborted;
-        }
-        Ok(jid)
+        self.step(|g| {
+            g.in_recovery("drop_help outside recovery (⇛Crashing not armed)")?;
+            let jid = g.stashed(key, None)?;
+            g.help.remove(&key);
+            g.set_phase(jid, OpPhase::Aborted);
+            Ok(jid)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -521,12 +468,8 @@ impl<S: SpecTS> Ghost<S> {
         let mut g = self.step_lock();
         g.version += 1;
         g.vol.clear();
-        for cell in g.dur.values_mut() {
-            cell.lease_out_for = None;
-        }
-        for set in g.sets.values_mut() {
-            set.lease_out_for = None;
-        }
+        g.dur.values_mut().for_each(Leased::revoke);
+        g.sets.values_mut().for_each(Leased::revoke);
         let mut aborted = Vec::new();
         for (jid, rec) in g.ops.iter_mut() {
             if rec.phase == OpPhase::Pending {
@@ -546,38 +489,14 @@ impl<S: SpecTS> Ghost<S> {
     /// Recovery spends `⇛Crashing`: simulates the spec crash transition
     /// and moves the token to `⇛Done` (Table 1, *crash refinement*).
     pub fn recovery_done(&self) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        if g.crash_token != CrashToken::Crashing {
-            return Self::fail(
-                &mut g,
-                GhostError::CrashToken {
-                    msg: "recovery_done but ⇛Crashing is not armed",
-                },
-            );
-        }
-        match self.spec.crash_transition().run(&g.state) {
-            Outcome::Ok(s2, ()) => {
-                g.state = s2;
-                g.crash_token = CrashToken::Done;
-                let version = g.version;
-                g.trace.push(TraceEvent::RecoveryDone { version });
-                Ok(())
-            }
-            Outcome::Undefined => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: None,
-                    err: perennial_spec::system::ReplayError::Undefined,
-                },
-            ),
-            Outcome::Blocked => Self::fail(
-                &mut g,
-                GhostError::SpecStep {
-                    jid: None,
-                    err: perennial_spec::system::ReplayError::Blocked,
-                },
-            ),
-        }
+        self.step(|g| {
+            g.in_recovery("recovery_done but ⇛Crashing is not armed")?;
+            g.simulate(None, &self.spec.crash_transition())?;
+            g.crash_token = CrashToken::Done;
+            let version = g.version;
+            g.trace.push(TraceEvent::RecoveryDone { version });
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -588,10 +507,8 @@ impl<S: SpecTS> Ghost<S> {
     /// version.
     pub fn alloc_vol<T: Clone + Send + 'static>(&self, v: T) -> PointsTo<T> {
         let mut g = self.step_lock();
-        let id = g.next_res;
-        g.next_res += 1;
-        let version = g.version;
-        g.vol.insert(id, VolCell { value: Box::new(v) });
+        let (id, version) = g.fresh();
+        g.vol.insert(id, Box::new(v));
         PointsTo {
             id,
             version,
@@ -601,18 +518,10 @@ impl<S: SpecTS> Ghost<S> {
 
     /// Reads through a points-to capability (version checked).
     pub fn read_vol<T: Clone + Send + 'static>(&self, p: &PointsTo<T>) -> GhostResult<T> {
-        let mut g = self.step_lock();
-        if let Err(e) = check_version("points-to", p.version, g.version) {
-            return Self::fail(&mut g, e);
-        }
-        let cell = match g.vol.get(&p.id) {
-            Some(c) => c,
-            None => return Self::fail(&mut g, GhostError::UnknownResource { id: p.id }),
-        };
-        match cell.value.downcast_ref::<T>() {
-            Some(v) => Ok(v.clone()),
-            None => Self::fail(&mut g, GhostError::TypeMismatch { id: p.id }),
-        }
+        self.step(|g| {
+            check_version("points-to", p.version, g.version)?;
+            typed(cell(&mut g.vol, p.id)?, p.id)
+        })
     }
 
     /// Writes through a points-to capability (version checked; requires a
@@ -623,17 +532,11 @@ impl<S: SpecTS> Ghost<S> {
         p: &mut PointsTo<T>,
         v: T,
     ) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        if let Err(e) = check_version("points-to", p.version, g.version) {
-            return Self::fail(&mut g, e);
-        }
-        match g.vol.get_mut(&p.id) {
-            Some(cell) => {
-                cell.value = Box::new(v);
-                Ok(())
-            }
-            None => Self::fail(&mut g, GhostError::UnknownResource { id: p.id }),
-        }
+        self.step(|g| {
+            check_version("points-to", p.version, g.version)?;
+            *cell(&mut g.vol, p.id)? = Box::new(v);
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -645,16 +548,8 @@ impl<S: SpecTS> Ghost<S> {
     /// conveys mutation rights for the current version.
     pub fn alloc_durable<T: Clone + Send + 'static>(&self, v: T) -> (DurId<T>, Lease<T>) {
         let mut g = self.step_lock();
-        let id = g.next_res;
-        g.next_res += 1;
-        let version = g.version;
-        g.dur.insert(
-            id,
-            DurCell {
-                value: Box::new(v),
-                lease_out_for: Some(version),
-            },
-        );
+        let (id, version) = g.fresh();
+        g.dur.insert(id, Leased::new(Box::new(v) as Value, version));
         (
             DurId {
                 id,
@@ -674,20 +569,10 @@ impl<S: SpecTS> Ghost<S> {
         id: DurId<T>,
         lease: &Lease<T>,
     ) -> GhostResult<T> {
-        let mut g = self.step_lock();
-        if lease.id != id.id {
-            return Self::fail(
-                &mut g,
-                GhostError::WrongLease {
-                    id: id.id,
-                    lease_id: lease.id,
-                },
-            );
-        }
-        if let Err(e) = check_version("lease", lease.version, g.version) {
-            return Self::fail(&mut g, e);
-        }
-        Self::dur_value(&mut g, id.id)
+        self.step(|g| {
+            g.governs("lease", id.id, lease.id, lease.version)?;
+            typed(&cell(&mut g.dur, id.id)?.value, id.id)
+        })
     }
 
     /// Reads a durable cell's master copy from the crash invariant.
@@ -695,19 +580,7 @@ impl<S: SpecTS> Ghost<S> {
     /// Recovery does this to learn the pre-crash durable state (§5.3: the
     /// master copy records the value so that recovery can use it).
     pub fn read_master<T: Clone + Send + 'static>(&self, id: DurId<T>) -> GhostResult<T> {
-        let mut g = self.step_lock();
-        Self::dur_value(&mut g, id.id)
-    }
-
-    fn dur_value<T: Clone + Send + 'static>(g: &mut Inner<S>, id: u64) -> GhostResult<T> {
-        let cell = match g.dur.get(&id) {
-            Some(c) => c,
-            None => return Self::fail(g, GhostError::UnknownResource { id }),
-        };
-        match cell.value.downcast_ref::<T>() {
-            Some(v) => Ok(v.clone()),
-            None => Self::fail(g, GhostError::TypeMismatch { id }),
-        }
+        self.step(|g| typed(&cell(&mut g.dur, id.id)?.value, id.id))
     }
 
     /// Writes a durable cell: requires *both* the master copy (named by
@@ -719,26 +592,11 @@ impl<S: SpecTS> Ghost<S> {
         lease: &mut Lease<T>,
         v: T,
     ) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        if lease.id != id.id {
-            return Self::fail(
-                &mut g,
-                GhostError::WrongLease {
-                    id: id.id,
-                    lease_id: lease.id,
-                },
-            );
-        }
-        if let Err(e) = check_version("lease", lease.version, g.version) {
-            return Self::fail(&mut g, e);
-        }
-        match g.dur.get_mut(&id.id) {
-            Some(cell) => {
-                cell.value = Box::new(v);
-                Ok(())
-            }
-            None => Self::fail(&mut g, GhostError::UnknownResource { id: id.id }),
-        }
+        self.step(|g| {
+            g.governs("lease", id.id, lease.id, lease.version)?;
+            cell(&mut g.dur, id.id)?.value = Box::new(v);
+            Ok(())
+        })
     }
 
     /// Synthesizes a fresh lease for the new version from the master copy
@@ -746,20 +604,15 @@ impl<S: SpecTS> Ghost<S> {
     ///
     /// At most one lease per resource per version.
     pub fn recover_lease<T: Clone + Send + 'static>(&self, id: DurId<T>) -> GhostResult<Lease<T>> {
-        let mut g = self.step_lock();
-        let version = g.version;
-        let cell = match g.dur.get_mut(&id.id) {
-            Some(c) => c,
-            None => return Self::fail(&mut g, GhostError::UnknownResource { id: id.id }),
-        };
-        if cell.lease_out_for == Some(version) {
-            return Self::fail(&mut g, GhostError::LeaseAlreadyOut { id: id.id });
-        }
-        cell.lease_out_for = Some(version);
-        Ok(Lease {
-            id: id.id,
-            version,
-            _marker: PhantomData,
+        let id = id.id;
+        self.step(|g| {
+            let version = g.version;
+            cell(&mut g.dur, id)?.mint(id, version)?;
+            Ok(Lease {
+                id,
+                version,
+                _marker: PhantomData,
+            })
         })
     }
 
@@ -774,17 +627,9 @@ impl<S: SpecTS> Ghost<S> {
         init: impl IntoIterator<Item = T>,
     ) -> (SetId<T>, SetLease<T>) {
         let mut g = self.step_lock();
-        let id = g.next_res;
-        g.next_res += 1;
-        let version = g.version;
-        let members: BTreeSet<Vec<u8>> = init.into_iter().map(|x| x.encode()).collect();
-        g.sets.insert(
-            id,
-            SetCell {
-                members,
-                lease_out_for: Some(version),
-            },
-        );
+        let (id, version) = g.fresh();
+        let members = init.into_iter().map(|x| x.encode()).collect();
+        g.sets.insert(id, Leased::new(members, version));
         (
             SetId {
                 id,
@@ -802,14 +647,10 @@ impl<S: SpecTS> Ghost<S> {
     /// lease only constrains deletion, so concurrent inserters (Mailboat's
     /// `Deliver`) proceed without the mailbox lock.
     pub fn set_insert<T: SetItem>(&self, id: SetId<T>, item: &T) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        match g.sets.get_mut(&id.id) {
-            Some(s) => {
-                s.members.insert(item.encode());
-                Ok(())
-            }
-            None => Self::fail(&mut g, GhostError::UnknownResource { id: id.id }),
-        }
+        self.step(|g| {
+            cell(&mut g.sets, id.id)?.value.insert(item.encode());
+            Ok(())
+        })
     }
 
     /// Deletes from a durable set. Requires the current-version
@@ -820,67 +661,39 @@ impl<S: SpecTS> Ghost<S> {
         lease: &mut SetLease<T>,
         item: &T,
     ) -> GhostResult<()> {
-        let mut g = self.step_lock();
-        if lease.id != id.id {
-            return Self::fail(
-                &mut g,
-                GhostError::WrongLease {
-                    id: id.id,
-                    lease_id: lease.id,
-                },
-            );
-        }
-        if let Err(e) = check_version("set lease", lease.version, g.version) {
-            return Self::fail(&mut g, e);
-        }
-        match g.sets.get_mut(&id.id) {
-            Some(s) => {
-                if s.members.remove(&item.encode()) {
-                    Ok(())
-                } else {
-                    Self::fail(&mut g, GhostError::SetMembership { id: id.id })
-                }
+        let id = id.id;
+        self.step(|g| {
+            g.governs("set lease", id, lease.id, lease.version)?;
+            if !cell(&mut g.sets, id)?.value.remove(&item.encode()) {
+                return Err(GhostError::SetMembership { id });
             }
-            None => Self::fail(&mut g, GhostError::UnknownResource { id: id.id }),
-        }
+            Ok(())
+        })
     }
 
     /// Whether `item` is currently a member (readable by anyone; the
     /// master copy lives in the crash invariant).
     pub fn set_contains<T: SetItem>(&self, id: SetId<T>, item: &T) -> GhostResult<bool> {
-        let mut g = self.step_lock();
-        match g.sets.get(&id.id) {
-            Some(s) => Ok(s.members.contains(&item.encode())),
-            None => Self::fail(&mut g, GhostError::UnknownResource { id: id.id }),
-        }
+        self.step(|g| Ok(cell(&mut g.sets, id.id)?.value.contains(&item.encode())))
     }
 
     /// Number of members (recovery uses this to audit cleanup).
     pub fn set_len<T: SetItem>(&self, id: SetId<T>) -> GhostResult<usize> {
-        let mut g = self.step_lock();
-        match g.sets.get(&id.id) {
-            Some(s) => Ok(s.members.len()),
-            None => Self::fail(&mut g, GhostError::UnknownResource { id: id.id }),
-        }
+        self.step(|g| Ok(cell(&mut g.sets, id.id)?.value.len()))
     }
 
     /// Synthesizes a fresh lower-bound lease after a crash; at most one
     /// per version.
     pub fn recover_set_lease<T: SetItem>(&self, id: SetId<T>) -> GhostResult<SetLease<T>> {
-        let mut g = self.step_lock();
-        let version = g.version;
-        let cell = match g.sets.get_mut(&id.id) {
-            Some(c) => c,
-            None => return Self::fail(&mut g, GhostError::UnknownResource { id: id.id }),
-        };
-        if cell.lease_out_for == Some(version) {
-            return Self::fail(&mut g, GhostError::LeaseAlreadyOut { id: id.id });
-        }
-        cell.lease_out_for = Some(version);
-        Ok(SetLease {
-            id: id.id,
-            version,
-            _marker: PhantomData,
+        let id = id.id;
+        self.step(|g| {
+            let version = g.version;
+            cell(&mut g.sets, id)?.mint(id, version)?;
+            Ok(SetLease {
+                id,
+                version,
+                _marker: PhantomData,
+            })
         })
     }
 
@@ -893,8 +706,10 @@ impl<S: SpecTS> Ghost<S> {
     /// Checks: no sticky discipline violation; the crash token is not left
     /// armed (every crash was followed by a completed recovery); every
     /// finished op was committed with a matching value (enforced online;
-    /// re-counted here).
-    pub fn validate(&self) -> Result<crate::validate::Report<S>, GhostError> {
+    /// re-counted here). An unmet obligation is returned, not made
+    /// sticky: it is a fact about where the execution stopped, not a
+    /// broken rule.
+    pub fn validate(&self) -> Result<Report, GhostError> {
         let g = self.step_lock();
         if let Some(err) = &g.first_error {
             return Err(err.clone());
@@ -928,9 +743,8 @@ impl<S: SpecTS> Ghost<S> {
                 ),
             });
         }
-        Ok(crate::validate::Report {
+        Ok(Report {
             version: g.version,
-            final_state: g.state.clone(),
             ops_invoked: g.ops.len(),
             finished,
             helped,
@@ -938,12 +752,110 @@ impl<S: SpecTS> Ghost<S> {
             committed_unreturned,
             crashes: g.trace.crashes(),
             commits: g.trace.commits(),
-            trace: g.trace.clone(),
         })
     }
 
     /// A snapshot of the refinement trace (for reporting).
     pub fn trace(&self) -> Trace<S::Op, S::Ret> {
         self.step_lock().trace.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use perennial_spec::fixtures::{RegOp, RegSpec};
+
+    /// The `op_count` contract (see `step_lock`): each public method
+    /// moves the counter, failing or not; reading the counter does not.
+    #[test]
+    fn every_public_method_counts_and_op_count_does_not() {
+        let g = Ghost::new(RegSpec { size: 4 });
+        let mut last = g.op_count();
+        assert_eq!(g.op_count(), last, "op_count counted itself");
+        let mut moved = |what: &str| {
+            let now = g.op_count();
+            assert!(now > last, "{what} did not count as ghost activity");
+            assert_eq!(g.op_count(), now, "op_count counted itself");
+            last = now;
+        };
+
+        let _ = g.version();
+        moved("version");
+        let _ = g.spec_state();
+        moved("spec_state");
+        let _ = g.crash_token();
+        moved("crash_token");
+        let _ = g.first_error();
+        moved("first_error");
+        let _ = g.trace();
+        moved("trace");
+        let _ = g.validate();
+        moved("validate");
+
+        let tok = g.begin_op(RegOp::Write(0, 1)).unwrap();
+        moved("begin_op");
+        g.stash_op(&tok, 0).unwrap();
+        moved("stash_op");
+        let _ = g.has_help(0);
+        moved("has_help");
+        g.unstash_op(&tok, 0).unwrap();
+        moved("unstash_op");
+        g.commit_op(&tok).unwrap();
+        moved("commit_op");
+        g.finish_op(tok, &None).unwrap();
+        moved("finish_op");
+        let tok = g.begin_op(RegOp::Write(1, 1)).unwrap();
+        moved("begin_op");
+        g.commit_op_as(&tok, RegOp::Write(1, 1)).unwrap();
+        moved("commit_op_as");
+        g.internal_step(&Transition::skip()).unwrap();
+        moved("internal_step");
+
+        let mut p = g.alloc_vol(0u64);
+        moved("alloc_vol");
+        g.read_vol(&p).unwrap();
+        moved("read_vol");
+        g.write_vol(&mut p, 1).unwrap();
+        moved("write_vol");
+        let (cell, mut lease) = g.alloc_durable(0u64);
+        moved("alloc_durable");
+        g.read_durable(cell, &lease).unwrap();
+        moved("read_durable");
+        g.write_durable(cell, &mut lease, 1).unwrap();
+        moved("write_durable");
+        g.read_master(cell).unwrap();
+        moved("read_master");
+        let (set, mut set_lease) = g.alloc_set::<u64>([1u64]);
+        moved("alloc_set");
+        g.set_insert(set, &2).unwrap();
+        moved("set_insert");
+        g.set_contains(set, &2).unwrap();
+        moved("set_contains");
+        g.set_len(set).unwrap();
+        moved("set_len");
+        g.set_delete(set, &mut set_lease, &2).unwrap();
+        moved("set_delete");
+
+        let a = g.begin_op(RegOp::Write(2, 1)).unwrap();
+        let b = g.begin_op(RegOp::Write(3, 1)).unwrap();
+        g.stash_op(&a, 1).unwrap();
+        g.stash_op(&b, 2).unwrap();
+        moved("stash_op");
+        g.crash();
+        moved("crash");
+        g.help_commit(1).unwrap();
+        moved("help_commit");
+        g.drop_help(2).unwrap();
+        moved("drop_help");
+        g.recover_lease(cell).unwrap();
+        moved("recover_lease");
+        g.recover_set_lease(set).unwrap();
+        moved("recover_set_lease");
+        g.recovery_done().unwrap();
+        moved("recovery_done");
+        // A call that fails is ghost activity too.
+        assert!(g.recovery_done().is_err());
+        moved("a failing call");
     }
 }

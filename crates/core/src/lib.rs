@@ -8,14 +8,20 @@
 //! execution the checker explores, instead of being discharged once by
 //! `coqc`:
 //!
-//! | Paper technique | Here |
-//! |---|---|
-//! | crash invariant (§5.1) | the [`Ghost`] engine itself holds master copies and helping tokens across crashes |
-//! | versioned memory (§5.2) | [`resource::PointsTo`] stamped with a version; any use after a crash fails |
-//! | recovery leases (§5.3) | [`resource::Lease`]/[`resource::DurId`] — writes need master + current lease; [`Ghost::recover_lease`] synthesizes a fresh lease once per version |
-//! | refinement (§4) | [`engine::OpToken`] (`j ⇛ op`), [`Ghost::commit_op`] simulating spec steps against `source(σ)` |
-//! | crash refinement (§5.5) | [`engine::CrashToken`] (`⇛Crashing`/`⇛Done`), spent by [`Ghost::recovery_done`] |
-//! | recovery helping (§5.4) | [`Ghost::stash_op`]/[`Ghost::help_commit`] moving `j ⇛ op` through the crash invariant |
+//! | Paper technique | Here | Guard (one per rule) |
+//! |---|---|---|
+//! | crash invariant (§5.1) | the [`Ghost`] engine itself holds master copies and helping tokens across crashes | `engine::cell`, `engine::typed` |
+//! | versioned memory (§5.2) | [`resource::PointsTo`] stamped with a version; any use after a crash fails | `resource::check_version` |
+//! | recovery leases (§5.3) | [`resource::Lease`]/[`resource::DurId`] — writes need master + current lease; [`Ghost::recover_lease`] synthesizes a fresh lease once per version | `Inner::governs`, `Leased::mint` |
+//! | refinement (§4) | [`engine::OpToken`] (`j ⇛ op`), [`Ghost::commit_op`] simulating spec steps against `source(σ)` | `Inner::op`, `Inner::pending_op`, `Inner::simulate` |
+//! | crash refinement (§5.5) | [`engine::CrashToken`] (`⇛Crashing`/`⇛Done`), spent by [`Ghost::recovery_done`] | `Inner::in_recovery`, `Inner::simulate` |
+//! | recovery helping (§5.4) | [`Ghost::stash_op`]/[`Ghost::help_commit`] moving `j ⇛ op` through the crash invariant | `Inner::stashed`, `Inner::in_recovery` |
+//!
+//! The guards are private functions of `engine.rs` and `resource.rs`,
+//! each the single place its [`GhostError`] is constructed; `DESIGN.md`
+//! §4 maps every one to the test that pins it, and lists the rules that
+//! have no guard because ownership enforces them (`finish_op` takes
+//! [`OpToken`] by value; no capability is `Clone`).
 //!
 //! A system "verified" with this crate is one whose implementation is
 //! instrumented with these ghost calls (the runtime analog of writing the

@@ -21,8 +21,6 @@
 //! reconstructs tokens is caught.
 
 use crate::error::{GhostError, GhostResult};
-use std::any::Any;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -119,25 +117,37 @@ impl<T> fmt::Debug for SetLease<T> {
     }
 }
 
-/// A single volatile cell in the engine's table.
-///
-/// No version field: a crash clears the whole table, so existence implies
-/// currency; the capability carries the version for staleness checks.
-pub(crate) struct VolCell {
-    pub(crate) value: Box<dyn Any + Send>,
-}
-
-/// A single durable cell in the engine's table.
-pub(crate) struct DurCell {
-    pub(crate) value: Box<dyn Any + Send>,
+/// A durable resource in the engine's table — a cell's master copy or a
+/// set's members — with the one lease that may be out on it.
+pub(crate) struct Leased<V> {
+    pub(crate) value: V,
     /// Version for which a lease is currently outstanding, if any.
-    pub(crate) lease_out_for: Option<u64>,
+    lease_out_for: Option<u64>,
 }
 
-/// A durable set in the engine's table (values kept type-erased).
-pub(crate) struct SetCell {
-    pub(crate) members: BTreeSet<Vec<u8>>,
-    pub(crate) lease_out_for: Option<u64>,
+impl<V> Leased<V> {
+    /// A fresh resource, its lease for `version` handed to the allocator.
+    pub(crate) fn new(value: V, version: u64) -> Self {
+        Leased {
+            value,
+            lease_out_for: Some(version),
+        }
+    }
+
+    /// A crash: whatever lease was out died with its version.
+    pub(crate) fn revoke(&mut self) {
+        self.lease_out_for = None;
+    }
+
+    /// Mints the one lease of `version` (§5.3: at most one lease per
+    /// resource per version).
+    pub(crate) fn mint(&mut self, id: u64, version: u64) -> GhostResult<()> {
+        if self.lease_out_for == Some(version) {
+            return Err(GhostError::LeaseAlreadyOut { id });
+        }
+        self.lease_out_for = Some(version);
+        Ok(())
+    }
 }
 
 /// Values storable in durable set resources: anything with a stable byte

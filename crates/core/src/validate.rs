@@ -1,19 +1,14 @@
 //! End-of-execution reports: what the ghost engine certified.
 
-use crate::trace::Trace;
-use perennial_spec::SpecTS;
-
 /// Summary of one successfully validated execution.
 ///
 /// Produced by [`crate::Ghost::validate`] only when *every* ghost step
 /// succeeded and the Theorem 2 obligations hold; the checker aggregates
 /// these across explored schedules and crash points.
 #[derive(Debug, Clone)]
-pub struct Report<S: SpecTS> {
+pub struct Report {
     /// Final execution version (= number of crashes survived).
     pub version: u64,
-    /// Final abstract state `σ`.
-    pub final_state: S::State,
     /// Operations invoked (`begin_op` calls).
     pub ops_invoked: usize,
     /// Operations that committed and returned with matching values.
@@ -31,11 +26,9 @@ pub struct Report<S: SpecTS> {
     pub crashes: usize,
     /// Total committed spec steps (own + helped).
     pub commits: usize,
-    /// The full refinement trace.
-    pub trace: Trace<S::Op, S::Ret>,
 }
 
-impl<S: SpecTS> Report<S> {
+impl Report {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(

@@ -32,6 +32,53 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
+/// One engine call, legal or not: the interpreter below makes it
+/// whatever state the engine is in. Indices pick among the tokens and
+/// leases the script has accumulated (dead ones included).
+#[derive(Debug, Clone)]
+enum Call {
+    Begin(u64, u64),
+    Commit(usize),
+    CommitAs(usize, u64),
+    Finish(usize, Option<u64>),
+    Stash(usize, u64),
+    Unstash(usize, u64),
+    Help(u64),
+    DropHelp(u64),
+    Crash,
+    Recovered,
+    ReadVol,
+    WriteDurable(usize),
+    RecoverLease,
+    SetDelete(usize, u64),
+    RecoverSetLease,
+}
+
+fn arb_call() -> impl Strategy<Value = Call> {
+    let reg = || 0..NREGS + 1; // one past the end: spec-level UB
+    let key = || 0u64..3;
+    prop_oneof![
+        (reg(), 0u64..4).prop_map(|(a, v)| Call::Begin(a, v)),
+        (reg(), 0u64..4).prop_map(|(a, v)| Call::Begin(a, v)),
+        (0usize..8).prop_map(Call::Commit),
+        (0usize..8).prop_map(Call::Commit),
+        (0usize..8, 0u64..4).prop_map(|(i, v)| Call::CommitAs(i, v)),
+        (0usize..8).prop_map(|i| Call::Finish(i, None)),
+        (0usize..8, 0u64..4).prop_map(|(i, v)| Call::Finish(i, Some(v))),
+        (0usize..8, key()).prop_map(|(i, k)| Call::Stash(i, k)),
+        (0usize..8, key()).prop_map(|(i, k)| Call::Unstash(i, k)),
+        key().prop_map(Call::Help),
+        key().prop_map(Call::DropHelp),
+        Just(Call::Crash),
+        Just(Call::Recovered),
+        Just(Call::ReadVol),
+        (0usize..4).prop_map(Call::WriteDurable),
+        Just(Call::RecoverLease),
+        (0usize..4, 0u64..3).prop_map(|(i, x)| Call::SetDelete(i, x)),
+        Just(Call::RecoverSetLease),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -170,5 +217,75 @@ proptest! {
         prop_assert!(rejected);
         g.recovery_done().unwrap();
         prop_assert!(g.validate().is_ok());
+    }
+
+    /// Whatever a script does, legal or not, the first `Err` any call
+    /// returned is the error `first_error()` and `validate()` report
+    /// afterwards — and they report none when no call failed.
+    #[test]
+    fn first_error_returned_is_the_error_reported(script in proptest::collection::vec(arb_call(), 1..60)) {
+        let g = Ghost::new(RegSpec { size: NREGS });
+        let mut toks = Vec::new();
+        let vol = g.alloc_vol(0u64);
+        let (cell, lease) = g.alloc_durable(0u64);
+        let mut leases = vec![lease];
+        let (set, set_lease) = g.alloc_set::<u64>([0u64, 1]);
+        let mut set_leases = vec![set_lease];
+        let mut first: Option<GhostError> = None;
+        let mut note = |e: Option<GhostError>| {
+            if first.is_none() {
+                first = e;
+            }
+        };
+
+        for call in &script {
+            match call {
+                Call::Begin(a, v) => match g.begin_op(RegOp::Write(*a, *v)) {
+                    Ok(tok) => toks.push(tok),
+                    Err(e) => note(Some(e)),
+                },
+                Call::Crash => g.crash(),
+                Call::Recovered => note(g.recovery_done().err()),
+                Call::Help(k) => note(g.help_commit(*k).err()),
+                Call::DropHelp(k) => note(g.drop_help(*k).err()),
+                Call::ReadVol => note(g.read_vol(&vol).err()),
+                Call::RecoverLease => match g.recover_lease(cell) {
+                    Ok(l) => leases.push(l),
+                    Err(e) => note(Some(e)),
+                },
+                Call::RecoverSetLease => match g.recover_set_lease(set) {
+                    Ok(l) => set_leases.push(l),
+                    Err(e) => note(Some(e)),
+                },
+                Call::WriteDurable(i) => {
+                    let n = leases.len();
+                    note(g.write_durable(cell, &mut leases[i % n], 1).err())
+                }
+                Call::SetDelete(i, x) => {
+                    let n = set_leases.len();
+                    note(g.set_delete(set, &mut set_leases[i % n], x).err())
+                }
+                _ if toks.is_empty() => {}
+                Call::Commit(i) => note(g.commit_op(&toks[i % toks.len()]).err()),
+                Call::CommitAs(i, v) => {
+                    note(g.commit_op_as(&toks[i % toks.len()], RegOp::Write(0, *v)).err())
+                }
+                Call::Stash(i, k) => note(g.stash_op(&toks[i % toks.len()], *k).err()),
+                Call::Unstash(i, k) => note(g.unstash_op(&toks[i % toks.len()], *k).err()),
+                Call::Finish(i, ret) => {
+                    let tok = toks.remove(i % toks.len());
+                    note(g.finish_op(tok, ret).err())
+                }
+            }
+        }
+        prop_assert_eq!(g.first_error(), first.clone());
+        match first {
+            Some(e) => prop_assert_eq!(g.validate().err(), Some(e)),
+            None => {
+                let unmet = matches!(g.validate(), Ok(_) | Err(GhostError::Validation { .. }));
+                prop_assert!(unmet);
+                prop_assert_eq!(g.first_error(), None);
+            }
+        }
     }
 }

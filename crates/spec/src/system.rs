@@ -1,6 +1,6 @@
 //! Complete specifications: state, operations, crash transition.
 
-use crate::transition::{Outcome, Transition};
+use crate::transition::Transition;
 use std::fmt::Debug;
 
 /// A specification transition system (§3.1 of the paper).
@@ -88,15 +88,7 @@ impl<S: SpecTS> SeqReplay<S> {
 
     /// Applies `op`; on success returns the value the spec produced.
     pub fn step_op(&mut self, op: &S::Op) -> Result<S::Ret, ReplayError> {
-        match self.spec.op_transition(op).run(&self.state) {
-            Outcome::Ok(s2, v) => {
-                self.state = s2;
-                self.steps += 1;
-                Ok(v)
-            }
-            Outcome::Undefined => Err(ReplayError::Undefined),
-            Outcome::Blocked => Err(ReplayError::Blocked),
-        }
+        self.step(&self.spec.op_transition(op))
     }
 
     /// Applies `op` and additionally requires the returned value to equal
@@ -115,15 +107,14 @@ impl<S: SpecTS> SeqReplay<S> {
 
     /// Applies the crash transition.
     pub fn step_crash(&mut self) -> Result<(), ReplayError> {
-        match self.spec.crash_transition().run(&self.state) {
-            Outcome::Ok(s2, ()) => {
-                self.state = s2;
-                self.steps += 1;
-                Ok(())
-            }
-            Outcome::Undefined => Err(ReplayError::Undefined),
-            Outcome::Blocked => Err(ReplayError::Blocked),
-        }
+        self.step(&self.spec.crash_transition())
+    }
+
+    fn step<R: 'static>(&mut self, t: &Transition<S::State, R>) -> Result<R, ReplayError> {
+        let (state, ret) = t.step(&self.state)?;
+        self.state = state;
+        self.steps += 1;
+        Ok(ret)
     }
 }
 
@@ -163,58 +154,7 @@ impl std::error::Error for ReplayError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    /// A register-file spec used as the crate's test fixture.
-    #[derive(Debug, Clone)]
-    pub struct RegSpec {
-        pub size: u64,
-    }
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum RegOp {
-        Read(u64),
-        Write(u64, u64),
-    }
-
-    pub type RegState = BTreeMap<u64, u64>;
-
-    impl SpecTS for RegSpec {
-        type State = RegState;
-        type Op = RegOp;
-        type Ret = Option<u64>;
-
-        fn init(&self) -> RegState {
-            (0..self.size).map(|a| (a, 0)).collect()
-        }
-
-        fn op_transition(&self, op: &RegOp) -> Transition<RegState, Option<u64>> {
-            match op.clone() {
-                RegOp::Read(a) => Transition::gets(move |s: &RegState| s.get(&a).copied())
-                    .and_then(|mv| match mv {
-                        Some(v) => Transition::ret(Some(v)),
-                        None => Transition::undefined(),
-                    }),
-                RegOp::Write(a, v) => Transition::gets(move |s: &RegState| s.contains_key(&a))
-                    .and_then(move |present| {
-                        if present {
-                            Transition::modify(move |s: &RegState| {
-                                let mut s = s.clone();
-                                s.insert(a, v);
-                                s
-                            })
-                            .map(|()| None)
-                        } else {
-                            Transition::undefined()
-                        }
-                    }),
-            }
-        }
-
-        fn crash_transition(&self) -> Transition<RegState, ()> {
-            Transition::skip()
-        }
-    }
+    use crate::fixtures::{RegOp, RegSpec};
 
     #[test]
     fn replay_sequence() {

@@ -1,6 +1,7 @@
 //! The transition DSL: `ret`, `gets`, `modify`, `undefined`, and monadic
 //! composition, mirroring the Coq-embedded DSL of the paper's §3.1.
 
+use crate::system::ReplayError;
 use std::fmt;
 use std::sync::Arc;
 
@@ -83,6 +84,17 @@ impl<S: Clone + 'static, T: 'static> Transition<S, T> {
     /// Runs the transition in state `s`.
     pub fn run(&self, s: &S) -> Outcome<S, T> {
         (self.run)(s)
+    }
+
+    /// Simulates the transition as one spec step from `s`: the stepped
+    /// state and value, or why the step is not one the spec allows. The
+    /// ghost engine and [`crate::SeqReplay`] take every step through here.
+    pub fn step(&self, s: &S) -> Result<(S, T), ReplayError> {
+        match self.run(s) {
+            Outcome::Ok(s2, v) => Ok((s2, v)),
+            Outcome::Undefined => Err(ReplayError::Undefined),
+            Outcome::Blocked => Err(ReplayError::Blocked),
+        }
     }
 
     /// `ret v` — the identity transition returning `v`.
@@ -232,6 +244,15 @@ mod tests {
         let t = Transition::<S, ()>::guard(|s| s.is_empty());
         assert!(t.run(&st(&[])).is_ok());
         assert_eq!(t.run(&st(&[(1, 1)])), Outcome::Blocked);
+    }
+
+    #[test]
+    fn step_names_why_a_step_is_not_allowed() {
+        let t = Transition::<S, ()>::check(|s| s.contains_key(&1));
+        assert_eq!(t.step(&st(&[(1, 1)])), Ok((st(&[(1, 1)]), ())));
+        assert_eq!(t.step(&st(&[])), Err(ReplayError::Undefined));
+        let t = Transition::<S, ()>::guard(|s| s.is_empty());
+        assert_eq!(t.step(&st(&[(1, 1)])), Err(ReplayError::Blocked));
     }
 
     #[test]

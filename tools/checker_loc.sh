@@ -1,7 +1,8 @@
 #!/bin/sh
-# The size and layering rules for crates/checker/src (ROADMAP item 3) and
-# for the harness layer the systems plug into it through, over each
-# file's code above its first `#[cfg(test)]`.
+# The size and layering rules for crates/checker/src (ROADMAP item 3),
+# for the harness layer the systems plug into it through, and for the
+# trusted base crates/core/src, over each file's code above its first
+# `#[cfg(test)]`.
 #
 # Size: code lines are the non-blank, non-`//` ones. Prints the per-file
 # tables and fails when a checker file exceeds the cap.
@@ -14,6 +15,14 @@
 # (exec.rs). A system crate implements `System` and returns its workload
 # as a `Script`; it may not grow an `Execution`-style trait impl or the
 # hand-copied `let w2 = w.clone()` thread boilerplate again.
+#
+# One guard per rule: crates/core/src is the trusted base (ROADMAP item
+# 9 mutates it rule by rule), so each rule of the ghost discipline is
+# stated once. A `GhostError` variant that carries no `msg` is one rule
+# and may be constructed at one site; a variant with a `msg` is one rule
+# per text, and no text may appear twice. error.rs defines and renders
+# the variants and constructs none, so it is not searched. Turning a
+# spec `Outcome` into an error is `Transition::step`'s job alone.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -64,6 +73,49 @@ printf '%6d  total\n' "$total"
 if copies=$(grep -rnE 'impl.* Execution<|let w2 = w\.clone\(\)' $system_crates); then
     failed=1
     echo "        ^ a system crate re-implements the lifecycle; that is exec.rs's business:"
+    printf '%s\n' "$copies" | sed 's/^/          /'
+fi
+
+echo
+echo "trusted base (crates/core/src):"
+engine_cap=600
+total=0
+base_code=""
+for path in crates/core/src/*.rs; do
+    code=$(code "$path" | sed "s|^|$path:|")
+    n=$(printf '%s' "$code" | grep -c '' || true)
+    printf '%6d  %s\n' "$n" "$(basename "$path")"
+    total=$((total + n))
+    if [ "$path" = crates/core/src/engine.rs ] && [ "$n" -gt "$engine_cap" ]; then
+        failed=1
+        echo "        ^ over the $engine_cap-line cap: a rule is being stated twice"
+    fi
+    [ "$path" = crates/core/src/error.rs ] || base_code="$base_code$code
+"
+done
+printf '%6d  total\n' "$total"
+# The variants of `GhostError` that have no `msg` field.
+plain=$(awk '/^pub enum GhostError/{e=1; next} e && /^}/{e=0}
+    e && /^    [A-Z][A-Za-z]* \{/{if (v != "" && !m) print v; v=$1; m=0}
+    e && /^        msg:/{m=1}
+    END{if (v != "" && !m) print v}' crates/core/src/error.rs)
+for v in $plain; do
+    sites=$(printf '%s' "$base_code" | grep "GhostError::$v\b" || true)
+    if [ "$(printf '%s' "$sites" | grep -c '')" -gt 1 ]; then
+        failed=1
+        echo "        ^ GhostError::$v is constructed at more than one site:"
+        printf '%s\n' "$sites" | sed 's/^/          /'
+    fi
+done
+if twice=$(printf '%s' "$base_code" | grep -o '"[^"]* [^"]*"' | sort | uniq -d | grep .); then
+    failed=1
+    echo "        ^ the same message is written at more than one site:"
+    printf '%s\n' "$twice" | sed 's/^/          /'
+fi
+if copies=$( (printf '%s' "$base_code"; code crates/spec/src/system.rs | sed 's|^|crates/spec/src/system.rs:|') |
+    grep -E 'Outcome::(Undefined|Blocked)'); then
+    failed=1
+    echo "        ^ a spec outcome is turned into an error by hand; that is Transition::step's business:"
     printf '%s\n' "$copies" | sed 's/^/          /'
 fi
 exit "$failed"
