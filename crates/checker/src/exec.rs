@@ -4,7 +4,6 @@
 //! ([`ExecOutcome`]) and what it measured ([`ExecStats`]).
 
 use crate::harness::{Harness, Op, Script, System, World};
-use crate::metrics::trace_fingerprint;
 use crate::pass::Pass;
 use crate::strategy::DepTrace;
 use crate::telemetry::ExecStats;
@@ -14,7 +13,7 @@ use goose_rt::sched::{
 };
 use goose_rt::trace::{ExecTrace, TraceKind};
 use parking_lot::Mutex;
-use perennial::{Ghost, GhostError};
+use perennial::{Fnv1a, Ghost, GhostError};
 use perennial_spec::SpecTS;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -184,7 +183,8 @@ impl ScheduleState {
 /// the result carries a [`DepTrace`] for partial-order reduction; with
 /// `capture_trace` its causal recorder is on and the result carries an
 /// [`ExecTrace`] — a pure observer that changes no counter, schedule, or
-/// fault index.
+/// fault index. With `render_trace` the result carries the ghost trace's
+/// text even when the execution passes; a failing one always does.
 pub(crate) struct ExecSpec<'a> {
     pub policy: Policy,
     pub crash_points: &'a [u64],
@@ -193,6 +193,7 @@ pub(crate) struct ExecSpec<'a> {
     pub max_steps: u64,
     pub track_deps: bool,
     pub capture_trace: bool,
+    pub render_trace: bool,
 }
 
 /// The schedule policy that reproduces a counterexample: DFS prefixes
@@ -227,7 +228,9 @@ pub(crate) struct RunResult {
     pub wakeups: u64,
     /// Wall time of this single execution (telemetry only).
     pub duration: Duration,
-    /// The rendered ghost trace.
+    /// The rendered ghost trace, of a failing execution or one run with
+    /// `render_trace`; empty otherwise (`stats.trace_fp` is its hash
+    /// either way).
     pub trace: String,
     /// Per-grant dependency observations (`track_deps` executions), boxed
     /// because most executions have none, and trimmed to size.
@@ -246,6 +249,9 @@ struct PilotLog {
     steps: u64,
     crashes: u64,
     helped: u64,
+    /// The ghost trace's running fingerprint: of no events, the hash of
+    /// no bytes.
+    trace_fp: Fnv1a,
     trace: String,
     deps: Option<DepTrace>,
 }
@@ -266,7 +272,7 @@ impl RunResult {
             log.decisions.len() as u64,
             log.crashes,
             log.helped,
-            trace_fingerprint(&log.trace),
+            log.trace_fp.finish(),
         );
         RunResult {
             outcome,
@@ -347,6 +353,7 @@ pub(crate) fn rerun<S: SpecTS, H: Harness<S>>(
         max_steps,
         track_deps: false,
         capture_trace,
+        render_trace: true,
     };
     run_one(harness, spec)
 }
@@ -402,17 +409,18 @@ impl<S: SpecTS> ExecPilot<S> {
         let Some(mark) = self.spec_mark.as_mut() else {
             return;
         };
-        let snapshot = self.ghost.trace();
-        let events = snapshot.events();
-        for ev in &events[*mark..] {
-            rt.trace_event_for(
-                tid,
-                TraceKind::Spec {
-                    event: format!("{ev:?}"),
-                },
-            );
-        }
-        *mark = events.len();
+        self.ghost.with_trace(|trace| {
+            let events = trace.events();
+            for ev in &events[*mark..] {
+                rt.trace_event_for(
+                    tid,
+                    TraceKind::Spec {
+                        event: format!("{ev:?}"),
+                    },
+                );
+            }
+            *mark = events.len();
+        });
     }
 }
 
@@ -530,6 +538,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
         seed,
         track_deps,
         capture_trace,
+        render_trace,
         ..
     } = spec;
     let rt = Arc::clone(rt);
@@ -567,13 +576,24 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
     let started = Instant::now();
     let finish = |outcome: ExecOutcome, crashes: u64, helped: u64| {
         let mut pilot = pilot.lock();
+        // The text is for a reader: nobody reads a passing execution's.
+        let render = render_trace || outcome.is_failure();
+        let (trace_fp, trace) = ghost.with_trace(|trace| {
+            let text = if render {
+                trace.render()
+            } else {
+                String::new()
+            };
+            (trace.fingerprint(), text)
+        });
         let log = PilotLog {
             decisions: std::mem::take(&mut pilot.sched.decisions),
             clamped: std::mem::take(&mut pilot.sched.clamped),
             steps: pilot.steps,
             crashes,
             helped,
-            trace: ghost.trace().render(),
+            trace_fp,
+            trace,
             deps: pilot.dep.take(),
         };
         RunResult::close(&rt, started, capture_trace, outcome, log)
@@ -662,4 +682,103 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
     };
     pilot.lock().drain_spec(&rt, None);
     finish(outcome, crashes, helped)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::PanicOnReset;
+    use crate::metrics::trace_fingerprint;
+    use perennial::GhostUnwrap;
+    use perennial_spec::fixtures::{RegOp, RegSpec};
+
+    /// One register write over a system with no state of its own,
+    /// reporting `returns` as the write's return value.
+    struct OneWrite {
+        returns: Option<u64>,
+    }
+
+    struct NoState;
+
+    impl System<RegSpec> for NoState {
+        fn boot(&self, _: &World<RegSpec>) {}
+
+        fn crash(&self) {}
+
+        fn recover(&self, w: &World<RegSpec>) {
+            w.ghost.recovery_done().ghost_unwrap();
+        }
+
+        fn abs_check(&self, _: &World<RegSpec>) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    impl Harness<RegSpec> for OneWrite {
+        type Sys = NoState;
+
+        fn spec(&self) -> RegSpec {
+            RegSpec { size: 1 }
+        }
+
+        fn make(&self, _: &World<RegSpec>) -> Script<NoState, RegSpec> {
+            let returns = self.returns;
+            let mut script = Script::new(NoState);
+            script.thread("writer", move |_, w| {
+                let tok = w.ghost.begin_op(RegOp::Write(0, 1)).ghost_unwrap();
+                w.ghost.commit_op(&tok).ghost_unwrap();
+                w.ghost.finish_op(tok, &returns).ghost_unwrap();
+            });
+            script
+        }
+    }
+
+    fn run<H: Harness<RegSpec>>(
+        harness: &H,
+        crash_points: &[u64],
+        render_trace: bool,
+    ) -> RunResult {
+        let spec = ExecSpec {
+            policy: Policy::RoundRobin,
+            crash_points,
+            faults: &FaultPlan::default(),
+            seed: 7,
+            max_steps: 1_000,
+            track_deps: false,
+            capture_trace: false,
+            render_trace,
+        };
+        run_one(harness, spec)
+    }
+
+    /// The fingerprint never needs the text: a passing execution carries
+    /// none unless asked, a failing one always does, and either way the
+    /// fingerprint is the hash of the text there is or would have been.
+    #[test]
+    fn only_a_failing_or_replayed_execution_carries_its_trace_text() {
+        let correct = OneWrite { returns: None };
+        let quiet = run(&correct, &[], false);
+        let asked = run(&correct, &[], true);
+        assert!(
+            matches!(quiet.outcome, ExecOutcome::Ok),
+            "{:?}",
+            quiet.outcome
+        );
+        assert_eq!(quiet.trace, "");
+        assert_eq!(asked.trace.lines().count(), 3, "{}", asked.trace);
+        assert_eq!(quiet.stats, asked.stats);
+        assert_eq!(quiet.stats.trace_fp, trace_fingerprint(&asked.trace));
+
+        let failed = run(&OneWrite { returns: Some(9) }, &[], false);
+        assert!(matches!(failed.outcome, ExecOutcome::Violation(_)));
+        assert!(failed.trace.contains("Commit"), "{}", failed.trace);
+        assert_eq!(failed.stats.trace_fp, trace_fingerprint(&failed.trace));
+
+        // A harness that panics takes the ghost state down with it: no
+        // text, and the fingerprint of none.
+        let panicked = run(&PanicOnReset(correct), &[1], false);
+        assert!(matches!(panicked.outcome, ExecOutcome::HarnessPanic(_)));
+        assert_eq!(panicked.trace, "");
+        assert_eq!(panicked.stats.trace_fp, trace_fingerprint(""));
+    }
 }

@@ -477,6 +477,7 @@ fn run_or_replay<S: SpecTS, H: Harness<S>>(
         max_steps: shared.config.max_steps,
         track_deps: job.track_deps,
         capture_trace: false,
+        render_trace: false,
     };
     let r = run_one(harness, spec);
     let kind = OutcomeKind::of(&r.outcome);

@@ -1,4 +1,5 @@
-//! The crate's one JSON field reader and its 64-bit hex convention.
+//! The crate's one JSON field reader, its 64-bit hex convention, and the
+//! field writer of the one record written too often to build a tree for.
 //!
 //! Everything the checker parses back — WAL records, campaign reports,
 //! environment stamps, dashboard streams — is a [`Map`] of fields written
@@ -8,11 +9,12 @@
 //! everything else is an error naming the field.
 
 use serde_json::{Map, Value};
+use std::fmt::Write;
 
 /// The largest integer below which every whole `f64` is a distinct
 /// integer (2^53 - 1): the shim's numbers are `f64`, so a larger count
 /// has already been rounded by the time it is read.
-const MAX_EXACT: f64 = 9_007_199_254_740_991.0;
+pub(crate) const MAX_EXACT: f64 = 9_007_199_254_740_991.0;
 
 /// 64-bit values (seeds, fingerprints, resource ids) go into JSON as hex
 /// strings, since an `f64` would round them above 2^53. Always `0x` plus
@@ -20,6 +22,71 @@ const MAX_EXACT: f64 = 9_007_199_254_740_991.0;
 /// strings, and greppable across a campaign's worth of streams.
 pub(crate) fn hex64(v: u64) -> String {
     format!("{v:#018x}")
+}
+
+/// One flat JSON object written field by field into a reused buffer,
+/// byte for byte what `serde_json::to_string` prints for the [`Map`] with
+/// the same entries: `{"a": 1,"b": "x"}`. A `Map` prints its keys sorted,
+/// so the caller passes them sorted (held to it in debug builds).
+pub(crate) struct ObjectLine<'a> {
+    out: &'a mut String,
+    last_key: &'static str,
+}
+
+impl<'a> ObjectLine<'a> {
+    /// Opens the object at the end of `out`.
+    pub(crate) fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectLine { out, last_key: "" }
+    }
+
+    /// Writes `"key": ` (and the comma before it) and hands back the
+    /// buffer for the value. `key` needs no escaping.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(self.last_key < key, "{key} after {}", self.last_key);
+        if !self.last_key.is_empty() {
+            self.out.push(',');
+        }
+        self.last_key = key;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\": ");
+        self.out
+    }
+
+    /// A count, as `Value::Number(n as f64)` prints it: the integer below
+    /// 9e15, the `f64` that carries it above.
+    pub(crate) fn count(&mut self, key: &'static str, n: u64) {
+        let out = self.key(key);
+        let _ = if n < 9_000_000_000_000_000 {
+            write!(out, "{n}")
+        } else {
+            write!(out, "{}", n as f64)
+        };
+    }
+
+    /// A 64-bit value in the [`hex64`] form.
+    pub(crate) fn hex(&mut self, key: &'static str, v: u64) {
+        let _ = write!(self.key(key), "\"{v:#018x}\"");
+    }
+
+    /// A string whose text needs no escaping, written by `text`.
+    pub(crate) fn plain(&mut self, key: &'static str, text: impl FnOnce(&mut String)) {
+        let out = self.key(key);
+        out.push('"');
+        text(out);
+        out.push('"');
+    }
+
+    /// A value already in its JSON form (an escaped string literal).
+    pub(crate) fn literal(&mut self, key: &'static str, json: &str) {
+        self.key(key).push_str(json);
+    }
+
+    /// Closes the object.
+    pub(crate) fn close(self) {
+        self.out.push('}');
+    }
 }
 
 /// The inverse of [`hex64`], also taking unpadded digits: exactly one

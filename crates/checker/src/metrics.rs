@@ -455,14 +455,14 @@ impl Coverage {
 }
 
 /// FNV-1a over a rendered ghost trace: the behavioural-coverage
-/// fingerprint. Stable across runs (pure function of the bytes).
+/// fingerprint. Stable across runs (pure function of the bytes). An
+/// execution's own fingerprint is not computed here but kept by its
+/// [`perennial::Trace`] as events arrive; this is the same hash over text
+/// already in hand (a counterexample's trace, report and campaign JSON).
 pub fn trace_fingerprint(trace: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in trace.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut hash = perennial::Fnv1a::default();
+    hash.write(trace.as_bytes());
+    hash.finish()
 }
 
 #[cfg(test)]

@@ -15,7 +15,10 @@
 //!   `pass_start`), [`exec_done`](RunTelemetry::exec_done),
 //!   [`counterexample`](RunTelemetry::counterexample) and
 //!   [`close`](RunTelemetry::close) (`pass_end`, `run_end`). With no stream
-//!   open each returns before it formats anything. Event *content* is
+//!   open each returns before it formats anything. Four of the five build
+//!   a [`Value`]; `exec_done`, called once per execution, writes its line
+//!   straight from the fields, and the `Value` form ([`ev_exec_done`]) is
+//!   the reference it is tested against. Event *content* is
 //!   deterministic (timing fields excepted); event *order* is completion
 //!   order, so it is canonical at `workers = 1` and
 //!   interleaved-but-complete at higher pool sizes.
@@ -34,7 +37,9 @@
 
 use crate::campaign::outcomes_to_json;
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
-use crate::json::{get, get_arr, get_f64, get_hex, get_str, get_u64, hex64, without_keys};
+use crate::json::{
+    get, get_arr, get_f64, get_hex, get_str, get_u64, hex64, without_keys, ObjectLine,
+};
 use crate::metrics::OutcomeKind;
 use crate::pass::{Pass, PassSet};
 use goose_rt::fault::FaultPlan;
@@ -101,13 +106,17 @@ impl TelemetrySink {
     /// abort the check; the first one is recorded and surfaced via
     /// [`TelemetrySink::last_error`].
     pub fn emit(&self, event: &Value) {
-        let line = serde_json::to_string(event).expect("shim serialization is infallible");
+        let mut line = serde_json::to_string(event).expect("shim serialization is infallible");
+        line.push('\n');
+        self.write_line(&line);
+    }
+
+    /// Appends `line`, which ends with its newline, in one write, and
+    /// flushes: a kill between records leaves whole lines, a kill inside
+    /// one at most a torn last line.
+    fn write_line(&self, line: &str) {
         let mut w = self.writer.lock();
-        let r = w
-            .write_all(line.as_bytes())
-            .and_then(|()| w.write_all(b"\n"))
-            .and_then(|()| w.flush());
-        if let Err(e) = r {
+        if let Err(e) = w.write_all(line.as_bytes()).and_then(|()| w.flush()) {
             let mut slot = self.error.lock();
             if slot.is_none() {
                 *slot = Some(e.to_string());
@@ -145,6 +154,11 @@ pub struct RunTelemetry {
     /// The name the run goes by — a registered scenario's registry name
     /// — stamped onto every record.
     name: String,
+    /// `name` as a JSON string literal, escaped once for every
+    /// `exec_done` line.
+    name_json: String,
+    /// The `exec_done` line being written: one buffer for the whole run.
+    line: Mutex<String>,
     open_error: Option<String>,
     announced: PassSet,
     /// The pass whose timed `pass_end` record is still owed: each
@@ -188,6 +202,8 @@ impl RunTelemetry {
         let telem = RunTelemetry {
             stream,
             name: name.to_string(),
+            name_json: serde_json::to_string(&name).expect("shim serialization is infallible"),
+            line: Mutex::new(String::new()),
             open_error,
             announced: PassSet::empty(),
             open_pass: None,
@@ -242,7 +258,11 @@ impl RunTelemetry {
 
     /// One execution of `job` (its pass and index within the pass) ended:
     /// the `exec_done` record, which doubles as the WAL entry, and the
-    /// progress line when its cadence says so.
+    /// progress line when its cadence says so. A run writes one such
+    /// record per execution where every other record is a handful per
+    /// run, so this one goes from the fields straight into its line:
+    /// byte for byte `to_string(stamped(ev_exec_done(..), name))`, with
+    /// no tree in between.
     pub fn exec_done(
         &self,
         job: (Pass, u64),
@@ -252,12 +272,37 @@ impl RunTelemetry {
         faults: &FaultPlan,
         duration: Duration,
     ) {
-        self.emit(|| {
-            let faults = faults.compact();
-            ev_exec_done(&ExecEvent::new(
-                job.0, job.1, seed, outcome, stats, &faults, duration,
-            ))
-        });
+        if let Some(stream) = &self.stream {
+            let mut line = self.line.lock();
+            line.clear();
+            let mut o = ObjectLine::open(&mut line);
+            o.count("crashes", stats.crashes);
+            o.count("depth", stats.depth);
+            o.count("disk_flushes", stats.disk_flushes);
+            o.count("disk_ops", stats.disk_ops);
+            o.count("disk_reads", stats.disk_reads);
+            o.count("disk_writes", stats.disk_writes);
+            o.count("duration_us", duration.as_micros() as u64);
+            o.plain("faults", |out| {
+                let _ = faults.write_compact(out);
+            });
+            o.count("helped", stats.helped);
+            o.count("index", job.1);
+            o.count("lock_blocks", stats.lock_blocks);
+            o.count("net_msgs", stats.net_msgs);
+            o.count("net_recvs", stats.net_recvs);
+            o.count("net_sends", stats.net_sends);
+            o.plain("outcome", |out| out.push_str(outcome.name()));
+            o.plain("pass", |out| out.push_str(job.0.name()));
+            o.literal("scenario", &self.name_json);
+            o.hex("seed", seed);
+            o.count("steps", stats.steps);
+            o.hex("trace_fp", stats.trace_fp);
+            o.plain("type", |out| out.push_str("exec_done"));
+            o.close();
+            line.push('\n');
+            stream.write_line(&line);
+        }
         if self.progress_every > 0 {
             let [executions, steps, failures] = &self.live;
             steps.fetch_add(stats.steps, Ordering::Relaxed);
@@ -500,7 +545,8 @@ impl<'a> ExecEvent<'a> {
 }
 
 /// The `exec_done` record (also the campaign WAL entry) for one
-/// finished execution.
+/// finished execution, as a tree: the schema in one place, and the
+/// reference [`RunTelemetry::exec_done`]'s line is tested against.
 pub fn ev_exec_done(e: &ExecEvent<'_>) -> Value {
     json!({
         "type": "exec_done",
@@ -896,6 +942,7 @@ pub fn strip_timing(v: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     #[test]
@@ -1125,6 +1172,99 @@ mod tests {
     fn exec_event(seed: u64, outcome: OutcomeKind) -> Value {
         let event = ExecEvent::new(Pass::Dfs, 0, seed, outcome, &STATS, "-", Duration::ZERO);
         stamped(ev_exec_done(&event), "s")
+    }
+
+    /// Counts where the two ways of printing one could part: small ones,
+    /// both sides of 9e15 (where the shim stops printing integers) and of
+    /// `MAX_EXACT` (where `f64`s stop being exact), and any `u64` at all.
+    fn arb_count() -> impl Strategy<Value = u64> {
+        const MAX: u64 = crate::json::MAX_EXACT as u64;
+        (0u8..5, any::<u64>()).prop_map(|(range, n)| match range {
+            0 => n % 100,
+            1 => n % (MAX + 1),
+            2 => 9_000_000_000_000_000 - 2 + n % 5,
+            3 => MAX - 2 + n % 5,
+            _ => n,
+        })
+    }
+
+    fn arb_faults() -> impl Strategy<Value = FaultPlan> {
+        use goose_rt::fault::{NetFault, TornMode};
+        let net = (0u64..9, 0u8..3).prop_map(|(i, f)| {
+            let fault = [NetFault::Drop, NetFault::Duplicate, NetFault::Delay][f as usize];
+            (i, fault)
+        });
+        (
+            proptest::collection::vec(arb_count(), 0..3),
+            (0u8..5, any::<u64>()),
+            (0u8..3, arb_count()),
+            proptest::collection::vec(net, 0..3),
+        )
+            .prop_map(|(io, (torn, variant), (disk, grant), net)| FaultPlan {
+                transient_io: io.into_iter().collect(),
+                torn: match torn {
+                    0 => Some(TornMode::KeepAll),
+                    1 => Some(TornMode::KeepNone),
+                    2 => Some(TornMode::Subset(variant)),
+                    _ => None,
+                },
+                disk_fail: (disk > 0).then_some((disk, grant)),
+                net: net.into_iter().collect(),
+            })
+    }
+
+    /// Scenario names out of everything the shim's escaper treats
+    /// specially, and what it must leave alone.
+    fn arb_name() -> impl Strategy<Value = String> {
+        const CHARS: [char; 16] = [
+            'k', 'v', '/', '-', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é',
+            '✓', '{',
+        ];
+        proptest::collection::vec(0usize..CHARS.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The line `exec_done` writes from the fields is the line the
+        /// `Value` path — `ev_exec_done`, stamped, serialised — prints.
+        #[test]
+        fn the_written_exec_done_line_is_the_value_paths(
+            name in arb_name(),
+            (pass, outcome) in (0usize..Pass::ALL.len(), 0usize..OutcomeKind::ALL.len()),
+            (seed, trace_fp) in (any::<u64>(), any::<u64>()),
+            counts in proptest::collection::vec(arb_count(), 14..15),
+            faults in arb_faults(),
+        ) {
+            let (pass, outcome) = (Pass::ALL[pass], OutcomeKind::ALL[outcome]);
+            let [index, micros, steps, depth, crashes, helped, lock_blocks, disk_ops, net_msgs,
+                disk_reads, disk_writes, disk_flushes, net_sends, net_recvs] = counts[..]
+            else {
+                unreachable!("fourteen counts")
+            };
+            let stats = ExecStats {
+                steps, depth, crashes, helped, lock_blocks, disk_ops, net_msgs, disk_reads,
+                disk_writes, disk_flushes, net_sends, net_recvs, trace_fp,
+            };
+            let duration = Duration::from_micros(micros);
+
+            let compact = faults.compact();
+            let event = ExecEvent::new(pass, index, seed, outcome, &stats, &compact, duration);
+            let want = serde_json::to_string(&stamped(ev_exec_done(&event), &name)).unwrap() + "\n";
+
+            let (sink, buf) = TelemetrySink::shared_buffer();
+            let config = CheckConfig { telemetry: Some(sink), ..CheckConfig::default() };
+            let telem = RunTelemetry::open(&name, &config, 1);
+            // Twice: the second line starts from a used buffer.
+            for _ in 0..2 {
+                telem.exec_done((pass, index), seed, outcome, &stats, &faults, duration);
+            }
+            let text = String::from_utf8(buf.lock().clone()).unwrap();
+            let (_run_start, lines) = text.split_once('\n').expect("a run_start line");
+            prop_assert_eq!(lines, want.repeat(2));
+            prop_assert_eq!(telem.stream_error(), None);
+        }
     }
 
     #[test]

@@ -755,9 +755,12 @@ impl<S: SpecTS> Ghost<S> {
         })
     }
 
-    /// A snapshot of the refinement trace (for reporting).
-    pub fn trace(&self) -> Trace<S::Op, S::Ret> {
-        self.step_lock().trace.clone()
+    /// Reads the refinement trace in place — its events, its running
+    /// fingerprint, its rendering for a failure report — as one ghost
+    /// step: `read` runs under the engine's lock and must not call back
+    /// into this engine.
+    pub fn with_trace<R>(&self, read: impl FnOnce(&Trace<S::Op, S::Ret>) -> R) -> R {
+        read(&self.step_lock().trace)
     }
 }
 
@@ -788,8 +791,8 @@ mod tests {
         moved("crash_token");
         let _ = g.first_error();
         moved("first_error");
-        let _ = g.trace();
-        moved("trace");
+        g.with_trace(|_| ());
+        moved("with_trace");
         let _ = g.validate();
         moved("validate");
 

@@ -77,5 +77,5 @@ pub use engine::{CrashToken, Ghost, OpToken};
 pub use error::{GhostError, GhostPanic, GhostResult, GhostUnwrap};
 pub use lockinv::LockInv;
 pub use resource::{DurId, Lease, PointsTo, SetId, SetItem, SetLease};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Fnv1a, Trace, TraceEvent};
 pub use validate::Report;

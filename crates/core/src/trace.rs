@@ -1,8 +1,44 @@
 //! Refinement traces: the record of spec-level steps an execution
-//! simulated, used for reporting and end-of-execution validation.
+//! simulated, used for reporting and end-of-execution validation, and
+//! the fingerprint of its rendering, kept as the events arrive.
 
 use perennial_spec::Jid;
-use std::fmt::Debug;
+use std::fmt::{self, Debug, Write};
+
+/// A running 64-bit FNV-1a hash: the workspace's one fingerprint
+/// function, as a value that can be copied mid-stream. As an
+/// [`fmt::Write`] sink it hashes formatted text without building it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    /// The hash of no bytes: the FNV offset basis.
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds `bytes` in.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// One spec-level event recorded by the ghost engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,18 +67,39 @@ pub enum TraceEvent<Op, Ret> {
 #[derive(Debug, Clone)]
 pub struct Trace<Op, Ret> {
     events: Vec<TraceEvent<Op, Ret>>,
+    /// FNV-1a over [`render`](Trace::render)'s bytes for `events`.
+    fingerprint: Fnv1a,
 }
 
 impl<Op, Ret> Default for Trace<Op, Ret> {
     fn default() -> Self {
-        Trace { events: Vec::new() }
+        Trace {
+            events: Vec::new(),
+            fingerprint: Fnv1a::default(),
+        }
     }
 }
 
+/// The rendering of event `i`, the one statement of a trace line: what
+/// [`Trace::render`] prints is what [`Trace::push`] hashed.
+fn write_line(out: &mut impl Write, i: usize, ev: &impl Debug) -> fmt::Result {
+    writeln!(out, "  [{i:3}] {ev:?}")
+}
+
 impl<Op: Clone + Debug, Ret: Clone + Debug> Trace<Op, Ret> {
-    /// Appends an event.
+    /// Appends an event, folding its rendered line into the fingerprint.
     pub(crate) fn push(&mut self, ev: TraceEvent<Op, Ret>) {
+        write_line(&mut self.fingerprint, self.events.len(), &ev)
+            .expect("the hash takes any bytes: a Debug impl failed");
         self.events.push(ev);
+    }
+
+    /// The hash of the bytes [`render`](Trace::render) would return,
+    /// without rendering them: the execution's behavioural-coverage
+    /// fingerprint, as a state that can be copied and carried on. Of an
+    /// empty trace, the hash of no bytes.
+    pub fn fingerprint(&self) -> Fnv1a {
+        self.fingerprint
     }
 
     /// All recorded events in order.
@@ -70,7 +127,7 @@ impl<Op: Clone + Debug, Ret: Clone + Debug> Trace<Op, Ret> {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(&format!("  [{i:3}] {ev:?}\n"));
+            write_line(&mut out, i, ev).expect("a String takes any bytes: a Debug impl failed");
         }
         out
     }

@@ -149,7 +149,7 @@ fn trace_records_full_lifecycle() {
     g.crash();
     g.recovery_done().unwrap();
 
-    let trace = g.trace();
+    let trace = g.with_trace(Clone::clone);
     let kinds: Vec<&'static str> = trace
         .events()
         .iter()

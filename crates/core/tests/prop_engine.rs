@@ -3,7 +3,9 @@
 //! reference model exactly, and random *rule-breaking* sequences always
 //! fail.
 
-use perennial::{CrashToken, Ghost, GhostError};
+use perennial::{
+    CrashToken, DurId, Fnv1a, Ghost, GhostError, Lease, OpToken, PointsTo, SetId, SetLease,
+};
 use perennial_spec::fixtures::{RegOp, RegSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -123,6 +125,9 @@ proptest! {
         prop_assert_eq!(sigma, reference);
         prop_assert_eq!(report.crashes,
             script.iter().filter(|a| matches!(a, Action::Crash | Action::CrashMidWrite(..))).count());
+        // Every event kind a correct run records, helped commits included.
+        let (running, rendered) = g.with_trace(|t| (t.fingerprint(), t.render()));
+        prop_assert_eq!(running.finish(), hash_of(&rendered));
     }
 
     /// After any number of crashes, a lease minted pre-crash is dead and
@@ -224,60 +229,15 @@ proptest! {
     /// afterwards — and they report none when no call failed.
     #[test]
     fn first_error_returned_is_the_error_reported(script in proptest::collection::vec(arb_call(), 1..60)) {
-        let g = Ghost::new(RegSpec { size: NREGS });
-        let mut toks = Vec::new();
-        let vol = g.alloc_vol(0u64);
-        let (cell, lease) = g.alloc_durable(0u64);
-        let mut leases = vec![lease];
-        let (set, set_lease) = g.alloc_set::<u64>([0u64, 1]);
-        let mut set_leases = vec![set_lease];
+        let mut run = Interp::new();
         let mut first: Option<GhostError> = None;
-        let mut note = |e: Option<GhostError>| {
-            if first.is_none() {
-                first = e;
-            }
-        };
-
         for call in &script {
-            match call {
-                Call::Begin(a, v) => match g.begin_op(RegOp::Write(*a, *v)) {
-                    Ok(tok) => toks.push(tok),
-                    Err(e) => note(Some(e)),
-                },
-                Call::Crash => g.crash(),
-                Call::Recovered => note(g.recovery_done().err()),
-                Call::Help(k) => note(g.help_commit(*k).err()),
-                Call::DropHelp(k) => note(g.drop_help(*k).err()),
-                Call::ReadVol => note(g.read_vol(&vol).err()),
-                Call::RecoverLease => match g.recover_lease(cell) {
-                    Ok(l) => leases.push(l),
-                    Err(e) => note(Some(e)),
-                },
-                Call::RecoverSetLease => match g.recover_set_lease(set) {
-                    Ok(l) => set_leases.push(l),
-                    Err(e) => note(Some(e)),
-                },
-                Call::WriteDurable(i) => {
-                    let n = leases.len();
-                    note(g.write_durable(cell, &mut leases[i % n], 1).err())
-                }
-                Call::SetDelete(i, x) => {
-                    let n = set_leases.len();
-                    note(g.set_delete(set, &mut set_leases[i % n], x).err())
-                }
-                _ if toks.is_empty() => {}
-                Call::Commit(i) => note(g.commit_op(&toks[i % toks.len()]).err()),
-                Call::CommitAs(i, v) => {
-                    note(g.commit_op_as(&toks[i % toks.len()], RegOp::Write(0, *v)).err())
-                }
-                Call::Stash(i, k) => note(g.stash_op(&toks[i % toks.len()], *k).err()),
-                Call::Unstash(i, k) => note(g.unstash_op(&toks[i % toks.len()], *k).err()),
-                Call::Finish(i, ret) => {
-                    let tok = toks.remove(i % toks.len());
-                    note(g.finish_op(tok, ret).err())
-                }
+            let err = run.call(call);
+            if first.is_none() {
+                first = err;
             }
         }
+        let g = &run.g;
         prop_assert_eq!(g.first_error(), first.clone());
         match first {
             Some(e) => prop_assert_eq!(g.validate().err(), Some(e)),
@@ -285,6 +245,126 @@ proptest! {
                 let unmet = matches!(g.validate(), Ok(_) | Err(GhostError::Validation { .. }));
                 prop_assert!(unmet);
                 prop_assert_eq!(g.first_error(), None);
+            }
+        }
+    }
+
+    /// The fingerprint kept as events arrive is, after every call of any
+    /// script — crashes, helping and recovery, legal or not — the hash of
+    /// the text `render()` would produce then, and before the first event
+    /// the hash of no bytes (what an execution whose harness panicked
+    /// reports).
+    #[test]
+    fn running_fingerprint_is_the_hash_of_the_rendering(script in proptest::collection::vec(arb_call(), 1..60)) {
+        let mut run = Interp::new();
+        prop_assert_eq!(run.g.with_trace(|t| t.fingerprint()), Fnv1a::default());
+        prop_assert_eq!(Fnv1a::default().finish(), 0xcbf2_9ce4_8422_2325);
+        prop_assert_eq!(run.g.with_trace(|t| t.render()), "");
+        for call in &script {
+            run.call(call);
+            let (running, rendered, len) =
+                run.g.with_trace(|t| (t.fingerprint(), t.render(), t.events().len()));
+            prop_assert_eq!(running.finish(), hash_of(&rendered), "after {:?}:\n{}", call, rendered);
+            prop_assert_eq!(rendered.lines().count(), len);
+        }
+    }
+}
+
+/// FNV-1a over `text`, in one piece.
+fn hash_of(text: &str) -> u64 {
+    let mut whole = Fnv1a::default();
+    whole.write(text.as_bytes());
+    whole.finish()
+}
+
+/// An interpreter for [`Call`] scripts: makes each call against whatever
+/// state the engine is in, keeping every token and lease the script has
+/// accumulated, and returns the call's error if it had one.
+struct Interp {
+    g: std::sync::Arc<Ghost<RegSpec>>,
+    toks: Vec<OpToken>,
+    vol: PointsTo<u64>,
+    cell: DurId<u64>,
+    leases: Vec<Lease<u64>>,
+    set: SetId<u64>,
+    set_leases: Vec<SetLease<u64>>,
+}
+
+impl Interp {
+    fn new() -> Self {
+        let g = Ghost::new(RegSpec { size: NREGS });
+        let vol = g.alloc_vol(0u64);
+        let (cell, lease) = g.alloc_durable(0u64);
+        let (set, set_lease) = g.alloc_set::<u64>([0u64, 1]);
+        Interp {
+            g,
+            toks: Vec::new(),
+            vol,
+            cell,
+            leases: vec![lease],
+            set,
+            set_leases: vec![set_lease],
+        }
+    }
+
+    fn call(&mut self, call: &Call) -> Option<GhostError> {
+        let Interp {
+            g,
+            toks,
+            vol,
+            cell,
+            leases,
+            set,
+            set_leases,
+        } = self;
+        match call {
+            Call::Begin(a, v) => match g.begin_op(RegOp::Write(*a, *v)) {
+                Ok(tok) => {
+                    toks.push(tok);
+                    None
+                }
+                Err(e) => Some(e),
+            },
+            Call::Crash => {
+                g.crash();
+                None
+            }
+            Call::Recovered => g.recovery_done().err(),
+            Call::Help(k) => g.help_commit(*k).err(),
+            Call::DropHelp(k) => g.drop_help(*k).err(),
+            Call::ReadVol => g.read_vol(vol).err(),
+            Call::RecoverLease => match g.recover_lease(*cell) {
+                Ok(l) => {
+                    leases.push(l);
+                    None
+                }
+                Err(e) => Some(e),
+            },
+            Call::RecoverSetLease => match g.recover_set_lease(*set) {
+                Ok(l) => {
+                    set_leases.push(l);
+                    None
+                }
+                Err(e) => Some(e),
+            },
+            Call::WriteDurable(i) => {
+                let n = leases.len();
+                g.write_durable(*cell, &mut leases[i % n], 1).err()
+            }
+            Call::SetDelete(i, x) => {
+                let n = set_leases.len();
+                g.set_delete(*set, &mut set_leases[i % n], x).err()
+            }
+            _ if toks.is_empty() => None,
+            Call::Commit(i) => g.commit_op(&toks[i % toks.len()]).err(),
+            Call::CommitAs(i, v) => g
+                .commit_op_as(&toks[i % toks.len()], RegOp::Write(0, *v))
+                .err(),
+            Call::Stash(i, k) => g.stash_op(&toks[i % toks.len()], *k).err(),
+            Call::Unstash(i, k) => g.unstash_op(&toks[i % toks.len()], *k).err(),
+            Call::Finish(i, ret) => {
+                let tok = toks.remove(i % toks.len());
+                g.finish_op(tok, ret).err()
             }
         }
     }

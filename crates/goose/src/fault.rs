@@ -136,23 +136,37 @@ impl FaultPlan {
 
     /// Compact fault summary for one-line verdicts and JSONL records,
     /// e.g. `io@3`, `d1@5`, `torn-none`, `net-drop@2`; multiple faults
-    /// join with `+`. Empty plans render as `-`.
+    /// join with `+`. Empty plans render as `-`. Every byte is one of
+    /// `[a-z0-9@+-]`, so the text needs no escaping wherever it lands.
     pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write_compact(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes [`compact`](Self::compact)'s text into `out`, allocating
+    /// nothing: the form a per-execution record streams.
+    pub fn write_compact(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         if self.is_empty() {
-            return "-".to_string();
+            return out.write_char('-');
         }
-        let mut parts = Vec::new();
+        let mut sep = "";
+        let mut part = |args: std::fmt::Arguments<'_>| {
+            out.write_str(std::mem::replace(&mut sep, "+"))?;
+            out.write_fmt(args)
+        };
         for i in &self.transient_io {
-            parts.push(format!("io@{i}"));
+            part(format_args!("io@{i}"))?;
         }
         match self.torn {
             None => {}
-            Some(TornMode::KeepAll) => parts.push("torn-all".to_string()),
-            Some(TornMode::KeepNone) => parts.push("torn-none".to_string()),
-            Some(TornMode::Subset(s)) => parts.push(format!("torn-sub{s}")),
+            Some(TornMode::KeepAll) => part(format_args!("torn-all"))?,
+            Some(TornMode::KeepNone) => part(format_args!("torn-none"))?,
+            Some(TornMode::Subset(s)) => part(format_args!("torn-sub{s}"))?,
         }
         if let Some((d, g)) = self.disk_fail {
-            parts.push(format!("d{d}@{g}"));
+            part(format_args!("d{d}@{g}"))?;
         }
         for (i, f) in &self.net {
             let what = match f {
@@ -160,9 +174,9 @@ impl FaultPlan {
                 NetFault::Duplicate => "dup",
                 NetFault::Delay => "delay",
             };
-            parts.push(format!("net-{what}@{i}"));
+            part(format_args!("net-{what}@{i}"))?;
         }
-        parts.join("+")
+        Ok(())
     }
 }
 

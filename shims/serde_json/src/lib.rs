@@ -275,30 +275,33 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> 
 }
 
 /// Parses a JSON document into a [`Value`] (the shim analog of
-/// `serde_json::from_str::<Value>`). Numbers parse as f64; duplicate
-/// object keys keep the last occurrence, matching the map's semantics.
+/// `serde_json::from_str::<Value>`). Numbers parse as f64. An object
+/// with the same key twice is an error, where `serde_json` keeps the
+/// last: what is parsed here is replayed into verdicts, and a record
+/// that says two things says nothing.
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: s, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -312,7 +315,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), Error> {
@@ -325,7 +328,7 @@ impl<'a> Parser<'a> {
     }
 
     fn lit(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -379,12 +382,15 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.eat(b':', "expected ':' after object key")?;
             self.skip_ws();
             let val = self.value()?;
-            map.insert(key, val);
+            if map.insert(key, val).is_some() {
+                return Err(Error::new(format!("duplicate object key at byte {key_at}")));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -401,6 +407,17 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote, backslash or control byte
+            // is copied in one piece. The run starts after an ASCII byte
+            // and ends before one, so it is whole characters of `src`.
+            let run = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -430,32 +447,17 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                _ if b < 0x20 => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, Error> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.bytes().len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
+        let hex = std::str::from_utf8(&self.bytes()[self.pos..end])
             .map_err(|_| self.err("invalid \\u escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
@@ -473,7 +475,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos]).unwrap();
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| Error::new(format!("invalid number at byte {start}")))
@@ -529,6 +531,59 @@ mod tests {
             "1.2.3",
             "{\"a\":1} x",
             "\"\\q\"",
+        ] {
+            assert!(from_str(bad).is_err(), "{bad:?} should fail to parse");
+        }
+    }
+
+    #[test]
+    fn from_str_rejects_an_object_with_a_key_twice() {
+        for bad in [
+            r#"{"a": 1, "a": 1}"#,
+            r#"{"a": 1, "b": 2, "a": "later"}"#,
+            r#"{"outer": {"k": null, "k": null}}"#,
+            r#"[{"k": 1, "k": 2}]"#,
+            // One key however it is spelt.
+            r#"{"a": 1, "\u0061": 2}"#,
+        ] {
+            let err = from_str(bad).expect_err(bad).to_string();
+            assert!(err.contains("duplicate object key"), "{bad}: {err}");
+        }
+        // The same key in two objects is two keys.
+        let ok = r#"{"a": {"k": 1}, "b": {"k": 2}, "c": [{"k": 3}, {"k": 4}]}"#;
+        assert!(from_str(ok).is_ok());
+    }
+
+    #[test]
+    fn from_str_copies_the_runs_between_escapes_whole() {
+        for (text, want) in [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""é✓𝄞""#, "é✓𝄞"),
+            (r#""é\n✓\\ü\"x""#, "é\n✓\\ü\"x"),
+            (r#""\u00e9é\u00e9""#, "ééé"),
+            (r#""\t\t""#, "\t\t"),
+            (
+                "\"del \u{7f} is no control byte here\"",
+                "del \u{7f} is no control byte here",
+            ),
+        ] {
+            assert_eq!(
+                from_str(text).unwrap(),
+                Value::String(want.into()),
+                "{text}"
+            );
+        }
+        // A cut or a control byte inside a run, and an escape that runs
+        // into a multi-byte character, are errors, not panics.
+        for bad in [
+            "\"é",
+            "\"é\\",
+            "\"é\u{1}\"",
+            "\"line\nbreak\"",
+            r#""\u0é""#,
+            r#""\u00é""#,
+            r#""\u000é""#,
         ] {
             assert!(from_str(bad).is_err(), "{bad:?} should fail to parse");
         }

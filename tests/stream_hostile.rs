@@ -163,6 +163,51 @@ fn the_stream_cut_anywhere_loses_at_most_its_last_line() {
     }
 }
 
+/// Another value of `v`'s own type where its reader would take one (a
+/// count, a fingerprint, a verdict), `v` itself otherwise.
+fn of_the_same_type(v: &Value) -> Value {
+    match v {
+        Value::Number(n) => Value::Number(n + 1.0),
+        Value::String(s) if s.starts_with("0x") => Value::String("0x0000000000000001".into()),
+        Value::Bool(b) => Value::Bool(!b),
+        other => other.clone(),
+    }
+}
+
+/// A record that says one thing twice says nothing (ROADMAP item 4 (c)).
+/// Every key of every record, written a second time with a value its
+/// reader would have taken, before the record or after it: the line is
+/// torn for all three readers, and no execution is replayed from it — in
+/// particular not one with the later value.
+#[test]
+fn a_record_with_a_key_twice_is_torn_never_read_with_the_later_value() {
+    let p = pristine();
+    for line in &p.lines {
+        let Ok(Value::Object(map)) = serde_json::from_str(line) else {
+            unreachable!("pristine lines are records")
+        };
+        for (key, value) in map.iter() {
+            let copy = serde_json::to_string(&of_the_same_type(value)).unwrap();
+            let body = &line[1..line.len() - 1];
+            for text in [
+                format!("{{{key:?}: {copy},{body}}}"),
+                format!("{{{body},{key:?}: {copy}}}"),
+            ] {
+                let mut whole = 0;
+                let torn = read_stream(&text, None, |_, _| whole += 1);
+                assert_eq!((whole, torn), (0, 1), "{text}");
+                let wal = parse_wal(&text, &p.name);
+                assert!(
+                    wal.completed.is_empty() && wal.run_start.is_none(),
+                    "{text}"
+                );
+                assert_eq!(wal.torn_lines, 1, "{text}");
+                check(text.as_bytes()).unwrap();
+            }
+        }
+    }
+}
+
 /// A value of another JSON type than `v`.
 fn of_another_type(v: &Value) -> Value {
     match v {
@@ -207,9 +252,9 @@ proptest! {
         check(text_of(map).as_bytes())?;
     }
 
-    /// The shim keeps the last of two equal keys, like `serde_json`: with
-    /// one of the two of the wrong type, the record reads as written or
-    /// not at all, wherever the second copy sits.
+    /// A second copy of a key, of the right type or the wrong one and
+    /// wherever it sits, never makes the record read as something else
+    /// (the deterministic test below: it makes the line torn).
     #[test]
     fn a_key_twice_is_dropped_or_unchanged(
         line in 0usize..4096,

@@ -6,8 +6,8 @@
 
 use perennial_checker::telemetry::strip_timing;
 use perennial_checker::{
-    render_summary, validate_json_line, CheckConfig, CheckConfigBuilder, Counterexample, FaultPlan,
-    Pass, TelemetrySink,
+    render_summary, trace_fingerprint, validate_json_line, CheckConfig, CheckConfigBuilder,
+    Counterexample, ExecOutcome, FaultPlan, Pass, TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
@@ -142,6 +142,83 @@ fn stream_has_the_documented_shape() {
         }
     }
     assert_eq!(names.len(), 1, "one run, one scenario stamp: {names:?}");
+}
+
+/// An execution's `trace_fp` is kept as its ghost events arrive and its
+/// trace is rendered only for a reader. So: the reported counterexample
+/// still carries the text it always did, `replay` renders the same text,
+/// and the fingerprint in the stream — of the failing execution and of a
+/// passing one, whose text nobody rendered — is the hash of that text.
+#[test]
+fn trace_text_is_for_readers_and_its_hash_is_in_the_stream_either_way() {
+    const TRACE: &str = "  [  0] Invoke { jid: Jid(0), op: Write(0, [7, 7]) }
+  [  1] Stash { jid: Jid(0), key: 0 }
+  [  2] Crash { new_version: 1, aborted: [] }
+  [  3] RecoveryDone { version: 1 }
+  [  4] Invoke { jid: Jid(1), op: Write(2, [5, 5]) }
+  [  5] Stash { jid: Jid(1), key: 2 }
+  [  6] Unstash { jid: Jid(1), key: 2 }
+  [  7] Commit { jid: Jid(1), op: Write(2, [5, 5]), ret: Unit }
+  [  8] Return { jid: Jid(1), ret: Unit }
+  [  9] Invoke { jid: Jid(2), op: Read(2) }
+  [ 10] Commit { jid: Jid(2), op: Read(2), ret: Val([5, 5]) }
+  [ 11] Return { jid: Jid(2), ret: Val([5, 5]) }
+";
+    let registry = all_mutant_scenarios();
+    let scenario = registry
+        .get("repldisk/mutant/zeroing-recovery")
+        .expect("registered scenario");
+    let config = base_cfg().workers(1).build();
+    let (report, lines) = run_with_stream(scenario, base_cfg().workers(1));
+    let cx = &report.counterexamples[0];
+    assert_eq!((cx.pass, cx.index), (Pass::CrashSweep, 2));
+    assert_eq!(cx.trace, TRACE);
+    let (outcome, replayed) = scenario.replay(cx, &config);
+    assert!(matches!(outcome, ExecOutcome::Violation(_)), "{outcome:?}");
+    assert_eq!(replayed, TRACE);
+
+    // (pass, index) -> (seed, trace_fp) of every `exec_done` record.
+    let mut execs = std::collections::BTreeMap::new();
+    for line in &lines {
+        let Ok(Value::Object(map)) = serde_json::from_str(line) else {
+            panic!("not a record: {line}")
+        };
+        let hex = |key: &str| match map.get(key) {
+            Some(Value::String(s)) => u64::from_str_radix(&s[2..], 16).expect("a hex64"),
+            other => panic!("{key}: {other:?} in {line}"),
+        };
+        if let (Some(Value::String(pass)), Some(Value::Number(index)), Some(_)) =
+            (map.get("pass"), map.get("index"), map.get("trace_fp"))
+        {
+            execs.insert(
+                (pass.clone(), *index as u64),
+                (hex("seed"), hex("trace_fp")),
+            );
+        }
+    }
+    let (_, failed_fp) = execs[&(cx.pass.to_string(), cx.index)];
+    assert_eq!(failed_fp, trace_fingerprint(TRACE));
+
+    // The crash sweep's base execution passes (the mutant needs a crash):
+    // replayed from its coordinates it renders the text its fingerprint
+    // was kept over.
+    let (seed, passing_fp) = execs[&(Pass::CrashSweepBase.to_string(), 0)];
+    let passing = Counterexample {
+        outcome: ExecOutcome::Ok,
+        pass: Pass::CrashSweepBase,
+        index: 0,
+        seed,
+        schedule_prefix: vec![],
+        crash_points: vec![],
+        clamped: vec![],
+        faults: FaultPlan::default(),
+        trace: String::new(),
+        timeline: None,
+    };
+    let (outcome, text) = scenario.replay(&passing, &config);
+    assert!(matches!(outcome, ExecOutcome::Ok), "{outcome:?}");
+    assert!(text.lines().count() > 3, "{text}");
+    assert_eq!(passing_fp, trace_fingerprint(&text));
 }
 
 #[test]

@@ -23,6 +23,13 @@
 # per text, and no text may appear twice. error.rs defines and renders
 # the variants and constructs none, so it is not searched. Turning a
 # spec `Outcome` into an error is `Transition::step`'s job alone.
+#
+# One fingerprint, one rendering: an execution's `trace_fp` is FNV-1a
+# over its rendered ghost trace, kept by `perennial::Trace` as events
+# arrive. So the FNV-1a prime is written in one file under crates/
+# (core/src/trace.rs; everything else hashes through `perennial::Fnv1a`),
+# and exec.rs renders a ghost trace at one site (a failing execution's
+# or a re-run's; never to fingerprint it).
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -117,5 +124,21 @@ if copies=$( (printf '%s' "$base_code"; code crates/spec/src/system.rs | sed 's|
     failed=1
     echo "        ^ a spec outcome is turned into an error by hand; that is Transition::step's business:"
     printf '%s\n' "$copies" | sed 's/^/          /'
+fi
+
+echo
+fnv_home=crates/core/src/trace.rs
+primes=$(grep -rlE '100_?0000_?01[bB]3' crates --include='*.rs' || true)
+renders=$(code crates/checker/src/exec.rs | grep -E '\.render\(\)' || true)
+sites=$(printf '%s' "$renders" | grep -c '' || true)
+echo "fingerprint: FNV-1a prime in [$(echo $primes)], $sites render() site(s) in exec.rs"
+if [ "$primes" != "$fnv_home" ]; then
+    failed=1
+    echo "        ^ the FNV-1a prime belongs in $fnv_home alone: hash through perennial::Fnv1a"
+fi
+if [ "$sites" -ne 1 ]; then
+    failed=1
+    echo "        ^ exec.rs renders a ghost trace at exactly one site:"
+    printf '%s\n' "$renders" | sed 's/^/          /'
 fi
 exit "$failed"
