@@ -9,7 +9,9 @@
 //! scenario at every pool size under two configs — schedule exploration
 //! (crash sweeps) and fault-sweep exploration (torn writes, transient
 //! I/O, disk/net fault plans) — and exits 1 unless every pool size
-//! produced the same counts; then the executions-to-counterexample
+//! produced the same counts; once more with one worker to count the
+//! schedule exploration's lock acquisitions and cell borrows per step
+//! (`parking_lot::count`); then the executions-to-counterexample
 //! table for every registered mutant under the three strategies, and a
 //! cold / with-WAL / resumed-from-the-WAL triple whose fingerprints
 //! must match. `--shard I/N` scopes the two exploration configs to one
@@ -26,7 +28,8 @@ use perennial_bench::args::{parse_args, value};
 use perennial_bench::perf::{diff_trees, render_diff};
 use perennial_bench::registry::{all_mutant_scenarios, all_scenarios};
 use perennial_bench::scale::{
-    record, render_counts, render_reduction, render_resume, run_counts, run_reduction, run_resume,
+    record, render_counts, render_reduction, render_resume, render_sync, run_counts, run_reduction,
+    run_resume, run_sync_counts,
 };
 use perennial_checker::{parse_shard, CheckConfig, Pass};
 
@@ -101,6 +104,8 @@ fn main() {
         })
     });
     print!("{}", render_counts(scenario.name(), &counts, &schedule));
+    let sync = run_sync_counts(scenario, &cfg);
+    print!("{}", render_sync(scenario.name(), &sync));
     println!();
     let fault_name = format!("{} (fault sweeps)", scenario.name());
     print!("{}", render_counts(&fault_name, &counts, &fault));
@@ -137,7 +142,14 @@ fn main() {
     println!();
     print!("{}", render_resume(scenario.name(), &resume));
 
-    let record = record(scenario.name(), &schedule, &fault, &reduction, &resume);
+    let record = record(
+        scenario.name(),
+        &schedule,
+        &sync,
+        &fault,
+        &reduction,
+        &resume,
+    );
     if let Some(path) = json_path {
         let text = serde_json::to_string_pretty(&record).expect("serializing a Value cannot fail");
         std::fs::write(path, text).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));

@@ -112,7 +112,7 @@ pub fn render_diff(d: &TreeDiff) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::{record, run_counts, run_reduction, run_resume};
+    use crate::scale::{record, run_counts, run_reduction, run_resume, run_sync_counts};
     use perennial_checker::{campaign::VOLATILE_KEYS, CheckConfig, Pass, TIMING_KEYS};
     use serde_json::json;
 
@@ -276,7 +276,15 @@ mod tests {
         let resume = run_resume(scenario, &cfg, &wal);
         let _ = std::fs::remove_file(&wal);
         let reduction = run_reduction(&crash_patterns::mutant_scenarios(), &cfg);
-        let fresh = record(scenario.name(), &counts, &counts, &reduction, &resume);
+        let sync = run_sync_counts(scenario, &cfg);
+        let fresh = record(
+            scenario.name(),
+            &counts,
+            &sync,
+            &counts,
+            &reduction,
+            &resume,
+        );
 
         for (what, tree) in [("a fresh record", fresh), ("BENCH_scale.json", committed())] {
             let mut found = Vec::new();

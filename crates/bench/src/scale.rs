@@ -1,8 +1,9 @@
 //! The deterministic counts behind `BENCH_scale.json`: what one
 //! scenario's exploration does, in numbers that are pure functions of
 //! the configuration (executions, scheduler steps, hand-off wake-ups,
-//! outcome and coverage counts, executions-to-counterexample per mutant
-//! and strategy, executions replayed from a complete WAL).
+//! lock acquisitions and cell borrows per step, outcome and coverage
+//! counts, executions-to-counterexample per mutant and strategy,
+//! executions replayed from a complete WAL).
 //!
 //! Nothing here reads a clock: wall-clock numbers are `BENCHMARK.json`'s
 //! (`benchmark/`), measured on workloads long enough to time. See
@@ -17,9 +18,15 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Version of the `BENCH_scale.json` record layout (2: counts only, one
-/// row per section). A record of another version differs from this one
-/// at `schema_version`, like at any other leaf.
-pub const SCALE_SCHEMA_VERSION: u64 = 2;
+/// row per section; 3: `model_locks_per_step` and `cell_borrows_per_step`
+/// beside `wakeups_per_step`). A record of another version differs from
+/// this one at `schema_version`, like at any other leaf.
+pub const SCALE_SCHEMA_VERSION: u64 = 3;
+
+/// `n` per scheduler step (per one step when there were none).
+fn per_step(n: u64, steps: u64) -> f64 {
+    n as f64 / steps.max(1) as f64
+}
 
 /// One configuration's counts. The determinism contract makes them the
 /// same at every pool size, which [`run_counts`] checks.
@@ -42,7 +49,7 @@ impl Counts {
     /// Hand-off wake-ups per scheduler step (2 when every step returns
     /// to the controller; below 1 with run-on grants).
     pub fn wakeups_per_step(&self) -> f64 {
-        self.wakeups as f64 / self.steps.max(1) as f64
+        per_step(self.wakeups, self.steps)
     }
 
     fn to_json(&self) -> Value {
@@ -140,6 +147,74 @@ pub fn render_counts(name: &str, worker_counts: &[usize], c: &Counts) -> String 
         c.coverage.distinct_traces,
     );
     out
+}
+
+// ---------------------------------------------------------------------
+// Synchronisation per step: real locks taken, owner cells borrowed
+// ---------------------------------------------------------------------
+
+/// What one exploration paid in synchronisation, counted by the
+/// `parking_lot` shim (`parking_lot::count`) on the thread that ran it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyncCounts {
+    /// Scheduler steps of the exploration.
+    pub steps: u64,
+    /// `Mutex::lock` calls: real locks, which an execution should take
+    /// none of — what is left belongs to the job pipeline.
+    pub mutex_locks: u64,
+    /// `OwnerCell` borrows: the runtime, the pilot, the ghost engine and
+    /// the models reaching their own state, each a thread-id compare and
+    /// a flag.
+    pub cell_borrows: u64,
+}
+
+impl SyncCounts {
+    pub fn model_locks_per_step(&self) -> f64 {
+        per_step(self.mutex_locks, self.steps)
+    }
+
+    pub fn cell_borrows_per_step(&self) -> f64 {
+        per_step(self.cell_borrows, self.steps)
+    }
+}
+
+/// Runs `scenario` with one worker — inline on the calling thread, which
+/// is where the shim's per-thread counters then see every acquisition —
+/// and returns what it counted.
+///
+/// # Panics
+///
+/// Panics if the shim was built without its `count` feature (this
+/// package's default feature turns it on): the record would say 0.
+pub fn run_sync_counts(scenario: &Scenario, base: &CheckConfig) -> SyncCounts {
+    use parking_lot::count;
+    // Not a `const` assertion: the library also builds, uncounted, as a
+    // dependency of the root package, which never calls this.
+    if !count::ENABLED {
+        panic!("perennial-bench built without its `count` feature: nothing counts acquisitions");
+    }
+    let mut cfg = base.clone();
+    cfg.workers = 1;
+    let (locks, borrows) = (count::mutex_locks(), count::cell_borrows());
+    let report = scenario.run(&cfg);
+    SyncCounts {
+        steps: report.total_steps,
+        mutex_locks: count::mutex_locks() - locks,
+        cell_borrows: count::cell_borrows() - borrows,
+    }
+}
+
+/// Renders the synchronisation row.
+pub fn render_sync(name: &str, s: &SyncCounts) -> String {
+    format!(
+        "Synchronisation per step: {name} (one worker)\n\
+         {} steps, {} Mutex::lock calls ({:.3}/step), {} owner-cell borrows ({:.3}/step)\n",
+        s.steps,
+        s.mutex_locks,
+        s.model_locks_per_step(),
+        s.cell_borrows,
+        s.cell_borrows_per_step(),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -374,6 +449,7 @@ impl ReductionRow {
 pub fn record(
     scenario: &str,
     schedule: &Counts,
+    sync: &SyncCounts,
     fault: &Counts,
     reduction: &[ReductionRow],
     resume: &ResumeRow,
@@ -382,6 +458,8 @@ pub fn record(
         "schema_version": SCALE_SCHEMA_VERSION,
         "scenario": scenario,
         "wakeups_per_step": schedule.wakeups_per_step(),
+        "model_locks_per_step": sync.model_locks_per_step(),
+        "cell_borrows_per_step": sync.cell_borrows_per_step(),
         "schedule_exploration": schedule.to_json(),
         "fault_exploration": fault.to_json(),
         "strategy_reduction": {
@@ -421,6 +499,21 @@ mod tests {
         assert!(c.wakeups > 0 && c.wakeups_per_step() < 1.0);
         assert_eq!(run_counts(scenario, &quick(), &[2]).as_ref(), Ok(&c));
         assert!(render_counts("patterns/wal", &[1, 2], &c).contains("wakeups/step"));
+    }
+
+    /// An execution takes no real lock: what `Mutex::lock` calls remain
+    /// are the job pipeline's, a handful per execution and far under one
+    /// per step, while every step borrows its runtime's cells.
+    #[test]
+    fn an_exploration_borrows_cells_and_takes_next_to_no_locks() {
+        let registry = crash_patterns::scenarios();
+        let scenario = registry.get("patterns/wal").expect("registered");
+        let s = run_sync_counts(scenario, &quick());
+        assert!(s.steps > 0);
+        assert!(s.model_locks_per_step() <= 0.1, "{s:?}");
+        assert!(s.cell_borrows_per_step() > 1.0, "{s:?}");
+        assert_eq!(run_sync_counts(scenario, &quick()), s, "a count, so exact");
+        assert!(render_sync("patterns/wal", &s).contains("/step"));
     }
 
     #[test]

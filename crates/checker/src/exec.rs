@@ -9,10 +9,10 @@ use crate::strategy::DepTrace;
 use crate::telemetry::ExecStats;
 use goose_rt::fault::FaultPlan;
 use goose_rt::sched::{
-    quiet_worker_panics, res, ModelRt, PanicKind, Pilot, SharedPilot, StepAccess, StepResult, Tid,
+    quiet_worker_panics, res, shared_pilot, ModelRt, PanicKind, Pilot, SharedPilot, StepAccess,
+    StepResult, Tid,
 };
 use goose_rt::trace::{ExecTrace, TraceKind};
-use parking_lot::Mutex;
 use perennial::{Fnv1a, Ghost, GhostError};
 use perennial_spec::SpecTS;
 use std::sync::Arc;
@@ -551,7 +551,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
     };
     let mut life = Lifecycle::start(harness.make(&w), w);
 
-    let pilot = Arc::new(Mutex::new(ExecPilot {
+    let pilot = shared_pilot(ExecPilot {
         sched: ScheduleState::new(policy, seed),
         steps: 0,
         crash_points: crash_points.iter().rev().copied().collect(),
@@ -560,7 +560,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
         dep: track_deps.then(DepTrace::default),
         ghost_ops: 0,
         spec_mark: capture_trace.then_some(0),
-    }));
+    });
     let shared: SharedPilot = pilot.clone();
     let mut crashes = 0u64;
     if track_deps {

@@ -1,10 +1,12 @@
 //! The ghost engine: Perennial's capability discipline as an executable,
 //! runtime-checked object.
 //!
-//! One [`Ghost`] instance accompanies one checked execution. Every method
-//! is one *atomic step* of ghost state (internally serialized by a mutex,
-//! mirroring Iris's rule that invariants open and close around a single
-//! atomic step). The engine plays three roles:
+//! One [`Ghost`] instance accompanies one checked execution, on the OS
+//! thread that runs it. Every method is one *atomic step* of ghost state:
+//! it borrows the whole state for its length (an owner-checked cell, not
+//! a lock — an execution's virtual threads share one OS thread, and no
+//! method yields), mirroring Iris's rule that invariants open and close
+//! around a single atomic step. The engine plays three roles:
 //!
 //! 1. **Capability bookkeeping** — versioned volatile cells, durable
 //!    master/lease cells, durable sets, helping tokens, the crash token.
@@ -21,7 +23,7 @@ use crate::error::{GhostError, GhostResult};
 use crate::resource::{check_version, DurId, Lease, Leased, PointsTo, SetId, SetItem, SetLease};
 use crate::trace::{Trace, TraceEvent};
 use crate::validate::Report;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::owner::{OwnerCell, OwnerGuard};
 use perennial_spec::{Jid, SpecTS, Transition};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
@@ -225,7 +227,7 @@ impl<S: SpecTS> Inner<S> {
 /// The ghost engine for one checked execution.
 pub struct Ghost<S: SpecTS> {
     spec: Arc<S>,
-    inner: Mutex<Inner<S>>,
+    inner: OwnerCell<Inner<S>>,
 }
 
 impl<S: SpecTS> Ghost<S> {
@@ -234,7 +236,7 @@ impl<S: SpecTS> Ghost<S> {
         let state = spec.init();
         Arc::new(Ghost {
             spec: Arc::new(spec),
-            inner: Mutex::new(Inner {
+            inner: OwnerCell::new(Inner {
                 version: 0,
                 state,
                 ops: HashMap::new(),
@@ -257,7 +259,9 @@ impl<S: SpecTS> Ghost<S> {
         &self.spec
     }
 
-    /// Locks the engine, counting the call. The contract: every public
+    /// Borrows the engine's state, counting the call. Panics from an OS
+    /// thread other than the one that built the engine, and if a step is
+    /// already in progress (see [`Ghost::with_trace`]). The contract: every public
     /// method counts at least once and [`Ghost::op_count`] itself never
     /// does, so the counter over-approximates ghost activity
     /// (conservative for dependency tracking).
@@ -270,14 +274,14 @@ impl<S: SpecTS> Ghost<S> {
     /// workload's execution counts and the DPOR pins in
     /// `tests/fingerprint_pin.rs`. The unit test below holds each method
     /// to it.
-    fn step_lock(&self) -> MutexGuard<'_, Inner<S>> {
+    fn step_lock(&self) -> OwnerGuard<'_, Inner<S>> {
         let mut g = self.inner.lock();
         g.op_count += 1;
         g
     }
 
     /// One atomic ghost step that can break the discipline: runs `rule`
-    /// under the lock, and makes its error sticky if it is the first.
+    /// over the borrowed state, and makes its error sticky if it is the first.
     fn step<T>(&self, rule: impl FnOnce(&mut Inner<S>) -> GhostResult<T>) -> GhostResult<T> {
         let mut g = self.step_lock();
         let result = rule(&mut g);
@@ -757,8 +761,8 @@ impl<S: SpecTS> Ghost<S> {
 
     /// Reads the refinement trace in place — its events, its running
     /// fingerprint, its rendering for a failure report — as one ghost
-    /// step: `read` runs under the engine's lock and must not call back
-    /// into this engine.
+    /// step: `read` runs with the engine's state borrowed and must not call
+    /// back into this engine (it would panic).
     pub fn with_trace<R>(&self, read: impl FnOnce(&Trace<S::Op, S::Ret>) -> R) -> R {
         read(&self.step_lock().trace)
     }

@@ -14,12 +14,12 @@
 //! [`LockInv::reset`].
 
 use crate::error::{GhostError, GhostResult};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 
 /// A lock invariant slot holding a capability bundle of type `B`.
 #[derive(Debug)]
 pub struct LockInv<B> {
-    slot: Mutex<SlotState<B>>,
+    slot: OwnerCell<SlotState<B>>,
 }
 
 #[derive(Debug)]
@@ -36,7 +36,7 @@ impl<B: Send> LockInv<B> {
     /// underlying capability").
     pub fn new(bundle: B) -> Self {
         LockInv {
-            slot: Mutex::new(SlotState::Present(bundle)),
+            slot: OwnerCell::new(SlotState::Present(bundle)),
         }
     }
 

@@ -24,7 +24,7 @@ use crate::single::{oob_ub, ModelDisk, SingleDisk};
 use crate::Block;
 use goose_rt::fault::{retry_with_backoff, IoError, IoResult, DEFAULT_IO_ATTEMPTS};
 use goose_rt::sched::{res, ModelRt};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 use std::sync::Arc;
 
 /// A write-buffered disk over a durable [`ModelDisk`] image.
@@ -34,7 +34,7 @@ pub struct BufferedDisk {
     /// Unflushed writes in program order (the same block may appear more
     /// than once; a torn crash keeping a later entry over an earlier one
     /// models write reordering).
-    pending: Mutex<Vec<(u64, Block)>>,
+    pending: OwnerCell<Vec<(u64, Block)>>,
     /// Dependency-tracking resource id. The whole device is one
     /// resource: the *order* of entries in the shared write buffer is
     /// observable through torn-crash plans, so buffered writes to
@@ -50,7 +50,7 @@ impl BufferedDisk {
         Arc::new(BufferedDisk {
             rt,
             inner,
-            pending: Mutex::new(Vec::new()),
+            pending: OwnerCell::new(Vec::new()),
             tag,
         })
     }

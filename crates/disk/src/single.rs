@@ -4,7 +4,7 @@
 use crate::Block;
 use goose_rt::fault::{retry_with_backoff, IoError, IoResult, DEFAULT_IO_ATTEMPTS};
 use goose_rt::sched::{res, ModelRt, UbSignal};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 use std::sync::Arc;
 
 /// The single-disk interface: addressable blocks, atomic per-block reads
@@ -57,9 +57,9 @@ pub(crate) fn oob_ub(op: &str, a: u64, size: u64) -> ! {
 /// [`retry_with_backoff`].
 pub struct ModelDisk {
     rt: Arc<ModelRt>,
-    blocks: Mutex<Vec<Block>>,
+    blocks: OwnerCell<Vec<Block>>,
     block_size: usize,
-    ops: Mutex<u64>,
+    ops: OwnerCell<u64>,
     /// Dependency-tracking resource id; accesses are per-block.
     tag: u64,
 }
@@ -70,9 +70,9 @@ impl ModelDisk {
         let tag = rt.alloc_resource_tag();
         Arc::new(ModelDisk {
             rt,
-            blocks: Mutex::new(vec![vec![0; block_size]; nblocks as usize]),
+            blocks: OwnerCell::new(vec![vec![0; block_size]; nblocks as usize]),
             block_size,
-            ops: Mutex::new(0),
+            ops: OwnerCell::new(0),
             tag,
         })
     }
@@ -165,9 +165,10 @@ impl SingleDisk for ModelDisk {
     }
 }
 
-/// Native single disk: lock-per-block, for benchmarks.
+/// Native single disk: lock-per-block, for benchmarks. Real OS threads
+/// share it, so each block keeps a real lock.
 pub struct NativeDisk {
-    blocks: Vec<Mutex<Block>>,
+    blocks: Vec<parking_lot::Mutex<Block>>,
     block_size: usize,
 }
 
@@ -176,7 +177,7 @@ impl NativeDisk {
     pub fn new(nblocks: u64, block_size: usize) -> Arc<Self> {
         Arc::new(NativeDisk {
             blocks: (0..nblocks)
-                .map(|_| Mutex::new(vec![0; block_size]))
+                .map(|_| parking_lot::Mutex::new(vec![0; block_size]))
                 .collect(),
             block_size,
         })

@@ -11,7 +11,7 @@ use crate::single::oob_ub;
 use crate::Block;
 use goose_rt::fault::{retry_with_backoff, IoError, IoResult, DEFAULT_IO_ATTEMPTS};
 use goose_rt::sched::{res, ModelRt};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 use std::sync::Arc;
 
 /// Which physical disk.
@@ -63,7 +63,7 @@ struct TwoState {
 /// durable across crashes; failure injectable by the controller.
 pub struct ModelTwoDisks {
     rt: Arc<ModelRt>,
-    state: Mutex<TwoState>,
+    state: OwnerCell<TwoState>,
     block_size: usize,
     /// Dependency-tracking resource id; accesses are per (disk, block).
     tag: u64,
@@ -76,7 +76,7 @@ impl ModelTwoDisks {
         Arc::new(ModelTwoDisks {
             rt,
             tag,
-            state: Mutex::new(TwoState {
+            state: OwnerCell::new(TwoState {
                 d1: vec![vec![0; block_size]; nblocks as usize],
                 d2: vec![vec![0; block_size]; nblocks as usize],
                 failed1: false,
@@ -226,10 +226,11 @@ impl TwoDisks for ModelTwoDisks {
     }
 }
 
-/// Native two-disk device: lock-per-block per disk, for benchmarks.
+/// Native two-disk device: lock-per-block per disk, for benchmarks. Real
+/// OS threads share it, so each block keeps a real lock.
 pub struct NativeTwoDisks {
-    d1: Vec<Mutex<Block>>,
-    d2: Vec<Mutex<Block>>,
+    d1: Vec<parking_lot::Mutex<Block>>,
+    d2: Vec<parking_lot::Mutex<Block>>,
     failed1: std::sync::atomic::AtomicBool,
     failed2: std::sync::atomic::AtomicBool,
     block_size: usize,
@@ -240,10 +241,10 @@ impl NativeTwoDisks {
     pub fn new(nblocks: u64, block_size: usize) -> Arc<Self> {
         Arc::new(NativeTwoDisks {
             d1: (0..nblocks)
-                .map(|_| Mutex::new(vec![0; block_size]))
+                .map(|_| parking_lot::Mutex::new(vec![0; block_size]))
                 .collect(),
             d2: (0..nblocks)
-                .map(|_| Mutex::new(vec![0; block_size]))
+                .map(|_| parking_lot::Mutex::new(vec![0; block_size]))
                 .collect(),
             failed1: std::sync::atomic::AtomicBool::new(false),
             failed2: std::sync::atomic::AtomicBool::new(false),

@@ -23,7 +23,7 @@
 
 use super::traits::{DirH, Fd, FileSys, FsError, FsResult, Mode};
 use crate::sched::{res, ModelRt};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -73,7 +73,7 @@ struct BufState {
 /// semantics.
 pub struct BufferedFs {
     rt: Arc<ModelRt>,
-    state: Mutex<BufState>,
+    state: OwnerCell<BufState>,
     /// Dependency-tracking resource id: the whole file system is one
     /// resource (fd/inode allocation couples every mutating op).
     tag: u64,
@@ -97,7 +97,7 @@ impl BufferedFs {
         Arc::new(BufferedFs {
             rt,
             tag,
-            state: Mutex::new(BufState {
+            state: OwnerCell::new(BufState {
                 vol: image.clone(),
                 dur: image,
                 dir_names,
@@ -109,7 +109,7 @@ impl BufferedFs {
         })
     }
 
-    fn step(&self, write: bool, op: &'static str) -> parking_lot::MutexGuard<'_, BufState> {
+    fn step(&self, write: bool, op: &'static str) -> parking_lot::owner::OwnerGuard<'_, BufState> {
         self.rt.yield_point();
         self.rt.note_access(res::instance(self.tag), write);
         self.rt.note_fs_op(self.tag, op, write);

@@ -7,7 +7,7 @@
 
 use super::traits::{DirH, Fd, FileSys, FsError, FsResult, Mode};
 use crate::sched::{res, ModelRt};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ struct FsState {
 /// The crashable model file system.
 pub struct ModelFs {
     rt: Arc<ModelRt>,
-    state: Mutex<FsState>,
+    state: OwnerCell<FsState>,
     /// Dependency-tracking resource id: the whole file system is one
     /// resource (fd/inode allocation couples every mutating op).
     tag: u64,
@@ -58,7 +58,7 @@ impl ModelFs {
         Arc::new(ModelFs {
             rt,
             tag,
-            state: Mutex::new(FsState {
+            state: OwnerCell::new(FsState {
                 dirs: dir_tables,
                 dir_names,
                 inodes: HashMap::new(),
@@ -91,7 +91,7 @@ impl ModelFs {
         Some(s.dirs[d].keys().cloned().collect())
     }
 
-    fn step(&self, write: bool, op: &'static str) -> parking_lot::MutexGuard<'_, FsState> {
+    fn step(&self, write: bool, op: &'static str) -> parking_lot::owner::OwnerGuard<'_, FsState> {
         self.rt.yield_point();
         self.rt.note_access(res::instance(self.tag), write);
         self.rt.note_fs_op(self.tag, op, write);

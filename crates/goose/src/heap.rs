@@ -19,7 +19,7 @@
 //! accesses to the same object".
 
 use crate::sched::{res, ModelRt, Tid, UbSignal};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -101,7 +101,7 @@ struct HeapState {
 /// lost, §6.2's crash model).
 pub struct Heap {
     rt: Arc<ModelRt>,
-    state: Mutex<HeapState>,
+    state: OwnerCell<HeapState>,
 }
 
 fn ub(msg: String) -> ! {
@@ -113,7 +113,7 @@ impl Heap {
     pub fn new(rt: Arc<ModelRt>) -> Arc<Self> {
         Arc::new(Heap {
             rt,
-            state: Mutex::new(HeapState {
+            state: OwnerCell::new(HeapState {
                 objs: BTreeMap::new(),
                 next: 1,
             }),

@@ -42,7 +42,8 @@ pub use heap::{HVal, Heap, Ptr, Slice};
 pub use net::ModelNet;
 pub use runtime::{GLock, ModelRtExt, ModelRuntime, NativeRt, Runtime};
 pub use sched::{
-    quiet_worker_panics, res, splitmix64, CrashSignal, LockId, ModelRt, PanicKind, Pilot,
-    SchedStats, SharedPilot, StepAccess, StepBudgetSignal, StepResult, Tid, UbSignal,
+    quiet_worker_panics, res, shared_pilot, splitmix64, CrashSignal, LockId, ModelRt, PanicKind,
+    Pilot, PilotCell, SchedStats, SharedPilot, StepAccess, StepBudgetSignal, StepResult, Tid,
+    UbSignal,
 };
 pub use trace::{ExecTrace, TraceEvent, TraceKind};

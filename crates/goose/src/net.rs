@@ -14,7 +14,7 @@
 
 use crate::fault::NetFault;
 use crate::sched::{res, ModelRt};
-use parking_lot::Mutex;
+use parking_lot::owner::OwnerCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ struct NetState {
 /// One unreliable model channel.
 pub struct ModelNet {
     rt: Arc<ModelRt>,
-    state: Mutex<NetState>,
+    state: OwnerCell<NetState>,
     /// Dependency-tracking resource id: the whole channel is one
     /// resource (queue order makes all sends/recvs conflict anyway).
     tag: u64,
@@ -41,7 +41,7 @@ impl ModelNet {
         let tag = rt.alloc_resource_tag();
         Arc::new(ModelNet {
             rt,
-            state: Mutex::new(NetState {
+            state: OwnerCell::new(NetState {
                 queue: VecDeque::new(),
                 delayed: None,
                 closed: false,

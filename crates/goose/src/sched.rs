@@ -35,8 +35,8 @@
 //! nothing is runnable, or the running thread finished or panicked (a
 //! blown step budget is a panic). What only the controller can do —
 //! inject the crash, spawn recovery, classify the verdict — therefore
-//! stays with it. The pilot is called with no runtime lock held and by
-//! the one thread that is running, so it may read the runtime freely.
+//! stays with it. The pilot is called with no runtime state borrowed and
+//! by the one thread that is running, so it may read the runtime freely.
 //! [`ModelRt::grant`] is the same path with no pilot: the first step
 //! boundary comes home.
 //!
@@ -48,13 +48,21 @@
 //! last: `thread_done` says where the baton goes and the base of the
 //! thread's stack makes the switch, once nothing is left on it.
 //!
-//! **No runtime lock is held across a switch.** The context switched to
-//! runs on the same OS thread, so a lock the switcher still held would
-//! not block a peer until it is released: it would deadlock the OS thread
-//! against itself. The state lock, the pilot's lock and the trace and
-//! footprint buffers are all released before `pass_to`. The same goes for
-//! a body that holds a real mutex across a model primitive — as it did
-//! when threads were OS threads, where the peer blocked for good.
+//! **One owner, no locks.** Everything a runtime owns — its state, the
+//! pilot, the trace and footprint buffers — is reached only from the OS
+//! thread that built it, so each sits in an [`OwnerCell`], not behind a
+//! mutex: a borrow checks the calling OS thread and that no other borrow
+//! is alive, and synchronises nothing. The ghost engine and the storage
+//! models built over a runtime follow the same rule.
+//!
+//! **No borrow is held across a switch.** The context switched to runs on
+//! the same OS thread, so a borrow the switcher still held would still be
+//! alive when a peer asked for it, and the peer would panic where a mutex
+//! would have deadlocked the OS thread against itself. The state, the
+//! pilot and the trace and footprint buffers are all released before
+//! `pass_to`. A body that holds a real mutex across a model primitive
+//! still deadlocks — as it did when threads were OS threads, where the
+//! peer blocked for good.
 //!
 //! [`ModelRt::current_tid`] and the quiet-panic scope
 //! ([`quiet_worker_panics`]) are thread-locals of the one OS thread, so
@@ -69,7 +77,7 @@
 use crate::coro::{self, Ctx};
 use crate::fault::{FaultPlan, NetFault, TornMode};
 use crate::trace::{ExecTrace, TraceBuf, TraceKind};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::owner::{OwnerCell, OwnerGuard};
 use perennial::GhostPanic;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -136,8 +144,8 @@ pub enum PanicKind {
 
 /// The scheduling decision taken at every step boundary, packaged so that
 /// whichever thread holds the baton can take it (see [`ModelRt::run`]).
-/// Both methods are called with no runtime lock held, by the one thread
-/// that is running, so they may use any `ModelRt` method except `run`,
+/// Both methods are called with no runtime state borrowed, by the one
+/// thread that is running, so they may use any `ModelRt` method except `run`,
 /// `grant`, `crash_all` and `join_all`. A pilot must not panic: on a
 /// virtual thread's stack there is no controller frame to catch it.
 pub trait Pilot: Send {
@@ -151,10 +159,21 @@ pub trait Pilot: Send {
     fn pick(&mut self, rt: &ModelRt, runnable: &[Tid]) -> Option<Tid>;
 }
 
-/// A pilot as [`ModelRt::run`] takes it: shared between the controller,
-/// which reads it between runs, and the runtime, which holds a clone for
-/// the length of one run.
-pub type SharedPilot = Arc<Mutex<dyn Pilot>>;
+/// A pilot of type `P` shared between the controller, which reads it
+/// between runs, and the runtime, which holds a handle for the length of
+/// one run and borrows it at each step boundary. Like the runtime it
+/// steers, it belongs to the OS thread that built it ([`shared_pilot`]).
+pub type PilotCell<P> = Arc<OwnerCell<P>>;
+
+/// A pilot as [`ModelRt::run`] takes it: any [`PilotCell`].
+pub type SharedPilot = PilotCell<dyn Pilot>;
+
+/// Shares `pilot` between its controller and the runs it will steer. The
+/// handle coerces to a [`SharedPilot`]; `lock()` on it borrows the pilot,
+/// which the controller may do between runs only.
+pub fn shared_pilot<P: Pilot>(pilot: P) -> PilotCell<P> {
+    Arc::new(OwnerCell::new(pilot))
+}
 
 #[derive(Debug, Clone, PartialEq)]
 enum TState {
@@ -192,7 +211,8 @@ struct RtState {
     /// `grant` or `crash_all`, and so where a baton coming home goes.
     controller: Option<Ctx>,
     /// The pilot steering the current [`ModelRt::run`]; `None` between
-    /// runs and under [`ModelRt::grant`].
+    /// runs, under [`ModelRt::grant`], and while a step boundary has it
+    /// out to call it.
     pilot: Option<SharedPilot>,
     /// Set by the thread that ends a run — the one whose step the pilot
     /// did not follow with another grant — and taken by the controller.
@@ -393,8 +413,9 @@ pub mod res {
 /// The model runtime: scheduler state plus the primitives virtual threads
 /// call.
 pub struct ModelRt {
-    state: Mutex<RtState>,
-    /// Baton passes made so far (see [`ModelRt::wakeups`]).
+    state: OwnerCell<RtState>,
+    /// Baton passes made so far (see [`ModelRt::wakeups`]). Written by
+    /// the owning OS thread only, so a plain load and store.
     wakeups: AtomicU64,
     seed: u64,
     max_steps: u64,
@@ -404,21 +425,19 @@ pub struct ModelRt {
     faults: FaultPlan,
     /// Whether the dependency hooks record accesses (off by default; the
     /// checker enables it for executions feeding partial-order
-    /// reduction). Checked lock-free so disabled runs pay one relaxed
-    /// load per primitive.
+    /// reduction). Disabled runs pay one relaxed load per primitive.
     track_deps: AtomicBool,
     /// Accesses of the currently granted step, drained when it ends
     /// via [`ModelRt::take_step_accesses`].
-    cur_accesses: Mutex<Vec<StepAccess>>,
+    cur_accesses: OwnerCell<Vec<StepAccess>>,
     /// Next instance tag for [`ModelRt::alloc_resource_tag`].
     next_tag: AtomicU64,
     /// Whether the causal trace recorder is on (off by default; the
     /// checker enables it when re-running a counterexample for explain
-    /// output). Checked lock-free so untraced runs pay one relaxed load
-    /// per event site.
+    /// output). Untraced runs pay one relaxed load per event site.
     tracing: AtomicBool,
     /// The trace recording buffer (drained via [`ModelRt::take_trace`]).
-    trace_buf: Mutex<TraceBuf>,
+    trace_buf: OwnerCell<TraceBuf>,
 }
 
 /// Installs a process-wide panic hook (once) that silences the expected
@@ -473,7 +492,7 @@ impl ModelRt {
     pub fn with_faults(seed: u64, max_steps: u64, faults: FaultPlan) -> Arc<Self> {
         install_quiet_hook();
         Arc::new(ModelRt {
-            state: Mutex::new(RtState {
+            state: OwnerCell::new(RtState {
                 threads: Vec::new(),
                 live: 0,
                 controller: None,
@@ -499,10 +518,10 @@ impl ModelRt {
             max_steps,
             faults,
             track_deps: AtomicBool::new(false),
-            cur_accesses: Mutex::new(Vec::new()),
+            cur_accesses: OwnerCell::new(Vec::new()),
             next_tag: AtomicU64::new(0),
             tracing: AtomicBool::new(false),
-            trace_buf: Mutex::new(TraceBuf::default()),
+            trace_buf: OwnerCell::new(TraceBuf::default()),
         })
     }
 
@@ -805,12 +824,19 @@ impl ModelRt {
         self.wakeups.load(Ordering::Relaxed)
     }
 
+    /// Counts one baton pass. Every caller has just borrowed `state`, so
+    /// it is the owning OS thread and the only writer: no `lock xadd`.
+    fn count_pass(&self) {
+        let passes = self.wakeups.load(Ordering::Relaxed);
+        self.wakeups.store(passes + 1, Ordering::Relaxed);
+    }
+
     /// Passes the baton to `to`: the one place a context switch is made.
     /// Returns when the baton is passed back to the caller. Callers
-    /// release every runtime lock first: `to` runs on this OS thread and
-    /// would deadlock on it.
+    /// release every borrow of the runtime first: `to` runs on this OS
+    /// thread and would find it still alive.
     fn pass_to(&self, to: Ctx) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        self.count_pass();
         // The thread-locals belong to whoever is running: put the
         // caller's back when it resumes, or unwinds from here.
         let _tid = scoped(&CURRENT_TID, CURRENT_TID.with(Cell::get));
@@ -819,7 +845,7 @@ impl ModelRt {
     }
 
     /// Marks `tid` as holding the grant and returns its context, for the
-    /// caller to switch to once the state lock is released.
+    /// caller to switch to once it has released the state.
     fn mark_granted(&self, s: &mut RtState, tid: Tid) -> Ctx {
         match s.threads[tid].state {
             TState::Registered | TState::Paused => {}
@@ -841,17 +867,19 @@ impl ModelRt {
     /// — and `None` if `tid` itself was picked, and so keeps the baton.
     fn next_holder<'a>(
         &'a self,
-        mut s: MutexGuard<'a, RtState>,
+        mut s: OwnerGuard<'a, RtState>,
         tid: Tid,
         terminated: bool,
     ) -> Option<Ctx> {
         let mut next = None;
-        if let Some(pilot) = s.pilot.clone() {
+        // Taken out for the call and put back after it: the run's handle
+        // is moved, not reference-counted, at every step.
+        if let Some(pilot) = s.pilot.take() {
             let mut runnable = std::mem::take(&mut s.runnable_buf);
             runnable.clear();
             runnable.extend(s.runnable());
             // The pilot reads the runtime through its public methods, so
-            // it is never called under the state lock.
+            // it is never called with the state borrowed.
             drop(s);
             {
                 let mut pilot = pilot.lock();
@@ -862,6 +890,7 @@ impl ModelRt {
             }
             s = self.state.lock();
             s.runnable_buf = runnable;
+            s.pilot = Some(pilot);
         }
         match next {
             Some(next) => {
@@ -881,7 +910,7 @@ impl ModelRt {
     /// Ends a granted step at a yield or a block: publishes `state`,
     /// passes the baton on and, unless the thread keeps it, is suspended
     /// until the next grant or unwinds with a [`CrashSignal`].
-    fn hand_back(&self, mut s: MutexGuard<'_, RtState>, tid: Tid, state: TState) {
+    fn hand_back(&self, mut s: OwnerGuard<'_, RtState>, tid: Tid, state: TState) {
         s.threads[tid].state = state;
         let Some(next) = self.next_holder(s, tid, false) else {
             return;
@@ -890,7 +919,10 @@ impl ModelRt {
         let s = self.state.lock();
         if s.poisoned {
             drop(s);
-            std::panic::panic_any(CrashSignal);
+            // Not `panic_any`: the quiet hook would drop a `CrashSignal`
+            // anyway, so the hook call and its location and message
+            // machinery are skipped, once per unwound thread.
+            resume_unwind(Box::new(CrashSignal));
         }
         debug_assert_eq!(s.threads[tid].state, TState::Granted);
     }
@@ -916,7 +948,7 @@ impl ModelRt {
         };
         // The switch itself is made by the context's base, once this
         // stack has nothing left on it.
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        self.count_pass();
         next
     }
 
@@ -1262,6 +1294,8 @@ pub fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    // For what the test bodies log into, not for anything of the runtime's.
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Runs all runnable threads round-robin to completion.
@@ -1722,12 +1756,12 @@ mod tests {
     }
 
     impl Script {
-        fn shared(picks: &[Tid], stop_at: Option<u64>) -> Arc<Mutex<Script>> {
-            Arc::new(Mutex::new(Script {
+        fn shared(picks: &[Tid], stop_at: Option<u64>) -> PilotCell<Script> {
+            shared_pilot(Script {
                 picks: picks.iter().copied().collect(),
                 stop_at,
                 ..Script::default()
-            }))
+            })
         }
     }
 
@@ -1832,7 +1866,7 @@ mod tests {
 
     /// Drives `script` to its first refusal: on the carriers (`run`), or
     /// from the controller one `grant` at a time.
-    fn drive(rt: &ModelRt, script: &Arc<Mutex<Script>>, on_carriers: bool) -> (Tid, StepResult) {
+    fn drive(rt: &ModelRt, script: &PilotCell<Script>, on_carriers: bool) -> (Tid, StepResult) {
         let first = script
             .lock()
             .pick(rt, &rt.runnable())
@@ -1953,16 +1987,89 @@ mod tests {
         assert_eq!(Arc::strong_count(&owned), 1, "the body was dropped");
     }
 
+    /// What a foreign OS thread is told when it does `what` to a runtime.
+    fn refused<R: Send + 'static>(what: impl FnOnce() -> R + Send + 'static) -> String {
+        let refused = std::thread::spawn(what)
+            .join()
+            .err()
+            .expect("refused from another OS thread");
+        let msg = refused.downcast_ref::<String>().cloned();
+        msg.unwrap_or_else(|| {
+            refused
+                .downcast_ref::<&str>()
+                .expect("a message")
+                .to_string()
+        })
+    }
+
     #[test]
     fn a_runtime_is_driven_from_the_os_thread_its_threads_were_spawned_on() {
         let rt = ModelRt::new(0, 10_000);
         spawn_loggers(&rt, 1);
-        let rt2 = Arc::clone(&rt);
-        let refused = std::thread::spawn(move || rt2.grant(0))
-            .join()
-            .expect_err("a grant from another OS thread");
-        let msg = refused.downcast_ref::<String>().expect("a message");
-        assert!(msg.contains("another OS thread"), "{msg}");
+        let ghost = perennial::Ghost::new(perennial_spec::fixtures::RegSpec { size: 1 });
+        type Call = fn(&Arc<ModelRt>);
+        let foreign: [(&str, Call); 6] = [
+            ("grant", |rt| drop(rt.grant(0))),
+            ("crash_all", |rt| rt.crash_all()),
+            ("spawn", |rt| {
+                rt.spawn("theirs", || {});
+            }),
+            // No yield point, no switch: still the owner's to read.
+            ("steps", |rt| {
+                rt.steps();
+            }),
+            ("sched_stats", |rt| {
+                rt.sched_stats();
+            }),
+            ("runnable", |rt| drop(rt.runnable())),
+        ];
+        for (what, call) in foreign {
+            let rt2 = Arc::clone(&rt);
+            let msg = refused(move || call(&rt2));
+            assert!(msg.contains("another OS thread"), "{what}: {msg}");
+        }
+        let msg = refused(move || ghost.version());
+        assert!(msg.contains("another OS thread"), "Ghost::version: {msg}");
+        // Every call was refused before it touched anything.
+        assert_eq!(rt.sched_stats().threads, 1);
+        assert_eq!(rt.grant(0), StepResult::Yielded);
+        rt.crash_all();
+    }
+
+    /// A pilot that reads the runtime it steers at every boundary.
+    struct Reader {
+        seen: Vec<(u64, Vec<Tid>)>,
+    }
+
+    impl Pilot for Reader {
+        fn step_done(&mut self, rt: &ModelRt, _tid: Tid) {
+            assert_eq!(rt.sched_stats().steps, rt.steps());
+        }
+
+        fn pick(&mut self, rt: &ModelRt, runnable: &[Tid]) -> Option<Tid> {
+            assert_eq!(rt.runnable(), runnable);
+            self.seen.push((rt.steps(), runnable.to_vec()));
+            (self.seen.len() < 6).then(|| runnable[self.seen.len() % runnable.len()])
+        }
+    }
+
+    #[test]
+    fn the_pilot_is_never_called_with_the_state_borrowed() {
+        let rt = ModelRt::new(0, 10_000);
+        spawn_loggers(&rt, 2);
+        let reader = shared_pilot(Reader { seen: Vec::new() });
+        let pilot: SharedPilot = reader.clone();
+        assert_eq!(rt.run(&pilot, 0), (1, StepResult::Yielded));
+        let seen = std::mem::take(&mut reader.lock().seen);
+        assert_eq!(
+            seen.iter().map(|(steps, _)| *steps).collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5, 6],
+            "a pick per boundary, each reading the step count through the runtime"
+        );
+        assert!(seen.iter().all(|(_, r)| r == &[0, 1]));
+        // The handle was put back after every call and dropped by `run`.
+        assert_eq!(Arc::strong_count(&reader), 2);
+        rt.crash_all();
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! nobody else's threads.
 #![cfg(target_os = "linux")]
 
-use goose_rt::{ModelRt, PanicKind, Pilot, SharedPilot, StepResult, Tid};
-use parking_lot::Mutex;
+use goose_rt::{shared_pilot, ModelRt, PanicKind, Pilot, SharedPilot, StepResult, Tid};
 use std::sync::{Arc, Barrier};
 
 /// The most virtual threads live at once in any execution below.
@@ -39,7 +38,7 @@ impl Pilot for RoundRobin {
 /// (returned): one `grant` per step, or `piloted`, in runs on the
 /// virtual threads' own stacks.
 fn drain(rt: &ModelRt, piloted: bool) -> Option<(Tid, PanicKind)> {
-    let pilot: SharedPilot = Arc::new(Mutex::new(RoundRobin(0)));
+    let pilot: SharedPilot = shared_pilot(RoundRobin(0));
     loop {
         let runnable = rt.runnable();
         if runnable.is_empty() {

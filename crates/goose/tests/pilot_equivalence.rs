@@ -8,8 +8,8 @@
 //! on, and everything observable is compared.
 
 use goose_rt::{
-    ExecTrace, HVal, Heap, LockId, ModelRt, PanicKind, Pilot, Ptr, SchedStats, SharedPilot,
-    StepAccess, StepResult, Tid,
+    shared_pilot, ExecTrace, HVal, Heap, LockId, ModelRt, PanicKind, Pilot, Ptr, SchedStats,
+    SharedPilot, StepAccess, StepResult, Tid,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -185,13 +185,13 @@ fn execute(seed: u64, on_carriers: bool) -> (Observation, u64) {
         shared.spawn(format!("t{t}"), script(&mut rng, len, false));
     }
     let recovery = script(&mut rng, 4, false);
-    let recorder = Arc::new(Mutex::new(Recorder {
+    let recorder = shared_pilot(Recorder {
         rng: Rng::new(seed ^ 0xa5a5),
         steps: 0,
         crash_at: (rng.below(3) > 0).then(|| rng.below(25)),
         decisions: Vec::new(),
         footprints: Vec::new(),
-    }));
+    });
     let pilot: SharedPilot = recorder.clone();
     let mut ended = Vec::new();
 

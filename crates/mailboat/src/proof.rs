@@ -24,7 +24,8 @@ use goose_rt::fs::{DirH, FileSys, ModelFs};
 use goose_rt::heap::{Heap, Slice};
 use goose_rt::net::ModelNet;
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::owner::OwnerCell;
+use parking_lot::RwLock;
 use perennial::{GhostUnwrap, LockInv, SetId, SetLease};
 use perennial_checker::{System, World};
 use std::sync::Arc;
@@ -72,7 +73,7 @@ pub struct VerifiedMailboat {
     locks: RwLock<Vec<Arc<dyn GLock>>>,
     /// While a user is locked (Pickup…Unlock), their deletion lease
     /// lives here.
-    sessions: Vec<Mutex<Option<SetLease<String>>>>,
+    sessions: Vec<OwnerCell<Option<SetLease<String>>>>,
 }
 
 impl VerifiedMailboat {
@@ -89,7 +90,7 @@ impl VerifiedMailboat {
             let (set, lease) = w.ghost.alloc_set::<String>(Vec::<String>::new());
             sets.push(set);
             lockinvs.push(Arc::new(LockInv::new(lease)));
-            sessions.push(Mutex::new(None));
+            sessions.push(OwnerCell::new(None));
         }
         VerifiedMailboat {
             mutant,

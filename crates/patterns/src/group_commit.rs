@@ -19,7 +19,8 @@
 
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::owner::OwnerCell;
+use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::BufferedDisk;
@@ -141,7 +142,7 @@ pub struct GroupCommitLog {
     lockinv: Arc<LockInv<GcBundle>>,
     lock: RwLock<Option<Arc<dyn GLock>>>,
     /// Volatile: entries appended since the last flush. Cleared at boot.
-    buffer: Mutex<Vec<u64>>,
+    buffer: OwnerCell<Vec<u64>>,
 }
 
 fn enc(v: u64) -> Vec<u8> {
@@ -171,7 +172,7 @@ impl GroupCommitLog {
             cells,
             lockinv: Arc::new(LockInv::new(GcBundle { leases })),
             lock: RwLock::new(None),
-            buffer: Mutex::new(Vec::new()),
+            buffer: OwnerCell::new(Vec::new()),
         }
     }
 

@@ -17,7 +17,8 @@
 
 use goose_rt::fs::{BufferedFs, DirH, Fd, FileSys};
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::owner::OwnerCell;
+use parking_lot::RwLock;
 use perennial::GhostUnwrap;
 use perennial_checker::{Harness, Script, System, World};
 use perennial_spec::{SpecTS, Transition};
@@ -126,7 +127,7 @@ pub struct SyncedLog {
     dir: DirH,
     lock: RwLock<Option<Arc<dyn GLock>>>,
     /// The append descriptor (volatile: re-created at boot).
-    fd: Mutex<Option<Fd>>,
+    fd: OwnerCell<Option<Fd>>,
 }
 
 const LOG_FILE: &str = "log";
@@ -161,7 +162,7 @@ impl SyncedLog {
             fs,
             dir,
             lock: RwLock::new(None),
-            fd: Mutex::new(None),
+            fd: OwnerCell::new(None),
         }
     }
 

@@ -9,8 +9,19 @@
 //!   lock — the model runtime unwinds virtual threads on purpose);
 //! - `lock()`/`read()`/`write()` return guards directly, not `Result`s;
 //! - `Condvar::wait` takes `&mut MutexGuard`.
+//!
+//! Two modules are this workspace's own, not parking_lot's: [`owner`],
+//! the cell that replaces a mutex where only one OS thread can reach the
+//! state, and [`count`], the acquisition counters behind
+//! `BENCH_scale.json`'s `model_locks_per_step`.
 
 #![deny(unsafe_code)]
+
+pub mod count;
+// One of the tree's two modules allowed `unsafe` (the other is
+// `goose-rt`'s `coro`): the cell's `UnsafeCell` and its `Send`/`Sync`.
+#[allow(unsafe_code)]
+pub mod owner;
 
 use std::sync;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,6 +56,7 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count::mutex_lock();
         let guard = match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -53,6 +65,7 @@ impl<T: ?Sized> Mutex<T> {
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        count::mutex_lock();
         match self.inner.try_lock() {
             Ok(g) => Some(MutexGuard { inner: Some(g) }),
             Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {

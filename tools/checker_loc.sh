@@ -30,6 +30,14 @@
 # (core/src/trace.rs; everything else hashes through `perennial::Fnv1a`),
 # and exec.rs renders a ghost trace at one site (a failing execution's
 # or a re-run's; never to fingerprint it).
+#
+# One owner per execution: the runtime, the pilot, the ghost engine and
+# the models built over a runtime are reached from one OS thread, so
+# their state sits in the shim's owner-checked cell, not behind a lock.
+# The files that hold them may not import `parking_lot::Mutex` again (a
+# type real OS threads share spells its lock out in full, where it is
+# declared: `NativeDisk`, `NativeTwoDisks`). And `unsafe` is written in
+# two modules only: the context switch and that cell.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -141,4 +149,29 @@ if [ "$sites" -ne 1 ]; then
     echo "        ^ exec.rs renders a ghost trace at exactly one site:"
     printf '%s\n' "$renders" | sed 's/^/          /'
 fi
+
+echo
+unsafe_homes='crates/goose/src/coro.rs shims/parking_lot/src/owner.rs'
+single_owner='crates/goose/src/sched.rs crates/core/src/engine.rs crates/core/src/lockinv.rs
+crates/disk/src/single.rs crates/disk/src/buffered.rs crates/disk/src/two.rs
+crates/goose/src/heap.rs crates/goose/src/net.rs crates/goose/src/fs/model.rs
+crates/goose/src/fs/buffered.rs'
+unsafe_files=""
+for path in $(find crates shims src tests examples -name '*.rs' | sort); do
+    if code "$path" | grep -qE '(^|[^_a-zA-Z`])unsafe([^_a-zA-Z`]|$)'; then
+        unsafe_files="$unsafe_files $path"
+    fi
+done
+echo "one owner: unsafe in [$(echo $unsafe_files)]"
+if [ "$(echo $unsafe_files)" != "$unsafe_homes" ]; then
+    failed=1
+    echo "        ^ unsafe belongs in [$unsafe_homes] alone"
+fi
+for path in $single_owner; do
+    if locks=$(code "$path" | grep -E '^[0-9]+: *use parking_lot::.*\bMutex\b'); then
+        failed=1
+        echo "        ^ $path imports a lock for state one OS thread owns; use parking_lot::owner::OwnerCell:"
+        printf '%s\n' "$locks" | sed 's/^/          /'
+    fi
+done
 exit "$failed"
