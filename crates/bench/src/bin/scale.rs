@@ -11,27 +11,37 @@
 //! I/O, disk/net fault plans) — and exits 1 unless every pool size
 //! produced the same counts; once more with one worker to count the
 //! schedule exploration's lock acquisitions and cell borrows per step
-//! (`parking_lot::count`); then the executions-to-counterexample
-//! table for every registered mutant under the three strategies, and a
+//! (`parking_lot::count`), and once more to count its heap allocations
+//! per execution (the counting allocator this binary installs); then
+//! the executions-to-counterexample table for every registered mutant
+//! under the three strategies (the DPOR cells with their allocations
+//! per execution), and a
 //! cold / with-WAL / resumed-from-the-WAL triple whose fingerprints
 //! must match. `--shard I/N` scopes the two exploration configs to one
 //! deterministic campaign slice (DESIGN.md §13). `--json` writes the
 //! record; `--baseline FILE` compares the record against a committed
 //! one leaf for leaf and exits 1 on any changed, missing or extra leaf
-//! or section. The record holds no wall-clock number: those are
+//! or section, or an allocation leaf more than 10 % over its committed
+//! value. The record holds no wall-clock number: those are
 //! `BENCHMARK.json`'s (EXPERIMENTS.md "Counts baseline" maps each
 //! retired timing leaf to its owner).
 
 #![deny(unsafe_code)]
 
 use perennial_bench::args::{parse_args, value};
+use perennial_bench::count_alloc::Counting;
 use perennial_bench::perf::{diff_trees, render_diff};
 use perennial_bench::registry::{all_mutant_scenarios, all_scenarios};
 use perennial_bench::scale::{
-    record, render_counts, render_reduction, render_resume, render_sync, run_counts, run_reduction,
-    run_resume, run_sync_counts,
+    record, render_allocs, render_counts, render_reduction, render_resume, render_sync,
+    run_alloc_counts, run_counts, run_reduction, run_resume, run_sync_counts,
 };
 use perennial_checker::{parse_shard, CheckConfig, Pass};
+
+/// Every heap allocation of this process goes through the counter, which
+/// keeps one total per OS thread.
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -106,6 +116,8 @@ fn main() {
     print!("{}", render_counts(scenario.name(), &counts, &schedule));
     let sync = run_sync_counts(scenario, &cfg);
     print!("{}", render_sync(scenario.name(), &sync));
+    let allocs = run_alloc_counts(scenario, &cfg);
+    print!("{}", render_allocs(scenario.name(), &allocs));
     println!();
     let fault_name = format!("{} (fault sweeps)", scenario.name());
     print!("{}", render_counts(&fault_name, &counts, &fault));
@@ -146,6 +158,7 @@ fn main() {
         scenario.name(),
         &schedule,
         &sync,
+        &allocs,
         &fault,
         &reduction,
         &resume,

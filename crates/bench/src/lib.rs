@@ -16,7 +16,8 @@
 //! binaries and examples. [`scale`] produces the deterministic counts
 //! recorded in `BENCH_scale.json` and [`perf`] compares a fresh record
 //! with the committed one, leaf for leaf. [`registry`] is the one list of
-//! the workspace's scenarios.
+//! the workspace's scenarios. [`count_alloc`] is the counting allocator
+//! `scale` and `tests/alloc_budget.rs` install.
 //!
 //! The `harness` binary regenerates every table and figure:
 //! `cargo run -p perennial-bench --release --bin harness -- all`.
@@ -25,6 +26,9 @@
 
 pub mod ablation;
 pub mod args;
+// The one module here allowed `unsafe`: it implements `GlobalAlloc`.
+#[allow(unsafe_code)]
+pub mod count_alloc;
 pub mod fig11;
 pub mod loc;
 pub mod perf;

@@ -7,7 +7,13 @@
 //! any difference fails the gate. Nothing is matched up, skipped or
 //! defaulted — a baseline with a section deleted differs at that
 //! section's path. If the change was intended, regenerate the baseline.
+//!
+//! The one exception is a leaf named in [`ALLOC_LEAVES`]: it also counts
+//! the standard library's allocations, which move with the toolchain, so
+//! it differs only when it comes out more than [`ALLOC_SLACK`] over the
+//! baseline's value.
 
+use crate::scale::{ALLOC_LEAVES, ALLOC_SLACK};
 use serde_json::Value;
 use std::fmt::Write as _;
 
@@ -43,6 +49,18 @@ fn show(v: &Value) -> String {
     }
 }
 
+/// Whether the leaf at `path` holds its baseline: equal, or for an
+/// allocation leaf, at most [`ALLOC_SLACK`] over it.
+fn holds(path: &str, baseline: &Value, current: &Value) -> bool {
+    let bounded = ALLOC_LEAVES
+        .iter()
+        .any(|k| path.strip_suffix(k).is_some_and(|p| p.ends_with('.')));
+    match (baseline, current) {
+        (Value::Number(b), Value::Number(c)) if bounded => *c <= b * (1.0 + ALLOC_SLACK),
+        _ => baseline == current,
+    }
+}
+
 fn walk(path: &str, baseline: &Value, current: &Value, out: &mut TreeDiff) {
     let only =
         |side: &str, at: String, v: &Value| format!("{at}: only in the {side} ({})", show(v));
@@ -75,7 +93,7 @@ fn walk(path: &str, baseline: &Value, current: &Value, out: &mut TreeDiff) {
             if is_leaf(baseline) && is_leaf(current) {
                 out.compared += 1;
             }
-            if baseline != current {
+            if !holds(path, baseline, current) {
                 out.differences.push(format!(
                     "{path}: baseline {}, current {}",
                     show(baseline),
@@ -87,7 +105,8 @@ fn walk(path: &str, baseline: &Value, current: &Value, out: &mut TreeDiff) {
 }
 
 /// Compares two JSON trees exactly: objects by key, arrays by index,
-/// leaves by value. Paths are written `$.section.rows[3].field`.
+/// leaves by value (an allocation leaf by its bound). Paths are written
+/// `$.section.rows[3].field`.
 pub fn diff_trees(baseline: &Value, current: &Value) -> TreeDiff {
     let mut out = TreeDiff::default();
     walk("$", baseline, current, &mut out);
@@ -112,7 +131,9 @@ pub fn render_diff(d: &TreeDiff) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::{record, run_counts, run_reduction, run_resume, run_sync_counts};
+    use crate::scale::{
+        record, run_alloc_counts, run_counts, run_reduction, run_resume, run_sync_counts,
+    };
     use perennial_checker::{campaign::VOLATILE_KEYS, CheckConfig, Pass, TIMING_KEYS};
     use serde_json::json;
 
@@ -161,7 +182,7 @@ mod tests {
         assert_eq!(d.compared, leaf_count(&r));
         assert!(
             d.compared > 500,
-            "28 mutants x 19 leaves and the counts rows"
+            "28 mutants x 21 leaves and the counts rows"
         );
     }
 
@@ -187,6 +208,60 @@ mod tests {
         assert!(
             added.starts_with("$.resume_overhead.wal_overhead: only in the current run"),
             "{added}"
+        );
+    }
+
+    #[test]
+    fn an_allocation_leaf_differs_only_over_its_bound() {
+        let base = committed();
+        let set = |r: &mut Value, keys: &[&str], leaf: &str, v: f64| {
+            object(r, keys).insert(leaf.into(), json!(v));
+        };
+        let schedule = ["schedule_exploration"];
+        let Some(Value::Number(allocs)) = object(&mut committed(), &schedule)
+            .get("allocs_per_exec")
+            .cloned()
+        else {
+            panic!("no allocs_per_exec in the schedule row")
+        };
+        for (v, over) in [(0.5, false), (1.09, false), (1.11, true)] {
+            let mut cur = committed();
+            set(&mut cur, &schedule, "allocs_per_exec", allocs * v);
+            let d = diff_trees(&base, &cur);
+            assert_eq!(
+                d.differences.len(),
+                usize::from(over),
+                "{}",
+                render_diff(&d)
+            );
+        }
+        let over = the_difference(|r| {
+            let Value::Object(dpor) = &mut mutants(r)[5] else {
+                panic!("mutant rows are objects")
+            };
+            let Some(Value::Object(cell)) = dpor.get_mut("sleep_set_dpor") else {
+                panic!("no DPOR cell")
+            };
+            cell.insert("alloc_bytes_per_exec".into(), json!(1e12));
+        });
+        assert!(
+            over.starts_with(
+                "$.strategy_reduction.mutants[5].sleep_set_dpor.alloc_bytes_per_exec: "
+            ),
+            "{over}"
+        );
+        let gone = the_difference(|r| {
+            object(r, &schedule).remove("allocs_per_exec");
+        });
+        assert!(
+            gone.starts_with("$.schedule_exploration.allocs_per_exec: only in the baseline"),
+            "{gone}"
+        );
+        // The bound is the allocation leaves' alone.
+        let exact = the_difference(|r| set(r, &schedule, "executions", 1.0));
+        assert!(
+            exact.starts_with("$.schedule_exploration.executions: "),
+            "{exact}"
         );
     }
 
@@ -277,10 +352,12 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
         let reduction = run_reduction(&crash_patterns::mutant_scenarios(), &cfg);
         let sync = run_sync_counts(scenario, &cfg);
+        let allocs = run_alloc_counts(scenario, &cfg);
         let fresh = record(
             scenario.name(),
             &counts,
             &sync,
+            &allocs,
             &counts,
             &reduction,
             &resume,

@@ -1,17 +1,18 @@
 //! The deterministic counts behind `BENCH_scale.json`: what one
 //! scenario's exploration does, in numbers that are pure functions of
 //! the configuration (executions, scheduler steps, hand-off wake-ups,
-//! lock acquisitions and cell borrows per step, outcome and coverage
-//! counts, executions-to-counterexample per mutant and strategy,
-//! executions replayed from a complete WAL).
+//! lock acquisitions and cell borrows per step, heap allocations per
+//! execution, outcome and coverage counts, executions-to-counterexample
+//! per mutant and strategy, executions replayed from a complete WAL).
 //!
 //! Nothing here reads a clock: wall-clock numbers are `BENCHMARK.json`'s
 //! (`benchmark/`), measured on workloads long enough to time. See
 //! `cargo run --release -p perennial-bench --bin scale`.
 
+use crate::count_alloc;
 use perennial_checker::{
-    report_fingerprint, trace_fingerprint, CheckConfig, Coverage, CoverageGuided, Exhaustive,
-    OutcomeCounts, OutcomeKind, Scenario, ScenarioSet, SleepSetDpor, Strategy,
+    report_fingerprint, trace_fingerprint, CheckConfig, CheckReport, Coverage, CoverageGuided,
+    Exhaustive, OutcomeCounts, OutcomeKind, Scenario, ScenarioSet, SleepSetDpor, Strategy,
 };
 use serde_json::{json, Value};
 use std::fmt::Write as _;
@@ -19,9 +20,29 @@ use std::sync::Arc;
 
 /// Version of the `BENCH_scale.json` record layout (2: counts only, one
 /// row per section; 3: `model_locks_per_step` and `cell_borrows_per_step`
-/// beside `wakeups_per_step`). A record of another version differs from
-/// this one at `schema_version`, like at any other leaf.
-pub const SCALE_SCHEMA_VERSION: u64 = 3;
+/// beside `wakeups_per_step`; 4: `allocs_per_exec` and
+/// `alloc_bytes_per_exec` in `schedule_exploration` and in every
+/// mutant's `sleep_set_dpor` cell). A record of another version differs
+/// from this one at `schema_version`, like at any other leaf.
+///
+/// The allocation leaves ([`ALLOC_LEAVES`]) are the only ones the gate
+/// does not compare exactly. Counted at one worker on the thread that ran
+/// the exploration, they agree run after run and whatever pool sizes ran
+/// before them, but they include the standard library's own allocations
+/// (collection growth, sort scratch, formatting), and CI builds with
+/// whatever toolchain is stable that day. So [`crate::perf::diff_trees`]
+/// holds each under a bound instead: the committed value plus
+/// [`ALLOC_SLACK`], the margin `tests/alloc_budget.rs` allows. A missing
+/// or extra allocation leaf still fails like any other.
+pub const SCALE_SCHEMA_VERSION: u64 = 4;
+
+/// The record's leaves that count heap allocations: upper-bounded by the
+/// gate, not matched exactly (see [`SCALE_SCHEMA_VERSION`]).
+pub const ALLOC_LEAVES: [&str; 2] = ["allocs_per_exec", "alloc_bytes_per_exec"];
+
+/// How far over its committed value an allocation leaf may come out:
+/// 10 %.
+pub const ALLOC_SLACK: f64 = 0.10;
 
 /// `n` per scheduler step (per one step when there were none).
 fn per_step(n: u64, steps: u64) -> f64 {
@@ -218,6 +239,76 @@ pub fn render_sync(name: &str, s: &SyncCounts) -> String {
 }
 
 // ---------------------------------------------------------------------
+// Allocations per execution: the heap's exact proxy
+// ---------------------------------------------------------------------
+
+/// What an exploration allocated on the thread that ran it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllocCounts {
+    pub executions: usize,
+    /// Allocation calls.
+    pub allocs: u64,
+    /// Bytes those calls asked for.
+    pub bytes: u64,
+}
+
+impl AllocCounts {
+    pub fn allocs_per_exec(&self) -> f64 {
+        self.allocs as f64 / self.executions.max(1) as f64
+    }
+
+    pub fn bytes_per_exec(&self) -> f64 {
+        self.bytes as f64 / self.executions.max(1) as f64
+    }
+
+    /// Adds the per-execution leaves ([`ALLOC_LEAVES`]) to a record's
+    /// object.
+    fn put(&self, row: &mut Value) {
+        if let Value::Object(row) = row {
+            let [allocs, bytes] = ALLOC_LEAVES;
+            row.insert(allocs.into(), json!(self.allocs_per_exec()));
+            row.insert(bytes.into(), json!(self.bytes_per_exec()));
+        }
+    }
+}
+
+/// Runs `cfg` on `scenario` with one worker — inline on the calling
+/// thread, which is where [`count_alloc::thread_totals`] then sees every
+/// allocation — and counts what the run allocated. No count depends on
+/// the pool size. A process that installs no [`count_alloc::Counting`]
+/// reads zeros.
+fn measured(scenario: &Scenario, mut cfg: CheckConfig) -> (CheckReport, AllocCounts) {
+    cfg.workers = 1;
+    let (calls, bytes) = count_alloc::thread_totals();
+    let report = scenario.run(&cfg);
+    let (calls_after, bytes_after) = count_alloc::thread_totals();
+    let counts = AllocCounts {
+        executions: report.executions,
+        allocs: calls_after - calls,
+        bytes: bytes_after - bytes,
+    };
+    (report, counts)
+}
+
+/// Runs `scenario` with one worker and returns what it allocated.
+pub fn run_alloc_counts(scenario: &Scenario, base: &CheckConfig) -> AllocCounts {
+    measured(scenario, base.clone()).1
+}
+
+/// Renders the allocation row.
+pub fn render_allocs(name: &str, a: &AllocCounts) -> String {
+    format!(
+        "Allocations per execution: {name} (one worker)\n\
+         {} executions, {} allocations ({:.1}/exec), {} bytes ({:.0}/exec)\n",
+        a.executions,
+        a.allocs,
+        a.allocs_per_exec(),
+        a.bytes,
+        a.bytes_per_exec(),
+    )
+}
+
+// ---------------------------------------------------------------------
 // Resume: a complete WAL replays, and changes no fingerprint
 // ---------------------------------------------------------------------
 
@@ -295,6 +386,8 @@ pub struct ReductionRow {
     pub scenario: String,
     pub exhaustive: StrategyCell,
     pub dpor: StrategyCell,
+    /// What the DPOR run allocated.
+    pub dpor_allocs: AllocCounts,
     pub coverage: StrategyCell,
 }
 
@@ -329,32 +422,41 @@ impl ReductionRow {
     }
 }
 
-fn run_cell(scenario: &Scenario, base: &CheckConfig, strategy: Arc<dyn Strategy>) -> StrategyCell {
-    let mut cfg = base.clone();
-    cfg.strategy = strategy;
-    let report = scenario.run(&cfg);
-    StrategyCell {
-        executions: report.executions,
-        pruned: report.pruned,
-        guided: report.coverage_guided,
-        fingerprint: report
-            .counterexample
-            .as_ref()
-            .map(|cx| (cx.pass.to_string(), trace_fingerprint(&cx.trace))),
+impl StrategyCell {
+    fn of(report: &CheckReport) -> Self {
+        StrategyCell {
+            executions: report.executions,
+            pruned: report.pruned,
+            guided: report.coverage_guided,
+            fingerprint: report
+                .counterexample
+                .as_ref()
+                .map(|cx| (cx.pass.to_string(), trace_fingerprint(&cx.trace))),
+        }
     }
 }
 
 /// Runs every mutant in `registry` under the three strategies and
 /// reports executions-to-counterexample for each. `base.strategy` is
-/// ignored; everything else (budgets, passes, workers) carries over.
+/// ignored; everything else (budgets, passes, workers) carries over,
+/// except that the DPOR run takes one worker, to count what it
+/// allocated.
 pub fn run_reduction(registry: &ScenarioSet, base: &CheckConfig) -> Vec<ReductionRow> {
+    let under = |strategy: Arc<dyn Strategy>| {
+        let mut cfg = base.clone();
+        cfg.strategy = strategy;
+        cfg
+    };
     let mut rows = Vec::new();
     for scenario in registry {
+        let exhaustive = StrategyCell::of(&scenario.run(&under(Arc::new(Exhaustive))));
+        let (dpor, dpor_allocs) = measured(scenario, under(Arc::new(SleepSetDpor)));
         rows.push(ReductionRow {
             scenario: scenario.name().to_string(),
-            exhaustive: run_cell(scenario, base, Arc::new(Exhaustive)),
-            dpor: run_cell(scenario, base, Arc::new(SleepSetDpor)),
-            coverage: run_cell(scenario, base, Arc::new(CoverageGuided)),
+            exhaustive,
+            dpor: StrategyCell::of(&dpor),
+            dpor_allocs,
+            coverage: StrategyCell::of(&scenario.run(&under(Arc::new(CoverageGuided)))),
         });
     }
     rows
@@ -384,13 +486,13 @@ pub fn render_reduction(rows: &[ReductionRow]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<36} {:>10} {:>10} {:>8} {:>10} {:>8} {:>6}",
-        "mutant", "exhaustive", "dpor", "ratio", "coverage", "ratio", "fp="
+        "{:<36} {:>10} {:>10} {:>8} {:>10} {:>8} {:>6} {:>12}",
+        "mutant", "exhaustive", "dpor", "ratio", "coverage", "ratio", "fp=", "dpor allocs"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<36} {:>10} {:>10} {:>7.1}x {:>10} {:>7.1}x {:>6}",
+            "{:<36} {:>10} {:>10} {:>7.1}x {:>10} {:>7.1}x {:>6} {:>7.1}/exec",
             r.scenario,
             r.exhaustive.executions,
             r.dpor.executions,
@@ -398,6 +500,7 @@ pub fn render_reduction(rows: &[ReductionRow]) -> String {
             r.coverage.executions,
             r.coverage_ratio(),
             if r.fingerprints_agree() { "yes" } else { "NO" },
+            r.dpor_allocs.allocs_per_exec(),
         );
     }
     let _ = writeln!(
@@ -431,10 +534,12 @@ impl StrategyCell {
 
 impl ReductionRow {
     fn to_json(&self) -> Value {
+        let mut dpor = self.dpor.to_json();
+        self.dpor_allocs.put(&mut dpor);
         json!({
             "scenario": self.scenario,
             "exhaustive": self.exhaustive.to_json(),
-            "sleep_set_dpor": self.dpor.to_json(),
+            "sleep_set_dpor": dpor,
             "coverage_guided": self.coverage.to_json(),
             "dpor_ratio": self.dpor_ratio(),
             "coverage_ratio": self.coverage_ratio(),
@@ -445,22 +550,26 @@ impl ReductionRow {
 
 /// The `BENCH_scale.json` record: every leaf a deterministic function
 /// of the configuration, so [`crate::perf::diff_trees`] can compare two
-/// of them exactly.
+/// of them (exactly but for [`ALLOC_LEAVES`]). `allocs` is the schedule
+/// exploration's.
 pub fn record(
     scenario: &str,
     schedule: &Counts,
     sync: &SyncCounts,
+    allocs: &AllocCounts,
     fault: &Counts,
     reduction: &[ReductionRow],
     resume: &ResumeRow,
 ) -> Value {
+    let mut schedule_row = schedule.to_json();
+    allocs.put(&mut schedule_row);
     json!({
         "schema_version": SCALE_SCHEMA_VERSION,
         "scenario": scenario,
         "wakeups_per_step": schedule.wakeups_per_step(),
         "model_locks_per_step": sync.model_locks_per_step(),
         "cell_borrows_per_step": sync.cell_borrows_per_step(),
-        "schedule_exploration": schedule.to_json(),
+        "schedule_exploration": schedule_row,
         "fault_exploration": fault.to_json(),
         "strategy_reduction": {
             "mutants": reduction.iter().map(ReductionRow::to_json).collect::<Vec<_>>(),
@@ -514,6 +623,36 @@ mod tests {
         assert!(s.cell_borrows_per_step() > 1.0, "{s:?}");
         assert_eq!(run_sync_counts(scenario, &quick()), s, "a count, so exact");
         assert!(render_sync("patterns/wal", &s).contains("/step"));
+    }
+
+    /// This test binary installs no counting allocator, so a run reads
+    /// zeros (`tests/alloc_budget.rs` counts for real); the leaves are the
+    /// totals over the executions.
+    #[test]
+    fn allocation_leaves_are_totals_per_execution() {
+        let registry = crash_patterns::scenarios();
+        let scenario = registry.get("patterns/wal").expect("registered");
+        let a = run_alloc_counts(scenario, &quick());
+        assert!(a.executions > 0);
+        assert_eq!(
+            (a.allocs, a.bytes),
+            (0, 0),
+            "nothing installed, nothing counted"
+        );
+        let a = AllocCounts {
+            executions: 4,
+            allocs: 10,
+            bytes: 96,
+        };
+        let mut row = json!({ "executions": 4 });
+        a.put(&mut row);
+        let expected = json!({
+            "executions": 4,
+            "allocs_per_exec": 2.5,
+            "alloc_bytes_per_exec": 24.0,
+        });
+        assert_eq!(row, expected);
+        assert!(render_allocs("patterns/wal", &a).contains("(2.5/exec)"));
     }
 
     #[test]

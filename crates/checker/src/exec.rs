@@ -123,6 +123,18 @@ impl Policy {
     }
 }
 
+/// Room for the decisions of an execution under `policy`: one that
+/// replays a prefix makes at least that many. Rounded up to a power of
+/// two, the sizes a growing vector takes anyway: one-off sizes left the
+/// allocator's free lists fragmented after a DPOR campaign, and every
+/// allocation of the process slower (EXPERIMENTS.md, PR 25).
+fn decisions_hint(policy: &Policy) -> usize {
+    match policy.prefix().len() {
+        0 => 0,
+        n => n.next_power_of_two().max(4),
+    }
+}
+
 struct ScheduleState {
     policy: Policy,
     /// (choice index, number of runnable options) per decision.
@@ -136,8 +148,8 @@ struct ScheduleState {
 impl ScheduleState {
     fn new(policy: Policy, seed: u64) -> Self {
         ScheduleState {
+            decisions: Vec::with_capacity(decisions_hint(&policy)),
             policy,
-            decisions: Vec::new(),
             clamped: Vec::new(),
             rr_next: 0,
             rng: seed | 1,
@@ -233,7 +245,7 @@ pub(crate) struct RunResult {
     /// either way).
     pub trace: String,
     /// Per-grant dependency observations (`track_deps` executions), boxed
-    /// because most executions have none, and trimmed to size.
+    /// because most executions have none.
     pub deps: Option<Box<DepTrace>>,
     /// Causal execution trace (`capture_trace` executions).
     pub exec_trace: Option<ExecTrace>,
@@ -283,14 +295,7 @@ impl RunResult {
             wakeups: rt.wakeups(),
             duration: started.elapsed(),
             trace: log.trace,
-            deps: log.deps.map(|mut deps| {
-                // Pushed to grant by grant, and kept until the wave's
-                // strategy feedback: give the slack back.
-                deps.accesses.iter_mut().for_each(Vec::shrink_to_fit);
-                deps.accesses.shrink_to_fit();
-                deps.runnables.shrink_to_fit();
-                Box::new(deps)
-            }),
+            deps: log.deps.map(Box::new),
             exec_trace: capture_trace.then(|| rt.take_trace()),
         }
     }
@@ -428,18 +433,20 @@ impl<S: SpecTS> Pilot for ExecPilot<S> {
     fn step_done(&mut self, rt: &ModelRt, tid: Tid) {
         self.steps += 1;
         if let Some(dep) = self.dep.as_mut() {
-            let mut acc = rt.take_step_accesses();
-            if self.ghost.op_count() != self.ghost_ops {
-                // Ghost activity is tagged per thread: a thread's spec
-                // events are ordered by its own program order, and any
-                // cross-thread spec coupling (helping, linearization
-                // against a shared object) is mediated by a physical
-                // primitive whose resource tag is already in the
-                // footprint. Untagged cross-thread ghost coupling would
-                // be unsound to commute — see DESIGN.md §12.
-                acc.push(StepAccess::write(res::GHOST | tid as u64));
-            }
-            dep.accesses.push(acc);
+            // Ghost activity is tagged per thread: a thread's spec events
+            // are ordered by its own program order, and any cross-thread
+            // spec coupling (helping, linearization against a shared
+            // object) is mediated by a physical primitive whose resource
+            // tag is already in the footprint. Untagged cross-thread
+            // ghost coupling would be unsound to commute — see DESIGN.md
+            // §12.
+            let ghost = self.ghost.op_count() != self.ghost_ops;
+            dep.push_footprint(|row| {
+                rt.drain_step_accesses(row);
+                if ghost {
+                    row.push(StepAccess::write(res::GHOST | tid as u64));
+                }
+            });
         }
         self.drain_spec(rt, Some(tid));
     }
@@ -452,7 +459,7 @@ impl<S: SpecTS> Pilot for ExecPilot<S> {
         }
         let tid = self.sched.choose(runnable);
         if let Some(dep) = self.dep.as_mut() {
-            dep.runnables.push(runnable.to_vec());
+            dep.push_runnable(runnable);
             // Snapshot immediately before the grant so controller-side
             // ghost calls (crash(), validate()) between grants never
             // pollute the per-grant delta.
@@ -551,22 +558,24 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
     };
     let mut life = Lifecycle::start(harness.make(&w), w);
 
+    let dep = track_deps.then(|| DepTrace::with_capacity(decisions_hint(&policy)));
     let pilot = shared_pilot(ExecPilot {
         sched: ScheduleState::new(policy, seed),
         steps: 0,
         crash_points: crash_points.iter().rev().copied().collect(),
         disk_fail: faults.disk_fail,
         ghost: Arc::clone(&ghost),
-        dep: track_deps.then(DepTrace::default),
+        dep,
         ghost_ops: 0,
         spec_mark: capture_trace.then_some(0),
     });
     let shared: SharedPilot = pilot.clone();
     let mut crashes = 0u64;
+    // Footprints belong to granted steps: what setup and the crash
+    // transitions note is drained here and dropped.
+    let mut discarded = Vec::new();
     if track_deps {
-        // Discard anything noted during boot/spawn: footprints belong to
-        // granted steps, not setup.
-        rt.take_step_accesses();
+        rt.drain_step_accesses(&mut discarded);
     }
     // Spec-visible ghost events stream into the causal trace as they
     // appear: the pilot drains them after every grant (attributed to the
@@ -601,6 +610,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
 
     // One iteration per event only the controller can handle: the pilot
     // schedules every step in between on the virtual threads' own stacks.
+    let mut runnable = Vec::new();
     loop {
         let first = {
             let mut p = pilot.lock();
@@ -621,9 +631,9 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
                 p.drain_spec(&rt, None);
                 if track_deps {
                     // Crash unwinding and re-boot are controller
-                    // transitions, not granted steps; drop any footprint
-                    // they left behind.
-                    rt.take_step_accesses();
+                    // transitions, not granted steps.
+                    discarded.clear();
+                    rt.drain_step_accesses(&mut discarded);
                 }
                 // A crash consumes a "step" so nested sweeps can target
                 // positions inside recovery distinctly.
@@ -631,7 +641,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
                 continue;
             }
 
-            let runnable = rt.runnable();
+            rt.runnable_into(&mut runnable);
             if runnable.is_empty() {
                 if rt.all_done() {
                     // Pending crash points beyond the end are simply

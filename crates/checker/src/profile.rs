@@ -183,10 +183,9 @@ pub struct Profile {
 /// is all the profiler keeps of an execution's footprints.
 pub fn collisions(decisions: &[(usize, usize)], deps: &DepTrace) -> Vec<(u64, u64)> {
     let mut acc: BTreeMap<u64, (BTreeSet<Tid>, u64, bool)> = BTreeMap::new();
-    for (d, accesses) in deps.accesses.iter().enumerate() {
+    for (d, accesses) in deps.footprints().enumerate() {
         let granted = deps
-            .runnables
-            .get(d)
+            .runnable(d)
             .zip(decisions.get(d))
             .and_then(|(runnable, (choice, _))| runnable.get(*choice))
             .copied();
@@ -480,6 +479,7 @@ pub fn render_profile(p: &Profile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::tests::{dep_trace, random_rows, Gen};
     use goose_rt::sched::StepAccess;
 
     fn record(b: &mut ProfileBuilder, pass: Pass, steps: u64, lock_blocks: u64) {
@@ -518,14 +518,14 @@ mod tests {
         let shared = res::LOCK | 7;
         let private = res::HEAP | 9;
         let read_only = res::INSTANCE | 3;
-        let deps = DepTrace {
-            runnables: vec![vec![0, 1], vec![0, 1], vec![0, 1]],
-            accesses: vec![
+        let deps = dep_trace(
+            vec![vec![0, 1], vec![0, 1], vec![0, 1]],
+            vec![
                 vec![StepAccess::write(shared), StepAccess::read(read_only)],
                 vec![StepAccess::read(shared), StepAccess::read(read_only)],
                 vec![StepAccess::write(private)],
             ],
-        };
+        );
         // Grants: thread 0, thread 1, thread 0.
         let decisions = vec![(0, 2), (1, 2), (0, 2)];
         let mut b = ProfileBuilder::default();
@@ -535,6 +535,59 @@ mod tests {
         assert_eq!(p.resources[0].resource, shared);
         assert_eq!(p.resources[0].kind, "lock");
         assert_eq!(p.resources[0].collisions, 2, "both touching grants count");
+    }
+
+    /// `collisions` as it read nested rows before the flat `DepTrace`
+    /// (PR 23): the reference for the flat one.
+    fn collisions_nested(
+        decisions: &[(usize, usize)],
+        runnables: &[Vec<Tid>],
+        footprints: &[Vec<StepAccess>],
+    ) -> Vec<(u64, u64)> {
+        let mut acc: BTreeMap<u64, (BTreeSet<Tid>, u64, bool)> = BTreeMap::new();
+        for (d, accesses) in footprints.iter().enumerate() {
+            let granted = runnables
+                .get(d)
+                .zip(decisions.get(d))
+                .and_then(|(runnable, (choice, _))| runnable.get(*choice))
+                .copied();
+            let Some(tid) = granted else { continue };
+            for a in accesses {
+                let e = acc
+                    .entry(a.resource)
+                    .or_insert_with(|| (BTreeSet::new(), 0, false));
+                e.0.insert(tid);
+                e.1 += 1;
+                e.2 |= a.write;
+            }
+        }
+        acc.into_iter()
+            .filter(|(_, (tids, _, wrote))| tids.len() >= 2 && *wrote)
+            .map(|(id, (_, touches, _))| (id, touches))
+            .collect()
+    }
+
+    #[test]
+    fn collisions_over_flat_rows_equal_the_nested_rows_result() {
+        let mut collided = 0;
+        for seed in 0..500 {
+            let mut g = Gen(seed);
+            let prefix = vec![0; g.below(16)];
+            let (decisions, mut runnables, mut footprints) = random_rows(&mut g, &prefix);
+            match g.below(4) {
+                0 => runnables.truncate(g.below(runnables.len() + 1)),
+                1 => footprints.truncate(g.below(footprints.len() + 1)),
+                _ => {}
+            }
+            let nested = collisions_nested(&decisions, &runnables, &footprints);
+            let flat = collisions(&decisions, &dep_trace(runnables, footprints));
+            assert_eq!(flat, nested, "seed {seed}");
+            collided += usize::from(!flat.is_empty());
+        }
+        assert!(
+            collided > 100,
+            "the generator must make collisions: {collided}"
+        );
     }
 
     #[test]

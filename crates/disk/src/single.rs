@@ -87,7 +87,7 @@ impl ModelDisk {
     /// its buffer to the durable image.
     pub fn poke(&self, a: u64, v: &[u8]) {
         assert_eq!(v.len(), self.block_size, "partial block write");
-        self.blocks.lock()[a as usize] = v.to_vec();
+        self.blocks.lock()[a as usize].copy_from_slice(v);
     }
 
     /// Controller-side full snapshot.
@@ -156,7 +156,7 @@ impl SingleDisk for ModelDisk {
         if self.rt.next_disk_op_faulty() {
             return Err(IoError::Transient);
         }
-        blocks[a as usize] = v.to_vec();
+        blocks[a as usize].copy_from_slice(v);
         Ok(())
     }
 
@@ -191,7 +191,7 @@ impl SingleDisk for NativeDisk {
 
     fn write(&self, a: u64, v: &[u8]) {
         assert_eq!(v.len(), self.block_size, "partial block write");
-        *self.blocks[a as usize].lock() = v.to_vec();
+        self.blocks[a as usize].lock().copy_from_slice(v);
     }
 
     fn size(&self) -> u64 {

@@ -215,8 +215,8 @@ impl TwoDisks for ModelTwoDisks {
         match d {
             DiskId::D1 if s.failed1 => {}
             DiskId::D2 if s.failed2 => {}
-            DiskId::D1 => s.d1[a as usize] = v.to_vec(),
-            DiskId::D2 => s.d2[a as usize] = v.to_vec(),
+            DiskId::D1 => s.d1[a as usize].copy_from_slice(v),
+            DiskId::D2 => s.d2[a as usize].copy_from_slice(v),
         }
         Ok(())
     }
@@ -279,8 +279,8 @@ impl TwoDisks for NativeTwoDisks {
         match d {
             DiskId::D1 if self.failed1.load(Ordering::SeqCst) => {}
             DiskId::D2 if self.failed2.load(Ordering::SeqCst) => {}
-            DiskId::D1 => *self.d1[a as usize].lock() = v.to_vec(),
-            DiskId::D2 => *self.d2[a as usize].lock() = v.to_vec(),
+            DiskId::D1 => self.d1[a as usize].lock().copy_from_slice(v),
+            DiskId::D2 => self.d2[a as usize].lock().copy_from_slice(v),
         }
     }
 

@@ -428,7 +428,7 @@ pub struct ModelRt {
     /// reduction). Disabled runs pay one relaxed load per primitive.
     track_deps: AtomicBool,
     /// Accesses of the currently granted step, drained when it ends
-    /// via [`ModelRt::take_step_accesses`].
+    /// via [`ModelRt::drain_step_accesses`].
     cur_accesses: OwnerCell<Vec<StepAccess>>,
     /// Next instance tag for [`ModelRt::alloc_resource_tag`].
     next_tag: AtomicU64,
@@ -590,13 +590,25 @@ impl ModelRt {
     }
 
     /// Drains the accesses recorded since the last drain — the footprint
-    /// of the granted step that just ended. Reads subsumed by a
-    /// write to the same resource are deduplicated.
+    /// of the granted step that just ended — onto the end of `out`:
+    /// sorted by resource, one entry per resource, a read subsumed by a
+    /// write to the same resource. The runtime keeps its buffer's
+    /// capacity, so a step that records no more accesses than an earlier
+    /// one allocates nothing here.
+    pub fn drain_step_accesses(&self, out: &mut Vec<StepAccess>) {
+        let mut cur = self.cur_accesses.lock();
+        // Entries equal under the key are equal, so an unstable sort
+        // gives the stable sort's order, without its scratch buffer.
+        cur.sort_unstable_by_key(|a| (a.resource, !a.write));
+        cur.dedup_by_key(|a| a.resource);
+        out.append(&mut cur);
+    }
+
+    /// [`ModelRt::drain_step_accesses`] into a vector of its own.
     pub fn take_step_accesses(&self) -> Vec<StepAccess> {
-        let mut raw = std::mem::take(&mut *self.cur_accesses.lock());
-        raw.sort_by_key(|a| (a.resource, !a.write));
-        raw.dedup_by_key(|a| a.resource);
-        raw
+        let mut out = Vec::new();
+        self.drain_step_accesses(&mut out);
+        out
     }
 
     /// Allocates a fresh instance tag for a model (disk, channel, file
@@ -1092,6 +1104,13 @@ impl ModelRt {
         self.state.lock().runnable().collect()
     }
 
+    /// [`ModelRt::runnable`] into a buffer the caller keeps: `out` is
+    /// cleared and refilled, so a controller loop allocates once.
+    pub fn runnable_into(&self, out: &mut Vec<Tid>) {
+        out.clear();
+        out.extend(self.state.lock().runnable());
+    }
+
     /// Whether every virtual thread has terminated (done or panicked).
     pub fn all_done(&self) -> bool {
         self.state.lock().live == 0
@@ -1332,6 +1351,60 @@ mod tests {
         assert_eq!(log.len(), 6);
         // Round-robin grants strictly alternate the two threads.
         assert_eq!(*log, vec!["a0", "b0", "a1", "b1", "a2", "b2"]);
+    }
+
+    /// A drained footprint is what `take_step_accesses` always returned —
+    /// sorted by resource, one entry each, a write subsuming the reads —
+    /// appended after what the caller's buffer already holds, and the
+    /// runtime's own buffer keeps its allocation from step to step.
+    #[test]
+    fn drained_footprints_are_sorted_deduplicated_and_reuse_the_buffer() {
+        let rt = ModelRt::new(0, 10_000);
+        rt.set_track_deps(true);
+        let rt2 = Arc::clone(&rt);
+        let tid = rt.spawn("t", move || {
+            for _ in 0..3 {
+                for (resource, write) in [(9, false), (3, false), (9, true), (3, false), (5, true)]
+                {
+                    rt2.note_access(resource, write);
+                }
+                rt2.yield_point();
+            }
+        });
+        let row = [
+            StepAccess::read(3),
+            StepAccess::write(5),
+            StepAccess::write(9),
+        ];
+        assert_eq!(rt.grant(tid), StepResult::Yielded);
+        let mut out = vec![StepAccess::read(1)];
+        rt.drain_step_accesses(&mut out);
+        assert_eq!(out[0], StepAccess::read(1), "appended, not replaced");
+        assert_eq!(out[1..], row);
+        let buf = {
+            let cur = rt.cur_accesses.lock();
+            assert!(cur.is_empty() && cur.capacity() >= 5);
+            cur.as_ptr()
+        };
+        assert_eq!(rt.grant(tid), StepResult::Yielded);
+        assert_eq!(
+            rt.take_step_accesses(),
+            row,
+            "the wrapper drains the same row"
+        );
+        assert_eq!(
+            rt.cur_accesses.lock().as_ptr(),
+            buf,
+            "one buffer for every step"
+        );
+        assert_eq!(rt.grant(tid), StepResult::Yielded);
+        out.clear();
+        rt.drain_step_accesses(&mut out);
+        assert_eq!(out, row);
+        assert!(rt.take_step_accesses().is_empty(), "drained to nothing");
+        assert_eq!(rt.cur_accesses.lock().as_ptr(), buf);
+        assert_eq!(rt.grant(tid), StepResult::Finished);
+        rt.join_all();
     }
 
     #[test]

@@ -18,8 +18,9 @@
 #![deny(unsafe_code)]
 
 pub mod count;
-// One of the tree's two modules allowed `unsafe` (the other is
-// `goose-rt`'s `coro`): the cell's `UnsafeCell` and its `Send`/`Sync`.
+// One of the tree's three modules allowed `unsafe` (the others are
+// `goose-rt`'s `coro` and `perennial-bench`'s `count_alloc`): the cell's
+// `UnsafeCell` and its `Send`/`Sync`.
 #[allow(unsafe_code)]
 pub mod owner;
 

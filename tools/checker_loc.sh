@@ -37,7 +37,17 @@
 # The files that hold them may not import `parking_lot::Mutex` again (a
 # type real OS threads share spells its lock out in full, where it is
 # declared: `NativeDisk`, `NativeTwoDisks`). And `unsafe` is written in
-# two modules only: the context switch and that cell.
+# three modules only: the context switch, that cell, and the counting
+# allocator `scale` and tests/alloc_budget.rs measure allocations with.
+#
+# Dependency tracking without the garbage: a DPOR execution's runnable
+# sets and footprints are appended in place to its `DepTrace`'s flat
+# rows. So exec.rs (the pilot) copies no runnable set (`to_vec()`), takes
+# no footprint vector of its own (`take_step_accesses`), and appends to
+# the trace at one `push_runnable` and one `push_footprint` site; and
+# strategy.rs holds no footprint by value: `Vec<StepAccess>` appears in
+# its code only as the `&mut` buffer a footprint is appended to (a sleep
+# entry shares its footprint through an `Arc<[StepAccess]>`).
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -151,7 +161,29 @@ if [ "$sites" -ne 1 ]; then
 fi
 
 echo
-unsafe_homes='crates/goose/src/coro.rs shims/parking_lot/src/owner.rs'
+pilot=$(code crates/checker/src/exec.rs)
+copies=$(printf '%s\n' "$pilot" | grep -E 'to_vec\(\)|take_step_accesses' || true)
+runnable_sites=$(printf '%s\n' "$pilot" | grep -c 'push_runnable(' || true)
+footprint_sites=$(printf '%s\n' "$pilot" | grep -c 'push_footprint(' || true)
+owned=$(code crates/checker/src/strategy.rs | grep 'Vec<StepAccess>' | grep -v '&mut Vec<StepAccess>' || true)
+echo "dependency tracking: $runnable_sites push_runnable / $footprint_sites push_footprint site(s) in exec.rs"
+if [ -n "$copies" ]; then
+    failed=1
+    echo "        ^ exec.rs copies a runnable set or takes a footprint vector; append to the DepTrace:"
+    printf '%s\n' "$copies" | sed 's/^/          /'
+fi
+if [ "$runnable_sites" -ne 1 ] || [ "$footprint_sites" -ne 1 ]; then
+    failed=1
+    echo "        ^ the pilot appends to its DepTrace at one push_runnable and one push_footprint site"
+fi
+if [ -n "$owned" ]; then
+    failed=1
+    echo "        ^ strategy.rs holds a footprint by value; borrow the DepTrace row or share an Arc<[StepAccess]>:"
+    printf '%s\n' "$owned" | sed 's/^/          /'
+fi
+
+echo
+unsafe_homes='crates/bench/src/count_alloc.rs crates/goose/src/coro.rs shims/parking_lot/src/owner.rs'
 single_owner='crates/goose/src/sched.rs crates/core/src/engine.rs crates/core/src/lockinv.rs
 crates/disk/src/single.rs crates/disk/src/buffered.rs crates/disk/src/two.rs
 crates/goose/src/heap.rs crates/goose/src/net.rs crates/goose/src/fs/model.rs
