@@ -17,9 +17,15 @@
 //!   fingerprints (which hash the rendering) round-trip exactly.
 //! - [`merge_reports`] — recombines one report per shard into the
 //!   report an unsharded run of the same configuration would produce:
-//!   statistics and histograms sum, coverage sets union, enumerable
-//!   horizons agree by construction, and the canonical counterexample
-//!   is the minimum-key failure across all shards.
+//!   each counter folds as its table row says, histograms sum, coverage
+//!   sets union, and the canonical counterexample is the minimum-key
+//!   failure across all shards.
+//!
+//! The report's counters and the per-pass counters are each one table
+//! (`REPORT_COUNTERS`, `PASS_COUNTERS`): wire key, shard fold, field.
+//! The report codec, the merge, and the stream's `run_end` record (its
+//! writer, its reader and the dashboard's fold) all go through them, so
+//! a counter is added in one row.
 //!
 //! [`report_fingerprint`] is the campaign's equality oracle: a hash of
 //! the report's deterministic content (timing, worker count, shard
@@ -37,6 +43,7 @@ use crate::metrics::{
     trace_fingerprint, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
 };
 use crate::pass::Pass;
+use crate::telemetry::EnvStamp;
 use goose_rt::fault::{FaultPlan, NetFault, TornMode};
 use perennial::GhostError;
 use serde_json::{json, Map, Value};
@@ -113,7 +120,7 @@ fn cx_to_json(cx: &Counterexample) -> Value {
 }
 
 /// The outcome tally as an object, one key per kind, zeros included.
-pub(crate) fn outcomes_to_json(outcomes: &OutcomeCounts) -> Value {
+fn outcomes_to_json(outcomes: &OutcomeCounts) -> Value {
     let mut map = Map::new();
     for (name, n) in outcomes.entries() {
         map.insert(name.to_string(), serde_json::to_value(&n));
@@ -130,64 +137,183 @@ fn hist_to_json(h: &Histogram) -> Value {
     })
 }
 
+/// One counter of a record: wire key, how shards fold it into the whole
+/// run's value, whether the stream's `run_end` carries it too, and the
+/// field.
+struct Counter<R> {
+    key: &'static str,
+    fold: fn(u64, u64) -> u64,
+    in_run_end: bool,
+    get: fn(&R) -> u64,
+    set: fn(&mut R, u64),
+}
+
+impl<R> Counter<R> {
+    /// Folds shard `from`'s value into `into`'s.
+    fn fold(&self, into: &mut R, from: &R) {
+        (self.set)(into, (self.fold)((self.get)(into), (self.get)(from)));
+    }
+}
+
+/// A counter table: one `"key" field fold` row per counter, tagged
+/// `run_end` when that record carries it too. A shard counts a `Sum`
+/// counter over the executions it owns, disjoint from the other shards'.
+/// A `Max` counter is one every shard derives alike (the schedule phase
+/// is derivation spine), so any one is the whole, or the pool size, of
+/// which a merge reports the largest.
+macro_rules! counters {
+    ($($key:literal $field:ident $fold:ident $($run_end:ident)?,)*) => {
+        [$(Counter {
+            key: $key,
+            fold: counters!(@$fold),
+            in_run_end: counters!(@in $($run_end)?),
+            get: |r| r.$field as u64,
+            set: |r, n| r.$field = n as _,
+        },)*]
+    };
+    (@Sum) => { |mine, theirs| mine + theirs };
+    (@Max) => { u64::max };
+    (@in) => { false };
+    (@in run_end) => { true };
+}
+
+/// [`CheckReport`]'s counters. Report JSON carries every row; `run_end`
+/// has never carried `helped_ops`.
+static REPORT_COUNTERS: [Counter<CheckReport>; 15] = counters![
+    "executions"       executions       Sum run_end,
+    "total_steps"      total_steps      Sum run_end,
+    "crashes_injected" crashes_injected Sum run_end,
+    "crash_points"     crash_points     Sum run_end,
+    "fault_plans"      fault_plans      Sum run_end,
+    "helped_ops"       helped_ops       Sum,
+    "disk_reads"       disk_reads       Sum run_end,
+    "disk_writes"      disk_writes      Sum run_end,
+    "disk_flushes"     disk_flushes     Sum run_end,
+    "net_sends"        net_sends        Sum run_end,
+    "net_recvs"        net_recvs        Sum run_end,
+    "pruned"           pruned           Max run_end,
+    "coverage_guided"  coverage_guided  Max run_end,
+    "replayed"         replayed         Sum run_end,
+    "workers"          workers          Max run_end,
+];
+
+/// [`PassMetrics`]' counters: one object per pass in report JSON's
+/// `per_pass`. `pruned` and `coverage_guided` are the schedule phase's
+/// session counters, attributed to its two passes.
+static PASS_COUNTERS: [Counter<PassMetrics>; 7] = counters![
+    "executions"      executions      Sum,
+    "steps"           steps           Sum,
+    "crashes"         crashes         Sum,
+    "fault_plans"     fault_plans     Sum,
+    "failures"        failures        Sum,
+    "pruned"          pruned          Max,
+    "coverage_guided" coverage_guided Max,
+];
+
+/// `record` (an object) with the totals report JSON and `run_end` share:
+/// the counters the record carries (`run_end`: the rows tagged so), the
+/// outcome tally, strategy, shard, incomplete marks and timing.
+/// [`read_totals`] is the inverse.
+pub(crate) fn with_totals(mut record: Value, r: &CheckReport, run_end: bool) -> Value {
+    if let Value::Object(m) = &mut record {
+        for c in REPORT_COUNTERS.iter().filter(|c| c.in_run_end || !run_end) {
+            m.insert(c.key.to_string(), serde_json::to_value(&(c.get)(r)));
+        }
+        for (key, value) in [
+            ("outcomes", outcomes_to_json(&r.outcomes)),
+            ("strategy", json!(r.strategy)),
+            ("shard", json!(r.shard.map(|(i, n)| format!("{i}/{n}")))),
+            ("incomplete", json!(r.incomplete)),
+            ("wall_time_s", json!(r.wall_time.as_secs_f64())),
+            ("execs_per_sec", json!(r.execs_per_sec)),
+        ] {
+            m.insert(key.to_string(), value);
+        }
+    }
+    record
+}
+
+/// Reads what [`with_totals`] wrote into an otherwise empty report: all
+/// or nothing, each field through the strict readers of `json.rs`.
+pub(crate) fn read_totals(m: &Map, run_end: bool) -> Result<CheckReport, String> {
+    let mut r = CheckReport {
+        strategy: get_str(m, "strategy")?.to_string(),
+        ..CheckReport::default()
+    };
+    for c in REPORT_COUNTERS.iter().filter(|c| c.in_run_end || !run_end) {
+        (c.set)(&mut r, get_u64(m, c.key)?);
+    }
+    let outcomes = get_obj(m, "outcomes")?;
+    for kind in OutcomeKind::ALL {
+        r.outcomes.set(kind, get_u64(outcomes, kind.name())?);
+    }
+    r.shard = match get(m, "shard")? {
+        Value::Null => None,
+        Value::String(s) => Some(parse_shard(s)?),
+        v => return Err(format!("shard: expected string or null, got {v:?}")),
+    };
+    for msg in get_arr(m, "incomplete")? {
+        let Value::String(s) = msg else {
+            return Err(format!("incomplete: expected string, got {msg:?}"));
+        };
+        r.incomplete.push(s.clone());
+    }
+    r.wall_time = Duration::try_from_secs_f64(get_f64(m, "wall_time_s")?)
+        .map_err(|e| format!("wall_time_s: {e}"))?;
+    r.execs_per_sec = get_f64(m, "execs_per_sec")?;
+    Ok(r)
+}
+
+/// Folds shard `r`'s totals into `out`, as [`merge_reports`] and the
+/// dashboard's fold of `run_end` records share them: each counter by its
+/// row's fold, the outcome tally and wall time summed, coverage by
+/// [`Coverage::merge`](crate::metrics::Coverage::merge), each incomplete
+/// mark once.
+pub(crate) fn fold_totals(out: &mut CheckReport, r: &CheckReport) {
+    for c in &REPORT_COUNTERS {
+        c.fold(out, r);
+    }
+    out.outcomes.merge(&r.outcomes);
+    out.coverage.merge(&r.coverage);
+    out.wall_time += r.wall_time;
+    for msg in &r.incomplete {
+        if !out.incomplete.contains(msg) {
+            out.incomplete.push(msg.clone());
+        }
+    }
+}
+
+fn pass_to_json(pm: &PassMetrics) -> Value {
+    let busy_time_us = pm.busy_time.as_micros() as u64;
+    let mut record = json!({ "pass": pm.pass.name(), "busy_time_us": busy_time_us });
+    if let Value::Object(m) = &mut record {
+        for c in &PASS_COUNTERS {
+            m.insert(c.key.to_string(), serde_json::to_value(&(c.get)(pm)));
+        }
+    }
+    record
+}
+
 /// Serializes a [`CheckReport`] for cross-process merging and the
 /// campaign fingerprint. The inverse is [`report_from_json`].
 pub fn report_to_json(r: &CheckReport) -> Value {
-    let mut coverage = Map::new();
-    let mut put = |key: String, n: u64| coverage.insert(key, serde_json::to_value(&n));
-    put(
-        "crash_points_enumerable".to_string(),
-        r.coverage.crash_points_enumerable,
-    );
+    let (mut coverage, c) = (Map::new(), &r.coverage);
+    let mut put = |key: &str, n: u64| coverage.insert(key.to_string(), serde_json::to_value(&n));
+    put("crash_points_enumerable", c.crash_points_enumerable);
     for family in FaultFamily::ALL {
         let (i, stem) = (family as usize, family.wire_name());
-        put(format!("{stem}_exercised"), r.coverage.plans_exercised[i]);
-        put(format!("{stem}_enumerable"), r.coverage.plans_enumerable[i]);
+        put(&format!("{stem}_exercised"), c.plans_exercised[i]);
+        put(&format!("{stem}_enumerable"), c.plans_enumerable[i]);
     }
-    json!({
-        "name": r.name.clone(),
-        "executions": r.executions as u64,
-        "total_steps": r.total_steps,
-        "crashes_injected": r.crashes_injected as u64,
-        "crash_points": r.crash_points as u64,
-        "fault_plans": r.fault_plans as u64,
-        "helped_ops": r.helped_ops,
-        "disk_reads": r.disk_reads,
-        "disk_writes": r.disk_writes,
-        "disk_flushes": r.disk_flushes,
-        "net_sends": r.net_sends,
-        "net_recvs": r.net_recvs,
-        "strategy": r.strategy.clone(),
-        "pruned": r.pruned,
-        "coverage_guided": r.coverage_guided,
-        "outcomes": outcomes_to_json(&r.outcomes),
+    let record = json!({
+        "name": r.name,
         "counterexamples": r.counterexamples.iter().map(cx_to_json).collect::<Vec<Value>>(),
-        "per_pass": r
-            .per_pass
-            .iter()
-            .map(|pm| {
-                json!({
-                    "pass": pm.pass.name(),
-                    "executions": pm.executions,
-                    "steps": pm.steps,
-                    "crashes": pm.crashes,
-                    "fault_plans": pm.fault_plans,
-                    "failures": pm.failures,
-                    "pruned": pm.pruned,
-                    "coverage_guided": pm.coverage_guided,
-                    "busy_time_us": pm.busy_time.as_micros() as u64,
-                })
-            })
-            .collect::<Vec<Value>>(),
+        "per_pass": r.per_pass.iter().map(pass_to_json).collect::<Vec<Value>>(),
         "steps_hist": hist_to_json(&r.steps_hist),
         "depth_hist": hist_to_json(&r.depth_hist),
         "coverage": Value::Object(coverage),
         "crash_point_set": r.crash_point_set.iter().copied().collect::<Vec<u64>>(),
         "trace_fps": r.trace_fps.iter().map(|fp| hex64(*fp)).collect::<Vec<String>>(),
-        "shard": r.shard.map(|(i, n)| format!("{i}/{n}")),
-        "replayed": r.replayed,
-        "incomplete": r.incomplete.clone(),
-        "workers": r.workers as u64,
         // The environment stamp is volatile (it names the machine's
         // toolchain and pool size), but serialized so baselines and
         // archived campaign reports say where they came from.
@@ -196,9 +322,8 @@ pub fn report_to_json(r: &CheckReport) -> Value {
         // and excluding them keeps report fingerprints identical
         // whether profiling (or trace capture) was on or off.
         "env": r.env.to_json(),
-        "wall_time_s": r.wall_time.as_secs_f64(),
-        "execs_per_sec": r.execs_per_sec,
-    })
+    });
+    with_totals(record, r, false)
 }
 
 fn outcome_from_json(m: &Map) -> Result<ExecOutcome, String> {
@@ -296,56 +421,37 @@ fn hist_from_json(m: &Map) -> Result<Histogram, String> {
     ))
 }
 
-/// Deserializes a report written by [`report_to_json`].
+fn pass_from_json(v: &Value) -> Result<PassMetrics, String> {
+    let Value::Object(p) = v else {
+        return Err(format!("per_pass: expected object, got {v:?}"));
+    };
+    let pass = get_str(p, "pass")?.parse::<Pass>()?;
+    let mut pm = PassMetrics {
+        pass,
+        rank: pass.rank(),
+        busy_time: Duration::from_micros(get_u64(p, "busy_time_us")?),
+        ..PassMetrics::default()
+    };
+    for c in &PASS_COUNTERS {
+        (c.set)(&mut pm, get_u64(p, c.key)?);
+    }
+    Ok(pm)
+}
+
+/// Deserializes a report written by [`report_to_json`]: all or nothing,
+/// so a field missing or of another type is an error, never a default.
 pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
     let Value::Object(m) = v else {
         return Err("report: expected a JSON object".to_string());
     };
-    let mut r = CheckReport {
-        name: get_str(m, "name")?.to_string(),
-        executions: get_u64(m, "executions")? as usize,
-        total_steps: get_u64(m, "total_steps")?,
-        crashes_injected: get_u64(m, "crashes_injected")? as usize,
-        crash_points: get_u64(m, "crash_points")? as usize,
-        fault_plans: get_u64(m, "fault_plans")? as usize,
-        helped_ops: get_u64(m, "helped_ops")?,
-        disk_reads: get_u64(m, "disk_reads")?,
-        disk_writes: get_u64(m, "disk_writes")?,
-        disk_flushes: get_u64(m, "disk_flushes")?,
-        net_sends: get_u64(m, "net_sends")?,
-        net_recvs: get_u64(m, "net_recvs")?,
-        strategy: get_str(m, "strategy")?.to_string(),
-        pruned: get_u64(m, "pruned")?,
-        coverage_guided: get_u64(m, "coverage_guided")?,
-        replayed: get_u64(m, "replayed")?,
-        workers: get_u64(m, "workers")? as usize,
-        ..CheckReport::default()
-    };
-    let outcomes = get_obj(m, "outcomes")?;
-    for kind in OutcomeKind::ALL {
-        r.outcomes.set(kind, get_u64(outcomes, kind.name())?);
-    }
+    let mut r = read_totals(m, false)?;
+    r.name = get_str(m, "name")?.to_string();
     for cx in get_arr(m, "counterexamples")? {
         r.counterexamples.push(cx_from_json(cx)?);
     }
     r.counterexample = r.counterexamples.first().cloned();
     for pm in get_arr(m, "per_pass")? {
-        let Value::Object(p) = pm else {
-            return Err(format!("per_pass: expected object, got {pm:?}"));
-        };
-        let pass = get_str(p, "pass")?.parse::<Pass>()?;
-        r.per_pass.push(PassMetrics {
-            pass,
-            rank: pass.rank(),
-            executions: get_u64(p, "executions")?,
-            steps: get_u64(p, "steps")?,
-            crashes: get_u64(p, "crashes")?,
-            fault_plans: get_u64(p, "fault_plans")?,
-            failures: get_u64(p, "failures")?,
-            pruned: get_u64(p, "pruned")?,
-            coverage_guided: get_u64(p, "coverage_guided")?,
-            busy_time: Duration::from_micros(get_u64(p, "busy_time_us")?),
-        });
+        r.per_pass.push(pass_from_json(pm)?);
     }
     r.steps_hist = hist_from_json(get_obj(m, "steps_hist")?)?;
     r.depth_hist = hist_from_json(get_obj(m, "depth_hist")?)?;
@@ -366,26 +472,8 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
     }
     r.coverage.crash_points_exercised = r.crash_point_set.len() as u64;
     r.coverage.distinct_traces = r.trace_fps.len() as u64;
-    r.shard = match get(m, "shard")? {
-        Value::Null => None,
-        Value::String(s) => Some(parse_shard(s)?),
-        v => return Err(format!("shard: expected string or null, got {v:?}")),
-    };
-    for msg in get_arr(m, "incomplete")? {
-        let Value::String(s) = msg else {
-            return Err(format!("incomplete: expected string, got {msg:?}"));
-        };
-        r.incomplete.push(s.clone());
-    }
-    r.wall_time = Duration::try_from_secs_f64(get_f64(m, "wall_time_s")?)
-        .map_err(|e| format!("wall_time_s: {e}"))?;
-    r.execs_per_sec = get_f64(m, "execs_per_sec")?;
-    // Lenient: reports serialized before the env stamp existed (or
-    // hand-stripped ones) deserialize with an empty stamp.
-    r.env = m
-        .get("env")
-        .and_then(crate::telemetry::EnvStamp::from_json)
-        .unwrap_or_default();
+    let env = get(m, "env")?;
+    r.env = EnvStamp::from_json(env).ok_or_else(|| format!("env: not a stamp: {env:?}"))?;
     Ok(r)
 }
 
@@ -438,7 +526,10 @@ pub fn trace_file(scenario: &str) -> String {
 
 /// Merges one [`CheckReport`] per shard (a complete `0..n` cover, all
 /// from the same scenario) into the report an unsharded run would have
-/// produced. See the module docs for the field-by-field rules.
+/// produced. Each counter folds as its row of `REPORT_COUNTERS` or
+/// `PASS_COUNTERS` says; tallies and histograms sum, coverage sets union,
+/// and counterexamples re-sort by canonical key. A cover with a shard
+/// missing, twice, or of another scenario is refused, naming that shard.
 pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, String> {
     let Some(first) = reports.first() else {
         return Err("nothing to merge".to_string());
@@ -450,29 +541,20 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
     };
     let mut seen: BTreeSet<u32> = BTreeSet::new();
     for r in &reports {
+        let i = match r.shard {
+            Some((i, m)) if m == n => i,
+            other => return Err(format!("shard {other:?} of {name:?} is not one of {n}")),
+        };
         if r.name != name {
-            return Err(format!(
-                "cannot merge shards of different scenarios: {name:?} vs {:?}",
-                r.name
-            ));
+            return Err(format!("shard {i}/{n} is of {:?}, not {name:?}", r.name));
         }
-        match r.shard {
-            Some((i, m)) if m == n => {
-                if !seen.insert(i) {
-                    return Err(format!("duplicate shard {i}/{n} for {name:?}"));
-                }
-            }
-            other => {
-                return Err(format!(
-                    "shard mismatch for {name:?}: expected i/{n}, got {other:?}"
-                ))
-            }
+        if !seen.insert(i) {
+            return Err(format!("duplicate shard {i}/{n} for {name:?}"));
         }
     }
-    if seen.len() != n as usize {
+    if let Some(i) = (0..n).find(|i| !seen.contains(i)) {
         return Err(format!(
-            "incomplete cover for {name:?}: {} of {n} shards",
-            seen.len()
+            "incomplete cover for {name:?}: shard {i}/{n} is missing"
         ));
     }
     reports.sort_by_key(|r| r.shard.map(|(i, _)| i));
@@ -488,25 +570,7 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
     };
     let mut per_pass: BTreeMap<u8, PassMetrics> = BTreeMap::new();
     for r in &reports {
-        out.executions += r.executions;
-        out.total_steps += r.total_steps;
-        out.crashes_injected += r.crashes_injected;
-        out.crash_points += r.crash_points;
-        out.fault_plans += r.fault_plans;
-        out.helped_ops += r.helped_ops;
-        out.disk_reads += r.disk_reads;
-        out.disk_writes += r.disk_writes;
-        out.disk_flushes += r.disk_flushes;
-        out.net_sends += r.net_sends;
-        out.net_recvs += r.net_recvs;
-        out.wall_time += r.wall_time;
-        out.workers = out.workers.max(r.workers);
-        out.replayed += r.replayed;
-        // The schedule phase runs identically in every shard (it is
-        // derivation spine), so its session counters agree; max = any.
-        out.pruned = out.pruned.max(r.pruned);
-        out.coverage_guided = out.coverage_guided.max(r.coverage_guided);
-        out.outcomes.merge(&r.outcomes);
+        fold_totals(&mut out, r);
         out.steps_hist.merge(&r.steps_hist);
         out.depth_hist.merge(&r.depth_hist);
         out.crash_point_set
@@ -514,25 +578,15 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
         out.trace_fps.extend(r.trace_fps.iter().copied());
         out.counterexamples
             .extend(r.counterexamples.iter().cloned());
-        for msg in &r.incomplete {
-            if !out.incomplete.contains(msg) {
-                out.incomplete.push(msg.clone());
-            }
-        }
-        out.coverage.merge(&r.coverage);
         for pm in &r.per_pass {
             let slot = per_pass.entry(pm.rank).or_insert(PassMetrics {
                 pass: pm.pass,
                 rank: pm.rank,
                 ..PassMetrics::default()
             });
-            slot.executions += pm.executions;
-            slot.steps += pm.steps;
-            slot.crashes += pm.crashes;
-            slot.fault_plans += pm.fault_plans;
-            slot.failures += pm.failures;
-            slot.pruned = slot.pruned.max(pm.pruned);
-            slot.coverage_guided = slot.coverage_guided.max(pm.coverage_guided);
+            for c in &PASS_COUNTERS {
+                c.fold(slot, pm);
+            }
             slot.busy_time += pm.busy_time;
         }
     }

@@ -13,13 +13,17 @@
 //! Totals come from `run_end` records only. Summing `exec_done` lines
 //! would double-count derivation-spine executions, which run in every
 //! shard but are *counted* only by their owner; the `run_end` totals
-//! already apply that rule, so dashboard totals agree with
-//! [`merge_reports`](crate::campaign::merge_reports) over the same
-//! shards. A resumed WAL holds several `run_start`/`run_end` pairs for
-//! the same shard: the last `run_end` wins (it covers the whole run,
-//! replayed prefix included), while pass wall times accumulate across
-//! resumes (wall-clock actually spent).
+//! already apply that rule, and [`ScenarioDash::merged`] folds shards as
+//! [`merge_reports`](crate::campaign::merge_reports) does, through the
+//! report counter table's folds, so dashboard totals agree with a merge
+//! of the same shards. The one exception is distinct crash points: sets
+//! union, counts do not, so the dashboard shows the largest shard's
+//! count, a lower bound. A resumed WAL holds several
+//! `run_start`/`run_end` pairs for the same shard: the last `run_end`
+//! wins (it covers the whole run, replayed prefix included), while pass
+//! wall times accumulate across resumes (wall-clock actually spent).
 
+use crate::campaign::fold_totals;
 use crate::pass::Pass;
 use crate::profile::{bar, pct, PassCost, ProfileBuilder};
 use crate::telemetry::{read_stream, ExecStats, Record, RunEnd};
@@ -30,8 +34,8 @@ use std::time::Duration;
 /// One scenario's view across every ingested stream.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioDash {
-    /// Last `run_end` per shard label (`"-"` for unsharded runs).
-    pub shards: BTreeMap<String, RunEnd>,
+    /// Last `run_end` per shard (`None` for an unsharded run).
+    pub shards: BTreeMap<Option<(u32, u32)>, RunEnd>,
     /// Summed `pass_end` wall time per `(rank, pass name)`.
     pub pass_wall_us: BTreeMap<(u64, String), u64>,
     /// What each `exec_done` measured, by canonical job key. Keying
@@ -42,68 +46,16 @@ pub struct ScenarioDash {
 }
 
 impl ScenarioDash {
-    /// Whether every shard of this scenario passed.
-    pub fn passed(&self) -> bool {
-        self.shards.values().all(|s| s.passed)
-    }
-
-    fn sum(&self, f: impl Fn(&RunEnd) -> u64) -> u64 {
-        self.shards.values().map(f).sum()
-    }
-
-    fn max(&self, f: impl Fn(&RunEnd) -> u64) -> u64 {
-        self.shards.values().map(f).max().unwrap_or(0)
-    }
-
-    /// Summed wall time across shards (and resumes), in seconds.
-    pub fn wall_time_s(&self) -> f64 {
-        self.shards.values().map(|s| s.wall_time_s).sum()
-    }
-
-    /// Merged executions, following the same rules as `merge_reports`:
-    /// counted statistics sum across shards; enumerable horizons are
-    /// probe-derived and agree across shards, so max = any.
-    pub fn executions(&self) -> u64 {
-        self.sum(|s| s.executions)
-    }
-    /// Summed scheduler grants across shards.
-    pub fn total_steps(&self) -> u64 {
-        self.sum(|s| s.total_steps)
-    }
-    /// Summed injected crashes across shards.
-    pub fn crashes_injected(&self) -> u64 {
-        self.sum(|s| s.crashes_injected)
-    }
-    /// Summed counterexamples across shards.
-    pub fn counterexamples(&self) -> u64 {
-        self.sum(|s| s.counterexamples)
-    }
-    /// Summed per-surface fault plans exercised across shards.
-    pub fn fault_plans_exercised(&self) -> u64 {
-        self.sum(|s| s.fault_plans_exercised)
-    }
-    /// Strategy-pruned executions (max: the spine is shared, not split).
-    pub fn pruned(&self) -> u64 {
-        self.max(|s| s.pruned)
-    }
-    /// Summed WAL-replayed executions across shards.
-    pub fn replayed(&self) -> u64 {
-        self.sum(|s| s.replayed)
-    }
-    /// Probe-enumerated crash-point horizon (agrees across shards).
-    pub fn crash_points_enumerable(&self) -> u64 {
-        self.max(|s| s.crash_points_enumerable)
-    }
-    /// Probe-enumerated fault-plan horizon (agrees across shards).
-    pub fn fault_plans_enumerable(&self) -> u64 {
-        self.max(|s| s.fault_plans_enumerable)
-    }
-
-    /// Distinct crash points across shards is not recoverable from
-    /// `run_end` alone (sets union, counts don't) — report the max as a
-    /// lower bound, exactly what one shard proved on its own.
-    pub fn crash_points_exercised_at_least(&self) -> u64 {
-        self.max(|s| s.crash_points_exercised)
+    /// The shards folded into one run: passed when every shard passed,
+    /// each total as a merge of the shards' reports has it.
+    pub fn merged(&self) -> RunEnd {
+        let mut all = RunEnd::default();
+        for run in self.shards.values() {
+            all.counterexamples += run.counterexamples;
+            fold_totals(&mut all.report, &run.report);
+        }
+        all.passed = self.shards.values().all(|run| run.passed);
+        all
     }
 }
 
@@ -130,7 +82,7 @@ impl Dashboard {
             match record {
                 // Last run_end per shard wins (resume appends runs).
                 Record::RunEnd(run) => {
-                    self.scenario(name).shards.insert(run.shard.clone(), run);
+                    self.scenario(name).shards.insert(run.report.shard, run);
                 }
                 Record::PassEnd { pass, duration } => {
                     let key = (u64::from(pass.rank()), pass.name().to_string());
@@ -150,19 +102,6 @@ impl Dashboard {
 
     fn scenario(&mut self, name: &str) -> &mut ScenarioDash {
         self.scenarios.entry(name.to_string()).or_default()
-    }
-
-    /// Campaign-wide totals (executions, steps, counterexamples).
-    pub fn totals(&self) -> (u64, u64, u64) {
-        let mut execs = 0;
-        let mut steps = 0;
-        let mut cxs = 0;
-        for s in self.scenarios.values() {
-            execs += s.executions();
-            steps += s.total_steps();
-            cxs += s.counterexamples();
-        }
-        (execs, steps, cxs)
     }
 
     /// Per-pass wall profile summed over every scenario, rank order.
@@ -192,15 +131,20 @@ impl Dashboard {
 /// Renders the merged campaign dashboard as text.
 pub fn render_dashboard(d: &Dashboard) -> String {
     let mut out = String::new();
-    let (execs, steps, cxs) = d.totals();
-    let failing = d.scenarios.values().filter(|s| !s.passed()).count();
+    let runs: Vec<(&String, &ScenarioDash, RunEnd)> = (d.scenarios.iter())
+        .map(|(name, s)| (name, s, s.merged()))
+        .collect();
+    let sum = |total: fn(&RunEnd) -> u64| -> u64 { runs.iter().map(|(.., run)| total(run)).sum() };
+    let failing = runs.iter().filter(|(.., run)| !run.passed).count();
     writeln!(out, "CAMPAIGN DASHBOARD").unwrap();
     writeln!(
         out,
-        "  {} scenarios from {} streams — {execs} executions, {steps} steps, {cxs} counterexamples in {} failing scenarios",
+        "  {} scenarios from {} streams — {} executions, {} steps, {} counterexamples in {failing} failing scenarios",
         d.scenarios.len(),
         d.streams,
-        failing
+        sum(|run| run.report.executions as u64),
+        sum(|run| run.report.total_steps),
+        sum(|run| run.counterexamples),
     )
     .unwrap();
     if d.torn_lines > 0 {
@@ -225,33 +169,26 @@ pub fn render_dashboard(d: &Dashboard) -> String {
          fault c/d = fault plans):"
     )
     .unwrap();
-    for (name, s) in &d.scenarios {
-        let grid: String = s
-            .shards
-            .values()
-            .map(|run| {
-                if !run.passed {
-                    'X'
-                } else if run.incomplete {
-                    '!'
-                } else {
-                    '.'
-                }
+    for (name, s, run) in &runs {
+        let grid: String = (s.shards.values())
+            .map(|shard| match (shard.passed, shard.report.is_incomplete()) {
+                (false, _) => 'X',
+                (true, true) => '!',
+                (true, false) => '.',
             })
             .collect();
+        let (r, c) = (&run.report, &run.report.coverage);
         let cov = format!(
             "crash {}/{} fault {}/{}",
-            s.crash_points_exercised_at_least(),
-            s.crash_points_enumerable(),
-            s.fault_plans_exercised(),
-            s.fault_plans_enumerable(),
+            c.crash_points_exercised,
+            c.crash_points_enumerable,
+            c.fault_plans_exercised(),
+            c.fault_plans_enumerable(),
         );
         writeln!(
             out,
             "    {name:<name_w$}  [{grid:<4}]  {:>7} execs  {:>9} steps  {:>2} cx  {cov}",
-            s.executions(),
-            s.total_steps(),
-            s.counterexamples(),
+            r.executions, r.total_steps, run.counterexamples,
         )
         .unwrap();
     }
@@ -297,10 +234,8 @@ pub fn render_dashboard(d: &Dashboard) -> String {
         out.push('\n');
     }
 
-    let mut slowest: Vec<(&String, f64)> = d
-        .scenarios
-        .iter()
-        .map(|(n, s)| (n, s.wall_time_s()))
+    let mut slowest: Vec<(&String, f64)> = (runs.iter())
+        .map(|(name, _, run)| (*name, run.report.wall_time.as_secs_f64()))
         .collect();
     slowest.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     writeln!(out, "  slowest scenarios:").unwrap();
@@ -309,11 +244,11 @@ pub fn render_dashboard(d: &Dashboard) -> String {
     }
     out.push('\n');
 
-    let pruned: u64 = d.scenarios.values().map(|s| s.pruned()).sum();
-    let replayed: u64 = d.scenarios.values().map(|s| s.replayed()).sum();
     writeln!(
         out,
-        "  pruning: {pruned} schedules pruned; {replayed} executions replayed from WALs"
+        "  pruning: {} schedules pruned; {} executions replayed from WALs",
+        sum(|run| run.report.pruned),
+        sum(|run| run.report.replayed),
     )
     .unwrap();
     out
@@ -337,6 +272,18 @@ mod tests {
             panic!("{line} is not a record")
         };
         assert!(m.remove(key).is_some(), "{line} has no {key}");
+        serde_json::to_string(&Value::Object(m)).unwrap()
+    }
+
+    /// `line` with `key` set to `value`.
+    fn with(line: &str, key: &str, value: Value) -> String {
+        let Ok(Value::Object(mut m)) = serde_json::from_str(line) else {
+            panic!("{line} is not a record")
+        };
+        assert!(
+            m.insert(key.to_string(), value).is_some(),
+            "{line} has no {key}"
+        );
         serde_json::to_string(&Value::Object(m)).unwrap()
     }
 
@@ -382,15 +329,22 @@ mod tests {
         let mut d = Dashboard::default();
         d.ingest(&run_end_line("s", "0/2", 100, true));
         d.ingest(&run_end_line("s", "1/2", 50, false));
-        let s = &d.scenarios["s"];
-        assert_eq!(s.executions(), 150);
-        assert_eq!(s.total_steps(), 1500);
-        assert_eq!(s.counterexamples(), 1);
-        assert_eq!(s.crash_points_enumerable(), 8);
-        assert_eq!(s.pruned(), 7, "spine counters agree across shards: max");
-        assert_eq!(s.replayed(), 4);
-        assert!(!s.passed());
-        assert_eq!(d.totals(), (150, 1500, 1));
+        let s = d.scenarios["s"].merged();
+        assert_eq!(s.report.executions, 150);
+        assert_eq!(s.report.total_steps, 1500);
+        assert_eq!(s.counterexamples, 1);
+        assert_eq!(s.report.coverage.crash_points_enumerable, 8);
+        assert_eq!(
+            s.report.pruned, 7,
+            "spine counters agree across shards: max"
+        );
+        assert_eq!(s.report.replayed, 4);
+        assert!(!s.passed);
+        let text = render_dashboard(&d);
+        assert!(
+            text.contains("150 executions, 1500 steps, 1 counterexamples"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -402,8 +356,9 @@ mod tests {
             run_end_line("s", "0/2", 100, true),
         );
         d.ingest(&text);
-        assert_eq!(d.scenarios["s"].executions(), 100);
-        assert!(d.scenarios["s"].passed());
+        let s = d.scenarios["s"].merged();
+        assert_eq!(s.report.executions, 100);
+        assert!(s.passed);
     }
 
     #[test]
@@ -503,10 +458,36 @@ mod tests {
         d.ingest(&without(&run_end_line("s", "1/2", 50, true), "passed"));
         assert_eq!(d.torn_lines, 1);
         assert_eq!(d.scenarios["s"].shards.len(), 1);
-        assert!(d.scenarios["s"].passed());
+        assert!(d.scenarios["s"].merged().passed);
         let text = render_dashboard(&d);
         assert!(text.contains("[.   ]"), "{text}");
         assert!(text.contains("(1 torn lines skipped)"), "{text}");
+    }
+
+    /// The dashboard reads a `run_end` as the report reader reads the same
+    /// fields: a negative wall time, a shard that is not `i/n`, and
+    /// incomplete marks that are not strings make the line torn.
+    fn refused(key: &str, value: Value) {
+        let mut d = Dashboard::default();
+        d.ingest(&run_end_line("s", "0/2", 100, true));
+        d.ingest(&with(&run_end_line("s", "1/2", 50, true), key, value));
+        assert_eq!(d.torn_lines, 1, "{key}");
+        assert_eq!(d.scenarios["s"].shards.len(), 1, "{key}");
+    }
+
+    #[test]
+    fn a_run_end_with_a_negative_wall_time_is_torn() {
+        refused("wall_time_s", Value::Number(-5.0));
+    }
+
+    #[test]
+    fn a_run_end_whose_shard_is_not_i_of_n_is_torn() {
+        refused("shard", Value::String("east".into()));
+    }
+
+    #[test]
+    fn a_run_end_whose_incomplete_marks_are_not_strings_is_torn() {
+        refused("incomplete", Value::Array(vec![Value::Number(7.0)]));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How one explored execution ended.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExecOutcome {
     /// Ghost validation and the final check both passed.
     Ok,
@@ -53,7 +53,7 @@ impl ExecOutcome {
 }
 
 /// A failing execution, with enough context to reproduce and debug it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Counterexample {
     /// What failed.
     pub outcome: ExecOutcome,

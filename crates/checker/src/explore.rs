@@ -76,7 +76,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Aggregate result of checking one scenario.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckReport {
     /// Scenario name.
     pub name: String,

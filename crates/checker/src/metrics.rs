@@ -375,14 +375,15 @@ impl Coverage {
     /// per owned execution (disjoint across shards): sum. Enumerable
     /// horizons are probe-derived and agree across shards: max = any. The
     /// two set-backed counts (`crash_points_exercised`, `distinct_traces`)
-    /// are the merger's, from the merged sets.
-    pub(crate) fn merge(&mut self, other: &Coverage) {
-        self.crash_points_enumerable = self
-            .crash_points_enumerable
-            .max(other.crash_points_enumerable);
+    /// take the max, a lower bound on the union: a merger that holds the
+    /// sets counts the union instead.
+    pub(crate) fn merge(&mut self, o: &Coverage) {
+        self.crash_points_enumerable = self.crash_points_enumerable.max(o.crash_points_enumerable);
+        self.crash_points_exercised = self.crash_points_exercised.max(o.crash_points_exercised);
+        self.distinct_traces = self.distinct_traces.max(o.distinct_traces);
         for i in 0..FaultFamily::ALL.len() {
-            self.plans_exercised[i] += other.plans_exercised[i];
-            self.plans_enumerable[i] = self.plans_enumerable[i].max(other.plans_enumerable[i]);
+            self.plans_exercised[i] += o.plans_exercised[i];
+            self.plans_enumerable[i] = self.plans_enumerable[i].max(o.plans_enumerable[i]);
         }
     }
 

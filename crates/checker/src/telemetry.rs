@@ -7,7 +7,9 @@
 //! byte-for-byte the same [`crate::Counterexample`] as one without (pinned
 //! by `tests/telemetry.rs`). The stream is at once telemetry, the resume
 //! write-ahead log and the dashboard's input, and this module is the only
-//! one that knows its format (DESIGN.md §11 is its schema):
+//! one that knows its format (DESIGN.md §11 is its schema), but for
+//! `run_end`'s totals, which are report JSON's, stated once in
+//! `campaign.rs`:
 //!
 //! - **In.** The executor's whole contact with the stream is five calls on
 //!   [`RunTelemetry`]: [`open`](RunTelemetry::open) (`run_start`),
@@ -35,11 +37,9 @@
 //! counters that are *not* the numbers reported in [`crate::CheckReport`];
 //! those are computed from canonical job outcomes (see [`crate::metrics`]).
 
-use crate::campaign::outcomes_to_json;
+use crate::campaign::{read_totals, with_totals};
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
-use crate::json::{
-    get, get_arr, get_f64, get_hex, get_str, get_u64, hex64, without_keys, ObjectLine,
-};
+use crate::json::{get, get_hex, get_str, get_u64, hex64, without_keys, ObjectLine};
 use crate::metrics::OutcomeKind;
 use crate::pass::{Pass, PassSet};
 use goose_rt::fault::FaultPlan;
@@ -573,37 +573,20 @@ pub fn ev_exec_done(e: &ExecEvent<'_>) -> Value {
 }
 
 /// The `run_end` record: the report's deterministic totals and verdict.
+/// `RunEnd::from_json` reads it back.
 pub(crate) fn run_end_record(report: &CheckReport) -> Value {
-    let mut ev = json!({
+    let c = &report.coverage;
+    let record = json!({
         "type": "run_end",
         "passed": report.passed(),
-        "executions": report.executions,
-        "total_steps": report.total_steps,
-        "crashes_injected": report.crashes_injected,
-        "crash_points": report.crash_points,
-        "fault_plans": report.fault_plans,
-        "disk_reads": report.disk_reads,
-        "disk_writes": report.disk_writes,
-        "disk_flushes": report.disk_flushes,
-        "net_sends": report.net_sends,
-        "net_recvs": report.net_recvs,
         "counterexamples": report.counterexamples.len(),
-        "outcomes": outcomes_to_json(&report.outcomes),
-        "crash_points_exercised": report.coverage.crash_points_exercised,
-        "crash_points_enumerable": report.coverage.crash_points_enumerable,
-        "fault_plans_exercised": report.coverage.fault_plans_exercised(),
-        "fault_plans_enumerable": report.coverage.fault_plans_enumerable(),
-        "distinct_traces": report.coverage.distinct_traces,
-        "strategy": report.strategy,
-        "pruned": report.pruned,
-        "coverage_guided": report.coverage_guided,
-        "shard": report.shard.map(|(i, n)| format!("{i}/{n}")),
-        "replayed": report.replayed,
-        "incomplete": report.incomplete,
-        "workers": report.workers,
-        "wall_time_s": report.wall_time.as_secs_f64(),
-        "execs_per_sec": report.execs_per_sec,
+        "crash_points_exercised": c.crash_points_exercised,
+        "crash_points_enumerable": c.crash_points_enumerable,
+        "fault_plans_exercised": c.fault_plans_exercised(),
+        "fault_plans_enumerable": c.fault_plans_enumerable(),
+        "distinct_traces": c.distinct_traces,
     });
+    let mut ev = with_totals(record, report, true);
     // Shrink bookkeeping rides along only when shrinking actually ran,
     // so shrink-off streams stay byte-identical to pre-shrink ones.
     if let (Some(s), Value::Object(map)) = (&report.shrink, &mut ev) {
@@ -618,64 +601,40 @@ pub(crate) fn run_end_record(report: &CheckReport) -> Value {
     ev
 }
 
-/// A `run_end` record read back: one run's totals and verdict, as the
-/// dashboard shows them per shard.
+/// A `run_end` record read back: one run's verdict, and its totals as
+/// far as the record carries them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunEnd {
-    /// The shard the run covered, `i/n`; `-` for an unsharded run.
-    pub shard: String,
-    /// Whether the verdict was a pass.
+    /// Whether the verdict was a pass (`report` holds no counterexample,
+    /// so its own `passed()` cannot say).
     pub passed: bool,
-    /// Whether the run was marked incomplete (budget hit, stream error).
-    pub incomplete: bool,
-    /// Executions the run finished.
-    pub executions: u64,
-    /// Scheduler grants summed over them.
-    pub total_steps: u64,
-    /// Crashes the run injected.
-    pub crashes_injected: u64,
     /// Counterexamples the run recorded.
     pub counterexamples: u64,
-    /// Distinct absolute-grant-count crash points exercised.
-    pub crash_points_exercised: u64,
-    /// Crash points the probe pass enumerated as reachable.
-    pub crash_points_enumerable: u64,
-    /// Fault plans exercised across all fault surfaces.
-    pub fault_plans_exercised: u64,
-    /// Fault plans enumerable across all fault surfaces.
-    pub fault_plans_enumerable: u64,
-    /// Executions pruned by the strategy (DPOR sleep sets).
-    pub pruned: u64,
-    /// Executions replayed from a WAL instead of re-run.
-    pub replayed: u64,
-    /// Wall-clock seconds the run took.
-    pub wall_time_s: f64,
+    /// The totals the record carries, read through the report's counter
+    /// table: counters, outcome tally, strategy, shard, incomplete marks
+    /// and timing, and coverage. The fault plans come summed over the
+    /// families, in the first family's slot, which the family sums and
+    /// `Coverage::merge` read alike.
+    pub report: Box<CheckReport>,
 }
 
 impl RunEnd {
+    /// Reads a `run_end` record: all or nothing, like every record.
     fn from_json(m: &Map) -> Result<Self, String> {
+        let mut report = read_totals(m, true)?;
+        let c = &mut report.coverage;
+        c.crash_points_exercised = get_u64(m, "crash_points_exercised")?;
+        c.crash_points_enumerable = get_u64(m, "crash_points_enumerable")?;
+        c.plans_exercised[0] = get_u64(m, "fault_plans_exercised")?;
+        c.plans_enumerable[0] = get_u64(m, "fault_plans_enumerable")?;
+        c.distinct_traces = get_u64(m, "distinct_traces")?;
         Ok(RunEnd {
-            shard: match get(m, "shard")? {
-                Value::Null => "-".to_string(),
-                Value::String(s) => s.clone(),
-                v => return Err(format!("shard: expected string or null, got {v:?}")),
-            },
             passed: match get(m, "passed")? {
                 Value::Bool(b) => *b,
                 v => return Err(format!("passed: expected a boolean, got {v:?}")),
             },
-            incomplete: !get_arr(m, "incomplete")?.is_empty(),
-            executions: get_u64(m, "executions")?,
-            total_steps: get_u64(m, "total_steps")?,
-            crashes_injected: get_u64(m, "crashes_injected")?,
             counterexamples: get_u64(m, "counterexamples")?,
-            crash_points_exercised: get_u64(m, "crash_points_exercised")?,
-            crash_points_enumerable: get_u64(m, "crash_points_enumerable")?,
-            fault_plans_exercised: get_u64(m, "fault_plans_exercised")?,
-            fault_plans_enumerable: get_u64(m, "fault_plans_enumerable")?,
-            pruned: get_u64(m, "pruned")?,
-            replayed: get_u64(m, "replayed")?,
-            wall_time_s: get_f64(m, "wall_time_s")?,
+            report: Box::new(report),
         })
     }
 }
@@ -1454,28 +1413,12 @@ mod tests {
     /// counted as torn; short of any other key it still reads.
     #[test]
     fn every_record_type_is_all_or_nothing() {
-        let read: [(&str, &[&str]); 3] = [
-            ("pass_end", &["pass", "duration_us"]),
-            (
-                "run_end",
-                &[
-                    "shard",
-                    "passed",
-                    "incomplete",
-                    "executions",
-                    "total_steps",
-                    "crashes_injected",
-                    "counterexamples",
-                    "crash_points_exercised",
-                    "crash_points_enumerable",
-                    "fault_plans_exercised",
-                    "fault_plans_enumerable",
-                    "pruned",
-                    "replayed",
-                    "wall_time_s",
-                ],
-            ),
-            ("pass_start", &[]),
+        // `None`: the reader takes every key the writer wrote (`run_end`,
+        // read through the report's counter table, like report JSON).
+        let read: [(&str, Option<&[&str]>); 3] = [
+            ("pass_end", Some(&["pass", "duration_us"])),
+            ("run_end", None),
+            ("pass_start", Some(&[])),
         ];
         for record in sample_stream(CheckConfig::default(), &CheckReport::default()) {
             let ty = get_str(&record, "type").unwrap().to_string();
@@ -1489,7 +1432,9 @@ mod tests {
                 let mut seen = 0;
                 let torn = read_stream(&line, None, |_, _| seen += 1);
                 // Every record needs its type and its scenario stamp.
-                let needed = taken.contains(&key.as_str()) || key == "type" || key == "scenario";
+                let needed = taken.is_none_or(|taken| taken.contains(&key.as_str()))
+                    || key == "type"
+                    || key == "scenario";
                 assert_eq!(torn, u64::from(needed), "{ty} without {key}");
                 assert_eq!(seen, u64::from(!needed), "{ty} without {key}");
             }

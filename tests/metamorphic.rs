@@ -1,9 +1,9 @@
 //! Metamorphic toggles (ROADMAP item 4 (b)): how a run is carried out must
 //! not show in what it reports. Generated tuples over pool size × event
-//! stream × profiler × trace capture × cold/resumed × whole/sharded ×
-//! whose runs the resumed stream holds all land on the fingerprint of the
-//! plainest run of the same scenario — one worker, no stream, every side
-//! channel off.
+//! stream × profiler × trace capture × cold/resumed × whole/sharded (in
+//! two, three or four) × whose runs the resumed stream holds all land on
+//! the fingerprint of the plainest run of the same scenario — one worker,
+//! no stream, every side channel off.
 
 use perennial_checker::{
     merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, CheckReport, Pass,
@@ -82,7 +82,8 @@ struct Toggles {
     profile: bool,
     trace_capture: bool,
     resumed: bool,
-    sharded: bool,
+    /// Shards the run is split into; 1 runs it whole.
+    shards: u32,
     sibling: Sibling,
 }
 
@@ -145,20 +146,18 @@ proptest! {
         profile in any::<bool>(),
         trace_capture in any::<bool>(),
         resumed in any::<bool>(),
-        sharded in any::<bool>(),
+        (sharded, n) in (any::<bool>(), 2u32..5),
         sibling in 0usize..3,
     ) {
         let index = scenario;
         let (scenario, want) = &baselines()[index];
         let stream = [Stream::None, Stream::SharedSink, Stream::File][stream];
         let sibling = [Sibling::None, Sibling::Before, Sibling::After][sibling];
-        let t = Toggles { workers, stream, profile, trace_capture, resumed, sharded, sibling };
+        let shards = if sharded { n } else { 1 };
+        let t = Toggles { workers, stream, profile, trace_capture, resumed, shards, sibling };
         let case = format!("{}-{t:?}", scenario.name()).replace(|c: char| !c.is_alphanumeric(), "");
-        let report = if t.sharded {
-            let shards = vec![
-                run(index, t, Some((0, 2)), &case),
-                run(index, t, Some((1, 2)), &case),
-            ];
+        let report = if t.shards > 1 {
+            let shards = (0..t.shards).map(|i| run(index, t, Some((i, t.shards)), &case)).collect();
             merge_reports(shards)?
         } else {
             run(index, t, None, &case)

@@ -1,4 +1,5 @@
-//! The stream's one reader under hostile input (ROADMAP item 4 (c)).
+//! The stream's one reader and the report reader under hostile input
+//! (ROADMAP item 4 (c)).
 //!
 //! A WAL is a file anyone may have touched and a kill may have cut, and
 //! what it replays becomes part of a verdict. So for every line of a real
@@ -8,9 +9,17 @@
 //! account for every non-empty line as either one whole record or one torn
 //! line, and must never hand back an execution that differs from the one
 //! the checker wrote under that key.
+//!
+//! A shard's report file is merged into a verdict the same way, so its
+//! JSON gets the same treatment: `report_from_json` refuses every such
+//! variant of a real shard report, and `merge_reports` refuses a set of
+//! shards that does not cover the run once, naming the shard.
 
 use perennial_checker::telemetry::{parse_wal, read_stream, ExecStats, Record};
-use perennial_checker::{CheckConfig, Dashboard, Pass, TelemetrySink};
+use perennial_checker::{
+    merge_reports, report_fingerprint, report_from_json, report_to_json, CheckConfig, CheckReport,
+    Dashboard, Pass, TelemetrySink,
+};
 use perennial_suite::all_mutant_scenarios;
 use proptest::prelude::*;
 use serde_json::Value;
@@ -29,25 +38,31 @@ struct Pristine {
     executions: BTreeMap<(Pass, u64), ExecStats>,
 }
 
-/// A mutant under the fault sweeps, kept going: all six record types, fault
-/// tags, failing executions.
+/// A mutant under the fault sweeps, kept going: failing executions, fault
+/// plans of every family.
+fn config() -> CheckConfig {
+    CheckConfig::builder()
+        .seed(7)
+        .dfs_max_executions(6)
+        .random_samples(2)
+        .random_crash_samples(3)
+        .without_passes([Pass::NestedCrash])
+        .with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault])
+        .keep_going(true)
+        .workers(1)
+        .build()
+}
+
+const MUTANT: &str = "patterns/mutant/wal-skip-commit-flush";
+
+/// The mutant's stream: all six record types, fault tags, failing
+/// executions.
 fn pristine() -> &'static Pristine {
     static PRISTINE: OnceLock<Pristine> = OnceLock::new();
     PRISTINE.get_or_init(|| {
         let registry = all_mutant_scenarios();
-        let scenario = registry
-            .get("patterns/mutant/wal-skip-commit-flush")
-            .expect("registered mutant");
-        let config = CheckConfig::builder()
-            .seed(7)
-            .dfs_max_executions(6)
-            .random_samples(2)
-            .random_crash_samples(3)
-            .without_passes([Pass::NestedCrash])
-            .with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault])
-            .keep_going(true)
-            .workers(1)
-            .build();
+        let scenario = registry.get(MUTANT).expect("registered mutant");
+        let config = config();
         let (sink, buf) = TelemetrySink::shared_buffer();
         let mut streamed = config.clone();
         streamed.telemetry = Some(sink);
@@ -286,5 +301,179 @@ proptest! {
         let at = at % (hostile.len() + 1);
         hostile.splice(at..at, bytes);
         check(&hostile)?;
+    }
+}
+
+/// The mutant's run as two shards: each shard's report, and the text
+/// `report_to_json` writes for it.
+fn shards() -> &'static [(CheckReport, String); 2] {
+    static SHARDS: OnceLock<[(CheckReport, String); 2]> = OnceLock::new();
+    SHARDS.get_or_init(|| {
+        let registry = all_mutant_scenarios();
+        let scenario = registry.get(MUTANT).expect("registered mutant");
+        [0, 1].map(|i| {
+            let report = scenario.run(&CheckConfig {
+                shard: Some((i, 2)),
+                ..config()
+            });
+            assert!(report.counterexamples.len() > 1 && report.fault_plans > 0);
+            let text = serde_json::to_string(&report_to_json(&report)).expect("infallible");
+            (report, text)
+        })
+    })
+}
+
+/// The report reader's contract on bytes derived from a report's text:
+/// they are not JSON, or not a report. Neither step may panic.
+fn refused(hostile: &[u8]) -> Result<(), String> {
+    let text = String::from_utf8_lossy(hostile);
+    match serde_json::from_str(&text).map(|v| report_from_json(&v)) {
+        Ok(Ok(report)) => Err(format!("read as {}\nfrom: {text}", report.summary())),
+        _ => Ok(()),
+    }
+}
+
+/// One step on the way to a value inside a JSON tree.
+#[derive(Debug, Clone)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// Every path from `v` to a value inside it, `at` prefixed.
+fn paths(v: &Value, at: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    let children: Vec<(Step, &Value)> = match v {
+        Value::Object(m) => m.iter().map(|(k, x)| (Step::Key(k.clone()), x)).collect(),
+        Value::Array(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| (Step::Index(i), x))
+            .collect(),
+        _ => Vec::new(),
+    };
+    for (step, child) in children {
+        at.push(step);
+        out.push(at.clone());
+        paths(child, at, out);
+        at.pop();
+    }
+}
+
+fn at<'a>(v: &'a mut Value, path: &[Step]) -> &'a mut Value {
+    path.iter().fold(v, |v, step| match (v, step) {
+        (Value::Object(m), Step::Key(k)) => m.get_mut(k).expect("on the path"),
+        (Value::Array(items), Step::Index(i)) => &mut items[*i],
+        _ => unreachable!("paths only go where the tree does"),
+    })
+}
+
+#[test]
+fn a_shard_report_round_trips_and_its_shards_merge() {
+    let [(a, a_text), (b, b_text)] = shards();
+    let back: Vec<CheckReport> = [a_text, b_text]
+        .map(|text| report_from_json(&serde_json::from_str(text).unwrap()).unwrap())
+        .into();
+    assert_eq!(report_fingerprint(&back[0]), report_fingerprint(a));
+    assert_eq!(report_fingerprint(&back[1]), report_fingerprint(b));
+    let whole = merge_reports(vec![a.clone(), b.clone()]).unwrap();
+    assert_eq!(
+        report_fingerprint(&merge_reports(back).unwrap()),
+        report_fingerprint(&whole)
+    );
+}
+
+/// Each key of each object removed, and each value swapped for one of
+/// another JSON type: the reader refuses the report, never fills a default.
+#[test]
+fn a_report_short_of_a_key_or_with_a_value_of_another_type_is_refused() {
+    for (_, text) in shards() {
+        let root: Value = serde_json::from_str(text).unwrap();
+        let mut all = Vec::new();
+        paths(&root, &mut Vec::new(), &mut all);
+        assert!(all.len() > 150, "{} paths", all.len());
+        for path in &all {
+            let mut swapped = root.clone();
+            let v = at(&mut swapped, path);
+            *v = of_another_type(v);
+            let got = report_from_json(&swapped);
+            assert!(got.is_err(), "{path:?} of another type was read as {got:?}");
+            let Some((Step::Key(key), parent)) = path.split_last() else {
+                continue;
+            };
+            let mut short = root.clone();
+            let Value::Object(m) = at(&mut short, parent) else {
+                unreachable!("a key's parent is an object")
+            };
+            m.remove(key);
+            assert!(
+                report_from_json(&short).is_err(),
+                "{path:?} removed was read"
+            );
+        }
+    }
+}
+
+/// Each key of each object written a second time, first or last among its
+/// siblings: the text is not JSON. The text is made by adding a placeholder
+/// key that sorts first (`!`) or last (`~`) among the object's keys, then
+/// writing the key and its value in place of the placeholder.
+#[test]
+fn a_report_with_a_key_twice_is_refused() {
+    let (_, text) = &shards()[0];
+    let root: Value = serde_json::from_str(text).unwrap();
+    let mut all = Vec::new();
+    paths(&root, &mut Vec::new(), &mut all);
+    for path in &all {
+        let Some((Step::Key(key), parent)) = path.split_last() else {
+            continue;
+        };
+        let json = |v: &Value| serde_json::to_string(v).unwrap();
+        let value = at(&mut root.clone(), path).clone();
+        let twice = format!("{}: {}", json(&Value::String(key.clone())), json(&value));
+        for sentinel in ["!", "~"] {
+            let mut marked = root.clone();
+            let Value::Object(m) = at(&mut marked, parent) else {
+                unreachable!("a key's parent is an object")
+            };
+            m.insert(sentinel.to_string(), Value::Null);
+            let text = serde_json::to_string(&marked).unwrap();
+            let text = text.replacen(&format!("\"{sentinel}\": null"), &twice, 1);
+            assert!(
+                serde_json::from_str(&text).is_err(),
+                "{path:?} twice parsed"
+            );
+            refused(text.as_bytes()).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_report_cut_at_any_byte_is_refused() {
+    for (_, text) in shards() {
+        for cut in 0..text.len() {
+            refused(&text.as_bytes()[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        }
+    }
+}
+
+/// A set of shards, read back from their report text, that does not cover
+/// the run exactly once is refused, and the refusal names the shard at
+/// fault.
+#[test]
+fn merging_a_mis_covered_set_names_the_shard() {
+    let [a, b] = shards()
+        .each_ref()
+        .map(|(_, text)| report_from_json(&serde_json::from_str(text).unwrap()).unwrap());
+    let mut stranger = b.clone();
+    stranger.name = "patterns/wal".into();
+    for (set, culprit) in [
+        (vec![b.clone()], "0/2"),
+        (vec![a.clone()], "1/2"),
+        (vec![a.clone(), a.clone(), b.clone()], "0/2"),
+        (vec![a.clone(), b.clone(), b.clone()], "1/2"),
+        (vec![a.clone(), stranger], "1/2"),
+    ] {
+        let err = merge_reports(set).expect_err(culprit);
+        assert!(err.contains(culprit), "{culprit}: {err}");
     }
 }

@@ -48,6 +48,18 @@
 # strategy.rs holds no footprint by value: `Vec<StepAccess>` appears in
 # its code only as the `&mut` buffer a footprint is appended to (a sleep
 # entry shares its footprint through an `Arc<[StepAccess]>`).
+#
+# One table per report record: `CheckReport`'s counters and the per-pass
+# counters are each one table in campaign.rs (`REPORT_COUNTERS`,
+# `PASS_COUNTERS`: wire key, shard fold, field), and the report codec,
+# `merge_reports`, `run_end`'s writer and reader and the dashboard all go
+# through them. So in campaign.rs, telemetry.rs and dashboard.rs a
+# counter's wire key is a string literal at one site per table that lists
+# it: its row. Not searched: the code of other records that use the same
+# key names (`exec_done`, `counterexample`, `run_start` and its env
+# stamp) and the `VOLATILE_KEYS`/`TIMING_KEYS` lists. And dashboard.rs
+# spells no key of the `run_end` record (the list pinned by telemetry.rs's
+# key-set test): it reads the typed record.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -180,6 +192,52 @@ if [ -n "$owned" ]; then
     failed=1
     echo "        ^ strategy.rs holds a footprint by value; borrow the DepTrace row or share an Arc<[StepAccess]>:"
     printf '%s\n' "$owned" | sed 's/^/          /'
+fi
+
+echo
+tables=crates/checker/src/campaign.rs
+other_records='fn (cx_to_json|cx_from_json|counterexample|exec_done|ev_exec_done|run_start_record)[(]|impl (ExecStats|EnvStamp) |const (POOL_KEYS|VOLATILE_KEYS|TIMING_KEYS):'
+# The code lines of the three record files outside the items that
+# start with $other_records (up to the closing line at their indent).
+record_code() {
+    for path in $tables crates/checker/src/telemetry.rs crates/checker/src/dashboard.rs; do
+        code "$path" | sed "s|^|$path:|" | awk -v items="$other_records" '
+            { line = $0; sub(/^[^ ]*: /, "", line) }
+            skip { if (line ~ ("^" indent "[]}]")) skip = 0; next }
+            line ~ items { match(line, /^ */); indent = substr(line, 1, RLENGTH); skip = line !~ /;$/; next }
+            { print }'
+    done
+}
+# The wire keys of table $1's rows, one per line.
+table_keys() {
+    code "$tables" | awk -v t="static $1:" 'index($0, t) { on = 1; next } on && /\];/ { on = 0 } on' |
+        grep -o '"[a-z_]*"' | tr -d '"'
+}
+keys=$( (table_keys REPORT_COUNTERS; table_keys PASS_COUNTERS) | sort | uniq -c)
+echo "report tables: $(table_keys REPORT_COUNTERS | grep -c '') report and $(table_keys PASS_COUNTERS | grep -c '') pass counters"
+if [ -z "$keys" ]; then
+    failed=1
+    echo "        ^ no REPORT_COUNTERS/PASS_COUNTERS table rows found in $tables"
+fi
+sites_of=$(record_code)
+printf '%s\n' "$keys" | while read -r rows key; do
+    [ -n "$key" ] || continue
+    sites=$(printf '%s\n' "$sites_of" | grep -F "\"$key\"" || true)
+    if [ "$(printf '%s' "$sites" | grep -c '')" -ne "$rows" ]; then
+        echo "        ^ \"$key\" is a literal at other sites than its $rows table row(s):"
+        printf '%s\n' "$sites" | sed 's/^/          /'
+    fi
+done | grep . && failed=1
+run_end_keys=$(awk '/const RUN_END: &str = "/ { on = 1 } on { print } on && /";/ { exit }' \
+    crates/checker/src/telemetry.rs | sed 's/.*= "//; s/[";\\]//g')
+spelled=""
+for key in $run_end_keys; do
+    spelled="$spelled$(code crates/checker/src/dashboard.rs | grep -F "\"$key\"" || true)"
+done
+if [ -z "$run_end_keys" ] || [ -n "$spelled" ]; then
+    failed=1
+    echo "        ^ dashboard.rs spells a run_end key (or telemetry.rs's RUN_END list is gone):"
+    printf '%s\n' "$spelled" | sed 's/^/          /'
 fi
 
 echo
