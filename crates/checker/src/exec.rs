@@ -3,7 +3,7 @@
 //! runs a harness once under an [`ExecSpec`] and reports how it ended
 //! ([`ExecOutcome`]) and what it measured ([`ExecStats`]).
 
-use crate::harness::{Harness, Op, Script, System, World};
+use crate::harness::{AnyGhost, AnyHarness, AnyWorld};
 use crate::pass::Pass;
 use crate::strategy::DepTrace;
 use crate::telemetry::ExecStats;
@@ -13,8 +13,7 @@ use goose_rt::sched::{
     StepAccess, StepResult, Tid,
 };
 use goose_rt::trace::{ExecTrace, TraceKind};
-use perennial::{Fnv1a, Ghost, GhostError};
-use perennial_spec::SpecTS;
+use perennial::{Fnv1a, GhostError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -153,17 +152,6 @@ impl ScheduleState {
             clamped: Vec::new(),
             rr_next: 0,
             rng: seed | 1,
-        }
-    }
-
-    /// The schedule of a round-robin job forked off this one: its
-    /// decisions so far and its place in the rotation, with `seed`.
-    fn forked(&self, seed: u64) -> Self {
-        debug_assert_eq!(self.policy, Policy::RoundRobin, "only sweeps fork");
-        ScheduleState {
-            decisions: self.decisions.clone(),
-            rr_next: self.rr_next,
-            ..ScheduleState::new(Policy::RoundRobin, seed)
         }
     }
 
@@ -316,9 +304,7 @@ impl RunResult {
             exec_trace: capture_trace.then(|| rt.take_trace()),
         }
     }
-}
 
-impl RunResult {
     /// The first thing two runs of one execution differ in — the outcome,
     /// an [`ExecStats`] field, the per-lock blocks — named, with both
     /// values; `None` if they agree on all of them.
@@ -378,38 +364,32 @@ impl RunResult {
 /// and any virtual threads a failed or panicked execution left suspended
 /// are unwound before returning, which frees their stacks (nothing
 /// stays suspended across a long keep-going campaign).
-pub(crate) fn run_one<S: SpecTS, H: Harness<S>>(harness: &H, spec: ExecSpec<'_>) -> RunResult {
-    run_stopping(harness, spec, &[], &mut |_: &Paused<'_, S, H>| {})
+pub(crate) fn run_one(harness: &dyn AnyHarness, spec: ExecSpec<'_>) -> RunResult {
+    run_stopping(harness, spec, None, &[], &mut |_: &Exec| {})
 }
 
-/// [`run_one`], stopping at each step boundary in `stops` (ascending) it
-/// reaches, where `at` may fork crash jobs off the execution
-/// ([`Paused::crash`]) before it carries on.
-pub(crate) fn run_stopping<S: SpecTS, H: Harness<S>>(
-    harness: &H,
+/// [`run_one`], from its first step or — `base` given — crashed at the
+/// step boundary `base` is stopped at, stopping at each step boundary in
+/// `stops` (ascending) it reaches, where `at` may fork crash jobs off the
+/// execution before it carries on. A crashed copy is a round-robin job's:
+/// its statistics, outcome and ghost trace are a re-run's with `base`'s
+/// step added to its crash points, and it executes only what follows the
+/// crash. Nothing of `base` is resumed, unwound or changed.
+pub(crate) fn run_stopping(
+    harness: &dyn AnyHarness,
     spec: ExecSpec<'_>,
+    base: Option<&Exec>,
     stops: &[u64],
-    at: &mut dyn FnMut(&Paused<'_, S, H>),
+    at: &mut dyn FnMut(&Exec),
 ) -> RunResult {
     let rt = ModelRt::with_faults(spec.seed, spec.max_steps, spec.faults.clone());
+    let inherited = base.map_or(0, Exec::step);
     let capture_trace = spec.capture_trace;
-    isolated(&rt, 0, capture_trace, |started| {
-        Exec::fresh(harness, &rt, spec, stops, started).drive(harness, at)
-    })
-}
-
-/// Runs an execution over `rt` under `catch_unwind`: a harness panic
-/// becomes its outcome, and whatever a failed execution left suspended is
-/// unwound. `inherited` steps came from the execution it was forked off.
-fn isolated(
-    rt: &ModelRt,
-    inherited: u64,
-    capture_trace: bool,
-    run: impl FnOnce(Instant) -> RunResult,
-) -> RunResult {
     let started = Instant::now();
     let result = quiet_worker_panics(|| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(started)))
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Exec::new(harness, &rt, spec, base, stops, started).drive(at)
+        }))
     });
     match result {
         Ok(r) => {
@@ -429,7 +409,7 @@ fn isolated(
                 ..PilotLog::default()
             };
             let outcome = ExecOutcome::HarnessPanic(panic_message(payload));
-            RunResult::close(rt, started, capture_trace, inherited, outcome, log)
+            RunResult::close(&rt, started, capture_trace, inherited, outcome, log)
         }
     }
 }
@@ -437,8 +417,8 @@ fn isolated(
 /// Re-runs the execution a counterexample records — the one path behind
 /// [`crate::replay`], the shrinker's candidates and the trace-capture
 /// re-run. It emits no telemetry and counts toward no statistic.
-pub(crate) fn rerun<S: SpecTS, H: Harness<S>>(
-    harness: &H,
+pub(crate) fn rerun(
+    harness: &dyn AnyHarness,
     cx: &Counterexample,
     max_steps: u64,
     capture_trace: bool,
@@ -473,7 +453,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// decision log, the step clock crash points, stops and disk failures are
 /// scheduled on, and, when on, the per-grant dependency footprint and
 /// the ghost-trace watermark of the causal trace.
-struct ExecPilot<S: SpecTS> {
+struct ExecPilot {
     sched: ScheduleState,
     /// Grants plus injected crashes so far.
     steps: u64,
@@ -482,7 +462,7 @@ struct ExecPilot<S: SpecTS> {
     /// Pending stops ([`run_stopping`]), reversed.
     stops: Vec<u64>,
     disk_fail: Option<(u8, u64)>,
-    ghost: Arc<Ghost<S>>,
+    ghost: Arc<dyn AnyGhost>,
     /// Per-grant dependency observations (`track_deps` executions).
     dep: Option<DepTrace>,
     /// Ghost-engine calls made before the current grant.
@@ -492,7 +472,7 @@ struct ExecPilot<S: SpecTS> {
     spec_mark: Option<usize>,
 }
 
-impl<S: SpecTS> ExecPilot<S> {
+impl ExecPilot {
     /// Whether the plan fails a disk at this step boundary.
     fn disk_fail_due(&self) -> bool {
         self.disk_fail.is_some_and(|(_, g)| g == self.steps)
@@ -514,22 +494,13 @@ impl<S: SpecTS> ExecPilot<S> {
         let Some(mark) = self.spec_mark.as_mut() else {
             return;
         };
-        self.ghost.with_trace(|trace| {
-            let events = trace.events();
-            for ev in &events[*mark..] {
-                rt.trace_event_for(
-                    tid,
-                    TraceKind::Spec {
-                        event: format!("{ev:?}"),
-                    },
-                );
-            }
-            *mark = events.len();
+        *mark = self.ghost.events_from(*mark, &mut |event| {
+            rt.trace_event_for(tid, TraceKind::Spec { event });
         });
     }
 }
 
-impl<S: SpecTS> Pilot for ExecPilot<S> {
+impl Pilot for ExecPilot {
     fn step_done(&mut self, rt: &ModelRt, tid: Tid) {
         self.steps += 1;
         if let Some(dep) = self.dep.as_mut() {
@@ -568,248 +539,115 @@ impl<S: SpecTS> Pilot for ExecPilot<S> {
     }
 }
 
-/// The system under test across one execution, and the one statement of
-/// its lifecycle (DESIGN.md §9): boot and the main round, then at every
-/// injected crash the substrate's crash transition, a re-boot and the
-/// recovery thread, and after the first completed recovery the
-/// post-recovery round.
-struct Lifecycle<Sys, S: SpecTS> {
-    w: World<S>,
-    sys: Arc<Sys>,
-    crash: fn(&Sys),
-    /// The post-recovery round, until it is spawned.
-    after: Vec<Op<Sys, S>>,
+/// One execution, from its start — or the crash it was forked off another
+/// execution at — to its end: the runtime, the world and the pilot
+/// steering them, and the one statement of the lifecycle's order
+/// (DESIGN.md §9): at every injected crash the unwind, the world's crash
+/// and the recovery thread; after the first completed recovery the
+/// post-recovery round. At a stop ([`run_stopping`]) the crash jobs that
+/// crash there fork off it, each in a world of its own, and it carries on
+/// untouched when the stop returns.
+pub(crate) struct Exec {
+    rt: Arc<ModelRt>,
+    world: Box<dyn AnyWorld>,
     /// The recovery thread still running, if the last crash's is.
     recovering: Option<Tid>,
-}
-
-impl<Sys: System<S>, S: SpecTS> Lifecycle<Sys, S> {
-    /// Boots the script's system and spawns its main round.
-    fn start(script: Script<Sys, S>, w: World<S>) -> Self {
-        let life = Lifecycle {
-            w,
-            sys: Arc::new(script.sys),
-            crash: script.crash,
-            after: script.after,
-            recovering: None,
-        };
-        life.sys.boot(&life.w);
-        life.spawn_all(script.main);
-        life
-    }
-
-    /// The script's system, made to hold what `base` holds now as a crash
-    /// leaves it, with nothing run yet: the system restored from `base`'s
-    /// snapshot, then the runtime and the ghost state overwritten with
-    /// their crashed copies (over `make`'s own allocations). The main
-    /// round is never spawned, and the post-recovery round is dropped if
-    /// `base` has spawned its own. [`Lifecycle::restart`] goes on.
-    fn forked(script: Script<Sys, S>, w: World<S>, base: &Lifecycle<Sys, S>) -> Self {
-        let after = if base.after.is_empty() {
-            Vec::new()
-        } else {
-            script.after
-        };
-        let life = Lifecycle {
-            w,
-            sys: Arc::new(script.sys),
-            crash: script.crash,
-            after,
-            recovering: None,
-        };
-        life.sys.restore(&base.sys.snapshot());
-        life.w.rt.restore_crashed(&base.w.rt);
-        life.w.ghost.fork_crashed(&base.w.ghost);
-        life
-    }
-
-    /// Spawns `op` as a virtual thread over the system.
-    fn spawn(&self, name: &str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) -> Tid {
-        let (sys, w) = (Arc::clone(&self.sys), self.w.clone());
-        self.w.rt.spawn(name, move || op(&sys, &w))
-    }
-
-    fn spawn_all(&self, ops: Vec<Op<Sys, S>>) {
-        for (name, op) in ops {
-            self.spawn(name, op);
-        }
-    }
-
-    /// An injected crash: every thread is unwound, the ghost state and
-    /// the substrate take their crash transitions, and the process
-    /// restarts into recovery.
-    fn crash(&mut self) {
-        self.w.rt.crash_all();
-        self.w.ghost.crash();
-        self.restart();
-    }
-
-    /// The substrate's crash transition, a re-boot and the recovery
-    /// thread.
-    fn restart(&mut self) {
-        (self.crash)(&self.sys);
-        self.sys.boot(&self.w);
-        self.recovering = Some(self.spawn("recovery", Sys::recover));
-    }
-
-    /// Thread `tid` ran to its end: if it was the recovery thread, the
-    /// post-recovery round starts (once per execution).
-    fn finished(&mut self, tid: Tid) {
-        if self.recovering == Some(tid) {
-            self.recovering = None;
-            let after = std::mem::take(&mut self.after);
-            self.spawn_all(after);
-        }
-    }
-}
-
-/// One execution's world, from its start — or the crash it was forked
-/// off another execution at — to its end: the runtime, the ghost state,
-/// the system's lifecycle and the pilot steering them.
-struct Exec<Sys, S: SpecTS> {
-    rt: Arc<ModelRt>,
-    ghost: Arc<Ghost<S>>,
-    life: Lifecycle<Sys, S>,
-    pilot: PilotCell<ExecPilot<S>>,
-    max_steps: u64,
+    pilot: PilotCell<ExecPilot>,
     crashes: u64,
     /// Steps of the execution this one was forked off, up to the fork:
     /// in its statistics, not run by it.
     inherited: u64,
-    track_deps: bool,
-    capture_trace: bool,
     render_trace: bool,
     started: Instant,
 }
 
-impl<Sys: System<S>, S: SpecTS> Exec<Sys, S> {
-    /// An execution from its first step: `make`, boot and the main round.
-    fn fresh<H: Harness<S, Sys = Sys>>(
-        harness: &H,
+impl Exec {
+    /// The execution `spec` describes over `rt`: from its first step
+    /// (`make`, boot and the main round), or from the crashed copy of
+    /// `base`'s world, its round-robin schedule carried on, the crash's
+    /// step taken and recovery spawned.
+    fn new(
+        harness: &dyn AnyHarness,
         rt: &Arc<ModelRt>,
         spec: ExecSpec<'_>,
+        base: Option<&Exec>,
         stops: &[u64],
         started: Instant,
     ) -> Self {
-        let ExecSpec {
-            policy,
-            crash_points,
-            faults,
-            seed,
-            max_steps,
-            track_deps,
-            capture_trace,
-            render_trace,
-        } = spec;
-        rt.set_track_deps(track_deps);
-        rt.set_tracing(capture_trace);
-        let ghost = Ghost::new(harness.spec());
-        let w = World {
-            rt: Arc::clone(rt),
-            ghost: Arc::clone(&ghost),
+        rt.set_track_deps(spec.track_deps);
+        rt.set_tracing(spec.capture_trace);
+        let world = harness.world(rt, base.map(|b| &*b.world));
+        // A crashed copy restarts into recovery.
+        let recovering = base.map(|_| world.restart());
+        let hint = decisions_hint(&spec.policy);
+        let dep = spec.track_deps.then(|| DepTrace::with_capacity(hint));
+        let mut sched = ScheduleState::new(spec.policy, spec.seed);
+        let (inherited, crashes) = match base {
+            None => (0, 0),
+            Some(base) => {
+                // A round-robin job carries on the schedule it forks off.
+                let p = base.pilot.lock();
+                sched.decisions.clone_from(&p.sched.decisions);
+                sched.rr_next = p.sched.rr_next;
+                (p.steps, base.crashes + 1)
+            }
         };
-        let life = Lifecycle::start(harness.make(&w), w);
-        let dep = track_deps.then(|| DepTrace::with_capacity(decisions_hint(&policy)));
+        // A crashed copy's crash consumes a step, as an injected one does.
+        let steps = inherited + u64::from(base.is_some());
+        // The crash points up to a crashed copy's are its base's.
+        let pending = spec.crash_points.iter().filter(|&&k| k >= steps);
         let pilot = shared_pilot(ExecPilot {
-            sched: ScheduleState::new(policy, seed),
-            steps: 0,
-            crash_points: crash_points.iter().rev().copied().collect(),
+            sched,
+            steps,
+            crash_points: pending.rev().copied().collect(),
             stops: stops.iter().rev().copied().collect(),
-            disk_fail: faults.disk_fail,
-            ghost: Arc::clone(&ghost),
+            disk_fail: spec.faults.disk_fail,
+            ghost: world.ghost(),
             dep,
             ghost_ops: 0,
-            spec_mark: capture_trace.then_some(0),
+            spec_mark: spec.capture_trace.then_some(0),
         });
-        if track_deps {
+        if spec.track_deps {
             // Footprints belong to granted steps: what setup noted is
             // dropped.
             rt.drain_step_accesses(&mut Vec::new());
         }
         // Spec-visible ghost events stream into the causal trace as they
         // appear: the pilot drains them after every grant (attributed to
-        // the granted thread), the controller around its own transitions.
-        pilot.lock().drain_spec(rt, None);
+        // the granted thread), the controller around its own transitions
+        // and after a fresh world's set-up (a crashed copy is never traced).
+        if base.is_none() {
+            pilot.lock().drain_spec(rt, None);
+        }
         Exec {
             rt: Arc::clone(rt),
-            ghost,
-            life,
+            world,
+            recovering,
             pilot,
-            max_steps,
-            crashes: 0,
-            inherited: 0,
-            track_deps,
-            capture_trace,
-            render_trace,
+            crashes,
+            inherited,
+            render_trace: spec.render_trace,
             started,
         }
     }
 
-    /// The round-robin job that crashes where `base` stands, over `rt`:
-    /// the crashed copy of `base`'s world, its schedule carried on, the
-    /// crash's step taken, and recovery spawned. Nothing of `base` is
-    /// resumed, unwound or changed.
-    fn forked<H: Harness<S, Sys = Sys>>(
-        harness: &H,
-        rt: &Arc<ModelRt>,
-        base: &Exec<Sys, S>,
-        seed: u64,
-        stops: &[u64],
-        started: Instant,
-    ) -> Self {
-        // `make` runs over a fresh engine, so its allocations do not touch
-        // the copies that overwrite it.
-        let ghost = Ghost::new(harness.spec());
-        let w = World {
-            rt: Arc::clone(rt),
-            ghost: Arc::clone(&ghost),
-        };
-        let mut life = Lifecycle::forked(harness.make(&w), w, &base.life);
-        let (sched, steps) = {
-            let p = base.pilot.lock();
-            (p.sched.forked(seed), p.steps)
-        };
-        life.restart();
-        let pilot = shared_pilot(ExecPilot {
-            sched,
-            // The crash consumes a step, as an injected one does.
-            steps: steps + 1,
-            crash_points: Vec::new(),
-            stops: stops.iter().rev().copied().collect(),
-            disk_fail: None,
-            ghost: Arc::clone(&ghost),
-            dep: None,
-            ghost_ops: 0,
-            spec_mark: None,
-        });
-        Exec {
-            rt: Arc::clone(rt),
-            ghost,
-            life,
-            pilot,
-            max_steps: base.max_steps,
-            crashes: base.crashes + 1,
-            inherited: steps,
-            track_deps: false,
-            capture_trace: false,
-            render_trace: false,
-            started,
-        }
+    /// The step boundary the execution stands at.
+    pub(crate) fn step(&self) -> u64 {
+        self.pilot.lock().steps
+    }
+
+    /// Whether every job crashing at this step has this execution's past
+    /// as its own: it drew no model randomness, whose values follow the
+    /// seed, and a job's seed is its own.
+    pub(crate) fn shareable(&self) -> bool {
+        self.rt.sched_stats().rand_draws == 0
     }
 
     /// Closes the execution with `outcome`.
     fn finish(&self, outcome: ExecOutcome, helped: u64) -> RunResult {
         let mut pilot = self.pilot.lock();
         // The text is for a reader: nobody reads a passing execution's.
-        let render = self.render_trace || outcome.is_failure();
-        let (trace_fp, trace) = self.ghost.with_trace(|trace| {
-            let text = if render {
-                trace.render()
-            } else {
-                String::new()
-            };
-            (trace.fingerprint(), text)
-        });
+        let (trace_fp, trace) = pilot.ghost.trace(self.render_trace || outcome.is_failure());
         let log = PilotLog {
             decisions: std::mem::take(&mut pilot.sched.decisions),
             clamped: std::mem::take(&mut pilot.sched.clamped),
@@ -817,19 +655,15 @@ impl<Sys: System<S>, S: SpecTS> Exec<Sys, S> {
             crashes: self.crashes,
             helped,
             trace_fp,
-            trace,
+            trace: trace.unwrap_or_default(),
             deps: pilot.dep.take(),
         };
-        let (started, capture) = (self.started, self.capture_trace);
+        let (started, capture) = (self.started, pilot.spec_mark.is_some());
         RunResult::close(&self.rt, started, capture, self.inherited, outcome, log)
     }
 
     /// Runs the execution to its end, handing it to `at` at every stop.
-    fn drive<H: Harness<S, Sys = Sys>>(
-        &mut self,
-        harness: &H,
-        at: &mut dyn FnMut(&Paused<'_, S, H>),
-    ) -> RunResult {
+    fn drive(&mut self, at: &mut dyn FnMut(&Exec)) -> RunResult {
         let shared: SharedPilot = self.pilot.clone();
         // Crash unwinding and re-boot are controller transitions, not
         // granted steps: what they note is drained here and dropped.
@@ -843,10 +677,7 @@ impl<Sys: System<S>, S: SpecTS> Exec<Sys, S> {
                 if p.stop_due() {
                     p.stops.pop();
                     drop(p);
-                    at(&Paused {
-                        harness,
-                        exec: self,
-                    });
+                    at(self);
                     continue;
                 }
                 // Plan-scheduled permanent disk failure at this grant
@@ -855,16 +686,20 @@ impl<Sys: System<S>, S: SpecTS> Exec<Sys, S> {
                 // process.)
                 if p.disk_fail_due() {
                     let (d, _) = p.disk_fail.take().expect("a due failure is pending");
-                    self.life.sys.fail_disk(d);
+                    self.world.fail_disk(d);
                 }
 
-                // Crash injection at this step boundary?
+                // Crash injection at this step boundary? Every thread is
+                // unwound, then the world crashes and restarts into
+                // recovery.
                 if p.crash_due() {
                     p.crash_points.pop();
                     self.crashes += 1;
-                    self.life.crash();
+                    self.rt.crash_all();
+                    self.world.crash();
+                    self.recovering = Some(self.world.restart());
                     p.drain_spec(&self.rt, None);
-                    if self.track_deps {
+                    if p.dep.is_some() {
                         discarded.clear();
                         self.rt.drain_step_accesses(&mut discarded);
                     }
@@ -892,7 +727,12 @@ impl<Sys: System<S>, S: SpecTS> Exec<Sys, S> {
                 // loop finds out which.
                 (_, StepResult::Yielded | StepResult::Blocked) => continue,
                 (tid, StepResult::Finished) => {
-                    self.life.finished(tid);
+                    // The first recovery to finish starts the
+                    // post-recovery round.
+                    if self.recovering == Some(tid) {
+                        self.recovering = None;
+                        self.world.recovered();
+                    }
                     continue;
                 }
                 (_, StepResult::Panicked(PanicKind::Ghost(e))) => ExecOutcome::Violation(e),
@@ -911,64 +751,16 @@ impl<Sys: System<S>, S: SpecTS> Exec<Sys, S> {
             return self.finish(outcome, 0);
         }
 
-        let (outcome, helped) = match self.ghost.validate() {
-            Ok(report) => {
-                let helped = report.helped as u64;
-                match self.life.sys.abs_check(&self.life.w) {
-                    Ok(()) => (ExecOutcome::Ok, helped),
-                    Err(msg) => (ExecOutcome::FinalCheckFailed(msg), helped),
-                }
-            }
-            Err(e) => (ExecOutcome::Violation(e), 0),
-        };
+        let (outcome, helped) = self.world.verdict();
         self.pilot.lock().drain_spec(&self.rt, None);
         self.finish(outcome, helped)
-    }
-}
-
-/// An execution stopped at a step boundary ([`run_stopping`]), which the
-/// crash jobs that crash there fork off: each runs in a world of its own,
-/// and the execution carries on untouched when the stop returns.
-pub(crate) struct Paused<'a, S: SpecTS, H: Harness<S>> {
-    harness: &'a H,
-    exec: &'a Exec<H::Sys, S>,
-}
-
-impl<S: SpecTS, H: Harness<S>> Paused<'_, S, H> {
-    /// The step boundary the execution stopped at.
-    pub(crate) fn step(&self) -> u64 {
-        self.exec.pilot.lock().steps
-    }
-
-    /// Whether every job crashing here has this execution's past as its
-    /// own: it drew no model randomness, whose values follow the seed,
-    /// and a job's seed is its own.
-    pub(crate) fn shareable(&self) -> bool {
-        self.exec.rt.sched_stats().rand_draws == 0
-    }
-
-    /// Runs, to its end, the round-robin execution that crashes here and
-    /// is seeded with `seed`, stopping at `stops` like [`run_stopping`].
-    /// Its statistics, outcome and ghost trace are a re-run's with this
-    /// crash point added; it executes only what follows the crash.
-    pub(crate) fn crash(
-        &self,
-        seed: u64,
-        stops: &[u64],
-        at: &mut dyn FnMut(&Paused<'_, S, H>),
-    ) -> RunResult {
-        let rt = ModelRt::new(seed, self.exec.max_steps);
-        let inherited = self.exec.pilot.lock().steps;
-        isolated(&rt, inherited, false, |started| {
-            Exec::forked(self.harness, &rt, self.exec, seed, stops, started).drive(self.harness, at)
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::PanicOnReset;
+    use crate::harness::{Erased, Harness, PanicOnReset, Script, System, World};
     use crate::metrics::trace_fingerprint;
     use perennial::GhostUnwrap;
     use perennial_spec::fixtures::{RegOp, RegSpec};
@@ -1035,7 +827,7 @@ mod tests {
             capture_trace: false,
             render_trace,
         };
-        run_one(harness, spec)
+        run_one(&Erased::new(harness), spec)
     }
 
     /// The fingerprint never needs the text: a passing execution carries

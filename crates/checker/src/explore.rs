@@ -58,7 +58,7 @@ pub use crate::exec::{Counterexample, ExecOutcome};
 pub use crate::jobs::shard_of;
 
 use crate::exec::rerun;
-use crate::harness::Harness;
+use crate::harness::{AnyHarness, Erased, Harness};
 use crate::jobs::{
     crash_sweep_jobs, disk_fault_jobs, disk_fault_recovery_jobs, nested_crash_jobs, net_fault_jobs,
     random_crash_jobs, schedule_jobs, torn_write_jobs, Driver, Job, JobKey, JobOutcome,
@@ -66,7 +66,6 @@ use crate::jobs::{
 use crate::metrics::{Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics};
 use crate::pass::Pass;
 use crate::profile::{collisions, ProfileBuilder, StrategyProfile};
-use crate::shrink::shrink_counterexample;
 use crate::strategy::{ObservedExec, StrategySession};
 use crate::telemetry::EnvStamp;
 use goose_rt::fault::FaultSurface;
@@ -221,17 +220,13 @@ impl CheckReport {
 /// the harness's own label; a registered [`Scenario`](crate::Scenario)
 /// runs under its registry name.
 pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> CheckReport {
-    check_as(harness.name(), harness, config)
+    check_as(harness.name(), &Erased::new(harness), config)
 }
 
 /// [`check`] under `name`: the one identity of the run, carried by the
 /// report, every stream record's stamp, the resume WAL's guard and the
 /// profile.
-pub(crate) fn check_as<S: SpecTS, H: Harness<S>>(
-    name: &str,
-    harness: &H,
-    config: &CheckConfig,
-) -> CheckReport {
+pub(crate) fn check_as(name: &str, harness: &dyn AnyHarness, config: &CheckConfig) -> CheckReport {
     let start = Instant::now();
     let mut driver = Driver::new(name, harness, config);
     let mut session = config.strategy.session(config);
@@ -270,7 +265,7 @@ pub(crate) fn check_as<S: SpecTS, H: Harness<S>>(
     let mut shrink = None;
     if let Some(first) = counterexamples.first_mut() {
         if config.shrink {
-            shrink = Some(shrink_counterexample(harness, first, config.max_steps));
+            shrink = Some(crate::shrink::shrink(harness, first, config.max_steps));
         }
         // Attach a causal timeline by re-running the winner with the
         // trace recorder on — a pure side channel: the timeline is
@@ -343,10 +338,7 @@ pub(crate) fn check_as<S: SpecTS, H: Harness<S>>(
 /// (frontier expansion, sleep-set pruning, coverage re-seeding) is applied
 /// only from *complete* waves, so the explored set and the pruned/guided
 /// counters are worker-count independent.
-fn schedule_phase<S: SpecTS, H: Harness<S>>(
-    driver: &mut Driver<'_, H>,
-    session: &mut dyn StrategySession,
-) {
+fn schedule_phase(driver: &mut Driver<'_>, session: &mut dyn StrategySession) {
     let profile = driver.shared.config.profile;
     let mut next_index = [0u64; Pass::ALL.len()];
     while driver.live() {
@@ -392,7 +384,7 @@ fn schedule_phase<S: SpecTS, H: Harness<S>>(
 
 /// Ranks 2-6, on schedules fixed in advance: the systematic crash sweep
 /// over the round-robin baseline and the random-crash pairs.
-fn crash_sweeps<S: SpecTS, H: Harness<S>>(driver: &mut Driver<'_, H>) {
+fn crash_sweeps(driver: &mut Driver<'_>) {
     let config = driver.shared.config;
     if config.passes.contains(Pass::CrashSweep) {
         crash_sweep(driver, config.passes.contains(Pass::NestedCrash));
@@ -405,7 +397,7 @@ fn crash_sweeps<S: SpecTS, H: Harness<S>>(driver: &mut Driver<'_, H>) {
 
 /// Ranks 2-4: the baseline's crash-free horizon, one crash at every
 /// grant up to it, then (`nested`) a second crash inside each recovery.
-fn crash_sweep<S: SpecTS, H: Harness<S>>(driver: &mut Driver<'_, H>, nested: bool) {
+fn crash_sweep(driver: &mut Driver<'_>, nested: bool) {
     let Some(base) = driver.probe(Job::probe(Pass::CrashSweepBase, 0)) else {
         return;
     };
@@ -424,8 +416,8 @@ fn crash_sweep<S: SpecTS, H: Harness<S>>(driver: &mut Driver<'_, H>, nested: boo
 /// disk-op count, or message count), then enumerates one fault plan per
 /// job at indices >= 1. The probe is deterministic, so the derived job
 /// list — and hence every job key — is independent of worker count.
-fn fault_sweeps<S: SpecTS, H: Harness<S>>(driver: &mut Driver<'_, H>) {
-    let surface = driver.harness.fault_surface();
+fn fault_sweeps(driver: &mut Driver<'_>) {
+    let surface = driver.shared.harness.fault_surface();
     let passes = driver.shared.config.passes;
     if passes.contains(Pass::DiskFault) && (surface.transient_disk_io || surface.two_disk) {
         disk_fault_sweep(driver, surface);
@@ -446,7 +438,7 @@ fn fault_sweeps<S: SpecTS, H: Harness<S>>(driver: &mut Driver<'_, H>) {
 /// baseline, then disk failures *during recovery*: probe one mid-schedule
 /// crash to learn the recovery horizon, and fail each disk at every
 /// post-crash grant count.
-fn disk_fault_sweep<S: SpecTS, H: Harness<S>>(driver: &mut Driver<'_, H>, surface: FaultSurface) {
+fn disk_fault_sweep(driver: &mut Driver<'_>, surface: FaultSurface) {
     let Some(probe) = driver.probe(Job::probe(Pass::DiskFault, 0)) else {
         return;
     };
@@ -540,6 +532,6 @@ pub fn replay<S: SpecTS, H: Harness<S>>(
     cx: &Counterexample,
     config: &CheckConfig,
 ) -> (ExecOutcome, String) {
-    let r = rerun(harness, cx, config.max_steps, false);
+    let r = rerun(&Erased::new(harness), cx, config.max_steps, false);
     (r.outcome, r.trace)
 }

@@ -6,16 +6,20 @@
 //! one [`System`] impl. A [`Harness`] describes a *scenario* over it: the
 //! spec, how to build fresh durable state, and the workload, returned as
 //! data in a [`Script`]. The crash → recovery lifecycle is the checker's,
-//! stated once (`exec.rs`): it instantiates the script once per explored
-//! execution (stateless model checking), drives the schedule, injects
-//! crashes, and validates the ghost trace at the end.
+//! stated once: it instantiates the script once per explored execution
+//! (stateless model checking), drives the schedule, injects crashes, and
+//! validates the ghost trace at the end.
 //!
-//! The crash sweeps do not re-run the prefix a crash job shares with the
-//! others: they run it once and fork each job off it at its crash point
-//! (DESIGN.md §9). A forked job's world is `make()` over a fresh engine,
-//! [`System::restore`] of the running execution's [`System::snapshot`],
-//! the crashed copy of its runtime and ghost state, then the crash hook,
-//! `boot()` and recovery, as below.
+//! The driver (`exec.rs`, `jobs.rs`, `explore.rs`) names no harness type.
+//! Every `H: Harness<S>` reaches it as one object-safe handle, `AnyHarness`
+//! (a blanket impl at the public entry points erases `H` and `S`), which
+//! makes each execution's world as an `AnyWorld`: booted with its main
+//! round spawned, or the crashed copy of another world built from that
+//! world's `snapshot` — a `Box<dyn Any>` of [`System::snapshot`] and the
+//! runtime and ghost state to copy. The crash sweeps fork each crash job
+//! off a shared execution this way instead of re-running its prefix
+//! (DESIGN.md §9): a fresh world and a crashed copy differ only in where
+//! `AnyHarness::world` takes their state from.
 //!
 //! The lifecycle of one execution:
 //!
@@ -30,11 +34,15 @@
 //!          the script's post-recovery round ──► abs_check()
 //! ```
 
+use crate::exec::ExecOutcome;
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::ModelRtExt;
-use goose_rt::sched::ModelRt;
-use perennial::Ghost;
+use goose_rt::sched::{ModelRt, Tid};
+use perennial::{Fnv1a, Ghost};
 use perennial_spec::SpecTS;
+use std::any::Any;
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Shared execution context handed to every harness hook.
@@ -60,7 +68,7 @@ impl<S: SpecTS> Clone for World<S> {
 pub trait System<S: SpecTS>: Send + Sync + 'static {
     /// What [`System::snapshot`] copies out: `()` for a system with no
     /// state of its own.
-    type Durable;
+    type Durable: 'static;
 
     /// Copies out everything [`System::crash`] does not wipe: durable
     /// images, the unflushed buffers `crash` decides the fate of, and any
@@ -174,6 +182,213 @@ pub trait Harness<S: SpecTS>: Sync {
     /// re-explore identical executions. Default: no fault surface.
     fn fault_surface(&self) -> FaultSurface {
         FaultSurface::none()
+    }
+}
+
+/// A harness with its spec and system types erased: what the driver asks
+/// of a scenario. Every [`Harness`] is one through [`Erased`].
+pub(crate) trait AnyHarness: Send + Sync {
+    /// [`Harness::fault_surface`].
+    fn fault_surface(&self) -> FaultSurface;
+
+    /// One execution's world over `rt`: [`Harness::make`] over a fresh
+    /// ghost engine, then the system booted and the main round spawned —
+    /// or, from `base`, the crashed copy of `base`'s world, to be
+    /// [restarted](AnyWorld::restart).
+    fn world(&self, rt: &Arc<ModelRt>, base: Option<&dyn AnyWorld>) -> Box<dyn AnyWorld>;
+}
+
+/// One execution's world — the system, what is left of its workload and
+/// its ghost state — behind one object-safe handle, so the driver that
+/// steps it is compiled once.
+pub(crate) trait AnyWorld {
+    /// What the crashed copy of this world is built from, now: the
+    /// system's [`System::snapshot`] and the runtime and ghost state to
+    /// copy. Only [`AnyHarness::world`] of the same harness reads it.
+    fn snapshot(&self) -> Box<dyn Any>;
+
+    /// The world's ghost state, which the pilot shares.
+    fn ghost(&self) -> Arc<dyn AnyGhost>;
+
+    /// The ghost state's crash transition, once the runtime has unwound
+    /// every thread.
+    fn crash(&self);
+
+    /// The script's crash hook (the substrate's crash transition), a
+    /// re-boot, and the recovery thread, which it returns.
+    fn restart(&self) -> Tid;
+
+    /// A recovery thread finished: the post-recovery round is spawned,
+    /// the first time only.
+    fn recovered(&mut self);
+
+    /// [`System::fail_disk`].
+    fn fail_disk(&self, disk: u8);
+
+    /// The verdict at quiescence — ghost validation, then
+    /// [`System::abs_check`] — and the operations recovery helped.
+    fn verdict(&self) -> (ExecOutcome, u64);
+}
+
+/// A world's ghost state with its spec erased: the trace's fingerprint,
+/// text and op count.
+pub(crate) trait AnyGhost: Send + Sync {
+    /// Ghost-engine calls so far.
+    fn op_count(&self) -> u64;
+
+    /// The trace's running fingerprint, and its text if `render`.
+    fn trace(&self, render: bool) -> (Fnv1a, Option<String>);
+
+    /// Hands each ghost event from the `from`-th on to `each`, as
+    /// `Debug` text, and returns how many there are.
+    fn events_from(&self, from: usize, each: &mut dyn FnMut(String)) -> usize;
+}
+
+impl<S: SpecTS> AnyGhost for Ghost<S> {
+    fn op_count(&self) -> u64 {
+        Ghost::op_count(self)
+    }
+
+    fn trace(&self, render: bool) -> (Fnv1a, Option<String>) {
+        self.with_trace(|trace| (trace.fingerprint(), render.then(|| trace.render())))
+    }
+
+    fn events_from(&self, from: usize, each: &mut dyn FnMut(String)) -> usize {
+        self.with_trace(|trace| {
+            let events = trace.events();
+            for ev in &events[from..] {
+                each(format!("{ev:?}"));
+            }
+            events.len()
+        })
+    }
+}
+
+/// A harness behind a pointer (`&H`, `Box<H>`) as an [`AnyHarness`]: the
+/// door every public entry point erases `H` and `S` at.
+pub(crate) struct Erased<S, P>(P, PhantomData<fn() -> S>);
+
+impl<S, P> Erased<S, P> {
+    pub(crate) fn new(harness: P) -> Self {
+        Erased(harness, PhantomData)
+    }
+}
+
+impl<S: SpecTS, P> AnyHarness for Erased<S, P>
+where
+    P: Deref + Send + Sync,
+    P::Target: Harness<S>,
+{
+    fn fault_surface(&self) -> FaultSurface {
+        self.0.fault_surface()
+    }
+
+    fn world(&self, rt: &Arc<ModelRt>, base: Option<&dyn AnyWorld>) -> Box<dyn AnyWorld> {
+        let w = World {
+            rt: Arc::clone(rt),
+            ghost: Ghost::new(self.0.spec()),
+        };
+        // `make` runs over a fresh engine even for a crashed copy, so what
+        // it allocates does not touch the copies that overwrite it.
+        let script = self.0.make(&w);
+        let mut live = Live {
+            w,
+            sys: Arc::new(script.sys),
+            crash: script.crash,
+            after: script.after,
+        };
+        let Some(base) = base else {
+            live.sys.boot(&live.w);
+            for (name, op) in script.main {
+                live.spawn(name, op);
+            }
+            return Box::new(live);
+        };
+        // The crashed copy, with nothing run yet: the system restored,
+        // then the runtime and the ghost state overwritten with their
+        // crashed copies, and the post-recovery round dropped if `base`
+        // has spawned its own.
+        let snapshot = base.snapshot();
+        let base = snapshot.downcast_ref::<Crashed<<P::Target as Harness<S>>::Sys, S>>();
+        let base = base.expect("a snapshot of this harness's world");
+        if base.recovered {
+            live.after.clear();
+        }
+        live.sys.restore(&base.durable);
+        live.w.rt.restore_crashed(&base.w.rt);
+        live.w.ghost.fork_crashed(&base.w.ghost);
+        Box::new(live)
+    }
+}
+
+/// What [`AnyWorld::snapshot`] holds: the system's snapshot and the world
+/// it was taken in.
+struct Crashed<Sys: System<S>, S: SpecTS> {
+    durable: Sys::Durable,
+    w: World<S>,
+    /// Whether the world has spawned its post-recovery round.
+    recovered: bool,
+}
+
+/// The [`AnyWorld`] of a script's system.
+struct Live<Sys, S: SpecTS> {
+    w: World<S>,
+    sys: Arc<Sys>,
+    crash: fn(&Sys),
+    /// The post-recovery round, until it is spawned.
+    after: Vec<Op<Sys, S>>,
+}
+
+impl<Sys: System<S>, S: SpecTS> Live<Sys, S> {
+    /// Spawns `op` as a virtual thread over the system.
+    fn spawn(&self, name: &str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) -> Tid {
+        let (sys, w) = (Arc::clone(&self.sys), self.w.clone());
+        self.w.rt.spawn(name, move || op(&sys, &w))
+    }
+}
+
+impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
+    fn snapshot(&self) -> Box<dyn Any> {
+        Box::new(Crashed::<Sys, S> {
+            durable: self.sys.snapshot(),
+            w: self.w.clone(),
+            recovered: self.after.is_empty(),
+        })
+    }
+
+    fn ghost(&self) -> Arc<dyn AnyGhost> {
+        self.w.ghost.clone()
+    }
+
+    fn crash(&self) {
+        self.w.ghost.crash();
+    }
+
+    fn restart(&self) -> Tid {
+        (self.crash)(&self.sys);
+        self.sys.boot(&self.w);
+        self.spawn("recovery", Sys::recover)
+    }
+
+    fn recovered(&mut self) {
+        for (name, op) in std::mem::take(&mut self.after) {
+            self.spawn(name, op);
+        }
+    }
+
+    fn fail_disk(&self, disk: u8) {
+        self.sys.fail_disk(disk);
+    }
+
+    fn verdict(&self) -> (ExecOutcome, u64) {
+        let helped = match self.w.ghost.validate() {
+            Ok(report) => report.helped as u64,
+            Err(e) => return (ExecOutcome::Violation(e), 0),
+        };
+        match self.sys.abs_check(&self.w) {
+            Ok(()) => (ExecOutcome::Ok, helped),
+            Err(msg) => (ExecOutcome::FinalCheckFailed(msg), helped),
+        }
     }
 }
 

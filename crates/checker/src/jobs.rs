@@ -12,9 +12,9 @@
 
 use crate::config::CheckConfig;
 use crate::exec::{
-    rerun, run_one, run_stopping, Counterexample, ExecOutcome, ExecSpec, Paused, Policy, RunResult,
+    rerun, run_one, run_stopping, Counterexample, Exec, ExecOutcome, ExecSpec, Policy, RunResult,
 };
-use crate::harness::Harness;
+use crate::harness::AnyHarness;
 use crate::metrics::{Coverage, FaultFamily, OutcomeKind};
 use crate::pass::Pass;
 use crate::strategy::{DepTrace, ScheduleSpec};
@@ -22,7 +22,6 @@ use crate::telemetry::{self, ExecStats, RunTelemetry};
 use goose_rt::fault::{FaultPlan, FaultSurface, NetFault, TornMode};
 use goose_rt::splitmix64;
 use parking_lot::Mutex;
-use perennial_spec::SpecTS;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -387,6 +386,7 @@ impl Cancel {
 
 /// What every worker shares while a wave runs.
 pub(crate) struct Shared<'a> {
+    pub harness: &'a dyn AnyHarness,
     pub config: &'a CheckConfig,
     pub cancel: Cancel,
     pub telem: RunTelemetry,
@@ -450,11 +450,7 @@ impl Shared<'_> {
 /// Runs one job (one or two executions) and produces its outcomes,
 /// applying shard ownership: leaf jobs other shards own are skipped,
 /// spine jobs run but are not counted.
-fn execute_job<S: SpecTS, H: Harness<S>>(
-    harness: &H,
-    shared: &Shared<'_>,
-    job: &Job,
-) -> Vec<JobOutcome> {
+fn execute_job(shared: &Shared<'_>, job: &Job) -> Vec<JobOutcome> {
     let owned = shared.owns(job.key);
     let crash_key = (Pass::RandomCrash.rank(), job.key.1);
     // A random-crash probe must also run when this shard owns only the
@@ -468,7 +464,7 @@ fn execute_job<S: SpecTS, H: Harness<S>>(
         return Vec::new();
     }
     let seed = shared.seed(job);
-    let out = run_or_replay(harness, shared, job, seed, owned);
+    let out = run_or_replay(shared, job, seed, owned);
     if !crash_owned || out.kind != OutcomeKind::Ok || !shared.cancel.should_run(crash_key) {
         return vec![out];
     }
@@ -480,19 +476,13 @@ fn execute_job<S: SpecTS, H: Harness<S>>(
         faults: job.faults.clone(),
         ..Job::new(Pass::RandomCrash, job.key.1, Policy::Random(Vec::new())).crashing_at(k)
     };
-    let crashed = run_or_replay(harness, shared, &crash, seed, true);
+    let crashed = run_or_replay(shared, &crash, seed, true);
     vec![out, crashed]
 }
 
 /// One execution of a job: read back from the resume WAL if it completed
 /// there, otherwise run and [`record`]ed.
-fn run_or_replay<S: SpecTS, H: Harness<S>>(
-    harness: &H,
-    shared: &Shared<'_>,
-    job: &Job,
-    seed: u64,
-    counted: bool,
-) -> JobOutcome {
+fn run_or_replay(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool) -> JobOutcome {
     // Schedule-phase executions (ranks 0-1) always run live — the
     // strategy needs their decision paths and dependency traces for
     // feedback; everything from the crash-sweep base up is replayable.
@@ -504,7 +494,7 @@ fn run_or_replay<S: SpecTS, H: Harness<S>>(
         let stats = shared.replay[&job.key];
         return JobOutcome::new(job, counted, OutcomeKind::Ok, stats);
     }
-    let r = run_one(harness, shared.spec(job, seed));
+    let r = run_one(shared.harness, shared.spec(job, seed));
     record(shared, job, seed, counted, r)
 }
 
@@ -595,12 +585,7 @@ fn groups(jobs: &[Job]) -> Vec<&[Job]> {
 /// model randomness first, or ended before the job's crash point — is
 /// run by itself. Shards, the WAL and cancellation decide per job, as
 /// [`execute_job`] does.
-fn execute_group<S: SpecTS, H: Harness<S>>(
-    harness: &H,
-    shared: &Shared<'_>,
-    jobs: &[Job],
-    outs: &mut Vec<JobOutcome>,
-) {
+fn execute_group(shared: &Shared<'_>, jobs: &[Job], outs: &mut Vec<JobOutcome>) {
     let mut group = Group {
         shared,
         jobs,
@@ -611,11 +596,11 @@ fn execute_group<S: SpecTS, H: Harness<S>>(
         mismatch: None,
     };
     match jobs.first().map(|job| job.pass) {
-        Some(Pass::CrashSweep) => group.crash_sweep(harness),
-        Some(Pass::NestedCrash) => group.nested_sweep(harness),
+        Some(Pass::CrashSweep) => group.crash_sweep(),
+        Some(Pass::NestedCrash) => group.nested_sweep(),
         _ => {}
     }
-    group.finish(harness)
+    group.finish()
 }
 
 /// A group's jobs as they are worked off, in key order.
@@ -642,10 +627,7 @@ impl<'g> Group<'g, '_> {
 
     /// A round-robin execution with `crash_points`, seeded like the
     /// group's first job.
-    fn round_robin<'c>(&self, crash_points: &'c [u64]) -> ExecSpec<'c>
-    where
-        'g: 'c,
-    {
+    fn round_robin(&self, crash_points: &'g [u64]) -> ExecSpec<'g> {
         let first: &'g Job = &self.jobs[0];
         ExecSpec {
             crash_points,
@@ -655,15 +637,13 @@ impl<'g> Group<'g, '_> {
 
     /// Rank 3: the round-robin base, each job forked off it at its crash
     /// point.
-    fn crash_sweep<S: SpecTS, H: Harness<S>>(&mut self, harness: &H) {
+    fn crash_sweep(&mut self) {
         let stops = self.stops(0);
         if stops.is_empty() {
             return;
         }
-        let base = self.round_robin(&[]);
-        let base = run_stopping(harness, base, &stops, &mut |here| {
-            self.fork(harness, here, 0)
-        });
+        let (harness, base) = (self.shared.harness, self.round_robin(&[]));
+        let base = run_stopping(harness, base, None, &stops, &mut |here| self.fork(here, 0));
         self.shared_steps += base.steps_run;
     }
 
@@ -671,17 +651,18 @@ impl<'g> Group<'g, '_> {
     /// `k`, the first-level job forked off it there, and each second
     /// crash forked off that one's recovery. A base that is not the
     /// first-level job's prefix serves no job of the group.
-    fn nested_sweep<S: SpecTS, H: Harness<S>>(&mut self, harness: &H) {
+    fn nested_sweep(&mut self) {
         let stops = self.stops(1);
         if stops.is_empty() {
             return;
         }
-        let k = [self.jobs[0].crash_points[0]];
-        let seed = self.shared.seed(&self.jobs[0]);
-        let base = run_stopping(harness, self.round_robin(&[]), &k, &mut |here| {
+        let (harness, jobs) = (self.shared.harness, self.jobs);
+        let k = &jobs[0].crash_points[..1];
+        let base = run_stopping(harness, self.round_robin(&[]), None, k, &mut |here| {
             if here.shareable() {
-                let at = &mut |here: &Paused<'_, S, H>| self.fork(harness, here, 1);
-                self.shared_steps += here.crash(seed, &stops, at).steps_run;
+                let first = self.round_robin(k);
+                let at = &mut |here: &Exec| self.fork(here, 1);
+                self.shared_steps += run_stopping(harness, first, Some(here), &stops, at).steps_run;
             }
         });
         self.shared_steps += base.steps_run;
@@ -690,29 +671,25 @@ impl<'g> Group<'g, '_> {
     /// At a stop of a shared execution: the jobs before the one crashing
     /// here are worked off, and that one is forked off it — or run by
     /// itself, if the execution is not its prefix.
-    fn fork<S: SpecTS, H: Harness<S>>(
-        &mut self,
-        harness: &H,
-        here: &Paused<'_, S, H>,
-        level: usize,
-    ) {
+    fn fork(&mut self, here: &Exec, level: usize) {
         let k = here.step();
         let Some(i) = (self.done..self.jobs.len()).find(|&i| self.jobs[i].crash_points[level] == k)
         else {
             return;
         };
-        self.catch_up(harness, i);
+        self.catch_up(i);
         self.done = i + 1;
         let (shared, job) = (self.shared, &self.jobs[i]);
         if !shared.cancel.should_run(job.key) {
             return;
         }
         let seed = shared.seed(job);
+        let spec = shared.spec(job, seed);
         let r = if here.shareable() {
-            let forked = here.crash(seed, &[], &mut |_: &Paused<'_, S, H>| {});
-            self.confirm(harness, job, seed, forked)
+            let forked = run_stopping(shared.harness, spec, Some(here), &[], &mut |_| {});
+            self.confirm(job, seed, forked)
         } else {
-            run_one(harness, shared.spec(job, seed))
+            run_one(shared.harness, spec)
         };
         self.outs
             .push(record(shared, job, seed, shared.owns(job.key), r));
@@ -722,21 +699,16 @@ impl<'g> Group<'g, '_> {
     /// fixed sample of the forks ([`CROSS_CHECKED`]), in all builds every
     /// failing one — a failing fork's counterexample text is its
     /// re-run's ([`rerun`]).
-    fn confirm<S: SpecTS, H: Harness<S>>(
-        &mut self,
-        harness: &H,
-        job: &Job,
-        seed: u64,
-        forked: RunResult,
-    ) -> RunResult {
+    fn confirm(&mut self, job: &Job, seed: u64, forked: RunResult) -> RunResult {
         let failed = forked.outcome.is_failure();
         let sampled = cfg!(debug_assertions) && shard_of(job.key, CROSS_CHECKED) == 0;
         if !failed && !sampled {
             return forked;
         }
+        let (harness, max_steps) = (self.shared.harness, self.shared.config.max_steps);
         let again = if failed {
             let cx = counterexample_of(job, seed, forked.outcome.clone());
-            rerun(harness, &cx, self.shared.config.max_steps, false)
+            rerun(harness, &cx, max_steps, false)
         } else {
             // On an OS thread of its own: nothing of this one's (its
             // contexts, its allocation counts) is shared with the check.
@@ -760,17 +732,17 @@ impl<'g> Group<'g, '_> {
 
     /// Works off the jobs before `upto` that no shared execution served:
     /// each replayed, skipped or run by itself.
-    fn catch_up<S: SpecTS, H: Harness<S>>(&mut self, harness: &H, upto: usize) {
+    fn catch_up(&mut self, upto: usize) {
         for job in &self.jobs[self.done..upto] {
-            self.outs.extend(execute_job(harness, self.shared, job));
+            self.outs.extend(execute_job(self.shared, job));
         }
         self.done = self.done.max(upto);
     }
 
     /// Works off every job left. Panics if a fork differed from its
     /// re-run.
-    fn finish<S: SpecTS, H: Harness<S>>(mut self, harness: &H) {
-        self.catch_up(harness, self.jobs.len());
+    fn finish(mut self) {
+        self.catch_up(self.jobs.len());
         if let Some(first) = self.outs.get_mut(self.first) {
             first.steps_run += self.shared_steps;
         }
@@ -783,12 +755,7 @@ impl<'g> Group<'g, '_> {
 /// Runs a batch of jobs across the worker pool, one [`groups`] group at
 /// a time per worker (inline when a single worker suffices), and returns
 /// their outcomes in job order.
-fn run_wave<S: SpecTS, H: Harness<S>>(
-    harness: &H,
-    shared: &Shared<'_>,
-    workers: usize,
-    jobs: &[Job],
-) -> Vec<JobOutcome> {
+fn run_wave(shared: &Shared<'_>, workers: usize, jobs: &[Job]) -> Vec<JobOutcome> {
     let groups = groups(jobs);
     let workers = workers.min(groups.len()).max(1);
     if workers == 1 {
@@ -796,7 +763,7 @@ fn run_wave<S: SpecTS, H: Harness<S>>(
         // wave grown by doubling would hold twice its size at the end.
         let mut outs = Vec::with_capacity(jobs.len());
         for group in groups {
-            execute_group(harness, shared, group, &mut outs);
+            execute_group(shared, group, &mut outs);
         }
         return outs;
     }
@@ -811,7 +778,7 @@ fn run_wave<S: SpecTS, H: Harness<S>>(
                 if i >= groups.len() {
                     break;
                 }
-                execute_group(harness, shared, groups[i], &mut slots[i].lock());
+                execute_group(shared, groups[i], &mut slots[i].lock());
             });
         }
     });
@@ -913,8 +880,7 @@ fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, ExecStats> {
 /// which gates, announces, admits, runs and keeps them. Coordinator-only
 /// state lives here (and, for the stream's pass bookkeeping, behind
 /// `&mut` [`RunTelemetry`]); what the workers see is [`Shared`].
-pub(crate) struct Driver<'a, H> {
-    pub harness: &'a H,
+pub(crate) struct Driver<'a> {
     pub shared: Shared<'a>,
     pub workers: usize,
     budget: BudgetGate,
@@ -926,20 +892,17 @@ pub(crate) struct Driver<'a, H> {
     pub coverage: Coverage,
 }
 
-impl<'a, H> Driver<'a, H> {
+impl<'a> Driver<'a> {
     /// Opens a run: resume WAL first (the telemetry file may be the same
     /// file, about to be appended to), then the stream and its
     /// `run_start` record.
-    pub(crate) fn new<S: SpecTS>(name: &str, harness: &'a H, config: &'a CheckConfig) -> Self
-    where
-        H: Harness<S>,
-    {
+    pub(crate) fn new(name: &str, harness: &'a dyn AnyHarness, config: &'a CheckConfig) -> Self {
         let workers = config.effective_workers();
         let replay = load_wal(name, config);
         let telem = RunTelemetry::open(name, config, workers);
         Driver {
-            harness,
             shared: Shared {
+                harness,
                 config,
                 // Sharded runs force keep-going semantics: a cutoff chosen
                 // inside one shard would depend on which jobs that shard
@@ -971,14 +934,7 @@ impl<'a, H> Driver<'a, H> {
     /// Runs `jobs` as one wave of `pass`, or nothing (`None`) once the
     /// gate has closed: announce the pass if it is new, record the
     /// sweep space, admit against the budget, run, keep the outcomes.
-    pub(crate) fn run_pass<S: SpecTS>(
-        &mut self,
-        pass: Pass,
-        jobs: Vec<Job>,
-    ) -> Option<&mut [JobOutcome]>
-    where
-        H: Harness<S>,
-    {
+    pub(crate) fn run_pass(&mut self, pass: Pass, jobs: Vec<Job>) -> Option<&mut [JobOutcome]> {
         if !self.live() {
             return None;
         }
@@ -988,17 +944,14 @@ impl<'a, H> Driver<'a, H> {
         let enumerable = jobs.iter().filter(|job| !job.probe).count();
         self.coverage.enumerated(pass, enumerable as u64);
         let jobs = self.budget.admit(jobs);
-        let outs = run_wave(self.harness, &self.shared, self.workers, &jobs);
+        let outs = run_wave(&self.shared, self.workers, &jobs);
         self.outcomes.push(outs);
         self.outcomes.last_mut().map(Vec::as_mut_slice)
     }
 
     /// Runs one probe job and returns what it measured (zeros if it was
     /// skipped), or `None` once the gate has closed.
-    pub(crate) fn probe<S: SpecTS>(&mut self, job: Job) -> Option<ExecStats>
-    where
-        H: Harness<S>,
-    {
+    pub(crate) fn probe(&mut self, job: Job) -> Option<ExecStats> {
         let outs = self.run_pass(job.pass, vec![job])?;
         Some(outs.first().map(|o| o.stats).unwrap_or_default())
     }

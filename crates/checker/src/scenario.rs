@@ -1,7 +1,7 @@
 //! Named scenario registry: a uniform way to enumerate and run checks.
 //!
-//! A [`Scenario`] binds a concrete [`Harness`] behind a type-erased
-//! runner closure, so heterogeneous systems (the KV store, the
+//! A [`Scenario`] binds a concrete [`Harness`] behind the checker's
+//! type-erased harness handle, so heterogeneous systems (the KV store, the
 //! replicated disk, the mail server, the pattern suite) can all be
 //! collected into one [`ScenarioSet`], listed by name, and driven with a
 //! single [`CheckConfig`] — the entry point used by `crash_hunt`, the
@@ -10,22 +10,19 @@
 //! Names are conventionally `"<system>/<scenario>"`, e.g.
 //! `"kv/cross-bucket"` or `"repldisk/write-race"`.
 
-use crate::explore::{check_as, replay, CheckConfig, CheckReport, Counterexample, ExecOutcome};
-use crate::harness::Harness;
+use crate::exec::rerun;
+use crate::explore::{check_as, CheckConfig, CheckReport, Counterexample, ExecOutcome};
+use crate::harness::{AnyHarness, Erased, Harness};
 use perennial_spec::SpecTS;
 use std::fmt;
 use std::sync::Arc;
-
-/// Type-erased [`replay`] closure over a scenario's harness.
-type Replayer = dyn Fn(&Counterexample, &CheckConfig) -> (ExecOutcome, String) + Send + Sync;
 
 /// A named, runnable check scenario.
 #[derive(Clone)]
 pub struct Scenario {
     name: String,
     description: String,
-    runner: Arc<dyn Fn(&CheckConfig) -> CheckReport + Send + Sync>,
-    replayer: Arc<Replayer>,
+    harness: Arc<dyn AnyHarness>,
 }
 
 impl Scenario {
@@ -35,14 +32,10 @@ impl Scenario {
         S: SpecTS,
         H: Harness<S> + Send + 'static,
     {
-        let name = name.into();
-        let harness = Arc::new(harness);
-        let (run_name, run_harness) = (name.clone(), Arc::clone(&harness));
         Scenario {
-            name,
+            name: name.into(),
             description: description.into(),
-            runner: Arc::new(move |config| check_as(&run_name, &*run_harness, config)),
-            replayer: Arc::new(move |cx, config| replay(&*harness, cx, config)),
+            harness: Arc::new(Erased::new(Box::new(harness))),
         }
     }
 
@@ -60,18 +53,19 @@ impl Scenario {
     /// registry name: the report, every record of the run's stream and
     /// the resume WAL's guard all carry it.
     pub fn run(&self, config: &CheckConfig) -> CheckReport {
-        (self.runner)(config)
+        check_as(&self.name, &*self.harness, config)
     }
 
     /// Replays one pinned counterexample against this scenario's
     /// harness — the registry-level entry point behind emitted playback
-    /// tests (see [`crate::playback`]), forwarding to
-    /// [`replay`]. Only the counterexample's
+    /// tests (see [`crate::playback`]), as [`replay`](crate::replay)
+    /// does it. Only the counterexample's
     /// replay coordinates (pass, seed, schedule prefix, crash points,
     /// fault plan) matter; its recorded outcome/trace fields are ignored
     /// and recomputed.
     pub fn replay(&self, cx: &Counterexample, config: &CheckConfig) -> (ExecOutcome, String) {
-        (self.replayer)(cx, config)
+        let r = rerun(&*self.harness, cx, config.max_steps, false);
+        (r.outcome, r.trace)
     }
 }
 

@@ -49,7 +49,7 @@
 //! `tests/shrink_playback.rs`.
 
 use crate::exec::{rerun, Counterexample, ExecOutcome};
-use crate::harness::Harness;
+use crate::harness::{AnyHarness, Erased, Harness};
 use crate::metrics::{trace_fingerprint, OutcomeKind};
 use goose_rt::fault::FaultPlan;
 use perennial_spec::SpecTS;
@@ -125,6 +125,15 @@ pub fn cx_size(cx: &Counterexample) -> usize {
 /// record the single baseline re-run.
 pub fn shrink_counterexample<S: SpecTS, H: Harness<S>>(
     harness: &H,
+    cx: &mut Counterexample,
+    max_steps: u64,
+) -> ShrinkStats {
+    shrink(&Erased::new(harness), cx, max_steps)
+}
+
+/// [`shrink_counterexample`] over an erased harness.
+pub(crate) fn shrink(
+    harness: &dyn AnyHarness,
     cx: &mut Counterexample,
     max_steps: u64,
 ) -> ShrinkStats {

@@ -3,7 +3,9 @@
 //! stream × profiler × trace capture × cold/resumed × whole/sharded (in
 //! two, three or four) × whose runs the resumed stream holds all land on
 //! the fingerprint of the plainest run of the same scenario — one worker,
-//! no stream, every side channel off. The crash sweeps' jobs run in
+//! no stream, every side channel off. Shrinking changes the
+//! counterexample, so a shrink-on run of the mutant is held to a baseline
+//! of its own: a shrink-on run at one worker. The crash sweeps' jobs run in
 //! groups forked off one shared execution, so two tests pin the group
 //! boundaries: a stream cut inside a nested-crash group resumes to the
 //! cold run, and the pool size changes neither the report nor which jobs
@@ -12,7 +14,7 @@
 use perennial_checker::telemetry::{read_stream, Record};
 use perennial_checker::{
     merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, CheckReport, Pass,
-    Scenario, TelemetrySink,
+    Scenario, ShrinkStats, TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use proptest::prelude::*;
@@ -90,6 +92,7 @@ struct Toggles {
     /// Shards the run is split into; 1 runs it whole.
     shards: u32,
     sibling: Sibling,
+    shrink: bool,
 }
 
 fn wal_path(case: &str, shard: Option<(u32, u32)>) -> PathBuf {
@@ -104,7 +107,12 @@ fn wal_path(case: &str, shard: Option<(u32, u32)>) -> PathBuf {
 /// under the toggles.
 fn run(index: usize, t: Toggles, shard: Option<(u32, u32)>, case: &str) -> CheckReport {
     let scenario = &baselines()[index].0;
-    let cfg = || base_cfg().workers(t.workers).shard_opt(shard);
+    let cfg = || {
+        base_cfg()
+            .workers(t.workers)
+            .shard_opt(shard)
+            .shrink(t.shrink)
+    };
     let wal = wal_path(case, shard);
     if t.resumed {
         // The log this run resumes from: the same run's, complete, and
@@ -159,7 +167,9 @@ proptest! {
         let stream = [Stream::None, Stream::SharedSink, Stream::File][stream];
         let sibling = [Sibling::None, Sibling::Before, Sibling::After][sibling];
         let shards = if sharded { n } else { 1 };
-        let t = Toggles { workers, stream, profile, trace_capture, resumed, shards, sibling };
+        let t = Toggles {
+            workers, stream, profile, trace_capture, resumed, shards, sibling, shrink: false,
+        };
         let case = format!("{}-{t:?}", scenario.name()).replace(|c: char| !c.is_alphanumeric(), "");
         let report = if t.shards > 1 {
             let shards = (0..t.shards).map(|i| run(index, t, Some((i, t.shards)), &case)).collect();
@@ -175,6 +185,51 @@ proptest! {
             t,
             report.summary()
         );
+    }
+}
+
+/// The index of `patterns/mutant/shadow-flip-first` in [`SCENARIOS`].
+const MUTANT: usize = 2;
+
+/// The fingerprint and shrink statistics of a shrink-on run of the mutant
+/// at one worker. Here the winning counterexample (one crash point) is
+/// already minimal, so shrinking only re-runs candidates; the statistics
+/// pin that those re-runs are the same ones wherever the run happens.
+fn shrunk_baseline() -> (u64, ShrinkStats) {
+    static SHRUNK: OnceLock<(u64, ShrinkStats)> = OnceLock::new();
+    *SHRUNK.get_or_init(|| {
+        let scenario = &baselines()[MUTANT].0;
+        let report = scenario.run(&base_cfg().workers(1).shrink(true).build());
+        let stats = report.shrink.expect("a counterexample to shrink");
+        assert!(stats.re_runs > 1, "{stats:?}");
+        (report_fingerprint(&report), stats)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn how_a_shrinking_run_is_carried_out_does_not_show_in_its_fingerprint(
+        workers in 1usize..4,
+        stream in 0usize..3,
+        resumed in any::<bool>(),
+    ) {
+        let stream = [Stream::None, Stream::SharedSink, Stream::File][stream];
+        let t = Toggles {
+            workers,
+            stream,
+            profile: false,
+            trace_capture: false,
+            resumed,
+            shards: 1,
+            sibling: Sibling::None,
+            shrink: true,
+        };
+        let case = format!("shrink-{t:?}").replace(|c: char| !c.is_alphanumeric(), "");
+        let report = run(MUTANT, t, None, &case);
+        let got = (report_fingerprint(&report), report.shrink.expect("shrunk"));
+        prop_assert_eq!(got, shrunk_baseline(), "{:?}: {}", t, report.summary());
     }
 }
 

@@ -28,8 +28,9 @@
 # over its rendered ghost trace, kept by `perennial::Trace` as events
 # arrive. So the FNV-1a prime is written in one file under crates/
 # (core/src/trace.rs; everything else hashes through `perennial::Fnv1a`),
-# and exec.rs renders a ghost trace at one site (a failing execution's
-# or a re-run's; never to fingerprint it).
+# and the executor (exec.rs, and harness.rs's handle it reaches the ghost
+# state through) renders a ghost trace at one site (a failing
+# execution's or a re-run's; never to fingerprint it).
 #
 # One owner per execution: the runtime, the pilot, the ghost engine and
 # the models built over a runtime are reached from one OS thread, so
@@ -54,10 +55,18 @@
 # threads are never unwound. So, in crates/checker/src, `crash_all` (the
 # unwind) is called from exec.rs alone; a crashed copy of a runtime and
 # of a ghost engine (`restore_crashed`, `fork_crashed`) is made at one
-# site in the non-test code under crates/, `Lifecycle::forked`, which
-# exec.rs calls once; and
+# site in the non-test code under crates/, harness.rs's
+# `AnyHarness::world`, which exec.rs calls once (`Exec::new`); and
 # no capability a job could carry across the fork (`Lease`, `SetLease`,
 # `PointsTo`) has a `Clone` or `Copy` impl or derive in crates/core/src.
+#
+# One driver: the executor, the job driver, the passes, the shrinker and
+# the registry reach a harness through harness.rs's type-erased handle
+# (`AnyHarness`, `AnyWorld`), so they are compiled once, not once per
+# harness type. In exec.rs, jobs.rs, explore.rs, shrink.rs and
+# scenario.rs, a `Harness<`/`System<` bound or `H::Sys` may be named only
+# inside the public wrappers that erase a harness at the door, listed
+# one by one in $wrappers.
 #
 # One table per report record: `CheckReport`'s counters and the per-pass
 # counters are each one table in campaign.rs (`REPORT_COUNTERS`,
@@ -79,6 +88,8 @@ crates/kvstore/src/harness.rs crates/repldisk/src/harness.rs crates/mailboat/src
 crates/patterns/src/lib.rs crates/patterns/src/shadow.rs crates/patterns/src/wal.rs
 crates/patterns/src/txn_wal.rs crates/patterns/src/group_commit.rs crates/patterns/src/synced_log.rs'
 system_crates='crates/kvstore/src crates/repldisk/src crates/mailboat/src crates/patterns/src'
+one_driver='exec.rs jobs.rs explore.rs shrink.rs scenario.rs'
+wrappers='explore.rs:check explore.rs:replay shrink.rs:shrink_counterexample scenario.rs:new scenario.rs:add'
 cd "$(dirname "$0")/.."
 failed=0
 
@@ -169,16 +180,18 @@ fi
 echo
 fnv_home=crates/core/src/trace.rs
 primes=$(grep -rlE '100_?0000_?01[bB]3' crates --include='*.rs' || true)
-renders=$(code crates/checker/src/exec.rs | grep -E '\.render\(\)' || true)
+renders=$(for path in crates/checker/src/exec.rs crates/checker/src/harness.rs; do
+    code "$path" | grep -E '\.render\(\)' | sed "s|^|$path:|"
+done)
 sites=$(printf '%s' "$renders" | grep -c '' || true)
-echo "fingerprint: FNV-1a prime in [$(echo $primes)], $sites render() site(s) in exec.rs"
+echo "fingerprint: FNV-1a prime in [$(echo $primes)], $sites render() site(s) in exec.rs and harness.rs"
 if [ "$primes" != "$fnv_home" ]; then
     failed=1
     echo "        ^ the FNV-1a prime belongs in $fnv_home alone: hash through perennial::Fnv1a"
 fi
 if [ "$sites" -ne 1 ]; then
     failed=1
-    echo "        ^ exec.rs renders a ghost trace at exactly one site:"
+    echo "        ^ the executor renders a ghost trace at exactly one site:"
     printf '%s\n' "$renders" | sed 's/^/          /'
 fi
 
@@ -257,7 +270,7 @@ done)
 copies=$(for path in $(find crates -path '*/src/*' -name '*.rs' | sort); do
     code "$path" | grep -E '(restore_crashed|fork_crashed)\(' | grep -v 'fn ' | sed "s|^|$path:|"
 done)
-entries=$(code crates/checker/src/exec.rs | grep -c 'Lifecycle::forked(' || true)
+entries=$(code crates/checker/src/exec.rs | grep -c '\.world(' || true)
 capabilities=$(grep -rnE -B1 'pub struct (Lease|SetLease|PointsTo)<' crates/core/src | grep -E 'derive\(.*(Clone|Copy)' || true)
 capability_impls=$(grep -rnE 'impl.*(Clone|Copy) for (Lease|SetLease|PointsTo)<' crates/core/src || true)
 echo "forks: $(printf '%s' "$copies" | grep -c '') crashed-copy site(s), $entries fork entry site(s) in exec.rs"
@@ -266,15 +279,32 @@ if [ -n "$unwinds" ]; then
     echo "        ^ crash_all unwinds live threads; only exec.rs's lifecycle may call it:"
     printf '%s\n' "$unwinds" | sed 's/^/          /'
 fi
-if [ "$(printf '%s' "$copies" | grep -c '')" -ne 2 ] || [ "$(printf '%s' "$copies" | grep -vc 'crates/checker/src/exec.rs')" -ne 0 ] || [ "$entries" -ne 1 ]; then
+if [ "$(printf '%s' "$copies" | grep -c '')" -ne 2 ] || [ "$(printf '%s' "$copies" | grep -vc 'crates/checker/src/harness.rs')" -ne 0 ] || [ "$entries" -ne 1 ]; then
     failed=1
-    echo "        ^ a crashed copy is made in Lifecycle::forked alone, entered from one site in exec.rs:"
+    echo "        ^ a crashed copy is made in AnyHarness::world alone, entered from one site in exec.rs:"
     printf '%s\n' "$copies" | sed 's/^/          /'
 fi
 if [ -n "$capabilities$capability_impls" ]; then
     failed=1
     echo "        ^ a capability became copyable; a fork copies the engine's state, never a capability:"
     printf '%s\n%s\n' "$capabilities" "$capability_impls" | grep . | sed 's/^/          /'
+fi
+
+echo
+# The lines of the one-driver files that name a harness or system type,
+# outside the item or method (closed by a `}` at indent 0 or 4) of an
+# allow-listed wrapper.
+generic=$(for f in $one_driver; do
+    code "crates/checker/src/$f" | awk -v f="$f" -v ok=" $wrappers " '
+        /^[0-9]+: (    )?}/ { item = "" }
+        match($0, /fn [a-z_0-9]+/) { item = substr($0, RSTART + 3, RLENGTH - 3) }
+        /Harness<|System<|H::Sys/ && !index(ok, " " f ":" item " ") { print "crates/checker/src/" f ":" $0 }'
+done)
+echo "one driver: $(printf '%s' "$generic" | grep -c '') harness-typed line(s) outside [$wrappers]"
+if [ -n "$generic" ]; then
+    failed=1
+    echo "        ^ the driver is compiled once: take a &dyn AnyHarness, and erase a harness in a public wrapper:"
+    printf '%s\n' "$generic" | sed 's/^/          /'
 fi
 
 echo
