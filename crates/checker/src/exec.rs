@@ -761,9 +761,9 @@ impl Exec {
 mod tests {
     use super::*;
     use crate::harness::{Erased, Harness, PanicOnReset, Script, System, World};
-    use crate::metrics::trace_fingerprint;
-    use perennial::GhostUnwrap;
+    use perennial::{GhostUnwrap, TraceEvent};
     use perennial_spec::fixtures::{RegOp, RegSpec};
+    use perennial_spec::{Encode, Jid};
 
     /// One register write over a system with no state of its own,
     /// reporting `returns` as the write's return value.
@@ -830,11 +830,26 @@ mod tests {
         run_one(&Erased::new(harness), spec)
     }
 
+    /// The fold of `events`' encodings: what an execution that recorded
+    /// them reports as its `trace_fp`.
+    fn fold(events: &[TraceEvent<RegOp, Option<u64>>]) -> u64 {
+        let mut hash = Fnv1a::default();
+        events.iter().for_each(|ev| ev.encode(&mut hash));
+        hash.finish()
+    }
+
     /// The fingerprint never needs the text: a passing execution carries
     /// none unless asked, a failing one always does, and either way the
-    /// fingerprint is the hash of the text there is or would have been.
+    /// fingerprint is the fold of the encodings of the events the text
+    /// renders.
     #[test]
     fn only_a_failing_or_replayed_execution_carries_its_trace_text() {
+        let (jid, op) = (Jid(0), RegOp::Write(0, 1));
+        let invoke = TraceEvent::Invoke {
+            jid,
+            op: op.clone(),
+        };
+        let commit = TraceEvent::Commit { jid, op, ret: None };
         let correct = OneWrite { returns: None };
         let quiet = run(&correct, &[], false);
         let asked = run(&correct, &[], true);
@@ -846,18 +861,25 @@ mod tests {
         assert_eq!(quiet.trace, "");
         assert_eq!(asked.trace.lines().count(), 3, "{}", asked.trace);
         assert_eq!(quiet.stats, asked.stats);
-        assert_eq!(quiet.stats.trace_fp, trace_fingerprint(&asked.trace));
+        let ret = TraceEvent::Return { jid, ret: None };
+        assert_eq!(
+            quiet.stats.trace_fp,
+            fold(&[invoke.clone(), commit.clone(), ret])
+        );
 
+        // The return is refused, so it is not recorded.
         let failed = run(&OneWrite { returns: Some(9) }, &[], false);
         assert!(matches!(failed.outcome, ExecOutcome::Violation(_)));
         assert!(failed.trace.contains("Commit"), "{}", failed.trace);
-        assert_eq!(failed.stats.trace_fp, trace_fingerprint(&failed.trace));
+        assert_eq!(failed.trace.lines().count(), 2, "{}", failed.trace);
+        assert_eq!(failed.stats.trace_fp, fold(&[invoke, commit]));
 
         // A harness that panics takes the ghost state down with it: no
-        // text, and the fingerprint of none.
+        // text, and the fingerprint of no events.
         let panicked = run(&PanicOnReset(correct), &[1], false);
         assert!(matches!(panicked.outcome, ExecOutcome::HarnessPanic(_)));
         assert_eq!(panicked.trace, "");
-        assert_eq!(panicked.stats.trace_fp, trace_fingerprint(""));
+        assert_eq!(panicked.stats.trace_fp, fold(&[]));
+        assert_eq!(fold(&[]), Fnv1a::default().finish());
     }
 }

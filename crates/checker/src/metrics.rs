@@ -455,11 +455,14 @@ impl Coverage {
     }
 }
 
-/// FNV-1a over a rendered ghost trace: the behavioural-coverage
-/// fingerprint. Stable across runs (pure function of the bytes). An
-/// execution's own fingerprint is not computed here but kept by its
-/// [`perennial::Trace`] as events arrive; this is the same hash over text
-/// already in hand (a counterexample's trace, report and campaign JSON).
+/// FNV-1a over text already in hand: a report's or a campaign's JSON, a
+/// failure's identity, a rendered ghost trace. Stable across runs (pure
+/// function of the bytes). An execution's own `trace_fp` is not this: it
+/// is the fold of its ghost events' fixed byte encoding
+/// ([`perennial_spec::Encode`]), kept by its [`perennial::Trace`] as
+/// events arrive, and the rendered text is for readers. This hash of the
+/// rendering is what `trace_fp` was before the encoding epoch
+/// ([`CheckConfig::rendered_trace_fps`](crate::CheckConfig::rendered_trace_fps)).
 pub fn trace_fingerprint(trace: &str) -> u64 {
     let mut hash = perennial::Fnv1a::default();
     hash.write(trace.as_bytes());

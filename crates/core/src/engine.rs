@@ -113,11 +113,11 @@ impl Clone for DurValue {
 struct Inner<S: SpecTS> {
     version: u64,
     state: S::State,
-    ops: HashMap<Jid, OpRecord<S>>,
+    /// Every op minted so far, indexed by its `Jid` (they are dense).
+    ops: Vec<OpRecord<S>>,
     /// Helping tokens stashed in the crash invariant: key → jid.
     help: HashMap<u64, Jid>,
     crash_token: CrashToken,
-    next_jid: u64,
     next_res: u64,
     /// Volatile cells. No version per cell: a crash clears the table, so
     /// existence implies currency; the capability carries the version.
@@ -156,13 +156,16 @@ fn typed<T: Clone + 'static>(value: &dyn Any, id: u64) -> GhostResult<T> {
 impl<S: SpecTS> Inner<S> {
     /// Everything a crash keeps: the whole state but the volatile cells.
     fn durable_copy(&self) -> Self {
+        // The copy's recovery mints ops too: room for them, as the
+        // source has.
+        let mut ops = Vec::with_capacity(self.ops.capacity());
+        ops.extend(self.ops.iter().cloned());
         Inner {
             version: self.version,
             state: self.state.clone(),
-            ops: self.ops.clone(),
+            ops,
             help: self.help.clone(),
             crash_token: self.crash_token,
-            next_jid: self.next_jid,
             next_res: self.next_res,
             vol: HashMap::new(),
             dur: self.dur.clone(),
@@ -176,7 +179,7 @@ impl<S: SpecTS> Inner<S> {
     /// `j`'s record; a `j` this engine never minted is reported as `msg`.
     fn op(&mut self, jid: Jid, msg: &'static str) -> GhostResult<&mut OpRecord<S>> {
         let unknown = GhostError::OpState { jid, msg };
-        self.ops.get_mut(&jid).ok_or(unknown)
+        self.ops.get_mut(jid.0 as usize).ok_or(unknown)
     }
 
     /// `j`'s record, which must still hold `j ⇛ op` unspent and with its
@@ -196,7 +199,8 @@ impl<S: SpecTS> Inner<S> {
 
     /// Table 1, *refinement* and *crash refinement*: simulates `t` as
     /// one spec step against `source(σ)` on `jid`'s behalf (`None` for
-    /// the crash step and internal steps). `σ` moves only if it is one.
+    /// the crash step and internal steps). `σ` moves only if it is one,
+    /// and only if the step changed it: a read borrows `σ`.
     fn simulate<R: 'static>(
         &mut self,
         jid: Option<Jid>,
@@ -204,7 +208,9 @@ impl<S: SpecTS> Inner<S> {
     ) -> GhostResult<R> {
         let not_a_step = |err| GhostError::SpecStep { jid, err };
         let (state, ret) = t.step(&self.state).map_err(not_a_step)?;
-        self.state = state;
+        if let Some(state) = state {
+            self.state = state;
+        }
         Ok(ret)
     }
 
@@ -236,7 +242,7 @@ impl<S: SpecTS> Inner<S> {
 
     /// Moves `j`'s token to `phase`, once the call's guards have passed.
     fn set_phase(&mut self, jid: Jid, phase: OpPhase<S::Ret>) {
-        if let Some(rec) = self.ops.get_mut(&jid) {
+        if let Some(rec) = self.ops.get_mut(jid.0 as usize) {
             rec.phase = phase;
         }
     }
@@ -264,11 +270,10 @@ impl<S: SpecTS> Inner<S> {
             return Err(GhostError::OpState { jid, msg });
         }
         let ret = self.simulate(Some(jid), &spec.op_transition(&op))?;
-        let committed = OpRecord {
+        self.ops[jid.0 as usize] = OpRecord {
             op: op.clone(),
             phase: OpPhase::Committed { ret: ret.clone() },
         };
-        self.ops.insert(jid, committed);
         self.trace.push(TraceEvent::Commit {
             jid,
             op,
@@ -293,10 +298,9 @@ impl<S: SpecTS> Ghost<S> {
             inner: OwnerCell::new(Inner {
                 version: 0,
                 state,
-                ops: HashMap::new(),
+                ops: Vec::new(),
                 help: HashMap::new(),
                 crash_token: CrashToken::Idle,
-                next_jid: 0,
                 next_res: 0,
                 vol: HashMap::new(),
                 dur: HashMap::new(),
@@ -382,13 +386,12 @@ impl<S: SpecTS> Ghost<S> {
                 let msg = "begin_op while recovery has not spent ⇛Crashing";
                 return Err(GhostError::CrashToken { msg });
             }
-            let jid = Jid(g.next_jid);
-            g.next_jid += 1;
+            let jid = Jid(g.ops.len() as u64);
             let invoked = OpRecord {
                 op: op.clone(),
                 phase: OpPhase::Pending,
             };
-            g.ops.insert(jid, invoked);
+            g.ops.push(invoked);
             g.trace.push(TraceEvent::Invoke { jid, op });
             Ok(OpToken { jid })
         })
@@ -529,13 +532,12 @@ impl<S: SpecTS> Ghost<S> {
         g.dur.values_mut().for_each(Leased::revoke);
         g.sets.values_mut().for_each(Leased::revoke);
         let mut aborted = Vec::new();
-        for (jid, rec) in g.ops.iter_mut() {
+        for (j, rec) in g.ops.iter_mut().enumerate() {
             if rec.phase == OpPhase::Pending {
                 rec.phase = OpPhase::Aborted;
-                aborted.push(*jid);
+                aborted.push(Jid(j as u64));
             }
         }
-        aborted.sort();
         g.crash_token = CrashToken::Crashing;
         let new_version = g.version;
         g.trace.push(TraceEvent::Crash {
@@ -797,7 +799,7 @@ impl<S: SpecTS> Ghost<S> {
         let mut committed_unreturned = 0usize;
         let mut pending = 0usize;
         let mut stashed = 0usize;
-        for rec in g.ops.values() {
+        for rec in &g.ops {
             match rec.phase {
                 OpPhase::Finished => finished += 1,
                 OpPhase::Helped { .. } => helped += 1,

@@ -5,8 +5,10 @@
 
 use perennial::{
     CrashToken, DurId, Fnv1a, Ghost, GhostError, Lease, OpToken, PointsTo, SetId, SetLease,
+    TraceEvent,
 };
 use perennial_spec::fixtures::{RegOp, RegSpec};
+use perennial_spec::Encode;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -126,8 +128,8 @@ proptest! {
         prop_assert_eq!(report.crashes,
             script.iter().filter(|a| matches!(a, Action::Crash | Action::CrashMidWrite(..))).count());
         // Every event kind a correct run records, helped commits included.
-        let (running, rendered) = g.with_trace(|t| (t.fingerprint(), t.render()));
-        prop_assert_eq!(running.finish(), hash_of(&rendered));
+        let (running, folded) = g.with_trace(|t| (t.fingerprint(), fold(t.events())));
+        prop_assert_eq!(running.finish(), folded);
     }
 
     /// After any number of crashes, a lease minted pre-crash is dead and
@@ -250,30 +252,68 @@ proptest! {
     }
 
     /// The fingerprint kept as events arrive is, after every call of any
-    /// script — crashes, helping and recovery, legal or not — the hash of
-    /// the text `render()` would produce then, and before the first event
-    /// the hash of no bytes (what an execution whose harness panicked
-    /// reports).
+    /// script — crashes, helping and recovery, legal or not — the fold of
+    /// the encodings of the events `events()` holds then, and before the
+    /// first event the hash of no bytes (what an execution whose harness
+    /// panicked reports).
     #[test]
-    fn running_fingerprint_is_the_hash_of_the_rendering(script in proptest::collection::vec(arb_call(), 1..60)) {
+    fn running_fingerprint_is_the_fold_of_the_encodings(script in proptest::collection::vec(arb_call(), 1..60)) {
         let mut run = Interp::new();
         prop_assert_eq!(run.g.with_trace(|t| t.fingerprint()), Fnv1a::default());
         prop_assert_eq!(Fnv1a::default().finish(), 0xcbf2_9ce4_8422_2325);
-        prop_assert_eq!(run.g.with_trace(|t| t.render()), "");
+        prop_assert_eq!(run.g.with_trace(|t| t.events().len()), 0);
         for call in &script {
             run.call(call);
-            let (running, rendered, len) =
-                run.g.with_trace(|t| (t.fingerprint(), t.render(), t.events().len()));
-            prop_assert_eq!(running.finish(), hash_of(&rendered), "after {:?}:\n{}", call, rendered);
-            prop_assert_eq!(rendered.lines().count(), len);
+            let (running, folded, rendered) =
+                run.g.with_trace(|t| (t.fingerprint(), fold(t.events()), t.render()));
+            prop_assert_eq!(running.finish(), folded, "after {:?}:\n{}", call, rendered);
+        }
+    }
+
+    /// The encoding tells traces apart exactly as the rendering does: of
+    /// every trace two scripts pass through (after each call; failed
+    /// calls record nothing, so equal traces are common), two have equal
+    /// encodings if and only if they have equal renderings. So
+    /// fingerprinting the encoding partitions executions as
+    /// fingerprinting the rendering did.
+    #[test]
+    fn equal_encodings_iff_equal_renderings(
+        a in proptest::collection::vec(arb_call(), 1..30),
+        b in proptest::collection::vec(arb_call(), 1..30),
+    ) {
+        let seen: Vec<(Vec<u8>, String)> = [a, b]
+            .iter()
+            .flat_map(|script| {
+                let mut run = Interp::new();
+                let mut seen = vec![run.g.with_trace(|t| (encoding(t.events()), t.render()))];
+                for call in script {
+                    run.call(call);
+                    seen.push(run.g.with_trace(|t| (encoding(t.events()), t.render())));
+                }
+                seen
+            })
+            .collect();
+        for (enc_x, text_x) in &seen {
+            for (enc_y, text_y) in &seen {
+                prop_assert_eq!(enc_x == enc_y, text_x == text_y, "\n{}\nvs\n{}", text_x, text_y);
+            }
         }
     }
 }
 
-/// FNV-1a over `text`, in one piece.
-fn hash_of(text: &str) -> u64 {
+type Event = TraceEvent<RegOp, Option<u64>>;
+
+/// The encodings of `events`, concatenated.
+fn encoding(events: &[Event]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    events.iter().for_each(|ev| ev.encode(&mut bytes));
+    bytes
+}
+
+/// FNV-1a over the encodings of `events`, in one piece.
+fn fold(events: &[Event]) -> u64 {
     let mut whole = Fnv1a::default();
-    whole.write(text.as_bytes());
+    whole.write(&encoding(events));
     whole.finish()
 }
 

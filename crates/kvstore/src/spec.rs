@@ -45,6 +45,13 @@ pub enum KvRet {
     Val(Option<Val>),
 }
 
+perennial_spec::encode! {
+    enum KvOp { Put(k, v), Get(k), Delete(k) }
+}
+perennial_spec::encode! {
+    enum KvRet { Done, Val(v) }
+}
+
 /// Which bucket a key lives in.
 pub fn bucket_of(k: Key) -> u64 {
     // SplitMix-style scramble so adjacent keys spread out.

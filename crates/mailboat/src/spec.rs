@@ -41,6 +41,13 @@ pub enum MailRet {
     Msgs(Vec<(String, String)>),
 }
 
+perennial_spec::encode! {
+    enum MailOp { Deliver(u, body), DeliverAs(u, id, body), Pickup(u), Delete(u, id), Unlock(u) }
+}
+perennial_spec::encode! {
+    enum MailRet { Unit, Msgs(msgs) }
+}
+
 /// The Mailboat spec for a fixed set of `users`.
 #[derive(Debug, Clone)]
 pub struct MailSpec {

@@ -58,6 +58,13 @@ pub enum GcRet {
     Entries(Vec<u64>),
 }
 
+perennial_spec::encode! {
+    enum GcOp { Append(v), ReadAll }
+}
+perennial_spec::encode! {
+    enum GcRet { Done, Entries(es) }
+}
+
 /// The group-commit specification.
 #[derive(Debug, Clone, Default)]
 pub struct GcSpec;

@@ -26,6 +26,13 @@ pub enum PairRet {
     Val(u64, u64),
 }
 
+perennial_spec::encode! {
+    enum PairOp { Put(a, b), Get }
+}
+perennial_spec::encode! {
+    enum PairRet { Unit, Val(a, b) }
+}
+
 /// The atomic-pair spec. Crash loses nothing (both patterns make the
 /// update durable before acknowledging).
 #[derive(Debug, Clone, Default)]

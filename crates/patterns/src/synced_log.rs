@@ -54,6 +54,13 @@ pub enum SlRet {
     Records(Vec<Vec<u8>>),
 }
 
+perennial_spec::encode! {
+    enum SlOp { Append(r), AppendSynced(r), ReadAll }
+}
+perennial_spec::encode! {
+    enum SlRet { Done, Records(rs) }
+}
+
 /// The synced-log specification.
 #[derive(Debug, Clone, Default)]
 pub struct SlSpec;

@@ -62,6 +62,13 @@ pub enum TxnRet {
     Val(u64),
 }
 
+perennial_spec::encode! {
+    enum TxnOp { Commit(writes), Read(a) }
+}
+perennial_spec::encode! {
+    enum TxnRet { Done, Val(v) }
+}
+
 /// The transactional-WAL specification.
 #[derive(Debug, Clone, Default)]
 pub struct TxnSpec;

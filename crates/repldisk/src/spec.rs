@@ -32,6 +32,13 @@ pub enum RdRet {
     Unit,
 }
 
+perennial_spec::encode! {
+    enum RdOp { Read(a), Write(a, b) }
+}
+perennial_spec::encode! {
+    enum RdRet { Val(b), Unit }
+}
+
 /// The replicated-disk spec: `size` blocks of `block_size` bytes,
 /// initially zero.
 #[derive(Debug, Clone)]

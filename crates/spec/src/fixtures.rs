@@ -99,6 +99,16 @@ pub enum BufRet {
     Entries(Vec<u64>),
 }
 
+crate::encode! {
+    enum RegOp { Read(a), Write(a, v) }
+}
+crate::encode! {
+    enum BufOp { Append(v), ReadAll }
+}
+crate::encode! {
+    enum BufRet { Done, Entries(es) }
+}
+
 impl BufSpec {
     /// The internal flush transition: persists everything buffered.
     pub fn flush_transition() -> Transition<BufState, ()> {

@@ -19,7 +19,10 @@
 //!
 //! A complete specification is a [`SpecTS`]: an initial state, an
 //! op-indexed family of transitions, and a distinguished crash transition
-//! (Figure 3 of the paper shows all three for the replicated disk).
+//! (Figure 3 of the paper shows all three for the replicated disk). Its
+//! operations and return values carry a fixed byte encoding
+//! ([`Encode`], stated through [`encode!`]), which is what a ghost
+//! trace is fingerprinted by.
 //!
 //! # Examples
 //!
@@ -46,11 +49,13 @@
 
 #![deny(unsafe_code)]
 
+pub mod encode;
 pub mod fixtures;
 pub mod history;
 pub mod system;
 pub mod transition;
 
+pub use encode::{Encode, Fnv1a};
 pub use history::{Event, EventKind, History, Jid};
 pub use system::{SeqReplay, SpecTS};
 pub use transition::{Outcome, Transition};

@@ -1,5 +1,6 @@
 //! Complete specifications: state, operations, crash transition.
 
+use crate::encode::Encode;
 use crate::transition::Transition;
 use std::fmt::Debug;
 
@@ -13,11 +14,13 @@ use std::fmt::Debug;
 pub trait SpecTS: Send + Sync + 'static {
     /// Abstract state (e.g. `Map<u64, Block>` for the replicated disk).
     type State: Clone + Debug + PartialEq + Send + Sync + 'static;
-    /// Operation descriptors, including their arguments.
-    type Op: Clone + Debug + PartialEq + Send + Sync + 'static;
+    /// Operation descriptors, including their arguments. The encoding
+    /// is what a ghost trace is fingerprinted by ([`encode!`](crate::encode!)
+    /// states it for an enum); `Debug` only renders a trace for a reader.
+    type Op: Clone + Debug + PartialEq + Encode + Send + Sync + 'static;
     /// Return values. A single type for all ops keeps histories simple;
     /// specs use an enum when ops return different things.
-    type Ret: Clone + Debug + PartialEq + Send + Sync + 'static;
+    type Ret: Clone + Debug + PartialEq + Encode + Send + Sync + 'static;
 
     /// The initial abstract state.
     fn init(&self) -> Self::State;
@@ -112,7 +115,9 @@ impl<S: SpecTS> SeqReplay<S> {
 
     fn step<R: 'static>(&mut self, t: &Transition<S::State, R>) -> Result<R, ReplayError> {
         let (state, ret) = t.step(&self.state)?;
-        self.state = state;
+        if let Some(state) = state {
+            self.state = state;
+        }
         self.steps += 1;
         Ok(ret)
     }

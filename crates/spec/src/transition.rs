@@ -49,22 +49,30 @@ impl<S, T> Outcome<S, T> {
     }
 }
 
+/// What one step did: `Ok((None, v))` left the state as it was and
+/// returned `v`; `Ok((Some(s), v))` stepped to `s`; `Err` says why the
+/// step is not one the spec allows.
+type Step<S, T> = Result<(Option<S>, T), ReplayError>;
+
 /// The boxed step function inside a [`Transition`].
-type StepFn<S, T> = dyn Fn(&S) -> Outcome<S, T> + Send + Sync;
+type StepFn<S, T> = dyn Fn(&S) -> Step<S, T> + Send + Sync;
 
 /// A specification transition: a partial function from states to
 /// (state, value) pairs.
 ///
 /// Transitions are cheaply cloneable (internally reference counted) so a
-/// spec can hand the same transition to many checker threads.
+/// spec can hand the same transition to many checker threads. A step
+/// borrows the state: the read-only combinators (`ret`, `gets`, `check`,
+/// `guard`, `skip`, and `and_then`/`map` over them) report it unchanged
+/// instead of cloning it, and only `modify` builds a new one.
 pub struct Transition<S, T> {
-    run: Arc<StepFn<S, T>>,
+    step: Arc<StepFn<S, T>>,
 }
 
 impl<S, T> Clone for Transition<S, T> {
     fn clone(&self) -> Self {
         Transition {
-            run: Arc::clone(&self.run),
+            step: Arc::clone(&self.step),
         }
     }
 }
@@ -76,25 +84,39 @@ impl<S, T> fmt::Debug for Transition<S, T> {
 }
 
 impl<S: Clone + 'static, T: 'static> Transition<S, T> {
-    /// Wraps a raw step function as a transition.
+    /// Wraps a raw step function as a transition. Its `Outcome::Ok`
+    /// state counts as a new one, whatever it holds.
     pub fn new(f: impl Fn(&S) -> Outcome<S, T> + Send + Sync + 'static) -> Self {
-        Transition { run: Arc::new(f) }
-    }
-
-    /// Runs the transition in state `s`.
-    pub fn run(&self, s: &S) -> Outcome<S, T> {
-        (self.run)(s)
-    }
-
-    /// Simulates the transition as one spec step from `s`: the stepped
-    /// state and value, or why the step is not one the spec allows. The
-    /// ghost engine and [`crate::SeqReplay`] take every step through here.
-    pub fn step(&self, s: &S) -> Result<(S, T), ReplayError> {
-        match self.run(s) {
-            Outcome::Ok(s2, v) => Ok((s2, v)),
+        Transition::borrowing(move |s: &S| match f(s) {
+            Outcome::Ok(s2, v) => Ok((Some(s2), v)),
             Outcome::Undefined => Err(ReplayError::Undefined),
             Outcome::Blocked => Err(ReplayError::Blocked),
+        })
+    }
+
+    /// The transition whose step is `f`.
+    fn borrowing(f: impl Fn(&S) -> Step<S, T> + Send + Sync + 'static) -> Self {
+        Transition { step: Arc::new(f) }
+    }
+
+    /// Runs the transition in state `s`: [`step`](Transition::step), with
+    /// an unchanged state cloned into the outcome.
+    pub fn run(&self, s: &S) -> Outcome<S, T> {
+        match self.step(s) {
+            Ok((s2, v)) => Outcome::Ok(s2.unwrap_or_else(|| s.clone()), v),
+            Err(ReplayError::Blocked) => Outcome::Blocked,
+            // A transition fails with no other error.
+            Err(_) => Outcome::Undefined,
         }
+    }
+
+    /// Simulates the transition as one spec step from `s`, borrowing it:
+    /// the new state (`None` when the step left `s` as it was) and the
+    /// value, or why the step is not one the spec allows. The ghost
+    /// engine and [`crate::SeqReplay`] take every step through here and
+    /// assign their state only on `Ok((Some(..), _))`.
+    pub fn step(&self, s: &S) -> Result<(Option<S>, T), ReplayError> {
+        (self.step)(s)
     }
 
     /// `ret v` — the identity transition returning `v`.
@@ -102,44 +124,42 @@ impl<S: Clone + 'static, T: 'static> Transition<S, T> {
     where
         T: Clone + Send + Sync,
     {
-        Transition::new(move |s: &S| Outcome::Ok(s.clone(), v.clone()))
+        Transition::borrowing(move |_: &S| Ok((None, v.clone())))
     }
 
     /// `undefined` — the caller triggered undefined behaviour.
     pub fn undefined() -> Self {
-        Transition::new(|_s: &S| Outcome::Undefined)
+        Transition::borrowing(|_: &S| Err(ReplayError::Undefined))
     }
 
     /// `blocked` — a disabled transition (failed guard).
     pub fn blocked() -> Self {
-        Transition::new(|_s: &S| Outcome::Blocked)
+        Transition::borrowing(|_: &S| Err(ReplayError::Blocked))
     }
 
     /// `gets f` — observes the state without changing it.
     pub fn gets(f: impl Fn(&S) -> T + Send + Sync + 'static) -> Self {
-        Transition::new(move |s: &S| Outcome::Ok(s.clone(), f(s)))
+        Transition::borrowing(move |s: &S| Ok((None, f(s))))
     }
 
     /// Monadic bind: run `self`, then run the transition produced by `f`
-    /// from the intermediate state.
+    /// from the intermediate state. Partial if either half is.
     pub fn and_then<U: 'static>(
         self,
         f: impl Fn(T) -> Transition<S, U> + Send + Sync + 'static,
     ) -> Transition<S, U> {
-        Transition::new(move |s: &S| match self.run(s) {
-            Outcome::Ok(s2, v) => f(v).run(&s2),
-            Outcome::Undefined => Outcome::Undefined,
-            Outcome::Blocked => Outcome::Blocked,
+        Transition::borrowing(move |s: &S| match self.step(s)? {
+            (None, v) => f(v).step(s),
+            (Some(s2), v) => {
+                let (s3, u) = f(v).step(&s2)?;
+                Ok((Some(s3.unwrap_or(s2)), u))
+            }
         })
     }
 
     /// Maps the returned value.
     pub fn map<U: 'static>(self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Transition<S, U> {
-        Transition::new(move |s: &S| match self.run(s) {
-            Outcome::Ok(s2, v) => Outcome::Ok(s2, f(v)),
-            Outcome::Undefined => Outcome::Undefined,
-            Outcome::Blocked => Outcome::Blocked,
-        })
+        Transition::borrowing(move |s: &S| self.step(s).map(|(s2, v)| (s2, f(v))))
     }
 
     /// Replaces the returned value with unit, keeping the state change.
@@ -151,34 +171,22 @@ impl<S: Clone + 'static, T: 'static> Transition<S, T> {
 impl<S: Clone + 'static> Transition<S, ()> {
     /// `modify f` — updates the state, returning unit.
     pub fn modify(f: impl Fn(&S) -> S + Send + Sync + 'static) -> Self {
-        Transition::new(move |s: &S| Outcome::Ok(f(s), ()))
+        Transition::borrowing(move |s: &S| Ok((Some(f(s)), ())))
     }
 
     /// `check p` — undefined behaviour unless `p` holds (a UB guard).
     pub fn check(p: impl Fn(&S) -> bool + Send + Sync + 'static) -> Self {
-        Transition::new(move |s: &S| {
-            if p(s) {
-                Outcome::Ok(s.clone(), ())
-            } else {
-                Outcome::Undefined
-            }
-        })
+        Transition::borrowing(move |s: &S| p(s).then_some((None, ())).ok_or(ReplayError::Undefined))
     }
 
     /// `guard p` — blocked unless `p` holds (an enabledness guard).
     pub fn guard(p: impl Fn(&S) -> bool + Send + Sync + 'static) -> Self {
-        Transition::new(move |s: &S| {
-            if p(s) {
-                Outcome::Ok(s.clone(), ())
-            } else {
-                Outcome::Blocked
-            }
-        })
+        Transition::borrowing(move |s: &S| p(s).then_some((None, ())).ok_or(ReplayError::Blocked))
     }
 
     /// The identity transition (`ret ()` without the `Clone` bound on `T`).
     pub fn skip() -> Self {
-        Transition::new(|s: &S| Outcome::Ok(s.clone(), ()))
+        Transition::borrowing(|_: &S| Ok((None, ())))
     }
 }
 
@@ -249,7 +257,7 @@ mod tests {
     #[test]
     fn step_names_why_a_step_is_not_allowed() {
         let t = Transition::<S, ()>::check(|s| s.contains_key(&1));
-        assert_eq!(t.step(&st(&[(1, 1)])), Ok((st(&[(1, 1)]), ())));
+        assert_eq!(t.step(&st(&[(1, 1)])), Ok((None, ())));
         assert_eq!(t.step(&st(&[])), Err(ReplayError::Undefined));
         let t = Transition::<S, ()>::guard(|s| s.is_empty());
         assert_eq!(t.step(&st(&[(1, 1)])), Err(ReplayError::Blocked));

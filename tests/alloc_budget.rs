@@ -79,9 +79,10 @@ fn within(name: &str, measured: f64, budget: f64) {
 #[test]
 fn dpor_footprints_allocate_within_budget() {
     // 1 999 executions, nearly all of them in the DPOR schedule phase:
-    // 145.2 per execution at PR 25.
+    // 146.5 per execution before spec reads stopped cloning the
+    // abstract state, 142.5 after; the budget is the latter plus 10 %.
     let name = "patterns/mutant/gc-count-first";
-    within(name, allocs_per_exec(name, hunt(), true), 159.7);
+    within(name, allocs_per_exec(name, hunt(), true), 156.8);
     // 69 executions, caught in the crash sweep: 89.1 at PR 25.
     let name = "patterns/mutant/panic-reset";
     within(name, allocs_per_exec(name, hunt(), true), 98.0);

@@ -2,7 +2,11 @@
 //! `goose::sched` hands control around must never show in what the
 //! checker explores or reports. The constants below were recorded while
 //! the controller still granted every step itself; a hand-off change that
-//! moves any of them changed behaviour, not just speed.
+//! moves any of them changed behaviour, not just speed. The fingerprint
+//! pins were re-recorded once since, when a ghost trace came to be
+//! fingerprinted by its events' encoding rather than its rendering, and
+//! [`trace_fingerprints_move_by_a_bijection`] shows that move renamed
+//! traces and changed nothing else.
 
 use perennial_checker::campaign::wal_file;
 use perennial_checker::{
@@ -11,37 +15,45 @@ use perennial_checker::{
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
+use std::collections::BTreeMap;
 
 /// `scan --filter patterns` prints this at every worker count.
-const PATTERNS_CAMPAIGN: u64 = 0xe474_5a87_2f73_2b5c;
+const PATTERNS_CAMPAIGN: u64 = 0xc1cf_55df_faa4_cc56;
 
 /// The fault-sweep campaign below, whole: at one and two workers, and
 /// again as two shards merged.
-const FAULT_CAMPAIGN: u64 = 0x8db7_14bd_11d5_0978;
+const FAULT_CAMPAIGN: u64 = 0x4ab7_0d92_318a_9d74;
 
 /// The same campaign cut short by [`FAULT_BUDGET`], cold and resumed from
 /// its own write-ahead log.
-const FAULT_CAMPAIGN_BUDGETED: u64 = 0x9c1d_04cb_8160_9d0d;
+const FAULT_CAMPAIGN_BUDGETED: u64 = 0xa37e_8523_a769_a23d;
 
 /// Lands inside the disk-fault sweep for two scenarios, the torn-write
 /// sweep for seven, the net-fault sweep for one, and past the end of the
 /// rest.
 const FAULT_BUDGET: u64 = 110;
 
+/// `scan`'s configuration.
+fn scan_cfg() -> CheckConfigBuilder {
+    CheckConfig::builder()
+        .seed(7)
+        .dfs_max_executions(300)
+        .random_samples(10)
+        .random_crash_samples(25)
+        .max_steps(200_000)
+        .keep_going(true)
+}
+
+fn in_patterns_campaign(name: &str) -> bool {
+    name.contains("patterns")
+}
+
 #[test]
 fn patterns_campaign_fingerprint_is_pinned_at_one_and_two_workers() {
     for workers in [1, 2] {
-        // `scan`'s configuration and its fold over report fingerprints.
-        let scan_cfg = CheckConfig::builder()
-            .seed(7)
-            .dfs_max_executions(300)
-            .random_samples(10)
-            .random_crash_samples(25)
-            .max_steps(200_000)
-            .keep_going(true)
-            .workers(workers)
-            .build();
-        let (fingerprint, _) = campaign(|name| name.contains("patterns"), |_| scan_cfg.clone());
+        // `scan`'s fold over report fingerprints.
+        let scan_cfg = scan_cfg().workers(workers).build();
+        let (fingerprint, _) = campaign(in_patterns_campaign, |_| scan_cfg.clone());
         assert_eq!(
             fingerprint, PATTERNS_CAMPAIGN,
             "campaign fingerprint moved at {workers} worker(s)"
@@ -74,7 +86,7 @@ fn fault_cfg() -> CheckConfigBuilder {
 /// fingerprints.
 fn campaign(
     selected: impl Fn(&str) -> bool,
-    config: impl Fn(&str) -> CheckConfig,
+    mut config: impl FnMut(&str) -> CheckConfig,
 ) -> (u64, Vec<CheckReport>) {
     let reports: Vec<CheckReport> = all_scenarios()
         .iter()
@@ -169,6 +181,111 @@ fn budgeted_fault_campaign_is_pinned_cold_and_resumed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// [`PATTERNS_CAMPAIGN`] and [`FAULT_CAMPAIGN`] before the encoding
+/// epoch, when an execution's `trace_fp` was the hash of its rendered
+/// ghost trace: what the two campaigns still print with
+/// `rendered_trace_fps` on.
+const PRE_EPOCH_PATTERNS_CAMPAIGN: u64 = 0xe474_5a87_2f73_2b5c;
+const PRE_EPOCH_FAULT_CAMPAIGN: u64 = 0x8db7_14bd_11d5_0978;
+
+/// The encoding epoch's migration proof. Each scenario of the patterns
+/// and fault campaigns runs twice, its traces fingerprinted by their
+/// rendering (the pre-epoch `trace_fp`, which reproduces the pre-epoch
+/// campaign pins) and by the fold of their events' encoding. The two
+/// streams agree record for record on everything but `trace_fp`, and
+/// old → new `trace_fp` is a bijection over the executions: so no
+/// execution, verdict or `distinct_traces` count can have moved, and
+/// every campaign pin moved only because the report lists new names
+/// for the same traces.
+#[test]
+fn trace_fingerprints_move_by_a_bijection() {
+    let campaigns = [
+        (
+            in_patterns_campaign as fn(&str) -> bool,
+            scan_cfg(),
+            PRE_EPOCH_PATTERNS_CAMPAIGN,
+            PATTERNS_CAMPAIGN,
+        ),
+        (
+            in_fault_campaign,
+            fault_cfg(),
+            PRE_EPOCH_FAULT_CAMPAIGN,
+            FAULT_CAMPAIGN,
+        ),
+    ];
+    for (selected, cfg, pre_epoch, pin) in campaigns {
+        let run = |rendered: bool| {
+            let cfg = cfg.clone().workers(1).rendered_trace_fps(rendered);
+            let mut streams = Vec::new();
+            let (fingerprint, reports) = campaign(selected, |_| {
+                let (sink, buf) = TelemetrySink::shared_buffer();
+                streams.push(buf);
+                cfg.clone().telemetry(sink).build()
+            });
+            let streams: Vec<Vec<Value>> = streams.iter().map(|buf| records(&buf.lock())).collect();
+            (fingerprint, reports, streams)
+        };
+        let (old, old_reports, old_streams) = run(true);
+        let (new, new_reports, new_streams) = run(false);
+        assert_eq!(
+            old, pre_epoch,
+            "the rendering no longer gives the pre-epoch pin"
+        );
+        assert_eq!(new, pin);
+        let scenarios = old_reports.iter().zip(&new_reports);
+        for ((old_report, new_report), (old_records, new_records)) in
+            scenarios.zip(old_streams.iter().zip(&new_streams))
+        {
+            let name = &new_report.name;
+            let renamed = renamed_traces(name, old_records, new_records);
+            assert_eq!(new_report.executions, old_report.executions, "{name}");
+            let distinct = new_report.coverage.distinct_traces;
+            assert_eq!(distinct, old_report.coverage.distinct_traces, "{name}");
+            assert_eq!(distinct as usize, renamed, "{name}: distinct traces");
+        }
+    }
+}
+
+/// Holds two streams of one run to agreeing record for record on
+/// everything but `trace_fp`, and the old → new `trace_fp` map over
+/// their executions to a bijection; returns how many traces it renames.
+fn renamed_traces(name: &str, old: &[Value], new: &[Value]) -> usize {
+    assert_eq!(old.len(), new.len(), "{name}: record count");
+    let mut old_to_new = BTreeMap::new();
+    let mut new_to_old = BTreeMap::new();
+    for (mut o, mut n) in old.iter().cloned().zip(new.iter().cloned()) {
+        let (Value::Object(om), Value::Object(nm)) = (&mut o, &mut n) else {
+            panic!("{name}: a record is not an object");
+        };
+        if let (Some(Value::String(fo)), Some(Value::String(fn_))) =
+            (om.remove("trace_fp"), nm.remove("trace_fp"))
+        {
+            let to_new = old_to_new.entry(fo.clone()).or_insert(fn_.clone());
+            assert_eq!(*to_new, fn_, "{name}: one old trace_fp, two new");
+            let to_old = new_to_old.entry(fn_).or_insert(fo.clone());
+            assert_eq!(*to_old, fo, "{name}: one new trace_fp, two old");
+        }
+        assert_eq!(o, n, "{name}: a record differs in more than its trace_fp");
+    }
+    assert_eq!(old_to_new.len(), new_to_old.len());
+    new_to_old.len()
+}
+
+/// A JSONL stream's records, timing and toolchain stamp dropped.
+fn records(bytes: &[u8]) -> Vec<Value> {
+    let text = std::str::from_utf8(bytes).expect("stream is UTF-8");
+    text.lines()
+        .map(|line| {
+            let mut v = strip_timing(&serde_json::from_str(line).expect("a line parses"));
+            // `run_start`'s stamp names the toolchain that built the checker.
+            if let Value::Object(m) = &mut v {
+                m.remove("env");
+            }
+            v
+        })
+        .collect()
+}
+
 /// One DPOR run's deterministic outline: sleep-set prunes, executions and
 /// steps up to the counterexample, scheduler decisions summed over them,
 /// and the counterexample's pass, index, schedule and failure identity.
@@ -254,29 +371,31 @@ fn dpor_runs_are_pinned_on_three_mutants() {
 }
 
 /// The JSONL stream of one single-worker run, byte for byte once the
-/// timing keys are dropped: as written, and as it read before PR 19, when
-/// every record was stamped with the harness's label rather than the
-/// registry name. The second constant was recorded before `telemetry.rs`
-/// got its one writer (PR 17): substituting the old label back and
-/// meeting it shows the stamp is the only byte that moved.
+/// timing keys are dropped: as written, and as it read before records
+/// were stamped with the registry name rather than the harness's label
+/// and before the encoding epoch. The second constant was recorded before
+/// `telemetry.rs` got its one writer: a run that fingerprints its traces
+/// by their rendering, as then, with the old label substituted back,
+/// meets it, which shows the stamp and the `trace_fp` names are the only
+/// bytes that moved.
 const STREAM_PINS: [(&str, u64, &str, u64); 3] = [
     (
         "patterns/wal",
-        0xd950_8432_b592_8df0,
+        0xb99a_0ae3_56e4_929f,
         "write-ahead log",
         0xe573_5080_d32c_ed74,
     ),
     // Fault passes on: `counterexample` records and fault-plan tags.
     (
         "patterns/mutant/wal-skip-commit-flush",
-        0x01fc_700e_5e19_1835,
+        0x19a5_99ae_1061_6aaf,
         "write-ahead log",
         0x7f12_a581_b04e_6699,
     ),
     // As shard 0 of 2: a shard label, and spine executions it does not count.
     (
         "repldisk/single-write",
-        0x57b1_d67f_168c_66a7,
+        0x9e8d_589d_f8c5_1249,
         "replicated disk",
         0x72ef_9d80_7923_4710,
     ),
@@ -297,21 +416,16 @@ fn telemetry_stream_bytes_are_pinned() {
             .find(|s| s.name() == name)
             .expect("registered scenario")
             .clone();
-        let (sink, buf) = TelemetrySink::shared_buffer();
-        scenario.run(&cfg.workers(1).telemetry(sink).build());
-        let text = String::from_utf8(buf.lock().clone()).expect("stream is UTF-8");
-        let records: Vec<Value> = text
-            .lines()
-            .map(|line| {
-                let mut v = strip_timing(&serde_json::from_str(line).expect("a line parses"));
-                // `run_start`'s stamp names the toolchain that built the checker.
-                if let Value::Object(m) = &mut v {
-                    m.remove("env");
-                }
-                v
-            })
-            .collect();
+        let stream = |rendered: bool| {
+            let (sink, buf) = TelemetrySink::shared_buffer();
+            let cfg = cfg.clone().workers(1).rendered_trace_fps(rendered);
+            scenario.run(&cfg.telemetry(sink).build());
+            let bytes = buf.lock().clone();
+            records(&bytes)
+        };
+        let (records, pre_epoch) = (stream(false), stream(true));
         assert!(records.len() > 50, "{name}: only {} records", records.len());
+        assert!(renamed_traces(name, &pre_epoch, &records) > 1, "{name}");
         let fingerprint = |records: &[Value]| {
             let lines: Vec<String> = records
                 .iter()
@@ -324,7 +438,7 @@ fn telemetry_stream_bytes_are_pinned() {
             seen, pin,
             "{name}: the telemetry stream's bytes moved to {seen:#018x}"
         );
-        let relabelled: Vec<Value> = records
+        let relabelled: Vec<Value> = pre_epoch
             .into_iter()
             .map(|mut v| {
                 if let Value::Object(m) = &mut v {

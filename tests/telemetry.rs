@@ -4,13 +4,17 @@
 //! (timing fields excepted), and the coverage/metric fields of the
 //! report must add up.
 
+use perennial::{Fnv1a, TraceEvent};
 use perennial_checker::telemetry::strip_timing;
 use perennial_checker::{
-    render_summary, trace_fingerprint, validate_json_line, CheckConfig, CheckConfigBuilder,
-    Counterexample, ExecOutcome, FaultPlan, Pass, TelemetrySink,
+    render_summary, validate_json_line, CheckConfig, CheckConfigBuilder, Counterexample,
+    ExecOutcome, FaultPlan, Pass, TelemetrySink,
 };
+use perennial_spec::{Encode, Jid};
+use perennial_suite::repldisk::spec::{RdOp, RdRet};
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
+use TraceEvent::{Commit, Crash, Invoke, RecoveryDone, Return, Stash, Unstash};
 
 fn base_cfg() -> CheckConfigBuilder {
     CheckConfig::builder()
@@ -148,7 +152,8 @@ fn stream_has_the_documented_shape() {
 /// trace is rendered only for a reader. So: the reported counterexample
 /// still carries the text it always did, `replay` renders the same text,
 /// and the fingerprint in the stream — of the failing execution and of a
-/// passing one, whose text nobody rendered — is the hash of that text.
+/// passing one, whose text nobody rendered — is the fold of the
+/// encodings of the events that text renders.
 #[test]
 fn trace_text_is_for_readers_and_its_hash_is_in_the_stream_either_way() {
     const TRACE: &str = "  [  0] Invoke { jid: Jid(0), op: Write(0, [7, 7]) }
@@ -197,7 +202,55 @@ fn trace_text_is_for_readers_and_its_hash_is_in_the_stream_either_way() {
         }
     }
     let (_, failed_fp) = execs[&(cx.pass.to_string(), cx.index)];
-    assert_eq!(failed_fp, trace_fingerprint(TRACE));
+    let write = |jid, a, v| Invoke {
+        jid: Jid(jid),
+        op: RdOp::Write(a, vec![v; 2]),
+    };
+    let failed = [
+        write(0, 0, 7),
+        Stash {
+            jid: Jid(0),
+            key: 0,
+        },
+        Crash {
+            new_version: 1,
+            aborted: vec![],
+        },
+        RecoveryDone { version: 1 },
+        write(1, 2, 5),
+        Stash {
+            jid: Jid(1),
+            key: 2,
+        },
+        Unstash {
+            jid: Jid(1),
+            key: 2,
+        },
+        Commit {
+            jid: Jid(1),
+            op: RdOp::Write(2, vec![5; 2]),
+            ret: RdRet::Unit,
+        },
+        Return {
+            jid: Jid(1),
+            ret: RdRet::Unit,
+        },
+        Invoke {
+            jid: Jid(2),
+            op: RdOp::Read(2),
+        },
+        Commit {
+            jid: Jid(2),
+            op: RdOp::Read(2),
+            ret: RdRet::Val(vec![5; 2]),
+        },
+        Return {
+            jid: Jid(2),
+            ret: RdRet::Val(vec![5; 2]),
+        },
+    ];
+    assert_eq!(rendered(&failed), TRACE);
+    assert_eq!(failed_fp, fold(&failed));
 
     // The crash sweep's base execution passes (the mutant needs a crash):
     // replayed from its coordinates it renders the text its fingerprint
@@ -217,8 +270,43 @@ fn trace_text_is_for_readers_and_its_hash_is_in_the_stream_either_way() {
     };
     let (outcome, text) = scenario.replay(&passing, &config);
     assert!(matches!(outcome, ExecOutcome::Ok), "{outcome:?}");
-    assert!(text.lines().count() > 3, "{text}");
-    assert_eq!(passing_fp, trace_fingerprint(&text));
+    let passed = [
+        write(0, 0, 7),
+        Stash {
+            jid: Jid(0),
+            key: 0,
+        },
+        Unstash {
+            jid: Jid(0),
+            key: 0,
+        },
+        Commit {
+            jid: Jid(0),
+            op: RdOp::Write(0, vec![7; 2]),
+            ret: RdRet::Unit,
+        },
+        Return {
+            jid: Jid(0),
+            ret: RdRet::Unit,
+        },
+    ];
+    assert_eq!(text, rendered(&passed));
+    assert_eq!(passing_fp, fold(&passed));
+}
+
+type RdEvent = TraceEvent<RdOp, RdRet>;
+
+/// `events` as a ghost trace renders them.
+fn rendered(events: &[RdEvent]) -> String {
+    let lines = events.iter().enumerate();
+    lines.map(|(i, ev)| format!("  [{i:3}] {ev:?}\n")).collect()
+}
+
+/// FNV-1a over the encodings of `events`, in order.
+fn fold(events: &[RdEvent]) -> u64 {
+    let mut hash = Fnv1a::default();
+    events.iter().for_each(|ev| ev.encode(&mut hash));
+    hash.finish()
 }
 
 #[test]

@@ -25,12 +25,17 @@
 # spec `Outcome` into an error is `Transition::step`'s job alone.
 #
 # One fingerprint, one rendering: an execution's `trace_fp` is FNV-1a
-# over its rendered ghost trace, kept by `perennial::Trace` as events
-# arrive. So the FNV-1a prime is written in one file under crates/
-# (core/src/trace.rs; everything else hashes through `perennial::Fnv1a`),
-# and the executor (exec.rs, and harness.rs's handle it reaches the ghost
-# state through) renders a ghost trace at one site (a failing
-# execution's or a re-run's; never to fingerprint it).
+# over the fixed byte encoding of its ghost events (`perennial_spec::
+# Encode`), kept by `perennial::Trace` as events arrive; `Debug` renders
+# a trace for a reader and nothing else. So the FNV-1a prime is written
+# in one file under crates/ (spec/src/encode.rs; everything else hashes
+# through `Fnv1a`); that file holds every hand-written `Encode` impl (the
+# scalars, strings and containers), and every enum a trace carries gets
+# its encoding from the `encode!` macro; in core/src/trace.rs, `Debug`
+# formatting (`{:?}`) is written inside `Trace::render` alone; and the
+# executor (exec.rs, and harness.rs's handle it reaches the ghost state
+# through) renders a ghost trace at one site (a failing execution's or
+# a re-run's; never to fingerprint it).
 #
 # One owner per execution: the runtime, the pilot, the ghost engine and
 # the models built over a runtime are reached from one OS thread, so
@@ -178,16 +183,34 @@ if copies=$( (printf '%s' "$base_code"; code crates/spec/src/system.rs | sed 's|
 fi
 
 echo
-fnv_home=crates/core/src/trace.rs
+fnv_home=crates/spec/src/encode.rs
 primes=$(grep -rlE '100_?0000_?01[bB]3' crates --include='*.rs' || true)
 renders=$(for path in crates/checker/src/exec.rs crates/checker/src/harness.rs; do
     code "$path" | grep -E '\.render\(\)' | sed "s|^|$path:|"
 done)
 sites=$(printf '%s' "$renders" | grep -c '' || true)
+# Hand-written `Encode` impls outside $fnv_home, tests included.
+encodes=$(grep -rnE 'impl.*\bEncode for\b' crates src tests examples --include='*.rs' |
+    grep -v "^$fnv_home:" || true)
+# `Debug` formatting in trace.rs outside the body of `fn render`.
+debugs=$(code crates/core/src/trace.rs | awk '
+    /^[0-9]+:     pub fn render\(/ { r = 1 }
+    !r && /\{[a-z_0-9]*:#?\?\}/ { print "crates/core/src/trace.rs:" $0 }
+    r && /^[0-9]+:     }/ { r = 0 }')
 echo "fingerprint: FNV-1a prime in [$(echo $primes)], $sites render() site(s) in exec.rs and harness.rs"
 if [ "$primes" != "$fnv_home" ]; then
     failed=1
-    echo "        ^ the FNV-1a prime belongs in $fnv_home alone: hash through perennial::Fnv1a"
+    echo "        ^ the FNV-1a prime belongs in $fnv_home alone: hash through Fnv1a"
+fi
+if [ -n "$encodes" ]; then
+    failed=1
+    echo "        ^ an Encode impl written by hand; state an enum's encoding with perennial_spec::encode!:"
+    printf '%s\n' "$encodes" | sed 's/^/          /'
+fi
+if [ -n "$debugs" ]; then
+    failed=1
+    echo "        ^ trace.rs formats with Debug outside Trace::render; a fingerprint folds Encode bytes:"
+    printf '%s\n' "$debugs" | sed 's/^/          /'
 fi
 if [ "$sites" -ne 1 ]; then
     failed=1
