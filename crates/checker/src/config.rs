@@ -103,15 +103,6 @@ pub struct CheckConfig {
     /// every worker count (DESIGN.md §16). Shrink statistics land in
     /// [`CheckReport::shrink`](crate::CheckReport::shrink).
     pub shrink: bool,
-    /// Fingerprint each execution's ghost trace by the FNV-1a hash of
-    /// its rendering ([`trace_fingerprint`](crate::trace_fingerprint) of
-    /// `Trace::render`), the fingerprint before the encoding epoch,
-    /// instead of by the fold of its events' encoding (default off).
-    /// Slow, since every execution renders its trace; it exists so that
-    /// `tests/fingerprint_pin.rs` can show the two fingerprints partition
-    /// a campaign's executions alike. The stream does not record it: do
-    /// not resume a run from a log written with the other setting.
-    pub rendered_trace_fps: bool,
 }
 
 impl Default for CheckConfig {
@@ -135,7 +126,6 @@ impl Default for CheckConfig {
             trace_capture: true,
             profile: false,
             shrink: false,
-            rendered_trace_fps: false,
         }
     }
 }
@@ -314,13 +304,6 @@ impl CheckConfigBuilder {
     /// [`CheckConfig::shrink`].
     pub fn shrink(mut self, on: bool) -> Self {
         self.config.shrink = on;
-        self
-    }
-
-    /// Fingerprints traces by their rendering; see
-    /// [`CheckConfig::rendered_trace_fps`].
-    pub fn rendered_trace_fps(mut self, on: bool) -> Self {
-        self.config.rendered_trace_fps = on;
         self
     }
 

@@ -15,7 +15,7 @@ use crate::exec::{
     rerun, run_one, run_stopping, Counterexample, Exec, ExecOutcome, ExecSpec, Policy, RunResult,
 };
 use crate::harness::AnyHarness;
-use crate::metrics::{trace_fingerprint, Coverage, FaultFamily, OutcomeKind};
+use crate::metrics::{Coverage, FaultFamily, OutcomeKind};
 use crate::pass::Pass;
 use crate::strategy::{DepTrace, ScheduleSpec};
 use crate::telemetry::{self, ExecStats, RunTelemetry};
@@ -424,7 +424,7 @@ impl Shared<'_> {
             max_steps: self.config.max_steps,
             track_deps: job.track_deps,
             capture_trace: false,
-            render_trace: self.config.rendered_trace_fps,
+            render_trace: false,
         }
     }
 
@@ -503,16 +503,7 @@ fn run_or_replay(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool) -> Jo
 /// cancellation if it failed. The `exec_done` record doubles as the WAL
 /// entry, so a replayed execution emits nothing: its record is already in
 /// the log.
-fn record(
-    shared: &Shared<'_>,
-    job: &Job,
-    seed: u64,
-    counted: bool,
-    mut r: RunResult,
-) -> JobOutcome {
-    if shared.config.rendered_trace_fps {
-        r.stats.trace_fp = trace_fingerprint(&r.trace);
-    }
+fn record(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool, r: RunResult) -> JobOutcome {
     let kind = OutcomeKind::of(&r.outcome);
     let (telem, index) = (&shared.telem, job.key.1);
     telem.exec_done(

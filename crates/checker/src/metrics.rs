@@ -461,8 +461,7 @@ impl Coverage {
 /// is the fold of its ghost events' fixed byte encoding
 /// ([`perennial_spec::Encode`]), kept by its [`perennial::Trace`] as
 /// events arrive, and the rendered text is for readers. This hash of the
-/// rendering is what `trace_fp` was before the encoding epoch
-/// ([`CheckConfig::rendered_trace_fps`](crate::CheckConfig::rendered_trace_fps)).
+/// rendering is what `trace_fp` was before the encoding epoch.
 pub fn trace_fingerprint(trace: &str) -> u64 {
     let mut hash = perennial::Fnv1a::default();
     hash.write(trace.as_bytes());

@@ -253,9 +253,9 @@ proptest! {
 
     /// The fingerprint kept as events arrive is, after every call of any
     /// script — crashes, helping and recovery, legal or not — the fold of
-    /// the encodings of the events `events()` holds then, and before the
-    /// first event the hash of no bytes (what an execution whose harness
-    /// panicked reports).
+    /// the encodings of the events `events()` holds then, rendered one
+    /// line per event, and before the first event the hash of no bytes
+    /// (what an execution whose harness panicked reports).
     #[test]
     fn running_fingerprint_is_the_fold_of_the_encodings(script in proptest::collection::vec(arb_call(), 1..60)) {
         let mut run = Interp::new();
@@ -264,9 +264,11 @@ proptest! {
         prop_assert_eq!(run.g.with_trace(|t| t.events().len()), 0);
         for call in &script {
             run.call(call);
-            let (running, folded, rendered) =
-                run.g.with_trace(|t| (t.fingerprint(), fold(t.events()), t.render()));
+            let (running, folded, rendered, len) = run.g.with_trace(|t| {
+                (t.fingerprint(), fold(t.events()), t.render(), t.events().len())
+            });
             prop_assert_eq!(running.finish(), folded, "after {:?}:\n{}", call, rendered);
+            prop_assert_eq!(rendered.lines().count(), len);
         }
     }
 

@@ -4,9 +4,10 @@
 //! the controller still granted every step itself; a hand-off change that
 //! moves any of them changed behaviour, not just speed. The fingerprint
 //! pins were re-recorded once since, when a ghost trace came to be
-//! fingerprinted by its events' encoding rather than its rendering, and
-//! [`trace_fingerprints_move_by_a_bijection`] shows that move renamed
-//! traces and changed nothing else.
+//! fingerprinted by its events' encoding rather than its rendering; that
+//! move renamed traces and changed nothing else, which the trace-count
+//! pins below ([`PATTERNS_TRACE_COUNTS`], [`FAULT_TRACE_COUNTS`]), recorded
+//! before it, hold at tier-1.
 
 use perennial_checker::campaign::wal_file;
 use perennial_checker::{
@@ -15,7 +16,6 @@ use perennial_checker::{
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
-use std::collections::BTreeMap;
 
 /// `scan --filter patterns` prints this at every worker count.
 const PATTERNS_CAMPAIGN: u64 = 0xc1cf_55df_faa4_cc56;
@@ -32,6 +32,29 @@ const FAULT_CAMPAIGN_BUDGETED: u64 = 0xa37e_8523_a769_a23d;
 /// sweep for seven, the net-fault sweep for one, and past the end of the
 /// rest.
 const FAULT_BUDGET: u64 = 110;
+
+/// Each scenario's name, executions and distinct ghost traces in the
+/// patterns campaign, folded by [`trace_counts`]. Recorded before the
+/// encoding epoch and met unchanged after it: a new encoding of ghost
+/// events renames traces but may not merge or split them.
+const PATTERNS_TRACE_COUNTS: u64 = 0x1d4e_c0b1_9668_a72c;
+
+/// The same for the fault campaign, whole.
+const FAULT_TRACE_COUNTS: u64 = 0x8b88_b1d0_029c_5392;
+
+/// The fold of each report's name, executions and distinct ghost traces:
+/// what moves when a change tells traces apart differently, and not when
+/// it only renames them.
+fn trace_counts(reports: &[CheckReport]) -> u64 {
+    let lines: String = reports
+        .iter()
+        .map(|r| {
+            let distinct = r.coverage.distinct_traces;
+            format!("{} {} {distinct}\n", r.name, r.executions)
+        })
+        .collect();
+    trace_fingerprint(&lines)
+}
 
 /// `scan`'s configuration.
 fn scan_cfg() -> CheckConfigBuilder {
@@ -53,10 +76,15 @@ fn patterns_campaign_fingerprint_is_pinned_at_one_and_two_workers() {
     for workers in [1, 2] {
         // `scan`'s fold over report fingerprints.
         let scan_cfg = scan_cfg().workers(workers).build();
-        let (fingerprint, _) = campaign(in_patterns_campaign, |_| scan_cfg.clone());
+        let (fingerprint, reports) = campaign(in_patterns_campaign, |_| scan_cfg.clone());
         assert_eq!(
             fingerprint, PATTERNS_CAMPAIGN,
             "campaign fingerprint moved at {workers} worker(s)"
+        );
+        let counts = trace_counts(&reports);
+        assert_eq!(
+            counts, PATTERNS_TRACE_COUNTS,
+            "trace counts moved to {counts:#018x} at {workers} worker(s)"
         );
     }
 }
@@ -108,6 +136,11 @@ fn fault_campaign_fingerprint_is_pinned_whole_and_sharded() {
         assert_eq!(
             fingerprint, FAULT_CAMPAIGN,
             "fault campaign fingerprint moved at {workers} worker(s)"
+        );
+        let counts = trace_counts(&reports);
+        assert_eq!(
+            counts, FAULT_TRACE_COUNTS,
+            "fault trace counts moved to {counts:#018x} at {workers} worker(s)"
         );
         let swept = |pass: Pass| {
             reports
@@ -179,96 +212,6 @@ fn budgeted_fault_campaign_is_pinned_cold_and_resumed() {
     }
     assert!(reports.iter().any(|r| r.replayed > 0));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// [`PATTERNS_CAMPAIGN`] and [`FAULT_CAMPAIGN`] before the encoding
-/// epoch, when an execution's `trace_fp` was the hash of its rendered
-/// ghost trace: what the two campaigns still print with
-/// `rendered_trace_fps` on.
-const PRE_EPOCH_PATTERNS_CAMPAIGN: u64 = 0xe474_5a87_2f73_2b5c;
-const PRE_EPOCH_FAULT_CAMPAIGN: u64 = 0x8db7_14bd_11d5_0978;
-
-/// The encoding epoch's migration proof. Each scenario of the patterns
-/// and fault campaigns runs twice, its traces fingerprinted by their
-/// rendering (the pre-epoch `trace_fp`, which reproduces the pre-epoch
-/// campaign pins) and by the fold of their events' encoding. The two
-/// streams agree record for record on everything but `trace_fp`, and
-/// old → new `trace_fp` is a bijection over the executions: so no
-/// execution, verdict or `distinct_traces` count can have moved, and
-/// every campaign pin moved only because the report lists new names
-/// for the same traces.
-#[test]
-fn trace_fingerprints_move_by_a_bijection() {
-    let campaigns = [
-        (
-            in_patterns_campaign as fn(&str) -> bool,
-            scan_cfg(),
-            PRE_EPOCH_PATTERNS_CAMPAIGN,
-            PATTERNS_CAMPAIGN,
-        ),
-        (
-            in_fault_campaign,
-            fault_cfg(),
-            PRE_EPOCH_FAULT_CAMPAIGN,
-            FAULT_CAMPAIGN,
-        ),
-    ];
-    for (selected, cfg, pre_epoch, pin) in campaigns {
-        let run = |rendered: bool| {
-            let cfg = cfg.clone().workers(1).rendered_trace_fps(rendered);
-            let mut streams = Vec::new();
-            let (fingerprint, reports) = campaign(selected, |_| {
-                let (sink, buf) = TelemetrySink::shared_buffer();
-                streams.push(buf);
-                cfg.clone().telemetry(sink).build()
-            });
-            let streams: Vec<Vec<Value>> = streams.iter().map(|buf| records(&buf.lock())).collect();
-            (fingerprint, reports, streams)
-        };
-        let (old, old_reports, old_streams) = run(true);
-        let (new, new_reports, new_streams) = run(false);
-        assert_eq!(
-            old, pre_epoch,
-            "the rendering no longer gives the pre-epoch pin"
-        );
-        assert_eq!(new, pin);
-        let scenarios = old_reports.iter().zip(&new_reports);
-        for ((old_report, new_report), (old_records, new_records)) in
-            scenarios.zip(old_streams.iter().zip(&new_streams))
-        {
-            let name = &new_report.name;
-            let renamed = renamed_traces(name, old_records, new_records);
-            assert_eq!(new_report.executions, old_report.executions, "{name}");
-            let distinct = new_report.coverage.distinct_traces;
-            assert_eq!(distinct, old_report.coverage.distinct_traces, "{name}");
-            assert_eq!(distinct as usize, renamed, "{name}: distinct traces");
-        }
-    }
-}
-
-/// Holds two streams of one run to agreeing record for record on
-/// everything but `trace_fp`, and the old → new `trace_fp` map over
-/// their executions to a bijection; returns how many traces it renames.
-fn renamed_traces(name: &str, old: &[Value], new: &[Value]) -> usize {
-    assert_eq!(old.len(), new.len(), "{name}: record count");
-    let mut old_to_new = BTreeMap::new();
-    let mut new_to_old = BTreeMap::new();
-    for (mut o, mut n) in old.iter().cloned().zip(new.iter().cloned()) {
-        let (Value::Object(om), Value::Object(nm)) = (&mut o, &mut n) else {
-            panic!("{name}: a record is not an object");
-        };
-        if let (Some(Value::String(fo)), Some(Value::String(fn_))) =
-            (om.remove("trace_fp"), nm.remove("trace_fp"))
-        {
-            let to_new = old_to_new.entry(fo.clone()).or_insert(fn_.clone());
-            assert_eq!(*to_new, fn_, "{name}: one old trace_fp, two new");
-            let to_old = new_to_old.entry(fn_).or_insert(fo.clone());
-            assert_eq!(*to_old, fo, "{name}: one new trace_fp, two old");
-        }
-        assert_eq!(o, n, "{name}: a record differs in more than its trace_fp");
-    }
-    assert_eq!(old_to_new.len(), new_to_old.len());
-    new_to_old.len()
 }
 
 /// A JSONL stream's records, timing and toolchain stamp dropped.
@@ -371,33 +314,32 @@ fn dpor_runs_are_pinned_on_three_mutants() {
 }
 
 /// The JSONL stream of one single-worker run, byte for byte once the
-/// timing keys are dropped: as written, and as it read before records
-/// were stamped with the registry name rather than the harness's label
-/// and before the encoding epoch. The second constant was recorded before
-/// `telemetry.rs` got its one writer: a run that fingerprints its traces
-/// by their rendering, as then, with the old label substituted back,
-/// meets it, which shows the stamp and the `trace_fp` names are the only
-/// bytes that moved.
+/// timing keys are dropped: as written, and with every record stamped
+/// with the harness's label, as it read before records were stamped with
+/// the registry name. Substituting the old label back and meeting the
+/// second constant shows the stamp is the only byte that moved. Both
+/// constants were re-recorded at the encoding epoch, when every
+/// `trace_fp` in them took a new name (EXPERIMENTS.md lists old → new).
 const STREAM_PINS: [(&str, u64, &str, u64); 3] = [
     (
         "patterns/wal",
         0xb99a_0ae3_56e4_929f,
         "write-ahead log",
-        0xe573_5080_d32c_ed74,
+        0x0f3c_f0b2_9d58_5247,
     ),
     // Fault passes on: `counterexample` records and fault-plan tags.
     (
         "patterns/mutant/wal-skip-commit-flush",
         0x19a5_99ae_1061_6aaf,
         "write-ahead log",
-        0x7f12_a581_b04e_6699,
+        0x7f25_cbab_145f_6163,
     ),
     // As shard 0 of 2: a shard label, and spine executions it does not count.
     (
         "repldisk/single-write",
         0x9e8d_589d_f8c5_1249,
         "replicated disk",
-        0x72ef_9d80_7923_4710,
+        0xfa62_f4ba_f0f4_fbda,
     ),
 ];
 
@@ -416,16 +358,10 @@ fn telemetry_stream_bytes_are_pinned() {
             .find(|s| s.name() == name)
             .expect("registered scenario")
             .clone();
-        let stream = |rendered: bool| {
-            let (sink, buf) = TelemetrySink::shared_buffer();
-            let cfg = cfg.clone().workers(1).rendered_trace_fps(rendered);
-            scenario.run(&cfg.telemetry(sink).build());
-            let bytes = buf.lock().clone();
-            records(&bytes)
-        };
-        let (records, pre_epoch) = (stream(false), stream(true));
+        let (sink, buf) = TelemetrySink::shared_buffer();
+        scenario.run(&cfg.workers(1).telemetry(sink).build());
+        let records = records(&buf.lock());
         assert!(records.len() > 50, "{name}: only {} records", records.len());
-        assert!(renamed_traces(name, &pre_epoch, &records) > 1, "{name}");
         let fingerprint = |records: &[Value]| {
             let lines: Vec<String> = records
                 .iter()
@@ -438,7 +374,7 @@ fn telemetry_stream_bytes_are_pinned() {
             seen, pin,
             "{name}: the telemetry stream's bytes moved to {seen:#018x}"
         );
-        let relabelled: Vec<Value> = pre_epoch
+        let relabelled: Vec<Value> = records
             .into_iter()
             .map(|mut v| {
                 if let Value::Object(m) = &mut v {
@@ -448,10 +384,10 @@ fn telemetry_stream_bytes_are_pinned() {
                 v
             })
             .collect();
+        let seen = fingerprint(&relabelled);
         assert_eq!(
-            fingerprint(&relabelled),
-            old_pin,
-            "{name}: more than the scenario stamp moved"
+            seen, old_pin,
+            "{name}: more than the scenario stamp moved, to {seen:#018x}"
         );
     }
 }
