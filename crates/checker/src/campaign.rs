@@ -36,8 +36,8 @@
 
 use crate::explore::{CheckReport, Counterexample, ExecOutcome};
 use crate::json::{
-    as_u64, get, get_arr, get_f64, get_hex, get_obj, get_str, get_u64, get_u64s, hex64,
-    parse_hex64, u64s, without_keys,
+    as_u64, counters, get, get_arr, get_f64, get_hex, get_obj, get_str, get_u64, get_u64s, hex64,
+    parse_hex64, u64s, without_keys, Counter,
 };
 use crate::metrics::{
     trace_fingerprint, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
@@ -135,46 +135,6 @@ fn hist_to_json(h: &Histogram) -> Value {
         "sum": h.sum(),
         "max": h.max(),
     })
-}
-
-/// One counter of a record: wire key, how shards fold it into the whole
-/// run's value, whether the stream's `run_end` carries it too, and the
-/// field.
-struct Counter<R> {
-    key: &'static str,
-    fold: fn(u64, u64) -> u64,
-    in_run_end: bool,
-    get: fn(&R) -> u64,
-    set: fn(&mut R, u64),
-}
-
-impl<R> Counter<R> {
-    /// Folds shard `from`'s value into `into`'s.
-    fn fold(&self, into: &mut R, from: &R) {
-        (self.set)(into, (self.fold)((self.get)(into), (self.get)(from)));
-    }
-}
-
-/// A counter table: one `"key" field fold` row per counter, tagged
-/// `run_end` when that record carries it too. A shard counts a `Sum`
-/// counter over the executions it owns, disjoint from the other shards'.
-/// A `Max` counter is one every shard derives alike (the schedule phase
-/// is derivation spine), so any one is the whole, or the pool size, of
-/// which a merge reports the largest.
-macro_rules! counters {
-    ($($key:literal $field:ident $fold:ident $($run_end:ident)?,)*) => {
-        [$(Counter {
-            key: $key,
-            fold: counters!(@$fold),
-            in_run_end: counters!(@in $($run_end)?),
-            get: |r| r.$field as u64,
-            set: |r, n| r.$field = n as _,
-        },)*]
-    };
-    (@Sum) => { |mine, theirs| mine + theirs };
-    (@Max) => { u64::max };
-    (@in) => { false };
-    (@in run_end) => { true };
 }
 
 /// [`CheckReport`]'s counters. Report JSON carries every row; `run_end`

@@ -6,7 +6,7 @@
 use crate::harness::{AnyGhost, AnyHarness, AnyWorld};
 use crate::pass::Pass;
 use crate::strategy::DepTrace;
-use crate::telemetry::ExecStats;
+use crate::telemetry::{ExecStats, EXEC_COUNTERS};
 use goose_rt::fault::FaultPlan;
 use goose_rt::sched::{
     quiet_worker_panics, res, shared_pilot, ModelRt, PanicKind, Pilot, PilotCell, SharedPilot,
@@ -315,38 +315,12 @@ impl RunResult {
                 self.outcome, other.outcome
             ));
         }
-        let ExecStats {
-            steps,
-            depth,
-            crashes,
-            helped,
-            lock_blocks,
-            disk_ops,
-            net_msgs,
-            disk_reads,
-            disk_writes,
-            disk_flushes,
-            net_sends,
-            net_recvs,
-            trace_fp,
-        } = self.stats;
-        let b = &other.stats;
-        let fields = [
-            ("steps", steps, b.steps),
-            ("depth", depth, b.depth),
-            ("crashes", crashes, b.crashes),
-            ("helped", helped, b.helped),
-            ("lock_blocks", lock_blocks, b.lock_blocks),
-            ("disk_ops", disk_ops, b.disk_ops),
-            ("net_msgs", net_msgs, b.net_msgs),
-            ("disk_reads", disk_reads, b.disk_reads),
-            ("disk_writes", disk_writes, b.disk_writes),
-            ("disk_flushes", disk_flushes, b.disk_flushes),
-            ("net_sends", net_sends, b.net_sends),
-            ("net_recvs", net_recvs, b.net_recvs),
-            ("trace_fp", trace_fp, b.trace_fp),
-        ];
-        if let Some((name, x, y)) = fields.into_iter().find(|(_, x, y)| x != y) {
+        let (a, b) = (&self.stats, &other.stats);
+        let fields = EXEC_COUNTERS
+            .iter()
+            .map(|c| (c.key, (c.get)(a), (c.get)(b)));
+        let trace_fp = ("trace_fp", a.trace_fp, b.trace_fp);
+        if let Some((name, x, y)) = fields.chain([trace_fp]).find(|(_, x, y)| x != y) {
             return Some(format!("`{name}`: {x} vs {y}"));
         }
         (self.lock_profile != other.lock_profile).then(|| {

@@ -1,5 +1,6 @@
-//! The crate's one JSON field reader, its 64-bit hex convention, and the
-//! field writer of the one record written too often to build a tree for.
+//! The crate's one JSON field reader, its 64-bit hex convention, its
+//! counter-table type, and the field writer of the one record written too
+//! often to build a tree for.
 //!
 //! Everything the checker parses back — WAL records, campaign reports,
 //! environment stamps, dashboard streams — is a [`Map`] of fields written
@@ -24,20 +25,88 @@ pub(crate) fn hex64(v: u64) -> String {
     format!("{v:#018x}")
 }
 
+/// One counter of a record: wire key, how two values of it fold into one
+/// (a shard's into the whole run's), whether the stream's `run_end`
+/// carries it too, and the field.
+pub(crate) struct Counter<R> {
+    pub(crate) key: &'static str,
+    pub(crate) fold: fn(u64, u64) -> u64,
+    pub(crate) in_run_end: bool,
+    pub(crate) get: fn(&R) -> u64,
+    pub(crate) set: fn(&mut R, u64),
+}
+
+impl<R> Counter<R> {
+    /// Folds `from`'s value into `into`'s.
+    pub(crate) fn fold(&self, into: &mut R, from: &R) {
+        (self.set)(into, (self.fold)((self.get)(into), (self.get)(from)));
+    }
+}
+
+/// A counter table: one `"key" field fold` row per counter, tagged
+/// `run_end` when that record carries it too. A shard counts a `Sum`
+/// counter over the executions it owns, disjoint from the other shards'.
+/// A `Max` counter is one every shard derives alike (the schedule phase
+/// is derivation spine), so any one is the whole, or the pool size, of
+/// which a merge reports the largest. (An execution's counters are `Sum`
+/// too, though nothing folds them through their table.)
+macro_rules! counters {
+    ($($key:literal $field:ident $fold:ident $($run_end:ident)?,)*) => {
+        [$($crate::json::Counter {
+            key: $key,
+            fold: $crate::json::counters!(@$fold),
+            in_run_end: $crate::json::counters!(@in $($run_end)?),
+            get: |r| r.$field as u64,
+            set: |r, n| r.$field = n as _,
+        },)*]
+    };
+    (@Sum) => { |mine, theirs| mine + theirs };
+    (@Max) => { u64::max };
+    (@in) => { false };
+    (@in run_end) => { true };
+}
+pub(crate) use counters;
+
 /// One flat JSON object written field by field into a reused buffer,
 /// byte for byte what `serde_json::to_string` prints for the [`Map`] with
 /// the same entries: `{"a": 1,"b": "x"}`. A `Map` prints its keys sorted,
-/// so the caller passes them sorted (held to it in debug builds).
+/// so the caller passes them sorted (held to it in debug builds), and the
+/// counts given at [`open`](Self::open), sorted too, are merged in.
 pub(crate) struct ObjectLine<'a> {
     out: &'a mut String,
     last_key: &'static str,
+    /// Counts not written yet: each goes in before the first key that
+    /// sorts after it, or at the close.
+    counts: &'a [(&'static str, u64)],
 }
 
 impl<'a> ObjectLine<'a> {
-    /// Opens the object at the end of `out`.
-    pub(crate) fn open(out: &'a mut String) -> Self {
+    /// Opens the object at the end of `out`, to merge `counts` into.
+    pub(crate) fn open(out: &'a mut String, counts: &'a [(&'static str, u64)]) -> Self {
         out.push('{');
-        ObjectLine { out, last_key: "" }
+        ObjectLine {
+            out,
+            last_key: "",
+            counts,
+        }
+    }
+
+    /// Writes the merged counts that sort before `key`, or all that are
+    /// left with `None`.
+    fn counts_before(&mut self, key: Option<&str>) {
+        while let Some((&(count, n), rest)) = self.counts.split_first() {
+            if key.is_some_and(|key| count > key) {
+                break;
+            }
+            self.counts = rest;
+            write_count(self.key(count), n);
+        }
+    }
+
+    /// [`key`](Self::key), after the merged counts that sort before it.
+    fn field(&mut self, key: &'static str) -> &mut String {
+        self.counts_before(Some(key));
+        self.key(key)
     }
 
     /// Writes `"key": ` (and the comma before it) and hands back the
@@ -54,25 +123,19 @@ impl<'a> ObjectLine<'a> {
         self.out
     }
 
-    /// A count, as `Value::Number(n as f64)` prints it: the integer below
-    /// 9e15, the `f64` that carries it above.
+    /// A count (see [`write_count`]).
     pub(crate) fn count(&mut self, key: &'static str, n: u64) {
-        let out = self.key(key);
-        let _ = if n < 9_000_000_000_000_000 {
-            write!(out, "{n}")
-        } else {
-            write!(out, "{}", n as f64)
-        };
+        write_count(self.field(key), n);
     }
 
     /// A 64-bit value in the [`hex64`] form.
     pub(crate) fn hex(&mut self, key: &'static str, v: u64) {
-        let _ = write!(self.key(key), "\"{v:#018x}\"");
+        let _ = write!(self.field(key), "\"{v:#018x}\"");
     }
 
     /// A string whose text needs no escaping, written by `text`.
     pub(crate) fn plain(&mut self, key: &'static str, text: impl FnOnce(&mut String)) {
-        let out = self.key(key);
+        let out = self.field(key);
         out.push('"');
         text(out);
         out.push('"');
@@ -80,13 +143,24 @@ impl<'a> ObjectLine<'a> {
 
     /// A value already in its JSON form (an escaped string literal).
     pub(crate) fn literal(&mut self, key: &'static str, json: &str) {
-        self.key(key).push_str(json);
+        self.field(key).push_str(json);
     }
 
-    /// Closes the object.
-    pub(crate) fn close(self) {
+    /// Writes the counts left and closes the object.
+    pub(crate) fn close(mut self) {
+        self.counts_before(None);
         self.out.push('}');
     }
+}
+
+/// A count, as `Value::Number(n as f64)` prints it: the integer below
+/// 9e15, the `f64` that carries it above.
+fn write_count(out: &mut String, n: u64) {
+    let _ = if n < 9_000_000_000_000_000 {
+        write!(out, "{n}")
+    } else {
+        write!(out, "{}", n as f64)
+    };
 }
 
 /// The inverse of [`hex64`], also taking unpadded digits: exactly one

@@ -460,8 +460,7 @@ impl Coverage {
 /// function of the bytes). An execution's own `trace_fp` is not this: it
 /// is the fold of its ghost events' fixed byte encoding
 /// ([`perennial_spec::Encode`]), kept by its [`perennial::Trace`] as
-/// events arrive, and the rendered text is for readers. This hash of the
-/// rendering is what `trace_fp` was before the encoding epoch.
+/// events arrive, and the rendered text is for readers.
 pub fn trace_fingerprint(trace: &str) -> u64 {
     let mut hash = perennial::Fnv1a::default();
     hash.write(trace.as_bytes());

@@ -39,7 +39,9 @@
 
 use crate::campaign::{read_totals, with_totals};
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
-use crate::json::{get, get_hex, get_str, get_u64, hex64, without_keys, ObjectLine};
+use crate::json::{
+    counters, get, get_hex, get_str, get_u64, hex64, without_keys, Counter, ObjectLine,
+};
 use crate::metrics::OutcomeKind;
 use crate::pass::{Pass, PassSet};
 use goose_rt::fault::FaultPlan;
@@ -267,7 +269,8 @@ impl RunTelemetry {
     /// record per execution where every other record is a handful per
     /// run, so this one goes from the fields straight into its line:
     /// byte for byte `to_string(stamped(ev_exec_done(..), name))`, with
-    /// no tree in between.
+    /// no tree in between. The counters come from `EXEC_COUNTERS`,
+    /// merged in key order with the job's own keys.
     pub fn exec_done(
         &self,
         job: (Pass, u64),
@@ -280,28 +283,17 @@ impl RunTelemetry {
         if let Some(stream) = &self.stream {
             let mut line = self.line.lock();
             line.clear();
-            let mut o = ObjectLine::open(&mut line);
-            o.count("crashes", stats.crashes);
-            o.count("depth", stats.depth);
-            o.count("disk_flushes", stats.disk_flushes);
-            o.count("disk_ops", stats.disk_ops);
-            o.count("disk_reads", stats.disk_reads);
-            o.count("disk_writes", stats.disk_writes);
+            let counts = EXEC_COUNTERS.each_ref().map(|c| (c.key, (c.get)(stats)));
+            let mut o = ObjectLine::open(&mut line, &counts);
             o.count("duration_us", duration.as_micros() as u64);
             o.plain("faults", |out| {
                 let _ = faults.write_compact(out);
             });
-            o.count("helped", stats.helped);
             o.count("index", job.1);
-            o.count("lock_blocks", stats.lock_blocks);
-            o.count("net_msgs", stats.net_msgs);
-            o.count("net_recvs", stats.net_recvs);
-            o.count("net_sends", stats.net_sends);
             o.plain("outcome", |out| out.push_str(outcome.name()));
             o.plain("pass", |out| out.push_str(job.0.name()));
             o.literal("scenario", &self.name_json);
             o.hex("seed", seed);
-            o.count("steps", stats.steps);
             o.hex("trace_fp", stats.trace_fp);
             o.plain("type", |out| out.push_str("exec_done"));
             o.close();
@@ -698,9 +690,29 @@ pub struct ExecStats {
     pub net_sends: u64,
     /// Network receives that dequeued a message.
     pub net_recvs: u64,
-    /// FNV-1a fingerprint of the rendered ghost trace.
+    /// FNV-1a fold of the ghost trace's event encodings
+    /// ([`perennial_spec::Encode`]).
     pub trace_fp: u64,
 }
+
+/// [`ExecStats`]' counters, in key order: `exec_done`'s writer and reader
+/// and a fork's cross-check against its re-run go through this table.
+/// `trace_fp` is not a count (the record carries it in hex) and stands
+/// beside it.
+pub(crate) static EXEC_COUNTERS: [Counter<ExecStats>; 12] = counters![
+    "crashes"      crashes      Sum,
+    "depth"        depth        Sum,
+    "disk_flushes" disk_flushes Sum,
+    "disk_ops"     disk_ops     Sum,
+    "disk_reads"   disk_reads   Sum,
+    "disk_writes"  disk_writes  Sum,
+    "helped"       helped       Sum,
+    "lock_blocks"  lock_blocks  Sum,
+    "net_msgs"     net_msgs     Sum,
+    "net_recvs"    net_recvs    Sum,
+    "net_sends"    net_sends    Sum,
+    "steps"        steps        Sum,
+];
 
 impl ExecStats {
     /// The record of an execution that just ended: the runtime's
@@ -735,21 +747,14 @@ impl ExecStats {
     /// nothing: a record missing a counter (truncated, or written by
     /// something else) is an error, never a record with zeros in it.
     fn from_json(m: &Map) -> Result<Self, String> {
-        Ok(ExecStats {
-            steps: get_u64(m, "steps")?,
-            depth: get_u64(m, "depth")?,
-            crashes: get_u64(m, "crashes")?,
-            helped: get_u64(m, "helped")?,
-            lock_blocks: get_u64(m, "lock_blocks")?,
-            disk_ops: get_u64(m, "disk_ops")?,
-            net_msgs: get_u64(m, "net_msgs")?,
-            disk_reads: get_u64(m, "disk_reads")?,
-            disk_writes: get_u64(m, "disk_writes")?,
-            disk_flushes: get_u64(m, "disk_flushes")?,
-            net_sends: get_u64(m, "net_sends")?,
-            net_recvs: get_u64(m, "net_recvs")?,
+        let mut stats = ExecStats {
             trace_fp: get_hex(m, "trace_fp")?,
-        })
+            ..ExecStats::default()
+        };
+        for c in &EXEC_COUNTERS {
+            (c.set)(&mut stats, get_u64(m, c.key)?);
+        }
+        Ok(stats)
     }
 
     /// Model operations of every kind (the profiler's folded count).
@@ -1192,25 +1197,30 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The line `exec_done` writes from the fields is the line the
-        /// `Value` path — `ev_exec_done`, stamped, serialised — prints.
+        /// `Value` path — `ev_exec_done`, stamped, serialised — prints,
+        /// and [`read_stream`] reads back the stats it was given, or
+        /// counts it torn when a count is too big to read exactly.
         #[test]
         fn the_written_exec_done_line_is_the_value_paths(
             name in arb_name(),
             (pass, outcome) in (0usize..Pass::ALL.len(), 0usize..OutcomeKind::ALL.len()),
             (seed, trace_fp) in (any::<u64>(), any::<u64>()),
-            counts in proptest::collection::vec(arb_count(), 14..15),
+            (index, micros) in (arb_count(), arb_count()),
+            counts in proptest::collection::vec(
+                arb_count(),
+                EXEC_COUNTERS.len()..EXEC_COUNTERS.len() + 1,
+            ),
             faults in arb_faults(),
+            readable in any::<bool>(),
         ) {
             let (pass, outcome) = (Pass::ALL[pass], OutcomeKind::ALL[outcome]);
-            let [index, micros, steps, depth, crashes, helped, lock_blocks, disk_ops, net_msgs,
-                disk_reads, disk_writes, disk_flushes, net_sends, net_recvs] = counts[..]
-            else {
-                unreachable!("fourteen counts")
-            };
-            let stats = ExecStats {
-                steps, depth, crashes, helped, lock_blocks, disk_ops, net_msgs, disk_reads,
-                disk_writes, disk_flushes, net_sends, net_recvs, trace_fp,
-            };
+            // Half the cases keep to counts the reader takes back.
+            let most = if readable { crate::json::MAX_EXACT as u64 } else { u64::MAX };
+            let (index, counts) = (index.min(most), counts.iter().map(|&n| n.min(most)));
+            let mut stats = ExecStats { trace_fp, ..ExecStats::default() };
+            for (c, n) in EXEC_COUNTERS.iter().zip(counts.clone()) {
+                (c.set)(&mut stats, n);
+            }
             let duration = Duration::from_micros(micros);
 
             let compact = faults.compact();
@@ -1228,6 +1238,16 @@ mod tests {
             let (_run_start, lines) = text.split_once('\n').expect("a run_start line");
             prop_assert_eq!(lines, want.repeat(2));
             prop_assert_eq!(telem.stream_error(), None);
+
+            let exact = counts.chain([index]).all(|n| n <= crate::json::MAX_EXACT as u64);
+            let mut read = Vec::new();
+            let torn = read_stream(lines, Some(&name), |_, record| read.push(record));
+            let record = Record::ExecDone { pass, index, ok: outcome == OutcomeKind::Ok, stats };
+            if exact {
+                prop_assert_eq!((torn, read), (0, vec![record.clone(), record]));
+            } else {
+                prop_assert_eq!((torn, read), (2, vec![]));
+            }
         }
     }
 
@@ -1334,21 +1354,6 @@ mod tests {
         }
     }
 
-    const COUNTERS: [&str; 12] = [
-        "steps",
-        "depth",
-        "crashes",
-        "helped",
-        "lock_blocks",
-        "disk_ops",
-        "net_msgs",
-        "disk_reads",
-        "disk_writes",
-        "disk_flushes",
-        "net_sends",
-        "net_recvs",
-    ];
-
     #[test]
     fn wal_records_are_all_or_nothing() {
         // The spliced form parses when nothing is wrong with it.
@@ -1358,10 +1363,8 @@ mod tests {
                 .len(),
             1
         );
-        for key in COUNTERS
-            .into_iter()
-            .chain(["index", "trace_fp", "pass", "outcome", "scenario", "type"])
-        {
+        let counters = EXEC_COUNTERS.iter().map(|c| c.key);
+        for key in counters.chain(["index", "trace_fp", "pass", "outcome", "scenario", "type"]) {
             let wal = parse_wal(&wal_line_with(key, None), "s");
             assert!(
                 wal.completed.is_empty(),
@@ -1383,7 +1386,7 @@ mod tests {
             "null",
             "[7]",
         ];
-        for key in COUNTERS.into_iter().chain(["index"]) {
+        for key in EXEC_COUNTERS.iter().map(|c| c.key).chain(["index"]) {
             for literal in numbers {
                 let wal = parse_wal(&wal_line_with(key, Some(literal)), "s");
                 assert!(wal.completed.is_empty(), "{key}: {literal} was replayed");

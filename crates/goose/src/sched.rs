@@ -199,12 +199,12 @@ struct ThreadMeta {
 struct LockSlot {
     held_by: Option<Tid>,
     /// Times a thread parked on this lock while held (the per-resource
-    /// share of `RtState::lock_blocks`, for contention attribution).
+    /// share of `SchedStats::lock_blocks`, for contention attribution).
     blocks: u64,
 }
 
 struct RtState {
-    threads: Vec<ThreadMeta>,
+    thread_table: Vec<ThreadMeta>,
     /// Virtual threads not yet `Done`/`Panicked`.
     live: usize,
     /// The context driving this runtime: whoever last called `run`,
@@ -222,32 +222,15 @@ struct RtState {
     runnable_buf: Vec<Tid>,
     locks: Vec<LockSlot>,
     poisoned: bool,
-    steps: u64,
-    rand_ctr: u64,
-    /// Disk operations consulted against the fault plan so far.
-    disk_ops: u64,
-    /// Network sends consulted against the fault plan so far.
-    net_msgs: u64,
-    /// Model-lock acquisitions that succeeded.
-    lock_acquires: u64,
-    /// Times a thread found its lock held and parked (contention).
-    lock_blocks: u64,
-    /// Disk block reads (all disk models).
-    disk_reads: u64,
-    /// Disk block writes, buffered or direct (all disk models).
-    disk_writes: u64,
-    /// Disk flush barriers (including write-throughs).
-    disk_flushes: u64,
-    /// Network sends that reached a channel.
-    net_sends: u64,
-    /// Network receives that dequeued a message.
-    net_recvs: u64,
+    /// The execution's counters; `threads` is filled in by
+    /// [`ModelRt::sched_stats`] from the thread table.
+    stats: SchedStats,
 }
 
 impl RtState {
     /// Runnable thread ids, ascending: registered or paused.
     fn runnable(&self) -> impl Iterator<Item = Tid> + '_ {
-        self.threads
+        self.thread_table
             .iter()
             .enumerate()
             .filter(|(_, m)| matches!(m.state, TState::Registered | TState::Paused))
@@ -257,7 +240,7 @@ impl RtState {
     /// During a crash: the live thread that unwinds next, or the
     /// controller once there is none.
     fn next_to_unwind(&self) -> Ctx {
-        self.threads
+        self.thread_table
             .iter()
             .find(|m| !matches!(m.state, TState::Done | TState::Panicked(_)))
             .map(|m| m.ctx)
@@ -493,7 +476,7 @@ impl ModelRt {
         install_quiet_hook();
         Arc::new(ModelRt {
             state: OwnerCell::new(RtState {
-                threads: Vec::new(),
+                thread_table: Vec::new(),
                 live: 0,
                 controller: None,
                 pilot: None,
@@ -501,17 +484,7 @@ impl ModelRt {
                 runnable_buf: Vec::new(),
                 locks: Vec::new(),
                 poisoned: false,
-                steps: 0,
-                rand_ctr: 0,
-                disk_ops: 0,
-                net_msgs: 0,
-                lock_acquires: 0,
-                lock_blocks: 0,
-                disk_reads: 0,
-                disk_writes: 0,
-                disk_flushes: 0,
-                net_sends: 0,
-                net_recvs: 0,
+                stats: SchedStats::default(),
             }),
             wakeups: AtomicU64::new(0),
             seed,
@@ -561,7 +534,7 @@ impl ModelRt {
     pub fn take_trace(&self) -> ExecTrace {
         let threads = {
             let s = self.state.lock();
-            s.threads.iter().map(|m| m.name.clone()).collect()
+            s.thread_table.iter().map(|m| m.name.clone()).collect()
         };
         self.trace_buf.lock().take(threads)
     }
@@ -637,8 +610,8 @@ impl ModelRt {
         }
         let faulty = {
             let mut s = self.state.lock();
-            let i = s.disk_ops;
-            s.disk_ops += 1;
+            let i = s.stats.disk_ops;
+            s.stats.disk_ops += 1;
             self.faults.transient_io.contains(&i).then_some(i)
         };
         if let Some(op) = faulty {
@@ -651,7 +624,7 @@ impl ModelRt {
     /// Disk operations consulted so far (fault-sweep probes use this to
     /// size the transient-error enumeration).
     pub fn disk_ops(&self) -> u64 {
-        self.state.lock().disk_ops
+        self.state.lock().stats.disk_ops
     }
 
     /// Consumes the next network-send index and returns the fault the
@@ -662,8 +635,8 @@ impl ModelRt {
         }
         let (i, fault) = {
             let mut s = self.state.lock();
-            let i = s.net_msgs;
-            s.net_msgs += 1;
+            let i = s.stats.net_msgs;
+            s.stats.net_msgs += 1;
             (i, self.faults.net.get(&i).copied())
         };
         if let Some(f) = fault {
@@ -684,13 +657,13 @@ impl ModelRt {
 
     /// Accounts one disk block read.
     pub fn note_disk_read(&self, tag: u64, block: u64) {
-        self.state.lock().disk_reads += 1;
+        self.state.lock().stats.disk_reads += 1;
         self.trace_event(TraceKind::DiskRead { tag, block });
     }
 
     /// Accounts one buffered or direct disk block write.
     pub fn note_disk_write(&self, tag: u64, block: u64) {
-        self.state.lock().disk_writes += 1;
+        self.state.lock().stats.disk_writes += 1;
         self.trace_event(TraceKind::DiskWrite { tag, block });
     }
 
@@ -698,15 +671,15 @@ impl ModelRt {
     pub fn note_disk_write_through(&self, tag: u64, block: u64) {
         {
             let mut s = self.state.lock();
-            s.disk_writes += 1;
-            s.disk_flushes += 1;
+            s.stats.disk_writes += 1;
+            s.stats.disk_flushes += 1;
         }
         self.trace_event(TraceKind::DiskWriteThrough { tag, block });
     }
 
     /// Accounts one flush barrier that applied `applied` buffered writes.
     pub fn note_disk_flush(&self, tag: u64, applied: u64) {
-        self.state.lock().disk_flushes += 1;
+        self.state.lock().stats.disk_flushes += 1;
         self.trace_event(TraceKind::DiskFlush { tag, applied });
     }
 
@@ -719,20 +692,20 @@ impl ModelRt {
 
     /// Accounts one network send.
     pub fn note_net_send(&self, tag: u64, bytes: u64) {
-        self.state.lock().net_sends += 1;
+        self.state.lock().stats.net_sends += 1;
         self.trace_event(TraceKind::NetSend { tag, bytes });
     }
 
     /// Accounts one network receive that dequeued a message.
     pub fn note_net_recv(&self, tag: u64, bytes: u64) {
-        self.state.lock().net_recvs += 1;
+        self.state.lock().stats.net_recvs += 1;
         self.trace_event(TraceKind::NetRecv { tag, bytes });
     }
 
     /// Network sends consulted so far (net-fault-sweep probes use this
     /// to size the enumeration).
     pub fn net_msgs(&self) -> u64 {
-        self.state.lock().net_msgs
+        self.state.lock().stats.net_msgs
     }
 
     /// Which of `n` buffered writes survive a crash, per the plan's
@@ -767,11 +740,11 @@ impl ModelRt {
         let (rt, quiet) = (Arc::clone(self), QUIET_PANICS.with(Cell::get));
         let tid = {
             let mut s = self.state.lock();
-            let tid = s.threads.len();
+            let tid = s.thread_table.len();
             // Only primes a stack: the body first runs when granted (or
             // is dropped unrun by a crash).
             let ctx = coro::spawn(move || rt.thread_main(tid, quiet, f));
-            s.threads.push(ThreadMeta {
+            s.thread_table.push(ThreadMeta {
                 state: TState::Registered,
                 name,
                 ctx,
@@ -859,16 +832,21 @@ impl ModelRt {
     /// Marks `tid` as holding the grant and returns its context, for the
     /// caller to switch to once it has released the state.
     fn mark_granted(&self, s: &mut RtState, tid: Tid) -> Ctx {
-        match s.threads[tid].state {
+        match s.thread_table[tid].state {
             TState::Registered | TState::Paused => {}
             ref other => panic!(
                 "grant to non-runnable thread {tid} ({}) in state {:?}",
-                s.threads[tid].name, other
+                s.thread_table[tid].name, other
             ),
         }
-        self.trace_event_for(Some(tid), TraceKind::Grant { step: s.steps });
-        s.threads[tid].state = TState::Granted;
-        s.threads[tid].ctx
+        self.trace_event_for(
+            Some(tid),
+            TraceKind::Grant {
+                step: s.stats.steps,
+            },
+        );
+        s.thread_table[tid].state = TState::Granted;
+        s.thread_table[tid].ctx
     }
 
     /// The step boundary, on the thread that holds the baton: `tid`'s
@@ -923,7 +901,7 @@ impl ModelRt {
     /// passes the baton on and, unless the thread keeps it, is suspended
     /// until the next grant or unwinds with a [`CrashSignal`].
     fn hand_back(&self, mut s: OwnerGuard<'_, RtState>, tid: Tid, state: TState) {
-        s.threads[tid].state = state;
+        s.thread_table[tid].state = state;
         let Some(next) = self.next_holder(s, tid, false) else {
             return;
         };
@@ -936,7 +914,7 @@ impl ModelRt {
             // machinery are skipped, once per unwound thread.
             resume_unwind(Box::new(CrashSignal));
         }
-        debug_assert_eq!(s.threads[tid].state, TState::Granted);
+        debug_assert_eq!(s.thread_table[tid].state, TState::Granted);
     }
 
     /// Publishes `tid` as terminated, from the end of its own stack, and
@@ -945,8 +923,8 @@ impl ModelRt {
     /// next thread to unwind, lowest id first, and the last one home.
     fn thread_done(&self, tid: Tid, kind: Option<PanicKind>) -> Ctx {
         let mut s = self.state.lock();
-        let was_granted = s.threads[tid].state == TState::Granted;
-        s.threads[tid].state = match kind {
+        let was_granted = s.thread_table[tid].state == TState::Granted;
+        s.thread_table[tid].state = match kind {
             None => TState::Done,
             Some(k) => TState::Panicked(k),
         };
@@ -975,8 +953,8 @@ impl ModelRt {
             None => return,
         };
         let mut s = self.state.lock();
-        s.steps += 1;
-        if s.steps > self.max_steps {
+        s.stats.steps += 1;
+        if s.stats.steps > self.max_steps {
             drop(s);
             // Typed payload so the checker can classify the stall as a
             // wedged execution rather than a generic bug.
@@ -992,8 +970,8 @@ impl ModelRt {
         self.yield_point();
         self.note_access(res::RAND, true);
         let mut s = self.state.lock();
-        s.rand_ctr += 1;
-        splitmix64(self.seed ^ s.rand_ctr.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        s.stats.rand_draws += 1;
+        splitmix64(self.seed ^ s.stats.rand_draws.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     // ------------------------------------------------------------------
@@ -1028,7 +1006,7 @@ impl ModelRt {
                     "controller-context acquire of a held lock (self-deadlock)"
                 );
                 s.locks[lock].held_by = Some(CONTROLLER_TID);
-                s.lock_acquires += 1;
+                s.stats.lock_acquires += 1;
                 return;
             }
         };
@@ -1040,7 +1018,7 @@ impl ModelRt {
             let mut s = self.state.lock();
             if s.locks[lock].held_by.is_none() {
                 s.locks[lock].held_by = Some(tid);
-                s.lock_acquires += 1;
+                s.stats.lock_acquires += 1;
                 drop(s);
                 self.trace_event(TraceKind::LockAcquire { lock });
                 return;
@@ -1050,7 +1028,7 @@ impl ModelRt {
                 Some(tid),
                 "model lock is not reentrant"
             );
-            s.lock_blocks += 1;
+            s.stats.lock_blocks += 1;
             s.locks[lock].blocks += 1;
             self.trace_event_for(Some(tid), TraceKind::LockBlock { lock });
             self.hand_back(s, tid, TState::Blocked(lock));
@@ -1082,7 +1060,7 @@ impl ModelRt {
             "releasing a lock the thread does not hold"
         );
         s.locks[lock].held_by = None;
-        for meta in s.threads.iter_mut() {
+        for meta in s.thread_table.iter_mut() {
             if meta.state == TState::Blocked(lock) {
                 meta.state = TState::Paused;
             }
@@ -1120,7 +1098,7 @@ impl ModelRt {
     /// runnable empty + not all done = deadlock).
     pub fn any_blocked(&self) -> bool {
         let s = self.state.lock();
-        s.threads
+        s.thread_table
             .iter()
             .any(|m| matches!(m.state, TState::Blocked(_)))
     }
@@ -1165,7 +1143,7 @@ impl ModelRt {
             .take()
             .expect("the baton comes home from the thread that took the last step");
         s.pilot = None;
-        let step = match &s.threads[tid].state {
+        let step = match &s.thread_table[tid].state {
             TState::Paused => StepResult::Yielded,
             TState::Blocked(_) => StepResult::Blocked,
             TState::Done => StepResult::Finished,
@@ -1186,7 +1164,7 @@ impl ModelRt {
     pub fn crash_all(&self) {
         let first = {
             let mut s = self.state.lock();
-            let step = s.steps;
+            let step = s.stats.steps;
             self.trace_event_for(None, TraceKind::Crash { step });
             if s.live == 0 {
                 None
@@ -1224,32 +1202,23 @@ impl ModelRt {
             "a runtime is overwritten before it runs a thread"
         );
         let root = coro::current();
-        s.threads.clear();
-        s.threads.extend(src.threads.iter().map(|m| ThreadMeta {
-            state: match &m.state {
-                TState::Done => TState::Done,
-                TState::Panicked(k) => TState::Panicked(k.clone()),
-                _ => TState::Panicked(PanicKind::CrashUnwind),
-            },
-            name: m.name.clone(),
-            ctx: root,
-        }));
+        s.thread_table.clear();
+        s.thread_table
+            .extend(src.thread_table.iter().map(|m| ThreadMeta {
+                state: match &m.state {
+                    TState::Done => TState::Done,
+                    TState::Panicked(k) => TState::Panicked(k.clone()),
+                    _ => TState::Panicked(PanicKind::CrashUnwind),
+                },
+                name: m.name.clone(),
+                ctx: root,
+            }));
         s.locks.clear();
         s.locks.extend(src.locks.iter().map(|slot| LockSlot {
             held_by: None,
             blocks: slot.blocks,
         }));
-        s.steps = src.steps;
-        s.rand_ctr = src.rand_ctr;
-        s.disk_ops = src.disk_ops;
-        s.net_msgs = src.net_msgs;
-        s.lock_acquires = src.lock_acquires;
-        s.lock_blocks = src.lock_blocks;
-        s.disk_reads = src.disk_reads;
-        s.disk_writes = src.disk_writes;
-        s.disk_flushes = src.disk_flushes;
-        s.net_sends = src.net_sends;
-        s.net_recvs = src.net_recvs;
+        s.stats = src.stats;
         let tags = from.next_tag.load(Ordering::Relaxed);
         self.next_tag.store(tags, Ordering::Relaxed);
     }
@@ -1269,25 +1238,15 @@ impl ModelRt {
 
     /// Total steps scheduled so far.
     pub fn steps(&self) -> u64 {
-        self.state.lock().steps
+        self.state.lock().stats.steps
     }
 
     /// Snapshot of every scheduler-level counter (telemetry feed).
     pub fn sched_stats(&self) -> SchedStats {
         let s = self.state.lock();
         SchedStats {
-            steps: s.steps,
-            threads: s.threads.len() as u64,
-            disk_ops: s.disk_ops,
-            net_msgs: s.net_msgs,
-            lock_acquires: s.lock_acquires,
-            lock_blocks: s.lock_blocks,
-            rand_draws: s.rand_ctr,
-            disk_reads: s.disk_reads,
-            disk_writes: s.disk_writes,
-            disk_flushes: s.disk_flushes,
-            net_sends: s.net_sends,
-            net_recvs: s.net_recvs,
+            threads: s.thread_table.len() as u64,
+            ..s.stats
         }
     }
 
@@ -1309,7 +1268,7 @@ impl ModelRt {
     /// Panic kinds of all panicked threads (excluding crash unwinds).
     pub fn failures(&self) -> Vec<(String, PanicKind)> {
         let s = self.state.lock();
-        s.threads
+        s.thread_table
             .iter()
             .filter_map(|m| match &m.state {
                 TState::Panicked(k) if *k != PanicKind::CrashUnwind => {
@@ -1660,6 +1619,38 @@ mod tests {
         assert_eq!(stats.disk_flushes, 0);
         assert_eq!(stats.net_sends, 0);
         assert_eq!(stats.net_recvs, 0);
+    }
+
+    /// A crashed copy starts from every counter its source reached, and
+    /// from its thread table.
+    #[test]
+    fn restore_crashed_copies_every_counter() {
+        let rt = ModelRt::new(0, 10_000);
+        let lock = rt.new_lock();
+        for label in ["a", "b"] {
+            let rt2 = Arc::clone(&rt);
+            rt.spawn(label, move || {
+                rt2.lock_acquire(lock);
+                rt2.yield_point(); // hold across a step to force contention
+                rt2.lock_release(lock);
+                let _ = rt2.rand_u64();
+                let _ = rt2.next_disk_op_faulty();
+                rt2.note_disk_read(0, 1);
+                rt2.note_disk_write_through(0, 2);
+                rt2.note_disk_flush(0, 1);
+                let _ = rt2.next_net_fault();
+                rt2.note_net_send(1, 8);
+                rt2.note_net_recv(1, 8);
+            });
+        }
+        run_round_robin(&rt);
+        let stats = rt.sched_stats();
+        assert!(stats.lock_blocks >= 1, "{stats:?}");
+        assert_eq!(stats.rand_draws, 2);
+        assert_eq!((stats.disk_ops, stats.net_msgs), (2, 2));
+        let copy = ModelRt::new(1, 10_000);
+        copy.restore_crashed(&rt);
+        assert_eq!(copy.sched_stats(), stats);
     }
 
     #[test]

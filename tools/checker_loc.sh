@@ -84,6 +84,16 @@
 # stamp) and the `VOLATILE_KEYS`/`TIMING_KEYS` lists. And dashboard.rs
 # spells no key of the `run_end` record (the list pinned by telemetry.rs's
 # key-set test): it reads the typed record.
+#
+# One counter list: an execution's counters are one table too,
+# telemetry.rs's `EXEC_COUNTERS`, which `exec_done`'s writer and reader
+# and exec.rs's fork cross-check (`RunResult::difference`) iterate. So in
+# crates/checker/src an `ExecStats` counter's key is a string literal only
+# in a counter table's rows and in `ev_exec_done` (the reference the
+# writer's bytes are tested against; profile.rs's `profile_to_json`, a
+# record of its own, is not searched); exec.rs destructures no
+# `ExecStats`; and in goose's sched.rs the runtime keeps its counters in
+# one `SchedStats`: `RtState` declares no field `SchedStats` also names.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -242,21 +252,27 @@ fi
 
 echo
 tables=crates/checker/src/campaign.rs
-other_records='fn (cx_to_json|cx_from_json|counterexample|exec_done|ev_exec_done|run_start_record)[(]|impl (ExecStats|EnvStamp) |const (POOL_KEYS|VOLATILE_KEYS|TIMING_KEYS):'
-# The code lines of the three record files outside the items that
-# start with $other_records (up to the closing line at their indent).
-record_code() {
-    for path in $tables crates/checker/src/telemetry.rs crates/checker/src/dashboard.rs; do
-        code "$path" | sed "s|^|$path:|" | awk -v items="$other_records" '
+other_records='fn (cx_to_json|cx_from_json|counterexample|exec_done|ev_exec_done|run_start_record)[(]|impl (ExecStats|EnvStamp) |const (POOL_KEYS|VOLATILE_KEYS|TIMING_KEYS):|static EXEC_COUNTERS:'
+# The code lines of files $2... outside the items that start with $1 (up
+# to the closing line at their indent), each prefixed with its path.
+code_outside() {
+    items=$1
+    shift
+    for path in "$@"; do
+        code "$path" | sed "s|^|$path:|" | awk -v items="$items" '
             { line = $0; sub(/^[^ ]*: /, "", line) }
             skip { if (line ~ ("^" indent "[]}]")) skip = 0; next }
             line ~ items { match(line, /^ */); indent = substr(line, 1, RLENGTH); skip = line !~ /;$/; next }
             { print }'
     done
 }
-# The wire keys of table $1's rows, one per line.
+# The code lines of the three record files outside $other_records.
+record_code() {
+    code_outside "$other_records" $tables crates/checker/src/telemetry.rs crates/checker/src/dashboard.rs
+}
+# The wire keys of the rows of table $1 (in file $2, default $tables), one per line.
 table_keys() {
-    code "$tables" | awk -v t="static $1:" 'index($0, t) { on = 1; next } on && /\];/ { on = 0 } on' |
+    code "${2:-$tables}" | awk -v t="static $1:" 'index($0, t) { on = 1; next } on && /\];/ { on = 0 } on' |
         grep -o '"[a-z_]*"' | tr -d '"'
 }
 keys=$( (table_keys REPORT_COUNTERS; table_keys PASS_COUNTERS) | sort | uniq -c)
@@ -284,6 +300,36 @@ if [ -z "$run_end_keys" ] || [ -n "$spelled" ]; then
     failed=1
     echo "        ^ dashboard.rs spells a run_end key (or telemetry.rs's RUN_END list is gone):"
     printf '%s\n' "$spelled" | sed 's/^/          /'
+fi
+
+echo
+exec_keys=$(table_keys EXEC_COUNTERS crates/checker/src/telemetry.rs)
+# Outside any counter table's rows, the reference `ev_exec_done` and the
+# profile record (which names some of the same sums for its own rows).
+spelled=$(code_outside 'counters!\[|fn (ev_exec_done|profile_to_json)[(]' crates/checker/src/*.rs |
+    grep -F "$(printf '"%s"\n' $exec_keys)" || true)
+destructured=$(code crates/checker/src/exec.rs | grep -E 'ExecStats \{' || true)
+# The field names of struct $1 in sched.rs.
+fields_of() {
+    code crates/goose/src/sched.rs | awk -v s="struct $1 {" 'index($0, s) { on = 1; next }
+        on && /^[0-9]+: }/ { exit }
+        on && /^[0-9]+:     (pub )?[a-z_]+:/ { f = $2 == "pub" ? $3 : $2; sub(/:$/, "", f); print f }'
+}
+loose=$( (fields_of RtState; fields_of SchedStats) | sort | uniq -d)
+echo "one counter list: $(printf '%s' "$exec_keys" | grep -c '') exec counters, RtState fields [$(echo $(fields_of RtState))]"
+if [ -z "$exec_keys" ] || [ -n "$spelled" ]; then
+    failed=1
+    echo "        ^ an ExecStats counter is spelled outside EXEC_COUNTERS and ev_exec_done (or the table is gone):"
+    printf '%s\n' "$spelled" | sed 's/^/          /'
+fi
+if [ -n "$destructured" ]; then
+    failed=1
+    echo "        ^ exec.rs lists ExecStats' fields by hand; iterate EXEC_COUNTERS:"
+    printf '%s\n' "$destructured" | sed 's/^/          /'
+fi
+if [ -z "$(fields_of SchedStats)" ] || [ -n "$loose" ]; then
+    failed=1
+    echo "        ^ RtState keeps a counter of its own beside its SchedStats (or SchedStats is gone): $(echo $loose)"
 fi
 
 echo
