@@ -5,7 +5,7 @@
 
 use crate::harness::{AnyGhost, AnyHarness, AnyWorld};
 use crate::pass::Pass;
-use crate::strategy::DepTrace;
+use crate::strategy::{spare_path, DepTrace};
 use crate::telemetry::{ExecStats, EXEC_COUNTERS};
 use goose_rt::fault::FaultPlan;
 use goose_rt::sched::{
@@ -147,7 +147,7 @@ struct ScheduleState {
 impl ScheduleState {
     fn new(policy: Policy, seed: u64) -> Self {
         ScheduleState {
-            decisions: Vec::with_capacity(decisions_hint(&policy)),
+            decisions: spare_path(decisions_hint(&policy)),
             policy,
             clamped: Vec::new(),
             rr_next: 0,
@@ -267,16 +267,16 @@ struct PilotLog {
     /// no bytes.
     trace_fp: Fnv1a,
     trace: String,
-    deps: Option<DepTrace>,
+    deps: Option<Box<DepTrace>>,
 }
 
 impl RunResult {
     /// Closes an execution: the pilot's log plus everything the runtime
     /// counted, however the execution ended. `inherited` steps were run
-    /// by the execution it was forked off.
+    /// by the execution it was forked off. The duration is
+    /// [`run_stopping`]'s to stamp, once the execution is torn down.
     fn close(
         rt: &ModelRt,
-        started: Instant,
         capture_trace: bool,
         inherited: u64,
         outcome: ExecOutcome,
@@ -298,9 +298,9 @@ impl RunResult {
             steps_run: log.steps.saturating_sub(inherited),
             lock_profile: rt.lock_block_profile(),
             wakeups: rt.wakeups(),
-            duration: started.elapsed(),
+            duration: Duration::ZERO,
             trace: log.trace,
-            deps: log.deps.map(Box::new),
+            deps: log.deps,
             exec_trace: capture_trace.then(|| rt.take_trace()),
         }
     }
@@ -345,10 +345,10 @@ pub(crate) fn run_one(harness: &dyn AnyHarness, spec: ExecSpec<'_>) -> RunResult
 /// [`run_one`], from its first step or — `base` given — crashed at the
 /// step boundary `base` is stopped at, stopping at each step boundary in
 /// `stops` (ascending) it reaches, where `at` may fork crash jobs off the
-/// execution before it carries on. A crashed copy is a round-robin job's:
-/// its statistics, outcome and ghost trace are a re-run's with `base`'s
-/// step added to its crash points, and it executes only what follows the
-/// crash. Nothing of `base` is resumed, unwound or changed.
+/// execution before it carries on. A crashed copy is a job on `base`'s
+/// schedule: its statistics, outcome and ghost trace are a re-run's with
+/// `base`'s step added to its crash points, and it executes only what
+/// follows the crash. Nothing of `base` is resumed, unwound or changed.
 pub(crate) fn run_stopping(
     harness: &dyn AnyHarness,
     spec: ExecSpec<'_>,
@@ -362,10 +362,10 @@ pub(crate) fn run_stopping(
     let started = Instant::now();
     let result = quiet_worker_panics(|| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Exec::new(harness, &rt, spec, base, stops, started).drive(at)
+            Exec::new(harness, &rt, spec, base, stops).drive(at)
         }))
     });
-    match result {
+    let mut r = match result {
         Ok(r) => {
             if r.outcome.is_failure() {
                 // Deadlocked, wedged, or panicked executions leave
@@ -383,9 +383,15 @@ pub(crate) fn run_stopping(
                 ..PilotLog::default()
             };
             let outcome = ExecOutcome::HarnessPanic(panic_message(payload));
-            RunResult::close(&rt, started, capture_trace, inherited, outcome, log)
+            RunResult::close(&rt, capture_trace, inherited, outcome, log)
         }
-    }
+    };
+    // The teardown is the execution's too: its world is dropped, a
+    // failed one's threads reaped, and its runtime dropped before the
+    // clock is read.
+    drop(rt);
+    r.duration = started.elapsed();
+    r
 }
 
 /// Re-runs the execution a counterexample records — the one path behind
@@ -438,7 +444,7 @@ struct ExecPilot {
     disk_fail: Option<(u8, u64)>,
     ghost: Arc<dyn AnyGhost>,
     /// Per-grant dependency observations (`track_deps` executions).
-    dep: Option<DepTrace>,
+    dep: Option<Box<DepTrace>>,
     /// Ghost-engine calls made before the current grant.
     ghost_ops: u64,
     /// How many ghost events have been copied into the causal trace
@@ -532,13 +538,12 @@ pub(crate) struct Exec {
     /// in its statistics, not run by it.
     inherited: u64,
     render_trace: bool,
-    started: Instant,
 }
 
 impl Exec {
     /// The execution `spec` describes over `rt`: from its first step
     /// (`make`, boot and the main round), or from the crashed copy of
-    /// `base`'s world, its round-robin schedule carried on, the crash's
+    /// `base`'s world, its schedule carried on, the crash's
     /// step taken and recovery spawned.
     fn new(
         harness: &dyn AnyHarness,
@@ -546,7 +551,6 @@ impl Exec {
         spec: ExecSpec<'_>,
         base: Option<&Exec>,
         stops: &[u64],
-        started: Instant,
     ) -> Self {
         rt.set_track_deps(spec.track_deps);
         rt.set_tracing(spec.capture_trace);
@@ -554,15 +558,19 @@ impl Exec {
         // A crashed copy restarts into recovery.
         let recovering = base.map(|_| world.restart());
         let hint = decisions_hint(&spec.policy);
-        let dep = spec.track_deps.then(|| DepTrace::with_capacity(hint));
+        let dep = spec.track_deps.then(|| DepTrace::spare(hint));
         let mut sched = ScheduleState::new(spec.policy, spec.seed);
         let (inherited, crashes) = match base {
             None => (0, 0),
             Some(base) => {
-                // A round-robin job carries on the schedule it forks off.
+                // A job carries on the schedule it forks off, whatever
+                // its policy: the decisions, the clamps, and where the
+                // round-robin cursor and the random stream stand.
                 let p = base.pilot.lock();
                 sched.decisions.clone_from(&p.sched.decisions);
+                sched.clamped.clone_from(&p.sched.clamped);
                 sched.rr_next = p.sched.rr_next;
+                sched.rng = p.sched.rng;
                 (p.steps, base.crashes + 1)
             }
         };
@@ -601,7 +609,6 @@ impl Exec {
             crashes,
             inherited,
             render_trace: spec.render_trace,
-            started,
         }
     }
 
@@ -632,8 +639,8 @@ impl Exec {
             trace: trace.unwrap_or_default(),
             deps: pilot.dep.take(),
         };
-        let (started, capture) = (self.started, pilot.spec_mark.is_some());
-        RunResult::close(&self.rt, started, capture, self.inherited, outcome, log)
+        let capture = pilot.spec_mark.is_some();
+        RunResult::close(&self.rt, capture, self.inherited, outcome, log)
     }
 
     /// Runs the execution to its end, handing it to `at` at every stop.
@@ -854,5 +861,68 @@ mod tests {
         assert!(matches!(panicked.outcome, ExecOutcome::HarnessPanic(_)));
         assert_eq!(panicked.trace, "");
         assert_eq!(panicked.stats.trace_fp, fold(&[]));
+    }
+
+    /// Two writers, and two more after recovery: choices for a random
+    /// schedule to draw on before a crash and after it.
+    struct Writers;
+
+    fn write(w: &World<RegSpec>, a: u64) {
+        let tok = w.ghost.begin_op(RegOp::Write(a, a + 1)).ghost_unwrap();
+        w.rt.yield_point();
+        let ret = w.ghost.commit_op(&tok).ghost_unwrap();
+        w.rt.yield_point();
+        w.ghost.finish_op(tok, &ret).ghost_unwrap();
+    }
+
+    impl Harness<RegSpec> for Writers {
+        type Sys = NoState;
+
+        fn spec(&self) -> RegSpec {
+            RegSpec { size: 2 }
+        }
+
+        fn make(&self, _: &World<RegSpec>) -> Script<NoState, RegSpec> {
+            let mut script = Script::new(NoState);
+            script.thread("a", |_, w| write(w, 0));
+            script.thread("b", |_, w| write(w, 1));
+            script.after("c", |_, w| write(w, 0));
+            script.after("d", |_, w| write(w, 1));
+            script
+        }
+    }
+
+    fn random<'a>(crash_points: &'a [u64], faults: &'a FaultPlan) -> ExecSpec<'a> {
+        ExecSpec {
+            policy: Policy::Random(Vec::new()),
+            crash_points,
+            faults,
+            seed: 11,
+            max_steps: 1_000,
+            track_deps: false,
+            capture_trace: false,
+            render_trace: true,
+        }
+    }
+
+    /// A job forked off a random schedule carries on that schedule's
+    /// random stream: it is the same execution crashed in place.
+    #[test]
+    fn a_fork_of_a_random_schedule_is_its_crash_in_place() {
+        let (harness, faults) = (Erased::new(&Writers), FaultPlan::default());
+        for k in 1..6 {
+            let crash = [k];
+            let in_place = run_one(&harness, random(&crash, &faults));
+            let mut forked = None;
+            run_stopping(&harness, random(&[], &faults), None, &crash, &mut |here| {
+                let spec = random(&crash, &faults);
+                let fork = run_stopping(&harness, spec, Some(here), &[], &mut |_| {});
+                forked = Some(fork);
+            });
+            let forked = forked.expect("the base reaches the crash point");
+            assert_eq!(forked.difference(&in_place), None, "crash at {k}");
+            assert_eq!(forked.decisions, in_place.decisions, "crash at {k}");
+            assert_eq!(forked.trace, in_place.trace, "crash at {k}");
+        }
     }
 }

@@ -66,7 +66,7 @@ use crate::jobs::{
 use crate::metrics::{Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics};
 use crate::pass::Pass;
 use crate::profile::{collisions, ProfileBuilder, StrategyProfile};
-use crate::strategy::{ObservedExec, StrategySession};
+use crate::strategy::{recycle, ObservedExec, StrategySession};
 use crate::telemetry::EnvStamp;
 use goose_rt::fault::FaultSurface;
 use perennial_spec::SpecTS;
@@ -357,7 +357,7 @@ fn schedule_phase(driver: &mut Driver<'_>, session: &mut dyn StrategySession) {
                 // Footprints and decision paths are the bulk of a
                 // schedule-phase outcome: they live for this wave, not
                 // the whole check.
-                let deps = o.deps.take().map(|deps| *deps);
+                let deps = o.deps.take();
                 if let (true, Some(deps)) = (profile, &deps) {
                     o.collisions = collisions(&o.decisions, deps);
                 }
@@ -379,6 +379,9 @@ fn schedule_phase(driver: &mut Driver<'_>, session: &mut dyn StrategySession) {
             break;
         }
         session.observe(pass, &observed);
+        for o in observed {
+            recycle(o.decisions, o.deps);
+        }
     }
 }
 

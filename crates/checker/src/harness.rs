@@ -341,7 +341,7 @@ struct Live<Sys, S: SpecTS> {
 
 impl<Sys: System<S>, S: SpecTS> Live<Sys, S> {
     /// Spawns `op` as a virtual thread over the system.
-    fn spawn(&self, name: &str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) -> Tid {
+    fn spawn(&self, name: &'static str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) -> Tid {
         let (sys, w) = (Arc::clone(&self.sys), self.w.clone());
         self.w.rt.spawn(name, move || op(&sys, &w))
     }

@@ -17,7 +17,7 @@ use crate::exec::{
 use crate::harness::AnyHarness;
 use crate::metrics::{Coverage, FaultFamily, OutcomeKind};
 use crate::pass::Pass;
-use crate::strategy::{DepTrace, ScheduleSpec};
+use crate::strategy::{recycle, DepTrace, ScheduleSpec};
 use crate::telemetry::{self, ExecStats, RunTelemetry};
 use goose_rt::fault::{FaultPlan, FaultSurface, NetFault, TornMode};
 use goose_rt::splitmix64;
@@ -447,10 +447,10 @@ impl Shared<'_> {
     }
 }
 
-/// Runs one job (one or two executions) and produces its outcomes,
-/// applying shard ownership: leaf jobs other shards own are skipped,
-/// spine jobs run but are not counted.
-fn execute_job(shared: &Shared<'_>, job: &Job) -> Vec<JobOutcome> {
+/// Runs one job (one or two executions) and appends its outcomes to
+/// `outs`, applying shard ownership: leaf jobs other shards own are
+/// skipped, spine jobs run but are not counted.
+fn execute_job(shared: &Shared<'_>, job: &Job, outs: &mut Vec<JobOutcome>) {
     let owned = shared.owns(job.key);
     let crash_key = (Pass::RandomCrash.rank(), job.key.1);
     // A random-crash probe must also run when this shard owns only the
@@ -458,26 +458,27 @@ fn execute_job(shared: &Shared<'_>, job: &Job) -> Vec<JobOutcome> {
     // horizon.
     let crash_owned = job.kind == JobKind::ProbeThenCrash && shared.owns(crash_key);
     if !owned && !crash_owned && !shared.is_spine(job) {
-        return Vec::new();
+        return;
     }
     if !shared.cancel.should_run(job.key) {
-        return Vec::new();
+        return;
     }
     let seed = shared.seed(job);
     let out = run_or_replay(shared, job, seed, owned);
-    if !crash_owned || out.kind != OutcomeKind::Ok || !shared.cancel.should_run(crash_key) {
-        return vec![out];
+    let (ok, steps) = (out.kind == OutcomeKind::Ok, out.stats.steps);
+    outs.push(out);
+    if !crash_owned || !ok || !shared.cancel.should_run(crash_key) {
+        return;
     }
     // The probe succeeded: rerun the same schedule with one crash point
     // derived from the probe's horizon. The crash run reuses the probe's
     // seed so the schedule replays.
-    let k = splitmix64(seed) % out.stats.steps.max(1);
+    let k = splitmix64(seed) % steps.max(1);
     let crash = Job {
         faults: job.faults.clone(),
         ..Job::new(Pass::RandomCrash, job.key.1, Policy::Random(Vec::new())).crashing_at(k)
     };
-    let crashed = run_or_replay(shared, &crash, seed, true);
-    vec![out, crashed]
+    outs.push(run_or_replay(shared, &crash, seed, true));
 }
 
 /// One execution of a job: read back from the resume WAL if it completed
@@ -535,6 +536,7 @@ fn record(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool, r: RunResult
         decisions: if job.pass < Pass::CrashSweepBase {
             r.decisions
         } else {
+            recycle(r.decisions, None);
             Vec::new()
         },
         deps: r.deps,
@@ -734,7 +736,7 @@ impl<'g> Group<'g, '_> {
     /// each replayed, skipped or run by itself.
     fn catch_up(&mut self, upto: usize) {
         for job in &self.jobs[self.done..upto] {
-            self.outs.extend(execute_job(self.shared, job));
+            execute_job(self.shared, job, self.outs);
         }
         self.done = self.done.max(upto);
     }

@@ -11,7 +11,7 @@
 //! on (linearized set, abstract state) keeps typical cases fast.
 
 use perennial_spec::transition::Outcome;
-use perennial_spec::{Jid, SpecTS};
+use perennial_spec::{Jid, SpecTS, Step};
 use std::collections::HashSet;
 use std::fmt::Debug;
 

@@ -26,6 +26,7 @@
 use crate::explore::CheckConfig;
 use crate::pass::Pass;
 use goose_rt::sched::{StepAccess, Tid};
+use std::cell::RefCell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -105,6 +106,11 @@ impl<T> Rows<T> {
         }
     }
 
+    fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+    }
+
     /// Ends a row holding whatever `fill` appends to the flat array.
     fn push_with(&mut self, fill: impl FnOnce(&mut Vec<T>)) -> &[T] {
         let start = self.items.len();
@@ -136,14 +142,63 @@ pub struct DepTrace {
     footprints: Rows<StepAccess>,
 }
 
+/// What the explorer is done with of the executions it observed, their
+/// dependency traces and decision paths, emptied.
+struct Spare {
+    // Boxed as handed out: a spare trace's box is reused too.
+    #[allow(clippy::vec_box)]
+    traces: Vec<Box<DepTrace>>,
+    paths: Vec<Vec<(usize, usize)>>,
+}
+
+thread_local! {
+    /// This OS thread's spares, for its next executions to fill: a
+    /// worker's runs reuse them instead of growing new ones each time.
+    static SPARE: RefCell<Spare> = const {
+        RefCell::new(Spare {
+            traces: Vec::new(),
+            paths: Vec::new(),
+        })
+    };
+}
+
+/// Spares kept of each kind: more than a wave's executions.
+const SPARE_CAP: usize = 64;
+
+/// An empty decision path with room for `decisions` entries.
+pub(crate) fn spare_path(decisions: usize) -> Vec<(usize, usize)> {
+    let mut path = SPARE.with_borrow_mut(|s| s.paths.pop()).unwrap_or_default();
+    path.reserve(decisions);
+    path
+}
+
+/// Hands an observed execution's decision path and dependency trace
+/// back to this OS thread's spares.
+pub(crate) fn recycle(mut path: Vec<(usize, usize)>, deps: Option<Box<DepTrace>>) {
+    path.clear();
+    SPARE.with_borrow_mut(|s| {
+        if s.paths.len() < SPARE_CAP && path.capacity() > 0 {
+            s.paths.push(path);
+        }
+        if let (Some(mut deps), true) = (deps, s.traces.len() < SPARE_CAP) {
+            deps.runnables.clear();
+            deps.footprints.clear();
+            s.traces.push(deps);
+        }
+    });
+}
+
 impl DepTrace {
     /// An empty trace with room for `decisions` rows of one entry each
-    /// before an array grows.
-    pub(crate) fn with_capacity(decisions: usize) -> Self {
-        DepTrace {
-            runnables: Rows::with_capacity(decisions),
-            footprints: Rows::with_capacity(decisions),
-        }
+    /// before an array grows: a spare one, if this OS thread has one.
+    pub(crate) fn spare(decisions: usize) -> Box<Self> {
+        let spare = SPARE.with_borrow_mut(|s| s.traces.pop());
+        spare.unwrap_or_else(|| {
+            Box::new(DepTrace {
+                runnables: Rows::with_capacity(decisions),
+                footprints: Rows::with_capacity(decisions),
+            })
+        })
     }
 
     /// Appends the runnable set of the next decision.
@@ -197,7 +252,7 @@ pub struct ObservedExec {
     /// Whether the run failed.
     pub failed: bool,
     /// Dependency observations (present when the spec asked for them).
-    pub deps: Option<DepTrace>,
+    pub deps: Option<Box<DepTrace>>,
 }
 
 /// A schedule-phase exploration strategy (factory for sessions).
@@ -755,8 +810,8 @@ pub(crate) mod tests {
     pub(crate) fn dep_trace(
         runnables: Vec<Vec<Tid>>,
         footprints: Vec<Vec<StepAccess>>,
-    ) -> DepTrace {
-        let mut deps = DepTrace::default();
+    ) -> Box<DepTrace> {
+        let mut deps = Box::<DepTrace>::default();
         for runnable in &runnables {
             deps.push_runnable(runnable);
         }

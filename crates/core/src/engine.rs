@@ -19,12 +19,13 @@
 //!    uncommitted operations that were not stashed for helping, and arms
 //!    the `⇛Crashing` token that recovery must spend (§5.5).
 
+use crate::cells::{Cells, Slot, Table};
 use crate::error::{GhostError, GhostResult};
 use crate::resource::{check_version, DurId, Lease, Leased, PointsTo, SetId, SetItem, SetLease};
 use crate::trace::{Trace, TraceEvent};
 use crate::validate::Report;
 use parking_lot::owner::{OwnerCell, OwnerGuard};
-use perennial_spec::{Jid, SpecTS, Transition};
+use perennial_spec::{Jid, SpecTS, Step, Transition};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
@@ -81,35 +82,6 @@ impl<S: SpecTS> Clone for OpRecord<S> {
     }
 }
 
-/// A type-erased cell value.
-type Value = Box<dyn Any + Send>;
-
-/// Object-safe `Clone` for the `T: Clone` every durable cell holds.
-trait CloneAny: Any + Send {
-    fn as_any(&self) -> &dyn Any;
-    fn boxed_clone(&self) -> Box<dyn CloneAny>;
-}
-
-impl<T: Clone + Send + 'static> CloneAny for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn boxed_clone(&self) -> Box<dyn CloneAny> {
-        Box::new(self.clone())
-    }
-}
-
-/// A durable cell's type-erased value, which a crashed copy of the engine
-/// carries ([`Ghost::fork_crashed`]).
-struct DurValue(Box<dyn CloneAny>);
-
-impl Clone for DurValue {
-    fn clone(&self) -> Self {
-        DurValue(self.0.boxed_clone())
-    }
-}
-
 struct Inner<S: SpecTS> {
     version: u64,
     state: S::State,
@@ -121,10 +93,10 @@ struct Inner<S: SpecTS> {
     next_res: u64,
     /// Volatile cells. No version per cell: a crash clears the table, so
     /// existence implies currency; the capability carries the version.
-    vol: HashMap<u64, Value>,
-    dur: HashMap<u64, Leased<DurValue>>,
+    vol: Cells<Slot>,
+    dur: Cells<Leased<Slot>>,
     /// Durable sets, members kept as their [`SetItem::encode`] bytes.
-    sets: HashMap<u64, Leased<BTreeSet<Vec<u8>>>>,
+    sets: Table<Leased<BTreeSet<Vec<u8>>>>,
     trace: Trace<S::Op, S::Ret>,
     first_error: Option<GhostError>,
     /// Ghost-engine calls made so far. The explorer diffs this around
@@ -143,14 +115,15 @@ struct Inner<S: SpecTS> {
 // ----------------------------------------------------------------------
 
 /// This id names a cell of `table`.
-fn cell<C>(table: &mut HashMap<u64, C>, id: u64) -> GhostResult<&mut C> {
-    table.get_mut(&id).ok_or(GhostError::UnknownResource { id })
+fn cell<C>(table: &mut Table<C>, id: u64) -> GhostResult<&mut C> {
+    table.get_mut(id).ok_or(GhostError::UnknownResource { id })
 }
 
-/// The cell under `id` holds a `T`.
-fn typed<T: Clone + 'static>(value: &dyn Any, id: u64) -> GhostResult<T> {
-    let held = value.downcast_ref::<T>();
-    held.cloned().ok_or(GhostError::TypeMismatch { id })
+/// The cell in `row` of `column` holds a `T`.
+fn typed<T: 'static>((column, row): (&mut dyn Any, usize), id: u64) -> GhostResult<&mut T> {
+    let held = column.downcast_mut::<Vec<T>>();
+    held.map(|values| &mut values[row])
+        .ok_or(GhostError::TypeMismatch { id })
 }
 
 impl<S: SpecTS> Inner<S> {
@@ -167,7 +140,7 @@ impl<S: SpecTS> Inner<S> {
             help: self.help.clone(),
             crash_token: self.crash_token,
             next_res: self.next_res,
-            vol: HashMap::new(),
+            vol: Cells::new(),
             dur: self.dur.clone(),
             sets: self.sets.clone(),
             trace: self.trace.clone(),
@@ -199,19 +172,11 @@ impl<S: SpecTS> Inner<S> {
 
     /// Table 1, *refinement* and *crash refinement*: simulates `t` as
     /// one spec step against `source(σ)` on `jid`'s behalf (`None` for
-    /// the crash step and internal steps). `σ` moves only if it is one,
-    /// and only if the step changed it: a read borrows `σ`.
-    fn simulate<R: 'static>(
-        &mut self,
-        jid: Option<Jid>,
-        t: &Transition<S::State, R>,
-    ) -> GhostResult<R> {
+    /// the crash step and internal steps), in place: `σ` moves only if
+    /// it is one.
+    fn simulate<R>(&mut self, jid: Option<Jid>, t: Transition<S::State, R>) -> GhostResult<R> {
         let not_a_step = |err| GhostError::SpecStep { jid, err };
-        let (state, ret) = t.step(&self.state).map_err(not_a_step)?;
-        if let Some(state) = state {
-            self.state = state;
-        }
-        Ok(ret)
+        t.step(&mut self.state).map_err(not_a_step)
     }
 
     /// `⇛Crashing` must be armed: only recovery may do this.
@@ -247,6 +212,12 @@ impl<S: SpecTS> Inner<S> {
         }
     }
 
+    /// Durable cell `id`'s value, a `T`.
+    fn read_master<T: Clone + 'static>(&mut self, id: u64) -> GhostResult<T> {
+        let slot = cell(&mut self.dur.slots, id)?.value;
+        typed(self.dur.column(slot), id).cloned()
+    }
+
     /// The next resource id, and the version a capability for it gets.
     fn fresh(&mut self) -> (u64, u64) {
         let id = self.next_res;
@@ -269,11 +240,9 @@ impl<S: SpecTS> Inner<S> {
             let msg = "committed op is not a refinement of the invoked op";
             return Err(GhostError::OpState { jid, msg });
         }
-        let ret = self.simulate(Some(jid), &spec.op_transition(&op))?;
-        self.ops[jid.0 as usize] = OpRecord {
-            op: op.clone(),
-            phase: OpPhase::Committed { ret: ret.clone() },
-        };
+        let ret = self.simulate(Some(jid), spec.op_transition(&op))?;
+        // A committed record's op is never read again: only its phase.
+        self.set_phase(jid, OpPhase::Committed { ret: ret.clone() });
         self.trace.push(TraceEvent::Commit {
             jid,
             op,
@@ -302,9 +271,9 @@ impl<S: SpecTS> Ghost<S> {
                 help: HashMap::new(),
                 crash_token: CrashToken::Idle,
                 next_res: 0,
-                vol: HashMap::new(),
-                dur: HashMap::new(),
-                sets: HashMap::new(),
+                vol: Cells::new(),
+                dur: Cells::new(),
+                sets: Table::new(),
                 trace: Trace::default(),
                 first_error: None,
                 op_count: 0,
@@ -362,7 +331,13 @@ impl<S: SpecTS> Ghost<S> {
 
     /// A snapshot of `source(σ)`, the current abstract state.
     pub fn spec_state(&self) -> S::State {
-        self.step_lock().state.clone()
+        self.with_spec_state(S::State::clone)
+    }
+
+    /// Reads `source(σ)` in place, as one ghost step (see
+    /// [`Ghost::with_trace`]).
+    pub fn with_spec_state<R>(&self, read: impl FnOnce(&S::State) -> R) -> R {
+        read(&self.step_lock().state)
     }
 
     /// Current crash-token state.
@@ -427,9 +402,10 @@ impl<S: SpecTS> Ghost<S> {
                     actual: format!("{actual:?}"),
                 });
             }
-            let ret = ret.clone();
-            rec.phase = OpPhase::Finished;
-            g.trace.push(TraceEvent::Return { jid, ret });
+            if let OpPhase::Committed { ret } = std::mem::replace(&mut rec.phase, OpPhase::Finished)
+            {
+                g.trace.push(TraceEvent::Return { jid, ret });
+            }
             Ok(())
         })
     }
@@ -437,7 +413,7 @@ impl<S: SpecTS> Ghost<S> {
     /// Simulates an *internal* spec transition (no external I/O), e.g.
     /// group commit's background flush moving buffered transactions to the
     /// persisted prefix.
-    pub fn internal_step(&self, t: &Transition<S::State, ()>) -> GhostResult<()> {
+    pub fn internal_step(&self, t: Transition<S::State, ()>) -> GhostResult<()> {
         self.step(|g| g.simulate(None, t))
     }
 
@@ -492,7 +468,7 @@ impl<S: SpecTS> Ghost<S> {
             g.in_recovery("help_commit outside recovery (⇛Crashing not armed)")?;
             let jid = g.stashed(key, None)?;
             let op = g.op(jid, "helping token names an unknown op")?.op.clone();
-            let ret = g.simulate(Some(jid), &self.spec.op_transition(&op))?;
+            let ret = g.simulate(Some(jid), self.spec.op_transition(&op))?;
             g.help.remove(&key);
             g.set_phase(jid, OpPhase::Helped { ret: ret.clone() });
             g.trace.push(TraceEvent::HelpCommit {
@@ -529,7 +505,7 @@ impl<S: SpecTS> Ghost<S> {
         let mut g = self.step_lock();
         g.version += 1;
         g.vol.clear();
-        g.dur.values_mut().for_each(Leased::revoke);
+        g.dur.slots.values_mut().for_each(Leased::revoke);
         g.sets.values_mut().for_each(Leased::revoke);
         let mut aborted = Vec::new();
         for (j, rec) in g.ops.iter_mut().enumerate() {
@@ -564,7 +540,7 @@ impl<S: SpecTS> Ghost<S> {
     pub fn recovery_done(&self) -> GhostResult<()> {
         self.step(|g| {
             g.in_recovery("recovery_done but ⇛Crashing is not armed")?;
-            g.simulate(None, &self.spec.crash_transition())?;
+            g.simulate(None, self.spec.crash_transition())?;
             g.crash_token = CrashToken::Done;
             let version = g.version;
             g.trace.push(TraceEvent::RecoveryDone { version });
@@ -581,7 +557,7 @@ impl<S: SpecTS> Ghost<S> {
     pub fn alloc_vol<T: Clone + Send + 'static>(&self, v: T) -> PointsTo<T> {
         let mut g = self.step_lock();
         let (id, version) = g.fresh();
-        g.vol.insert(id, Box::new(v));
+        g.vol.insert(id, v, |slot| slot);
         PointsTo {
             id,
             version,
@@ -593,7 +569,8 @@ impl<S: SpecTS> Ghost<S> {
     pub fn read_vol<T: Clone + Send + 'static>(&self, p: &PointsTo<T>) -> GhostResult<T> {
         self.step(|g| {
             check_version("points-to", p.version, g.version)?;
-            typed(&**cell(&mut g.vol, p.id)?, p.id)
+            let slot = *cell(&mut g.vol.slots, p.id)?;
+            typed(g.vol.column(slot), p.id).cloned()
         })
     }
 
@@ -607,7 +584,8 @@ impl<S: SpecTS> Ghost<S> {
     ) -> GhostResult<()> {
         self.step(|g| {
             check_version("points-to", p.version, g.version)?;
-            *cell(&mut g.vol, p.id)? = Box::new(v);
+            let slot = *cell(&mut g.vol.slots, p.id)?;
+            *typed(g.vol.column(slot), p.id)? = v;
             Ok(())
         })
     }
@@ -622,8 +600,7 @@ impl<S: SpecTS> Ghost<S> {
     pub fn alloc_durable<T: Clone + Send + 'static>(&self, v: T) -> (DurId<T>, Lease<T>) {
         let mut g = self.step_lock();
         let (id, version) = g.fresh();
-        g.dur
-            .insert(id, Leased::new(DurValue(Box::new(v)), version));
+        g.dur.insert(id, v, |slot| Leased::new(slot, version));
         (
             DurId {
                 id,
@@ -645,7 +622,7 @@ impl<S: SpecTS> Ghost<S> {
     ) -> GhostResult<T> {
         self.step(|g| {
             g.governs("lease", id.id, lease.id, lease.version)?;
-            typed(cell(&mut g.dur, id.id)?.value.0.as_any(), id.id)
+            g.read_master(id.id)
         })
     }
 
@@ -654,7 +631,7 @@ impl<S: SpecTS> Ghost<S> {
     /// Recovery does this to learn the pre-crash durable state (§5.3: the
     /// master copy records the value so that recovery can use it).
     pub fn read_master<T: Clone + Send + 'static>(&self, id: DurId<T>) -> GhostResult<T> {
-        self.step(|g| typed(cell(&mut g.dur, id.id)?.value.0.as_any(), id.id))
+        self.step(|g| g.read_master(id.id))
     }
 
     /// Writes a durable cell: requires *both* the master copy (named by
@@ -668,7 +645,8 @@ impl<S: SpecTS> Ghost<S> {
     ) -> GhostResult<()> {
         self.step(|g| {
             g.governs("lease", id.id, lease.id, lease.version)?;
-            cell(&mut g.dur, id.id)?.value = DurValue(Box::new(v));
+            let slot = cell(&mut g.dur.slots, id.id)?.value;
+            *typed(g.dur.column(slot), id.id)? = v;
             Ok(())
         })
     }
@@ -681,7 +659,7 @@ impl<S: SpecTS> Ghost<S> {
         let id = id.id;
         self.step(|g| {
             let version = g.version;
-            cell(&mut g.dur, id)?.mint(id, version)?;
+            cell(&mut g.dur.slots, id)?.mint(id, version)?;
             Ok(Lease {
                 id,
                 version,
@@ -861,6 +839,8 @@ mod tests {
         moved("version");
         let _ = g.spec_state();
         moved("spec_state");
+        g.with_spec_state(|_| ());
+        moved("with_spec_state");
         let _ = g.crash_token();
         moved("crash_token");
         let _ = g.first_error();
@@ -886,7 +866,7 @@ mod tests {
         moved("begin_op");
         g.commit_op_as(&tok, RegOp::Write(1, 1)).unwrap();
         moved("commit_op_as");
-        g.internal_step(&Transition::skip()).unwrap();
+        g.internal_step(Transition::skip().boxed()).unwrap();
         moved("internal_step");
 
         let mut p = g.alloc_vol(0u64);

@@ -66,6 +66,7 @@
 
 #![deny(unsafe_code)]
 
+mod cells;
 pub mod engine;
 pub mod error;
 pub mod lockinv;

@@ -3,6 +3,7 @@
 
 use perennial::{Ghost, GhostError, TraceEvent};
 use perennial_spec::fixtures::{BufOp, BufSpec, RegOp, RegSpec};
+use perennial_spec::Step;
 
 fn ghost() -> std::sync::Arc<Ghost<RegSpec>> {
     Ghost::new(RegSpec { size: 4 })
@@ -210,12 +211,12 @@ fn volatile_roundtrip_and_dangling() {
 
 #[test]
 fn internal_step_respects_guards() {
-    use perennial_spec::Transition;
+    use perennial_spec::{Step, Transition};
     let g = Ghost::new(BufSpec);
     // A guard that requires a non-empty log: blocked initially.
     let guarded = Transition::guard(|s: &perennial_spec::fixtures::BufState| !s.entries.is_empty());
     assert!(matches!(
-        g.internal_step(&guarded),
+        g.internal_step(guarded.boxed()),
         Err(GhostError::SpecStep { .. })
     ));
 }
@@ -242,10 +243,10 @@ impl perennial_spec::SpecTS for Stuck {
     type Ret = ();
     fn init(&self) {}
     fn op_transition(&self, _: &()) -> perennial_spec::Transition<(), ()> {
-        perennial_spec::Transition::blocked()
+        perennial_spec::Transition::blocked().boxed()
     }
     fn crash_transition(&self) -> perennial_spec::Transition<(), ()> {
-        perennial_spec::Transition::undefined()
+        perennial_spec::Transition::undefined().boxed()
     }
 }
 
@@ -304,11 +305,11 @@ fn spec_step_failures_report_exactly_and_change_nothing() {
         "op j0: spec step failed: spec step hit undefined behaviour"
     );
     assert_eq!(
-        text(g.internal_step(&perennial_spec::Transition::undefined())),
+        text(g.internal_step(perennial_spec::Transition::undefined().boxed())),
         "crash step failed: spec step hit undefined behaviour"
     );
     assert_eq!(
-        text(g.internal_step(&perennial_spec::Transition::blocked())),
+        text(g.internal_step(perennial_spec::Transition::blocked().boxed())),
         "crash step failed: spec step not enabled"
     );
 
@@ -459,6 +460,11 @@ fn durable_cell_guards_report_exactly_and_in_order() {
     );
     assert_eq!(
         text(g.read_durable(cell0, &fresh0)),
+        "ghost resource 0: type mismatch"
+    );
+    // A write keeps the cell's type: it does not retype the cell.
+    assert_eq!(
+        text(g.write_durable(cell0, &mut fresh0, 1)),
         "ghost resource 0: type mismatch"
     );
     // Allocation minted this version's lease already.

@@ -32,7 +32,73 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct BufferedImage {
     durable: DiskImage,
-    pending: Vec<(u64, Block)>,
+    pending: Pending,
+}
+
+/// Unflushed writes in program order, as records of the block address
+/// (8 bytes, little-endian) and the block's bytes in one flat buffer: a
+/// buffered write copies bytes and allocates nothing once the buffer has
+/// grown to the longest run of writes between flushes.
+#[derive(Debug, Clone)]
+struct Pending {
+    records: Vec<u8>,
+    block_size: usize,
+}
+
+impl Pending {
+    fn record_len(&self) -> usize {
+        8 + self.block_size
+    }
+
+    fn len(&self) -> usize {
+        self.records.len() / self.record_len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    fn push(&mut self, a: u64, v: &[u8]) {
+        let record = self.record_len();
+        if self.records.capacity() - self.records.len() < record {
+            // Whole records at a time, doubling from four.
+            self.records.reserve(self.records.len().max(4 * record));
+        }
+        self.records.extend_from_slice(&a.to_le_bytes());
+        self.records.extend_from_slice(v);
+    }
+
+    /// The writes, oldest first.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, &[u8])> {
+        self.records.chunks_exact(self.record_len()).map(|r| {
+            let (a, v) = r.split_at(8);
+            (u64::from_le_bytes(a.try_into().expect("8 bytes")), v)
+        })
+    }
+
+    /// The latest write to block `a`, if any.
+    fn latest(&self, a: u64) -> Option<Block> {
+        let (_, v) = self.iter().rev().find(|&(b, _)| b == a)?;
+        Some(Block::from(v))
+    }
+
+    /// Drops every write to block `a`.
+    fn forget(&mut self, a: u64) {
+        let record = self.record_len();
+        let mut kept = 0;
+        for i in 0..self.len() {
+            let at = i * record;
+            if self.records[at..at + 8] != a.to_le_bytes() {
+                self.records.copy_within(at..at + record, kept * record);
+                kept += 1;
+            }
+        }
+        self.records.truncate(kept * record);
+    }
+
+    fn clear(&mut self) {
+        self.records.clear();
+    }
 }
 
 /// A write-buffered disk over a durable [`ModelDisk`] image.
@@ -42,7 +108,7 @@ pub struct BufferedDisk {
     /// Unflushed writes in program order (the same block may appear more
     /// than once; a torn crash keeping a later entry over an earlier one
     /// models write reordering).
-    pending: OwnerCell<Vec<(u64, Block)>>,
+    pending: OwnerCell<Pending>,
     /// Dependency-tracking resource id. The whole device is one
     /// resource: the *order* of entries in the shared write buffer is
     /// observable through torn-crash plans, so buffered writes to
@@ -58,7 +124,10 @@ impl BufferedDisk {
         Arc::new(BufferedDisk {
             rt,
             inner,
-            pending: OwnerCell::new(Vec::new()),
+            pending: OwnerCell::new(Pending {
+                records: Vec::new(),
+                block_size,
+            }),
             tag,
         })
     }
@@ -81,9 +150,10 @@ impl BufferedDisk {
         self.rt.note_access(res::instance(self.tag), true);
         let mut pending = self.pending.lock();
         self.rt.note_disk_flush(self.tag, pending.len() as u64);
-        for (a, v) in pending.drain(..) {
-            self.inner.poke(a, &v);
+        for (a, v) in pending.iter() {
+            self.inner.poke(a, v);
         }
+        pending.clear();
     }
 
     /// Durable single write (write-through/FUA): one scheduler step, then
@@ -110,7 +180,7 @@ impl BufferedDisk {
             return Err(IoError::Transient);
         }
         self.rt.note_disk_write_through(self.tag, a);
-        self.pending.lock().retain(|(b, _)| *b != a);
+        self.pending.lock().forget(a);
         self.inner.poke(a, v);
         Ok(())
     }
@@ -125,9 +195,9 @@ impl BufferedDisk {
             let (mut kept_blocks, mut dropped_blocks) = (Vec::new(), Vec::new());
             for ((a, _), kept) in pending.iter().zip(&keep) {
                 if *kept {
-                    kept_blocks.push(*a);
+                    kept_blocks.push(a);
                 } else {
-                    dropped_blocks.push(*a);
+                    dropped_blocks.push(a);
                 }
             }
             self.rt.trace_event_for(
@@ -139,11 +209,12 @@ impl BufferedDisk {
                 },
             );
         }
-        for ((a, v), kept) in pending.drain(..).zip(keep) {
+        for ((a, v), kept) in pending.iter().zip(keep) {
             if kept {
-                self.inner.poke(a, &v);
+                self.inner.poke(a, v);
             }
         }
+        pending.clear();
     }
 
     /// Controller-side copy of the durable image and the write buffer:
@@ -170,13 +241,8 @@ impl BufferedDisk {
     /// Controller-side snapshot of the *buffered view* of block `a` (what
     /// a read would return).
     pub fn peek(&self, a: u64) -> Block {
-        let pending = self.pending.lock();
-        for (b, v) in pending.iter().rev() {
-            if *b == a {
-                return v.clone();
-            }
-        }
-        self.inner.peek(a)
+        let latest = self.pending.lock().latest(a);
+        latest.unwrap_or_else(|| self.inner.peek(a))
     }
 
     /// Controller-side snapshot of the *durable* block `a` (what survives
@@ -213,13 +279,8 @@ impl SingleDisk for BufferedDisk {
         if self.rt.next_disk_op_faulty() {
             return Err(IoError::Transient);
         }
-        let pending = self.pending.lock();
-        for (b, v) in pending.iter().rev() {
-            if *b == a {
-                return Ok(v.clone());
-            }
-        }
-        Ok(self.inner.peek(a))
+        let latest = self.pending.lock().latest(a);
+        Ok(latest.unwrap_or_else(|| self.inner.peek(a)))
     }
 
     fn try_write(&self, a: u64, v: &[u8]) -> IoResult<()> {
@@ -233,7 +294,7 @@ impl SingleDisk for BufferedDisk {
         if self.rt.next_disk_op_faulty() {
             return Err(IoError::Transient);
         }
-        self.pending.lock().push((a, v.to_vec()));
+        self.pending.lock().push(a, v);
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! Single-disk semantics: the substrate for shadow copy, write-ahead
 //! logging, and group commit (§9.1, Table 3's "Single-disk semantics").
 
-use crate::Block;
+use crate::{Block, Platter};
 use goose_rt::fault::{retry_with_backoff, IoError, IoResult, DEFAULT_IO_ATTEMPTS};
 use goose_rt::sched::{res, ModelRt, UbSignal};
 use parking_lot::owner::OwnerCell;
@@ -54,7 +54,7 @@ pub(crate) fn oob_ub(op: &str, a: u64, size: u64) -> ! {
 /// [`ModelDisk::restore`]).
 #[derive(Debug, Clone)]
 pub struct DiskImage {
-    blocks: Vec<Block>,
+    blocks: Platter,
     ops: u64,
 }
 
@@ -65,7 +65,7 @@ pub struct DiskImage {
 /// [`retry_with_backoff`].
 pub struct ModelDisk {
     rt: Arc<ModelRt>,
-    blocks: OwnerCell<Vec<Block>>,
+    blocks: OwnerCell<Platter>,
     block_size: usize,
     ops: OwnerCell<u64>,
     /// Dependency-tracking resource id; accesses are per-block.
@@ -78,7 +78,7 @@ impl ModelDisk {
         let tag = rt.alloc_resource_tag();
         Arc::new(ModelDisk {
             rt,
-            blocks: OwnerCell::new(vec![vec![0; block_size]; nblocks as usize]),
+            blocks: OwnerCell::new(Platter::new(nblocks, block_size)),
             block_size,
             ops: OwnerCell::new(0),
             tag,
@@ -87,7 +87,7 @@ impl ModelDisk {
 
     /// Controller-side snapshot of block `a` (no scheduling).
     pub fn peek(&self, a: u64) -> Block {
-        self.blocks.lock()[a as usize].clone()
+        self.blocks.lock().block(a)
     }
 
     /// Controller-side direct write (no scheduling, no ops accounting,
@@ -95,7 +95,7 @@ impl ModelDisk {
     /// its buffer to the durable image.
     pub fn poke(&self, a: u64, v: &[u8]) {
         assert_eq!(v.len(), self.block_size, "partial block write");
-        self.blocks.lock()[a as usize].copy_from_slice(v);
+        self.blocks.lock().put(a, v);
     }
 
     /// Operations performed (checker statistics).
@@ -153,13 +153,13 @@ impl SingleDisk for ModelDisk {
         self.rt.note_disk_read(self.tag, a);
         *self.ops.lock() += 1;
         let blocks = self.blocks.lock();
-        if a as usize >= blocks.len() {
-            oob_ub("read", a, blocks.len() as u64);
+        if a >= blocks.len() {
+            oob_ub("read", a, blocks.len());
         }
         if self.rt.next_disk_op_faulty() {
             return Err(IoError::Transient);
         }
-        Ok(blocks[a as usize].clone())
+        Ok(blocks.block(a))
     }
 
     fn try_write(&self, a: u64, v: &[u8]) -> IoResult<()> {
@@ -169,18 +169,18 @@ impl SingleDisk for ModelDisk {
         self.rt.note_disk_write(self.tag, a);
         *self.ops.lock() += 1;
         let mut blocks = self.blocks.lock();
-        if a as usize >= blocks.len() {
-            oob_ub("write", a, blocks.len() as u64);
+        if a >= blocks.len() {
+            oob_ub("write", a, blocks.len());
         }
         if self.rt.next_disk_op_faulty() {
             return Err(IoError::Transient);
         }
-        blocks[a as usize].copy_from_slice(v);
+        blocks.put(a, v);
         Ok(())
     }
 
     fn size(&self) -> u64 {
-        self.blocks.lock().len() as u64
+        self.blocks.lock().len()
     }
 }
 
@@ -196,7 +196,7 @@ impl NativeDisk {
     pub fn new(nblocks: u64, block_size: usize) -> Arc<Self> {
         Arc::new(NativeDisk {
             blocks: (0..nblocks)
-                .map(|_| parking_lot::Mutex::new(vec![0; block_size]))
+                .map(|_| parking_lot::Mutex::new(Block::zeroed(block_size)))
                 .collect(),
             block_size,
         })

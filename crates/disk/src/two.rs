@@ -8,7 +8,7 @@
 //! failover direction.
 
 use crate::single::oob_ub;
-use crate::Block;
+use crate::{Block, Platter};
 use goose_rt::fault::{retry_with_backoff, IoError, IoResult, DEFAULT_IO_ATTEMPTS};
 use goose_rt::sched::{res, ModelRt};
 use parking_lot::owner::OwnerCell;
@@ -53,8 +53,8 @@ pub trait TwoDisks: Send + Sync {
 
 #[derive(Debug, Clone)]
 struct TwoState {
-    d1: Vec<Block>,
-    d2: Vec<Block>,
+    d1: Platter,
+    d2: Platter,
     failed1: bool,
     failed2: bool,
     ops: u64,
@@ -84,8 +84,8 @@ impl ModelTwoDisks {
             rt,
             tag,
             state: OwnerCell::new(TwoState {
-                d1: vec![vec![0; block_size]; nblocks as usize],
-                d2: vec![vec![0; block_size]; nblocks as usize],
+                d1: Platter::new(nblocks, block_size),
+                d2: Platter::new(nblocks, block_size),
                 failed1: false,
                 failed2: false,
                 ops: 0,
@@ -139,8 +139,8 @@ impl ModelTwoDisks {
     pub fn peek(&self, d: DiskId, a: u64) -> Block {
         let s = self.state.lock();
         match d {
-            DiskId::D1 => s.d1[a as usize].clone(),
-            DiskId::D2 => s.d2[a as usize].clone(),
+            DiskId::D1 => s.d1.block(a),
+            DiskId::D2 => s.d2.block(a),
         }
     }
 
@@ -201,8 +201,8 @@ impl TwoDisks for ModelTwoDisks {
         self.rt.note_access(res::instance(self.tag), false);
         let mut s = self.state.lock();
         s.ops += 1;
-        if a as usize >= s.d1.len() {
-            oob_ub("read", a, s.d1.len() as u64);
+        if a >= s.d1.len() {
+            oob_ub("read", a, s.d1.len());
         }
         if self.rt.next_disk_op_faulty() {
             return Err(IoError::Transient);
@@ -210,8 +210,8 @@ impl TwoDisks for ModelTwoDisks {
         Ok(match d {
             DiskId::D1 if s.failed1 => None,
             DiskId::D2 if s.failed2 => None,
-            DiskId::D1 => Some(s.d1[a as usize].clone()),
-            DiskId::D2 => Some(s.d2[a as usize].clone()),
+            DiskId::D1 => Some(s.d1.block(a)),
+            DiskId::D2 => Some(s.d2.block(a)),
         })
     }
 
@@ -224,8 +224,8 @@ impl TwoDisks for ModelTwoDisks {
         self.rt.note_access(res::instance(self.tag), false);
         let mut s = self.state.lock();
         s.ops += 1;
-        if a as usize >= s.d1.len() {
-            oob_ub("write", a, s.d1.len() as u64);
+        if a >= s.d1.len() {
+            oob_ub("write", a, s.d1.len());
         }
         if self.rt.next_disk_op_faulty() {
             return Err(IoError::Transient);
@@ -233,14 +233,14 @@ impl TwoDisks for ModelTwoDisks {
         match d {
             DiskId::D1 if s.failed1 => {}
             DiskId::D2 if s.failed2 => {}
-            DiskId::D1 => s.d1[a as usize].copy_from_slice(v),
-            DiskId::D2 => s.d2[a as usize].copy_from_slice(v),
+            DiskId::D1 => s.d1.put(a, v),
+            DiskId::D2 => s.d2.put(a, v),
         }
         Ok(())
     }
 
     fn size(&self) -> u64 {
-        self.state.lock().d1.len() as u64
+        self.state.lock().d1.len()
     }
 }
 
@@ -259,10 +259,10 @@ impl NativeTwoDisks {
     pub fn new(nblocks: u64, block_size: usize) -> Arc<Self> {
         Arc::new(NativeTwoDisks {
             d1: (0..nblocks)
-                .map(|_| parking_lot::Mutex::new(vec![0; block_size]))
+                .map(|_| parking_lot::Mutex::new(Block::zeroed(block_size)))
                 .collect(),
             d2: (0..nblocks)
-                .map(|_| parking_lot::Mutex::new(vec![0; block_size]))
+                .map(|_| parking_lot::Mutex::new(Block::zeroed(block_size)))
                 .collect(),
             failed1: std::sync::atomic::AtomicBool::new(false),
             failed2: std::sync::atomic::AtomicBool::new(false),
@@ -321,8 +321,8 @@ mod tests {
         let d = fixture();
         d.disk_write(DiskId::D1, 0, &[1; 8]);
         d.disk_write(DiskId::D2, 0, &[2; 8]);
-        assert_eq!(d.disk_read(DiskId::D1, 0), Some(vec![1; 8]));
-        assert_eq!(d.disk_read(DiskId::D2, 0), Some(vec![2; 8]));
+        assert_eq!(d.disk_read(DiskId::D1, 0), Some(crate::block_of(8, 1)));
+        assert_eq!(d.disk_read(DiskId::D2, 0), Some(crate::block_of(8, 2)));
         assert!(!d.platters_agree());
     }
 
@@ -336,7 +336,7 @@ mod tests {
         // The platter still holds the pre-failure value.
         assert_eq!(d.peek(DiskId::D1, 1), vec![5; 8]);
         // Disk 2 unaffected.
-        assert_eq!(d.disk_read(DiskId::D2, 1), Some(vec![0; 8]));
+        assert_eq!(d.disk_read(DiskId::D2, 1), Some(crate::block_of(8, 0)));
     }
 
     #[test]
@@ -364,7 +364,7 @@ mod tests {
         assert_eq!(d.try_disk_read(DiskId::D1, 0), Err(IoError::Transient));
         // Op 1 succeeds, op 2 faults inside the retry loop and is retried.
         d.disk_write(DiskId::D1, 0, &[6; 8]);
-        assert_eq!(d.disk_read(DiskId::D1, 0), Some(vec![6; 8]));
+        assert_eq!(d.disk_read(DiskId::D1, 0), Some(crate::block_of(8, 6)));
     }
 
     #[test]
@@ -387,9 +387,9 @@ mod native_tests {
         let d = NativeTwoDisks::new(4, 8);
         d.disk_write(DiskId::D1, 0, &[3; 8]);
         d.disk_write(DiskId::D2, 0, &[3; 8]);
-        assert_eq!(d.disk_read(DiskId::D1, 0), Some(vec![3; 8]));
+        assert_eq!(d.disk_read(DiskId::D1, 0), Some(crate::block_of(8, 3)));
         d.fail(DiskId::D1);
         assert_eq!(d.disk_read(DiskId::D1, 0), None);
-        assert_eq!(d.disk_read(DiskId::D2, 0), Some(vec![3; 8]));
+        assert_eq!(d.disk_read(DiskId::D2, 0), Some(crate::block_of(8, 3)));
     }
 }

@@ -280,7 +280,7 @@ impl FileSys for BufferedFs {
         Ok(())
     }
 
-    fn read_at(&self, fd: Fd, off: u64, len: u64) -> FsResult<Vec<u8>> {
+    fn read_at_into(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
         let s = self.step(false, "read_at");
         let entry = s.fds.get(&fd).ok_or(FsError::BadFd)?;
         if entry.mode != Mode::Read {
@@ -289,7 +289,8 @@ impl FileSys for BufferedFs {
         let data = s.vol.inodes.get(&entry.inode).ok_or(FsError::BadFd)?;
         let start = (off as usize).min(data.len());
         let end = ((off + len) as usize).min(data.len());
-        Ok(data[start..end].to_vec())
+        out.extend_from_slice(&data[start..end]);
+        Ok(end - start)
     }
 
     fn size(&self, fd: Fd) -> FsResult<u64> {

@@ -128,13 +128,14 @@ impl FileSys for NativeFs {
         Ok(())
     }
 
-    fn read_at(&self, fd: Fd, off: u64, len: u64) -> FsResult<Vec<u8>> {
+    fn read_at_into(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
         self.ops.fetch_add(1, Ordering::Relaxed);
         let inode = self.fd_inode(fd, Mode::Read)?;
         let data = inode.data.read();
         let start = (off as usize).min(data.len());
         let end = ((off + len) as usize).min(data.len());
-        Ok(data[start..end].to_vec())
+        out.extend_from_slice(&data[start..end]);
+        Ok(end - start)
     }
 
     fn size(&self, fd: Fd) -> FsResult<u64> {

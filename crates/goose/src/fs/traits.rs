@@ -74,9 +74,17 @@ pub trait FileSys: Send + Sync {
     /// Appends bytes through an append-mode descriptor.
     fn append(&self, fd: Fd, data: &[u8]) -> FsResult<()>;
 
-    /// Reads up to `len` bytes at `off` through a read-mode descriptor.
-    /// Returns a short (possibly empty) vector at end of file.
-    fn read_at(&self, fd: Fd, off: u64, len: u64) -> FsResult<Vec<u8>>;
+    /// Reads up to `len` bytes at `off` through a read-mode descriptor,
+    /// appending them to `out`; the count read, short (possibly zero) at
+    /// end of file.
+    fn read_at_into(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize>;
+
+    /// [`FileSys::read_at_into`] a vector of its own.
+    fn read_at(&self, fd: Fd, off: u64, len: u64) -> FsResult<Vec<u8>> {
+        let mut out = Vec::new();
+        self.read_at_into(fd, off, len, &mut out)?;
+        Ok(out)
+    }
 
     /// File size through a read-mode descriptor.
     fn size(&self, fd: Fd) -> FsResult<u64>;
@@ -142,12 +150,11 @@ pub trait FileSys: Send + Sync {
         let mut out = Vec::new();
         let mut off = 0u64;
         loop {
-            let part = self.read_at(fd, off, chunk)?;
-            if part.is_empty() {
+            let n = self.read_at_into(fd, off, chunk, &mut out)?;
+            if n == 0 {
                 break;
             }
-            off += part.len() as u64;
-            out.extend_from_slice(&part);
+            off += n as u64;
         }
         self.close(fd)?;
         Ok(out)

@@ -79,6 +79,7 @@ use crate::fault::{FaultPlan, NetFault, TornMode};
 use crate::trace::{ExecTrace, TraceBuf, TraceKind};
 use parking_lot::owner::{OwnerCell, OwnerGuard};
 use perennial::GhostPanic;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -191,7 +192,9 @@ enum TState {
 
 struct ThreadMeta {
     state: TState,
-    name: String,
+    /// Borrowed for the `&'static str` names harnesses give their
+    /// threads: a spawn or a crashed copy of the table copies no text.
+    name: Cow<'static, str>,
     /// The context the thread's body runs on.
     ctx: Ctx,
 }
@@ -534,7 +537,7 @@ impl ModelRt {
     pub fn take_trace(&self) -> ExecTrace {
         let threads = {
             let s = self.state.lock();
-            s.thread_table.iter().map(|m| m.name.clone()).collect()
+            s.thread_table.iter().map(|m| m.name.to_string()).collect()
         };
         self.trace_buf.lock().take(threads)
     }
@@ -729,14 +732,14 @@ impl ModelRt {
     /// Spawns a virtual thread. It does not run until granted.
     pub fn spawn(
         self: &Arc<Self>,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         f: impl FnOnce() + Send + 'static,
     ) -> Tid {
         let name = name.into();
         // Spawn order determines thread ids (and hence the schedule's
         // choice indices), so spawns from within a step never commute.
         self.note_access(res::ALLOC, true);
-        let traced_name = self.tracing_enabled().then(|| name.clone());
+        let traced_name = self.tracing_enabled().then(|| name.to_string());
         let (rt, quiet) = (Arc::clone(self), QUIET_PANICS.with(Cell::get));
         let tid = {
             let mut s = self.state.lock();
@@ -1272,7 +1275,7 @@ impl ModelRt {
             .iter()
             .filter_map(|m| match &m.state {
                 TState::Panicked(k) if *k != PanicKind::CrashUnwind => {
-                    Some((m.name.clone(), k.clone()))
+                    Some((m.name.to_string(), k.clone()))
                 }
                 _ => None,
             })

@@ -6,7 +6,7 @@
 //! (§2: "Perennial can be used to verify the kind of crash-safe,
 //! concurrent node-storage system that Verdi assumes").
 
-use perennial_spec::{SpecTS, Transition};
+use perennial_spec::{ReplayError, SpecTS, Step, Transition};
 use std::collections::BTreeMap;
 
 /// Keys and values are `u64` (a serialization detail — the bucket layer
@@ -74,47 +74,41 @@ impl SpecTS for KvSpec {
     }
 
     fn op_transition(&self, op: &KvOp) -> Transition<KvState, KvRet> {
-        match op.clone() {
-            KvOp::Put(k, v) => {
-                Transition::gets(move |s: &KvState| {
-                    // Bucket overflow is caller UB: count co-bucketed
-                    // keys if `k` is new.
-                    let in_bucket = s
-                        .keys()
-                        .filter(|k2| bucket_of(**k2) == bucket_of(k))
-                        .count();
-                    s.contains_key(&k) || in_bucket < BUCKET_CAP
-                })
-                .and_then(move |fits| {
-                    if fits {
-                        Transition::modify(move |s: &KvState| {
-                            let mut s = s.clone();
-                            s.insert(k, v);
-                            s
-                        })
-                        .map(|()| KvRet::Done)
-                    } else {
-                        Transition::undefined()
-                    }
-                })
+        match *op {
+            KvOp::Put(k, v) => Transition::gets(move |s: &KvState| {
+                // Bucket overflow is caller UB: count co-bucketed
+                // keys if `k` is new.
+                let in_bucket = s
+                    .keys()
+                    .filter(|k2| bucket_of(**k2) == bucket_of(k))
+                    .count();
+                s.contains_key(&k) || in_bucket < BUCKET_CAP
+            })
+            .and_then(move |fits| {
+                fits.then_some(Transition::modify(move |s: &mut KvState| {
+                    s.insert(k, v);
+                }))
+                .ok_or(ReplayError::Undefined)
+            })
+            .map(|()| KvRet::Done)
+            .boxed(),
+            KvOp::Get(k) => {
+                Transition::gets(move |s: &KvState| KvRet::Val(s.get(&k).copied())).boxed()
             }
-            KvOp::Get(k) => Transition::gets(move |s: &KvState| KvRet::Val(s.get(&k).copied())),
-            KvOp::Delete(k) => {
-                Transition::gets(move |s: &KvState| s.get(&k).copied()).and_then(move |old| {
-                    Transition::modify(move |s: &KvState| {
-                        let mut s = s.clone();
+            KvOp::Delete(k) => Transition::gets(move |s: &KvState| s.get(&k).copied())
+                .and_then(move |old| {
+                    Transition::modify(move |s: &mut KvState| {
                         s.remove(&k);
-                        s
                     })
                     .map(move |()| KvRet::Val(old))
                 })
-            }
+                .boxed(),
         }
     }
 
     /// Acknowledged updates are durable: crash loses nothing.
     fn crash_transition(&self) -> Transition<KvState, ()> {
-        Transition::skip()
+        Transition::skip().boxed()
     }
 }
 

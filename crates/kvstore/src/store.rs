@@ -24,6 +24,7 @@ use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
+use perennial_disk::Block;
 use std::sync::Arc;
 
 /// Deliberate bugs for mutation tests.
@@ -44,7 +45,7 @@ pub enum KvMutant {
 
 /// One bucket's ghost bundle: leases for pointer, slot A, slot B.
 pub struct BucketBundle {
-    leases: [Lease<Vec<u8>>; 3],
+    leases: [Lease<Block>; 3],
 }
 
 /// Decoded bucket contents.
@@ -54,7 +55,7 @@ type Pairs = Vec<(u64, u64)>;
 pub struct NodeKv {
     mutant: KvMutant,
     disk: Arc<BufferedDisk>,
-    cells: Vec<DurId<Vec<u8>>>,
+    cells: Vec<DurId<Block>>,
     lockinvs: Vec<Arc<LockInv<BucketBundle>>>,
     locks: RwLock<Vec<Arc<dyn GLock>>>,
 }
@@ -70,7 +71,7 @@ impl NodeKv {
         let mut cells = Vec::new();
         let mut all_leases = Vec::new();
         for _ in 0..Self::NBLOCKS {
-            let (c, l) = w.ghost.alloc_durable(vec![0u8; Self::BLOCK_SIZE]);
+            let (c, l) = w.ghost.alloc_durable(Block::zeroed(Self::BLOCK_SIZE));
             cells.push(c);
             all_leases.push(Some(l));
         }
@@ -108,9 +109,9 @@ impl NodeKv {
         out
     }
 
-    fn encode(pairs: &Pairs) -> Vec<u8> {
+    fn encode(pairs: &Pairs) -> Block {
         assert!(pairs.len() <= BUCKET_CAP, "bucket overflow");
-        let mut out = vec![0u8; Self::BLOCK_SIZE];
+        let mut out = Block::zeroed(Self::BLOCK_SIZE);
         out[..8].copy_from_slice(&(pairs.len() as u64).to_le_bytes());
         for (i, (k, v)) in pairs.iter().enumerate() {
             let off = 8 + 16 * i;
@@ -129,7 +130,7 @@ impl NodeKv {
         bundle: &mut BucketBundle,
         b: u64,
         which: usize,
-        data: Vec<u8>,
+        data: Block,
     ) {
         let block = 3 * b + which as u64;
         self.disk.write(block, &data);
@@ -146,7 +147,7 @@ impl NodeKv {
         bundle: &mut BucketBundle,
         b: u64,
         which: usize,
-        data: Vec<u8>,
+        data: Block,
     ) {
         let block = 3 * b + which as u64;
         self.disk.write_through(block, &data);
@@ -187,7 +188,7 @@ impl NodeKv {
             }
             KvMutant::FlipFirst => {
                 let flip = 1 - live;
-                let mut ptr = vec![0u8; Self::BLOCK_SIZE];
+                let mut ptr = Block::zeroed(Self::BLOCK_SIZE);
                 ptr[..8].copy_from_slice(&flip.to_le_bytes());
                 self.wblk_through(w, bundle, b, 0, ptr);
                 let ret = w.ghost.commit_op(tok).ghost_unwrap();
@@ -203,7 +204,7 @@ impl NodeKv {
                 let flip = 1 - live;
                 self.wblk(w, bundle, b, (1 + flip) as usize, encoded);
                 self.disk.flush();
-                let mut ptr = vec![0u8; Self::BLOCK_SIZE];
+                let mut ptr = Block::zeroed(Self::BLOCK_SIZE);
                 ptr[..8].copy_from_slice(&flip.to_le_bytes());
                 self.wblk_through(w, bundle, b, 0, ptr);
                 w.ghost.commit_op(tok).ghost_unwrap()

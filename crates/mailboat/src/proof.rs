@@ -29,6 +29,8 @@ use parking_lot::owner::OwnerCell;
 use parking_lot::RwLock;
 use perennial::{GhostUnwrap, LockInv, SetId, SetLease};
 use perennial_checker::{System, World};
+use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Deliberate bugs for mutation tests.
@@ -122,7 +124,9 @@ impl VerifiedMailboat {
     }
 
     fn fresh_name(&self, w: &World<MailSpec>, prefix: &str) -> String {
-        format!("{prefix}{:016x}", w.rt.rand_u64())
+        let mut name = String::with_capacity(prefix.len() + 16);
+        write!(name, "{prefix}{:016x}", w.rt.rand_u64()).expect("a String takes any text");
+        name
     }
 
     /// `Deliver` with the message available as plain bytes.
@@ -281,12 +285,11 @@ impl VerifiedMailboat {
             out.push((id, String::from_utf8(contents).expect("utf8 message")));
         }
         *self.sessions[user as usize].lock() = Some(lease);
-        w.ghost
-            .finish_op(tok, &MailRet::Msgs(out.clone()))
-            .ghost_unwrap();
-        match ret {
-            MailRet::Msgs(_) => out,
-            MailRet::Unit => unreachable!("pickup committed a unit transition"),
+        let out = MailRet::Msgs(out);
+        w.ghost.finish_op(tok, &out).ghost_unwrap();
+        match (ret, out) {
+            (MailRet::Msgs(_), MailRet::Msgs(out)) => out,
+            _ => unreachable!("pickup committed a unit transition"),
         }
     }
 
@@ -388,18 +391,32 @@ impl System<MailSpec> for VerifiedMailboat {
     /// AbsR at quiescence: every mailbox directory matches σ (names and
     /// contents), and the spool is empty (TmpInv).
     fn abs_check(&self, w: &World<MailSpec>) -> Result<(), String> {
-        let sigma: MailState = w.ghost.spec_state();
+        w.ghost
+            .with_spec_state(|sigma: &MailState| self.abs_mailboxes(sigma))?;
+        let spool = self.fs.peek_list("spool").unwrap_or_default();
+        if !spool.is_empty() {
+            return Err(format!("TmpInv violated: spool not cleaned: {spool:?}"));
+        }
+        Ok(())
+    }
+}
+
+impl VerifiedMailboat {
+    /// AbsR's mailbox half: every mailbox directory matches σ, read in
+    /// place.
+    fn abs_mailboxes(&self, sigma: &MailState) -> Result<(), String> {
+        let empty = BTreeMap::new();
         for (u, _) in self.users.iter().enumerate() {
             let dir = format!("user{u}");
             let names = self.fs.peek_list(&dir).unwrap_or_default();
-            let mbox = sigma.get(&(u as u64)).cloned().unwrap_or_default();
-            let spec_names: Vec<String> = mbox.keys().cloned().collect();
-            if names != spec_names {
+            let mbox = sigma.get(&(u as u64)).unwrap_or(&empty);
+            if !names.iter().eq(mbox.keys()) {
+                let spec_names: Vec<&String> = mbox.keys().collect();
                 return Err(format!(
                     "AbsR violated: user{u} dir has {names:?}, spec has {spec_names:?}"
                 ));
             }
-            for (id, contents) in &mbox {
+            for (id, contents) in mbox {
                 let data = self
                     .fs
                     .peek_file(&dir, id)
@@ -411,10 +428,6 @@ impl System<MailSpec> for VerifiedMailboat {
                     ));
                 }
             }
-        }
-        let spool = self.fs.peek_list("spool").unwrap_or_default();
-        if !spool.is_empty() {
-            return Err(format!("TmpInv violated: spool not cleaned: {spool:?}"));
         }
         Ok(())
     }

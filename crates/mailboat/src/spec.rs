@@ -10,7 +10,7 @@
 //! by `Pickup` (§8.1, §9.2). The crash transition is `ret tt`: delivered
 //! mail survives crashes (spool cleanup is invisible at this level).
 
-use perennial_spec::{SpecTS, Transition};
+use perennial_spec::{ReplayError, SpecTS, Step, Transition};
 use std::collections::BTreeMap;
 
 /// Abstract state: user ID → (message ID → contents).
@@ -68,32 +68,23 @@ impl SpecTS for MailSpec {
         match op.clone() {
             // The un-refined Deliver cannot commit: the implementation
             // must resolve the ID first.
-            MailOp::Deliver(..) => Transition::blocked(),
-            MailOp::DeliverAs(user, msg, id) => {
-                let id_probe = id.clone();
-                Transition::gets(move |s: &MailState| {
-                    s.get(&user).map(|mbox| mbox.contains_key(&id_probe))
-                })
-                .and_then(move |present| {
-                    let msg = msg.clone();
-                    let id = id.clone();
-                    match present {
-                        None => Transition::undefined(), // unknown user
-                        // The implementation only commits after winning
-                        // the exclusive link, so a clash is a disabled
-                        // transition, not UB.
-                        Some(true) => Transition::blocked(),
-                        Some(false) => Transition::modify(move |s: &MailState| {
-                            let mut s = s.clone();
-                            s.get_mut(&user)
-                                .expect("user checked above")
-                                .insert(id.clone(), msg.clone());
-                            s
-                        })
-                        .map(|()| MailRet::Unit),
-                    }
-                })
-            }
+            MailOp::Deliver(..) => Transition::blocked().boxed(),
+            MailOp::DeliverAs(user, msg, id) => Transition::gets(move |s: &MailState| {
+                (s.get(&user).map(|mbox| mbox.contains_key(&id)), id)
+            })
+            .and_then(move |(present, id)| match present {
+                None => Err(ReplayError::Undefined), // unknown user
+                // The implementation only commits after winning the
+                // exclusive link, so a clash is a disabled transition,
+                // not UB.
+                Some(true) => Err(ReplayError::Blocked),
+                Some(false) => Ok(Transition::modify(move |s: &mut MailState| {
+                    let mbox = s.get_mut(&user).expect("user checked above");
+                    mbox.insert(id, msg);
+                })),
+            })
+            .map(|()| MailRet::Unit)
+            .boxed(),
             MailOp::Pickup(user) => Transition::gets(move |s: &MailState| {
                 s.get(&user).map(|mbox| {
                     mbox.iter()
@@ -101,42 +92,34 @@ impl SpecTS for MailSpec {
                         .collect::<Vec<_>>()
                 })
             })
-            .and_then(|mv| match mv {
-                Some(msgs) => Transition::ret(MailRet::Msgs(msgs)),
-                None => Transition::undefined(),
-            }),
-            MailOp::Delete(user, id) => {
-                let id_probe = id.clone();
-                Transition::gets(move |s: &MailState| {
-                    s.get(&user).map(|mbox| mbox.contains_key(&id_probe))
-                })
-                .and_then(move |present| {
-                    let id = id.clone();
-                    match present {
-                        // Deleting an unlisted message is caller UB.
-                        None | Some(false) => Transition::undefined(),
-                        Some(true) => Transition::modify(move |s: &MailState| {
-                            let mut s = s.clone();
-                            s.get_mut(&user).expect("user present").remove(&id);
-                            s
-                        })
-                        .map(|()| MailRet::Unit),
-                    }
-                })
-            }
+            .and_then(|mv| {
+                mv.map(|msgs| Transition::ret(MailRet::Msgs(msgs)))
+                    .ok_or(ReplayError::Undefined)
+            })
+            .boxed(),
+            MailOp::Delete(user, id) => Transition::gets(move |s: &MailState| {
+                (s.get(&user).map(|mbox| mbox.contains_key(&id)), id)
+            })
+            .and_then(move |(present, id)| match present {
+                // Deleting an unlisted message is caller UB.
+                None | Some(false) => Err(ReplayError::Undefined),
+                Some(true) => Ok(Transition::modify(move |s: &mut MailState| {
+                    s.get_mut(&user).expect("user present").remove(&id);
+                })),
+            })
+            .map(|()| MailRet::Unit)
+            .boxed(),
             MailOp::Unlock(user) => Transition::gets(move |s: &MailState| s.contains_key(&user))
                 .and_then(|ok| {
-                    if ok {
-                        Transition::ret(MailRet::Unit)
-                    } else {
-                        Transition::undefined()
-                    }
-                }),
+                    ok.then_some(Transition::ret(MailRet::Unit))
+                        .ok_or(ReplayError::Undefined)
+                })
+                .boxed(),
         }
     }
 
     fn crash_transition(&self) -> Transition<MailState, ()> {
-        Transition::skip()
+        Transition::skip().boxed()
     }
 
     fn op_refines(&self, invoked: &MailOp, committed: &MailOp) -> bool {

@@ -25,7 +25,8 @@ use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
-use perennial_spec::{SpecTS, Transition};
+use perennial_disk::Block;
+use perennial_spec::{ReplayError, SpecTS, Step, Transition};
 use std::sync::Arc;
 
 /// Maximum entries the on-disk log holds.
@@ -73,11 +74,7 @@ impl GcSpec {
     /// The internal flush transition: everything buffered becomes
     /// durable.
     pub fn flush_transition() -> Transition<GcState, ()> {
-        Transition::modify(|s: &GcState| {
-            let mut s = s.clone();
-            s.persisted = s.entries.len();
-            s
-        })
+        Transition::modify(|s: &mut GcState| s.persisted = s.entries.len()).boxed()
     }
 }
 
@@ -91,34 +88,26 @@ impl SpecTS for GcSpec {
     }
 
     fn op_transition(&self, op: &GcOp) -> Transition<GcState, GcRet> {
-        match op.clone() {
-            GcOp::Append(v) => {
-                Transition::gets(|s: &GcState| s.entries.len() as u64).and_then(move |len| {
-                    if len >= CAP {
-                        // Appending past capacity is caller UB.
-                        Transition::undefined()
-                    } else {
-                        Transition::modify(move |s: &GcState| {
-                            let mut s = s.clone();
-                            s.entries.push(v);
-                            s
-                        })
-                        .map(|()| GcRet::Done)
-                    }
+        match *op {
+            GcOp::Append(v) => Transition::gets(|s: &GcState| s.entries.len() as u64)
+                .and_then(move |len| {
+                    // Appending past capacity is caller UB.
+                    (len < CAP)
+                        .then_some(Transition::modify(move |s: &mut GcState| s.entries.push(v)))
+                        .ok_or(ReplayError::Undefined)
                 })
+                .map(|()| GcRet::Done)
+                .boxed(),
+            GcOp::ReadAll => {
+                Transition::gets(|s: &GcState| GcRet::Entries(s.entries.clone())).boxed()
             }
-            GcOp::ReadAll => Transition::gets(|s: &GcState| GcRet::Entries(s.entries.clone())),
         }
     }
 
     /// The crash transition drops the un-persisted suffix — this is the
     /// "specifies when transactions can be lost" of §9.1.
     fn crash_transition(&self) -> Transition<GcState, ()> {
-        Transition::modify(|s: &GcState| {
-            let mut s = s.clone();
-            s.entries.truncate(s.persisted);
-            s
-        })
+        Transition::modify(|s: &mut GcState| s.entries.truncate(s.persisted)).boxed()
     }
 }
 
@@ -138,22 +127,22 @@ pub enum GcMutant {
 
 /// Ghost bundle protected by the global lock.
 pub struct GcBundle {
-    leases: Vec<Lease<Vec<u8>>>,
+    leases: Vec<Lease<Block>>,
 }
 
 /// The instrumented group-commit log.
 pub struct GroupCommitLog {
     mutant: GcMutant,
     disk: Arc<BufferedDisk>,
-    cells: Vec<DurId<Vec<u8>>>,
+    cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<GcBundle>>,
     lock: RwLock<Option<Arc<dyn GLock>>>,
     /// Volatile: entries appended since the last flush. Cleared at boot.
     buffer: OwnerCell<Vec<u64>>,
 }
 
-fn enc(v: u64) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
+fn enc(v: u64) -> Block {
+    Block::from(&v.to_le_bytes()[..])
 }
 
 fn dec(b: &[u8]) -> u64 {
@@ -169,7 +158,7 @@ impl GroupCommitLog {
         let mut cells = Vec::new();
         let mut leases = Vec::new();
         for _ in 0..Self::NBLOCKS {
-            let (c, l) = w.ghost.alloc_durable(vec![0u8; 8]);
+            let (c, l) = w.ghost.alloc_durable(Block::zeroed(8));
             cells.push(c);
             leases.push(l);
         }
@@ -199,7 +188,7 @@ impl GroupCommitLog {
         if self.mutant == GcMutant::FakeDurability {
             // Lie: advance the durable watermark without touching disk.
             w.ghost
-                .internal_step(&GcSpec::flush_transition())
+                .internal_step(GcSpec::flush_transition())
                 .ghost_unwrap();
         }
         lock.release();
@@ -221,7 +210,7 @@ impl GroupCommitLog {
                 .write_durable(self.cells[0], &mut bundle.leases[0], enc(n as u64))
                 .ghost_unwrap();
             w.ghost
-                .internal_step(&GcSpec::flush_transition())
+                .internal_step(GcSpec::flush_transition())
                 .ghost_unwrap();
             for (i, v) in buffered.iter().enumerate() {
                 let blk = (persisted + i + 1) as u64;
@@ -258,7 +247,7 @@ impl GroupCommitLog {
                 .write_durable(self.cells[0], &mut bundle.leases[0], enc(n as u64))
                 .ghost_unwrap();
             w.ghost
-                .internal_step(&GcSpec::flush_transition())
+                .internal_step(GcSpec::flush_transition())
                 .ghost_unwrap();
         }
 

@@ -3,7 +3,8 @@
 //! atomically — after any crash, readers see either the old pair or the
 //! new pair, never a mix.
 
-use perennial_spec::{SpecTS, Transition};
+use perennial_disk::Block;
+use perennial_spec::{SpecTS, Step, Transition};
 
 /// Abstract state: the current pair.
 pub type Pair = (u64, u64);
@@ -49,19 +50,21 @@ impl SpecTS for PairSpec {
 
     fn op_transition(&self, op: &PairOp) -> Transition<Pair, PairRet> {
         match *op {
-            PairOp::Put(a, b) => Transition::modify(move |_: &Pair| (a, b)).map(|()| PairRet::Unit),
-            PairOp::Get => Transition::gets(|s: &Pair| PairRet::Val(s.0, s.1)),
+            PairOp::Put(a, b) => Transition::modify(move |s: &mut Pair| *s = (a, b))
+                .map(|()| PairRet::Unit)
+                .boxed(),
+            PairOp::Get => Transition::gets(|s: &Pair| PairRet::Val(s.0, s.1)).boxed(),
         }
     }
 
     fn crash_transition(&self) -> Transition<Pair, ()> {
-        Transition::skip()
+        Transition::skip().boxed()
     }
 }
 
 /// Encodes a value into a block (blocks are 8 bytes in these patterns).
-pub fn enc(v: u64) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
+pub fn enc(v: u64) -> Block {
+    Block::from(&v.to_le_bytes()[..])
 }
 
 /// Decodes a block back to a value.

@@ -24,6 +24,7 @@ use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
+use perennial_disk::Block;
 use std::sync::Arc;
 
 /// Deliberate bugs for mutation tests.
@@ -41,14 +42,14 @@ pub enum ShadowMutant {
 
 /// Ghost bundle protected by the global lock: leases for all five blocks.
 pub struct ShadowBundle {
-    leases: Vec<Lease<Vec<u8>>>,
+    leases: Vec<Lease<Block>>,
 }
 
 /// The instrumented shadow-copy pair store.
 pub struct ShadowPair {
     mutant: ShadowMutant,
     disk: Arc<BufferedDisk>,
-    cells: Vec<DurId<Vec<u8>>>,
+    cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<ShadowBundle>>,
     lock: RwLock<Option<Arc<dyn GLock>>>,
 }
@@ -62,7 +63,7 @@ impl ShadowPair {
         let mut cells = Vec::new();
         let mut leases = Vec::new();
         for _ in 0..Self::NBLOCKS {
-            let (c, l) = w.ghost.alloc_durable(vec![0u8; 8]);
+            let (c, l) = w.ghost.alloc_durable(Block::zeroed(8));
             cells.push(c);
             leases.push(l);
         }

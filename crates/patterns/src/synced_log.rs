@@ -22,7 +22,7 @@ use parking_lot::owner::OwnerCell;
 use parking_lot::RwLock;
 use perennial::GhostUnwrap;
 use perennial_checker::{Harness, Script, System, World};
-use perennial_spec::{SpecTS, Transition};
+use perennial_spec::{SpecTS, Step, Transition};
 use std::sync::Arc;
 
 /// Abstract state of the synced log.
@@ -68,11 +68,7 @@ pub struct SlSpec;
 impl SlSpec {
     /// The internal sync transition: everything buffered becomes durable.
     pub fn sync_transition() -> Transition<SlState, ()> {
-        Transition::modify(|s: &SlState| {
-            let mut s = s.clone();
-            s.persisted = s.records.len();
-            s
-        })
+        Transition::modify(|s: &mut SlState| s.persisted = s.records.len()).boxed()
     }
 }
 
@@ -87,31 +83,25 @@ impl SpecTS for SlSpec {
 
     fn op_transition(&self, op: &SlOp) -> Transition<SlState, SlRet> {
         match op.clone() {
-            SlOp::Append(r) => Transition::modify(move |s: &SlState| {
-                let mut s = s.clone();
-                s.records.push(r.clone());
-                s
-            })
-            .map(|()| SlRet::Done),
+            SlOp::Append(r) => Transition::modify(move |s: &mut SlState| s.records.push(r))
+                .map(|()| SlRet::Done)
+                .boxed(),
             // AppendSynced is Append plus the sync step; since the op is
             // atomic at the spec level, the watermark lands at the end.
-            SlOp::AppendSynced(r) => Transition::modify(move |s: &SlState| {
-                let mut s = s.clone();
-                s.records.push(r.clone());
+            SlOp::AppendSynced(r) => Transition::modify(move |s: &mut SlState| {
+                s.records.push(r);
                 s.persisted = s.records.len();
-                s
             })
-            .map(|()| SlRet::Done),
-            SlOp::ReadAll => Transition::gets(|s: &SlState| SlRet::Records(s.records.clone())),
+            .map(|()| SlRet::Done)
+            .boxed(),
+            SlOp::ReadAll => {
+                Transition::gets(|s: &SlState| SlRet::Records(s.records.clone())).boxed()
+            }
         }
     }
 
     fn crash_transition(&self) -> Transition<SlState, ()> {
-        Transition::modify(|s: &SlState| {
-            let mut s = s.clone();
-            s.records.truncate(s.persisted);
-            s
-        })
+        Transition::modify(|s: &mut SlState| s.records.truncate(s.persisted)).boxed()
     }
 }
 
@@ -224,7 +214,7 @@ impl SyncedLog {
         lock.acquire();
         self.fs.fsync(self.fd()).expect("fsync");
         w.ghost
-            .internal_step(&SlSpec::sync_transition())
+            .internal_step(SlSpec::sync_transition())
             .ghost_unwrap();
         lock.release();
     }

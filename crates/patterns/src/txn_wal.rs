@@ -28,7 +28,8 @@ use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
-use perennial_spec::{SpecTS, Transition};
+use perennial_disk::Block;
+use perennial_spec::{ReplayError, SpecTS, Step, Transition};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -83,39 +84,32 @@ impl SpecTS for TxnSpec {
     }
 
     fn op_transition(&self, op: &TxnOp) -> Transition<TxnState, TxnRet> {
-        match op.clone() {
+        match op {
             TxnOp::Commit(writes) => {
-                let probe = writes.clone();
+                let writes = writes.clone();
                 Transition::gets(move |s: &TxnState| {
-                    probe.len() as u64 <= MAX_TXN && probe.iter().all(|(a, _)| s.contains_key(a))
+                    let ok = writes.len() as u64 <= MAX_TXN
+                        && writes.iter().all(|(a, _)| s.contains_key(a));
+                    (ok, writes)
                 })
-                .and_then(move |ok| {
-                    let writes = writes.clone();
-                    if ok {
-                        Transition::modify(move |s: &TxnState| {
-                            let mut s = s.clone();
-                            for (a, v) in &writes {
-                                s.insert(*a, *v);
-                            }
-                            s
-                        })
-                        .map(|()| TxnRet::Done)
-                    } else {
-                        Transition::undefined()
-                    }
+                .and_then(|(ok, writes)| {
+                    ok.then_some(Transition::modify(move |s: &mut TxnState| s.extend(writes)))
+                        .ok_or(ReplayError::Undefined)
                 })
+                .map(|()| TxnRet::Done)
+                .boxed()
             }
-            TxnOp::Read(a) => {
-                Transition::gets(move |s: &TxnState| s.get(&a).copied()).and_then(|mv| match mv {
-                    Some(v) => Transition::ret(TxnRet::Val(v)),
-                    None => Transition::undefined(),
+            &TxnOp::Read(a) => Transition::gets(move |s: &TxnState| s.get(&a).copied())
+                .and_then(|mv| {
+                    mv.map(|v| Transition::ret(TxnRet::Val(v)))
+                        .ok_or(ReplayError::Undefined)
                 })
-            }
+                .boxed(),
         }
     }
 
     fn crash_transition(&self) -> Transition<TxnState, ()> {
-        Transition::skip()
+        Transition::skip().boxed()
     }
 }
 
@@ -133,8 +127,8 @@ pub enum TxnMutant {
     PartialRecoveryApply,
 }
 
-fn enc(v: u64) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
+fn enc(v: u64) -> Block {
+    Block::from(&v.to_le_bytes()[..])
 }
 
 fn dec(b: &[u8]) -> u64 {
@@ -143,14 +137,14 @@ fn dec(b: &[u8]) -> u64 {
 
 /// Ghost bundle protected by the global transaction lock.
 pub struct TxnBundle {
-    leases: Vec<Lease<Vec<u8>>>,
+    leases: Vec<Lease<Block>>,
 }
 
 /// The instrumented transactional WAL.
 pub struct TxnWal {
     mutant: TxnMutant,
     disk: Arc<BufferedDisk>,
-    cells: Vec<DurId<Vec<u8>>>,
+    cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<TxnBundle>>,
     lock: RwLock<Option<Arc<dyn GLock>>>,
 }
@@ -164,7 +158,7 @@ impl TxnWal {
         let mut cells = Vec::new();
         let mut leases = Vec::new();
         for _ in 0..Self::NBLOCKS {
-            let (c, l) = w.ghost.alloc_durable(vec![0u8; 8]);
+            let (c, l) = w.ghost.alloc_durable(Block::zeroed(8));
             cells.push(c);
             leases.push(l);
         }

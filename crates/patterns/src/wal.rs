@@ -37,6 +37,7 @@ use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
+use perennial_disk::Block;
 use std::sync::Arc;
 
 /// Helping key for the single in-flight transaction (the global lock
@@ -65,14 +66,14 @@ pub enum WalMutant {
 
 /// Ghost bundle protected by the global lock.
 pub struct WalBundle {
-    leases: Vec<Lease<Vec<u8>>>,
+    leases: Vec<Lease<Block>>,
 }
 
 /// The instrumented write-ahead-log pair store.
 pub struct WalPair {
     mutant: WalMutant,
     disk: Arc<BufferedDisk>,
-    cells: Vec<DurId<Vec<u8>>>,
+    cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<WalBundle>>,
     lock: RwLock<Option<Arc<dyn GLock>>>,
 }
@@ -86,7 +87,7 @@ impl WalPair {
         let mut cells = Vec::new();
         let mut leases = Vec::new();
         for _ in 0..Self::NBLOCKS {
-            let (c, l) = w.ghost.alloc_durable(vec![0u8; 8]);
+            let (c, l) = w.ghost.alloc_durable(Block::zeroed(8));
             cells.push(c);
             leases.push(l);
         }

@@ -21,12 +21,13 @@
 //! Mutants for the checker's benefit are parameterized by [`RdMutant`];
 //! `RdMutant::None` is the correct system.
 
-use crate::spec::{Block, RdOp, RdRet, RdSpec, RdState};
+use crate::spec::{RdOp, RdRet, RdSpec, RdState};
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{System, World};
 use perennial_disk::two::{DiskId, ModelTwoDisks, TwoDiskImage, TwoDisks};
+use perennial_disk::Block;
 use std::sync::Arc;
 
 /// Deliberate bugs used by mutation tests (DESIGN.md §8).
@@ -82,8 +83,8 @@ impl VerifiedReplDisk {
         let mut d2 = Vec::new();
         let mut lockinvs = Vec::new();
         for _ in 0..size {
-            let (c1, l1) = w.ghost.alloc_durable(vec![0u8; block_size]);
-            let (c2, l2) = w.ghost.alloc_durable(vec![0u8; block_size]);
+            let (c1, l1) = w.ghost.alloc_durable(Block::zeroed(block_size));
+            let (c2, l2) = w.ghost.alloc_durable(Block::zeroed(block_size));
             d1.push(c1);
             d2.push(c2);
             lockinvs.push(Arc::new(LockInv::new(AddrBundle {
@@ -149,11 +150,11 @@ impl VerifiedReplDisk {
         self.lockinvs[a as usize].put(bundle).ghost_unwrap();
         lock.release();
         w.ghost
-            .finish_op(tok, &RdRet::Val(v.clone()))
+            .finish_op(tok, &RdRet::Val(v.to_vec()))
             .ghost_unwrap();
         match ret {
             RdRet::Val(spec_v) => {
-                debug_assert_eq!(spec_v, v);
+                debug_assert_eq!(spec_v[..], v[..]);
                 v
             }
             RdRet::Unit => unreachable!("read committed a write transition"),
@@ -185,7 +186,7 @@ impl VerifiedReplDisk {
             self.disks.disk_write(DiskId::D1, a, v);
         }
         w.ghost
-            .write_durable(self.d1[a as usize], &mut bundle.lease1, v.to_vec())
+            .write_durable(self.d1[a as usize], &mut bundle.lease1, Block::from(v))
             .ghost_unwrap();
 
         let ret = if self.mutant == RdMutant::CommitEarly {
@@ -212,7 +213,7 @@ impl VerifiedReplDisk {
                 self.disks.disk_write(DiskId::D2, a, v);
             }
             w.ghost
-                .write_durable(self.d2[a as usize], &mut bundle.lease2, v.to_vec())
+                .write_durable(self.d2[a as usize], &mut bundle.lease2, Block::from(v))
                 .ghost_unwrap();
             if self.mutant == RdMutant::CommitEarly {
                 ret
@@ -263,7 +264,7 @@ impl System<RdSpec> for VerifiedReplDisk {
             let mut lease2 = w.ghost.recover_lease(self.d2[a as usize]).ghost_unwrap();
 
             if self.mutant == RdMutant::ZeroingRecovery {
-                let z = vec![0u8; self.disks.block_size()];
+                let z = Block::zeroed(self.disks.block_size());
                 self.disks.disk_write(DiskId::D1, a, &z);
                 w.ghost
                     .write_durable(self.d1[a as usize], &mut lease1, z.clone())

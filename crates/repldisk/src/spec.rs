@@ -5,7 +5,7 @@
 //! the last value written; out-of-bounds access is undefined behaviour;
 //! the crash transition is `ret tt` — no data is lost across a crash.
 
-use perennial_spec::{SpecTS, Transition};
+use perennial_spec::{ReplayError, SpecTS, Step, Transition};
 use std::collections::BTreeMap;
 
 /// A disk block value at the spec level.
@@ -63,34 +63,29 @@ impl SpecTS for RdSpec {
     fn op_transition(&self, op: &RdOp) -> Transition<RdState, RdRet> {
         match op.clone() {
             // Figure 3's rd_read: gets, then ret or undefined.
-            RdOp::Read(a) => {
-                Transition::gets(move |s: &RdState| s.get(&a).cloned()).and_then(|mv| match mv {
-                    Some(v) => Transition::ret(RdRet::Val(v)),
-                    None => Transition::undefined(),
+            RdOp::Read(a) => Transition::gets(move |s: &RdState| s.get(&a).cloned())
+                .and_then(|mv| {
+                    mv.map(|v| Transition::ret(RdRet::Val(v)))
+                        .ok_or(ReplayError::Undefined)
                 })
-            }
+                .boxed(),
             // Figure 3's rd_write: gets, then modify or undefined.
-            RdOp::Write(a, v) => {
-                Transition::gets(move |s: &RdState| s.contains_key(&a)).and_then(move |present| {
-                    let v = v.clone();
-                    if present {
-                        Transition::modify(move |s: &RdState| {
-                            let mut s = s.clone();
-                            s.insert(a, v.clone());
-                            s
-                        })
-                        .map(|()| RdRet::Unit)
-                    } else {
-                        Transition::undefined()
-                    }
+            RdOp::Write(a, v) => Transition::gets(move |s: &RdState| s.contains_key(&a))
+                .and_then(move |present| {
+                    present
+                        .then_some(Transition::modify(move |s: &mut RdState| {
+                            s.insert(a, v);
+                        }))
+                        .ok_or(ReplayError::Undefined)
                 })
-            }
+                .map(|()| RdRet::Unit)
+                .boxed(),
         }
     }
 
     /// Figure 3's `crash := ret tt`: the logical disk loses nothing.
     fn crash_transition(&self) -> Transition<RdState, ()> {
-        Transition::skip()
+        Transition::skip().boxed()
     }
 }
 

@@ -7,8 +7,8 @@
 //! - [`BufSpec`]: an append-only log with a volatile tail; crash drops the
 //!   un-persisted suffix (like group commit).
 
-use crate::system::SpecTS;
-use crate::transition::Transition;
+use crate::system::{ReplayError, SpecTS};
+use crate::transition::{Step, Transition};
 use std::collections::BTreeMap;
 
 /// A durable register file of `size` registers initialized to zero.
@@ -40,31 +40,28 @@ impl SpecTS for RegSpec {
     }
 
     fn op_transition(&self, op: &RegOp) -> Transition<RegState, Option<u64>> {
-        match op.clone() {
-            RegOp::Read(a) => {
-                Transition::gets(move |s: &RegState| s.get(&a).copied()).and_then(|mv| match mv {
-                    Some(v) => Transition::ret(Some(v)),
-                    None => Transition::undefined(),
+        match *op {
+            RegOp::Read(a) => Transition::gets(move |s: &RegState| s.get(&a).copied())
+                .and_then(|mv| {
+                    mv.map(|v| Transition::ret(Some(v)))
+                        .ok_or(ReplayError::Undefined)
                 })
-            }
+                .boxed(),
             RegOp::Write(a, v) => Transition::gets(move |s: &RegState| s.contains_key(&a))
                 .and_then(move |present| {
-                    if present {
-                        Transition::modify(move |s: &RegState| {
-                            let mut s = s.clone();
+                    present
+                        .then_some(Transition::modify(move |s: &mut RegState| {
                             s.insert(a, v);
-                            s
-                        })
-                        .map(|()| None)
-                    } else {
-                        Transition::undefined()
-                    }
-                }),
+                        }))
+                        .ok_or(ReplayError::Undefined)
+                })
+                .map(|()| None)
+                .boxed(),
         }
     }
 
     fn crash_transition(&self) -> Transition<RegState, ()> {
-        Transition::skip()
+        Transition::skip().boxed()
     }
 }
 
@@ -112,11 +109,7 @@ crate::encode! {
 impl BufSpec {
     /// The internal flush transition: persists everything buffered.
     pub fn flush_transition() -> Transition<BufState, ()> {
-        Transition::modify(|s: &BufState| {
-            let mut s = s.clone();
-            s.persisted = s.entries.len();
-            s
-        })
+        Transition::modify(|s: &mut BufState| s.persisted = s.entries.len()).boxed()
     }
 }
 
@@ -130,23 +123,18 @@ impl SpecTS for BufSpec {
     }
 
     fn op_transition(&self, op: &BufOp) -> Transition<BufState, BufRet> {
-        match op.clone() {
-            BufOp::Append(v) => Transition::modify(move |s: &BufState| {
-                let mut s = s.clone();
-                s.entries.push(v);
-                s
-            })
-            .map(|()| BufRet::Done),
-            BufOp::ReadAll => Transition::gets(|s: &BufState| BufRet::Entries(s.entries.clone())),
+        match *op {
+            BufOp::Append(v) => Transition::modify(move |s: &mut BufState| s.entries.push(v))
+                .map(|()| BufRet::Done)
+                .boxed(),
+            BufOp::ReadAll => {
+                Transition::gets(|s: &BufState| BufRet::Entries(s.entries.clone())).boxed()
+            }
         }
     }
 
     fn crash_transition(&self) -> Transition<BufState, ()> {
-        Transition::modify(|s: &BufState| {
-            let mut s = s.clone();
-            s.entries.truncate(s.persisted);
-            s
-        })
+        Transition::modify(|s: &mut BufState| s.entries.truncate(s.persisted)).boxed()
     }
 }
 

@@ -5,8 +5,9 @@
 //! from a small set of primitives (`gets`, `modify`, `ret`, `undefined`).
 //! This crate provides the same DSL embedded in Rust.
 //!
-//! A [`Transition`] is a (possibly partial) function from a state to a new
-//! state and a return value. Partiality comes in two flavours mirroring the
+//! A transition (a [`Step`]; [`Transition`] when its type is erased) is a
+//! (possibly partial) function from a state to a new state and a return
+//! value, run once and in place. Partiality comes in two flavours mirroring the
 //! paper:
 //!
 //! - [`Outcome::Undefined`]: the caller triggered *undefined behaviour*
@@ -29,15 +30,15 @@
 //! The replicated-disk specification of Figure 3, transliterated:
 //!
 //! ```
-//! use perennial_spec::{Transition, Outcome};
+//! use perennial_spec::{Outcome, ReplayError, Step, Transition};
 //! use std::collections::BTreeMap;
 //!
 //! type State = BTreeMap<u64, u8>;
 //!
-//! fn rd_read(a: u64) -> Transition<State, u8> {
+//! fn rd_read(a: u64) -> impl Step<State, Ret = u8> {
 //!     Transition::gets(move |s: &State| s.get(&a).copied()).and_then(|mv| match mv {
-//!         Some(v) => Transition::ret(v),
-//!         None => Transition::undefined(),
+//!         Some(v) => Ok(Transition::ret(v)),
+//!         None => Err(ReplayError::Undefined),
 //!     })
 //! }
 //!
@@ -57,5 +58,5 @@ pub mod transition;
 
 pub use encode::{Encode, Fnv1a};
 pub use history::{Event, EventKind, History, Jid};
-pub use system::{SeqReplay, SpecTS};
-pub use transition::{Outcome, Transition};
+pub use system::{ReplayError, SeqReplay, SpecTS};
+pub use transition::{Outcome, Step, Transition};

@@ -1,7 +1,7 @@
 //! Complete specifications: state, operations, crash transition.
 
 use crate::encode::Encode;
-use crate::transition::Transition;
+use crate::transition::{Step, Transition};
 use std::fmt::Debug;
 
 /// A specification transition system (§3.1 of the paper).
@@ -25,7 +25,8 @@ pub trait SpecTS: Send + Sync + 'static {
     /// The initial abstract state.
     fn init(&self) -> Self::State;
 
-    /// The atomic transition for operation `op`.
+    /// The atomic transition for operation `op`, built afresh for each
+    /// step (a transition runs once).
     fn op_transition(&self, op: &Self::Op) -> Transition<Self::State, Self::Ret>;
 
     /// The atomic crash transition (Figure 3's `crash`). For most storage
@@ -91,7 +92,8 @@ impl<S: SpecTS> SeqReplay<S> {
 
     /// Applies `op`; on success returns the value the spec produced.
     pub fn step_op(&mut self, op: &S::Op) -> Result<S::Ret, ReplayError> {
-        self.step(&self.spec.op_transition(op))
+        let t = self.spec.op_transition(op);
+        self.step(t)
     }
 
     /// Applies `op` and additionally requires the returned value to equal
@@ -110,14 +112,12 @@ impl<S: SpecTS> SeqReplay<S> {
 
     /// Applies the crash transition.
     pub fn step_crash(&mut self) -> Result<(), ReplayError> {
-        self.step(&self.spec.crash_transition())
+        let t = self.spec.crash_transition();
+        self.step(t)
     }
 
-    fn step<R: 'static>(&mut self, t: &Transition<S::State, R>) -> Result<R, ReplayError> {
-        let (state, ret) = t.step(&self.state)?;
-        if let Some(state) = state {
-            self.state = state;
-        }
+    fn step<R>(&mut self, t: Transition<S::State, R>) -> Result<R, ReplayError> {
+        let ret = t.step(&mut self.state)?;
         self.steps += 1;
         Ok(ret)
     }

@@ -1,11 +1,19 @@
 //! The transition DSL: `ret`, `gets`, `modify`, `undefined`, and monadic
 //! composition, mirroring the Coq-embedded DSL of the paper's §3.1.
+//!
+//! A transition is built as a value of a [`Step`] type, one combinator
+//! per type (like iterator adapters), so building and running it
+//! allocates nothing of its own; [`Step::boxed`] erases it into a
+//! [`Transition`] where one type must name several (a spec's
+//! `op_transition`). A step runs once, in place: [`Step::step`] updates
+//! `σ` where it stands, and gives it back unchanged when the step turns
+//! out not to be one the spec allows.
 
 use crate::system::ReplayError;
 use std::fmt;
-use std::sync::Arc;
+use std::marker::PhantomData;
 
-/// Result of running a [`Transition`] in a given state.
+/// Result of running a transition in a given state.
 #[derive(Clone, PartialEq, Eq)]
 pub enum Outcome<S, T> {
     /// The transition is enabled: it steps to the new state and returns `T`.
@@ -49,32 +57,119 @@ impl<S, T> Outcome<S, T> {
     }
 }
 
-/// What one step did: `Ok((None, v))` left the state as it was and
-/// returned `v`; `Ok((Some(s), v))` stepped to `s`; `Err` says why the
-/// step is not one the spec allows.
-type Step<S, T> = Result<(Option<S>, T), ReplayError>;
-
-/// The boxed step function inside a [`Transition`].
-type StepFn<S, T> = dyn Fn(&S) -> Step<S, T> + Send + Sync;
-
-/// A specification transition: a partial function from states to
-/// (state, value) pairs.
+/// `σ` while one step runs on it.
 ///
-/// Transitions are cheaply cloneable (internally reference counted) so a
-/// spec can hand the same transition to many checker threads. A step
-/// borrows the state: the read-only combinators (`ret`, `gets`, `check`,
-/// `guard`, `skip`, and `and_then`/`map` over them) report it unchanged
-/// instead of cloning it, and only `modify` builds a new one.
-pub struct Transition<S, T> {
-    step: Arc<StepFn<S, T>>,
+/// The rule a step keeps: `σ` moves only if the whole step is defined.
+/// An update that nothing partial can follow (the last link of the
+/// step, or one only `map`s follow) is made in place; any other saves
+/// `σ` first, once per step, so a later `undefined` or `blocked` can put
+/// it back.
+pub struct Sigma<'a, S> {
+    state: &'a mut S,
+    /// `σ` as the step found it, once an update was made that something
+    /// partial may still follow.
+    saved: Option<S>,
+    /// Nothing that can fail runs after the link now running.
+    last: bool,
 }
 
-impl<S, T> Clone for Transition<S, T> {
-    fn clone(&self) -> Self {
-        Transition {
-            step: Arc::clone(&self.step),
+impl<S: Clone> Sigma<'_, S> {
+    /// The state, to read.
+    fn get(&self) -> &S {
+        self.state
+    }
+
+    /// Updates the state in place.
+    fn update(&mut self, f: impl FnOnce(&mut S)) {
+        if !self.last && self.saved.is_none() {
+            self.saved = Some(self.state.clone());
+        }
+        f(self.state);
+    }
+}
+
+/// A specification transition: a partial function from states to
+/// (state, value) pairs, as a one-shot value (see the module docs).
+pub trait Step<S: Clone>: Sized {
+    /// The value the transition returns.
+    type Ret;
+
+    /// Runs the transition as one link of a step on `sigma`.
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<Self::Ret, ReplayError>;
+
+    /// Simulates the transition as one spec step on `s`, in place: the
+    /// value, or why the step is not one the spec allows, and then `s`
+    /// is as it was. The ghost engine and [`crate::SeqReplay`] take every
+    /// step through here.
+    fn step(self, s: &mut S) -> Result<Self::Ret, ReplayError> {
+        let mut sigma = Sigma {
+            state: s,
+            saved: None,
+            last: true,
+        };
+        let ret = self.apply(&mut sigma);
+        if let (Err(_), Some(saved)) = (&ret, sigma.saved) {
+            *sigma.state = saved;
+        }
+        ret
+    }
+
+    /// Runs the transition on a copy of `s`.
+    fn run(self, s: &S) -> Outcome<S, Self::Ret> {
+        let mut s = s.clone();
+        match self.step(&mut s) {
+            Ok(v) => Outcome::Ok(s, v),
+            Err(ReplayError::Blocked) => Outcome::Blocked,
+            // A transition fails with no other error.
+            Err(_) => Outcome::Undefined,
         }
     }
+
+    /// Monadic bind: run `self`, then the transition `f` makes of its
+    /// value, from the state `self` left. Partial if either half is. `f`
+    /// may return a `Result` of a transition, `Err` naming why the step
+    /// fails (`undefined`, `blocked`) where the other arm steps on.
+    fn and_then<G: Step<S>, F: FnOnce(Self::Ret) -> G>(self, f: F) -> AndThen<Self, F> {
+        AndThen(self, f)
+    }
+
+    /// Maps the returned value.
+    fn map<U, F: FnOnce(Self::Ret) -> U>(self, f: F) -> Map<Self, F> {
+        Map(self, f)
+    }
+
+    /// Replaces the returned value with unit, keeping the state change.
+    fn ignore_ret(self) -> Map<Self, fn(Self::Ret)> {
+        Map(self, drop)
+    }
+
+    /// Erases the transition's type (one allocation when it holds any
+    /// data).
+    fn boxed(self) -> Transition<S, Self::Ret>
+    where
+        Self: Send + 'static,
+    {
+        Transition {
+            step: Box::new(self),
+        }
+    }
+}
+
+/// Object-safe [`Step`], behind [`Transition`].
+trait DynStep<S, T> {
+    fn apply_boxed(self: Box<Self>, sigma: &mut Sigma<'_, S>) -> Result<T, ReplayError>;
+}
+
+impl<S: Clone, X: Step<S>> DynStep<S, X::Ret> for X {
+    fn apply_boxed(self: Box<Self>, sigma: &mut Sigma<'_, S>) -> Result<X::Ret, ReplayError> {
+        (*self).apply(sigma)
+    }
+}
+
+/// A transition whose type is erased ([`Step::boxed`]). Its constructors
+/// are here too, each returning the transition unboxed.
+pub struct Transition<S, T> {
+    step: Box<dyn DynStep<S, T> + Send>,
 }
 
 impl<S, T> fmt::Debug for Transition<S, T> {
@@ -83,110 +178,164 @@ impl<S, T> fmt::Debug for Transition<S, T> {
     }
 }
 
-impl<S: Clone + 'static, T: 'static> Transition<S, T> {
-    /// Wraps a raw step function as a transition. Its `Outcome::Ok`
-    /// state counts as a new one, whatever it holds.
-    pub fn new(f: impl Fn(&S) -> Outcome<S, T> + Send + Sync + 'static) -> Self {
-        Transition::borrowing(move |s: &S| match f(s) {
-            Outcome::Ok(s2, v) => Ok((Some(s2), v)),
-            Outcome::Undefined => Err(ReplayError::Undefined),
-            Outcome::Blocked => Err(ReplayError::Blocked),
-        })
-    }
-
-    /// The transition whose step is `f`.
-    fn borrowing(f: impl Fn(&S) -> Step<S, T> + Send + Sync + 'static) -> Self {
-        Transition { step: Arc::new(f) }
-    }
-
-    /// Runs the transition in state `s`: [`step`](Transition::step), with
-    /// an unchanged state cloned into the outcome.
-    pub fn run(&self, s: &S) -> Outcome<S, T> {
-        match self.step(s) {
-            Ok((s2, v)) => Outcome::Ok(s2.unwrap_or_else(|| s.clone()), v),
-            Err(ReplayError::Blocked) => Outcome::Blocked,
-            // A transition fails with no other error.
-            Err(_) => Outcome::Undefined,
-        }
-    }
-
-    /// Simulates the transition as one spec step from `s`, borrowing it:
-    /// the new state (`None` when the step left `s` as it was) and the
-    /// value, or why the step is not one the spec allows. The ghost
-    /// engine and [`crate::SeqReplay`] take every step through here and
-    /// assign their state only on `Ok((Some(..), _))`.
-    pub fn step(&self, s: &S) -> Result<(Option<S>, T), ReplayError> {
-        (self.step)(s)
-    }
-
-    /// `ret v` — the identity transition returning `v`.
-    pub fn ret(v: T) -> Self
-    where
-        T: Clone + Send + Sync,
-    {
-        Transition::borrowing(move |_: &S| Ok((None, v.clone())))
-    }
-
-    /// `undefined` — the caller triggered undefined behaviour.
-    pub fn undefined() -> Self {
-        Transition::borrowing(|_: &S| Err(ReplayError::Undefined))
-    }
-
-    /// `blocked` — a disabled transition (failed guard).
-    pub fn blocked() -> Self {
-        Transition::borrowing(|_: &S| Err(ReplayError::Blocked))
-    }
-
-    /// `gets f` — observes the state without changing it.
-    pub fn gets(f: impl Fn(&S) -> T + Send + Sync + 'static) -> Self {
-        Transition::borrowing(move |s: &S| Ok((None, f(s))))
-    }
-
-    /// Monadic bind: run `self`, then run the transition produced by `f`
-    /// from the intermediate state. Partial if either half is.
-    pub fn and_then<U: 'static>(
-        self,
-        f: impl Fn(T) -> Transition<S, U> + Send + Sync + 'static,
-    ) -> Transition<S, U> {
-        Transition::borrowing(move |s: &S| match self.step(s)? {
-            (None, v) => f(v).step(s),
-            (Some(s2), v) => {
-                let (s3, u) = f(v).step(&s2)?;
-                Ok((Some(s3.unwrap_or(s2)), u))
-            }
-        })
-    }
-
-    /// Maps the returned value.
-    pub fn map<U: 'static>(self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Transition<S, U> {
-        Transition::borrowing(move |s: &S| self.step(s).map(|(s2, v)| (s2, f(v))))
-    }
-
-    /// Replaces the returned value with unit, keeping the state change.
-    pub fn ignore_ret(self) -> Transition<S, ()> {
-        self.map(|_| ())
+impl<S: Clone, T> Step<S> for Transition<S, T> {
+    type Ret = T;
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<T, ReplayError> {
+        self.step.apply_boxed(sigma)
     }
 }
 
-impl<S: Clone + 'static> Transition<S, ()> {
-    /// `modify f` — updates the state, returning unit.
-    pub fn modify(f: impl Fn(&S) -> S + Send + Sync + 'static) -> Self {
-        Transition::borrowing(move |s: &S| Ok((Some(f(s)), ())))
+impl<S: Clone, T> Transition<S, T> {
+    /// Wraps a raw step function, from a state to its [`Outcome`], as a
+    /// transition.
+    pub fn new(f: impl FnOnce(&S) -> Outcome<S, T> + Send + 'static) -> Self
+    where
+        S: 'static,
+        T: 'static,
+    {
+        Raw(f).boxed()
+    }
+
+    /// `ret v` — the identity transition returning `v`.
+    pub fn ret(v: T) -> Ret<S, T> {
+        Ret(v, PhantomData)
+    }
+
+    /// `undefined` — the caller triggered undefined behaviour.
+    pub fn undefined() -> Fail<S, T> {
+        Fail(ReplayError::Undefined, PhantomData)
+    }
+
+    /// `blocked` — a disabled transition (failed guard).
+    pub fn blocked() -> Fail<S, T> {
+        Fail(ReplayError::Blocked, PhantomData)
+    }
+
+    /// `gets f` — observes the state without changing it.
+    pub fn gets<F: FnOnce(&S) -> T>(f: F) -> Gets<F> {
+        Gets(f)
+    }
+}
+
+impl<S: Clone> Transition<S, ()> {
+    /// `modify f` — updates the state in place, returning unit.
+    pub fn modify<F: FnOnce(&mut S)>(f: F) -> Modify<F> {
+        Modify(f)
     }
 
     /// `check p` — undefined behaviour unless `p` holds (a UB guard).
-    pub fn check(p: impl Fn(&S) -> bool + Send + Sync + 'static) -> Self {
-        Transition::borrowing(move |s: &S| p(s).then_some((None, ())).ok_or(ReplayError::Undefined))
+    pub fn check<F: FnOnce(&S) -> bool>(p: F) -> Check<F> {
+        Check(p, ReplayError::Undefined)
     }
 
     /// `guard p` — blocked unless `p` holds (an enabledness guard).
-    pub fn guard(p: impl Fn(&S) -> bool + Send + Sync + 'static) -> Self {
-        Transition::borrowing(move |s: &S| p(s).then_some((None, ())).ok_or(ReplayError::Blocked))
+    pub fn guard<F: FnOnce(&S) -> bool>(p: F) -> Check<F> {
+        Check(p, ReplayError::Blocked)
     }
 
-    /// The identity transition (`ret ()` without the `Clone` bound on `T`).
-    pub fn skip() -> Self {
-        Transition::borrowing(|_: &S| Ok((None, ())))
+    /// The identity transition (`ret ()`).
+    pub fn skip() -> Ret<S, ()> {
+        Ret((), PhantomData)
+    }
+}
+
+/// [`Transition::new`].
+struct Raw<F>(F);
+
+impl<S: Clone, T, F: FnOnce(&S) -> Outcome<S, T>> Step<S> for Raw<F> {
+    type Ret = T;
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<T, ReplayError> {
+        match (self.0)(sigma.get()) {
+            Outcome::Ok(s2, v) => {
+                sigma.update(|s| *s = s2);
+                Ok(v)
+            }
+            Outcome::Undefined => Err(ReplayError::Undefined),
+            Outcome::Blocked => Err(ReplayError::Blocked),
+        }
+    }
+}
+
+/// [`Transition::ret`], [`Transition::skip`].
+pub struct Ret<S, T>(T, PhantomData<fn(&S)>);
+
+impl<S: Clone, T> Step<S> for Ret<S, T> {
+    type Ret = T;
+    fn apply(self, _: &mut Sigma<'_, S>) -> Result<T, ReplayError> {
+        Ok(self.0)
+    }
+}
+
+/// [`Transition::undefined`], [`Transition::blocked`].
+pub struct Fail<S, T>(ReplayError, PhantomData<fn(&S) -> T>);
+
+impl<S: Clone, T> Step<S> for Fail<S, T> {
+    type Ret = T;
+    fn apply(self, _: &mut Sigma<'_, S>) -> Result<T, ReplayError> {
+        Err(self.0)
+    }
+}
+
+/// A link that fails with the error it holds, or steps on.
+impl<S: Clone, G: Step<S>> Step<S> for Result<G, ReplayError> {
+    type Ret = G::Ret;
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<G::Ret, ReplayError> {
+        self?.apply(sigma)
+    }
+}
+
+/// [`Transition::gets`].
+pub struct Gets<F>(F);
+
+impl<S: Clone, T, F: FnOnce(&S) -> T> Step<S> for Gets<F> {
+    type Ret = T;
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<T, ReplayError> {
+        Ok((self.0)(sigma.get()))
+    }
+}
+
+/// [`Transition::modify`].
+pub struct Modify<F>(F);
+
+impl<S: Clone, F: FnOnce(&mut S)> Step<S> for Modify<F> {
+    type Ret = ();
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<(), ReplayError> {
+        sigma.update(self.0);
+        Ok(())
+    }
+}
+
+/// [`Transition::check`], [`Transition::guard`].
+pub struct Check<F>(F, ReplayError);
+
+impl<S: Clone, F: FnOnce(&S) -> bool> Step<S> for Check<F> {
+    type Ret = ();
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<(), ReplayError> {
+        (self.0)(sigma.get()).then_some(()).ok_or(self.1)
+    }
+}
+
+/// [`Step::and_then`].
+pub struct AndThen<A, F>(A, F);
+
+impl<S: Clone, A: Step<S>, G: Step<S>, F: FnOnce(A::Ret) -> G> Step<S> for AndThen<A, F> {
+    type Ret = G::Ret;
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<G::Ret, ReplayError> {
+        // The second half may fail: the first is not the step's last link.
+        let last = std::mem::replace(&mut sigma.last, false);
+        let v = self.0.apply(sigma);
+        sigma.last = last;
+        (self.1)(v?).apply(sigma)
+    }
+}
+
+/// [`Step::map`], [`Step::ignore_ret`].
+pub struct Map<A, F>(A, F);
+
+impl<S: Clone, A: Step<S>, U, F: FnOnce(A::Ret) -> U> Step<S> for Map<A, F> {
+    type Ret = U;
+    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<U, ReplayError> {
+        self.0.apply(sigma).map(self.1)
     }
 }
 
@@ -203,77 +352,84 @@ mod tests {
 
     #[test]
     fn ret_preserves_state() {
-        let t: Transition<S, u64> = Transition::ret(42);
+        let t = Transition::<S, u64>::ret(42);
         assert_eq!(t.run(&st(&[(1, 2)])), Outcome::Ok(st(&[(1, 2)]), 42));
     }
 
     #[test]
     fn gets_observes_without_mutation() {
-        let t: Transition<S, Option<u64>> = Transition::gets(|s: &S| s.get(&1).copied());
-        assert_eq!(t.run(&st(&[(1, 5)])), Outcome::Ok(st(&[(1, 5)]), Some(5)));
-        assert_eq!(t.run(&st(&[])), Outcome::Ok(st(&[]), None));
+        let t = || Transition::gets(|s: &S| s.get(&1).copied());
+        assert_eq!(t().run(&st(&[(1, 5)])), Outcome::Ok(st(&[(1, 5)]), Some(5)));
+        assert_eq!(t().run(&st(&[])), Outcome::Ok(st(&[]), None));
     }
 
     #[test]
     fn modify_updates_state() {
-        let t: Transition<S, ()> = Transition::modify(|s: &S| {
-            let mut s = s.clone();
+        let t = Transition::modify(|s: &mut S| {
             s.insert(7, 9);
-            s
         });
         assert_eq!(t.run(&st(&[])), Outcome::Ok(st(&[(7, 9)]), ()));
     }
 
     #[test]
     fn undefined_propagates_through_bind() {
-        let t: Transition<S, u64> =
-            Transition::<S, u64>::undefined().and_then(|_| Transition::ret(1));
+        let t = Transition::<S, u64>::undefined().and_then(Transition::ret);
         assert_eq!(t.run(&st(&[])), Outcome::Undefined);
-        let t2: Transition<S, u64> =
-            Transition::<S, u64>::ret(3).and_then(|_| Transition::undefined());
+        let t2 = Transition::<S, u64>::ret(3).and_then(|_| Transition::<S, u64>::undefined());
         assert_eq!(t2.run(&st(&[])), Outcome::Undefined);
     }
 
     #[test]
     fn blocked_propagates_through_bind() {
-        let t: Transition<S, ()> = Transition::<S, ()>::blocked().and_then(|_| Transition::skip());
+        let t = Transition::<S, ()>::blocked().and_then(|()| Transition::skip());
         assert_eq!(t.run(&st(&[])), Outcome::Blocked);
     }
 
     #[test]
     fn check_is_ub_guard() {
-        let t = Transition::<S, ()>::check(|s| s.contains_key(&1));
-        assert!(t.run(&st(&[(1, 1)])).is_ok());
-        assert_eq!(t.run(&st(&[])), Outcome::Undefined);
+        let t = || Transition::check(|s: &S| s.contains_key(&1));
+        assert!(t().run(&st(&[(1, 1)])).is_ok());
+        assert_eq!(t().run(&st(&[])), Outcome::Undefined);
     }
 
     #[test]
     fn guard_is_enabledness() {
-        let t = Transition::<S, ()>::guard(|s| s.is_empty());
-        assert!(t.run(&st(&[])).is_ok());
-        assert_eq!(t.run(&st(&[(1, 1)])), Outcome::Blocked);
+        let t = || Transition::guard(|s: &S| s.is_empty());
+        assert!(t().run(&st(&[])).is_ok());
+        assert_eq!(t().run(&st(&[(1, 1)])), Outcome::Blocked);
     }
 
     #[test]
     fn step_names_why_a_step_is_not_allowed() {
-        let t = Transition::<S, ()>::check(|s| s.contains_key(&1));
-        assert_eq!(t.step(&st(&[(1, 1)])), Ok((None, ())));
-        assert_eq!(t.step(&st(&[])), Err(ReplayError::Undefined));
-        let t = Transition::<S, ()>::guard(|s| s.is_empty());
-        assert_eq!(t.step(&st(&[(1, 1)])), Err(ReplayError::Blocked));
+        let t = || Transition::check(|s: &S| s.contains_key(&1));
+        assert_eq!(t().step(&mut st(&[(1, 1)])), Ok(()));
+        assert_eq!(t().step(&mut st(&[])), Err(ReplayError::Undefined));
+        let t = Transition::guard(|s: &S| s.is_empty());
+        assert_eq!(t.step(&mut st(&[(1, 1)])), Err(ReplayError::Blocked));
+    }
+
+    #[test]
+    fn a_step_that_fails_after_an_update_gives_sigma_back() {
+        let mut s = st(&[(1, 1)]);
+        let t = Transition::modify(|s: &mut S| {
+            s.insert(2, 2);
+        })
+        .and_then(|()| Transition::<S, ()>::blocked());
+        assert_eq!(t.step(&mut s), Err(ReplayError::Blocked));
+        assert_eq!(s, st(&[(1, 1)]));
     }
 
     #[test]
     fn bind_threads_state() {
         // Figure 3's rd_write shape: lookup, then conditional modify.
-        let write = |a: u64, v: u64| -> Transition<S, ()> {
-            Transition::gets(move |s: &S| s.get(&a).copied()).and_then(move |mv| match mv {
-                Some(_) => Transition::modify(move |s: &S| {
-                    let mut s = s.clone();
+        let write = |a: u64, v: u64| {
+            Transition::gets(move |s: &S| s.contains_key(&a)).and_then(move |present| {
+                if !present {
+                    return Err(ReplayError::Undefined);
+                }
+                Ok(Transition::modify(move |s: &mut S| {
                     s.insert(a, v);
-                    s
-                }),
-                None => Transition::undefined(),
+                }))
             })
         };
         assert_eq!(
@@ -285,10 +441,18 @@ mod tests {
 
     #[test]
     fn map_transforms_value_only() {
-        let t: Transition<S, u64> = Transition::gets(|s: &S| s.len() as u64).map(|n| n * 2);
+        let t = Transition::gets(|s: &S| s.len() as u64).map(|n| n * 2);
         assert_eq!(
             t.run(&st(&[(1, 1), (2, 2)])),
             Outcome::Ok(st(&[(1, 1), (2, 2)]), 4)
         );
+    }
+
+    #[test]
+    fn a_boxed_transition_steps_like_the_unboxed_one() {
+        let t = |k| Transition::gets(move |s: &S| s.get(&k).copied()).map(|v| v.unwrap_or(0));
+        let s = st(&[(1, 5)]);
+        assert_eq!(t(1).boxed().run(&s), t(1).run(&s));
+        assert_eq!(t(2).boxed().run(&s), Outcome::Ok(s.clone(), 0));
     }
 }

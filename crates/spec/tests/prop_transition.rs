@@ -1,11 +1,12 @@
 //! Property-based tests for the transition DSL: monad laws and
 //! partiality propagation hold for arbitrary state contents, and the
-//! borrowing step agrees with `run` on generated transitions.
+//! in-place step agrees with a reference interpreter on generated
+//! transitions, giving `σ` back whenever the step is not one.
 
 use perennial::{Ghost, GhostError};
 use perennial_spec::fixtures::{RegSpec, RegState};
 use perennial_spec::system::ReplayError;
-use perennial_spec::{Outcome, Transition};
+use perennial_spec::{Outcome, Step, Transition};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -19,9 +20,7 @@ proptest! {
     // Left identity: ret(v).and_then(f) == f(v).
     #[test]
     fn monad_left_identity(s in arb_state(), v in 0u64..100, k in 0u64..16) {
-        let f = move |x: u64| -> Transition<S, u64> {
-            Transition::gets(move |st: &S| st.get(&k).copied().unwrap_or(0) + x)
-        };
+        let f = move |x: u64| Transition::gets(move |st: &S| st.get(&k).copied().unwrap_or(0) + x);
         let lhs = Transition::<S, u64>::ret(v).and_then(f);
         let rhs = f(v);
         prop_assert_eq!(lhs.run(&s), rhs.run(&s));
@@ -30,33 +29,31 @@ proptest! {
     // Right identity: t.and_then(ret) == t.
     #[test]
     fn monad_right_identity(s in arb_state(), k in 0u64..16) {
-        let t: Transition<S, u64> = Transition::gets(move |st: &S| st.get(&k).copied().unwrap_or(7));
-        let lhs = t.clone().and_then(Transition::ret);
-        prop_assert_eq!(lhs.run(&s), t.run(&s));
+        let t = move || Transition::gets(move |st: &S| st.get(&k).copied().unwrap_or(7));
+        let lhs = t().and_then(Transition::ret);
+        prop_assert_eq!(lhs.run(&s), t().run(&s));
     }
 
     // Associativity: (t >>= f) >>= g == t >>= (|x| f(x) >>= g).
     #[test]
     fn monad_associativity(s in arb_state(), k in 0u64..16, d in 1u64..5) {
-        let t: Transition<S, u64> = Transition::gets(move |st: &S| st.len() as u64 + k);
-        let f = move |x: u64| -> Transition<S, u64> { Transition::ret(x + d) };
-        let g = move |x: u64| -> Transition<S, u64> {
-            Transition::modify(move |st: &S| {
-                let mut st = st.clone();
+        let t = move || Transition::gets(move |st: &S| st.len() as u64 + k);
+        let f = move |x: u64| Transition::ret(x + d);
+        let g = move |x: u64| {
+            Transition::modify(move |st: &mut S| {
                 st.insert(x % 16, x);
-                st
             })
             .map(move |()| x * 2)
         };
-        let lhs = t.clone().and_then(f).and_then(g);
-        let rhs = t.and_then(move |x| f(x).and_then(g));
+        let lhs = t().and_then(f).and_then(g);
+        let rhs = t().and_then(move |x| f(x).and_then(g));
         prop_assert_eq!(lhs.run(&s), rhs.run(&s));
     }
 
     // gets never mutates the state.
     #[test]
     fn gets_is_pure(s in arb_state(), k in 0u64..16) {
-        let t: Transition<S, Option<u64>> = Transition::gets(move |st: &S| st.get(&k).copied());
+        let t = Transition::gets(move |st: &S| st.get(&k).copied());
         match t.run(&s) {
             Outcome::Ok(s2, _) => prop_assert_eq!(s2, s),
             other => prop_assert!(false, "unexpected outcome {:?}", other),
@@ -66,22 +63,18 @@ proptest! {
     // Undefined is absorbing on both sides of bind.
     #[test]
     fn undefined_absorbs(s in arb_state()) {
-        let left: Transition<S, u64> =
-            Transition::<S, u64>::undefined().and_then(Transition::ret);
+        let left = Transition::<S, u64>::undefined().and_then(Transition::ret);
         prop_assert_eq!(left.run(&s), Outcome::Undefined);
-        let right: Transition<S, u64> =
-            Transition::<S, u64>::ret(1).and_then(|_| Transition::undefined());
+        let right = Transition::<S, u64>::ret(1).and_then(|_| Transition::<S, u64>::undefined());
         prop_assert_eq!(right.run(&s), Outcome::Undefined);
     }
 
     // modify composes like function composition.
     #[test]
     fn modify_composes(s in arb_state(), a in 0u64..16, v1 in 0u64..100, v2 in 0u64..100) {
-        let w = |a: u64, v: u64| -> Transition<S, ()> {
-            Transition::modify(move |st: &S| {
-                let mut st = st.clone();
+        let w = |a: u64, v: u64| {
+            Transition::modify(move |st: &mut S| {
                 st.insert(a, v);
-                st
             })
         };
         let seq = w(a, v1).and_then(move |()| w(a, v2));
@@ -89,37 +82,27 @@ proptest! {
         prop_assert_eq!(s2.get(&a).copied(), Some(v2));
     }
 
-    /// The read-only combinators — `ret`, `gets`, `check`, `guard`,
-    /// `skip`, and `and_then`/`map` over them — report the state
-    /// unchanged rather than a copy of it.
+    /// The step runs in place and agrees with a reference interpreter
+    /// that threads an owned state through every atom; a step that is
+    /// not one leaves the state exactly as it was, whatever it updated
+    /// before it failed.
     #[test]
-    fn read_only_combinators_report_the_state_unchanged(
-        s in arb_state(),
-        atoms in proptest::collection::vec(arb_read(), 0..8),
-    ) {
-        match chain(&atoms).step(&s) {
-            Ok((None, _)) | Err(_) => {}
-            Ok((Some(s2), _)) => prop_assert!(false, "{:?} reported a new state {:?}", atoms, s2),
-        }
-    }
-
-    /// `run` is the borrowing step with an unchanged state cloned into
-    /// the outcome, and both agree with a reference interpreter that
-    /// threads an owned state through every atom.
-    #[test]
-    fn run_is_the_borrowing_step_plus_a_clone(
+    fn the_in_place_step_agrees_with_the_reference(
         s in arb_state(),
         atoms in proptest::collection::vec(arb_atom(), 0..8),
     ) {
-        let t = chain(&atoms);
-        let stepped = match t.step(&s) {
-            Ok((s2, v)) => Outcome::Ok(s2.unwrap_or_else(|| s.clone()), v),
+        let mut stepped = s.clone();
+        let outcome = match chain(&atoms).step(&mut stepped) {
+            Ok(v) => Outcome::Ok(stepped.clone(), v),
             Err(ReplayError::Undefined) => Outcome::Undefined,
             Err(ReplayError::Blocked) => Outcome::Blocked,
             Err(e) => unreachable!("a transition fails with no other error: {e:?}"),
         };
-        prop_assert_eq!(t.run(&s), stepped);
-        prop_assert_eq!(t.run(&s), reference(&atoms, s.clone()));
+        if !outcome.is_ok() {
+            prop_assert_eq!(&stepped, &s);
+        }
+        prop_assert_eq!(&outcome, &reference(&atoms, s.clone()));
+        prop_assert_eq!(chain(&atoms).run(&s), outcome);
     }
 
     /// A step whose `and_then` half is undefined or blocked after a
@@ -134,24 +117,21 @@ proptest! {
     ) {
         let g = Ghost::new(RegSpec { size: 4 });
         for (a, v) in writes {
-            g.internal_step(&write(a, v)).unwrap();
+            g.internal_step(write(a, v).boxed()).unwrap();
         }
         let before = g.spec_state();
-        let t = write(a, v).and_then(move |()| {
-            if blocked { Transition::blocked() } else { Transition::undefined() }
-        });
         let err = if blocked { ReplayError::Blocked } else { ReplayError::Undefined };
-        prop_assert_eq!(g.internal_step(&t), Err(GhostError::SpecStep { jid: None, err }));
+        let fail = err.clone();
+        let t = write(a, v).and_then(move |()| Err::<Transition<RegState, ()>, _>(fail));
+        prop_assert_eq!(g.internal_step(t.boxed()), Err(GhostError::SpecStep { jid: None, err }));
         prop_assert_eq!(g.spec_state(), before);
     }
 }
 
 /// `modify` that sets register `a` to `v`.
-fn write(a: u64, v: u64) -> Transition<RegState, ()> {
-    Transition::modify(move |st: &RegState| {
-        let mut st = st.clone();
+fn write(a: u64, v: u64) -> impl Step<RegState, Ret = ()> + Send + 'static {
+    Transition::modify(move |st: &mut RegState| {
         st.insert(a, v);
-        st
     })
 }
 
@@ -196,22 +176,35 @@ fn arb_atom() -> impl Strategy<Value = Atom> {
 fn chain(atoms: &[Atom]) -> Transition<S, u64> {
     atoms
         .iter()
-        .fold(Transition::ret(0), |t, atom| match *atom {
-            Atom::Map(d) => t.map(move |x| x + d),
-            Atom::Ret(v) => t.and_then(move |x| Transition::ret(x + v)),
-            Atom::Gets(k) => t.and_then(move |x| {
-                Transition::gets(move |st: &S| st.get(&k).copied().unwrap_or(0) + x)
-            }),
-            Atom::Check(k) => t.and_then(move |x| {
-                Transition::check(move |st: &S| st.contains_key(&k)).map(move |()| x)
-            }),
-            Atom::Guard(k) => t.and_then(move |x| {
-                Transition::guard(move |st: &S| !st.contains_key(&k)).map(move |()| x)
-            }),
-            Atom::Skip => t.and_then(|x| Transition::skip().map(move |()| x)),
-            Atom::Modify(a, v) => t.and_then(move |x| write(a, v).map(move |()| x)),
-            Atom::Undefined => t.and_then(|_| Transition::undefined()),
-            Atom::Blocked => t.and_then(|_| Transition::blocked()),
+        .fold(Transition::ret(0).boxed(), |t, atom| match *atom {
+            Atom::Map(d) => t.map(move |x| x + d).boxed(),
+            Atom::Ret(v) => t.and_then(move |x| Transition::ret(x + v)).boxed(),
+            Atom::Gets(k) => t
+                .and_then(move |x| {
+                    Transition::gets(move |st: &S| st.get(&k).copied().unwrap_or(0) + x)
+                })
+                .boxed(),
+            Atom::Check(k) => t
+                .and_then(move |x| {
+                    Transition::check(move |st: &S| st.contains_key(&k)).map(move |()| x)
+                })
+                .boxed(),
+            Atom::Guard(k) => t
+                .and_then(move |x| {
+                    Transition::guard(move |st: &S| !st.contains_key(&k)).map(move |()| x)
+                })
+                .boxed(),
+            Atom::Skip => t.and_then(|x| Transition::skip().map(move |()| x)).boxed(),
+            Atom::Modify(a, v) => t
+                .and_then(move |x| {
+                    Transition::modify(move |st: &mut S| {
+                        st.insert(a, v);
+                    })
+                    .map(move |()| x)
+                })
+                .boxed(),
+            Atom::Undefined => t.and_then(|_| Transition::<S, u64>::undefined()).boxed(),
+            Atom::Blocked => t.and_then(|_| Transition::<S, u64>::blocked()).boxed(),
         })
 }
 

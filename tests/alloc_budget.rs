@@ -1,10 +1,14 @@
 //! Heap allocations per execution, held under a budget at tier-1
 //! (ROADMAP item 1 (e), item 2). The count is exact where a stopwatch on
 //! a noisy 2-vCPU host cannot resolve a 10 % change, so this is what
-//! keeps the allocation-free dependency tracking of PR 25 from
-//! regressing silently: two mutants under sleep-set DPOR (footprints on
-//! every grant) and one correct scenario under the exhaustive strategy,
-//! each at one worker with no stream, each against its own budget.
+//! keeps the allocation-free dependency tracking of PR 25 and the
+//! allocation-free spec steps, disk blocks and ghost cells of PR 35 from
+//! regressing silently: three mutants under sleep-set DPOR (footprints
+//! on every grant; one of them over the file-system and network models),
+//! one correct scenario under the exhaustive strategy and one under the
+//! fault sweeps (random-crash pairs and torn-write jobs, which crash in
+//! place), each at one worker with no stream, each against its own
+//! budget.
 //!
 //! The allocator is the one `scale` installs
 //! (`perennial_bench::count_alloc`): every `alloc`, `alloc_zeroed` and
@@ -62,6 +66,17 @@ fn verify() -> CheckConfigBuilder {
         .keep_going(true)
 }
 
+/// `benchmark/`'s `faults` configuration.
+fn faults() -> CheckConfigBuilder {
+    CheckConfig::builder()
+        .dfs_max_executions(500)
+        .random_samples(100)
+        .random_crash_samples(200)
+        .keep_going(true)
+        .without_passes([Pass::NestedCrash])
+        .with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault])
+}
+
 fn within(name: &str, measured: f64, budget: f64) {
     // A counter that counts nothing would pass every budget.
     assert!(measured > 0.0, "{name}: no allocation counted");
@@ -71,29 +86,41 @@ fn within(name: &str, measured: f64, budget: f64) {
     );
 }
 
-// Budgets: the value measured at PR 25 plus 10 %. The parent of PR 25
+// Budgets: the value measured at PR 35 plus 10 %. Its parent (a boxed
+// closure per spec combinator and a cloned σ per update, a heap buffer
+// per disk block, a box per ghost-cell write) measured 142.5, 92.1,
+// 98.0, 213.1 and 176.8 on the same five runs; the parent of PR 25
 // (nested footprint rows, a `to_vec()` of the runnable set per grant,
-// footprints cloned into every sleep set) measured 269.9, 157.6 and
-// 119.5 on the same three runs.
+// footprints cloned into every sleep set) 269.9, 157.6 and 119.5 on the
+// first three.
 
 #[test]
 fn dpor_footprints_allocate_within_budget() {
-    // 1 999 executions, nearly all of them in the DPOR schedule phase:
-    // 146.5 per execution before spec reads stopped cloning the
-    // abstract state, 142.5 after; the budget is the latter plus 10 %.
+    // 1 999 executions, nearly all of them in the DPOR schedule phase.
     let name = "patterns/mutant/gc-count-first";
-    within(name, allocs_per_exec(name, hunt(), true), 156.8);
-    // 69 executions, caught in the crash sweep: 89.1 at PR 25.
+    within(name, allocs_per_exec(name, hunt(), true), 69.1);
+    // 69 executions, caught in the crash sweep.
     let name = "patterns/mutant/panic-reset";
-    within(name, allocs_per_exec(name, hunt(), true), 98.0);
+    within(name, allocs_per_exec(name, hunt(), true), 49.6);
 }
 
 #[test]
 fn exhaustive_exploration_allocates_within_budget() {
     // No dependency tracking, and the crash sweeps' jobs forked off one
-    // shared execution: 96.5, plus 10 % (108.9 when each job re-ran its
-    // prefix). The forks a debug build re-runs to cross-check them run
-    // on a thread of their own, so they are not counted here.
+    // shared execution. The forks a debug build re-runs to cross-check
+    // them run on a thread of their own, so they are not counted here.
     let name = "patterns/wal";
-    within(name, allocs_per_exec(name, verify(), false), 106.2);
+    within(name, allocs_per_exec(name, verify(), false), 54.7);
+}
+
+#[test]
+fn fault_sweeps_allocate_within_budget() {
+    // 2 245 executions under DPOR, over the file-system and network
+    // models: the largest share of `hunt`'s executions.
+    let name = "mailboat/mutant/net-no-dedup";
+    within(name, allocs_per_exec(name, hunt(), true), 143.6);
+    // The fault passes' random-crash pairs and torn-write jobs crash in
+    // place, and the disk-fault jobs fork.
+    let name = "patterns/txn-wal";
+    within(name, allocs_per_exec(name, faults(), false), 66.0);
 }

@@ -50,10 +50,10 @@ fn run_recorded(seed: u64) -> Vec<perennial_checker::HistOp<RdOp, RdRet>> {
             _ => {
                 let h = rec.invoke(RdOp::Read(0));
                 let v = rd.rd_read(0);
-                rec.finish(h, RdRet::Val(v.clone()));
+                rec.finish(h, RdRet::Val(v.to_vec()));
                 let h = rec.invoke(RdOp::Read(1));
                 let v = rd.rd_read(1);
-                rec.finish(h, RdRet::Val(v));
+                rec.finish(h, RdRet::Val(v.to_vec()));
             }
         });
     }
@@ -118,7 +118,7 @@ fn broken_replica_produces_non_linearizable_history() {
 
     let h = rec.invoke(RdOp::Read(0));
     let v = rd.rd_read(0); // fails over to the stale disk 2
-    rec.finish(h, RdRet::Val(v.clone()));
+    rec.finish(h, RdRet::Val(v.to_vec()));
     assert_eq!(v, vec![0; BS], "setup: the stale value must be served");
 
     let verdict = check_linearizable(&spec, &rec.history(), 1_000_000);

@@ -22,7 +22,7 @@
 # and may be constructed at one site; a variant with a `msg` is one rule
 # per text, and no text may appear twice. error.rs defines and renders
 # the variants and constructs none, so it is not searched. Turning a
-# spec `Outcome` into an error is `Transition::step`'s job alone.
+# spec `Outcome` into an error is the transition DSL's job alone (`Step::step`).
 #
 # One fingerprint, one rendering: an execution's `trace_fp` is FNV-1a
 # over the fixed byte encoding of its ghost events (`perennial_spec::
@@ -84,6 +84,19 @@
 # stamp) and the `VOLATILE_KEYS`/`TIMING_KEYS` lists. And dashboard.rs
 # spells no key of the `run_end` record (the list pinned by telemetry.rs's
 # key-set test): it reads the typed record.
+#
+# Executions without the garbage: an execution allocates nothing per
+# spec step, disk block or ghost write, and its per-execution buffers
+# are reused. So the spec DSL (crates/spec/src/transition.rs) boxes no
+# step per combinator (no `Arc`); a spec module's `modify` updates σ in
+# place (its closure takes `&mut`, never a `&` to clone from); the disk
+# crate keeps its blocks in one flat buffer per platter (no
+# `Vec<Block>` store); the ghost engine keeps no boxed cell value
+# (`Box<dyn Any`/`CloneAny` nowhere in crates/core/src); the runtime
+# copies no thread name at a spawn (no `Into<String>` name in sched.rs);
+# and exec.rs allocates no decision path or `DepTrace` of its own
+# (`with_capacity`, `Box::new`): it takes the OS thread's spares
+# (`spare_path`, `DepTrace::spare`).
 #
 # One counter list: an execution's counters are one table too,
 # telemetry.rs's `EXEC_COUNTERS`, which `exec_done`'s writer and reader
@@ -188,7 +201,7 @@ fi
 if copies=$( (printf '%s' "$base_code"; code crates/spec/src/system.rs | sed 's|^|crates/spec/src/system.rs:|') |
     grep -E 'Outcome::(Undefined|Blocked)'); then
     failed=1
-    echo "        ^ a spec outcome is turned into an error by hand; that is Transition::step's business:"
+    echo "        ^ a spec outcome is turned into an error by hand; that is Step::step's business:"
     printf '%s\n' "$copies" | sed 's/^/          /'
 fi
 
@@ -374,6 +387,27 @@ if [ -n "$generic" ]; then
     failed=1
     echo "        ^ the driver is compiled once: take a &dyn AnyHarness, and erase a harness in a public wrapper:"
     printf '%s\n' "$generic" | sed 's/^/          /'
+fi
+
+echo
+spec_modules=$(grep -rlE 'impl (perennial_spec::)?SpecTS for' crates/*/src | sort)
+garbage=$(
+    code crates/spec/src/transition.rs | grep -E '\bArc\b' | sed 's|^|crates/spec/src/transition.rs:|'
+    for path in $spec_modules; do
+        code "$path" | grep -E 'modify\((move )?\|[a-z_]*: &[^m]' | sed "s|^|$path:|"
+    done
+    grep -rnE 'Vec<Block>' crates/disk/src --include='*.rs' || true
+    grep -rnE 'Box<dyn (Any|CloneAny)|CloneAny' crates/core/src --include='*.rs' || true
+    code crates/goose/src/sched.rs | grep -E 'Into<String>' | sed 's|^|crates/goose/src/sched.rs:|'
+    code crates/checker/src/exec.rs | grep -E 'with_capacity|Box::new' |
+        sed 's|^|crates/checker/src/exec.rs:|'
+)
+echo "no garbage: $(echo $spec_modules | wc -w) spec modules, $(printf '%s' "$garbage" | grep -c '') allocation source(s) back"
+if [ -n "$garbage" ]; then
+    failed=1
+    echo "        ^ an execution allocates here again (a boxed combinator, a cloned σ, a block or cell"
+    echo "          value of its own, a copied thread name, a fresh decision path):"
+    printf '%s\n' "$garbage" | sed 's/^/          /'
 fi
 
 echo
