@@ -5,7 +5,7 @@
 
 use crate::harness::{AnyGhost, AnyHarness, AnyWorld};
 use crate::pass::Pass;
-use crate::strategy::{spare_path, DepTrace};
+use crate::strategy::{Buffers, DepTrace};
 use crate::telemetry::{ExecStats, EXEC_COUNTERS};
 use goose_rt::fault::FaultPlan;
 use goose_rt::sched::{
@@ -145,9 +145,9 @@ struct ScheduleState {
 }
 
 impl ScheduleState {
-    fn new(policy: Policy, seed: u64) -> Self {
+    fn new(policy: Policy, seed: u64, decisions: Vec<(usize, usize)>) -> Self {
         ScheduleState {
-            decisions: spare_path(decisions_hint(&policy)),
+            decisions,
             policy,
             clamped: Vec::new(),
             rr_next: 0,
@@ -195,7 +195,8 @@ impl ScheduleState {
 /// `capture_trace` its causal recorder is on and the result carries an
 /// [`ExecTrace`] — a pure observer that changes no counter, schedule, or
 /// fault index. With `render_trace` the result carries the ghost trace's
-/// text even when the execution passes; a failing one always does.
+/// text even when the execution passes; a failing one always does. Its
+/// decision path and dependency trace fill `buffers`.
 pub(crate) struct ExecSpec<'a> {
     pub policy: Policy,
     pub crash_points: &'a [u64],
@@ -205,6 +206,7 @@ pub(crate) struct ExecSpec<'a> {
     pub track_deps: bool,
     pub capture_trace: bool,
     pub render_trace: bool,
+    pub buffers: Buffers,
 }
 
 /// The schedule policy that reproduces a counterexample: DFS prefixes
@@ -412,6 +414,7 @@ pub(crate) fn rerun(
         track_deps: false,
         capture_trace,
         render_trace: true,
+        buffers: Buffers::default(),
     };
     run_one(harness, spec)
 }
@@ -548,7 +551,7 @@ impl Exec {
     fn new(
         harness: &dyn AnyHarness,
         rt: &Arc<ModelRt>,
-        spec: ExecSpec<'_>,
+        mut spec: ExecSpec<'_>,
         base: Option<&Exec>,
         stops: &[u64],
     ) -> Self {
@@ -558,8 +561,8 @@ impl Exec {
         // A crashed copy restarts into recovery.
         let recovering = base.map(|_| world.restart());
         let hint = decisions_hint(&spec.policy);
-        let dep = spec.track_deps.then(|| DepTrace::spare(hint));
-        let mut sched = ScheduleState::new(spec.policy, spec.seed);
+        let dep = spec.track_deps.then(|| spec.buffers.deps(hint));
+        let mut sched = ScheduleState::new(spec.policy, spec.seed, spec.buffers.path(hint));
         let (inherited, crashes) = match base {
             None => (0, 0),
             Some(base) => {
@@ -807,6 +810,7 @@ mod tests {
             track_deps: false,
             capture_trace: false,
             render_trace,
+            buffers: Buffers::default(),
         };
         run_one(&Erased::new(harness), spec)
     }
@@ -902,6 +906,7 @@ mod tests {
             track_deps: false,
             capture_trace: false,
             render_trace: true,
+            buffers: Buffers::default(),
         }
     }
 

@@ -66,7 +66,7 @@ use crate::jobs::{
 use crate::metrics::{Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics};
 use crate::pass::Pass;
 use crate::profile::{collisions, ProfileBuilder, StrategyProfile};
-use crate::strategy::{recycle, ObservedExec, StrategySession};
+use crate::strategy::{ObservedExec, StrategySession};
 use crate::telemetry::EnvStamp;
 use goose_rt::fault::FaultSurface;
 use perennial_spec::SpecTS;
@@ -380,7 +380,7 @@ fn schedule_phase(driver: &mut Driver<'_>, session: &mut dyn StrategySession) {
         }
         session.observe(pass, &observed);
         for o in observed {
-            recycle(o.decisions, o.deps);
+            driver.spares.recycle(o.decisions, o.deps);
         }
     }
 }

@@ -17,7 +17,7 @@ use crate::exec::{
 use crate::harness::AnyHarness;
 use crate::metrics::{Coverage, FaultFamily, OutcomeKind};
 use crate::pass::Pass;
-use crate::strategy::{recycle, DepTrace, ScheduleSpec};
+use crate::strategy::{Buffers, DepTrace, ScheduleSpec, Spares};
 use crate::telemetry::{self, ExecStats, RunTelemetry};
 use goose_rt::fault::{FaultPlan, FaultSurface, NetFault, TornMode};
 use goose_rt::splitmix64;
@@ -414,7 +414,7 @@ impl Shared<'_> {
         (self.owns(job.key) || self.is_spine(job)) && !self.replays(job)
     }
 
-    /// The spec `job` runs under.
+    /// The spec `job` runs under, in buffers of its own.
     fn spec<'j>(&self, job: &'j Job, seed: u64) -> ExecSpec<'j> {
         ExecSpec {
             policy: job.policy.clone(),
@@ -425,6 +425,7 @@ impl Shared<'_> {
             track_deps: job.track_deps,
             capture_trace: false,
             render_trace: false,
+            buffers: Buffers::default(),
         }
     }
 
@@ -450,7 +451,7 @@ impl Shared<'_> {
 /// Runs one job (one or two executions) and appends its outcomes to
 /// `outs`, applying shard ownership: leaf jobs other shards own are
 /// skipped, spine jobs run but are not counted.
-fn execute_job(shared: &Shared<'_>, job: &Job, outs: &mut Vec<JobOutcome>) {
+fn execute_job(shared: &Shared<'_>, job: &Job, outs: &mut Vec<JobOutcome>, spares: &mut Spares) {
     let owned = shared.owns(job.key);
     let crash_key = (Pass::RandomCrash.rank(), job.key.1);
     // A random-crash probe must also run when this shard owns only the
@@ -464,7 +465,7 @@ fn execute_job(shared: &Shared<'_>, job: &Job, outs: &mut Vec<JobOutcome>) {
         return;
     }
     let seed = shared.seed(job);
-    let out = run_or_replay(shared, job, seed, owned);
+    let out = run_or_replay(shared, job, seed, owned, spares);
     let (ok, steps) = (out.kind == OutcomeKind::Ok, out.stats.steps);
     outs.push(out);
     if !crash_owned || !ok || !shared.cancel.should_run(crash_key) {
@@ -478,12 +479,18 @@ fn execute_job(shared: &Shared<'_>, job: &Job, outs: &mut Vec<JobOutcome>) {
         faults: job.faults.clone(),
         ..Job::new(Pass::RandomCrash, job.key.1, Policy::Random(Vec::new())).crashing_at(k)
     };
-    outs.push(run_or_replay(shared, &crash, seed, true));
+    outs.push(run_or_replay(shared, &crash, seed, true, spares));
 }
 
 /// One execution of a job: read back from the resume WAL if it completed
-/// there, otherwise run and [`record`]ed.
-fn run_or_replay(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool) -> JobOutcome {
+/// there, otherwise run in buffers from `spares` and [`record`]ed.
+fn run_or_replay(
+    shared: &Shared<'_>,
+    job: &Job,
+    seed: u64,
+    counted: bool,
+    spares: &mut Spares,
+) -> JobOutcome {
     // Schedule-phase executions (ranks 0-1) always run live — the
     // strategy needs their decision paths and dependency traces for
     // feedback; everything from the crash-sweep base up is replayable.
@@ -495,16 +502,27 @@ fn run_or_replay(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool) -> Jo
         let stats = shared.replay[&job.key];
         return JobOutcome::new(job, counted, OutcomeKind::Ok, stats);
     }
-    let r = run_one(shared.harness, shared.spec(job, seed));
-    record(shared, job, seed, counted, r)
+    let spec = ExecSpec {
+        buffers: spares.take(job.track_deps),
+        ..shared.spec(job, seed)
+    };
+    let r = run_one(shared.harness, spec);
+    record(shared, job, seed, counted, r, spares)
 }
 
 /// A live execution of `job`, recorded in the telemetry stream
 /// (`exec_done`, live counters, `counterexample`) and offered for
 /// cancellation if it failed. The `exec_done` record doubles as the WAL
 /// entry, so a replayed execution emits nothing: its record is already in
-/// the log.
-fn record(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool, r: RunResult) -> JobOutcome {
+/// the log. A sweep job's decision path goes back to `spares`.
+fn record(
+    shared: &Shared<'_>,
+    job: &Job,
+    seed: u64,
+    counted: bool,
+    r: RunResult,
+    spares: &mut Spares,
+) -> JobOutcome {
     let kind = OutcomeKind::of(&r.outcome);
     let (telem, index) = (&shared.telem, job.key.1);
     telem.exec_done(
@@ -536,7 +554,7 @@ fn record(shared: &Shared<'_>, job: &Job, seed: u64, counted: bool, r: RunResult
         decisions: if job.pass < Pass::CrashSweepBase {
             r.decisions
         } else {
-            recycle(r.decisions, None);
+            spares.recycle(r.decisions, None);
             Vec::new()
         },
         deps: r.deps,
@@ -586,10 +604,16 @@ fn groups(jobs: &[Job]) -> Vec<&[Job]> {
 /// (DESIGN.md §9); a job the shared execution cannot serve — it drew
 /// model randomness first, or ended before the job's crash point — is
 /// run by itself. Shards, the WAL and cancellation decide per job, as
-/// [`execute_job`] does.
-fn execute_group(shared: &Shared<'_>, jobs: &[Job], outs: &mut Vec<JobOutcome>) {
+/// [`execute_job`] does. Executions fill buffers from `spares`.
+fn execute_group(
+    shared: &Shared<'_>,
+    jobs: &[Job],
+    outs: &mut Vec<JobOutcome>,
+    spares: &mut Spares,
+) {
     let mut group = Group {
         shared,
+        spares,
         jobs,
         done: 0,
         first: outs.len(),
@@ -608,6 +632,7 @@ fn execute_group(shared: &Shared<'_>, jobs: &[Job], outs: &mut Vec<JobOutcome>) 
 /// A group's jobs as they are worked off, in key order.
 struct Group<'g, 'a> {
     shared: &'g Shared<'a>,
+    spares: &'g mut Spares,
     jobs: &'g [Job],
     /// Jobs handled so far.
     done: usize,
@@ -629,12 +654,20 @@ impl<'g> Group<'g, '_> {
 
     /// A round-robin execution with `crash_points`, seeded like the
     /// group's first job.
-    fn round_robin(&self, crash_points: &'g [u64]) -> ExecSpec<'g> {
+    fn round_robin(&mut self, crash_points: &'g [u64]) -> ExecSpec<'g> {
         let first: &'g Job = &self.jobs[0];
         ExecSpec {
             crash_points,
+            buffers: self.spares.take(false),
             ..self.shared.spec(first, self.shared.seed(first))
         }
+    }
+
+    /// Done with a shared execution: its steps counted, its decision
+    /// path kept for the next execution.
+    fn shared_done(&mut self, r: RunResult) {
+        self.shared_steps += r.steps_run;
+        self.spares.recycle(r.decisions, None);
     }
 
     /// Rank 3: the round-robin base, each job forked off it at its crash
@@ -646,7 +679,7 @@ impl<'g> Group<'g, '_> {
         }
         let (harness, base) = (self.shared.harness, self.round_robin(&[]));
         let base = run_stopping(harness, base, None, &stops, &mut |here| self.fork(here, 0));
-        self.shared_steps += base.steps_run;
+        self.shared_done(base);
     }
 
     /// Rank 4, one first-level crash point `k`: the round-robin base to
@@ -660,14 +693,16 @@ impl<'g> Group<'g, '_> {
         }
         let (harness, jobs) = (self.shared.harness, self.jobs);
         let k = &jobs[0].crash_points[..1];
-        let base = run_stopping(harness, self.round_robin(&[]), None, k, &mut |here| {
+        let base = self.round_robin(&[]);
+        let base = run_stopping(harness, base, None, k, &mut |here| {
             if here.shareable() {
                 let first = self.round_robin(k);
                 let at = &mut |here: &Exec| self.fork(here, 1);
-                self.shared_steps += run_stopping(harness, first, Some(here), &stops, at).steps_run;
+                let first = run_stopping(harness, first, Some(here), &stops, at);
+                self.shared_done(first);
             }
         });
-        self.shared_steps += base.steps_run;
+        self.shared_done(base);
     }
 
     /// At a stop of a shared execution: the jobs before the one crashing
@@ -686,15 +721,19 @@ impl<'g> Group<'g, '_> {
             return;
         }
         let seed = shared.seed(job);
-        let spec = shared.spec(job, seed);
+        let spec = ExecSpec {
+            buffers: self.spares.take(job.track_deps),
+            ..shared.spec(job, seed)
+        };
         let r = if here.shareable() {
             let forked = run_stopping(shared.harness, spec, Some(here), &[], &mut |_| {});
             self.confirm(job, seed, forked)
         } else {
             run_one(shared.harness, spec)
         };
-        self.outs
-            .push(record(shared, job, seed, shared.owns(job.key), r));
+        let counted = shared.owns(job.key);
+        let out = record(shared, job, seed, counted, r, self.spares);
+        self.outs.push(out);
     }
 
     /// Holds a fork to what a re-run of its job gives: in debug builds a
@@ -736,7 +775,7 @@ impl<'g> Group<'g, '_> {
     /// each replayed, skipped or run by itself.
     fn catch_up(&mut self, upto: usize) {
         for job in &self.jobs[self.done..upto] {
-            execute_job(self.shared, job, self.outs);
+            execute_job(self.shared, job, self.outs, self.spares);
         }
         self.done = self.done.max(upto);
     }
@@ -756,8 +795,14 @@ impl<'g> Group<'g, '_> {
 
 /// Runs a batch of jobs across the worker pool, one [`groups`] group at
 /// a time per worker (inline when a single worker suffices), and returns
-/// their outcomes in job order.
-fn run_wave(shared: &Shared<'_>, workers: usize, jobs: &[Job]) -> Vec<JobOutcome> {
+/// their outcomes in job order. Each worker takes a share of `spares`
+/// for its executions to fill and hands back what it is done with.
+fn run_wave(
+    shared: &Shared<'_>,
+    workers: usize,
+    spares: &mut Spares,
+    jobs: &[Job],
+) -> Vec<JobOutcome> {
     let groups = groups(jobs);
     let workers = workers.min(groups.len()).max(1);
     if workers == 1 {
@@ -765,7 +810,7 @@ fn run_wave(shared: &Shared<'_>, workers: usize, jobs: &[Job]) -> Vec<JobOutcome
         // wave grown by doubling would hold twice its size at the end.
         let mut outs = Vec::with_capacity(jobs.len());
         for group in groups {
-            execute_group(shared, group, &mut outs);
+            execute_group(shared, group, &mut outs, spares);
         }
         return outs;
     }
@@ -774,14 +819,22 @@ fn run_wave(shared: &Shared<'_>, workers: usize, jobs: &[Job]) -> Vec<JobOutcome
     let slots: Vec<Mutex<Vec<JobOutcome>>> =
         (0..groups.len()).map(|_| Mutex::new(Vec::new())).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= groups.len() {
-                    break;
-                }
-                execute_group(shared, groups[i], &mut slots[i].lock());
-            });
+        let (next, groups, slots) = (&next, &groups, &slots);
+        let hands: Vec<_> = spares
+            .deal(workers)
+            .into_iter()
+            .map(|mut hand| {
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= groups.len() {
+                        break hand;
+                    }
+                    execute_group(shared, groups[i], &mut slots[i].lock(), &mut hand);
+                })
+            })
+            .collect();
+        for hand in hands {
+            spares.gather(hand.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
     });
     slots
@@ -892,6 +945,8 @@ pub(crate) struct Driver<'a> {
     /// Enumerable sweep spaces, recorded as each sweep's job list arrives
     /// (deterministic: job derivation is probe-driven, not timed).
     pub coverage: Coverage,
+    /// Decision paths and dependency traces the check is done with.
+    pub spares: Spares,
 }
 
 impl<'a> Driver<'a> {
@@ -919,6 +974,7 @@ impl<'a> Driver<'a> {
             budget: BudgetGate::new(config.exec_budget),
             outcomes: Vec::new(),
             coverage: Coverage::default(),
+            spares: Spares::default(),
         }
     }
 
@@ -946,7 +1002,7 @@ impl<'a> Driver<'a> {
         let enumerable = jobs.iter().filter(|job| !job.probe).count();
         self.coverage.enumerated(pass, enumerable as u64);
         let jobs = self.budget.admit(jobs);
-        let outs = run_wave(&self.shared, self.workers, &jobs);
+        let outs = run_wave(&self.shared, self.workers, &mut self.spares, &jobs);
         self.outcomes.push(outs);
         self.outcomes.last_mut().map(Vec::as_mut_slice)
     }

@@ -26,7 +26,6 @@
 use crate::explore::CheckConfig;
 use crate::pass::Pass;
 use goose_rt::sched::{StepAccess, Tid};
-use std::cell::RefCell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -142,65 +141,96 @@ pub struct DepTrace {
     footprints: Rows<StepAccess>,
 }
 
-/// What the explorer is done with of the executions it observed, their
-/// dependency traces and decision paths, emptied.
-struct Spare {
+/// Decision paths and dependency traces a check is done with, emptied,
+/// for its next executions to fill instead of growing new ones. The
+/// check's driver keeps them and deals a share to each worker of a wave
+/// ([`Spares::deal`]), which hands back what it is done with.
+#[derive(Default)]
+pub(crate) struct Spares {
     // Boxed as handed out: a spare trace's box is reused too.
     #[allow(clippy::vec_box)]
     traces: Vec<Box<DepTrace>>,
     paths: Vec<Vec<(usize, usize)>>,
 }
 
-thread_local! {
-    /// This OS thread's spares, for its next executions to fill: a
-    /// worker's runs reuse them instead of growing new ones each time.
-    static SPARE: RefCell<Spare> = const {
-        RefCell::new(Spare {
-            traces: Vec::new(),
-            paths: Vec::new(),
-        })
-    };
-}
-
 /// Spares kept of each kind: more than a wave's executions.
 const SPARE_CAP: usize = 64;
 
-/// An empty decision path with room for `decisions` entries.
-pub(crate) fn spare_path(decisions: usize) -> Vec<(usize, usize)> {
-    let mut path = SPARE.with_borrow_mut(|s| s.paths.pop()).unwrap_or_default();
-    path.reserve(decisions);
-    path
-}
-
-/// Hands an observed execution's decision path and dependency trace
-/// back to this OS thread's spares.
-pub(crate) fn recycle(mut path: Vec<(usize, usize)>, deps: Option<Box<DepTrace>>) {
-    path.clear();
-    SPARE.with_borrow_mut(|s| {
-        if s.paths.len() < SPARE_CAP && path.capacity() > 0 {
-            s.paths.push(path);
+impl Spares {
+    /// Buffers for one execution: a spare decision path, and a spare
+    /// dependency trace if it tracks dependencies.
+    pub(crate) fn take(&mut self, track_deps: bool) -> Buffers {
+        Buffers {
+            path: self.paths.pop().unwrap_or_default(),
+            deps: if track_deps { self.traces.pop() } else { None },
         }
-        if let (Some(mut deps), true) = (deps, s.traces.len() < SPARE_CAP) {
+    }
+
+    /// Keeps an execution's decision path and dependency trace, emptied.
+    pub(crate) fn recycle(&mut self, mut path: Vec<(usize, usize)>, deps: Option<Box<DepTrace>>) {
+        path.clear();
+        if self.paths.len() < SPARE_CAP && path.capacity() > 0 {
+            self.paths.push(path);
+        }
+        if let (Some(mut deps), true) = (deps, self.traces.len() < SPARE_CAP) {
             deps.runnables.clear();
             deps.footprints.clear();
-            s.traces.push(deps);
+            self.traces.push(deps);
         }
-    });
+    }
+
+    /// The spares split into `n` shares, one per worker.
+    pub(crate) fn deal(&mut self, n: usize) -> Vec<Spares> {
+        let mut hands: Vec<Spares> = (0..n).map(|_| Spares::default()).collect();
+        for (i, path) in self.paths.drain(..).enumerate() {
+            hands[i % n].paths.push(path);
+        }
+        for (i, deps) in self.traces.drain(..).enumerate() {
+            hands[i % n].traces.push(deps);
+        }
+        hands
+    }
+
+    /// Takes back a worker's share.
+    pub(crate) fn gather(&mut self, hand: Spares) {
+        for path in hand.paths {
+            self.recycle(path, None);
+        }
+        for deps in hand.traces {
+            self.recycle(Vec::new(), Some(deps));
+        }
+    }
 }
 
-impl DepTrace {
-    /// An empty trace with room for `decisions` rows of one entry each
-    /// before an array grows: a spare one, if this OS thread has one.
-    pub(crate) fn spare(decisions: usize) -> Box<Self> {
-        let spare = SPARE.with_borrow_mut(|s| s.traces.pop());
-        spare.unwrap_or_else(|| {
+/// The buffers one execution fills: spares ([`Spares::take`]), or none,
+/// so that it grows its own.
+#[derive(Default)]
+pub(crate) struct Buffers {
+    path: Vec<(usize, usize)>,
+    deps: Option<Box<DepTrace>>,
+}
+
+impl Buffers {
+    /// An empty decision path with room for `decisions` entries.
+    pub(crate) fn path(&mut self, decisions: usize) -> Vec<(usize, usize)> {
+        let mut path = std::mem::take(&mut self.path);
+        path.reserve(decisions);
+        path
+    }
+
+    /// An empty dependency trace with room for `decisions` rows of one
+    /// entry each before an array grows, unless it is a spare.
+    pub(crate) fn deps(&mut self, decisions: usize) -> Box<DepTrace> {
+        self.deps.take().unwrap_or_else(|| {
             Box::new(DepTrace {
                 runnables: Rows::with_capacity(decisions),
                 footprints: Rows::with_capacity(decisions),
             })
         })
     }
+}
 
+impl DepTrace {
     /// Appends the runnable set of the next decision.
     pub(crate) fn push_runnable(&mut self, runnable: &[Tid]) {
         self.runnables

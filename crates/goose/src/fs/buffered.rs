@@ -280,7 +280,7 @@ impl FileSys for BufferedFs {
         Ok(())
     }
 
-    fn read_at_into(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
+    fn read_at(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
         let s = self.step(false, "read_at");
         let entry = s.fds.get(&fd).ok_or(FsError::BadFd)?;
         if entry.mode != Mode::Read {

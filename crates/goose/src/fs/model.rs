@@ -218,7 +218,7 @@ impl FileSys for ModelFs {
         Ok(())
     }
 
-    fn read_at_into(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
+    fn read_at(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
         let s = self.step(false, "read_at");
         let entry = s.fds.get(&fd).ok_or(FsError::BadFd)?;
         if entry.mode != Mode::Read {
@@ -367,7 +367,10 @@ mod tests {
         let (_rt, fs) = fixture();
         let d = fs.resolve("user0").unwrap();
         let wfd = fs.create(d, "m").unwrap().unwrap();
-        assert_eq!(fs.read_at(wfd, 0, 10), Err(FsError::BadMode));
+        assert_eq!(
+            fs.read_at(wfd, 0, 10, &mut Vec::new()),
+            Err(FsError::BadMode)
+        );
         fs.close(wfd).unwrap();
         let rfd = fs.open(d, "m").unwrap();
         assert_eq!(fs.append(rfd, b"x"), Err(FsError::BadMode));

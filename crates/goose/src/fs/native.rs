@@ -128,7 +128,7 @@ impl FileSys for NativeFs {
         Ok(())
     }
 
-    fn read_at_into(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
+    fn read_at(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize> {
         self.ops.fetch_add(1, Ordering::Relaxed);
         let inode = self.fd_inode(fd, Mode::Read)?;
         let data = inode.data.read();

@@ -77,14 +77,7 @@ pub trait FileSys: Send + Sync {
     /// Reads up to `len` bytes at `off` through a read-mode descriptor,
     /// appending them to `out`; the count read, short (possibly zero) at
     /// end of file.
-    fn read_at_into(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize>;
-
-    /// [`FileSys::read_at_into`] a vector of its own.
-    fn read_at(&self, fd: Fd, off: u64, len: u64) -> FsResult<Vec<u8>> {
-        let mut out = Vec::new();
-        self.read_at_into(fd, off, len, &mut out)?;
-        Ok(out)
-    }
+    fn read_at(&self, fd: Fd, off: u64, len: u64, out: &mut Vec<u8>) -> FsResult<usize>;
 
     /// File size through a read-mode descriptor.
     fn size(&self, fd: Fd) -> FsResult<u64>;
@@ -143,6 +136,7 @@ pub trait FileSys: Send + Sync {
     }
 
     /// Reads a whole file via open/read_at/close, in `chunk`-sized reads
+    /// into one buffer
     /// (the paper's Pickup reads 512-byte chunks; its §9.5 bug was an
     /// infinite loop here).
     fn read_file(&self, dir: DirH, name: &str, chunk: u64) -> FsResult<Vec<u8>> {
@@ -150,7 +144,7 @@ pub trait FileSys: Send + Sync {
         let mut out = Vec::new();
         let mut off = 0u64;
         loop {
-            let n = self.read_at_into(fd, off, chunk, &mut out)?;
+            let n = self.read_at(fd, off, chunk, &mut out)?;
             if n == 0 {
                 break;
             }

@@ -138,11 +138,6 @@ pub trait Step<S: Clone>: Sized {
         Map(self, f)
     }
 
-    /// Replaces the returned value with unit, keeping the state change.
-    fn ignore_ret(self) -> Map<Self, fn(Self::Ret)> {
-        Map(self, drop)
-    }
-
     /// Erases the transition's type (one allocation when it holds any
     /// data).
     fn boxed(self) -> Transition<S, Self::Ret>
@@ -186,16 +181,6 @@ impl<S: Clone, T> Step<S> for Transition<S, T> {
 }
 
 impl<S: Clone, T> Transition<S, T> {
-    /// Wraps a raw step function, from a state to its [`Outcome`], as a
-    /// transition.
-    pub fn new(f: impl FnOnce(&S) -> Outcome<S, T> + Send + 'static) -> Self
-    where
-        S: 'static,
-        T: 'static,
-    {
-        Raw(f).boxed()
-    }
-
     /// `ret v` — the identity transition returning `v`.
     pub fn ret(v: T) -> Ret<S, T> {
         Ret(v, PhantomData)
@@ -236,23 +221,6 @@ impl<S: Clone> Transition<S, ()> {
     /// The identity transition (`ret ()`).
     pub fn skip() -> Ret<S, ()> {
         Ret((), PhantomData)
-    }
-}
-
-/// [`Transition::new`].
-struct Raw<F>(F);
-
-impl<S: Clone, T, F: FnOnce(&S) -> Outcome<S, T>> Step<S> for Raw<F> {
-    type Ret = T;
-    fn apply(self, sigma: &mut Sigma<'_, S>) -> Result<T, ReplayError> {
-        match (self.0)(sigma.get()) {
-            Outcome::Ok(s2, v) => {
-                sigma.update(|s| *s = s2);
-                Ok(v)
-            }
-            Outcome::Undefined => Err(ReplayError::Undefined),
-            Outcome::Blocked => Err(ReplayError::Blocked),
-        }
     }
 }
 
@@ -329,7 +297,7 @@ impl<S: Clone, A: Step<S>, G: Step<S>, F: FnOnce(A::Ret) -> G> Step<S> for AndTh
     }
 }
 
-/// [`Step::map`], [`Step::ignore_ret`].
+/// [`Step::map`].
 pub struct Map<A, F>(A, F);
 
 impl<S: Clone, A: Step<S>, U, F: FnOnce(A::Ret) -> U> Step<S> for Map<A, F> {

@@ -1,19 +1,56 @@
 //! Property-based tests for the transition DSL: monad laws and
 //! partiality propagation hold for arbitrary state contents, and the
 //! in-place step agrees with a reference interpreter on generated
-//! transitions, giving `σ` back whenever the step is not one.
+//! transitions, giving `σ` back whenever the step is not one, and
+//! copying `σ` only when an update is followed by something partial.
 
 use perennial::{Ghost, GhostError};
 use perennial_spec::fixtures::{RegSpec, RegState};
 use perennial_spec::system::ReplayError;
 use perennial_spec::{Outcome, Step, Transition};
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
-type S = BTreeMap<u64, u64>;
+thread_local! {
+    /// Copies made of an [`S`] on this thread.
+    static COPIES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The generated state: a map that counts the copies made of it.
+#[derive(Debug, PartialEq, Eq)]
+struct S(BTreeMap<u64, u64>);
+
+impl Clone for S {
+    fn clone(&self) -> Self {
+        COPIES.set(COPIES.get() + 1);
+        S(self.0.clone())
+    }
+}
+
+impl Deref for S {
+    type Target = BTreeMap<u64, u64>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for S {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+/// How many copies of an [`S`] stepping `t` on `s` makes.
+fn copies_stepping(t: Transition<S, u64>, s: &mut S) -> usize {
+    let before = COPIES.get();
+    let _ = t.step(s);
+    COPIES.get() - before
+}
 
 fn arb_state() -> impl Strategy<Value = S> {
-    proptest::collection::btree_map(0u64..16, 0u64..100, 0..8)
+    proptest::collection::btree_map(0u64..16, 0u64..100, 0..8).prop_map(S)
 }
 
 proptest! {
@@ -80,6 +117,32 @@ proptest! {
         let seq = w(a, v1).and_then(move |()| w(a, v2));
         let (s2, ()) = seq.run(&s).unwrap();
         prop_assert_eq!(s2.get(&a).copied(), Some(v2));
+    }
+
+    /// The read-only combinators — `ret`, `gets`, `check`, `guard`,
+    /// `skip`, and `and_then`/`map` over them — never copy `σ`, and
+    /// neither does an update that is the step's last link.
+    #[test]
+    fn reads_and_a_last_update_never_copy_sigma(
+        mut s in arb_state(),
+        atoms in proptest::collection::vec(arb_read(), 0..8),
+        update_last in any::<bool>(),
+        (a, v) in (0u64..16, 0u64..100),
+    ) {
+        let mut atoms = atoms;
+        atoms.extend(update_last.then_some(Atom::Modify(a, v)));
+        prop_assert_eq!(copies_stepping(chain(&atoms), &mut s), 0, "{:?}", atoms);
+    }
+
+    /// Whatever a step updates, `σ` is copied at most once: before the
+    /// first update that something partial may follow.
+    #[test]
+    fn a_step_copies_sigma_at_most_once(
+        mut s in arb_state(),
+        atoms in proptest::collection::vec(arb_atom(), 0..8),
+    ) {
+        let copies = copies_stepping(chain(&atoms), &mut s);
+        prop_assert!(copies <= 1, "{:?} copied σ {} times", atoms, copies);
     }
 
     /// The step runs in place and agrees with a reference interpreter
