@@ -1,7 +1,7 @@
-//! Shared CLI argument parsing for the bench binaries and examples.
+//! Shared CLI argument parsing for the bench binaries.
 //!
-//! `scan`, `scale`, and `examples/scenario_smoke` each grew their own
-//! hand-rolled flag loop; this module is the one copy. A binary
+//! `scan` and `scale` each grew their own hand-rolled flag loop; this
+//! module is the one copy. A binary
 //! declares its flags as an [`ArgSpec`] slice and gets back a
 //! [`ParsedArgs`] with typed accessors — so a new flag (`--profile`,
 //! `--baseline`) is defined once and unknown-flag errors are

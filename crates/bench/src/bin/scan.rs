@@ -48,22 +48,25 @@
 //! `tests/` and `cargo test --test replay_<scenario>` re-derives the
 //! failure deterministically.
 //!
-//! The final line is always `campaign fingerprint: 0x…` — a hash of the
+//! Each scenario prints its one-line summary; a scenario expected to
+//! pass that FAILs also prints its full failure report to stderr. The
+//! final line is always `campaign fingerprint: 0x…` — a hash of the
 //! per-scenario report fingerprints (timing and worker-count excluded),
 //! which is the equality oracle CI uses for kill/resume and shard/merge.
-//! Exit status: 0 when the campaign completed (mutant FAILs are
-//! expected findings, not campaign errors), 1 when a run degraded to an
-//! INCOMPLETE partial report, 2 on usage errors.
+//! Exit status ([`campaign_status`]): 1 when a run degraded to an
+//! INCOMPLETE partial report or a scenario expected to pass FAILed, 0
+//! otherwise (mutant FAILs are expected findings, not campaign errors),
+//! 2 on usage errors.
 
 #![deny(unsafe_code)]
 
 use perennial_bench::args::{apply_strategy, flag, parse_args, rest, value};
-use perennial_bench::registry::{all_mutant_scenarios, all_scenarios};
+use perennial_bench::registry::{all_mutant_scenarios, all_scenarios, campaign_status};
 use perennial_checker::campaign::{trace_file, wal_file};
 use perennial_checker::{
     campaign_fingerprint, chrome_trace_json, emit_test, merge_reports, parse_shard,
-    profile_to_json, render_dashboard, render_explain, render_profile, report_from_json,
-    report_to_json, test_file_name, CheckConfig, CheckReport, Dashboard, Pass,
+    profile_to_json, render_dashboard, render_explain, render_failure, render_profile,
+    report_from_json, report_to_json, test_file_name, CheckConfig, CheckReport, Dashboard, Pass,
 };
 use std::path::PathBuf;
 
@@ -116,6 +119,7 @@ fn merge_mode(files: &[String], out: Option<&str>) -> i32 {
             by_name.entry(r.name.clone()).or_default().push(r);
         }
     }
+    let correct = all_scenarios();
     let mut merged = Vec::new();
     for (name, shards) in by_name {
         match merge_reports(shards) {
@@ -126,7 +130,6 @@ fn merge_mode(files: &[String], out: Option<&str>) -> i32 {
             Err(e) => die(&format!("merging {name}: {e}")),
         }
     }
-    let incomplete = merged.iter().any(|r| r.is_incomplete());
     if let Some(path) = out {
         write_out(path, None, &merged);
     }
@@ -134,7 +137,7 @@ fn merge_mode(files: &[String], out: Option<&str>) -> i32 {
         "campaign fingerprint: {:#018x}",
         campaign_fingerprint(&merged)
     );
-    i32::from(incomplete)
+    campaign_status(merged.iter().map(|r| (r, correct.get(&r.name).is_some())))
 }
 
 /// Dashboard mode: fold telemetry/WAL JSONL streams into one merged
@@ -255,11 +258,11 @@ fn main() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("creating {dir:?}: {e}")));
     }
 
-    let mut registry = all_scenarios();
-    registry.extend(all_mutant_scenarios());
-    let selected: Vec<_> = registry
-        .iter()
-        .filter(|s| filter.is_none_or(|f| s.name().contains(f)))
+    // Each scenario with whether it is expected to pass.
+    let (correct, mutants) = (all_scenarios(), all_mutant_scenarios());
+    let selected: Vec<_> = (correct.iter().map(|s| (s, true)))
+        .chain(mutants.iter().map(|s| (s, false)))
+        .filter(|(s, _)| filter.is_none_or(|f| s.name().contains(f)))
         .collect();
     if selected.is_empty() {
         die("no scenario matches the filter; run without --filter to sweep everything");
@@ -267,7 +270,7 @@ fn main() {
 
     let mut reports = Vec::new();
     let mut profiles = Vec::new();
-    for scenario in selected {
+    for &(scenario, expect_pass) in &selected {
         let mut cfg = CheckConfig::builder()
             .seed(seed)
             .dfs_max_executions(300)
@@ -297,6 +300,9 @@ fn main() {
         }
         let mut report = scenario.run(&cfg.build());
         println!("{}", report.summary());
+        if let Some(text) = expect_pass.then(|| render_failure(&report)).flatten() {
+            eprintln!("{text}");
+        }
         if let (Some(s), Some(cx)) = (&report.shrink, &report.counterexample) {
             println!(
                 "(shrink: removed {} step(s) in {} round(s), {} re-runs; \
@@ -348,7 +354,6 @@ fn main() {
         reports.push(report);
     }
 
-    let incomplete = reports.iter().any(|r| r.is_incomplete());
     let replayed: u64 = reports.iter().map(|r| r.replayed).sum();
     if replayed > 0 {
         println!("(resume: {replayed} executions replayed from the WAL)");
@@ -365,5 +370,6 @@ fn main() {
         "campaign fingerprint: {:#018x}",
         campaign_fingerprint(&reports)
     );
-    std::process::exit(i32::from(incomplete));
+    let expected = selected.iter().map(|&(_, expect_pass)| expect_pass);
+    std::process::exit(campaign_status(reports.iter().zip(expected)));
 }

@@ -2,9 +2,10 @@
 //! under one [`ScenarioSet`] each for the expected-pass and the
 //! expected-fail half. `scan`, `scale`, the examples, the root tests and
 //! `benchmark/` (through `perennial_suite`'s re-export) all enumerate the
-//! workspace through these two functions.
+//! workspace through these two functions. [`campaign_status`] is `scan`'s
+//! exit rule over the two halves.
 
-use perennial_checker::ScenarioSet;
+use perennial_checker::{CheckReport, ScenarioSet};
 
 /// Every expected-pass scenario registered across the workspace
 /// (`kv/...`, `repldisk/...`, `mailboat/...`, `patterns/...`).
@@ -26,4 +27,16 @@ pub fn all_mutant_scenarios() -> ScenarioSet {
     set.extend(mailboat::mutant_scenarios());
     set.extend(crash_patterns::mutant_scenarios());
     set
+}
+
+/// A campaign's exit status, over each report and whether its scenario is
+/// expected to pass (one of [`all_scenarios`]): 1 when a run is INCOMPLETE
+/// or an expected-pass scenario FAILed, else 0. A mutant's verdict never
+/// changes it: a FAIL is what it is there for, and a PASS is expected of
+/// the mutants that only the fault passes reach, when they are off.
+pub fn campaign_status<'a>(runs: impl IntoIterator<Item = (&'a CheckReport, bool)>) -> i32 {
+    let failed = |(report, expect_pass): (&CheckReport, bool)| {
+        report.is_incomplete() || (expect_pass && !report.passed())
+    };
+    i32::from(runs.into_iter().any(failed))
 }

@@ -5,7 +5,7 @@
 //! live here:
 //!
 //! - [`parse_shard`] — the `i/n` command-line shard syntax shared by
-//!   the drivers (`scan`, `scale`, `scenario_smoke`).
+//!   the drivers (`scan`, `scale`).
 //! - [`campaign_fingerprint`], [`wal_file`], [`trace_file`] — a
 //!   campaign's conventions, which its drivers and tests must agree on:
 //!   the fold over per-scenario fingerprints that `scan` prints last,

@@ -1,14 +1,14 @@
-//! Campaign dashboards: one merged text view over many telemetry
-//! streams.
+//! Campaign dashboards: one merged view over many telemetry streams.
 //!
 //! A sharded campaign leaves behind one JSONL WAL per scenario shard
 //! (see DESIGN.md §13). This module folds any number of those streams
-//! into a single [`Dashboard`] — per-scenario outcome grid across
-//! shards, coverage ratios, a per-pass wall-time profile (from the
-//! `pass_start`/`pass_end` timing records), the slowest scenarios, and
-//! pruning effectiveness — and renders it as text (`scan --dashboard`).
-//! The streams are read by [`read_stream`], the reader the WAL loader
-//! uses: this module knows the records' typed form, not their keys.
+//! into a single [`Dashboard`]: per-scenario results across shards, and
+//! per pass the deterministic cost of its executions beside its wall time
+//! (the `pass_end` timing records), which
+//! [`render_dashboard`](crate::render_dashboard) draws as text (`scan
+//! --dashboard`). The streams are read by [`read_stream`], the reader the
+//! WAL loader uses: this module knows the records' typed form, not their
+//! keys.
 //!
 //! Totals come from `run_end` records only. Summing `exec_done` lines
 //! would double-count derivation-spine executions, which run in every
@@ -25,10 +25,9 @@
 
 use crate::campaign::fold_totals;
 use crate::pass::Pass;
-use crate::profile::{bar, pct, PassCost, ProfileBuilder};
+use crate::profile::{PassCost, ProfileBuilder};
 use crate::telemetry::{read_stream, ExecStats, Record, RunEnd};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One scenario's view across every ingested stream.
@@ -36,8 +35,8 @@ use std::time::Duration;
 pub struct ScenarioDash {
     /// Last `run_end` per shard (`None` for an unsharded run).
     pub shards: BTreeMap<Option<(u32, u32)>, RunEnd>,
-    /// Summed `pass_end` wall time per `(rank, pass name)`.
-    pub pass_wall_us: BTreeMap<(u64, String), u64>,
+    /// Summed `pass_end` wall time per pass, µs.
+    pub pass_wall_us: BTreeMap<Pass, u64>,
     /// What each `exec_done` measured, by canonical job key. Keying
     /// dedupes derivation-spine executions, which appear in every shard's
     /// stream with identical deterministic statistics — so the per-pass
@@ -85,9 +84,8 @@ impl Dashboard {
                     self.scenario(name).shards.insert(run.report.shard, run);
                 }
                 Record::PassEnd { pass, duration } => {
-                    let key = (u64::from(pass.rank()), pass.name().to_string());
                     let wall_us = &mut self.scenario(name).pass_wall_us;
-                    *wall_us.entry(key).or_insert(0) += duration.as_micros() as u64;
+                    *wall_us.entry(pass).or_insert(0) += duration.as_micros() as u64;
                 }
                 Record::ExecDone {
                     pass, index, stats, ..
@@ -104,159 +102,27 @@ impl Dashboard {
         self.scenarios.entry(name.to_string()).or_default()
     }
 
-    /// Per-pass wall profile summed over every scenario, rank order.
-    pub fn pass_profile(&self) -> Vec<(String, u64)> {
-        let mut acc: BTreeMap<(u64, String), u64> = BTreeMap::new();
-        for s in self.scenarios.values() {
-            for ((rank, pass), us) in &s.pass_wall_us {
-                *acc.entry((*rank, pass.clone())).or_insert(0) += us;
-            }
-        }
-        acc.into_iter().map(|((_, p), us)| (p, us)).collect()
-    }
-
-    /// Per-pass deterministic cost profile summed over every scenario's
-    /// deduplicated `exec_done` records, rank order.
-    pub fn cost_profile(&self) -> Vec<PassCost> {
+    /// The per-pass table summed over every scenario, in rank order: the
+    /// deterministic cost of the deduplicated `exec_done` records, and in
+    /// `busy_us` the pass's own wall time from its `pass_end` records.
+    pub fn passes(&self) -> Vec<PassCost> {
         let mut costs = ProfileBuilder::default();
         for s in self.scenarios.values() {
             for ((pass, _), stats) in &s.exec_costs {
                 costs.record_exec(*pass, stats, 0, 0, Duration::ZERO);
+            }
+            for (pass, wall_us) in &s.pass_wall_us {
+                costs.record_wall(*pass, *wall_us);
             }
         }
         costs.into_passes()
     }
 }
 
-/// Renders the merged campaign dashboard as text.
-pub fn render_dashboard(d: &Dashboard) -> String {
-    let mut out = String::new();
-    let runs: Vec<(&String, &ScenarioDash, RunEnd)> = (d.scenarios.iter())
-        .map(|(name, s)| (name, s, s.merged()))
-        .collect();
-    let sum = |total: fn(&RunEnd) -> u64| -> u64 { runs.iter().map(|(.., run)| total(run)).sum() };
-    let failing = runs.iter().filter(|(.., run)| !run.passed).count();
-    writeln!(out, "CAMPAIGN DASHBOARD").unwrap();
-    writeln!(
-        out,
-        "  {} scenarios from {} streams — {} executions, {} steps, {} counterexamples in {failing} failing scenarios",
-        d.scenarios.len(),
-        d.streams,
-        sum(|run| run.report.executions as u64),
-        sum(|run| run.report.total_steps),
-        sum(|run| run.counterexamples),
-    )
-    .unwrap();
-    if d.torn_lines > 0 {
-        writeln!(out, "  ({} torn lines skipped)", d.torn_lines).unwrap();
-    }
-    out.push('\n');
-
-    let name_w = d
-        .scenarios
-        .keys()
-        .map(|n| n.len())
-        .max()
-        .unwrap_or(8)
-        .max(8);
-    // Crash coverage uses the same unit `render_failure()` reports:
-    // absolute grant counts from the start of the execution, not
-    // per-pass offsets.
-    writeln!(
-        out,
-        "  outcome grid ('.' shard passed, 'X' failed, '!' incomplete; \
-         crash a/b = absolute-grant-count crash points exercised/enumerable, \
-         fault c/d = fault plans):"
-    )
-    .unwrap();
-    for (name, s, run) in &runs {
-        let grid: String = (s.shards.values())
-            .map(|shard| match (shard.passed, shard.report.is_incomplete()) {
-                (false, _) => 'X',
-                (true, true) => '!',
-                (true, false) => '.',
-            })
-            .collect();
-        let (r, c) = (&run.report, &run.report.coverage);
-        let cov = format!(
-            "crash {}/{} fault {}/{}",
-            c.crash_points_exercised,
-            c.crash_points_enumerable,
-            c.fault_plans_exercised(),
-            c.fault_plans_enumerable(),
-        );
-        writeln!(
-            out,
-            "    {name:<name_w$}  [{grid:<4}]  {:>7} execs  {:>9} steps  {:>2} cx  {cov}",
-            r.executions, r.total_steps, run.counterexamples,
-        )
-        .unwrap();
-    }
-    out.push('\n');
-
-    let profile = d.pass_profile();
-    let total_us: u64 = profile.iter().map(|(_, us)| *us).sum();
-    if total_us > 0 {
-        writeln!(out, "  per-pass wall profile:").unwrap();
-        for (pass, us) in &profile {
-            writeln!(
-                out,
-                "    {pass:<18} {:>9.3}s  {} {}",
-                *us as f64 / 1e6,
-                pct(*us, total_us),
-                bar(*us, total_us, 24),
-            )
-            .unwrap();
-        }
-        out.push('\n');
-    }
-
-    let costs = d.cost_profile();
-    let cost_steps: u64 = costs.iter().map(|c| c.steps).sum();
-    if cost_steps > 0 {
-        writeln!(out, "  profile (deterministic cost per pass):").unwrap();
-        for c in &costs {
-            writeln!(
-                out,
-                "    {:<18} {:>7} execs {:>10} steps  {} {}  ({} crashes, {} blocks, {} disk ops, {} net msgs)",
-                c.pass,
-                c.executions,
-                c.steps,
-                pct(c.steps, cost_steps),
-                bar(c.steps, cost_steps, 24),
-                c.crashes,
-                c.lock_blocks,
-                c.disk_ops,
-                c.net_msgs,
-            )
-            .unwrap();
-        }
-        out.push('\n');
-    }
-
-    let mut slowest: Vec<(&String, f64)> = (runs.iter())
-        .map(|(name, _, run)| (*name, run.report.wall_time.as_secs_f64()))
-        .collect();
-    slowest.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    writeln!(out, "  slowest scenarios:").unwrap();
-    for (name, wall) in slowest.iter().take(5) {
-        writeln!(out, "    {wall:>8.3}s  {name}").unwrap();
-    }
-    out.push('\n');
-
-    writeln!(
-        out,
-        "  pruning: {} schedules pruned; {} executions replayed from WALs",
-        sum(|run| run.report.pruned),
-        sum(|run| run.report.replayed),
-    )
-    .unwrap();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render_dashboard;
     use crate::telemetry::{ev_exec_done, pass_end_record, run_end_record, stamped, ExecEvent};
     use crate::{CheckReport, Counterexample, ExecOutcome, FaultPlan, OutcomeKind};
     use serde_json::Value;
@@ -372,8 +238,9 @@ mod tests {
         d.ingest(&text);
         assert_eq!(d.torn_lines, 1);
         let s = &d.scenarios["mutant/skip-flush"];
-        assert_eq!(s.pass_wall_us[&(0, "dfs".to_string())], 150);
-        assert_eq!(d.pass_profile(), vec![("dfs".to_string(), 150)]);
+        assert_eq!(s.pass_wall_us[&Pass::Dfs], 150);
+        let passes = d.passes();
+        assert_eq!((passes[0].pass.as_str(), passes[0].busy_us), ("dfs", 150));
     }
 
     /// A pass's wall time files under the pass's own rank, whatever
@@ -387,7 +254,7 @@ mod tests {
         d.ingest(&format!("{honest}\n{lying}\n"));
         let wall = &d.scenarios["s"].pass_wall_us;
         assert_eq!(wall.len(), 1, "{wall:?}");
-        assert_eq!(wall[&(3, "crash-sweep".to_string())], 80);
+        assert_eq!(wall[&Pass::CrashSweep], 80);
     }
 
     fn exec_done_line(scenario: &str, pass: &str, index: u64, steps: u64) -> String {
@@ -405,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_profile_dedupes_spine_executions_across_shards() {
+    fn pass_costs_dedupe_spine_executions_across_shards() {
         let mut d = Dashboard::default();
         // The same dfs execution appears in both shard streams (spine);
         // a second distinct execution appears once.
@@ -416,7 +283,7 @@ mod tests {
             exec_done_line("s", "dfs", 1, 20),
         );
         d.ingest(&text);
-        let costs = d.cost_profile();
+        let costs = d.passes();
         assert_eq!(costs.len(), 1);
         let c = &costs[0];
         assert_eq!(c.pass, "dfs");
@@ -427,10 +294,7 @@ mod tests {
             (2, 4, 6, 8)
         );
         let text = render_dashboard(&d);
-        assert!(
-            text.contains("profile (deterministic cost per pass)"),
-            "{text}"
-        );
+        assert!(text.contains("per-pass wall profile"), "{text}");
     }
 
     /// A record short of a field is counted and dropped, not read as
@@ -446,7 +310,7 @@ mod tests {
         );
         d.ingest(&text);
         assert_eq!(d.torn_lines, 1);
-        let costs = d.cost_profile();
+        let costs = d.passes();
         assert_eq!((costs[0].executions, costs[0].steps), (1, 10));
     }
 

@@ -179,39 +179,6 @@ impl CheckReport {
     pub fn is_incomplete(&self) -> bool {
         !self.incomplete.is_empty()
     }
-
-    /// One-line summary.
-    pub fn summary(&self) -> String {
-        let faults = if self.fault_plans > 0 {
-            format!(", {} fault plans", self.fault_plans)
-        } else {
-            String::new()
-        };
-        let shard = match self.shard {
-            Some((i, n)) => format!(" [shard {i}/{n}]"),
-            None => String::new(),
-        };
-        format!(
-            "{}: {} executions, {} steps, {} crashes over {} crash points{}, {} helped ops, \
-             {:.0} execs/s on {} workers{} — {}{}",
-            self.name,
-            self.executions,
-            self.total_steps,
-            self.crashes_injected,
-            self.crash_points,
-            faults,
-            self.helped_ops,
-            self.execs_per_sec,
-            self.workers,
-            shard,
-            if self.passed() { "PASS" } else { "FAIL" },
-            if self.is_incomplete() {
-                " (INCOMPLETE)"
-            } else {
-                ""
-            }
-        )
-    }
 }
 
 /// Runs all configured exploration passes over a scenario, dispatching

@@ -43,7 +43,7 @@ pub mod pass;
 pub mod playback;
 pub mod profile;
 pub mod recorder;
-pub mod report;
+pub mod render;
 pub mod scenario;
 pub mod shrink;
 pub mod strategy;
@@ -54,7 +54,7 @@ pub use campaign::{
     campaign_fingerprint, merge_reports, parse_shard, report_fingerprint, report_from_json,
     report_to_json,
 };
-pub use dashboard::{render_dashboard, Dashboard, ScenarioDash};
+pub use dashboard::{Dashboard, ScenarioDash};
 pub use explore::{
     check, replay, shard_of, CheckConfig, CheckConfigBuilder, CheckReport, Counterexample,
     ExecOutcome,
@@ -67,14 +67,17 @@ pub use metrics::{
 };
 pub use pass::{Pass, PassSet};
 pub use playback::{emit_test, test_file_name};
-pub use profile::{profile_to_json, render_profile, Profile};
+pub use profile::{profile_to_json, Profile};
 pub use recorder::{Recorder, DROPPED};
-pub use report::{describe_outcome, render_failure, render_summary, verdict_line};
+pub use render::{
+    describe_outcome, render_dashboard, render_explain, render_failure, render_profile,
+    render_summary,
+};
 pub use scenario::{Scenario, ScenarioSet};
 pub use shrink::{failure_fingerprint, shrink_counterexample, ShrinkStats};
 pub use strategy::{CoverageGuided, Exhaustive, SleepSetDpor, Strategy, StrategySession};
 pub use telemetry::{strip_timing, validate_json_line, EnvStamp, TelemetrySink, TIMING_KEYS};
-pub use timeline::{chrome_trace_json, render_explain};
+pub use timeline::chrome_trace_json;
 
 /// One-stop imports for writing and running harnesses:
 /// `use perennial_checker::prelude::*;`.

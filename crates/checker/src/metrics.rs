@@ -12,7 +12,6 @@
 use crate::explore::ExecOutcome;
 use crate::pass::Pass;
 use goose_rt::fault::FaultPlan;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// The eight ways an explored execution can end, as a flat tag (the
@@ -121,21 +120,6 @@ impl OutcomeCounts {
     pub fn entries(&self) -> [(&'static str, u64); 8] {
         OutcomeKind::ALL.map(|kind| (kind.name(), self.get(kind)))
     }
-
-    /// One-line rendering, omitting zero buckets: `ok=120 deadlock=2`.
-    pub fn render(&self) -> String {
-        let parts: Vec<String> = self
-            .entries()
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(name, n)| format!("{name}={n}"))
-            .collect();
-        if parts.is_empty() {
-            "(none)".to_string()
-        } else {
-            parts.join(" ")
-        }
-    }
 }
 
 /// A power-of-two bucketed histogram of u64 samples (bucket `i` covers
@@ -230,26 +214,6 @@ impl Histogram {
                 _ => (1u64 << (i - 1), (1u64 << i) - 1, *n),
             })
             .collect()
-    }
-
-    /// One-line rendering: `0:3 1:5 2-3:9 4-7:21 (mean 5.2, max 7)`.
-    pub fn render(&self) -> String {
-        if self.count == 0 {
-            return "(empty)".to_string();
-        }
-        let mut out = String::new();
-        for (lo, hi, n) in self.buckets() {
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            if lo == hi {
-                let _ = write!(out, "{lo}:{n}");
-            } else {
-                let _ = write!(out, "{lo}-{hi}:{n}");
-            }
-        }
-        let _ = write!(out, " (mean {:.1}, max {})", self.mean(), self.max);
-        out
     }
 }
 
@@ -417,42 +381,6 @@ impl Coverage {
     pub fn fault_plans_enumerable(&self) -> u64 {
         self.plans_enumerable.iter().sum()
     }
-
-    /// Multi-line rendering for [`crate::report::render_summary`].
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  crash points   : {}/{} exercised ({:.0}%)",
-            self.crash_points_exercised,
-            self.crash_points_enumerable,
-            100.0 * self.crash_point_ratio()
-        );
-        let surfaces: Vec<String> = FaultFamily::ALL
-            .into_iter()
-            .zip(self.plans_exercised.into_iter().zip(self.plans_enumerable))
-            .filter(|(_, (_, total))| *total > 0)
-            .map(|(family, (done, total))| format!("{} {done}/{total}", family.name()))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  fault plans    : {}/{} exercised ({:.0}%){}",
-            self.fault_plans_exercised(),
-            self.fault_plans_enumerable(),
-            100.0 * self.fault_plan_ratio(),
-            if surfaces.is_empty() {
-                String::new()
-            } else {
-                format!(" [{}]", surfaces.join(", "))
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  ghost traces   : {} distinct fingerprints",
-            self.distinct_traces
-        );
-        out
-    }
 }
 
 /// FNV-1a over text already in hand: a report's or a campaign's JSON, a
@@ -472,7 +400,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn outcome_counts_classify_and_render() {
+    fn outcome_counts_classify() {
         let mut c = OutcomeCounts::default();
         c.record(OutcomeKind::of(&ExecOutcome::Ok));
         c.record(OutcomeKind::of(&ExecOutcome::Ok));
@@ -481,8 +409,6 @@ mod tests {
         assert_eq!(c.get(OutcomeKind::Ok), 2);
         assert_eq!(c.total(), 4);
         assert_eq!(c.failures(), 2);
-        assert_eq!(c.render(), "ok=2 bug=1 deadlock=1");
-        assert_eq!(OutcomeCounts::default().render(), "(none)");
     }
 
     /// `kind as usize` indexes the buckets, so the table must list the
@@ -522,10 +448,6 @@ mod tests {
                 (512, 1023, 1)
             ]
         );
-        let r = h.render();
-        assert!(r.contains("2-3:2"), "{r}");
-        assert!(r.contains("max 1000"), "{r}");
-        assert_eq!(Histogram::default().render(), "(empty)");
     }
 
     #[test]
@@ -542,9 +464,6 @@ mod tests {
         c.plans_enumerable[FaultFamily::Torn as usize] = 36;
         assert!((c.crash_point_ratio() - 0.25).abs() < 1e-12);
         assert!((c.fault_plan_ratio() - 6.0 / 36.0).abs() < 1e-12);
-        let text = c.render();
-        assert!(text.contains("3/12"), "{text}");
-        assert!(text.contains("torn 6/36"), "{text}");
     }
 
     #[test]

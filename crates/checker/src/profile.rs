@@ -32,7 +32,6 @@ use crate::telemetry::ExecStats;
 use goose_rt::sched::{res, Tid};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Contended-resource rows kept after ranking (the hotspot table stays
@@ -91,7 +90,9 @@ pub struct PassCost {
     /// (`ModelRt::wakeups`): the deterministic proxy for what scheduling
     /// the pass's steps cost. Executions replayed from a WAL add none.
     pub wakeups: u64,
-    /// Summed wall time of the pass's executions, µs (timing-only).
+    /// Summed wall time of the pass's executions, µs (timing-only). A
+    /// dashboard's row holds the pass's own `pass_end` wall time here
+    /// instead ([`ProfileBuilder::record_wall`]).
     pub busy_us: u64,
 }
 
@@ -162,7 +163,8 @@ impl WorkerUtilization {
 
 /// A check's cost profile. See the module docs for the determinism
 /// contract; construct via [`CheckConfig::profile`](crate::CheckConfig)
-/// and render with [`render_profile`] or [`profile_to_json`].
+/// and render with [`render_profile`](crate::render_profile) or
+/// [`profile_to_json`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     /// Scenario name the profile belongs to.
@@ -235,15 +237,8 @@ impl ProfileBuilder {
         wakeups: u64,
         duration: Duration,
     ) {
-        let row = self
-            .per_pass
-            .entry((pass.rank(), pass))
-            .or_insert_with(|| PassCost {
-                pass: pass.name().to_string(),
-                rank: pass.rank(),
-                ..PassCost::default()
-            });
         let duration_us = duration.as_micros() as u64;
+        let row = self.row(pass);
         row.executions += 1;
         row.steps += stats.steps;
         row.steps_run += steps_run;
@@ -255,6 +250,23 @@ impl ProfileBuilder {
         row.wakeups += wakeups;
         row.busy_us += duration_us;
         self.busy_us += duration_us;
+    }
+
+    /// Credits a pass's own wall time (its `pass_end` record) to its row's
+    /// `busy_us`: the dashboard's time column, where no execution's time
+    /// is known.
+    pub fn record_wall(&mut self, pass: Pass, wall_us: u64) {
+        self.row(pass).busy_us += wall_us;
+    }
+
+    fn row(&mut self, pass: Pass) -> &mut PassCost {
+        self.per_pass
+            .entry((pass.rank(), pass))
+            .or_insert_with(|| PassCost {
+                pass: pass.name().to_string(),
+                rank: pass.rank(),
+                ..PassCost::default()
+            })
     }
 
     fn resource(&mut self, id: u64) -> &mut ResourceRow {
@@ -389,109 +401,6 @@ pub fn profile_to_json(p: &Profile) -> Value {
     })
 }
 
-pub(crate) fn pct(part: u64, whole: u64) -> String {
-    if whole == 0 {
-        "  -".to_string()
-    } else {
-        format!("{:>3.0}%", 100.0 * part as f64 / whole as f64)
-    }
-}
-
-pub(crate) fn bar(part: u64, whole: u64, width: usize) -> String {
-    if whole == 0 {
-        return String::new();
-    }
-    let n = ((part as f64 / whole as f64) * width as f64).round() as usize;
-    "#".repeat(n.min(width))
-}
-
-/// Renders the ASCII hotspot view.
-pub fn render_profile(p: &Profile) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "PROFILE — {} (strategy {})",
-        p.scenario, p.strategy.strategy
-    )
-    .unwrap();
-
-    let total_steps: u64 = p.passes.iter().map(|pc| pc.steps).sum();
-    writeln!(out, "  per-pass cost (share of steps):").unwrap();
-    for pc in &p.passes {
-        writeln!(
-            out,
-            "    {:<18} {:>7} execs {:>10} steps  {} {}  ({} wake-ups, {} blocks, {} disk ops, {} net msgs, {} model ops, {:.3}s busy)",
-            pc.pass,
-            pc.executions,
-            pc.steps,
-            pct(pc.steps, total_steps),
-            bar(pc.steps, total_steps, 24),
-            pc.wakeups,
-            pc.lock_blocks,
-            pc.disk_ops,
-            pc.net_msgs,
-            pc.model_ops,
-            pc.busy_us as f64 / 1e6,
-        )
-        .unwrap();
-    }
-
-    let total_wakeups: u64 = p.passes.iter().map(|pc| pc.wakeups).sum();
-    writeln!(
-        out,
-        "  hand-offs: {} OS wake-ups over {} steps ({:.2} per step)",
-        total_wakeups,
-        total_steps,
-        total_wakeups as f64 / total_steps.max(1) as f64
-    )
-    .unwrap();
-
-    if !p.resources.is_empty() {
-        writeln!(out, "  contended resources (top {}):", p.resources.len()).unwrap();
-        for r in &p.resources {
-            writeln!(
-                out,
-                "    {:<10} {}  {:>6} blocks  {:>6} collisions  {:>6} prunes",
-                r.kind,
-                hex64(r.resource),
-                r.lock_blocks,
-                r.collisions,
-                r.prunes,
-            )
-            .unwrap();
-        }
-        if p.resources_dropped > 0 {
-            writeln!(out, "    (+{} more below the cut)", p.resources_dropped).unwrap();
-        }
-    }
-
-    writeln!(
-        out,
-        "  strategy: {} pruned, {} coverage-guided",
-        p.strategy.pruned, p.strategy.coverage_guided
-    )
-    .unwrap();
-    if let Some(c) = &p.strategy.coverage {
-        writeln!(
-            out,
-            "    corpus: {} hits, {} evictions, {} saturated waves",
-            c.corpus_hits, c.corpus_evictions, c.saturated_waves
-        )
-        .unwrap();
-    }
-
-    writeln!(
-        out,
-        "  workers: {} × {:.3}s wall, {:.3}s busy — {:.0}% utilized",
-        p.workers.workers,
-        p.workers.wall_us as f64 / 1e6,
-        p.workers.busy_us as f64 / 1e6,
-        100.0 * p.workers.utilization(),
-    )
-    .unwrap();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,8 +524,6 @@ mod tests {
         assert_eq!(p.resources.len(), RESOURCE_TOP);
         assert_eq!(p.resources_dropped, 20 - RESOURCE_TOP as u64);
         assert_eq!(p.resources[0].lock_blocks, 20, "heaviest first");
-        let text = render_profile(&p);
-        assert!(text.contains("more below the cut"), "{text}");
     }
 
     #[test]

@@ -234,8 +234,8 @@ impl RunTelemetry {
     }
 
     /// Writes the record `build` makes, stamped with the scenario so that
-    /// streams holding several scenarios' runs (`scenario_smoke
-    /// --telemetry`) stay attributable line by line — and resumable: the
+    /// streams holding several scenarios' runs (one sink handed to each
+    /// run) stay attributable line by line — and resumable: the
     /// stamp is the key [`parse_wal`] filters by, so it must be unique to
     /// the scenario, which the registry name is and a harness's label is
     /// not. With no stream open `build` never runs.
@@ -834,8 +834,8 @@ impl Record {
 /// were not one — unparseable (a SIGKILL mid-write leaves at most one torn
 /// final line), not an object, or failing [`Record`]'s all-or-nothing
 /// rule. With `only`, records stamped with another scenario are passed
-/// over (streams can hold several scenarios: `scenario_smoke` appends all
-/// of them to one file).
+/// over (streams can hold several scenarios: runs that share one sink
+/// append to one file, and `scan --dashboard` reads many files at once).
 pub fn read_stream(text: &str, only: Option<&str>, mut each: impl FnMut(&str, Record)) -> u64 {
     let mut torn_lines = 0;
     for line in text.lines().filter(|line| !line.trim().is_empty()) {

@@ -1,157 +1,22 @@
-//! Counterexample explain timelines and Chrome-trace export.
+//! Chrome-trace export of a counterexample's causal trace.
 //!
 //! Consumes the [`ExecTrace`] the goose runtime records when
 //! [`CheckConfig::trace_capture`](crate::CheckConfig::trace_capture) is
 //! on (the default): the winning counterexample is re-run with the
-//! recorder enabled and the resulting causal event stream is rendered
-//! two ways —
-//!
-//! - [`render_explain`]: a per-thread ASCII timeline embedded in
-//!   [`render_failure`](crate::render_failure), showing the exact
-//!   interleaving, lock hand-offs, disk/net traffic, injected faults,
-//!   the crash point, and which buffered writes were lost at the crash;
-//! - [`chrome_trace_json`]: the Chrome trace-event JSON format, loadable
-//!   in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, with
-//!   causal edges exported as flow arrows.
-//!
-//! Both are pure functions of the trace, so their output is identical
-//! across worker counts and shard splits for the same counterexample.
+//! recorder enabled, and [`chrome_trace_json`] writes the resulting
+//! causal event stream in the Chrome trace-event JSON format, loadable
+//! in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, with
+//! causal edges exported as flow arrows. Its text form is
+//! [`render_explain`](crate::render_explain). Both are pure functions of
+//! the trace, so their output is identical across worker counts and
+//! shard splits for the same counterexample.
 
-use goose_rt::trace::{ExecTrace, TraceEvent};
+use goose_rt::trace::ExecTrace;
 use serde_json::{json, Value};
-use std::fmt::Write as _;
 
 /// Synthetic Chrome-trace thread id for controller events (crashes,
 /// fault injections outside any virtual thread).
 const CONTROLLER_TID: u64 = 999;
-
-/// Widest a thread column gets before labels are truncated with `…`.
-const MAX_COL: usize = 34;
-
-/// Grid rendering caps out here; busier traces fall back to a flat
-/// one-event-per-line listing that stays readable at any thread count.
-const MAX_GRID_THREADS: usize = 6;
-
-fn truncate(label: &str, width: usize) -> String {
-    if label.chars().count() <= width {
-        return label.to_string();
-    }
-    let mut out: String = label.chars().take(width.saturating_sub(1)).collect();
-    out.push('…');
-    out
-}
-
-fn thread_header(tid: usize, name: &str) -> String {
-    format!("t{tid}:{name}")
-}
-
-fn edge_note(ev: &TraceEvent) -> String {
-    match ev.happens_after {
-        Some(src) => format!("  ←{src}"),
-        None => String::new(),
-    }
-}
-
-/// Renders a per-thread ASCII timeline of a causal execution trace.
-///
-/// One row per event in global (virtual-clock) order: the left gutter is
-/// the event's sequence number, thread events land in their thread's
-/// column, and controller events (crash injection, torn-buffer
-/// resolution) span the row as `--` banners. A `←n` suffix marks a
-/// cross-thread causal edge — this event synchronises with the event at
-/// seq `n` (a lock hand-off or a matched network send).
-pub fn render_explain(trace: &ExecTrace) -> String {
-    let mut out = String::new();
-    if trace.events.is_empty() {
-        out.push_str("  (empty trace)\n");
-        return out;
-    }
-    writeln!(
-        out,
-        "  threads: {}",
-        trace
-            .threads
-            .iter()
-            .enumerate()
-            .map(|(i, n)| format!("[t{i}] {n}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    )
-    .unwrap();
-    out.push_str(
-        "  (←n = causally after the event at seq n: a lock hand-off or a matched net send)\n\n",
-    );
-
-    if trace.threads.len() > MAX_GRID_THREADS {
-        // Flat fallback: too many threads for columns.
-        for ev in &trace.events {
-            let who = match ev.tid {
-                Some(t) => format!("t{t}"),
-                None => "--".to_string(),
-            };
-            writeln!(
-                out,
-                "  {:>5} {:>4} {}{}",
-                ev.seq,
-                who,
-                ev.kind.label(),
-                edge_note(ev)
-            )
-            .unwrap();
-        }
-    } else {
-        // Column widths: each thread's widest label (or its header),
-        // capped so spec events can't blow the grid apart.
-        let mut widths: Vec<usize> = trace
-            .threads
-            .iter()
-            .enumerate()
-            .map(|(i, n)| thread_header(i, n).len())
-            .collect();
-        for ev in &trace.events {
-            if let Some(t) = ev.tid {
-                if t < widths.len() {
-                    let need = ev.kind.label().len() + edge_note(ev).len();
-                    widths[t] = widths[t].max(need);
-                }
-            }
-        }
-        for w in &mut widths {
-            *w = (*w).min(MAX_COL) + 2;
-        }
-
-        let mut header = format!("  {:>5}  ", "seq");
-        for (i, name) in trace.threads.iter().enumerate() {
-            let h = truncate(&thread_header(i, name), widths[i]);
-            write!(header, "{h:<width$}", width = widths[i]).unwrap();
-        }
-        out.push_str(header.trim_end());
-        out.push('\n');
-
-        for ev in &trace.events {
-            match ev.tid {
-                Some(t) => {
-                    let mut row = format!("  {:>5}  ", ev.seq);
-                    for w in widths.iter().take(t.min(widths.len())) {
-                        row.push_str(&" ".repeat(*w));
-                    }
-                    let width = widths.get(t).copied().unwrap_or(MAX_COL);
-                    let label = format!("{}{}", ev.kind.label(), edge_note(ev));
-                    row.push_str(&truncate(&label, width));
-                    out.push_str(row.trim_end());
-                    out.push('\n');
-                }
-                None => {
-                    writeln!(out, "  {:>5}  -- {} --", ev.seq, ev.kind.label()).unwrap();
-                }
-            }
-        }
-    }
-    if trace.truncated {
-        out.push_str("  … trace truncated (event cap reached)\n");
-    }
-    out
-}
 
 /// Exports a causal trace in the Chrome trace-event JSON format.
 ///
@@ -230,11 +95,11 @@ pub fn chrome_trace_json(trace: &ExecTrace, scenario: &str) -> Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use goose_rt::trace::TraceKind;
+    use goose_rt::trace::{TraceEvent, TraceKind};
 
-    fn sample_trace() -> ExecTrace {
+    pub(crate) fn sample_trace() -> ExecTrace {
         ExecTrace {
             events: vec![
                 TraceEvent {
@@ -259,29 +124,6 @@ mod tests {
             threads: vec!["writer".into(), "recovery".into()],
             truncated: false,
         }
-    }
-
-    #[test]
-    fn explain_places_threads_in_columns_with_edges_and_banners() {
-        let text = render_explain(&sample_trace());
-        assert!(text.contains("[t0] writer"), "{text}");
-        assert!(text.contains("lock 1 released"), "{text}");
-        assert!(text.contains("-- CRASH at step 4 --"), "{text}");
-        assert!(text.contains("lock 1 acquired  ←0"), "{text}");
-        // The acquire sits in t1's column, i.e. to the right of where
-        // the release was printed.
-        let rel = text.lines().find(|l| l.contains("released")).unwrap();
-        let acq = text.lines().find(|l| l.contains("acquired")).unwrap();
-        let col = |line: &str, pat: &str| line.find(pat).unwrap();
-        assert!(col(acq, "lock") > col(rel, "lock"), "{text}");
-    }
-
-    #[test]
-    fn explain_is_deterministic_and_marks_truncation() {
-        let mut t = sample_trace();
-        assert_eq!(render_explain(&t), render_explain(&t.clone()));
-        t.truncated = true;
-        assert!(render_explain(&t).contains("trace truncated"));
     }
 
     #[test]
@@ -312,9 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_renders_without_panicking() {
+    fn empty_trace_exports_without_panicking() {
         let t = ExecTrace::default();
-        assert!(render_explain(&t).contains("empty trace"));
         let v = chrome_trace_json(&t, "x");
         assert!(serde_json::to_string(&v).unwrap().contains("traceEvents"));
     }

@@ -6,7 +6,8 @@
 
 use perennial_checker::telemetry::strip_timing;
 use perennial_checker::{
-    profile_to_json, report_fingerprint, CheckConfig, CheckConfigBuilder, Pass, TelemetrySink,
+    profile_to_json, report_fingerprint, CheckConfig, CheckConfigBuilder, Dashboard, Pass,
+    TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
@@ -170,4 +171,44 @@ fn profile_cost_attribution_adds_up() {
         profile.passes.iter().any(|p| p.executions > 0),
         "a real exploration attributes cost somewhere"
     );
+}
+
+/// The summary's, the profile's and the dashboard's per-pass tables are
+/// one table because they read the same records: one run, seen through
+/// the report's `per_pass`, the profile's `passes` and a dashboard folded
+/// from its stream, has the same passes with the same executions and
+/// steps. `keep_going` counts every execution that ran, so the stream
+/// holds no execution the report leaves out.
+#[test]
+fn the_report_the_profile_and_the_dashboard_count_the_same_passes() {
+    let name = "patterns/mutant/wal-skip-commit-flush";
+    let (sink, buf) = TelemetrySink::shared_buffer();
+    let cfg = base_cfg()
+        .with_passes([Pass::NestedCrash, Pass::DiskFault, Pass::TornWrite])
+        .profile(true)
+        .keep_going(true)
+        .telemetry(sink)
+        .build();
+    let report = all_mutant_scenarios().get(name).unwrap().run(&cfg);
+    assert!(!report.passed(), "{}", report.summary());
+    let mut dash = Dashboard::default();
+    dash.ingest(&String::from_utf8(buf.lock().clone()).expect("stream is UTF-8"));
+    assert_eq!(dash.torn_lines, 0);
+
+    let from_report: Vec<(String, u64, u64)> = (report.per_pass.iter())
+        .map(|pm| (pm.pass.name().to_string(), pm.executions, pm.steps))
+        .collect();
+    let rows = |passes: Vec<perennial_checker::profile::PassCost>| -> Vec<(String, u64, u64)> {
+        (passes.into_iter())
+            .filter(|pc| pc.executions > 0)
+            .map(|pc| (pc.pass, pc.executions, pc.steps))
+            .collect()
+    };
+    let profile = report.profile.clone().expect("profile(true)");
+    assert_eq!(rows(profile.passes), from_report, "profile");
+    assert_eq!(rows(dash.passes()), from_report, "dashboard");
+    let passes: Vec<&str> = from_report.iter().map(|(pass, ..)| pass.as_str()).collect();
+    for pass in ["dfs", "nested-crash-sweep", "torn-write-sweep"] {
+        assert!(passes.contains(&pass), "{pass} ran: {passes:?}");
+    }
 }

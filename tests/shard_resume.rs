@@ -274,8 +274,8 @@ fn wal_from_different_config_is_ignored() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// One stream may hold several scenarios' runs (`scenario_smoke
-/// --telemetry f`, then `--telemetry f --resume f`): each run goes by its
+/// One stream may hold several scenarios' runs (one sink handed to each
+/// run, then the same file resumed): each run goes by its
 /// registry name, so a scenario resumed from the shared stream replays
 /// its own executions and none of a sibling's. Until PR 19 the stamp was
 /// the harness's label, which these two share: `kv/single-put` came back
@@ -283,7 +283,7 @@ fn wal_from_different_config_is_ignored() {
 #[test]
 fn a_stream_shared_with_a_sibling_resumes_each_scenario_to_its_cold_report() {
     let registry = perennial_suite::all_scenarios();
-    // `scenario_smoke`'s configuration.
+    // A quick configuration, nested crashes off.
     let cfg = || {
         CheckConfig::builder()
             .seed(0)
@@ -352,6 +352,40 @@ fn panicking_harness_completes_the_campaign() {
     // Worker-count independence holds for panics too.
     let solo = s.run(&base_cfg().keep_going(true).workers(1).build());
     assert_eq!(report_fingerprint(&solo), report_fingerprint(&report));
+}
+
+/// `scan`'s exit rule: a FAIL of a scenario expected to pass, or any
+/// INCOMPLETE run, exits 1; a mutant's verdict, FAIL or PASS, never does.
+/// Without the fault passes `wal-skip-commit-flush` is one of the mutants
+/// that PASS, as expected.
+#[test]
+fn the_campaign_status_is_1_for_a_correct_scenario_that_fails_or_an_incomplete_run() {
+    use perennial_bench::registry::campaign_status;
+    let crash_only =
+        || base_cfg().without_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault]);
+    let correct = scenario("patterns/wal").run(&crash_only().build());
+    let caught = scenario("patterns/mutant/wal-skip-helping").run(&crash_only().build());
+    let missed = scenario("patterns/mutant/wal-skip-commit-flush").run(&crash_only().build());
+    let cut =
+        scenario("patterns/mutant/wal-skip-helping").run(&crash_only().exec_budget(5).build());
+    assert!(correct.passed() && !caught.passed() && missed.passed());
+    assert!(cut.is_incomplete(), "{}", cut.summary());
+
+    assert_eq!(
+        campaign_status([(&correct, true), (&caught, false), (&missed, false)]),
+        0
+    );
+    assert_eq!(campaign_status([]), 0);
+    assert_eq!(
+        campaign_status([(&correct, true), (&caught, true)]),
+        1,
+        "a correct scenario FAILed"
+    );
+    assert_eq!(
+        campaign_status([(&correct, true), (&cut, false)]),
+        1,
+        "a run is INCOMPLETE"
+    );
 }
 
 /// Watchdog contract: a livelocked scenario exhausts its deterministic

@@ -104,9 +104,21 @@
 # crates/checker/src an `ExecStats` counter's key is a string literal only
 # in a counter table's rows and in `ev_exec_done` (the reference the
 # writer's bytes are tested against; profile.rs's `profile_to_json`, a
-# record of its own, is not searched); exec.rs destructures no
-# `ExecStats`; and in goose's sched.rs the runtime keeps its counters in
-# one `SchedStats`: `RtState` declares no field `SchedStats` also names.
+# record of its own, and the units render.rs's `PassRow`s print are not
+# searched); exec.rs destructures no `ExecStats`; and in goose's sched.rs
+# the runtime keeps its counters in one `SchedStats`: `RtState` declares
+# no field `SchedStats` also names.
+#
+# One renderer: the text a reader sees (summaries, failure reports,
+# profiles, the dashboard, explain timelines) is drawn in render.rs. So no
+# other module of crates/checker/src imports `fmt::Write` (json.rs's hex
+# digits and playback.rs's emitted Rust source aside) or defines a
+# `render*`, `summary` or `describe*` function. And two shapes are drawn
+# at one site each. The per-pass table is `pass_table`, which alone draws
+# the share bar (`"#".repeat`); neither render.rs nor scan.rs loops over
+# a run's pass records (`per_pass`, `passes`) to draw rows of its own.
+# The per-scenario line is `CheckReport::summary`, and the verdict word
+# `"FAIL"` is spelled at one site in crates/checker/src and scan.rs.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -317,9 +329,10 @@ fi
 
 echo
 exec_keys=$(table_keys EXEC_COUNTERS crates/checker/src/telemetry.rs)
-# Outside any counter table's rows, the reference `ev_exec_done` and the
-# profile record (which names some of the same sums for its own rows).
-spelled=$(code_outside 'counters!\[|fn (ev_exec_done|profile_to_json)[(]' crates/checker/src/*.rs |
+# Outside any counter table's rows, the reference `ev_exec_done`, the
+# profile record (which names some of the same sums for its own rows) and
+# the per-pass table's rows (which print some of them as units).
+spelled=$(code_outside 'counters!\[|fn (ev_exec_done|profile_to_json)[(]|impl.* for PassRow' crates/checker/src/*.rs |
     grep -F "$(printf '"%s"\n' $exec_keys)" || true)
 destructured=$(code crates/checker/src/exec.rs | grep -E 'ExecStats \{' || true)
 # The field names of struct $1 in sched.rs.
@@ -408,6 +421,39 @@ if [ -n "$garbage" ]; then
     echo "        ^ an execution allocates here again (a boxed combinator, a cloned σ, a block or cell"
     echo "          value of its own, a copied thread name, a fresh decision path):"
     printf '%s\n' "$garbage" | sed 's/^/          /'
+fi
+
+echo
+render=crates/checker/src/render.rs
+# The code lines of the checker's modules (and with $1, of scan.rs),
+# each prefixed with its path.
+drawn() {
+    for path in crates/checker/src/*.rs ${1:+crates/bench/src/bin/scan.rs}; do
+        code "$path" | sed "s|^|$path:|"
+    done
+}
+elsewhere=$(drawn | grep -vE "^($render|crates/checker/src/(json|playback).rs):" |
+    grep -E 'fmt::Write|fn (render|summary|describe)[a-z_]*[(<]' || true)
+loops=$(drawn scan | grep -E "^($render|crates/bench/src/bin/scan.rs):" |
+    grep -E 'for .* in .*(per_pass|\.passes)' || true)
+bars=$(drawn | grep -F '"#".repeat' || true)
+verdicts=$(drawn scan | grep -F '"FAIL"' || true)
+tables=$(code "$render" | grep -c 'fn pass_table' || true)
+echo "one renderer: $tables pass table(s), $(printf '%s' "$bars" | grep -c '') share bar(s), $(printf '%s' "$verdicts" | grep -c '') verdict site(s), $(printf '%s' "$elsewhere" | grep -c '') text line(s) outside render.rs"
+if [ -n "$elsewhere" ]; then
+    failed=1
+    echo "        ^ a module draws text for a reader; that is render.rs's business:"
+    printf '%s\n' "$elsewhere" | sed 's/^/          /'
+fi
+if [ "$tables" -ne 1 ] || [ "$(printf '%s' "$bars" | grep -c '')" -ne 1 ] || [ -n "$loops" ]; then
+    failed=1
+    echo "        ^ the per-pass table is drawn once, by render.rs's pass_table, from PassRows:"
+    printf '%s\n' "$bars" "$loops" | grep . | sed 's/^/          /'
+fi
+if [ "$(printf '%s' "$verdicts" | grep -c '')" -ne 1 ]; then
+    failed=1
+    echo "        ^ the verdict word is written at one site (the per-scenario line's):"
+    printf '%s\n' "$verdicts" | sed 's/^/          /'
 fi
 
 echo
