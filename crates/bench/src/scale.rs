@@ -58,7 +58,7 @@ pub struct Counts {
     pub executions: usize,
     /// Scheduler steps over those executions.
     pub steps: u64,
-    /// Of `steps`, those executed in this process (`PassCost::steps_run`):
+    /// Of `steps`, those executed in this process (`PassMetrics::steps_run`):
     /// fewer than `steps` when crash jobs were forked off a shared
     /// execution instead of re-running its prefix.
     pub steps_executed: u64,
@@ -73,10 +73,12 @@ pub struct Counts {
 }
 
 impl Counts {
-    /// Hand-off wake-ups per scheduler step (2 when every step returns
-    /// to the controller; below 1 with run-on grants).
+    /// Hand-off wake-ups per scheduler step executed in this process (a
+    /// forked crash job wakes no thread for the prefix it did not run):
+    /// up to 2 when every step goes back through the controller, below 1
+    /// with run-on grants.
     pub fn wakeups_per_step(&self) -> f64 {
-        per_step(self.wakeups, self.steps)
+        per_step(self.wakeups, self.steps_executed)
     }
 
     fn to_json(&self) -> Value {
@@ -100,15 +102,12 @@ impl Counts {
 fn counts_at(scenario: &Scenario, base: &CheckConfig, workers: usize) -> Counts {
     let mut cfg = base.clone();
     cfg.workers = workers;
-    // The profiler is where the hand-off count surfaces.
-    cfg.profile = true;
     let report = scenario.run(&cfg);
-    let passes = || report.profile.iter().flat_map(|p| &p.passes);
     Counts {
         executions: report.executions,
         steps: report.total_steps,
-        steps_executed: passes().map(|pass| pass.steps_run).sum(),
-        wakeups: passes().map(|pass| pass.wakeups).sum(),
+        steps_executed: report.per_pass.iter().map(|pass| pass.steps_run).sum(),
+        wakeups: report.per_pass.iter().map(|pass| pass.wakeups).sum(),
         fault_plans: report.fault_plans,
         outcomes: report.outcomes,
         coverage: report.coverage,

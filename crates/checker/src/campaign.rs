@@ -40,14 +40,14 @@ use crate::json::{
     parse_hex64, u64s, without_keys, Counter,
 };
 use crate::metrics::{
-    trace_fingerprint, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
+    fold_passes, trace_fingerprint, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
 };
 use crate::pass::Pass;
 use crate::telemetry::EnvStamp;
 use goose_rt::fault::{FaultPlan, NetFault, TornMode};
 use perennial::GhostError;
 use serde_json::{json, Map, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Parses the `i/n` shard syntax: `0/4` is the first of four shards.
@@ -160,7 +160,7 @@ static REPORT_COUNTERS: [Counter<CheckReport>; 15] = counters![
 /// [`PassMetrics`]' counters: one object per pass in report JSON's
 /// `per_pass`. `pruned` and `coverage_guided` are the schedule phase's
 /// session counters, attributed to its two passes.
-static PASS_COUNTERS: [Counter<PassMetrics>; 7] = counters![
+pub(crate) static PASS_COUNTERS: [Counter<PassMetrics>; 7] = counters![
     "executions"      executions      Sum,
     "steps"           steps           Sum,
     "crashes"         crashes         Sum,
@@ -486,8 +486,9 @@ pub fn trace_file(scenario: &str) -> String {
 
 /// Merges one [`CheckReport`] per shard (a complete `0..n` cover, all
 /// from the same scenario) into the report an unsharded run would have
-/// produced. Each counter folds as its row of `REPORT_COUNTERS` or
-/// `PASS_COUNTERS` says; tallies and histograms sum, coverage sets union,
+/// produced. Each counter folds as its row of `REPORT_COUNTERS` says, the
+/// per-pass tables through the one per-pass fold (`fold_passes`);
+/// tallies and histograms sum, coverage sets union,
 /// and counterexamples re-sort by canonical key. A cover with a shard
 /// missing, twice, or of another scenario is refused, naming that shard.
 pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, String> {
@@ -528,7 +529,6 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
         env: reports[0].env.clone(),
         ..CheckReport::default()
     };
-    let mut per_pass: BTreeMap<u8, PassMetrics> = BTreeMap::new();
     for r in &reports {
         fold_totals(&mut out, r);
         out.steps_hist.merge(&r.steps_hist);
@@ -538,21 +538,10 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
         out.trace_fps.extend(r.trace_fps.iter().copied());
         out.counterexamples
             .extend(r.counterexamples.iter().cloned());
-        for pm in &r.per_pass {
-            let slot = per_pass.entry(pm.rank).or_insert(PassMetrics {
-                pass: pm.pass,
-                rank: pm.rank,
-                ..PassMetrics::default()
-            });
-            for c in &PASS_COUNTERS {
-                c.fold(slot, pm);
-            }
-            slot.busy_time += pm.busy_time;
-        }
     }
     out.coverage.crash_points_exercised = out.crash_point_set.len() as u64;
     out.coverage.distinct_traces = out.trace_fps.len() as u64;
-    out.per_pass = per_pass.into_values().collect();
+    out.per_pass = fold_passes(reports.iter().flat_map(|r| r.per_pass.iter().cloned()));
     out.counterexamples.sort_by_key(|cx| cx.key());
     out.counterexample = out.counterexamples.first().cloned();
     out.execs_per_sec = out.executions as f64 / out.wall_time.as_secs_f64().max(1e-9);
@@ -634,9 +623,8 @@ mod tests {
             crashes: 3,
             fault_plans: 2,
             failures: 1,
-            pruned: 0,
-            coverage_guided: 0,
             busy_time: Duration::from_micros(1234),
+            ..PassMetrics::default()
         }];
         r
     }

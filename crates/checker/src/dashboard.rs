@@ -3,8 +3,8 @@
 //! A sharded campaign leaves behind one JSONL WAL per scenario shard
 //! (see DESIGN.md §13). This module folds any number of those streams
 //! into a single [`Dashboard`]: per-scenario results across shards, and
-//! per pass the deterministic cost of its executions beside its wall time
-//! (the `pass_end` timing records), which
+//! the per-pass table of the report, folded from the stream's `exec_done`
+//! records by the report's own fold, which
 //! [`render_dashboard`](crate::render_dashboard) draws as text (`scan
 //! --dashboard`). The streams are read by [`read_stream`], the reader the
 //! WAL loader uses: this module knows the records' typed form, not their
@@ -20,28 +20,26 @@
 //! union, counts do not, so the dashboard shows the largest shard's
 //! count, a lower bound. A resumed WAL holds several
 //! `run_start`/`run_end` pairs for the same shard: the last `run_end`
-//! wins (it covers the whole run, replayed prefix included), while pass
-//! wall times accumulate across resumes (wall-clock actually spent).
+//! wins (it covers the whole run, replayed prefix included). The per-pass
+//! rows key each `exec_done` by its job, so a spine execution, or one a
+//! resumed run wrote again, counts once.
 
 use crate::campaign::fold_totals;
+use crate::metrics::{credit_session, fold_passes, PassMetrics};
 use crate::pass::Pass;
-use crate::profile::{PassCost, ProfileBuilder};
-use crate::telemetry::{read_stream, ExecStats, Record, RunEnd};
+use crate::telemetry::{read_stream, Record, RunEnd};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// One scenario's view across every ingested stream.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioDash {
     /// Last `run_end` per shard (`None` for an unsharded run).
     pub shards: BTreeMap<Option<(u32, u32)>, RunEnd>,
-    /// Summed `pass_end` wall time per pass, µs.
-    pub pass_wall_us: BTreeMap<Pass, u64>,
-    /// What each `exec_done` measured, by canonical job key. Keying
-    /// dedupes derivation-spine executions, which appear in every shard's
-    /// stream with identical deterministic statistics — so the per-pass
-    /// cost profile matches what an unsharded run would report.
-    pub exec_costs: BTreeMap<(Pass, u64), ExecStats>,
+    /// Each `exec_done` as a row of its pass, by canonical job key.
+    /// Keying dedupes derivation-spine executions, which appear in every
+    /// shard's stream with identical deterministic statistics, so the
+    /// per-pass table matches what an unsharded run would report.
+    pub execs: BTreeMap<(Pass, u64), PassMetrics>,
 }
 
 impl ScenarioDash {
@@ -83,14 +81,16 @@ impl Dashboard {
                 Record::RunEnd(run) => {
                     self.scenario(name).shards.insert(run.report.shard, run);
                 }
-                Record::PassEnd { pass, duration } => {
-                    let wall_us = &mut self.scenario(name).pass_wall_us;
-                    *wall_us.entry(pass).or_insert(0) += duration.as_micros() as u64;
-                }
                 Record::ExecDone {
-                    pass, index, stats, ..
+                    pass,
+                    index,
+                    ok,
+                    faulted,
+                    duration,
+                    stats,
                 } => {
-                    self.scenario(name).exec_costs.insert((pass, index), stats);
+                    let row = PassMetrics::exec(pass, &stats, !ok, faulted, duration);
+                    self.scenario(name).execs.insert((pass, index), row);
                 }
                 Record::RunStart(_) | Record::Other => {}
             }
@@ -103,19 +103,17 @@ impl Dashboard {
     }
 
     /// The per-pass table summed over every scenario, in rank order: the
-    /// deterministic cost of the deduplicated `exec_done` records, and in
-    /// `busy_us` the pass's own wall time from its `pass_end` records.
-    pub fn passes(&self) -> Vec<PassCost> {
-        let mut costs = ProfileBuilder::default();
-        for s in self.scenarios.values() {
-            for ((pass, _), stats) in &s.exec_costs {
-                costs.record_exec(*pass, stats, 0, 0, Duration::ZERO);
-            }
-            for (pass, wall_us) in &s.pass_wall_us {
-                costs.record_wall(*pass, *wall_us);
-            }
-        }
-        costs.into_passes()
+    /// deduplicated `exec_done` records through the report's fold, with
+    /// the schedule phase's session counters from the `run_end` records.
+    /// The stream carries no `steps_run` or `wakeups`: those stay 0.
+    pub fn passes(&self) -> Vec<PassMetrics> {
+        let execs = self.scenarios.values().flat_map(|s| s.execs.values());
+        let mut rows = fold_passes(execs.cloned());
+        let runs: Vec<RunEnd> = self.scenarios.values().map(ScenarioDash::merged).collect();
+        let sum = |n: fn(&RunEnd) -> u64| runs.iter().map(n).sum();
+        let (pruned, guided) = (sum(|r| r.report.pruned), sum(|r| r.report.coverage_guided));
+        credit_session(&mut rows, pruned, guided);
+        rows
     }
 }
 
@@ -123,9 +121,10 @@ impl Dashboard {
 mod tests {
     use super::*;
     use crate::render_dashboard;
-    use crate::telemetry::{ev_exec_done, pass_end_record, run_end_record, stamped, ExecEvent};
+    use crate::telemetry::{ev_exec_done, run_end_record, stamped, ExecEvent, ExecStats};
     use crate::{CheckReport, Counterexample, ExecOutcome, FaultPlan, OutcomeKind};
     use serde_json::Value;
+    use std::time::Duration;
 
     /// One stream line, as the writer puts `record` there for `scenario`.
     fn line(record: Value, scenario: &str) -> String {
@@ -186,10 +185,6 @@ mod tests {
         line(run_end_record(&report), scenario)
     }
 
-    fn pass_end_line(scenario: &str, pass: Pass, us: u64) -> String {
-        line(pass_end_record(pass, Duration::from_micros(us)), scenario)
-    }
-
     #[test]
     fn shard_totals_sum_and_enumerables_max() {
         let mut d = Dashboard::default();
@@ -227,48 +222,76 @@ mod tests {
         assert!(s.passed);
     }
 
-    #[test]
-    fn pass_wall_profile_accumulates_under_the_stamp() {
-        let mut d = Dashboard::default();
-        let text = format!(
-            "{}\n{}\nnot json at all\n",
-            pass_end_line("mutant/skip-flush", Pass::Dfs, 100),
-            pass_end_line("mutant/skip-flush", Pass::Dfs, 50),
-        );
-        d.ingest(&text);
-        assert_eq!(d.torn_lines, 1);
-        let s = &d.scenarios["mutant/skip-flush"];
-        assert_eq!(s.pass_wall_us[&Pass::Dfs], 150);
-        let passes = d.passes();
-        assert_eq!((passes[0].pass.as_str(), passes[0].busy_us), ("dfs", 150));
-    }
-
-    /// A pass's wall time files under the pass's own rank, whatever
-    /// `rank` the line claims.
-    #[test]
-    fn pass_end_is_keyed_by_the_rank_of_its_pass() {
-        let honest = pass_end_line("s", Pass::CrashSweep, 40);
-        let lying = honest.replace("\"rank\": 3", "\"rank\": 0");
-        assert_ne!(honest, lying);
-        let mut d = Dashboard::default();
-        d.ingest(&format!("{honest}\n{lying}\n"));
-        let wall = &d.scenarios["s"].pass_wall_us;
-        assert_eq!(wall.len(), 1, "{wall:?}");
-        assert_eq!(wall[&Pass::CrashSweep], 80);
-    }
-
     fn exec_done_line(scenario: &str, pass: &str, index: u64, steps: u64) -> String {
+        exec_line(scenario, pass, index, steps, OutcomeKind::Ok, "-", 0)
+    }
+
+    /// An `exec_done` line of an execution that ended as `outcome` under
+    /// the fault plan `faults` after `us` µs.
+    fn exec_line(
+        scenario: &str,
+        pass: &str,
+        index: u64,
+        steps: u64,
+        outcome: OutcomeKind,
+        faults: &str,
+        us: u64,
+    ) -> String {
         let stats = ExecStats {
             steps,
             crashes: 1,
             lock_blocks: 2,
             disk_ops: 3,
             net_msgs: 4,
+            disk_reads: 5,
             ..ExecStats::default()
         };
-        let (pass, ok) = (pass.parse().unwrap(), OutcomeKind::Ok);
-        let event = ExecEvent::new(pass, index, 0, ok, &stats, "-", Duration::ZERO);
+        let duration = Duration::from_micros(us);
+        let event = ExecEvent::new(
+            pass.parse().unwrap(),
+            index,
+            0,
+            outcome,
+            &stats,
+            faults,
+            duration,
+        );
         line(ev_exec_done(&event), scenario)
+    }
+
+    /// The dashboard's rows count what the report's count: the busy time
+    /// of each pass's executions (a pass's `pass_end` wall time is not
+    /// read), its failures and fault plans, and the session's prunes on
+    /// `dfs`.
+    #[test]
+    fn rows_carry_the_executions_time_failures_and_fault_plans() {
+        let mut d = Dashboard::default();
+        let failed = OutcomeKind::FinalCheckFailed;
+        let text = format!(
+            "{}\n{}\n{}\n{}\n",
+            exec_line("s", "random-crash", 0, 10, OutcomeKind::Ok, "-", 300),
+            exec_line("s", "torn-write-sweep", 1, 20, failed, "torn-none", 40),
+            exec_line("s", "dfs", 0, 5, OutcomeKind::Ok, "-", 7),
+            run_end_line("s", "0/1", 3, true),
+        );
+        d.ingest(&text);
+        assert_eq!(d.torn_lines, 0);
+        let rows = d.passes();
+        let row = |pass: Pass| rows.iter().find(|pm| pm.pass == pass).unwrap();
+        let random = row(Pass::RandomCrash);
+        assert_eq!(random.busy_time, Duration::from_micros(300));
+        assert_eq!((random.failures, random.fault_plans), (0, 0));
+        let torn = row(Pass::TornWrite);
+        assert_eq!((torn.failures, torn.fault_plans), (1, 1));
+        assert_eq!((torn.lock_blocks, torn.model_ops), (2, 5));
+        assert_eq!(row(Pass::Dfs).pruned, 7, "run_end's prunes, on dfs");
+        let text = render_dashboard(&d);
+        assert!(
+            text.contains(
+                "(1 crashes, 2 blocks, 3 disk ops, 4 net msgs, 5 model ops, 0.000s busy)"
+            ),
+            "{text}"
+        );
     }
 
     #[test]
@@ -358,7 +381,7 @@ mod tests {
     fn render_mentions_every_scenario_and_the_profile() {
         let mut d = Dashboard::default();
         d.ingest(&run_end_line("alpha", "0/1", 10, true));
-        d.ingest(&pass_end_line("alpha", Pass::CrashSweep, 2000));
+        d.ingest(&exec_done_line("alpha", "crash-sweep", 1, 10));
         let text = render_dashboard(&d);
         assert!(text.contains("CAMPAIGN DASHBOARD"), "{text}");
         assert!(text.contains("alpha"), "{text}");

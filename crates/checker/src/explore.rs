@@ -63,14 +63,16 @@ use crate::jobs::{
     crash_sweep_jobs, disk_fault_jobs, disk_fault_recovery_jobs, nested_crash_jobs, net_fault_jobs,
     random_crash_jobs, schedule_jobs, torn_write_jobs, Driver, Job, JobKey, JobOutcome,
 };
-use crate::metrics::{Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics};
+use crate::metrics::{
+    credit_session, fold_passes, Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
+};
 use crate::pass::Pass;
 use crate::profile::{collisions, ProfileBuilder, StrategyProfile};
 use crate::strategy::{ObservedExec, StrategySession};
 use crate::telemetry::EnvStamp;
 use goose_rt::fault::FaultSurface;
 use perennial_spec::SpecTS;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -253,14 +255,7 @@ pub(crate) fn check_as(name: &str, harness: &dyn AnyHarness, config: &CheckConfi
     report.strategy = config.strategy.name().to_string();
     report.pruned = session.pruned();
     report.coverage_guided = session.guided();
-    for pm in &mut report.per_pass {
-        if pm.pass == Pass::Dfs {
-            pm.pruned = report.pruned;
-        }
-        if pm.pass == Pass::Random {
-            pm.coverage_guided = report.coverage_guided;
-        }
-    }
+    credit_session(&mut report.per_pass, report.pruned, report.coverage_guided);
     report.counterexample = counterexamples.first().cloned();
     report.counterexamples = counterexamples;
     report.shrink = shrink;
@@ -292,8 +287,7 @@ pub(crate) fn check_as(name: &str, harness: &dyn AnyHarness, config: &CheckConfi
             prunes_by_resource: session.prunes_by_resource(),
             coverage: session.coverage_introspection(),
         };
-        let workers = driver.workers as u64;
-        report.profile = Some(p.finish(name, strategy, workers, report.wall_time));
+        report.profile = Some(p.finish(&report, strategy));
     }
     driver.shared.telem.close(&report);
     report
@@ -426,9 +420,10 @@ fn disk_fault_sweep(driver: &mut Driver<'_>, surface: FaultSurface) {
 }
 
 /// Folds the outcomes at or below `cutoff` that this shard counts into
-/// the report's statistics, histograms, coverage and per-pass table (and
-/// the profile, when one is being built). Everything else in the report
-/// — names, verdict, strategy counters, timing — is the caller's.
+/// the report's statistics, histograms and coverage, and each once into
+/// its pass's row (and the profile's resource table, when one is being
+/// built). Everything else in the report — names, verdict, strategy
+/// counters, timing — is the caller's.
 fn aggregate(
     outcomes: &[Vec<JobOutcome>],
     cutoff: Option<JobKey>,
@@ -436,20 +431,16 @@ fn aggregate(
     mut profile: Option<&mut ProfileBuilder>,
 ) -> CheckReport {
     let mut report = CheckReport::default();
-    let mut per_pass: BTreeMap<Pass, PassMetrics> = BTreeMap::new();
-    for out in outcomes.iter().flatten() {
-        if !out.counted || cutoff.is_some_and(|cut| out.key > cut) {
-            continue;
-        }
+    let kept = |out: &&JobOutcome| out.counted && cutoff.is_none_or(|cut| out.key <= cut);
+    let counted = || outcomes.iter().flatten().filter(kept);
+    for out in counted() {
         let stats = &out.stats;
-        let failed = out.kind != OutcomeKind::Ok;
-        let plans = usize::from(out.family.is_some());
         report.executions += 1;
         report.total_steps += stats.steps;
         report.crashes_injected += stats.crashes as usize;
         report.helped_ops += stats.helped;
         report.crash_points += out.swept as usize;
-        report.fault_plans += plans;
+        report.fault_plans += usize::from(out.family.is_some());
         report.disk_reads += stats.disk_reads;
         report.disk_writes += stats.disk_writes;
         report.disk_flushes += stats.disk_flushes;
@@ -464,27 +455,22 @@ fn aggregate(
         if let Some(family) = out.family {
             coverage.plans_exercised[family as usize] += 1;
         }
-        let pm = per_pass.entry(out.pass).or_insert(PassMetrics {
-            pass: out.pass,
-            rank: out.key.0,
-            ..PassMetrics::default()
-        });
-        pm.executions += 1;
-        pm.steps += stats.steps;
-        pm.crashes += stats.crashes;
-        pm.fault_plans += plans as u64;
-        pm.failures += u64::from(failed);
-        pm.busy_time += out.duration;
         if let Some(p) = profile.as_deref_mut() {
-            p.record_exec(out.pass, stats, out.steps_run, out.wakeups, out.duration);
             p.record_lock_profile(&out.lock_profile);
             p.record_collisions(&out.collisions);
         }
     }
+    report.per_pass = fold_passes(counted().map(|out| {
+        let (failed, faulted) = (out.kind != OutcomeKind::Ok, out.family.is_some());
+        PassMetrics {
+            steps_run: out.steps_run,
+            wakeups: out.wakeups,
+            ..PassMetrics::exec(out.pass, &out.stats, failed, faulted, out.duration)
+        }
+    }));
     coverage.crash_points_exercised = report.crash_point_set.len() as u64;
     coverage.distinct_traces = report.trace_fps.len() as u64;
     report.coverage = coverage;
-    report.per_pass = per_pass.into_values().collect();
     report
 }
 

@@ -9,8 +9,10 @@
 //! counters that feed the progress line live in [`crate::telemetry`];
 //! these are the trustworthy ones that end up in [`crate::CheckReport`].
 
+use crate::campaign::PASS_COUNTERS;
 use crate::explore::ExecOutcome;
 use crate::pass::Pass;
+use crate::telemetry::ExecStats;
 use goose_rt::fault::FaultPlan;
 use std::time::Duration;
 
@@ -217,7 +219,13 @@ impl Histogram {
     }
 }
 
-/// Accounting for one exploration pass, accumulated over its executions.
+/// Accounting for one exploration pass, accumulated over its executions:
+/// the crate's one per-pass row. The report's `per_pass`, the profile's
+/// `passes` and the dashboard's table are lists of it, each summed by
+/// `fold_passes`. The counters of campaign.rs's `PASS_COUNTERS` go into
+/// report JSON; the cost counters from `steps_run` on are the process's
+/// own (0 in a report read back from JSON; a dashboard has what the
+/// stream carries, no `steps_run` or `wakeups`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassMetrics {
     /// Which pass.
@@ -240,10 +248,102 @@ pub struct PassMetrics {
     /// Executions re-seeded by coverage feedback (attributed to the
     /// random pass; 0 elsewhere and under non-guided strategies).
     pub coverage_guided: u64,
+    /// Of `steps`, those executed in this process: a crash job forked
+    /// off a shared execution runs only what follows its crash, a job
+    /// read back from a WAL runs nothing, and the first job of a
+    /// crash-sweep group also carries the steps of the executions the
+    /// group forked its jobs off.
+    pub steps_run: u64,
+    /// OS-thread wake-ups the scheduler hand-off issued
+    /// (`ModelRt::wakeups`): the deterministic proxy for what scheduling
+    /// the pass's steps cost. Executions replayed from a WAL add none.
+    pub wakeups: u64,
+    /// Times a thread parked on a held model lock.
+    pub lock_blocks: u64,
+    /// Disk operations consulted against the fault plan.
+    pub disk_ops: u64,
+    /// Network sends consulted against the fault plan.
+    pub net_msgs: u64,
+    /// Block reads + writes + flushes + net sends + net receives
+    /// ([`ExecStats::model_ops`]).
+    pub model_ops: u64,
     /// Summed per-execution wall time across the pass. The one
     /// timing-dependent field in this module: with a pool, passes
     /// overlap on the wall clock, so this is *busy* time, not elapsed.
     pub busy_time: Duration,
+}
+
+impl PassMetrics {
+    /// One execution as a row of its pass: what it measured, `failed`
+    /// when it ended in a non-Ok outcome, `faulted` when it ran under a
+    /// non-empty fault plan, and the wall time it took.
+    pub fn exec(
+        pass: Pass,
+        stats: &ExecStats,
+        failed: bool,
+        faulted: bool,
+        busy_time: Duration,
+    ) -> Self {
+        PassMetrics {
+            pass,
+            rank: pass.rank(),
+            executions: 1,
+            steps: stats.steps,
+            crashes: stats.crashes,
+            fault_plans: u64::from(faulted),
+            failures: u64::from(failed),
+            lock_blocks: stats.lock_blocks,
+            disk_ops: stats.disk_ops,
+            net_msgs: stats.net_msgs,
+            model_ops: stats.model_ops(),
+            busy_time,
+            ..PassMetrics::default()
+        }
+    }
+
+    /// Folds `o`, a row of the same pass, into this one: each report
+    /// counter as its `PASS_COUNTERS` row says, the cost counters and the
+    /// busy time summed.
+    fn fold(&mut self, o: &PassMetrics) {
+        for c in &PASS_COUNTERS {
+            c.fold(self, o);
+        }
+        self.steps_run += o.steps_run;
+        self.wakeups += o.wakeups;
+        self.lock_blocks += o.lock_blocks;
+        self.disk_ops += o.disk_ops;
+        self.net_msgs += o.net_msgs;
+        self.model_ops += o.model_ops;
+        self.busy_time += o.busy_time;
+    }
+}
+
+/// The one per-pass fold: `rows` (each one execution's, or one shard's
+/// table) summed per pass, in rank order. The explorer folds its counted
+/// outcomes through it, `merge_reports` its shards' tables, and the
+/// dashboard its deduplicated `exec_done` records, so the three tables
+/// count alike.
+pub(crate) fn fold_passes(rows: impl IntoIterator<Item = PassMetrics>) -> Vec<PassMetrics> {
+    let mut by_rank: [Option<PassMetrics>; Pass::ALL.len()] = Default::default();
+    for row in rows {
+        match &mut by_rank[row.pass.rank() as usize] {
+            Some(sum) => sum.fold(&row),
+            first => *first = Some(row),
+        }
+    }
+    by_rank.into_iter().flatten().collect()
+}
+
+/// Credits the schedule phase's session counters to its two passes'
+/// rows: the prunes to `dfs`, the coverage re-seeds to `random`.
+pub(crate) fn credit_session(rows: &mut [PassMetrics], pruned: u64, coverage_guided: u64) {
+    for pm in rows {
+        match pm.pass {
+            Pass::Dfs => pm.pruned = pruned,
+            Pass::Random => pm.coverage_guided = coverage_guided,
+            _ => {}
+        }
+    }
 }
 
 /// Which fault surface a non-empty plan exercises: the index of the
@@ -351,25 +451,13 @@ impl Coverage {
         }
     }
 
-    fn ratio(done: u64, total: u64) -> f64 {
-        if total == 0 {
-            // Nothing enumerable (sweep disabled or no surface): treat
-            // as fully covered rather than dividing by zero.
-            1.0
-        } else {
-            done as f64 / total as f64
-        }
-    }
-
-    /// Crash points exercised over enumerable (1.0 when none are
-    /// enumerable).
-    pub fn crash_point_ratio(&self) -> f64 {
-        Self::ratio(self.crash_points_exercised, self.crash_points_enumerable)
-    }
-
-    /// All fault surfaces pooled into one ratio.
+    /// All fault surfaces pooled into one ratio (1.0 when nothing is
+    /// enumerable: a sweep disabled, or no surface, counts as covered).
     pub fn fault_plan_ratio(&self) -> f64 {
-        Self::ratio(self.fault_plans_exercised(), self.fault_plans_enumerable())
+        match self.fault_plans_enumerable() {
+            0 => 1.0,
+            total => self.fault_plans_exercised() as f64 / total as f64,
+        }
     }
 
     /// Non-empty fault plans executed, summed over every surface.
@@ -452,17 +540,10 @@ mod tests {
 
     #[test]
     fn coverage_ratios_handle_empty_spaces() {
-        let c = Coverage::default();
-        assert_eq!(c.crash_point_ratio(), 1.0);
-        assert_eq!(c.fault_plan_ratio(), 1.0);
-        let mut c = Coverage {
-            crash_points_exercised: 3,
-            crash_points_enumerable: 12,
-            ..Coverage::default()
-        };
+        assert_eq!(Coverage::default().fault_plan_ratio(), 1.0);
+        let mut c = Coverage::default();
         c.plans_exercised[FaultFamily::Torn as usize] = 6;
         c.plans_enumerable[FaultFamily::Torn as usize] = 36;
-        assert!((c.crash_point_ratio() - 0.25).abs() < 1e-12);
         assert!((c.fault_plan_ratio() - 6.0 / 36.0).abs() < 1e-12);
     }
 

@@ -4,12 +4,12 @@
 //! when the ROADMAP's "as fast as the hardware allows" goal slips:
 //! which *pass* burned the executions and steps, which *resource* the
 //! schedules fought over, what the *strategy* did with its feedback,
-//! and whether the *workers* were actually busy. It is aggregated from
-//! the same canonical job outcomes the report statistics come from —
-//! inside the cutoff-filtered loop of `explore::aggregate` — so every count
-//! obeys the PR-1 determinism contract: identical at every worker
-//! count, and unchanged by enabling the profiler itself
-//! (DESIGN.md §15).
+//! and whether the *workers* were actually busy. Its per-pass table is
+//! the report's own `per_pass`, and its resource table is folded from the
+//! same canonical job outcomes, inside the cutoff-filtered loop of
+//! `explore::aggregate`, so every count obeys the PR-1 determinism
+//! contract: identical at every worker count, and unchanged by enabling
+//! the profiler itself (DESIGN.md §15).
 //!
 //! Determinism boundary: the only wall-clock data in a profile are the
 //! per-pass `busy_time_us` attribution and the [`WorkerUtilization`]
@@ -25,10 +25,10 @@
 //! building it reads counters the explorer already collected — it
 //! schedules no execution and emits no telemetry.
 
+use crate::explore::CheckReport;
 use crate::json::hex64;
-use crate::pass::Pass;
+use crate::metrics::PassMetrics;
 use crate::strategy::{CoverageIntrospection, DepTrace};
-use crate::telemetry::ExecStats;
 use goose_rt::sched::{res, Tid};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -54,46 +54,6 @@ pub fn resource_kind(id: u64) -> &'static str {
         x if x == res::NET_FAULT_CTR => "net-fault",
         _ => "other",
     }
-}
-
-/// Cost attribution of one pass: executions, steps, and model-op
-/// counters summed over the pass's counted executions, plus the wall
-/// time those executions took (`busy_us`, the lone timing field).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PassCost {
-    /// Pass name.
-    pub pass: String,
-    /// Pass rank (canonical ordering key).
-    pub rank: u8,
-    /// Executions counted toward this pass.
-    pub executions: u64,
-    /// Scheduler grants summed over the pass's executions.
-    pub steps: u64,
-    /// Of `steps`, those executed in this process: a crash job forked
-    /// off a shared execution runs only what follows its crash, a job
-    /// read back from a WAL runs nothing, and the first job of a
-    /// crash-sweep group also carries the steps of the executions the
-    /// group forked its jobs off.
-    pub steps_run: u64,
-    /// Crashes injected by the pass.
-    pub crashes: u64,
-    /// Times a thread parked on a held model lock.
-    pub lock_blocks: u64,
-    /// Disk operations consulted against the fault plan.
-    pub disk_ops: u64,
-    /// Network sends consulted against the fault plan.
-    pub net_msgs: u64,
-    /// Block reads + writes + flushes + net sends + net receives (the
-    /// `SchedStats` model-op accounting, folded).
-    pub model_ops: u64,
-    /// OS-thread wake-ups the scheduler hand-off issued
-    /// (`ModelRt::wakeups`): the deterministic proxy for what scheduling
-    /// the pass's steps cost. Executions replayed from a WAL add none.
-    pub wakeups: u64,
-    /// Summed wall time of the pass's executions, µs (timing-only). A
-    /// dashboard's row holds the pass's own `pass_end` wall time here
-    /// instead ([`ProfileBuilder::record_wall`]).
-    pub busy_us: u64,
 }
 
 /// One contended resource: how often schedules fought over it.
@@ -137,8 +97,8 @@ pub struct StrategyProfile {
     pub coverage: Option<CoverageIntrospection>,
 }
 
-/// Worker-pool utilization: summed execution wall time against the
-/// pool's wall-clock capacity. Timing-only — machines and worker counts
+/// Worker-pool utilization: summed execution wall time (the per-pass
+/// rows' busy time) against the pool's wall-clock capacity. Timing-only — machines and worker counts
 /// change these numbers freely, which is why they live apart from the
 /// deterministic tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -169,8 +129,9 @@ impl WorkerUtilization {
 pub struct Profile {
     /// Scenario name the profile belongs to.
     pub scenario: String,
-    /// Per-pass cost attribution, in canonical rank order.
-    pub passes: Vec<PassCost>,
+    /// Per-pass cost attribution, in canonical rank order: the report's
+    /// own `per_pass` rows.
+    pub passes: Vec<PassMetrics>,
     /// Top contended resources, ranked by blocks + collisions + prunes
     /// (ties broken by resource id, so the order is deterministic).
     pub resources: Vec<ResourceRow>,
@@ -213,62 +174,17 @@ pub fn collisions(decisions: &[(usize, usize)], deps: &DepTrace) -> Vec<(u64, u6
         .collect()
 }
 
-/// Accumulates a [`Profile`] from canonical job outcomes. Driven by
-/// `explore::aggregate` inside the same cutoff-filtered loop
-/// that builds the report statistics, so worker-count independence is
-/// inherited rather than re-proved.
+/// Accumulates a [`Profile`]'s resource table from canonical job
+/// outcomes. Driven by `explore::aggregate` inside the same
+/// cutoff-filtered loop that builds the report statistics, so
+/// worker-count independence is inherited rather than re-proved; the
+/// per-pass table is the report's own.
 #[derive(Debug, Default)]
 pub struct ProfileBuilder {
-    per_pass: BTreeMap<(u8, Pass), PassCost>,
     resources: BTreeMap<u64, ResourceRow>,
-    busy_us: u64,
 }
 
 impl ProfileBuilder {
-    /// Folds one counted execution into the per-pass table: what it
-    /// measured, the steps this process ran for it, the hand-off
-    /// wake-ups it cost (`ModelRt::wakeups`), and its wall time
-    /// (timing-only).
-    pub fn record_exec(
-        &mut self,
-        pass: Pass,
-        stats: &ExecStats,
-        steps_run: u64,
-        wakeups: u64,
-        duration: Duration,
-    ) {
-        let duration_us = duration.as_micros() as u64;
-        let row = self.row(pass);
-        row.executions += 1;
-        row.steps += stats.steps;
-        row.steps_run += steps_run;
-        row.crashes += stats.crashes;
-        row.lock_blocks += stats.lock_blocks;
-        row.disk_ops += stats.disk_ops;
-        row.net_msgs += stats.net_msgs;
-        row.model_ops += stats.model_ops();
-        row.wakeups += wakeups;
-        row.busy_us += duration_us;
-        self.busy_us += duration_us;
-    }
-
-    /// Credits a pass's own wall time (its `pass_end` record) to its row's
-    /// `busy_us`: the dashboard's time column, where no execution's time
-    /// is known.
-    pub fn record_wall(&mut self, pass: Pass, wall_us: u64) {
-        self.row(pass).busy_us += wall_us;
-    }
-
-    fn row(&mut self, pass: Pass) -> &mut PassCost {
-        self.per_pass
-            .entry((pass.rank(), pass))
-            .or_insert_with(|| PassCost {
-                pass: pass.name().to_string(),
-                rank: pass.rank(),
-                ..PassCost::default()
-            })
-    }
-
     fn resource(&mut self, id: u64) -> &mut ResourceRow {
         self.resources.entry(id).or_insert_with(|| ResourceRow {
             resource: id,
@@ -292,21 +208,11 @@ impl ProfileBuilder {
         }
     }
 
-    /// The per-pass table alone, in canonical rank order.
-    pub fn into_passes(self) -> Vec<PassCost> {
-        self.per_pass.into_values().collect()
-    }
-
-    /// Finishes the profile: merges the strategy's per-resource prune
-    /// attribution into the contention table, ranks it, and attaches
-    /// the worker-utilization summary.
-    pub fn finish(
-        mut self,
-        scenario: &str,
-        strategy: StrategyProfile,
-        workers: u64,
-        wall: Duration,
-    ) -> Profile {
+    /// Finishes the profile of `report`: merges the strategy's
+    /// per-resource prune attribution into the contention table, ranks
+    /// it, and attaches the report's per-pass rows and the
+    /// worker-utilization summary.
+    pub fn finish(mut self, report: &CheckReport, strategy: StrategyProfile) -> Profile {
         for (id, prunes) in &strategy.prunes_by_resource {
             self.resource(*id).prunes += prunes;
         }
@@ -318,16 +224,17 @@ impl ProfileBuilder {
         });
         let dropped = rows.len().saturating_sub(RESOURCE_TOP) as u64;
         rows.truncate(RESOURCE_TOP);
+        let busy: Duration = report.per_pass.iter().map(|pm| pm.busy_time).sum();
         Profile {
-            scenario: scenario.to_string(),
-            passes: self.per_pass.into_values().collect(),
+            scenario: report.name.clone(),
+            passes: report.per_pass.clone(),
             resources: rows,
             resources_dropped: dropped,
             strategy,
             workers: WorkerUtilization {
-                workers,
-                busy_us: self.busy_us,
-                wall_us: wall.as_micros() as u64,
+                workers: report.workers as u64,
+                busy_us: busy.as_micros() as u64,
+                wall_us: report.wall_time.as_micros() as u64,
             },
         }
     }
@@ -343,20 +250,20 @@ pub fn profile_to_json(p: &Profile) -> Value {
         "passes": p
             .passes
             .iter()
-            .map(|pc| {
+            .map(|pm| {
                 json!({
-                    "pass": pc.pass,
-                    "rank": pc.rank,
-                    "executions": pc.executions,
-                    "steps": pc.steps,
-                    "steps_run": pc.steps_run,
-                    "crashes": pc.crashes,
-                    "lock_blocks": pc.lock_blocks,
-                    "disk_ops": pc.disk_ops,
-                    "net_msgs": pc.net_msgs,
-                    "model_ops": pc.model_ops,
-                    "wakeups": pc.wakeups,
-                    "busy_time_us": pc.busy_us,
+                    "pass": pm.pass.name(),
+                    "rank": pm.rank,
+                    "executions": pm.executions,
+                    "steps": pm.steps,
+                    "steps_run": pm.steps_run,
+                    "crashes": pm.crashes,
+                    "lock_blocks": pm.lock_blocks,
+                    "disk_ops": pm.disk_ops,
+                    "net_msgs": pm.net_msgs,
+                    "model_ops": pm.model_ops,
+                    "wakeups": pm.wakeups,
+                    "busy_time_us": (pm.busy_time.as_micros() as u64),
                 })
             })
             .collect::<Vec<Value>>(),
@@ -404,30 +311,43 @@ pub fn profile_to_json(p: &Profile) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::Pass;
     use crate::strategy::tests::{dep_trace, random_rows, Gen};
+    use crate::telemetry::ExecStats;
     use goose_rt::sched::StepAccess;
 
-    fn record(b: &mut ProfileBuilder, pass: Pass, steps: u64, lock_blocks: u64) {
-        let stats = ExecStats {
-            steps,
-            lock_blocks,
-            ..ExecStats::default()
-        };
-        b.record_exec(pass, &stats, steps, 2 * steps, Duration::from_micros(10));
+    /// A report whose passes ran these executions, `(pass, steps,
+    /// lock blocks)`, each 10 µs long, on `workers` workers.
+    fn report(execs: &[(Pass, u64, u64)], workers: usize) -> CheckReport {
+        let rows = execs.iter().map(|&(pass, steps, lock_blocks)| {
+            let stats = ExecStats {
+                steps,
+                lock_blocks,
+                ..ExecStats::default()
+            };
+            PassMetrics::exec(pass, &stats, false, false, Duration::from_micros(10))
+        });
+        CheckReport {
+            name: "s".into(),
+            per_pass: crate::metrics::fold_passes(rows),
+            workers,
+            wall_time: Duration::from_micros(100),
+            ..CheckReport::default()
+        }
+    }
+
+    fn finish(b: ProfileBuilder) -> Profile {
+        b.finish(&CheckReport::default(), StrategyProfile::default())
     }
 
     #[test]
-    fn builder_attributes_costs_per_pass_in_rank_order() {
-        let mut b = ProfileBuilder::default();
-        record(&mut b, Pass::Random, 5, 1);
-        record(&mut b, Pass::Dfs, 10, 2);
-        record(&mut b, Pass::Dfs, 10, 0);
-        let p = b.finish(
-            "s",
-            StrategyProfile::default(),
+    fn the_profile_takes_the_reports_rows_and_their_busy_time() {
+        let r = report(
+            &[(Pass::Random, 5, 1), (Pass::Dfs, 10, 2), (Pass::Dfs, 10, 0)],
             4,
-            Duration::from_micros(100),
         );
+        let p = ProfileBuilder::default().finish(&r, StrategyProfile::default());
+        assert_eq!(p.passes, r.per_pass);
         assert_eq!(p.passes.len(), 2);
         assert_eq!(p.passes[0].pass, "dfs");
         assert_eq!(p.passes[0].executions, 2);
@@ -436,6 +356,7 @@ mod tests {
         assert_eq!(p.passes[1].pass, "random");
         assert_eq!(p.workers.busy_us, 30);
         assert_eq!(p.workers.workers, 4);
+        assert_eq!(p.scenario, "s");
     }
 
     #[test]
@@ -455,7 +376,7 @@ mod tests {
         let decisions = vec![(0, 2), (1, 2), (0, 2)];
         let mut b = ProfileBuilder::default();
         b.record_collisions(&collisions(&decisions, &deps));
-        let p = b.finish("s", StrategyProfile::default(), 1, Duration::ZERO);
+        let p = finish(b);
         assert_eq!(p.resources.len(), 1, "{:?}", p.resources);
         assert_eq!(p.resources[0].resource, shared);
         assert_eq!(p.resources[0].kind, "lock");
@@ -520,7 +441,7 @@ mod tests {
         let mut b = ProfileBuilder::default();
         let rows: Vec<(u64, u64)> = (0..20).map(|i| (res::LOCK | i, 20 - i)).collect();
         b.record_lock_profile(&rows);
-        let p = b.finish("s", StrategyProfile::default(), 1, Duration::ZERO);
+        let p = finish(b);
         assert_eq!(p.resources.len(), RESOURCE_TOP);
         assert_eq!(p.resources_dropped, 20 - RESOURCE_TOP as u64);
         assert_eq!(p.resources[0].lock_blocks, 20, "heaviest first");
@@ -528,17 +449,11 @@ mod tests {
 
     #[test]
     fn profile_json_hides_all_timing_under_timing_keys() {
-        let mut b = ProfileBuilder::default();
-        record(&mut b, Pass::Dfs, 10, 1);
-        let p = b.finish(
-            "s",
-            StrategyProfile {
-                strategy: "exhaustive".to_string(),
-                ..StrategyProfile::default()
-            },
-            8,
-            Duration::from_micros(500),
-        );
+        let strategy = StrategyProfile {
+            strategy: "exhaustive".to_string(),
+            ..StrategyProfile::default()
+        };
+        let p = ProfileBuilder::default().finish(&report(&[(Pass::Dfs, 10, 1)], 8), strategy);
         let v = profile_to_json(&p);
         let stripped = crate::telemetry::strip_timing(&v);
         let text = serde_json::to_string(&stripped).unwrap();

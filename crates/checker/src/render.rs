@@ -8,16 +8,16 @@
 //! [`CheckReport::summary`]: totals, rate and verdict, and on a FAIL the
 //! counterexample's coordinates. The per-pass table is `pass_table`:
 //! one row per pass with its executions, steps, share of the steps, the
-//! counters it has and its time. The summary and failure footer read
-//! its rows from the report's `per_pass`, the profile from its
-//! `passes`, and the dashboard from the stream's `exec_done` and
-//! `pass_end` records.
+//! counters it has and its busy time. Its rows are [`PassMetrics`], from
+//! one fold: the report's `per_pass` for the summary and failure footer,
+//! the same rows as the profile's `passes`, and for the dashboard the
+//! stream's `exec_done` records folded alike.
 
 use crate::dashboard::{Dashboard, ScenarioDash};
 use crate::explore::{CheckReport, ExecOutcome};
 use crate::json::hex64;
 use crate::metrics::{Coverage, FaultFamily, Histogram, OutcomeCounts, PassMetrics};
-use crate::profile::{PassCost, Profile};
+use crate::profile::Profile;
 use crate::telemetry::RunEnd;
 use goose_rt::trace::{ExecTrace, TraceEvent};
 use std::fmt::Write as _;
@@ -74,85 +74,42 @@ impl CheckReport {
     }
 }
 
-/// One row of the per-pass table, whichever record it is read from.
-struct PassRow<'a> {
-    pass: &'a str,
-    executions: u64,
-    steps: u64,
-    /// Counters with their unit, shown when non-zero.
-    counts: Vec<(u64, &'static str)>,
-    /// Seconds: busy or wall, as the table says.
-    secs: f64,
-}
-
-impl<'a> From<&'a PassMetrics> for PassRow<'a> {
-    fn from(pm: &'a PassMetrics) -> Self {
-        PassRow {
-            pass: pm.pass.name(),
-            executions: pm.executions,
-            steps: pm.steps,
-            counts: vec![
-                (pm.crashes, "crashes"),
-                (pm.fault_plans, "fault plans"),
-                (pm.pruned, "pruned"),
-                (pm.coverage_guided, "guided"),
-                (pm.failures, "FAILURES"),
-            ],
-            secs: pm.busy_time.as_secs_f64(),
-        }
-    }
-}
-
-impl<'a> From<&'a PassCost> for PassRow<'a> {
-    fn from(pc: &'a PassCost) -> Self {
-        PassRow {
-            pass: &pc.pass,
-            executions: pc.executions,
-            steps: pc.steps,
-            counts: vec![
-                (pc.crashes, "crashes"),
-                (pc.wakeups, "wake-ups"),
-                (pc.lock_blocks, "blocks"),
-                (pc.disk_ops, "disk ops"),
-                (pc.net_msgs, "net msgs"),
-                (pc.model_ops, "model ops"),
-            ],
-            secs: pc.busy_us as f64 / 1e6,
-        }
-    }
-}
-
 /// The per-pass table, under `heading` (nothing at all without rows):
 /// each pass's executions, steps and share of the steps (a percentage
-/// and a bar of 24), its non-zero counters, and its time, `busy` or
-/// `wall`.
-fn pass_table<'a>(
-    out: &mut String,
-    heading: &str,
-    rows: impl IntoIterator<Item = PassRow<'a>>,
-    time: &str,
-) {
-    let rows: Vec<PassRow> = rows.into_iter().collect();
+/// and a bar of 24), its non-zero counters, and its busy time.
+fn pass_table(out: &mut String, heading: &str, rows: &[PassMetrics]) {
     if rows.is_empty() {
         return;
     }
     let total: u64 = rows.iter().map(|r| r.steps).sum();
     let _ = writeln!(out, "{heading}");
-    for r in &rows {
+    for r in rows {
         let share = r.steps as f64 / total.max(1) as f64;
         let bar = "#".repeat((24.0 * share).round() as usize);
+        let counts = [
+            (r.crashes, "crashes"),
+            (r.fault_plans, "fault plans"),
+            (r.pruned, "pruned"),
+            (r.coverage_guided, "guided"),
+            (r.wakeups, "wake-ups"),
+            (r.lock_blocks, "blocks"),
+            (r.disk_ops, "disk ops"),
+            (r.net_msgs, "net msgs"),
+            (r.model_ops, "model ops"),
+            (r.failures, "FAILURES"),
+        ];
         let mut notes = String::new();
-        for (n, unit) in r.counts.iter().filter(|(n, _)| *n > 0) {
+        for (n, unit) in counts.iter().filter(|(n, _)| *n > 0) {
             let _ = write!(notes, "{n} {unit}, ");
         }
         let _ = writeln!(
             out,
-            "    {:<18} {:>7} execs {:>10} steps  {:>3.0}% {bar:<24}  ({notes}{:.3}s {time})",
+            "    {:<18} {:>7} execs {:>10} steps  {:>3.0}% {bar:<24}  ({notes}{:.3}s busy)",
             r.pass,
             r.executions,
             r.steps,
             100.0 * share,
-            r.secs,
+            r.busy_time.as_secs_f64(),
         );
     }
 }
@@ -171,8 +128,7 @@ fn pass_footer(out: &mut String, report: &CheckReport) {
         report.workers
     );
     field(out, "Throughput", throughput);
-    let rows = report.per_pass.iter().map(PassRow::from);
-    pass_table(out, "Per pass        : (share of steps)", rows, "busy");
+    pass_table(out, "Per pass        : (share of steps)", &report.per_pass);
 }
 
 /// `ok=120 deadlock=2`, zero buckets left out.
@@ -211,12 +167,12 @@ fn histogram_line(h: &Histogram) -> String {
 }
 
 fn coverage_lines(out: &mut String, c: &Coverage) {
+    // Exercised counts every pass's crash points (nested and random
+    // ones too); the sweep enumerates the crash sweep's alone.
     let _ = writeln!(
         out,
-        "  crash points   : {}/{} exercised ({:.0}%)",
-        c.crash_points_exercised,
-        c.crash_points_enumerable,
-        100.0 * c.crash_point_ratio()
+        "  crash points   : {} distinct, {} in the crash sweep",
+        c.crash_points_exercised, c.crash_points_enumerable,
     );
     let surfaces: Vec<String> = (FaultFamily::ALL.into_iter())
         .zip(c.plans_exercised.into_iter().zip(c.plans_enumerable))
@@ -406,12 +362,11 @@ pub fn render_profile(p: &Profile) -> String {
         "PROFILE — {} (strategy {})",
         p.scenario, p.strategy.strategy
     );
-    let rows = p.passes.iter().map(PassRow::from);
-    pass_table(&mut out, "  per-pass cost (share of steps):", rows, "busy");
+    pass_table(&mut out, "  per-pass cost (share of steps):", &p.passes);
     // A forked crash job runs only what follows its crash, so the rate
     // is over the steps this process executed, not the logical ones.
-    let wakeups: u64 = p.passes.iter().map(|pc| pc.wakeups).sum();
-    let steps_run: u64 = p.passes.iter().map(|pc| pc.steps_run).sum();
+    let wakeups: u64 = p.passes.iter().map(|pm| pm.wakeups).sum();
+    let steps_run: u64 = p.passes.iter().map(|pm| pm.steps_run).sum();
     let _ = writeln!(
         out,
         "  hand-offs: {wakeups} OS wake-ups over {steps_run} executed steps ({:.2} per step)",
@@ -491,8 +446,8 @@ pub fn render_dashboard(d: &Dashboard) -> String {
     let _ = writeln!(
         out,
         "\n  outcome grid ('.' shard passed, 'X' failed, '!' incomplete; \
-         crash a/b = absolute-grant-count crash points exercised/enumerable, \
-         fault c/d = fault plans):"
+         crash a, b = distinct absolute-grant-count crash points exercised by any pass, \
+         and those the crash sweep enumerates; fault c/d = fault plans):"
     );
     for (name, s, run) in &runs {
         let grid: String = (s.shards.values())
@@ -506,7 +461,7 @@ pub fn render_dashboard(d: &Dashboard) -> String {
         let _ = writeln!(
             out,
             "    {name:<name_w$}  [{grid:<4}]  {:>7} execs  {:>9} steps  {:>2} cx  \
-             crash {}/{} fault {}/{}",
+             crash {} distinct, {} in the sweep  fault {}/{}",
             r.executions,
             r.total_steps,
             run.counterexamples,
@@ -516,13 +471,8 @@ pub fn render_dashboard(d: &Dashboard) -> String {
             c.fault_plans_enumerable(),
         );
     }
-    let heading = "\n  per-pass wall profile (share of steps; time from pass_end):";
-    pass_table(
-        &mut out,
-        heading,
-        d.passes().iter().map(PassRow::from),
-        "wall",
-    );
+    let heading = "\n  per-pass wall profile (share of steps; busy time of the executions):";
+    pass_table(&mut out, heading, &d.passes());
     let mut slowest: Vec<(&String, f64)> = (runs.iter())
         .map(|(name, _, run)| (*name, run.report.wall_time.as_secs_f64()))
         .collect();
@@ -648,11 +598,9 @@ mod tests {
     use crate::metrics::OutcomeKind;
     use crate::pass::Pass;
     use crate::profile::{ProfileBuilder, StrategyProfile};
-    use crate::telemetry::ExecStats;
     use crate::timeline::tests::sample_trace;
     use goose_rt::sched::res;
     use perennial::GhostError;
-    use std::time::Duration;
 
     fn failing_report() -> CheckReport {
         CheckReport {
@@ -775,7 +723,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("(2 crashes, 0.000s busy)"), "{text}");
-        assert!(text.contains("2/10 exercised (20%)"), "{text}");
+        assert!(
+            text.contains("crash points   : 2 distinct, 10 in the crash sweep\n"),
+            "{text}"
+        );
         assert!(text.contains("3 distinct fingerprints"), "{text}");
         assert!(text.contains("execs/s"), "{text}");
     }
@@ -889,7 +840,8 @@ mod tests {
         c.plans_enumerable[FaultFamily::Torn as usize] = 36;
         let mut text = String::new();
         coverage_lines(&mut text, &c);
-        assert!(text.contains("3/12 exercised (25%)"), "{text}");
+        assert!(text.contains("3 distinct, 12 in the crash sweep"), "{text}");
+        assert!(!text.contains("exercised (25%)"), "{text}");
         assert!(
             text.contains("6/36 exercised (17%) [torn 6/36]\n"),
             "{text}"
@@ -897,16 +849,22 @@ mod tests {
     }
 
     fn profile(passes: &[(Pass, u64, u64)]) -> Profile {
+        let per_pass = passes.iter().map(|&(pass, steps, steps_run)| PassMetrics {
+            pass,
+            rank: pass.rank(),
+            executions: 1,
+            steps,
+            steps_run,
+            wakeups: steps_run / 2,
+            ..PassMetrics::default()
+        });
+        let report = CheckReport {
+            per_pass: per_pass.collect(),
+            ..CheckReport::default()
+        };
         let mut b = ProfileBuilder::default();
-        for &(pass, steps, steps_run) in passes {
-            let stats = ExecStats {
-                steps,
-                ..ExecStats::default()
-            };
-            b.record_exec(pass, &stats, steps_run, steps_run / 2, Duration::ZERO);
-        }
         b.record_lock_profile(&[(res::LOCK | 1, 4)]);
-        b.finish("s", StrategyProfile::default(), 1, Duration::ZERO)
+        b.finish(&report, StrategyProfile::default())
     }
 
     /// A forked crash job runs only what follows its crash: the hand-off
@@ -930,7 +888,7 @@ mod tests {
         let mut b = ProfileBuilder::default();
         let rows: Vec<(u64, u64)> = (0..20).map(|i| (res::LOCK | i, 20 - i)).collect();
         b.record_lock_profile(&rows);
-        let p = b.finish("s", StrategyProfile::default(), 1, Duration::ZERO);
+        let p = b.finish(&CheckReport::default(), StrategyProfile::default());
         let text = render_profile(&p);
         assert!(text.contains("(+8 more below the cut)"), "{text}");
     }

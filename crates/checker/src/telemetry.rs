@@ -777,20 +777,17 @@ pub enum Record {
         index: u64,
         /// Whether its outcome was `ok` (only those are replayable).
         ok: bool,
+        /// Whether it ran under a non-empty fault plan.
+        faulted: bool,
+        /// Its wall time (timing-only).
+        duration: Duration,
         /// What it measured.
         stats: ExecStats,
-    },
-    /// `pass_end`: a pass closed after `duration` on the wall clock.
-    PassEnd {
-        /// The pass.
-        pass: Pass,
-        /// Wall time from its `pass_start` to the next pass's.
-        duration: Duration,
     },
     /// `run_end`: a run finished with these totals.
     RunEnd(RunEnd),
     /// A well-formed record of a type no reader consumes (`pass_start`,
-    /// `counterexample`, or one a later writer added).
+    /// `pass_end`, `counterexample`, or one a later writer added).
     Other,
 }
 
@@ -803,7 +800,6 @@ impl Record {
         let Value::Object(m) = v else {
             return Err("not an object".to_string());
         };
-        let pass = || get_str(m, "pass")?.parse::<Pass>();
         let record = match get_str(m, "type")? {
             "run_start" => Record::RunStart(RunStart(without_keys(v, &POOL_KEYS))),
             "exec_done" => {
@@ -811,17 +807,21 @@ impl Record {
                 if !OutcomeKind::ALL.iter().any(|kind| kind.name() == outcome) {
                     return Err(format!("unknown outcome {outcome:?}"));
                 }
+                // A fault plan's compact form is printable ASCII, `-`
+                // when empty.
+                let faults = get_str(m, "faults")?;
+                if faults.is_empty() || !faults.bytes().all(|b| b.is_ascii_graphic()) {
+                    return Err(format!("faults: not a compact fault plan: {faults:?}"));
+                }
                 Record::ExecDone {
-                    pass: pass()?,
+                    pass: get_str(m, "pass")?.parse()?,
                     index: get_u64(m, "index")?,
                     ok: outcome == OutcomeKind::Ok.name(),
+                    faulted: faults != "-",
+                    duration: Duration::from_micros(get_u64(m, "duration_us")?),
                     stats: ExecStats::from_json(m)?,
                 }
             }
-            "pass_end" => Record::PassEnd {
-                pass: pass()?,
-                duration: Duration::from_micros(get_u64(m, "duration_us")?),
-            },
             "run_end" => Record::RunEnd(RunEnd::from_json(m)?),
             _ => Record::Other,
         };
@@ -887,6 +887,7 @@ pub fn parse_wal(text: &str, scenario: &str) -> WalReplay {
             index,
             ok: true,
             stats,
+            ..
         } => {
             wal.completed.insert((pass.rank(), index), stats);
         }
@@ -1216,7 +1217,8 @@ mod tests {
             let (pass, outcome) = (Pass::ALL[pass], OutcomeKind::ALL[outcome]);
             // Half the cases keep to counts the reader takes back.
             let most = if readable { crate::json::MAX_EXACT as u64 } else { u64::MAX };
-            let (index, counts) = (index.min(most), counts.iter().map(|&n| n.min(most)));
+            let (index, micros) = (index.min(most), micros.min(most));
+            let counts = counts.iter().map(|&n| n.min(most));
             let mut stats = ExecStats { trace_fp, ..ExecStats::default() };
             for (c, n) in EXEC_COUNTERS.iter().zip(counts.clone()) {
                 (c.set)(&mut stats, n);
@@ -1239,10 +1241,11 @@ mod tests {
             prop_assert_eq!(lines, want.repeat(2));
             prop_assert_eq!(telem.stream_error(), None);
 
-            let exact = counts.chain([index]).all(|n| n <= crate::json::MAX_EXACT as u64);
+            let exact = counts.chain([index, micros]).all(|n| n <= crate::json::MAX_EXACT as u64);
             let mut read = Vec::new();
             let torn = read_stream(lines, Some(&name), |_, record| read.push(record));
-            let record = Record::ExecDone { pass, index, ok: outcome == OutcomeKind::Ok, stats };
+            let (ok, faulted) = (outcome == OutcomeKind::Ok, !faults.is_empty());
+            let record = Record::ExecDone { pass, index, ok, faulted, duration, stats };
             if exact {
                 prop_assert_eq!((torn, read), (0, vec![record.clone(), record]));
             } else {
@@ -1364,7 +1367,15 @@ mod tests {
             1
         );
         let counters = EXEC_COUNTERS.iter().map(|c| c.key);
-        for key in counters.chain(["index", "trace_fp", "pass", "outcome", "scenario", "type"]) {
+        let taken = [
+            "index",
+            "trace_fp",
+            "pass",
+            "outcome",
+            "faults",
+            "duration_us",
+        ];
+        for key in counters.chain(taken).chain(["scenario", "type"]) {
             let wal = parse_wal(&wal_line_with(key, None), "s");
             assert!(
                 wal.completed.is_empty(),
@@ -1386,7 +1397,11 @@ mod tests {
             "null",
             "[7]",
         ];
-        for key in EXEC_COUNTERS.iter().map(|c| c.key).chain(["index"]) {
+        for key in EXEC_COUNTERS
+            .iter()
+            .map(|c| c.key)
+            .chain(["index", "duration_us"])
+        {
             for literal in numbers {
                 let wal = parse_wal(&wal_line_with(key, Some(literal)), "s");
                 assert!(wal.completed.is_empty(), "{key}: {literal} was replayed");
@@ -1409,8 +1424,15 @@ mod tests {
         // An unpadded fingerprint is still one prefix and 1-16 digits.
         let wal = parse_wal(&wal_line_with("trace_fp", Some("\"0x1f\"")), "s");
         assert_eq!(wal.completed[&(Pass::Dfs.rank(), 0)].trace_fp, 0x1f);
-        // An outcome is one of the eight, a pass one of the ten.
-        for (key, literal) in [("outcome", "\"fine\""), ("pass", "\"dfs2\"")] {
+        // An outcome is one of the eight, a pass one of the ten, and a
+        // fault plan printable and non-empty.
+        let hostile = [
+            ("outcome", "\"fine\""),
+            ("pass", "\"dfs2\""),
+            ("faults", "\"\""),
+            ("faults", "\"-\u{fffd}\""),
+        ];
+        for (key, literal) in hostile {
             let wal = parse_wal(&wal_line_with(key, Some(literal)), "s");
             assert_eq!((wal.completed.len(), wal.torn_lines), (0, 1), "{key}");
         }
@@ -1424,9 +1446,9 @@ mod tests {
         // `None`: the reader takes every key the writer wrote (`run_end`,
         // read through the report's counter table, like report JSON).
         let read: [(&str, Option<&[&str]>); 3] = [
-            ("pass_end", Some(&["pass", "duration_us"])),
             ("run_end", None),
             ("pass_start", Some(&[])),
+            ("pass_end", Some(&[])),
         ];
         for record in sample_stream(CheckConfig::default(), &CheckReport::default()) {
             let ty = get_str(&record, "type").unwrap().to_string();

@@ -22,10 +22,9 @@
 
 use goose_rt::runtime::{GLock, ModelRtExt};
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::profile::PassCost;
 use perennial_checker::{
     check, report_fingerprint, CheckConfig, CheckConfigBuilder, CheckReport, Harness, Pass,
-    ScenarioSet, Script, System, World,
+    PassMetrics, ScenarioSet, Script, System, World,
 };
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::{DiskImage, SingleDisk};
@@ -45,18 +44,17 @@ fn verify_quick() -> CheckConfigBuilder {
         .keep_going(true)
         .max_steps(200_000)
         .workers(1)
-        .profile(true)
 }
 
-/// The crash sweeps' rows of a report's profile.
-fn sweep_costs(report: &CheckReport) -> impl Iterator<Item = &PassCost> {
-    let passes = report.profile.iter().flat_map(|p| &p.passes);
-    passes.filter(|pc| pc.pass == Pass::CrashSweep.name() || pc.pass == Pass::NestedCrash.name())
+/// The crash sweeps' rows of a report.
+fn sweep_costs(report: &CheckReport) -> impl Iterator<Item = &PassMetrics> {
+    let passes = report.per_pass.iter();
+    passes.filter(|pm| pm.pass == Pass::CrashSweep || pm.pass == Pass::NestedCrash)
 }
 
 /// Whether some crash job of the report ran less than its logical steps.
 fn forked(report: &CheckReport) -> bool {
-    sweep_costs(report).any(|pc| pc.steps_run < pc.steps)
+    sweep_costs(report).any(|pm| pm.steps_run < pm.steps)
 }
 
 /// Runs each of `scenarios` under [`verify_quick`] and returns the names
@@ -68,7 +66,7 @@ fn unforked(scenarios: &ScenarioSet) -> Vec<String> {
     let mut unforked = Vec::new();
     for scenario in scenarios.iter() {
         let report = scenario.run(&cfg);
-        let steps: u64 = sweep_costs(&report).map(|pc| pc.steps).sum();
+        let steps: u64 = sweep_costs(&report).map(|pm| pm.steps).sum();
         assert!(steps > 0, "{}: no crash job ran", scenario.name());
         if !forked(&report) {
             unforked.push(scenario.name().to_string());

@@ -6,11 +6,12 @@
 
 use perennial_checker::telemetry::strip_timing;
 use perennial_checker::{
-    profile_to_json, report_fingerprint, CheckConfig, CheckConfigBuilder, Dashboard, Pass,
-    TelemetrySink,
+    profile_to_json, report_fingerprint, CheckConfig, CheckConfigBuilder, CoverageGuided,
+    Dashboard, Pass, PassMetrics, TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
+use std::time::Duration;
 
 fn base_cfg() -> CheckConfigBuilder {
     CheckConfig::builder()
@@ -174,11 +175,14 @@ fn profile_cost_attribution_adds_up() {
 }
 
 /// The summary's, the profile's and the dashboard's per-pass tables are
-/// one table because they read the same records: one run, seen through
-/// the report's `per_pass`, the profile's `passes` and a dashboard folded
-/// from its stream, has the same passes with the same executions and
-/// steps. `keep_going` counts every execution that ran, so the stream
-/// holds no execution the report leaves out.
+/// one table because they are one fold: one run, seen through the
+/// report's `per_pass`, the profile's `passes` and a dashboard folded from
+/// its stream, has the same rows. The profile's rows are the report's.
+/// The dashboard's equal them on every field the stream carries (it has
+/// no `steps_run` or `wakeups`), and their busy time is the report's less
+/// the sub-microsecond part the stream rounds off each execution's.
+/// `keep_going` counts every execution that ran, so the stream holds no
+/// execution the report leaves out.
 #[test]
 fn the_report_the_profile_and_the_dashboard_count_the_same_passes() {
     let name = "patterns/mutant/wal-skip-commit-flush";
@@ -195,20 +199,105 @@ fn the_report_the_profile_and_the_dashboard_count_the_same_passes() {
     dash.ingest(&String::from_utf8(buf.lock().clone()).expect("stream is UTF-8"));
     assert_eq!(dash.torn_lines, 0);
 
-    let from_report: Vec<(String, u64, u64)> = (report.per_pass.iter())
-        .map(|pm| (pm.pass.name().to_string(), pm.executions, pm.steps))
-        .collect();
-    let rows = |passes: Vec<perennial_checker::profile::PassCost>| -> Vec<(String, u64, u64)> {
-        (passes.into_iter())
-            .filter(|pc| pc.executions > 0)
-            .map(|pc| (pc.pass, pc.executions, pc.steps))
+    let profile = report.profile.as_ref().expect("profile(true)");
+    assert_eq!(profile.passes, report.per_pass, "profile");
+    let streamed = |rows: &[PassMetrics]| -> Vec<PassMetrics> {
+        (rows.iter())
+            .map(|pm| PassMetrics {
+                steps_run: 0,
+                wakeups: 0,
+                busy_time: Duration::ZERO,
+                ..pm.clone()
+            })
             .collect()
     };
-    let profile = report.profile.clone().expect("profile(true)");
-    assert_eq!(rows(profile.passes), from_report, "profile");
-    assert_eq!(rows(dash.passes()), from_report, "dashboard");
-    let passes: Vec<&str> = from_report.iter().map(|(pass, ..)| pass.as_str()).collect();
-    for pass in ["dfs", "nested-crash-sweep", "torn-write-sweep"] {
-        assert!(passes.contains(&pass), "{pass} ran: {passes:?}");
+    let rows = dash.passes();
+    assert_eq!(streamed(&rows), streamed(&report.per_pass), "dashboard");
+    for (seen, want) in rows.iter().zip(&report.per_pass) {
+        assert_eq!((seen.steps_run, seen.wakeups), (0, 0), "{}", seen.pass);
+        let rounded = want.busy_time.saturating_sub(seen.busy_time);
+        assert!(
+            seen.busy_time <= want.busy_time && rounded <= Duration::from_micros(want.executions),
+            "{}: {:?} busy on the dashboard, {:?} in the report",
+            seen.pass,
+            seen.busy_time,
+            want.busy_time
+        );
     }
+    for pass in [
+        Pass::Dfs,
+        Pass::NestedCrash,
+        Pass::RandomCrash,
+        Pass::TornWrite,
+    ] {
+        let row = rows.iter().find(|pm| pm.pass == pass);
+        let row = row.unwrap_or_else(|| panic!("{pass} ran: {rows:?}"));
+        assert!(
+            row.busy_time > Duration::ZERO,
+            "{pass}: no time on the dashboard"
+        );
+    }
+}
+
+/// The keys of a JSON object, sorted and joined by spaces.
+fn keys(v: &Value) -> String {
+    let Value::Object(m) = v else {
+        panic!("{v:?} is not an object")
+    };
+    let mut keys: Vec<&str> = m.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.join(" ")
+}
+
+/// `profile_to_json`'s schema, key for key: `scan --profile FILE` writes
+/// it, so a key added to or dropped from any part of it (the pass rows,
+/// the resource rows, the strategy block or the worker summary) moves
+/// this test.
+#[test]
+fn the_profile_json_has_exactly_its_documented_keys() {
+    let registry = all_scenarios();
+    let scenario = registry.get("patterns/wal").expect("registered scenario");
+    let cfg = base_cfg()
+        .strategy(CoverageGuided)
+        .workers(1)
+        .profile(true)
+        .build();
+    let report = scenario.run(&cfg);
+    let v = profile_to_json(report.profile.as_ref().expect("profile(true)"));
+    assert_eq!(
+        keys(&v),
+        "passes resources resources_dropped scenario strategy workers"
+    );
+    let Value::Object(m) = &v else { unreachable!() };
+    let rows = |key: &str| match m.get(key) {
+        Some(Value::Array(rows)) if !rows.is_empty() => rows.clone(),
+        other => panic!("{key}: {other:?}"),
+    };
+    for row in rows("passes") {
+        assert_eq!(
+            keys(&row),
+            "busy_time_us crashes disk_ops executions lock_blocks model_ops net_msgs pass \
+             rank steps steps_run wakeups"
+        );
+    }
+    for row in rows("resources") {
+        assert_eq!(keys(&row), "collisions kind lock_blocks prunes resource");
+    }
+    let strategy = m.get("strategy").expect("strategy");
+    assert_eq!(
+        keys(strategy),
+        "coverage coverage_guided pruned prunes_by_resource strategy"
+    );
+    let Value::Object(s) = strategy else {
+        unreachable!()
+    };
+    let coverage = s.get("coverage").expect("coverage");
+    assert_eq!(
+        keys(coverage),
+        "corpus_evictions corpus_hits saturated_waves"
+    );
+    assert_eq!(
+        keys(m.get("workers").expect("workers")),
+        "busy_time_us duration_us utilization workers"
+    );
 }

@@ -18,7 +18,7 @@
 use perennial_checker::telemetry::{parse_wal, read_stream, ExecStats, Record};
 use perennial_checker::{
     merge_reports, report_fingerprint, report_from_json, report_to_json, CheckConfig, CheckReport,
-    Dashboard, Pass, TelemetrySink,
+    Dashboard, Pass, PassMetrics, TelemetrySink,
 };
 use perennial_suite::all_mutant_scenarios;
 use proptest::prelude::*;
@@ -36,6 +36,8 @@ struct Pristine {
     records: Vec<Record>,
     /// Every execution's measurements by `(pass, index)`, failed or not.
     executions: BTreeMap<(Pass, u64), ExecStats>,
+    /// And each as the row of its pass the dashboard folds.
+    rows: BTreeMap<(Pass, u64), PassMetrics>,
 }
 
 /// A mutant under the fault sweeps, kept going: failing executions, fault
@@ -73,15 +75,23 @@ fn pristine() -> &'static Pristine {
         assert_eq!(torn, 0, "the checker's own stream reads whole");
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
         assert_eq!(records.len(), lines.len());
-        let executions: BTreeMap<_, _> = records
-            .iter()
-            .filter_map(|record| match record {
-                Record::ExecDone {
-                    pass, index, stats, ..
-                } => Some(((*pass, *index), *stats)),
-                _ => None,
-            })
-            .collect();
+        let mut executions = BTreeMap::new();
+        let mut rows = BTreeMap::new();
+        for record in &records {
+            if let Record::ExecDone {
+                pass,
+                index,
+                ok,
+                faulted,
+                duration,
+                stats,
+            } = *record
+            {
+                executions.insert((pass, index), stats);
+                let row = PassMetrics::exec(pass, &stats, !ok, faulted, duration);
+                rows.insert((pass, index), row);
+            }
+        }
         assert!(executions.len() > 40 && !report.passed());
         assert!(records.iter().any(|r| matches!(r, Record::RunEnd(_))));
         records.retain(|record| *record != Record::Other);
@@ -91,6 +101,7 @@ fn pristine() -> &'static Pristine {
             lines,
             records,
             executions,
+            rows,
         }
     })
 }
@@ -139,9 +150,9 @@ fn check(hostile: &[u8]) -> Result<(), String> {
         return fail("the dashboard counts torn lines differently");
     }
     for scenario in dash.scenarios.values() {
-        for (key, stats) in &scenario.exec_costs {
-            if p.executions.get(key) != Some(stats) {
-                return fail(&format!("shows {key:?} as {stats:?}"));
+        for (key, row) in &scenario.execs {
+            if p.rows.get(key) != Some(row) {
+                return fail(&format!("shows {key:?} as {row:?}"));
             }
         }
         for run in scenario.shards.values() {

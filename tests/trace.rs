@@ -8,10 +8,12 @@
 use perennial_checker::telemetry::RunTelemetry;
 use perennial_checker::{
     chrome_trace_json, merge_reports, render_explain, render_failure, report_fingerprint,
-    CheckConfig, CheckConfigBuilder, Counterexample, Dashboard, FaultPlan, Pass, TelemetrySink,
+    CheckConfig, CheckConfigBuilder, Counterexample, Dashboard, FaultPlan, Pass, PassMetrics,
+    TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
+use std::time::Duration;
 
 fn base_cfg() -> CheckConfigBuilder {
     CheckConfig::builder()
@@ -189,10 +191,27 @@ fn dashboard_totals_match_merge_reports_over_shards() {
             .map(|r| (r.passed(), r.is_incomplete()))
             .collect();
         assert_eq!(grid, want_grid, "{name}: the pass/fail grid");
-        assert!(!s.pass_wall_us.is_empty(), "{name}: no pass_end records");
 
         let merged = merge_reports(reports).expect("shards merge");
         assert_eq!(merged.passed(), !name.contains("mutant"), "{name}");
+        // So are the per-pass rows, folded from the shards' deduplicated
+        // `exec_done` records, but for what only the process measured. A
+        // failing run's streams also hold executions past its cutoff.
+        if merged.passed() {
+            let streamed = |rows: &[PassMetrics]| -> Vec<PassMetrics> {
+                (rows.iter())
+                    .map(|pm| PassMetrics {
+                        steps_run: 0,
+                        wakeups: 0,
+                        busy_time: Duration::ZERO,
+                        ..pm.clone()
+                    })
+                    .collect()
+            };
+            let rows = streamed(&dash.passes());
+            assert!(!rows.is_empty(), "{name}: no exec_done records");
+            assert_eq!(rows, streamed(&merged.per_pass), "{name}");
+        }
         let (sink, buf) = TelemetrySink::shared_buffer();
         RunTelemetry::open(name, &CheckConfig::builder().telemetry(sink).build(), 1).close(&merged);
         let mut whole = Dashboard::default();

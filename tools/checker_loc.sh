@@ -104,7 +104,7 @@
 # crates/checker/src an `ExecStats` counter's key is a string literal only
 # in a counter table's rows and in `ev_exec_done` (the reference the
 # writer's bytes are tested against; profile.rs's `profile_to_json`, a
-# record of its own, and the units render.rs's `PassRow`s print are not
+# record of its own, and the units render.rs's `pass_table` prints are not
 # searched); exec.rs destructures no `ExecStats`; and in goose's sched.rs
 # the runtime keeps its counters in one `SchedStats`: `RtState` declares
 # no field `SchedStats` also names.
@@ -119,6 +119,15 @@
 # a run's pass records (`per_pass`, `passes`) to draw rows of its own.
 # The per-scenario line is `CheckReport::summary`, and the verdict word
 # `"FAIL"` is spelled at one site in crates/checker/src and scan.rs.
+#
+# One per-pass fold: the report's `per_pass`, the profile's `passes` and
+# the dashboard's table are `PassMetrics` rows summed by metrics.rs's
+# `fold_passes`. So no second row type is defined (`PassCost`, anywhere
+# in the workspace's Rust); `fold_passes` is defined once, and it alone
+# in crates/checker/src holds rows keyed by pass (a map from a pass or
+# its rank to a row, or the fold's array of `Option<PassMetrics>`); and
+# dashboard.rs takes no pass's time from its `pass_end` record
+# (`Record::PassEnd`): its time column is the executions' busy time.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -332,7 +341,7 @@ exec_keys=$(table_keys EXEC_COUNTERS crates/checker/src/telemetry.rs)
 # Outside any counter table's rows, the reference `ev_exec_done`, the
 # profile record (which names some of the same sums for its own rows) and
 # the per-pass table's rows (which print some of them as units).
-spelled=$(code_outside 'counters!\[|fn (ev_exec_done|profile_to_json)[(]|impl.* for PassRow' crates/checker/src/*.rs |
+spelled=$(code_outside 'counters!\[|fn (ev_exec_done|profile_to_json|pass_table)[(]' crates/checker/src/*.rs |
     grep -F "$(printf '"%s"\n' $exec_keys)" || true)
 destructured=$(code crates/checker/src/exec.rs | grep -E 'ExecStats \{' || true)
 # The field names of struct $1 in sched.rs.
@@ -447,13 +456,36 @@ if [ -n "$elsewhere" ]; then
 fi
 if [ "$tables" -ne 1 ] || [ "$(printf '%s' "$bars" | grep -c '')" -ne 1 ] || [ -n "$loops" ]; then
     failed=1
-    echo "        ^ the per-pass table is drawn once, by render.rs's pass_table, from PassRows:"
+    echo "        ^ the per-pass table is drawn once, by render.rs's pass_table, from PassMetrics rows:"
     printf '%s\n' "$bars" "$loops" | grep . | sed 's/^/          /'
 fi
 if [ "$(printf '%s' "$verdicts" | grep -c '')" -ne 1 ]; then
     failed=1
     echo "        ^ the verdict word is written at one site (the per-scenario line's):"
     printf '%s\n' "$verdicts" | sed 's/^/          /'
+fi
+
+echo
+rows=$(grep -rnE '(struct|enum|type|trait|union) +PassCost\b' crates src tests examples --include='*.rs' || true)
+folds=$(drawn | grep -E 'fn fold_passes[(<]' || true)
+keyed=$(drawn | grep -E 'Map<(Pass|u8|\(u8, *Pass\)), *PassMetrics>|Option<PassMetrics>' || true)
+wall=$(code crates/checker/src/dashboard.rs | grep -F 'Record::PassEnd' || true)
+echo "one per-pass fold: $(printf '%s' "$folds" | grep -c '') fold(s), $(printf '%s' "$keyed" | grep -c '') pass-keyed row site(s)"
+if [ -n "$rows" ]; then
+    failed=1
+    echo "        ^ a second per-pass row type; the row is metrics.rs's PassMetrics:"
+    printf '%s\n' "$rows" | sed 's/^/          /'
+fi
+if [ "$(printf '%s' "$folds" | grep -c '')" -ne 1 ] || [ "$(printf '%s' "$keyed" | grep -c '')" -ne 1 ] ||
+    [ "$(printf '%s\n' "$folds" "$keyed" | grep -vc '^crates/checker/src/metrics.rs:')" -ne 0 ]; then
+    failed=1
+    echo "        ^ per-pass rows are folded at one site, metrics.rs's fold_passes:"
+    printf '%s\n' "$folds" "$keyed" | grep . | sed 's/^/          /'
+fi
+if [ -n "$wall" ]; then
+    failed=1
+    echo "        ^ the dashboard times a pass by its pass_end record; its rows are the executions' fold:"
+    printf '%s\n' "$wall" | sed 's/^/          /'
 fi
 
 echo
