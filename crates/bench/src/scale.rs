@@ -10,6 +10,7 @@
 //! `cargo run --release -p perennial-bench --bin scale`.
 
 use crate::count_alloc;
+use perennial_checker::telemetry::read_wal;
 use perennial_checker::{
     report_fingerprint, trace_fingerprint, CheckConfig, CheckReport, Coverage, CoverageGuided,
     Exhaustive, OutcomeCounts, OutcomeKind, Scenario, ScenarioSet, SleepSetDpor, Strategy,
@@ -23,9 +24,10 @@ use std::sync::Arc;
 /// beside `wakeups_per_step`; 4: `allocs_per_exec` and
 /// `alloc_bytes_per_exec` in `schedule_exploration` and in every
 /// mutant's `sleep_set_dpor` cell; 5: `steps_executed` beside `steps` in
-/// `schedule_exploration` and `fault_exploration`). A record of another
-/// version differs
-/// from this one at `schema_version`, like at any other leaf.
+/// `schedule_exploration` and `fault_exploration`; 6: `wal_records` and
+/// `read_allocs_per_record` in `resume_overhead`). A record of another
+/// version differs from this one at `schema_version`, like at any other
+/// leaf.
 ///
 /// The allocation leaves ([`ALLOC_LEAVES`]) are the only ones the gate
 /// does not compare exactly. Counted at one worker on the thread that ran
@@ -36,11 +38,15 @@ use std::sync::Arc;
 /// holds each under a bound instead: the committed value plus
 /// [`ALLOC_SLACK`], the margin `tests/alloc_budget.rs` allows. A missing
 /// or extra allocation leaf still fails like any other.
-pub const SCALE_SCHEMA_VERSION: u64 = 5;
+pub const SCALE_SCHEMA_VERSION: u64 = 6;
 
 /// The record's leaves that count heap allocations: upper-bounded by the
 /// gate, not matched exactly (see [`SCALE_SCHEMA_VERSION`]).
-pub const ALLOC_LEAVES: [&str; 2] = ["allocs_per_exec", "alloc_bytes_per_exec"];
+pub const ALLOC_LEAVES: [&str; 3] = [
+    "allocs_per_exec",
+    "alloc_bytes_per_exec",
+    "read_allocs_per_record",
+];
 
 /// How far over its committed value an allocation leaf may come out:
 /// 10 %.
@@ -270,7 +276,7 @@ impl AllocCounts {
     /// object.
     fn put(&self, row: &mut Value) {
         if let Value::Object(row) = row {
-            let [allocs, bytes] = ALLOC_LEAVES;
+            let [allocs, bytes, _] = ALLOC_LEAVES;
             row.insert(allocs.into(), json!(self.allocs_per_exec()));
             row.insert(bytes.into(), json!(self.bytes_per_exec()));
         }
@@ -327,11 +333,23 @@ pub struct ResumeRow {
     pub replayed: u64,
     /// All three runs produced the same report fingerprint.
     pub fingerprints_match: bool,
+    /// Lines (records) of the complete WAL.
+    pub wal_records: u64,
+    /// Allocation calls `read_wal` made reading the complete WAL, on the
+    /// calling thread (zeros without [`count_alloc::Counting`]).
+    pub read_allocs: u64,
 }
 
-/// Runs `scenario` cold, writing `wal`, and resumed from `wal`. Sharded
-/// configs force keep-going semantics, so every variant uses
-/// `keep_going`.
+impl ResumeRow {
+    /// Allocations the WAL reader makes per record it reads.
+    pub fn read_allocs_per_record(&self) -> f64 {
+        self.read_allocs as f64 / self.wal_records.max(1) as f64
+    }
+}
+
+/// Runs `scenario` cold, writing `wal`, and resumed from `wal`, and
+/// counts what reading the complete `wal` allocates. Sharded configs
+/// force keep-going semantics, so every variant uses `keep_going`.
 pub fn run_resume(scenario: &Scenario, base: &CheckConfig, wal: &std::path::Path) -> ResumeRow {
     let mut cold = base.clone();
     cold.keep_going = true;
@@ -342,12 +360,21 @@ pub fn run_resume(scenario: &Scenario, base: &CheckConfig, wal: &std::path::Path
     let mut resumed = walled.clone();
     resumed.resume_from = Some(wal.to_path_buf());
 
-    let reports = [cold, walled, resumed].map(|cfg| scenario.run(&cfg));
-    let fingerprints = reports.each_ref().map(report_fingerprint);
+    let [cold, walled] = [cold, walled].map(|cfg| scenario.run(&cfg));
+    let wal_records =
+        std::fs::read(wal).map_or(0, |bytes| bytes.iter().filter(|b| **b == b'\n').count());
+    let (calls, _) = count_alloc::thread_totals();
+    let read = read_wal(wal, scenario.name());
+    let (calls_after, _) = count_alloc::thread_totals();
+    assert!(read.is_ok_and(|w| w.torn_lines == 0), "the WAL reads whole");
+    let resumed = scenario.run(&resumed);
+    let fingerprints = [&cold, &walled, &resumed].map(report_fingerprint);
     ResumeRow {
-        executions: reports[0].executions,
-        replayed: reports[2].replayed,
+        executions: cold.executions,
+        replayed: resumed.replayed,
         fingerprints_match: fingerprints.iter().all(|fp| *fp == fingerprints[0]),
+        wal_records: wal_records as u64,
+        read_allocs: calls_after - calls,
     }
 }
 
@@ -355,7 +382,8 @@ pub fn run_resume(scenario: &Scenario, base: &CheckConfig, wal: &std::path::Path
 pub fn render_resume(name: &str, row: &ResumeRow) -> String {
     format!(
         "Checkpoint/resume: {name}\n{} executions, {} replayed from the complete WAL; \
-         cold, with-WAL and resumed fingerprints {}\n",
+         cold, with-WAL and resumed fingerprints {}\n\
+         reading the WAL: {} records, {} allocations ({:.2}/record)\n",
         row.executions,
         row.replayed,
         if row.fingerprints_match {
@@ -363,6 +391,9 @@ pub fn render_resume(name: &str, row: &ResumeRow) -> String {
         } else {
             "DIFFER"
         },
+        row.wal_records,
+        row.read_allocs,
+        row.read_allocs_per_record(),
     )
 }
 
@@ -585,6 +616,8 @@ pub fn record(
             "executions": resume.executions,
             "replayed": resume.replayed,
             "fingerprints_match": resume.fingerprints_match,
+            "wal_records": resume.wal_records,
+            "read_allocs_per_record": resume.read_allocs_per_record(),
         },
     })
 }

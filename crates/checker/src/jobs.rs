@@ -991,7 +991,8 @@ impl<'a> Driver<'a> {
 
     /// Runs `jobs` as one wave of `pass`, or nothing (`None`) once the
     /// gate has closed: announce the pass if it is new, record the
-    /// sweep space, admit against the budget, run, keep the outcomes.
+    /// sweep space, admit against the budget, run, flush the wave's
+    /// records to the stream, keep the outcomes.
     pub(crate) fn run_pass(&mut self, pass: Pass, jobs: Vec<Job>) -> Option<&mut [JobOutcome]> {
         if !self.live() {
             return None;
@@ -1003,6 +1004,7 @@ impl<'a> Driver<'a> {
         self.coverage.enumerated(pass, enumerable as u64);
         let jobs = self.budget.admit(jobs);
         let outs = run_wave(&self.shared, self.workers, &mut self.spares, &jobs);
+        self.shared.telem.flush();
         self.outcomes.push(outs);
         self.outcomes.last_mut().map(Vec::as_mut_slice)
     }

@@ -1,6 +1,6 @@
 //! The crate's one JSON field reader, its 64-bit hex convention, its
-//! counter-table type, and the field writer of the one record written too
-//! often to build a tree for.
+//! counter-table type, and the field writer and reader of the one record
+//! written and read too often to build a tree for.
 //!
 //! Everything the checker parses back — WAL records, campaign reports,
 //! environment stamps, dashboard streams — is a [`Map`] of fields written
@@ -22,7 +22,19 @@ pub(crate) const MAX_EXACT: f64 = 9_007_199_254_740_991.0;
 /// 16 zero-padded digits, so the fields are fixed-width, ordered as
 /// strings, and greppable across a campaign's worth of streams.
 pub(crate) fn hex64(v: u64) -> String {
-    format!("{v:#018x}")
+    let mut out = String::with_capacity(18);
+    push_hex64(&mut out, v);
+    out
+}
+
+/// Appends `v` in the [`hex64`] form, without going through `fmt`.
+fn push_hex64(out: &mut String, v: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut text = *b"0x0000000000000000";
+    for (i, digit) in text[2..].iter_mut().rev().enumerate() {
+        *digit = DIGITS[(v >> (4 * i) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&text).expect("ASCII"));
 }
 
 /// One counter of a record: wire key, how two values of it fold into one
@@ -130,7 +142,10 @@ impl<'a> ObjectLine<'a> {
 
     /// A 64-bit value in the [`hex64`] form.
     pub(crate) fn hex(&mut self, key: &'static str, v: u64) {
-        let _ = write!(self.field(key), "\"{v:#018x}\"");
+        let out = self.field(key);
+        out.push('"');
+        push_hex64(out, v);
+        out.push('"');
     }
 
     /// A string whose text needs no escaping, written by `text`.
@@ -154,13 +169,132 @@ impl<'a> ObjectLine<'a> {
 }
 
 /// A count, as `Value::Number(n as f64)` prints it: the integer below
-/// 9e15, the `f64` that carries it above.
-fn write_count(out: &mut String, n: u64) {
-    let _ = if n < 9_000_000_000_000_000 {
-        write!(out, "{n}")
-    } else {
-        write!(out, "{}", n as f64)
-    };
+/// 9e15, its digits written by hand, and the `f64` that carries it above.
+fn write_count(out: &mut String, mut n: u64) {
+    if n >= 9_000_000_000_000_000 {
+        let _ = write!(out, "{}", n as f64);
+        return;
+    }
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII"));
+}
+
+/// The inverse of [`ObjectLine`]: reads one object in exactly the form
+/// `ObjectLine` writes, key by key in the order the caller names them,
+/// with the rows of a counter table merged in by key order and read into
+/// `into`. Where a key or value is not in that form — another key or
+/// order, a key twice, whitespace, an escape, a count not written the way
+/// [`write_count`] writes one the tree reader takes back — the method
+/// returns `None`: the object is declined, not refused, and the caller's
+/// tree reader decides it. So what the reader takes, it reads exactly as
+/// `Record`'s tree reader does. It allocates nothing.
+pub(crate) struct ObjectReader<'a, 'r, R> {
+    rest: &'a str,
+    /// Whether a key has been read (every later one follows a comma).
+    started: bool,
+    /// Counters not read yet: each comes before the first key that sorts
+    /// after it, or at the close.
+    counters: &'r [Counter<R>],
+    into: &'r mut R,
+}
+
+impl<'a, 'r, R> ObjectReader<'a, 'r, R> {
+    /// Opens the object `line` holds, to read `counters` into `into`.
+    pub(crate) fn open(line: &'a str, counters: &'r [Counter<R>], into: &'r mut R) -> Option<Self> {
+        Some(ObjectReader {
+            rest: line.strip_prefix('{')?,
+            started: false,
+            counters,
+            into,
+        })
+    }
+
+    /// Reads the merged counters that sort before `key`, or all that are
+    /// left with `None`.
+    fn counts_before(&mut self, key: Option<&str>) -> Option<()> {
+        while let Some((c, rest)) = self.counters.split_first() {
+            if key.is_some_and(|key| c.key > key) {
+                break;
+            }
+            self.counters = rest;
+            self.key(c.key)?;
+            let n = self.digits()?;
+            (c.set)(self.into, n);
+        }
+        Some(())
+    }
+
+    /// [`key`](Self::key), after the merged counters that sort before it.
+    fn field(&mut self, key: &str) -> Option<()> {
+        self.counts_before(Some(key))?;
+        self.key(key)
+    }
+
+    /// Reads `"key": ` (and the comma before it).
+    fn key(&mut self, key: &str) -> Option<()> {
+        let mut rest = self.rest;
+        if self.started {
+            rest = rest.strip_prefix(',')?;
+        }
+        self.rest = rest
+            .strip_prefix('"')?
+            .strip_prefix(key)?
+            .strip_prefix("\": ")?;
+        self.started = true;
+        Some(())
+    }
+
+    /// A count as [`write_count`] writes one that [`as_u64`] takes back:
+    /// 1–16 digits, no leading zero, at most [`MAX_EXACT`].
+    fn digits(&mut self) -> Option<u64> {
+        let len = self.rest.bytes().take_while(u8::is_ascii_digit).count();
+        let (digits, rest) = self.rest.split_at(len);
+        if len == 0 || len > 16 || (len > 1 && digits.starts_with('0')) {
+            return None;
+        }
+        let n = digits.bytes().fold(0, |n, d| n * 10 + u64::from(d - b'0'));
+        self.rest = rest;
+        (n <= MAX_EXACT as u64).then_some(n)
+    }
+
+    /// A count (see [`digits`](Self::digits)).
+    pub(crate) fn count(&mut self, key: &str) -> Option<u64> {
+        self.field(key)?;
+        self.digits()
+    }
+
+    /// A string with no escape and no control character in it: its text
+    /// is its value.
+    pub(crate) fn plain(&mut self, key: &str) -> Option<&'a str> {
+        self.field(key)?;
+        let body = self.rest.strip_prefix('"')?;
+        let end = body
+            .bytes()
+            .position(|b| b == b'"' || b == b'\\' || b < 0x20)?;
+        let (text, rest) = body.split_at(end);
+        self.rest = rest.strip_prefix('"')?;
+        Some(text)
+    }
+
+    /// A 64-bit value, read as [`parse_hex64`] reads one.
+    pub(crate) fn hex(&mut self, key: &str) -> Option<u64> {
+        parse_hex64(self.plain(key)?)
+    }
+
+    /// Reads the counters left and the close, which must end the line.
+    pub(crate) fn close(mut self) -> Option<()> {
+        self.counts_before(None)?;
+        (self.rest == "}").then_some(())
+    }
 }
 
 /// The inverse of [`hex64`], also taking unpadded digits: exactly one

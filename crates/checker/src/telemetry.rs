@@ -41,6 +41,7 @@ use crate::campaign::{read_totals, with_totals};
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
 use crate::json::{
     counters, get, get_hex, get_str, get_u64, hex64, without_keys, Counter, ObjectLine,
+    ObjectReader,
 };
 use crate::metrics::OutcomeKind;
 use crate::pass::{Pass, PassSet};
@@ -49,7 +50,7 @@ use goose_rt::sched::SchedStats;
 use parking_lot::Mutex;
 use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,11 +90,22 @@ impl TelemetrySink {
 
     /// Opens `path` for appending, creating it if absent — the WAL mode
     /// used when a resumed run checkpoints into the stream it replayed.
+    /// A file a kill cut inside a line gets a newline first, so the torn
+    /// line stays one line and the first record appended is whole.
     pub fn append_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let f = std::fs::OpenOptions::new()
+        let mut f = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)?;
+        if f.seek(SeekFrom::End(0))? > 0 {
+            let mut last = [0];
+            f.seek(SeekFrom::End(-1))?;
+            f.read_exact(&mut last)?;
+            if last != *b"\n" {
+                f.write_all(b"\n")?;
+            }
+        }
         Ok(Self::to_writer(std::io::BufWriter::new(f)))
     }
 
@@ -113,12 +125,27 @@ impl TelemetrySink {
         self.write_line(&line);
     }
 
-    /// Appends `line`, which ends with its newline, in one write, and
-    /// flushes: a kill between records leaves whole lines, a kill inside
-    /// one at most a torn last line.
+    /// Appends `line`, which ends with its newline, in one write. The
+    /// writer holds it until [`flush`](Self::flush) or until its buffer
+    /// fills, and then writes whole lines: a kill leaves whole lines and
+    /// at most a torn last one.
     fn write_line(&self, line: &str) {
-        let mut w = self.writer.lock();
-        if let Err(e) = w.write_all(line.as_bytes()).and_then(|()| w.flush()) {
+        let result = self.writer.lock().write_all(line.as_bytes());
+        self.note(result);
+    }
+
+    /// Hands every line written so far to the file (or pipe): the run's
+    /// driver calls it once a wave has ended, and [`RunTelemetry::close`]
+    /// at the end of the run, so a kill loses at most the wave in flight,
+    /// whose executions then re-run on resume.
+    pub fn flush(&self) {
+        let result = self.writer.lock().flush();
+        self.note(result);
+    }
+
+    /// Keeps the first write error.
+    fn note(&self, result: std::io::Result<()>) {
+        if let Err(e) = result {
             let mut slot = self.error.lock();
             if slot.is_none() {
                 *slot = Some(e.to_string());
@@ -285,17 +312,21 @@ impl RunTelemetry {
             line.clear();
             let counts = EXEC_COUNTERS.each_ref().map(|c| (c.key, (c.get)(stats)));
             let mut o = ObjectLine::open(&mut line, &counts);
-            o.count("duration_us", duration.as_micros() as u64);
-            o.plain("faults", |out| {
-                let _ = faults.write_compact(out);
-            });
-            o.count("index", job.1);
-            o.plain("outcome", |out| out.push_str(outcome.name()));
-            o.plain("pass", |out| out.push_str(job.0.name()));
-            o.literal("scenario", &self.name_json);
-            o.hex("seed", seed);
-            o.hex("trace_fp", stats.trace_fp);
-            o.plain("type", |out| out.push_str("exec_done"));
+            for &(key, field) in &EXEC_FIELDS {
+                match field {
+                    ExecField::Duration => o.count(key, duration.as_micros() as u64),
+                    ExecField::Faults => o.plain(key, |out| {
+                        let _ = faults.write_compact(out);
+                    }),
+                    ExecField::Index => o.count(key, job.1),
+                    ExecField::Outcome => o.plain(key, |out| out.push_str(outcome.name())),
+                    ExecField::Pass => o.plain(key, |out| out.push_str(job.0.name())),
+                    ExecField::Scenario => o.literal(key, &self.name_json),
+                    ExecField::Seed => o.hex(key, seed),
+                    ExecField::TraceFp => o.hex(key, stats.trace_fp),
+                    ExecField::Type => o.plain(key, |out| out.push_str(EXEC_DONE)),
+                }
+            }
             o.close();
             line.push('\n');
             stream.write_line(&line);
@@ -338,11 +369,20 @@ impl RunTelemetry {
         });
     }
 
+    /// A wave has ended: every record written so far goes to the file.
+    /// The one caller of the sink's [`TelemetrySink::flush`].
+    pub fn flush(&self) {
+        if let Some(stream) = &self.stream {
+            stream.flush();
+        }
+    }
+
     /// The run is over: the last pass's `pass_end`, then `run_end` with
-    /// the report's totals and verdict.
+    /// the report's totals and verdict, flushed.
     pub fn close(&mut self, report: &CheckReport) {
         self.end_pass();
         self.emit(|| run_end_record(report));
+        self.flush();
     }
 }
 
@@ -714,6 +754,39 @@ pub(crate) static EXEC_COUNTERS: [Counter<ExecStats>; 12] = counters![
     "steps"        steps        Sum,
 ];
 
+/// `exec_done`'s type name.
+const EXEC_DONE: &str = "exec_done";
+
+/// One of `exec_done`'s own fields beside its counters.
+#[derive(Clone, Copy)]
+enum ExecField {
+    Duration,
+    Faults,
+    Index,
+    Outcome,
+    Pass,
+    Scenario,
+    Seed,
+    TraceFp,
+    Type,
+}
+
+/// `exec_done`'s own keys, in key order: the writer
+/// ([`RunTelemetry::exec_done`]) and the canonical reader
+/// ([`read_exec_done`]) both walk this list, with the `EXEC_COUNTERS`
+/// rows merged in by key order.
+static EXEC_FIELDS: [(&str, ExecField); 9] = [
+    ("duration_us", ExecField::Duration),
+    ("faults", ExecField::Faults),
+    ("index", ExecField::Index),
+    ("outcome", ExecField::Outcome),
+    ("pass", ExecField::Pass),
+    ("scenario", ExecField::Scenario),
+    ("seed", ExecField::Seed),
+    ("trace_fp", ExecField::TraceFp),
+    ("type", ExecField::Type),
+];
+
 impl ExecStats {
     /// The record of an execution that just ended: the runtime's
     /// counters plus what only the explorer's pilot and the ghost state
@@ -802,31 +875,76 @@ impl Record {
         };
         let record = match get_str(m, "type")? {
             "run_start" => Record::RunStart(RunStart(without_keys(v, &POOL_KEYS))),
-            "exec_done" => {
-                let outcome = get_str(m, "outcome")?;
-                if !OutcomeKind::ALL.iter().any(|kind| kind.name() == outcome) {
-                    return Err(format!("unknown outcome {outcome:?}"));
-                }
-                // A fault plan's compact form is printable ASCII, `-`
-                // when empty.
-                let faults = get_str(m, "faults")?;
-                if faults.is_empty() || !faults.bytes().all(|b| b.is_ascii_graphic()) {
-                    return Err(format!("faults: not a compact fault plan: {faults:?}"));
-                }
-                Record::ExecDone {
-                    pass: get_str(m, "pass")?.parse()?,
-                    index: get_u64(m, "index")?,
-                    ok: outcome == OutcomeKind::Ok.name(),
-                    faulted: faults != "-",
-                    duration: Duration::from_micros(get_u64(m, "duration_us")?),
-                    stats: ExecStats::from_json(m)?,
-                }
-            }
+            EXEC_DONE => Record::exec_done(
+                get_str(m, "pass")?,
+                get_u64(m, "index")?,
+                get_str(m, "outcome")?,
+                get_str(m, "faults")?,
+                get_u64(m, "duration_us")?,
+                ExecStats::from_json(m)?,
+            )?,
             "run_end" => Record::RunEnd(RunEnd::from_json(m)?),
             _ => Record::Other,
         };
         Ok((get_str(m, "scenario")?, record))
     }
+
+    /// An `exec_done` record from its fields, however they were read: the
+    /// rules the tree reader and the canonical one share. An outcome is
+    /// one of the eight, and a fault plan's compact form is printable
+    /// ASCII, `-` when empty.
+    fn exec_done(
+        pass: &str,
+        index: u64,
+        outcome: &str,
+        faults: &str,
+        duration_us: u64,
+        stats: ExecStats,
+    ) -> Result<Record, String> {
+        if !OutcomeKind::ALL.iter().any(|kind| kind.name() == outcome) {
+            return Err(format!("unknown outcome {outcome:?}"));
+        }
+        if faults.is_empty() || !faults.bytes().all(|b| b.is_ascii_graphic()) {
+            return Err(format!("faults: not a compact fault plan: {faults:?}"));
+        }
+        Ok(Record::ExecDone {
+            pass: pass.parse()?,
+            index,
+            ok: outcome == OutcomeKind::Ok.name(),
+            faulted: faults != "-",
+            duration: Duration::from_micros(duration_us),
+            stats,
+        })
+    }
+}
+
+/// The canonical reader: `line` read as an `exec_done` record in exactly
+/// the form [`RunTelemetry::exec_done`] writes it, field by field, with no
+/// tree. `None` declines the line — another record type, or any form the
+/// writer does not produce (see [`ObjectReader`]) — for the tree reader
+/// to decide; a line it takes reads exactly as the tree reader reads it.
+fn read_exec_done(line: &str) -> Option<(&str, Record)> {
+    let mut stats = ExecStats::default();
+    let mut r = ObjectReader::open(line, &EXEC_COUNTERS, &mut stats)?;
+    let (mut pass, mut outcome, mut faults, mut scenario) = ("", "", "", "");
+    let (mut index, mut duration_us, mut trace_fp) = (0, 0, 0);
+    for &(key, field) in &EXEC_FIELDS {
+        match field {
+            ExecField::Duration => duration_us = r.count(key)?,
+            ExecField::Faults => faults = r.plain(key)?,
+            ExecField::Index => index = r.count(key)?,
+            ExecField::Outcome => outcome = r.plain(key)?,
+            ExecField::Pass => pass = r.plain(key)?,
+            ExecField::Scenario => scenario = r.plain(key)?,
+            ExecField::Seed => _ = r.hex(key)?,
+            ExecField::TraceFp => trace_fp = r.hex(key)?,
+            ExecField::Type => (r.plain(key)? == EXEC_DONE).then_some(())?,
+        }
+    }
+    r.close()?;
+    stats.trace_fp = trace_fp;
+    let record = Record::exec_done(pass, index, outcome, faults, duration_us, stats).ok()?;
+    Some((scenario, record))
 }
 
 /// Reads a JSONL stream: calls `each` with the scenario stamp and the
@@ -838,20 +956,47 @@ impl Record {
 /// append to one file, and `scan --dashboard` reads many files at once).
 pub fn read_stream(text: &str, only: Option<&str>, mut each: impl FnMut(&str, Record)) -> u64 {
     let mut torn_lines = 0;
+    let mut keep = |scenario: &str, record| {
+        if only.is_none_or(|wanted| wanted == scenario) {
+            each(scenario, record);
+        }
+    };
     for line in text.lines().filter(|line| !line.trim().is_empty()) {
+        if let Some((scenario, record)) = read_exec_done(line) {
+            keep(scenario, record);
+            continue;
+        }
         let Ok(v) = serde_json::from_str(line) else {
             torn_lines += 1;
             continue;
         };
         match Record::from_json(&v) {
-            Ok((scenario, record)) if only.is_none_or(|wanted| wanted == scenario) => {
-                each(scenario, record)
-            }
-            Ok(_) => {}
+            Ok((scenario, record)) => keep(scenario, record),
             Err(_) => torn_lines += 1,
         }
     }
     torn_lines
+}
+
+/// Whether the canonical reader, which [`read_stream`] tries first on
+/// every line, agrees with the tree reader on `line`: it declines the
+/// line, or reads the record the tree reader reads. The stream's
+/// hostile-input tests run every line they make through it.
+#[doc(hidden)]
+pub fn canonical_read_agrees(line: &str) -> Result<(), String> {
+    let Some(canonical) = read_exec_done(line) else {
+        return Ok(());
+    };
+    let tree = serde_json::from_str(line).map_err(|e| e.to_string());
+    let tree = tree.and_then(|v| Record::from_json(&v).map(|(s, r)| (s.to_string(), r)));
+    match tree {
+        Ok((scenario, record)) if (scenario.as_str(), &record) == (canonical.0, &canonical.1) => {
+            Ok(())
+        }
+        tree => Err(format!(
+            "the canonical reader read {canonical:?}, the tree reader {tree:?}, in {line:?}"
+        )),
+    }
 }
 
 /// The recovered state of an interrupted (or completed) run: which
@@ -1251,6 +1396,187 @@ mod tests {
             } else {
                 prop_assert_eq!((torn, read), (2, vec![]));
             }
+            // The canonical reader takes every such line whose counts are
+            // exact and whose scenario name needs no escape.
+            let line = lines.lines().next().unwrap();
+            let plain = serde_json::to_string(&name).unwrap() == format!("\"{name}\"");
+            prop_assert_eq!(read_exec_done(line).is_some(), exact && plain, "{}", line);
+            prop_assert_eq!(canonical_read_agrees(line), Ok(()));
+        }
+
+        /// The canonical reader never disagrees with the tree reader: on a
+        /// line the writer wrote, given one mutation of a kind a hand, a
+        /// tool or a torn write could make, it declines the line or reads
+        /// exactly what [`Record::from_json`] over `serde_json::from_str`
+        /// reads.
+        #[test]
+        fn the_canonical_reader_declines_or_agrees_with_the_tree_reader(
+            line in arb_written_line(),
+            mutation in 0u8..10,
+            (i, j) in (any::<usize>(), any::<usize>()),
+        ) {
+            let mutated = mutate(&line, mutation, i, j);
+            prop_assert_eq!(canonical_read_agrees(&mutated), Ok(()));
+            // Through the stream reader, which splits lines (CRLF too).
+            let mut read = Vec::new();
+            let torn = read_stream(&(mutated.clone() + "\r\n"), None, |s, r| {
+                read.push((s.to_string(), r));
+            });
+            let tree = serde_json::from_str(&mutated)
+                .map_err(|e| e.to_string())
+                .and_then(|v| Record::from_json(&v).map(|(s, r)| (s.to_string(), r)));
+            match tree {
+                Ok(whole) => prop_assert_eq!((torn, read), (0, vec![whole])),
+                Err(_) => prop_assert_eq!((torn, read.len()), (1, 0)),
+            }
+        }
+    }
+
+    /// An `exec_done` line as the writer writes it, mostly one the
+    /// canonical reader takes: three in four keep their counts exact, and
+    /// half their scenario names free of characters that need escaping.
+    fn arb_written_line() -> impl Strategy<Value = String> {
+        let job = (
+            (0usize..Pass::ALL.len(), 0usize..OutcomeKind::ALL.len()),
+            (any::<u64>(), any::<u64>()),
+            (arb_count(), arb_count()),
+        );
+        let counts = proptest::collection::vec(arb_count(), 12..13);
+        (
+            arb_name(),
+            any::<bool>(),
+            job,
+            (counts, 0u8..4),
+            arb_faults(),
+        )
+            .prop_map(|(name, plain, job, (counts, exact), faults)| {
+                let ((pass, outcome), (seed, trace_fp), (index, micros)) = job;
+                let most = if exact > 0 {
+                    crate::json::MAX_EXACT as u64
+                } else {
+                    u64::MAX
+                };
+                let name: String = if plain {
+                    name.chars()
+                        .filter(|c| !matches!(c, '"' | '\\' | '\0'..='\x1f'))
+                        .collect()
+                } else {
+                    name
+                };
+                let mut stats = ExecStats {
+                    trace_fp,
+                    ..ExecStats::default()
+                };
+                for (c, n) in EXEC_COUNTERS.iter().zip(counts) {
+                    (c.set)(&mut stats, n.min(most));
+                }
+                let (sink, buf) = TelemetrySink::shared_buffer();
+                let config = CheckConfig {
+                    telemetry: Some(sink),
+                    ..CheckConfig::default()
+                };
+                let telem = RunTelemetry::open(&name, &config, 1);
+                let (pass, outcome) = (Pass::ALL[pass], OutcomeKind::ALL[outcome]);
+                let duration = Duration::from_micros(micros.min(most));
+                telem.exec_done(
+                    (pass, index.min(most)),
+                    seed,
+                    outcome,
+                    &stats,
+                    &faults,
+                    duration,
+                );
+                let text = String::from_utf8(buf.lock().clone()).unwrap();
+                text.lines().nth(1).expect("the exec_done line").to_string()
+            })
+    }
+
+    /// Counts, and a count's neighbours, in forms the tree reader reads
+    /// differently from the canonical one or not at all.
+    const COUNT_FORMS: [&str; 12] = [
+        "1.0",
+        "1e3",
+        "007",
+        "-1",
+        "-0",
+        "0.0",
+        "9007199254740991",
+        "9007199254740992",
+        "9007199254740993",
+        "18446744073709551615",
+        "1E3",
+        "+1",
+    ];
+
+    /// `line`, one object, with one mutation: `kind` picks it, `i` and
+    /// `j` where it goes.
+    fn mutate(line: &str, kind: u8, i: usize, j: usize) -> String {
+        let Ok(Value::Object(m)) = serde_json::from_str(line) else {
+            unreachable!("{line}")
+        };
+        let text = |v: &Value| serde_json::to_string(v).unwrap();
+        let mut fields: Vec<(String, String)> = m
+            .iter()
+            .map(|(k, v)| (text(&Value::String(k.clone())), text(v)))
+            .collect();
+        let n = fields.len();
+        let (i, j) = (i % n, j % n);
+        // A string of `s`'s text (a string's or a number's) with its
+        // first character written as a `\u` escape.
+        let escaped = |s: &str| {
+            let body = s
+                .strip_prefix('"')
+                .and_then(|b| b.strip_suffix('"'))
+                .unwrap_or(s);
+            match body.chars().next() {
+                Some(c) if c.is_ascii() && c != '\\' => {
+                    format!("\"\\u{:04x}{}\"", c as u32, &body[1..])
+                }
+                _ => format!("\"\\u0041{body}\""),
+            }
+        };
+        let cut = |s: &str, at: usize| {
+            let mut at = at % (s.len() + 1);
+            while !s.is_char_boundary(at) {
+                at -= 1;
+            }
+            at
+        };
+        match kind {
+            0 => drop(fields.remove(i)),
+            1 => {
+                let copy = fields[i].clone();
+                fields.insert(j, copy);
+            }
+            2 => fields.swap(i, (i + 1 + j % (n - 1)) % n),
+            3 => fields[i].0 = escaped(&fields[i].0),
+            4 => fields[i].1 = escaped(&fields[i].1),
+            5 => {
+                let v = fields[i].1.clone();
+                let forms = COUNT_FORMS.map(String::from);
+                let more = [
+                    format!("{v}.0"),
+                    format!("0{v}"),
+                    format!("{v}e0"),
+                    format!("-{v}"),
+                ];
+                let all: Vec<&String> = forms.iter().chain(&more).collect();
+                fields[i].1 = all[j % all.len()].clone();
+            }
+            _ => {}
+        }
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+        let line = format!("{{{}}}", body.join(","));
+        match kind {
+            6 => {
+                let at = cut(&line, j);
+                let space = [" ", "\t", "\r"][i % 3];
+                format!("{}{space}{}", &line[..at], &line[at..])
+            }
+            7 => line + "\r",
+            8 => line + ["x", "}", ",", " ", "\0", "{}"][i % 6],
+            9 => line[..cut(&line, j)].to_string(),
+            _ => line,
         }
     }
 

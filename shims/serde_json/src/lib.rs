@@ -65,11 +65,21 @@ impl Map {
 /// Conversion into a [`Value`] by reference (what `json!` leaves call).
 pub trait ToJson {
     fn to_json(&self) -> Value;
+
+    /// Appends the compact text of [`to_json`](Self::to_json)'s value; a
+    /// [`Value`] writes itself, without the copy.
+    fn write_json(&self, out: &mut String) {
+        write_value(&self.to_json(), None, out);
+    }
 }
 
 impl ToJson for Value {
     fn to_json(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_value(self, None, out);
     }
 }
 
@@ -120,6 +130,10 @@ impl<T: ToJson> ToJson for Vec<T> {
 impl<T: ToJson> ToJson for &T {
     fn to_json(&self) -> Value {
         (*self).to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (*self).write_json(out);
     }
 }
 
@@ -213,56 +227,60 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn write_value(v: &Value, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    let pad_in = "  ".repeat(indent + 1);
+/// Writes `v` indented `indent` levels deep, or with `None` compact: the
+/// same text without its newlines and indentation (`": "` after a key
+/// stays), in one pass.
+fn write_value(v: &Value, indent: Option<usize>, out: &mut String) {
+    use std::fmt::Write as _;
+    let inner = indent.map(|depth| depth + 1);
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Number(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
+            let _ = if n.fract() == 0.0 && n.abs() < 9e15 {
+                write!(out, "{}", *n as i64)
             } else {
-                out.push_str(&format!("{n}"));
-            }
+                write!(out, "{n}")
+            };
         }
         Value::String(s) => escape(s, out),
+        Value::Array(items) if items.is_empty() => out.push_str("[]"),
+        Value::Object(map) if map.is_empty() => out.push_str("{}"),
         Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
+            out.push('[');
             for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad_in);
-                write_value(item, indent + 1, out);
-                if i + 1 < items.len() {
+                if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
+                newline(inner, out);
+                write_value(item, inner, out);
             }
-            out.push_str(&pad);
+            newline(indent, out);
             out.push(']');
         }
         Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            let n = map.len();
+            out.push('{');
             for (i, (k, val)) in map.iter().enumerate() {
-                out.push_str(&pad_in);
-                escape(k, out);
-                out.push_str(": ");
-                write_value(val, indent + 1, out);
-                if i + 1 < n {
+                if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
+                newline(inner, out);
+                escape(k, out);
+                out.push_str(": ");
+                write_value(val, inner, out);
             }
-            out.push_str(&pad);
+            newline(indent, out);
             out.push('}');
+        }
+    }
+}
+
+/// A newline and `indent` levels of indentation; nothing when compact.
+fn newline(indent: Option<usize>, out: &mut String) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
         }
     }
 }
@@ -270,7 +288,7 @@ fn write_value(v: &Value, indent: usize, out: &mut String) {
 /// Pretty-prints a value as indented JSON.
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_json(), 0, &mut out);
+    write_value(&value.to_json(), Some(0), &mut out);
     Ok(out)
 }
 
@@ -482,15 +500,12 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Compact printing.
+/// Compact printing: the pretty form without its newlines and
+/// indentation (`{"a": 1,"b": [1,2]}`).
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
-    let pretty = to_string_pretty(value)?;
-    // Compact enough for a shim: strip the indentation newlines.
-    Ok(pretty
-        .lines()
-        .map(str::trim_start)
-        .collect::<Vec<_>>()
-        .join(""))
+    let mut out = String::new();
+    value.write_json(&mut out);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -628,6 +643,108 @@ mod tests {
             })
         );
         assert_eq!(r.name, "x");
+    }
+
+    /// The printer both forms came from before they were written in one
+    /// pass: the reference they are held to byte for byte.
+    fn old_pretty(v: &Value, indent: usize, out: &mut String) {
+        let pad = "  ".repeat(indent);
+        let pad_in = "  ".repeat(indent + 1);
+        match v {
+            Value::Array(items) if !items.is_empty() => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(&pad_in);
+                    old_pretty(item, indent + 1, out);
+                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                out.push_str(&pad);
+                out.push(']');
+            }
+            Value::Object(map) if !map.is_empty() => {
+                out.push_str("{\n");
+                for (i, (k, val)) in map.iter().enumerate() {
+                    out.push_str(&pad_in);
+                    escape(k, out);
+                    out.push_str(": ");
+                    old_pretty(val, indent + 1, out);
+                    out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
+                }
+                out.push_str(&pad);
+                out.push('}');
+            }
+            Value::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                out.push_str(&format!("{}", *n as i64));
+            }
+            Value::Number(n) => out.push_str(&format!("{n}")),
+            Value::Array(_) => out.push_str("[]"),
+            Value::Object(_) => out.push_str("{}"),
+            scalar => write_value(scalar, None, out),
+        }
+    }
+
+    /// The old compact form: pretty, split into lines, trimmed, joined.
+    fn old_forms(v: &Value) -> (String, String) {
+        let mut pretty = String::new();
+        old_pretty(v, 0, &mut pretty);
+        let compact = pretty.lines().map(str::trim_start).collect();
+        (compact, pretty)
+    }
+
+    #[test]
+    fn both_forms_print_what_the_old_printer_printed() {
+        let text = "q\"b\\s/\n\r\t\u{1}\u{1f}\u{7f} é✓𝄞 \u{2028}\u{85}";
+        let leaves = [
+            Value::Null,
+            json!(true),
+            json!(false),
+            json!(0),
+            json!(-7i64),
+            json!(1.5f64),
+            json!(9e15 - 1.0),
+            json!(9e15),
+            json!(-9e15),
+            json!(1e300),
+            json!(u64::MAX),
+            json!(f64::NAN),
+            json!(f64::INFINITY),
+            json!(-0.0f64),
+            json!(""),
+            json!(" lead and trail "),
+            json!(text),
+        ];
+        let mut values: Vec<Value> = leaves.to_vec();
+        values.push(json!([]));
+        values.push(json!({}));
+        values.push(Value::Array(leaves.to_vec()));
+        let mut map = Map::new();
+        for (i, leaf) in leaves.iter().enumerate() {
+            map.insert(format!("{text}{i}"), leaf.clone());
+        }
+        let (arr, obj) = (Value::Array, Value::Object);
+        map.insert("".into(), json!({ "empty_obj": {}, "empty_arr": [] }));
+        let pair = arr(vec![json!([1, 2]), json!({ "k": [3] })]);
+        map.insert("nested".into(), arr(vec![json!([]), json!({}), pair]));
+        values.push(obj(map.clone()));
+        let deep = arr(vec![json!({ "x": [] })]);
+        values.push(arr(vec![obj(map), json!([]), json!({}), deep]));
+        for v in &values {
+            let (compact, pretty) = old_forms(v);
+            assert_eq!(to_string(v).unwrap(), compact, "{v:?}");
+            assert_eq!(to_string_pretty(v).unwrap(), pretty, "{v:?}");
+        }
+        let small = json!({ "a": 1, "b": [1, (json!({ "x": null }))], "c": {}, "d": [] });
+        assert_eq!(
+            to_string(&small).unwrap(),
+            r#"{"a": 1,"b": [1,{"x": null}],"c": {},"d": []}"#
+        );
+        assert_eq!(
+            to_string_pretty(&small).unwrap(),
+            "{\n  \"a\": 1,\n  \"b\": [\n    1,\n    {\n      \"x\": null\n    }\n  ],\n  \"c\": {},\n  \"d\": []\n}"
+        );
+        // A leaf converted on the way writes what its value writes.
+        assert_eq!(to_string(&"x\"").unwrap(), r#""x\"""#);
+        assert_eq!(to_string(&vec![1u64, 2]).unwrap(), "[1,2]");
     }
 
     #[test]

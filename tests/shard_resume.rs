@@ -8,7 +8,7 @@
 //! deterministic content (timing, worker count, shard assignment, and
 //! the replayed-execution diagnostic excluded).
 
-use perennial_checker::telemetry::read_stream;
+use perennial_checker::telemetry::{parse_wal, read_stream, read_wal};
 use perennial_checker::{
     check, merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, ExecOutcome,
     OutcomeKind, Pass, Scenario, SleepSetDpor, SpinForever, TelemetrySink,
@@ -180,6 +180,48 @@ fn truncated_wal_resumes_to_identical_fingerprint() {
         let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_file(&full);
+}
+
+/// A resumed run appending to a WAL that a kill cut inside a line starts
+/// its records on a line of their own: the torn tail stays one torn line
+/// and the new `run_start` is read. Glued onto the tail, the first record
+/// appended would be lost with it.
+#[test]
+fn a_run_appended_to_a_torn_wal_starts_on_a_line_of_its_own() {
+    let s = scenario("patterns/wal");
+    let cfg = || base_cfg().keep_going(true).workers(1);
+    let full = tmp_path("torn-full.jsonl");
+    let cold = s.run(&cfg().telemetry_path(&full).build());
+    let bytes = std::fs::read(&full).expect("WAL was written");
+    let _ = std::fs::remove_file(&full);
+    let replayable = parse_wal(&String::from_utf8_lossy(&bytes), s.name())
+        .completed
+        .keys()
+        .filter(|(rank, _)| *rank >= Pass::CrashSweepBase.rank())
+        .count() as u64;
+    assert!(replayable > 100, "{replayable} replayable executions");
+
+    let mut cut = bytes.len() / 2;
+    while bytes[cut - 1] == b'\n' {
+        cut -= 1;
+    }
+    let path = tmp_path("torn-tail.jsonl");
+    std::fs::write(&path, &bytes[..cut]).unwrap();
+    let resumed = s.run(&cfg().resume_from(&path).telemetry_path(&path).build());
+    assert_eq!(report_fingerprint(&resumed), report_fingerprint(&cold));
+    let wal = read_wal(&path, s.name()).unwrap();
+    assert_eq!(
+        (wal.runs_started, wal.torn_lines),
+        (2, 1),
+        "the cold run's run_start and the resumed run's, and the torn tail"
+    );
+    let again = s.run(&cfg().resume_from(&path).build());
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        again.replayed, replayable,
+        "resuming again replays everything"
+    );
+    assert_eq!(report_fingerprint(&again), report_fingerprint(&cold));
 }
 
 /// A record short of a counter is no record: the job re-runs. Zero-filling

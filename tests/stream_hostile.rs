@@ -8,14 +8,18 @@
 //! `read_stream`, `parse_wal` and `Dashboard::ingest` must not panic, must
 //! account for every non-empty line as either one whole record or one torn
 //! line, and must never hand back an execution that differs from the one
-//! the checker wrote under that key.
+//! the checker wrote under that key; and the canonical `exec_done` reader
+//! `read_stream` tries first must decline each line or read it exactly as
+//! the tree reader does.
 //!
 //! A shard's report file is merged into a verdict the same way, so its
 //! JSON gets the same treatment: `report_from_json` refuses every such
 //! variant of a real shard report, and `merge_reports` refuses a set of
 //! shards that does not cover the run once, naming the shard.
 
-use perennial_checker::telemetry::{parse_wal, read_stream, ExecStats, Record};
+use perennial_checker::telemetry::{
+    canonical_read_agrees, parse_wal, read_stream, ExecStats, Record,
+};
 use perennial_checker::{
     merge_reports, report_fingerprint, report_from_json, report_to_json, CheckConfig, CheckReport,
     Dashboard, Pass, PassMetrics, TelemetrySink,
@@ -113,6 +117,13 @@ fn check(hostile: &[u8]) -> Result<(), String> {
     let lines = text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
     let fail = |what: &str| Err(format!("{what}\nin: {text}"));
 
+    // `read_stream` tries the canonical `exec_done` reader first: on every
+    // line it must decline or read what the tree reader reads.
+    for line in text.lines() {
+        if let Err(e) = canonical_read_agrees(line) {
+            return fail(&e);
+        }
+    }
     let mut whole = Vec::new();
     let torn = read_stream(&text, None, |_, record| whole.push(record));
     if whole.len() as u64 + torn != lines {

@@ -128,6 +128,16 @@
 # its rank to a row, or the fold's array of `Option<PassMetrics>`); and
 # dashboard.rs takes no pass's time from its `pass_end` record
 # (`Record::PassEnd`): its time column is the executions' busy time.
+#
+# One stream codec: `exec_done`, the record a run writes once per
+# execution and a resume reads back once per execution, is written and
+# read field by field through one key list. So telemetry.rs declares its
+# own keys once (`static EXEC_FIELDS:`, beside `EXEC_COUNTERS`), and
+# neither its writer (`fn exec_done`) nor its canonical reader (`fn
+# read_exec_done`) spells a key. And the stream is flushed once per wave,
+# not per record: in crates/checker/src a `flush()` call is written only
+# in the sink's and the run's `fn flush` and in their two callers,
+# `RunTelemetry::close` and the driver's `run_pass`.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
@@ -486,6 +496,36 @@ if [ -n "$wall" ]; then
     failed=1
     echo "        ^ the dashboard times a pass by its pass_end record; its rows are the executions' fold:"
     printf '%s\n' "$wall" | sed 's/^/          /'
+fi
+
+echo
+stream=crates/checker/src/telemetry.rs
+lists=$(code "$stream" | grep -c 'static EXEC_FIELDS:' || true)
+# The code lines of the items in $stream whose first line matches $1.
+items_of() {
+    code "$stream" | awk -v items="$1" '
+        { line = $0; sub(/^[^ ]*: /, "", line) }
+        on { print; if (line ~ ("^" indent "}")) on = 0; next }
+        line ~ items { match(line, /^ */); indent = substr(line, 1, RLENGTH); on = 1; print }'
+}
+spelled=$(items_of 'fn (exec_done|read_exec_done)[(]' | grep -E '"[a-z_]+"' | sed "s|^|$stream:|" || true)
+flushes=$(for path in crates/checker/src/*.rs; do
+    code "$path" | awk -v f="$(basename "$path")" '
+        /^[0-9]+: (    )?}/ { item = "" }
+        match($0, /fn [a-z_0-9]+/) { item = substr($0, RSTART + 3, RLENGTH - 3) }
+        /flush\(\)/ && !/fn flush/ { print f ":" item ":" $0 }'
+done)
+stray=$(printf '%s\n' "$flushes" | grep . | grep -vE '^(telemetry.rs:(flush|close)|jobs.rs:run_pass):' || true)
+echo "one stream codec: $lists exec_done key list(s), $(printf '%s' "$flushes" | grep -c '') flush() call(s)"
+if [ "$lists" -ne 1 ] || [ -n "$spelled" ]; then
+    failed=1
+    echo "        ^ exec_done's keys are listed once, in EXEC_FIELDS, which its writer and canonical reader walk:"
+    printf '%s\n' "$spelled" | grep . | sed 's/^/          /'
+fi
+if [ -n "$stray" ] || [ -z "$flushes" ]; then
+    failed=1
+    echo "        ^ the stream is flushed at a wave's end and at the close, never per record:"
+    printf '%s\n' "$stray" | grep . | sed 's/^/          /'
 fi
 
 echo
