@@ -25,7 +25,8 @@ use std::sync::Arc;
 /// `alloc_bytes_per_exec` in `schedule_exploration` and in every
 /// mutant's `sleep_set_dpor` cell; 5: `steps_executed` beside `steps` in
 /// `schedule_exploration` and `fault_exploration`; 6: `wal_records` and
-/// `read_allocs_per_record` in `resume_overhead`). A record of another
+/// `read_allocs_per_record` in `resume_overhead`; 7: `live_on_resume` in
+/// `resume_overhead`). A record of another
 /// version differs from this one at `schema_version`, like at any other
 /// leaf.
 ///
@@ -38,7 +39,7 @@ use std::sync::Arc;
 /// holds each under a bound instead: the committed value plus
 /// [`ALLOC_SLACK`], the margin `tests/alloc_budget.rs` allows. A missing
 /// or extra allocation leaf still fails like any other.
-pub const SCALE_SCHEMA_VERSION: u64 = 6;
+pub const SCALE_SCHEMA_VERSION: u64 = 7;
 
 /// The record's leaves that count heap allocations: upper-bounded by the
 /// gate, not matched exactly (see [`SCALE_SCHEMA_VERSION`]).
@@ -341,6 +342,12 @@ pub struct ResumeRow {
 }
 
 impl ResumeRow {
+    /// Executions the resumed run still ran: the complete WAL closed every
+    /// phase, so 0.
+    pub fn live_on_resume(&self) -> u64 {
+        self.executions as u64 - self.replayed
+    }
+
     /// Allocations the WAL reader makes per record it reads.
     pub fn read_allocs_per_record(&self) -> f64 {
         self.read_allocs as f64 / self.wal_records.max(1) as f64
@@ -381,11 +388,12 @@ pub fn run_resume(scenario: &Scenario, base: &CheckConfig, wal: &std::path::Path
 /// Renders the resume row.
 pub fn render_resume(name: &str, row: &ResumeRow) -> String {
     format!(
-        "Checkpoint/resume: {name}\n{} executions, {} replayed from the complete WAL; \
-         cold, with-WAL and resumed fingerprints {}\n\
+        "Checkpoint/resume: {name}\n{} executions, {} replayed from the complete WAL, {} run \
+         live; cold, with-WAL and resumed fingerprints {}\n\
          reading the WAL: {} records, {} allocations ({:.2}/record)\n",
         row.executions,
         row.replayed,
+        row.live_on_resume(),
         if row.fingerprints_match {
             "match"
         } else {
@@ -615,6 +623,7 @@ pub fn record(
         "resume_overhead": {
             "executions": resume.executions,
             "replayed": resume.replayed,
+            "live_on_resume": resume.live_on_resume(),
             "fingerprints_match": resume.fingerprints_match,
             "wal_records": resume.wal_records,
             "read_allocs_per_record": resume.read_allocs_per_record(),
@@ -705,5 +714,10 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
         assert!(row.fingerprints_match);
         assert!(row.replayed > 0 && row.executions > 0);
+        assert_eq!(
+            row.live_on_resume(),
+            0,
+            "the complete WAL replays every execution"
+        );
     }
 }

@@ -92,7 +92,7 @@ impl Dashboard {
                     let row = PassMetrics::exec(pass, &stats, !ok, faulted, duration);
                     self.scenario(name).execs.insert((pass, index), row);
                 }
-                Record::RunStart(_) | Record::Other => {}
+                _ => {}
             }
         });
         self.torn_lines += torn_lines;

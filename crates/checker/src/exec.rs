@@ -209,21 +209,21 @@ pub(crate) struct ExecSpec<'a> {
     pub buffers: Buffers,
 }
 
-/// The schedule policy that reproduces a counterexample: DFS prefixes
-/// for the DFS pass, the recorded seed (plus corpus prefix) for the
-/// random passes, round-robin for the sweep passes.
-fn cx_policy(cx: &Counterexample) -> Policy {
-    match cx.pass {
-        Pass::Random | Pass::RandomCrash | Pass::RandomCrashProbe => {
-            Policy::Random(cx.schedule_prefix.clone())
-        }
+/// The schedule policy that reproduces a failure of `pass` from its
+/// recorded schedule prefix: DFS prefixes for the DFS pass, the recorded
+/// seed (plus corpus prefix) for the random passes, round-robin for the
+/// sweep passes. A counterexample's re-run and a resumed schedule phase's
+/// re-run of a logged failure both go through it.
+pub(crate) fn cx_policy(pass: Pass, prefix: Vec<usize>) -> Policy {
+    match pass {
+        Pass::Random | Pass::RandomCrash | Pass::RandomCrashProbe => Policy::Random(prefix),
         Pass::CrashSweepBase
         | Pass::CrashSweep
         | Pass::NestedCrash
         | Pass::DiskFault
         | Pass::TornWrite
         | Pass::NetFault => Policy::RoundRobin,
-        Pass::Dfs => Policy::DfsPrefix(cx.schedule_prefix.clone()),
+        Pass::Dfs => Policy::DfsPrefix(prefix),
     }
 }
 
@@ -406,7 +406,7 @@ pub(crate) fn rerun(
     capture_trace: bool,
 ) -> RunResult {
     let spec = ExecSpec {
-        policy: cx_policy(cx),
+        policy: cx_policy(cx.pass, cx.schedule_prefix.clone()),
         crash_points: &cx.crash_points,
         faults: &cx.faults,
         seed: cx.seed,

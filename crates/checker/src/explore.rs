@@ -69,7 +69,7 @@ use crate::metrics::{
 use crate::pass::Pass;
 use crate::profile::{collisions, ProfileBuilder, StrategyProfile};
 use crate::strategy::{ObservedExec, StrategySession};
-use crate::telemetry::EnvStamp;
+use crate::telemetry::{EnvStamp, ScheduleEnd};
 use goose_rt::fault::FaultSurface;
 use perennial_spec::SpecTS;
 use std::collections::BTreeSet;
@@ -199,7 +199,7 @@ pub(crate) fn check_as(name: &str, harness: &dyn AnyHarness, config: &CheckConfi
     let start = Instant::now();
     let mut driver = Driver::new(name, harness, config);
     let mut session = config.strategy.session(config);
-    schedule_phase(&mut driver, session.as_mut());
+    let (pruned, coverage_guided) = schedule_phase(&mut driver, session.as_mut());
     crash_sweeps(&mut driver);
     fault_sweeps(&mut driver);
 
@@ -253,8 +253,8 @@ pub(crate) fn check_as(name: &str, harness: &dyn AnyHarness, config: &CheckConfi
     report.name = name.to_string();
     report.workers = driver.workers;
     report.strategy = config.strategy.name().to_string();
-    report.pruned = session.pruned();
-    report.coverage_guided = session.guided();
+    report.pruned = pruned;
+    report.coverage_guided = coverage_guided;
     credit_session(&mut report.per_pass, report.pruned, report.coverage_guided);
     report.counterexample = counterexamples.first().cloned();
     report.counterexamples = counterexamples;
@@ -271,11 +271,6 @@ pub(crate) fn check_as(name: &str, harness: &dyn AnyHarness, config: &CheckConfi
             config.exec_budget
         ));
     }
-    if let Some(e) = telem.stream_error() {
-        report
-            .incomplete
-            .push(format!("telemetry stream error: {e}"));
-    }
     report.wall_time = start.elapsed();
     report.execs_per_sec = report.executions as f64 / report.wall_time.as_secs_f64().max(1e-9);
     report.env = EnvStamp::current(driver.workers as u64, config.strategy.name());
@@ -289,17 +284,46 @@ pub(crate) fn check_as(name: &str, harness: &dyn AnyHarness, config: &CheckConfi
         };
         report.profile = Some(p.finish(&report, strategy));
     }
-    driver.shared.telem.close(&report);
+    // Read once the stream is closed: a write error on the closing
+    // records or the final flush counts too.
+    let telem = &mut driver.shared.telem;
+    telem.close(&report);
+    if let Some(e) = telem.stream_error() {
+        report
+            .incomplete
+            .push(format!("telemetry stream error: {e}"));
+    }
     report
 }
 
-/// Schedule phase (ranks 0-1): the strategy decides which crash-free
+/// Schedule phase (ranks 0-1): replayed whole from the resume WAL if it
+/// closed the phase (`Driver::replay_schedule`), or else run live. Either
+/// way, a phase that closed writes its `schedule_end`, and the session's
+/// pruned/guided counters come back.
+fn schedule_phase(driver: &mut Driver<'_>, session: &mut dyn StrategySession) -> (u64, u64) {
+    let end = driver
+        .replay_schedule()
+        .or_else(|| live_schedule_phase(driver, session));
+    if let Some(end) = &end {
+        driver.shared.telem.schedule_end(end);
+    }
+    match end {
+        Some(end) => (end.pruned, end.coverage_guided),
+        None => (session.pruned(), session.guided()),
+    }
+}
+
+/// The live schedule phase: the strategy decides which crash-free
 /// schedules to run, as a wave loop with feedback. Each wave's job keys
 /// are assigned in spec order before anything runs, and feedback
 /// (frontier expansion, sleep-set pruning, coverage re-seeding) is applied
 /// only from *complete* waves, so the explored set and the pruned/guided
-/// counters are worker-count independent.
-fn schedule_phase(driver: &mut Driver<'_>, session: &mut dyn StrategySession) {
+/// counters are worker-count independent. Returns how the phase closed;
+/// `None` when the execution budget cut it.
+fn live_schedule_phase(
+    driver: &mut Driver<'_>,
+    session: &mut dyn StrategySession,
+) -> Option<ScheduleEnd> {
     let profile = driver.shared.config.profile;
     let mut next_index = [0u64; Pass::ALL.len()];
     while driver.live() {
@@ -344,6 +368,12 @@ fn schedule_phase(driver: &mut Driver<'_>, session: &mut dyn StrategySession) {
             driver.spares.recycle(o.decisions, o.deps);
         }
     }
+    driver.budget_open().then_some(ScheduleEnd {
+        jobs: [next_index[0], next_index[1]],
+        pruned: session.pruned(),
+        coverage_guided: session.guided(),
+        cancelled: driver.shared.cancel.cancelled(),
+    })
 }
 
 /// Ranks 2-6, on schedules fixed in advance: the systematic crash sweep

@@ -12,16 +12,18 @@
 
 use crate::config::CheckConfig;
 use crate::exec::{
-    rerun, run_one, run_stopping, Counterexample, Exec, ExecOutcome, ExecSpec, Policy, RunResult,
+    cx_policy, rerun, run_one, run_stopping, Counterexample, Exec, ExecOutcome, ExecSpec, Policy,
+    RunResult,
 };
 use crate::harness::AnyHarness;
 use crate::metrics::{Coverage, FaultFamily, OutcomeKind};
 use crate::pass::Pass;
 use crate::strategy::{Buffers, DepTrace, ScheduleSpec, Spares};
-use crate::telemetry::{self, ExecStats, RunTelemetry};
+use crate::telemetry::{self, CxRecord, ExecStats, RunTelemetry, ScheduleEnd, WalReplay};
 use goose_rt::fault::{FaultPlan, FaultSurface, NetFault, TornMode};
 use goose_rt::splitmix64;
 use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -379,7 +381,7 @@ impl Cancel {
 
     /// Whether the exploration should stop scheduling further waves:
     /// a failure has been found and the config asked for early exit.
-    fn cancelled(&self) -> bool {
+    pub(crate) fn cancelled(&self) -> bool {
         !self.keep_going && self.stop.load(Ordering::Relaxed)
     }
 }
@@ -390,7 +392,9 @@ pub(crate) struct Shared<'a> {
     pub config: &'a CheckConfig,
     pub cancel: Cancel,
     pub telem: RunTelemetry,
-    /// Completed `ok` executions from the resume WAL, keyed by job key.
+    /// The sweeps' completed `ok` executions from the resume WAL, keyed
+    /// by job key (the schedule phase's replay as a whole:
+    /// [`Driver::replay_schedule`]).
     replay: BTreeMap<JobKey, ExecStats>,
     /// Executions satisfied from the WAL instead of run.
     pub replayed: AtomicU64,
@@ -402,10 +406,17 @@ impl Shared<'_> {
         exec_seed(self.config.seed, job.key.0, job.key.1)
     }
 
-    /// Whether the resume WAL already holds `job` (every job from the
-    /// crash-sweep base up is replayable).
+    /// Whether the resume WAL already holds `job`.
     fn replays(&self, job: &Job) -> bool {
-        job.pass >= Pass::CrashSweepBase && self.replay.contains_key(&job.key)
+        self.replay.contains_key(&job.key)
+    }
+
+    /// `job`'s outcome read back from its `ok` record instead of run:
+    /// deterministic job metadata around the recorded statistics, counted
+    /// in `replayed`.
+    fn read_back(&self, job: &Job, counted: bool, stats: ExecStats) -> JobOutcome {
+        self.replayed.fetch_add(1, Ordering::Relaxed);
+        JobOutcome::new(job, counted, OutcomeKind::Ok, stats)
     }
 
     /// Whether `job` runs live in this process: its shard executes it and
@@ -491,16 +502,11 @@ fn run_or_replay(
     counted: bool,
     spares: &mut Spares,
 ) -> JobOutcome {
-    // Schedule-phase executions (ranks 0-1) always run live — the
-    // strategy needs their decision paths and dependency traces for
-    // feedback; everything from the crash-sweep base up is replayable.
     // Only `ok` records are in the map, and every field of the outcome
     // is deterministic job metadata or a recorded statistic, so a resumed
     // run aggregates to the same report as a cold one.
-    if shared.replays(job) {
-        shared.replayed.fetch_add(1, Ordering::Relaxed);
-        let stats = shared.replay[&job.key];
-        return JobOutcome::new(job, counted, OutcomeKind::Ok, stats);
+    if let Some(&stats) = shared.replay.get(&job.key) {
+        return shared.read_back(job, counted, stats);
     }
     let spec = ExecSpec {
         buffers: spares.take(job.track_deps),
@@ -888,26 +894,33 @@ impl BudgetGate {
     }
 }
 
+/// A schedule phase the resume WAL closed, as a resume replays it
+/// (DESIGN.md §13): the phase's `schedule_end`, and every job key up to
+/// the cutoff with its `ok` record or its failure's coordinates.
+pub(crate) struct ClosedPhase {
+    end: ScheduleEnd,
+    /// Jobs to replay per schedule pass, by rank: every job the driver
+    /// issued or, in a cancelled phase, those up to the failure that
+    /// cancelled it.
+    upto: [u64; 2],
+    ok: BTreeMap<JobKey, ExecStats>,
+    failures: BTreeMap<JobKey, CxRecord>,
+}
+
+/// What a resume WAL gives a run: the sweeps' `ok` records by job key,
+/// and the schedule phase if the log closed it.
+type Resume = (BTreeMap<JobKey, ExecStats>, Option<ClosedPhase>);
+
 /// Loads the resume WAL, if configured. Any problem — unreadable file,
-/// config mismatch — degrades to a cold start with a warning rather
-/// than failing the run: a campaign must make progress even when its
-/// checkpoint is useless.
-fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, ExecStats> {
+/// config mismatch — degrades to a cold start ([`usable`] says whether
+/// with a warning) rather than failing the run: a campaign must make
+/// progress even when its checkpoint is useless.
+fn load_wal(name: &str, config: &CheckConfig) -> Resume {
     let Some(path) = &config.resume_from else {
-        return BTreeMap::new();
+        return (BTreeMap::new(), None);
     };
-    let wal = match telemetry::read_wal(path, name) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!(
-                "[checker] {name}: cannot read WAL {}: {e}; starting cold",
-                path.display()
-            );
-            return BTreeMap::new();
-        }
-    };
-    let why = match &wal.run_start {
-        Some(run_start) if run_start.same_run(name, config) => {
+    match usable(telemetry::read_wal(path, name), name, config) {
+        Ok(mut wal) => {
             if wal.torn_lines > 0 {
                 eprintln!(
                     "[checker] {name}: WAL {}: dropped {} torn line(s)",
@@ -915,20 +928,99 @@ fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, ExecStats> {
                     wal.torn_lines
                 );
             }
-            return wal.completed;
+            // The phase boundary: the sweeps replay job by job, the
+            // schedule phase as a whole or not at all.
+            let sweeps = wal.completed.split_off(&(Pass::CrashSweepBase.rank(), 0));
+            (sweeps, closed_phase(wal, config))
         }
-        Some(_) => "was written by a different configuration",
-        // An empty or foreign file is simply a cold start.
-        None if wal.runs_started + wal.torn_lines + wal.completed.len() as u64 == 0 => {
-            return BTreeMap::new();
+        Err(why) => {
+            if let Some(why) = why {
+                eprintln!(
+                    "[checker] {name}: WAL {} {why}; starting cold",
+                    path.display()
+                );
+            }
+            (BTreeMap::new(), None)
         }
-        None => "has no usable run_start record",
+    }
+}
+
+/// Whether a resume WAL, read as `read`, is of use to the run `name`
+/// under `config`: `Ok` to replay from it; `Err(None)` for the expected
+/// cold start — no file yet, or one with nothing of the scenario's in it;
+/// `Err(Some(why))` for a cold start worth a warning.
+fn usable(
+    read: std::io::Result<WalReplay>,
+    name: &str,
+    config: &CheckConfig,
+) -> Result<WalReplay, Option<String>> {
+    let wal = match read {
+        Ok(wal) => wal,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(None),
+        Err(e) => return Err(Some(format!("cannot be read: {e}"))),
     };
-    eprintln!(
-        "[checker] {name}: WAL {} {why}; starting cold",
-        path.display()
-    );
-    BTreeMap::new()
+    match &wal.run_start {
+        Some(run_start) if run_start.same_run(name, config) => Ok(wal),
+        Some(_) => Err(Some("was written by a different configuration".to_string())),
+        None if wal.runs_started + wal.torn_lines + wal.completed.len() as u64 == 0 => Err(None),
+        None => Err(Some("has no usable run_start record".to_string())),
+    }
+}
+
+/// The schedule phase `wal` closed, if a resume may replay it instead of
+/// running it (`wal.completed` holds the phase's `ok` records alone): its
+/// last run section's `schedule_end` says `done` or `cancelled`; no job
+/// of the phase is logged past the jobs that record says were issued; no
+/// key is logged both as `ok` and as a failure, or as two different
+/// failures; and every key below the cutoff is logged — every key of a
+/// `done` phase, each up to the first failure of a `cancelled` one. A
+/// phase that fails any of these runs live.
+fn closed_phase(wal: WalReplay, config: &CheckConfig) -> Option<ClosedPhase> {
+    let end = wal.schedule_end?;
+    let mut failures = BTreeMap::new();
+    for cx in wal.failures {
+        if !Pass::SCHEDULE.contains(&cx.pass) {
+            continue;
+        }
+        if cx.outcome == OutcomeKind::Ok {
+            return None;
+        }
+        match failures.entry((cx.pass.rank(), cx.index)) {
+            Entry::Vacant(slot) => _ = slot.insert(cx),
+            Entry::Occupied(seen) if *seen.get() != cx => return None,
+            Entry::Occupied(_) => {}
+        }
+    }
+    let mut ok = wal.completed;
+    let issued = |key: &JobKey| key.1 < end.jobs[key.0 as usize];
+    if !ok.keys().chain(failures.keys()).all(issued) || ok.keys().any(|k| failures.contains_key(k))
+    {
+        return None;
+    }
+    // Sharded runs keep going; a run that does not is cancelled by its
+    // first failure.
+    let keep_going = config.keep_going || config.shard.is_some();
+    let cutoff = match end.cancelled {
+        false if keep_going || failures.is_empty() => None,
+        true if !keep_going => Some(*failures.keys().next()?),
+        _ => return None,
+    };
+    let upto = [0u8, 1].map(|rank| match cutoff {
+        Some((cut, index)) if rank == cut => index + 1,
+        Some((cut, _)) if rank > cut => 0,
+        _ => end.jobs[rank as usize],
+    });
+    let replayed = |key: &JobKey| key.1 < upto[key.0 as usize];
+    ok.retain(|key, _| replayed(key));
+    failures.retain(|key, _| replayed(key));
+    let logged = |key| ok.contains_key(&key) || failures.contains_key(&key);
+    let all_logged = (0..2u8).all(|rank| (0..upto[rank as usize]).all(|i| logged((rank, i))));
+    all_logged.then_some(ClosedPhase {
+        end,
+        upto,
+        ok,
+        failures,
+    })
 }
 
 /// The one job driver: every pass's jobs go through [`Driver::run_pass`],
@@ -947,6 +1039,8 @@ pub(crate) struct Driver<'a> {
     pub coverage: Coverage,
     /// Decision paths and dependency traces the check is done with.
     pub spares: Spares,
+    /// The schedule phase the resume WAL closed, until it is replayed.
+    closed: Option<ClosedPhase>,
 }
 
 impl<'a> Driver<'a> {
@@ -955,7 +1049,7 @@ impl<'a> Driver<'a> {
     /// `run_start` record.
     pub(crate) fn new(name: &str, harness: &'a dyn AnyHarness, config: &'a CheckConfig) -> Self {
         let workers = config.effective_workers();
-        let replay = load_wal(name, config);
+        let (replay, closed) = load_wal(name, config);
         let telem = RunTelemetry::open(name, config, workers);
         Driver {
             shared: Shared {
@@ -975,6 +1069,7 @@ impl<'a> Driver<'a> {
             outcomes: Vec::new(),
             coverage: Coverage::default(),
             spares: Spares::default(),
+            closed,
         }
     }
 
@@ -994,6 +1089,17 @@ impl<'a> Driver<'a> {
     /// sweep space, admit against the budget, run, flush the wave's
     /// records to the stream, keep the outcomes.
     pub(crate) fn run_pass(&mut self, pass: Pass, jobs: Vec<Job>) -> Option<&mut [JobOutcome]> {
+        let jobs = self.admit(pass, jobs)?;
+        let outs = run_wave(&self.shared, self.workers, &mut self.spares, &jobs);
+        self.shared.telem.flush();
+        self.outcomes.push(outs);
+        self.outcomes.last_mut().map(Vec::as_mut_slice)
+    }
+
+    /// The gate in front of a wave of `pass`: `None` once it has closed;
+    /// otherwise the pass announced if it is new, the sweep space
+    /// recorded, and `jobs` admitted against the budget.
+    fn admit(&mut self, pass: Pass, jobs: Vec<Job>) -> Option<Vec<Job>> {
         if !self.live() {
             return None;
         }
@@ -1002,11 +1108,52 @@ impl<'a> Driver<'a> {
         // are not part of it.
         let enumerable = jobs.iter().filter(|job| !job.probe).count();
         self.coverage.enumerated(pass, enumerable as u64);
-        let jobs = self.budget.admit(jobs);
-        let outs = run_wave(&self.shared, self.workers, &mut self.spares, &jobs);
-        self.shared.telem.flush();
-        self.outcomes.push(outs);
-        self.outcomes.last_mut().map(Vec::as_mut_slice)
+        Some(self.budget.admit(jobs))
+    }
+
+    /// Replays the schedule phase the resume WAL closed, if it closed
+    /// one, and returns the phase's `schedule_end`; `None` leaves the
+    /// phase to run live. Each logged failure re-runs first, from its
+    /// key's seed and its recorded prefix (through [`cx_policy`]): one
+    /// that does not fail as logged leaves the phase live, before
+    /// anything is admitted or written. Then each pass's
+    /// jobs up to the cutoff are admitted like a wave; the `ok` ones are
+    /// read back like replayed sweep jobs, and each failure is recorded
+    /// from its re-run — its counterexample, cancellation and stream
+    /// records a cold run's.
+    pub(crate) fn replay_schedule(&mut self) -> Option<ScheduleEnd> {
+        let phase = self.closed.take()?;
+        let job = |pass: Pass, i: u64| match phase.failures.get(&(pass.rank(), i)) {
+            Some(cx) => Job::new(pass, i, cx_policy(pass, cx.schedule_prefix.clone())),
+            // A job read back runs under no policy.
+            None => Job::new(pass, i, Policy::RoundRobin),
+        };
+        let mut reruns = BTreeMap::new();
+        for (&key, cx) in &phase.failures {
+            let failing = job(cx.pass, cx.index);
+            let seed = self.shared.seed(&failing);
+            let r = run_one(self.shared.harness, self.shared.spec(&failing, seed));
+            if OutcomeKind::of(&r.outcome) != cx.outcome {
+                return None;
+            }
+            reruns.insert(key, r);
+        }
+        let passes = Pass::SCHEDULE.into_iter().zip(phase.upto);
+        for (pass, upto) in passes.filter(|&(_, upto)| upto > 0) {
+            let Some(jobs) = self.admit(pass, (0..upto).map(|i| job(pass, i)).collect()) else {
+                break;
+            };
+            let (shared, spares) = (&self.shared, &mut self.spares);
+            let outs = jobs.iter().map(|job| {
+                let (counted, seed) = (shared.owns(job.key), shared.seed(job));
+                match reruns.remove(&job.key) {
+                    Some(r) => record(shared, job, seed, counted, r, spares),
+                    None => shared.read_back(job, counted, phase.ok[&job.key]),
+                }
+            });
+            self.outcomes.push(outs.collect());
+        }
+        Some(phase.end)
     }
 
     /// Runs one probe job and returns what it measured (zeros if it was
@@ -1215,6 +1362,106 @@ mod tests {
     #[test]
     fn job_outcome_has_not_grown() {
         assert!(std::mem::size_of::<JobOutcome>() <= 272);
+    }
+
+    #[test]
+    fn only_a_wal_that_exists_and_has_no_run_start_is_a_silent_cold_start() {
+        use std::io::{Error, ErrorKind};
+        let (name, config) = ("s", CheckConfig::default());
+        let usable = |read| usable(read, name, &config).map(|_| ());
+        let missing = Error::new(ErrorKind::NotFound, "gone");
+        assert_eq!(usable(Err(missing)), Err(None), "no file yet");
+        assert_eq!(usable(Ok(WalReplay::default())), Err(None), "an empty file");
+        let denied = usable(Err(Error::new(ErrorKind::PermissionDenied, "no")));
+        assert_eq!(denied, Err(Some("cannot be read: no".to_string())));
+        let torn = WalReplay {
+            torn_lines: 1,
+            ..WalReplay::default()
+        };
+        let why = usable(Ok(torn)).unwrap_err().expect("a warning");
+        assert!(why.contains("no usable run_start"), "{why}");
+    }
+
+    /// A phase `done` after three DFS jobs and one random one, with a
+    /// logged failure at DFS job 1 of a keep-going run.
+    fn closed_wal() -> WalReplay {
+        let failure = CxRecord {
+            pass: Pass::Dfs,
+            index: 1,
+            outcome: OutcomeKind::Deadlock,
+            schedule_prefix: vec![0, 1],
+        };
+        WalReplay {
+            completed: [(0, 0), (0, 2), (1, 0)]
+                .map(|key| (key, ExecStats::default()))
+                .into(),
+            failures: vec![failure.clone(), failure],
+            schedule_end: Some(ScheduleEnd {
+                jobs: [3, 1],
+                pruned: 2,
+                coverage_guided: 0,
+                cancelled: false,
+            }),
+            ..WalReplay::default()
+        }
+    }
+
+    #[test]
+    fn a_closed_phase_replays_only_when_the_log_holds_all_of_it() {
+        let keep_going = CheckConfig {
+            keep_going: true,
+            ..CheckConfig::default()
+        };
+        let phase = closed_phase(closed_wal(), &keep_going).expect("replayable");
+        assert_eq!(phase.upto, [3, 1]);
+        assert_eq!(phase.failures.keys().collect::<Vec<_>>(), [&(0, 1)]);
+        let spoilt = |spoil: &dyn Fn(&mut WalReplay)| {
+            let mut wal = closed_wal();
+            spoil(&mut wal);
+            closed_phase(wal, &keep_going).is_none()
+        };
+        assert!(spoilt(&|w| w.schedule_end = None), "no schedule_end");
+        assert!(
+            spoilt(&|w| w.schedule_end.as_mut().unwrap().jobs[1] = 2),
+            "a job missing"
+        );
+        assert!(
+            spoilt(&|w| _ = w.completed.remove(&(0, 2))),
+            "a key missing"
+        );
+        assert!(
+            spoilt(&|w| _ = w.completed.insert((0, 3), ExecStats::default())),
+            "past the count"
+        );
+        assert!(
+            spoilt(&|w| _ = w.completed.insert((0, 1), ExecStats::default())),
+            "ok and failed"
+        );
+        assert!(
+            spoilt(&|w| w.failures[1].schedule_prefix.push(0)),
+            "two failures disagree"
+        );
+        assert!(
+            spoilt(&|w| w.failures[0].outcome = OutcomeKind::Ok),
+            "a failure that passed"
+        );
+        // Fail-fast: a failure ends the phase, which then says so.
+        let fail_fast = CheckConfig::default();
+        assert!(
+            closed_phase(closed_wal(), &fail_fast).is_none(),
+            "done past a failure"
+        );
+        let mut cancelled = closed_wal();
+        cancelled.schedule_end.as_mut().unwrap().cancelled = true;
+        let phase = closed_phase(cancelled, &fail_fast).expect("cancelled at (0, 1)");
+        assert_eq!(phase.upto, [2, 0], "up to the failure, nothing after it");
+        assert_eq!(phase.ok.keys().collect::<Vec<_>>(), [&(0, 0)]);
+        let mut cancelled = closed_wal();
+        cancelled.schedule_end.as_mut().unwrap().cancelled = true;
+        assert!(
+            closed_phase(cancelled, &keep_going).is_none(),
+            "a keep-going run is never cancelled"
+        );
     }
 
     #[test]

@@ -78,6 +78,11 @@ impl Pass {
         Pass::NetFault,
     ];
 
+    /// The schedule phase's passes, in rank order (ranks 0-1): the
+    /// strategy's waves run under them, and a `schedule_end` record counts
+    /// each one's jobs in this order.
+    pub const SCHEDULE: [Pass; 2] = [Pass::Dfs, Pass::Random];
+
     /// Canonical rank: the major component of the job key.
     pub fn rank(self) -> u8 {
         match self {

@@ -11,13 +11,14 @@
 //! `run_end`'s totals, which are report JSON's, stated once in
 //! `campaign.rs`:
 //!
-//! - **In.** The executor's whole contact with the stream is five calls on
+//! - **In.** The executor's whole contact with the stream is six calls on
 //!   [`RunTelemetry`]: [`open`](RunTelemetry::open) (`run_start`),
 //!   [`pass`](RunTelemetry::pass) (`pass_end` of the previous pass,
 //!   `pass_start`), [`exec_done`](RunTelemetry::exec_done),
-//!   [`counterexample`](RunTelemetry::counterexample) and
+//!   [`counterexample`](RunTelemetry::counterexample),
+//!   [`schedule_end`](RunTelemetry::schedule_end) and
 //!   [`close`](RunTelemetry::close) (`pass_end`, `run_end`). With no stream
-//!   open each returns before it formats anything. Four of the five build
+//!   open each returns before it formats anything. Five of the six build
 //!   a [`Value`]; `exec_done`, called once per execution, writes its line
 //!   straight from the fields, and the `Value` form ([`ev_exec_done`]) is
 //!   the reference it is tested against. Event *content* is
@@ -40,7 +41,7 @@
 use crate::campaign::{read_totals, with_totals};
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
 use crate::json::{
-    counters, get, get_hex, get_str, get_u64, hex64, without_keys, Counter, ObjectLine,
+    counters, get, get_hex, get_str, get_u64, get_u64s, hex64, without_keys, Counter, ObjectLine,
     ObjectReader,
 };
 use crate::metrics::OutcomeKind;
@@ -174,9 +175,10 @@ impl Write for SharedBuf {
 
 /// The owner of one run's event stream: the executor's whole contact
 /// with telemetry is [`open`](Self::open), [`pass`](Self::pass),
-/// [`exec_done`](Self::exec_done), [`counterexample`](Self::counterexample)
-/// and [`close`](Self::close). `pass` and `close` take `&mut self`: pass
-/// bookkeeping belongs to the coordinating thread, so the order of
+/// [`exec_done`](Self::exec_done), [`counterexample`](Self::counterexample),
+/// [`schedule_end`](Self::schedule_end) and [`close`](Self::close). `pass`
+/// and `close` take `&mut self`: pass bookkeeping belongs to the
+/// coordinating thread, so the order of
 /// `pass_start`/`pass_end` records is deterministic for a fixed config.
 pub struct RunTelemetry {
     stream: Option<TelemetrySink>,
@@ -369,6 +371,12 @@ impl RunTelemetry {
         });
     }
 
+    /// The schedule phase closed, live or replayed: the `schedule_end`
+    /// record a resume replays the phase from (DESIGN.md §13).
+    pub fn schedule_end(&self, end: &ScheduleEnd) {
+        self.emit(|| schedule_end_record(end));
+    }
+
     /// A wave has ended: every record written so far goes to the file.
     /// The one caller of the sink's [`TelemetrySink::flush`].
     pub fn flush(&self) {
@@ -496,6 +504,53 @@ pub(crate) fn pass_end_record(pass: Pass, duration: Duration) -> Value {
         "pass": pass.name(),
         "rank": pass.rank(),
         "duration_us": (duration.as_micros() as u64),
+    })
+}
+
+/// How the schedule phase (ranks 0-1) closed: what its `schedule_end`
+/// record carries, and all a resume needs besides the phase's
+/// `exec_done` and `counterexample` records to replay the phase instead
+/// of re-running it. A phase the execution budget cut short writes none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleEnd {
+    /// Jobs the driver issued to the `dfs` and the `random` pass, by
+    /// rank: the next index of each.
+    pub jobs: [u64; 2],
+    /// The strategy session's sleep-set prunes when the phase closed.
+    pub pruned: u64,
+    /// And its coverage-guided executions.
+    pub coverage_guided: u64,
+    /// Why it closed: a failure cancelled the run (`cancelled`), or the
+    /// session had no next wave (`done`).
+    pub cancelled: bool,
+}
+
+impl ScheduleEnd {
+    /// Reads a `schedule_end` record: all or nothing.
+    fn from_json(m: &Map) -> Result<Self, String> {
+        Ok(ScheduleEnd {
+            jobs: [get_u64(m, "dfs")?, get_u64(m, "random")?],
+            pruned: get_u64(m, "pruned")?,
+            coverage_guided: get_u64(m, "coverage_guided")?,
+            cancelled: match get_str(m, "end")? {
+                "done" => false,
+                "cancelled" => true,
+                end => return Err(format!("end: unknown phase end {end:?}")),
+            },
+        })
+    }
+}
+
+/// The `schedule_end` record. A resume trusts it only in exactly this
+/// form (see [`Record::from_json`]).
+fn schedule_end_record(end: &ScheduleEnd) -> Value {
+    json!({
+        "type": "schedule_end",
+        "dfs": end.jobs[0],
+        "random": end.jobs[1],
+        "pruned": end.pruned,
+        "coverage_guided": end.coverage_guided,
+        "end": if end.cancelled { "cancelled" } else { "done" },
     })
 }
 
@@ -857,22 +912,58 @@ pub enum Record {
         /// What it measured.
         stats: ExecStats,
     },
+    /// `counterexample`: a failure's replay coordinates.
+    Counterexample(CxRecord),
+    /// `schedule_end`: the schedule phase closed.
+    ScheduleEnd(ScheduleEnd),
     /// `run_end`: a run finished with these totals.
     RunEnd(RunEnd),
     /// A well-formed record of a type no reader consumes (`pass_start`,
-    /// `pass_end`, `counterexample`, or one a later writer added).
+    /// `pass_end`, or one a later writer added).
     Other,
+}
+
+/// A `counterexample` record read back: which job failed, how, and the
+/// one coordinate of a schedule-phase job its key does not give, the
+/// schedule prefix its strategy chose.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CxRecord {
+    /// The pass it failed in; `(pass.rank(), index)` is its job key.
+    pub pass: Pass,
+    /// Its index within the pass.
+    pub index: u64,
+    /// How it failed.
+    pub outcome: OutcomeKind,
+    /// The decisions it replayed before choosing itself.
+    pub schedule_prefix: Vec<usize>,
+}
+
+impl CxRecord {
+    /// Reads a `counterexample` record: all or nothing.
+    fn from_json(m: &Map) -> Result<Self, String> {
+        let prefix = get_u64s(m, "schedule_prefix")?;
+        Ok(CxRecord {
+            pass: get_str(m, "pass")?.parse()?,
+            index: get_u64(m, "index")?,
+            outcome: outcome_kind(get_str(m, "outcome")?)?,
+            schedule_prefix: prefix.into_iter().map(|d| d as usize).collect(),
+        })
+    }
 }
 
 impl Record {
     /// The one place that decides whether a record is whole: an object
     /// with a string `type` and `scenario` and, when typed, every field of
-    /// its variant, each passing its strict reader. Returns the scenario
+    /// its variant, each passing its strict reader. A `schedule_end` is
+    /// whole only as `line`, the record its writer writes for what it
+    /// reads as: a resume takes the phase's end from it, so a count in any
+    /// other form (`6.0`, `6e0`) refuses the record. Returns the scenario
     /// stamp with the record.
-    fn from_json(v: &Value) -> Result<(&str, Record), String> {
+    fn from_json<'v>(v: &'v Value, line: &str) -> Result<(&'v str, Record), String> {
         let Value::Object(m) = v else {
             return Err("not an object".to_string());
         };
+        let scenario = get_str(m, "scenario")?;
         let record = match get_str(m, "type")? {
             "run_start" => Record::RunStart(RunStart(without_keys(v, &POOL_KEYS))),
             EXEC_DONE => Record::exec_done(
@@ -883,10 +974,20 @@ impl Record {
                 get_u64(m, "duration_us")?,
                 ExecStats::from_json(m)?,
             )?,
+            "counterexample" => Record::Counterexample(CxRecord::from_json(m)?),
+            "schedule_end" => {
+                let end = ScheduleEnd::from_json(m)?;
+                let written = serde_json::to_string(&stamped(schedule_end_record(&end), scenario))
+                    .expect("shim serialization is infallible");
+                if written != line {
+                    return Err("schedule_end: not in the form its writer writes".to_string());
+                }
+                Record::ScheduleEnd(end)
+            }
             "run_end" => Record::RunEnd(RunEnd::from_json(m)?),
             _ => Record::Other,
         };
-        Ok((get_str(m, "scenario")?, record))
+        Ok((scenario, record))
     }
 
     /// An `exec_done` record from its fields, however they were read: the
@@ -901,21 +1002,27 @@ impl Record {
         duration_us: u64,
         stats: ExecStats,
     ) -> Result<Record, String> {
-        if !OutcomeKind::ALL.iter().any(|kind| kind.name() == outcome) {
-            return Err(format!("unknown outcome {outcome:?}"));
-        }
+        let outcome = outcome_kind(outcome)?;
         if faults.is_empty() || !faults.bytes().all(|b| b.is_ascii_graphic()) {
             return Err(format!("faults: not a compact fault plan: {faults:?}"));
         }
         Ok(Record::ExecDone {
             pass: pass.parse()?,
             index,
-            ok: outcome == OutcomeKind::Ok.name(),
+            ok: outcome == OutcomeKind::Ok,
             faulted: faults != "-",
             duration: Duration::from_micros(duration_us),
             stats,
         })
     }
+}
+
+/// An outcome by its name: one of the eight.
+fn outcome_kind(name: &str) -> Result<OutcomeKind, String> {
+    let known = OutcomeKind::ALL.iter().find(|kind| kind.name() == name);
+    known
+        .copied()
+        .ok_or_else(|| format!("unknown outcome {name:?}"))
 }
 
 /// The canonical reader: `line` read as an `exec_done` record in exactly
@@ -956,26 +1063,34 @@ fn read_exec_done(line: &str) -> Option<(&str, Record)> {
 /// append to one file, and `scan --dashboard` reads many files at once).
 pub fn read_stream(text: &str, only: Option<&str>, mut each: impl FnMut(&str, Record)) -> u64 {
     let mut torn_lines = 0;
-    let mut keep = |scenario: &str, record| {
-        if only.is_none_or(|wanted| wanted == scenario) {
-            each(scenario, record);
-        }
-    };
+    read_lines(text, only, |line| match line {
+        Some((scenario, record)) => each(scenario, record),
+        None => torn_lines += 1,
+    });
+    torn_lines
+}
+
+/// [`read_stream`]'s loop: `each` gets every whole record it keeps, and
+/// `None` for each line that is not one, in stream order.
+fn read_lines(text: &str, only: Option<&str>, mut each: impl FnMut(Option<(&str, Record)>)) {
+    let wanted = |scenario: &str| only.is_none_or(|wanted| wanted == scenario);
     for line in text.lines().filter(|line| !line.trim().is_empty()) {
         if let Some((scenario, record)) = read_exec_done(line) {
-            keep(scenario, record);
+            if wanted(scenario) {
+                each(Some((scenario, record)));
+            }
             continue;
         }
         let Ok(v) = serde_json::from_str(line) else {
-            torn_lines += 1;
+            each(None);
             continue;
         };
-        match Record::from_json(&v) {
-            Ok((scenario, record)) => keep(scenario, record),
-            Err(_) => torn_lines += 1,
+        match Record::from_json(&v, line) {
+            Ok((scenario, record)) if wanted(scenario) => each(Some((scenario, record))),
+            Ok(_) => {}
+            Err(_) => each(None),
         }
     }
-    torn_lines
 }
 
 /// Whether the canonical reader, which [`read_stream`] tries first on
@@ -988,7 +1103,7 @@ pub fn canonical_read_agrees(line: &str) -> Result<(), String> {
         return Ok(());
     };
     let tree = serde_json::from_str(line).map_err(|e| e.to_string());
-    let tree = tree.and_then(|v| Record::from_json(&v).map(|(s, r)| (s.to_string(), r)));
+    let tree = tree.and_then(|v| Record::from_json(&v, line).map(|(s, r)| (s.to_string(), r)));
     match tree {
         Ok((scenario, record)) if (scenario.as_str(), &record) == (canonical.0, &canonical.1) => {
             Ok(())
@@ -1016,28 +1131,67 @@ pub struct WalReplay {
     pub torn_lines: u64,
     /// The last `run_start` record, for the config guard.
     pub run_start: Option<RunStart>,
+    /// Its `counterexample` records, in stream order.
+    pub failures: Vec<CxRecord>,
+    /// How the last run section — the records after the last `run_start`
+    /// — closed its schedule phase: `None` if it did not, or if the
+    /// section has a torn line before its `schedule_end` or two that
+    /// disagree.
+    pub schedule_end: Option<ScheduleEnd>,
 }
 
 /// Parses a JSONL telemetry stream as a write-ahead log for `scenario`:
-/// its `ok` executions by job key and its last `run_start`.
+/// its `ok` executions by job key and its failures, logged since the last
+/// `run_start` of another configuration; its last `run_start`; and how
+/// that run's section closed the schedule phase.
 pub fn parse_wal(text: &str, scenario: &str) -> WalReplay {
     let mut wal = WalReplay::default();
-    wal.torn_lines = read_stream(text, Some(scenario), |_, record| match record {
-        Record::RunStart(run_start) => {
+    // Whether the last section has a torn line so far, and whether it
+    // said something that leaves its `schedule_end` untrusted.
+    let (mut torn, mut spoiled) = (false, false);
+    read_lines(text, Some(scenario), |line| match line {
+        None => {
+            wal.torn_lines += 1;
+            torn = true;
+        }
+        Some((_, Record::RunStart(run_start))) => {
+            // A run of another configuration starts the log afresh: what
+            // was logged before it is no execution of the run resumed.
+            if wal
+                .run_start
+                .as_ref()
+                .is_some_and(|seen| *seen != run_start)
+            {
+                wal.completed.clear();
+                wal.failures.clear();
+            }
             wal.runs_started += 1;
             wal.run_start = Some(run_start);
+            wal.schedule_end = None;
+            (torn, spoiled) = (false, false);
         }
-        Record::ExecDone {
-            pass,
-            index,
-            ok: true,
-            stats,
-            ..
-        } => {
+        Some((
+            _,
+            Record::ExecDone {
+                pass,
+                index,
+                ok: true,
+                stats,
+                ..
+            },
+        )) => {
             wal.completed.insert((pass.rank(), index), stats);
         }
-        _ => {}
+        Some((_, Record::Counterexample(cx))) => wal.failures.push(cx),
+        Some((_, Record::ScheduleEnd(end))) => {
+            spoiled |= torn || wal.schedule_end.is_some_and(|seen| seen != end);
+            wal.schedule_end = Some(end);
+        }
+        Some(_) => {}
     });
+    if spoiled {
+        wal.schedule_end = None;
+    }
     wal
 }
 
@@ -1098,6 +1252,13 @@ mod tests {
         trace_fp: 0xdead_beef,
     };
 
+    const SCHEDULE_END: ScheduleEnd = ScheduleEnd {
+        jobs: [1, 0],
+        pruned: 3,
+        coverage_guided: 0,
+        cancelled: false,
+    };
+
     fn sample_cx() -> Counterexample {
         Counterexample {
             outcome: crate::ExecOutcome::Deadlock,
@@ -1134,6 +1295,7 @@ mod tests {
             &none,
             Duration::ZERO,
         );
+        telem.schedule_end(&SCHEDULE_END);
         telem.pass(Pass::CrashSweep);
         let failed = (Pass::CrashSweep, 3);
         telem.exec_done(
@@ -1179,6 +1341,10 @@ mod tests {
             ("pass_end", "duration_us pass rank scenario type"),
             ("exec_done", EXEC_DONE),
             (
+                "schedule_end",
+                "coverage_guided dfs end pruned random scenario type",
+            ),
+            (
                 "counterexample",
                 "crash_points faults index outcome pass scenario schedule_prefix seed type",
             ),
@@ -1192,6 +1358,7 @@ mod tests {
                 "run_start",
                 "pass_start",
                 "exec_done",
+                "schedule_end",
                 "pass_end",
                 "pass_start",
                 "exec_done",
@@ -1424,7 +1591,7 @@ mod tests {
             });
             let tree = serde_json::from_str(&mutated)
                 .map_err(|e| e.to_string())
-                .and_then(|v| Record::from_json(&v).map(|(s, r)| (s.to_string(), r)));
+                .and_then(|v| Record::from_json(&v, &mutated).map(|(s, r)| (s.to_string(), r)));
             match tree {
                 Ok(whole) => prop_assert_eq!((torn, read), (0, vec![whole])),
                 Err(_) => prop_assert_eq!((torn, read.len()), (1, 0)),
@@ -1771,8 +1938,13 @@ mod tests {
     fn every_record_type_is_all_or_nothing() {
         // `None`: the reader takes every key the writer wrote (`run_end`,
         // read through the report's counter table, like report JSON).
-        let read: [(&str, Option<&[&str]>); 3] = [
+        let read: [(&str, Option<&[&str]>); 5] = [
             ("run_end", None),
+            (
+                "counterexample",
+                Some(&["pass", "index", "outcome", "schedule_prefix"]),
+            ),
+            ("schedule_end", None),
             ("pass_start", Some(&[])),
             ("pass_end", Some(&[])),
         ];
@@ -1795,6 +1967,71 @@ mod tests {
                 assert_eq!(seen, u64::from(!needed), "{ty} without {key}");
             }
         }
+    }
+
+    /// A resume replays the schedule phase on the word of one record, so
+    /// it is read only in the form its writer writes: the same values
+    /// written another way, or an end of another name, are a torn line.
+    #[test]
+    fn a_schedule_end_reads_only_as_written() {
+        let stream = sample_stream(CheckConfig::default(), &CheckReport::default());
+        let written = stream
+            .iter()
+            .find(|m| get_str(m, "type") == Ok("schedule_end"))
+            .map(|m| serde_json::to_string(&Value::Object(m.clone())).unwrap())
+            .unwrap();
+        let mut read = Vec::new();
+        assert_eq!(read_stream(&written, None, |_, r| read.push(r)), 0);
+        assert_eq!(read, [Record::ScheduleEnd(SCHEDULE_END)]);
+        for (from, to) in [
+            ("\"dfs\": 1", "\"dfs\": 1.0"),
+            ("\"dfs\": 1", "\"dfs\": 1e0"),
+            ("\"dfs\": 1", "\"dfs\": 01"),
+            ("\"dfs\": 1", "\"dfs\":  1"),
+            ("\"pruned\": 3", "\"pruned\": 3.0"),
+            ("\"done\"", "\"cut\""),
+            ("\"done\"", "\"d\\u006fne\""),
+        ] {
+            let hostile = written.replacen(from, to, 1);
+            assert_ne!(hostile, written, "{to}");
+            assert_eq!(read_stream(&hostile, None, |_, _| ()), 1, "{hostile}");
+        }
+    }
+
+    /// The `schedule_end` a WAL yields is its last run section's, and
+    /// only if nothing in that section speaks against it.
+    #[test]
+    fn a_wal_yields_the_schedule_end_of_its_last_section_alone() {
+        let run_start = |seed| {
+            let config = CheckConfig {
+                seed,
+                ..CheckConfig::default()
+            };
+            serde_json::to_string(&stamped(run_start_record(&config, 1), "s")).unwrap()
+        };
+        let end = |pruned| {
+            let end = ScheduleEnd {
+                pruned,
+                ..SCHEDULE_END
+            };
+            serde_json::to_string(&stamped(schedule_end_record(&end), "s")).unwrap()
+        };
+        let closed = |lines: &[&str]| parse_wal(&lines.join("\n"), "s").schedule_end;
+        let (start, same, other) = (run_start(7), end(3), end(4));
+        assert_eq!(closed(&[&start, &same]), Some(SCHEDULE_END));
+        assert_eq!(closed(&[&start, &same, &same]), Some(SCHEDULE_END));
+        assert_eq!(closed(&[&start]), None);
+        assert_eq!(closed(&[&start, &same, &other]), None, "two that disagree");
+        assert_eq!(
+            closed(&[&start, "{torn", &same]),
+            None,
+            "a torn line before it"
+        );
+        let after = closed(&[&start, &same, "{torn"]);
+        assert_eq!(after, Some(SCHEDULE_END), "a torn line after it");
+        assert_eq!(closed(&[&start, &same, &start]), None, "another run's");
+        let resumed = closed(&[&start, &other, "{torn", &run_start(7), &same]);
+        assert_eq!(resumed, Some(SCHEDULE_END), "each run section on its own");
     }
 
     #[test]

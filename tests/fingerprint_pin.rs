@@ -201,11 +201,13 @@ fn budgeted_fault_campaign_is_pinned_cold_and_resumed() {
         "resuming from the write-ahead log moved the budgeted campaign"
     );
     for r in &reports {
-        // Everything past the schedule phase that passed is in the log.
+        // The budget lands after every scenario's schedule phase, which
+        // its log closes, and the campaign keeps going past failures: so
+        // every execution that passed is in the log and is read back,
+        // the schedule phase's included.
         let replayable: u64 = r
             .per_pass
             .iter()
-            .filter(|pm| pm.pass >= Pass::CrashSweepBase)
             .map(|pm| pm.executions - pm.failures)
             .sum();
         assert_eq!(r.replayed, replayable, "{}: replayed executions", r.name);
@@ -314,15 +316,19 @@ fn dpor_runs_are_pinned_on_three_mutants() {
 }
 
 /// The JSONL stream of one single-worker run, byte for byte once the
-/// timing keys are dropped: as written, and with every record stamped
-/// with the harness's label, as it read before records were stamped with
-/// the registry name. Substituting the old label back and meeting the
-/// second constant shows the stamp is the only byte that moved. Both
-/// constants were re-recorded at the encoding epoch, when every
+/// timing keys are dropped, as `(scenario, pin, before, old label,
+/// old_pin)`: as written (`pin`); without its one `schedule_end` line, as
+/// it read before the schedule phase's close was recorded (`before`); and
+/// that, with every record stamped with the harness's label, as it read
+/// before records were stamped with the registry name (`old_pin`).
+/// Meeting `before` shows the `schedule_end` line is all its epoch moved,
+/// and meeting `old_pin` that the stamp is all the stamp moved. `before`
+/// and `old_pin` were re-recorded at the encoding epoch, when every
 /// `trace_fp` in them took a new name (EXPERIMENTS.md lists old → new).
-const STREAM_PINS: [(&str, u64, &str, u64); 3] = [
+const STREAM_PINS: [(&str, u64, u64, &str, u64); 3] = [
     (
         "patterns/wal",
+        0x2cf4_9ea4_2f01_803f,
         0xb99a_0ae3_56e4_929f,
         "write-ahead log",
         0x0f3c_f0b2_9d58_5247,
@@ -330,6 +336,7 @@ const STREAM_PINS: [(&str, u64, &str, u64); 3] = [
     // Fault passes on: `counterexample` records and fault-plan tags.
     (
         "patterns/mutant/wal-skip-commit-flush",
+        0xc11a_f115_2533_bfe7,
         0x19a5_99ae_1061_6aaf,
         "write-ahead log",
         0x7f25_cbab_145f_6163,
@@ -337,6 +344,7 @@ const STREAM_PINS: [(&str, u64, &str, u64); 3] = [
     // As shard 0 of 2: a shard label, and spine executions it does not count.
     (
         "repldisk/single-write",
+        0x1647_aa8f_5446_ab63,
         0x9e8d_589d_f8c5_1249,
         "replicated disk",
         0xfa62_f4ba_f0f4_fbda,
@@ -351,7 +359,7 @@ fn telemetry_stream_bytes_are_pinned() {
         fault_cfg(),
         nested().shard(0, 2),
     ];
-    for ((name, pin, old_label, old_pin), cfg) in STREAM_PINS.into_iter().zip(configs) {
+    for ((name, pin, before, old_label, old_pin), cfg) in STREAM_PINS.into_iter().zip(configs) {
         let scenario = all_scenarios()
             .iter()
             .chain(all_mutant_scenarios().iter())
@@ -374,7 +382,15 @@ fn telemetry_stream_bytes_are_pinned() {
             seen, pin,
             "{name}: the telemetry stream's bytes moved to {seen:#018x}"
         );
-        let relabelled: Vec<Value> = records
+        let closes = |v: &Value| matches!(v, Value::Object(m) if m.get("type") == Some(&Value::String("schedule_end".into())));
+        assert_eq!(records.iter().filter(|v| closes(v)).count(), 1, "{name}");
+        let unclosed: Vec<Value> = records.into_iter().filter(|v| !closes(v)).collect();
+        let seen = fingerprint(&unclosed);
+        assert_eq!(
+            seen, before,
+            "{name}: more than the schedule_end record moved, to {seen:#018x}"
+        );
+        let relabelled: Vec<Value> = unclosed
             .into_iter()
             .map(|mut v| {
                 if let Value::Object(m) = &mut v {

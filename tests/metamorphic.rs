@@ -11,7 +11,7 @@
 //! cold run, and the pool size changes neither the report nor which jobs
 //! the stream records.
 
-use perennial_checker::telemetry::{read_stream, Record};
+use perennial_checker::telemetry::{parse_wal, read_stream, Record};
 use perennial_checker::{
     merge_reports, report_fingerprint, CheckConfig, CheckConfigBuilder, CheckReport, Pass,
     Scenario, ShrinkStats, TelemetrySink,
@@ -299,13 +299,15 @@ fn a_stream_cut_inside_a_nested_crash_group_resumes_to_the_cold_run() {
     let resumed = scenario.run(&base_cfg().workers(1).resume_from(&wal).build());
     let _ = std::fs::remove_file(&wal);
     assert_eq!(report_fingerprint(&resumed), *want, "{}", resumed.summary());
-    // Every whole record from the crash-sweep base on is read back,
-    // including the nested group's first two jobs; the rest run again.
-    let kept = exec_done(&lines[..keep].join("\n"));
-    let replayable = kept
-        .iter()
-        .filter(|(pass, ..)| *pass >= Pass::CrashSweepBase);
-    assert_eq!(resumed.replayed, replayable.count() as u64);
+    // Every whole `ok` record is read back — the schedule phase's, which
+    // the log closed before the cut, and the nested group's first two
+    // jobs included; the rest run again.
+    let kept = parse_wal(&lines[..keep].join("\n"), scenario.name());
+    assert!(
+        kept.schedule_end.is_some(),
+        "the cut falls after the schedule phase"
+    );
+    assert_eq!(resumed.replayed, kept.completed.len() as u64);
 }
 
 #[test]

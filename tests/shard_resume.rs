@@ -196,9 +196,7 @@ fn a_run_appended_to_a_torn_wal_starts_on_a_line_of_its_own() {
     let _ = std::fs::remove_file(&full);
     let replayable = parse_wal(&String::from_utf8_lossy(&bytes), s.name())
         .completed
-        .keys()
-        .filter(|(rank, _)| *rank >= Pass::CrashSweepBase.rank())
-        .count() as u64;
+        .len() as u64;
     assert!(replayable > 100, "{replayable} replayable executions");
 
     let mut cut = bytes.len() / 2;
@@ -314,6 +312,43 @@ fn wal_from_different_config_is_ignored() {
     assert_eq!(resumed.replayed, 0, "replayed records from a seed-7 WAL");
     assert!(a.executions > 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A run of another configuration appended to the log (a resume under a
+/// changed configuration starts cold and writes on) starts the log
+/// afresh. Cut inside that run's records, as a kill would, and resumed
+/// under the same configuration, the log replays none of the earlier
+/// configuration's executions: the report is the cold one. Before, the
+/// seed-7 records of the jobs past the cut were read back into the
+/// seed-8 run.
+#[test]
+fn a_wal_replays_nothing_logged_under_another_configuration() {
+    let s = scenario("patterns/wal");
+    let cfg = |seed| base_cfg().seed(seed).keep_going(true).workers(1);
+    let cold = s.run(&cfg(8).build());
+    let path = tmp_path("two-configs.jsonl");
+    let _ = std::fs::remove_file(&path);
+    s.run(&cfg(7).telemetry_path(&path).build());
+    s.run(&cfg(8).resume_from(&path).telemetry_path(&path).build());
+    let text = std::fs::read_to_string(&path).expect("the log");
+    let lines: Vec<&str> = text.lines().collect();
+    let second = (lines
+        .iter()
+        .rposition(|line| line.contains("\"run_start\"")))
+    .expect("the seed-8 run's run_start");
+    let cut = second + (lines.len() - second) * 2 / 3;
+    std::fs::write(&path, lines[..cut].join("\n") + "\n").expect("the cut log");
+    let log = parse_wal(&lines[..cut].join("\n"), s.name());
+    assert!(
+        log.schedule_end.is_some(),
+        "the cut falls past the schedule phase"
+    );
+    let kept = log.completed.len() as u64;
+    let resumed = s.run(&cfg(8).resume_from(&path).build());
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(report_fingerprint(&resumed), report_fingerprint(&cold));
+    assert_eq!(resumed.replayed, kept, "the seed-8 records alone");
+    assert!(kept > 0 && kept < resumed.executions as u64);
 }
 
 /// One stream may hold several scenarios' runs (one sink handed to each

@@ -42,6 +42,8 @@ struct Pristine {
     executions: BTreeMap<(Pass, u64), ExecStats>,
     /// And each as the row of its pass the dashboard folds.
     rows: BTreeMap<(Pass, u64), PassMetrics>,
+    /// The run's report fingerprint.
+    fingerprint: u64,
 }
 
 /// A mutant under the fault sweeps, kept going: failing executions, fault
@@ -61,7 +63,7 @@ fn config() -> CheckConfig {
 
 const MUTANT: &str = "patterns/mutant/wal-skip-commit-flush";
 
-/// The mutant's stream: all six record types, fault tags, failing
+/// The mutant's stream: all seven record types, fault tags, failing
 /// executions.
 fn pristine() -> &'static Pristine {
     static PRISTINE: OnceLock<Pristine> = OnceLock::new();
@@ -100,6 +102,7 @@ fn pristine() -> &'static Pristine {
         assert!(records.iter().any(|r| matches!(r, Record::RunEnd(_))));
         records.retain(|record| *record != Record::Other);
         Pristine {
+            fingerprint: report_fingerprint(&report),
             name: report.name,
             config,
             lines,
@@ -147,6 +150,13 @@ fn check(hostile: &[u8]) -> Result<(), String> {
     let wal = parse_wal(&text, &p.name);
     if wal.torn_lines != torn {
         return fail("the WAL loader counts torn lines differently");
+    }
+    let closes = wal.schedule_end.map(Record::ScheduleEnd);
+    let failures = wal.failures.iter().cloned().map(Record::Counterexample);
+    if let Some(record) = failures.chain(closes).find(|r| !p.records.contains(r)) {
+        return fail(&format!(
+            "the WAL loader reads a record nobody wrote: {record:?}"
+        ));
     }
     for ((rank, index), stats) in &wal.completed {
         let pass = Pass::ALL[*rank as usize];
@@ -497,5 +507,99 @@ fn merging_a_mis_covered_set_names_the_shard() {
     ] {
         let err = merge_reports(set).expect_err(culprit);
         assert!(err.contains(culprit), "{culprit}: {err}");
+    }
+}
+
+/// The mutant resumed from `lines` as its WAL.
+fn resumed_from(lines: &[String], tag: &str) -> CheckReport {
+    let p = pristine();
+    let path = std::env::temp_dir().join(format!(
+        "perennial-hostile-{}-{tag}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&path, lines.join("\n") + "\n").expect("the log");
+    let registry = all_mutant_scenarios();
+    let scenario = registry.get(MUTANT).expect("registered mutant");
+    let report = scenario.run(&CheckConfig {
+        resume_from: Some(path.clone()),
+        ..p.config.clone()
+    });
+    let _ = std::fs::remove_file(&path);
+    report
+}
+
+/// A resume replays the schedule phase only from a log that closed it
+/// and holds all of it (DESIGN.md §13). Each log below says otherwise in
+/// one place; each resumes to the cold report with the phase run live,
+/// reading back only the executions past it — never to a short report.
+#[test]
+fn a_schedule_phase_the_log_does_not_close_whole_runs_live() {
+    let p = pristine();
+    let close = (p.lines.iter())
+        .position(|line| line.contains("\"type\": \"schedule_end\""))
+        .expect("the phase closed");
+    let Some(&Record::ScheduleEnd(end)) = p
+        .records
+        .iter()
+        .find(|r| matches!(r, Record::ScheduleEnd(_)))
+    else {
+        unreachable!("the close was read")
+    };
+    let text = p.lines.join("\n");
+    let passed = parse_wal(&text, &p.name).completed;
+    let past_the_phase = passed
+        .keys()
+        .filter(|(rank, _)| *rank > Pass::Random.rank());
+
+    // The whole log replays the phase: everything that passed is read back.
+    let whole = resumed_from(&p.lines, "whole");
+    assert_eq!(report_fingerprint(&whole), p.fingerprint);
+    assert_eq!(whole.replayed, passed.len() as u64);
+
+    let dfs = format!("\"dfs\": {}", end.jobs[0]);
+    let with_close = |close_line: String| {
+        let mut lines = p.lines.clone();
+        lines[close] = close_line;
+        lines
+    };
+    let with_after_close = |extra: &String| {
+        let mut lines = p.lines.clone();
+        lines.insert(close + 1, extra.clone());
+        lines
+    };
+    // The phase's passing jobs, each logged before its close.
+    let ok = (0..close).filter(|&i| p.lines[i].contains("\"outcome\": \"ok\""));
+    let ok: Vec<usize> = ok.collect();
+    assert!(ok.len() > 2, "{} passing jobs in the phase", ok.len());
+    let mut missing = p.lines.clone();
+    missing.remove(ok[ok.len() / 2]);
+    let more = format!("\"dfs\": {}", end.jobs[0] + 1);
+    let pruned = format!("\"pruned\": {}", end.pruned);
+    let disagreeing =
+        p.lines[close].replacen(&pruned, &format!("\"pruned\": {}", end.pruned + 1), 1);
+    for (what, lines) in [
+        (
+            "counts past the records",
+            with_close(p.lines[close].replacen(&dfs, &more, 1)),
+        ),
+        ("two closes that disagree", with_after_close(&disagreeing)),
+        (
+            "a close of another run_start",
+            with_after_close(&p.lines[0]),
+        ),
+        ("a key missing mid-phase", missing),
+        (
+            "a non-canonical count",
+            with_close(p.lines[close].replacen(&dfs, &(dfs.clone() + ".0"), 1)),
+        ),
+    ] {
+        assert_ne!(lines, p.lines, "{what}");
+        let resumed = resumed_from(&lines, "hostile");
+        assert_eq!(report_fingerprint(&resumed), p.fingerprint, "{what}");
+        assert_eq!(
+            resumed.replayed,
+            past_the_phase.clone().count() as u64,
+            "{what}"
+        );
     }
 }

@@ -390,3 +390,40 @@ fn progress_line_cadence_does_not_disturb_the_run() {
     assert_eq!(plain.outcomes, chatty.outcomes);
     assert_eq!(plain.coverage, chatty.coverage);
 }
+
+/// A writer whose flush fails once the run's last record, `run_end`, has
+/// been written to it: every wave's flush before it goes through.
+struct FailsOnTheLastFlush {
+    ended: bool,
+}
+
+impl std::io::Write for FailsOnTheLastFlush {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.ended |= String::from_utf8_lossy(buf).contains("\"type\": \"run_end\"");
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self.ended {
+            true => Err(std::io::Error::other("disk full")),
+            false => Ok(()),
+        }
+    }
+}
+
+/// A write error on the closing records reaches the report: the stream's
+/// error is read once the run's stream is closed.
+#[test]
+fn a_failed_final_flush_marks_the_report_incomplete() {
+    let registry = all_scenarios();
+    let scenario = registry.get("patterns/wal").expect("registered scenario");
+    let sink = TelemetrySink::to_writer(FailsOnTheLastFlush { ended: false });
+    let report = scenario.run(&base_cfg().workers(1).telemetry(sink).build());
+    assert!(report.passed());
+    assert_eq!(
+        report.incomplete,
+        ["telemetry stream error: disk full"],
+        "{}",
+        report.summary()
+    );
+}

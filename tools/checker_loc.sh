@@ -80,8 +80,8 @@
 # through them. So in campaign.rs, telemetry.rs and dashboard.rs a
 # counter's wire key is a string literal at one site per table that lists
 # it: its row. Not searched: the code of other records that use the same
-# key names (`exec_done`, `counterexample`, `run_start` and its env
-# stamp) and the `VOLATILE_KEYS`/`TIMING_KEYS` lists. And dashboard.rs
+# key names (`exec_done`, `counterexample`, `schedule_end`, `run_start`
+# and its env stamp) and the `VOLATILE_KEYS`/`TIMING_KEYS` lists. And dashboard.rs
 # spells no key of the `run_end` record (the list pinned by telemetry.rs's
 # key-set test): it reads the typed record.
 #
@@ -138,10 +138,19 @@
 # not per record: in crates/checker/src a `flush()` call is written only
 # in the sink's and the run's `fn flush` and in their two callers,
 # `RunTelemetry::close` and the driver's `run_pass`.
+#
+# One close of the schedule phase: a resume replays the phase on the word
+# of its `schedule_end` record. So the record's name is spelled twice in
+# crates/checker/src, in its writer (`fn schedule_end_record`) and its
+# reader (`Record`'s `fn from_json`); the driver writes it at one site
+# (one `.schedule_end(` call) and the WAL loader alone takes it from the
+# reader (two `Record::ScheduleEnd(` sites: the reader's and `parse_wal`'s).
+# And which jobs replay is the WAL's business, not the rank's: in jobs.rs,
+# `fn replays`, `fn read_back` and `fn run_or_replay` name no pass or rank.
 set -eu
 cap=900
 owners='telemetry.rs campaign.rs profile.rs timeline.rs json.rs'
-records='"run_start"|"pass_start"|"pass_end"|"exec_done"|"counterexample"|"run_end"'
+records='"run_start"|"pass_start"|"pass_end"|"exec_done"|"counterexample"|"schedule_end"|"run_end"'
 harness_layer='crates/checker/src/harness.rs
 crates/kvstore/src/harness.rs crates/repldisk/src/harness.rs crates/mailboat/src/harness.rs
 crates/patterns/src/lib.rs crates/patterns/src/shadow.rs crates/patterns/src/wal.rs
@@ -296,7 +305,7 @@ fi
 
 echo
 tables=crates/checker/src/campaign.rs
-other_records='fn (cx_to_json|cx_from_json|counterexample|exec_done|ev_exec_done|run_start_record)[(]|impl (ExecStats|EnvStamp) |const (POOL_KEYS|VOLATILE_KEYS|TIMING_KEYS):|static EXEC_COUNTERS:'
+other_records='fn (cx_to_json|cx_from_json|counterexample|exec_done|ev_exec_done|run_start_record|schedule_end_record)[(]|impl (ExecStats|EnvStamp|CxRecord|ScheduleEnd) |const (POOL_KEYS|VOLATILE_KEYS|TIMING_KEYS):|static EXEC_COUNTERS:'
 # The code lines of files $2... outside the items that start with $1 (up
 # to the closing line at their indent), each prefixed with its path.
 code_outside() {
@@ -501,9 +510,10 @@ fi
 echo
 stream=crates/checker/src/telemetry.rs
 lists=$(code "$stream" | grep -c 'static EXEC_FIELDS:' || true)
-# The code lines of the items in $stream whose first line matches $1.
+# The code lines of the items in $2 (default $stream) whose first line
+# matches $1.
 items_of() {
-    code "$stream" | awk -v items="$1" '
+    code "${2:-$stream}" | awk -v items="$1" '
         { line = $0; sub(/^[^ ]*: /, "", line) }
         on { print; if (line ~ ("^" indent "}")) on = 0; next }
         line ~ items { match(line, /^ */); indent = substr(line, 1, RLENGTH); on = 1; print }'
@@ -552,4 +562,23 @@ for path in $single_owner; do
         printf '%s\n' "$locks" | sed 's/^/          /'
     fi
 done
+echo
+names=$(for path in crates/checker/src/*.rs; do code "$path" | grep -F '"schedule_end"' | sed "s|^|$path:|"; done)
+at_home=$( (items_of 'fn schedule_end_record[(]'; items_of 'fn from_json<' ) | grep -cF '"schedule_end"' || true)
+writes=$(for path in crates/checker/src/*.rs; do code "$path" | grep -F '.schedule_end(' | sed "s|^|$path:|"; done)
+reads=$(for path in crates/checker/src/*.rs; do code "$path" | grep -F 'Record::ScheduleEnd(' | sed "s|^|$path:|"; done)
+by_rank=$(items_of 'fn (replays|read_back|run_or_replay)[(]' crates/checker/src/jobs.rs |
+    grep -E 'Pass::|\.pass\b|rank' | sed 's|^|crates/checker/src/jobs.rs:|' || true)
+echo "one close of the schedule phase: $(printf '%s' "$names" | grep -c '') name site(s), $(printf '%s' "$writes" | grep -c '') write(s), $(printf '%s' "$reads" | grep -c '') read site(s)"
+if [ "$(printf '%s' "$names" | grep -c '')" -ne 2 ] || [ "$at_home" -ne 2 ] ||
+    [ "$(printf '%s' "$writes" | grep -c '')" -ne 1 ] || [ "$(printf '%s' "$reads" | grep -c '')" -ne 2 ]; then
+    failed=1
+    echo "        ^ schedule_end is named by its writer and reader, written once by the driver, taken from the reader by parse_wal alone:"
+    printf '%s\n' "$names" "$writes" "$reads" | grep . | sed 's/^/          /'
+fi
+if [ -n "$by_rank" ]; then
+    failed=1
+    echo "        ^ a job replays when the WAL holds it, whatever its pass; the schedule phase replays whole:"
+    printf '%s\n' "$by_rank" | sed 's/^/          /'
+fi
 exit "$failed"
