@@ -764,8 +764,6 @@ mod tests {
 
         fn restore(&self, _: &()) {}
 
-        fn boot(&self, _: &World<RegSpec>) {}
-
         fn crash(&self) {}
 
         fn recover(&self, w: &World<RegSpec>) {

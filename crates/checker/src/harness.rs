@@ -26,13 +26,16 @@
 //! ```text
 //! make() ──► boot() ──► the script's main round runs under the
 //!                │      explorer's schedule
-//!                │  (injected crash: rt.crash_all, ghost.crash,
-//!                ▼   crash(), boot() again)
+//!                │  (injected crash: rt.crash_all releases every lock,
+//!                ▼   ghost.crash, crash(), boot() again)
 //!           recover() runs as a scheduled thread (crashes here are
 //!                │      explored too — "crash during recovery")
 //!                ▼
 //!          the script's post-recovery round ──► abs_check()
 //! ```
+//!
+//! `make()` builds the system, its model locks included, once per
+//! execution; `boot()` rebuilds only the system's own volatile state.
 
 use crate::exec::ExecOutcome;
 use goose_rt::fault::FaultSurface;
@@ -82,10 +85,13 @@ pub trait System<S: SpecTS>: Send + Sync + 'static {
     /// in. Schedules nothing and counts nothing.
     fn restore(&self, snap: &Self::Durable);
 
-    /// (Re)builds in-memory structures — locks, caches, handles — called
-    /// after [`Harness::make`] and again after every crash, modelling the
-    /// process restart.
-    fn boot(&self, w: &World<S>);
+    /// Rebuilds the system's own volatile state — caches, buffers, open
+    /// handles — called after [`Harness::make`] and again after every
+    /// crash, modelling the process restart. Model locks are not rebuilt
+    /// here: built once in the system's constructor, each keeps its id
+    /// across crashes and comes back from one unheld. Default: nothing
+    /// volatile of its own, nothing to do.
+    fn boot(&self, _w: &World<S>) {}
 
     /// The crash transition of the *substrate*: drops (or tears) volatile
     /// state such as write buffers, heap contents and file descriptors.

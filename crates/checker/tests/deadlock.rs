@@ -3,25 +3,26 @@
 //! thread, unfinished work) rather than hanging the explorer.
 
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::RwLock;
 use perennial::GhostUnwrap;
 use perennial_checker::{check, CheckConfig, ExecOutcome, Harness, Pass, Script, System, World};
 use perennial_spec::fixtures::{RegOp, RegSpec};
 use std::sync::Arc;
 
 /// Two in-memory locks and nothing durable.
-#[derive(Default)]
 struct TwoLocks {
-    locks: RwLock<Vec<Arc<dyn GLock>>>,
+    locks: [Arc<dyn GLock>; 2],
 }
 
 impl TwoLocks {
+    fn new(w: &World<RegSpec>) -> Self {
+        TwoLocks {
+            locks: [w.rt.new_glock(), w.rt.new_glock()],
+        }
+    }
+
     /// One register read under lock `first`, then lock `second`.
     fn read_under(&self, w: &World<RegSpec>, first: usize, second: usize) {
-        let (l1, l2) = {
-            let locks = self.locks.read();
-            (Arc::clone(&locks[first]), Arc::clone(&locks[second]))
-        };
+        let (l1, l2) = (&self.locks[first], &self.locks[second]);
         let tok = w.ghost.begin_op(RegOp::Read(0)).ghost_unwrap();
         l1.acquire();
         l2.acquire();
@@ -38,10 +39,6 @@ impl System<RegSpec> for TwoLocks {
     fn snapshot(&self) {}
 
     fn restore(&self, _: &()) {}
-
-    fn boot(&self, w: &World<RegSpec>) {
-        *self.locks.write() = vec![w.rt.new_glock(), w.rt.new_glock()];
-    }
 
     fn crash(&self) {}
 
@@ -65,8 +62,8 @@ impl Harness<RegSpec> for AbbaHarness {
         RegSpec { size: 1 }
     }
 
-    fn make(&self, _w: &World<RegSpec>) -> Script<TwoLocks, RegSpec> {
-        let mut script = Script::new(TwoLocks::default());
+    fn make(&self, w: &World<RegSpec>) -> Script<TwoLocks, RegSpec> {
+        let mut script = Script::new(TwoLocks::new(w));
         script.thread("ab", |sys, w| sys.read_under(w, 0, 1));
         script.thread("ba", |sys, w| sys.read_under(w, 1, 0));
         script
@@ -112,8 +109,8 @@ impl Harness<RegSpec> for OrderedHarness {
         RegSpec { size: 1 }
     }
 
-    fn make(&self, _w: &World<RegSpec>) -> Script<TwoLocks, RegSpec> {
-        let mut script = Script::new(TwoLocks::default());
+    fn make(&self, w: &World<RegSpec>) -> Script<TwoLocks, RegSpec> {
+        let mut script = Script::new(TwoLocks::new(w));
         for name in ["t1", "t2"] {
             script.thread(name, |sys, w| sys.read_under(w, 0, 1));
         }

@@ -5,7 +5,6 @@
 //! reject. A verifier that cannot fail is not evidence (DESIGN.md §8).
 
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{check, CheckConfig, ExecOutcome, Harness, Script, System, World};
 use perennial_disk::single::DiskImage;
@@ -49,19 +48,15 @@ struct RegSys {
     disk: Arc<ModelDisk>,
     cells: Vec<DurId<u64>>,
     lockinvs: Vec<Arc<LockInv<Lease<u64>>>>,
-    /// In-memory locks, rebuilt on every boot.
-    locks: RwLock<Vec<Arc<dyn GLock>>>,
+    /// In-memory locks: a crash releases them.
+    locks: Vec<Arc<dyn GLock>>,
 }
 
 impl RegSys {
-    fn lock(&self, a: u64) -> Arc<dyn GLock> {
-        Arc::clone(&self.locks.read()[a as usize])
-    }
-
     fn write(&self, w: &World<RegSpec>, a: u64, v: u64) {
         let tok = w.ghost.begin_op(RegOp::Write(a, v)).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.lock(a).acquire();
+            self.locks[a as usize].acquire();
         }
         let mut lease = self.lockinvs[a as usize].take().ghost_unwrap();
         let disk_value = if self.bug == Bug::WrongValue {
@@ -83,7 +78,7 @@ impl RegSys {
         };
         self.lockinvs[a as usize].put(lease).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.lock(a).release();
+            self.locks[a as usize].release();
         }
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
@@ -91,7 +86,7 @@ impl RegSys {
     fn read(&self, w: &World<RegSpec>, a: u64) -> u64 {
         let tok = w.ghost.begin_op(RegOp::Read(a)).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.lock(a).acquire();
+            self.locks[a as usize].acquire();
         }
         let lease = self.lockinvs[a as usize].take().ghost_unwrap();
         let v = dec(&self.disk.read(a));
@@ -103,7 +98,7 @@ impl RegSys {
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
         self.lockinvs[a as usize].put(lease).ghost_unwrap();
         if self.bug != Bug::NoLock {
-            self.lock(a).release();
+            self.locks[a as usize].release();
         }
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
         match ret {
@@ -124,13 +119,9 @@ impl System<RegSpec> for RegSys {
         self.disk.restore(snap);
     }
 
-    fn boot(&self, w: &World<RegSpec>) {
-        *self.locks.write() = (0..self.cells.len()).map(|_| w.rt.new_glock()).collect();
-    }
-
     fn crash(&self) {
-        // Disk contents are durable; nothing volatile to clear besides
-        // the locks boot() rebuilds.
+        // Disk contents are durable; the runtime's crash releases the
+        // locks.
     }
 
     fn recover(&self, w: &World<RegSpec>) {
@@ -188,7 +179,7 @@ impl Harness<RegSpec> for RegHarness {
             disk,
             cells,
             lockinvs,
-            locks: RwLock::new(Vec::new()),
+            locks: (0..self.nregs).map(|_| w.rt.new_glock()).collect(),
         });
         script.thread("writer-a", |sys, w| {
             sys.write(w, 0, 10);

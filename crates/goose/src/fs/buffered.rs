@@ -196,13 +196,6 @@ impl BufferedFs {
         s.dur.inodes.get(&ino).cloned()
     }
 
-    /// Controller-side listing of the durable image.
-    pub fn peek_durable_list(&self, dir: &str) -> Option<Vec<String>> {
-        let s = self.state.lock();
-        let d = *s.dir_names.get(dir)?;
-        Some(s.dur.dirs.get(d)?.keys().cloned().collect())
-    }
-
     /// Controller-side inspection of the volatile image.
     pub fn peek_file(&self, dir: &str, name: &str) -> Option<Vec<u8>> {
         let s = self.state.lock();

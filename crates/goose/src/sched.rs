@@ -595,11 +595,6 @@ impl ModelRt {
         self.next_tag.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The fault schedule this runtime was built with.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Consumes the next disk-operation index and reports whether the
     /// plan injects a transient fault there. Every fault-aware model-disk
     /// operation calls this exactly once per attempt, so the index stream
@@ -981,7 +976,10 @@ impl ModelRt {
     // Locks.
     // ------------------------------------------------------------------
 
-    /// Allocates a model lock.
+    /// Allocates a model lock. The lock outlives a crash:
+    /// [`ModelRt::crash_all`] releases it and keeps its id, and
+    /// [`ModelRt::restore_crashed`] copies it into a fork, released, so a
+    /// system allocates its locks once per execution.
     pub fn new_lock(&self) -> LockId {
         // Allocation order determines the lock id.
         self.note_access(res::ALLOC, true);
@@ -1158,9 +1156,10 @@ impl ModelRt {
 
     /// Injects a crash: every live virtual thread unwinds with a
     /// [`CrashSignal`] on its own stack (one that never started has its
-    /// body dropped unrun), lock state is wiped (in-memory locks do not
-    /// survive a reboot), and the runtime is ready to schedule recovery
-    /// threads. Returns once no virtual thread is live.
+    /// body dropped unrun), every lock is released (an in-memory lock
+    /// comes back unheld after a reboot) and keeps its id and slot, and
+    /// the runtime is ready to schedule recovery threads. Returns once no
+    /// virtual thread is live.
     ///
     /// Must only be called from the controller between grants (no thread
     /// is running user code at that point).

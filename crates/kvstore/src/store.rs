@@ -19,7 +19,6 @@
 
 use crate::spec::{bucket_of, KvOp, KvRet, KvSpec, Val, BUCKETS, BUCKET_CAP};
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
@@ -57,7 +56,7 @@ pub struct NodeKv {
     disk: Arc<BufferedDisk>,
     cells: Vec<DurId<Block>>,
     lockinvs: Vec<Arc<LockInv<BucketBundle>>>,
-    locks: RwLock<Vec<Arc<dyn GLock>>>,
+    locks: Vec<Arc<dyn GLock>>,
 }
 
 impl NodeKv {
@@ -89,12 +88,8 @@ impl NodeKv {
             disk,
             cells,
             lockinvs,
-            locks: RwLock::new(Vec::new()),
+            locks: (0..BUCKETS).map(|_| w.rt.new_glock()).collect(),
         }
-    }
-
-    fn lock(&self, b: u64) -> Arc<dyn GLock> {
-        Arc::clone(&self.locks.read()[b as usize])
     }
 
     fn decode(block: &[u8]) -> Pairs {
@@ -216,7 +211,7 @@ impl NodeKv {
     pub fn put(&self, w: &World<KvSpec>, k: u64, v: Val) {
         let tok = w.ghost.begin_op(KvOp::Put(k, v)).ghost_unwrap();
         let b = bucket_of(k);
-        let lock = self.lock(b);
+        let lock = &*self.locks[b as usize];
         if self.mutant != KvMutant::NoLock {
             lock.acquire();
         }
@@ -238,7 +233,7 @@ impl NodeKv {
     pub fn get(&self, w: &World<KvSpec>, k: u64) -> Option<Val> {
         let tok = w.ghost.begin_op(KvOp::Get(k)).ghost_unwrap();
         let b = bucket_of(k);
-        let lock = self.lock(b);
+        let lock = &*self.locks[b as usize];
         if self.mutant != KvMutant::NoLock {
             lock.acquire();
         }
@@ -262,7 +257,7 @@ impl NodeKv {
     pub fn delete(&self, w: &World<KvSpec>, k: u64) -> Option<Val> {
         let tok = w.ghost.begin_op(KvOp::Delete(k)).ghost_unwrap();
         let b = bucket_of(k);
-        let lock = self.lock(b);
+        let lock = &*self.locks[b as usize];
         if self.mutant != KvMutant::NoLock {
             lock.acquire();
         }
@@ -302,11 +297,6 @@ impl System<KvSpec> for NodeKv {
 
     fn restore(&self, snap: &BufferedImage) {
         self.disk.restore(snap);
-    }
-
-    /// Rebuilds the per-bucket in-memory locks at boot.
-    fn boot(&self, w: &World<KvSpec>) {
-        *self.locks.write() = (0..BUCKETS).map(|_| w.rt.new_glock()).collect();
     }
 
     /// Crash transition for the disk: drop (or tear) the volatile write

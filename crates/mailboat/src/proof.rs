@@ -26,7 +26,6 @@ use goose_rt::heap::{Heap, Slice};
 use goose_rt::net::ModelNet;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::owner::OwnerCell;
-use parking_lot::RwLock;
 use perennial::{GhostUnwrap, LockInv, SetId, SetLease};
 use perennial_checker::{System, World};
 use std::collections::BTreeMap;
@@ -73,7 +72,7 @@ pub struct VerifiedMailboat {
     users: Vec<DirH>,
     sets: Vec<SetId<String>>,
     lockinvs: Vec<Arc<LockInv<SetLease<String>>>>,
-    locks: RwLock<Vec<Arc<dyn GLock>>>,
+    locks: Vec<Arc<dyn GLock>>,
     /// While a user is locked (Pickup…Unlock), their deletion lease
     /// lives here.
     sessions: Vec<OwnerCell<Option<SetLease<String>>>>,
@@ -104,7 +103,7 @@ impl VerifiedMailboat {
             users: user_dirs,
             sets,
             lockinvs,
-            locks: RwLock::new(Vec::new()),
+            locks: (0..users).map(|_| w.rt.new_glock()).collect(),
             sessions,
         }
     }
@@ -117,10 +116,6 @@ impl VerifiedMailboat {
     /// The process's network endpoint.
     pub fn net(&self) -> &ModelNet {
         &self.net
-    }
-
-    fn lock(&self, user: u64) -> Arc<dyn GLock> {
-        Arc::clone(&self.locks.read()[user as usize])
     }
 
     fn fresh_name(&self, w: &World<MailSpec>, prefix: &str) -> String {
@@ -264,7 +259,7 @@ impl VerifiedMailboat {
     /// the session, and linearizes at the directory listing.
     pub fn pickup(&self, w: &World<MailSpec>, user: u64) -> Vec<(String, String)> {
         let tok = w.ghost.begin_op(MailOp::Pickup(user)).ghost_unwrap();
-        self.lock(user).acquire();
+        self.locks[user as usize].acquire();
         let lease = self.lockinvs[user as usize].take().ghost_unwrap();
 
         let udir = self.users[user as usize];
@@ -336,7 +331,7 @@ impl VerifiedMailboat {
             .take()
             .expect("unlock without a pickup session");
         self.lockinvs[user as usize].put(lease).ghost_unwrap();
-        self.lock(user).release();
+        self.locks[user as usize].release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
 }
@@ -355,9 +350,9 @@ impl System<MailSpec> for VerifiedMailboat {
         self.heap.set_next_id(*next);
     }
 
-    /// Rebuilds volatile state at boot: fresh locks, empty sessions.
-    fn boot(&self, w: &World<MailSpec>) {
-        *self.locks.write() = (0..self.users.len()).map(|_| w.rt.new_glock()).collect();
+    /// Rebuilds volatile state at boot: no user is locked, so no session
+    /// holds a lease.
+    fn boot(&self, _: &World<MailSpec>) {
         for s in &self.sessions {
             *s.lock() = None;
         }

@@ -20,7 +20,6 @@
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::owner::OwnerCell;
-use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
@@ -136,7 +135,7 @@ pub struct GroupCommitLog {
     disk: Arc<BufferedDisk>,
     cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<GcBundle>>,
-    lock: RwLock<Option<Arc<dyn GLock>>>,
+    lock: Arc<dyn GLock>,
     /// Volatile: entries appended since the last flush. Cleared at boot.
     buffer: OwnerCell<Vec<u64>>,
 }
@@ -167,21 +166,16 @@ impl GroupCommitLog {
             disk,
             cells,
             lockinv: Arc::new(LockInv::new(GcBundle { leases })),
-            lock: RwLock::new(None),
+            lock: w.rt.new_glock(),
             buffer: OwnerCell::new(Vec::new()),
         }
-    }
-
-    fn lock(&self) -> Arc<dyn GLock> {
-        Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
 
     /// Appends an entry. Linearizes immediately (at the buffer insert);
     /// durability comes only from a later flush.
     pub fn append(&self, w: &World<GcSpec>, v: u64) {
         let tok = w.ghost.begin_op(GcOp::Append(v)).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         // The buffer insert is the linearization point.
         self.buffer.lock().push(v);
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
@@ -191,14 +185,13 @@ impl GroupCommitLog {
                 .internal_step(GcSpec::flush_transition())
                 .ghost_unwrap();
         }
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
 
     /// Flushes buffered entries to disk as one batch (the amortization).
     pub fn flush(&self, w: &World<GcSpec>) {
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let mut bundle = self.lockinv.take().ghost_unwrap();
         let persisted = dec(&self.disk.read(0)) as usize;
         let buffered: Vec<u64> = self.buffer.lock().clone();
@@ -253,14 +246,13 @@ impl GroupCommitLog {
 
         self.buffer.lock().clear();
         self.lockinv.put(bundle).ghost_unwrap();
-        lock.release();
+        self.lock.release();
     }
 
     /// Reads the whole logical log (durable prefix plus buffer).
     pub fn read_all(&self, w: &World<GcSpec>) -> Vec<u64> {
         let tok = w.ghost.begin_op(GcOp::ReadAll).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let bundle = self.lockinv.take().ghost_unwrap();
         let persisted = dec(&self.disk.read(0)) as usize;
         let mut out = Vec::new();
@@ -270,7 +262,7 @@ impl GroupCommitLog {
         out.extend(self.buffer.lock().iter().copied());
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
         self.lockinv.put(bundle).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost
             .finish_op(tok, &GcRet::Entries(out.clone()))
             .ghost_unwrap();
@@ -297,10 +289,9 @@ impl System<GcSpec> for GroupCommitLog {
         self.disk.restore(snap);
     }
 
-    /// Rebuilds volatile state at boot: a fresh lock and an empty buffer
-    /// (buffered transactions are lost — that is the point).
-    fn boot(&self, w: &World<GcSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
+    /// Rebuilds volatile state at boot: an empty buffer (buffered
+    /// transactions are lost — that is the point).
+    fn boot(&self, _: &World<GcSpec>) {
         self.buffer.lock().clear();
     }
 

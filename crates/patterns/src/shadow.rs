@@ -19,7 +19,6 @@
 use crate::pair_spec::{dec, enc, PairOp, PairRet, PairSpec};
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
@@ -51,7 +50,7 @@ pub struct ShadowPair {
     disk: Arc<BufferedDisk>,
     cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<ShadowBundle>>,
-    lock: RwLock<Option<Arc<dyn GLock>>>,
+    lock: Arc<dyn GLock>,
 }
 
 impl ShadowPair {
@@ -72,12 +71,8 @@ impl ShadowPair {
             disk,
             cells,
             lockinv: Arc::new(LockInv::new(ShadowBundle { leases })),
-            lock: RwLock::new(None),
+            lock: w.rt.new_glock(),
         }
-    }
-
-    fn lock(&self) -> Arc<dyn GLock> {
-        Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
 
     fn write_block(&self, w: &World<PairSpec>, bundle: &mut ShadowBundle, block: u64, v: u64) {
@@ -94,8 +89,7 @@ impl ShadowPair {
     /// Atomically replaces the pair.
     pub fn put(&self, w: &World<PairSpec>, a: u64, b: u64) {
         let tok = w.ghost.begin_op(PairOp::Put(a, b)).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let mut bundle = self.lockinv.take().ghost_unwrap();
 
         match self.mutant {
@@ -115,7 +109,7 @@ impl ShadowPair {
                     .ghost_unwrap();
                 let ret = w.ghost.commit_op(&tok).ghost_unwrap();
                 self.lockinv.put(bundle).ghost_unwrap();
-                lock.release();
+                self.lock.release();
                 w.ghost.finish_op(tok, &ret).ghost_unwrap();
             }
             ShadowMutant::FlipFirst => {
@@ -129,7 +123,7 @@ impl ShadowPair {
                 self.write_block(w, &mut bundle, dst1, a);
                 self.write_block(w, &mut bundle, dst2, b);
                 self.lockinv.put(bundle).ghost_unwrap();
-                lock.release();
+                self.lock.release();
                 w.ghost.finish_op(tok, &ret).ghost_unwrap();
             }
             ShadowMutant::InPlace => {
@@ -139,7 +133,7 @@ impl ShadowPair {
                 let ret = w.ghost.commit_op(&tok).ghost_unwrap();
                 self.write_block(w, &mut bundle, dst2, b);
                 self.lockinv.put(bundle).ghost_unwrap();
-                lock.release();
+                self.lock.release();
                 w.ghost.finish_op(tok, &ret).ghost_unwrap();
             }
         }
@@ -148,8 +142,7 @@ impl ShadowPair {
     /// Reads the pair.
     pub fn get(&self, w: &World<PairSpec>) -> (u64, u64) {
         let tok = w.ghost.begin_op(PairOp::Get).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let bundle = self.lockinv.take().ghost_unwrap();
         let live = dec(&self.disk.read(0));
         let (src1, src2) = if live == 0 { (1, 2) } else { (3, 4) };
@@ -158,7 +151,7 @@ impl ShadowPair {
         let b = dec(&self.disk.read(src2));
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
         self.lockinv.put(bundle).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &PairRet::Val(a, b)).ghost_unwrap();
         match ret {
             PairRet::Val(x, y) => (x, y),
@@ -178,11 +171,6 @@ impl System<PairSpec> for ShadowPair {
 
     fn restore(&self, snap: &BufferedImage) {
         self.disk.restore(snap);
-    }
-
-    /// Rebuilds the in-memory lock at boot.
-    fn boot(&self, w: &World<PairSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
     }
 
     /// Crash transition for the disk: drop (or tear) the volatile write

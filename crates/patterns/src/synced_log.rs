@@ -19,7 +19,6 @@ use goose_rt::fs::buffered::BufferedFsImage;
 use goose_rt::fs::{BufferedFs, DirH, Fd, FileSys};
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::owner::OwnerCell;
-use parking_lot::RwLock;
 use perennial::GhostUnwrap;
 use perennial_checker::{Harness, Script, System, World};
 use perennial_spec::{SpecTS, Step, Transition};
@@ -123,7 +122,7 @@ pub struct SyncedLog {
     mutant: SlMutant,
     fs: Arc<BufferedFs>,
     dir: DirH,
-    lock: RwLock<Option<Arc<dyn GLock>>>,
+    lock: Arc<dyn GLock>,
     /// The append descriptor (volatile: re-created at boot).
     fd: OwnerCell<Option<Fd>>,
 }
@@ -153,19 +152,15 @@ fn decode(data: &[u8]) -> Vec<Vec<u8>> {
 impl SyncedLog {
     /// Creates the log object; the file itself is created/anchored by
     /// [`SyncedLog::boot`].
-    pub fn new(_w: &World<SlSpec>, fs: Arc<BufferedFs>, mutant: SlMutant) -> Self {
+    pub fn new(w: &World<SlSpec>, fs: Arc<BufferedFs>, mutant: SlMutant) -> Self {
         let dir = fs.resolve("d").expect("log dir");
         SyncedLog {
             mutant,
             fs,
             dir,
-            lock: RwLock::new(None),
+            lock: w.rt.new_glock(),
             fd: OwnerCell::new(None),
         }
-    }
-
-    fn lock(&self) -> Arc<dyn GLock> {
-        Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
 
     fn fd(&self) -> Fd {
@@ -175,12 +170,11 @@ impl SyncedLog {
     /// Appends a record without syncing (fast, volatile).
     pub fn append(&self, w: &World<SlSpec>, rec: &[u8]) {
         let tok = w.ghost.begin_op(SlOp::Append(rec.to_vec())).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         // The physical append is the linearization point.
         self.fs.append(self.fd(), &encode(rec)).expect("append");
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
 
@@ -190,13 +184,12 @@ impl SyncedLog {
             .ghost
             .begin_op(SlOp::AppendSynced(rec.to_vec()))
             .ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         self.fs.append(self.fd(), &encode(rec)).expect("append");
         if self.mutant == SlMutant::SkipFsync {
             // Mutant: acknowledge durability without the fsync.
             let ret = w.ghost.commit_op(&tok).ghost_unwrap();
-            lock.release();
+            self.lock.release();
             w.ghost.finish_op(tok, &ret).ghost_unwrap();
             return;
         }
@@ -204,30 +197,28 @@ impl SyncedLog {
         // commit — which advances the spec watermark — is adjacent.
         self.fs.fsync(self.fd()).expect("fsync");
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
 
     /// Explicitly syncs the buffered suffix (the group-commit move).
     pub fn sync(&self, w: &World<SlSpec>) {
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         self.fs.fsync(self.fd()).expect("fsync");
         w.ghost
             .internal_step(SlSpec::sync_transition())
             .ghost_unwrap();
-        lock.release();
+        self.lock.release();
     }
 
     /// Reads the whole logical log.
     pub fn read_all(&self, w: &World<SlSpec>) -> Vec<Vec<u8>> {
         let tok = w.ghost.begin_op(SlOp::ReadAll).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let data = self.fs.read_file(self.dir, LOG_FILE, 64).expect("read log");
         let recs = decode(&data);
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost
             .finish_op(tok, &SlRet::Records(recs.clone()))
             .ghost_unwrap();
@@ -251,7 +242,7 @@ impl System<SlSpec> for SyncedLog {
         self.fs.restore(snap);
     }
 
-    /// Rebuilds volatile state at boot: a fresh lock and append fd.
+    /// Rebuilds volatile state at boot: the append fd.
     ///
     /// The Goose file subset has no `open(O_APPEND)` (§6.2's "a selection
     /// of system calls"), so reopening an existing log recreates the
@@ -260,8 +251,7 @@ impl System<SlSpec> for SyncedLog {
     /// pointing at the *old* inode and every later `fsync` would persist
     /// bytes no entry names (the orphan-inode hazard the `SkipDirSync`
     /// mutant demonstrates).
-    fn boot(&self, w: &World<SlSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
+    fn boot(&self, _: &World<SlSpec>) {
         let fd = match self.fs.create(self.dir, LOG_FILE).expect("create") {
             Some(fd) => fd, // first boot: fresh file
             None => {

@@ -23,7 +23,6 @@
 
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
@@ -146,7 +145,7 @@ pub struct TxnWal {
     disk: Arc<BufferedDisk>,
     cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<TxnBundle>>,
-    lock: RwLock<Option<Arc<dyn GLock>>>,
+    lock: Arc<dyn GLock>,
 }
 
 impl TxnWal {
@@ -167,12 +166,8 @@ impl TxnWal {
             disk,
             cells,
             lockinv: Arc::new(LockInv::new(TxnBundle { leases })),
-            lock: RwLock::new(None),
+            lock: w.rt.new_glock(),
         }
-    }
-
-    fn lock(&self) -> Arc<dyn GLock> {
-        Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
 
     fn wblk(&self, w: &World<TxnSpec>, bundle: &mut TxnBundle, block: u64, v: u64) {
@@ -201,8 +196,7 @@ impl TxnWal {
             .ghost
             .begin_op(TxnOp::Commit(writes.to_vec()))
             .ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let mut bundle = self.lockinv.take().ghost_unwrap();
         w.ghost.stash_op(&tok, TXN_KEY).ghost_unwrap();
 
@@ -240,20 +234,19 @@ impl TxnWal {
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
 
         self.lockinv.put(bundle).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
 
     /// Reads one address from the data region.
     pub fn read(&self, w: &World<TxnSpec>, a: u64) -> u64 {
         let tok = w.ghost.begin_op(TxnOp::Read(a)).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let bundle = self.lockinv.take().ghost_unwrap();
         let v = dec(&self.disk.read(LOG_END + a));
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
         self.lockinv.put(bundle).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &TxnRet::Val(v)).ghost_unwrap();
         match ret {
             TxnRet::Val(x) => x,
@@ -273,11 +266,6 @@ impl System<TxnSpec> for TxnWal {
 
     fn restore(&self, snap: &BufferedImage) {
         self.disk.restore(snap);
-    }
-
-    /// Rebuilds the in-memory lock at boot.
-    fn boot(&self, w: &World<TxnSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
     }
 
     /// Crash transition for the disk: drop (or tear) the volatile write

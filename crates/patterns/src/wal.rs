@@ -32,7 +32,6 @@
 use crate::pair_spec::{dec, enc, PairOp, PairRet, PairSpec};
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{Harness, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
@@ -75,7 +74,7 @@ pub struct WalPair {
     disk: Arc<BufferedDisk>,
     cells: Vec<DurId<Block>>,
     lockinv: Arc<LockInv<WalBundle>>,
-    lock: RwLock<Option<Arc<dyn GLock>>>,
+    lock: Arc<dyn GLock>,
 }
 
 impl WalPair {
@@ -96,12 +95,8 @@ impl WalPair {
             disk,
             cells,
             lockinv: Arc::new(LockInv::new(WalBundle { leases })),
-            lock: RwLock::new(None),
+            lock: w.rt.new_glock(),
         }
-    }
-
-    fn lock(&self) -> Arc<dyn GLock> {
-        Arc::clone(self.lock.read().as_ref().expect("boot() not called"))
     }
 
     /// Buffered data write + ghost update. The ghost master is updated at
@@ -132,8 +127,7 @@ impl WalPair {
     /// Atomically replaces the pair via the log.
     pub fn put(&self, w: &World<PairSpec>, a: u64, b: u64) {
         let tok = w.ghost.begin_op(PairOp::Put(a, b)).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let mut bundle = self.lockinv.take().ghost_unwrap();
 
         // Stash j ⇛ Put(a, b): from the header write until the apply
@@ -175,21 +169,20 @@ impl WalPair {
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
 
         self.lockinv.put(bundle).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &ret).ghost_unwrap();
     }
 
     /// Reads the pair from the main region.
     pub fn get(&self, w: &World<PairSpec>) -> (u64, u64) {
         let tok = w.ghost.begin_op(PairOp::Get).ghost_unwrap();
-        let lock = self.lock();
-        lock.acquire();
+        self.lock.acquire();
         let bundle = self.lockinv.take().ghost_unwrap();
         let a = dec(&self.disk.read(3));
         let b = dec(&self.disk.read(4));
         let ret = w.ghost.commit_op(&tok).ghost_unwrap();
         self.lockinv.put(bundle).ghost_unwrap();
-        lock.release();
+        self.lock.release();
         w.ghost.finish_op(tok, &PairRet::Val(a, b)).ghost_unwrap();
         match ret {
             PairRet::Val(x, y) => (x, y),
@@ -209,11 +202,6 @@ impl System<PairSpec> for WalPair {
 
     fn restore(&self, snap: &BufferedImage) {
         self.disk.restore(snap);
-    }
-
-    /// Rebuilds the in-memory lock at boot.
-    fn boot(&self, w: &World<PairSpec>) {
-        *self.lock.write() = Some(w.rt.new_glock());
     }
 
     /// Crash transition for the disk: drop (or tear) the volatile write

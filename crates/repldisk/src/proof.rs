@@ -23,7 +23,6 @@
 
 use crate::spec::{RdOp, RdRet, RdSpec, RdState};
 use goose_rt::runtime::{GLock, ModelRtExt};
-use parking_lot::RwLock;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
 use perennial_checker::{System, World};
 use perennial_disk::two::{DiskId, ModelTwoDisks, TwoDiskImage, TwoDisks};
@@ -66,16 +65,16 @@ pub struct VerifiedReplDisk {
     d1: Vec<DurId<Block>>,
     d2: Vec<DurId<Block>>,
     lockinvs: Vec<Arc<LockInv<AddrBundle>>>,
-    /// Rebuilt on every boot; the `RwLock` is held only long enough to
-    /// clone a handle (never across a schedule point).
-    locks: RwLock<Vec<Arc<dyn GLock>>>,
+    /// One per address. A crash releases them (in-memory locks come back
+    /// unheld after a reboot) and keeps their ids.
+    locks: Vec<Arc<dyn GLock>>,
     size: u64,
 }
 
 impl VerifiedReplDisk {
-    /// Sets up durable ghost resources over a fresh two-disk device.
-    /// Call once per execution; [`System::boot`] rebuilds the volatile
-    /// parts after each (simulated) reboot.
+    /// Sets up durable ghost resources and the per-address locks over a
+    /// fresh two-disk device. Call once per execution: the system has no
+    /// volatile state of its own for [`System::boot`] to rebuild.
     pub fn new(w: &World<RdSpec>, disks: Arc<ModelTwoDisks>, mutant: RdMutant) -> Self {
         let size = disks.size();
         let block_size = disks.block_size();
@@ -98,13 +97,9 @@ impl VerifiedReplDisk {
             d1,
             d2,
             lockinvs,
-            locks: RwLock::new(Vec::new()),
+            locks: (0..size).map(|_| w.rt.new_glock()).collect(),
             size,
         }
-    }
-
-    fn lock(&self, a: u64) -> Arc<dyn GLock> {
-        Arc::clone(&self.locks.read()[a as usize])
     }
 
     /// Number of logical blocks.
@@ -120,7 +115,7 @@ impl VerifiedReplDisk {
     /// Instrumented `rd_read` (Figure 4 plus proof steps).
     pub fn rd_read(&self, w: &World<RdSpec>, a: u64) -> Block {
         let tok = w.ghost.begin_op(RdOp::Read(a)).ghost_unwrap();
-        let lock = self.lock(a);
+        let lock = &*self.locks[a as usize];
         lock.acquire();
         let bundle = self.lockinvs[a as usize].take().ghost_unwrap();
         // Try disk 1; on failure fall back to disk 2. The successful read
@@ -164,7 +159,7 @@ impl VerifiedReplDisk {
     /// Instrumented `rd_write` (Figure 4 plus proof steps, §5.4 helping).
     pub fn rd_write(&self, w: &World<RdSpec>, a: u64, v: &[u8]) {
         let tok = w.ghost.begin_op(RdOp::Write(a, v.to_vec())).ghost_unwrap();
-        let lock = self.lock(a);
+        let lock = &*self.locks[a as usize];
         lock.acquire();
         let mut bundle = self.lockinvs[a as usize].take().ghost_unwrap();
 
@@ -243,12 +238,7 @@ impl System<RdSpec> for VerifiedReplDisk {
         self.disks.restore(snap);
     }
 
-    /// Rebuilds in-memory locks (called at every boot).
-    fn boot(&self, w: &World<RdSpec>) {
-        *self.locks.write() = (0..self.size).map(|_| w.rt.new_glock()).collect();
-    }
-
-    /// Disk platters are durable; locks are rebuilt by `boot`.
+    /// Disk platters are durable; the runtime's crash releases the locks.
     fn crash(&self) {}
 
     /// Instrumented `rd_recover` (Figure 5 plus the §5.4 helping proof).

@@ -182,7 +182,7 @@ struct GenSys {
     cells: Vec<DurId<u64>>,
     /// Per lock, the leases of the cells it guards.
     lockinvs: Vec<LockInv<Vec<Lease<u64>>>>,
-    locks: parking_lot::RwLock<Vec<Arc<dyn GLock>>>,
+    locks: Vec<Arc<dyn GLock>>,
     /// Writes performed so far: durable only if the snapshot carries it.
     writes: AtomicU64,
 }
@@ -209,7 +209,7 @@ impl GenSys {
         let c = match op {
             RegOp::Read(c) | RegOp::Write(c, _) => *c,
         };
-        let lock = Arc::clone(&self.locks.read()[self.lock_of(c)]);
+        let lock = &self.locks[self.lock_of(c)];
         lock.acquire();
         let inv = &self.lockinvs[self.lock_of(c)];
         let mut leases = inv.take().ghost_unwrap();
@@ -267,11 +267,6 @@ impl System<RegSpec> for GenSys {
         }
     }
 
-    fn boot(&self, w: &World<RegSpec>) {
-        let locks = (0..self.gen.locks).map(|_| w.rt.new_glock()).collect();
-        *self.locks.write() = locks;
-    }
-
     fn crash(&self) {
         self.disk.crash_torn();
     }
@@ -327,7 +322,7 @@ impl Harness<RegSpec> for Gen {
             disk,
             cells,
             lockinvs: Vec::new(),
-            locks: parking_lot::RwLock::new(Vec::new()),
+            locks: (0..self.locks).map(|_| w.rt.new_glock()).collect(),
             writes: AtomicU64::new(0),
         };
         let bundles = sys.bundles(|c, _| leases[c].take().expect("one lease per cell"));

@@ -5,6 +5,7 @@
 //! it (explain timelines, Chrome-trace export, campaign dashboards) are
 //! pure functions of deterministic inputs.
 
+use goose_rt::{TraceEvent, TraceKind};
 use perennial_checker::telemetry::RunTelemetry;
 use perennial_checker::{
     chrome_trace_json, merge_reports, render_explain, render_failure, report_fingerprint,
@@ -13,6 +14,7 @@ use perennial_checker::{
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn base_cfg() -> CheckConfigBuilder {
@@ -116,6 +118,45 @@ fn explain_timeline_is_identical_across_worker_counts() {
         })
         .collect();
     assert_eq!(texts[0], texts[1], "explain output depends on workers");
+}
+
+/// A model lock keeps its id across a crash: the system builds its locks
+/// once, and the crash releases them rather than replacing them. So every
+/// lock the rounds after `kv/mutant/in-place`'s crash touch is one its
+/// main round touched, and each bucket's lock has one name in the
+/// timeline and in the profile.
+#[test]
+fn a_lock_keeps_its_id_across_a_crash() {
+    let registry = all_mutant_scenarios();
+    let scenario = registry
+        .get("kv/mutant/in-place")
+        .expect("registered scenario");
+    let report = scenario.run(&base_cfg().build());
+    let cx = report.counterexample.expect("mutant caught");
+    let timeline = cx.timeline.expect("timeline captured");
+    let crash = timeline
+        .events
+        .iter()
+        .position(|ev| matches!(ev.kind, TraceKind::Crash { .. }))
+        .expect("the counterexample crashes");
+    let locks = |events: &[TraceEvent]| -> BTreeSet<usize> {
+        events
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                TraceKind::LockAcquire { lock }
+                | TraceKind::LockBlock { lock }
+                | TraceKind::LockRelease { lock } => Some(lock),
+                _ => None,
+            })
+            .collect()
+    };
+    let (before, after) = timeline.events.split_at(crash);
+    let (before, after) = (locks(before), locks(after));
+    assert!(!after.is_empty(), "no lock taken after the crash");
+    assert!(
+        after.is_subset(&before),
+        "locks after the crash {after:?} are not among the main round's {before:?}"
+    );
 }
 
 /// The Chrome trace-event export of a real counterexample has the
