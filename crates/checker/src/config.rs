@@ -51,9 +51,6 @@ pub struct CheckConfig {
     /// (truncate) this file as the event stream when the check starts.
     /// Ignored when `telemetry` is set.
     pub telemetry_path: Option<PathBuf>,
-    /// Print a progress line to stderr every N completed executions
-    /// (`0` = off, the default) so long sweeps are observable live.
-    pub progress_every: u64,
     /// Shard assignment `(i, n)`: this run owns only the job keys whose
     /// [`shard_of`](crate::shard_of) hash lands on shard `i` of `n`. Derivation-spine
     /// executions (schedule phase, probes, and the first-level crash
@@ -119,7 +116,6 @@ impl Default for CheckConfig {
             keep_going: false,
             telemetry: None,
             telemetry_path: None,
-            progress_every: 0,
             shard: None,
             resume_from: None,
             exec_budget: 0,
@@ -246,12 +242,6 @@ impl CheckConfigBuilder {
     /// Streams JSONL telemetry into a file created at check start.
     pub fn telemetry_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.config.telemetry_path = Some(path.into());
-        self
-    }
-
-    /// Prints a progress line to stderr every `n` executions (0 = off).
-    pub fn progress_every(mut self, n: u64) -> Self {
-        self.config.progress_every = n;
         self
     }
 

@@ -61,7 +61,8 @@ use crate::exec::rerun;
 use crate::harness::{AnyHarness, Erased, Harness};
 use crate::jobs::{
     crash_sweep_jobs, disk_fault_jobs, disk_fault_recovery_jobs, nested_crash_jobs, net_fault_jobs,
-    random_crash_jobs, schedule_jobs, torn_write_jobs, Driver, Job, JobKey, JobOutcome,
+    random_crash_jobs, random_crash_probes, schedule_jobs, torn_write_jobs, Driver, Job, JobKey,
+    JobOutcome,
 };
 use crate::metrics::{
     credit_session, fold_passes, Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
@@ -377,15 +378,22 @@ fn live_schedule_phase(
 }
 
 /// Ranks 2-6, on schedules fixed in advance: the systematic crash sweep
-/// over the round-robin baseline and the random-crash pairs.
+/// over the round-robin baseline, then random schedules probed crash-free
+/// (rank 5) and each one that passed re-run with a crash point below its
+/// horizon (rank 6).
 fn crash_sweeps(driver: &mut Driver<'_>) {
     let config = driver.shared.config;
     if config.passes.contains(Pass::CrashSweep) {
         crash_sweep(driver, config.passes.contains(Pass::NestedCrash));
     }
     if config.passes.contains(Pass::RandomCrash) {
-        let jobs = random_crash_jobs(config.random_crash_samples as u64);
-        driver.run_pass(Pass::RandomCrashProbe, jobs);
+        let probes = random_crash_probes(config.random_crash_samples as u64);
+        let Some(probed) = driver.run_pass(Pass::RandomCrashProbe, probes) else {
+            return;
+        };
+        let passed = probed.iter().filter(|o| o.kind == OutcomeKind::Ok);
+        let jobs = random_crash_jobs(config.seed, passed.map(|o| (o.key.1, o.stats.steps)));
+        driver.run_pass(Pass::RandomCrash, jobs);
     }
 }
 

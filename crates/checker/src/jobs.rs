@@ -1,8 +1,8 @@
 //! Jobs: the unit the explorer derives, admits, runs and aggregates.
 //!
-//! A [`Job`] is one execution (or a probe-then-crash pair) with a
-//! canonical key assigned before anything runs. Each sweep's job list is a
-//! pure function of a probe's horizon (the `*_jobs` functions below); the
+//! A [`Job`] is one execution with a canonical key assigned before
+//! anything runs. Each sweep's job list is a pure function of a probe's
+//! horizon (the `*_jobs` functions below); the
 //! [`Driver`] admits a list against the execution budget, runs it as one
 //! wave across the worker pool — the crash sweeps' jobs in groups forked
 //! off one shared execution ([`execute_group`]) — and keeps the
@@ -50,19 +50,13 @@ pub fn shard_of(key: (u8, u64), n: u32) -> u32 {
     (mixed % n as u64) as u32
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    /// One execution.
-    Single,
-    /// A random-crash pair: probe the schedule crash-free to find its
-    /// horizon, then rerun it with one derived crash point. The crash
-    /// run reports under pass "random-crash" with the same index.
-    ProbeThenCrash,
-}
-
 #[derive(Debug)]
 pub(crate) struct Job {
     key: JobKey,
+    /// The rank whose seed at this job's index the execution draws: its
+    /// own, but for a random-crash job, which replays its probe's
+    /// schedule. (A rank, not a key: it fits in padding the job has.)
+    seed_rank: u8,
     pass: Pass,
     policy: Policy,
     /// Record each grant's dependency footprint (DPOR's DFS jobs).
@@ -72,7 +66,6 @@ pub(crate) struct Job {
     swept: u32,
     /// The fault plan injected into this job's execution.
     faults: FaultPlan,
-    kind: JobKind,
     /// Whether later job derivation depends on this execution's result
     /// (horizon probes). Probes run in every shard — a shard that
     /// skipped them could not enumerate the same downstream job keys —
@@ -86,13 +79,13 @@ impl Job {
     fn new(pass: Pass, index: u64, policy: Policy) -> Job {
         Job {
             key: (pass.rank(), index),
+            seed_rank: pass.rank(),
             pass,
             policy,
             track_deps: false,
             crash_points: Vec::new(),
             swept: 0,
             faults: FaultPlan::default(),
-            kind: JobKind::Single,
             probe: false,
         }
     }
@@ -123,8 +116,9 @@ impl Job {
 
 // ---------------------------------------------------------------------
 // Derivation: horizon -> job list, one pure function per sweep. Keys are
-// dense and strictly increasing within a pass, so a job list is the same
-// at every worker count, in every shard and on every resume.
+// strictly increasing within a pass (and dense, but for random-crash's,
+// which keep their probe's index), so a job list is the same at every
+// worker count, in every shard and on every resume.
 // ---------------------------------------------------------------------
 
 /// Schedule phase (ranks 0-1): one job per spec of a strategy wave, keyed
@@ -171,13 +165,33 @@ pub(crate) fn nested_crash_jobs(sweep: impl IntoIterator<Item = (u64, u64)>) -> 
     jobs
 }
 
-/// Ranks 5-6: random schedules with a random crash point each (probe and
-/// crash run are one job; the crash run reuses the probe's seed).
-pub(crate) fn random_crash_jobs(samples: u64) -> Vec<Job> {
+/// Rank 5: random schedules, run crash-free to measure their horizons.
+pub(crate) fn random_crash_probes(samples: u64) -> Vec<Job> {
     (0..samples)
         .map(|i| Job {
-            kind: JobKind::ProbeThenCrash,
+            probe: true,
             ..Job::new(Pass::RandomCrashProbe, i, Policy::Random(Vec::new()))
+        })
+        .collect()
+}
+
+/// Rank 6: each probe that passed, as `(index, steps)`, re-run at its
+/// index on its seed — so the schedule replays — with one crash point
+/// drawn from that seed below the probe's horizon.
+pub(crate) fn random_crash_jobs(
+    seed: u64,
+    passed: impl IntoIterator<Item = (u64, u64)>,
+) -> Vec<Job> {
+    let probe_rank = Pass::RandomCrashProbe.rank();
+    passed
+        .into_iter()
+        .map(|(i, steps)| {
+            let k = splitmix64(exec_seed(seed, probe_rank, i)) % steps.max(1);
+            let job = Job::new(Pass::RandomCrash, i, Policy::Random(Vec::new()));
+            Job {
+                seed_rank: probe_rank,
+                ..job.crashing_at(k)
+            }
         })
         .collect()
 }
@@ -403,7 +417,7 @@ pub(crate) struct Shared<'a> {
 impl Shared<'_> {
     /// The execution seed of `job`.
     fn seed(&self, job: &Job) -> u64 {
-        exec_seed(self.config.seed, job.key.0, job.key.1)
+        exec_seed(self.config.seed, job.seed_rank, job.key.1)
     }
 
     /// Whether the resume WAL already holds `job`.
@@ -459,55 +473,26 @@ impl Shared<'_> {
     }
 }
 
-/// Runs one job (one or two executions) and appends its outcomes to
-/// `outs`, applying shard ownership: leaf jobs other shards own are
-/// skipped, spine jobs run but are not counted.
+/// Runs one job and appends its outcome to `outs`, applying shard
+/// ownership: leaf jobs other shards own are skipped, spine jobs run but
+/// are not counted.
 fn execute_job(shared: &Shared<'_>, job: &Job, outs: &mut Vec<JobOutcome>, spares: &mut Spares) {
     let owned = shared.owns(job.key);
-    let crash_key = (Pass::RandomCrash.rank(), job.key.1);
-    // A random-crash probe must also run when this shard owns only the
-    // derived crash half: the crash point is a function of the probe's
-    // horizon.
-    let crash_owned = job.kind == JobKind::ProbeThenCrash && shared.owns(crash_key);
-    if !owned && !crash_owned && !shared.is_spine(job) {
-        return;
+    if (owned || shared.is_spine(job)) && shared.cancel.should_run(job.key) {
+        outs.push(run_or_replay(shared, job, owned, spares));
     }
-    if !shared.cancel.should_run(job.key) {
-        return;
-    }
-    let seed = shared.seed(job);
-    let out = run_or_replay(shared, job, seed, owned, spares);
-    let (ok, steps) = (out.kind == OutcomeKind::Ok, out.stats.steps);
-    outs.push(out);
-    if !crash_owned || !ok || !shared.cancel.should_run(crash_key) {
-        return;
-    }
-    // The probe succeeded: rerun the same schedule with one crash point
-    // derived from the probe's horizon. The crash run reuses the probe's
-    // seed so the schedule replays.
-    let k = splitmix64(seed) % steps.max(1);
-    let crash = Job {
-        faults: job.faults.clone(),
-        ..Job::new(Pass::RandomCrash, job.key.1, Policy::Random(Vec::new())).crashing_at(k)
-    };
-    outs.push(run_or_replay(shared, &crash, seed, true, spares));
 }
 
 /// One execution of a job: read back from the resume WAL if it completed
 /// there, otherwise run in buffers from `spares` and [`record`]ed.
-fn run_or_replay(
-    shared: &Shared<'_>,
-    job: &Job,
-    seed: u64,
-    counted: bool,
-    spares: &mut Spares,
-) -> JobOutcome {
+fn run_or_replay(shared: &Shared<'_>, job: &Job, counted: bool, spares: &mut Spares) -> JobOutcome {
     // Only `ok` records are in the map, and every field of the outcome
     // is deterministic job metadata or a recorded statistic, so a resumed
     // run aggregates to the same report as a cold one.
     if let Some(&stats) = shared.replay.get(&job.key) {
         return shared.read_back(job, counted, stats);
     }
+    let seed = shared.seed(job);
     let spec = ExecSpec {
         buffers: spares.take(job.track_deps),
         ..shared.spec(job, seed)
@@ -812,8 +797,8 @@ fn run_wave(
     let groups = groups(jobs);
     let workers = workers.min(groups.len()).max(1);
     if workers == 1 {
-        // Sized up front: almost every job yields one outcome, and a
-        // wave grown by doubling would hold twice its size at the end.
+        // Sized up front: a job yields at most one outcome, and a wave
+        // grown by doubling would hold twice its size at the end.
         let mut outs = Vec::with_capacity(jobs.len());
         for group in groups {
             execute_group(shared, group, &mut outs, spares);
@@ -868,24 +853,14 @@ impl BudgetGate {
         }
     }
 
-    /// Truncates `jobs` to the remaining budget (a probe-then-crash job
-    /// costs two executions); marks the gate exhausted on truncation.
+    /// Truncates `jobs` to the remaining budget, one execution a job;
+    /// marks the gate exhausted on truncation.
     fn admit(&mut self, mut jobs: Vec<Job>) -> Vec<Job> {
         if self.limit == 0 {
             return jobs;
         }
-        let mut kept = 0;
-        for job in &jobs {
-            let cost = match job.kind {
-                JobKind::Single => 1,
-                JobKind::ProbeThenCrash => 2,
-            };
-            if self.used + cost > self.limit {
-                break;
-            }
-            self.used += cost;
-            kept += 1;
-        }
+        let kept = jobs.len().min((self.limit - self.used) as usize);
+        self.used += kept as u64;
         if kept < jobs.len() {
             self.exhausted = true;
             jobs.truncate(kept);
@@ -1175,7 +1150,7 @@ mod tests {
         for (job, index) in jobs.iter().zip(first..) {
             assert_eq!(job.key, (pass.rank(), index), "{pass:?}: key");
             assert_eq!(job.pass, pass);
-            assert_eq!(job.kind, JobKind::Single);
+            assert_eq!(job.seed_rank, pass.rank(), "{pass:?}: seed rank");
             assert!(!job.probe, "{pass:?}: a derived job is not a probe");
         }
     }
@@ -1221,16 +1196,42 @@ mod tests {
     }
 
     #[test]
-    fn random_crash_jobs_are_probe_then_crash_pairs() {
+    fn random_crash_probes_are_crash_free_random_schedules() {
         for samples in [0u64, 1, 3] {
-            let jobs = random_crash_jobs(samples);
-            assert_eq!(jobs.len(), samples as usize);
-            for (job, i) in jobs.iter().zip(0..) {
+            let probes = random_crash_probes(samples);
+            assert_eq!(probes.len(), samples as usize);
+            for (job, i) in probes.iter().zip(0..) {
                 assert_eq!(job.key, (Pass::RandomCrashProbe.rank(), i));
-                assert_eq!(job.kind, JobKind::ProbeThenCrash);
-                assert!(job.crash_points.is_empty() && !job.probe);
+                assert_eq!(job.seed_rank, job.key.0);
+                assert_eq!(job.policy, Policy::Random(Vec::new()));
+                assert!(job.probe && job.crash_points.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn a_random_crash_job_replays_its_probe_with_one_crash_below_its_horizon() {
+        // Probes 0, 2 and 5 passed, after 7, 1 and 0 steps; 1, 3 and 4
+        // failed or were skipped.
+        let jobs = random_crash_jobs(7, [(0, 7), (2, 1), (5, 0)]);
+        let keys: Vec<JobKey> = jobs.iter().map(|job| job.key).collect();
+        let rank = Pass::RandomCrash.rank();
+        assert_eq!(
+            keys,
+            [(rank, 0), (rank, 2), (rank, 5)],
+            "each at its probe's index"
+        );
+        for (job, steps) in jobs.iter().zip([7u64, 1, 0]) {
+            let probe = (Pass::RandomCrashProbe.rank(), job.key.1);
+            assert_eq!(job.seed_rank, probe.0, "drawn from the probe's seed");
+            assert_eq!(job.pass, Pass::RandomCrash);
+            assert_eq!(job.policy, Policy::Random(Vec::new()));
+            assert!(!job.probe && job.swept == 1);
+            let k = splitmix64(exec_seed(7, probe.0, probe.1)) % steps.max(1);
+            assert_eq!(job.crash_points, [k]);
+            assert!(k < steps.max(1));
+        }
+        assert!(random_crash_jobs(7, []).is_empty());
     }
 
     #[test]
@@ -1357,6 +1358,12 @@ mod tests {
         assert_eq!(mid_recovery.swept, 1);
     }
 
+    /// A wave holds one of these per job, thousands in a long sweep.
+    #[test]
+    fn job_has_not_grown() {
+        assert!(std::mem::size_of::<Job>() <= 168);
+    }
+
     /// A campaign holds one of these per execution until aggregation, so
     /// a field added here shows in peak memory (PR 13 measured 8 bytes).
     #[test]
@@ -1465,14 +1472,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_gate_charges_two_for_a_probe_then_crash_pair() {
+    fn budget_gate_charges_one_execution_a_job() {
         let mut gate = BudgetGate::new(5);
         assert_eq!(gate.admit(crash_sweep_jobs(2)).len(), 2);
-        // Three left: one pair fits, the second does not.
-        assert_eq!(gate.admit(random_crash_jobs(3)).len(), 1);
+        assert_eq!(gate.admit(random_crash_probes(2)).len(), 2);
+        assert!(!gate.exhausted, "an exact fit leaves the gate open");
+        // One left: the first job fits, the second does not.
+        assert_eq!(gate.admit(random_crash_jobs(7, [(0, 3), (1, 3)])).len(), 1);
         assert!(gate.exhausted);
+        assert!(gate.admit(random_crash_probes(1)).is_empty());
         let mut unlimited = BudgetGate::new(0);
-        assert_eq!(unlimited.admit(random_crash_jobs(3)).len(), 3);
+        assert_eq!(unlimited.admit(random_crash_probes(3)).len(), 3);
         assert!(!unlimited.exhausted);
     }
 }

@@ -1,5 +1,5 @@
-//! Telemetry: the run's one JSONL event stream — its writer, its reader,
-//! and the periodic progress line.
+//! Telemetry: the run's one JSONL event stream — its writer and its
+//! reader.
 //!
 //! Everything here is a **side channel**: the stream observes the
 //! exploration but feeds nothing back into scheduling, seeding, or
@@ -33,10 +33,7 @@
 //!   [`parse_wal`] and [`crate::dashboard::Dashboard::ingest`] are two
 //!   `match`es over it.
 //!
-//! [`TelemetrySink`] is the shared line writer underneath. The progress
-//! line ([`CheckConfig::progress_every`]) is fed by live, wall-clock-ordered
-//! counters that are *not* the numbers reported in [`crate::CheckReport`];
-//! those are computed from canonical job outcomes (see [`crate::metrics`]).
+//! [`TelemetrySink`] is the shared line writer underneath.
 
 use crate::campaign::{read_totals, with_totals};
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
@@ -53,7 +50,6 @@ use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -195,12 +191,6 @@ pub struct RunTelemetry {
     /// The pass whose timed `pass_end` record is still owed: each
     /// `pass_start` closes the previous pass, `close` the last one.
     open_pass: Option<(Pass, Instant)>,
-    /// Print the progress line every this many executions (0 = never).
-    progress_every: u64,
-    start: Instant,
-    /// Executions, steps and failures so far, in completion order: the
-    /// progress line's feed, untouched while it is off.
-    live: [AtomicU64; 3],
 }
 
 impl RunTelemetry {
@@ -238,9 +228,6 @@ impl RunTelemetry {
             open_error,
             announced: PassSet::empty(),
             open_pass: None,
-            progress_every: config.progress_every,
-            start: Instant::now(),
-            live: Default::default(),
         };
         telem.emit(|| run_start_record(config, workers));
         telem
@@ -293,8 +280,8 @@ impl RunTelemetry {
     }
 
     /// One execution of `job` (its pass and index within the pass) ended:
-    /// the `exec_done` record, which doubles as the WAL entry, and the
-    /// progress line when its cadence says so. A run writes one such
+    /// the `exec_done` record, which doubles as the WAL entry. A run
+    /// writes one such
     /// record per execution where every other record is a handful per
     /// run, so this one goes from the fields straight into its line:
     /// byte for byte `to_string(stamped(ev_exec_done(..), name))`, with
@@ -333,25 +320,6 @@ impl RunTelemetry {
             line.push('\n');
             stream.write_line(&line);
         }
-        if self.progress_every > 0 {
-            let [executions, steps, failures] = &self.live;
-            steps.fetch_add(stats.steps, Ordering::Relaxed);
-            failures.fetch_add(u64::from(outcome != OutcomeKind::Ok), Ordering::Relaxed);
-            let n = executions.fetch_add(1, Ordering::Relaxed) + 1;
-            if n.is_multiple_of(self.progress_every) {
-                eprintln!("{}", self.progress_line());
-            }
-        }
-    }
-
-    /// The progress line (stderr, so it never pollutes piped output).
-    fn progress_line(&self) -> String {
-        let [executions, steps, failures] = self.live.each_ref().map(|n| n.load(Ordering::Relaxed));
-        let rate = executions as f64 / self.start.elapsed().as_secs_f64().max(1e-9);
-        format!(
-            "[checker] {}: {executions} execs, {steps} steps, {failures} failures, {rate:.0} execs/s",
-            self.name
-        )
     }
 
     /// A failure was found: its replay coordinates (pass, index, seed,
@@ -1385,46 +1353,6 @@ mod tests {
         let mut want: BTreeSet<&str> = RUN_END.split_whitespace().collect();
         want.extend(["shrink_steps_removed", "shrink_rounds", "shrink_re_runs"]);
         assert_eq!(have, want);
-    }
-
-    #[test]
-    fn the_progress_counters_move_only_while_the_line_is_on() {
-        for every in [0, 2] {
-            let config = CheckConfig {
-                progress_every: every,
-                ..CheckConfig::default()
-            };
-            let telem = RunTelemetry::open("demo", &config, 1);
-            let none = FaultPlan::default();
-            telem.exec_done(
-                (Pass::Dfs, 0),
-                7,
-                OutcomeKind::Ok,
-                &STATS,
-                &none,
-                Duration::ZERO,
-            );
-            telem.exec_done(
-                (Pass::Dfs, 1),
-                8,
-                OutcomeKind::Bug,
-                &STATS,
-                &none,
-                Duration::ZERO,
-            );
-            let line = telem.progress_line();
-            if every == 0 {
-                assert!(
-                    line.contains("demo: 0 execs, 0 steps, 0 failures"),
-                    "{line}"
-                );
-            } else {
-                assert!(
-                    line.contains("demo: 2 execs, 14 steps, 1 failures"),
-                    "{line}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! regressing silently: three mutants under sleep-set DPOR (footprints
 //! on every grant; one of them over the file-system and network models),
 //! one correct scenario under the exhaustive strategy and one under the
-//! fault sweeps (random-crash pairs and torn-write jobs, which crash in
+//! fault sweeps (random-crash and torn-write jobs, which crash in
 //! place), each at one worker with no stream, each against its own
 //! budget.
 //!
@@ -121,7 +121,7 @@ fn fault_sweeps_allocate_within_budget() {
     // models: the largest share of `hunt`'s executions.
     let name = "mailboat/mutant/net-no-dedup";
     within(name, allocs_per_exec(name, hunt(), true), 142.6);
-    // The fault passes' random-crash pairs and torn-write jobs crash in
+    // The fault passes' random-crash and torn-write jobs crash in
     // place, and the disk-fault jobs fork.
     let name = "patterns/txn-wal";
     within(name, allocs_per_exec(name, faults(), false), 64.2);

@@ -17,8 +17,9 @@
 //!   forked, and with forking defeated by one model-random draw in
 //!   `make()`, which makes every job run by itself; the two reports must
 //!   have one fingerprint;
-//! - two seeded snapshot bugs, which that comparison (and, in debug
-//!   builds, the sampled re-runs) must catch.
+//! - two seeded snapshot bugs, which that comparison (and the re-runs:
+//!   of every failing fork, and in debug builds of a sample of the
+//!   passing ones) must catch.
 
 use goose_rt::runtime::{GLock, ModelRtExt};
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
@@ -362,7 +363,7 @@ impl<H: Harness<RegSpec>> Harness<RegSpec> for Unshared<H> {
 
 /// `gen` checked forked and checked with every job run by itself:
 /// their report fingerprints, and whether the first forked at all. A
-/// debug build's sampled re-run that differs panics here.
+/// re-run that differs from its fork panics here.
 fn both_ways(gen: &Gen) -> (u64, u64, bool) {
     let cfg = verify_quick().build();
     let forked_report = check(gen, &cfg);
@@ -388,8 +389,9 @@ fn generated_systems_fork_like_they_rerun() {
 }
 
 /// A snapshot bug must change what some fork reports: the two reports
-/// differ, and a debug build's sampled re-run panics first, naming the
-/// field.
+/// differ, or a fork's re-run panics first, naming the field. Any build
+/// re-runs a failing fork; a debug build also re-runs a sample of the
+/// passing ones.
 fn caught(bug: SnapBug) {
     let mut misses = Vec::new();
     let mut found = 0;
@@ -406,7 +408,7 @@ fn caught(bug: SnapBug) {
                     .cloned()
                     .unwrap_or_default();
                 assert!(
-                    cfg!(debug_assertions) && msg.contains("differs from its re-run"),
+                    msg.contains("differs from its re-run"),
                     "seed {seed}: {msg}"
                 );
                 found += 1;

@@ -25,8 +25,10 @@ const PATTERNS_CAMPAIGN: u64 = 0xc1cf_55df_faa4_cc56;
 const FAULT_CAMPAIGN: u64 = 0x4ab7_0d92_318a_9d74;
 
 /// The same campaign cut short by [`FAULT_BUDGET`], cold and resumed from
-/// its own write-ahead log.
-const FAULT_CAMPAIGN_BUDGETED: u64 = 0xa37e_8523_a769_a23d;
+/// its own write-ahead log. Re-recorded at the random-crash epoch, when a
+/// random-crash probe that fails stopped being charged for the crash run
+/// it never gets (EXPERIMENTS.md).
+const FAULT_CAMPAIGN_BUDGETED: u64 = 0x2a1c_4185_3199_cb11;
 
 /// Lands inside the disk-fault sweep for two scenarios, the torn-write
 /// sweep for seven, the net-fault sweep for one, and past the end of the
@@ -324,30 +326,33 @@ fn dpor_runs_are_pinned_on_three_mutants() {
 /// Meeting `before` shows the `schedule_end` line is all its epoch moved,
 /// and meeting `old_pin` that the stamp is all the stamp moved. `before`
 /// and `old_pin` were re-recorded at the encoding epoch, when every
-/// `trace_fp` in them took a new name (EXPERIMENTS.md lists old → new).
+/// `trace_fp` in them took a new name (EXPERIMENTS.md lists old → new),
+/// and all three at the random-crash epoch, when the crash runs got a
+/// wave and a `pass_start` of their own (EXPERIMENTS.md shows each stream
+/// mapping back onto the one before it).
 const STREAM_PINS: [(&str, u64, u64, &str, u64); 3] = [
     (
         "patterns/wal",
-        0x2cf4_9ea4_2f01_803f,
-        0xb99a_0ae3_56e4_929f,
+        0x4f1a_5d9f_db3e_7b1a,
+        0x9ef9_2e01_bbc2_0cfa,
         "write-ahead log",
-        0x0f3c_f0b2_9d58_5247,
+        0x06ce_6d6b_1ba0_a8a8,
     ),
     // Fault passes on: `counterexample` records and fault-plan tags.
     (
         "patterns/mutant/wal-skip-commit-flush",
-        0xc11a_f115_2533_bfe7,
-        0x19a5_99ae_1061_6aaf,
+        0x20a4_22d8_6f5e_e0b8,
+        0xb593_82d8_d2b8_3550,
         "write-ahead log",
-        0x7f25_cbab_145f_6163,
+        0xadc3_879c_703a_1988,
     ),
     // As shard 0 of 2: a shard label, and spine executions it does not count.
     (
         "repldisk/single-write",
-        0x1647_aa8f_5446_ab63,
-        0x9e8d_589d_f8c5_1249,
+        0x2e12_b1d4_77d2_66d3,
+        0xc8b6_460b_c46b_eea9,
         "replicated disk",
-        0xfa62_f4ba_f0f4_fbda,
+        0xf211_e66e_7102_e90d,
     ),
 ];
 

@@ -491,7 +491,9 @@ fn livelocked_scenario_is_wedged_not_hung() {
 }
 
 /// Degradation contract: an execution budget cuts the run short but
-/// produces a partial report with an explicit incomplete marker.
+/// produces a partial report with an explicit incomplete marker. A run
+/// that keeps going executes exactly its budget: every job admitted is
+/// one execution.
 #[test]
 fn exhausted_budget_degrades_to_partial_report() {
     let s = scenario("patterns/shadow");
@@ -502,8 +504,7 @@ fn exhausted_budget_degrades_to_partial_report() {
             .exec_budget(10)
             .build(),
     );
-    assert!(report.executions <= 10, "{}", report.executions);
-    assert!(report.executions > 0);
+    assert_eq!(report.executions, 10);
     assert!(report.is_incomplete(), "budget exhaustion not marked");
     assert!(
         report.summary().contains("INCOMPLETE"),
@@ -524,6 +525,27 @@ fn exhausted_budget_degrades_to_partial_report() {
             .build(),
     );
     assert_eq!(report_fingerprint(&report), report_fingerprint(&r8));
+
+    // A budget that lands past the random-crash passes, where three of
+    // this mutant's ten probes fail: each failing probe is charged for
+    // itself, not for a crash run it never gets.
+    let short = base_cfg()
+        .dfs_max_executions(40)
+        .random_samples(5)
+        .random_crash_samples(10)
+        .without_passes([Pass::NestedCrash])
+        .keep_going(true)
+        .workers(1)
+        .exec_budget(110)
+        .build();
+    let report = scenario("patterns/mutant/gc-fake-durability").run(&short);
+    let probes = report
+        .per_pass
+        .iter()
+        .find(|pm| pm.pass == Pass::RandomCrashProbe);
+    assert_eq!(probes.map(|pm| pm.failures), Some(3));
+    assert_eq!(report.executions, 110);
+    assert!(report.is_incomplete());
 }
 
 /// Merge edge cases: an empty shard list is a loud error, a 1-shard

@@ -146,6 +146,33 @@ fn stream_has_the_documented_shape() {
         }
     }
     assert_eq!(names.len(), 1, "one run, one scenario stamp: {names:?}");
+
+    // Every execution is filed under its own pass: an `exec_done` comes
+    // after the `pass_start` of the pass it names. `base_cfg` is
+    // fail-fast, so keep going to reach every pass.
+    let registry = all_scenarios();
+    let scenario = registry.get("patterns/wal").expect("registered scenario");
+    let (report, lines) = run_with_stream(scenario, base_cfg().keep_going(true).workers(1));
+    assert!(report.passed());
+    let (mut open, mut filed) = (String::new(), std::collections::BTreeSet::new());
+    for line in &lines {
+        let Ok(Value::Object(record)) = serde_json::from_str(line) else {
+            panic!("not a record: {line}")
+        };
+        let text = |key: &str| match record.get(key) {
+            Some(Value::String(s)) => s.clone(),
+            _ => String::new(),
+        };
+        match text("type").as_str() {
+            "pass_start" => open = text("pass"),
+            "exec_done" => {
+                assert_eq!(text("pass"), open, "filed under {open}: {line}");
+                filed.insert(open.clone());
+            }
+            _ => {}
+        }
+    }
+    assert!(filed.contains("random-crash"), "{filed:?}");
 }
 
 /// An execution's `trace_fp` is kept as its ghost events arrive and its
@@ -374,21 +401,6 @@ fn telemetry_file_sink_writes_parseable_jsonl() {
         validate_json_line(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
     }
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn progress_line_cadence_does_not_disturb_the_run() {
-    // progress_every only writes to stderr; the report must be
-    // identical to a run without it.
-    let registry = all_scenarios();
-    let scenario = registry
-        .get("repldisk/single-write")
-        .expect("registered scenario");
-    let plain = scenario.run(&base_cfg().workers(2).build());
-    let chatty = scenario.run(&base_cfg().workers(2).progress_every(10).build());
-    assert_eq!(plain.executions, chatty.executions);
-    assert_eq!(plain.outcomes, chatty.outcomes);
-    assert_eq!(plain.coverage, chatty.coverage);
 }
 
 /// A writer whose flush fails once the run's last record, `run_end`, has
