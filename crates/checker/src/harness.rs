@@ -4,11 +4,11 @@
 //! A system contributes what Perennial asks of a proof author — its
 //! operations, its recovery procedure and its abstraction relation — as
 //! one [`System`] impl. A [`Harness`] describes a *scenario* over it: the
-//! spec, how to build fresh durable state, and the workload, returned as
-//! data in a [`Script`]. The crash → recovery lifecycle is the checker's,
-//! stated once: it instantiates the script once per explored execution
-//! (stateless model checking), drives the schedule, injects crashes, and
-//! validates the ghost trace at the end.
+//! spec, how to build fresh durable state, and the workload — a
+//! [`Program`] of steps — returned in a [`Script`]. The crash → recovery
+//! lifecycle is the checker's, stated once: it instantiates the script
+//! once per explored execution (stateless model checking), drives the
+//! schedule, injects crashes, and validates the ghost trace at the end.
 //!
 //! The driver (`exec.rs`, `jobs.rs`, `explore.rs`) names no harness type.
 //! Every `H: Harness<S>` reaches it as one object-safe handle, `AnyHarness`
@@ -160,6 +160,45 @@ impl<Sys: System<S>, S: SpecTS> Script<Sys, S> {
     /// Adds a post-recovery thread.
     pub fn after(&mut self, name: &'static str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) {
         self.after.push((name, Box::new(op)));
+    }
+
+    /// Adds `program`'s threads, each taking its steps in order through
+    /// `step`, and its post-recovery round as the thread `"post-crash"`.
+    pub fn program<St: Sync>(
+        &mut self,
+        program: &'static Program<St>,
+        step: impl Fn(&Sys, &World<S>, &St) + Copy + Send + 'static,
+    ) {
+        for &(name, steps) in program.threads {
+            self.thread(name, move |sys, w| {
+                steps.iter().for_each(|s| step(sys, w, s))
+            });
+        }
+        if !program.after.is_empty() {
+            let steps = program.after;
+            self.after("post-crash", move |sys, w| {
+                steps.iter().for_each(|s| step(sys, w, s))
+            });
+        }
+    }
+}
+
+/// A workload as data: each main-round thread's name and steps, and the
+/// steps of the round run after a completed recovery. A system's step
+/// alphabet is its spec's operations plus whatever else its workloads
+/// do between them (fail a disk, flush, drive the network).
+pub struct Program<St: 'static> {
+    /// The main round's threads, spawned in this order.
+    pub threads: &'static [(&'static str, &'static [St])],
+    /// The post-recovery round (none when empty).
+    pub after: &'static [St],
+}
+
+impl<St> Program<St> {
+    /// Whether a thread of either round takes a step `pred` holds of.
+    pub fn any(&self, pred: impl Fn(&St) -> bool) -> bool {
+        let steps = self.threads.iter().flat_map(|&(_, steps)| steps);
+        steps.chain(self.after).any(pred)
     }
 }
 

@@ -60,7 +60,7 @@ pub use explore::{
     ExecOutcome,
 };
 pub use goose_rt::fault::{FaultPlan, FaultSurface, IoError, IoResult, NetFault, TornMode};
-pub use harness::{Harness, PanicOnReset, Script, SpinForever, System, World};
+pub use harness::{Harness, PanicOnReset, Program, Script, SpinForever, System, World};
 pub use linearize::{check_linearizable, HistOp, Verdict};
 pub use metrics::{
     trace_fingerprint, Coverage, FaultFamily, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::explore::{
         check, replay, CheckConfig, CheckConfigBuilder, CheckReport, Counterexample, ExecOutcome,
     };
-    pub use crate::harness::{Harness, Script, System, World};
+    pub use crate::harness::{Harness, Program, Script, System, World};
     pub use crate::pass::{Pass, PassSet};
     pub use crate::scenario::{Scenario, ScenarioSet};
     pub use crate::shrink::{failure_fingerprint, ShrinkStats};

@@ -3,7 +3,7 @@
 //! Historically a pass was a `&'static str` plus a `pass_rank` lookup;
 //! [`Pass`] makes it an enum so configuration ([`PassSet`]), job keys,
 //! telemetry, and report rendering all speak the same type. The rank
-//! order is part of the determinism contract (DESIGN.md §10): job keys
+//! order is part of the determinism contract (DESIGN.md §9): job keys
 //! are `(pass.rank(), index)` and the canonical counterexample is the
 //! minimum key, so variant order here is load-bearing.
 
@@ -13,7 +13,7 @@ use std::str::FromStr;
 /// One exploration pass, in canonical rank order.
 ///
 /// The rank table (the major component of the job key — lower rank wins
-/// counterexample selection, see DESIGN.md §10):
+/// counterexample selection, see DESIGN.md §9):
 ///
 /// | rank | variant            | wire name            | phase    |
 /// |-----:|--------------------|----------------------|----------|

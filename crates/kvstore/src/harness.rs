@@ -1,80 +1,103 @@
-//! Checker harness for the node KV store.
+//! Checker harness for the node KV store: its programs, over the spec's
+//! own operations, and its scenarios.
 
-use crate::spec::{bucket_of, KvSpec};
+use crate::spec::{KvOp, KvSpec};
 use crate::store::{KvMutant, NodeKv};
 use goose_rt::fault::FaultSurface;
-use perennial_checker::{Harness, ScenarioSet, Script, World};
+use perennial_checker::{Harness, Program, ScenarioSet, Script, World};
 use perennial_disk::buffered::BufferedDisk;
 use std::sync::Arc;
+use KvOp::{Delete, Get, Put};
 
-/// Workload shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvWorkload {
-    /// One putter (smallest crash-sweep scenario).
-    SinglePut,
-    /// Two putters on different buckets plus a reader (parallel paths).
-    CrossBucket,
-    /// Two putters racing on the *same* bucket plus a reader of a
-    /// co-bucketed key (bucket-lock contention).
-    SameBucket,
-    /// Put, delete, and get interleaving on one key.
-    PutDeleteGet,
-}
+/// A key, a second key in its bucket, and one in another bucket (pinned
+/// by the unit test below).
+const KEY: u64 = 0;
+const SAME_BUCKET_KEY: u64 = 4;
+const OTHER_BUCKET_KEY: u64 = 1;
 
-/// KV harness.
+/// Every program's post-recovery round: reads first, so whatever
+/// committed must be visible, then a put and a delete.
+const AFTER: &[KvOp] = &[
+    Get(KEY),
+    Get(OTHER_BUCKET_KEY),
+    Put(OTHER_BUCKET_KEY, 77),
+    Get(OTHER_BUCKET_KEY),
+    Delete(OTHER_BUCKET_KEY),
+];
+
+/// One putter (smallest crash-sweep scenario).
+pub static SINGLE_PUT: Program<KvOp> = Program {
+    threads: &[("put", &[Put(KEY, 100)])],
+    after: AFTER,
+};
+
+/// Two putters on different buckets plus a reader (parallel paths).
+pub static CROSS_BUCKET: Program<KvOp> = Program {
+    threads: &[
+        ("put-a", &[Put(KEY, 1)]),
+        ("put-b", &[Put(OTHER_BUCKET_KEY, 2)]),
+        ("get", &[Get(KEY)]),
+    ],
+    after: AFTER,
+};
+
+/// Two putters racing on the *same* bucket plus a reader of a
+/// co-bucketed key (bucket-lock contention).
+pub static SAME_BUCKET: Program<KvOp> = Program {
+    threads: &[
+        ("put-x", &[Put(KEY, 1)]),
+        ("put-y", &[Put(SAME_BUCKET_KEY, 2)]),
+        ("get", &[Get(SAME_BUCKET_KEY)]),
+    ],
+    after: AFTER,
+};
+
+/// Put, delete, and get interleaving on one key.
+pub static PUT_DELETE_GET: Program<KvOp> = Program {
+    threads: &[
+        ("put", &[Put(KEY, 9)]),
+        ("delete", &[Delete(KEY)]),
+        ("get", &[Get(KEY)]),
+    ],
+    after: AFTER,
+};
+
+/// KV harness: a mutant and the program it runs.
 pub struct KvHarness {
-    /// Which mutant.
+    /// Which mutant ([`KvMutant::None`] = correct system).
     pub mutant: KvMutant,
-    /// Which workload.
-    pub workload: KvWorkload,
-    /// Run a post-recovery verification round.
-    pub after_round: bool,
+    /// The workload.
+    pub program: &'static Program<KvOp>,
 }
 
-impl Default for KvHarness {
-    fn default() -> Self {
-        KvHarness {
-            mutant: KvMutant::None,
-            workload: KvWorkload::CrossBucket,
-            after_round: true,
-        }
-    }
-}
-
-/// The crate's expected-pass scenarios (correct system, every workload),
+/// The crate's expected-pass scenarios (correct system, every program),
 /// under the registry names `"kv/..."`.
 pub fn scenarios() -> ScenarioSet {
     let mut set = ScenarioSet::new();
-    for (name, desc, workload) in [
+    for (name, desc, program) in [
         (
             "kv/single-put",
             "one putter (smallest crash sweep)",
-            KvWorkload::SinglePut,
+            &SINGLE_PUT,
         ),
         (
             "kv/cross-bucket",
             "putters on two buckets plus a reader",
-            KvWorkload::CrossBucket,
+            &CROSS_BUCKET,
         ),
         (
             "kv/same-bucket",
             "putters racing on one bucket lock",
-            KvWorkload::SameBucket,
+            &SAME_BUCKET,
         ),
         (
             "kv/put-delete-get",
             "put/delete/get interleaving on one key",
-            KvWorkload::PutDeleteGet,
+            &PUT_DELETE_GET,
         ),
     ] {
-        set.add(
-            name,
-            desc,
-            KvHarness {
-                workload,
-                ..KvHarness::default()
-            },
-        );
+        let mutant = KvMutant::None;
+        set.add(name, desc, KvHarness { mutant, program });
     }
     set
 }
@@ -83,50 +106,39 @@ pub fn scenarios() -> ScenarioSet {
 /// under the registry names `"kv/mutant/..."`.
 pub fn mutant_scenarios() -> ScenarioSet {
     let mut set = ScenarioSet::new();
-    for (name, desc, mutant, workload) in [
+    for (name, desc, mutant, program) in [
         (
             "kv/mutant/in-place",
             "in-place bucket update",
             KvMutant::InPlace,
-            KvWorkload::SinglePut,
+            &SINGLE_PUT,
         ),
         (
             "kv/mutant/flip-first",
             "flip pointer before data write",
             KvMutant::FlipFirst,
-            KvWorkload::SinglePut,
+            &SINGLE_PUT,
         ),
         (
             "kv/mutant/no-lock",
             "no bucket lock",
             KvMutant::NoLock,
-            KvWorkload::SameBucket,
+            &SAME_BUCKET,
         ),
     ] {
-        set.add(
-            name,
-            desc,
-            KvHarness {
-                mutant,
-                workload,
-                ..KvHarness::default()
-            },
-        );
+        set.add(name, desc, KvHarness { mutant, program });
     }
     set
 }
 
-/// Two keys guaranteed to share a bucket, and one in a different bucket.
-fn sample_keys() -> (u64, u64, u64) {
-    let k0 = 0u64;
-    let b0 = bucket_of(k0);
-    let same = (1..10_000)
-        .find(|k| bucket_of(*k) == b0)
-        .expect("co-bucket key");
-    let other = (1..10_000)
-        .find(|k| bucket_of(*k) != b0)
-        .expect("cross-bucket key");
-    (k0, same, other)
+/// Takes one step of a KV program: the operation, its return checked by
+/// the ghost engine against σ.
+pub fn step(sys: &NodeKv, w: &World<KvSpec>, op: &KvOp) {
+    match *op {
+        Put(k, v) => sys.put(w, k, v),
+        Get(k) => _ = sys.get(w, k),
+        Delete(k) => _ = sys.delete(w, k),
+    }
 }
 
 impl Harness<KvSpec> for KvHarness {
@@ -139,50 +151,7 @@ impl Harness<KvSpec> for KvHarness {
     fn make(&self, w: &World<KvSpec>) -> Script<NodeKv, KvSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), NodeKv::NBLOCKS, NodeKv::BLOCK_SIZE);
         let mut script = Script::new(NodeKv::new(w, disk, self.mutant));
-        let (k0, same, other) = sample_keys();
-        match self.workload {
-            KvWorkload::SinglePut => {
-                script.thread("put", move |sys, w| sys.put(w, k0, 100));
-            }
-            KvWorkload::CrossBucket => {
-                script.thread("put-a", move |sys, w| sys.put(w, k0, 1));
-                script.thread("put-b", move |sys, w| sys.put(w, other, 2));
-                script.thread("get", move |sys, w| {
-                    let v = sys.get(w, k0);
-                    assert!(v.is_none() || v == Some(1));
-                });
-            }
-            KvWorkload::SameBucket => {
-                script.thread("put-x", move |sys, w| sys.put(w, k0, 1));
-                script.thread("put-y", move |sys, w| sys.put(w, same, 2));
-                script.thread("get", move |sys, w| {
-                    let v = sys.get(w, same);
-                    assert!(v.is_none() || v == Some(2));
-                });
-            }
-            KvWorkload::PutDeleteGet => {
-                script.thread("put", move |sys, w| sys.put(w, k0, 9));
-                script.thread("delete", move |sys, w| {
-                    let old = sys.delete(w, k0);
-                    assert!(old.is_none() || old == Some(9));
-                });
-                script.thread("get", move |sys, w| {
-                    let v = sys.get(w, k0);
-                    assert!(v.is_none() || v == Some(9));
-                });
-            }
-        }
-        if self.after_round {
-            script.after("post-crash", move |sys, w| {
-                // Reads first: whatever committed must be visible (their
-                // finish_op checks values against σ).
-                let _ = sys.get(w, k0);
-                let _ = sys.get(w, other);
-                sys.put(w, other, 77);
-                assert_eq!(sys.get(w, other), Some(77));
-                assert_eq!(sys.delete(w, other), Some(77));
-            });
-        }
+        script.program(self.program, step);
         script
     }
 
@@ -196,5 +165,17 @@ impl Harness<KvSpec> for KvHarness {
             torn_writes: true,
             ..FaultSurface::none()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::bucket_of;
+
+    #[test]
+    fn program_keys_keep_their_bucket_relations() {
+        assert_eq!(bucket_of(SAME_BUCKET_KEY), bucket_of(KEY));
+        assert_ne!(bucket_of(OTHER_BUCKET_KEY), bucket_of(KEY));
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! Module map: [`spec`] (the map specification), [`store`] (the
 //! instrumented implementation and its mutants), [`harness`] (checker
-//! plumbing and workloads).
+//! plumbing and programs).
 
 #![deny(unsafe_code)]
 
@@ -26,6 +26,6 @@ pub mod harness;
 pub mod spec;
 pub mod store;
 
-pub use harness::{mutant_scenarios, scenarios, KvHarness, KvWorkload};
+pub use harness::{mutant_scenarios, scenarios, KvHarness};
 pub use spec::{bucket_of, KvOp, KvRet, KvSpec, BUCKETS, BUCKET_CAP};
 pub use store::{KvMutant, NodeKv};

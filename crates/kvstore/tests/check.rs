@@ -1,8 +1,9 @@
-//! Model-checking the node KV store: all workloads, crash sweeps, and
+//! Model-checking the node KV store: all programs, crash sweeps, and
 //! mutants.
 
-use perennial_checker::{check, CheckConfig, ExecOutcome, Pass};
-use perennial_kv::{KvHarness, KvMutant, KvWorkload};
+use perennial_checker::{check, CheckConfig, ExecOutcome, Pass, Program};
+use perennial_kv::harness::{CROSS_BUCKET, PUT_DELETE_GET, SAME_BUCKET, SINGLE_PUT};
+use perennial_kv::{KvHarness, KvMutant, KvOp};
 
 fn cfg() -> CheckConfig {
     CheckConfig::builder()
@@ -16,7 +17,13 @@ fn cfg() -> CheckConfig {
 
 #[test]
 fn cross_bucket_parallel_ops_pass() {
-    let report = check(&KvHarness::default(), &cfg());
+    let report = check(
+        &KvHarness {
+            mutant: KvMutant::None,
+            program: &CROSS_BUCKET,
+        },
+        &cfg(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -28,8 +35,8 @@ fn cross_bucket_parallel_ops_pass() {
 #[test]
 fn same_bucket_contention_passes() {
     let h = KvHarness {
-        workload: KvWorkload::SameBucket,
-        ..KvHarness::default()
+        mutant: KvMutant::None,
+        program: &SAME_BUCKET,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -42,8 +49,8 @@ fn same_bucket_contention_passes() {
 #[test]
 fn put_delete_get_interleavings_pass() {
     let h = KvHarness {
-        workload: KvWorkload::PutDeleteGet,
-        ..KvHarness::default()
+        mutant: KvMutant::None,
+        program: &PUT_DELETE_GET,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -53,12 +60,17 @@ fn put_delete_get_interleavings_pass() {
     );
 }
 
+/// `SINGLE_PUT` without its post-recovery round.
+static PUT_ONLY: Program<KvOp> = Program {
+    threads: &[("put", &[KvOp::Put(0, 100)])],
+    after: &[],
+};
+
 #[test]
 fn crash_during_recovery_is_idempotent() {
     let h = KvHarness {
-        workload: KvWorkload::SinglePut,
-        after_round: false,
-        ..KvHarness::default()
+        mutant: KvMutant::None,
+        program: &PUT_ONLY,
     };
     let report = check(
         &h,
@@ -79,9 +91,8 @@ fn crash_during_recovery_is_idempotent() {
 #[test]
 fn mutant_in_place_caught() {
     let h = KvHarness {
-        workload: KvWorkload::SinglePut,
         mutant: KvMutant::InPlace,
-        ..KvHarness::default()
+        program: &SINGLE_PUT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("in-place must be caught");
@@ -91,9 +102,8 @@ fn mutant_in_place_caught() {
 #[test]
 fn mutant_flip_first_caught() {
     let h = KvHarness {
-        workload: KvWorkload::SinglePut,
         mutant: KvMutant::FlipFirst,
-        ..KvHarness::default()
+        program: &SINGLE_PUT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("flip-first must be caught");
@@ -103,14 +113,13 @@ fn mutant_flip_first_caught() {
 #[test]
 fn mutant_no_lock_caught() {
     let h = KvHarness {
-        workload: KvWorkload::SameBucket,
         mutant: KvMutant::NoLock,
-        ..KvHarness::default()
+        program: &SAME_BUCKET,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("no-lock must be caught");
     assert!(
-        matches!(cx.outcome, ExecOutcome::Violation(_) | ExecOutcome::Bug(_)),
+        matches!(cx.outcome, ExecOutcome::Violation(_)),
         "unexpected outcome {:?}",
         cx.outcome
     );
@@ -130,8 +139,8 @@ fn kv_passes_fault_sweeps() {
         .with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault])
         .build();
     let h = KvHarness {
-        workload: KvWorkload::SinglePut,
-        ..KvHarness::default()
+        mutant: KvMutant::None,
+        program: &SINGLE_PUT,
     };
     let report = check(&h, &cfg);
     assert!(

@@ -1,265 +1,276 @@
-//! Checker harnesses for Mailboat: concurrent deliver/pickup/delete
-//! workloads, crash sweeps, the §8.3 slice-race scenario, and mutants.
+//! Checker harness for Mailboat: its programs (deliveries, pickups, the
+//! network courier and the §8.3 slice race), its scenarios and mutants.
 
 use crate::proof::{MbMutant, VerifiedMailboat};
 use crate::server::mail_dirs;
 use crate::spec::MailSpec;
 use goose_rt::fault::FaultSurface;
 use goose_rt::fs::ModelFs;
-use perennial_checker::{Harness, ScenarioSet, Script, World};
+use goose_rt::heap::Slice;
+use perennial_checker::{Harness, Program, ScenarioSet, Script, World};
 use std::sync::Arc;
+use MbStep::{
+    Courier, Deliver, DeliverSlice, Drain, MutateSlice, NetClose, NetSend, Pickup, Unlock,
+};
 
-/// Scenario shape.
+/// Number of users.
+const USERS: u64 = 2;
+/// What the slice-race program's slice holds.
+const SLICE_MSG: &str = "abcdefgh";
+
+/// One step of a Mailboat program: the spec's operations, plus the
+/// workload code some programs run between them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MbWorkload {
-    /// One delivery (smallest crash-sweep scenario).
-    SingleDeliver,
-    /// A delivery racing a pickup(+delete+unlock) on the same user.
-    DeliverVsPickup,
-    /// Two deliveries racing on the same user.
-    TwoDelivers,
-    /// Deliveries to two users racing a pickup.
-    TwoUsers,
-    /// §8.3: a delivery reading from a heap slice while another thread
-    /// mutates that slice — must be flagged as undefined behaviour.
-    SliceRace,
-    /// A client submits deliveries over the unreliable model channel and
-    /// a courier performs them, deduplicating by request id (the
-    /// net-fault sweep drops/duplicates/delays each message).
-    NetDeliver,
+pub enum MbStep {
+    /// `deliver(user, msg)`.
+    Deliver(u64, &'static str),
+    /// `pickup(user)`, which takes the user lock.
+    Pickup(u64),
+    /// `unlock(user)`.
+    Unlock(u64),
+    /// `pickup(user)`, `delete` of each message picked up, `unlock(user)`.
+    Drain(u64),
+    /// Sends a `"<request id>:<message>"` request over the model network.
+    NetSend(&'static str),
+    /// Closes the network's sending end.
+    NetClose,
+    /// Delivers each request received from the network to user 0,
+    /// deduplicating by request id (not under [`MbMutant::NetNoDedup`]),
+    /// then asserts at-most-once delivery: the dedup is workload code,
+    /// so the ghost engine does not check it.
+    Courier,
+    /// `deliver_slice(user, ..)` of the slice-race program's heap slice.
+    DeliverSlice(u64),
+    /// Overwrites the start of that slice, racing a `DeliverSlice`.
+    MutateSlice,
 }
 
-/// Mailboat harness.
+/// Every program's post-recovery round: everything delivered before the
+/// crash is readable, and the system still works.
+const AFTER: &[MbStep] = &[Drain(0), Deliver(0, "post-crash-msg"), Pickup(0), Unlock(0)];
+
+/// One delivery (smallest crash-sweep scenario).
+pub static SINGLE_DELIVER: Program<MbStep> = Program {
+    threads: &[("deliver", &[Deliver(0, "alpha-msg")])],
+    after: AFTER,
+};
+
+/// A delivery racing a pickup(+delete+unlock) on the same user.
+pub static DELIVER_VS_PICKUP: Program<MbStep> = Program {
+    threads: &[("deliver", &[Deliver(0, "alpha")]), ("pickup", &[Drain(0)])],
+    after: AFTER,
+};
+
+/// Two deliveries racing on the same user.
+pub static TWO_DELIVERS: Program<MbStep> = Program {
+    threads: &[
+        ("deliver-a", &[Deliver(0, "alpha")]),
+        ("deliver-b", &[Deliver(0, "bravo")]),
+    ],
+    after: AFTER,
+};
+
+/// Deliveries to two users racing a pickup.
+pub static TWO_USERS: Program<MbStep> = Program {
+    threads: &[
+        ("deliver-u0", &[Deliver(0, "for-zero")]),
+        ("deliver-u1", &[Deliver(1, "for-one")]),
+        ("pickup-u0", &[Pickup(0), Unlock(0)]),
+    ],
+    after: AFTER,
+};
+
+/// §8.3: a delivery reading from a heap slice while another thread
+/// mutates that slice — must be flagged as undefined behaviour.
+pub static SLICE_RACE: Program<MbStep> = Program {
+    threads: &[
+        ("deliver-slice", &[DeliverSlice(0)]),
+        ("slice-mutator", &[MutateSlice]),
+    ],
+    after: AFTER,
+};
+
+/// A client submits deliveries over the unreliable model channel and a
+/// courier performs them (the net-fault sweep drops, duplicates or
+/// delays each message).
+pub static NET_DELIVER: Program<MbStep> = Program {
+    threads: &[
+        (
+            "net-client",
+            &[NetSend("0:net-alpha"), NetSend("1:net-bravo"), NetClose],
+        ),
+        ("courier", &[Courier]),
+    ],
+    after: AFTER,
+};
+
+/// Mailboat harness: a mutant and the program it runs.
 pub struct MbHarness {
-    /// Number of users.
-    pub users: u64,
     /// Which mutant ([`MbMutant::None`] = correct system).
     pub mutant: MbMutant,
-    /// Which workload.
-    pub workload: MbWorkload,
-    /// Run a post-recovery verification round.
-    pub after_round: bool,
+    /// The workload.
+    pub program: &'static Program<MbStep>,
 }
 
-impl Default for MbHarness {
-    fn default() -> Self {
-        MbHarness {
-            users: 2,
-            mutant: MbMutant::None,
-            workload: MbWorkload::DeliverVsPickup,
-            after_round: true,
-        }
-    }
-}
-
-/// The crate's expected-pass scenarios (correct system, every workload
+/// The crate's expected-pass scenarios (correct system, every program
 /// except the §8.3 slice race, which is expected to fail), under the
 /// registry names `"mailboat/..."`.
 pub fn scenarios() -> ScenarioSet {
     let mut set = ScenarioSet::new();
-    for (name, desc, workload) in [
+    for (name, desc, program) in [
         (
             "mailboat/single-deliver",
             "one delivery (smallest crash sweep)",
-            MbWorkload::SingleDeliver,
+            &SINGLE_DELIVER,
         ),
         (
             "mailboat/deliver-vs-pickup",
             "delivery racing a pickup+delete",
-            MbWorkload::DeliverVsPickup,
+            &DELIVER_VS_PICKUP,
         ),
         (
             "mailboat/two-delivers",
             "two deliveries racing on one user",
-            MbWorkload::TwoDelivers,
+            &TWO_DELIVERS,
         ),
         (
             "mailboat/two-users",
             "deliveries to two users racing a pickup",
-            MbWorkload::TwoUsers,
+            &TWO_USERS,
         ),
         (
             "mailboat/net-deliver",
             "courier delivering requests from an unreliable channel",
-            MbWorkload::NetDeliver,
+            &NET_DELIVER,
         ),
     ] {
-        set.add(
-            name,
-            desc,
-            MbHarness {
-                workload,
-                ..MbHarness::default()
-            },
-        );
+        let mutant = MbMutant::None;
+        set.add(name, desc, MbHarness { mutant, program });
     }
     set
 }
 
 /// The crate's expected-fail scenarios: mutants the checker must catch,
-/// plus the §8.3 slice race (a correct-system workload whose data race
+/// plus the §8.3 slice race (a correct-system program whose data race
 /// must be flagged as UB). Registry names `"mailboat/mutant/..."`.
 pub fn mutant_scenarios() -> ScenarioSet {
     let mut set = ScenarioSet::new();
-    for (name, desc, mutant, workload) in [
+    for (name, desc, mutant, program) in [
         (
             "mailboat/mutant/no-spool",
             "deliver without spool",
             MbMutant::NoSpool,
-            MbWorkload::DeliverVsPickup,
+            &DELIVER_VS_PICKUP,
         ),
         (
             "mailboat/mutant/commit-at-spool",
             "commit at spool write",
             MbMutant::CommitAtSpool,
-            MbWorkload::SingleDeliver,
+            &SINGLE_DELIVER,
         ),
         (
             "mailboat/mutant/skip-recovery-cleanup",
             "recovery skips spool cleanup",
             MbMutant::SkipRecoveryCleanup,
-            MbWorkload::SingleDeliver,
+            &SINGLE_DELIVER,
         ),
         (
             "mailboat/mutant/delete-without-lock",
             "delete without pickup lock",
             MbMutant::DeleteWithoutLock,
-            MbWorkload::DeliverVsPickup,
+            &DELIVER_VS_PICKUP,
         ),
         (
             "mailboat/mutant/slice-race",
             "§8.3 heap slice race (must be flagged as UB)",
             MbMutant::None,
-            MbWorkload::SliceRace,
+            &SLICE_RACE,
         ),
         (
             "mailboat/mutant/net-no-dedup",
             "courier without request dedup (duplicate delivery)",
             MbMutant::NetNoDedup,
-            MbWorkload::NetDeliver,
+            &NET_DELIVER,
         ),
     ] {
-        set.add(
-            name,
-            desc,
-            MbHarness {
-                mutant,
-                workload,
-                ..MbHarness::default()
-            },
-        );
+        set.add(name, desc, MbHarness { mutant, program });
     }
     set
+}
+
+/// Takes one step of a Mailboat program; `slice` is the slice-race
+/// program's heap slice. Every return of an operation is checked by the
+/// ghost engine against σ; only the courier's dedup is asserted here.
+pub fn step(sys: &VerifiedMailboat, w: &World<MailSpec>, s: &MbStep, slice: Option<Slice>) {
+    let slice = || slice.expect("a slice-race program's slice");
+    match *s {
+        Deliver(user, msg) => sys.deliver(w, user, msg),
+        Pickup(user) => _ = sys.pickup(w, user),
+        Unlock(user) => sys.unlock(w, user),
+        Drain(user) => {
+            for (id, _) in &sys.pickup(w, user) {
+                sys.delete(w, user, id);
+            }
+            sys.unlock(w, user);
+        }
+        NetSend(request) => sys.net().send(request.as_bytes()),
+        NetClose => sys.net().close(),
+        Courier => courier(sys, w),
+        DeliverSlice(user) => sys.deliver_slice(w, user, slice(), SLICE_MSG),
+        MutateSlice => sys.heap().slice_write(slice(), 0, b"ZZ"),
+    }
+}
+
+/// The [`Courier`] step.
+fn courier(sys: &VerifiedMailboat, w: &World<MailSpec>) {
+    let net = sys.net();
+    let dedup = sys.mutant() != MbMutant::NetNoDedup;
+    let mut seen = std::collections::BTreeSet::new();
+    // Bounded poll loop: finite under every schedule (a starved courier
+    // gives up, losing coverage but never correctness).
+    for _ in 0..64 {
+        match net.recv() {
+            Some(raw) => {
+                let text = String::from_utf8(raw).expect("utf8 request");
+                let (id, msg) = text.split_once(':').expect("framed request");
+                if !dedup || seen.insert(id.to_string()) {
+                    sys.deliver(w, 0, msg);
+                }
+            }
+            None => {
+                if net.finished() {
+                    break;
+                }
+            }
+        }
+    }
+    // At-most-once: whatever the channel did, no request may have been
+    // delivered twice.
+    let msgs = sys.pickup(w, 0);
+    let mut contents: Vec<_> = msgs.iter().map(|(_, c)| c.clone()).collect();
+    contents.sort();
+    contents.dedup();
+    assert_eq!(contents.len(), msgs.len(), "duplicate delivery: {msgs:?}");
+    sys.unlock(w, 0);
 }
 
 impl Harness<MailSpec> for MbHarness {
     type Sys = VerifiedMailboat;
 
     fn spec(&self) -> MailSpec {
-        MailSpec { users: self.users }
+        MailSpec { users: USERS }
     }
 
     fn make(&self, w: &World<MailSpec>) -> Script<VerifiedMailboat, MailSpec> {
-        let dirs = mail_dirs(self.users);
+        let dirs = mail_dirs(USERS);
         let dir_refs: Vec<&str> = dirs.iter().map(String::as_str).collect();
         let fs = ModelFs::new(Arc::clone(&w.rt), &dir_refs);
-        let mut script = Script::new(VerifiedMailboat::new(w, fs, self.users, self.mutant));
-        match self.workload {
-            MbWorkload::SingleDeliver => {
-                script.thread("deliver", |sys, w| sys.deliver(w, 0, "alpha-msg"));
-            }
-            MbWorkload::DeliverVsPickup => {
-                script.thread("deliver", |sys, w| sys.deliver(w, 0, "alpha"));
-                script.thread("pickup", |sys, w| {
-                    let msgs = sys.pickup(w, 0);
-                    for (id, contents) in &msgs {
-                        // Only complete messages are ever observable.
-                        assert_eq!(contents, "alpha", "partial message read");
-                        sys.delete(w, 0, id);
-                    }
-                    sys.unlock(w, 0);
-                });
-            }
-            MbWorkload::TwoDelivers => {
-                for (name, msg) in [("deliver-a", "alpha"), ("deliver-b", "bravo")] {
-                    script.thread(name, move |sys, w| sys.deliver(w, 0, msg));
-                }
-            }
-            MbWorkload::TwoUsers => {
-                script.thread("deliver-u0", |sys, w| sys.deliver(w, 0, "for-zero"));
-                script.thread("deliver-u1", |sys, w| sys.deliver(w, 1, "for-one"));
-                script.thread("pickup-u0", |sys, w| {
-                    let _ = sys.pickup(w, 0);
-                    sys.unlock(w, 0);
-                });
-            }
-            MbWorkload::NetDeliver => {
-                script.thread("net-client", |sys, _| {
-                    let net = sys.net();
-                    net.send(b"0:net-alpha");
-                    net.send(b"1:net-bravo");
-                    net.close();
-                });
-                let dedup = self.mutant != MbMutant::NetNoDedup;
-                script.thread("courier", move |sys, w| {
-                    let net = sys.net();
-                    let mut seen = std::collections::BTreeSet::new();
-                    // Bounded poll loop: finite under every schedule (a
-                    // starved courier gives up, losing coverage but never
-                    // correctness).
-                    for _ in 0..64 {
-                        match net.recv() {
-                            Some(raw) => {
-                                let text = String::from_utf8(raw).expect("utf8 request");
-                                let (id, msg) = text.split_once(':').expect("framed request");
-                                if !dedup || seen.insert(id.to_string()) {
-                                    sys.deliver(w, 0, msg);
-                                }
-                            }
-                            None => {
-                                if net.finished() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    // At-most-once: whatever the channel did, no request
-                    // may have been delivered twice.
-                    let msgs = sys.pickup(w, 0);
-                    let mut contents: Vec<_> = msgs.iter().map(|(_, c)| c.clone()).collect();
-                    contents.sort();
-                    contents.dedup();
-                    assert_eq!(contents.len(), msgs.len(), "duplicate delivery: {msgs:?}");
-                    sys.unlock(w, 0);
-                });
-            }
-            MbWorkload::SliceRace => {
-                let msg = "abcdefgh";
-                let slice = script.sys.heap().new_byte_slice(msg.as_bytes());
-                script.thread("deliver-slice", move |sys, w| {
-                    sys.deliver_slice(w, 0, slice, msg)
-                });
-                script.thread("slice-mutator", move |sys, _| {
-                    sys.heap().slice_write(slice, 0, b"ZZ");
-                });
-            }
-        }
-        if self.after_round {
-            script.after("post-crash", |sys, w| {
-                // Everything delivered before the crash must be readable
-                // (the pickup's ghost machinery checks the values).
-                let msgs = sys.pickup(w, 0);
-                for (id, _) in &msgs {
-                    sys.delete(w, 0, id);
-                }
-                sys.unlock(w, 0);
-                // And the system still works.
-                sys.deliver(w, 0, "post-crash-msg");
-                let msgs = sys.pickup(w, 0);
-                assert!(msgs.iter().any(|(_, c)| c == "post-crash-msg"));
-                sys.unlock(w, 0);
-            });
-        }
+        let mut script = Script::new(VerifiedMailboat::new(w, fs, USERS, self.mutant));
+        let slice = self
+            .program
+            .any(|s| *s == MutateSlice)
+            .then(|| script.sys.heap().new_byte_slice(SLICE_MSG.as_bytes()));
+        script.program(self.program, move |sys, w, s| step(sys, w, s, slice));
         script
     }
 
@@ -269,7 +280,9 @@ impl Harness<MailSpec> for MbHarness {
 
     fn fault_surface(&self) -> FaultSurface {
         FaultSurface {
-            net: self.workload == MbWorkload::NetDeliver,
+            net: self
+                .program
+                .any(|s| matches!(s, NetSend(_) | NetClose | Courier)),
             ..FaultSurface::none()
         }
     }

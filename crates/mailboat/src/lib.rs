@@ -28,7 +28,7 @@ pub mod spec;
 pub mod workload;
 
 pub use gomail::{CMailSim, GoMail};
-pub use harness::{mutant_scenarios, scenarios, MbHarness, MbWorkload};
+pub use harness::{mutant_scenarios, scenarios, MbHarness};
 pub use net::{LineClient, MailListener, Protocol};
 pub use proof::{MbMutant, VerifiedMailboat};
 pub use server::{mail_dirs, MailServer, Mailboat, Message};

@@ -108,6 +108,12 @@ impl VerifiedMailboat {
         }
     }
 
+    /// Which mutant this is: the courier program's dedup is off under
+    /// [`MbMutant::NetNoDedup`].
+    pub fn mutant(&self) -> MbMutant {
+        self.mutant
+    }
+
     /// The process's heap (workloads allocate message slices in it).
     pub fn heap(&self) -> &Heap {
         &self.heap

@@ -1,9 +1,19 @@
 //! Model-checking Mailboat (§8): concurrency, crash sweeps, the §8.3
 //! undefined-behaviour argument, and mutants.
 
-use mailboat::harness::{MbHarness, MbWorkload};
+use mailboat::harness::{MbHarness, MbStep};
+use mailboat::harness::{DELIVER_VS_PICKUP, NET_DELIVER, SINGLE_DELIVER, TWO_DELIVERS, TWO_USERS};
 use mailboat::proof::MbMutant;
-use perennial_checker::{check, CheckConfig, ExecOutcome, Pass};
+use perennial_checker::{check, CheckConfig, ExecOutcome, Pass, Program};
+
+/// The §8.3 slice race without a post-recovery round.
+static SLICE_RACE: Program<MbStep> = Program {
+    threads: &[
+        ("deliver-slice", &[MbStep::DeliverSlice(0)]),
+        ("slice-mutator", &[MbStep::MutateSlice]),
+    ],
+    after: &[],
+};
 
 fn cfg() -> CheckConfig {
     CheckConfig::builder()
@@ -27,7 +37,13 @@ fn cfg_no_crash() -> CheckConfig {
 
 #[test]
 fn deliver_vs_pickup_passes() {
-    let report = check(&MbHarness::default(), &cfg());
+    let report = check(
+        &MbHarness {
+            mutant: MbMutant::None,
+            program: &DELIVER_VS_PICKUP,
+        },
+        &cfg(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -40,8 +56,8 @@ fn deliver_vs_pickup_passes() {
 #[test]
 fn two_delivers_same_user_pass() {
     let h = MbHarness {
-        workload: MbWorkload::TwoDelivers,
-        ..MbHarness::default()
+        mutant: MbMutant::None,
+        program: &TWO_DELIVERS,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -54,8 +70,8 @@ fn two_delivers_same_user_pass() {
 #[test]
 fn two_users_with_pickup_pass() {
     let h = MbHarness {
-        workload: MbWorkload::TwoUsers,
-        ..MbHarness::default()
+        mutant: MbMutant::None,
+        program: &TWO_USERS,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -69,9 +85,8 @@ fn two_users_with_pickup_pass() {
 fn single_deliver_crash_during_recovery() {
     // §5.5 idempotence for Mailboat's recovery (spool cleanup).
     let h = MbHarness {
-        workload: MbWorkload::SingleDeliver,
-        after_round: true,
-        ..MbHarness::default()
+        mutant: MbMutant::None,
+        program: &SINGLE_DELIVER,
     };
     let report = check(
         &h,
@@ -95,9 +110,8 @@ fn sec8_3_slice_race_is_flagged_as_ub() {
     // message slice during Deliver is UB; the checker must find the
     // interleaving and classify it as such (not as a refinement bug).
     let h = MbHarness {
-        workload: MbWorkload::SliceRace,
-        after_round: false,
-        ..MbHarness::default()
+        mutant: MbMutant::None,
+        program: &SLICE_RACE,
     };
     let report = check(&h, &cfg_no_crash());
     let cx = report.counterexample.expect("slice race must be detected");
@@ -118,15 +132,12 @@ fn mutant_no_spool_caught() {
     // partial message (or a crash leave one behind).
     let h = MbHarness {
         mutant: MbMutant::NoSpool,
-        ..MbHarness::default()
+        program: &DELIVER_VS_PICKUP,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("no-spool must be caught");
     assert!(
-        matches!(
-            cx.outcome,
-            ExecOutcome::Violation(_) | ExecOutcome::Bug(_) | ExecOutcome::FinalCheckFailed(_)
-        ),
+        matches!(cx.outcome, ExecOutcome::Violation(_)),
         "unexpected outcome {:?}",
         cx.outcome
     );
@@ -137,9 +148,8 @@ fn mutant_commit_at_spool_caught() {
     // Premature linearization: a crash between the spool write and the
     // link loses a committed message.
     let h = MbHarness {
-        workload: MbWorkload::SingleDeliver,
         mutant: MbMutant::CommitAtSpool,
-        ..MbHarness::default()
+        program: &SINGLE_DELIVER,
     };
     let report = check(&h, &cfg());
     let cx = report
@@ -151,9 +161,8 @@ fn mutant_commit_at_spool_caught() {
 #[test]
 fn mutant_skip_recovery_cleanup_caught() {
     let h = MbHarness {
-        workload: MbWorkload::SingleDeliver,
         mutant: MbMutant::SkipRecoveryCleanup,
-        ..MbHarness::default()
+        program: &SINGLE_DELIVER,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("skip-cleanup must be caught");
@@ -169,14 +178,14 @@ fn mutant_skip_recovery_cleanup_caught() {
 fn mutant_delete_without_lock_caught() {
     let h = MbHarness {
         mutant: MbMutant::DeleteWithoutLock,
-        ..MbHarness::default()
+        program: &DELIVER_VS_PICKUP,
     };
     let report = check(&h, &cfg_no_crash());
     let cx = report
         .counterexample
         .expect("delete-without-lock must be caught");
     assert!(
-        matches!(cx.outcome, ExecOutcome::Violation(_) | ExecOutcome::Bug(_)),
+        matches!(cx.outcome, ExecOutcome::Violation(_)),
         "unexpected outcome {:?}",
         cx.outcome
     );
@@ -202,8 +211,8 @@ fn net_deliver_passes_with_and_without_faults() {
     // The deduplicating courier is correct under a reliable channel and
     // under every single-fault plan (drop, duplicate, delay).
     let h = MbHarness {
-        workload: MbWorkload::NetDeliver,
-        ..MbHarness::default()
+        mutant: MbMutant::None,
+        program: &NET_DELIVER,
     };
     let report = check(&h, &cfg());
     assert!(report.passed(), "reliable: {:?}", report.counterexample);
@@ -217,8 +226,7 @@ fn net_no_dedup_invisible_without_fault_sweep() {
     // unobservable without the net-fault sweep.
     let h = MbHarness {
         mutant: MbMutant::NetNoDedup,
-        workload: MbWorkload::NetDeliver,
-        ..MbHarness::default()
+        program: &NET_DELIVER,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -232,8 +240,7 @@ fn net_no_dedup_invisible_without_fault_sweep() {
 fn net_no_dedup_caught_by_net_fault_sweep() {
     let h = MbHarness {
         mutant: MbMutant::NetNoDedup,
-        workload: MbWorkload::NetDeliver,
-        ..MbHarness::default()
+        program: &NET_DELIVER,
     };
     let report = check(&h, &cfg_faults());
     let cx = report

@@ -21,12 +21,13 @@ use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::owner::OwnerCell;
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Harness, Script, System, World};
+use perennial_checker::{Harness, Program, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
 use perennial_disk::Block;
 use perennial_spec::{ReplayError, SpecTS, Step, Transition};
 use std::sync::Arc;
+use GcStep::{Append, Flush, ReadAll};
 
 /// Maximum entries the on-disk log holds.
 pub const CAP: u64 = 8;
@@ -339,17 +340,44 @@ impl System<GcSpec> for GroupCommitLog {
     }
 }
 
-/// Checker harness for group commit.
+/// One step of a group-commit program: the spec's operations plus the
+/// flush, which is not one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GcStep {
+    /// `append(v)`.
+    Append(u64),
+    /// `flush()`: the buffered entries made durable as one batch.
+    Flush,
+    /// `read_all()`.
+    ReadAll,
+}
+
+/// Two appenders, one of them flushing around its append, and a
+/// reader; after recovery, whatever survived, appending and flushing
+/// still work.
+pub static APPEND_FLUSH: Program<GcStep> = Program {
+    threads: &[
+        ("appender-a", &[Append(1), Append(2)]),
+        ("flusher", &[Flush, Append(3), Flush]),
+        ("reader", &[ReadAll]),
+    ],
+    after: &[ReadAll, Append(9), Flush, ReadAll],
+};
+
+/// Checker harness for group commit: a mutant and the program it runs.
 pub struct GcHarness {
     /// Which mutant to run.
     pub mutant: GcMutant,
+    /// The workload.
+    pub program: &'static Program<GcStep>,
 }
 
-impl Default for GcHarness {
-    fn default() -> Self {
-        GcHarness {
-            mutant: GcMutant::None,
-        }
+/// Takes one step of a group-commit program.
+pub fn step(sys: &GroupCommitLog, w: &World<GcSpec>, s: &GcStep) {
+    match *s {
+        Append(v) => sys.append(w, v),
+        Flush => sys.flush(w),
+        ReadAll => _ = sys.read_all(w),
     }
 }
 
@@ -363,28 +391,7 @@ impl Harness<GcSpec> for GcHarness {
     fn make(&self, w: &World<GcSpec>) -> Script<GroupCommitLog, GcSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), GroupCommitLog::NBLOCKS, 8);
         let mut script = Script::new(GroupCommitLog::new(w, disk, self.mutant));
-        script.thread("appender-a", |sys, w| {
-            sys.append(w, 1);
-            sys.append(w, 2);
-        });
-        script.thread("flusher", |sys, w| {
-            sys.flush(w);
-            sys.append(w, 3);
-            sys.flush(w);
-        });
-        script.thread("reader", |sys, w| {
-            let _ = sys.read_all(w);
-        });
-        script.after("post-crash", |sys, w| {
-            // Whatever survived, appending and flushing still works and
-            // reads reflect the spec.
-            let before = sys.read_all(w);
-            sys.append(w, 9);
-            sys.flush(w);
-            let after = sys.read_all(w);
-            assert_eq!(after.len(), before.len() + 1);
-            assert_eq!(*after.last().unwrap(), 9);
-        });
+        script.program(self.program, step);
         script
     }
 
@@ -393,10 +400,6 @@ impl Harness<GcSpec> for GcHarness {
     }
 
     fn fault_surface(&self) -> FaultSurface {
-        FaultSurface {
-            transient_disk_io: true,
-            torn_writes: true,
-            ..FaultSurface::none()
-        }
+        crate::BUFFERED_DISK
     }
 }

@@ -24,43 +24,69 @@ pub use synced_log::{SlHarness, SlMutant, SyncedLog};
 pub use txn_wal::{TxnHarness, TxnMutant, TxnWal};
 pub use wal::{WalHarness, WalMutant, WalPair};
 
-use perennial_checker::ScenarioSet;
+use goose_rt::fault::FaultSurface;
+use perennial_checker::{PanicOnReset, ScenarioSet};
+
+/// The fault surface of the patterns over a `BufferedDisk`: transient
+/// I/O errors and torn writes.
+const BUFFERED_DISK: FaultSurface = FaultSurface {
+    transient_disk_io: true,
+    torn_writes: true,
+    two_disk: false,
+    net: false,
+};
 
 /// The crate's expected-pass scenarios (each pattern's correct
-/// implementation under its default workload), under the registry names
-/// `"patterns/..."`.
+/// implementation under its program with a reader), under the registry
+/// names `"patterns/..."`.
 pub fn scenarios() -> ScenarioSet {
     let mut set = ScenarioSet::new();
     set.add(
         "patterns/shadow",
         "shadow-copy pair update",
-        ShadowHarness::default(),
+        ShadowHarness {
+            mutant: ShadowMutant::None,
+            program: &shadow::PUT_GET,
+        },
     );
     set.add(
         "patterns/wal",
         "write-ahead-logged pair update",
-        WalHarness::default(),
+        WalHarness {
+            mutant: WalMutant::None,
+            program: &wal::PUT_GET,
+        },
     );
     set.add(
         "patterns/txn-wal",
         "transactional WAL over two addresses",
-        TxnHarness::default(),
+        TxnHarness {
+            mutant: TxnMutant::None,
+            program: &txn_wal::COMMIT_READ,
+        },
     );
     set.add(
         "patterns/group-commit",
         "group commit with deferred durability",
-        GcHarness::default(),
+        GcHarness {
+            mutant: GcMutant::None,
+            program: &group_commit::APPEND_FLUSH,
+        },
     );
     set.add(
         "patterns/synced-log",
         "synced log with deferred durability",
-        SlHarness::default(),
+        SlHarness {
+            mutant: SlMutant::None,
+            program: &synced_log::APPEND_SYNC,
+        },
     );
     set
 }
 
-/// The crate's expected-fail scenarios (mutants the checker must catch),
-/// under the registry names `"patterns/mutant/..."`.
+/// The crate's expected-fail scenarios (mutants the checker must catch,
+/// each writer without its reader), under the registry names
+/// `"patterns/mutant/..."`.
 pub fn mutant_scenarios() -> ScenarioSet {
     let mut set = ScenarioSet::new();
     for (name, desc, mutant) in [
@@ -75,14 +101,8 @@ pub fn mutant_scenarios() -> ScenarioSet {
             ShadowMutant::InPlace,
         ),
     ] {
-        set.add(
-            name,
-            desc,
-            ShadowHarness {
-                mutant,
-                with_reader: false,
-            },
-        );
+        let program = &shadow::PUT;
+        set.add(name, desc, ShadowHarness { mutant, program });
     }
     for (name, desc, mutant) in [
         (
@@ -106,14 +126,8 @@ pub fn mutant_scenarios() -> ScenarioSet {
             WalMutant::SkipCommitFlush,
         ),
     ] {
-        set.add(
-            name,
-            desc,
-            WalHarness {
-                mutant,
-                with_reader: false,
-            },
-        );
+        let program = &wal::PUT;
+        set.add(name, desc, WalHarness { mutant, program });
     }
     for (name, desc, mutant) in [
         (
@@ -127,7 +141,8 @@ pub fn mutant_scenarios() -> ScenarioSet {
             GcMutant::FakeDurability,
         ),
     ] {
-        set.add(name, desc, GcHarness { mutant });
+        let program = &group_commit::APPEND_FLUSH;
+        set.add(name, desc, GcHarness { mutant, program });
     }
     for (name, desc, mutant) in [
         (
@@ -146,14 +161,8 @@ pub fn mutant_scenarios() -> ScenarioSet {
             TxnMutant::PartialRecoveryApply,
         ),
     ] {
-        set.add(
-            name,
-            desc,
-            TxnHarness {
-                mutant,
-                with_reader: false,
-            },
-        );
+        let program = &txn_wal::COMMIT;
+        set.add(name, desc, TxnHarness { mutant, program });
     }
     for (name, desc, mutant) in [
         (
@@ -167,7 +176,8 @@ pub fn mutant_scenarios() -> ScenarioSet {
             SlMutant::SkipDirSync,
         ),
     ] {
-        set.add(name, desc, SlHarness { mutant });
+        let program = &synced_log::APPEND_SYNC;
+        set.add(name, desc, SlHarness { mutant, program });
     }
     // Not a bug in the code under test but in the *scenario*: the crash
     // hook panics. Campaigns must isolate it (ExecOutcome::HarnessPanic) and
@@ -175,7 +185,10 @@ pub fn mutant_scenarios() -> ScenarioSet {
     set.add(
         "patterns/mutant/panic-reset",
         "harness crash hook panics (campaign isolation)",
-        perennial_checker::PanicOnReset(ShadowHarness::default()),
+        PanicOnReset(ShadowHarness {
+            mutant: ShadowMutant::None,
+            program: &shadow::PUT_GET,
+        }),
     );
     set
 }

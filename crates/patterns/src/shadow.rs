@@ -20,11 +20,12 @@ use crate::pair_spec::{dec, enc, PairOp, PairRet, PairSpec};
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Harness, Script, System, World};
+use perennial_checker::{Harness, Program, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
 use perennial_disk::Block;
 use std::sync::Arc;
+use PairOp::{Get, Put};
 
 /// Deliberate bugs for mutation tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,20 +204,37 @@ impl System<PairSpec> for ShadowPair {
     }
 }
 
-/// Checker harness for the shadow-copy pattern.
+/// The post-recovery round: read first (whatever committed before the
+/// crash must be visible now), then update and read again.
+const AFTER: &[PairOp] = &[Get, Put(10, 11), Get];
+
+/// A putter and a concurrent getter: atomicity means the getter never
+/// sees a torn pair.
+pub static PUT_GET: Program<PairOp> = Program {
+    threads: &[("putter", &[Put(7, 8)]), ("getter", &[Get])],
+    after: AFTER,
+};
+
+/// The putter alone.
+pub static PUT: Program<PairOp> = Program {
+    threads: &[("putter", &[Put(7, 8)])],
+    after: AFTER,
+};
+
+/// Checker harness for the shadow-copy pattern: a mutant and the
+/// program it runs.
 pub struct ShadowHarness {
     /// Which mutant to run.
     pub mutant: ShadowMutant,
-    /// Include a concurrent reader thread.
-    pub with_reader: bool,
+    /// The workload.
+    pub program: &'static Program<PairOp>,
 }
 
-impl Default for ShadowHarness {
-    fn default() -> Self {
-        ShadowHarness {
-            mutant: ShadowMutant::None,
-            with_reader: true,
-        }
+/// Takes one step of a pair program.
+pub fn step(sys: &ShadowPair, w: &World<PairSpec>, op: &PairOp) {
+    match *op {
+        Put(a, b) => sys.put(w, a, b),
+        Get => _ = sys.get(w),
     }
 }
 
@@ -230,22 +248,7 @@ impl Harness<PairSpec> for ShadowHarness {
     fn make(&self, w: &World<PairSpec>) -> Script<ShadowPair, PairSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), ShadowPair::NBLOCKS, 8);
         let mut script = Script::new(ShadowPair::new(w, disk, self.mutant));
-        script.thread("putter", |sys, w| sys.put(w, 7, 8));
-        if self.with_reader {
-            script.thread("getter", |sys, w| {
-                let (a, b) = sys.get(w);
-                // Atomicity: never a torn pair.
-                assert!((a, b) == (0, 0) || (a, b) == (7, 8), "torn pair ({a},{b})");
-            });
-        }
-        script.after("post-crash", |sys, w| {
-            // Read first: whatever committed before the crash must be
-            // visible now (the get's finish_op checks the value against
-            // the spec state).
-            let _ = sys.get(w);
-            sys.put(w, 10, 11);
-            assert_eq!(sys.get(w), (10, 11));
-        });
+        script.program(self.program, step);
         script
     }
 
@@ -254,10 +257,6 @@ impl Harness<PairSpec> for ShadowHarness {
     }
 
     fn fault_surface(&self) -> FaultSurface {
-        FaultSurface {
-            transient_disk_io: true,
-            torn_writes: true,
-            ..FaultSurface::none()
-        }
+        crate::BUFFERED_DISK
     }
 }

@@ -20,9 +20,10 @@ use goose_rt::fs::{BufferedFs, DirH, Fd, FileSys};
 use goose_rt::runtime::{GLock, ModelRtExt};
 use parking_lot::owner::OwnerCell;
 use perennial::GhostUnwrap;
-use perennial_checker::{Harness, Script, System, World};
+use perennial_checker::{Harness, Program, Script, System, World};
 use perennial_spec::{SpecTS, Step, Transition};
 use std::sync::Arc;
+use SlStep::{Append, AppendSynced, ReadAll};
 
 /// Abstract state of the synced log.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -334,17 +335,46 @@ impl System<SlSpec> for SyncedLog {
     }
 }
 
-/// Checker harness for the synced log.
+/// One step of a synced-log program: the spec's operations, each record
+/// given as static bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlStep {
+    /// `append(rec)`.
+    Append(&'static [u8]),
+    /// `append_synced(rec)`.
+    AppendSynced(&'static [u8]),
+    /// `read_all()`.
+    ReadAll,
+}
+
+/// A writer mixing unsynced and synced appends, and a reader; after
+/// recovery, everything the spec says survived is readable and a synced
+/// append still lands.
+pub static APPEND_SYNC: Program<SlStep> = Program {
+    threads: &[
+        (
+            "writer",
+            &[Append(b"v1"), AppendSynced(b"d1"), Append(b"v2")],
+        ),
+        ("reader", &[ReadAll]),
+    ],
+    after: &[ReadAll, AppendSynced(b"post"), ReadAll],
+};
+
+/// Checker harness for the synced log: a mutant and the program it runs.
 pub struct SlHarness {
     /// Which mutant to run.
     pub mutant: SlMutant,
+    /// The workload.
+    pub program: &'static Program<SlStep>,
 }
 
-impl Default for SlHarness {
-    fn default() -> Self {
-        SlHarness {
-            mutant: SlMutant::None,
-        }
+/// Takes one step of a synced-log program.
+pub fn step(sys: &SyncedLog, w: &World<SlSpec>, s: &SlStep) {
+    match *s {
+        Append(rec) => sys.append(w, rec),
+        AppendSynced(rec) => sys.append_synced(w, rec),
+        ReadAll => _ = sys.read_all(w),
     }
 }
 
@@ -358,21 +388,7 @@ impl Harness<SlSpec> for SlHarness {
     fn make(&self, w: &World<SlSpec>) -> Script<SyncedLog, SlSpec> {
         let fs = BufferedFs::new(Arc::clone(&w.rt), &["d"]);
         let mut script = Script::new(SyncedLog::new(w, fs, self.mutant));
-        script.thread("writer", |sys, w| {
-            sys.append(w, b"v1");
-            sys.append_synced(w, b"d1");
-            sys.append(w, b"v2");
-        });
-        script.thread("reader", |sys, w| {
-            let _ = sys.read_all(w);
-        });
-        script.after("post-crash", |sys, w| {
-            // Everything the spec says survived must be readable.
-            let _ = sys.read_all(w);
-            sys.append_synced(w, b"post");
-            let recs = sys.read_all(w);
-            assert_eq!(recs.last().map(|r| r.as_slice()), Some(&b"post"[..]));
-        });
+        script.program(self.program, step);
         script
     }
 

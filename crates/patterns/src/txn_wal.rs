@@ -24,13 +24,14 @@
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Harness, Script, System, World};
+use perennial_checker::{Harness, Program, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
 use perennial_disk::Block;
 use perennial_spec::{ReplayError, SpecTS, Step, Transition};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use TxnStep::{Commit, Read};
 
 /// Maximum (address, value) pairs per transaction.
 pub const MAX_TXN: u64 = 4;
@@ -329,20 +330,57 @@ impl System<TxnSpec> for TxnWal {
     }
 }
 
-/// Checker harness for the transactional WAL.
+/// One step of a transactional-WAL program: the spec's operations, a
+/// transaction's writes given as a static list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxnStep {
+    /// `commit_txn(writes)`.
+    Commit(&'static [(u64, u64)]),
+    /// `read(addr)`.
+    Read(u64),
+}
+
+/// The post-recovery round: reads first (committed state survived),
+/// then another transaction and reads of what it wrote.
+const AFTER: &[TxnStep] = &[
+    Read(0),
+    Read(4),
+    Commit(&[(1, 11), (5, 55)]),
+    Read(1),
+    Read(5),
+];
+
+/// A three-write transaction and a concurrent reader of two of its
+/// addresses, which may see it commit between its reads but never see
+/// it torn back out.
+pub static COMMIT_READ: Program<TxnStep> = Program {
+    threads: &[
+        ("txn-writer", &[Commit(&[(0, 10), (2, 20), (4, 40)])]),
+        ("reader", &[Read(0), Read(2)]),
+    ],
+    after: AFTER,
+};
+
+/// The transaction alone.
+pub static COMMIT: Program<TxnStep> = Program {
+    threads: &[("txn-writer", &[Commit(&[(0, 10), (2, 20), (4, 40)])])],
+    after: AFTER,
+};
+
+/// Checker harness for the transactional WAL: a mutant and the program
+/// it runs.
 pub struct TxnHarness {
     /// Which mutant to run.
     pub mutant: TxnMutant,
-    /// Include a concurrent reader thread.
-    pub with_reader: bool,
+    /// The workload.
+    pub program: &'static Program<TxnStep>,
 }
 
-impl Default for TxnHarness {
-    fn default() -> Self {
-        TxnHarness {
-            mutant: TxnMutant::None,
-            with_reader: true,
-        }
+/// Takes one step of a transactional-WAL program.
+pub fn step(sys: &TxnWal, w: &World<TxnSpec>, s: &TxnStep) {
+    match *s {
+        Commit(writes) => sys.commit_txn(w, writes),
+        Read(a) => _ = sys.read(w, a),
     }
 }
 
@@ -356,33 +394,7 @@ impl Harness<TxnSpec> for TxnHarness {
     fn make(&self, w: &World<TxnSpec>) -> Script<TxnWal, TxnSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), TxnWal::NBLOCKS, 8);
         let mut script = Script::new(TxnWal::new(w, disk, self.mutant));
-        script.thread("txn-writer", |sys, w| {
-            sys.commit_txn(w, &[(0, 10), (2, 20), (4, 40)])
-        });
-        if self.with_reader {
-            script.thread("reader", |sys, w| {
-                // Two separate reads: the txn may commit in between (0
-                // then 20 is legal), but the reverse order would mean the
-                // committed transaction was torn back out.
-                let v0 = sys.read(w, 0);
-                let v2 = sys.read(w, 2);
-                assert!(v0 == 0 || v0 == 10, "impossible data[0] = {v0}");
-                assert!(v2 == 0 || v2 == 20, "impossible data[2] = {v2}");
-                assert!(
-                    !(v0 == 10 && v2 == 0),
-                    "transaction unwound between reads: ({v0},{v2})"
-                );
-            });
-        }
-        script.after("post-crash", |sys, w| {
-            // Read first (validates committed state survived), then run
-            // another transaction.
-            let _ = sys.read(w, 0);
-            let _ = sys.read(w, 4);
-            sys.commit_txn(w, &[(1, 11), (5, 55)]);
-            assert_eq!(sys.read(w, 1), 11);
-            assert_eq!(sys.read(w, 5), 55);
-        });
+        script.program(self.program, step);
         script
     }
 
@@ -391,11 +403,7 @@ impl Harness<TxnSpec> for TxnHarness {
     }
 
     fn fault_surface(&self) -> FaultSurface {
-        FaultSurface {
-            transient_disk_io: true,
-            torn_writes: true,
-            ..FaultSurface::none()
-        }
+        crate::BUFFERED_DISK
     }
 }
 

@@ -33,11 +33,12 @@ use crate::pair_spec::{dec, enc, PairOp, PairRet, PairSpec};
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::{GLock, ModelRtExt};
 use perennial::{DurId, GhostUnwrap, Lease, LockInv};
-use perennial_checker::{Harness, Script, System, World};
+use perennial_checker::{Harness, Program, Script, System, World};
 use perennial_disk::buffered::{BufferedDisk, BufferedImage};
 use perennial_disk::single::SingleDisk;
 use perennial_disk::Block;
 use std::sync::Arc;
+use PairOp::{Get, Put};
 
 /// Helping key for the single in-flight transaction (the global lock
 /// admits one at a time).
@@ -261,20 +262,37 @@ impl System<PairSpec> for WalPair {
     }
 }
 
-/// Checker harness for the write-ahead-log pattern.
+/// The post-recovery round: read first (a committed-but-unapplied
+/// transaction must have been completed by recovery and be visible
+/// here), then update and read again.
+const AFTER: &[PairOp] = &[Get, Put(20, 21), Get];
+
+/// A putter and a concurrent getter.
+pub static PUT_GET: Program<PairOp> = Program {
+    threads: &[("putter", &[Put(5, 6)]), ("getter", &[Get])],
+    after: AFTER,
+};
+
+/// The putter alone.
+pub static PUT: Program<PairOp> = Program {
+    threads: &[("putter", &[Put(5, 6)])],
+    after: AFTER,
+};
+
+/// Checker harness for the write-ahead-log pattern: a mutant and the
+/// program it runs.
 pub struct WalHarness {
     /// Which mutant to run.
     pub mutant: WalMutant,
-    /// Include a concurrent reader thread.
-    pub with_reader: bool,
+    /// The workload.
+    pub program: &'static Program<PairOp>,
 }
 
-impl Default for WalHarness {
-    fn default() -> Self {
-        WalHarness {
-            mutant: WalMutant::None,
-            with_reader: true,
-        }
+/// Takes one step of a pair program.
+pub fn step(sys: &WalPair, w: &World<PairSpec>, op: &PairOp) {
+    match *op {
+        Put(a, b) => sys.put(w, a, b),
+        Get => _ = sys.get(w),
     }
 }
 
@@ -288,20 +306,7 @@ impl Harness<PairSpec> for WalHarness {
     fn make(&self, w: &World<PairSpec>) -> Script<WalPair, PairSpec> {
         let disk = BufferedDisk::new(Arc::clone(&w.rt), WalPair::NBLOCKS, 8);
         let mut script = Script::new(WalPair::new(w, disk, self.mutant));
-        script.thread("putter", |sys, w| sys.put(w, 5, 6));
-        if self.with_reader {
-            script.thread("getter", |sys, w| {
-                let (a, b) = sys.get(w);
-                assert!((a, b) == (0, 0) || (a, b) == (5, 6), "torn pair ({a},{b})");
-            });
-        }
-        script.after("post-crash", |sys, w| {
-            // Read first: a committed-but-unapplied transaction must have
-            // been completed by recovery and be visible here.
-            let _ = sys.get(w);
-            sys.put(w, 20, 21);
-            assert_eq!(sys.get(w), (20, 21));
-        });
+        script.program(self.program, step);
         script
     }
 
@@ -310,10 +315,6 @@ impl Harness<PairSpec> for WalHarness {
     }
 
     fn fault_surface(&self) -> FaultSurface {
-        FaultSurface {
-            transient_disk_io: true,
-            torn_writes: true,
-            ..FaultSurface::none()
-        }
+        crate::BUFFERED_DISK
     }
 }

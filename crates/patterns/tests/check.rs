@@ -1,9 +1,9 @@
 //! Model-checking the three crash-safety patterns (Table 3 of the
 //! paper), with mutation tests for each.
 
-use crash_patterns::group_commit::{GcHarness, GcMutant};
-use crash_patterns::shadow::{ShadowHarness, ShadowMutant};
-use crash_patterns::wal::{WalHarness, WalMutant};
+use crash_patterns::group_commit::{self, GcHarness, GcMutant};
+use crash_patterns::shadow::{self, ShadowHarness, ShadowMutant};
+use crash_patterns::wal::{self, WalHarness, WalMutant};
 use perennial_checker::{check, CheckConfig, ExecOutcome, Pass};
 
 fn cfg() -> CheckConfig {
@@ -29,7 +29,13 @@ fn cfg_nested() -> CheckConfig {
 
 #[test]
 fn shadow_copy_passes() {
-    let report = check(&ShadowHarness::default(), &cfg());
+    let report = check(
+        &ShadowHarness {
+            mutant: ShadowMutant::None,
+            program: &shadow::PUT_GET,
+        },
+        &cfg(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -41,8 +47,8 @@ fn shadow_copy_passes() {
 #[test]
 fn shadow_copy_crash_during_recovery() {
     let h = ShadowHarness {
-        with_reader: false,
-        ..ShadowHarness::default()
+        mutant: ShadowMutant::None,
+        program: &shadow::PUT,
     };
     let report = check(&h, &cfg_nested());
     assert!(
@@ -56,7 +62,7 @@ fn shadow_copy_crash_during_recovery() {
 fn shadow_mutant_flip_first_caught() {
     let h = ShadowHarness {
         mutant: ShadowMutant::FlipFirst,
-        with_reader: false,
+        program: &shadow::PUT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("flip-first must be caught");
@@ -67,7 +73,7 @@ fn shadow_mutant_flip_first_caught() {
 fn shadow_mutant_in_place_caught() {
     let h = ShadowHarness {
         mutant: ShadowMutant::InPlace,
-        with_reader: false,
+        program: &shadow::PUT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("in-place must be caught");
@@ -80,7 +86,13 @@ fn shadow_mutant_in_place_caught() {
 
 #[test]
 fn wal_passes_and_uses_helping() {
-    let report = check(&WalHarness::default(), &cfg());
+    let report = check(
+        &WalHarness {
+            mutant: WalMutant::None,
+            program: &wal::PUT_GET,
+        },
+        &cfg(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -97,8 +109,8 @@ fn wal_passes_and_uses_helping() {
 #[test]
 fn wal_crash_during_recovery() {
     let h = WalHarness {
-        with_reader: false,
-        ..WalHarness::default()
+        mutant: WalMutant::None,
+        program: &wal::PUT,
     };
     let report = check(&h, &cfg_nested());
     assert!(
@@ -112,7 +124,7 @@ fn wal_crash_during_recovery() {
 fn wal_mutant_skip_recovery_apply_caught() {
     let h = WalHarness {
         mutant: WalMutant::SkipRecoveryApply,
-        with_reader: false,
+        program: &wal::PUT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("skip-apply must be caught");
@@ -123,7 +135,7 @@ fn wal_mutant_skip_recovery_apply_caught() {
 fn wal_mutant_header_first_caught() {
     let h = WalHarness {
         mutant: WalMutant::HeaderFirst,
-        with_reader: false,
+        program: &wal::PUT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("header-first must be caught");
@@ -134,7 +146,7 @@ fn wal_mutant_header_first_caught() {
 fn wal_mutant_skip_helping_caught() {
     let h = WalHarness {
         mutant: WalMutant::SkipHelping,
-        with_reader: false,
+        program: &wal::PUT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("skip-helping must be caught");
@@ -151,7 +163,13 @@ fn wal_mutant_skip_helping_caught() {
 
 #[test]
 fn group_commit_passes() {
-    let report = check(&GcHarness::default(), &cfg());
+    let report = check(
+        &GcHarness {
+            mutant: GcMutant::None,
+            program: &group_commit::APPEND_FLUSH,
+        },
+        &cfg(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -164,6 +182,7 @@ fn group_commit_passes() {
 fn group_commit_mutant_count_first_caught() {
     let h = GcHarness {
         mutant: GcMutant::CountFirst,
+        program: &group_commit::APPEND_FLUSH,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("count-first must be caught");
@@ -174,6 +193,7 @@ fn group_commit_mutant_count_first_caught() {
 fn group_commit_mutant_fake_durability_caught() {
     let h = GcHarness {
         mutant: GcMutant::FakeDurability,
+        program: &group_commit::APPEND_FLUSH,
     };
     let report = check(&h, &cfg());
     let cx = report
@@ -193,11 +213,17 @@ fn group_commit_mutant_fake_durability_caught() {
 // Transactional WAL (multi-block extension of the pattern).
 // ---------------------------------------------------------------------
 
-use crash_patterns::txn_wal::{TxnHarness, TxnMutant};
+use crash_patterns::txn_wal::{self, TxnHarness, TxnMutant};
 
 #[test]
 fn txn_wal_passes_and_uses_helping() {
-    let report = check(&TxnHarness::default(), &cfg());
+    let report = check(
+        &TxnHarness {
+            mutant: TxnMutant::None,
+            program: &txn_wal::COMMIT_READ,
+        },
+        &cfg(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -212,8 +238,8 @@ fn txn_wal_passes_and_uses_helping() {
 #[test]
 fn txn_wal_crash_during_recovery() {
     let h = TxnHarness {
-        with_reader: false,
-        ..TxnHarness::default()
+        mutant: TxnMutant::None,
+        program: &txn_wal::COMMIT,
     };
     let report = check(&h, &cfg_nested());
     assert!(
@@ -227,7 +253,7 @@ fn txn_wal_crash_during_recovery() {
 fn txn_wal_mutant_no_log_caught() {
     let h = TxnHarness {
         mutant: TxnMutant::NoLog,
-        with_reader: false,
+        program: &txn_wal::COMMIT,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("no-log must be caught");
@@ -238,7 +264,7 @@ fn txn_wal_mutant_no_log_caught() {
 fn txn_wal_mutant_header_first_caught() {
     let h = TxnHarness {
         mutant: TxnMutant::HeaderFirst,
-        with_reader: false,
+        program: &txn_wal::COMMIT,
     };
     let report = check(&h, &cfg());
     report.counterexample.expect("header-first must be caught");
@@ -248,7 +274,7 @@ fn txn_wal_mutant_header_first_caught() {
 fn txn_wal_mutant_partial_recovery_caught() {
     let h = TxnHarness {
         mutant: TxnMutant::PartialRecoveryApply,
-        with_reader: false,
+        program: &txn_wal::COMMIT,
     };
     let report = check(&h, &cfg());
     let cx = report
@@ -261,11 +287,17 @@ fn txn_wal_mutant_partial_recovery_caught() {
 // Synced log over the deferred-durability FS (§6.2 future work, built).
 // ---------------------------------------------------------------------
 
-use crash_patterns::synced_log::{SlHarness, SlMutant};
+use crash_patterns::synced_log::{self, SlHarness, SlMutant};
 
 #[test]
 fn synced_log_passes() {
-    let report = check(&SlHarness::default(), &cfg());
+    let report = check(
+        &SlHarness {
+            mutant: SlMutant::None,
+            program: &synced_log::APPEND_SYNC,
+        },
+        &cfg(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -276,7 +308,13 @@ fn synced_log_passes() {
 
 #[test]
 fn synced_log_crash_during_recovery() {
-    let report = check(&SlHarness::default(), &cfg_nested());
+    let report = check(
+        &SlHarness {
+            mutant: SlMutant::None,
+            program: &synced_log::APPEND_SYNC,
+        },
+        &cfg_nested(),
+    );
     assert!(
         report.passed(),
         "counterexample: {:?}",
@@ -288,6 +326,7 @@ fn synced_log_crash_during_recovery() {
 fn synced_log_mutant_skip_fsync_caught() {
     let h = SlHarness {
         mutant: SlMutant::SkipFsync,
+        program: &synced_log::APPEND_SYNC,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("skip-fsync must be caught");
@@ -305,6 +344,7 @@ fn synced_log_mutant_skip_fsync_caught() {
 fn synced_log_mutant_skip_dir_sync_caught() {
     let h = SlHarness {
         mutant: SlMutant::SkipDirSync,
+        program: &synced_log::APPEND_SYNC,
     };
     let report = check(&h, &cfg());
     // Caught either by the durable-image abstraction check (crash-free:
@@ -312,10 +352,7 @@ fn synced_log_mutant_skip_dir_sync_caught() {
     // post-crash read of the vanished record.
     let cx = report.counterexample.expect("skip-dir-sync must be caught");
     assert!(
-        matches!(
-            cx.outcome,
-            ExecOutcome::FinalCheckFailed(_) | ExecOutcome::Violation(_) | ExecOutcome::Bug(_)
-        ),
+        matches!(cx.outcome, ExecOutcome::FinalCheckFailed(_)),
         "unexpected outcome {:?}",
         cx.outcome
     );
@@ -342,7 +379,7 @@ fn wal_mutant_skip_commit_flush_invisible_to_plain_crash_sweep() {
     // is unobservable — exactly why the torn-write sweep exists.
     let h = WalHarness {
         mutant: WalMutant::SkipCommitFlush,
-        with_reader: false,
+        program: &wal::PUT,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -356,7 +393,7 @@ fn wal_mutant_skip_commit_flush_invisible_to_plain_crash_sweep() {
 fn wal_mutant_skip_commit_flush_caught_by_torn_write_sweep() {
     let h = WalHarness {
         mutant: WalMutant::SkipCommitFlush,
-        with_reader: false,
+        program: &wal::PUT,
     };
     let report = check(&h, &cfg_faults());
     let cx = report
@@ -372,26 +409,32 @@ fn patterns_pass_under_fault_sweeps() {
     let cfg = cfg_faults();
     let wal = check(
         &WalHarness {
-            with_reader: false,
-            ..WalHarness::default()
+            mutant: WalMutant::None,
+            program: &wal::PUT,
         },
         &cfg,
     );
     assert!(wal.passed(), "wal: {:?}", wal.counterexample);
     let shadow = check(
         &ShadowHarness {
-            with_reader: false,
-            ..ShadowHarness::default()
+            mutant: ShadowMutant::None,
+            program: &shadow::PUT,
         },
         &cfg,
     );
     assert!(shadow.passed(), "shadow: {:?}", shadow.counterexample);
-    let gc = check(&GcHarness::default(), &cfg);
+    let gc = check(
+        &GcHarness {
+            mutant: GcMutant::None,
+            program: &group_commit::APPEND_FLUSH,
+        },
+        &cfg,
+    );
     assert!(gc.passed(), "group commit: {:?}", gc.counterexample);
     let txn = check(
-        &crash_patterns::txn_wal::TxnHarness {
-            with_reader: false,
-            ..crash_patterns::txn_wal::TxnHarness::default()
+        &TxnHarness {
+            mutant: TxnMutant::None,
+            program: &txn_wal::COMMIT,
         },
         &cfg,
     );

@@ -2,8 +2,8 @@
 //! including the Figure 6 crash-mid-write scenario, disk failover, and
 //! mutants that the checker must reject.
 
-use perennial_checker::{check, CheckConfig, ExecOutcome, Pass};
-use repldisk::harness::{RdHarness, RdWorkload};
+use perennial_checker::{check, CheckConfig, ExecOutcome, Pass, Program};
+use repldisk::harness::{RdHarness, RdStep, FAILOVER, MIXED, SINGLE_WRITE, WRITE_RACE};
 use repldisk::proof::RdMutant;
 
 fn cfg() -> CheckConfig {
@@ -30,8 +30,8 @@ fn fig6_single_write_crash_sweep_uses_helping() {
     // crash step. Sweeping the crash point through the write guarantees
     // the "between the two disk writes" position is covered.
     let h = RdHarness {
-        workload: RdWorkload::SingleWrite,
-        ..RdHarness::default()
+        mutant: RdMutant::None,
+        program: &SINGLE_WRITE,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -48,14 +48,19 @@ fn fig6_single_write_crash_sweep_uses_helping() {
     );
 }
 
+/// `SINGLE_WRITE` without its post-recovery round.
+static WRITE_ONLY: Program<RdStep> = Program {
+    threads: &[("writer", &[RdStep::Write(0, 7)])],
+    after: &[],
+};
+
 #[test]
 fn fig6_crash_during_recovery_is_idempotent() {
     // §5.5's idempotence obligation: recovery must tolerate crashing and
     // re-running. Sweep a second crash through every recovery step.
     let h = RdHarness {
-        workload: RdWorkload::SingleWrite,
-        after_round: false,
-        ..RdHarness::default()
+        mutant: RdMutant::None,
+        program: &WRITE_ONLY,
     };
     let report = check(&h, &cfg_nested());
     assert!(
@@ -68,7 +73,10 @@ fn fig6_crash_during_recovery_is_idempotent() {
 
 #[test]
 fn mixed_workload_passes_all_passes() {
-    let h = RdHarness::default();
+    let h = RdHarness {
+        mutant: RdMutant::None,
+        program: &MIXED,
+    };
     let report = check(&h, &cfg());
     assert!(
         report.passed(),
@@ -81,8 +89,8 @@ fn mixed_workload_passes_all_passes() {
 #[test]
 fn write_write_race_is_linearizable() {
     let h = RdHarness {
-        workload: RdWorkload::WriteWrite,
-        ..RdHarness::default()
+        mutant: RdMutant::None,
+        program: &WRITE_RACE,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -95,8 +103,8 @@ fn write_write_race_is_linearizable() {
 #[test]
 fn failover_to_second_disk_is_correct() {
     let h = RdHarness {
-        workload: RdWorkload::Failover,
-        ..RdHarness::default()
+        mutant: RdMutant::None,
+        program: &FAILOVER,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -113,19 +121,15 @@ fn failover_to_second_disk_is_correct() {
 #[test]
 fn mutant_skip_second_write_caught_by_failover() {
     let h = RdHarness {
-        workload: RdWorkload::Failover,
         mutant: RdMutant::SkipSecondWrite,
-        ..RdHarness::default()
+        program: &FAILOVER,
     };
     let report = check(&h, &cfg());
     let cx = report
         .counterexample
         .expect("skip-second-write must be caught");
     assert!(
-        matches!(
-            cx.outcome,
-            ExecOutcome::Violation(_) | ExecOutcome::FinalCheckFailed(_) | ExecOutcome::Bug(_)
-        ),
+        matches!(cx.outcome, ExecOutcome::Violation(_)),
         "unexpected outcome {:?}",
         cx.outcome
     );
@@ -136,9 +140,8 @@ fn mutant_zeroing_recovery_caught() {
     // §1: "it would be wrong for recovery to make the disks in sync by
     // zeroing them both."
     let h = RdHarness {
-        workload: RdWorkload::SingleWrite,
         mutant: RdMutant::ZeroingRecovery,
-        ..RdHarness::default()
+        program: &SINGLE_WRITE,
     };
     let report = check(&h, &cfg());
     let cx = report
@@ -152,9 +155,8 @@ fn mutant_skip_helping_caught() {
     // Without the stashed token, recovery has no right to complete the
     // crashed write — the ghost engine rejects the repair.
     let h = RdHarness {
-        workload: RdWorkload::SingleWrite,
         mutant: RdMutant::SkipHelping,
-        ..RdHarness::default()
+        program: &SINGLE_WRITE,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("skip-helping must be caught");
@@ -171,9 +173,8 @@ fn mutant_commit_early_caught() {
     // Premature linearization: committing at the first disk write means a
     // crash in between loses a committed operation.
     let h = RdHarness {
-        workload: RdWorkload::SingleWrite,
         mutant: RdMutant::CommitEarly,
-        ..RdHarness::default()
+        program: &SINGLE_WRITE,
     };
     let report = check(&h, &cfg());
     let cx = report.counterexample.expect("commit-early must be caught");
@@ -202,8 +203,7 @@ fn transient_give_up_invisible_without_fault_sweep() {
     // exists.
     let h = RdHarness {
         mutant: RdMutant::GiveUpOnTransient,
-        workload: RdWorkload::SingleWrite,
-        ..RdHarness::default()
+        program: &SINGLE_WRITE,
     };
     let report = check(&h, &cfg());
     assert!(
@@ -217,8 +217,7 @@ fn transient_give_up_invisible_without_fault_sweep() {
 fn transient_give_up_caught_by_disk_fault_sweep() {
     let h = RdHarness {
         mutant: RdMutant::GiveUpOnTransient,
-        workload: RdWorkload::SingleWrite,
-        ..RdHarness::default()
+        program: &SINGLE_WRITE,
     };
     let report = check(&h, &cfg_faults());
     let cx = report
@@ -234,16 +233,18 @@ fn repldisk_passes_disk_fault_sweep() {
     // permanent failure of either disk (including during recovery) is
     // within the replicated disk's one-failure fault model.
     let cfg = cfg_faults();
-    for workload in [
-        RdWorkload::SingleWrite,
-        RdWorkload::Mixed,
-        RdWorkload::Failover,
+    for (name, program) in [
+        ("single-write", &SINGLE_WRITE),
+        ("mixed", &MIXED),
+        ("failover", &FAILOVER),
     ] {
-        let h = RdHarness {
-            workload,
-            ..RdHarness::default()
-        };
-        let report = check(&h, &cfg);
-        assert!(report.passed(), "{workload:?}: {:?}", report.counterexample);
+        let report = check(
+            &RdHarness {
+                mutant: RdMutant::None,
+                program,
+            },
+            &cfg,
+        );
+        assert!(report.passed(), "{name}: {:?}", report.counterexample);
     }
 }

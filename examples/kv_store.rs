@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example kv_store`
 
 use perennial_checker::{check, CheckConfig, Pass};
-use perennial_kv::{KvHarness, KvMutant, KvWorkload};
+use perennial_kv::harness::{CROSS_BUCKET, PUT_DELETE_GET, SAME_BUCKET, SINGLE_PUT};
+use perennial_kv::{KvHarness, KvMutant};
 
 fn main() {
     let config = CheckConfig::builder()
@@ -17,15 +18,13 @@ fn main() {
 
     println!("Checking the crash-safe node KV store:\n");
 
-    for (label, workload) in [
-        ("cross-bucket ops ", KvWorkload::CrossBucket),
-        ("same-bucket race ", KvWorkload::SameBucket),
-        ("put/delete/get   ", KvWorkload::PutDeleteGet),
+    for (label, program) in [
+        ("cross-bucket ops ", &CROSS_BUCKET),
+        ("same-bucket race ", &SAME_BUCKET),
+        ("put/delete/get   ", &PUT_DELETE_GET),
     ] {
-        let h = KvHarness {
-            workload,
-            ..KvHarness::default()
-        };
+        let mutant = KvMutant::None;
+        let h = KvHarness { mutant, program };
         let report = check(&h, &config);
         println!("{label}: {}", report.summary());
         assert!(report.passed(), "{:?}", report.counterexample);
@@ -34,9 +33,8 @@ fn main() {
     // The in-place mutant loses an acknowledged put if a crash lands
     // between the commit and the write.
     let h = KvHarness {
-        workload: KvWorkload::SinglePut,
         mutant: KvMutant::InPlace,
-        ..KvHarness::default()
+        program: &SINGLE_PUT,
     };
     let report = check(&h, &config);
     let cx = report.counterexample.expect("in-place must fail");

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use perennial_checker::prelude::*;
-use repldisk::harness::{RdHarness, RdWorkload};
+use repldisk::harness::{RdHarness, MIXED, SINGLE_WRITE};
 use repldisk::proof::RdMutant;
 
 fn main() {
@@ -17,8 +17,8 @@ fn main() {
     //    writer; every interleaving (bounded DFS), every crash point,
     //    crashes during recovery.
     let harness = RdHarness {
-        workload: RdWorkload::Mixed,
-        ..RdHarness::default()
+        mutant: RdMutant::None,
+        program: &MIXED,
     };
     let config = CheckConfig::builder()
         .dfs_max_executions(500)
@@ -33,9 +33,8 @@ fn main() {
     // 2. A broken variant — the §1 "zero both disks" recovery — must be
     //    rejected, and the checker shows the failing crash point.
     let broken = RdHarness {
-        workload: RdWorkload::SingleWrite,
         mutant: RdMutant::ZeroingRecovery,
-        ..RdHarness::default()
+        program: &SINGLE_WRITE,
     };
     let report = check(&broken, &config);
     println!("zeroing mutant : {}", report.summary());

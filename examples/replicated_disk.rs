@@ -8,7 +8,8 @@
 use goose_rt::runtime::NativeRt;
 use perennial_checker::{check, CheckConfig};
 use perennial_disk::two::{DiskId, NativeTwoDisks, TwoDisks};
-use repldisk::harness::{RdHarness, RdWorkload};
+use repldisk::harness::{RdHarness, SINGLE_WRITE};
+use repldisk::proof::RdMutant;
 use repldisk::ReplDisk;
 use std::sync::Arc;
 
@@ -37,8 +38,8 @@ fn main() {
     // ---- Part 2: the verified variant under the checker. -------------
     println!("[model] sweeping a crash through every step of rd_write");
     let harness = RdHarness {
-        workload: RdWorkload::SingleWrite,
-        ..RdHarness::default()
+        mutant: RdMutant::None,
+        program: &SINGLE_WRITE,
     };
     let report = check(
         &harness,

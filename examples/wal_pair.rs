@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --example wal_pair`
 
-use crash_patterns::group_commit::GcHarness;
-use crash_patterns::shadow::ShadowHarness;
-use crash_patterns::wal::WalHarness;
+use crash_patterns::group_commit::{self, GcHarness, GcMutant};
+use crash_patterns::shadow::{self, ShadowHarness, ShadowMutant};
+use crash_patterns::wal::{self, WalHarness, WalMutant};
 use perennial_checker::{check, CheckConfig, Pass};
 
 fn main() {
@@ -21,11 +21,23 @@ fn main() {
 
     println!("Checking the three §9.1 crash-safety patterns:\n");
 
-    let report = check(&ShadowHarness::default(), &config);
+    let report = check(
+        &ShadowHarness {
+            mutant: ShadowMutant::None,
+            program: &shadow::PUT_GET,
+        },
+        &config,
+    );
     println!("shadow copy  : {}", report.summary());
     assert!(report.passed());
 
-    let report = check(&WalHarness::default(), &config);
+    let report = check(
+        &WalHarness {
+            mutant: WalMutant::None,
+            program: &wal::PUT_GET,
+        },
+        &config,
+    );
     println!("write-ahead  : {}", report.summary());
     assert!(report.passed());
     assert!(
@@ -38,7 +50,13 @@ fn main() {
         report.helped_ops
     );
 
-    let report = check(&GcHarness::default(), &config);
+    let report = check(
+        &GcHarness {
+            mutant: GcMutant::None,
+            program: &group_commit::APPEND_FLUSH,
+        },
+        &config,
+    );
     println!("group commit : {}", report.summary());
     assert!(report.passed());
     println!(

@@ -5,12 +5,8 @@
 //! cargo test --release --test deep_check -- --ignored --nocapture
 //! ```
 
-use crash_patterns::txn_wal::TxnHarness;
-use crash_patterns::wal::WalHarness;
-use mailboat::harness::{MbHarness, MbWorkload};
-use perennial_checker::{check, CheckConfig};
-use perennial_kv::{KvHarness, KvWorkload};
-use repldisk::harness::{RdHarness, RdWorkload};
+use perennial_checker::{CheckConfig, CheckReport};
+use perennial_suite::all_scenarios;
 
 fn deep() -> CheckConfig {
     CheckConfig::builder()
@@ -21,10 +17,16 @@ fn deep() -> CheckConfig {
         .build()
 }
 
+/// The registered scenario `name`, checked under [`deep`].
+fn check(name: &str) -> CheckReport {
+    let scenario = all_scenarios().get(name).expect("registered").clone();
+    scenario.run(&deep())
+}
+
 #[test]
 #[ignore = "deep exploration; run explicitly with --ignored"]
 fn deep_replicated_disk_mixed() {
-    let report = check(&RdHarness::default(), &deep());
+    let report = check("repldisk/mixed");
     eprintln!("{}", report.summary());
     assert!(
         report.passed(),
@@ -37,11 +39,7 @@ fn deep_replicated_disk_mixed() {
 #[test]
 #[ignore = "deep exploration; run explicitly with --ignored"]
 fn deep_repldisk_failover() {
-    let h = RdHarness {
-        workload: RdWorkload::Failover,
-        ..RdHarness::default()
-    };
-    let report = check(&h, &deep());
+    let report = check("repldisk/failover");
     eprintln!("{}", report.summary());
     assert!(
         report.passed(),
@@ -53,7 +51,7 @@ fn deep_repldisk_failover() {
 #[test]
 #[ignore = "deep exploration; run explicitly with --ignored"]
 fn deep_wal_and_txn_wal() {
-    let report = check(&WalHarness::default(), &deep());
+    let report = check("patterns/wal");
     eprintln!("{}", report.summary());
     assert!(
         report.passed(),
@@ -62,7 +60,7 @@ fn deep_wal_and_txn_wal() {
     );
     assert!(report.helped_ops > 0);
 
-    let report = check(&TxnHarness::default(), &deep());
+    let report = check("patterns/txn-wal");
     eprintln!("{}", report.summary());
     assert!(
         report.passed(),
@@ -75,11 +73,7 @@ fn deep_wal_and_txn_wal() {
 #[test]
 #[ignore = "deep exploration; run explicitly with --ignored"]
 fn deep_mailboat_two_users() {
-    let h = MbHarness {
-        workload: MbWorkload::TwoUsers,
-        ..MbHarness::default()
-    };
-    let report = check(&h, &deep());
+    let report = check("mailboat/two-users");
     eprintln!("{}", report.summary());
     assert!(
         report.passed(),
@@ -91,11 +85,7 @@ fn deep_mailboat_two_users() {
 #[test]
 #[ignore = "deep exploration; run explicitly with --ignored"]
 fn deep_kv_same_bucket() {
-    let h = KvHarness {
-        workload: KvWorkload::SameBucket,
-        ..KvHarness::default()
-    };
-    let report = check(&h, &deep());
+    let report = check("kv/same-bucket");
     eprintln!("{}", report.summary());
     assert!(
         report.passed(),

@@ -2,13 +2,11 @@
 //! checking pipeline, at a budget between the per-crate quick tests and
 //! the harness binary's full runs.
 
-use crash_patterns::group_commit::GcHarness;
-use crash_patterns::shadow::ShadowHarness;
-use crash_patterns::wal::WalHarness;
-use mailboat::harness::MbHarness;
-use perennial_checker::{check, CheckConfig, Pass};
-use perennial_kv::KvHarness;
-use repldisk::harness::{RdHarness, RdWorkload};
+use crash_patterns::{wal, WalHarness, WalMutant};
+use perennial_checker::{check, CheckConfig, CheckReport, Pass, Program};
+use perennial_suite::all_scenarios;
+use repldisk::harness::{RdHarness, RdStep};
+use repldisk::proof::RdMutant;
 
 fn cfg() -> CheckConfig {
     CheckConfig::builder()
@@ -20,31 +18,43 @@ fn cfg() -> CheckConfig {
         .build()
 }
 
+/// The registered scenario `name`, checked under `config`.
+fn run(name: &str, config: &CheckConfig) -> CheckReport {
+    let scenario = all_scenarios().get(name).expect("registered").clone();
+    scenario.run(config)
+}
+
+/// `repldisk/single-write`'s program without its post-recovery round.
+static WRITE_ONLY: Program<RdStep> = Program {
+    threads: &[("writer", &[RdStep::Write(0, 7)])],
+    after: &[],
+};
+
 #[test]
 fn all_verified_systems_pass() {
     let mut summaries = Vec::new();
 
-    let r = check(&RdHarness::default(), &cfg());
+    let r = run("repldisk/mixed", &cfg());
     assert!(r.passed(), "replicated disk: {:?}", r.counterexample);
     summaries.push(r.summary());
 
-    let r = check(&ShadowHarness::default(), &cfg());
+    let r = run("patterns/shadow", &cfg());
     assert!(r.passed(), "shadow copy: {:?}", r.counterexample);
     summaries.push(r.summary());
 
-    let r = check(&WalHarness::default(), &cfg());
+    let r = run("patterns/wal", &cfg());
     assert!(r.passed(), "WAL: {:?}", r.counterexample);
     summaries.push(r.summary());
 
-    let r = check(&GcHarness::default(), &cfg());
+    let r = run("patterns/group-commit", &cfg());
     assert!(r.passed(), "group commit: {:?}", r.counterexample);
     summaries.push(r.summary());
 
-    let r = check(&MbHarness::default(), &cfg());
+    let r = run("mailboat/deliver-vs-pickup", &cfg());
     assert!(r.passed(), "mailboat: {:?}", r.counterexample);
     summaries.push(r.summary());
 
-    let r = check(&KvHarness::default(), &cfg());
+    let r = run("kv/cross-bucket", &cfg());
     assert!(r.passed(), "node KV: {:?}", r.counterexample);
     summaries.push(r.summary());
 
@@ -57,26 +67,20 @@ fn all_verified_systems_pass() {
 fn helping_systems_actually_help_under_crash_sweep() {
     // The two systems whose proofs rely on recovery helping must
     // exercise it when a crash is swept through their write paths.
-    let r = check(
-        &RdHarness {
-            workload: RdWorkload::SingleWrite,
-            ..RdHarness::default()
-        },
-        &cfg(),
-    );
+    let r = run("repldisk/single-write", &cfg());
     assert!(r.passed());
     assert!(r.helped_ops > 0, "replicated disk: helping never fired");
 
-    let r = check(&WalHarness::default(), &cfg());
+    let r = run("patterns/wal", &cfg());
     assert!(r.passed());
     assert!(r.helped_ops > 0, "WAL: helping never fired");
 
     // The two that don't use helping must never fire it.
-    let r = check(&ShadowHarness::default(), &cfg());
+    let r = run("patterns/shadow", &cfg());
     assert!(r.passed());
     assert_eq!(r.helped_ops, 0, "shadow copy must not need helping");
 
-    let r = check(&GcHarness::default(), &cfg());
+    let r = run("patterns/group-commit", &cfg());
     assert!(r.passed());
     assert_eq!(r.helped_ops, 0, "group commit must not need helping");
 }
@@ -93,9 +97,8 @@ fn deeper_nested_crash_sweep_on_two_systems() {
         .build();
     let r = check(
         &RdHarness {
-            workload: RdWorkload::SingleWrite,
-            after_round: false,
-            ..RdHarness::default()
+            mutant: RdMutant::None,
+            program: &WRITE_ONLY,
         },
         &nested,
     );
@@ -103,8 +106,8 @@ fn deeper_nested_crash_sweep_on_two_systems() {
 
     let r = check(
         &WalHarness {
-            with_reader: false,
-            ..WalHarness::default()
+            mutant: WalMutant::None,
+            program: &wal::PUT,
         },
         &nested,
     );

@@ -11,8 +11,9 @@
 
 use perennial_checker::campaign::wal_file;
 use perennial_checker::{
-    campaign_fingerprint, failure_fingerprint, merge_reports, strip_timing, trace_fingerprint,
-    CheckConfig, CheckConfigBuilder, CheckReport, Pass, SleepSetDpor, TelemetrySink,
+    campaign_fingerprint, failure_fingerprint, merge_reports, shard_of, strip_timing,
+    trace_fingerprint, CheckConfig, CheckConfigBuilder, CheckReport, Pass, SleepSetDpor,
+    TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
@@ -318,53 +319,133 @@ fn dpor_runs_are_pinned_on_three_mutants() {
 }
 
 /// The JSONL stream of one single-worker run, byte for byte once the
-/// timing keys are dropped, as `(scenario, pin, before, old label,
-/// old_pin)`: as written (`pin`); without its one `schedule_end` line, as
-/// it read before the schedule phase's close was recorded (`before`); and
-/// that, with every record stamped with the harness's label, as it read
-/// before records were stamped with the registry name (`old_pin`).
-/// Meeting `before` shows the `schedule_end` line is all its epoch moved,
-/// and meeting `old_pin` that the stamp is all the stamp moved. `before`
-/// and `old_pin` were re-recorded at the encoding epoch, when every
-/// `trace_fp` in them took a new name (EXPERIMENTS.md lists old → new),
-/// and all three at the random-crash epoch, when the crash runs got a
-/// wave and a `pass_start` of their own (EXPERIMENTS.md shows each stream
-/// mapping back onto the one before it).
-const STREAM_PINS: [(&str, u64, u64, &str, u64); 3] = [
+/// timing keys are dropped, as `(scenario, pin, epoch_pin, before, old
+/// label, old_pin)`: as written (`pin`); as it read before the
+/// random-crash epoch (`epoch_pin`, [`before_random_crash_epoch`]); that,
+/// without its one `schedule_end` line, as it read before the schedule
+/// phase's close was recorded (`before`); and that, with every record
+/// stamped with the harness's label, as it read before records were
+/// stamped with the registry name (`old_pin`). Meeting `epoch_pin` shows
+/// the random-crash wave's records are all its epoch moved, meeting
+/// `before` that the `schedule_end` line is all its epoch moved, and
+/// meeting `old_pin` that the stamp is all the stamp moved. `before` and
+/// `old_pin` were re-recorded at the encoding epoch, when every
+/// `trace_fp` in them took a new name (EXPERIMENTS.md lists old → new).
+/// `pin` was re-recorded at the random-crash epoch, when the crash runs
+/// got a wave and a `pass_start` of their own; `epoch_pin` is `pin`
+/// before it.
+const STREAM_PINS: [(&str, u64, u64, u64, &str, u64); 3] = [
     (
         "patterns/wal",
         0x4f1a_5d9f_db3e_7b1a,
-        0x9ef9_2e01_bbc2_0cfa,
+        0x2cf4_9ea4_2f01_803f,
+        0xb99a_0ae3_56e4_929f,
         "write-ahead log",
-        0x06ce_6d6b_1ba0_a8a8,
+        0x0f3c_f0b2_9d58_5247,
     ),
     // Fault passes on: `counterexample` records and fault-plan tags.
     (
         "patterns/mutant/wal-skip-commit-flush",
         0x20a4_22d8_6f5e_e0b8,
-        0xb593_82d8_d2b8_3550,
+        0xc11a_f115_2533_bfe7,
+        0x19a5_99ae_1061_6aaf,
         "write-ahead log",
-        0xadc3_879c_703a_1988,
+        0x7f25_cbab_145f_6163,
     ),
     // As shard 0 of 2: a shard label, and spine executions it does not count.
     (
         "repldisk/single-write",
         0x2e12_b1d4_77d2_66d3,
-        0xc8b6_460b_c46b_eea9,
+        0x1647_aa8f_5446_ab63,
+        0x9e8d_589d_f8c5_1249,
         "replicated disk",
-        0xf211_e66e_7102_e90d,
+        0xfa62_f4ba_f0f4_fbda,
     ),
 ];
+
+/// Field `key` of a record, if it is a string.
+fn text<'a>(record: &'a Value, key: &str) -> Option<&'a str> {
+    match record {
+        Value::Object(m) => match m.get(key) {
+            Some(Value::String(s)) => Some(s),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// An `exec_done` record's pass and index.
+fn exec_of(record: &Value) -> Option<(&str, u64)> {
+    let Value::Object(m) = record else {
+        return None;
+    };
+    match (text(record, "type"), m.get("index")) {
+        (Some("exec_done"), Some(Value::Number(i))) => Some((text(record, "pass")?, *i as u64)),
+        _ => None,
+    }
+}
+
+/// `records` as the stream read before the random-crash epoch, when a
+/// random-crash probe and its crash run were one job: without the
+/// `random-crash` pass's own `pass_start` and `pass_end`, each
+/// `random-crash` `exec_done` (and the `counterexample` record after it,
+/// if any) back right after its probe's, and, in shard `i` of `n`,
+/// without the probes whose probe and crash keys (ranks 5 and 6) both
+/// belong to another shard, which that job never ran.
+fn before_random_crash_epoch(records: Vec<Value>, shard: Option<(u32, u32)>) -> Vec<Value> {
+    let skipped = |index: u64| match shard {
+        Some((i, n)) => shard_of((5, index), n) != i && shard_of((6, index), n) != i,
+        None => false,
+    };
+    let mut kept = Vec::new();
+    let mut crashes: Vec<(u64, Vec<Value>)> = Vec::new();
+    let mut after_crash = false;
+    for record in records {
+        let (crash, probe) = match exec_of(&record) {
+            Some(("random-crash", index)) => (Some(index), None),
+            Some(("random-crash-probe", index)) => (None, Some(index)),
+            _ => (None, None),
+        };
+        if let Some(index) = crash {
+            crashes.push((index, vec![record]));
+        } else if after_crash && text(&record, "type") == Some("counterexample") {
+            crashes.last_mut().expect("a crash run").1.push(record);
+        } else if text(&record, "pass") != Some("random-crash") && !probe.is_some_and(skipped) {
+            kept.push(record);
+        }
+        after_crash = crash.is_some();
+    }
+    let mut out = Vec::with_capacity(kept.len());
+    for record in kept {
+        let probe = match exec_of(&record) {
+            Some(("random-crash-probe", index)) => Some(index),
+            _ => None,
+        };
+        out.push(record);
+        if let Some(index) = probe {
+            if let Some(at) = crashes.iter().position(|(i, _)| *i == index) {
+                out.extend(crashes.remove(at).1);
+            }
+        }
+    }
+    assert!(crashes.is_empty(), "a random-crash run without its probe");
+    out
+}
 
 #[test]
 fn telemetry_stream_bytes_are_pinned() {
     let nested = || fault_cfg().with_passes([Pass::NestedCrash]);
     let configs = [
-        nested().without_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault]),
-        fault_cfg(),
-        nested().shard(0, 2),
+        (
+            nested().without_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault]),
+            None,
+        ),
+        (fault_cfg(), None),
+        (nested().shard(0, 2), Some((0, 2))),
     ];
-    for ((name, pin, before, old_label, old_pin), cfg) in STREAM_PINS.into_iter().zip(configs) {
+    for ((name, pin, epoch_pin, before, old_label, old_pin), (cfg, shard)) in
+        STREAM_PINS.into_iter().zip(configs)
+    {
         let scenario = all_scenarios()
             .iter()
             .chain(all_mutant_scenarios().iter())
@@ -387,7 +468,13 @@ fn telemetry_stream_bytes_are_pinned() {
             seen, pin,
             "{name}: the telemetry stream's bytes moved to {seen:#018x}"
         );
-        let closes = |v: &Value| matches!(v, Value::Object(m) if m.get("type") == Some(&Value::String("schedule_end".into())));
+        let records = before_random_crash_epoch(records, shard);
+        let seen = fingerprint(&records);
+        assert_eq!(
+            seen, epoch_pin,
+            "{name}: more than the random-crash wave moved, to {seen:#018x}"
+        );
+        let closes = |v: &Value| text(v, "type") == Some("schedule_end");
         assert_eq!(records.iter().filter(|v| closes(v)).count(), 1, "{name}");
         let unclosed: Vec<Value> = records.into_iter().filter(|v| !closes(v)).collect();
         let seen = fingerprint(&unclosed);

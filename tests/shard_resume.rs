@@ -469,7 +469,10 @@ fn the_campaign_status_is_1_for_a_correct_scenario_that_fails_or_an_incomplete_r
 /// step budget and is classified `Wedged` — the checker never hangs.
 #[test]
 fn livelocked_scenario_is_wedged_not_hung() {
-    let spin = SpinForever(crash_patterns::ShadowHarness::default());
+    let spin = SpinForever(crash_patterns::ShadowHarness {
+        mutant: crash_patterns::ShadowMutant::None,
+        program: &crash_patterns::shadow::PUT_GET,
+    });
     let report = check(
         &spin,
         &CheckConfig::builder()

@@ -14,7 +14,11 @@
 # One lifecycle: the crash -> recovery lifecycle is the checker's
 # (exec.rs). A system crate implements `System` and returns its workload
 # as a `Script`; it may not grow an `Execution`-style trait impl or the
-# hand-copied `let w2 = w.clone()` thread boilerplate again.
+# hand-copied `let w2 = w.clone()` thread boilerplate again. And a
+# workload is data: a `Program` of steps the crate's one `step` function
+# takes, chosen by the scenario table. So a system crate declares no
+# `enum ...Workload` to match on in `make`, and no harness knob
+# (`after_round`, `with_reader`) that reshapes a program from outside it.
 #
 # One guard per rule: crates/core/src is the trusted base (ROADMAP item
 # 9 mutates it rule by rule), so each rule of the ghost discipline is
@@ -202,6 +206,12 @@ if copies=$(grep -rnE 'impl.* Execution<|let w2 = w\.clone\(\)' $system_crates);
     failed=1
     echo "        ^ a system crate re-implements the lifecycle; that is exec.rs's business:"
     printf '%s\n' "$copies" | sed 's/^/          /'
+fi
+# shellcheck disable=SC2086
+if knobs=$(grep -rnE 'enum [A-Za-z]*Workload\b|\b(after_round|with_reader)\b' $system_crates); then
+    failed=1
+    echo "        ^ a workload enum or harness knob; a workload is a Program of steps:"
+    printf '%s\n' "$knobs" | sed 's/^/          /'
 fi
 
 echo
