@@ -3,7 +3,7 @@
 //! runs a harness once under an [`ExecSpec`] and reports how it ended
 //! ([`ExecOutcome`]) and what it measured ([`ExecStats`]).
 
-use crate::harness::{AnyGhost, AnyHarness, AnyWorld};
+use crate::harness::{AnyGhost, AnyHarness, AnyWorld, Worlds};
 use crate::pass::Pass;
 use crate::strategy::{Buffers, DepTrace};
 use crate::telemetry::{ExecStats, EXEC_COUNTERS};
@@ -253,6 +253,9 @@ pub(crate) struct RunResult {
     pub deps: Option<Box<DepTrace>>,
     /// Causal execution trace (`capture_trace` executions).
     pub exec_trace: Option<ExecTrace>,
+    /// Whether the execution's world served an earlier one
+    /// ([`Worlds`]).
+    pub reused: bool,
 }
 
 /// What the pilot and the ghost state knew when the execution ended. The
@@ -274,18 +277,19 @@ struct PilotLog {
 
 impl RunResult {
     /// Closes an execution: the pilot's log plus everything the runtime
-    /// counted, however the execution ended. `inherited` steps were run
-    /// by the execution it was forked off. The duration is
-    /// [`run_stopping`]'s to stamp, once the execution is torn down.
+    /// counted (nothing, if its world was never built), however the
+    /// execution ended. `inherited` steps were run by the execution it was
+    /// forked off. The duration and whether its world was reused are
+    /// [`run_stopping`]'s to stamp.
     fn close(
-        rt: &ModelRt,
+        rt: Option<&ModelRt>,
         capture_trace: bool,
         inherited: u64,
         outcome: ExecOutcome,
         log: PilotLog,
     ) -> RunResult {
         let stats = ExecStats::new(
-            &rt.sched_stats(),
+            &rt.map(ModelRt::sched_stats).unwrap_or_default(),
             log.steps,
             log.decisions.len() as u64,
             log.crashes,
@@ -298,12 +302,13 @@ impl RunResult {
             clamped: log.clamped,
             stats,
             steps_run: log.steps.saturating_sub(inherited),
-            lock_profile: rt.lock_block_profile(),
-            wakeups: rt.wakeups(),
+            lock_profile: rt.map(ModelRt::lock_block_profile).unwrap_or_default(),
+            wakeups: rt.map_or(0, ModelRt::wakeups),
             duration: Duration::ZERO,
             trace: log.trace,
             deps: log.deps,
-            exec_trace: capture_trace.then(|| rt.take_trace()),
+            exec_trace: capture_trace.then(|| rt.map(ModelRt::take_trace).unwrap_or_default()),
+            reused: false,
         }
     }
 
@@ -332,7 +337,7 @@ impl RunResult {
     }
 }
 
-/// Runs one execution as `spec` describes it.
+/// Runs one execution as `spec` describes it, in a world from `worlds`.
 ///
 /// The execution is **isolated**: the harness body runs under
 /// `catch_unwind`, so a panicking harness hook becomes an
@@ -340,8 +345,8 @@ impl RunResult {
 /// and any virtual threads a failed or panicked execution left suspended
 /// are unwound before returning, which frees their stacks (nothing
 /// stays suspended across a long keep-going campaign).
-pub(crate) fn run_one(harness: &dyn AnyHarness, spec: ExecSpec<'_>) -> RunResult {
-    run_stopping(harness, spec, None, &[], &mut |_: &Exec| {})
+pub(crate) fn run_one(worlds: &Worlds<'_>, spec: ExecSpec<'_>) -> RunResult {
+    run_stopping(worlds, spec, None, &[], &mut |_: &Exec| {})
 }
 
 /// [`run_one`], from its first step or — `base` given — crashed at the
@@ -351,46 +356,54 @@ pub(crate) fn run_one(harness: &dyn AnyHarness, spec: ExecSpec<'_>) -> RunResult
 /// schedule: its statistics, outcome and ghost trace are a re-run's with
 /// `base`'s step added to its crash points, and it executes only what
 /// follows the crash. Nothing of `base` is resumed, unwound or changed.
+/// A world whose execution ended well goes back to `worlds`.
 pub(crate) fn run_stopping(
-    harness: &dyn AnyHarness,
+    worlds: &Worlds<'_>,
     spec: ExecSpec<'_>,
     base: Option<&Exec>,
     stops: &[u64],
     at: &mut dyn FnMut(&Exec),
 ) -> RunResult {
-    let rt = ModelRt::with_faults(spec.seed, spec.max_steps, spec.faults.clone());
     let inherited = base.map_or(0, Exec::step);
     let capture_trace = spec.capture_trace;
     let started = Instant::now();
+    // The runtime to reap should the execution go down with a panic.
+    let mut rt = None;
     let result = quiet_worker_panics(|| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Exec::new(harness, &rt, spec, base, stops).drive(at)
+            let (mut world, reused) = worlds.world(&spec);
+            rt = Some(Arc::clone(world.rt()));
+            world.start(&spec, base.map(|b| &*b.world));
+            let mut exec = Exec::new(world, spec, base, stops);
+            let r = exec.drive(at);
+            (RunResult { reused, ..r }, exec.world)
         }))
     });
     let mut r = match result {
-        Ok(r) => {
+        Ok((r, world)) => {
             if r.outcome.is_failure() {
                 // Deadlocked, wedged, or panicked executions leave
-                // virtual threads parked; reap them.
-                rt.crash_all();
+                // virtual threads parked; reap them, and drop the world.
+                world.rt().crash_all();
+            } else {
+                worlds.keep(world);
             }
             r
         }
         Err(payload) => {
-            rt.crash_all();
+            rt.iter().for_each(|rt| rt.crash_all());
             // The pilot went down with the harness: the runtime's own
             // grant count stands in for its step clock.
             let log = PilotLog {
-                steps: rt.sched_stats().steps,
+                steps: rt.as_ref().map_or(0, |rt| rt.sched_stats().steps),
                 ..PilotLog::default()
             };
             let outcome = ExecOutcome::HarnessPanic(panic_message(payload));
-            RunResult::close(&rt, capture_trace, inherited, outcome, log)
+            RunResult::close(rt.as_deref(), capture_trace, inherited, outcome, log)
         }
     };
-    // The teardown is the execution's too: its world is dropped, a
-    // failed one's threads reaped, and its runtime dropped before the
-    // clock is read.
+    // The teardown is the execution's too: a failed world's threads
+    // reaped, and it and its runtime dropped, before the clock is read.
     drop(rt);
     r.duration = started.elapsed();
     r
@@ -398,7 +411,8 @@ pub(crate) fn run_stopping(
 
 /// Re-runs the execution a counterexample records — the one path behind
 /// [`crate::replay`], the shrinker's candidates and the trace-capture
-/// re-run. It emits no telemetry and counts toward no statistic.
+/// re-run — in a world of its own. It emits no telemetry and counts
+/// toward no statistic.
 pub(crate) fn rerun(
     harness: &dyn AnyHarness,
     cx: &Counterexample,
@@ -416,7 +430,7 @@ pub(crate) fn rerun(
         render_trace: true,
         buffers: Buffers::default(),
     };
-    run_one(harness, spec)
+    run_one(&Worlds::new(harness), spec)
 }
 
 /// Renders an arbitrary unwind payload for the harness-panic outcome.
@@ -544,20 +558,17 @@ pub(crate) struct Exec {
 }
 
 impl Exec {
-    /// The execution `spec` describes over `rt`: from its first step
-    /// (`make`, boot and the main round), or from the crashed copy of
-    /// `base`'s world, its schedule carried on, the crash's
-    /// step taken and recovery spawned.
+    /// The execution `spec` describes in `world`, started: from its first
+    /// step (booted, the main round spawned), or from the crashed copy of
+    /// `base`'s world, its schedule carried on, the crash's step taken and
+    /// recovery spawned.
     fn new(
-        harness: &dyn AnyHarness,
-        rt: &Arc<ModelRt>,
+        world: Box<dyn AnyWorld>,
         mut spec: ExecSpec<'_>,
         base: Option<&Exec>,
         stops: &[u64],
     ) -> Self {
-        rt.set_track_deps(spec.track_deps);
-        rt.set_tracing(spec.capture_trace);
-        let world = harness.world(rt, base.map(|b| &*b.world));
+        let rt = &Arc::clone(world.rt());
         // A crashed copy restarts into recovery.
         let recovering = base.map(|_| world.restart());
         let hint = decisions_hint(&spec.policy);
@@ -643,7 +654,7 @@ impl Exec {
             deps: pilot.dep.take(),
         };
         let capture = pilot.spec_mark.is_some();
-        RunResult::close(&self.rt, capture, self.inherited, outcome, log)
+        RunResult::close(Some(&self.rt), capture, self.inherited, outcome, log)
     }
 
     /// Runs the execution to its end, handing it to `at` at every stop.
@@ -744,7 +755,7 @@ impl Exec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Erased, Harness, PanicOnReset, Script, System, World};
+    use crate::harness::{Erased, Harness, PanicOnReset, Script, System, World, Worlds};
     use perennial::{GhostUnwrap, TraceEvent};
     use perennial_spec::fixtures::{RegOp, RegSpec};
     use perennial_spec::{Encode, Jid};
@@ -810,7 +821,7 @@ mod tests {
             render_trace,
             buffers: Buffers::default(),
         };
-        run_one(&Erased::new(harness), spec)
+        run_one(&Worlds::new(&Erased::new(harness)), spec)
     }
 
     /// The fold of `events`' encodings: what an execution that recorded
@@ -913,13 +924,14 @@ mod tests {
     #[test]
     fn a_fork_of_a_random_schedule_is_its_crash_in_place() {
         let (harness, faults) = (Erased::new(&Writers), FaultPlan::default());
+        let worlds = Worlds::new(&harness);
         for k in 1..6 {
             let crash = [k];
-            let in_place = run_one(&harness, random(&crash, &faults));
+            let in_place = run_one(&worlds, random(&crash, &faults));
             let mut forked = None;
-            run_stopping(&harness, random(&[], &faults), None, &crash, &mut |here| {
+            run_stopping(&worlds, random(&[], &faults), None, &crash, &mut |here| {
                 let spec = random(&crash, &faults);
-                let fork = run_stopping(&harness, spec, Some(here), &[], &mut |_| {});
+                let fork = run_stopping(&worlds, spec, Some(here), &[], &mut |_| {});
                 forked = Some(fork);
             });
             let forked = forked.expect("the base reaches the crash point");

@@ -6,20 +6,25 @@
 //! one [`System`] impl. A [`Harness`] describes a *scenario* over it: the
 //! spec, how to build fresh durable state, and the workload — a
 //! [`Program`] of steps — returned in a [`Script`]. The crash → recovery
-//! lifecycle is the checker's, stated once: it instantiates the script
-//! once per explored execution (stateless model checking), drives the
-//! schedule, injects crashes, and validates the ghost trace at the end.
+//! lifecycle is the checker's, stated once: every explored execution
+//! starts from the scenario's initial state (stateless model checking);
+//! the checker drives the schedule, injects crashes, and validates the
+//! ghost trace at the end.
 //!
 //! The driver (`exec.rs`, `jobs.rs`, `explore.rs`) names no harness type.
 //! Every `H: Harness<S>` reaches it as one object-safe handle, `AnyHarness`
 //! (a blanket impl at the public entry points erases `H` and `S`), which
-//! makes each execution's world as an `AnyWorld`: booted with its main
-//! round spawned, or the crashed copy of another world built from that
-//! world's `snapshot` — a `Box<dyn Any>` of [`System::snapshot`] and the
-//! runtime and ghost state to copy. The crash sweeps fork each crash job
-//! off a shared execution this way instead of re-running its prefix
-//! (DESIGN.md §9): a fresh world and a crashed copy differ only in where
-//! `AnyHarness::world` takes their state from.
+//! builds a world as an `AnyWorld`. A worker keeps the worlds of the
+//! scenario it checks in a pool (`Worlds`) and resets one between the
+//! executions it serves instead of building another: its system restored
+//! to the snapshot taken right after `make` and its volatile state
+//! dropped, its runtime and ghost state put back to their copies from
+//! then, its leases minted again ([`System::relet`]). A started world is
+//! booted with its main round spawned, or is the crashed copy of another
+//! world made from that world's `snapshot` — a `Box<dyn Any>` of
+//! [`System::snapshot`] and the runtime and ghost state to copy. The crash
+//! sweeps fork each crash job off a shared execution this way instead of
+//! re-running its prefix (DESIGN.md §9).
 //!
 //! The lifecycle of one execution:
 //!
@@ -34,16 +39,18 @@
 //!          the script's post-recovery round ──► abs_check()
 //! ```
 //!
-//! `make()` builds the system, its model locks included, once per
-//! execution; `boot()` rebuilds only the system's own volatile state.
+//! `make()` builds the system, its model locks included, once per world,
+//! and a world serves many executions; `boot()` rebuilds only the
+//! system's own volatile state.
 
-use crate::exec::ExecOutcome;
+use crate::exec::{ExecOutcome, ExecSpec};
 use goose_rt::fault::FaultSurface;
 use goose_rt::runtime::ModelRtExt;
 use goose_rt::sched::{ModelRt, Tid};
 use perennial::{Fnv1a, Ghost};
 use perennial_spec::SpecTS;
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -79,15 +86,30 @@ pub trait System<S: SpecTS>: Send + Sync + 'static {
     /// steps, on a running execution the checker forks a crash job off.
     fn snapshot(&self) -> Self::Durable;
 
-    /// Makes a system fresh from [`Harness::make`] hold `snap`, before its
-    /// crash hook and [`System::boot`] run: with the two, the forked job
-    /// must be in the state a crash at the snapshot's step leaves a re-run
-    /// in. Schedules nothing and counts nothing.
+    /// Makes the system hold `snap`, before its crash hook and
+    /// [`System::boot`] run. The system may be fresh from
+    /// [`Harness::make`] or have served earlier executions, so `restore`
+    /// overwrites everything `snapshot` copies: with the crash hook and
+    /// `boot`, a forked job must be in the state a crash at the snapshot's
+    /// step leaves a re-run in, and a world reset to its snapshot from
+    /// right after `make` in the state `make` and `boot` leave a fresh
+    /// one in. Schedules nothing and counts nothing.
     fn restore(&self, snap: &Self::Durable);
 
+    /// Mints again, with [`Ghost::recover_lease`] and
+    /// [`Ghost::recover_set_lease`], every lease the system was handed
+    /// when it was built, and puts each where its constructor put it —
+    /// the lease part of [`System::recover`], without the recovery.
+    /// Called when a world goes back to its state right after
+    /// [`Harness::make`] to serve another execution: its ghost engine is
+    /// back at that state with no lease out, and the leases the system
+    /// holds may be a later version's. Default: the system holds none.
+    fn relet(&self, _w: &World<S>) {}
+
     /// Rebuilds the system's own volatile state — caches, buffers, open
-    /// handles — called after [`Harness::make`] and again after every
-    /// crash, modelling the process restart. Model locks are not rebuilt
+    /// handles — called after [`Harness::make`], after every crash
+    /// (modelling the process restart), and when a world is reset to
+    /// serve another execution. Model locks are not rebuilt
     /// here: built once in the system's constructor, each keeps its id
     /// across crashes and comes back from one unheld. Default: nothing
     /// volatile of its own, nothing to do.
@@ -115,10 +137,11 @@ pub trait System<S: SpecTS>: Send + Sync + 'static {
     fn fail_disk(&self, _disk: u8) {}
 }
 
-/// One named workload thread: an operation sequence over the system.
+/// One named workload thread: an operation sequence over the system,
+/// spawned again for each execution its world serves.
 pub(crate) type Op<Sys, S> = (
     &'static str,
-    Box<dyn FnOnce(&Sys, &World<S>) + Send + 'static>,
+    Arc<dyn Fn(&Sys, &World<S>) + Send + Sync + 'static>,
 );
 
 /// One execution's system and workload, as data: the checker boots the
@@ -148,18 +171,23 @@ impl<Sys: System<S>, S: SpecTS> Script<Sys, S> {
         }
     }
 
-    /// Adds a main-round thread.
+    /// Adds a main-round thread. `op` runs once per execution the
+    /// world serves, so it is a `Fn`.
     pub fn thread(
         &mut self,
         name: &'static str,
-        op: impl FnOnce(&Sys, &World<S>) + Send + 'static,
+        op: impl Fn(&Sys, &World<S>) + Send + Sync + 'static,
     ) {
-        self.main.push((name, Box::new(op)));
+        self.main.push((name, Arc::new(op)));
     }
 
     /// Adds a post-recovery thread.
-    pub fn after(&mut self, name: &'static str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) {
-        self.after.push((name, Box::new(op)));
+    pub fn after(
+        &mut self,
+        name: &'static str,
+        op: impl Fn(&Sys, &World<S>) + Send + Sync + 'static,
+    ) {
+        self.after.push((name, Arc::new(op)));
     }
 
     /// Adds `program`'s threads, each taking its steps in order through
@@ -167,8 +195,11 @@ impl<Sys: System<S>, S: SpecTS> Script<Sys, S> {
     pub fn program<St: Sync>(
         &mut self,
         program: &'static Program<St>,
-        step: impl Fn(&Sys, &World<S>, &St) + Copy + Send + 'static,
+        step: impl Fn(&Sys, &World<S>, &St) + Copy + Send + Sync + 'static,
     ) {
+        // Each round holds what its program spawns, no more: a world
+        // keeps its rounds for every execution it serves.
+        self.main.reserve_exact(program.threads.len());
         for &(name, steps) in program.threads {
             self.thread(name, move |sys, w| {
                 steps.iter().for_each(|s| step(sys, w, s))
@@ -176,6 +207,7 @@ impl<Sys: System<S>, S: SpecTS> Script<Sys, S> {
         }
         if !program.after.is_empty() {
             let steps = program.after;
+            self.after.reserve_exact(1);
             self.after("post-crash", move |sys, w| {
                 steps.iter().for_each(|s| step(sys, w, s))
             });
@@ -236,20 +268,40 @@ pub(crate) trait AnyHarness: Send + Sync {
     /// [`Harness::fault_surface`].
     fn fault_surface(&self) -> FaultSurface;
 
-    /// One execution's world over `rt`: [`Harness::make`] over a fresh
-    /// ghost engine, then the system booted and the main round spawned —
-    /// or, from `base`, the crashed copy of `base`'s world, to be
-    /// [restarted](AnyWorld::restart).
-    fn world(&self, rt: &Arc<ModelRt>, base: Option<&dyn AnyWorld>) -> Box<dyn AnyWorld>;
+    /// The pool's builder ([`Worlds`]): a runtime for `spec`'s execution,
+    /// a fresh ghost engine, and the world [`Harness::make`] builds over
+    /// them; with `pristine`, each copied as it stands then — what a
+    /// reset puts back — so the world can serve again. Not started.
+    fn build(&self, spec: &ExecSpec<'_>, pristine: bool) -> Box<dyn AnyWorld>;
 }
 
-/// One execution's world — the system, what is left of its workload and
-/// its ghost state — behind one object-safe handle, so the driver that
-/// steps it is compiled once.
+/// One world — the system, its workload and its ghost state — behind one
+/// object-safe handle, so the driver that steps it is compiled once. A
+/// world serves one execution at a time, and the executions of one
+/// scenario on one OS thread one after another ([`Worlds`]).
 pub(crate) trait AnyWorld {
+    /// The runtime the world's system is built over.
+    fn rt(&self) -> &Arc<ModelRt>;
+
+    /// Readies the world for `spec`'s execution. One that served an
+    /// earlier execution is reset first: its runtime to `spec`'s seed,
+    /// step bound and fault plan, and — unless `base` is given — its
+    /// system to the snapshot taken right after `make` with its volatile
+    /// state dropped ([`System::crash`]), its ghost state to its copy
+    /// from then, and the system's leases minted again
+    /// ([`System::relet`]). Then it is booted with its main round
+    /// spawned, or, from `base`, made the crashed copy of `base`'s world,
+    /// to be [restarted](AnyWorld::restart).
+    fn start(&mut self, spec: &ExecSpec<'_>, base: Option<&dyn AnyWorld>);
+
+    /// Whether the world was built to serve again (its pristine state
+    /// copied).
+    fn reusable(&self) -> bool;
+
     /// What the crashed copy of this world is built from, now: the
     /// system's [`System::snapshot`] and the runtime and ghost state to
-    /// copy. Only [`AnyHarness::world`] of the same harness reads it.
+    /// copy. Only [`AnyWorld::start`] of a world of the same harness reads
+    /// it.
     fn snapshot(&self) -> Box<dyn Any>;
 
     /// The world's ghost state, which the pilot shares.
@@ -273,6 +325,56 @@ pub(crate) trait AnyWorld {
     /// The verdict at quiescence — ghost validation, then
     /// [`System::abs_check`] — and the operations recovery helped.
     fn verdict(&self) -> (ExecOutcome, u64);
+}
+
+/// The most worlds a pool keeps: as many as a nested crash group has at
+/// once (the shared execution, the first-level job forked off it, and
+/// each second-level job forked off that).
+const KEPT: usize = 3;
+
+/// One scenario's worlds on one OS thread, for the length of one check
+/// (one wave's worker, at two workers or more). An execution takes a
+/// world from the pool or has the harness build one, and gives it back
+/// if it ended well; a world whose execution failed, panicked or wedged
+/// is dropped. A traced execution always gets a new world: its build is
+/// part of what the trace records. The pool's first world is built as a
+/// world for one execution, uncopied: a check that ends at its first
+/// execution (a mutant caught at once) pays nothing for reuse.
+pub(crate) struct Worlds<'h> {
+    harness: &'h dyn AnyHarness,
+    free: RefCell<Vec<Box<dyn AnyWorld>>>,
+    /// Whether the pool has built a world yet.
+    built: Cell<bool>,
+}
+
+impl<'h> Worlds<'h> {
+    /// An empty pool over `harness`.
+    pub(crate) fn new(harness: &'h dyn AnyHarness) -> Self {
+        Worlds {
+            harness,
+            free: RefCell::new(Vec::new()),
+            built: Cell::new(false),
+        }
+    }
+
+    /// A world for `spec`'s execution, not yet started, and whether it
+    /// served an earlier one.
+    pub(crate) fn world(&self, spec: &ExecSpec<'_>) -> (Box<dyn AnyWorld>, bool) {
+        let kept = (!spec.capture_trace).then(|| self.free.borrow_mut().pop());
+        match kept.flatten() {
+            Some(world) => (world, true),
+            None => (self.harness.build(spec, self.built.replace(true)), false),
+        }
+    }
+
+    /// Keeps `world`, whose execution ended well, for a later one, up to
+    /// [`KEPT`] worlds built to serve again.
+    pub(crate) fn keep(&self, world: Box<dyn AnyWorld>) {
+        let mut free = self.free.borrow_mut();
+        if world.reusable() && free.len() < KEPT {
+            free.push(world);
+        }
+    }
 }
 
 /// A world's ghost state with its spec erased: the trace's fingerprint,
@@ -328,41 +430,29 @@ where
         self.0.fault_surface()
     }
 
-    fn world(&self, rt: &Arc<ModelRt>, base: Option<&dyn AnyWorld>) -> Box<dyn AnyWorld> {
+    fn build(&self, spec: &ExecSpec<'_>, pristine: bool) -> Box<dyn AnyWorld> {
+        let rt = ModelRt::with_faults(spec.seed, spec.max_steps, spec.faults.clone());
+        rt.set_track_deps(spec.track_deps);
+        rt.set_tracing(spec.capture_trace);
         let w = World {
-            rt: Arc::clone(rt),
+            rt,
             ghost: Ghost::new(self.0.spec()),
         };
-        // `make` runs over a fresh engine even for a crashed copy, so what
-        // it allocates does not touch the copies that overwrite it.
         let script = self.0.make(&w);
-        let mut live = Live {
+        if pristine {
+            w.rt.mark_pristine();
+            w.ghost.mark_pristine();
+        }
+        Box::new(Live {
+            pristine: pristine.then(|| Box::new(script.sys.snapshot())),
             w,
             sys: Arc::new(script.sys),
             crash: script.crash,
+            main: script.main,
             after: script.after,
-        };
-        let Some(base) = base else {
-            live.sys.boot(&live.w);
-            for (name, op) in script.main {
-                live.spawn(name, op);
-            }
-            return Box::new(live);
-        };
-        // The crashed copy, with nothing run yet: the system restored,
-        // then the runtime and the ghost state overwritten with their
-        // crashed copies, and the post-recovery round dropped if `base`
-        // has spawned its own.
-        let snapshot = base.snapshot();
-        let base = snapshot.downcast_ref::<Crashed<<P::Target as Harness<S>>::Sys, S>>();
-        let base = base.expect("a snapshot of this harness's world");
-        if base.recovered {
-            live.after.clear();
-        }
-        live.sys.restore(&base.durable);
-        live.w.rt.restore_crashed(&base.w.rt);
-        live.w.ghost.fork_crashed(&base.w.ghost);
-        Box::new(live)
+            recovered: false,
+            used: false,
+        })
     }
 }
 
@@ -376,12 +466,21 @@ struct Crashed<Sys: System<S>, S: SpecTS> {
 }
 
 /// The [`AnyWorld`] of a script's system.
-struct Live<Sys, S: SpecTS> {
+struct Live<Sys: System<S>, S: SpecTS> {
     w: World<S>,
     sys: Arc<Sys>,
     crash: fn(&Sys),
-    /// The post-recovery round, until it is spawned.
+    main: Vec<Op<Sys, S>>,
     after: Vec<Op<Sys, S>>,
+    /// Whether the post-recovery round has been spawned (in a crashed
+    /// copy, whether its base's had).
+    recovered: bool,
+    /// The system's snapshot right after `make`, if the world is to
+    /// serve again; the runtime and the ghost engine keep their own
+    /// copies.
+    pristine: Option<Box<Sys::Durable>>,
+    /// Whether the world has served an execution.
+    used: bool,
 }
 
 impl<Sys: System<S>, S: SpecTS> Live<Sys, S> {
@@ -390,14 +489,65 @@ impl<Sys: System<S>, S: SpecTS> Live<Sys, S> {
         let (sys, w) = (Arc::clone(&self.sys), self.w.clone());
         self.w.rt.spawn(name, move || op(&sys, &w))
     }
+
+    /// Spawns each of `ops`, in order.
+    fn spawn_all(&self, ops: &[Op<Sys, S>]) {
+        for (name, op) in ops {
+            let op = Arc::clone(op);
+            self.spawn(name, move |sys, w| op(sys, w));
+        }
+    }
 }
 
 impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
+    fn rt(&self) -> &Arc<ModelRt> {
+        &self.w.rt
+    }
+
+    fn start(&mut self, spec: &ExecSpec<'_>, base: Option<&dyn AnyWorld>) {
+        let rt = &self.w.rt;
+        if std::mem::replace(&mut self.used, true) {
+            if base.is_none() {
+                let pristine = self.pristine.as_ref();
+                self.sys
+                    .restore(pristine.expect("a world the pool keeps is copied"));
+                Sys::crash(&self.sys);
+                self.w.ghost.reset();
+                self.sys.relet(&self.w);
+            }
+            // After the system's crash hook, which may count on it.
+            rt.reset(spec.seed, spec.max_steps, spec.faults.clone());
+            rt.set_track_deps(spec.track_deps);
+            rt.set_tracing(spec.capture_trace);
+        }
+        let Some(base) = base else {
+            self.recovered = false;
+            self.sys.boot(&self.w);
+            self.spawn_all(&self.main);
+            return;
+        };
+        // The crashed copy, with nothing run yet: the system restored,
+        // then the runtime and the ghost state overwritten with their
+        // crashed copies, and the post-recovery round left unspawned if
+        // `base` has spawned its own.
+        let snapshot = base.snapshot();
+        let base = snapshot.downcast_ref::<Crashed<Sys, S>>();
+        let base = base.expect("a snapshot of this harness's world");
+        self.recovered = base.recovered;
+        self.sys.restore(&base.durable);
+        rt.restore_crashed(&base.w.rt);
+        self.w.ghost.fork_crashed(&base.w.ghost);
+    }
+
+    fn reusable(&self) -> bool {
+        self.pristine.is_some()
+    }
+
     fn snapshot(&self) -> Box<dyn Any> {
         Box::new(Crashed::<Sys, S> {
             durable: self.sys.snapshot(),
             w: self.w.clone(),
-            recovered: self.after.is_empty(),
+            recovered: self.recovered,
         })
     }
 
@@ -416,8 +566,8 @@ impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
     }
 
     fn recovered(&mut self) {
-        for (name, op) in std::mem::take(&mut self.after) {
-            self.spawn(name, op);
+        if !std::mem::replace(&mut self.recovered, true) {
+            self.spawn_all(&self.after);
         }
     }
 

@@ -15,7 +15,7 @@ use crate::exec::{
     cx_policy, rerun, run_one, run_stopping, Counterexample, Exec, ExecOutcome, ExecSpec, Policy,
     RunResult,
 };
-use crate::harness::AnyHarness;
+use crate::harness::{AnyHarness, Worlds};
 use crate::metrics::{Coverage, FaultFamily, OutcomeKind};
 use crate::pass::Pass;
 use crate::strategy::{Buffers, DepTrace, ScheduleSpec, Spares};
@@ -473,19 +473,29 @@ impl Shared<'_> {
     }
 }
 
-/// Runs one job and appends its outcome to `outs`, applying shard
-/// ownership: leaf jobs other shards own are skipped, spine jobs run but
-/// are not counted.
-fn execute_job(shared: &Shared<'_>, job: &Job, outs: &mut Vec<JobOutcome>, spares: &mut Spares) {
+/// Runs one job in a world from `worlds` and appends its outcome to
+/// `outs`, applying shard ownership: leaf jobs other shards own are
+/// skipped, spine jobs run but are not counted.
+fn execute_job(
+    (shared, worlds): (&Shared<'_>, &Worlds<'_>),
+    job: &Job,
+    outs: &mut Vec<JobOutcome>,
+    spares: &mut Spares,
+) {
     let owned = shared.owns(job.key);
     if (owned || shared.is_spine(job)) && shared.cancel.should_run(job.key) {
-        outs.push(run_or_replay(shared, job, owned, spares));
+        outs.push(run_or_replay((shared, worlds), job, owned, spares));
     }
 }
 
 /// One execution of a job: read back from the resume WAL if it completed
 /// there, otherwise run in buffers from `spares` and [`record`]ed.
-fn run_or_replay(shared: &Shared<'_>, job: &Job, counted: bool, spares: &mut Spares) -> JobOutcome {
+fn run_or_replay(
+    (shared, worlds): (&Shared<'_>, &Worlds<'_>),
+    job: &Job,
+    counted: bool,
+    spares: &mut Spares,
+) -> JobOutcome {
     // Only `ok` records are in the map, and every field of the outcome
     // is deterministic job metadata or a recorded statistic, so a resumed
     // run aggregates to the same report as a cold one.
@@ -493,12 +503,50 @@ fn run_or_replay(shared: &Shared<'_>, job: &Job, counted: bool, spares: &mut Spa
         return shared.read_back(job, counted, stats);
     }
     let seed = shared.seed(job);
+    let r = run_alone(shared, worlds, job, seed, spares);
+    record(shared, job, seed, counted, r, spares)
+}
+
+/// `job` run from its first step in a world from `worlds`, in buffers
+/// from `spares`. In debug builds, a fixed sample of the executions a
+/// reused world served ([`sampled`]) is held to a fresh world's: any
+/// difference panics, naming the job.
+fn run_alone(
+    shared: &Shared<'_>,
+    worlds: &Worlds<'_>,
+    job: &Job,
+    seed: u64,
+    spares: &mut Spares,
+) -> RunResult {
     let spec = ExecSpec {
         buffers: spares.take(job.track_deps),
         ..shared.spec(job, seed)
     };
-    let r = run_one(shared.harness, spec);
-    record(shared, job, seed, counted, r, spares)
+    let r = run_one(worlds, spec);
+    if r.reused && sampled(job) {
+        if let Some(diff) = r.difference(&isolated(shared, job, seed)) {
+            let (name, key) = (shared.telem.name(), job.key);
+            panic!(
+                "{name}: job {key:?} run in a reused world differs from a fresh world in {diff}"
+            );
+        }
+    }
+    r
+}
+
+/// Whether `job` is in the fixed sample a debug build re-runs by itself
+/// ([`CROSS_CHECKED`]).
+fn sampled(job: &Job) -> bool {
+    cfg!(debug_assertions) && shard_of(job.key, CROSS_CHECKED) == 0
+}
+
+/// `job` run by itself on an OS thread of its own, whose pool is empty,
+/// so its world is fresh from `make`: nothing of this one's (its
+/// contexts, its worlds, its allocation counts) is shared with the check.
+fn isolated(shared: &Shared<'_>, job: &Job, seed: u64) -> RunResult {
+    let (harness, spec) = (shared.harness, shared.spec(job, seed));
+    std::thread::scope(|scope| scope.spawn(|| run_one(&Worlds::new(harness), spec)).join())
+        .expect("a re-run is isolated: it does not panic")
 }
 
 /// A live execution of `job`, recorded in the telemetry stream
@@ -570,10 +618,12 @@ fn counterexample_of(job: &Job, seed: u64, outcome: ExecOutcome) -> Counterexamp
     }
 }
 
-/// In debug builds, the passing forks whose job key falls in shard 0 of
-/// this many are also run by themselves and compared field by field
-/// (`Group::confirm`): one in eight, fixed by the key, which keeps the
-/// debug test suite's time within reach of what it was before forking.
+/// In debug builds, the passing forks and the executions a reused world
+/// served whose job key falls in shard 0 of this many are also run by
+/// themselves in a fresh world and compared field by field
+/// (`Group::confirm`, [`run_alone`]): one in eight, fixed by the key,
+/// which keeps the debug test suite's time within reach of what it was
+/// before forking.
 const CROSS_CHECKED: u32 = 8;
 
 /// The jobs one worker takes together, in key order: the whole crash
@@ -597,13 +647,14 @@ fn groups(jobs: &[Job]) -> Vec<&[Job]> {
 /// run by itself. Shards, the WAL and cancellation decide per job, as
 /// [`execute_job`] does. Executions fill buffers from `spares`.
 fn execute_group(
-    shared: &Shared<'_>,
+    (shared, worlds): (&Shared<'_>, &Worlds<'_>),
     jobs: &[Job],
     outs: &mut Vec<JobOutcome>,
     spares: &mut Spares,
 ) {
     let mut group = Group {
         shared,
+        worlds,
         spares,
         jobs,
         done: 0,
@@ -623,6 +674,9 @@ fn execute_group(
 /// A group's jobs as they are worked off, in key order.
 struct Group<'g, 'a> {
     shared: &'g Shared<'a>,
+    /// The worker's pool: the shared executions and the jobs forked off
+    /// them take their worlds from it.
+    worlds: &'g Worlds<'a>,
     spares: &'g mut Spares,
     jobs: &'g [Job],
     /// Jobs handled so far.
@@ -668,8 +722,8 @@ impl<'g> Group<'g, '_> {
         if stops.is_empty() {
             return;
         }
-        let (harness, base) = (self.shared.harness, self.round_robin(&[]));
-        let base = run_stopping(harness, base, None, &stops, &mut |here| self.fork(here, 0));
+        let (worlds, base) = (self.worlds, self.round_robin(&[]));
+        let base = run_stopping(worlds, base, None, &stops, &mut |here| self.fork(here, 0));
         self.shared_done(base);
     }
 
@@ -682,14 +736,14 @@ impl<'g> Group<'g, '_> {
         if stops.is_empty() {
             return;
         }
-        let (harness, jobs) = (self.shared.harness, self.jobs);
+        let (worlds, jobs) = (self.worlds, self.jobs);
         let k = &jobs[0].crash_points[..1];
         let base = self.round_robin(&[]);
-        let base = run_stopping(harness, base, None, k, &mut |here| {
+        let base = run_stopping(worlds, base, None, k, &mut |here| {
             if here.shareable() {
                 let first = self.round_robin(k);
                 let at = &mut |here: &Exec| self.fork(here, 1);
-                let first = run_stopping(harness, first, Some(here), &stops, at);
+                let first = run_stopping(worlds, first, Some(here), &stops, at);
                 self.shared_done(first);
             }
         });
@@ -712,15 +766,15 @@ impl<'g> Group<'g, '_> {
             return;
         }
         let seed = shared.seed(job);
-        let spec = ExecSpec {
-            buffers: self.spares.take(job.track_deps),
-            ..shared.spec(job, seed)
-        };
         let r = if here.shareable() {
-            let forked = run_stopping(shared.harness, spec, Some(here), &[], &mut |_| {});
+            let spec = ExecSpec {
+                buffers: self.spares.take(job.track_deps),
+                ..shared.spec(job, seed)
+            };
+            let forked = run_stopping(self.worlds, spec, Some(here), &[], &mut |_| {});
             self.confirm(job, seed, forked)
         } else {
-            run_one(shared.harness, spec)
+            run_alone(shared, self.worlds, job, seed, self.spares)
         };
         let counted = shared.owns(job.key);
         let out = record(shared, job, seed, counted, r, self.spares);
@@ -728,13 +782,12 @@ impl<'g> Group<'g, '_> {
     }
 
     /// Holds a fork to what a re-run of its job gives: in debug builds a
-    /// fixed sample of the forks ([`CROSS_CHECKED`]), in all builds every
+    /// fixed sample of the forks ([`sampled`]), in all builds every
     /// failing one — a failing fork's counterexample text is its
     /// re-run's ([`rerun`]).
     fn confirm(&mut self, job: &Job, seed: u64, forked: RunResult) -> RunResult {
         let failed = forked.outcome.is_failure();
-        let sampled = cfg!(debug_assertions) && shard_of(job.key, CROSS_CHECKED) == 0;
-        if !failed && !sampled {
+        if !failed && !sampled(job) {
             return forked;
         }
         let (harness, max_steps) = (self.shared.harness, self.shared.config.max_steps);
@@ -742,11 +795,7 @@ impl<'g> Group<'g, '_> {
             let cx = counterexample_of(job, seed, forked.outcome.clone());
             rerun(harness, &cx, max_steps, false)
         } else {
-            // On an OS thread of its own: nothing of this one's (its
-            // contexts, its allocation counts) is shared with the check.
-            let spec = self.shared.spec(job, seed);
-            std::thread::scope(|scope| scope.spawn(|| run_one(harness, spec)).join())
-                .expect("a re-run is isolated: it does not panic")
+            isolated(self.shared, job, seed)
         };
         if let Some(diff) = forked.difference(&again) {
             let name = self.shared.telem.name();
@@ -766,7 +815,7 @@ impl<'g> Group<'g, '_> {
     /// each replayed, skipped or run by itself.
     fn catch_up(&mut self, upto: usize) {
         for job in &self.jobs[self.done..upto] {
-            execute_job(self.shared, job, self.outs, self.spares);
+            execute_job((self.shared, self.worlds), job, self.outs, self.spares);
         }
         self.done = self.done.max(upto);
     }
@@ -785,11 +834,13 @@ impl<'g> Group<'g, '_> {
 }
 
 /// Runs a batch of jobs across the worker pool, one [`groups`] group at
-/// a time per worker (inline when a single worker suffices), and returns
-/// their outcomes in job order. Each worker takes a share of `spares`
-/// for its executions to fill and hands back what it is done with.
+/// a time per worker (inline, in `worlds`, when a single worker
+/// suffices), and returns their outcomes in job order. Each worker takes
+/// a share of `spares` for its executions to fill and hands back what it
+/// is done with, and builds a pool of worlds of its own for the wave: a
+/// world belongs to the OS thread that built it.
 fn run_wave(
-    shared: &Shared<'_>,
+    (shared, worlds): (&Shared<'_>, &Worlds<'_>),
     workers: usize,
     spares: &mut Spares,
     jobs: &[Job],
@@ -801,7 +852,7 @@ fn run_wave(
         // grown by doubling would hold twice its size at the end.
         let mut outs = Vec::with_capacity(jobs.len());
         for group in groups {
-            execute_group(shared, group, &mut outs, spares);
+            execute_group((shared, worlds), group, &mut outs, spares);
         }
         return outs;
     }
@@ -815,12 +866,16 @@ fn run_wave(
             .deal(workers)
             .into_iter()
             .map(|mut hand| {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= groups.len() {
-                        break hand;
+                scope.spawn(move || {
+                    let worlds = Worlds::new(shared.harness);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= groups.len() {
+                            break hand;
+                        }
+                        let outs = &mut slots[i].lock();
+                        execute_group((shared, &worlds), groups[i], outs, &mut hand);
                     }
-                    execute_group(shared, groups[i], &mut slots[i].lock(), &mut hand);
                 })
             })
             .collect();
@@ -1004,6 +1059,9 @@ fn closed_phase(wal: WalReplay, config: &CheckConfig) -> Option<ClosedPhase> {
 /// `&mut` [`RunTelemetry`]); what the workers see is [`Shared`].
 pub(crate) struct Driver<'a> {
     pub shared: Shared<'a>,
+    /// The coordinator's pool of worlds, which a wave run inline uses:
+    /// at one worker, every execution of the check.
+    worlds: Worlds<'a>,
     pub workers: usize,
     budget: BudgetGate,
     /// One entry per wave, as `run_wave` returned it: a single list would
@@ -1039,6 +1097,7 @@ impl<'a> Driver<'a> {
                 replay,
                 replayed: AtomicU64::new(0),
             },
+            worlds: Worlds::new(harness),
             workers,
             budget: BudgetGate::new(config.exec_budget),
             outcomes: Vec::new(),
@@ -1065,7 +1124,8 @@ impl<'a> Driver<'a> {
     /// records to the stream, keep the outcomes.
     pub(crate) fn run_pass(&mut self, pass: Pass, jobs: Vec<Job>) -> Option<&mut [JobOutcome]> {
         let jobs = self.admit(pass, jobs)?;
-        let outs = run_wave(&self.shared, self.workers, &mut self.spares, &jobs);
+        let pools = (&self.shared, &self.worlds);
+        let outs = run_wave(pools, self.workers, &mut self.spares, &jobs);
         self.shared.telem.flush();
         self.outcomes.push(outs);
         self.outcomes.last_mut().map(Vec::as_mut_slice)
@@ -1107,7 +1167,7 @@ impl<'a> Driver<'a> {
         for (&key, cx) in &phase.failures {
             let failing = job(cx.pass, cx.index);
             let seed = self.shared.seed(&failing);
-            let r = run_one(self.shared.harness, self.shared.spec(&failing, seed));
+            let r = run_one(&self.worlds, self.shared.spec(&failing, seed));
             if OutcomeKind::of(&r.outcome) != cx.outcome {
                 return None;
             }
@@ -1395,8 +1455,11 @@ mod tests {
         let failure = CxRecord {
             pass: Pass::Dfs,
             index: 1,
+            seed: 9,
             outcome: OutcomeKind::Deadlock,
             schedule_prefix: vec![0, 1],
+            crash_points: Vec::new(),
+            faults: FaultPlan::default(),
         };
         WalReplay {
             completed: [(0, 0), (0, 2), (1, 0)]

@@ -891,30 +891,41 @@ pub enum Record {
     Other,
 }
 
-/// A `counterexample` record read back: which job failed, how, and the
-/// one coordinate of a schedule-phase job its key does not give, the
-/// schedule prefix its strategy chose.
+/// A `counterexample` record read back: which job failed, how, and its
+/// replay coordinates — the seed, the schedule prefix its strategy
+/// chose, the crash points and the fault plan — so a failure of any pass
+/// replays from the stream alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CxRecord {
     /// The pass it failed in; `(pass.rank(), index)` is its job key.
     pub pass: Pass,
     /// Its index within the pass.
     pub index: u64,
+    /// Its execution seed.
+    pub seed: u64,
     /// How it failed.
     pub outcome: OutcomeKind,
     /// The decisions it replayed before choosing itself.
     pub schedule_prefix: Vec<usize>,
+    /// Its injected crash points (absolute grant counts).
+    pub crash_points: Vec<u64>,
+    /// Its fault plan, read back from its compact text.
+    pub faults: FaultPlan,
 }
 
 impl CxRecord {
     /// Reads a `counterexample` record: all or nothing.
     fn from_json(m: &Map) -> Result<Self, String> {
         let prefix = get_u64s(m, "schedule_prefix")?;
+        let faults = get_str(m, "faults")?.parse().map_err(|e| format!("{e}"))?;
         Ok(CxRecord {
             pass: get_str(m, "pass")?.parse()?,
             index: get_u64(m, "index")?,
+            seed: get_hex(m, "seed")?,
             outcome: outcome_kind(get_str(m, "outcome")?)?,
             schedule_prefix: prefix.into_iter().map(|d| d as usize).collect(),
+            crash_points: get_u64s(m, "crash_points")?,
+            faults,
         })
     }
 }
@@ -960,8 +971,8 @@ impl Record {
 
     /// An `exec_done` record from its fields, however they were read: the
     /// rules the tree reader and the canonical one share. An outcome is
-    /// one of the eight, and a fault plan's compact form is printable
-    /// ASCII, `-` when empty.
+    /// one of the eight, and a fault plan is in the compact form its
+    /// writer writes ([`FaultPlan::check_compact`]), `-` when empty.
     fn exec_done(
         pass: &str,
         index: u64,
@@ -971,8 +982,8 @@ impl Record {
         stats: ExecStats,
     ) -> Result<Record, String> {
         let outcome = outcome_kind(outcome)?;
-        if faults.is_empty() || !faults.bytes().all(|b| b.is_ascii_graphic()) {
-            return Err(format!("faults: not a compact fault plan: {faults:?}"));
+        if let Err(e) = FaultPlan::check_compact(faults) {
+            return Err(format!("faults: {e}"));
         }
         Ok(Record::ExecDone {
             pass: pass.parse()?,
@@ -1846,12 +1857,14 @@ mod tests {
         let wal = parse_wal(&wal_line_with("trace_fp", Some("\"0x1f\"")), "s");
         assert_eq!(wal.completed[&(Pass::Dfs.rank(), 0)].trace_fp, 0x1f);
         // An outcome is one of the eight, a pass one of the ten, and a
-        // fault plan printable and non-empty.
+        // fault plan in the form its writer writes.
         let hostile = [
             ("outcome", "\"fine\""),
             ("pass", "\"dfs2\""),
             ("faults", "\"\""),
             ("faults", "\"-\u{fffd}\""),
+            ("faults", "\"io@01\""),
+            ("faults", "\"+\""),
         ];
         for (key, literal) in hostile {
             let wal = parse_wal(&wal_line_with(key, Some(literal)), "s");
@@ -1865,13 +1878,11 @@ mod tests {
     #[test]
     fn every_record_type_is_all_or_nothing() {
         // `None`: the reader takes every key the writer wrote (`run_end`,
-        // read through the report's counter table, like report JSON).
+        // read through the report's counter table, like report JSON, and
+        // `counterexample`, every replay coordinate).
         let read: [(&str, Option<&[&str]>); 5] = [
             ("run_end", None),
-            (
-                "counterexample",
-                Some(&["pass", "index", "outcome", "schedule_prefix"]),
-            ),
+            ("counterexample", None),
             ("schedule_end", None),
             ("pass_start", Some(&[])),
             ("pass_end", Some(&[])),

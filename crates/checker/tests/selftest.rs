@@ -124,6 +124,12 @@ impl System<RegSpec> for RegSys {
         // locks.
     }
 
+    fn relet(&self, w: &World<RegSpec>) {
+        for (a, cell) in self.cells.iter().enumerate() {
+            self.lockinvs[a].reset(w.ghost.recover_lease(*cell).ghost_unwrap());
+        }
+    }
+
     fn recover(&self, w: &World<RegSpec>) {
         if self.bug == Bug::ZeroingRecovery {
             for a in 0..self.cells.len() as u64 {

@@ -8,8 +8,18 @@ use std::any::Any;
 /// are dense (the engine mints them in order for every kind), so a
 /// table is a vector indexed by id, with a hole where the id names a
 /// resource of another kind: a lookup hashes nothing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Table<C>(Vec<Option<C>>);
+
+impl<C: Clone> Clone for Table<C> {
+    fn clone(&self) -> Self {
+        Table(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl<C> Table<C> {
     pub(crate) fn new() -> Self {
@@ -53,6 +63,9 @@ trait Column: Send {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn boxed_clone(&self) -> Box<dyn Column>;
+    /// Makes this column `from`'s values in place; `false` (and nothing
+    /// changed) if `from` holds another type.
+    fn assign(&mut self, from: &dyn Column) -> bool;
 }
 
 impl<T: Clone + Send + 'static> Column for Vec<T> {
@@ -66,6 +79,11 @@ impl<T: Clone + Send + 'static> Column for Vec<T> {
 
     fn boxed_clone(&self) -> Box<dyn Column> {
         Box::new(self.clone())
+    }
+
+    fn assign(&mut self, from: &dyn Column) -> bool {
+        let from = from.as_any().downcast_ref::<Self>();
+        from.map(|values| self.clone_from(values)).is_some()
     }
 }
 
@@ -83,6 +101,23 @@ impl<M: Clone> Clone for Cells<M> {
         Cells {
             slots: self.slots.clone(),
             columns: self.columns.iter().map(|c| c.boxed_clone()).collect(),
+        }
+    }
+
+    /// Keeps each column whose type matches `source`'s at its position,
+    /// so a copy made again over the same cells allocates nothing new.
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.columns.truncate(source.columns.len());
+        for (i, from) in source.columns.iter().enumerate() {
+            match self.columns.get_mut(i) {
+                Some(column) => {
+                    if !column.assign(&**from) {
+                        *column = from.boxed_clone();
+                    }
+                }
+                None => self.columns.push(from.boxed_clone()),
+            }
         }
     }
 }

@@ -148,7 +148,52 @@ impl<S: SpecTS> Inner<S> {
             op_count: self.op_count,
         }
     }
+}
 
+/// The whole state, volatile cells included: a world's engine is copied
+/// right after the world is built ([`Ghost::mark_pristine`]) and copied
+/// back, in the allocations it already has, before each execution the
+/// world serves again ([`Ghost::reset`]).
+impl<S: SpecTS> Clone for Inner<S> {
+    fn clone(&self) -> Self {
+        let vol = self.vol.clone();
+        Inner {
+            vol,
+            ..self.durable_copy()
+        }
+    }
+
+    fn clone_from(&mut self, from: &Self) {
+        let Inner {
+            version,
+            state,
+            ops,
+            help,
+            crash_token,
+            next_res,
+            vol,
+            dur,
+            sets,
+            trace,
+            first_error,
+            op_count,
+        } = from;
+        self.version = *version;
+        self.state.clone_from(state);
+        self.ops.clone_from(ops);
+        self.help.clone_from(help);
+        self.crash_token = *crash_token;
+        self.next_res = *next_res;
+        self.vol.clone_from(vol);
+        self.dur.clone_from(dur);
+        self.sets.clone_from(sets);
+        self.trace.clone_from(trace);
+        self.first_error.clone_from(first_error);
+        self.op_count = *op_count;
+    }
+}
+
+impl<S: SpecTS> Inner<S> {
     /// `j`'s record; a `j` this engine never minted is reported as `msg`.
     fn op(&mut self, jid: Jid, msg: &'static str) -> GhostResult<&mut OpRecord<S>> {
         let unknown = GhostError::OpState { jid, msg };
@@ -256,6 +301,8 @@ impl<S: SpecTS> Inner<S> {
 pub struct Ghost<S: SpecTS> {
     spec: Arc<S>,
     inner: OwnerCell<Inner<S>>,
+    /// The state [`Ghost::reset`] goes back to, once marked.
+    pristine: OwnerCell<Option<Box<Inner<S>>>>,
 }
 
 impl<S: SpecTS> Ghost<S> {
@@ -278,7 +325,29 @@ impl<S: SpecTS> Ghost<S> {
                 first_error: None,
                 op_count: 0,
             }),
+            pristine: OwnerCell::new(None),
         })
+    }
+
+    /// Records the engine's whole state as it stands — the resources a
+    /// world's builder allocated, volatile cells included — as what
+    /// [`Ghost::reset`] goes back to. Counts no call.
+    pub fn mark_pristine(&self) {
+        *self.pristine.lock() = Some(Box::new(self.inner.lock().clone()));
+    }
+
+    /// Puts back the state [`Ghost::mark_pristine`] recorded, all of it —
+    /// the version, σ, every op record, cell and set, and the trace — but
+    /// with no lease out: the holder of the marked state's leases mints
+    /// them again with [`Ghost::recover_lease`] and
+    /// [`Ghost::recover_set_lease`], one per resource, as recovery does
+    /// after a crash. A checker world does this before it serves another
+    /// execution (its system's `relet`). Counts no call.
+    pub fn reset(&self) {
+        let (pristine, mut g) = (self.pristine.lock(), self.inner.lock());
+        g.clone_from(pristine.as_ref().expect("the engine was marked"));
+        g.dur.slots.values_mut().for_each(Leased::revoke);
+        g.sets.values_mut().for_each(Leased::revoke);
     }
 
     /// The spec this engine refines against.

@@ -45,11 +45,25 @@ perennial_spec::encode! {
 }
 
 /// A full refinement trace for one execution.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Trace<Op, Ret> {
     events: Vec<TraceEvent<Op, Ret>>,
     /// FNV-1a over the [`Encode`] bytes of `events`, in order.
     fingerprint: Fnv1a,
+}
+
+impl<Op: Clone, Ret: Clone> Clone for Trace<Op, Ret> {
+    fn clone(&self) -> Self {
+        Trace {
+            events: self.events.clone(),
+            fingerprint: self.fingerprint,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.events.clone_from(&source.events);
+        self.fingerprint = source.fingerprint;
+    }
 }
 
 impl<Op, Ret> Default for Trace<Op, Ret> {

@@ -180,6 +180,120 @@ impl FaultPlan {
     }
 }
 
+/// Why a text is not a [`FaultPlan::compact`] rendering: the first token
+/// that is not in its written form, or out of its written order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParsePlanError(pub String);
+
+impl std::fmt::Display for ParsePlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "not a compact fault-plan token: {:?}", self.0)
+    }
+}
+
+impl std::str::FromStr for FaultPlan {
+    type Err = ParsePlanError;
+
+    /// The exact inverse of [`FaultPlan::write_compact`] ([`FaultPlan::check_compact`]
+    /// says which texts are one).
+    fn from_str(text: &str) -> Result<Self, ParsePlanError> {
+        let mut plan = FaultPlan::default();
+        tokens(text, |token| match token {
+            Token::Io(i) => _ = plan.transient_io.insert(i),
+            Token::Torn(mode) => plan.torn = Some(mode),
+            Token::Disk(d, g) => plan.disk_fail = Some((d, g)),
+            Token::Net(i, fault) => _ = plan.net.insert(i, fault),
+        })?;
+        Ok(plan)
+    }
+}
+
+impl FaultPlan {
+    /// Whether `text` is what [`FaultPlan::write_compact`] writes for some
+    /// plan, without building the plan: `-` for the empty plan; otherwise
+    /// `+`-joined tokens in the order it writes them (transient errors
+    /// ascending, the torn mode, the disk failure, net faults ascending),
+    /// each number in canonical decimal. Anything else — a token twice,
+    /// out of order, a leading zero, an empty text — is an error, so a
+    /// plan reads back only from the text it writes.
+    pub fn check_compact(text: &str) -> Result<(), ParsePlanError> {
+        tokens(text, |_| {})
+    }
+}
+
+/// One token of a compact fault plan.
+enum Token {
+    Io(u64),
+    Torn(TornMode),
+    Disk(u8, u64),
+    Net(u64, NetFault),
+}
+
+impl Token {
+    /// `text` as a token, if it is one in written form.
+    fn read(text: &str) -> Option<Token> {
+        if let Some(i) = text.strip_prefix("io@") {
+            return Some(Token::Io(number(i)?));
+        }
+        if let Some(mode) = text.strip_prefix("torn-") {
+            return Some(Token::Torn(match mode {
+                "all" => TornMode::KeepAll,
+                "none" => TornMode::KeepNone,
+                _ => TornMode::Subset(number(mode.strip_prefix("sub")?)?),
+            }));
+        }
+        if let Some(rest) = text.strip_prefix("net-") {
+            let (what, i) = rest.split_once('@')?;
+            let fault = match what {
+                "drop" => NetFault::Drop,
+                "dup" => NetFault::Duplicate,
+                "delay" => NetFault::Delay,
+                _ => return None,
+            };
+            return Some(Token::Net(number(i)?, fault));
+        }
+        let (d, g) = text.strip_prefix('d')?.split_once('@')?;
+        Some(Token::Disk(number(d)?, number(g)?))
+    }
+
+    /// Where the token sits in the written order: its kind's place, then
+    /// its index among the transient errors or the net faults.
+    fn place(&self) -> (u8, u64) {
+        match *self {
+            Token::Io(i) => (0, i),
+            Token::Torn(_) => (1, 0),
+            Token::Disk(..) => (2, 0),
+            Token::Net(i, _) => (3, i),
+        }
+    }
+}
+
+/// Hands each token of the compact plan `text` to `each`, in order, or
+/// names the first that is not in written form or not after the one
+/// before it.
+fn tokens(text: &str, mut each: impl FnMut(Token)) -> Result<(), ParsePlanError> {
+    if text == "-" {
+        return Ok(());
+    }
+    let mut last = None;
+    for word in text.split('+') {
+        let after = |token: &Token| last.is_none_or(|last| token.place() > last);
+        let token = Token::read(word).filter(after);
+        let token = token.ok_or_else(|| ParsePlanError(word.to_string()))?;
+        last = Some(token.place());
+        each(token);
+    }
+    Ok(())
+}
+
+/// `text` as a number if it is one in canonical decimal: digits only, and
+/// no leading zero unless it is `0`.
+fn number<T: std::str::FromStr>(text: &str) -> Option<T> {
+    let digits = !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit());
+    let canonical = digits && (text == "0" || !text.starts_with('0'));
+    canonical.then(|| text.parse().ok()).flatten()
+}
+
 /// Which fault families a scenario's substrate can absorb. The explorer
 /// only schedules a fault pass when the harness claims the matching
 /// surface — injecting torn writes under a system that never buffers, or

@@ -199,6 +199,7 @@ struct ThreadMeta {
     ctx: Ctx,
 }
 
+#[derive(Clone)]
 struct LockSlot {
     held_by: Option<Tid>,
     /// Times a thread parked on this lock while held (the per-resource
@@ -228,6 +229,27 @@ struct RtState {
     /// The execution's counters; `threads` is filled in by
     /// [`ModelRt::sched_stats`] from the thread table.
     stats: SchedStats,
+    /// Drives deterministic randomness ([`ModelRt::rand_u64`]).
+    seed: u64,
+    /// The step budget (a livelock backstop).
+    max_steps: u64,
+    /// This execution's fault schedule (empty = inject nothing), fixed
+    /// when the execution starts, like the seed, so fault injection is a
+    /// pure function of the canonical job key.
+    faults: FaultPlan,
+    /// What [`ModelRt::reset`] puts back.
+    pristine: Option<Box<Pristine>>,
+}
+
+/// The runtime as its world's builder left it ([`ModelRt::mark_pristine`]):
+/// what [`ModelRt::reset`] restores before a world serves another
+/// execution (a runtime nobody marked goes back to empty).
+#[derive(Default)]
+struct Pristine {
+    locks: Vec<LockSlot>,
+    stats: SchedStats,
+    tags: u64,
+    wakeups: u64,
 }
 
 impl RtState {
@@ -403,12 +425,6 @@ pub struct ModelRt {
     /// Baton passes made so far (see [`ModelRt::wakeups`]). Written by
     /// the owning OS thread only, so a plain load and store.
     wakeups: AtomicU64,
-    seed: u64,
-    max_steps: u64,
-    /// This execution's fault schedule (empty = inject nothing). Fixed
-    /// at construction, like the seed, so fault injection is a pure
-    /// function of the canonical job key.
-    faults: FaultPlan,
     /// Whether the dependency hooks record accesses (off by default; the
     /// checker enables it for executions feeding partial-order
     /// reduction). Disabled runs pay one relaxed load per primitive.
@@ -488,11 +504,12 @@ impl ModelRt {
                 locks: Vec::new(),
                 poisoned: false,
                 stats: SchedStats::default(),
+                seed,
+                max_steps,
+                faults,
+                pristine: None,
             }),
             wakeups: AtomicU64::new(0),
-            seed,
-            max_steps,
-            faults,
             track_deps: AtomicBool::new(false),
             cur_accesses: OwnerCell::new(Vec::new()),
             next_tag: AtomicU64::new(0),
@@ -603,15 +620,16 @@ impl ModelRt {
         // With transient faults planned, the shared op-index stream
         // decides *which* op fails, so consuming an index is a
         // dependency-relevant write.
-        if !self.faults.transient_io.is_empty() {
-            self.note_access(res::DISK_FAULT_CTR, true);
-        }
-        let faulty = {
+        let (planned, faulty) = {
             let mut s = self.state.lock();
             let i = s.stats.disk_ops;
             s.stats.disk_ops += 1;
-            self.faults.transient_io.contains(&i).then_some(i)
+            let planned = &s.faults.transient_io;
+            (!planned.is_empty(), planned.contains(&i).then_some(i))
         };
+        if planned {
+            self.note_access(res::DISK_FAULT_CTR, true);
+        }
         if let Some(op) = faulty {
             self.trace_event(TraceKind::FaultDiskTransient { op });
             return true;
@@ -628,15 +646,15 @@ impl ModelRt {
     /// Consumes the next network-send index and returns the fault the
     /// plan injects there, if any.
     pub fn next_net_fault(&self) -> Option<NetFault> {
-        if !self.faults.net.is_empty() {
-            self.note_access(res::NET_FAULT_CTR, true);
-        }
-        let (i, fault) = {
+        let (planned, i, fault) = {
             let mut s = self.state.lock();
             let i = s.stats.net_msgs;
             s.stats.net_msgs += 1;
-            (i, self.faults.net.get(&i).copied())
+            (!s.faults.net.is_empty(), i, s.faults.net.get(&i).copied())
         };
+        if planned {
+            self.note_access(res::NET_FAULT_CTR, true);
+        }
         if let Some(f) = fault {
             self.trace_event(TraceKind::FaultNet { msg: i, fault: f });
         }
@@ -710,14 +728,17 @@ impl ModelRt {
     /// [`TornMode`]. Pure function of the runtime seed and the mode, so
     /// replays tear identically.
     pub fn torn_keep(&self, n: usize) -> Vec<bool> {
-        match self.faults.torn {
+        let (torn, seed) = {
+            let s = self.state.lock();
+            (s.faults.torn, s.seed)
+        };
+        match torn {
             None | Some(TornMode::KeepAll) => vec![true; n],
             Some(TornMode::KeepNone) => vec![false; n],
             Some(TornMode::Subset(tag)) => (0..n)
                 .map(|i| {
-                    let bits = splitmix64(
-                        self.seed ^ tag ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    );
+                    let bits =
+                        splitmix64(seed ^ tag ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
                     bits & 1 == 1
                 })
                 .collect(),
@@ -952,11 +973,12 @@ impl ModelRt {
         };
         let mut s = self.state.lock();
         s.stats.steps += 1;
-        if s.stats.steps > self.max_steps {
+        if s.stats.steps > s.max_steps {
+            let budget = s.max_steps;
             drop(s);
             // Typed payload so the checker can classify the stall as a
             // wedged execution rather than a generic bug.
-            std::panic::panic_any(StepBudgetSignal(self.max_steps));
+            std::panic::panic_any(StepBudgetSignal(budget));
         }
         self.hand_back(s, tid, TState::Paused);
     }
@@ -969,7 +991,7 @@ impl ModelRt {
         self.note_access(res::RAND, true);
         let mut s = self.state.lock();
         s.stats.rand_draws += 1;
-        splitmix64(self.seed ^ s.stats.rand_draws.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        splitmix64(s.seed ^ s.stats.rand_draws.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     // ------------------------------------------------------------------
@@ -1223,6 +1245,53 @@ impl ModelRt {
         s.stats = src.stats;
         let tags = from.next_tag.load(Ordering::Relaxed);
         self.next_tag.store(tags, Ordering::Relaxed);
+    }
+
+    /// Records the runtime as it stands — its lock table, counters,
+    /// resource-tag counter and baton passes — as what [`ModelRt::reset`]
+    /// restores. A world's builder calls it once the system is built over
+    /// the runtime and before anything runs on it.
+    pub fn mark_pristine(&self) {
+        let mut s = self.state.lock();
+        assert_eq!(s.live, 0, "a runtime is marked before it runs a thread");
+        s.pristine = Some(Box::new(Pristine {
+            locks: s.locks.clone(),
+            stats: s.stats,
+            tags: self.next_tag.load(Ordering::Relaxed),
+            wakeups: self.wakeups(),
+        }));
+    }
+
+    /// Makes this runtime what [`ModelRt::with_faults`]`(seed, max_steps,
+    /// faults)` followed by its builder's work up to
+    /// [`ModelRt::mark_pristine`] made it: an empty thread table, the
+    /// marked lock table (slots and ids kept, the marked holders and
+    /// block counts), counters, resource-tag counter and baton passes, no
+    /// footprint or trace recorded and both recorders off. Allocates
+    /// nothing beyond the plan's clone. Called from the controller once
+    /// every thread of the last execution has ended.
+    pub fn reset(&self, seed: u64, max_steps: u64, faults: FaultPlan) {
+        let mut s = self.state.lock();
+        assert_eq!(s.live, 0, "a runtime is reset with no thread live");
+        let s = &mut *s;
+        let unmarked = Pristine::default();
+        let pristine = s.pristine.as_deref().unwrap_or(&unmarked);
+        s.thread_table.clear();
+        s.controller = None;
+        s.pilot = None;
+        s.came_home = None;
+        s.poisoned = false;
+        s.locks.clone_from(&pristine.locks);
+        s.stats = pristine.stats;
+        s.seed = seed;
+        s.max_steps = max_steps;
+        s.faults = faults;
+        self.next_tag.store(pristine.tags, Ordering::Relaxed);
+        self.wakeups.store(pristine.wakeups, Ordering::Relaxed);
+        self.set_track_deps(false);
+        self.set_tracing(false);
+        self.cur_accesses.lock().clear();
+        *self.trace_buf.lock() = TraceBuf::default();
     }
 
     /// Checks that every virtual thread has terminated (end of a

@@ -305,9 +305,8 @@ impl System<KvSpec> for NodeKv {
         self.disk.crash_torn();
     }
 
-    /// Recovery: an uninstalled shadow slot is invisible — re-establish
-    /// the leases and spend the crash token.
-    fn recover(&self, w: &World<KvSpec>) {
+    /// Each bucket's three leases, back in its lock invariant.
+    fn relet(&self, w: &World<KvSpec>) {
         for b in 0..BUCKETS as usize {
             let leases = [
                 w.ghost.recover_lease(self.cells[3 * b]).ghost_unwrap(),
@@ -316,6 +315,12 @@ impl System<KvSpec> for NodeKv {
             ];
             self.lockinvs[b].reset(BucketBundle { leases });
         }
+    }
+
+    /// Recovery: an uninstalled shadow slot is invisible — re-establish
+    /// the leases and spend the crash token.
+    fn recover(&self, w: &World<KvSpec>) {
+        self.relet(w);
         w.ghost.recovery_done().ghost_unwrap();
     }
 

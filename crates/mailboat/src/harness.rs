@@ -6,7 +6,6 @@ use crate::server::mail_dirs;
 use crate::spec::MailSpec;
 use goose_rt::fault::FaultSurface;
 use goose_rt::fs::ModelFs;
-use goose_rt::heap::Slice;
 use perennial_checker::{Harness, Program, ScenarioSet, Script, World};
 use std::sync::Arc;
 use MbStep::{
@@ -198,11 +197,10 @@ pub fn mutant_scenarios() -> ScenarioSet {
     set
 }
 
-/// Takes one step of a Mailboat program; `slice` is the slice-race
-/// program's heap slice. Every return of an operation is checked by the
-/// ghost engine against σ; only the courier's dedup is asserted here.
-pub fn step(sys: &VerifiedMailboat, w: &World<MailSpec>, s: &MbStep, slice: Option<Slice>) {
-    let slice = || slice.expect("a slice-race program's slice");
+/// Takes one step of a Mailboat program. Every return of an operation
+/// is checked by the ghost engine against σ; only the courier's dedup is
+/// asserted here.
+pub fn step(sys: &VerifiedMailboat, w: &World<MailSpec>, s: &MbStep) {
     match *s {
         Deliver(user, msg) => sys.deliver(w, user, msg),
         Pickup(user) => _ = sys.pickup(w, user),
@@ -216,8 +214,8 @@ pub fn step(sys: &VerifiedMailboat, w: &World<MailSpec>, s: &MbStep, slice: Opti
         NetSend(request) => sys.net().send(request.as_bytes()),
         NetClose => sys.net().close(),
         Courier => courier(sys, w),
-        DeliverSlice(user) => sys.deliver_slice(w, user, slice(), SLICE_MSG),
-        MutateSlice => sys.heap().slice_write(slice(), 0, b"ZZ"),
+        DeliverSlice(user) => sys.deliver_slice(w, user, sys.slice(), SLICE_MSG),
+        MutateSlice => sys.heap().slice_write(sys.slice(), 0, b"ZZ"),
     }
 }
 
@@ -265,12 +263,12 @@ impl Harness<MailSpec> for MbHarness {
         let dirs = mail_dirs(USERS);
         let dir_refs: Vec<&str> = dirs.iter().map(String::as_str).collect();
         let fs = ModelFs::new(Arc::clone(&w.rt), &dir_refs);
-        let mut script = Script::new(VerifiedMailboat::new(w, fs, USERS, self.mutant));
-        let slice = self
-            .program
-            .any(|s| *s == MutateSlice)
-            .then(|| script.sys.heap().new_byte_slice(SLICE_MSG.as_bytes()));
-        script.program(self.program, move |sys, w, s| step(sys, w, s, slice));
+        let mut sys = VerifiedMailboat::new(w, fs, USERS, self.mutant);
+        if self.program.any(|s| *s == MutateSlice) {
+            sys = sys.with_slice(SLICE_MSG);
+        }
+        let mut script = Script::new(sys);
+        script.program(self.program, step);
         script
     }
 

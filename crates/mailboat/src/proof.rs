@@ -76,6 +76,13 @@ pub struct VerifiedMailboat {
     /// While a user is locked (Pickup…Unlock), their deletion lease
     /// lives here.
     sessions: Vec<OwnerCell<Option<SetLease<String>>>>,
+    /// The bytes of the slice-race program's heap slice, if it runs
+    /// that program ([`VerifiedMailboat::with_slice`]).
+    slice_bytes: Option<&'static str>,
+    /// That slice, once the first boot has put it on the heap. The
+    /// handle is the program's, so it outlives a crash; the heap object
+    /// does not.
+    slice: OwnerCell<Option<Slice>>,
 }
 
 impl VerifiedMailboat {
@@ -105,7 +112,23 @@ impl VerifiedMailboat {
             lockinvs,
             locks: (0..users).map(|_| w.rt.new_glock()).collect(),
             sessions,
+            slice_bytes: None,
+            slice: OwnerCell::new(None),
         }
+    }
+
+    /// The system with `bytes` put in a heap slice at its first boot, for
+    /// a program whose steps race on it ([`VerifiedMailboat::slice`]).
+    pub fn with_slice(self, bytes: &'static str) -> Self {
+        VerifiedMailboat {
+            slice_bytes: Some(bytes),
+            ..self
+        }
+    }
+
+    /// The heap slice [`VerifiedMailboat::with_slice`] asked for.
+    pub fn slice(&self) -> Slice {
+        self.slice.lock().expect("a system booted with a slice")
     }
 
     /// Which mutant this is: the courier program's dedup is off under
@@ -343,24 +366,32 @@ impl VerifiedMailboat {
 }
 
 impl System<MailSpec> for VerifiedMailboat {
-    /// The file system and the heap's next object id; descriptors, heap
-    /// objects, messages in flight and sessions do not outlive a crash.
-    type Durable = (FsImage, u64);
+    /// The file system, the heap's next object id and the program's
+    /// slice handle; descriptors, heap objects, messages in flight and
+    /// sessions do not outlive a crash.
+    type Durable = (FsImage, u64, Option<Slice>);
 
-    fn snapshot(&self) -> (FsImage, u64) {
-        (self.fs.image(), self.heap.next_id())
+    fn snapshot(&self) -> Self::Durable {
+        (self.fs.image(), self.heap.next_id(), *self.slice.lock())
     }
 
-    fn restore(&self, (fs, next): &(FsImage, u64)) {
+    fn restore(&self, (fs, next, slice): &Self::Durable) {
         self.fs.restore(fs);
         self.heap.set_next_id(*next);
+        *self.slice.lock() = *slice;
     }
 
     /// Rebuilds volatile state at boot: no user is locked, so no session
-    /// holds a lease.
+    /// holds a lease. The first boot puts the program's slice on the heap.
     fn boot(&self, _: &World<MailSpec>) {
         for s in &self.sessions {
             *s.lock() = None;
+        }
+        if let Some(bytes) = self.slice_bytes {
+            let mut slice = self.slice.lock();
+            if slice.is_none() {
+                *slice = Some(self.heap.new_byte_slice(bytes.as_bytes()));
+            }
         }
     }
 
@@ -382,11 +413,16 @@ impl System<MailSpec> for VerifiedMailboat {
                 self.fs.delete(self.spool, &name).expect("spool cleanup");
             }
         }
+        self.relet(w);
+        w.ghost.recovery_done().ghost_unwrap();
+    }
+
+    /// Each user's lower-bound lease, back in its lock invariant.
+    fn relet(&self, w: &World<MailSpec>) {
         for (u, set) in self.sets.iter().enumerate() {
             let lease = w.ghost.recover_set_lease(*set).ghost_unwrap();
             self.lockinvs[u].reset(lease);
         }
-        w.ghost.recovery_done().ghost_unwrap();
     }
 
     /// AbsR at quiescence: every mailbox directory matches σ (names and

@@ -306,12 +306,19 @@ impl System<GcSpec> for GroupCommitLog {
     /// leases and spend the crash token (whose spec transition truncates
     /// the buffered suffix).
     fn recover(&self, w: &World<GcSpec>) {
-        let mut leases = Vec::new();
-        for c in &self.cells {
-            leases.push(w.ghost.recover_lease(*c).ghost_unwrap());
-        }
-        self.lockinv.reset(GcBundle { leases });
+        self.relet(w);
         w.ghost.recovery_done().ghost_unwrap();
+    }
+
+    /// Every cell's lease, back in the lock invariant.
+    fn relet(&self, w: &World<GcSpec>) {
+        let leases = self
+            .cells
+            .iter()
+            .map(|c| w.ghost.recover_lease(*c).ghost_unwrap());
+        self.lockinv.reset(GcBundle {
+            leases: leases.collect(),
+        });
     }
 
     /// AbsR at quiescence: disk prefix + buffer equals σ's entries, and

@@ -183,12 +183,19 @@ impl System<PairSpec> for ShadowPair {
     /// Recovery: nothing to repair — an uninstalled shadow is invisible.
     /// Re-establishes leases and spends the crash token.
     fn recover(&self, w: &World<PairSpec>) {
-        let mut leases = Vec::new();
-        for c in &self.cells {
-            leases.push(w.ghost.recover_lease(*c).ghost_unwrap());
-        }
-        self.lockinv.reset(ShadowBundle { leases });
+        self.relet(w);
         w.ghost.recovery_done().ghost_unwrap();
+    }
+
+    /// Every cell's lease, back in the lock invariant.
+    fn relet(&self, w: &World<PairSpec>) {
+        let leases = self
+            .cells
+            .iter()
+            .map(|c| w.ghost.recover_lease(*c).ghost_unwrap());
+        self.lockinv.reset(ShadowBundle {
+            leases: leases.collect(),
+        });
     }
 
     /// AbsR at quiescence: the live copy equals σ.

@@ -275,6 +275,17 @@ impl System<TxnSpec> for TxnWal {
         self.disk.crash_torn();
     }
 
+    /// Every cell's lease, back in the lock invariant.
+    fn relet(&self, w: &World<TxnSpec>) {
+        let leases = self
+            .cells
+            .iter()
+            .map(|c| w.ghost.recover_lease(*c).ghost_unwrap());
+        self.lockinv.reset(TxnBundle {
+            leases: leases.collect(),
+        });
+    }
+
     /// Recovery: replay a committed transaction from the log (helping),
     /// or discard an incomplete one.
     fn recover(&self, w: &World<TxnSpec>) {

@@ -211,6 +211,17 @@ impl System<PairSpec> for WalPair {
         self.disk.crash_torn();
     }
 
+    /// Every cell's lease, back in the lock invariant.
+    fn relet(&self, w: &World<PairSpec>) {
+        let leases = self
+            .cells
+            .iter()
+            .map(|c| w.ghost.recover_lease(*c).ghost_unwrap());
+        self.lockinv.reset(WalBundle {
+            leases: leases.collect(),
+        });
+    }
+
     /// Recovery (§9.1): delete incomplete transactions (header empty —
     /// nothing to do, the log is garbage) and finish applying committed
     /// ones, justifying the completion by redeeming the helping token.

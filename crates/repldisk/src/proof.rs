@@ -241,6 +241,15 @@ impl System<RdSpec> for VerifiedReplDisk {
     /// Disk platters are durable; the runtime's crash releases the locks.
     fn crash(&self) {}
 
+    /// Each address's two leases, back in its lock invariant.
+    fn relet(&self, w: &World<RdSpec>) {
+        for a in 0..self.size as usize {
+            let lease1 = w.ghost.recover_lease(self.d1[a]).ghost_unwrap();
+            let lease2 = w.ghost.recover_lease(self.d2[a]).ghost_unwrap();
+            self.lockinvs[a].reset(AddrBundle { lease1, lease2 });
+        }
+    }
+
     /// Instrumented `rd_recover` (Figure 5 plus the §5.4 helping proof).
     ///
     /// Runs with `⇛Crashing` armed. For each address it copies disk 1 to

@@ -86,24 +86,26 @@ fn within(name: &str, measured: f64, budget: f64) {
     );
 }
 
-// Budgets: the value measured at PR 35 plus 10 %. Each check starts
-// with no spare decision paths or dependency traces, so a run's count
-// does not depend on which run went before it on the thread. Its parent (a boxed
-// closure per spec combinator and a cloned σ per update, a heap buffer
-// per disk block, a box per ghost-cell write) measured 142.5, 92.1,
-// 98.0, 213.1 and 176.8 on the same five runs; the parent of PR 25
-// (nested footprint rows, a `to_vec()` of the runnable set per grant,
-// footprints cloned into every sleep set) 269.9, 157.6 and 119.5 on the
-// first three.
+// Budgets: the value measured once a world was reset between the
+// executions it serves instead of rebuilt, plus 10 %. Each check
+// starts with no spare decision paths, dependency traces or worlds, so a
+// run's count does not depend on which run went before it on the
+// thread. Its parent, which built every execution's world with `make`,
+// measured 65.8, 54.7, 52.7, 131.5 and 61.1 on the same five runs; the
+// parent of PR 35 (a boxed closure per spec combinator and a cloned σ per
+// update, a heap buffer per disk block, a box per ghost-cell write)
+// 142.5, 92.1, 98.0, 213.1 and 176.8; the parent of PR 25 (nested
+// footprint rows, a `to_vec()` of the runnable set per grant, footprints
+// cloned into every sleep set) 269.9, 157.6 and 119.5 on the first three.
 
 #[test]
 fn dpor_footprints_allocate_within_budget() {
     // 1 999 executions, nearly all of them in the DPOR schedule phase.
     let name = "patterns/mutant/gc-count-first";
-    within(name, allocs_per_exec(name, hunt(), true), 68.0);
+    within(name, allocs_per_exec(name, hunt(), true), 32.4);
     // 69 executions, caught in the crash sweep.
     let name = "patterns/mutant/panic-reset";
-    within(name, allocs_per_exec(name, hunt(), true), 56.7);
+    within(name, allocs_per_exec(name, hunt(), true), 29.0);
 }
 
 #[test]
@@ -112,7 +114,7 @@ fn exhaustive_exploration_allocates_within_budget() {
     // shared execution. The forks a debug build re-runs to cross-check
     // them run on a thread of their own, so they are not counted here.
     let name = "patterns/wal";
-    within(name, allocs_per_exec(name, verify(), false), 54.5);
+    within(name, allocs_per_exec(name, verify(), false), 24.5);
 }
 
 #[test]
@@ -120,9 +122,9 @@ fn fault_sweeps_allocate_within_budget() {
     // 2 245 executions under DPOR, over the file-system and network
     // models: the largest share of `hunt`'s executions.
     let name = "mailboat/mutant/net-no-dedup";
-    within(name, allocs_per_exec(name, hunt(), true), 142.6);
+    within(name, allocs_per_exec(name, hunt(), true), 90.3);
     // The fault passes' random-crash and torn-write jobs crash in
     // place, and the disk-fault jobs fork.
     let name = "patterns/txn-wal";
-    within(name, allocs_per_exec(name, faults(), false), 64.2);
+    within(name, allocs_per_exec(name, faults(), false), 29.0);
 }

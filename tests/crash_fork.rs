@@ -283,11 +283,15 @@ impl System<RegSpec> for GenSys {
         for _ in 0..self.writes.load(Ordering::Relaxed) {
             w.rt.yield_point();
         }
+        self.relet(w);
+        w.ghost.recovery_done().ghost_unwrap();
+    }
+
+    fn relet(&self, w: &World<RegSpec>) {
         let bundles = self.bundles(|_, cell| w.ghost.recover_lease(cell).ghost_unwrap());
         for (inv, bundle) in self.lockinvs.iter().zip(bundles) {
             inv.reset(bundle);
         }
-        w.ghost.recovery_done().ghost_unwrap();
     }
 
     fn abs_check(&self, w: &World<RegSpec>) -> Result<(), String> {

@@ -12,17 +12,22 @@
 //! `read_stream` tries first must decline each line or read it exactly as
 //! the tree reader does.
 //!
+//! A counterexample record is what a failure replays from, so its fault
+//! plan reads back only from the text its writer writes, and a failure
+//! of each fault pass replays from the stream alone to the outcome it
+//! recorded.
+//!
 //! A shard's report file is merged into a verdict the same way, so its
 //! JSON gets the same treatment: `report_from_json` refuses every such
 //! variant of a real shard report, and `merge_reports` refuses a set of
 //! shards that does not cover the run once, naming the shard.
 
 use perennial_checker::telemetry::{
-    canonical_read_agrees, parse_wal, read_stream, ExecStats, Record,
+    canonical_read_agrees, parse_wal, read_stream, CxRecord, ExecStats, Record,
 };
 use perennial_checker::{
     merge_reports, report_fingerprint, report_from_json, report_to_json, CheckConfig, CheckReport,
-    Dashboard, Pass, PassMetrics, TelemetrySink,
+    Counterexample, Dashboard, ExecOutcome, OutcomeKind, Pass, PassMetrics, TelemetrySink,
 };
 use perennial_suite::all_mutant_scenarios;
 use proptest::prelude::*;
@@ -333,6 +338,102 @@ proptest! {
         let at = at % (hostile.len() + 1);
         hostile.splice(at..at, bytes);
         check(&hostile)?;
+    }
+}
+
+/// Fault-plan texts `FaultPlan::compact` never writes: every record that
+/// carries one with such a value is torn, or reads as the record that was
+/// written (an `exec_done` keeps only whether its plan was empty).
+const HOSTILE_FAULTS: [&str; 14] = [
+    "",
+    "+",
+    "io@01",
+    "io@2+io@1",
+    "io@1+io@1",
+    "torn-all+torn-all",
+    "torn-sub",
+    "d1@5+torn-none",
+    "net-drop@2+net-drop@1",
+    "net-lose@1",
+    "IO@1",
+    "io@1 ",
+    "-+-",
+    "io@99999999999999999999",
+];
+
+#[test]
+fn a_fault_plan_the_writer_never_writes_is_torn_or_unread() {
+    let p = pristine();
+    let mut seen = 0;
+    for line in &p.lines {
+        let Ok(Value::Object(map)) = serde_json::from_str(line) else {
+            unreachable!("pristine lines are records")
+        };
+        if map.get("faults").is_none() {
+            continue;
+        }
+        seen += 1;
+        for hostile in HOSTILE_FAULTS {
+            let mut map = map.clone();
+            map.insert("faults".to_string(), Value::String(hostile.to_string()));
+            let text = text_of(map);
+            check(text.as_bytes()).unwrap();
+            if text.contains(r#""type":"counterexample""#) {
+                let torn = read_stream(&text, None, |_, _| {});
+                assert_eq!(torn, 1, "a counterexample read with faults {hostile:?}");
+            }
+        }
+    }
+    assert!(seen > 40, "{seen} lines carry a fault plan");
+}
+
+/// A counterexample rebuilt from its stream record alone: the replay
+/// coordinates the record carries, nothing the run kept.
+fn rebuilt(cx: &CxRecord) -> Counterexample {
+    Counterexample {
+        outcome: ExecOutcome::Ok,
+        pass: cx.pass,
+        index: cx.index,
+        seed: cx.seed,
+        schedule_prefix: cx.schedule_prefix.clone(),
+        crash_points: cx.crash_points.clone(),
+        clamped: Vec::new(),
+        faults: cx.faults.clone(),
+        trace: String::new(),
+        timeline: None,
+    }
+}
+
+#[test]
+fn a_fault_pass_failure_replays_from_the_stream_alone() {
+    let registry = all_mutant_scenarios();
+    for (name, pass) in [
+        (MUTANT, Pass::TornWrite),
+        ("repldisk/mutant/transient-give-up", Pass::DiskFault),
+        ("mailboat/mutant/net-no-dedup", Pass::NetFault),
+    ] {
+        let scenario = registry.get(name).expect("registered mutant");
+        let (sink, buf) = TelemetrySink::shared_buffer();
+        let mut streamed = config();
+        streamed.telemetry = Some(sink);
+        assert!(!scenario.run(&streamed).passed(), "{name}");
+        let text = String::from_utf8(buf.lock().clone()).expect("stream is UTF-8");
+        let mut failures = Vec::new();
+        read_stream(&text, None, |_, record| {
+            if let Record::Counterexample(cx) = record {
+                failures.push(cx);
+            }
+        });
+        assert!(
+            failures
+                .iter()
+                .any(|cx| cx.pass == pass && !cx.faults.is_empty()),
+            "{name}: no {pass} failure with a fault plan in {failures:?}"
+        );
+        for cx in &failures {
+            let (outcome, _) = scenario.replay(&rebuilt(cx), &config());
+            assert_eq!(OutcomeKind::of(&outcome), cx.outcome, "{name}: {cx:?}");
+        }
     }
 }
 

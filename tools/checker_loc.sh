@@ -67,14 +67,24 @@
 # unwind) is called from exec.rs alone; a crashed copy of a runtime and
 # of a ghost engine (`restore_crashed`, `fork_crashed`) is made at one
 # site in the non-test code under crates/, harness.rs's
-# `AnyHarness::world`, which exec.rs calls once (`Exec::new`); and
-# no capability a job could carry across the fork (`Lease`, `SetLease`,
-# `PointsTo`) has a `Clone` or `Copy` impl or derive in crates/core/src.
+# `AnyWorld::start`, in a world exec.rs takes from the pool's entry
+# (`Worlds::world`) at one site (`run_stopping`); and no capability a
+# job could carry across the fork (`Lease`, `SetLease`, `PointsTo`) has
+# a `Clone` or `Copy` impl or derive in crates/core/src.
+#
+# Reset, don't rebuild: a world is built once per worker and reset
+# between executions. So in crates/checker/src's code, outside the `fn
+# make` of a harness that wraps another (`PanicOnReset`, `SpinForever`),
+# `Harness::make`, `Ghost::new` and `ModelRt::with_faults` are each
+# called at one site, the pool's builder (harness.rs's `fn build`), and
+# the builder is called at one site, the pool's entry (`Worlds::world`),
+# when the pool has no world to reuse.
 #
 # One driver: the executor, the job driver, the passes, the shrinker and
 # the registry reach a harness through harness.rs's type-erased handle
-# (`AnyHarness`, `AnyWorld`), so they are compiled once, not once per
-# harness type. In exec.rs, jobs.rs, explore.rs, shrink.rs and
+# (`AnyHarness`, `AnyWorld`), and its worlds through the pool (`Worlds`),
+# so they are compiled once, not once per harness type, and build no
+# world of their own (no `.build(` of a harness in them). In exec.rs, jobs.rs, explore.rs, shrink.rs and
 # scenario.rs, a `Harness<`/`System<` bound or `H::Sys` may be named only
 # inside the public wrappers that erase a harness at the door, listed
 # one by one in $wrappers.
@@ -405,7 +415,7 @@ done)
 copies=$(for path in $(find crates -path '*/src/*' -name '*.rs' | sort); do
     code "$path" | grep -E '(restore_crashed|fork_crashed)\(' | grep -v 'fn ' | sed "s|^|$path:|"
 done)
-entries=$(code crates/checker/src/exec.rs | grep -c '\.world(' || true)
+entries=$(code crates/checker/src/exec.rs | grep -o 'worlds\.world(' | grep -c '' || true)
 capabilities=$(grep -rnE -B1 'pub struct (Lease|SetLease|PointsTo)<' crates/core/src | grep -E 'derive\(.*(Clone|Copy)' || true)
 capability_impls=$(grep -rnE 'impl.*(Clone|Copy) for (Lease|SetLease|PointsTo)<' crates/core/src || true)
 echo "forks: $(printf '%s' "$copies" | grep -c '') crashed-copy site(s), $entries fork entry site(s) in exec.rs"
@@ -416,13 +426,36 @@ if [ -n "$unwinds" ]; then
 fi
 if [ "$(printf '%s' "$copies" | grep -c '')" -ne 2 ] || [ "$(printf '%s' "$copies" | grep -vc 'crates/checker/src/harness.rs')" -ne 0 ] || [ "$entries" -ne 1 ]; then
     failed=1
-    echo "        ^ a crashed copy is made in AnyHarness::world alone, entered from one site in exec.rs:"
+    echo "        ^ a crashed copy is made in AnyWorld::start alone, in a world from the pool's entry at one site in exec.rs:"
     printf '%s\n' "$copies" | sed 's/^/          /'
 fi
 if [ -n "$capabilities$capability_impls" ]; then
     failed=1
     echo "        ^ a capability became copyable; a fork copies the engine's state, never a capability:"
     printf '%s\n%s\n' "$capabilities" "$capability_impls" | grep . | sed 's/^/          /'
+fi
+
+# The code of crates/checker/src outside a wrapping harness's `fn make`.
+built=$(code_outside 'fn make[(]' crates/checker/src/*.rs)
+makes=$(printf '%s\n' "$built" | grep -F '.make(' || true)
+news=$(printf '%s\n' "$built" | grep -E 'Ghost::new\(|ModelRt::with_faults\(' || true)
+# A harness's builder takes the spec; a config's `build()` takes nothing.
+builders=$(printf '%s\n' "$built" | grep -E '\.build\([^)]' || true)
+# Calls, not lines: two on one line count twice.
+calls() { printf '%s\n' "$1" | grep -oE "$2" | grep -c '' || true; }
+home=$(awk '/^    fn build\(&self, spec.*\{$/ { on = 1 } on { print FILENAME ":" FNR } on && /^    }$/ { exit }' crates/checker/src/harness.rs)
+outside=$(printf '%s\n' "$makes" "$news" | grep . | while IFS=: read -r path line _; do
+    printf '%s\n' "$home" | grep -qx "$path:$line" || echo "$path:$line"
+done)
+n_makes=$(calls "$makes" '\.make\(')
+n_news=$(calls "$news" 'Ghost::new\(|ModelRt::with_faults\(')
+n_builders=$(calls "$builders" '\.build\([^)]')
+echo "one builder: $n_makes make(), $n_news runtime/engine construction(s), $n_builders builder call(s)"
+if [ "$n_makes" -ne 1 ] || [ "$n_news" -ne 2 ] || [ -n "$outside" ] || [ "$n_builders" -ne 1 ] ||
+    [ "$(printf '%s' "$builders" | grep -vc '^crates/checker/src/harness.rs:')" -ne 0 ]; then
+    failed=1
+    echo "        ^ a world is built at one site, the pool's builder, and only when the pool (Worlds::world) has none to reuse:"
+    printf '%s\n' "$makes" "$news" "$builders" | grep . | sed 's/^/          /'
 fi
 
 echo
