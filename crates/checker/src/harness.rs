@@ -141,7 +141,7 @@ pub trait System<S: SpecTS>: Send + Sync + 'static {
 /// spawned again for each execution its world serves.
 pub(crate) type Op<Sys, S> = (
     &'static str,
-    Arc<dyn Fn(&Sys, &World<S>) + Send + Sync + 'static>,
+    Box<dyn Fn(&Sys, &World<S>) + Send + Sync + 'static>,
 );
 
 /// One execution's system and workload, as data: the checker boots the
@@ -178,7 +178,7 @@ impl<Sys: System<S>, S: SpecTS> Script<Sys, S> {
         name: &'static str,
         op: impl Fn(&Sys, &World<S>) + Send + Sync + 'static,
     ) {
-        self.main.push((name, Arc::new(op)));
+        self.main.push((name, Box::new(op)));
     }
 
     /// Adds a post-recovery thread.
@@ -187,7 +187,7 @@ impl<Sys: System<S>, S: SpecTS> Script<Sys, S> {
         name: &'static str,
         op: impl Fn(&Sys, &World<S>) + Send + Sync + 'static,
     ) {
-        self.after.push((name, Arc::new(op)));
+        self.after.push((name, Box::new(op)));
     }
 
     /// Adds `program`'s threads, each taking its steps in order through
@@ -332,19 +332,24 @@ pub(crate) trait AnyWorld {
 /// each second-level job forked off that).
 const KEPT: usize = 3;
 
+/// The worlds a pool builds for one execution each, uncopied, before it
+/// builds worlds to serve again: a copy costs about a fifth of a build,
+/// and a check that ends by its second execution (a mutant caught at
+/// once or right after) never reuses one.
+const UNCOPIED: u32 = 2;
+
 /// One scenario's worlds on one OS thread, for the length of one check
 /// (one wave's worker, at two workers or more). An execution takes a
 /// world from the pool or has the harness build one, and gives it back
 /// if it ended well; a world whose execution failed, panicked or wedged
 /// is dropped. A traced execution always gets a new world: its build is
-/// part of what the trace records. The pool's first world is built as a
-/// world for one execution, uncopied: a check that ends at its first
-/// execution (a mutant caught at once) pays nothing for reuse.
+/// part of what the trace records. The pool's first [`UNCOPIED`] worlds
+/// are built as worlds for one execution each.
 pub(crate) struct Worlds<'h> {
     harness: &'h dyn AnyHarness,
     free: RefCell<Vec<Box<dyn AnyWorld>>>,
-    /// Whether the pool has built a world yet.
-    built: Cell<bool>,
+    /// Worlds the pool has built.
+    built: Cell<u32>,
 }
 
 impl<'h> Worlds<'h> {
@@ -353,7 +358,7 @@ impl<'h> Worlds<'h> {
         Worlds {
             harness,
             free: RefCell::new(Vec::new()),
-            built: Cell::new(false),
+            built: Cell::new(0),
         }
     }
 
@@ -363,7 +368,11 @@ impl<'h> Worlds<'h> {
         let kept = (!spec.capture_trace).then(|| self.free.borrow_mut().pop());
         match kept.flatten() {
             Some(world) => (world, true),
-            None => (self.harness.build(spec, self.built.replace(true)), false),
+            None => {
+                let built = self.built.get();
+                self.built.set(built + 1);
+                (self.harness.build(spec, built >= UNCOPIED), false)
+            }
         }
     }
 
@@ -445,11 +454,13 @@ where
         }
         Box::new(Live {
             pristine: pristine.then(|| Box::new(script.sys.snapshot())),
-            w,
-            sys: Arc::new(script.sys),
+            scene: Arc::new(Scene {
+                w,
+                sys: script.sys,
+                main: script.main,
+                after: script.after,
+            }),
             crash: script.crash,
-            main: script.main,
-            after: script.after,
             recovered: false,
             used: false,
         })
@@ -465,13 +476,32 @@ struct Crashed<Sys: System<S>, S: SpecTS> {
     recovered: bool,
 }
 
-/// The [`AnyWorld`] of a script's system.
-struct Live<Sys: System<S>, S: SpecTS> {
+/// What a world's virtual threads reach, behind the one `Arc` each of
+/// them holds: the system, the runtime and ghost engine, and the
+/// rounds' operations.
+struct Scene<Sys, S: SpecTS> {
     w: World<S>,
-    sys: Arc<Sys>,
-    crash: fn(&Sys),
+    sys: Sys,
     main: Vec<Op<Sys, S>>,
     after: Vec<Op<Sys, S>>,
+}
+
+impl<Sys, S: SpecTS> Scene<Sys, S> {
+    /// The post-recovery round's threads if `after`, else the main
+    /// round's.
+    fn round(&self, after: bool) -> &[Op<Sys, S>] {
+        if after {
+            &self.after
+        } else {
+            &self.main
+        }
+    }
+}
+
+/// The [`AnyWorld`] of a script's system.
+struct Live<Sys: System<S>, S: SpecTS> {
+    scene: Arc<Scene<Sys, S>>,
+    crash: fn(&Sys),
     /// Whether the post-recovery round has been spawned (in a crashed
     /// copy, whether its base's had).
     recovered: bool,
@@ -484,36 +514,37 @@ struct Live<Sys: System<S>, S: SpecTS> {
 }
 
 impl<Sys: System<S>, S: SpecTS> Live<Sys, S> {
-    /// Spawns `op` as a virtual thread over the system.
-    fn spawn(&self, name: &'static str, op: impl FnOnce(&Sys, &World<S>) + Send + 'static) -> Tid {
-        let (sys, w) = (Arc::clone(&self.sys), self.w.clone());
-        self.w.rt.spawn(name, move || op(&sys, &w))
+    /// Spawns `op` as a virtual thread over the world.
+    fn spawn(&self, name: &'static str, op: impl FnOnce(&Scene<Sys, S>) + Send + 'static) -> Tid {
+        let scene = Arc::clone(&self.scene);
+        self.scene.w.rt.spawn(name, move || op(&scene))
     }
 
-    /// Spawns each of `ops`, in order.
-    fn spawn_all(&self, ops: &[Op<Sys, S>]) {
-        for (name, op) in ops {
-            let op = Arc::clone(op);
-            self.spawn(name, move |sys, w| op(sys, w));
+    /// Spawns each thread of a round ([`Scene::round`]), in order.
+    fn spawn_round(&self, after: bool) {
+        for (i, &(name, _)) in self.scene.round(after).iter().enumerate() {
+            self.spawn(name, move |scene| {
+                (scene.round(after)[i].1)(&scene.sys, &scene.w)
+            });
         }
     }
 }
 
 impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
     fn rt(&self) -> &Arc<ModelRt> {
-        &self.w.rt
+        &self.scene.w.rt
     }
 
     fn start(&mut self, spec: &ExecSpec<'_>, base: Option<&dyn AnyWorld>) {
-        let rt = &self.w.rt;
+        let Scene { w, sys, .. } = &*self.scene;
+        let rt = &w.rt;
         if std::mem::replace(&mut self.used, true) {
             if base.is_none() {
                 let pristine = self.pristine.as_ref();
-                self.sys
-                    .restore(pristine.expect("a world the pool keeps is copied"));
-                Sys::crash(&self.sys);
-                self.w.ghost.reset();
-                self.sys.relet(&self.w);
+                sys.restore(pristine.expect("a world the pool keeps is copied"));
+                Sys::crash(sys);
+                w.ghost.reset();
+                sys.relet(w);
             }
             // After the system's crash hook, which may count on it.
             rt.reset(spec.seed, spec.max_steps, spec.faults.clone());
@@ -522,8 +553,8 @@ impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
         }
         let Some(base) = base else {
             self.recovered = false;
-            self.sys.boot(&self.w);
-            self.spawn_all(&self.main);
+            sys.boot(w);
+            self.spawn_round(false);
             return;
         };
         // The crashed copy, with nothing run yet: the system restored,
@@ -534,9 +565,9 @@ impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
         let base = snapshot.downcast_ref::<Crashed<Sys, S>>();
         let base = base.expect("a snapshot of this harness's world");
         self.recovered = base.recovered;
-        self.sys.restore(&base.durable);
+        sys.restore(&base.durable);
         rt.restore_crashed(&base.w.rt);
-        self.w.ghost.fork_crashed(&base.w.ghost);
+        w.ghost.fork_crashed(&base.w.ghost);
     }
 
     fn reusable(&self) -> bool {
@@ -545,42 +576,44 @@ impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
 
     fn snapshot(&self) -> Box<dyn Any> {
         Box::new(Crashed::<Sys, S> {
-            durable: self.sys.snapshot(),
-            w: self.w.clone(),
+            durable: self.scene.sys.snapshot(),
+            w: self.scene.w.clone(),
             recovered: self.recovered,
         })
     }
 
     fn ghost(&self) -> Arc<dyn AnyGhost> {
-        self.w.ghost.clone()
+        self.scene.w.ghost.clone()
     }
 
     fn crash(&self) {
-        self.w.ghost.crash();
+        self.scene.w.ghost.crash();
     }
 
     fn restart(&self) -> Tid {
-        (self.crash)(&self.sys);
-        self.sys.boot(&self.w);
-        self.spawn("recovery", Sys::recover)
+        let Scene { w, sys, .. } = &*self.scene;
+        (self.crash)(sys);
+        sys.boot(w);
+        self.spawn("recovery", |scene| scene.sys.recover(&scene.w))
     }
 
     fn recovered(&mut self) {
         if !std::mem::replace(&mut self.recovered, true) {
-            self.spawn_all(&self.after);
+            self.spawn_round(true);
         }
     }
 
     fn fail_disk(&self, disk: u8) {
-        self.sys.fail_disk(disk);
+        self.scene.sys.fail_disk(disk);
     }
 
     fn verdict(&self) -> (ExecOutcome, u64) {
-        let helped = match self.w.ghost.validate() {
+        let Scene { w, sys, .. } = &*self.scene;
+        let helped = match w.ghost.validate() {
             Ok(report) => report.helped as u64,
             Err(e) => return (ExecOutcome::Violation(e), 0),
         };
-        match self.sys.abs_check(&self.w) {
+        match sys.abs_check(w) {
             Ok(()) => (ExecOutcome::Ok, helped),
             Err(msg) => (ExecOutcome::FinalCheckFailed(msg), helped),
         }

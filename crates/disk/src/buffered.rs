@@ -38,11 +38,26 @@ pub struct BufferedImage {
 /// Unflushed writes in program order, as records of the block address
 /// (8 bytes, little-endian) and the block's bytes in one flat buffer: a
 /// buffered write copies bytes and allocates nothing once the buffer has
-/// grown to the longest run of writes between flushes.
-#[derive(Debug, Clone)]
+/// grown to the longest run of writes between flushes, and restoring an
+/// image copies into the buffer there is.
+#[derive(Debug)]
 struct Pending {
     records: Vec<u8>,
     block_size: usize,
+}
+
+impl Clone for Pending {
+    fn clone(&self) -> Pending {
+        Pending {
+            records: self.records.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Pending) {
+        self.records.clone_from(&source.records);
+        self.block_size = source.block_size;
+    }
 }
 
 impl Pending {

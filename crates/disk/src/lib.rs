@@ -38,13 +38,28 @@ const INLINE: usize = 23;
 /// block of up to 23 bytes is a plain value (reading or copying one
 /// allocates nothing); a larger one keeps its bytes on the heap. Either
 /// way it reads as a byte slice, and compares and prints as one.
-#[derive(Clone)]
 pub struct Block(Repr);
 
 #[derive(Clone)]
 enum Repr {
     Inline { len: u8, bytes: [u8; INLINE] },
     Heap(Vec<u8>),
+}
+
+impl Clone for Block {
+    fn clone(&self) -> Block {
+        Block(self.0.clone())
+    }
+
+    /// Copies into the heap buffer `self` already has, if both are on
+    /// the heap: a ghost cell or a write buffer copied back over its
+    /// earlier self allocates nothing.
+    fn clone_from(&mut self, source: &Block) {
+        match (&mut self.0, &source.0) {
+            (Repr::Heap(to), Repr::Heap(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl Block {
@@ -118,12 +133,28 @@ impl fmt::Debug for Block {
 }
 
 /// The blocks of one model disk in one flat buffer: a read or a write
-/// copies bytes, and an image of the disk is one allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// copies bytes, an image of the disk is one allocation, and restoring
+/// an image copies into the buffer the disk has.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Platter {
     bytes: Vec<u8>,
     nblocks: u64,
     block_size: usize,
+}
+
+impl Clone for Platter {
+    fn clone(&self) -> Platter {
+        Platter {
+            bytes: self.bytes.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Platter) {
+        self.bytes.clone_from(&source.bytes);
+        self.nblocks = source.nblocks;
+        self.block_size = source.block_size;
+    }
 }
 
 impl Platter {

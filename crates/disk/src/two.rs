@@ -51,13 +51,32 @@ pub trait TwoDisks: Send + Sync {
     fn size(&self) -> u64;
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TwoState {
     d1: Platter,
     d2: Platter,
     failed1: bool,
     failed2: bool,
     ops: u64,
+}
+
+/// Restoring an image copies into the platters the disks have.
+impl Clone for TwoState {
+    fn clone(&self) -> TwoState {
+        TwoState {
+            d1: self.d1.clone(),
+            d2: self.d2.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &TwoState) {
+        self.d1.clone_from(&source.d1);
+        self.d2.clone_from(&source.d2);
+        self.failed1 = source.failed1;
+        self.failed2 = source.failed2;
+        self.ops = source.ops;
+    }
 }
 
 /// A [`ModelTwoDisks`] as a value: both platters, which have failed, and

@@ -87,11 +87,12 @@ fn within(name: &str, measured: f64, budget: f64) {
 }
 
 // Budgets: the value measured once a world was reset between the
-// executions it serves instead of rebuilt, plus 10 %. Each check
-// starts with no spare decision paths, dependency traces or worlds, so a
-// run's count does not depend on which run went before it on the
-// thread. Its parent, which built every execution's world with `make`,
-// measured 65.8, 54.7, 52.7, 131.5 and 61.1 on the same five runs; the
+// executions it serves instead of rebuilt (27.5, 24.9, 20.5, 82.1 and
+// 23.5), plus 10 %. Each check starts with no spare decision paths,
+// dependency traces or worlds, so a run's count does not depend on which
+// run went before it on the thread. Its parent, which built every
+// execution's world with `make`, measured 65.8, 54.7, 52.7, 131.5 and
+// 61.1 on the same five runs; the
 // parent of PR 35 (a boxed closure per spec combinator and a cloned σ per
 // update, a heap buffer per disk block, a box per ghost-cell write)
 // 142.5, 92.1, 98.0, 213.1 and 176.8; the parent of PR 25 (nested
@@ -102,10 +103,10 @@ fn within(name: &str, measured: f64, budget: f64) {
 fn dpor_footprints_allocate_within_budget() {
     // 1 999 executions, nearly all of them in the DPOR schedule phase.
     let name = "patterns/mutant/gc-count-first";
-    within(name, allocs_per_exec(name, hunt(), true), 32.4);
+    within(name, allocs_per_exec(name, hunt(), true), 30.3);
     // 69 executions, caught in the crash sweep.
     let name = "patterns/mutant/panic-reset";
-    within(name, allocs_per_exec(name, hunt(), true), 29.0);
+    within(name, allocs_per_exec(name, hunt(), true), 27.4);
 }
 
 #[test]
@@ -114,7 +115,7 @@ fn exhaustive_exploration_allocates_within_budget() {
     // shared execution. The forks a debug build re-runs to cross-check
     // them run on a thread of their own, so they are not counted here.
     let name = "patterns/wal";
-    within(name, allocs_per_exec(name, verify(), false), 24.5);
+    within(name, allocs_per_exec(name, verify(), false), 22.6);
 }
 
 #[test]
@@ -126,5 +127,5 @@ fn fault_sweeps_allocate_within_budget() {
     // The fault passes' random-crash and torn-write jobs crash in
     // place, and the disk-fault jobs fork.
     let name = "patterns/txn-wal";
-    within(name, allocs_per_exec(name, faults(), false), 29.0);
+    within(name, allocs_per_exec(name, faults(), false), 25.9);
 }
