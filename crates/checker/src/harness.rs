@@ -50,7 +50,7 @@ use goose_rt::sched::{ModelRt, Tid};
 use perennial::{Fnv1a, Ghost};
 use perennial_spec::SpecTS;
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -270,9 +270,9 @@ pub(crate) trait AnyHarness: Send + Sync {
 
     /// The pool's builder ([`Worlds`]): a runtime for `spec`'s execution,
     /// a fresh ghost engine, and the world [`Harness::make`] builds over
-    /// them; with `pristine`, each copied as it stands then — what a
-    /// reset puts back — so the world can serve again. Not started.
-    fn build(&self, spec: &ExecSpec<'_>, pristine: bool) -> Box<dyn AnyWorld>;
+    /// them, each copied as it stands then — what a reset puts back — so
+    /// the world can serve again. Not started.
+    fn build(&self, spec: &ExecSpec<'_>) -> Box<dyn AnyWorld>;
 }
 
 /// One world — the system, its workload and its ghost state — behind one
@@ -293,10 +293,6 @@ pub(crate) trait AnyWorld {
     /// spawned, or, from `base`, made the crashed copy of `base`'s world,
     /// to be [restarted](AnyWorld::restart).
     fn start(&mut self, spec: &ExecSpec<'_>, base: Option<&dyn AnyWorld>);
-
-    /// Whether the world was built to serve again (its pristine state
-    /// copied).
-    fn reusable(&self) -> bool;
 
     /// What the crashed copy of this world is built from, now: the
     /// system's [`System::snapshot`] and the runtime and ghost state to
@@ -327,29 +323,18 @@ pub(crate) trait AnyWorld {
     fn verdict(&self) -> (ExecOutcome, u64);
 }
 
-/// The most worlds a pool keeps: as many as a nested crash group has at
-/// once (the shared execution, the first-level job forked off it, and
-/// each second-level job forked off that).
-const KEPT: usize = 3;
-
-/// The worlds a pool builds for one execution each, uncopied, before it
-/// builds worlds to serve again: a copy costs about a fifth of a build,
-/// and a check that ends by its second execution (a mutant caught at
-/// once or right after) never reuses one.
-const UNCOPIED: u32 = 2;
-
 /// One scenario's worlds on one OS thread, for the length of one check
-/// (one wave's worker, at two workers or more). An execution takes a
-/// world from the pool or has the harness build one, and gives it back
-/// if it ended well; a world whose execution failed, panicked or wedged
-/// is dropped. A traced execution always gets a new world: its build is
-/// part of what the trace records. The pool's first [`UNCOPIED`] worlds
-/// are built as worlds for one execution each.
+/// (one wave's worker, at two workers or more). An execution takes the
+/// pool's world or has the harness build one, and gives it back if it
+/// ended well; a world whose execution failed, panicked or wedged is
+/// dropped. The pool keeps one world: the jobs a crash sweep forks off
+/// its shared execution, which holds a world of its own, build a second
+/// (a nested sweep's, a third), and of the worlds that come back the
+/// first is kept. A traced execution always gets a new world: its build
+/// is part of what the trace records.
 pub(crate) struct Worlds<'h> {
     harness: &'h dyn AnyHarness,
-    free: RefCell<Vec<Box<dyn AnyWorld>>>,
-    /// Worlds the pool has built.
-    built: Cell<u32>,
+    free: Cell<Option<Box<dyn AnyWorld>>>,
 }
 
 impl<'h> Worlds<'h> {
@@ -357,32 +342,29 @@ impl<'h> Worlds<'h> {
     pub(crate) fn new(harness: &'h dyn AnyHarness) -> Self {
         Worlds {
             harness,
-            free: RefCell::new(Vec::new()),
-            built: Cell::new(0),
+            free: Cell::new(None),
         }
     }
 
     /// A world for `spec`'s execution, not yet started, and whether it
     /// served an earlier one.
     pub(crate) fn world(&self, spec: &ExecSpec<'_>) -> (Box<dyn AnyWorld>, bool) {
-        let kept = (!spec.capture_trace).then(|| self.free.borrow_mut().pop());
-        match kept.flatten() {
+        let kept = if spec.capture_trace {
+            None
+        } else {
+            self.free.take()
+        };
+        match kept {
             Some(world) => (world, true),
-            None => {
-                let built = self.built.get();
-                self.built.set(built + 1);
-                (self.harness.build(spec, built >= UNCOPIED), false)
-            }
+            None => (self.harness.build(spec), false),
         }
     }
 
-    /// Keeps `world`, whose execution ended well, for a later one, up to
-    /// [`KEPT`] worlds built to serve again.
+    /// Keeps `world`, whose execution ended well, for a later one, unless
+    /// the pool holds one already.
     pub(crate) fn keep(&self, world: Box<dyn AnyWorld>) {
-        let mut free = self.free.borrow_mut();
-        if world.reusable() && free.len() < KEPT {
-            free.push(world);
-        }
+        let kept = self.free.take();
+        self.free.set(kept.or(Some(world)));
     }
 }
 
@@ -439,7 +421,7 @@ where
         self.0.fault_surface()
     }
 
-    fn build(&self, spec: &ExecSpec<'_>, pristine: bool) -> Box<dyn AnyWorld> {
+    fn build(&self, spec: &ExecSpec<'_>) -> Box<dyn AnyWorld> {
         let rt = ModelRt::with_faults(spec.seed, spec.max_steps, spec.faults.clone());
         rt.set_track_deps(spec.track_deps);
         rt.set_tracing(spec.capture_trace);
@@ -448,12 +430,10 @@ where
             ghost: Ghost::new(self.0.spec()),
         };
         let script = self.0.make(&w);
-        if pristine {
-            w.rt.mark_pristine();
-            w.ghost.mark_pristine();
-        }
+        w.rt.mark_pristine();
+        w.ghost.mark_pristine();
         Box::new(Live {
-            pristine: pristine.then(|| Box::new(script.sys.snapshot())),
+            pristine: script.sys.snapshot(),
             scene: Arc::new(Scene {
                 w,
                 sys: script.sys,
@@ -505,10 +485,9 @@ struct Live<Sys: System<S>, S: SpecTS> {
     /// Whether the post-recovery round has been spawned (in a crashed
     /// copy, whether its base's had).
     recovered: bool,
-    /// The system's snapshot right after `make`, if the world is to
-    /// serve again; the runtime and the ghost engine keep their own
-    /// copies.
-    pristine: Option<Box<Sys::Durable>>,
+    /// The system's snapshot right after `make`; the runtime and the
+    /// ghost engine keep their own copies.
+    pristine: Sys::Durable,
     /// Whether the world has served an execution.
     used: bool,
 }
@@ -540,8 +519,7 @@ impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
         let rt = &w.rt;
         if std::mem::replace(&mut self.used, true) {
             if base.is_none() {
-                let pristine = self.pristine.as_ref();
-                sys.restore(pristine.expect("a world the pool keeps is copied"));
+                sys.restore(&self.pristine);
                 Sys::crash(sys);
                 w.ghost.reset();
                 sys.relet(w);
@@ -568,10 +546,6 @@ impl<Sys: System<S>, S: SpecTS> AnyWorld for Live<Sys, S> {
         sys.restore(&base.durable);
         rt.restore_crashed(&base.w.rt);
         w.ghost.fork_crashed(&base.w.ghost);
-    }
-
-    fn reusable(&self) -> bool {
-        self.pristine.is_some()
     }
 
     fn snapshot(&self) -> Box<dyn Any> {

@@ -7,7 +7,7 @@
 //! wave across the worker pool — the crash sweeps' jobs in groups forked
 //! off one shared execution ([`execute_group`]) — and keeps the
 //! [`JobOutcome`]s for aggregation. Shard ownership, WAL replay and
-//! minimum-key cancellation are all decided per job, in [`execute_job`]
+//! minimum-key cancellation are all decided per job, in `Group::execute`
 //! or at the job's fork, from state every worker shares ([`Shared`]).
 
 use crate::config::CheckConfig;
@@ -473,67 +473,6 @@ impl Shared<'_> {
     }
 }
 
-/// Runs one job in a world from `worlds` and appends its outcome to
-/// `outs`, applying shard ownership: leaf jobs other shards own are
-/// skipped, spine jobs run but are not counted.
-fn execute_job(
-    (shared, worlds): (&Shared<'_>, &Worlds<'_>),
-    job: &Job,
-    outs: &mut Vec<JobOutcome>,
-    spares: &mut Spares,
-) {
-    let owned = shared.owns(job.key);
-    if (owned || shared.is_spine(job)) && shared.cancel.should_run(job.key) {
-        outs.push(run_or_replay((shared, worlds), job, owned, spares));
-    }
-}
-
-/// One execution of a job: read back from the resume WAL if it completed
-/// there, otherwise run in buffers from `spares` and [`record`]ed.
-fn run_or_replay(
-    (shared, worlds): (&Shared<'_>, &Worlds<'_>),
-    job: &Job,
-    counted: bool,
-    spares: &mut Spares,
-) -> JobOutcome {
-    // Only `ok` records are in the map, and every field of the outcome
-    // is deterministic job metadata or a recorded statistic, so a resumed
-    // run aggregates to the same report as a cold one.
-    if let Some(&stats) = shared.replay.get(&job.key) {
-        return shared.read_back(job, counted, stats);
-    }
-    let seed = shared.seed(job);
-    let r = run_alone(shared, worlds, job, seed, spares);
-    record(shared, job, seed, counted, r, spares)
-}
-
-/// `job` run from its first step in a world from `worlds`, in buffers
-/// from `spares`. In debug builds, a fixed sample of the executions a
-/// reused world served ([`sampled`]) is held to a fresh world's: any
-/// difference panics, naming the job.
-fn run_alone(
-    shared: &Shared<'_>,
-    worlds: &Worlds<'_>,
-    job: &Job,
-    seed: u64,
-    spares: &mut Spares,
-) -> RunResult {
-    let spec = ExecSpec {
-        buffers: spares.take(job.track_deps),
-        ..shared.spec(job, seed)
-    };
-    let r = run_one(worlds, spec);
-    if r.reused && sampled(job) {
-        if let Some(diff) = r.difference(&isolated(shared, job, seed)) {
-            let (name, key) = (shared.telem.name(), job.key);
-            panic!(
-                "{name}: job {key:?} run in a reused world differs from a fresh world in {diff}"
-            );
-        }
-    }
-    r
-}
-
 /// Whether `job` is in the fixed sample a debug build re-runs by itself
 /// ([`CROSS_CHECKED`]).
 fn sampled(job: &Job) -> bool {
@@ -621,7 +560,7 @@ fn counterexample_of(job: &Job, seed: u64, outcome: ExecOutcome) -> Counterexamp
 /// In debug builds, the passing forks and the executions a reused world
 /// served whose job key falls in shard 0 of this many are also run by
 /// themselves in a fresh world and compared field by field
-/// (`Group::confirm`, [`run_alone`]): one in eight, fixed by the key,
+/// (`Group::confirm`, `Group::run_alone`): one in eight, fixed by the key,
 /// which keeps the debug test suite's time within reach of what it was
 /// before forking.
 const CROSS_CHECKED: u32 = 8;
@@ -645,7 +584,9 @@ fn groups(jobs: &[Job]) -> Vec<&[Job]> {
 /// (DESIGN.md §9); a job the shared execution cannot serve — it drew
 /// model randomness first, or ended before the job's crash point — is
 /// run by itself. Shards, the WAL and cancellation decide per job, as
-/// [`execute_job`] does. Executions fill buffers from `spares`.
+/// [`Group::execute`] does. Executions fill buffers from `spares`. Any
+/// job whose debug cross-check found a difference panics once the group
+/// is done, naming the first.
 fn execute_group(
     (shared, worlds): (&Shared<'_>, &Worlds<'_>),
     jobs: &[Job],
@@ -686,7 +627,8 @@ struct Group<'g, 'a> {
     outs: &'g mut Vec<JobOutcome>,
     /// Steps the shared executions ran, which no job's own count holds.
     shared_steps: u64,
-    /// How the first fork that differed from its re-run differed.
+    /// How the first cross-checked job that differed from its re-run
+    /// differed ([`Group::note`]).
     mismatch: Option<String>,
 }
 
@@ -774,7 +716,7 @@ impl<'g> Group<'g, '_> {
             let forked = run_stopping(self.worlds, spec, Some(here), &[], &mut |_| {});
             self.confirm(job, seed, forked)
         } else {
-            run_alone(shared, self.worlds, job, seed, self.spares)
+            self.run_alone(job, seed)
         };
         let counted = shared.owns(job.key);
         let out = record(shared, job, seed, counted, r, self.spares);
@@ -797,13 +739,10 @@ impl<'g> Group<'g, '_> {
         } else {
             isolated(self.shared, job, seed)
         };
-        if let Some(diff) = forked.difference(&again) {
-            let name = self.shared.telem.name();
-            let key = job.key;
-            self.mismatch.get_or_insert_with(|| {
-                format!("{name}: the fork of job {key:?} differs from its re-run in {diff}")
-            });
-        }
+        let (diff, key) = (forked.difference(&again), job.key);
+        self.note(diff, |diff| {
+            format!("the fork of job {key:?} differs from its re-run in {diff}")
+        });
         RunResult {
             clamped: again.clamped,
             trace: again.trace,
@@ -814,14 +753,67 @@ impl<'g> Group<'g, '_> {
     /// Works off the jobs before `upto` that no shared execution served:
     /// each replayed, skipped or run by itself.
     fn catch_up(&mut self, upto: usize) {
-        for job in &self.jobs[self.done..upto] {
-            execute_job((self.shared, self.worlds), job, self.outs, self.spares);
+        let jobs = self.jobs;
+        for job in &jobs[self.done..upto] {
+            self.execute(job);
         }
         self.done = self.done.max(upto);
     }
 
-    /// Works off every job left. Panics if a fork differed from its
-    /// re-run.
+    /// Runs one job by itself and appends its outcome, applying shard
+    /// ownership: leaf jobs other shards own are skipped, spine jobs run
+    /// but are not counted. A job that completed in the resume WAL is
+    /// read back from it instead: only `ok` records are in the map, and
+    /// every field of the outcome is deterministic job metadata or a
+    /// recorded statistic, so a resumed run aggregates to the same report
+    /// as a cold one.
+    fn execute(&mut self, job: &Job) {
+        let shared = self.shared;
+        let owned = shared.owns(job.key);
+        if !(owned || shared.is_spine(job)) || !shared.cancel.should_run(job.key) {
+            return;
+        }
+        let out = match shared.replay.get(&job.key) {
+            Some(&stats) => shared.read_back(job, owned, stats),
+            None => {
+                let seed = shared.seed(job);
+                let r = self.run_alone(job, seed);
+                record(shared, job, seed, owned, r, self.spares)
+            }
+        };
+        self.outs.push(out);
+    }
+
+    /// `job` run from its first step in a world from the pool. In debug
+    /// builds, a fixed sample of the executions a reused world served
+    /// ([`sampled`]) is held to a fresh world's.
+    fn run_alone(&mut self, job: &Job, seed: u64) -> RunResult {
+        let spec = ExecSpec {
+            buffers: self.spares.take(job.track_deps),
+            ..self.shared.spec(job, seed)
+        };
+        let r = run_one(self.worlds, spec);
+        if r.reused && sampled(job) {
+            let (diff, key) = (r.difference(&isolated(self.shared, job, seed)), job.key);
+            self.note(diff, |diff| {
+                format!("job {key:?} run in a reused world differs from a fresh world in {diff}")
+            });
+        }
+        r
+    }
+
+    /// Keeps the first difference a cross-check found, for
+    /// [`Group::finish`] to panic with: a panic here, inside a shared
+    /// execution's stop, would be that execution's harness panic.
+    fn note(&mut self, diff: Option<String>, says: impl FnOnce(String) -> String) {
+        if let (Some(diff), None) = (diff, &self.mismatch) {
+            let name = self.shared.telem.name();
+            self.mismatch = Some(format!("{name}: {}", says(diff)));
+        }
+    }
+
+    /// Works off every job left. Panics if a cross-check found a
+    /// difference.
     fn finish(mut self) {
         self.catch_up(self.jobs.len());
         if let Some(first) = self.outs.get_mut(self.first) {

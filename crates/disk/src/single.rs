@@ -66,6 +66,9 @@ pub struct DiskImage {
 pub struct ModelDisk {
     rt: Arc<ModelRt>,
     blocks: OwnerCell<Platter>,
+    /// The number of blocks, fixed at construction: a bounds check
+    /// borrows nothing.
+    nblocks: u64,
     block_size: usize,
     ops: OwnerCell<u64>,
     /// Dependency-tracking resource id; accesses are per-block.
@@ -79,6 +82,7 @@ impl ModelDisk {
         Arc::new(ModelDisk {
             rt,
             blocks: OwnerCell::new(Platter::new(nblocks, block_size)),
+            nblocks,
             block_size,
             ops: OwnerCell::new(0),
             tag,
@@ -180,7 +184,7 @@ impl SingleDisk for ModelDisk {
     }
 
     fn size(&self) -> u64 {
-        self.blocks.lock().len()
+        self.nblocks
     }
 }
 

@@ -243,8 +243,7 @@ struct RtState {
 
 /// The runtime as its world's builder left it ([`ModelRt::mark_pristine`]):
 /// what [`ModelRt::reset`] restores before a world serves another
-/// execution (a runtime nobody marked goes back to empty).
-#[derive(Default)]
+/// execution.
 struct Pristine {
     locks: Vec<LockSlot>,
     stats: SchedStats,
@@ -1267,15 +1266,16 @@ impl ModelRt {
     /// [`ModelRt::mark_pristine`] made it: an empty thread table, the
     /// marked lock table (slots and ids kept, the marked holders and
     /// block counts), counters, resource-tag counter and baton passes, no
-    /// footprint or trace recorded and both recorders off. Allocates
-    /// nothing beyond the plan's clone. Called from the controller once
-    /// every thread of the last execution has ended.
+    /// footprint or trace recorded and both recorders off. A recorder's
+    /// buffer is emptied only if the recorder was on: one that was off
+    /// since the last reset recorded nothing. Allocates nothing beyond the
+    /// plan's clone. Called from the controller once every thread of the
+    /// last execution has ended.
     pub fn reset(&self, seed: u64, max_steps: u64, faults: FaultPlan) {
         let mut s = self.state.lock();
         assert_eq!(s.live, 0, "a runtime is reset with no thread live");
         let s = &mut *s;
-        let unmarked = Pristine::default();
-        let pristine = s.pristine.as_deref().unwrap_or(&unmarked);
+        let pristine = s.pristine.as_deref().expect("the runtime was marked");
         s.thread_table.clear();
         s.controller = None;
         s.pilot = None;
@@ -1288,10 +1288,14 @@ impl ModelRt {
         s.faults = faults;
         self.next_tag.store(pristine.tags, Ordering::Relaxed);
         self.wakeups.store(pristine.wakeups, Ordering::Relaxed);
-        self.set_track_deps(false);
-        self.set_tracing(false);
-        self.cur_accesses.lock().clear();
-        *self.trace_buf.lock() = TraceBuf::default();
+        // A recorder that was off recorded nothing since the last reset
+        // (or the build) emptied its buffer.
+        if self.track_deps.swap(false, Ordering::Relaxed) {
+            self.cur_accesses.lock().clear();
+        }
+        if self.tracing.swap(false, Ordering::Relaxed) {
+            *self.trace_buf.lock() = TraceBuf::default();
+        }
     }
 
     /// Checks that every virtual thread has terminated (end of a
